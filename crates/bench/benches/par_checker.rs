@@ -1,5 +1,5 @@
 //! Experiment E5 (parallel half): the serial checker against the
-//! parallel entry points at 1/2/4/8 worker threads, over histories
+//! pooled `Check` at 1/2/4/8 worker threads, over histories
 //! whose serialization-order enumeration is wide enough to split.
 //!
 //! The stress histories come from `jungle_litmus::stress`:
@@ -11,10 +11,11 @@
 //! JSON report so `report --json` and CI can track them.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use jungle_core::check::{Check, CheckKind};
 use jungle_core::model::Sc;
-use jungle_core::opacity::{check_opacity, check_opacity_par, check_opacity_par_traced};
+use jungle_core::opacity::{check_opacity, check_opacity_par};
 use jungle_core::par::ParallelConfig;
-use jungle_core::sgla::{check_sgla, check_sgla_par};
+use jungle_core::sgla::check_sgla;
 use jungle_litmus::stress::{wide_history, wide_unsat_history};
 use jungle_obs::ledger::{self, LedgerEntry};
 use jungle_obs::{MetricsSnapshot, ToJson};
@@ -33,6 +34,14 @@ fn pinned(threads: usize) -> ParallelConfig {
     ParallelConfig {
         threads,
         min_units: 0,
+    }
+}
+
+/// The `kind` check on the [`pinned`] pool of `threads` workers.
+fn pooled(kind: CheckKind, threads: usize) -> Check {
+    Check {
+        parallel: Some(pinned(threads)),
+        ..Check::new(kind)
     }
 }
 
@@ -90,9 +99,9 @@ fn bench_sgla(c: &mut Criterion) {
         b.iter(|| black_box(check_sgla(h, &Sc).is_sgla()))
     });
     for t in THREADS {
-        let cfg = pinned(t);
+        let pooled = pooled(CheckKind::Sgla, t);
         g.bench_with_input(BenchmarkId::new(format!("par_t{t}"), p), &h, |b, h| {
-            b.iter(|| black_box(check_sgla_par(h, &Sc, &cfg).is_sgla()))
+            b.iter(|| black_box(pooled.run(h, &Sc).0.is_sgla()))
         });
     }
     g.finish();
@@ -107,13 +116,13 @@ fn report_counters(_c: &mut Criterion) {
         let h = wide_unsat_history(p);
         let serial = check_opacity(&h, &Sc);
         for t in THREADS {
-            let (v, stats) = check_opacity_par_traced(&h, &Sc, &pinned(t));
+            let (v, stats) = pooled(CheckKind::Opacity, t).run(&h, &Sc);
             assert_eq!(
                 v.is_opaque(),
                 serial.is_opaque(),
                 "parallel verdict diverged at p={p}, threads={t}"
             );
-            snap.record_checker(&format!("E5_wide_unsat_p{p}_t{t}"), &stats);
+            snap.record_checker(&format!("E5_wide_unsat_p{p}_t{t}"), &stats.search);
         }
     }
     criterion::report_metrics("E5_par_checker", snap.to_json().to_string());

@@ -72,10 +72,7 @@ use jungle_mc::explain::{explain_experiment, explain_trace};
 use jungle_mc::theorems::{
     all_fixed_experiments, experiment_by_id, experiment_ids, matched_zoo, thm1_suite, Experiment,
 };
-use jungle_mc::{
-    check_all_traces_shared, class_sweep_dpor, class_sweep_enumerative, SharedVerdictMemo,
-    SweepSeeds,
-};
+use jungle_mc::{class_sweep_dpor, class_sweep_enumerative, SharedVerdictMemo, Sweep, SweepSeeds};
 use jungle_monitor::{Monitor, MonitorConfig};
 use jungle_obs::ledger::{self, LedgerEntry, Tolerances};
 use jungle_obs::trace::{self as flight, FlightRecorder};
@@ -450,10 +447,10 @@ fn monitor_sweep(json: bool, rows: &mut Vec<Row>) -> (Vec<Json>, MonitorStats) {
 /// wall-clock. Returns the JSON section and the aggregated solver
 /// stats.
 fn sat_sweep(json: bool, rows: &mut Vec<Row>) -> (Json, SatStats) {
-    use jungle_core::encode::{check_opacity_sat_traced, check_sgla_sat_traced};
+    use jungle_core::check::{Check, CheckBackend, CheckKind};
+    use jungle_core::encode::check_opacity_sat_traced;
     use jungle_core::model::Sc;
     use jungle_core::opacity::check_opacity;
-    use jungle_core::sgla::check_sgla;
     use jungle_litmus::stress::wide_unsat_history;
 
     let mut total = SatStats::default();
@@ -474,31 +471,24 @@ fn sat_sweep(json: bool, rows: &mut Vec<Row>) -> (Json, SatStats) {
             let label = format!("{}/{}", litmus.name, o.label);
             let (mut n, mut agree, mut pos, mut cert) = (0u64, 0u64, 0u64, 0u64);
             for e in registry() {
-                let dfs = check_opacity(&o.history, e.model).is_opaque();
-                let (sat, st) = check_opacity_sat_traced(&o.history, e.model);
-                total.absorb(&st);
-                n += 1;
-                if dfs == sat.is_opaque() {
-                    agree += 1;
-                } else {
-                    disagreements.push(format!("{label}/{}/opacity", e.key));
-                }
-                if sat.is_opaque() {
-                    pos += 1;
-                    cert += st.certified;
-                }
-                let dfs = check_sgla(&o.history, e.model).is_sgla();
-                let (sat, st) = check_sgla_sat_traced(&o.history, e.model);
-                total.absorb(&st);
-                n += 1;
-                if dfs == sat.is_sgla() {
-                    agree += 1;
-                } else {
-                    disagreements.push(format!("{label}/{}/sgla", e.key));
-                }
-                if sat.is_sgla() {
-                    pos += 1;
-                    cert += st.certified;
+                for kind in [CheckKind::Opacity, CheckKind::Sgla] {
+                    let dfs = Check::new(kind).run(&o.history, e.model).0.holds();
+                    let (sat, st) = Check {
+                        backend: CheckBackend::Sat,
+                        ..Check::new(kind)
+                    }
+                    .run(&o.history, e.model);
+                    total.absorb(&st.sat);
+                    n += 1;
+                    if dfs == sat.holds() {
+                        agree += 1;
+                    } else {
+                        disagreements.push(format!("{label}/{}/{}", e.key, kind.tag()));
+                    }
+                    if sat.holds() {
+                        pos += 1;
+                        cert += st.sat.certified;
+                    }
                 }
             }
             checked += n;
@@ -886,15 +876,12 @@ fn main() {
             let mut sweep_verdicts: Vec<(bool, Option<u64>)> = Vec::new();
             let mut steals_any_width = 0u64;
             for threads in [1usize, 2, 4] {
-                let v = check_all_traces_shared(
-                    &e.program,
-                    e.algo,
-                    &e.entry,
-                    e.kind,
-                    8_000,
-                    &ParallelConfig::with_threads(threads),
-                    &memo,
-                );
+                let v = Sweep {
+                    parallel: Some(ParallelConfig::with_threads(threads)),
+                    memo: Some(&memo),
+                    ..Sweep::new(&e.program, e.algo, &e.entry, e.kind, 8_000)
+                }
+                .run();
                 steals_any_width = steals_any_width.max(v.stats.frontier_steals);
                 waste_total.absorb(&v.waste);
                 dpor_blocked_total += v.stats.dpor_blocked;

@@ -33,7 +33,8 @@
 //! ### CEGAR loop
 //!
 //! Each solver model is decoded to an order and **certified** by the
-//! exact DFS leaf search (`try_order` / `witness_for_pairs`). A SAT
+//! exact DFS leaf search (`OrderSearch::try_order`, the routine the DFS
+//! backend runs on every order it enumerates). A SAT
 //! "yes" is never trusted: a positive verdict always carries a
 //! DFS-validated witness. When certification fails, the oracle shrinks
 //! the order's adjacent-pair set to a minimal infeasible core `S` by
@@ -56,46 +57,18 @@
 //! and each model is re-checked against the mirror with
 //! [`jungle_sat::verify_model`] before decoding.
 
+use crate::check::{
+    adjacent_pairs, Check, CheckBackend, CheckKind, CheckStats, Found, LeafMemo, OrderSearch,
+};
 use crate::history::History;
-use crate::ids::{OpId, ProcId};
 use crate::model::MemoryModel;
-use crate::opacity::{OpacityMemo, OpacityVerdict, Search, ViewCtx};
+use crate::opacity::{OpacityVerdict, Search};
 use crate::par::{Cancel, MEMO_CAP};
-use crate::sgla::{SglaMemo, SglaSearch, SglaVerdict};
+use crate::sgla::{SglaSearch, SglaVerdict};
 use crate::spec::SpecRegistry;
 use jungle_obs::trace::{self, EventKind};
-use jungle_obs::{profile, Counter, SatStats, ScopedSpan, SearchStats};
+use jungle_obs::SatStats;
 use jungle_sat::{Lit, Solution, Solver, Var};
-
-/// Which decision procedure answers an opacity/SGLA query.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum CheckBackend {
-    /// The exact DFS over serialization orders (the default).
-    #[default]
-    Dfs,
-    /// The CDCL + CEGAR backend of this module. Positive verdicts are
-    /// still certified by the DFS leaf routine.
-    Sat,
-}
-
-impl CheckBackend {
-    /// Parse a CLI spelling (`"dfs"` / `"sat"`).
-    pub fn parse(s: &str) -> Option<CheckBackend> {
-        match s {
-            "dfs" => Some(CheckBackend::Dfs),
-            "sat" => Some(CheckBackend::Sat),
-            _ => None,
-        }
-    }
-
-    /// The canonical CLI spelling.
-    pub fn name(self) -> &'static str {
-        match self {
-            CheckBackend::Dfs => "dfs",
-            CheckBackend::Sat => "sat",
-        }
-    }
-}
 
 /// The pair-variable order encoding plus a defensive clause mirror.
 struct OrderEnc {
@@ -125,6 +98,21 @@ impl OrderEnc {
                     let (ab, bc, ac) = (enc.lit(a, b), enc.lit(b, c), enc.lit(a, c));
                     enc.add(vec![ab.negate(), bc.negate(), ac]);
                     enc.add(vec![ab, bc, ac.negate()]);
+                }
+            }
+        }
+        enc
+    }
+
+    /// The base encoding of `s`'s order search: the anti-cycle clauses
+    /// plus one unit clause per must-precede pair.
+    fn for_search<S: OrderSearch>(s: &S) -> OrderEnc {
+        let n = s.n_txns();
+        let mut enc = OrderEnc::new(n);
+        for a in 0..n {
+            for b in 0..n {
+                if a != b && s.must_precede(a, b) {
+                    enc.unit(a, b);
                 }
             }
         }
@@ -186,28 +174,6 @@ impl OrderEnc {
     }
 }
 
-/// A problem the CEGAR driver can refine: the order-search half is
-/// shared; certification and core extraction differ per check kind.
-trait OrderOracle {
-    /// What a certified positive verdict carries.
-    type Witness;
-
-    /// Number of transactions (order-search domain size).
-    fn n(&self) -> usize;
-
-    /// Must `a` precede `b` in every admissible order?
-    fn must(&self, a: usize, b: usize) -> bool;
-
-    /// Run the exact DFS leaf for `order`; `Some` is a validated
-    /// witness.
-    fn certify(&mut self, order: &[usize]) -> Option<Self::Witness>;
-
-    /// After a failed [`certify`](Self::certify): a minimal subset of
-    /// the order's adjacent pairs that is already infeasible. Empty
-    /// means infeasible even unconstrained — no order can ever work.
-    fn core(&mut self, order: &[usize]) -> Vec<(usize, usize)>;
-}
-
 /// Shrink `pairs` to a minimal infeasible subset by greedy deletion,
 /// given `infeasible(subset)` (true when no witness exists under it).
 fn shrink_core<F: FnMut(&[(usize, usize)]) -> bool>(
@@ -227,17 +193,12 @@ fn shrink_core<F: FnMut(&[(usize, usize)]) -> bool>(
     core
 }
 
-/// The generic CEGAR driver: encode, solve, certify, block, repeat.
-fn cegar<O: OrderOracle>(oracle: &mut O, sat: &mut SatStats) -> Option<(Vec<usize>, O::Witness)> {
-    let n = oracle.n();
-    let mut enc = OrderEnc::new(n);
-    for a in 0..n {
-        for b in 0..n {
-            if a != b && oracle.must(a, b) {
-                enc.unit(a, b);
-            }
-        }
-    }
+/// The CEGAR driver: encode, solve, certify, block, repeat. Leaf work
+/// lands in `stats.search`, solver work in `stats.sat`.
+pub(crate) fn cegar<S: OrderSearch>(s: &S, stats: &mut CheckStats) -> Option<Found> {
+    let (search, sat) = (&mut stats.search, &mut stats.sat);
+    let mut memo = LeafMemo::new(MEMO_CAP);
+    let mut enc = OrderEnc::for_search(s);
     trace::emit(
         EventKind::SatSolveBegin,
         u64::from(enc.solver.num_vars()),
@@ -270,18 +231,24 @@ fn cegar<O: OrderOracle>(oracle: &mut O, sat: &mut SatStats) -> Option<(Vec<usiz
             "CDCL model violates its own clause set"
         );
         let order = enc.decode(&model);
-        if let Some(w) = oracle.certify(&order) {
-            break Some((order, w));
-        }
+        // Certify through the exact DFS leaf; on failure, minimize the
+        // order's adjacent pairs against the constraint set that failed.
+        let failed = match s.try_order(&order, search, &Cancel::never(), &mut memo) {
+            Ok(witnesses) => break Some((order, witnesses)),
+            Err(set) => set,
+        };
         rounds += 1;
-        let core = oracle.core(&order);
-        if core.is_empty() {
+        let mut infeasible =
+            |pairs: &[(usize, usize)]| s.infeasible(failed, pairs, search, &mut memo);
+        if infeasible(&[]) {
             break None; // no witness even unconstrained
         }
-        enc.block(&core);
+        enc.block(&shrink_core(&adjacent_pairs(&order), infeasible));
     };
 
     let st = enc.solver.stats();
+    sat.solved += 1;
+    sat.certified += u64::from(result.is_some());
     sat.vars += u64::from(enc.solver.num_vars());
     sat.clauses += enc.mirror.len() as u64;
     sat.decisions += st.decisions;
@@ -294,99 +261,10 @@ fn cegar<O: OrderOracle>(oracle: &mut O, sat: &mut SatStats) -> Option<(Vec<usiz
     result
 }
 
-/// Opacity instance: certification is `Search::try_order`; cores are
-/// minimized against the first viewer-constraint set that failed.
-struct OpacityOracle<'a> {
-    search: &'a Search<'a>,
-    ctx: &'a ViewCtx,
-    stats: SearchStats,
-    memo: OpacityMemo,
-    /// Distinct-viewer index from the latest failed certification.
-    failed: Option<usize>,
-}
-
-impl OrderOracle for OpacityOracle<'_> {
-    type Witness = Vec<(ProcId, Vec<OpId>)>;
-
-    fn n(&self) -> usize {
-        self.search.n_txns()
-    }
-
-    fn must(&self, a: usize, b: usize) -> bool {
-        self.search.must_precede(a, b)
-    }
-
-    fn certify(&mut self, order: &[usize]) -> Option<Self::Witness> {
-        match self.search.try_order(
-            order,
-            self.ctx,
-            &mut self.stats,
-            &Cancel::never(),
-            &mut self.memo,
-        ) {
-            Ok(w) => {
-                self.failed = None;
-                Some(w)
-            }
-            Err(d) => {
-                self.failed = Some(d);
-                None
-            }
-        }
-    }
-
-    fn core(&mut self, order: &[usize]) -> Vec<(usize, usize)> {
-        let d = self.failed.expect("core queried without a failed certify");
-        let (search, ctx) = (self.search, self.ctx);
-        let (stats, memo) = (&mut self.stats, &mut self.memo);
-        let mut probe = |pairs: &[(usize, usize)]| {
-            search
-                .witness_for_pairs(ctx, d, pairs, stats, &Cancel::never(), memo)
-                .is_none()
-        };
-        if probe(&[]) {
-            return Vec::new();
-        }
-        let pairs: Vec<(usize, usize)> = order.windows(2).map(|w| (w[0], w[1])).collect();
-        shrink_core(&pairs, probe)
-    }
-}
-
-/// SGLA instance: one viewer-independent witness search per order.
-struct SglaOracle<'a> {
-    search: &'a SglaSearch<'a>,
-    stats: SearchStats,
-    memo: SglaMemo,
-}
-
-impl OrderOracle for SglaOracle<'_> {
-    type Witness = Vec<OpId>;
-
-    fn n(&self) -> usize {
-        self.search.n_txns()
-    }
-
-    fn must(&self, a: usize, b: usize) -> bool {
-        self.search.txn_must_precede(a, b)
-    }
-
-    fn certify(&mut self, order: &[usize]) -> Option<Self::Witness> {
-        let pairs: Vec<(usize, usize)> = order.windows(2).map(|w| (w[0], w[1])).collect();
-        self.search
-            .witness_for_pairs(&pairs, &mut self.stats, &Cancel::never(), &mut self.memo)
-    }
-
-    fn core(&mut self, order: &[usize]) -> Vec<(usize, usize)> {
-        let mut probe = |pairs: &[(usize, usize)]| {
-            self.search
-                .witness_for_pairs(pairs, &mut self.stats, &Cancel::never(), &mut self.memo)
-                .is_none()
-        };
-        if probe(&[]) {
-            return Vec::new();
-        }
-        let pairs: Vec<(usize, usize)> = order.windows(2).map(|w| (w[0], w[1])).collect();
-        shrink_core(&pairs, probe)
+fn sat(kind: CheckKind) -> Check {
+    Check {
+        backend: CheckBackend::Sat,
+        ..Check::new(kind)
     }
 }
 
@@ -395,7 +273,7 @@ impl OrderOracle for SglaOracle<'_> {
 /// positive answers carry a DFS-certified witness; negative answers
 /// are `Unsat` proofs over DFS-refuted cores.
 pub fn check_opacity_sat(h: &History, model: &dyn MemoryModel) -> OpacityVerdict {
-    check_opacity_sat_with_traced(h, model, &SpecRegistry::registers()).0
+    sat(CheckKind::Opacity).run(h, model).0
 }
 
 /// Like [`check_opacity_sat`], additionally returning the solver and
@@ -404,98 +282,14 @@ pub fn check_opacity_sat_traced(
     h: &History,
     model: &dyn MemoryModel,
 ) -> (OpacityVerdict, SatStats) {
-    check_opacity_sat_with_traced(h, model, &SpecRegistry::registers())
-}
-
-/// [`check_opacity_sat`] under explicit sequential specifications.
-pub fn check_opacity_sat_with(
-    h: &History,
-    model: &dyn MemoryModel,
-    specs: &SpecRegistry,
-) -> OpacityVerdict {
-    check_opacity_sat_with_traced(h, model, specs).0
-}
-
-/// Like [`check_opacity_sat_with`], additionally returning counters.
-pub fn check_opacity_sat_with_traced(
-    h: &History,
-    model: &dyn MemoryModel,
-    specs: &SpecRegistry,
-) -> (OpacityVerdict, SatStats) {
-    let _phase = profile::enter("check.opacity_sat");
-    let wall = Counter::new();
-    let mut sat = SatStats::default();
-    let verdict = {
-        let _span = ScopedSpan::enter(&wall, 0);
-        let th = model.transform(h);
-        let search = Search::new(&th, model, specs);
-        let ctx = search.view_ctx();
-        let mut oracle = OpacityOracle {
-            search: &search,
-            ctx: &ctx,
-            stats: SearchStats::default(),
-            memo: OpacityMemo::new(MEMO_CAP),
-            failed: None,
-        };
-        let result = cegar(&mut oracle, &mut sat);
-        sat.solved += 1;
-        if result.is_some() {
-            sat.certified += 1;
-        }
-        Search::verdict(result)
-    };
-    sat.wall.record(wall.get());
-    (verdict, sat)
+    let (verdict, stats) = sat(CheckKind::Opacity).run(h, model);
+    (verdict, stats.sat)
 }
 
 /// [`check_sgla`](crate::sgla::check_sgla) via the SAT backend. Same
 /// certification discipline as [`check_opacity_sat`].
 pub fn check_sgla_sat(h: &History, model: &dyn MemoryModel) -> SglaVerdict {
-    check_sgla_sat_with_traced(h, model, &SpecRegistry::registers()).0
-}
-
-/// Like [`check_sgla_sat`], additionally returning the solver and
-/// refinement counters (wall time included).
-pub fn check_sgla_sat_traced(h: &History, model: &dyn MemoryModel) -> (SglaVerdict, SatStats) {
-    check_sgla_sat_with_traced(h, model, &SpecRegistry::registers())
-}
-
-/// [`check_sgla_sat`] under explicit sequential specifications.
-pub fn check_sgla_sat_with(
-    h: &History,
-    model: &dyn MemoryModel,
-    specs: &SpecRegistry,
-) -> SglaVerdict {
-    check_sgla_sat_with_traced(h, model, specs).0
-}
-
-/// Like [`check_sgla_sat_with`], additionally returning counters.
-pub fn check_sgla_sat_with_traced(
-    h: &History,
-    model: &dyn MemoryModel,
-    specs: &SpecRegistry,
-) -> (SglaVerdict, SatStats) {
-    let _phase = profile::enter("check.sgla_sat");
-    let wall = Counter::new();
-    let mut sat = SatStats::default();
-    let verdict = {
-        let _span = ScopedSpan::enter(&wall, 0);
-        let th = model.transform(h);
-        let search = SglaSearch::new(&th, model, specs);
-        let mut oracle = SglaOracle {
-            search: &search,
-            stats: SearchStats::default(),
-            memo: SglaMemo::new(MEMO_CAP),
-        };
-        let result = cegar(&mut oracle, &mut sat);
-        sat.solved += 1;
-        if result.is_some() {
-            sat.certified += 1;
-        }
-        search.verdict(result)
-    };
-    sat.wall.record(wall.get());
-    (verdict, sat)
+    sat(CheckKind::Sgla).run(h, model).0
 }
 
 /// A base CNF instance in exportable form (the encoding *before* any
@@ -556,32 +350,24 @@ impl CnfDoc {
     }
 }
 
-fn base_cnf(n: usize, must: impl Fn(usize, usize) -> bool) -> CnfDoc {
-    let mut enc = OrderEnc::new(n);
-    for a in 0..n {
-        for b in 0..n {
-            if a != b && must(a, b) {
-                enc.unit(a, b);
-            }
-        }
-    }
-    CnfDoc::from_enc(&enc)
-}
-
 /// The base CNF of the opacity order search for `h` under `model`.
 pub fn opacity_cnf(h: &History, model: &dyn MemoryModel) -> CnfDoc {
     let th = model.transform(h);
-    let specs = SpecRegistry::registers();
-    let search = Search::new(&th, model, &specs);
-    base_cnf(search.n_txns(), |a, b| search.must_precede(a, b))
+    CnfDoc::from_enc(&OrderEnc::for_search(&Search::new(
+        &th,
+        model,
+        &SpecRegistry::registers(),
+    )))
 }
 
 /// The base CNF of the SGLA order search for `h` under `model`.
 pub fn sgla_cnf(h: &History, model: &dyn MemoryModel) -> CnfDoc {
     let th = model.transform(h);
-    let specs = SpecRegistry::registers();
-    let search = SglaSearch::new(&th, model, &specs);
-    base_cnf(search.n_txns(), |a, b| search.txn_must_precede(a, b))
+    CnfDoc::from_enc(&OrderEnc::for_search(&SglaSearch::new(
+        &th,
+        model,
+        &SpecRegistry::registers(),
+    )))
 }
 
 #[cfg(test)]
@@ -644,7 +430,7 @@ mod tests {
         for h in corpus() {
             for m in all_models() {
                 let dfs = check_opacity(&h, m);
-                let (sat, stats) = check_opacity_sat_with_traced(&h, m, &SpecRegistry::registers());
+                let (sat, stats) = check_opacity_sat_traced(&h, m);
                 assert_eq!(
                     dfs.is_opaque(),
                     sat.is_opaque(),
@@ -662,7 +448,7 @@ mod tests {
         for h in corpus() {
             for m in all_models() {
                 let dfs = check_sgla(&h, m);
-                let (sat, _) = check_sgla_sat_with_traced(&h, m, &SpecRegistry::registers());
+                let sat = check_sgla_sat(&h, m);
                 assert_eq!(
                     dfs.is_sgla(),
                     sat.is_sgla(),
@@ -707,8 +493,7 @@ mod tests {
     fn stats_count_encoding_and_refinement() {
         // fig2a(2, 2) is non-opaque under SC but has witnesses for some
         // unconstrained orders, forcing at least one CEGAR round.
-        let (v, stats) =
-            check_opacity_sat_with_traced(&fig2a(2, 2), &Sc, &SpecRegistry::registers());
+        let (v, stats) = check_opacity_sat_traced(&fig2a(2, 2), &Sc);
         assert!(!v.is_opaque());
         assert!(stats.vars >= 3, "three txns need three pair variables");
         assert!(stats.clauses > 0);
@@ -749,14 +534,5 @@ mod tests {
                 assert!(v.unsigned_abs() <= vars.unsigned_abs());
             }
         }
-    }
-
-    #[test]
-    fn backend_parses_cli_spellings() {
-        assert_eq!(CheckBackend::parse("dfs"), Some(CheckBackend::Dfs));
-        assert_eq!(CheckBackend::parse("sat"), Some(CheckBackend::Sat));
-        assert_eq!(CheckBackend::parse("smt"), None);
-        assert_eq!(CheckBackend::default(), CheckBackend::Dfs);
-        assert_eq!(CheckBackend::Sat.name(), "sat");
     }
 }

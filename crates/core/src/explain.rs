@@ -8,11 +8,11 @@
 //! counterexample narrative, and it is what the `model_checker` example
 //! prints for violating traces.
 
+use crate::check::{Check, CheckKind};
 use crate::history::{History, TxnStatus};
 use crate::ids::OpId;
 use crate::legal::PrefixChecker;
 use crate::model::MemoryModel;
-use crate::opacity::check_opacity_with;
 use crate::spec::SpecRegistry;
 
 /// Why an operation could not extend the witness prefix.
@@ -101,7 +101,11 @@ pub fn explain_opacity_with(
     model: &dyn MemoryModel,
     specs: &SpecRegistry,
 ) -> Diagnosis {
-    if check_opacity_with(h, model, specs).is_opaque() {
+    let check = Check {
+        specs: specs.clone(),
+        ..Check::new(CheckKind::Opacity)
+    };
+    if check.run(h, model).0.holds() {
         return Diagnosis {
             opaque: true,
             best_prefix: Vec::new(),

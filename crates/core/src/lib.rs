@@ -21,8 +21,11 @@
 //!   instances SC, TSO, PSO, RMO, Alpha, Junk-SC and the fully relaxed
 //!   idealized model.
 //! * [`classes`] — §3.2 *Classes of memory models*.
-//! * [`opacity`] — §3.3: the parametrized-opacity checker.
-//! * [`sgla`] — §6.2: the SGLA checker.
+//! * [`check`] — the one request type, [`Check`], that answers "does
+//!   this history satisfy kind K under model M": kind × backend ×
+//!   workers × specifications in, verdict and stats out.
+//! * [`opacity`] — §3.3: the parametrized-opacity witness search.
+//! * [`sgla`] — §6.2: the SGLA witness search.
 //!
 //! All decision procedures are exact (backtracking explicit-state search)
 //! and are intended for the short histories that arise from litmus tests,
@@ -52,11 +55,22 @@
 //! assert!(!check_opacity(&h, &Sc).is_opaque());
 //! // ...but allowed under RMO, which may reorder independent reads.
 //! assert!(check_opacity(&h, &Rmo).is_opaque());
+//!
+//! // `check_opacity` is shorthand for the one request type: any kind ×
+//! // backend × worker count, and the stats of the work done always
+//! // come back with the verdict.
+//! let sgla_by_sat = Check {
+//!     backend: CheckBackend::Sat,
+//!     ..Check::new(CheckKind::Sgla)
+//! };
+//! let (verdict, stats) = sgla_by_sat.run(&h, &Rmo);
+//! assert!(verdict.holds() && stats.sat.certified == 1 && stats.search.nodes > 0);
 //! ```
 
 #![warn(missing_docs)]
 
 pub mod builder;
+pub mod check;
 pub mod classes;
 pub mod encode;
 pub mod explain;
@@ -77,24 +91,21 @@ pub mod triage;
 /// Convenient glob-import of the most frequently used items.
 pub mod prelude {
     pub use crate::builder::HistoryBuilder;
+    pub use crate::check::{Check, CheckBackend, CheckKind, CheckStats, CheckVerdict};
     pub use crate::classes::ClassSet;
     pub use crate::encode::{
-        check_opacity_sat, check_opacity_sat_traced, check_sgla_sat, check_sgla_sat_traced,
-        opacity_cnf, sgla_cnf, CheckBackend, CnfDoc,
+        check_opacity_sat, check_opacity_sat_traced, check_sgla_sat, opacity_cnf, sgla_cnf, CnfDoc,
     };
     pub use crate::history::{History, OpInstance, TxnStatus};
     pub use crate::ids::{OpId, ProcId, Val, Var};
     pub use crate::model::{Alpha, JunkSc, MemoryModel, Pso, Relaxed, Rmo, Sc, Tso, TsoForwarding};
     pub use crate::op::{Command, DepKind, Op};
     pub use crate::opacity::{
-        check_opacity, check_opacity_par, check_opacity_par_traced, check_opacity_traced,
-        OpacityVerdict,
+        check_opacity, check_opacity_par, check_opacity_traced, OpacityVerdict,
     };
     pub use crate::par::ParallelConfig;
     pub use crate::registry::{entry, registry, ExecSemantics, ModelEntry, StoreDiscipline};
-    pub use crate::sgla::{
-        check_sgla, check_sgla_par, check_sgla_par_traced, check_sgla_traced, SglaVerdict,
-    };
+    pub use crate::sgla::{check_sgla, SglaVerdict};
     pub use crate::spec::{Spec, SpecRegistry};
     pub use crate::triage::{triage_opacity, triage_opacity_with, Triage};
     pub use jungle_obs::SearchStats;

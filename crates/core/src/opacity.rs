@@ -21,31 +21,26 @@
 //!
 //! * groups operations into **units** — one per transaction, one per
 //!   non-transactional operation;
-//! * enumerates transaction serialization orders consistent with `≺h`;
+//! * enumerates transaction serialization orders consistent with `≺h`
+//!   (the order search shared with SGLA, in [`check`](crate::check));
 //! * for each order and each process's (minimal) view, searches for a
 //!   topological order of the units that is prefix-legal, using the
-//!   incremental [`PrefixChecker`](crate::legal::PrefixChecker) to prune.
+//!   incremental [`PrefixChecker`](crate::legal::PrefixChecker) to prune
+//!   (the leaf, in this module).
 //!
 //! The search is exponential in the worst case but exact; it is intended
 //! for litmus-test-sized histories (tens of operations) such as those
 //! produced by `jungle-mc` and recorded STM executions.
 
+use crate::check::{adjacent_pairs, Check, CheckKind, CheckVerdict, LeafMemo, OrderSearch};
 use crate::history::{History, TxnStatus};
 use crate::ids::{OpId, ProcId};
 use crate::legal::PrefixChecker;
 use crate::model::MemoryModel;
-use crate::par::{run_order_pool, Cancel, ParallelConfig, WitnessMemo, MEMO_CAP};
+use crate::par::{Cancel, ParallelConfig};
 use crate::spec::SpecRegistry;
 use jungle_obs::trace::{self, EventKind};
-use jungle_obs::{profile, Counter, ScopedSpan, SearchStats};
-
-/// A found serialization order plus per-viewer witness sequences, or
-/// `None` while the search is still running.
-type WitnessResult = Option<(Vec<usize>, Vec<(ProcId, Vec<OpId>)>)>;
-
-/// Per-worker memo of inner witness searches, keyed by the exact
-/// deduplicated edge set (the only input that varies between calls).
-pub(crate) type OpacityMemo = WitnessMemo<Vec<(usize, usize)>, Option<Vec<OpId>>>;
+use jungle_obs::SearchStats;
 
 /// One schedulable unit of the witness search.
 #[derive(Clone, Debug)]
@@ -57,174 +52,112 @@ enum Unit {
 }
 
 /// The verdict of a parametrized-opacity check.
-#[derive(Clone, Debug)]
-pub struct OpacityVerdict {
-    opaque: bool,
-    /// For an opaque history: per-process witness sequences over the
-    /// transformed history, as operation identifiers.
-    witnesses: Vec<(ProcId, Vec<OpId>)>,
-    /// The serialization order of transactions used by the witnesses
-    /// (indices into the transformed history's transaction list).
-    txn_order: Vec<usize>,
-}
-
-impl OpacityVerdict {
-    /// Did the history ensure opacity parametrized by the model?
-    pub fn is_opaque(&self) -> bool {
-        self.opaque
-    }
-
-    /// Witness sequential histories (one per process), as sequences of
-    /// operation identifiers of the transformed history. Empty if not
-    /// opaque.
-    pub fn witnesses(&self) -> &[(ProcId, Vec<OpId>)] {
-        &self.witnesses
-    }
-
-    /// The transaction serialization order shared by all witnesses.
-    pub fn txn_order(&self) -> &[usize] {
-        &self.txn_order
-    }
-}
+pub type OpacityVerdict = CheckVerdict;
 
 /// Check opacity parametrized by `model`, with every variable a
 /// read/write register (the paper's default object semantics).
 pub fn check_opacity(h: &History, model: &dyn MemoryModel) -> OpacityVerdict {
-    check_opacity_with(h, model, &SpecRegistry::registers())
+    Check::new(CheckKind::Opacity).run(h, model).0
 }
 
 /// Like [`check_opacity`], additionally returning counters describing
-/// the search (including wall time, which the untraced entry points
-/// never measure).
+/// the search.
 pub fn check_opacity_traced(h: &History, model: &dyn MemoryModel) -> (OpacityVerdict, SearchStats) {
-    check_opacity_with_traced(h, model, &SpecRegistry::registers())
+    let (verdict, stats) = Check::new(CheckKind::Opacity).run(h, model);
+    (verdict, stats.search)
 }
 
-/// Check opacity parametrized by `model` under explicit sequential
-/// specifications.
-pub fn check_opacity_with(
-    h: &History,
-    model: &dyn MemoryModel,
-    specs: &SpecRegistry,
-) -> OpacityVerdict {
-    let mut stats = SearchStats {
-        searches: 1,
-        ..SearchStats::default()
-    };
-    let th = model.transform(h);
-    Search::new(&th, model, specs).run(&mut stats)
-}
-
-/// Like [`check_opacity_with`], additionally returning search stats.
-pub fn check_opacity_with_traced(
-    h: &History,
-    model: &dyn MemoryModel,
-    specs: &SpecRegistry,
-) -> (OpacityVerdict, SearchStats) {
-    let _phase = profile::enter("check.opacity");
-    let wall = Counter::new();
-    let mut stats = SearchStats {
-        searches: 1,
-        ..SearchStats::default()
-    };
-    let verdict = {
-        let _span = ScopedSpan::enter(&wall, 0);
-        let th = model.transform(h);
-        Search::new(&th, model, specs).run(&mut stats)
-    };
-    stats.wall_ns = wall.get();
-    (verdict, stats)
-}
-
-/// Parallel variant of [`check_opacity`]: fans the serialization-order
-/// enumeration over a scoped worker pool. The verdict **and** the
-/// witness are exactly those of the serial checker, for every thread
-/// count (see the [`par`](crate::par) module docs for why). Falls back
-/// to the serial path below `cfg.min_units` schedulable units.
+/// [`check_opacity`] on the worker pool `cfg` describes.
 pub fn check_opacity_par(
     h: &History,
     model: &dyn MemoryModel,
     cfg: &ParallelConfig,
 ) -> OpacityVerdict {
-    check_opacity_par_with(h, model, &SpecRegistry::registers(), cfg)
-}
-
-/// Like [`check_opacity_par`], additionally returning search stats
-/// (per-worker counters merged; `workers`/`stolen_prefixes`/`cache_hits`
-/// describe the pool).
-pub fn check_opacity_par_traced(
-    h: &History,
-    model: &dyn MemoryModel,
-    cfg: &ParallelConfig,
-) -> (OpacityVerdict, SearchStats) {
-    check_opacity_par_with_traced(h, model, &SpecRegistry::registers(), cfg)
-}
-
-/// Parallel variant of [`check_opacity_with`].
-pub fn check_opacity_par_with(
-    h: &History,
-    model: &dyn MemoryModel,
-    specs: &SpecRegistry,
-    cfg: &ParallelConfig,
-) -> OpacityVerdict {
-    let mut stats = SearchStats {
-        searches: 1,
-        ..SearchStats::default()
+    let check = Check {
+        parallel: Some(*cfg),
+        ..Check::new(CheckKind::Opacity)
     };
-    let th = model.transform(h);
-    Search::new(&th, model, specs).run_par(cfg, &mut stats)
-}
-
-/// Like [`check_opacity_par_with`], additionally returning search stats.
-pub fn check_opacity_par_with_traced(
-    h: &History,
-    model: &dyn MemoryModel,
-    specs: &SpecRegistry,
-    cfg: &ParallelConfig,
-) -> (OpacityVerdict, SearchStats) {
-    let _phase = profile::enter("check.opacity_par");
-    let wall = Counter::new();
-    let mut stats = SearchStats {
-        searches: 1,
-        ..SearchStats::default()
-    };
-    let verdict = {
-        let _span = ScopedSpan::enter(&wall, 0);
-        let th = model.transform(h);
-        Search::new(&th, model, specs).run_par(cfg, &mut stats)
-    };
-    stats.wall_ns = wall.get();
-    (verdict, stats)
+    check.run(h, model).0
 }
 
 /// The per-viewer ordering constraints, computed once per check: the
 /// minimal views of `R(τ(h))` lifted to unit edges, with identical
 /// viewer constraint sets deduplicated.
-pub(crate) struct ViewCtx {
+struct ViewCtx {
     viewers: Vec<ProcId>,
     view_edges: Vec<Vec<(usize, usize)>>,
     /// Indices into `viewers`/`view_edges` of the distinct constraint
     /// sets — one witness search covers every viewer sharing a set.
-    pub(crate) distinct: Vec<usize>,
+    distinct: Vec<usize>,
+}
+
+impl ViewCtx {
+    fn new(h: &History, model: &dyn MemoryModel, unit_of: &[usize]) -> Self {
+        let procs = h.procs();
+        let viewers: Vec<ProcId> = if procs.is_empty() {
+            vec![ProcId(0)]
+        } else {
+            procs
+        };
+
+        // Per-viewer view edges (minimal view of R(τ(h))).
+        let mut view_edges: Vec<Vec<(usize, usize)>> = Vec::with_capacity(viewers.len());
+        for &p in &viewers {
+            let mut edges = Vec::new();
+            let ops = h.ops();
+            for i in 0..ops.len() {
+                if h.is_transactional(i) || ops[i].op.command().is_none() {
+                    continue;
+                }
+                for j in (i + 1)..ops.len() {
+                    if h.is_transactional(j)
+                        || ops[j].op.command().is_none()
+                        || ops[i].proc != ops[j].proc
+                    {
+                        continue;
+                    }
+                    if model.required_in_view(h, p, i, j) {
+                        edges.push((unit_of[i], unit_of[j]));
+                    }
+                }
+            }
+            edges.sort_unstable();
+            edges.dedup();
+            view_edges.push(edges);
+        }
+
+        // Deduplicate identical viewer constraint sets (all bundled
+        // models are viewer-independent, collapsing this to one search).
+        let mut distinct: Vec<usize> = Vec::new();
+        for (vi, e) in view_edges.iter().enumerate() {
+            if !distinct.iter().any(|&d| view_edges[d] == *e) {
+                distinct.push(vi);
+            }
+        }
+
+        ViewCtx {
+            viewers,
+            view_edges,
+            distinct,
+        }
+    }
 }
 
 pub(crate) struct Search<'a> {
     h: &'a History,
-    model: &'a dyn MemoryModel,
     specs: &'a SpecRegistry,
     units: Vec<Unit>,
-    /// For each history index, the unit containing it.
-    unit_of: Vec<usize>,
     /// Base edges (≺h-derived), as unit-index pairs.
     base_edges: Vec<(usize, usize)>,
-    /// Real-time DAG over transactions: `txn_dag[i]` lists txns that
-    /// must serialize after txn `i`.
-    txn_units: Vec<usize>, // txn index -> unit index
+    /// For each transaction index, its unit.
+    txn_units: Vec<usize>,
+    ctx: ViewCtx,
 }
 
 impl<'a> Search<'a> {
-    pub(crate) fn new(h: &'a History, model: &'a dyn MemoryModel, specs: &'a SpecRegistry) -> Self {
+    pub(crate) fn new(h: &'a History, model: &dyn MemoryModel, specs: &'a SpecRegistry) -> Self {
         let mut units = Vec::new();
+        // For each history index, the unit containing it.
         let mut unit_of = vec![usize::MAX; h.len()];
         let mut txn_units = vec![usize::MAX; h.txns().len()];
         for (ti, _t) in h.txns().iter().enumerate() {
@@ -255,261 +188,12 @@ impl<'a> Search<'a> {
 
         Search {
             h,
-            model,
             specs,
             units,
-            unit_of,
             base_edges,
             txn_units,
+            ctx: ViewCtx::new(h, model, &unit_of),
         }
-    }
-
-    fn run(&self, stats: &mut SearchStats) -> OpacityVerdict {
-        trace::emit(EventKind::SearchBegin, self.units.len() as u64, 0);
-        stats.units += self.units.len() as u64;
-        let ctx = self.view_ctx();
-        let n_txn = self.h.txns().len();
-        let mut order: Vec<usize> = Vec::with_capacity(n_txn);
-        let mut used = vec![false; n_txn];
-        let mut result: WitnessResult = None;
-        self.enum_txn_orders(
-            &mut order,
-            &mut used,
-            &ctx,
-            &mut result,
-            stats,
-            &Cancel::never(),
-            &mut OpacityMemo::disabled(),
-        );
-        trace::emit(EventKind::SearchEnd, stats.nodes, result.is_some() as u64);
-        Self::verdict(result)
-    }
-
-    /// Parallel counterpart of [`Search::run`]: feed the
-    /// serialization-order enumeration to a work-stealing frontier of
-    /// scoped workers. Returns exactly what `run` would (see the `par`
-    /// module docs).
-    fn run_par(&self, cfg: &ParallelConfig, stats: &mut SearchStats) -> OpacityVerdict {
-        if cfg.serial_for(self.units.len()) {
-            return self.run(stats);
-        }
-        let threads = cfg.effective_threads();
-        trace::emit(
-            EventKind::SearchBegin,
-            self.units.len() as u64,
-            threads as u64,
-        );
-        stats.units += self.units.len() as u64;
-        stats.workers = stats.workers.max(threads as u64);
-        let ctx = self.view_ctx();
-        let n_txn = self.h.txns().len();
-        let result = run_order_pool(
-            threads,
-            n_txn,
-            |prefix| self.valid_extensions(prefix),
-            || OpacityMemo::new(MEMO_CAP),
-            |prefix, cancel, memo, local| {
-                let mut order = prefix.to_vec();
-                let mut used = vec![false; n_txn];
-                for &t in prefix {
-                    used[t] = true;
-                }
-                let mut result: WitnessResult = None;
-                self.enum_txn_orders(
-                    &mut order,
-                    &mut used,
-                    &ctx,
-                    &mut result,
-                    local,
-                    cancel,
-                    memo,
-                );
-                result
-            },
-            stats,
-        );
-        trace::emit(EventKind::SearchEnd, stats.nodes, result.is_some() as u64);
-        Self::verdict(result)
-    }
-
-    pub(crate) fn verdict(result: WitnessResult) -> OpacityVerdict {
-        match result {
-            Some((txn_order, witnesses)) => OpacityVerdict {
-                opaque: true,
-                witnesses,
-                txn_order,
-            },
-            None => OpacityVerdict {
-                opaque: false,
-                witnesses: Vec::new(),
-                txn_order: Vec::new(),
-            },
-        }
-    }
-
-    /// Number of transactions in the (transformed) history — the size
-    /// of the serialization-order search space.
-    pub(crate) fn n_txns(&self) -> usize {
-        self.h.txns().len()
-    }
-
-    /// Must transaction `u` serialize before transaction `t`? (The
-    /// real-time constraint: `u` completed before `t` began.)
-    pub(crate) fn must_precede(&self, u: usize, t: usize) -> bool {
-        let txns = self.h.txns();
-        txns[u].status.is_completed() && txns[u].last() < txns[t].first()
-    }
-
-    /// May transaction `t` be serialized next, given the already-placed
-    /// set `used`? (Every transaction that must precede `t` is placed.)
-    fn can_place(&self, t: usize, used: &[bool]) -> bool {
-        (0..self.h.txns().len()).all(|u| u == t || used[u] || !self.must_precede(u, t))
-    }
-
-    /// The transactions that may validly extend `prefix`, in ascending
-    /// index order — the serial DFS candidate order.
-    pub(crate) fn valid_extensions(&self, prefix: &[usize]) -> Vec<usize> {
-        let n_txn = self.h.txns().len();
-        let mut used = vec![false; n_txn];
-        for &t in prefix {
-            used[t] = true;
-        }
-        (0..n_txn)
-            .filter(|&t| !used[t] && self.can_place(t, &used))
-            .collect()
-    }
-
-    pub(crate) fn view_ctx(&self) -> ViewCtx {
-        let procs = self.h.procs();
-        let viewers: Vec<ProcId> = if procs.is_empty() {
-            vec![ProcId(0)]
-        } else {
-            procs
-        };
-
-        // Per-viewer view edges (minimal view of R(τ(h))).
-        let mut view_edges: Vec<Vec<(usize, usize)>> = Vec::with_capacity(viewers.len());
-        for &p in &viewers {
-            let mut edges = Vec::new();
-            let ops = self.h.ops();
-            for i in 0..ops.len() {
-                if self.h.is_transactional(i) || ops[i].op.command().is_none() {
-                    continue;
-                }
-                for j in (i + 1)..ops.len() {
-                    if self.h.is_transactional(j)
-                        || ops[j].op.command().is_none()
-                        || ops[i].proc != ops[j].proc
-                    {
-                        continue;
-                    }
-                    if self.model.required_in_view(self.h, p, i, j) {
-                        edges.push((self.unit_of[i], self.unit_of[j]));
-                    }
-                }
-            }
-            edges.sort_unstable();
-            edges.dedup();
-            view_edges.push(edges);
-        }
-
-        // Deduplicate identical viewer constraint sets (all bundled
-        // models are viewer-independent, collapsing this to one search).
-        let mut distinct: Vec<usize> = Vec::new();
-        for (vi, e) in view_edges.iter().enumerate() {
-            if !distinct.iter().any(|&d| view_edges[d] == *e) {
-                distinct.push(vi);
-            }
-        }
-
-        ViewCtx {
-            viewers,
-            view_edges,
-            distinct,
-        }
-    }
-
-    /// Enumerate serialization orders of transactions consistent with
-    /// the real-time order, attempting the per-viewer witness search for
-    /// each complete order. `cancel` aborts the enumeration once its
-    /// result can no longer matter (parallel search only); `memo`
-    /// replays previously solved witness sub-searches.
-    #[allow(clippy::too_many_arguments)]
-    fn enum_txn_orders(
-        &self,
-        order: &mut Vec<usize>,
-        used: &mut Vec<bool>,
-        ctx: &ViewCtx,
-        result: &mut WitnessResult,
-        stats: &mut SearchStats,
-        cancel: &Cancel<'_>,
-        memo: &mut OpacityMemo,
-    ) {
-        if result.is_some() || cancel.hit() {
-            return;
-        }
-        let txns = self.h.txns();
-        if order.len() == txns.len() {
-            stats.txn_orders += 1;
-            if let Ok(witnesses) = self.try_order(order, ctx, stats, cancel, memo) {
-                *result = Some((order.clone(), witnesses));
-            }
-            return;
-        }
-        for t in 0..txns.len() {
-            if used[t] || !self.can_place(t, used) {
-                continue;
-            }
-            used[t] = true;
-            order.push(t);
-            self.enum_txn_orders(order, used, ctx, result, stats, cancel, memo);
-            order.pop();
-            used[t] = false;
-        }
-    }
-
-    /// Attempt the per-viewer witness searches for one complete
-    /// serialization order. `Ok` carries the per-process witnesses;
-    /// `Err(d)` names the first distinct viewer-constraint index that
-    /// admitted no witness (`usize::MAX` when the search was cancelled
-    /// mid-way, in which case the failure may be spurious).
-    pub(crate) fn try_order(
-        &self,
-        order: &[usize],
-        ctx: &ViewCtx,
-        stats: &mut SearchStats,
-        cancel: &Cancel<'_>,
-        memo: &mut OpacityMemo,
-    ) -> Result<Vec<(ProcId, Vec<OpId>)>, usize> {
-        let pairs: Vec<(usize, usize)> = order.windows(2).map(|w| (w[0], w[1])).collect();
-        // Attempt witnesses for every distinct viewer constraint set.
-        let mut found: Vec<(usize, Vec<OpId>)> = Vec::new();
-        for &d in &ctx.distinct {
-            match self.witness_for_pairs(ctx, d, &pairs, stats, cancel, memo) {
-                Some(seq) => found.push((d, seq)),
-                None => return Err(d), // this txn order fails for some viewer
-            }
-        }
-        if cancel.hit() {
-            return Err(usize::MAX); // a cancelled sub-search may fail spuriously
-        }
-        let witnesses = ctx
-            .viewers
-            .iter()
-            .map(|&p| {
-                let vi = ctx.viewers.iter().position(|&q| q == p).unwrap();
-                // Find the distinct representative with identical edges.
-                let d = ctx
-                    .distinct
-                    .iter()
-                    .copied()
-                    .find(|&d| ctx.view_edges[d] == ctx.view_edges[vi])
-                    .unwrap();
-                let seq = found.iter().find(|(fd, _)| *fd == d).unwrap().1.clone();
-                (p, seq)
-            })
-            .collect();
-        Ok(witnesses)
     }
 
     /// Witness search for viewer constraint set `d` under an arbitrary
@@ -518,17 +202,16 @@ impl<'a> Search<'a> {
     /// search; a *subset* of pairs yields a weaker constraint set, so
     /// "no witness" here refutes every total order whose precedences
     /// include the pairs (the SAT backend's blocking-core query).
-    pub(crate) fn witness_for_pairs(
+    fn witness_for_pairs(
         &self,
-        ctx: &ViewCtx,
         d: usize,
         pairs: &[(usize, usize)],
         stats: &mut SearchStats,
         cancel: &Cancel<'_>,
-        memo: &mut OpacityMemo,
+        memo: &mut LeafMemo,
     ) -> Option<Vec<OpId>> {
         let mut edges = self.base_edges.clone();
-        edges.extend(ctx.view_edges[d].iter().copied());
+        edges.extend(self.ctx.view_edges[d].iter().copied());
         for &(a, b) in pairs {
             edges.push((self.txn_units[a], self.txn_units[b]));
         }
@@ -544,7 +227,7 @@ impl<'a> Search<'a> {
         edges: &[(usize, usize)],
         stats: &mut SearchStats,
         cancel: &Cancel<'_>,
-        memo: &mut OpacityMemo,
+        memo: &mut LeafMemo,
     ) -> Option<Vec<OpId>> {
         if let Some(hit) = memo.get(edges) {
             stats.cache_hits += 1;
@@ -654,6 +337,73 @@ impl<'a> Search<'a> {
         }
         trace::emit(EventKind::Backtrack, seq.len() as u64, 0);
         false
+    }
+}
+
+impl OrderSearch for Search<'_> {
+    const PHASE: &'static str = "check.opacity";
+
+    fn units(&self) -> usize {
+        self.units.len()
+    }
+
+    fn n_txns(&self) -> usize {
+        self.h.txns().len()
+    }
+
+    /// The real-time constraint: `a` completed before `b` began.
+    fn must_precede(&self, a: usize, b: usize) -> bool {
+        let txns = self.h.txns();
+        txns[a].status.is_completed() && txns[a].last() < txns[b].first()
+    }
+
+    /// `Err(d)` names the first distinct viewer-constraint index that
+    /// admitted no witness.
+    fn try_order(
+        &self,
+        order: &[usize],
+        stats: &mut SearchStats,
+        cancel: &Cancel<'_>,
+        memo: &mut LeafMemo,
+    ) -> Result<Vec<(ProcId, Vec<OpId>)>, usize> {
+        let ctx = &self.ctx;
+        let pairs = adjacent_pairs(order);
+        // Attempt witnesses for every distinct viewer constraint set.
+        let mut found: Vec<(usize, Vec<OpId>)> = Vec::new();
+        for &d in &ctx.distinct {
+            match self.witness_for_pairs(d, &pairs, stats, cancel, memo) {
+                Some(seq) => found.push((d, seq)),
+                None => return Err(d), // this txn order fails for some viewer
+            }
+        }
+        if cancel.hit() {
+            return Err(usize::MAX); // a cancelled sub-search may fail spuriously
+        }
+        let witnesses = ctx
+            .viewers
+            .iter()
+            .zip(&ctx.view_edges)
+            .map(|(&p, edges)| {
+                // The distinct representative with identical edges.
+                let (_, seq) = found
+                    .iter()
+                    .find(|(d, _)| ctx.view_edges[*d] == *edges)
+                    .expect("every viewer's constraint set has a searched representative");
+                (p, seq.clone())
+            })
+            .collect();
+        Ok(witnesses)
+    }
+
+    fn infeasible(
+        &self,
+        d: usize,
+        pairs: &[(usize, usize)],
+        stats: &mut SearchStats,
+        memo: &mut LeafMemo,
+    ) -> bool {
+        self.witness_for_pairs(d, pairs, stats, &Cancel::never(), memo)
+            .is_none()
     }
 }
 
@@ -960,14 +710,17 @@ mod tests {
     #[test]
     fn richer_objects_checked_against_their_spec() {
         use crate::spec::{Spec, SpecRegistry};
-        let specs = SpecRegistry::with_default(Spec::Counter);
+        let counters = Check {
+            specs: SpecRegistry::with_default(Spec::Counter),
+            ..Check::new(CheckKind::Opacity)
+        };
         let mut b = HistoryBuilder::new();
         b.start(p(1));
         b.fetch_add(p(1), X, 5, 0);
         b.commit(p(1));
         b.fetch_add(p(2), X, 1, 5);
         let h = b.build().unwrap();
-        assert!(check_opacity_with(&h, &Sc, &specs).is_opaque());
+        assert!(counters.run(&h, &Sc).0.is_opaque());
 
         let mut b = HistoryBuilder::new();
         b.start(p(1));
@@ -975,6 +728,6 @@ mod tests {
         b.commit(p(1));
         b.fetch_add(p(2), X, 1, 3); // wrong return value
         let h = b.build().unwrap();
-        assert!(!check_opacity_with(&h, &Sc, &specs).is_opaque());
+        assert!(!counters.run(&h, &Sc).0.is_opaque());
     }
 }

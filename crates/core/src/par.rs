@@ -1,12 +1,12 @@
-//! Shared machinery for the parallel checker entry points.
+//! Shared machinery for the parallel checker search.
 //!
 //! Both exponential searches ([`opacity`](crate::opacity) and
 //! [`sgla`](crate::sgla)) have the same top-level shape: enumerate
 //! transaction serialization orders consistent with a partial order,
 //! and run an inner witness search for each complete order. The
-//! parallel entry points exploit that shape with a **work-stealing
-//! frontier** (the same discipline as the mc layer's DPOR frontier,
-//! replicated here because core cannot depend on mc):
+//! parallel search exploits that shape with a **work-stealing
+//! frontier** — the one [`Frontier`] queue of this module, which the mc
+//! layer's parallel DPOR explorer imports for its donated subtrees:
 //!
 //! 1. The frontier is seeded with the empty serialization-order prefix.
 //!    A worker that pops a prefix while other workers are starving
@@ -46,7 +46,7 @@ use jungle_obs::SearchStats;
 use std::collections::{HashMap, VecDeque};
 use std::hash::Hash;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard};
 
 /// Tuning knobs for the parallel checker entry points.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -168,56 +168,70 @@ impl<K: Eq + Hash, V: Clone> WitnessMemo<K, V> {
 /// Per-worker memo capacity for the checker searches.
 pub(crate) const MEMO_CAP: usize = 4096;
 
-/// Pseudo-worker id for the seed prefix.
-const SEED_WORKER: usize = usize::MAX;
+/// Worker id for the seed item: it matches no real worker, so the first
+/// pop of a multi-worker run always counts as a steal.
+pub const SEED_WORKER: usize = usize::MAX;
 
-/// The shared frontier of unexplored serialization-order prefixes:
-/// a Mutex/Condvar deque with idle-counting termination. Items carry
-/// the pushing worker's id so pops by another worker count as steals.
-struct Frontier {
-    state: Mutex<FrontierState>,
+/// A shared work queue with idle-counting termination: a Mutex/Condvar
+/// deque whose `pop` blocks while the queue is empty but some worker
+/// may still push, and returns `None` to everyone once all `workers`
+/// are waiting on an empty queue. Items carry the pushing worker's id,
+/// so a pop by another worker counts as a *steal*.
+///
+/// Item order is racy by design; callers that need a deterministic
+/// result keep the lexicographically least success themselves (see the
+/// module docs and `jungle_mc::dpor`).
+pub struct Frontier<T> {
+    state: Mutex<FrontierState<T>>,
     available: Condvar,
     workers: usize,
 }
 
-struct FrontierState {
-    items: VecDeque<(usize, Vec<usize>)>,
+struct FrontierState<T> {
+    items: VecDeque<(usize, T)>,
     idle: usize,
     done: bool,
+    steals: u64,
 }
 
-impl Frontier {
-    fn new(workers: usize) -> Self {
+impl<T> Frontier<T> {
+    /// A frontier drained by `workers` workers.
+    pub fn new(workers: usize) -> Self {
         Frontier {
             state: Mutex::new(FrontierState {
                 items: VecDeque::new(),
                 idle: 0,
                 done: false,
+                steals: 0,
             }),
             available: Condvar::new(),
             workers,
         }
     }
 
-    fn push(&self, from: usize, prefix: Vec<usize>) {
-        let mut s = self.state.lock().unwrap();
-        s.items.push_back((from, prefix));
-        drop(s);
+    fn lock(&self) -> MutexGuard<'_, FrontierState<T>> {
+        self.state.lock().expect("a frontier worker panicked")
+    }
+
+    /// Publish `item`; `from` is the pushing worker.
+    pub fn push(&self, from: usize, item: T) {
+        self.lock().items.push_back((from, item));
         self.available.notify_one();
     }
 
-    /// Pop the oldest pending prefix, blocking while the frontier is
-    /// empty but other workers may still push. Returns `None` once all
-    /// workers are idle with an empty frontier (the search is over) and
-    /// whether the item was stolen from another worker.
-    fn pop(&self, me: usize) -> Option<(Vec<usize>, bool)> {
-        let mut s = self.state.lock().unwrap();
+    /// Take the oldest item for worker `me` together with the id of the
+    /// worker that pushed it, blocking while the queue is empty but
+    /// other workers are still active. Returns `None` once every worker
+    /// is idle (the search is over).
+    pub fn pop(&self, me: usize) -> Option<(usize, T)> {
+        let mut s = self.lock();
         loop {
+            if let Some((from, item)) = s.items.pop_front() {
+                s.steals += u64::from(from != me);
+                return Some((from, item));
+            }
             if s.done {
                 return None;
-            }
-            if let Some((from, prefix)) = s.items.pop_front() {
-                return Some((prefix, from != me && from != SEED_WORKER));
             }
             s.idle += 1;
             if s.idle == self.workers {
@@ -226,17 +240,22 @@ impl Frontier {
                 self.available.notify_all();
                 return None;
             }
-            s = self.available.wait(s).unwrap();
+            s = self.available.wait(s).expect("a frontier worker panicked");
             s.idle -= 1;
         }
     }
 
-    /// Is anyone starving? Expanding (rather than claiming) a popped
-    /// prefix is only worth the queue traffic when the frontier has run
-    /// dry or a sibling is already waiting for work.
-    fn hungry(&self) -> bool {
-        let s = self.state.lock().unwrap();
+    /// Is anyone starving? Splitting work is only worth the queue
+    /// traffic when the frontier has run dry or a sibling is already
+    /// waiting on it.
+    pub fn hungry(&self) -> bool {
+        let s = self.lock();
         !s.done && (s.items.is_empty() || s.idle > 0)
+    }
+
+    /// Items popped by a worker other than their pusher.
+    pub fn steals(&self) -> u64 {
+        self.lock().steals
     }
 }
 
@@ -276,7 +295,7 @@ where
     I: Fn() -> S + Sync,
     F: Fn(&[usize], &Cancel<'_>, &mut S, &mut SearchStats) -> Option<R> + Sync,
 {
-    let frontier = Frontier::new(threads);
+    let frontier: Frontier<Vec<usize>> = Frontier::new(threads);
     frontier.push(SEED_WORKER, Vec::new());
     let shared: Mutex<BestState<R>> = Mutex::new(BestState {
         best: None,
@@ -296,7 +315,7 @@ where
                 s.spawn(move || {
                     let mut local = SearchStats::default();
                     let mut state = init();
-                    while let Some((prefix, _stolen)) = frontier.pop(w) {
+                    while let Some((_, prefix)) = frontier.pop(w) {
                         // Drop without searching if a lex-smaller
                         // subtree has already won: the serial scan
                         // would have stopped before reaching this one.
@@ -490,6 +509,49 @@ mod tests {
         );
         assert_eq!(got, Some(Vec::new()));
         assert_eq!(stats.stolen_prefixes, 1);
+    }
+
+    #[test]
+    fn frontier_single_worker_drains_and_terminates() {
+        let f = Frontier::new(1);
+        f.push(SEED_WORKER, 7);
+        assert_eq!(f.pop(0), Some((SEED_WORKER, 7)));
+        assert_eq!(f.steals(), 1, "seed pop is a steal");
+        assert!(f.pop(0).is_none(), "idle count reaches worker count");
+        assert!(f.pop(0).is_none(), "done latches");
+        assert!(!f.hungry(), "finished frontier wants nothing");
+    }
+
+    #[test]
+    fn frontier_own_items_are_not_steals() {
+        let f = Frontier::new(1);
+        f.push(3, 1);
+        assert!(f.pop(3).is_some());
+        assert_eq!(f.steals(), 0);
+    }
+
+    #[test]
+    fn frontier_blocked_worker_wakes_on_push() {
+        let f = Frontier::new(2);
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| f.pop(0));
+            // Worker 1 produces one item, then drains to termination.
+            f.push(1, 2);
+            assert_eq!(waiter.join().unwrap(), Some((1, 2)), "woken with the item");
+            assert_eq!(f.steals(), 1);
+            // Both workers now idle out.
+            let a = scope.spawn(|| f.pop(0));
+            assert!(f.pop(1).is_none());
+            assert!(a.join().unwrap().is_none());
+        });
+    }
+
+    #[test]
+    fn frontier_hungry_when_empty_or_idle() {
+        let f = Frontier::new(2);
+        assert!(f.hungry(), "empty queue is hungry");
+        f.push(0, ());
+        assert!(!f.hungry(), "stocked queue with no idlers is fed");
     }
 
     #[test]

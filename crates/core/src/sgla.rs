@@ -47,164 +47,22 @@
 //! SGLA for **every** memory model) is exercised end-to-end in
 //! `jungle-mc`.
 
+use crate::check::{adjacent_pairs, Check, CheckKind, CheckVerdict, LeafMemo, OrderSearch};
 use crate::history::{History, TxnStatus};
 use crate::ids::{OpId, ProcId};
 use crate::legal::CsChecker;
 use crate::model::MemoryModel;
-use crate::par::{run_order_pool, Cancel, ParallelConfig, WitnessMemo, MEMO_CAP};
+use crate::par::Cancel;
 use crate::spec::SpecRegistry;
-use jungle_obs::{profile, Counter, ScopedSpan, SearchStats};
+use jungle_obs::SearchStats;
 
 /// The verdict of an SGLA check.
-#[derive(Clone, Debug)]
-pub struct SglaVerdict {
-    ok: bool,
-    witnesses: Vec<(ProcId, Vec<OpId>)>,
-    txn_order: Vec<usize>,
-}
-
-impl SglaVerdict {
-    /// Did the history ensure SGLA parametrized by the model?
-    pub fn is_sgla(&self) -> bool {
-        self.ok
-    }
-
-    /// Witness transactionally sequential histories (one per process),
-    /// as operation-id sequences over the transformed history.
-    pub fn witnesses(&self) -> &[(ProcId, Vec<OpId>)] {
-        &self.witnesses
-    }
-
-    /// The shared transaction order used by the witnesses.
-    pub fn txn_order(&self) -> &[usize] {
-        &self.txn_order
-    }
-}
+pub type SglaVerdict = CheckVerdict;
 
 /// Check SGLA parametrized by `model` with register semantics.
 pub fn check_sgla(h: &History, model: &dyn MemoryModel) -> SglaVerdict {
-    check_sgla_with(h, model, &SpecRegistry::registers())
+    Check::new(CheckKind::Sgla).run(h, model).0
 }
-
-/// Like [`check_sgla`], additionally returning counters describing the
-/// search (including wall time, which the untraced entry points never
-/// measure).
-pub fn check_sgla_traced(h: &History, model: &dyn MemoryModel) -> (SglaVerdict, SearchStats) {
-    check_sgla_with_traced(h, model, &SpecRegistry::registers())
-}
-
-/// Check SGLA parametrized by `model` under explicit sequential
-/// specifications.
-pub fn check_sgla_with(h: &History, model: &dyn MemoryModel, specs: &SpecRegistry) -> SglaVerdict {
-    let mut stats = SearchStats {
-        searches: 1,
-        ..SearchStats::default()
-    };
-    let th = model.transform(h);
-    SglaSearch {
-        h: &th,
-        model,
-        specs,
-    }
-    .run(&mut stats)
-}
-
-/// Like [`check_sgla_with`], additionally returning search stats.
-pub fn check_sgla_with_traced(
-    h: &History,
-    model: &dyn MemoryModel,
-    specs: &SpecRegistry,
-) -> (SglaVerdict, SearchStats) {
-    let _phase = profile::enter("check.sgla");
-    let wall = Counter::new();
-    let mut stats = SearchStats {
-        searches: 1,
-        ..SearchStats::default()
-    };
-    let verdict = {
-        let _span = ScopedSpan::enter(&wall, 0);
-        let th = model.transform(h);
-        SglaSearch {
-            h: &th,
-            model,
-            specs,
-        }
-        .run(&mut stats)
-    };
-    stats.wall_ns = wall.get();
-    (verdict, stats)
-}
-
-/// Parallel variant of [`check_sgla`]: fans the transaction-order
-/// enumeration over a scoped worker pool. Verdict **and** witness are
-/// exactly those of the serial checker for every thread count (see the
-/// [`par`](crate::par) module docs); falls back to the serial path
-/// below `cfg.min_units` operations.
-pub fn check_sgla_par(h: &History, model: &dyn MemoryModel, cfg: &ParallelConfig) -> SglaVerdict {
-    check_sgla_par_with(h, model, &SpecRegistry::registers(), cfg)
-}
-
-/// Like [`check_sgla_par`], additionally returning search stats
-/// (per-worker counters merged; `workers`/`stolen_prefixes`/`cache_hits`
-/// describe the pool).
-pub fn check_sgla_par_traced(
-    h: &History,
-    model: &dyn MemoryModel,
-    cfg: &ParallelConfig,
-) -> (SglaVerdict, SearchStats) {
-    check_sgla_par_with_traced(h, model, &SpecRegistry::registers(), cfg)
-}
-
-/// Parallel variant of [`check_sgla_with`].
-pub fn check_sgla_par_with(
-    h: &History,
-    model: &dyn MemoryModel,
-    specs: &SpecRegistry,
-    cfg: &ParallelConfig,
-) -> SglaVerdict {
-    let mut stats = SearchStats {
-        searches: 1,
-        ..SearchStats::default()
-    };
-    let th = model.transform(h);
-    SglaSearch {
-        h: &th,
-        model,
-        specs,
-    }
-    .run_par(cfg, &mut stats)
-}
-
-/// Like [`check_sgla_par_with`], additionally returning search stats.
-pub fn check_sgla_par_with_traced(
-    h: &History,
-    model: &dyn MemoryModel,
-    specs: &SpecRegistry,
-    cfg: &ParallelConfig,
-) -> (SglaVerdict, SearchStats) {
-    let _phase = profile::enter("check.sgla_par");
-    let wall = Counter::new();
-    let mut stats = SearchStats {
-        searches: 1,
-        ..SearchStats::default()
-    };
-    let verdict = {
-        let _span = ScopedSpan::enter(&wall, 0);
-        let th = model.transform(h);
-        SglaSearch {
-            h: &th,
-            model,
-            specs,
-        }
-        .run_par(cfg, &mut stats)
-    };
-    stats.wall_ns = wall.get();
-    (verdict, stats)
-}
-
-/// Per-worker memo of inner witness searches, keyed by the exact
-/// deduplicated op-level edge set (the only varying input).
-pub(crate) type SglaMemo = WitnessMemo<Vec<(usize, usize)>, Option<Vec<OpId>>>;
 
 pub(crate) struct SglaSearch<'a> {
     h: &'a History,
@@ -228,175 +86,20 @@ impl<'a> SglaSearch<'a> {
         SglaSearch { h, model, specs }
     }
 
-    /// Number of transactions in the (transformed) history.
-    pub(crate) fn n_txns(&self) -> usize {
-        self.h.txns().len()
-    }
-
-    fn run(&self, stats: &mut SearchStats) -> SglaVerdict {
-        // SGLA schedules at operation granularity: every op is a unit.
-        stats.units += self.h.len() as u64;
-        let n_txn = self.h.txns().len();
-
-        // Enumerate transaction total orders consistent with program
-        // order and real-time order.
-        let mut order = Vec::with_capacity(n_txn);
-        let mut used = vec![false; n_txn];
-        let mut result: Option<(Vec<usize>, Vec<OpId>)> = None;
-        self.enum_orders(
-            &mut order,
-            &mut used,
-            &mut result,
-            stats,
-            &Cancel::never(),
-            &mut SglaMemo::disabled(),
-        );
-        self.verdict(result)
-    }
-
-    /// Parallel counterpart of [`SglaSearch::run`]: feed the
-    /// transaction-order enumeration to a work-stealing frontier of
-    /// scoped workers. Returns exactly what `run` would.
-    fn run_par(&self, cfg: &ParallelConfig, stats: &mut SearchStats) -> SglaVerdict {
-        if cfg.serial_for(self.h.len()) {
-            return self.run(stats);
-        }
-        let threads = cfg.effective_threads();
-        stats.units += self.h.len() as u64;
-        stats.workers = stats.workers.max(threads as u64);
-        let n_txn = self.h.txns().len();
-        let result = run_order_pool(
-            threads,
-            n_txn,
-            |prefix| self.valid_extensions(prefix),
-            || SglaMemo::new(MEMO_CAP),
-            |prefix, cancel, memo, local| {
-                let mut order = prefix.to_vec();
-                let mut used = vec![false; n_txn];
-                for &t in prefix {
-                    used[t] = true;
-                }
-                let mut result: Option<(Vec<usize>, Vec<OpId>)> = None;
-                self.enum_orders(&mut order, &mut used, &mut result, local, cancel, memo);
-                result
-            },
-            stats,
-        );
-        self.verdict(result)
-    }
-
-    pub(crate) fn verdict(&self, result: Option<(Vec<usize>, Vec<OpId>)>) -> SglaVerdict {
-        match result {
-            Some((txn_order, seq)) => {
-                let witnesses = self
-                    .h
-                    .procs()
-                    .into_iter()
-                    .map(|p| (p, seq.clone()))
-                    .collect();
-                SglaVerdict {
-                    ok: true,
-                    witnesses,
-                    txn_order,
-                }
-            }
-            None => SglaVerdict {
-                ok: false,
-                witnesses: Vec::new(),
-                txn_order: Vec::new(),
-            },
-        }
-    }
-
-    /// Must transaction `a` come before transaction `b` in the shared
-    /// total order? (Program order on one process; real-time order
-    /// across processes.)
-    pub(crate) fn txn_must_precede(&self, a: usize, b: usize) -> bool {
-        let txns = self.h.txns();
-        if txns[a].proc == txns[b].proc {
-            return txns[a].first() < txns[b].first();
-        }
-        txns[a].status.is_completed() && txns[a].last() < txns[b].first()
-    }
-
-    /// May transaction `t` come next, given the already-placed `used`?
-    fn can_place(&self, t: usize, used: &[bool]) -> bool {
-        let n_txn = self.h.txns().len();
-        (0..n_txn).all(|u| u == t || used[u] || !self.txn_must_precede(u, t))
-    }
-
-    /// The transactions that may validly extend `prefix`, in ascending
-    /// index order — the serial DFS candidate order.
-    pub(crate) fn valid_extensions(&self, prefix: &[usize]) -> Vec<usize> {
-        let n_txn = self.h.txns().len();
-        let mut used = vec![false; n_txn];
-        for &t in prefix {
-            used[t] = true;
-        }
-        (0..n_txn)
-            .filter(|&t| !used[t] && self.can_place(t, &used))
-            .collect()
-    }
-
-    fn enum_orders(
-        &self,
-        order: &mut Vec<usize>,
-        used: &mut Vec<bool>,
-        result: &mut Option<(Vec<usize>, Vec<OpId>)>,
-        stats: &mut SearchStats,
-        cancel: &Cancel<'_>,
-        memo: &mut SglaMemo,
-    ) {
-        if result.is_some() || cancel.hit() {
-            return;
-        }
-        let n_txn = self.h.txns().len();
-        if order.len() == n_txn {
-            stats.txn_orders += 1;
-            if let Some(seq) = self.find_witness(order, stats, cancel, memo) {
-                *result = Some((order.clone(), seq));
-            }
-            return;
-        }
-        for t in 0..n_txn {
-            if used[t] || !self.can_place(t, used) {
-                continue;
-            }
-            used[t] = true;
-            order.push(t);
-            self.enum_orders(order, used, result, stats, cancel, memo);
-            order.pop();
-            used[t] = false;
-        }
-    }
-
-    /// Build op-level edges for the fixed transaction order and run the
+    /// Build op-level edges for the transaction precedences `pairs`
+    /// (block edges `last(a) → first(b)`) and run the
     /// topological/legality search. The constraints are
     /// viewer-independent for all bundled models, so a single search
-    /// covers every process's view.
-    fn find_witness(
-        &self,
-        txn_order: &[usize],
-        stats: &mut SearchStats,
-        cancel: &Cancel<'_>,
-        memo: &mut SglaMemo,
-    ) -> Option<Vec<OpId>> {
-        let pairs: Vec<(usize, usize)> = txn_order.windows(2).map(|w| (w[0], w[1])).collect();
-        self.witness_for_pairs(&pairs, stats, cancel, memo)
-    }
-
-    /// Like [`Self::find_witness`], but under an arbitrary set of
-    /// transaction-precedence `pairs` (block edges `last(a) → first(b)`)
-    /// rather than a full order's adjacent pairs. A subset of pairs is a
-    /// weaker constraint set, so "no witness" refutes every total order
-    /// whose precedences include the pairs (the SAT backend's
-    /// blocking-core query).
-    pub(crate) fn witness_for_pairs(
+    /// covers every process's view. A full order's adjacent pairs give
+    /// the classic leaf; a subset of pairs is a weaker constraint set,
+    /// so "no witness" refutes every total order whose precedences
+    /// include the pairs (the SAT backend's blocking-core query).
+    fn witness_for_pairs(
         &self,
         pairs: &[(usize, usize)],
         stats: &mut SearchStats,
         cancel: &Cancel<'_>,
-        memo: &mut SglaMemo,
+        memo: &mut LeafMemo,
     ) -> Option<Vec<OpId>> {
         let h = self.h;
         let n = h.len();
@@ -563,6 +266,57 @@ impl<'a> SglaSearch<'a> {
             }
         }
         false
+    }
+}
+
+impl OrderSearch for SglaSearch<'_> {
+    const PHASE: &'static str = "check.sgla";
+
+    /// SGLA schedules at operation granularity: every op is a unit.
+    fn units(&self) -> usize {
+        self.h.len()
+    }
+
+    fn n_txns(&self) -> usize {
+        self.h.txns().len()
+    }
+
+    /// Program order on one process; real-time order across processes.
+    fn must_precede(&self, a: usize, b: usize) -> bool {
+        let txns = self.h.txns();
+        if txns[a].proc == txns[b].proc {
+            return txns[a].first() < txns[b].first();
+        }
+        txns[a].status.is_completed() && txns[a].last() < txns[b].first()
+    }
+
+    fn try_order(
+        &self,
+        order: &[usize],
+        stats: &mut SearchStats,
+        cancel: &Cancel<'_>,
+        memo: &mut LeafMemo,
+    ) -> Result<Vec<(ProcId, Vec<OpId>)>, usize> {
+        let seq = self
+            .witness_for_pairs(&adjacent_pairs(order), stats, cancel, memo)
+            .ok_or(0usize)?;
+        Ok(self
+            .h
+            .procs()
+            .into_iter()
+            .map(|p| (p, seq.clone()))
+            .collect())
+    }
+
+    fn infeasible(
+        &self,
+        _set: usize,
+        pairs: &[(usize, usize)],
+        stats: &mut SearchStats,
+        memo: &mut LeafMemo,
+    ) -> bool {
+        self.witness_for_pairs(pairs, stats, &Cancel::never(), memo)
+            .is_none()
     }
 }
 

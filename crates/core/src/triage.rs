@@ -1,6 +1,7 @@
 //! Polynomial triage tier for the streaming opacity monitor.
 //!
-//! The full parametrized-opacity checker ([`check_opacity`]) is an
+//! The full parametrized-opacity checker
+//! ([`check_opacity`](crate::opacity::check_opacity)) is an
 //! exponential backtracking search — exact, but far too expensive to
 //! run on every window of a live event stream. This module provides a
 //! **sound fast path**: a polynomial check that either *clears* a
@@ -42,7 +43,7 @@
 //!   under both keys).
 //!
 //! So if either replay is fully legal, the candidate order *is* a
-//! witness for every viewer simultaneously, and [`check_opacity`]
+//! witness for every viewer simultaneously, and `check_opacity`
 //! would return opaque. By Theorem 6 (parametrized opacity implies
 //! SGLA) a cleared history also satisfies SGLA, so one triage pass
 //! serves both properties.
@@ -82,8 +83,8 @@ pub fn triage_opacity(h: &History, model: &dyn MemoryModel) -> Triage {
 }
 
 /// Triage `h` against `model` under explicit sequential
-/// specifications. [`Triage::Cleared`] guarantees
-/// `check_opacity_with(h, model, specs).is_opaque()`; see the module
+/// specifications. [`Triage::Cleared`] guarantees that an opacity
+/// [`Check`](crate::check::Check) under `specs` holds; see the module
 /// docs for the argument.
 pub fn triage_opacity_with(h: &History, model: &dyn MemoryModel, specs: &SpecRegistry) -> Triage {
     let th = model.transform(h);

@@ -3,10 +3,22 @@
 //! witness validity.
 
 use jungle_core::builder::HistoryBuilder;
+use jungle_core::check::{Check, CheckKind};
+use jungle_core::history::History;
 use jungle_core::ids::{ProcId, Var, X, Y, Z};
+use jungle_core::model::MemoryModel;
 use jungle_core::model::{all_models, JunkSc, Relaxed, Sc};
-use jungle_core::opacity::{check_opacity, check_opacity_with};
+use jungle_core::opacity::check_opacity;
 use jungle_core::spec::{Spec, SpecRegistry};
+
+/// Is `h` opaque under `model` with the object semantics `specs`?
+fn opaque_under(specs: &SpecRegistry, h: &History, model: &dyn MemoryModel) -> bool {
+    let check = Check {
+        specs: specs.clone(),
+        ..Check::new(CheckKind::Opacity)
+    };
+    check.run(h, model).0.is_opaque()
+}
 
 fn p(n: u32) -> ProcId {
     ProcId(n)
@@ -106,11 +118,11 @@ fn counters_compose_with_transactions() {
         b.commit(p(2));
         b.build().unwrap()
     };
-    assert!(check_opacity_with(&mk(0, 1), &Sc, &specs).is_opaque());
-    assert!(!check_opacity_with(&mk(0, 0), &Sc, &specs).is_opaque());
-    assert!(!check_opacity_with(&mk(1, 1), &Sc, &specs).is_opaque());
+    assert!(opaque_under(&specs, &mk(0, 1), &Sc));
+    assert!(!opaque_under(&specs, &mk(0, 0), &Sc));
+    assert!(!opaque_under(&specs, &mk(1, 1), &Sc));
     // Real-time order: T1 completes before T2 starts → r1 must be 0.
-    assert!(!check_opacity_with(&mk(1, 0), &Sc, &specs).is_opaque());
+    assert!(!opaque_under(&specs, &mk(1, 0), &Sc));
 }
 
 #[test]
@@ -126,10 +138,10 @@ fn mixed_specs_register_and_counter() {
     b.commit(p(2));
     b.read(p(1), Y, 5);
     let h = b.build().unwrap();
-    assert!(check_opacity_with(&h, &Sc, &specs).is_opaque());
+    assert!(opaque_under(&specs, &h, &Sc));
     // FetchAdd on a plain register is illegal.
     let plain = SpecRegistry::registers();
-    assert!(!check_opacity_with(&h, &Sc, &plain).is_opaque());
+    assert!(!opaque_under(&plain, &h, &Sc));
 }
 
 #[test]

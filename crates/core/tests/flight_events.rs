@@ -1,0 +1,57 @@
+//! Every check is visible to the flight recorder: one `SearchBegin` /
+//! `SearchEnd` pair per [`Check::run`], for both kinds, serial and on
+//! the pool. (SGLA searches used to emit neither.)
+//!
+//! The recorder is process-global, so this file holds a single test.
+
+use jungle_core::builder::HistoryBuilder;
+use jungle_core::check::{Check, CheckKind};
+use jungle_core::ids::{ProcId, X, Y};
+use jungle_core::model::Sc;
+use jungle_core::par::ParallelConfig;
+use jungle_obs::trace::{self, EventKind, FlightRecorder};
+use std::sync::Arc;
+
+#[test]
+fn every_check_brackets_its_search_with_begin_and_end() {
+    let (p1, p2) = (ProcId(1), ProcId(2));
+    let mut b = HistoryBuilder::new();
+    b.start(p1);
+    b.write(p1, X, 1);
+    b.write(p1, Y, 1);
+    b.commit(p1);
+    b.read(p2, Y, 1);
+    b.read(p2, X, 1);
+    let h = b.build().unwrap();
+
+    for kind in [CheckKind::Opacity, CheckKind::Sgla] {
+        for threads in [0usize, 2] {
+            let check = Check {
+                parallel: (threads > 0).then_some(ParallelConfig {
+                    threads,
+                    min_units: 0,
+                }),
+                ..Check::new(kind)
+            };
+            let recorder = Arc::new(FlightRecorder::with_capacity(1 << 10));
+            trace::install(recorder.clone());
+            let (verdict, stats) = check.run(&h, &Sc);
+            trace::uninstall();
+            assert!(verdict.holds());
+
+            let events = recorder.events();
+            let of = |k| events.iter().filter(|e| e.kind == k).collect::<Vec<_>>();
+            let (begin, end) = (of(EventKind::SearchBegin), of(EventKind::SearchEnd));
+            let ctx = format!("{kind:?}, {threads} workers");
+            assert_eq!((begin.len(), end.len()), (1, 1), "{ctx}");
+            // SearchBegin: units, workers. SearchEnd: nodes, satisfied.
+            assert_eq!(
+                (begin[0].a, begin[0].b),
+                (stats.search.units, threads as u64),
+                "{ctx}"
+            );
+            assert_eq!((end[0].a, end[0].b), (stats.search.nodes, 1), "{ctx}");
+            assert!(begin[0].ts_ns <= end[0].ts_ns, "{ctx}");
+        }
+    }
+}

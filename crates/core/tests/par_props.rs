@@ -1,25 +1,24 @@
-//! Property tests cross-validating the parallel checker entry points
-//! against the serial oracles: `check_opacity_par` / `check_sgla_par`
-//! must produce the *same* verdict — and, by the lowest-prefix
-//! determinism rule, the same witness — as `check_opacity` /
-//! `check_sgla` on every history, for every bundled memory model and
-//! any thread count.
+//! Property test cross-validating the pooled [`Check`] against the
+//! serial one: for both kinds, every bundled memory model and any
+//! thread count, `Check { parallel: Some(..), .. }` must produce the
+//! *same* verdict — and, by the lowest-prefix determinism rule, the
+//! same serialization order and witness — as the serial search, run
+//! after run.
 //!
 //! Histories are generated freeform (overlapping transactions across
 //! up to three processes, reads that may observe stale or fabricated
-//! values), so both opaque and non-opaque inputs appear; the parallel
-//! path is forced with `min_units: 0` so even tiny histories exercise
-//! the worker pool. Witnesses returned by the parallel path are
-//! re-validated from scratch as legal sequential permutations.
+//! values), so both satisfying and violating inputs appear; the pool is
+//! forced with `min_units: 0` so even tiny histories exercise it.
+//! Opacity witnesses returned by the pool are re-validated from scratch
+//! as legal sequential permutations.
 
 use jungle_core::builder::HistoryBuilder;
+use jungle_core::check::{Check, CheckKind, CheckVerdict};
 use jungle_core::history::{History, OpInstance};
 use jungle_core::ids::{ProcId, Var};
 use jungle_core::legal::every_op_legal;
 use jungle_core::model::{all_models, MemoryModel};
-use jungle_core::opacity::{check_opacity, check_opacity_par, OpacityVerdict};
 use jungle_core::par::ParallelConfig;
-use jungle_core::sgla::{check_sgla, check_sgla_par};
 use jungle_core::spec::SpecRegistry;
 use proptest::prelude::*;
 
@@ -92,7 +91,7 @@ fn build_history(script: &[Action], max_ops: usize) -> History {
 /// sequential permutation of the transformed history serializing
 /// transactions in the claimed order. (Same checks as `witness_props`,
 /// applied here to the *parallel* path's evidence.)
-fn assert_witnesses_valid(h: &History, model: &dyn MemoryModel, v: &OpacityVerdict) {
+fn assert_witnesses_valid(h: &History, model: &dyn MemoryModel, v: &CheckVerdict) {
     let th = model.transform(h);
     for (viewer, ids) in v.witnesses() {
         assert_eq!(
@@ -126,64 +125,40 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn opacity_par_matches_serial(script in action_strategy()) {
+    fn pooled_check_matches_serial_and_repeats(script in action_strategy()) {
         let h = build_history(&script, 8);
-        for model in all_models() {
-            let serial = check_opacity(&h, model);
-            for t in THREADS {
-                let par = check_opacity_par(&h, model, &forced(t));
-                prop_assert_eq!(
-                    par.is_opaque(), serial.is_opaque(),
-                    "verdict diverged under {} at {} threads", model.name(), t
-                );
-                // Lowest-prefix determinism: the parallel path returns
-                // the exact serial witness, not just *a* witness.
-                prop_assert_eq!(
-                    par.txn_order(), serial.txn_order(),
-                    "txn order diverged under {} at {} threads", model.name(), t
-                );
-                prop_assert_eq!(
-                    par.witnesses(), serial.witnesses(),
-                    "witness diverged under {} at {} threads", model.name(), t
-                );
-                if par.is_opaque() {
-                    assert_witnesses_valid(&h, model, &par);
+        for kind in [CheckKind::Opacity, CheckKind::Sgla] {
+            for model in all_models() {
+                let serial = Check::new(kind).run(&h, model).0;
+                for t in THREADS {
+                    let pooled = Check {
+                        parallel: Some(forced(t)),
+                        ..Check::new(kind)
+                    };
+                    let (par, stats) = pooled.run(&h, model);
+                    // One worker is the serial path; more is the pool.
+                    prop_assert_eq!(stats.search.workers, if t > 1 { t as u64 } else { 0 });
+                    // Lowest-prefix determinism: the pool returns the
+                    // exact serial witness, not just *a* witness — and
+                    // the scheduler cannot influence a repeat run.
+                    for v in [&par, &pooled.run(&h, model).0] {
+                        prop_assert_eq!(
+                            v.holds(), serial.holds(),
+                            "{:?} verdict diverged under {} at {} threads", kind, model.name(), t
+                        );
+                        prop_assert_eq!(
+                            v.txn_order(), serial.txn_order(),
+                            "{:?} txn order diverged under {} at {} threads", kind, model.name(), t
+                        );
+                        prop_assert_eq!(
+                            v.witnesses(), serial.witnesses(),
+                            "{:?} witness diverged under {} at {} threads", kind, model.name(), t
+                        );
+                    }
+                    if kind == CheckKind::Opacity && par.holds() {
+                        assert_witnesses_valid(&h, model, &par);
+                    }
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn sgla_par_matches_serial(script in action_strategy()) {
-        let h = build_history(&script, 8);
-        for model in all_models() {
-            let serial = check_sgla(&h, model);
-            for t in THREADS {
-                let par = check_sgla_par(&h, model, &forced(t));
-                prop_assert_eq!(
-                    par.is_sgla(), serial.is_sgla(),
-                    "verdict diverged under {} at {} threads", model.name(), t
-                );
-                prop_assert_eq!(
-                    par.witnesses(), serial.witnesses(),
-                    "witness diverged under {} at {} threads", model.name(), t
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn opacity_par_is_deterministic(script in action_strategy()) {
-        // Repeated runs at each thread count agree with each other —
-        // the scheduler cannot influence the result.
-        let h = build_history(&script, 8);
-        for model in all_models() {
-            for t in THREADS {
-                let a = check_opacity_par(&h, model, &forced(t));
-                let b = check_opacity_par(&h, model, &forced(t));
-                prop_assert_eq!(a.is_opaque(), b.is_opaque());
-                prop_assert_eq!(a.txn_order(), b.txn_order());
-                prop_assert_eq!(a.witnesses(), b.witnesses());
             }
         }
     }

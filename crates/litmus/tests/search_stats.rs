@@ -1,12 +1,12 @@
 //! `SearchStats` unit tests on the paper's Figure 1–3 histories: the
-//! traced checker entry points must report search counters that are
-//! internally consistent and match the known structure of each figure.
+//! checker must report search counters that are internally consistent
+//! and match the known structure of each figure.
 
 use jungle_core::builder::HistoryBuilder;
+use jungle_core::check::{Check, CheckKind};
 use jungle_core::ids::{ProcId, X, Y};
 use jungle_core::model::{Rmo, Sc};
 use jungle_core::opacity::check_opacity_traced;
-use jungle_core::sgla::check_sgla_traced;
 use jungle_litmus::figures::all_litmus;
 
 fn p(n: u32) -> ProcId {
@@ -37,7 +37,7 @@ fn fig1_allowed_outcome_stats() {
         "at least one node per placed unit, got {}",
         s.nodes
     );
-    assert!(s.wall_ns > 0, "traced entry point must measure wall time");
+    assert!(s.wall_ns > 0, "every check measures wall time");
 }
 
 #[test]
@@ -136,14 +136,15 @@ fn fig3_units_and_depth() {
 }
 
 #[test]
-fn sgla_traced_reports_stats_too() {
+fn sgla_check_reports_stats_too() {
     let mut b = HistoryBuilder::new();
     b.start(p(1));
     b.write(p(1), X, 1);
     b.commit(p(1));
     b.read(p(2), X, 1);
     let h = b.build().unwrap();
-    let (v, s) = check_sgla_traced(&h, &Sc);
+    let (v, s) = Check::new(CheckKind::Sgla).run(&h, &Sc);
+    let s = s.search;
     assert!(v.is_sgla());
     assert!(s.units > 0);
     assert!(s.wall_ns > 0);

@@ -502,7 +502,7 @@ impl Process for StrongProcess {
 mod tests {
     use super::*;
     use crate::program::{Program, Stmt};
-    use crate::verify::{check_random, CheckKind, SweepSeeds};
+    use crate::verify::{CheckKind, Schedules, Sweep, SweepSeeds};
     use jungle_core::ids::{X, Y};
     use jungle_core::model::Sc;
     use jungle_core::registry::ModelEntry;
@@ -596,21 +596,23 @@ mod tests {
             ThreadProg(vec![Stmt::txn(vec![TxOp::Write(X, 1), TxOp::Write(Y, 2)])]),
             ThreadProg(vec![Stmt::NtRead(X), Stmt::NtRead(Y)]),
         ]);
-        let v = check_random(
-            &program,
-            &StrongTm::new(),
-            &ModelEntry::checker_game(&Sc),
-            CheckKind::Opacity,
-            SweepSeeds::new(0, 600),
-            12_000,
-        );
+        let v = Sweep {
+            schedules: Schedules::Random(SweepSeeds::new(0, 600)),
+            ..Sweep::new(
+                &program,
+                &StrongTm::new(),
+                &ModelEntry::checker_game(&Sc),
+                CheckKind::Opacity,
+                12_000,
+            )
+        }
+        .run();
         assert!(v.ok, "strong TM violated SC-opacity: {:?}", v.violation);
         assert!(v.runs > 100);
     }
 
     #[test]
     fn optimized_variant_violates_sc_but_not_alpha() {
-        use crate::verify::find_violation;
         use jungle_core::model::Alpha;
         let program = Program(vec![
             ThreadProg(vec![Stmt::txn(vec![TxOp::Write(X, 1), TxOp::Write(Y, 2)])]),
@@ -618,27 +620,34 @@ mod tests {
         ]);
         // Plain reads can straddle the commit's two data stores: the
         // Figure 5(b) window reappears under SC…
-        let bad = find_violation(
-            &program,
-            &StrongTm::optimized(),
-            &ModelEntry::checker_game(&Sc),
-            CheckKind::Opacity,
-            SweepSeeds::new(0, 2_000),
-            8_000,
-        );
+        let bad = Sweep {
+            schedules: Schedules::Random(SweepSeeds::new(0, 2_000)),
+            ..Sweep::new(
+                &program,
+                &StrongTm::optimized(),
+                &ModelEntry::checker_game(&Sc),
+                CheckKind::Opacity,
+                8_000,
+            )
+        }
+        .run()
+        .violation;
         assert!(
             bad.is_some(),
             "expected an SC violation for optimized reads"
         );
         // …but under Alpha (reads reorder) every trace is fine.
-        let good = check_random(
-            &program,
-            &StrongTm::optimized(),
-            &ModelEntry::checker_game(&Alpha),
-            CheckKind::Opacity,
-            SweepSeeds::new(0, 300),
-            8_000,
-        );
+        let good = Sweep {
+            schedules: Schedules::Random(SweepSeeds::new(0, 300)),
+            ..Sweep::new(
+                &program,
+                &StrongTm::optimized(),
+                &ModelEntry::checker_game(&Alpha),
+                CheckKind::Opacity,
+                8_000,
+            )
+        }
+        .run();
         assert!(
             good.ok,
             "optimized strong TM violated Alpha-opacity: {:?}",

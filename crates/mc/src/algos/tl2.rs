@@ -413,7 +413,7 @@ impl Process for Tl2Process {
 mod tests {
     use super::*;
     use crate::program::{Program, Stmt};
-    use crate::verify::{check_random, CheckKind, SweepSeeds};
+    use crate::verify::{CheckKind, Schedules, Sweep, SweepSeeds};
     use jungle_core::ids::{X, Y};
     use jungle_core::model::Sc;
     use jungle_core::registry::ModelEntry;
@@ -473,14 +473,17 @@ mod tests {
             ThreadProg(vec![Stmt::txn(vec![TxOp::Read(X), TxOp::Write(Y, 2)])]),
             ThreadProg(vec![Stmt::txn(vec![TxOp::Read(Y), TxOp::Write(X, 1)])]),
         ]);
-        let v = check_random(
-            &program,
-            &LazyTl2Tm,
-            &ModelEntry::checker_game(&Sc),
-            CheckKind::Opacity,
-            SweepSeeds::new(0, 150),
-            50_000,
-        );
+        let v = Sweep {
+            schedules: Schedules::Random(SweepSeeds::new(0, 150)),
+            ..Sweep::new(
+                &program,
+                &LazyTl2Tm,
+                &ModelEntry::checker_game(&Sc),
+                CheckKind::Opacity,
+                50_000,
+            )
+        }
+        .run();
         assert!(v.ok, "violation: {:?}", v.violation);
     }
 }

@@ -1,30 +1,26 @@
-//! Work-stealing frontier for parallel DPOR.
+//! The unit of work of parallel DPOR.
 //!
 //! The serial explorer walks one DFS; the parallel one shares a dynamic
-//! **frontier** of donated subtrees. Each [`WorkItem`] names a choice
-//! point (decision `prefix` from the root) plus the sleep set and first
-//! branch index under which its remaining branches must be explored —
-//! exactly the state the serial DFS would carry there, so the union of
-//! all items' explorations equals the serial exploration regardless of
-//! worker count or interleaving.
+//! frontier of donated subtrees — a
+//! [`jungle_core::par::Frontier`]`<WorkItem>`, the same idle-counting
+//! work-stealing queue the parallel checker search uses. Each
+//! [`WorkItem`] names a choice point (decision `prefix` from the root)
+//! plus the sleep set and first branch index under which its remaining
+//! branches must be explored — exactly the state the serial DFS would
+//! carry there, so the union of all items' explorations equals the
+//! serial exploration regardless of worker count or interleaving.
 //!
 //! Exploration is seeded by a single root item; workers that find the
 //! queue starved donate their shallowest splittable node
-//! ([`DporCursor::split_shallowest`]), so the frontier balances itself
-//! against however lopsided the schedule tree turns out to be. Popping
-//! an item another worker pushed counts as a *steal*
-//! ([`EventKind::FrontierSteal`]). Termination is idle-counting: when
-//! every worker is waiting on an empty queue, the tree is exhausted.
+//! ([`DporCursor::split_shallowest`](super::DporCursor::split_shallowest)),
+//! so the frontier balances itself against however lopsided the
+//! schedule tree turns out to be. Popping an item another worker pushed
+//! counts as a *steal* (`EventKind::FrontierSteal`).
 //!
 //! Verdict determinism does not come from the frontier (item order is
 //! racy by design) but from the caller keeping the lexicographically
 //! least violating decision path and pruning work beyond it — see
 //! [`explore_dpor_par`](super::explore_dpor_par).
-
-use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex};
-
-use jungle_obs::trace::{self as flight, EventKind};
 
 use super::cursor::SleepEntry;
 
@@ -40,161 +36,4 @@ pub struct WorkItem {
     pub sleep: Vec<SleepEntry>,
     /// First branch index the receiver may explore.
     pub next: usize,
-}
-
-/// Worker id used for the seed item (matches no real worker, so the
-/// first pop always counts as a steal in multi-worker runs).
-pub const SEED_WORKER: usize = usize::MAX;
-
-struct State {
-    items: VecDeque<(usize, WorkItem)>,
-    idle: usize,
-    done: bool,
-    steals: u64,
-}
-
-/// Shared work queue with idle-counting termination.
-pub struct Frontier {
-    state: Mutex<State>,
-    cv: Condvar,
-    workers: usize,
-}
-
-impl Frontier {
-    /// A frontier drained by `workers` workers.
-    pub fn new(workers: usize) -> Self {
-        Frontier {
-            state: Mutex::new(State {
-                items: VecDeque::new(),
-                idle: 0,
-                done: false,
-                steals: 0,
-            }),
-            cv: Condvar::new(),
-            workers,
-        }
-    }
-
-    /// Publish a donated subtree. `from` is the donating worker.
-    pub fn push(&self, from: usize, item: WorkItem) {
-        flight::emit(
-            EventKind::RevisitEnqueued,
-            item.prefix.len() as u64,
-            item.next as u64,
-        );
-        let mut s = self.state.lock().unwrap();
-        s.items.push_back((from, item));
-        drop(s);
-        self.cv.notify_one();
-    }
-
-    /// Take the next item for worker `me`, blocking while the queue is
-    /// empty but other workers are still active. Returns `None` once
-    /// every worker is idle (global exploration finished).
-    pub fn pop(&self, me: usize) -> Option<WorkItem> {
-        self.pop_stealing(me).map(|(item, _)| item)
-    }
-
-    /// Like [`pop`](Self::pop), but also reports whether the item was a
-    /// steal (pushed by a different worker) so callers can attribute
-    /// the wait time they spent acquiring it.
-    pub fn pop_stealing(&self, me: usize) -> Option<(WorkItem, bool)> {
-        let mut s = self.state.lock().unwrap();
-        loop {
-            if let Some((from, item)) = s.items.pop_front() {
-                let stolen = from != me;
-                if stolen {
-                    s.steals += 1;
-                    flight::emit(
-                        EventKind::FrontierSteal,
-                        item.prefix.len() as u64,
-                        from as u64,
-                    );
-                }
-                return Some((item, stolen));
-            }
-            if s.done {
-                return None;
-            }
-            s.idle += 1;
-            if s.idle == self.workers {
-                s.done = true;
-                s.idle -= 1;
-                self.cv.notify_all();
-                return None;
-            }
-            s = self.cv.wait(s).unwrap();
-            s.idle -= 1;
-        }
-    }
-
-    /// Should a worker donate work? True while the queue is starved
-    /// (empty, or workers are already waiting on it).
-    pub fn hungry(&self) -> bool {
-        let s = self.state.lock().unwrap();
-        !s.done && (s.items.is_empty() || s.idle > 0)
-    }
-
-    /// Items popped by a worker other than their pusher.
-    pub fn steals(&self) -> u64 {
-        self.state.lock().unwrap().steals
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::thread;
-
-    fn item(prefix: Vec<usize>) -> WorkItem {
-        WorkItem {
-            prefix,
-            sleep: Vec::new(),
-            next: 0,
-        }
-    }
-
-    #[test]
-    fn single_worker_drains_and_terminates() {
-        let f = Frontier::new(1);
-        f.push(SEED_WORKER, item(vec![]));
-        assert!(f.pop(0).is_some());
-        assert_eq!(f.steals(), 1, "seed pop is a steal");
-        assert!(f.pop(0).is_none(), "idle count reaches worker count");
-        assert!(f.pop(0).is_none(), "done latches");
-        assert!(!f.hungry(), "finished frontier wants nothing");
-    }
-
-    #[test]
-    fn own_items_are_not_steals() {
-        let f = Frontier::new(1);
-        f.push(3, item(vec![1]));
-        assert!(f.pop(3).is_some());
-        assert_eq!(f.steals(), 0);
-    }
-
-    #[test]
-    fn blocked_worker_wakes_on_push() {
-        let f = Frontier::new(2);
-        thread::scope(|scope| {
-            let waiter = scope.spawn(|| f.pop(0));
-            // Worker 1 produces one item, then drains to termination.
-            f.push(1, item(vec![2]));
-            let got = waiter.join().unwrap();
-            assert_eq!(got.expect("woken with the item").prefix, vec![2]);
-            assert_eq!(f.steals(), 1);
-            // Both workers now idle out.
-            let a = scope.spawn(|| f.pop(0));
-            assert!(f.pop(1).is_none());
-            assert!(a.join().unwrap().is_none());
-        });
-    }
-
-    #[test]
-    fn hungry_when_empty_or_idle() {
-        let f = Frontier::new(2);
-        assert!(f.hungry(), "empty queue is hungry");
-        f.push(0, item(vec![]));
-        assert!(!f.hungry(), "stocked queue with no idlers is fed");
-    }
 }

@@ -14,8 +14,9 @@
 //! * [`deps`] — vector clocks over the footprint sequence flagging the
 //!   racing transition pairs ([`count_races`]) that make the classes
 //!   branch.
-//! * [`frontier`] — a self-balancing work-stealing queue of donated
-//!   subtrees for [`explore_dpor_par`], replacing the fixed
+//! * [`frontier`] — the donated-subtree [`WorkItem`] that
+//!   [`explore_dpor_par`] shares over `jungle-core`'s work-stealing
+//!   [`Frontier`], replacing the fixed
 //!   `threads × 8` seed split of the old parallel sweep.
 //!
 //! Both entry points preserve brute-force verdicts **and witnesses**:
@@ -31,14 +32,16 @@ pub mod frontier;
 
 pub use cursor::{DporCursor, SleepEntry};
 pub use deps::{count_races, count_races_into, footprint_kind};
-pub use frontier::{Frontier, WorkItem, SEED_WORKER};
+pub use frontier::WorkItem;
 
 use std::sync::Mutex;
 use std::thread;
 use std::time::Instant;
 
+use jungle_core::par::{Frontier, SEED_WORKER};
 use jungle_memsim::{Machine, RunResult};
 use jungle_obs::sim::{DporStats, MachineStats, WorkerLane};
+use jungle_obs::trace::{self as flight, EventKind};
 
 fn elapsed_ns(since: Instant) -> u64 {
     u64::try_from(since.elapsed().as_nanos()).unwrap_or(u64::MAX)
@@ -172,8 +175,16 @@ where
     F: Fn() -> Machine + Sync,
     V: Fn(&RunResult, &[usize]) -> bool + Sync,
 {
-    let frontier = Frontier::new(threads.max(1));
-    frontier.push(
+    let frontier: Frontier<WorkItem> = Frontier::new(threads.max(1));
+    let donate = |from: usize, item: WorkItem| {
+        flight::emit(
+            EventKind::RevisitEnqueued,
+            item.prefix.len() as u64,
+            item.next as u64,
+        );
+        frontier.push(from, item);
+    };
+    donate(
         SEED_WORKER,
         WorkItem {
             prefix: Vec::new(),
@@ -185,7 +196,7 @@ where
     let merged: Mutex<DporOutcome> = Mutex::new(DporOutcome::default());
     thread::scope(|scope| {
         for me in 0..threads.max(1) {
-            let frontier = &frontier;
+            let (frontier, donate) = (&frontier, &donate);
             let best = &best;
             let merged = &merged;
             scope.spawn(move || {
@@ -193,11 +204,16 @@ where
                 let mut lane = WorkerLane::default();
                 loop {
                     let wait = Instant::now();
-                    let Some((item, stolen)) = frontier.pop_stealing(me) else {
+                    let Some((from, item)) = frontier.pop(me) else {
                         lane.idle_ns += elapsed_ns(wait);
                         break;
                     };
-                    if stolen {
+                    if from != me {
+                        flight::emit(
+                            EventKind::FrontierSteal,
+                            item.prefix.len() as u64,
+                            from as u64,
+                        );
                         lane.steal_ns += elapsed_ns(wait);
                         lane.steals += 1;
                     } else {
@@ -247,7 +263,7 @@ where
                         }
                         if frontier.hungry() {
                             if let Some((prefix, sleep, next)) = cursor.split_shallowest() {
-                                frontier.push(
+                                donate(
                                     me,
                                     WorkItem {
                                         prefix,

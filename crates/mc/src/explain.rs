@@ -28,15 +28,14 @@
 //! reorder class at a time.
 
 use crate::theorems::Experiment;
-use crate::verify::{find_violation, CheckKind, SweepSeeds};
+use crate::verify::{CheckKind, Schedules, SweepSeeds};
+use jungle_core::check::Check;
 use jungle_core::classes::ClassSet;
 use jungle_core::explain::explain_opacity;
 use jungle_core::history::History;
 use jungle_core::ids::ProcId;
 use jungle_core::model::MemoryModel;
-use jungle_core::opacity::check_opacity;
 use jungle_core::pretty::render_timeline;
-use jungle_core::sgla::check_sgla;
 use jungle_isa::trace::Trace;
 
 /// The four reorder-restriction classes of Theorem 1.
@@ -188,10 +187,7 @@ impl<F: Fn(&History, usize, usize) -> bool + Sync> MemoryModel for MaskedModel<'
 }
 
 fn passes(h: &History, model: &dyn MemoryModel, kind: CheckKind) -> bool {
-    match kind {
-        CheckKind::Opacity => check_opacity(h, model).is_opaque(),
-        CheckKind::Sgla => check_sgla(h, model).is_sgla(),
-    }
+    Check::new(kind).run(h, model).0.holds()
 }
 
 /// Is transformed-history index `i` a non-transactional object command?
@@ -231,7 +227,8 @@ fn candidate_pairs(th: &History, model: &dyn MemoryModel) -> Vec<(usize, usize)>
 ///
 /// If `h` actually satisfies the property the explanation degenerates
 /// (no pair, no class, empty diagnosis) — callers normally hold a
-/// violating history from [`find_violation`] or an experiment.
+/// violating history from a [`Sweep`](crate::verify::Sweep)'s
+/// `violation` or an experiment.
 pub fn explain_history(h: &History, model: &dyn MemoryModel, kind: CheckKind) -> Explanation {
     let th = model.transform(h);
     let ops = th.ops();
@@ -319,14 +316,10 @@ pub fn explain_experiment(
     seeds: SweepSeeds,
     max_steps: usize,
 ) -> Option<Explanation> {
-    let trace = find_violation(
-        &exp.program,
-        exp.algo,
-        &exp.entry,
-        exp.kind,
-        seeds,
-        max_steps,
-    )?;
+    let trace = exp
+        .sweep(Schedules::Random(seeds), max_steps)
+        .run()
+        .violation?;
     explain_trace(&trace, exp.entry.model, exp.kind).ok()
 }
 

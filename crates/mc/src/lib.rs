@@ -47,14 +47,12 @@ pub use algos::{
 };
 pub use dpor::{explore_dpor, explore_dpor_par, DporCursor, DporOutcome};
 pub use explain::{explain_experiment, explain_history, explain_trace, Explanation, TheoremClass};
-pub use jungle_core::encode::CheckBackend;
+pub use jungle_core::check::CheckBackend;
 pub use jungle_core::registry::{entry, registry, ExecSemantics, ModelEntry, StoreDiscipline};
 pub use program::{Program, Stmt, ThreadProg, TxOp};
 pub use theorems::{experiment_by_id, experiment_ids, thm1_suite, Expectation, Experiment};
 pub use verify::{
-    check_all_traces, check_all_traces_backend, check_all_traces_enumerative, check_all_traces_par,
-    check_all_traces_shared, check_all_traces_shared_backend, check_random, check_random_par,
-    check_random_shared, class_sweep_dpor, class_sweep_enumerative, find_violation,
-    find_violation_par, machine_for, scheduler_for_seed, trace_satisfies, trace_satisfies_backend,
-    CheckKind, ClassSweep, SharedVerdictMemo, SweepSeeds, Verdict,
+    check_all_traces, check_all_traces_enumerative, class_sweep_dpor, class_sweep_enumerative,
+    machine_for, scheduler_for_seed, trace_satisfies, CheckKind, ClassSweep, Schedules,
+    SharedVerdictMemo, Sweep, SweepSeeds, Verdict,
 };

@@ -15,10 +15,7 @@ use crate::algos::{
     GlobalLockTm, LazyTl2Tm, NaiveStoreTm, SkipWriteTm, StrongTm, TmAlgo, VersionedTm, WriteTxnTm,
 };
 use crate::program::{generate, GenConfig, Program, Stmt, ThreadProg, TxOp};
-use crate::verify::{
-    check_all_traces, check_all_traces_shared, check_random, check_random_shared, CheckKind,
-    SharedVerdictMemo, SweepSeeds,
-};
+use crate::verify::{CheckKind, Schedules, SharedVerdictMemo, Sweep, SweepSeeds};
 use jungle_core::ids::{X, Y};
 use jungle_core::model::{Alpha, MemoryModel, Pso, Relaxed, Sc, Tso};
 use jungle_core::par::ParallelConfig;
@@ -101,11 +98,25 @@ impl Experiment {
         self.run_shared(seeds, max_steps, cfg, &SharedVerdictMemo::new())
     }
 
+    /// The serial private-memo [`Sweep`] of this experiment's program,
+    /// algorithm, entry and property along `schedules`.
+    pub fn sweep(&self, schedules: Schedules, max_steps: usize) -> Sweep<'_> {
+        Sweep {
+            schedules,
+            ..Sweep::new(&self.program, self.algo, &self.entry, self.kind, max_steps)
+        }
+    }
+
     /// [`Experiment::run_with`] with a caller-owned [`SharedVerdictMemo`]
     /// shared across experiments: many of the paper's constructions
     /// reuse the same litmus programs under the same models, so a
     /// report run over the whole suite answers repeated per-history
     /// verdicts from the memo.
+    ///
+    /// An [`Expectation::AllTracesSatisfy`] experiment passes only when
+    /// no run hit `max_steps`: a truncated run was never checked, so
+    /// "all satisfied" would be a claim about traces nobody saw. (A
+    /// found violation is conclusive either way.)
     pub fn run_shared(
         &self,
         seeds: SweepSeeds,
@@ -113,67 +124,46 @@ impl Experiment {
         cfg: &ParallelConfig,
         memo: &SharedVerdictMemo,
     ) -> ExperimentResult {
-        match self.expect {
-            Expectation::ViolationExists => {
-                let v = check_random_shared(
-                    &self.program,
-                    self.algo,
-                    &self.entry,
-                    self.kind,
-                    seeds,
-                    max_steps,
-                    cfg,
-                    memo,
-                );
-                ExperimentResult {
-                    passed: v.violation.is_some(),
-                    detail: match v.violation {
-                        Some(_) => format!("{}: violating trace found as expected", self.id),
-                        None => format!(
-                            "{}: no violating trace in {} random schedules",
-                            self.id, seeds.runs
-                        ),
-                    },
-                    stats: v.stats,
-                    tm: v.tm,
-                    waste: v.waste,
-                }
+        let exhaustive = self.expect == Expectation::AllTracesSatisfy && self.exhaustive;
+        let schedules = if exhaustive {
+            Schedules::Exhaustive
+        } else {
+            Schedules::Random(seeds)
+        };
+        let v = Sweep {
+            parallel: Some(*cfg),
+            memo: Some(memo),
+            ..self.sweep(schedules, max_steps)
+        }
+        .run();
+        let (passed, detail) = match (self.expect, &v.violation) {
+            (Expectation::ViolationExists, Some(_)) => {
+                (true, "violating trace found as expected".into())
             }
-            Expectation::AllTracesSatisfy => {
-                let v = if self.exhaustive {
-                    check_all_traces_shared(
-                        &self.program,
-                        self.algo,
-                        &self.entry,
-                        self.kind,
-                        max_steps,
-                        cfg,
-                        memo,
-                    )
-                } else {
-                    check_random_shared(
-                        &self.program,
-                        self.algo,
-                        &self.entry,
-                        self.kind,
-                        seeds,
-                        max_steps,
-                        cfg,
-                        memo,
-                    )
-                };
-                ExperimentResult {
-                    passed: v.ok,
-                    detail: if v.ok {
-                        format!("{}: {} runs all satisfied", self.id, v.runs)
-                    } else {
-                        format!("{}: violation found:\n{:?}", self.id, v.violation)
-                    },
-                    stats: v.stats,
-                    tm: v.tm,
-                    waste: v.waste,
-                }
+            (Expectation::ViolationExists, None) => (
+                false,
+                format!("no violating trace in {} random schedules", seeds.runs),
+            ),
+            (Expectation::AllTracesSatisfy, Some(trace)) => {
+                (false, format!("violation found:\n{:?}", Some(trace)))
             }
+            (Expectation::AllTracesSatisfy, None) if v.truncated > 0 => (
+                false,
+                format!(
+                    "inconclusive: {} of {} runs hit the step bound",
+                    v.truncated, v.runs
+                ),
+            ),
+            (Expectation::AllTracesSatisfy, None) => {
+                (true, format!("{} runs all satisfied", v.runs))
+            }
+        };
+        ExperimentResult {
+            passed,
+            detail: format!("{}: {detail}", self.id),
+            stats: v.stats,
+            tm: v.tm,
+            waste: v.waste,
         }
     }
 }
@@ -649,18 +639,16 @@ pub fn small_scope_sweep(
             .flat_map(|t| t.0.iter())
             .filter(|s| matches!(s, Stmt::Txn { .. } | Stmt::TxnGuard { .. }))
             .count();
-        let v = if n_txns >= 2 {
-            check_random(
-                program,
-                algo,
-                entry,
-                kind,
-                SweepSeeds::new(0, 60),
-                max_steps,
-            )
+        let schedules = if n_txns >= 2 {
+            Schedules::Random(SweepSeeds::new(0, 60))
         } else {
-            check_all_traces(program, algo, entry, kind, max_steps)
+            Schedules::Exhaustive
         };
+        let v = Sweep {
+            schedules,
+            ..Sweep::new(program, algo, entry, kind, max_steps)
+        }
+        .run();
         if !v.ok {
             return Err(format!(
                 "small program #{i} failed under {}/{}: {:?}\nprogram: {:?}",
@@ -689,14 +677,11 @@ pub fn random_sweep(
     let mut checked = 0;
     for pseed in 0..n_programs {
         let program = generate(cfg, pseed);
-        let v = check_random(
-            &program,
-            algo,
-            entry,
-            kind,
-            SweepSeeds::new(0, seeds_per_program),
-            20_000,
-        );
+        let v = Sweep {
+            schedules: Schedules::Random(SweepSeeds::new(0, seeds_per_program)),
+            ..Sweep::new(&program, algo, entry, kind, 20_000)
+        }
+        .run();
         if !v.ok {
             return Err(format!(
                 "program seed {pseed} under {} / {} violated {:?}:\nprogram: {:?}",
@@ -758,16 +743,13 @@ pub fn matched_zoo(
     let mut out = Vec::new();
     for algo in algos {
         for entry in registry() {
-            let v = check_random_shared(
-                &program,
-                algo,
-                entry,
-                CheckKind::Opacity,
-                seeds,
-                max_steps,
-                cfg,
-                memo,
-            );
+            let v = Sweep {
+                schedules: Schedules::Random(seeds),
+                parallel: Some(*cfg),
+                memo: Some(memo),
+                ..Sweep::new(&program, algo, entry, CheckKind::Opacity, max_steps)
+            }
+            .run();
             out.push(ZooVerdict {
                 algo: algo.name(),
                 model: entry.key,
@@ -809,6 +791,21 @@ mod tests {
     fn thm3_litmus_holds() {
         let r = thm3_litmus().run(SweepSeeds::new(0, 0), 4_000);
         assert!(r.passed, "{}", r.detail);
+    }
+
+    #[test]
+    fn truncated_sweep_is_inconclusive_not_a_pass() {
+        // Every run hits a one-step bound, so no trace is ever checked:
+        // "all satisfied" would be vacuous.
+        let e = thm3_litmus();
+        assert!(e.exhaustive && e.expect == Expectation::AllTracesSatisfy);
+        let r = e.run(SweepSeeds::new(0, 0), 1);
+        assert!(!r.passed, "{}", r.detail);
+        assert!(r.detail.contains("inconclusive"), "{}", r.detail);
+        assert!(r.stats.truncated > 0 && r.stats.histories_checked == 0);
+        // A violation stays conclusive whatever else was truncated.
+        let r = lemma1().run(SweepSeeds::new(0, 5), 2_000);
+        assert!(r.passed && !r.detail.contains("inconclusive"));
     }
 
     #[test]

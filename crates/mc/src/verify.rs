@@ -4,13 +4,16 @@
 //! parametrized by `M`* iff for every trace `r ∈ L(I)` **there exists**
 //! a corresponding history that ensures opacity parametrized by `M`
 //! (and analogously for SGLA). [`trace_satisfies`] decides the inner
-//! existential (trying the cheap canonical correspondence first);
-//! [`check_all_traces`] discharges the outer universal by exhaustive
-//! schedule exploration (small programs), and [`check_random`] /
-//! [`find_violation`] sample it with seeded-random schedules.
+//! existential (trying the cheap canonical correspondence first); a
+//! [`Sweep`] discharges the outer universal — by exhaustive schedule
+//! exploration ([`Schedules::Exhaustive`], small programs) or by
+//! sampling seeded-random schedules ([`Schedules::Random`]).
 //!
-//! Every sweep takes a [`ModelEntry`] — the unified handle from the
-//! model registry bundling the checker-side `MemoryModel` with the
+//! A sweep is one request type, the mc-level sibling of
+//! [`jungle_core::check::Check`]: program, algorithm, registry entry,
+//! property, step bound, schedules, checker backend, workers, verdict
+//! memo. It takes a [`ModelEntry`] — the unified handle from the model
+//! registry bundling the checker-side `MemoryModel` with the
 //! execution-side `ExecSemantics` the simulated machine runs under —
 //! instead of separate hardware/model arguments, so the two facades can
 //! never drift apart at a call site.
@@ -20,22 +23,23 @@
 //! Exhaustive store-buffer scheduling produces many instruction-level
 //! interleavings that collapse to the *same* operations with the same
 //! overlap structure — and the inner existential depends on nothing
-//! else. The sweeps therefore deduplicate completed traces by
-//! [`Trace::cache_key`] (skips counted as `McStats::dedup_hits`) and
-//! memoize per-history checker verdicts in a [`SharedVerdictMemo`]
-//! keyed by `(model key, CheckKind, History::cache_key)` (hits counted
-//! as `McStats::memo_hits`). Because the key carries the model and the
-//! property, one memo can safely be **shared across sweeps** — the
-//! `_shared` sweep variants accept a caller-owned memo so a report run
-//! spanning many experiments reuses verdicts; the plain variants create
-//! a private one per sweep. History fingerprints are 64-bit structural
-//! hashes; a collision between distinct structures is possible in
-//! principle but vanishingly unlikely.
+//! else. Every run of every sweep therefore goes through one judging
+//! routine that deduplicates completed traces by [`Trace::cache_key`]
+//! (skips counted as `McStats::dedup_hits`) and memoizes per-history
+//! checker verdicts in a [`SharedVerdictMemo`] keyed by `(model key,
+//! CheckKind, History::cache_key)` (hits counted as
+//! `McStats::memo_hits`). Because the key carries the model and the
+//! property, one memo can safely be **shared across sweeps** —
+//! [`Sweep::memo`] accepts a caller-owned one so a report run spanning
+//! many experiments reuses verdicts; without it each sweep creates a
+//! private one. History fingerprints are 64-bit structural hashes; a
+//! collision between distinct structures is possible in principle but
+//! vanishingly unlikely.
 //!
 //! ### Partial-order reduction
 //!
-//! The exhaustive sweeps do not enumerate raw schedules at all: they
-//! run the sleep-set DPOR explorer ([`crate::dpor`]), which executes
+//! The exhaustive sweep does not enumerate raw schedules at all: it
+//! runs the sleep-set DPOR explorer ([`crate::dpor`]), which executes
 //! one machine run per Mazurkiewicz equivalence class of decisions —
 //! orders of magnitude fewer runs than enumeration on store-buffer
 //! machines, with bit-identical verdicts and witnesses (the serial
@@ -47,11 +51,11 @@
 //!
 //! ### Parallel sweeps
 //!
-//! [`check_all_traces_par`] runs the DPOR exploration itself on a
-//! work-stealing frontier of donated subtrees
-//! ([`crate::dpor::Frontier`]), checking each completed trace inline in
-//! the worker that executed it (all of them share the dedup set and
-//! verdict memo). The reported violation is the one with the
+//! With [`Sweep::parallel`] set, the exhaustive sweep runs the DPOR
+//! exploration itself on a work-stealing frontier of donated subtrees
+//! ([`crate::dpor::explore_dpor_par`]), judging each completed trace
+//! inline in the worker that executed it (all of them share the dedup
+//! set and verdict memo). The reported violation is the one with the
 //! lexicographically least decision path — the leaf the serial DFS
 //! stops at — so the verdict *and* the violating trace match the
 //! serial path for every thread count. Exploration counters (`runs`,
@@ -59,8 +63,9 @@
 //! since workers prune against the best violation found *so far* and
 //! may finish runs beyond the eventual winner.
 //!
-//! [`check_random_par`] stripes the seed range over the workers. The
-//! `ok` verdict is deterministic (dedup only ever skips a trace whose
+//! The random sweep stripes the seed range over the workers (a loop,
+//! not a pool: worker `t` takes seeds `t, t + threads, …`). The `ok`
+//! verdict is deterministic (dedup only ever skips a trace whose
 //! structural twin gets the same verdict), and the reported violation
 //! comes from the lowest violating seed: a worker never skips a seed
 //! smaller than the best violation found so far, only larger ones.
@@ -69,53 +74,28 @@
 //! first violating seed.
 
 use crate::algos::TmAlgo;
-use crate::dpor::{explore_dpor, explore_dpor_par, DporOutcome};
+use crate::dpor::{explore_dpor, explore_dpor_par};
 use crate::obs::tm_counts_from_trace;
 use crate::program::Program;
-use jungle_core::encode::{check_opacity_sat, check_sgla_sat, CheckBackend};
+use jungle_core::check::{Check, CheckBackend};
+use jungle_core::history::History;
 use jungle_core::ids::ProcId;
 use jungle_core::model::MemoryModel;
-use jungle_core::opacity::check_opacity;
 use jungle_core::par::ParallelConfig;
 use jungle_core::registry::ModelEntry;
-use jungle_core::sgla::check_sgla;
 use jungle_isa::trace::Trace;
-use jungle_memsim::{explore, BurstyScheduler, HwModel, Machine, RandomScheduler, Scheduler};
+use jungle_memsim::{
+    explore, BurstyScheduler, HwModel, Machine, RandomScheduler, RunResult, Scheduler,
+};
 use jungle_obs::trace::{self as flight, EventKind};
 use jungle_obs::{DporStats, McStats, TmSnapshot};
 use std::collections::{HashMap, HashSet};
 use std::io::Write;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Which correctness property to check.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum CheckKind {
-    /// Parametrized opacity (§3.3).
-    Opacity,
-    /// Single global lock atomicity (§6.2).
-    Sgla,
-}
-
-impl CheckKind {
-    /// Stable on-disk tag, used in persisted memo file names.
-    pub fn tag(self) -> &'static str {
-        match self {
-            CheckKind::Opacity => "opacity",
-            CheckKind::Sgla => "sgla",
-        }
-    }
-
-    /// Inverse of [`CheckKind::tag`].
-    pub fn from_tag(tag: &str) -> Option<CheckKind> {
-        match tag {
-            "opacity" => Some(CheckKind::Opacity),
-            "sgla" => Some(CheckKind::Sgla),
-            _ => None,
-        }
-    }
-}
+pub use jungle_core::check::CheckKind;
 
 /// The seed range of a randomized sweep, with an **explicit** base so
 /// two sweeps over the same program are reproducibly identical iff
@@ -212,10 +192,10 @@ struct MemoVerdict {
 /// `(model key, CheckKind, History::cache_key)`.
 ///
 /// Because the model and the property are part of the key, a single
-/// memo is safe to share across sweeps with different parameters — the
-/// `_shared` sweep variants take one by reference, and a report run
-/// covering many experiments pays for each distinct (model, property,
-/// history) search only once. Stops admitting entries when full rather
+/// memo is safe to share across sweeps with different parameters —
+/// [`Sweep::memo`] takes one by reference, and a report run covering
+/// many experiments pays for each distinct (model, property, history)
+/// search only once. Stops admitting entries when full rather
 /// than evicting. [`SharedVerdictMemo::hits`] /
 /// [`SharedVerdictMemo::lookups`] expose lifetime counters for the
 /// report's memo-efficiency metrics.
@@ -430,61 +410,35 @@ impl Default for SharedVerdictMemo {
     }
 }
 
-/// One history's verdict under the selected decision procedure. Both
-/// backends are exact and certified (the SAT backend validates every
-/// positive model against the DFS leaf), so the verdict is
-/// backend-independent — which is what lets the memo stay unkeyed by
-/// backend.
-fn history_passes(
-    h: &jungle_core::history::History,
-    model: &dyn MemoryModel,
-    kind: CheckKind,
-    backend: CheckBackend,
-) -> bool {
-    match (kind, backend) {
-        (CheckKind::Opacity, CheckBackend::Dfs) => check_opacity(h, model).is_opaque(),
-        (CheckKind::Opacity, CheckBackend::Sat) => check_opacity_sat(h, model).is_opaque(),
-        (CheckKind::Sgla, CheckBackend::Dfs) => check_sgla(h, model).is_sgla(),
-        (CheckKind::Sgla, CheckBackend::Sat) => check_sgla_sat(h, model).is_sgla(),
-    }
-}
-
 /// Does some history corresponding to `trace` satisfy the property
 /// under `model`?
 pub fn trace_satisfies(trace: &Trace, model: &dyn MemoryModel, kind: CheckKind) -> bool {
-    trace_satisfies_memo(trace, model, kind, CheckBackend::Dfs, None).0
+    trace_satisfies_memo(trace, model, &Check::new(kind), None).0
 }
 
-/// [`trace_satisfies`] deciding each history with `backend`.
-pub fn trace_satisfies_backend(
-    trace: &Trace,
-    model: &dyn MemoryModel,
-    kind: CheckKind,
-    backend: CheckBackend,
-) -> bool {
-    trace_satisfies_memo(trace, model, kind, backend, None).0
-}
-
-/// [`trace_satisfies`] with an optional verdict memo binding (the memo
-/// plus the model key to scope entries under); returns the verdict and
-/// the number of memo hits.
+/// [`trace_satisfies`] deciding each history with `check`, with an
+/// optional verdict memo binding (the memo plus the model key to scope
+/// entries under); returns the verdict and the number of memo hits.
+/// Every backend is exact and certified (the SAT backend validates
+/// every positive model against the DFS leaf), so the verdict is
+/// backend-independent — which is what lets the memo stay unkeyed by
+/// backend.
 fn trace_satisfies_memo(
     trace: &Trace,
     model: &dyn MemoryModel,
-    kind: CheckKind,
-    backend: CheckBackend,
+    check: &Check,
     memo: Option<(&SharedVerdictMemo, &'static str)>,
 ) -> (bool, u64) {
     let mut memo_hits = 0u64;
-    let mut pass = |h: &jungle_core::history::History| {
-        let key = memo.map(|(_, mk)| (mk, kind, h.cache_key()));
+    let mut pass = |h: &History| {
+        let key = memo.map(|(_, mk)| (mk, check.kind, h.cache_key()));
         if let (Some((m, _)), Some(k)) = (memo, key) {
             if let Some(v) = m.get(k) {
                 memo_hits += 1;
                 return v;
             }
         }
-        let v = history_passes(h, model, kind, backend);
+        let v = check.run(h, model).0.holds();
         if let (Some((m, _)), Some(k)) = (memo, key) {
             m.put(k, v);
         }
@@ -512,7 +466,11 @@ fn trace_satisfies_memo(
     (found.is_some(), memo_hits)
 }
 
-fn build_machine(program: &Program, algo: &dyn TmAlgo, hw: HwModel) -> Machine {
+/// Build the simulated machine for `program` under `algo` on `hw` —
+/// the exact construction every sweep in this module uses. Public so
+/// the record/replay engine (`jungle-replay`) re-executes schedule logs
+/// on machines identical to the ones that produced them.
+pub fn machine_for(program: &Program, algo: &dyn TmAlgo, hw: HwModel) -> Machine {
     let procs = program
         .0
         .iter()
@@ -520,14 +478,6 @@ fn build_machine(program: &Program, algo: &dyn TmAlgo, hw: HwModel) -> Machine {
         .map(|(i, t)| algo.make_process(ProcId(i as u32), t.clone()))
         .collect();
     Machine::new(hw, procs)
-}
-
-/// Build the simulated machine for `program` under `algo` on `hw` —
-/// the exact construction every sweep in this module uses. Public so
-/// the record/replay engine (`jungle-replay`) re-executes schedule logs
-/// on machines identical to the ones that produced them.
-pub fn machine_for(program: &Program, algo: &dyn TmAlgo, hw: HwModel) -> Machine {
-    build_machine(program, algo, hw)
 }
 
 /// The scheduler the randomized sweeps use for `seed`: even seeds get a
@@ -542,11 +492,306 @@ pub fn scheduler_for_seed(seed: u64) -> Box<dyn Scheduler> {
     }
 }
 
-/// Exhaustively explore every schedule of `program` under `algo` on
-/// `entry`'s execution semantics, checking each completed trace against
+/// Which schedules a [`Sweep`] runs.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Schedules {
+    /// Every schedule, one machine run per Mazurkiewicz class (sleep-set
+    /// DPOR). Use only for litmus-sized programs: the class count is
+    /// still exponential.
+    Exhaustive,
+    /// One seeded-random schedule per seed (see [`scheduler_for_seed`]).
+    /// Two sweeps with equal [`SweepSeeds`] replay byte-identical
+    /// schedules.
+    Random(SweepSeeds),
+}
+
+/// One sweep request: run `program` under `algo` on `entry`'s execution
+/// semantics along `schedules`, and check every completed trace against
 /// `entry`'s memory model once per structural equivalence class (see
-/// the module docs on deduplication). Use only for litmus-sized
-/// programs (the schedule count is exponential).
+/// the module docs).
+#[derive(Clone, Copy)]
+pub struct Sweep<'a> {
+    /// The multiprocess program.
+    pub program: &'a Program,
+    /// The TM algorithm under test.
+    pub algo: &'a dyn TmAlgo,
+    /// Checker-side model and execution-side semantics, as one handle.
+    pub entry: &'a ModelEntry,
+    /// Opacity or SGLA.
+    pub kind: CheckKind,
+    /// Step bound per machine run; a run that hits it is *truncated*
+    /// and never checked.
+    pub max_steps: usize,
+    /// Which schedules to run.
+    pub schedules: Schedules,
+    /// How each history is decided. Verdicts are backend-independent
+    /// (both procedures are exact); this selects *how* they are
+    /// computed, e.g. for benchmarking or cross-validation.
+    pub backend: CheckBackend,
+    /// `Some` runs the sweep on `effective_threads()` workers; verdict
+    /// and violating trace still match the serial sweep (see the
+    /// module docs).
+    pub parallel: Option<ParallelConfig>,
+    /// A caller-owned verdict memo to reuse across sweeps; `None` uses
+    /// a private one.
+    pub memo: Option<&'a SharedVerdictMemo>,
+}
+
+impl<'a> Sweep<'a> {
+    /// The serial exhaustive DFS-backed sweep with a private memo.
+    pub fn new(
+        program: &'a Program,
+        algo: &'a dyn TmAlgo,
+        entry: &'a ModelEntry,
+        kind: CheckKind,
+        max_steps: usize,
+    ) -> Self {
+        Sweep {
+            program,
+            algo,
+            entry,
+            kind,
+            max_steps,
+            schedules: Schedules::Exhaustive,
+            backend: CheckBackend::Dfs,
+            parallel: None,
+            memo: None,
+        }
+    }
+
+    /// Run the sweep.
+    pub fn run(&self) -> Verdict {
+        let threads = self.parallel.map_or(1, |cfg| cfg.effective_threads());
+        self.judged(|judge| match self.schedules {
+            Schedules::Exhaustive => self.explore_classes(judge, threads),
+            Schedules::Random(seeds) => self.sample(judge, seeds, threads),
+        })
+    }
+
+    /// Run `driver` against a fresh [`Judge`] and fold what the judge
+    /// saw into the driver's verdict.
+    fn judged(&self, driver: impl FnOnce(&Judge<'_>) -> Verdict) -> Verdict {
+        let private;
+        let memo = match self.memo {
+            Some(shared) => shared,
+            None => {
+                private = SharedVerdictMemo::new();
+                &private
+            }
+        };
+        let judge = Judge::new(self, memo);
+        let verdict = driver(&judge);
+        judge.conclude(verdict)
+    }
+
+    fn machine(&self) -> Machine {
+        machine_for(self.program, self.algo, self.entry.exec)
+    }
+
+    /// The DPOR drivers: the serial explorer, or the work-stealing one
+    /// on `threads` workers. Violations are ranked by decision path.
+    fn explore_classes(&self, judge: &Judge<'_>, threads: usize) -> Verdict {
+        let out = if threads <= 1 {
+            explore_dpor(|| self.machine(), self.max_steps, |r| judge.judge(r, &[]))
+        } else {
+            explore_dpor_par(&|| self.machine(), self.max_steps, threads, &|r, path| {
+                judge.judge(r, path)
+            })
+        };
+        let mut verdict = Verdict::passing(self.entry);
+        verdict.runs = out.executed;
+        verdict.truncated = out.truncated;
+        verdict.stats.machine = out.stats;
+        verdict.stats.dpor_executed = out.executed as u64;
+        verdict.stats.dpor_classes = out.classes as u64;
+        verdict.stats.dpor_blocked = out.blocked as u64;
+        verdict.stats.frontier_steals = out.frontier_steals;
+        verdict.stats.sleep_skips = out.sleep_skips;
+        verdict.stats.races = out.races;
+        verdict.waste = out.waste;
+        if threads > 1 {
+            verdict.stats.workers = threads as u64;
+        }
+        verdict
+    }
+
+    /// The random drivers: one stripe of the seed range inline, or one
+    /// per worker. Violations are ranked by position in the seed range.
+    fn sample(&self, judge: &Judge<'_>, seeds: SweepSeeds, threads: usize) -> Verdict {
+        let threads = threads.min(seeds.runs.max(1) as usize);
+        // Position of the earliest violating seed found so far; later
+        // seeds can never lower it, so every stripe stops there.
+        let best = AtomicUsize::new(usize::MAX);
+        let stripe = |t: usize| {
+            let mut local = Verdict::passing(self.entry);
+            for (i, seed) in seeds.iter().enumerate().skip(t).step_by(threads) {
+                if i > best.load(Ordering::Relaxed) {
+                    break;
+                }
+                // Alternate uniform and bursty schedules: uniform
+                // explores diffuse interleavings, bursts hit the tight
+                // windows of the Figure 5 constructions.
+                let r = self
+                    .machine()
+                    .run(scheduler_for_seed(seed).as_mut(), self.max_steps);
+                local.runs += 1;
+                local.truncated += usize::from(!r.completed);
+                local.stats.machine.absorb(&r.stats);
+                if judge.judge(&r, &[i]) {
+                    best.fetch_min(i, Ordering::Relaxed);
+                }
+            }
+            local
+        };
+        if threads <= 1 {
+            return stripe(0);
+        }
+        let mut verdict = Verdict::passing(self.entry);
+        verdict.stats.workers = threads as u64;
+        std::thread::scope(|s| {
+            let stripe = &stripe;
+            let handles: Vec<_> = (0..threads).map(|t| s.spawn(move || stripe(t))).collect();
+            for h in handles {
+                let local = h.join().expect("random-sweep worker panicked");
+                verdict.runs += local.runs;
+                verdict.truncated += local.truncated;
+                verdict.stats.machine.absorb(&local.stats.machine);
+            }
+        });
+        verdict
+    }
+
+    /// The enumerative driver: every schedule executed, equivalence
+    /// handled only by the judge's after-the-fact trace dedup.
+    fn enumerate(&self, judge: &Judge<'_>) -> Verdict {
+        let out = explore(|| self.machine(), self.max_steps, |r| judge.judge(r, &[]));
+        let mut verdict = Verdict::passing(self.entry);
+        verdict.runs = out.runs;
+        verdict.truncated = out.truncated;
+        verdict.stats.machine = out.stats;
+        verdict
+    }
+}
+
+/// The per-run judging routine every sweep driver calls, with the
+/// sweep-wide state it needs: the dedup set, the TM counters, and the
+/// least-ranked violation. Thread-safe, so parallel drivers judge
+/// inline in the worker that executed the run (the explorer already
+/// distributes machine runs; a separate checker pool would idle).
+struct Judge<'a> {
+    check: Check,
+    entry: &'a ModelEntry,
+    memo: &'a SharedVerdictMemo,
+    seen: Mutex<HashSet<u64>>,
+    tm: Mutex<TmSnapshot>,
+    schedules: AtomicU64,
+    dedup_hits: AtomicU64,
+    histories_checked: AtomicU64,
+    memo_hits: AtomicU64,
+    violation: Mutex<Option<Violation>>,
+}
+
+/// Why a poisoned judge lock is fatal: the panic that poisoned it is
+/// already unwinding the sweep.
+const POISON: &str = "a sweep worker panicked";
+
+/// A violating trace with the rank its driver gave it and its class
+/// key. The sweep reports the violation of least rank — the first one
+/// in exploration (or seed) order — at every worker count.
+struct Violation {
+    rank: Vec<usize>,
+    key: u64,
+    trace: Trace,
+}
+
+impl<'a> Judge<'a> {
+    fn new(sweep: &Sweep<'a>, memo: &'a SharedVerdictMemo) -> Self {
+        Judge {
+            check: Check {
+                backend: sweep.backend,
+                ..Check::new(sweep.kind)
+            },
+            entry: sweep.entry,
+            memo,
+            seen: Mutex::new(HashSet::new()),
+            tm: Mutex::new(TmSnapshot::default()),
+            schedules: AtomicU64::new(0),
+            dedup_hits: AtomicU64::new(0),
+            histories_checked: AtomicU64::new(0),
+            memo_hits: AtomicU64::new(0),
+            violation: Mutex::new(None),
+        }
+    }
+
+    /// Judge one machine run; `true` means it is a violating leaf.
+    /// Truncated runs are skipped (the drivers count them), TM counters
+    /// are absorbed from every completed trace, and the checker runs
+    /// once per class key.
+    fn judge(&self, r: &RunResult, rank: &[usize]) -> bool {
+        let seq = self.schedules.fetch_add(1, Ordering::Relaxed);
+        flight::emit(EventKind::McSchedule, seq, u64::from(r.completed));
+        if !r.completed {
+            return false;
+        }
+        self.tm
+            .lock()
+            .expect(POISON)
+            .absorb(&tm_counts_from_trace(&r.trace));
+        let key = r.trace.cache_key();
+        let keep_if_least = |v: &mut Option<Violation>| {
+            if v.as_ref().is_none_or(|w| rank < w.rank.as_slice()) {
+                *v = Some(Violation {
+                    rank: rank.to_vec(),
+                    key,
+                    trace: r.trace.clone(),
+                })
+            }
+        };
+        if !self.seen.lock().expect(POISON).insert(key) {
+            self.dedup_hits.fetch_add(1, Ordering::Relaxed);
+            flight::emit(EventKind::McDedupHit, key, 0);
+            // The class is already decided, but if it is the violating
+            // one and this representative ranks lower, it is the
+            // witness the serial sweep reports.
+            let mut v = self.violation.lock().expect(POISON);
+            let twin = v.as_ref().is_some_and(|w| w.key == key);
+            if twin {
+                keep_if_least(&mut v);
+            }
+            return twin; // still a violating leaf: tighten pruning
+        }
+        self.histories_checked.fetch_add(1, Ordering::Relaxed);
+        flight::emit(EventKind::McHistoryChecked, key, 0);
+        let (ok, hits) = trace_satisfies_memo(
+            &r.trace,
+            self.entry.model,
+            &self.check,
+            Some((self.memo, self.entry.key)),
+        );
+        self.memo_hits.fetch_add(hits, Ordering::Relaxed);
+        if ok {
+            return false;
+        }
+        flight::emit(EventKind::McViolation, seq, 0);
+        keep_if_least(&mut self.violation.lock().expect(POISON));
+        true
+    }
+
+    /// Fold the judge's state into the driver's `verdict`.
+    fn conclude(self, mut verdict: Verdict) -> Verdict {
+        verdict.stats.schedules = verdict.runs as u64;
+        verdict.stats.truncated = verdict.truncated as u64;
+        verdict.stats.dedup_hits = self.dedup_hits.into_inner();
+        verdict.stats.histories_checked = self.histories_checked.into_inner();
+        verdict.stats.memo_hits = self.memo_hits.into_inner();
+        verdict.tm = self.tm.into_inner().expect(POISON);
+        verdict.violation = self.violation.into_inner().expect(POISON).map(|v| v.trace);
+        verdict.ok = verdict.violation.is_none();
+        verdict
+    }
+}
+
+/// The exhaustive serial sweep — `Sweep::new(..).run()`.
 pub fn check_all_traces(
     program: &Program,
     algo: &dyn TmAlgo,
@@ -554,267 +799,15 @@ pub fn check_all_traces(
     kind: CheckKind,
     max_steps: usize,
 ) -> Verdict {
-    check_all_traces_backend(program, algo, entry, kind, CheckBackend::Dfs, max_steps)
-}
-
-/// [`check_all_traces`] deciding each history with `backend`. Verdicts
-/// are backend-independent (both procedures are exact); this selects
-/// *how* they are computed, e.g. to route the sweep through the SAT
-/// backend for benchmarking or cross-validation.
-pub fn check_all_traces_backend(
-    program: &Program,
-    algo: &dyn TmAlgo,
-    entry: &ModelEntry,
-    kind: CheckKind,
-    backend: CheckBackend,
-    max_steps: usize,
-) -> Verdict {
-    check_all_traces_serial(
-        program,
-        algo,
-        entry,
-        kind,
-        backend,
-        max_steps,
-        &SharedVerdictMemo::new(),
-    )
-}
-
-/// Parallel variant of [`check_all_traces`]: the serial exploration
-/// cursor feeds deduplicated traces to `cfg.effective_threads()` scoped
-/// checker workers sharing a fresh verdict memo. Verdict and violating
-/// trace are identical to the serial path (see module docs); falls back
-/// to it outright when the effective thread count is 1.
-pub fn check_all_traces_par(
-    program: &Program,
-    algo: &dyn TmAlgo,
-    entry: &ModelEntry,
-    kind: CheckKind,
-    max_steps: usize,
-    cfg: &ParallelConfig,
-) -> Verdict {
-    check_all_traces_shared(
-        program,
-        algo,
-        entry,
-        kind,
-        max_steps,
-        cfg,
-        &SharedVerdictMemo::new(),
-    )
-}
-
-/// [`check_all_traces_par`] with a caller-owned [`SharedVerdictMemo`],
-/// so several sweeps (across models, properties, and programs) reuse
-/// each other's per-history verdicts.
-pub fn check_all_traces_shared(
-    program: &Program,
-    algo: &dyn TmAlgo,
-    entry: &ModelEntry,
-    kind: CheckKind,
-    max_steps: usize,
-    cfg: &ParallelConfig,
-    memo: &SharedVerdictMemo,
-) -> Verdict {
-    check_all_traces_shared_backend(
-        program,
-        algo,
-        entry,
-        kind,
-        CheckBackend::Dfs,
-        max_steps,
-        cfg,
-        memo,
-    )
-}
-
-/// [`check_all_traces_shared`] deciding each history with `backend`.
-#[allow(clippy::too_many_arguments)]
-pub fn check_all_traces_shared_backend(
-    program: &Program,
-    algo: &dyn TmAlgo,
-    entry: &ModelEntry,
-    kind: CheckKind,
-    backend: CheckBackend,
-    max_steps: usize,
-    cfg: &ParallelConfig,
-    memo: &SharedVerdictMemo,
-) -> Verdict {
-    let threads = cfg.effective_threads();
-    if threads <= 1 {
-        return check_all_traces_serial(program, algo, entry, kind, backend, max_steps, memo);
-    }
-
-    let mut verdict = Verdict::passing(entry);
-    let model = entry.model;
-    // Sweep-wide state shared by the DPOR workers. Checking happens
-    // inline in the visit callback (the explorer already distributes
-    // machine runs across workers; a separate checker pool would idle).
-    let seen: Mutex<HashSet<u64>> = Mutex::new(HashSet::new());
-    let tm: Mutex<TmSnapshot> = Mutex::new(TmSnapshot::default());
-    let dedup_hits = AtomicU64::new(0);
-    let histories_checked = AtomicU64::new(0);
-    let memo_hits = AtomicU64::new(0);
-    let schedule_seq = AtomicU64::new(0);
-    // Violation witness keyed by absolute decision path; the keeper is
-    // the lexicographically least, which is the leaf the serial DFS
-    // stops at — so verdict and witness match the serial sweep at every
-    // worker count.
-    let violation: Mutex<Option<(Vec<usize>, Trace)>> = Mutex::new(None);
-
-    let lex_less = |a: &[usize], b: &[usize]| -> bool {
-        for (x, y) in a.iter().zip(b.iter()) {
-            if x != y {
-                return x < y;
-            }
-        }
-        a.len() < b.len()
-    };
-
-    let out = explore_dpor_par(
-        &|| build_machine(program, algo, entry.exec),
-        max_steps,
-        threads,
-        &|r, path| {
-            let seq = schedule_seq.fetch_add(1, Ordering::Relaxed);
-            flight::emit(EventKind::McSchedule, seq, u64::from(r.completed));
-            if !r.completed {
-                return false;
-            }
-            tm.lock().unwrap().absorb(&tm_counts_from_trace(&r.trace));
-            let key = r.trace.cache_key();
-            if !seen.lock().unwrap().insert(key) {
-                dedup_hits.fetch_add(1, Ordering::Relaxed);
-                flight::emit(EventKind::McDedupHit, key, 0);
-                // The class is already decided, but if it is the
-                // violating one and this representative's path is
-                // smaller, it is the witness the serial sweep reports.
-                let mut v = violation.lock().unwrap();
-                if let Some((vp, vt)) = v.as_mut() {
-                    if vt.cache_key() == key {
-                        if lex_less(path, vp) {
-                            *vp = path.to_vec();
-                            *vt = r.trace.clone();
-                        }
-                        return true; // still a violating leaf: tighten pruning
-                    }
-                }
-                return false;
-            }
-            let checked = histories_checked.fetch_add(1, Ordering::Relaxed) + 1;
-            flight::emit(EventKind::McHistoryChecked, checked, 0);
-            let (ok, hits) =
-                trace_satisfies_memo(&r.trace, model, kind, backend, Some((memo, entry.key)));
-            memo_hits.fetch_add(hits, Ordering::Relaxed);
-            if !ok {
-                flight::emit(EventKind::McViolation, checked, 0);
-                let mut v = violation.lock().unwrap();
-                if v.as_ref().is_none_or(|(vp, _)| lex_less(path, vp)) {
-                    *v = Some((path.to_vec(), r.trace.clone()));
-                }
-                return true;
-            }
-            false
-        },
-    );
-
-    verdict.runs = out.executed;
-    verdict.truncated = out.truncated;
-    verdict.stats.schedules = out.executed as u64;
-    verdict.stats.truncated = out.truncated as u64;
-    verdict.stats.dedup_hits = dedup_hits.into_inner();
-    verdict.stats.histories_checked = histories_checked.into_inner();
-    verdict.stats.memo_hits = memo_hits.into_inner();
-    verdict.stats.machine = out.stats;
-    apply_dpor_stats(&mut verdict.stats, &out);
-    verdict.waste = out.waste;
-    verdict.tm = tm.into_inner().unwrap();
-    verdict.stats.workers = threads as u64;
-    if let Some((_, trace)) = violation.into_inner().unwrap() {
-        verdict.ok = false;
-        verdict.violation = Some(trace);
-    }
-    verdict
-}
-
-fn check_all_traces_serial(
-    program: &Program,
-    algo: &dyn TmAlgo,
-    entry: &ModelEntry,
-    kind: CheckKind,
-    backend: CheckBackend,
-    max_steps: usize,
-    memo: &SharedVerdictMemo,
-) -> Verdict {
-    let mut verdict = Verdict::passing(entry);
-    let mut seen: HashSet<u64> = HashSet::new();
-    let mut histories_checked = 0u64;
-    let mut memo_hits = 0u64;
-    let mut tm = TmSnapshot::default();
-    let mut schedule_seq = 0u64;
-    let out = explore_dpor(
-        || build_machine(program, algo, entry.exec),
-        max_steps,
-        |r| {
-            flight::emit(EventKind::McSchedule, schedule_seq, u64::from(r.completed));
-            schedule_seq += 1;
-            if !r.completed {
-                return false; // counted by the explorer; skip checking prefixes
-            }
-            tm.absorb(&tm_counts_from_trace(&r.trace));
-            if !seen.insert(r.trace.cache_key()) {
-                verdict.stats.dedup_hits += 1;
-                flight::emit(EventKind::McDedupHit, r.trace.cache_key(), 0);
-                return false;
-            }
-            histories_checked += 1;
-            flight::emit(EventKind::McHistoryChecked, histories_checked, 0);
-            let (ok, hits) = trace_satisfies_memo(
-                &r.trace,
-                entry.model,
-                kind,
-                backend,
-                Some((memo, entry.key)),
-            );
-            memo_hits += hits;
-            if !ok {
-                verdict.ok = false;
-                verdict.violation = Some(r.trace.clone());
-                flight::emit(EventKind::McViolation, histories_checked, 0);
-                return true;
-            }
-            false
-        },
-    );
-    verdict.runs = out.executed;
-    verdict.truncated = out.truncated;
-    verdict.stats.schedules = out.executed as u64;
-    verdict.stats.truncated = out.truncated as u64;
-    verdict.stats.histories_checked = histories_checked;
-    verdict.stats.memo_hits = memo_hits;
-    verdict.stats.machine = out.stats;
-    apply_dpor_stats(&mut verdict.stats, &out);
-    verdict.waste = out.waste;
-    verdict.tm = tm;
-    verdict
-}
-
-/// Copy a DPOR exploration's reduction counters into sweep stats.
-fn apply_dpor_stats(stats: &mut McStats, out: &DporOutcome) {
-    stats.dpor_executed = out.executed as u64;
-    stats.dpor_classes = out.classes as u64;
-    stats.dpor_blocked = out.blocked as u64;
-    stats.frontier_steals = out.frontier_steals;
-    stats.sleep_skips = out.sleep_skips;
-    stats.races = out.races;
+    Sweep::new(program, algo, entry, kind, max_steps).run()
 }
 
 /// Brute-force exhaustive sweep: every schedule executed, equivalence
 /// handled only by after-the-fact trace dedup. This is the pre-DPOR
 /// algorithm, kept as the **oracle** the reduction is validated against
-/// (`dpor` history classes and verdicts must match it exactly); use
-/// [`check_all_traces`] for real sweeps — it visits the same classes in
-/// orders of magnitude fewer runs.
+/// (`dpor` history classes and verdicts must match it exactly); use a
+/// [`Sweep`] for real sweeps — it visits the same classes in orders of
+/// magnitude fewer runs.
 pub fn check_all_traces_enumerative(
     program: &Program,
     algo: &dyn TmAlgo,
@@ -822,50 +815,8 @@ pub fn check_all_traces_enumerative(
     kind: CheckKind,
     max_steps: usize,
 ) -> Verdict {
-    let memo = SharedVerdictMemo::new();
-    let mut verdict = Verdict::passing(entry);
-    let mut seen: HashSet<u64> = HashSet::new();
-    let mut histories_checked = 0u64;
-    let mut memo_hits = 0u64;
-    let mut tm = TmSnapshot::default();
-    let out = explore(
-        || build_machine(program, algo, entry.exec),
-        max_steps,
-        |r| {
-            if !r.completed {
-                return false;
-            }
-            tm.absorb(&tm_counts_from_trace(&r.trace));
-            if !seen.insert(r.trace.cache_key()) {
-                verdict.stats.dedup_hits += 1;
-                return false;
-            }
-            histories_checked += 1;
-            let (ok, hits) = trace_satisfies_memo(
-                &r.trace,
-                entry.model,
-                kind,
-                CheckBackend::Dfs,
-                Some((&memo, entry.key)),
-            );
-            memo_hits += hits;
-            if !ok {
-                verdict.ok = false;
-                verdict.violation = Some(r.trace.clone());
-                return true;
-            }
-            false
-        },
-    );
-    verdict.runs = out.runs;
-    verdict.truncated = out.truncated;
-    verdict.stats.schedules = out.runs as u64;
-    verdict.stats.truncated = out.truncated as u64;
-    verdict.stats.histories_checked = histories_checked;
-    verdict.stats.memo_hits = memo_hits;
-    verdict.stats.machine = out.stats;
-    verdict.tm = tm;
-    verdict
+    let sweep = Sweep::new(program, algo, entry, kind, max_steps);
+    sweep.judged(|judge| sweep.enumerate(judge))
 }
 
 /// The set of structural history classes a sweep visits, with the run
@@ -889,6 +840,16 @@ pub struct ClassSweep {
     pub waste: DporStats,
 }
 
+impl ClassSweep {
+    fn note(&mut self, r: &RunResult) -> bool {
+        if r.completed {
+            self.completed += 1;
+            self.keys.insert(r.trace.cache_key());
+        }
+        false
+    }
+}
+
 /// Enumerate every schedule and collect the completed-trace class keys.
 pub fn class_sweep_enumerative(
     program: &Program,
@@ -898,15 +859,9 @@ pub fn class_sweep_enumerative(
 ) -> ClassSweep {
     let mut sweep = ClassSweep::default();
     let out = explore(
-        || build_machine(program, algo, entry.exec),
+        || machine_for(program, algo, entry.exec),
         max_steps,
-        |r| {
-            if r.completed {
-                sweep.completed += 1;
-                sweep.keys.insert(r.trace.cache_key());
-            }
-            false
-        },
+        |r| sweep.note(r),
     );
     sweep.executed = out.runs as u64;
     sweep.truncated = out.truncated as u64;
@@ -924,247 +879,15 @@ pub fn class_sweep_dpor(
 ) -> ClassSweep {
     let mut sweep = ClassSweep::default();
     let out = explore_dpor(
-        || build_machine(program, algo, entry.exec),
+        || machine_for(program, algo, entry.exec),
         max_steps,
-        |r| {
-            if r.completed {
-                sweep.completed += 1;
-                sweep.keys.insert(r.trace.cache_key());
-            }
-            false
-        },
+        |r| sweep.note(r),
     );
     sweep.executed = out.executed as u64;
     sweep.truncated = out.truncated as u64;
     sweep.blocked = out.blocked as u64;
     sweep.waste = out.waste;
     sweep
-}
-
-/// Sample random schedules of `program` over the explicit seed range,
-/// checking each completed trace. Two calls with equal [`SweepSeeds`]
-/// replay byte-identical schedules. Stops at the first violating seed.
-pub fn check_random(
-    program: &Program,
-    algo: &dyn TmAlgo,
-    entry: &ModelEntry,
-    kind: CheckKind,
-    seeds: SweepSeeds,
-    max_steps: usize,
-) -> Verdict {
-    check_random_serial(
-        program,
-        algo,
-        entry,
-        kind,
-        seeds,
-        max_steps,
-        &SharedVerdictMemo::new(),
-    )
-}
-
-/// Parallel variant of [`check_random`]: stripes the seed range over
-/// `cfg.effective_threads()` scoped workers with a fresh verdict memo.
-/// The `ok` verdict matches the serial sweep; the reported violation is
-/// the one from the lowest violating seed (see module docs). Falls back
-/// to the serial sweep at one effective thread.
-pub fn check_random_par(
-    program: &Program,
-    algo: &dyn TmAlgo,
-    entry: &ModelEntry,
-    kind: CheckKind,
-    seeds: SweepSeeds,
-    max_steps: usize,
-    cfg: &ParallelConfig,
-) -> Verdict {
-    check_random_shared(
-        program,
-        algo,
-        entry,
-        kind,
-        seeds,
-        max_steps,
-        cfg,
-        &SharedVerdictMemo::new(),
-    )
-}
-
-/// [`check_random_par`] with a caller-owned [`SharedVerdictMemo`] for
-/// cross-sweep verdict reuse.
-#[allow(clippy::too_many_arguments)]
-pub fn check_random_shared(
-    program: &Program,
-    algo: &dyn TmAlgo,
-    entry: &ModelEntry,
-    kind: CheckKind,
-    seeds: SweepSeeds,
-    max_steps: usize,
-    cfg: &ParallelConfig,
-    memo: &SharedVerdictMemo,
-) -> Verdict {
-    let threads = cfg.effective_threads().min(seeds.runs.max(1) as usize);
-    if threads <= 1 {
-        return check_random_serial(program, algo, entry, kind, seeds, max_steps, memo);
-    }
-
-    let mut verdict = Verdict::passing(entry);
-    let model = entry.model;
-    let seen: Mutex<HashSet<u64>> = Mutex::new(HashSet::new());
-    // Lowest violating seed found so far; seeds above it are skipped
-    // (they can never lower the minimum), seeds below it never are.
-    let best_seed = AtomicU64::new(u64::MAX);
-    let violation: Mutex<Option<(u64, Trace)>> = Mutex::new(None);
-
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let seen = &seen;
-                let best_seed = &best_seed;
-                let violation = &violation;
-                s.spawn(move || {
-                    let mut local = Verdict::passing(entry);
-                    for seed in seeds.iter().skip(t).step_by(threads) {
-                        if seed > best_seed.load(Ordering::Relaxed) {
-                            continue;
-                        }
-                        let mut sched = scheduler_for_seed(seed);
-                        let r =
-                            build_machine(program, algo, entry.exec).run(sched.as_mut(), max_steps);
-                        local.runs += 1;
-                        local.stats.schedules += 1;
-                        local.stats.machine.absorb(&r.stats);
-                        flight::emit(EventKind::McSchedule, seed, u64::from(r.completed));
-                        if !r.completed {
-                            local.truncated += 1;
-                            local.stats.truncated += 1;
-                            continue;
-                        }
-                        local.tm.absorb(&tm_counts_from_trace(&r.trace));
-                        if !seen.lock().unwrap().insert(r.trace.cache_key()) {
-                            local.stats.dedup_hits += 1;
-                            flight::emit(EventKind::McDedupHit, r.trace.cache_key(), 0);
-                            continue;
-                        }
-                        local.stats.histories_checked += 1;
-                        flight::emit(EventKind::McHistoryChecked, seed, 0);
-                        let (ok, hits) = trace_satisfies_memo(
-                            &r.trace,
-                            model,
-                            kind,
-                            CheckBackend::Dfs,
-                            Some((memo, entry.key)),
-                        );
-                        local.stats.memo_hits += hits;
-                        if !ok {
-                            flight::emit(EventKind::McViolation, seed, 0);
-                            best_seed.fetch_min(seed, Ordering::Relaxed);
-                            let mut v = violation.lock().unwrap();
-                            if v.as_ref().is_none_or(|(vs, _)| seed < *vs) {
-                                *v = Some((seed, r.trace));
-                            }
-                        }
-                    }
-                    local
-                })
-            })
-            .collect();
-
-        for h in handles {
-            let local = h.join().expect("random-sweep worker panicked");
-            verdict.runs += local.runs;
-            verdict.truncated += local.truncated;
-            verdict.stats.absorb(&local.stats);
-            verdict.tm.absorb(&local.tm);
-        }
-    });
-
-    verdict.stats.workers = threads as u64;
-    if let Some((_, trace)) = violation.into_inner().unwrap() {
-        verdict.ok = false;
-        verdict.violation = Some(trace);
-    }
-    verdict
-}
-
-#[allow(clippy::too_many_arguments)]
-fn check_random_serial(
-    program: &Program,
-    algo: &dyn TmAlgo,
-    entry: &ModelEntry,
-    kind: CheckKind,
-    seeds: SweepSeeds,
-    max_steps: usize,
-    memo: &SharedVerdictMemo,
-) -> Verdict {
-    let mut verdict = Verdict::passing(entry);
-    let mut seen: HashSet<u64> = HashSet::new();
-    for seed in seeds.iter() {
-        // Alternate uniform and bursty schedules: uniform explores
-        // diffuse interleavings, bursts hit the tight windows of the
-        // Figure 5 constructions.
-        let mut sched = scheduler_for_seed(seed);
-        let r = build_machine(program, algo, entry.exec).run(sched.as_mut(), max_steps);
-        verdict.runs += 1;
-        verdict.stats.schedules += 1;
-        verdict.stats.machine.absorb(&r.stats);
-        flight::emit(EventKind::McSchedule, seed, u64::from(r.completed));
-        if !r.completed {
-            verdict.truncated += 1;
-            verdict.stats.truncated += 1;
-            continue;
-        }
-        verdict.tm.absorb(&tm_counts_from_trace(&r.trace));
-        if !seen.insert(r.trace.cache_key()) {
-            verdict.stats.dedup_hits += 1;
-            flight::emit(EventKind::McDedupHit, r.trace.cache_key(), 0);
-            continue;
-        }
-        verdict.stats.histories_checked += 1;
-        flight::emit(EventKind::McHistoryChecked, seed, 0);
-        let (ok, hits) = trace_satisfies_memo(
-            &r.trace,
-            entry.model,
-            kind,
-            CheckBackend::Dfs,
-            Some((memo, entry.key)),
-        );
-        verdict.stats.memo_hits += hits;
-        if !ok {
-            verdict.ok = false;
-            verdict.violation = Some(r.trace);
-            flight::emit(EventKind::McViolation, seed, 0);
-            return verdict;
-        }
-    }
-    verdict
-}
-
-/// Search random schedules over the explicit seed range for a trace
-/// with **no** satisfying corresponding history (a violation witness).
-/// Returns the first one found.
-pub fn find_violation(
-    program: &Program,
-    algo: &dyn TmAlgo,
-    entry: &ModelEntry,
-    kind: CheckKind,
-    seeds: SweepSeeds,
-    max_steps: usize,
-) -> Option<Trace> {
-    check_random(program, algo, entry, kind, seeds, max_steps).violation
-}
-
-/// Parallel variant of [`find_violation`] via [`check_random_par`]:
-/// returns the violation from the lowest violating seed.
-pub fn find_violation_par(
-    program: &Program,
-    algo: &dyn TmAlgo,
-    entry: &ModelEntry,
-    kind: CheckKind,
-    seeds: SweepSeeds,
-    max_steps: usize,
-    cfg: &ParallelConfig,
-) -> Option<Trace> {
-    check_random_par(program, algo, entry, kind, seeds, max_steps, cfg).violation
 }
 
 #[cfg(test)]
@@ -1234,24 +957,31 @@ mod tests {
             Stmt::txn(vec![TxOp::Write(X, 5)]),
             Stmt::NtRead(X),
         ])]);
-        let good = check_random(
-            &p,
-            &GlobalLockTm,
-            &ModelEntry::checker_game(&Sc),
-            CheckKind::Opacity,
-            SweepSeeds::new(0, 5),
-            1_000,
-        );
+        let good = Sweep {
+            schedules: Schedules::Random(SweepSeeds::new(0, 5)),
+            ..Sweep::new(
+                &p,
+                &GlobalLockTm,
+                &ModelEntry::checker_game(&Sc),
+                CheckKind::Opacity,
+                1_000,
+            )
+        }
+        .run();
         assert!(good.ok);
         assert_eq!(good.runs, 5);
-        let bad = find_violation(
-            &p,
-            &SkipWriteTm,
-            &ModelEntry::checker_game(&Sc),
-            CheckKind::Opacity,
-            SweepSeeds::new(0, 5),
-            1_000,
-        );
+        let bad = Sweep {
+            schedules: Schedules::Random(SweepSeeds::new(0, 5)),
+            ..Sweep::new(
+                &p,
+                &SkipWriteTm,
+                &ModelEntry::checker_game(&Sc),
+                CheckKind::Opacity,
+                1_000,
+            )
+        }
+        .run()
+        .violation;
         assert!(bad.is_some());
     }
 
@@ -1266,14 +996,11 @@ mod tests {
             ThreadProg(vec![Stmt::NtRead(X)]),
         ]);
         let run = |seeds| {
-            check_random(
-                &p,
-                &GlobalLockTm,
-                &sc_on_tso(),
-                CheckKind::Opacity,
-                seeds,
-                2_000,
-            )
+            Sweep {
+                schedules: Schedules::Random(seeds),
+                ..Sweep::new(&p, &GlobalLockTm, &sc_on_tso(), CheckKind::Opacity, 2_000)
+            }
+            .run()
         };
         let a = run(SweepSeeds::new(11, 6));
         let b = run(SweepSeeds::new(11, 6));
@@ -1296,14 +1023,11 @@ mod tests {
                 check_all_traces(&two_thread, algo, &sc_on_tso(), CheckKind::Opacity, 4_000);
             assert_eq!(serial.ok, expect_ok);
             for threads in [2, 4] {
-                let par = check_all_traces_par(
-                    &two_thread,
-                    algo,
-                    &sc_on_tso(),
-                    CheckKind::Opacity,
-                    4_000,
-                    &ParallelConfig::with_threads(threads),
-                );
+                let par = Sweep {
+                    parallel: Some(ParallelConfig::with_threads(threads)),
+                    ..Sweep::new(&two_thread, algo, &sc_on_tso(), CheckKind::Opacity, 4_000)
+                }
+                .run();
                 assert_eq!(par.ok, serial.ok, "threads={threads}");
                 assert_eq!(par.workers(), threads as u64);
                 assert_eq!(
@@ -1326,18 +1050,19 @@ mod tests {
             (&GlobalLockTm as &dyn TmAlgo, true),
             (&SkipWriteTm as &dyn TmAlgo, false),
         ] {
-            let serial = check_random(&p, algo, &sc_on_tso(), CheckKind::Opacity, seeds, 4_000);
+            let serial = Sweep {
+                schedules: Schedules::Random(seeds),
+                ..Sweep::new(&p, algo, &sc_on_tso(), CheckKind::Opacity, 4_000)
+            }
+            .run();
             assert_eq!(serial.ok, expect_ok);
             for threads in [2, 4] {
-                let par = check_random_par(
-                    &p,
-                    algo,
-                    &sc_on_tso(),
-                    CheckKind::Opacity,
-                    seeds,
-                    4_000,
-                    &ParallelConfig::with_threads(threads),
-                );
+                let par = Sweep {
+                    schedules: Schedules::Random(seeds),
+                    parallel: Some(ParallelConfig::with_threads(threads)),
+                    ..Sweep::new(&p, algo, &sc_on_tso(), CheckKind::Opacity, 4_000)
+                }
+                .run();
                 assert_eq!(par.ok, serial.ok, "threads={threads}");
                 assert_eq!(par.workers(), threads as u64);
                 if !expect_ok {
@@ -1356,28 +1081,22 @@ mod tests {
         let memo = SharedVerdictMemo::new();
         let cfg = ParallelConfig::with_threads(1);
         let e = sc_on_tso();
-        let a = check_all_traces_shared(
-            &p,
-            &GlobalLockTm,
-            &e,
-            CheckKind::Opacity,
-            4_000,
-            &cfg,
-            &memo,
-        );
+        let a = Sweep {
+            parallel: Some(cfg),
+            memo: Some(&memo),
+            ..Sweep::new(&p, &GlobalLockTm, &e, CheckKind::Opacity, 4_000)
+        }
+        .run();
         assert!(a.ok);
         assert!(!memo.is_empty());
         let after_first = memo.hits();
         // An identical second sweep answers every history from the memo.
-        let b = check_all_traces_shared(
-            &p,
-            &GlobalLockTm,
-            &e,
-            CheckKind::Opacity,
-            4_000,
-            &cfg,
-            &memo,
-        );
+        let b = Sweep {
+            parallel: Some(cfg),
+            memo: Some(&memo),
+            ..Sweep::new(&p, &GlobalLockTm, &e, CheckKind::Opacity, 4_000)
+        }
+        .run();
         assert!(b.ok);
         assert!(
             memo.hits() > after_first,
@@ -1395,8 +1114,12 @@ mod tests {
         let e = registry_entry("SC").unwrap();
         let cfg = ParallelConfig::with_threads(1);
         let memo = SharedVerdictMemo::new();
-        let a =
-            check_all_traces_shared(&p, &GlobalLockTm, e, CheckKind::Opacity, 4_000, &cfg, &memo);
+        let a = Sweep {
+            parallel: Some(cfg),
+            memo: Some(&memo),
+            ..Sweep::new(&p, &GlobalLockTm, e, CheckKind::Opacity, 4_000)
+        }
+        .run();
         assert!(a.ok);
         assert!(!memo.is_empty());
         assert_eq!(memo.cross_run_hits(), 0, "nothing preloaded yet");
@@ -1412,15 +1135,12 @@ mod tests {
         let loaded = fresh.load_dir(&dir).unwrap();
         assert_eq!(loaded, written);
         assert_eq!(fresh.preloaded_entries(), loaded as u64);
-        let b = check_all_traces_shared(
-            &p,
-            &GlobalLockTm,
-            e,
-            CheckKind::Opacity,
-            4_000,
-            &cfg,
-            &fresh,
-        );
+        let b = Sweep {
+            parallel: Some(cfg),
+            memo: Some(&fresh),
+            ..Sweep::new(&p, &GlobalLockTm, e, CheckKind::Opacity, 4_000)
+        }
+        .run();
         assert!(b.ok);
         assert!(
             fresh.cross_run_hits() > 0,

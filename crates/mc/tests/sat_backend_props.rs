@@ -1,141 +1,12 @@
-//! Cross-validation of the SAT backend against the DFS checkers over
-//! the litmus + stress corpus, for every registry entry and both
-//! [`CheckKind`]s. Every SAT positive verdict must carry a witness
-//! that re-validates from scratch — the backend is only allowed to be
-//! *faster*, never *different*.
+//! SAT-backend properties the workspace-level table test
+//! (`tests/check_agreement.rs`: corpus × registry × kind × backend ×
+//! workers, digests pinned at the pre-`Check` commit) does not cover:
+//! the empty-core fast path, and backend independence of whole sweeps.
 
-use jungle_core::encode::{check_opacity_sat_traced, check_sgla_sat_traced};
-use jungle_core::history::{History, OpInstance};
-use jungle_core::legal::every_op_legal;
-use jungle_core::model::MemoryModel;
-use jungle_core::opacity::{check_opacity, OpacityVerdict};
+use jungle_core::encode::check_opacity_sat_traced;
 use jungle_core::registry::registry;
-use jungle_core::sgla::{check_sgla, SglaVerdict};
-use jungle_core::spec::SpecRegistry;
-use jungle_litmus::figures::all_litmus;
-use jungle_litmus::stress::{chain_history, wide_history, wide_unsat_history};
+use jungle_litmus::stress::wide_unsat_history;
 use jungle_mc::CheckKind;
-
-/// Every corpus history with a label for failure messages.
-fn corpus() -> Vec<(String, History)> {
-    let mut hs = Vec::new();
-    for lit in all_litmus() {
-        for o in lit.outcomes {
-            hs.push((format!("{}/{}", lit.name, o.label), o.history));
-        }
-    }
-    hs.push(("chain(2)".into(), chain_history(2)));
-    hs.push(("chain(3)".into(), chain_history(3)));
-    hs.push(("wide(3,0)".into(), wide_history(3, 0)));
-    hs.push(("wide(3,2)".into(), wide_history(3, 2)));
-    hs.push(("wide_unsat(3)".into(), wide_unsat_history(3)));
-    hs
-}
-
-/// Re-validate an opacity witness set from scratch (same obligations as
-/// the parallel checker's property tests): each per-process witness is
-/// a legal sequential permutation of the transformed history.
-fn assert_opacity_witnesses_valid(h: &History, model: &dyn MemoryModel, v: &OpacityVerdict) {
-    let th = model.transform(h);
-    assert!(!v.witnesses().is_empty() || th.procs().is_empty());
-    for (viewer, ids) in v.witnesses() {
-        assert_eq!(
-            ids.len(),
-            th.len(),
-            "witness for {viewer:?} not a permutation"
-        );
-        let mut indices: Vec<usize> = Vec::with_capacity(ids.len());
-        for id in ids {
-            let idx = th
-                .index_of(*id)
-                .unwrap_or_else(|| panic!("witness op {id:?} not in transformed history"));
-            assert!(!indices.contains(&idx), "witness repeats op {id:?}");
-            indices.push(idx);
-        }
-        let ops: Vec<OpInstance> = indices.iter().map(|&i| th.ops()[i].clone()).collect();
-        let s = History::new(ops).expect("witness rebuilds as a history");
-        assert!(s.is_sequential(), "witness interleaves transactions");
-        assert!(
-            every_op_legal(&s, &SpecRegistry::registers()),
-            "witness for {viewer:?} contains an illegal operation"
-        );
-    }
-}
-
-/// SGLA witnesses are op-id permutations of the transformed history
-/// (transactions atomic, non-transactional ops free to roam, so plain
-/// sequentiality need not hold — permutation structure is the
-/// backend-independent part to re-check here; legality is enforced by
-/// the shared DFS leaf both backends run).
-fn assert_sgla_witnesses_valid(h: &History, model: &dyn MemoryModel, v: &SglaVerdict) {
-    let th = model.transform(h);
-    assert!(!v.witnesses().is_empty() || th.procs().is_empty());
-    for (viewer, ids) in v.witnesses() {
-        assert_eq!(
-            ids.len(),
-            th.len(),
-            "witness for {viewer:?} not a permutation"
-        );
-        let mut seen: Vec<usize> = Vec::with_capacity(ids.len());
-        for id in ids {
-            let idx = th
-                .index_of(*id)
-                .unwrap_or_else(|| panic!("witness op {id:?} not in transformed history"));
-            assert!(!seen.contains(&idx), "witness repeats op {id:?}");
-            seen.push(idx);
-        }
-    }
-}
-
-#[test]
-fn sat_and_dfs_agree_over_corpus_and_registry() {
-    let mut checked = 0u64;
-    for (label, h) in corpus() {
-        for e in registry() {
-            for kind in [CheckKind::Opacity, CheckKind::Sgla] {
-                match kind {
-                    CheckKind::Opacity => {
-                        let dfs = check_opacity(&h, e.model);
-                        let (sat, stats) = check_opacity_sat_traced(&h, e.model);
-                        assert_eq!(
-                            dfs.is_opaque(),
-                            sat.is_opaque(),
-                            "opacity disagreement on {label} under {}",
-                            e.key
-                        );
-                        assert_eq!(stats.solved, 1);
-                        assert_eq!(
-                            stats.certified,
-                            u64::from(sat.is_opaque()),
-                            "{label}/{}: every positive verdict must be certified",
-                            e.key
-                        );
-                        if sat.is_opaque() {
-                            assert_opacity_witnesses_valid(&h, e.model, &sat);
-                        }
-                    }
-                    CheckKind::Sgla => {
-                        let dfs = check_sgla(&h, e.model);
-                        let (sat, stats) = check_sgla_sat_traced(&h, e.model);
-                        assert_eq!(
-                            dfs.is_sgla(),
-                            sat.is_sgla(),
-                            "SGLA disagreement on {label} under {}",
-                            e.key
-                        );
-                        assert_eq!(stats.certified, u64::from(sat.is_sgla()));
-                        if sat.is_sgla() {
-                            assert_sgla_witnesses_valid(&h, e.model, &sat);
-                        }
-                    }
-                }
-                checked += 1;
-            }
-        }
-    }
-    // 8 registry entries × 2 kinds × the whole corpus.
-    assert_eq!(checked, corpus().len() as u64 * registry().len() as u64 * 2);
-}
 
 #[test]
 fn wide_unsat_refutes_in_one_round() {
@@ -156,8 +27,7 @@ fn wide_unsat_refutes_in_one_round() {
 fn sweep_verdicts_are_backend_independent() {
     use jungle_core::ids::Var;
     use jungle_mc::{
-        check_all_traces, check_all_traces_backend, CheckBackend, GlobalLockTm, Program, Stmt,
-        ThreadProg, TxOp,
+        check_all_traces, CheckBackend, GlobalLockTm, Program, Stmt, Sweep, ThreadProg, TxOp,
     };
     // The Figure-1 message-pass shape: one transaction writes x then y;
     // the other thread reads y then x non-transactionally.
@@ -174,8 +44,11 @@ fn sweep_verdicts_are_backend_independent() {
     {
         for kind in [CheckKind::Opacity, CheckKind::Sgla] {
             let dfs = check_all_traces(&program, &GlobalLockTm, e, kind, 200);
-            let sat =
-                check_all_traces_backend(&program, &GlobalLockTm, e, kind, CheckBackend::Sat, 200);
+            let sat = Sweep {
+                backend: CheckBackend::Sat,
+                ..Sweep::new(&program, &GlobalLockTm, e, kind, 200)
+            }
+            .run();
             assert_eq!(
                 dfs.ok, sat.ok,
                 "sweep verdict diverged for {} {kind:?}",

@@ -3,7 +3,7 @@
 //! Each CPU owns a [`ReorderEngine`] — the generalization of the old
 //! store buffer — whose behaviour is driven entirely by the
 //! [`ExecSemantics`] fields of the machine's model (see
-//! [`jungle_core::registry`]):
+//! [`mod@jungle_core::registry`]):
 //!
 //! * the **store discipline** decides which buffered stores may drain
 //!   next (none / FIFO / oldest-per-address);

@@ -71,8 +71,8 @@ impl Action {
 /// trace's real-time precedence relation; swapping two invocations
 /// permutes the trace's operation sequence). Everything else commutes:
 /// swapping two adjacent independent decisions yields a run with the
-/// same per-CPU behavior and the same [`Trace::cache_key`]
-/// (`jungle_isa::trace::Trace::cache_key`) class.
+/// same per-CPU behavior and the same
+/// [`Trace::cache_key`](jungle_isa::trace::Trace::cache_key) class.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Footprint {
     /// CPU the decision executed on.

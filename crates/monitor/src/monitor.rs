@@ -1,8 +1,7 @@
 //! The streaming monitor: ingest → window → triage → (maybe) escalate.
 //!
 //! Checking parametrized opacity is NP-hard in general — the batch
-//! checkers ([`check_opacity`] / [`check_sgla`]) enumerate transaction
-//! serialization orders. Running them on every window of a live stream
+//! checker ([`Check`]) enumerates transaction serialization orders. Running them on every window of a live stream
 //! would cap throughput at the checker's worst case. The monitor is
 //! therefore **tiered**:
 //!
@@ -33,13 +32,11 @@
 //! inline with the STM events that caused them.
 
 use crate::window::{SealedWindow, WindowBuilder};
-use jungle_core::encode::{check_opacity_sat, check_sgla_sat, CheckBackend};
+use jungle_core::check::{Check, CheckBackend, CheckKind};
 use jungle_core::history::History;
-use jungle_core::opacity::check_opacity;
 use jungle_core::registry::{entry, ModelEntry};
-use jungle_core::sgla::check_sgla;
 use jungle_core::triage::triage_opacity;
-use jungle_mc::{CheckKind, SharedVerdictMemo};
+use jungle_mc::SharedVerdictMemo;
 use jungle_obs::trace::{self, EventKind};
 use jungle_obs::{Counter, MonitorStats, ScopedSpan};
 use jungle_stm::{StmTap, TapEvent};
@@ -275,18 +272,11 @@ impl Monitor {
                 return v;
             }
         }
-        let v = match (self.cfg.kind, self.cfg.backend) {
-            (CheckKind::Opacity, CheckBackend::Dfs) => {
-                check_opacity(h, self.cfg.model.model).is_opaque()
-            }
-            (CheckKind::Opacity, CheckBackend::Sat) => {
-                check_opacity_sat(h, self.cfg.model.model).is_opaque()
-            }
-            (CheckKind::Sgla, CheckBackend::Dfs) => check_sgla(h, self.cfg.model.model).is_sgla(),
-            (CheckKind::Sgla, CheckBackend::Sat) => {
-                check_sgla_sat(h, self.cfg.model.model).is_sgla()
-            }
+        let check = Check {
+            backend: self.cfg.backend,
+            ..Check::new(self.cfg.kind)
         };
+        let v = check.run(h, self.cfg.model.model).0.holds();
         if let Some(memo) = &self.memo {
             memo.record(self.cfg.model.key, self.cfg.kind, fp, v);
         }

@@ -8,10 +8,9 @@
 //! *is* the batch checker — so any disagreement here means the tiering
 //! broke the semantics.
 
+use jungle_core::check::Check;
 use jungle_core::history::History;
-use jungle_core::opacity::check_opacity;
 use jungle_core::registry::registry;
-use jungle_core::sgla::check_sgla;
 use jungle_litmus::figures::all_litmus;
 use jungle_litmus::stress::{chain_history, wide_history, wide_unsat_history};
 use jungle_mc::{CheckKind, SharedVerdictMemo};
@@ -40,10 +39,7 @@ fn monitor_agrees_with_batch_checker_on_full_corpus() {
             let mut mon =
                 Monitor::new(MonitorConfig::new().model(entry).kind(kind)).with_memo(memo.clone());
             for (name, h) in corpus() {
-                let batch = match kind {
-                    CheckKind::Opacity => check_opacity(&h, entry.model).is_opaque(),
-                    CheckKind::Sgla => check_sgla(&h, entry.model).is_sgla(),
-                };
+                let batch = Check::new(kind).run(&h, entry.model).0.holds();
                 let online = mon.check_history(&h);
                 assert_eq!(
                     online, batch,

@@ -2,11 +2,10 @@
 //! monitor/batch agreement on randomly generated histories.
 
 use jungle_core::builder::HistoryBuilder;
+use jungle_core::check::Check;
 use jungle_core::history::History;
 use jungle_core::ids::{ProcId, Var};
-use jungle_core::opacity::check_opacity;
 use jungle_core::registry::registry;
-use jungle_core::sgla::check_sgla;
 use jungle_mc::CheckKind;
 use jungle_monitor::{Monitor, MonitorConfig};
 use jungle_obs::{Backpressure, EventRing};
@@ -118,10 +117,7 @@ proptest! {
         let h = build_history(&script);
         for entry in registry() {
             for kind in [CheckKind::Opacity, CheckKind::Sgla] {
-                let batch = match kind {
-                    CheckKind::Opacity => check_opacity(&h, entry.model).is_opaque(),
-                    CheckKind::Sgla => check_sgla(&h, entry.model).is_sgla(),
-                };
+                let batch = Check::new(kind).run(&h, entry.model).0.holds();
                 let mut mon = Monitor::new(MonitorConfig::new().model(entry).kind(kind));
                 prop_assert_eq!(mon.check_history(&h), batch);
                 prop_assert!(batch, "sequential histories are opaque/SGLA");

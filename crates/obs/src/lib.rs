@@ -37,8 +37,8 @@
 //!
 //! Collection is **off by default** in the hot paths: the STMs take an
 //! `Option<Arc<TmMetrics>>` and skip all counting when it is `None`,
-//! wall-clock timing only happens in explicit `*_traced` checker
-//! entry points, and flight-recorder event sites reduce to a single
+//! the checkers read the clock twice per check and nothing more,
+//! and flight-recorder event sites reduce to a single
 //! relaxed load unless a recorder is [`trace::install`]ed. The build
 //! is fully offline, so serialization is a small hand-rolled JSON
 //! model ([`json`]) rather than `serde`.

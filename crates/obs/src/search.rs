@@ -1,10 +1,10 @@
 //! Statistics for the opacity/SGLA backtracking searches.
 //!
 //! Each worker of a search bumps its own plain-`u64` copy inline — no
-//! atomics on the hot path; the parallel checker entry points merge the
-//! per-worker copies with [`SearchStats::absorb`] at the end. Wall time
-//! is only filled by the `*_traced` checker entry points; the plain
-//! entry points skip the clock reads entirely.
+//! atomics on the hot path; the checker's worker pool merges the
+//! per-worker copies with [`SearchStats::absorb`] at the end. Every
+//! check (`jungle_core::check::Check::run`) fills wall time: two clock
+//! reads per check.
 
 use crate::json::{Json, ToJson};
 
@@ -25,7 +25,7 @@ pub struct SearchStats {
     pub prune_hits: u64,
     /// Deepest prefix length reached by any DFS branch.
     pub peak_depth: u64,
-    /// Wall-clock nanoseconds (0 unless a `*_traced` entry point ran).
+    /// Wall-clock nanoseconds of the whole check.
     pub wall_ns: u64,
     /// Searches folded into this value (1 for a single run).
     pub searches: u64,

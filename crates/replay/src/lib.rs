@@ -21,7 +21,7 @@
 //!   **divergence detection**: the replayed trace's structural
 //!   fingerprint must equal the recorded one, and a mismatch reports
 //!   the first choose point where recording and replay disagreed.
-//! * [`shrink`] **delta-debugs** a violating log — chunk removal plus
+//! * [`shrink()`] **delta-debugs** a violating log — chunk removal plus
 //!   single-decision flips, re-checking the verdict after every
 //!   candidate — down to a minimal schedule that still violates, ready
 //!   for `jungle_mc::explain`'s per-process timeline and Theorem 1

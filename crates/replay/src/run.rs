@@ -1,10 +1,13 @@
 //! Recording sweeps and replaying logs.
 //!
-//! [`record_experiment`] mirrors the serial randomized sweep of
-//! `jungle_mc::check_random` *exactly* — same seed order, same
+//! [`record_experiment`] mirrors the serial randomized
+//! [`Sweep`](jungle_mc::Sweep) (`Schedules::Random(seeds)`, no
+//! `parallel`) *exactly* — same seed order, same
 //! even-uniform/odd-bursty scheduler rule via
 //! [`scheduler_for_seed`](jungle_mc::scheduler_for_seed), same
-//! machine construction via [`machine_for`](jungle_mc::machine_for) —
+//! machine construction via [`machine_for`](jungle_mc::machine_for),
+//! same per-trace verdict via
+//! [`trace_satisfies`] —
 //! but wraps each scheduler in a
 //! [`RecordingScheduler`](jungle_memsim::RecordingScheduler), so the
 //! first violating seed's decision sequence becomes a [`ScheduleLog`].

@@ -13,7 +13,7 @@
 
 use crate::api::{Aborted, Ctx, TmAlgo};
 use crate::cell::Heap;
-use crate::recorder::{rd_op, wr_op};
+use crate::recorder::{rd_op, wr_op, OpToken};
 use jungle_core::ids::Var;
 use jungle_core::op::Op;
 use jungle_isa::tm::Instrumentation;
@@ -61,6 +61,20 @@ impl Tl2Stm {
             self.vlocks.store(var, enc(version(w), false));
         }
         cx.reset_txn();
+    }
+
+    /// A commit that lost: roll back and record the commit operation
+    /// as answered by `abort`, so the retry's `start` follows a
+    /// completed transaction in the recorded trace.
+    fn fail_commit(&self, cx: &mut Ctx, tok: Option<OpToken>) -> Result<(), Aborted> {
+        self.rollback(cx);
+        if let (Some(r), Some(t)) = (cx.rec(), tok) {
+            r.finish(cx.pid, t, Op::Abort);
+        }
+        if let Some(m) = cx.met() {
+            m.aborts.inc(cx.shard());
+        }
+        Err(Aborted)
     }
 }
 
@@ -158,11 +172,7 @@ impl TmAlgo for Tl2Stm {
                 std::hint::spin_loop();
             }
             if !acquired {
-                self.rollback(cx);
-                if let Some(m) = cx.met() {
-                    m.aborts.inc(cx.shard());
-                }
-                return Err(Aborted);
+                return self.fail_commit(cx, tok);
             }
         }
         // Phase 2: increment the clock.
@@ -174,11 +184,7 @@ impl TmAlgo for Tl2Stm {
                 let w = self.vlocks.load(var);
                 let locked_by_me = cx.locks.contains(&var);
                 if version(w) > cx.rv || (locked(w) && !locked_by_me) || version(w) != version(v1) {
-                    self.rollback(cx);
-                    if let Some(m) = cx.met() {
-                        m.aborts.inc(cx.shard());
-                    }
-                    return Err(Aborted);
+                    return self.fail_commit(cx, tok);
                 }
             }
         }

@@ -7,7 +7,7 @@ use jungle::core::model::Sc;
 use jungle::core::opacity::check_opacity;
 use jungle::core::pretty::render_columns;
 use jungle::mc::theorems::{thm1_case1, thm3_litmus};
-use jungle::mc::verify::{find_violation, CheckKind, SweepSeeds};
+use jungle::mc::verify::{Schedules, SweepSeeds};
 
 fn main() {
     println!("Theorem 1, case 1: no uninstrumented TM guarantees opacity");
@@ -15,15 +15,11 @@ fn main() {
     println!("Searching schedules of the Figure 6 TM on the simulator…\n");
 
     let e = thm1_case1(&Sc);
-    let trace = find_violation(
-        &e.program,
-        e.algo,
-        &e.entry,
-        CheckKind::Opacity,
-        SweepSeeds::new(0, 4_000),
-        8_000,
-    )
-    .expect("Theorem 1 guarantees a violating schedule exists");
+    let trace = e
+        .sweep(Schedules::Random(SweepSeeds::new(0, 4_000)), 8_000)
+        .run()
+        .violation
+        .expect("Theorem 1 guarantees a violating schedule exists");
 
     println!("violating trace ({} instructions):", trace.instrs().len());
     for ii in trace.instrs() {

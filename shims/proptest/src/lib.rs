@@ -11,9 +11,9 @@
 //!   name, overridable with the `PROPTEST_SEED` environment variable,
 //!   so runs are reproducible by default.
 //! * Only the combinators the workspace uses are provided: integer
-//!   ranges, tuples (arity 2–4), [`Just`], `any::<bool>()`,
-//!   [`Strategy::prop_map`], `prop_oneof!`, and
-//!   [`collection::vec`](crate::collection::vec).
+//!   ranges, tuples (arity 2–4), [`strategy::Just`], `any::<bool>()`,
+//!   [`strategy::Strategy::prop_map`], `prop_oneof!`, and
+//!   [`collection::vec`].
 
 #![warn(missing_docs)]
 

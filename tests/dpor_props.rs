@@ -20,8 +20,8 @@ use jungle::core::par::ParallelConfig;
 use jungle::core::registry::{entry, registry};
 use jungle::mc::program::{Program, Stmt, ThreadProg, TxOp};
 use jungle::mc::{
-    check_all_traces, check_all_traces_enumerative, check_all_traces_shared, class_sweep_dpor,
-    class_sweep_enumerative, CheckKind, GlobalLockTm, SharedVerdictMemo, SkipWriteTm,
+    check_all_traces, check_all_traces_enumerative, class_sweep_dpor, class_sweep_enumerative,
+    CheckKind, GlobalLockTm, SharedVerdictMemo, SkipWriteTm, Sweep,
 };
 
 const MAX_STEPS: usize = 4_000;
@@ -135,15 +135,12 @@ fn worker_count_preserves_verdict_and_witness() {
         let e = entry(key).unwrap();
         let mut outcomes = Vec::new();
         for threads in [1usize, 2, 4] {
-            let v = check_all_traces_shared(
-                &p,
-                algo,
-                e,
-                CheckKind::Opacity,
-                MAX_STEPS,
-                &ParallelConfig::with_threads(threads),
-                &memo,
-            );
+            let v = Sweep {
+                parallel: Some(ParallelConfig::with_threads(threads)),
+                memo: Some(&memo),
+                ..Sweep::new(&p, algo, e, CheckKind::Opacity, MAX_STEPS)
+            }
+            .run();
             outcomes.push((
                 threads,
                 v.ok,

@@ -24,16 +24,20 @@ fn lazy_tl2_privatization_violation_found() {
 fn lazy_tl2_privatization_violates_even_sgla() {
     // The delayed write-back history is not even SGLA: the violation is
     // not about transactional isolation at all.
-    use jungle::mc::verify::{find_violation, SweepSeeds};
+    use jungle::mc::verify::{Schedules, Sweep, SweepSeeds};
     use jungle::mc::LazyTl2Tm;
-    let found = find_violation(
-        &privatization_program(),
-        &LazyTl2Tm,
-        &ModelEntry::checker_game(&Relaxed),
-        CheckKind::Sgla,
-        SweepSeeds::new(0, 4_000),
-        20_000,
-    );
+    let found = Sweep {
+        schedules: Schedules::Random(SweepSeeds::new(0, 4_000)),
+        ..Sweep::new(
+            &privatization_program(),
+            &LazyTl2Tm,
+            &ModelEntry::checker_game(&Relaxed),
+            CheckKind::Sgla,
+            20_000,
+        )
+    }
+    .run()
+    .violation;
     assert!(found.is_some(), "expected an SGLA violation for lazy TL2");
 }
 

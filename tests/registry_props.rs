@@ -27,11 +27,8 @@ use jungle::core::opacity::check_opacity;
 use jungle::core::registry::registry;
 use jungle::core::spec::SpecRegistry;
 use jungle::mc::program::{Program, Stmt, ThreadProg, TxOp};
-use jungle::mc::verify::{
-    check_all_traces, check_all_traces_par, check_random, check_random_par, trace_satisfies,
-    CheckKind,
-};
-use jungle::mc::{GlobalLockTm, SweepSeeds};
+use jungle::mc::verify::{check_all_traces, trace_satisfies, CheckKind};
+use jungle::mc::{GlobalLockTm, Schedules, Sweep, SweepSeeds};
 use jungle::memsim::process::{FnProcess, PInstr, Process, Step};
 use jungle::memsim::{explore, Machine};
 use jungle_core::par::ParallelConfig;
@@ -285,14 +282,11 @@ fn matched_zoo_exhaustive_thread_counts_agree() {
             entry.key, serial.violation
         );
         for threads in [2, 4] {
-            let par = check_all_traces_par(
-                &program,
-                &GlobalLockTm,
-                entry,
-                CheckKind::Opacity,
-                8_000,
-                &ParallelConfig::with_threads(threads),
-            );
+            let par = Sweep {
+                parallel: Some(ParallelConfig::with_threads(threads)),
+                ..Sweep::new(&program, &GlobalLockTm, entry, CheckKind::Opacity, 8_000)
+            }
+            .run();
             assert_eq!(par.ok, serial.ok, "{} at {threads} threads", entry.key);
         }
     }
@@ -309,25 +303,19 @@ fn matched_zoo_random_thread_counts_agree() {
     ]);
     let seeds = SweepSeeds::new(0, 24);
     for entry in registry() {
-        let serial = check_random(
-            &program,
-            &GlobalLockTm,
-            entry,
-            CheckKind::Opacity,
-            seeds,
-            8_000,
-        );
+        let serial = Sweep {
+            schedules: Schedules::Random(seeds),
+            ..Sweep::new(&program, &GlobalLockTm, entry, CheckKind::Opacity, 8_000)
+        }
+        .run();
         assert!(serial.ok, "{}: {:?}", entry.key, serial.violation);
         for threads in [2, 4] {
-            let par = check_random_par(
-                &program,
-                &GlobalLockTm,
-                entry,
-                CheckKind::Opacity,
-                seeds,
-                8_000,
-                &ParallelConfig::with_threads(threads),
-            );
+            let par = Sweep {
+                schedules: Schedules::Random(seeds),
+                parallel: Some(ParallelConfig::with_threads(threads)),
+                ..Sweep::new(&program, &GlobalLockTm, entry, CheckKind::Opacity, 8_000)
+            }
+            .run();
             assert_eq!(par.ok, serial.ok, "{} at {threads} workers", entry.key);
         }
     }

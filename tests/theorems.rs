@@ -162,7 +162,7 @@ fn versioned_vs_naive_on_theorem2_scenario() {
     // fully relaxed model.
     use jungle::core::ids::X;
     use jungle::mc::program::{Program, Stmt, ThreadProg, TxOp};
-    use jungle::mc::verify::{check_random, find_violation, SweepSeeds};
+    use jungle::mc::verify::{Schedules, Sweep, SweepSeeds};
     use jungle::mc::NaiveStoreTm;
 
     let program = Program(vec![
@@ -174,27 +174,34 @@ fn versioned_vs_naive_on_theorem2_scenario() {
             Stmt::NtRead(X),
         ]),
     ]);
-    let naive = find_violation(
-        &program,
-        &NaiveStoreTm,
-        &ModelEntry::checker_game(&Relaxed),
-        CheckKind::Opacity,
-        SweepSeeds::new(0, 2_000),
-        8_000,
-    );
+    let naive = Sweep {
+        schedules: Schedules::Random(SweepSeeds::new(0, 2_000)),
+        ..Sweep::new(
+            &program,
+            &NaiveStoreTm,
+            &ModelEntry::checker_game(&Relaxed),
+            CheckKind::Opacity,
+            8_000,
+        )
+    }
+    .run()
+    .violation;
     assert!(
         naive.is_some(),
         "Theorem 2: naive store-based TM must violate"
     );
 
-    let versioned = check_random(
-        &program,
-        &VersionedTm,
-        &ModelEntry::checker_game(&Relaxed),
-        CheckKind::Opacity,
-        SweepSeeds::new(0, 2_000),
-        8_000,
-    );
+    let versioned = Sweep {
+        schedules: Schedules::Random(SweepSeeds::new(0, 2_000)),
+        ..Sweep::new(
+            &program,
+            &VersionedTm,
+            &ModelEntry::checker_game(&Relaxed),
+            CheckKind::Opacity,
+            8_000,
+        )
+    }
+    .run();
     assert!(
         versioned.ok,
         "versioned TM violated: {:?}",
