@@ -40,8 +40,9 @@
 //! * `--sat` — cross-validate the CDCL serialization-order backend
 //!   against the DFS checkers on the full litmus corpus (every registry
 //!   entry, both check kinds; every SAT positive re-certified through
-//!   the DFS leaf), then race the two engines on the wide-UNSAT stress
-//!   family to locate the crossover size. Adds a `sat` section to
+//!   the DFS leaf), then run the two engines on the wide-UNSAT stress
+//!   family to locate the size from which SAT does less work (CEGAR
+//!   rounds against serialization orders tried). Adds a `sat` section to
 //!   `--json` output and records solver totals in the ledger entry.
 //! * `--cnf <dir>` — export each litmus outcome's serialization-order
 //!   encoding as a DIMACS file (one per registry entry and check kind),
@@ -72,13 +73,13 @@ use jungle_mc::explain::{explain_experiment, explain_trace};
 use jungle_mc::theorems::{
     all_fixed_experiments, experiment_by_id, experiment_ids, matched_zoo, thm1_suite, Experiment,
 };
-use jungle_mc::{class_sweep_dpor, class_sweep_enumerative, SharedVerdictMemo, Sweep, SweepSeeds};
+use jungle_mc::{SharedVerdictMemo, SweepSeeds};
 use jungle_monitor::{Monitor, MonitorConfig};
 use jungle_obs::ledger::{self, LedgerEntry, Tolerances};
 use jungle_obs::trace::{self as flight, FlightRecorder};
 use jungle_obs::{
-    profile, Backpressure, DporStats, Json, MetricsSnapshot, MonitorStats, Profiler, SatStats,
-    ToJson,
+    profile, Backpressure, DporStats, Json, McStats, MetricsSnapshot, MonitorStats, Profiler,
+    SatStats, ToJson,
 };
 use jungle_replay::{record_experiment, replay, shrink, ScheduleLog};
 use jungle_stm::StmTap;
@@ -440,17 +441,15 @@ fn monitor_sweep(json: bool, rows: &mut Vec<Row>) -> (Vec<Json>, MonitorStats) {
 
 /// `--sat`: cross-validate the CDCL serialization-order backend
 /// against the DFS checkers over the full litmus corpus (every
-/// registry entry, both check kinds), then race the two engines on the
+/// registry entry, both check kinds), then run the two engines on the
 /// wide-UNSAT stress family — the shape whose order space is `p!` but
 /// whose infeasibility the SAT backend refutes with a single
-/// empty-core probe — to locate the first size where SAT wins
-/// wall-clock. Returns the JSON section and the aggregated solver
-/// stats.
+/// empty-core probe — to locate the first size where SAT does less
+/// work (CEGAR rounds against serialization orders tried). Returns the
+/// JSON section and the aggregated solver stats.
 fn sat_sweep(json: bool, rows: &mut Vec<Row>) -> (Json, SatStats) {
     use jungle_core::check::{Check, CheckBackend, CheckKind};
-    use jungle_core::encode::check_opacity_sat_traced;
     use jungle_core::model::Sc;
-    use jungle_core::opacity::check_opacity;
     use jungle_litmus::stress::wide_unsat_history;
 
     let mut total = SatStats::default();
@@ -513,42 +512,51 @@ fn sat_sweep(json: bool, rows: &mut Vec<Row>) -> (Json, SatStats) {
 
     // Crossover: the DFS checker enumerates serialization orders of the
     // wide-UNSAT family (all infeasible), while the SAT backend's first
-    // CEGAR round discovers the empty core and refutes outright.
+    // CEGAR round discovers the empty core and refutes outright. The
+    // row is decided on that work — CEGAR rounds against serialization
+    // orders tried, both deterministic — never on the two clocks, which
+    // are printed for the reader only.
     let mut points: Vec<Json> = Vec::new();
     let mut crossover_at: Option<u64> = None;
     if !json {
         println!("\n  wide-UNSAT crossover (SC, opacity):");
         println!(
-            "    {:>3} {:>12} {:>12} {:>8}",
-            "p", "dfs µs", "sat µs", "winner"
+            "    {:>3} {:>10} {:>10} {:>12} {:>12} {:>9}",
+            "p", "dfs orders", "sat rounds", "dfs µs", "sat µs", "winner"
         );
     }
     for p in 2..=6usize {
         let h = wide_unsat_history(p);
-        let t0 = std::time::Instant::now();
-        let dfs = check_opacity(&h, &Sc).is_opaque();
-        let dfs_ns = t0.elapsed().as_nanos() as u64;
-        let t1 = std::time::Instant::now();
-        let (sat, st) = check_opacity_sat_traced(&h, &Sc);
-        let sat_ns = t1.elapsed().as_nanos() as u64;
-        total.absorb(&st);
-        if dfs != sat.is_opaque() {
+        let (dfs, dfs_st) = Check::new(CheckKind::Opacity).run(&h, &Sc);
+        let (sat, sat_st) = Check {
+            backend: CheckBackend::Sat,
+            ..Check::new(CheckKind::Opacity)
+        }
+        .run(&h, &Sc);
+        total.absorb(&sat_st.sat);
+        if dfs.holds() != sat.holds() {
             disagreements.push(format!("wide_unsat({p})/SC/opacity"));
         }
-        if sat_ns < dfs_ns && crossover_at.is_none() {
+        let (orders, rounds) = (dfs_st.search.txn_orders, sat_st.sat.cegar_rounds);
+        let (dfs_ns, sat_ns) = (dfs_st.search.wall_ns, sat_st.search.wall_ns);
+        if rounds < orders && crossover_at.is_none() {
             crossover_at = Some(p as u64);
         }
         if !json {
             println!(
-                "    {:>3} {:>12.1} {:>12.1} {:>8}",
+                "    {:>3} {:>10} {:>10} {:>12.1} {:>12.1} {:>9}",
                 p,
+                orders,
+                rounds,
                 dfs_ns as f64 / 1e3,
                 sat_ns as f64 / 1e3,
-                if sat_ns < dfs_ns { "sat" } else { "dfs" }
+                if rounds < orders { "sat" } else { "dfs" }
             );
         }
         let mut j = Json::obj();
         j.push("p", (p as u64).into())
+            .push("dfs_orders", orders.into())
+            .push("sat_rounds", rounds.into())
             .push("dfs_ns", dfs_ns.into())
             .push("sat_ns", sat_ns.into());
         points.push(j);
@@ -679,9 +687,11 @@ fn main() {
     let t_start = std::time::Instant::now();
 
     let recorder = args.trace.as_ref().map(|_| {
-        // A bigger ring than the default: the report's sweeps emit
-        // millions of events and the exported window should still hold
-        // a representative tail of every layer.
+        // A bigger ring than the default: the run emits about 215k
+        // events, and spread over the per-thread shards they all fit
+        // (`check_report_metrics.py` fails a trace that dropped any).
+        // `--monitor` adds a million more and wraps the ring; so does a
+        // single-CPU host, where every sweep event lands in one shard.
         let r = Arc::new(FlightRecorder::with_capacity(1 << 16));
         flight::install(r.clone());
         r
@@ -694,17 +704,10 @@ fn main() {
 
     let mut rows: Vec<Row> = Vec::new();
     let mut metrics = MetricsSnapshot::new();
-    let mut schedules = 0u64;
-    let mut dedup_hits = 0u64;
-    let mut dpor_executed = 0u64;
-    let mut dpor_classes = 0u64;
-    let mut frontier_steals = 0u64;
     // Run-wide DPOR waste attribution, absorbed from every DPOR-backed
-    // verification, alongside an independently summed blocked-run total
-    // from the explorers' plain counters. The two must reconcile
-    // exactly: `waste_total.blocked == dpor_blocked_total`.
+    // verification. It must reconcile exactly with the blocked-run total
+    // the explorers' plain counters sum to in `metrics.mc`.
     let mut waste_total = DporStats::default();
-    let mut dpor_blocked_total = 0u64;
 
     // ── Figures 1–2: litmus verdict tables ────────────────────────
     let phase_figures = profile::enter("report.figures");
@@ -811,19 +814,20 @@ fn main() {
     if !json {
         println!("════ Lemma 1 & Theorems (simulator experiments) ════\n");
     }
+    // The exhaustive experiments' exploration counters, kept for the
+    // DPOR table below: that table is a view of these sweeps, not a
+    // second run of them.
+    let mut exhaustive: Vec<(String, McStats)> = Vec::new();
     for e in all_fixed_experiments() {
         let t0 = std::time::Instant::now();
         let r = e.run_shared(SweepSeeds::new(0, 2_000), 8_000, &cfg, &memo);
         let dt = t0.elapsed();
+        if e.exhaustive {
+            exhaustive.push((e.id.clone(), r.stats));
+        }
         metrics.record_stm(e.algo.name(), &r.tm);
         metrics.record_mc(&r.stats);
-        schedules += r.stats.schedules;
-        dedup_hits += r.stats.dedup_hits;
-        dpor_executed += r.stats.dpor_executed;
-        dpor_classes += r.stats.dpor_classes;
-        frontier_steals += r.stats.frontier_steals;
         waste_total.absorb(&r.waste);
-        dpor_blocked_total += r.stats.dpor_blocked;
         if !json {
             println!(
                 "  {:<22} {:<36} {:>6} ({:.0?})",
@@ -844,104 +848,57 @@ fn main() {
     drop(phase_theorems);
 
     // ── DPOR reduction: executed runs vs history classes ──────────
-    // For every exhaustive experiment: (a) the brute-force oracle —
-    // the DPOR explorer must visit exactly the class-key set plain
-    // enumeration visits, in far fewer runs; (b) worker-count
-    // determinism — verdict and witness fingerprint at 1, 2 and 4
-    // workers must be identical.
+    // What the reduction did on the exhaustive experiments above. That
+    // it visits exactly the enumerated classes, at any worker count, is
+    // proven by `tests/dpor_props.rs` on these same experiments; the
+    // row holds the run to its own accounting only (the explorer and
+    // the judge must also agree on the complete-run count). The phase
+    // times this table; the sweeps ran under `report.theorems`.
+    let phase_dpor = profile::enter("report.dpor");
     let mut dpor_entries: Vec<Json> = Vec::new();
-    {
-        let _phase = profile::enter("report.dpor");
+    if !json {
+        println!("\n════ DPOR reduction: the exhaustive sweeps above, runs vs classes ════\n");
+        println!(
+            "  {:<22} {:>9} {:>9} {:>9} {:>9} {:>7}",
+            "experiment", "executed", "complete", "blocked", "classes", "ratio"
+        );
+    }
+    for (id, st) in &exhaustive {
+        let completed = st.histories_checked + st.dedup_hits;
+        let classes = st.histories_checked;
+        // Complete runs per distinct class: 1.00 is optimal. Executed
+        // also counts sleep-set probes that abort partway (blocked).
+        let ratio = completed as f64 / classes.max(1) as f64;
         if !json {
-            println!("\n════ DPOR reduction: executed runs vs history classes ════\n");
             println!(
-                "  {:<22} {:>9} {:>9} {:>9} {:>9} {:>7} {:>7} {:>8}",
-                "experiment",
-                "brute",
-                "executed",
-                "complete",
-                "classes",
-                "ratio",
-                "oracle",
-                "workers"
+                "  {:<22} {:>9} {:>9} {:>9} {:>9} {:>7.2}",
+                id, st.dpor_executed, completed, st.dpor_blocked, classes, ratio,
             );
         }
-        for e in all_fixed_experiments().into_iter().filter(|e| e.exhaustive) {
-            let brute = class_sweep_enumerative(&e.program, e.algo, &e.entry, 8_000);
-            let dpor = class_sweep_dpor(&e.program, e.algo, &e.entry, 8_000);
-            waste_total.absorb(&dpor.waste);
-            dpor_blocked_total += dpor.blocked;
-            let oracle_ok = dpor.keys == brute.keys && dpor.truncated == brute.truncated;
-            // Verdict + witness at each worker count (serial path at 1).
-            let mut sweep_verdicts: Vec<(bool, Option<u64>)> = Vec::new();
-            let mut steals_any_width = 0u64;
-            for threads in [1usize, 2, 4] {
-                let v = Sweep {
-                    parallel: Some(ParallelConfig::with_threads(threads)),
-                    memo: Some(&memo),
-                    ..Sweep::new(&e.program, e.algo, &e.entry, e.kind, 8_000)
-                }
-                .run();
-                steals_any_width = steals_any_width.max(v.stats.frontier_steals);
-                waste_total.absorb(&v.waste);
-                dpor_blocked_total += v.stats.dpor_blocked;
-                sweep_verdicts.push((v.ok, v.violation.as_ref().map(|t| t.cache_key())));
-            }
-            let deterministic = sweep_verdicts.windows(2).all(|w| w[0] == w[1]);
-            frontier_steals += steals_any_width;
-            // Optimality metric: complete runs per distinct class. 1.00
-            // means each class was materialized by exactly one full run;
-            // executed additionally counts blocked sleep-set probes that
-            // abort partway through the prefix.
-            let ratio = dpor.completed as f64 / (dpor.keys.len().max(1) as f64);
-            let pass = oracle_ok && deterministic;
-            if !json {
-                println!(
-                    "  {:<22} {:>9} {:>9} {:>9} {:>9} {:>7.2} {:>7} {:>8}",
-                    e.id,
-                    brute.executed,
-                    dpor.executed,
-                    dpor.completed,
-                    dpor.keys.len(),
-                    ratio,
-                    if oracle_ok { "match" } else { "MISMATCH" },
-                    if deterministic { "stable" } else { "DIVERGE" },
-                );
-            }
-            let mut j = Json::obj();
-            j.push("id", e.id.as_str().into())
-                .push("brute_executed", brute.executed.into())
-                .push("dpor_executed", dpor.executed.into())
-                .push("dpor_completed", dpor.completed.into())
-                .push("classes", (dpor.keys.len() as u64).into())
-                .push("truncated", dpor.truncated.into())
-                .push("completed_per_class", Json::F64(ratio))
-                .push("blocked", dpor.blocked.into())
-                .push("oracle_match", oracle_ok.into())
-                .push("workers_deterministic", deterministic.into())
-                .push("frontier_steals", steals_any_width.into());
-            dpor_entries.push(j);
-            rows.push(Row {
-                section: "dpor",
-                id: format!("dpor/{}", e.id),
-                expected: "classes == brute; verdict stable at 1/2/4 workers",
-                observed: format!(
-                    "{} runs ({} complete) → {} classes ({}× fewer than {} brute), oracle {}, workers {}",
-                    dpor.executed,
-                    dpor.completed,
-                    dpor.keys.len(),
-                    brute.executed / dpor.executed.max(1),
-                    brute.executed,
-                    if oracle_ok { "match" } else { "mismatch" },
-                    if deterministic { "stable" } else { "diverge" },
-                ),
-                pass,
-            });
-        }
-        if !json {
-            println!("  (brute = pre-reduction enumeration, the correctness oracle)");
-        }
+        let mut j = Json::obj();
+        j.push("id", id.as_str().into())
+            .push("dpor_executed", st.dpor_executed.into())
+            .push("dpor_completed", completed.into())
+            .push("classes", classes.into())
+            .push("truncated", st.truncated.into())
+            .push("completed_per_class", Json::F64(ratio))
+            .push("blocked", st.dpor_blocked.into())
+            .push("frontier_steals", st.frontier_steals.into());
+        dpor_entries.push(j);
+        rows.push(Row {
+            section: "dpor",
+            id: format!("dpor/{id}"),
+            expected: "executed = complete + blocked, none truncated",
+            observed: format!(
+                "{} runs ({} complete, {} blocked, {} truncated) → {} classes",
+                st.dpor_executed, completed, st.dpor_blocked, st.truncated, classes,
+            ),
+            pass: st.truncated == 0
+                && st.dpor_executed == completed + st.dpor_blocked
+                && st.dpor_classes == completed,
+        });
     }
+    drop(phase_dpor);
 
     // ── Matched-model zoo: five STMs × every registry entry ───────
     // Descriptive cross-validation: each cell samples the STM on the
@@ -965,8 +922,6 @@ fn main() {
         let mut last_algo = "";
         for z in &zoo {
             metrics.record_mc(&z.stats);
-            schedules += z.stats.schedules;
-            dedup_hits += z.stats.dedup_hits;
             zoo_models.insert(z.model);
             zoo_algos.insert(z.algo);
             if !json {
@@ -1171,28 +1126,12 @@ fn main() {
         .as_ref()
         .map(|dir| cnf_export(dir, json, &mut rows));
 
-    // ── STM smoke under the flight recorder ───────────────────────
+    // ── SAT and STM smoke under the flight recorder ───────────────
     if recorder.is_some() {
-        // The checker events from the opening figures loop wrapped out
-        // of the ring during the sweeps above; re-check one figure per
-        // model so the exported window carries the `checker` layer too.
-        if let Some(l) = all_litmus().first() {
-            for o in &l.outcomes {
-                for m in all_models() {
-                    let _ = check_opacity_traced(&o.history, m);
-                }
-            }
-        }
-        // Same for the `dpor` layer: one small reduction sweep so its
-        // events sit inside the exported tail. Its waste feeds the
-        // run-wide attribution like every other DPOR sweep.
-        if let Some(e) = all_fixed_experiments().into_iter().find(|e| e.exhaustive) {
-            let sweep = class_sweep_dpor(&e.program, e.algo, &e.entry, 8_000);
-            waste_total.absorb(&sweep.waste);
-            dpor_blocked_total += sweep.blocked;
-        }
-        // And the `sat` layer: one SAT-backed check per model so the
-        // exported tail carries solver begin/conflict/end events.
+        // Nothing above runs the SAT backend (without `--sat`) or a
+        // contended real-thread STM, so give the trace its `sat` layer
+        // (one SAT-backed check per model: solver begin/end events) and
+        // its `stm` layer.
         if let Some(l) = all_litmus().first() {
             for o in &l.outcomes {
                 for m in all_models() {
@@ -1212,7 +1151,9 @@ fn main() {
     }
 
     // ── Ledger: append this run; --compare gates on the previous ──
-    let prev = ledger::last_from(&args.ledger, "report");
+    let prev = ledger::last(&args.ledger);
+    // Every sweep above — theorems and zoo — folded into one total.
+    let mc = metrics.mc.unwrap_or_default();
     let entry = LedgerEntry {
         ts_unix: std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
@@ -1221,8 +1162,8 @@ fn main() {
         git_rev: git_rev(),
         source: "report".into(),
         wall_ms: t_start.elapsed().as_millis() as u64,
-        schedules,
-        dedup_hits,
+        schedules: mc.schedules,
+        dedup_hits: mc.dedup_hits,
         memo_hits: memo.hits(),
         memo_lookups: memo.lookups(),
         zoo_models: zoo_models.len() as u64,
@@ -1232,9 +1173,9 @@ fn main() {
         monitor_ops: monitor_total.as_ref().map_or(0, |s| s.ops_ingested),
         monitor_windows: monitor_total.as_ref().map_or(0, |s| s.windows_sealed),
         monitor_escalated: monitor_total.as_ref().map_or(0, |s| s.escalated),
-        dpor_executed,
-        dpor_classes,
-        frontier_steals,
+        dpor_executed: mc.dpor_executed,
+        dpor_classes: mc.dpor_classes,
+        frontier_steals: mc.frontier_steals,
         p99_window_ns: monitor_total.as_ref().map_or(0, |s| s.p99_window_ns()),
         sat_solved: sat_total.as_ref().map_or(0, |s| s.solved),
         sat_conflicts: sat_total.as_ref().map_or(0, |s| s.conflicts),
@@ -1318,7 +1259,7 @@ fn main() {
         let mut sec = Json::obj();
         sec.push("phases", phases.to_json())
             .push("dpor", waste_total.to_json())
-            .push("dpor_blocked", dpor_blocked_total.into());
+            .push("dpor_blocked", mc.dpor_blocked.into());
         if let Some(total) = &monitor_total {
             sec.push("monitor_window_ns", total.window_hist().to_json());
         }
@@ -1335,8 +1276,8 @@ fn main() {
             println!(
                 "  blocked-attribution reconciliation: {} attributed vs {} counted ({})",
                 waste_total.blocked,
-                dpor_blocked_total,
-                if waste_total.blocked == dpor_blocked_total {
+                mc.dpor_blocked,
+                if waste_total.blocked == mc.dpor_blocked {
                     "exact"
                 } else {
                     "MISMATCH"
@@ -1355,10 +1296,10 @@ fn main() {
         }
         sec
     });
-    if profile_section.is_some() && waste_total.blocked != dpor_blocked_total {
+    if profile_section.is_some() && waste_total.blocked != mc.dpor_blocked {
         eprintln!(
             "error: DPOR blocked attribution diverged: {} attributed vs {} counted",
-            waste_total.blocked, dpor_blocked_total
+            waste_total.blocked, mc.dpor_blocked
         );
         std::process::exit(1);
     }

@@ -1,20 +1,17 @@
-//! # jungle-bench — the benchmark and report harness
+//! # jungle-bench — the report harness
 //!
 //! The paper's "evaluation" consists of (a) the verdicts of its figures
-//! and theorems, which the `report` binary regenerates as one table,
-//! and (b) the practical claim of §6.1 — that parametrizing correctness
-//! by a weaker memory model lets a TM shed non-transactional
-//! instrumentation — which the Criterion benches quantify:
+//! and theorems, which the `report` binary regenerates as one table in
+//! one pass — every experiment runs exactly once — and (b) the
+//! practical claim of §6.1, that parametrizing correctness by a weaker
+//! memory model lets a TM shed non-transactional instrumentation.
 //!
-//! | bench target | experiment (DESIGN.md) | measures |
-//! |---|---|---|
-//! | `nontxn_ops` | E1, E2, A1, A2 | per-operation cost of non-transactional reads/writes per STM |
-//! | `txn_throughput` | E3 | committed-transaction cost vs. size and mix per STM |
-//! | `mixed` | E4 | end-to-end workload cost vs. transactional fraction |
-//! | `checker` | E5, F1–F3 | parametrized-opacity checking cost vs. history size |
-//! | `mc` | F5, T3 | violation-search and exhaustive-sweep cost |
-//!
-//! Helpers shared by the benches live here.
+//! This crate times nothing. Every measurement — the §6.1 per-operation
+//! costs, checker and sweep latencies, monitor throughput, the cold
+//! `report` run itself — is taken from outside by the standalone
+//! `benchmark/` package (`benchmark/run.sh`, metrics declared in
+//! `BENCHMARK.json`); EXPERIMENTS.md maps each experiment of DESIGN.md
+//! (E1–E5, F1–F5, T3, M1) to its metric there.
 
 #![warn(missing_docs)]
 
@@ -32,31 +29,4 @@ pub fn all_stms(n_vars: usize) -> Vec<Box<dyn TmAlgo + Send + Sync>> {
         Box::new(StrongStm::new_optimized(n_vars)),
         Box::new(Tl2Stm::new(n_vars)),
     ]
-}
-
-/// The STM display names, aligned with [`all_stms`].
-pub fn stm_names() -> Vec<&'static str> {
-    vec![
-        "global-lock",
-        "write-txn",
-        "versioned",
-        "strong",
-        "strong-optimized",
-        "tl2",
-    ]
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn names_align_with_instances() {
-        let stms = all_stms(4);
-        let names = stm_names();
-        assert_eq!(stms.len(), names.len());
-        for (tm, name) in stms.iter().zip(names) {
-            assert_eq!(tm.name(), name);
-        }
-    }
 }

@@ -1,0 +1,112 @@
+//! The `report` binary from outside: what it prints, what it exits
+//! with, and that it runs each exhaustive experiment exactly once.
+
+use jungle_obs::Json;
+use std::collections::HashSet;
+use std::path::PathBuf;
+use std::process::{Command, Output};
+
+/// DPOR runs of one exhaustive fixed experiment (`thm3-litmus`,
+/// `thm7-litmus/SC`, `thm7-litmus/Relaxed` all execute this many).
+const RUNS_PER_EXHAUSTIVE: u64 = 1_820;
+
+fn scratch(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("jungle-report-cli-{}-{tag}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// Run `report` with `args`, its ledger and memo inside `dir`.
+fn report(dir: &std::path::Path, args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_report"))
+        .args(args)
+        .arg("--ledger")
+        .arg(dir.join("ledger.jsonl"))
+        .arg("--memo-dir")
+        .arg(dir.join("memo"))
+        .output()
+        .expect("spawn report")
+}
+
+fn arr<'a>(doc: &'a Json, key: &str) -> &'a [Json] {
+    match doc.get(key) {
+        Some(Json::Arr(items)) => items,
+        other => panic!("'{key}' is not an array: {other:?}"),
+    }
+}
+
+fn num(obj: &Json, key: &str) -> u64 {
+    obj.get(key)
+        .and_then(Json::as_u64)
+        .unwrap_or_else(|| panic!("no numeric '{key}' in {obj}"))
+}
+
+#[test]
+fn json_run_prints_one_object_and_sweeps_each_experiment_once() {
+    let dir = scratch("json");
+    let out = report(&dir, &["--json"]);
+    assert!(out.status.success(), "exit {:?}", out.status);
+    let text = String::from_utf8(out.stdout).unwrap();
+    assert_eq!(text.lines().count(), 1, "stdout is one line of JSON");
+    // `Json::parse` rejects trailing characters: one object, nothing else.
+    let doc = Json::parse(&text).unwrap();
+    assert!(matches!(doc, Json::Obj(_)));
+
+    let rows = arr(&doc, "rows");
+    let mut ids = HashSet::new();
+    for r in rows {
+        let id = r.get("id").and_then(Json::as_str).unwrap();
+        assert!(ids.insert(id), "row id {id} printed twice");
+        assert!(matches!(r.get("pass"), Some(Json::Bool(true))), "{id}");
+    }
+
+    // The ledger counts the theorem phase's DPOR runs; the `dpor`
+    // section must describe those same runs and no others.
+    let dpor = arr(&doc, "dpor");
+    assert_eq!(dpor.len(), 3);
+    for e in dpor {
+        assert_eq!(
+            num(e, "dpor_executed"),
+            num(e, "dpor_completed") + num(e, "blocked"),
+            "{e}"
+        );
+    }
+    let executed: u64 = dpor.iter().map(|e| num(e, "dpor_executed")).sum();
+    assert_eq!(executed, 3 * RUNS_PER_EXHAUSTIVE);
+    let ledger = doc.get("ledger_entry").unwrap();
+    assert_eq!(executed, num(ledger, "dpor_executed"));
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn unknown_flag_exits_2() {
+    let dir = scratch("flag");
+    let out = report(&dir, &["--no-such-flag"]);
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown argument: --no-such-flag"), "{err}");
+    assert!(out.stdout.is_empty());
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn replay_of_a_truncated_log_is_a_named_error() {
+    let dir = scratch("replay");
+    let log = dir.join("torn.json");
+    // A schedule log cut off mid-write.
+    std::fs::write(
+        &log,
+        r#"{"version":1,"experiment":"thm1-case1/SC","model":"SC","kind":"opacity","decisions":[[0,2,"#,
+    )
+    .unwrap();
+    let out = report(&dir, &["--replay", log.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(2), "an error exit, not a panic");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.starts_with("error: ") && err.contains("torn.json"),
+        "{err}"
+    );
+    assert!(!err.contains("panicked"), "{err}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}

@@ -1,6 +1,6 @@
 //! Persistent run ledger with regression gates.
 //!
-//! Every `report` (and bench) invocation appends one [`LedgerEntry`] —
+//! Every `report` invocation appends one [`LedgerEntry`] —
 //! headline exploration counters, wall time, git revision, and the
 //! full [`MetricsSnapshot`](crate::MetricsSnapshot) JSON — as a single
 //! line to `.jungle/ledger.jsonl`. The file is append-only JSONL so
@@ -18,7 +18,7 @@ use crate::json::{Json, ToJson};
 use std::io::Write;
 use std::path::Path;
 
-/// One ledger line: the durable summary of a report or bench run.
+/// One ledger line: the durable summary of a report run.
 #[derive(Clone, Debug, PartialEq)]
 pub struct LedgerEntry {
     /// Seconds since the Unix epoch at the end of the run.
@@ -26,7 +26,7 @@ pub struct LedgerEntry {
     /// `git rev-parse --short HEAD` of the working tree (or
     /// `"unknown"`).
     pub git_rev: String,
-    /// What produced the entry, e.g. `"report"` or `"bench/par_checker"`.
+    /// What produced the entry: `"report"`, the ledger's only writer.
     pub source: String,
     /// Wall-clock duration of the run in milliseconds.
     pub wall_ms: u64,
@@ -275,22 +275,6 @@ pub fn last(path: &Path) -> Option<LedgerEntry> {
             Json::parse(l)
                 .ok()
                 .and_then(|j| LedgerEntry::from_json(&j).ok())
-        })
-}
-
-/// Like [`last`], but restricted to entries whose `source` matches —
-/// so a `report --compare` gates against the previous *report* run even
-/// when bench invocations appended entries in between.
-pub fn last_from(path: &Path, source: &str) -> Option<LedgerEntry> {
-    let text = std::fs::read_to_string(path).ok()?;
-    text.lines()
-        .rev()
-        .filter(|l| !l.trim().is_empty())
-        .find_map(|l| {
-            Json::parse(l)
-                .ok()
-                .and_then(|j| LedgerEntry::from_json(&j).ok())
-                .filter(|e| e.source == source)
         })
 }
 
@@ -629,26 +613,6 @@ mod tests {
         }
         let got = last(&path).expect("two valid lines present");
         assert_eq!(got, a, "last valid line wins");
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn last_from_filters_by_source() {
-        let dir = std::env::temp_dir().join(format!("jungle-ledger-src-{}", std::process::id()));
-        let path = dir.join("ledger.jsonl");
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut report = entry();
-        report.schedules = 111;
-        append(&path, &report).unwrap();
-        let mut bench = entry();
-        bench.source = "bench/par_checker".into();
-        bench.schedules = 0;
-        append(&path, &bench).unwrap();
-        // Plain `last` sees the bench entry; the filter skips past it.
-        assert_eq!(last(&path).unwrap().source, "bench/par_checker");
-        let got = last_from(&path, "report").expect("report entry present");
-        assert_eq!(got.schedules, 111);
-        assert!(last_from(&path, "nonesuch").is_none());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -6,7 +6,9 @@
 //! * **Class-set oracle** — over a small corpus of programs and every
 //!   registry model, [`class_sweep_dpor`] visits exactly the
 //!   `Trace::cache_key` set that [`class_sweep_enumerative`] visits, in
-//!   strictly fewer machine runs.
+//!   strictly fewer machine runs — and, on the three exhaustive
+//!   experiments the report runs, in at least
+//!   [`DPOR_REDUCTION_FLOOR`] times fewer, one complete run per class.
 //! * **Verdict oracle** — [`check_all_traces`] (DPOR-backed) and
 //!   [`check_all_traces_enumerative`] (the retired brute-force sweep)
 //!   agree on the verdict and on the witness fingerprint, for both
@@ -14,17 +16,42 @@
 //! * **Worker determinism** — the work-stealing frontier returns the
 //!   same verdict and the same (lexicographically least) witness at 1,
 //!   2 and 4 workers.
+//!
+//! These tests are the only callers of the enumerative reference: the
+//! `report` binary prints what its DPOR sweeps did and leaves proving
+//! them right to this file.
 
 use jungle::core::ids::{X, Y};
 use jungle::core::par::ParallelConfig;
-use jungle::core::registry::{entry, registry};
+use jungle::core::registry::{entry, registry, ModelEntry};
+use jungle::mc::algos::TmAlgo;
 use jungle::mc::program::{Program, Stmt, ThreadProg, TxOp};
+use jungle::mc::theorems::all_fixed_experiments;
 use jungle::mc::{
     check_all_traces, check_all_traces_enumerative, class_sweep_dpor, class_sweep_enumerative,
-    CheckKind, GlobalLockTm, SharedVerdictMemo, SkipWriteTm, Sweep,
+    CheckKind, Experiment, GlobalLockTm, SharedVerdictMemo, SkipWriteTm, Sweep,
 };
 
 const MAX_STEPS: usize = 4_000;
+
+/// The step bound `report` runs the fixed experiments under.
+const FIXED_MAX_STEPS: usize = 8_000;
+
+/// Enumeration must execute at least this many times the runs DPOR
+/// does on each fixed exhaustive experiment (observed: 170,544 against
+/// 1,820, 93×).
+const DPOR_REDUCTION_FLOOR: u64 = 10;
+
+/// The experiments `report` sweeps exhaustively: `thm3-litmus`,
+/// `thm7-litmus/SC`, `thm7-litmus/Relaxed`.
+fn fixed_exhaustive() -> Vec<Experiment> {
+    let fixed: Vec<Experiment> = all_fixed_experiments()
+        .into_iter()
+        .filter(|e| e.exhaustive)
+        .collect();
+    assert_eq!(fixed.len(), 3, "the report's DPOR table has three rows");
+    fixed
+}
 
 /// Figure-1-flavoured litmus: a committing transactional write racing
 /// uninstrumented reads (the paper's instrumentation battleground).
@@ -55,38 +82,61 @@ fn skipped_write() -> Program {
 
 #[test]
 fn dpor_visits_exactly_the_enumerated_class_set() {
+    // Returns the (enumerated, DPOR) sweeps for the extra assertions
+    // the fixed experiments carry.
+    let oracle = |name: &str, p: &Program, algo: &dyn TmAlgo, e: &ModelEntry, max_steps| {
+        let brute = class_sweep_enumerative(p, algo, e, max_steps);
+        let dpor = class_sweep_dpor(p, algo, e, max_steps);
+        assert_eq!(
+            dpor.keys, brute.keys,
+            "{name}/{}: DPOR class-key set diverges from enumeration",
+            e.key
+        );
+        assert_eq!(dpor.truncated, brute.truncated, "{name}/{}", e.key);
+        assert!(
+            dpor.executed < brute.executed,
+            "{name}/{}: no reduction ({} vs {})",
+            e.key,
+            dpor.executed,
+            brute.executed
+        );
+        // Sleep sets guarantee no Mazurkiewicz class is completed
+        // twice, so completed runs can never undercut the key count.
+        assert!(
+            dpor.completed >= dpor.keys.len() as u64,
+            "{name}/{}: fewer complete runs than distinct keys",
+            e.key
+        );
+        (brute, dpor)
+    };
     for (name, p) in [("litmus", litmus()), ("stress", stress())] {
         for e in registry() {
-            let brute = class_sweep_enumerative(&p, &GlobalLockTm, e, MAX_STEPS);
-            let dpor = class_sweep_dpor(&p, &GlobalLockTm, e, MAX_STEPS);
-            assert_eq!(
-                dpor.keys, brute.keys,
-                "{name}/{}: DPOR class-key set diverges from enumeration",
-                e.key
-            );
-            assert_eq!(dpor.truncated, brute.truncated, "{name}/{}", e.key);
-            assert!(
-                dpor.executed < brute.executed,
-                "{name}/{}: no reduction ({} vs {})",
-                e.key,
-                dpor.executed,
-                brute.executed
-            );
-            // Sleep sets guarantee no Mazurkiewicz class is completed
-            // twice, so completed runs can never undercut the key count.
-            assert!(
-                dpor.completed >= dpor.keys.len() as u64,
-                "{name}/{}: fewer complete runs than distinct keys",
-                e.key
-            );
+            oracle(name, &p, &GlobalLockTm, e, MAX_STEPS);
         }
+    }
+    for x in fixed_exhaustive() {
+        let (brute, dpor) = oracle(&x.id, &x.program, x.algo, &x.entry, FIXED_MAX_STEPS);
+        assert!(
+            brute.executed >= DPOR_REDUCTION_FLOOR * dpor.executed,
+            "{}: reduction below {DPOR_REDUCTION_FLOOR}x ({} brute / {} dpor)",
+            x.id,
+            brute.executed,
+            dpor.executed
+        );
+        assert_eq!(
+            dpor.completed,
+            dpor.keys.len() as u64,
+            "{}: more than one complete run per class",
+            x.id
+        );
+        assert_eq!(dpor.truncated, 0, "{}", x.id);
     }
 }
 
 #[test]
 fn dpor_checker_agrees_with_enumerative_checker() {
     // (program, algo, expected-ok-under-GlobalLock-semantics)
-    let corpus: [(&str, Program, &dyn jungle::mc::algos::TmAlgo); 3] = [
+    let corpus: [(&str, Program, &dyn TmAlgo); 3] = [
         ("litmus/global-lock", litmus(), &GlobalLockTm),
         ("stress/global-lock", stress(), &GlobalLockTm),
         ("lemma1/skip-write", skipped_write(), &SkipWriteTm),
@@ -126,19 +176,13 @@ fn dpor_checker_agrees_with_enumerative_checker() {
 #[test]
 fn worker_count_preserves_verdict_and_witness() {
     let memo = SharedVerdictMemo::new();
-    let cases: [(&str, Program, &dyn jungle::mc::algos::TmAlgo, &str); 3] = [
-        ("pass", litmus(), &GlobalLockTm, "Relaxed"),
-        ("violate", skipped_write(), &SkipWriteTm, "SC"),
-        ("violate-relaxed", skipped_write(), &SkipWriteTm, "Relaxed"),
-    ];
-    for (name, p, algo, key) in cases {
-        let e = entry(key).unwrap();
+    let stable = |name: &str, p: &Program, algo: &dyn TmAlgo, e: &ModelEntry, kind, max_steps| {
         let mut outcomes = Vec::new();
         for threads in [1usize, 2, 4] {
             let v = Sweep {
                 parallel: Some(ParallelConfig::with_threads(threads)),
                 memo: Some(&memo),
-                ..Sweep::new(&p, algo, e, CheckKind::Opacity, MAX_STEPS)
+                ..Sweep::new(p, algo, e, kind, max_steps)
             }
             .run();
             outcomes.push((
@@ -165,5 +209,17 @@ fn worker_count_preserves_verdict_and_witness() {
                 "{name}: class count varies with worker count: {outcomes:?}"
             );
         }
+    };
+    let cases: [(&str, Program, &dyn TmAlgo, &str); 3] = [
+        ("pass", litmus(), &GlobalLockTm, "Relaxed"),
+        ("violate", skipped_write(), &SkipWriteTm, "SC"),
+        ("violate-relaxed", skipped_write(), &SkipWriteTm, "Relaxed"),
+    ];
+    for (name, p, algo, key) in cases {
+        let e = entry(key).unwrap();
+        stable(name, &p, algo, e, CheckKind::Opacity, MAX_STEPS);
+    }
+    for x in fixed_exhaustive() {
+        stable(&x.id, &x.program, x.algo, &x.entry, x.kind, FIXED_MAX_STEPS);
     }
 }
