@@ -9,11 +9,19 @@
 //! figure, per-STM runtime counters from the theorem sweeps, and the
 //! model-checker exploration totals.
 //!
+//! The rows are the run's only gate: exit 0 when every row passes,
+//! 1 when one fails (or an output file cannot be written, or the
+//! `--profile` reconciliation breaks), 2 for a bad command line or an
+//! unreadable `--replay` log. The floors that are not a verdict of the
+//! paper are `jungle_bench`'s predicates.
+//!
 //! Further flags:
 //!
 //! * `--trace <out.json>` — install the flight recorder for the whole
 //!   run (plus a small concurrent STM smoke so the `stm` category has
 //!   events) and export a Chrome-trace-event file loadable in Perfetto.
+//!   Adds the `flight/complete` row: no event dropped, every layer the
+//!   run drove recorded.
 //! * `--explain [id]` — re-find each Theorem 1 counterexample (or just
 //!   the experiment named by `id`) and print the explainer narrative:
 //!   timeline, irreconcilable pair, class. An unknown id is a named
@@ -27,23 +35,24 @@
 //! * `--monitor` — drive every STM with live transactional traffic
 //!   through the event tap while a streaming monitor thread checks the
 //!   stream with the tiered (triage → escalate) pipeline. Prints the
-//!   per-STM ingest/triage/escalation table, adds a `monitor` section
-//!   to `--json` output, and records totals in the ledger entry.
+//!   per-STM ingest/triage/escalation table and adds a `monitor`
+//!   section to `--json` output.
 //! * `--profile` — install the hierarchical phase profiler for the
 //!   whole run and emit a `profile` section: the phase tree with
 //!   self/total time and per-phase latency histograms, the run-wide
 //!   DPOR waste attribution (blocked probes by depth, race-pair heat,
 //!   worker busy/steal/idle lanes), and — with `--monitor` — the
 //!   merged per-window check-latency histogram. The blocked-probe
-//!   attribution must sum exactly to the explorers' independent
-//!   blocked counters, or the run fails.
+//!   and race attribution must sum exactly to the explorers'
+//!   independent counters and the workers must have been mostly busy,
+//!   or the run fails.
 //! * `--sat` — cross-validate the CDCL serialization-order backend
 //!   against the DFS checkers on the full litmus corpus (every registry
 //!   entry, both check kinds; every SAT positive re-certified through
 //!   the DFS leaf), then run the two engines on the wide-UNSAT stress
 //!   family to locate the size from which SAT does less work (CEGAR
 //!   rounds against serialization orders tried). Adds a `sat` section to
-//!   `--json` output and records solver totals in the ledger entry.
+//!   `--json` output.
 //! * `--cnf <dir>` — export each litmus outcome's serialization-order
 //!   encoding as a DIMACS file (one per registry entry and check kind),
 //!   with a comment header naming the experiment, model key and kind.
@@ -51,8 +60,6 @@
 //!   recorded history fingerprint, and exit nonzero on divergence (a
 //!   focused mode: the full report is skipped). With `--explain`, also
 //!   narrate the replayed counterexample.
-//! * `--compare` — diff this run's headline counters against the last
-//!   ledger entry and exit nonzero on regressions beyond tolerances.
 //! * `--ledger <path>` — ledger location (default
 //!   `.jungle/ledger.jsonl`). Every run appends one entry.
 //! * `--memo-dir <path>` — verdict-memo persistence directory (default
@@ -75,7 +82,7 @@ use jungle_mc::theorems::{
 };
 use jungle_mc::{SharedVerdictMemo, SweepSeeds};
 use jungle_monitor::{Monitor, MonitorConfig};
-use jungle_obs::ledger::{self, LedgerEntry, Tolerances};
+use jungle_obs::ledger::{self, LedgerEntry};
 use jungle_obs::trace::{self as flight, FlightRecorder};
 use jungle_obs::{
     profile, Backpressure, DporStats, Json, McStats, MetricsSnapshot, MonitorStats, Profiler,
@@ -83,7 +90,6 @@ use jungle_obs::{
 };
 use jungle_replay::{record_experiment, replay, shrink, ScheduleLog};
 use jungle_stm::StmTap;
-use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -112,7 +118,6 @@ struct Args {
     explain: bool,
     /// `--explain <id>`: narrate only this bundled experiment.
     explain_id: Option<String>,
-    compare: bool,
     monitor: bool,
     /// `--profile`: install the phase profiler and emit the `profile`
     /// section (phase tree, DPOR waste attribution, window latencies).
@@ -137,7 +142,6 @@ fn parse_args() -> Args {
         json: false,
         explain: false,
         explain_id: None,
-        compare: false,
         monitor: false,
         profile: false,
         trace: None,
@@ -168,7 +172,6 @@ fn parse_args() -> Args {
                     }
                 }
             }
-            "--compare" => args.compare = true,
             "--monitor" => args.monitor = true,
             "--profile" => args.profile = true,
             "--trace" => args.trace = Some(PathBuf::from(value("--trace"))),
@@ -348,15 +351,18 @@ fn stm_smoke() {
 /// aggregate stats.
 ///
 /// The disjoint per-thread footprint makes every window provably
-/// opaque, so this sweep measures the monitor's steady state: the
-/// triage tier should clear (nearly) everything, and violations or
-/// drops are hard failures.
+/// opaque, so this sweep measures the monitor's steady state: each
+/// STM's row holds its stream to `jungle_bench::monitor_ok` — every
+/// event of every transaction ingested, none dropped, no violation,
+/// every window decided by one tier, (nearly) all by triage.
 fn monitor_sweep(json: bool, rows: &mut Vec<Row>) -> (Vec<Json>, MonitorStats) {
     use jungle_core::ids::ProcId;
     use jungle_stm::{atomically, Ctx};
     const THREADS: u32 = 4;
     const TXNS: u64 = 11_000;
     const WINDOW: usize = 64;
+    // Begin, read, write, commit.
+    const OPS_PER_TXN: u64 = 4;
 
     if !json {
         println!("\n════ Streaming monitor: live traffic through the tiered checker ════\n");
@@ -410,20 +416,20 @@ fn monitor_sweep(json: bool, rows: &mut Vec<Row>) -> (Vec<Json>, MonitorStats) {
                 stats.ops_per_sec() / 1e6,
             );
         }
-        let pass = stats.violations == 0 && stats.events_dropped == 0;
         rows.push(Row {
             section: "monitor",
             id: format!("monitor/{}", tm.name()),
-            expected: "0 violations, 0 drops",
+            expected: "every op ingested, 0 violations, 0 drops, triage carries the stream",
             observed: format!(
-                "{} ops, {} windows, {} escalated, {} violations, {} dropped",
+                "{} ops, {} windows ({} cleared, {} escalated), {} violations, {} dropped",
                 stats.ops_ingested,
                 stats.windows_sealed,
+                stats.triage_cleared,
                 stats.escalated,
                 stats.violations,
                 stats.events_dropped
             ),
-            pass,
+            pass: jungle_bench::monitor_ok(&stats, OPS_PER_TXN * u64::from(THREADS) * TXNS),
         });
         let mut j = Json::obj();
         j.push("stm", tm.name().into())
@@ -507,7 +513,7 @@ fn sat_sweep(json: bool, rows: &mut Vec<Row>) -> (Json, SatStats) {
             "{checked} checks, {} disagreements, {certified}/{positives} positives certified",
             disagreements.len()
         ),
-        pass: agreement && certified == positives,
+        pass: checked > 0 && agreement && certified == positives,
     });
 
     // Crossover: the DFS checker enumerates serialization orders of the
@@ -689,7 +695,7 @@ fn main() {
     let recorder = args.trace.as_ref().map(|_| {
         // A bigger ring than the default: the run emits about 215k
         // events, and spread over the per-thread shards they all fit
-        // (`check_report_metrics.py` fails a trace that dropped any).
+        // (the `flight/complete` row fails a trace that dropped any).
         // `--monitor` adds a million more and wraps the ring; so does a
         // single-CPU host, where every sweep event lands in one shard.
         let r = Arc::new(FlightRecorder::with_capacity(1 << 16));
@@ -916,14 +922,10 @@ fn main() {
     }
     let phase_zoo = profile::enter("report.zoo");
     let zoo = matched_zoo(SweepSeeds::new(0, 30), 8_000, &cfg, &memo);
-    let mut zoo_models: BTreeSet<&'static str> = BTreeSet::new();
-    let mut zoo_algos: BTreeSet<&'static str> = BTreeSet::new();
     {
         let mut last_algo = "";
         for z in &zoo {
             metrics.record_mc(&z.stats);
-            zoo_models.insert(z.model);
-            zoo_algos.insert(z.algo);
             if !json {
                 if z.algo != last_algo {
                     if !last_algo.is_empty() {
@@ -951,6 +953,41 @@ fn main() {
         }
     }
     drop(phase_zoo);
+
+    // ── Redundancy elimination and coverage of the sweeps above ───
+    // Every sweep — theorems and zoo — folded into one total.
+    let mc = metrics.mc.unwrap_or_default();
+    rows.push(Row {
+        section: "sweeps",
+        id: "sweeps/dedup-rate".into(),
+        expected: "duplicate traces skipped at or above the floor",
+        // One decimal: the counts differ run to run (two workers race
+        // to the seen-set), the rows must not.
+        observed: format!(
+            "{:.1} of schedules were duplicates (floor {})",
+            jungle_bench::rate(mc.dedup_hits, mc.schedules),
+            jungle_bench::DEDUP_RATE_FLOOR
+        ),
+        pass: jungle_bench::dedup_rate_ok(&mc),
+    });
+    rows.push(Row {
+        section: "sweeps",
+        id: "sweeps/memo-hit-rate".into(),
+        expected: "shared verdict memo hits at or above the floor",
+        observed: format!(
+            "{:.1} of lookups hit (floor {})",
+            jungle_bench::rate(memo.hits(), memo.lookups()),
+            jungle_bench::MEMO_HIT_RATE_FLOOR
+        ),
+        pass: jungle_bench::memo_rate_ok(memo.hits(), memo.lookups()),
+    });
+    rows.push(Row {
+        section: "sweeps",
+        id: "sweeps/zoo-coverage".into(),
+        expected: "every registry entry × every zoo STM",
+        observed: format!("{} cells", zoo.len()),
+        pass: jungle_bench::zoo_covers_registry(&zoo),
+    });
 
     // ── Counterexample explanations (--explain) ───────────────────
     let mut explanations: Vec<Json> = Vec::new();
@@ -996,9 +1033,9 @@ fn main() {
 
     // ── Schedule capture → shrink → replay (--record) ─────────────
     let mut replay_section: Option<Json> = None;
-    let mut replay_logs = 0u64;
-    let mut shrink_rounds_total = 0u64;
     if let Some(dir) = &args.record {
+        let mut replay_logs = 0u64;
+        let mut shrink_rounds_total = 0u64;
         if !json {
             println!("\n════ Recorded schedules: capture → shrink → replay ════\n");
         }
@@ -1111,13 +1148,11 @@ fn main() {
 
     // ── SAT backend cross-validation + crossover (--sat) ──────────
     let mut sat_section: Option<Json> = None;
-    let mut sat_total: Option<SatStats> = None;
     if args.sat {
         let _phase = profile::enter("report.sat");
         let (sec, total) = sat_sweep(json, &mut rows);
         metrics.record_sat(&total);
         sat_section = Some(sec);
-        sat_total = Some(total);
     }
 
     // ── DIMACS export of the corpus encodings (--cnf) ─────────────
@@ -1150,10 +1185,7 @@ fn main() {
         );
     }
 
-    // ── Ledger: append this run; --compare gates on the previous ──
-    let prev = ledger::last(&args.ledger);
-    // Every sweep above — theorems and zoo — folded into one total.
-    let mc = metrics.mc.unwrap_or_default();
+    // ── Ledger: append this run ───────────────────────────────────
     let entry = LedgerEntry {
         ts_unix: std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
@@ -1162,73 +1194,40 @@ fn main() {
         git_rev: git_rev(),
         source: "report".into(),
         wall_ms: t_start.elapsed().as_millis() as u64,
-        schedules: mc.schedules,
-        dedup_hits: mc.dedup_hits,
-        memo_hits: memo.hits(),
-        memo_lookups: memo.lookups(),
-        zoo_models: zoo_models.len() as u64,
-        zoo_algos: zoo_algos.len() as u64,
-        replay_logs,
-        shrink_rounds: shrink_rounds_total,
-        monitor_ops: monitor_total.as_ref().map_or(0, |s| s.ops_ingested),
-        monitor_windows: monitor_total.as_ref().map_or(0, |s| s.windows_sealed),
-        monitor_escalated: monitor_total.as_ref().map_or(0, |s| s.escalated),
-        dpor_executed: mc.dpor_executed,
-        dpor_classes: mc.dpor_classes,
-        frontier_steals: mc.frontier_steals,
-        p99_window_ns: monitor_total.as_ref().map_or(0, |s| s.p99_window_ns()),
-        sat_solved: sat_total.as_ref().map_or(0, |s| s.solved),
-        sat_conflicts: sat_total.as_ref().map_or(0, |s| s.conflicts),
-        sat_wall_ns_p99: sat_total.as_ref().map_or(0, |s| s.wall.p99()),
-        blocked_depth_mode: waste_total.blocked_depth_mode(),
-        worker_busy_frac: waste_total.busy_frac(),
         metrics: metrics.to_json(),
     };
-    if let Err(e) = ledger::append(&args.ledger, &entry) {
-        eprintln!(
-            "warning: could not append to ledger {}: {e}",
-            args.ledger.display()
-        );
-    }
+    // Compact first: it drops a torn last line (a crashed run), so the
+    // append below starts on a line of its own.
     if let Err(e) = ledger::compact(&args.ledger, ledger::COMPACT_KEEP_DEFAULT) {
         eprintln!(
             "warning: could not compact ledger {}: {e}",
             args.ledger.display()
         );
     }
-    let mut regressions: Vec<String> = Vec::new();
-    if args.compare {
-        match &prev {
-            Some(prev) => {
-                regressions = ledger::compare(prev, &entry, &Tolerances::default());
-                if !json {
-                    if regressions.is_empty() {
-                        println!(
-                            "\nledger compare vs {} ({}): no regressions",
-                            prev.git_rev, prev.source
-                        );
-                    } else {
-                        println!("\nledger compare vs {} ({}):", prev.git_rev, prev.source);
-                        for r in &regressions {
-                            println!("  REGRESSION: {r}");
-                        }
-                    }
-                }
-            }
-            None => {
-                if !json {
-                    println!(
-                        "\nledger compare: no previous entry in {} (first run passes vacuously)",
-                        args.ledger.display()
-                    );
-                }
-            }
-        }
+    if let Err(e) = ledger::append(&args.ledger, &entry) {
+        eprintln!(
+            "warning: could not append to ledger {}: {e}",
+            args.ledger.display()
+        );
     }
 
     // ── Flight-recorder export ────────────────────────────────────
     if let (Some(rec), Some(path)) = (&recorder, &args.trace) {
         flight::uninstall();
+        let mut idle = Vec::new();
+        if args.record.is_none() {
+            idle.push("replay");
+        }
+        if !args.monitor {
+            idle.push("monitor");
+        }
+        rows.push(Row {
+            section: "flight",
+            id: "flight/complete".into(),
+            expected: "0 events dropped, every driven layer recorded",
+            observed: format!("{} recorded, {} dropped", rec.recorded(), rec.dropped()),
+            pass: jungle_bench::flight_complete(rec, &idle),
+        });
         let trace_json = rec.chrome_trace();
         match std::fs::write(path, format!("{trace_json}\n")) {
             Ok(()) => {
@@ -1274,14 +1273,11 @@ fn main() {
                 100.0 * waste_total.busy_frac(),
             );
             println!(
-                "  blocked-attribution reconciliation: {} attributed vs {} counted ({})",
+                "  attribution reconciliation: blocked {} vs {} counted, races {} vs {} counted",
                 waste_total.blocked,
                 mc.dpor_blocked,
-                if waste_total.blocked == mc.dpor_blocked {
-                    "exact"
-                } else {
-                    "MISMATCH"
-                },
+                waste_total.race_total(),
+                mc.races,
             );
             if let Some(total) = &monitor_total {
                 let h = total.window_hist();
@@ -1296,12 +1292,11 @@ fn main() {
         }
         sec
     });
-    if profile_section.is_some() && waste_total.blocked != mc.dpor_blocked {
-        eprintln!(
-            "error: DPOR blocked attribution diverged: {} attributed vs {} counted",
-            waste_total.blocked, mc.dpor_blocked
-        );
-        std::process::exit(1);
+    if profile_section.is_some() {
+        if let Err(e) = jungle_bench::waste_reconciles(&waste_total, &mc) {
+            eprintln!("error: {e}");
+            std::process::exit(1);
+        }
     }
 
     let failed: Vec<&Row> = rows.iter().filter(|r| !r.pass).collect();
@@ -1358,12 +1353,6 @@ fn main() {
             fj.push("categories", cats);
             out.push("flight", fj);
         }
-        if args.compare {
-            out.push(
-                "regressions",
-                Json::Arr(regressions.iter().map(|r| Json::from(r.as_str())).collect()),
-            );
-        }
         println!("{out}");
         if !failed.is_empty() {
             eprintln!("{} report checks failed", failed.len());
@@ -1380,9 +1369,5 @@ fn main() {
             }
             std::process::exit(1);
         }
-    }
-    if !regressions.is_empty() {
-        eprintln!("{} ledger regressions", regressions.len());
-        std::process::exit(3);
     }
 }

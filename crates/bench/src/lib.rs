@@ -6,6 +6,13 @@
 //! practical claim of §6.1, that parametrizing correctness by a weaker
 //! memory model lets a TM shed non-transactional instrumentation.
 //!
+//! A `report` run is judged by its own rows and nothing else. The few
+//! floors that are not a verdict of the paper — redundancy-elimination
+//! rates, zoo coverage, the monitor's tier accounting, flight-recorder
+//! completeness, the profile's waste reconciliation — are the
+//! predicates below, over the typed stats, each with its threshold
+//! beside it.
+//!
 //! This crate times nothing. Every measurement — the §6.1 per-operation
 //! costs, checker and sweep latencies, monitor throughput, the cold
 //! `report` run itself — is taken from outside by the standalone
@@ -15,8 +22,12 @@
 
 #![warn(missing_docs)]
 
+use jungle_core::registry::registry;
+use jungle_mc::theorems::ZooVerdict;
+use jungle_obs::{DporStats, FlightRecorder, McStats, MonitorStats};
 use jungle_stm::api::TmAlgo;
 use jungle_stm::{GlobalLockStm, StrongStm, Tl2Stm, VersionedStm, WriteTxnStm};
+use std::collections::BTreeSet;
 
 /// Every STM under test, freshly constructed over `n_vars` variables,
 /// in presentation order.
@@ -29,4 +40,246 @@ pub fn all_stms(n_vars: usize) -> Vec<Box<dyn TmAlgo + Send + Sync>> {
         Box::new(StrongStm::new_optimized(n_vars)),
         Box::new(Tl2Stm::new(n_vars)),
     ]
+}
+
+/// Floor on the sweeps' trace dedup rate (`dedup_hits / schedules`;
+/// observed 0.52). DPOR keeps most duplicate schedules from running at
+/// all, so this sits at half of what is left; a broken dedup key drops
+/// the rate to 0.
+pub const DEDUP_RATE_FLOOR: f64 = 0.25;
+
+/// Floor on the shared verdict memo's hit rate from a cold start
+/// (observed 0.50). An unshared memo drops it to 0.
+pub const MEMO_HIT_RATE_FLOOR: f64 = 0.25;
+
+/// STMs the matched zoo samples: the five positive-result TMs.
+pub const ZOO_STMS: usize = 5;
+
+/// Ceiling on the monitor's escalation rate over the report's clean
+/// traffic (observed 0): the triage tier must carry the stream.
+pub const MONITOR_ESCALATION_CEILING: f64 = 0.05;
+
+/// Floor on the DPOR workers' busy share of their wall-clock
+/// (observed 0.93–0.97 at 2 workers).
+pub const WORKER_BUSY_FRAC_FLOOR: f64 = 0.5;
+
+/// `num / den`, 0 when `den` is 0 (nothing ran, so nothing was saved).
+pub fn rate(num: u64, den: u64) -> f64 {
+    if den == 0 {
+        0.0
+    } else {
+        num as f64 / den as f64
+    }
+}
+
+/// Did the sweeps run and keep eliminating duplicate traces?
+pub fn dedup_rate_ok(mc: &McStats) -> bool {
+    rate(mc.dedup_hits, mc.schedules) >= DEDUP_RATE_FLOOR
+}
+
+/// Was the shared memo consulted, and did it answer often enough?
+pub fn memo_rate_ok(hits: u64, lookups: u64) -> bool {
+    rate(hits, lookups) >= MEMO_HIT_RATE_FLOOR
+}
+
+/// Does the zoo hold a cell for every registry entry under each of at
+/// least [`ZOO_STMS`] algorithms?
+pub fn zoo_covers_registry(zoo: &[ZooVerdict]) -> bool {
+    let cells: BTreeSet<(&str, &str)> = zoo.iter().map(|z| (z.algo, z.model)).collect();
+    let algos: BTreeSet<&str> = zoo.iter().map(|z| z.algo).collect();
+    algos.len() >= ZOO_STMS
+        && algos
+            .iter()
+            .all(|a| registry().iter().all(|e| cells.contains(&(*a, e.key))))
+}
+
+/// One STM's monitored stream over clean traffic: nothing lost, nothing
+/// flagged, at least `min_ops` events ingested, every sealed window
+/// decided by exactly one tier, and escalation under
+/// [`MONITOR_ESCALATION_CEILING`].
+pub fn monitor_ok(s: &MonitorStats, min_ops: u64) -> bool {
+    s.violations == 0
+        && s.events_dropped == 0
+        && s.ops_ingested >= min_ops
+        && s.windows_sealed > 0
+        && s.triage_cleared + s.escalated == s.windows_sealed
+        && s.escalation_rate() <= MONITOR_ESCALATION_CEILING
+}
+
+/// A flight recording is complete when the ring never wrapped and every
+/// category recorded something, except those in `idle` — the layers the
+/// run's flags left undriven.
+pub fn flight_complete(rec: &FlightRecorder, idle: &[&str]) -> bool {
+    rec.dropped() == 0
+        && rec
+            .by_category()
+            .iter()
+            .all(|(name, recorded, _)| *recorded > 0 || idle.contains(name))
+}
+
+/// The run-wide DPOR waste attribution against the explorers' plain
+/// counters: blocked probes and races must match exactly, and the
+/// workers must have spent at least [`WORKER_BUSY_FRAC_FLOOR`] of their
+/// time on runs. The error names the first mismatch.
+pub fn waste_reconciles(waste: &DporStats, mc: &McStats) -> Result<(), String> {
+    if waste.blocked != mc.dpor_blocked {
+        return Err(format!(
+            "DPOR blocked attribution diverged: {} attributed vs {} counted",
+            waste.blocked, mc.dpor_blocked
+        ));
+    }
+    if waste.race_total() != mc.races {
+        return Err(format!(
+            "DPOR race heat diverged: {} attributed vs {} counted",
+            waste.race_total(),
+            mc.races
+        ));
+    }
+    if waste.busy_frac() < WORKER_BUSY_FRAC_FLOOR {
+        return Err(format!(
+            "DPOR workers busy {:.3} of their time, floor {WORKER_BUSY_FRAC_FLOOR}",
+            waste.busy_frac()
+        ));
+    }
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use jungle_obs::{sim::WorkerLane, EventKind, TmSnapshot};
+
+    #[test]
+    fn dedup_floor() {
+        let mut mc = McStats {
+            schedules: 21_652,
+            dedup_hits: 11_273,
+            ..McStats::default()
+        };
+        assert!(dedup_rate_ok(&mc));
+        mc.dedup_hits = 100; // a broken dedup key
+        assert!(!dedup_rate_ok(&mc));
+        assert!(!dedup_rate_ok(&McStats::default()), "nothing explored");
+    }
+
+    #[test]
+    fn memo_floor() {
+        assert!(memo_rate_ok(2_994, 5_981));
+        assert!(!memo_rate_ok(12, 5_981), "an unshared memo");
+        assert!(!memo_rate_ok(0, 0), "never consulted");
+    }
+
+    fn zoo(algos: &[&'static str]) -> Vec<ZooVerdict> {
+        algos
+            .iter()
+            .flat_map(|&algo| {
+                registry().iter().map(move |e| ZooVerdict {
+                    algo,
+                    model: e.key,
+                    ok: true,
+                    stats: McStats::default(),
+                    tm: TmSnapshot::default(),
+                })
+            })
+            .collect()
+    }
+
+    #[test]
+    fn zoo_coverage() {
+        let full = zoo(&["a", "b", "c", "d", "e"]);
+        assert!(zoo_covers_registry(&full));
+        assert!(
+            !zoo_covers_registry(&zoo(&["a", "b", "c", "d"])),
+            "an STM short"
+        );
+        assert!(!zoo_covers_registry(&full[1..]), "a registry entry short");
+    }
+
+    fn stream() -> MonitorStats {
+        MonitorStats {
+            ops_ingested: 176_000,
+            windows_sealed: 688,
+            triage_cleared: 680,
+            escalated: 8,
+            ..MonitorStats::default()
+        }
+    }
+
+    #[test]
+    fn monitor_stream() {
+        assert!(monitor_ok(&stream(), 176_000));
+        assert!(!monitor_ok(&stream(), 176_001), "ops under the floor");
+        let broken: [fn(&mut MonitorStats); 5] = [
+            |s| s.violations = 1,
+            |s| s.events_dropped = 1,
+            |s| s.triage_cleared -= 1, // a window no tier decided
+            |s| (s.triage_cleared, s.escalated) = (600, 88), // rate 0.13
+            |s| *s = MonitorStats::default(), // sealed nothing
+        ];
+        for breakage in broken {
+            let mut s = stream();
+            breakage(&mut s);
+            assert!(!monitor_ok(&s, 0), "{s:?}");
+        }
+    }
+
+    #[test]
+    fn flight_completeness() {
+        let one_of_each = [
+            EventKind::NodeEnter,
+            EventKind::McSchedule,
+            EventKind::StoreDrain,
+            EventKind::TxnBegin,
+            EventKind::RaceDetected,
+            EventKind::SatConflict,
+        ];
+        let rec = FlightRecorder::new();
+        for kind in one_of_each {
+            rec.record(kind, 0, 0);
+        }
+        assert!(flight_complete(&rec, &["replay", "monitor"]));
+        assert!(!flight_complete(&rec, &["replay"]), "monitor layer silent");
+        // The smallest ring (8 slots) wraps on the ninth event.
+        let rec = FlightRecorder::with_capacity(8);
+        for kind in one_of_each.iter().cycle().take(9) {
+            rec.record(*kind, 0, 0);
+        }
+        assert!(
+            !flight_complete(&rec, &["replay", "monitor"]),
+            "dropped one"
+        );
+    }
+
+    #[test]
+    fn waste_reconciliation() {
+        let mc = McStats {
+            dpor_blocked: 2,
+            races: 1,
+            ..McStats::default()
+        };
+        let mut waste = DporStats::default();
+        waste.note_blocked(3);
+        waste.note_blocked(5);
+        waste.note_race(0, 1);
+        assert_eq!(waste_reconciles(&waste, &mc), Ok(()));
+
+        let mut leaked = waste.clone();
+        leaked.note_blocked(5);
+        let err = waste_reconciles(&leaked, &mc).unwrap_err();
+        assert!(err.contains("3 attributed vs 2 counted"), "{err}");
+
+        let mut hot = waste.clone();
+        hot.note_race(1, 1);
+        let err = waste_reconciles(&hot, &mc).unwrap_err();
+        assert!(err.contains("race heat"), "{err}");
+
+        let mut idle = waste.clone();
+        idle.workers.push(WorkerLane {
+            busy_ns: 40,
+            idle_ns: 60,
+            ..WorkerLane::default()
+        });
+        let err = waste_reconciles(&idle, &mc).unwrap_err();
+        assert!(err.contains("busy 0.400"), "{err}");
+    }
 }

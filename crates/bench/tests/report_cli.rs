@@ -1,8 +1,9 @@
 //! The `report` binary from outside: what it prints, what it exits
-//! with, and that it runs each exhaustive experiment exactly once.
+//! with, that it runs each exhaustive experiment exactly once, and
+//! what it leaves in the ledger and the trace file.
 
-use jungle_obs::Json;
-use std::collections::HashSet;
+use jungle_obs::{Json, LedgerEntry};
+use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
@@ -61,8 +62,8 @@ fn json_run_prints_one_object_and_sweeps_each_experiment_once() {
         assert!(matches!(r.get("pass"), Some(Json::Bool(true))), "{id}");
     }
 
-    // The ledger counts the theorem phase's DPOR runs; the `dpor`
-    // section must describe those same runs and no others.
+    // The ledger's metrics count the theorem phase's DPOR runs; the
+    // `dpor` section must describe those same runs and no others.
     let dpor = arr(&doc, "dpor");
     assert_eq!(dpor.len(), 3);
     for e in dpor {
@@ -74,18 +75,99 @@ fn json_run_prints_one_object_and_sweeps_each_experiment_once() {
     }
     let executed: u64 = dpor.iter().map(|e| num(e, "dpor_executed")).sum();
     assert_eq!(executed, 3 * RUNS_PER_EXHAUSTIVE);
-    let ledger = doc.get("ledger_entry").unwrap();
-    assert_eq!(executed, num(ledger, "dpor_executed"));
+    let mc = doc
+        .get("ledger_entry")
+        .and_then(|l| l.get("metrics"))
+        .and_then(|m| m.get("mc"))
+        .unwrap();
+    assert_eq!(executed, num(mc, "dpor_executed"));
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn hostile_ledger_is_compacted_and_appended_to() {
+    let dir = scratch("ledger");
+    let valid = r#"{"ts_unix":1,"git_rev":"abc1234","source":"report","wall_ms":7,"schedules":9,"metrics":null}"#;
+    // A line of the previous schema, garbage, and a final line torn
+    // mid-write with no newline after it.
+    std::fs::write(
+        dir.join("ledger.jsonl"),
+        format!("{valid}\nnot json at all\n{{\"ts_unix\":12,\"git_r"),
+    )
+    .unwrap();
+    let out = report(&dir, &["--json"]);
+    assert!(out.status.success(), "exit {:?}", out.status);
+    let text = std::fs::read_to_string(dir.join("ledger.jsonl")).unwrap();
+    let entries: Vec<LedgerEntry> = text
+        .lines()
+        .map(|l| {
+            LedgerEntry::from_json(&Json::parse(l).unwrap())
+                .unwrap_or_else(|e| panic!("invalid line survived: {l}: {e}"))
+        })
+        .collect();
+    assert_eq!(entries.len(), 2, "the old valid line and this run's");
+    assert_eq!(entries[0].wall_ms, 7);
+    assert!(
+        matches!(entries[1].metrics, Json::Obj(_)),
+        "this run's entry"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn traced_run_exports_a_complete_balanced_trace() {
+    let dir = scratch("trace");
+    let trace = dir.join("trace.json");
+    let out = report(
+        &dir,
+        &[
+            "--json",
+            "--trace",
+            trace.to_str().unwrap(),
+            "--record",
+            dir.join("schedules").to_str().unwrap(),
+        ],
+    );
+    assert!(out.status.success(), "exit {:?}", out.status);
+    let doc = Json::parse(&String::from_utf8(out.stdout).unwrap()).unwrap();
+    let row = arr(&doc, "rows")
+        .iter()
+        .find(|r| r.get("id").and_then(Json::as_str) == Some("flight/complete"))
+        .expect("a traced run prints the flight/complete row");
+    assert!(matches!(row.get("pass"), Some(Json::Bool(true))), "{row}");
+    assert_eq!(num(doc.get("flight").unwrap(), "dropped"), 0);
+
+    let file = Json::parse(&std::fs::read_to_string(&trace).unwrap()).unwrap();
+    assert_eq!(num(&file, "dropped"), 0);
+    let mut depth: HashMap<u64, u64> = HashMap::new();
+    let mut cats = HashSet::new();
+    for ev in arr(&file, "traceEvents") {
+        cats.insert(ev.get("cat").and_then(Json::as_str).unwrap());
+        let open = depth.entry(num(ev, "tid")).or_default();
+        match ev.get("ph").and_then(Json::as_str).unwrap() {
+            "B" => *open += 1,
+            "E" => *open = open.checked_sub(1).expect("E without a matching B"),
+            ph => assert_eq!(ph, "i"),
+        }
+    }
+    assert!(
+        depth.values().all(|&d| d == 0),
+        "spans left open: {depth:?}"
+    );
+    for layer in ["checker", "dpor", "mc", "memsim", "sat", "stm"] {
+        assert!(cats.contains(layer), "no {layer} event in {cats:?}");
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
 fn unknown_flag_exits_2() {
     let dir = scratch("flag");
-    let out = report(&dir, &["--no-such-flag"]);
+    // `--compare` was a flag once; it is unknown like any other now.
+    let out = report(&dir, &["--compare"]);
     assert_eq!(out.status.code(), Some(2));
     let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("unknown argument: --no-such-flag"), "{err}");
+    assert!(err.contains("unknown argument: --compare"), "{err}");
     assert!(out.stdout.is_empty());
     std::fs::remove_dir_all(&dir).unwrap();
 }

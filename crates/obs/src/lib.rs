@@ -25,8 +25,8 @@
 //! * [`trace`] — the flight recorder: per-thread lock-free ring
 //!   buffers of structured events from every layer, exported as
 //!   Chrome-trace-event JSON.
-//! * [`ledger`] — the persistent run ledger (`.jungle/ledger.jsonl`)
-//!   and its regression gates.
+//! * [`ledger`] — the persistent run ledger (`.jungle/ledger.jsonl`),
+//!   an append-only log of report runs.
 //! * [`ring::EventRing`] — a bounded MPSC event ring with an explicit
 //!   backpressure policy (block vs drop-with-exact-counter), the
 //!   channel between live STM taps and the streaming monitor.
@@ -63,7 +63,7 @@ pub mod trace;
 pub use counter::{CachePadded, Counter, SHARDS};
 pub use hist::{HistSnapshot, Histogram};
 pub use json::{Json, ToJson};
-pub use ledger::{LedgerEntry, Tolerances};
+pub use ledger::LedgerEntry;
 pub use monitor::MonitorStats;
 pub use profile::{PhaseGuard, ProfileNode, Profiler};
 pub use ring::{Backpressure, EventRing};
