@@ -11,7 +11,7 @@ use jungle_core::registry::ModelEntry;
 use jungle_isa::trace::Trace;
 use jungle_mc::program::{Program, Stmt, TxOp};
 use jungle_mc::verify::{trace_satisfies, CheckKind};
-use jungle_stm::api::{Ctx, TmAlgo};
+use jungle_stm::api::{atomically, Aborted, Ctx, TmAlgo, Tx};
 use jungle_stm::recorder::Recorder;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Barrier};
@@ -20,9 +20,21 @@ use std::sync::{Arc, Barrier};
 /// committed transactions and non-transactional), in program order.
 pub type ThreadReads = Vec<u64>;
 
+/// Run `ops` inside a transaction, pushing what the reads return.
+fn run_ops(tx: &mut Tx<'_>, ops: &[TxOp], reads: &mut ThreadReads) -> Result<(), Aborted> {
+    for op in ops {
+        match op {
+            TxOp::Read(v) => reads.push(tx.read(v.0 as usize)?),
+            TxOp::Write(v, val) => tx.write(v.0 as usize, *val)?,
+        }
+    }
+    Ok(())
+}
+
 /// Execute one thread's program against the STM. Committing
-/// transactions retry on abort; aborting transactions run their ops
-/// once and abort.
+/// transactions retry on abort (through [`atomically`], so only the
+/// successful attempt's reads count); aborting transactions run their
+/// ops once and abort.
 fn run_thread(tm: &dyn TmAlgo, cx: &mut Ctx, prog: &[Stmt]) -> ThreadReads {
     let mut reads = Vec::new();
     for stmt in prog {
@@ -30,96 +42,38 @@ fn run_thread(tm: &dyn TmAlgo, cx: &mut Ctx, prog: &[Stmt]) -> ThreadReads {
             Stmt::NtRead(v) => reads.push(tm.nt_read(cx, v.0 as usize)),
             Stmt::NtWrite(v, val) => tm.nt_write(cx, v.0 as usize, *val),
             Stmt::TxnGuard { guard, expect, ops } => {
-                // Retry loop: read the guard; run the body only when it
-                // matches; commit either way.
-                loop {
-                    tm.txn_start(cx);
-                    let mut attempt_reads = Vec::new();
-                    let mut aborted = false;
-                    match tm.txn_read(cx, guard.0 as usize) {
-                        Err(_) => aborted = true,
-                        Ok(g) => {
-                            attempt_reads.push(g);
-                            if g == *expect {
-                                for op in ops {
-                                    let res = match op {
-                                        TxOp::Read(v) => match tm.txn_read(cx, v.0 as usize) {
-                                            Ok(val) => {
-                                                attempt_reads.push(val);
-                                                Ok(())
-                                            }
-                                            Err(e) => Err(e),
-                                        },
-                                        TxOp::Write(v, val) => tm.txn_write(cx, v.0 as usize, *val),
-                                    };
-                                    if res.is_err() {
-                                        aborted = true;
-                                        break;
-                                    }
-                                }
-                            }
-                        }
+                // Read the guard; run the body only when it matches;
+                // commit either way.
+                reads.extend(atomically(tm, cx, |tx| {
+                    let mut attempt = vec![tx.read(guard.0 as usize)?];
+                    if attempt[0] == *expect {
+                        run_ops(tx, ops, &mut attempt)?;
                     }
-                    if aborted {
-                        tm.txn_abort(cx);
-                        continue;
-                    }
-                    if tm.txn_commit(cx).is_ok() {
-                        reads.extend(attempt_reads);
+                    Ok(attempt)
+                }));
+            }
+            Stmt::Txn { ops, abort: true } => {
+                // Must not retry: straight trait calls, and the abort
+                // closes the transaction whether or not an operation
+                // already aborted it.
+                tm.txn_start(cx);
+                for op in ops {
+                    let res = match op {
+                        TxOp::Read(v) => tm.txn_read(cx, v.0 as usize).map(|_| ()),
+                        TxOp::Write(v, val) => tm.txn_write(cx, v.0 as usize, *val),
+                    };
+                    if res.is_err() {
                         break;
                     }
                 }
+                tm.txn_abort(cx);
             }
-            Stmt::Txn { ops, abort } => {
-                if *abort {
-                    tm.txn_start(cx);
-                    let mut ok = true;
-                    for op in ops {
-                        let res = match op {
-                            TxOp::Read(v) => tm.txn_read(cx, v.0 as usize).map(|_| ()),
-                            TxOp::Write(v, val) => tm.txn_write(cx, v.0 as usize, *val),
-                        };
-                        if res.is_err() {
-                            ok = false;
-                            break;
-                        }
-                    }
-                    let _ = ok;
-                    tm.txn_abort(cx);
-                } else {
-                    // Retry loop; only the successful attempt's reads
-                    // count.
-                    loop {
-                        tm.txn_start(cx);
-                        let mut attempt_reads = Vec::new();
-                        let mut aborted = false;
-                        for op in ops {
-                            match op {
-                                TxOp::Read(v) => match tm.txn_read(cx, v.0 as usize) {
-                                    Ok(val) => attempt_reads.push(val),
-                                    Err(_) => {
-                                        aborted = true;
-                                        break;
-                                    }
-                                },
-                                TxOp::Write(v, val) => {
-                                    if tm.txn_write(cx, v.0 as usize, *val).is_err() {
-                                        aborted = true;
-                                        break;
-                                    }
-                                }
-                            }
-                        }
-                        if aborted {
-                            tm.txn_abort(cx);
-                            continue;
-                        }
-                        if tm.txn_commit(cx).is_ok() {
-                            reads.extend(attempt_reads);
-                            break;
-                        }
-                    }
-                }
+            Stmt::Txn { ops, abort: false } => {
+                reads.extend(atomically(tm, cx, |tx| {
+                    let mut attempt = Vec::new();
+                    run_ops(tx, ops, &mut attempt)?;
+                    Ok(attempt)
+                }));
             }
         }
     }

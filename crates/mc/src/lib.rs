@@ -47,7 +47,6 @@ pub use algos::{
 };
 pub use dpor::{explore_dpor, explore_dpor_par, DporCursor, DporOutcome};
 pub use explain::{explain_experiment, explain_history, explain_trace, Explanation, TheoremClass};
-pub use jungle_core::check::CheckBackend;
 pub use jungle_core::registry::{entry, registry, ExecSemantics, ModelEntry, StoreDiscipline};
 pub use program::{Program, Stmt, ThreadProg, TxOp};
 pub use theorems::{experiment_by_id, experiment_ids, thm1_suite, Expectation, Experiment};

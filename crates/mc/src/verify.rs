@@ -11,12 +11,12 @@
 //!
 //! A sweep is one request type, the mc-level sibling of
 //! [`jungle_core::check::Check`]: program, algorithm, registry entry,
-//! property, step bound, schedules, checker backend, workers, verdict
-//! memo. It takes a [`ModelEntry`] — the unified handle from the model
-//! registry bundling the checker-side `MemoryModel` with the
-//! execution-side `ExecSemantics` the simulated machine runs under —
-//! instead of separate hardware/model arguments, so the two facades can
-//! never drift apart at a call site.
+//! property, step bound, schedules, workers, verdict memo. It takes a
+//! [`ModelEntry`] — the unified handle from the model registry bundling
+//! the checker-side `MemoryModel` with the execution-side
+//! `ExecSemantics` the simulated machine runs under — instead of
+//! separate hardware/model arguments, so the two facades can never
+//! drift apart at a call site.
 //!
 //! ### Redundancy elimination
 //!
@@ -77,7 +77,7 @@ use crate::algos::TmAlgo;
 use crate::dpor::{explore_dpor, explore_dpor_par};
 use crate::obs::tm_counts_from_trace;
 use crate::program::Program;
-use jungle_core::check::{Check, CheckBackend};
+use jungle_core::check::Check;
 use jungle_core::history::History;
 use jungle_core::ids::ProcId;
 use jungle_core::model::MemoryModel;
@@ -419,10 +419,6 @@ pub fn trace_satisfies(trace: &Trace, model: &dyn MemoryModel, kind: CheckKind) 
 /// [`trace_satisfies`] deciding each history with `check`, with an
 /// optional verdict memo binding (the memo plus the model key to scope
 /// entries under); returns the verdict and the number of memo hits.
-/// Every backend is exact and certified (the SAT backend validates
-/// every positive model against the DFS leaf), so the verdict is
-/// backend-independent — which is what lets the memo stay unkeyed by
-/// backend.
 fn trace_satisfies_memo(
     trace: &Trace,
     model: &dyn MemoryModel,
@@ -524,10 +520,6 @@ pub struct Sweep<'a> {
     pub max_steps: usize,
     /// Which schedules to run.
     pub schedules: Schedules,
-    /// How each history is decided. Verdicts are backend-independent
-    /// (both procedures are exact); this selects *how* they are
-    /// computed, e.g. for benchmarking or cross-validation.
-    pub backend: CheckBackend,
     /// `Some` runs the sweep on `effective_threads()` workers; verdict
     /// and violating trace still match the serial sweep (see the
     /// module docs).
@@ -553,7 +545,6 @@ impl<'a> Sweep<'a> {
             kind,
             max_steps,
             schedules: Schedules::Exhaustive,
-            backend: CheckBackend::Dfs,
             parallel: None,
             memo: None,
         }
@@ -707,10 +698,7 @@ struct Violation {
 impl<'a> Judge<'a> {
     fn new(sweep: &Sweep<'a>, memo: &'a SharedVerdictMemo) -> Self {
         Judge {
-            check: Check {
-                backend: sweep.backend,
-                ..Check::new(sweep.kind)
-            },
+            check: Check::new(sweep.kind),
             entry: sweep.entry,
             memo,
             seen: Mutex::new(HashSet::new()),

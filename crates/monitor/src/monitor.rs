@@ -32,13 +32,13 @@
 //! inline with the STM events that caused them.
 
 use crate::window::{SealedWindow, WindowBuilder};
-use jungle_core::check::{Check, CheckBackend, CheckKind};
+use jungle_core::check::{Check, CheckKind};
 use jungle_core::history::History;
 use jungle_core::registry::{entry, ModelEntry};
 use jungle_core::triage::triage_opacity;
 use jungle_mc::SharedVerdictMemo;
 use jungle_obs::trace::{self, EventKind};
-use jungle_obs::{Counter, MonitorStats, ScopedSpan};
+use jungle_obs::{MonitorStats, Span};
 use jungle_stm::{StmTap, TapEvent};
 use std::sync::Arc;
 use std::time::Instant;
@@ -52,11 +52,6 @@ pub struct MonitorConfig {
     pub kind: CheckKind,
     /// The memory model parametrizing the property.
     pub model: &'static ModelEntry,
-    /// Which engine runs the escalation tier: the order-enumerating DFS
-    /// checker or the CDCL SAT backend. Verdicts are identical either
-    /// way (the SAT backend certifies every positive through the same
-    /// DFS leaf), so the shared memo stays backend-agnostic.
-    pub backend: CheckBackend,
 }
 
 impl MonitorConfig {
@@ -66,7 +61,6 @@ impl MonitorConfig {
             window_txns: 64,
             kind: CheckKind::Opacity,
             model: entry("SC").expect("SC is always registered"),
-            backend: CheckBackend::Dfs,
         }
     }
 
@@ -87,27 +81,12 @@ impl MonitorConfig {
         self.model = model;
         self
     }
-
-    /// Set the escalation-tier engine (builder style).
-    pub fn backend(mut self, backend: CheckBackend) -> Self {
-        self.backend = backend;
-        self
-    }
 }
 
 impl Default for MonitorConfig {
     fn default() -> Self {
         MonitorConfig::new()
     }
-}
-
-/// Panic-safe accumulation sinks for the tier timings: the
-/// [`ScopedSpan`] guards time into these counters, so an early return
-/// or a checker panic can never lose the elapsed time.
-#[derive(Debug, Default)]
-struct TierClocks {
-    triage: Counter,
-    escalate: Counter,
 }
 
 /// The online checker. Feed it events ([`Monitor::ingest`]) or let it
@@ -118,7 +97,6 @@ pub struct Monitor {
     builder: WindowBuilder,
     memo: Option<Arc<SharedVerdictMemo>>,
     stats: MonitorStats,
-    clocks: TierClocks,
 }
 
 impl std::fmt::Debug for Monitor {
@@ -139,7 +117,6 @@ impl Monitor {
             cfg,
             memo: None,
             stats: MonitorStats::default(),
-            clocks: TierClocks::default(),
         }
     }
 
@@ -211,9 +188,9 @@ impl Monitor {
     pub fn check_history(&mut self, h: &History) -> bool {
         self.stats.windows_sealed += 1;
         trace::emit(EventKind::WindowSeal, h.len() as u64, 0);
-        let guard = ScopedSpan::enter(&self.clocks.triage, 0);
+        let span = Span::start();
         let cleared = triage_opacity(h, self.cfg.model.model).cleared();
-        let ns = guard.finish();
+        let ns = span.elapsed_ns();
         self.stats.triage_ns += ns;
         self.stats.triage_window_ns.record(ns);
         if cleared {
@@ -231,9 +208,9 @@ impl Monitor {
             w.history.len() as u64,
             w.completed as u64,
         );
-        let guard = ScopedSpan::enter(&self.clocks.triage, 0);
+        let span = Span::start();
         let cleared = triage_opacity(&w.history, self.cfg.model.model).cleared();
-        let ns = guard.finish();
+        let ns = span.elapsed_ns();
         self.stats.triage_ns += ns;
         self.stats.triage_window_ns.record(ns);
         if cleared {
@@ -262,25 +239,24 @@ impl Monitor {
         self.stats.escalated += 1;
         let fp = h.cache_key();
         trace::emit(EventKind::Escalate, fp, h.len() as u64);
-        let guard = ScopedSpan::enter(&self.clocks.escalate, 0);
+        let span = Span::start();
         if let Some(memo) = &self.memo {
             if let Some(v) = memo.lookup(self.cfg.model.key, self.cfg.kind, fp) {
                 self.stats.memo_hits += 1;
-                let ns = guard.finish();
+                let ns = span.elapsed_ns();
                 self.stats.escalate_ns += ns;
                 self.stats.escalate_window_ns.record(ns);
                 return v;
             }
         }
-        let check = Check {
-            backend: self.cfg.backend,
-            ..Check::new(self.cfg.kind)
-        };
-        let v = check.run(h, self.cfg.model.model).0.holds();
+        let v = Check::new(self.cfg.kind)
+            .run(h, self.cfg.model.model)
+            .0
+            .holds();
         if let Some(memo) = &self.memo {
             memo.record(self.cfg.model.key, self.cfg.kind, fp, v);
         }
-        let ns = guard.finish();
+        let ns = span.elapsed_ns();
         self.stats.escalate_ns += ns;
         self.stats.escalate_window_ns.record(ns);
         v

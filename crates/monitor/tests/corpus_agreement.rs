@@ -58,33 +58,6 @@ fn monitor_agrees_with_batch_checker_on_full_corpus() {
 }
 
 #[test]
-fn sat_escalation_tier_agrees_with_dfs_tier() {
-    use jungle_mc::CheckBackend;
-    // No memo: each monitor must reach its verdict through its own
-    // escalation engine, and the two engines must never diverge.
-    for entry in registry() {
-        for kind in [CheckKind::Opacity, CheckKind::Sgla] {
-            let mut dfs = Monitor::new(MonitorConfig::new().model(entry).kind(kind));
-            let mut sat = Monitor::new(
-                MonitorConfig::new()
-                    .model(entry)
-                    .kind(kind)
-                    .backend(CheckBackend::Sat),
-            );
-            for (name, h) in corpus() {
-                assert_eq!(
-                    dfs.check_history(&h),
-                    sat.check_history(&h),
-                    "escalation backends disagree on {name} under {} ({kind:?})",
-                    entry.key
-                );
-            }
-            assert_eq!(dfs.stats().escalated, sat.stats().escalated);
-        }
-    }
-}
-
-#[test]
 fn memo_absorbs_repeat_escalations() {
     let memo = Arc::new(SharedVerdictMemo::new());
     let entry = &registry()[0]; // SC

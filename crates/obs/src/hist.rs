@@ -7,25 +7,21 @@
 //! mantissa bits), so relative error is bounded at `1/SUB` (6.25%)
 //! while the whole `u64` nanosecond range fits in [`BUCKETS`] slots.
 //!
-//! Two representations share the bucket scheme:
-//!
-//! * [`Histogram`] — atomic, lock-free to [`Histogram::record`] into
-//!   from any thread (one relaxed `fetch_add` per bucket plus exact
-//!   count/sum/max maintenance).
-//! * [`HistSnapshot`] — a plain, sparse, mergeable value type; the
-//!   serialized form ([`ToJson`] plus [`HistSnapshot::from_json`]) and
-//!   the thing single-threaded recorders (the monitor) use directly.
+//! [`HistSnapshot`] is the one representation: a plain, sparse,
+//! mergeable value type that every producer (the monitor, the DPOR
+//! workers, the profiler's per-thread frames) records into on its own
+//! thread and merges afterwards; it is also the serialized form
+//! ([`ToJson`] plus [`HistSnapshot::from_json`]).
 //!
 //! Merging shards with [`HistSnapshot::absorb`] is exact: bucket
-//! counts add, so a merge of per-thread snapshots equals the snapshot
-//! of one histogram fed every sample — the property test pins this.
+//! counts add, so a merge of per-thread snapshots equals one snapshot
+//! fed every sample — the property test pins this.
 //! Percentiles return the *lower bound* of the covering bucket, which
 //! makes `p50 ≤ p90 ≤ p99 ≤ p999 ≤ max` hold unconditionally (the
 //! tracked max is exact, and the lower bound of the highest non-empty
 //! bucket never exceeds the largest sample in it).
 
 use crate::json::{Json, ToJson};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Mantissa bits kept per power-of-two group.
 pub const SUB_BITS: u32 = 4;
@@ -59,75 +55,6 @@ pub fn bucket_low(index: usize) -> u64 {
     (SUB + sub) << (group - 1)
 }
 
-/// A lock-free, multi-producer latency histogram.
-///
-/// `record` is wait-free per bucket (relaxed `fetch_add`); `sum` uses
-/// a saturating CAS loop so recording `u64::MAX` cannot wrap the
-/// running total. Readers take a [`snapshot`](Histogram::snapshot)
-/// and work with the plain value type.
-#[derive(Debug)]
-pub struct Histogram {
-    buckets: Box<[AtomicU64]>,
-    count: AtomicU64,
-    sum: AtomicU64,
-    max: AtomicU64,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram::new()
-    }
-}
-
-impl Histogram {
-    /// An empty histogram.
-    pub fn new() -> Self {
-        Histogram {
-            buckets: (0..BUCKETS).map(|_| AtomicU64::new(0)).collect(),
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            max: AtomicU64::new(0),
-        }
-    }
-
-    /// Record one sample. Safe from any number of threads.
-    #[inline]
-    pub fn record(&self, v: u64) {
-        self.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        // Saturate rather than wrap: a u64::MAX sample must leave the
-        // sum pinned at u64::MAX, not corrupt it.
-        let mut cur = self.sum.load(Ordering::Relaxed);
-        loop {
-            let next = cur.saturating_add(v);
-            match self
-                .sum
-                .compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed)
-            {
-                Ok(_) => break,
-                Err(seen) => cur = seen,
-            }
-        }
-        self.max.fetch_max(v, Ordering::Relaxed);
-    }
-
-    /// Copy the current contents into a plain snapshot. Approximate
-    /// (not a consistent cut) while writers are active.
-    pub fn snapshot(&self) -> HistSnapshot {
-        let mut s = HistSnapshot::default();
-        for (i, b) in self.buckets.iter().enumerate() {
-            let n = b.load(Ordering::Relaxed);
-            if n > 0 {
-                s.buckets.push((i as u32, n));
-            }
-        }
-        s.count = self.count.load(Ordering::Relaxed);
-        s.sum = self.sum.load(Ordering::Relaxed);
-        s.max = self.max.load(Ordering::Relaxed);
-        s
-    }
-}
-
 /// A plain, sparse, mergeable histogram value.
 ///
 /// Buckets are `(index, count)` pairs sorted by index; only non-empty
@@ -145,8 +72,8 @@ pub struct HistSnapshot {
 }
 
 impl HistSnapshot {
-    /// Record one sample (single-threaded counterpart of
-    /// [`Histogram::record`]).
+    /// Record one sample. The sum saturates rather than wraps: a
+    /// `u64::MAX` sample leaves it pinned at `u64::MAX`.
     pub fn record(&mut self, v: u64) {
         let idx = bucket_of(v) as u32;
         match self.buckets.binary_search_by_key(&idx, |&(i, _)| i) {
@@ -160,7 +87,7 @@ impl HistSnapshot {
 
     /// Merge another snapshot in. Exact: bucket counts add, the max is
     /// the max of maxes, so merging per-shard snapshots equals one
-    /// histogram fed every sample.
+    /// snapshot fed every sample.
     pub fn absorb(&mut self, other: &HistSnapshot) {
         for &(idx, n) in &other.buckets {
             match self.buckets.binary_search_by_key(&idx, |&(i, _)| i) {
@@ -287,7 +214,6 @@ impl ToJson for HistSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     #[test]
     fn bucket_scheme_is_contiguous_and_ordered() {
@@ -344,41 +270,14 @@ mod tests {
 
     #[test]
     fn u64_max_saturates_sum_and_tracks_max() {
-        let h = Histogram::new();
-        h.record(u64::MAX);
-        h.record(u64::MAX);
-        h.record(7);
-        let s = h.snapshot();
+        let mut s = HistSnapshot::default();
+        s.record(u64::MAX);
+        s.record(u64::MAX);
+        s.record(7);
         assert_eq!(s.sum, u64::MAX, "sum saturates instead of wrapping");
         assert_eq!(s.max, u64::MAX);
         assert_eq!(s.count, 3);
         assert!(s.percentile(1.0) <= s.max);
-    }
-
-    #[test]
-    fn concurrent_records_merge_like_serial() {
-        let h = Arc::new(Histogram::new());
-        let threads: Vec<_> = (0..4)
-            .map(|t| {
-                let h = Arc::clone(&h);
-                std::thread::spawn(move || {
-                    for i in 0..1_000u64 {
-                        h.record(t * 10_000 + i);
-                    }
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
-        }
-        let par = h.snapshot();
-        let mut serial = HistSnapshot::default();
-        for t in 0..4u64 {
-            for i in 0..1_000u64 {
-                serial.record(t * 10_000 + i);
-            }
-        }
-        assert_eq!(par, serial);
     }
 
     #[test]

@@ -6,18 +6,15 @@
 //! an exponential search. This crate gives every layer a common,
 //! dependency-free vocabulary for counting that work:
 //!
-//! * [`counter`] — sharded, cache-padded atomic counters for
-//!   multi-threaded producers (the real STMs).
-//! * [`span`] — lightweight wall-clock spans, including the RAII
-//!   [`span::ScopedSpan`] guard.
-//! * [`hist`] — log-bucketed, lock-free, mergeable latency histograms
-//!   with `p50/p90/p99/p999` accessors.
+//! * [`span`] — lightweight wall-clock spans.
+//! * [`hist`] — log-bucketed, mergeable latency histograms with
+//!   `p50/p90/p99/p999` accessors.
 //! * [`profile`] — the hierarchical phase profiler: enter/exit guards
 //!   folded into a self/total-time tree, zero-cost when uninstalled.
 //! * [`search::SearchStats`] — per-search counters for the opacity and
 //!   SGLA checkers (nodes, backtracks, prune hits, orders, depth).
-//! * [`tm::TmMetrics`] / [`tm::TmSnapshot`] — per-algorithm commit /
-//!   abort / CAS-failure / instrumentation counters.
+//! * [`tm::TmSnapshot`] — per-algorithm commit / abort / CAS-failure /
+//!   instrumentation counts, derived from interpreter traces.
 //! * [`sim::MachineStats`] / [`sim::McStats`] — simulator steps,
 //!   store-buffer flushes and occupancy, schedules explored.
 //! * [`snapshot::MetricsSnapshot`] — the serializable aggregate the
@@ -35,17 +32,16 @@
 //! * [`sat::SatStats`] — counters of the SAT serialization-order
 //!   backend (encoding sizes, CDCL effort, CEGAR rounds, wall hist).
 //!
-//! Collection is **off by default** in the hot paths: the STMs take an
-//! `Option<Arc<TmMetrics>>` and skip all counting when it is `None`,
-//! the checkers read the clock twice per check and nothing more,
-//! and flight-recorder event sites reduce to a single
-//! relaxed load unless a recorder is [`trace::install`]ed. The build
-//! is fully offline, so serialization is a small hand-rolled JSON
-//! model ([`json`]) rather than `serde`.
+//! Collection is **off by default** in the hot paths: the real STMs
+//! count nothing (an operation with neither recorder nor tap attached
+//! is the bare algorithm behind one branch), the checkers read the
+//! clock twice per check and nothing more, and flight-recorder event
+//! sites reduce to a single relaxed load unless a recorder is
+//! [`trace::install`]ed. The build is fully offline, so serialization
+//! is a small hand-rolled JSON model ([`json`]) rather than `serde`.
 
 #![warn(missing_docs)]
 
-pub mod counter;
 pub mod hist;
 pub mod json;
 pub mod ledger;
@@ -60,8 +56,7 @@ pub mod span;
 pub mod tm;
 pub mod trace;
 
-pub use counter::{CachePadded, Counter, SHARDS};
-pub use hist::{HistSnapshot, Histogram};
+pub use hist::HistSnapshot;
 pub use json::{Json, ToJson};
 pub use ledger::LedgerEntry;
 pub use monitor::MonitorStats;
@@ -71,6 +66,6 @@ pub use sat::SatStats;
 pub use search::SearchStats;
 pub use sim::{DporStats, MachineStats, McStats};
 pub use snapshot::MetricsSnapshot;
-pub use span::{ScopedSpan, Span};
-pub use tm::{TmMetrics, TmSnapshot};
+pub use span::Span;
+pub use tm::TmSnapshot;
 pub use trace::{EventKind, FlightRecorder};

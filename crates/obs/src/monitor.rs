@@ -79,8 +79,8 @@ impl MonitorStats {
     }
 
     /// 99th-percentile per-window check latency (see
-    /// [`window_hist`](Self::window_hist)); the ledger field
-    /// `p99_window_ns`.
+    /// [`window_hist`](Self::window_hist)); serialized as
+    /// `p99_window_ns` in the `monitor` JSON section.
     pub fn p99_window_ns(&self) -> u64 {
         self.window_hist().p99()
     }

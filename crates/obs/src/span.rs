@@ -1,11 +1,9 @@
 //! Lightweight timing spans.
 //!
-//! A [`Span`] is a started monotonic clock; finishing it yields
-//! elapsed nanoseconds, optionally accumulating into a counter. No
-//! allocation, no global state — cheap enough to wrap individual
-//! checker searches.
+//! A [`Span`] is a started monotonic clock; reading it yields elapsed
+//! nanoseconds. No allocation, no global state — cheap enough to wrap
+//! individual checker searches and monitor windows.
 
-use crate::counter::Counter;
 use std::time::Instant;
 
 /// An in-flight timing measurement.
@@ -26,62 +24,6 @@ impl Span {
     pub fn elapsed_ns(&self) -> u64 {
         u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX)
     }
-
-    /// Stop and fold the elapsed time into `sink` on `shard_hint`'s
-    /// shard; returns the elapsed nanoseconds.
-    pub fn finish_into(self, sink: &Counter, shard_hint: usize) -> u64 {
-        let ns = self.elapsed_ns();
-        sink.add(shard_hint, ns);
-        ns
-    }
-}
-
-/// A [`Span`] bound to its destination counter: the elapsed time lands
-/// in the counter no matter how the scope exits, so call sites cannot
-/// forget `finish_into` (early `return`, `?`, and panics all still
-/// account their time).
-///
-/// Use [`ScopedSpan::finish`] when the elapsed nanoseconds are needed
-/// (for example to also feed a histogram); plain drop otherwise.
-#[must_use = "the measured interval ends when this guard drops; bind it to a named local"]
-#[derive(Debug)]
-pub struct ScopedSpan<'a> {
-    span: Span,
-    sink: &'a Counter,
-    shard: usize,
-    done: bool,
-}
-
-impl<'a> ScopedSpan<'a> {
-    /// Start timing into `sink` on `shard_hint`'s shard.
-    pub fn enter(sink: &'a Counter, shard_hint: usize) -> Self {
-        ScopedSpan {
-            span: Span::start(),
-            sink,
-            shard: shard_hint,
-            done: false,
-        }
-    }
-
-    /// Nanoseconds elapsed so far without finishing.
-    pub fn elapsed_ns(&self) -> u64 {
-        self.span.elapsed_ns()
-    }
-
-    /// Finish now and return the elapsed nanoseconds (also accumulated
-    /// into the sink). Dropping after this is a no-op.
-    pub fn finish(mut self) -> u64 {
-        self.done = true;
-        self.span.finish_into(self.sink, self.shard)
-    }
-}
-
-impl Drop for ScopedSpan<'_> {
-    fn drop(&mut self) {
-        if !self.done {
-            self.span.finish_into(self.sink, self.shard);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -95,43 +37,5 @@ mod tests {
         std::hint::black_box((0..1000u64).sum::<u64>());
         let b = span.elapsed_ns();
         assert!(b >= a);
-    }
-
-    #[test]
-    fn finish_accumulates() {
-        let c = Counter::new();
-        let ns = Span::start().finish_into(&c, 0);
-        assert_eq!(c.get(), ns);
-    }
-
-    #[test]
-    fn scoped_span_accumulates_on_drop() {
-        let c = Counter::new();
-        {
-            let _g = ScopedSpan::enter(&c, 0);
-        }
-        assert!(c.get() > 0, "drop path must account the elapsed time");
-    }
-
-    #[test]
-    fn scoped_span_finish_returns_elapsed_once() {
-        let c = Counter::new();
-        let g = ScopedSpan::enter(&c, 1);
-        let ns = g.finish();
-        assert_eq!(c.get(), ns, "finish accumulates exactly once");
-    }
-
-    #[test]
-    fn scoped_span_accounts_across_early_exit() {
-        fn timed(c: &Counter, bail: bool) -> Option<u64> {
-            let _g = ScopedSpan::enter(c, 0);
-            if bail {
-                return None; // guard still accumulates
-            }
-            Some(1)
-        }
-        let c = Counter::new();
-        timed(&c, true);
-        assert!(c.get() > 0);
     }
 }

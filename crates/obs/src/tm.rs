@@ -1,94 +1,35 @@
-//! Per-algorithm TM runtime metrics.
+//! Per-algorithm TM runtime counts.
 //!
-//! [`TmMetrics`] is the live, thread-safe handle an STM's contexts
-//! share (each worker bumps its own shard); [`TmSnapshot`] is the
-//! plain-value read-out. The model-checking layer produces
-//! `TmSnapshot`s directly by classifying trace instructions, so the
-//! same shape describes both real and interpreted executions.
+//! [`TmSnapshot`] is a plain value the model-checking layer fills by
+//! classifying the instructions of interpreter traces
+//! (`jungle_mc::obs::tm_counts_from_trace`); `report` prints one per
+//! algorithm as `metrics.stms`. The real-thread STMs of `jungle-stm`
+//! keep no shared counters: their commits and aborts are on each
+//! thread's `Ctx`, their retries and CAS failures in the flight
+//! recorder ([`crate::trace`]).
 
-use crate::counter::Counter;
 use crate::json::{Json, ToJson};
 
-/// Live counters for one TM algorithm instance. Cheap to share via
-/// `Arc`; all methods take `&self`.
-#[derive(Debug, Default)]
-pub struct TmMetrics {
-    /// Transactions committed.
-    pub commits: Counter,
-    /// Transactions aborted (each retry of an `atomically` body counts).
-    pub aborts: Counter,
-    /// CAS instructions that failed.
-    pub cas_failures: Counter,
-    /// Successful lock acquisitions (global lock or per-var locks).
-    pub lock_acquisitions: Counter,
-    /// Spin-loop iterations while waiting for a lock.
-    pub lock_spins: Counter,
-    /// Transactional reads.
-    pub txn_reads: Counter,
-    /// Transactional writes.
-    pub txn_writes: Counter,
-    /// Non-transactional ops that ran extra instrumentation.
-    pub nontxn_instrumented: Counter,
-    /// Non-transactional ops compiled to the bare access.
-    pub nontxn_uninstrumented: Counter,
-}
-
-impl TmMetrics {
-    /// A zeroed metrics block.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Copy the current values out.
-    pub fn snapshot(&self) -> TmSnapshot {
-        TmSnapshot {
-            commits: self.commits.get(),
-            aborts: self.aborts.get(),
-            cas_failures: self.cas_failures.get(),
-            lock_acquisitions: self.lock_acquisitions.get(),
-            lock_spins: self.lock_spins.get(),
-            txn_reads: self.txn_reads.get(),
-            txn_writes: self.txn_writes.get(),
-            nontxn_instrumented: self.nontxn_instrumented.get(),
-            nontxn_uninstrumented: self.nontxn_uninstrumented.get(),
-        }
-    }
-
-    /// Zero every counter.
-    pub fn reset(&self) {
-        self.commits.reset();
-        self.aborts.reset();
-        self.cas_failures.reset();
-        self.lock_acquisitions.reset();
-        self.lock_spins.reset();
-        self.txn_reads.reset();
-        self.txn_writes.reset();
-        self.nontxn_instrumented.reset();
-        self.nontxn_uninstrumented.reset();
-    }
-}
-
-/// Point-in-time values of a [`TmMetrics`] (or counts derived from a
-/// model-checker trace).
+/// Operation counts of one TM algorithm, derived from traces.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct TmSnapshot {
-    /// See [`TmMetrics::commits`].
+    /// Transactions committed.
     pub commits: u64,
-    /// See [`TmMetrics::aborts`].
+    /// Transactions aborted.
     pub aborts: u64,
-    /// See [`TmMetrics::cas_failures`].
+    /// CAS instructions that failed.
     pub cas_failures: u64,
-    /// See [`TmMetrics::lock_acquisitions`].
+    /// Successful lock acquisitions (global lock or per-var locks).
     pub lock_acquisitions: u64,
-    /// See [`TmMetrics::lock_spins`].
+    /// Spin-loop iterations while waiting for a lock.
     pub lock_spins: u64,
-    /// See [`TmMetrics::txn_reads`].
+    /// Transactional reads.
     pub txn_reads: u64,
-    /// See [`TmMetrics::txn_writes`].
+    /// Transactional writes.
     pub txn_writes: u64,
-    /// See [`TmMetrics::nontxn_instrumented`].
+    /// Non-transactional ops that ran extra instrumentation.
     pub nontxn_instrumented: u64,
-    /// See [`TmMetrics::nontxn_uninstrumented`].
+    /// Non-transactional ops compiled to the bare access.
     pub nontxn_uninstrumented: u64,
 }
 
@@ -126,44 +67,6 @@ impl ToJson for TmSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
-
-    #[test]
-    fn snapshot_reads_counters() {
-        let m = TmMetrics::new();
-        m.commits.inc(0);
-        m.commits.inc(1);
-        m.aborts.inc(0);
-        m.nontxn_uninstrumented.add(2, 5);
-        let s = m.snapshot();
-        assert_eq!(s.commits, 2);
-        assert_eq!(s.aborts, 1);
-        assert_eq!(s.nontxn_uninstrumented, 5);
-        m.reset();
-        assert_eq!(m.snapshot(), TmSnapshot::default());
-    }
-
-    #[test]
-    fn shared_handle_across_threads() {
-        let m = Arc::new(TmMetrics::new());
-        let handles: Vec<_> = (0..4)
-            .map(|pid| {
-                let m = Arc::clone(&m);
-                std::thread::spawn(move || {
-                    for _ in 0..1000 {
-                        m.commits.inc(pid);
-                        m.txn_reads.add(pid, 3);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        let s = m.snapshot();
-        assert_eq!(s.commits, 4000);
-        assert_eq!(s.txn_reads, 12_000);
-    }
 
     #[test]
     fn absorb_adds_fields() {

@@ -7,13 +7,11 @@
 //! memo hits, schedules), the simulated machine (store drains, stale
 //! loads, forwarding, CAS fences), the executable STMs (begin /
 //! commit / abort / CAS failure) and the record/replay engine (replay
-//! begin, replayed steps, divergence, shrinker rounds). Recording
-//! follows the same
-//! zero-cost-when-off discipline as the `Option<Arc<TmMetrics>>`
-//! counters: event sites call [`emit`], which is a single relaxed
-//! atomic load returning immediately unless a [`FlightRecorder`] has
-//! been [`install`]ed. No recorder, no work — not even a timestamp
-//! read.
+//! begin, replayed steps, divergence, shrinker rounds). Recording is
+//! zero-cost when off: event sites call [`emit`], which is a single
+//! relaxed atomic load returning immediately unless a
+//! [`FlightRecorder`] has been [`install`]ed. No recorder, no work —
+//! not even a timestamp read.
 //!
 //! When a recorder *is* installed, an event is one monotonic clock
 //! read plus four relaxed atomic stores into a fixed ring buffer slot:

@@ -3,23 +3,30 @@
 //! percentiles must be monotone and bounded, and the saturating sum
 //! must survive `u64::MAX` samples.
 
-use jungle_obs::hist::{bucket_low, bucket_of, HistSnapshot, Histogram, BUCKETS};
+use jungle_obs::hist::{bucket_low, bucket_of, HistSnapshot, BUCKETS};
 use proptest::prelude::*;
 
-/// Spread `samples` round-robin over `shards` atomic histograms, merge
-/// the snapshots, and compare against one histogram fed everything.
+/// One histogram fed every sample.
+fn recorded(samples: &[u64]) -> HistSnapshot {
+    let mut h = HistSnapshot::default();
+    for &v in samples {
+        h.record(v);
+    }
+    h
+}
+
+/// Spread `samples` round-robin over `shards` histograms, merge them,
+/// and compare against one histogram fed everything.
 fn record_sharded(samples: &[u64], shards: usize) -> (HistSnapshot, HistSnapshot) {
-    let split: Vec<Histogram> = (0..shards).map(|_| Histogram::new()).collect();
-    let single = Histogram::new();
+    let mut split = vec![HistSnapshot::default(); shards];
     for (i, &v) in samples.iter().enumerate() {
         split[i % shards].record(v);
-        single.record(v);
     }
     let mut merged = HistSnapshot::default();
     for h in &split {
-        merged.absorb(&h.snapshot());
+        merged.absorb(h);
     }
-    (merged, single.snapshot())
+    (merged, recorded(samples))
 }
 
 proptest! {
@@ -46,11 +53,7 @@ proptest! {
     fn percentiles_are_monotone_and_bounded(
         samples in prop::collection::vec(0u64..10_000_000, 1..300),
     ) {
-        let h = Histogram::new();
-        for &v in &samples {
-            h.record(v);
-        }
-        let s = h.snapshot();
+        let s = recorded(&samples);
         let (p50, p90, p99, p999) = (s.p50(), s.p90(), s.p99(), s.p999());
         prop_assert!(p50 <= p90);
         prop_assert!(p90 <= p99);
@@ -68,14 +71,10 @@ proptest! {
         normal in prop::collection::vec(0u64..1_000_000, 0..50),
         extremes in 1usize..4,
     ) {
-        let h = Histogram::new();
-        for &v in &normal {
-            h.record(v);
-        }
+        let mut s = recorded(&normal);
         for _ in 0..extremes {
-            h.record(u64::MAX);
+            s.record(u64::MAX);
         }
-        let s = h.snapshot();
         prop_assert_eq!(s.sum, u64::MAX);
         prop_assert_eq!(s.max, u64::MAX);
         prop_assert_eq!(s.count, (normal.len() + extremes) as u64);
@@ -102,11 +101,7 @@ proptest! {
         samples in prop::collection::vec(0u64..100_000_000, 0..100),
     ) {
         use jungle_obs::{Json, ToJson};
-        let h = Histogram::new();
-        for &v in &samples {
-            h.record(v);
-        }
-        let s = h.snapshot();
+        let s = recorded(&samples);
         let text = s.to_json().to_string();
         let back = HistSnapshot::from_json(&Json::parse(&text).unwrap()).unwrap();
         prop_assert_eq!(back, s);

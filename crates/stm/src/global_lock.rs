@@ -10,11 +10,9 @@
 //! opacity only parametrized by fully relaxed models (Theorem 3), and
 //! SGLA for every model (Theorem 7).
 
-use crate::api::{Aborted, Ctx, TmAlgo};
+use crate::api::{Aborted, Ctx, Protocol};
 use crate::cell::Heap;
-use crate::recorder::{rd_op, wr_op};
-use jungle_core::ids::{ProcId, Var};
-use jungle_core::op::Op;
+use jungle_core::ids::ProcId;
 use jungle_isa::tm::Instrumentation;
 use jungle_obs::trace::{self, EventKind};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -68,13 +66,7 @@ impl<C: Codec> Fig6Core<C> {
                 .compare_exchange(0, lock_word(cx.pid), Ordering::SeqCst, Ordering::SeqCst)
                 .is_ok()
             {
-                if let Some(m) = cx.met() {
-                    m.lock_acquisitions.inc(cx.shard());
-                }
                 return;
-            }
-            if let Some(m) = cx.met() {
-                m.lock_spins.inc(cx.shard());
             }
             let mut spins = 0u32;
             while self.lock.load(Ordering::Relaxed) != 0 {
@@ -94,21 +86,13 @@ impl<C: Codec> Fig6Core<C> {
         self.lock.store(0, Ordering::SeqCst);
     }
 
-    pub fn txn_start(&self, cx: &mut Ctx) {
-        let tok = cx.rec().map(|r| r.begin());
+    pub fn start(&self, cx: &mut Ctx) {
         self.acquire(cx);
         cx.reset_txn();
-        if let (Some(r), Some(t)) = (cx.rec(), tok) {
-            r.finish(cx.pid, t, Op::Start);
-        }
     }
 
-    pub fn txn_read(&self, cx: &mut Ctx, var: usize) -> u64 {
-        let tok = cx.rec().map(|r| r.begin());
-        if let Some(m) = cx.met() {
-            m.txn_reads.inc(cx.shard());
-        }
-        let val = if let Some(v) = cx.ws_get(var) {
+    pub fn read(&self, cx: &mut Ctx, var: usize) -> u64 {
+        if let Some(v) = cx.ws_get(var) {
             v
         } else if let Some(w) = cx.rs_get(var) {
             self.codec.decode(w)
@@ -116,18 +100,10 @@ impl<C: Codec> Fig6Core<C> {
             let w = self.heap.load(var);
             cx.readset.push((var, w));
             self.codec.decode(w)
-        };
-        if let (Some(r), Some(t)) = (cx.rec(), tok) {
-            r.finish(cx.pid, t, rd_op(Var(var as u32), val));
         }
-        val
     }
 
-    pub fn txn_write(&self, cx: &mut Ctx, var: usize, val: u64) {
-        let tok = cx.rec().map(|r| r.begin());
-        if let Some(m) = cx.met() {
-            m.txn_writes.inc(cx.shard());
-        }
+    pub fn write(&self, cx: &mut Ctx, var: usize, val: u64) {
         // Figure 6: a transactional write first latches the current
         // word (a transactional read) for the commit-time CAS.
         if cx.rs_get(var).is_none() && cx.ws_get(var).is_none() {
@@ -135,13 +111,9 @@ impl<C: Codec> Fig6Core<C> {
             cx.readset.push((var, w));
         }
         cx.ws_put(var, val);
-        if let (Some(r), Some(t)) = (cx.rec(), tok) {
-            r.finish(cx.pid, t, wr_op(Var(var as u32), val));
-        }
     }
 
-    pub fn txn_commit(&self, cx: &mut Ctx) {
-        let tok = cx.rec().map(|r| r.begin());
+    pub fn commit(&self, cx: &mut Ctx) {
         for i in 0..cx.writeset.len() {
             let (var, val) = cx.writeset[i];
             let expected = cx
@@ -152,46 +124,27 @@ impl<C: Codec> Fig6Core<C> {
             // failure means a non-transactional write intervened and
             // serializes after this transaction.
             if !self.heap.cas(var, expected, new) {
-                if let Some(m) = cx.met() {
-                    m.cas_failures.inc(cx.shard());
-                }
                 trace::emit(EventKind::StmCasFail, u64::from(cx.pid.0), var as u64);
             }
         }
         self.release();
         cx.reset_txn();
-        if let (Some(r), Some(t)) = (cx.rec(), tok) {
-            r.finish(cx.pid, t, Op::Commit);
-        }
     }
 
-    pub fn txn_abort(&self, cx: &mut Ctx) {
-        let tok = cx.rec().map(|r| r.begin());
+    pub fn abort(&self, cx: &mut Ctx) {
         self.release();
         cx.reset_txn();
-        if let (Some(r), Some(t)) = (cx.rec(), tok) {
-            r.finish(cx.pid, t, Op::Abort);
-        }
     }
 
-    pub fn nt_read(&self, cx: &mut Ctx, var: usize) -> u64 {
-        let tok = cx.rec().map(|r| r.begin());
-        let val = self.codec.decode(self.heap.load(var));
-        if let (Some(r), Some(t)) = (cx.rec(), tok) {
-            r.finish(cx.pid, t, rd_op(Var(var as u32), val));
-        }
-        val
+    pub fn nontxn_read(&self, var: usize) -> u64 {
+        self.codec.decode(self.heap.load(var))
     }
 
     /// Uninstrumented (or codec-packed) non-transactional write: a
     /// single store.
-    pub fn nt_write_plain(&self, cx: &mut Ctx, var: usize, val: u64) {
-        let tok = cx.rec().map(|r| r.begin());
+    pub fn nontxn_write(&self, cx: &mut Ctx, var: usize, val: u64) {
         let w = self.codec.encode(cx, val);
         self.heap.store(var, w);
-        if let (Some(r), Some(t)) = (cx.rec(), tok) {
-            r.finish(cx.pid, t, wr_op(Var(var as u32), val));
-        }
     }
 }
 
@@ -209,62 +162,53 @@ impl GlobalLockStm {
     }
 }
 
-impl TmAlgo for GlobalLockStm {
-    fn name(&self) -> &'static str {
-        "global-lock"
+impl Protocol for GlobalLockStm {
+    fn class(&self) -> (&'static str, Instrumentation) {
+        ("global-lock", Instrumentation::Uninstrumented)
     }
 
-    fn instrumentation(&self) -> Instrumentation {
-        Instrumentation::Uninstrumented
+    #[inline]
+    fn start(&self, cx: &mut Ctx) {
+        self.core.start(cx);
     }
 
-    fn txn_start(&self, cx: &mut Ctx) {
-        self.core.txn_start(cx);
+    #[inline]
+    fn read(&self, cx: &mut Ctx, var: usize) -> Result<u64, Aborted> {
+        Ok(self.core.read(cx, var))
     }
 
-    fn txn_read(&self, cx: &mut Ctx, var: usize) -> Result<u64, Aborted> {
-        Ok(self.core.txn_read(cx, var))
-    }
-
-    fn txn_write(&self, cx: &mut Ctx, var: usize, val: u64) -> Result<(), Aborted> {
-        self.core.txn_write(cx, var, val);
+    #[inline]
+    fn write(&self, cx: &mut Ctx, var: usize, val: u64) -> Result<(), Aborted> {
+        self.core.write(cx, var, val);
         Ok(())
     }
 
-    fn txn_commit(&self, cx: &mut Ctx) -> Result<(), Aborted> {
-        self.core.txn_commit(cx);
-        if let Some(m) = cx.met() {
-            m.commits.inc(cx.shard());
-        }
+    #[inline]
+    fn commit(&self, cx: &mut Ctx) -> Result<(), Aborted> {
+        self.core.commit(cx);
         Ok(())
     }
 
-    fn txn_abort(&self, cx: &mut Ctx) {
-        self.core.txn_abort(cx);
-        if let Some(m) = cx.met() {
-            m.aborts.inc(cx.shard());
-        }
+    #[inline]
+    fn abort(&self, cx: &mut Ctx) {
+        self.core.abort(cx);
     }
 
-    fn nt_read(&self, cx: &mut Ctx, var: usize) -> u64 {
-        if let Some(m) = cx.met() {
-            m.nontxn_uninstrumented.inc(cx.shard());
-        }
-        self.core.nt_read(cx, var)
+    #[inline]
+    fn nontxn_read(&self, _cx: &mut Ctx, var: usize) -> u64 {
+        self.core.nontxn_read(var)
     }
 
-    fn nt_write(&self, cx: &mut Ctx, var: usize, val: u64) {
-        if let Some(m) = cx.met() {
-            m.nontxn_uninstrumented.inc(cx.shard());
-        }
-        self.core.nt_write_plain(cx, var, val);
+    #[inline]
+    fn nontxn_write(&self, cx: &mut Ctx, var: usize, val: u64) {
+        self.core.nontxn_write(cx, var, val);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::atomically;
+    use crate::api::{atomically, TmAlgo};
 
     #[test]
     fn single_thread_txn_semantics() {

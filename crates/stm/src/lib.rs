@@ -7,7 +7,9 @@
 //! the execution as a `jungle-core` history for online opacity/SGLA
 //! checking, and an optional live [`tap::StmTap`] that streams every
 //! transactional operation into a bounded ring for the
-//! `jungle-monitor` crate. The implementations reproduce the paper's
+//! `jungle-monitor` crate. The five implementations are algorithms
+//! only; both observers are driven from one place, the [`TmAlgo`]
+//! methods in [`api`]. The implementations reproduce the paper's
 //! design points:
 //!
 //! | STM | paper artifact | non-txn reads | non-txn writes |
@@ -20,7 +22,11 @@
 //!
 //! All five implement the object-safe [`TmAlgo`] trait; user code goes
 //! through [`atomically`] (retry-on-abort) or the typed
-//! [`tvar::TVarSpace`] facade.
+//! [`tvar::TVarSpace`] facade. How often a run committed, aborted or
+//! lost a CAS is read off [`Ctx::commits`] / [`Ctx::aborts`] and the
+//! flight recorder's `Txn*` / `StmCasFail` events; the per-operation
+//! `TmSnapshot` counts in `report` are derived from interpreter traces
+//! by `jungle-mc`.
 //!
 //! Memory-ordering note: the implementations use `SeqCst` throughout.
 //! The paper's subject is the *programmer-visible* model of
@@ -48,7 +54,6 @@ pub use api::{atomically, Aborted, Ctx, TmAlgo, Tx};
 pub use cell::Heap;
 pub use collections::{QueueState, TArray, TCounter, TQueue};
 pub use global_lock::GlobalLockStm;
-pub use jungle_obs::{TmMetrics, TmSnapshot};
 pub use recorder::Recorder;
 pub use strong::StrongStm;
 pub use tap::{StmTap, TapEvent, TapOp};

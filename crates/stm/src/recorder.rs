@@ -13,10 +13,17 @@
 //! guaranteeing the property, sound against scheduling races by
 //! construction.
 //!
+//! The algorithms never call the recorder. Its one caller is the
+//! observation point in [`api`](crate::api), which brackets every
+//! [`TmAlgo`](crate::TmAlgo) operation — `start` included — with
+//! `begin`/`finish`, so no path through any STM can respond without
+//! being recorded.
+//!
 //! An operation that never produces a response (e.g. a TL2 read whose
-//! validation fails, aborting the transaction) simply never calls
+//! validation fails, aborting the transaction) simply never reaches
 //! `finish`: per the paper's trace grammar the operation instance does
-//! not exist, and the abort that follows is the next operation.
+//! not exist, and the abort that follows is the next operation. A
+//! *commit* that fails did respond — with `abort` — and is recorded so.
 //!
 //! Loss accounting audit: the recorder itself **never drops** events —
 //! its buffer is unbounded and the only narrowing conversion
@@ -126,13 +133,6 @@ impl Recorder {
         });
     }
 
-    /// Record a zero-width operation at the current instant (begin +
-    /// finish).
-    pub fn instant(&self, proc: ProcId, op: Op) {
-        let t = self.begin();
-        self.finish(proc, t, op);
-    }
-
     /// Number of recorded events (two per completed operation).
     pub fn len(&self) -> usize {
         self.events.lock().unwrap().len()
@@ -170,6 +170,14 @@ impl Recorder {
 mod tests {
     use super::*;
     use jungle_core::ids::X;
+
+    impl Recorder {
+        /// A zero-width operation (begin + finish).
+        fn instant(&self, proc: ProcId, op: Op) {
+            let t = self.begin();
+            self.finish(proc, t, op);
+        }
+    }
 
     #[test]
     fn interval_recording_roundtrips() {

@@ -24,11 +24,8 @@
 //!   non-transactional reads can stay uninstrumented — and
 //!   `jungle-bench` measures exactly what that saves.
 
-use crate::api::{Aborted, Ctx, TmAlgo};
+use crate::api::{Aborted, Ctx, Protocol};
 use crate::cell::Heap;
-use crate::recorder::{rd_op, wr_op};
-use jungle_core::ids::Var;
-use jungle_core::op::Op;
 use jungle_isa::tm::Instrumentation;
 use jungle_obs::trace::{self, EventKind};
 
@@ -146,6 +143,7 @@ impl StrongStm {
         self.data.store(var, val);
     }
 
+    #[inline]
     fn release_all(&self, cx: &mut Ctx) {
         for &var in &cx.locks {
             self.meta.store(var, enc_shared(0));
@@ -164,31 +162,21 @@ impl StrongStm {
 
     /// Acquire `var`'s record in shared mode; `Err` aborts (rollback
     /// already done).
+    #[inline]
     fn acquire_shared(&self, cx: &mut Ctx, var: usize) -> Result<(), Aborted> {
         for _ in 0..TXN_SPIN {
             let w = self.meta.load(var);
             match tag(w) {
                 TAG_SHARED => {
                     if self.meta.cas(var, w, enc_shared(readers(w) + 1)) {
-                        if let Some(m) = cx.met() {
-                            m.lock_acquisitions.inc(cx.shard());
-                        }
                         cx.shared.push(var);
                         return Ok(());
-                    }
-                    if let Some(m) = cx.met() {
-                        m.cas_failures.inc(cx.shard());
                     }
                     trace::emit(EventKind::StmCasFail, u64::from(cx.pid.0), var as u64);
                 }
                 // Anonymous owners finish in O(1); exclusive owners may
                 // hold until commit — spin a bounded amount for both.
-                _ => {
-                    if let Some(m) = cx.met() {
-                        m.lock_spins.inc(cx.shard());
-                    }
-                    std::hint::spin_loop()
-                }
+                _ => std::hint::spin_loop(),
             }
         }
         self.release_all(cx);
@@ -196,6 +184,7 @@ impl StrongStm {
     }
 
     /// Acquire `var`'s record exclusively (upgrading a shared hold).
+    #[inline]
     fn acquire_excl(&self, cx: &mut Ctx, var: usize) -> Result<(), Aborted> {
         let upgrading = cx.shared.contains(&var);
         for _ in 0..TXN_SPIN {
@@ -209,32 +198,18 @@ impl StrongStm {
                     };
                     if w == expect {
                         if self.meta.cas(var, w, enc_excl(cx.pid.0)) {
-                            if let Some(m) = cx.met() {
-                                m.lock_acquisitions.inc(cx.shard());
-                            }
                             if upgrading {
                                 cx.shared.retain(|&v| v != var);
                             }
                             cx.locks.push(var);
                             return Ok(());
                         }
-                        if let Some(m) = cx.met() {
-                            m.cas_failures.inc(cx.shard());
-                        }
                         trace::emit(EventKind::StmCasFail, u64::from(cx.pid.0), var as u64);
                     } else {
-                        if let Some(m) = cx.met() {
-                            m.lock_spins.inc(cx.shard());
-                        }
                         std::hint::spin_loop(); // other readers present
                     }
                 }
-                _ => {
-                    if let Some(m) = cx.met() {
-                        m.lock_spins.inc(cx.shard());
-                    }
-                    std::hint::spin_loop()
-                }
+                _ => std::hint::spin_loop(),
             }
         }
         self.release_all(cx);
@@ -242,46 +217,27 @@ impl StrongStm {
     }
 }
 
-impl TmAlgo for StrongStm {
-    fn name(&self) -> &'static str {
-        if self.optimized_reads {
-            "strong-optimized"
-        } else {
-            "strong"
-        }
-    }
-
-    fn instrumentation(&self) -> Instrumentation {
+impl Protocol for StrongStm {
+    fn class(&self) -> (&'static str, Instrumentation) {
         if self.optimized_reads {
             // Reads de-instrumented; writes still acquire ownership.
-            Instrumentation::UnboundedWrites
+            ("strong-optimized", Instrumentation::UnboundedWrites)
         } else {
-            Instrumentation::Full
+            ("strong", Instrumentation::Full)
         }
     }
 
-    fn txn_start(&self, cx: &mut Ctx) {
+    #[inline]
+    fn start(&self, cx: &mut Ctx) {
         cx.reset_txn();
-        if let Some(r) = cx.rec() {
-            r.instant(cx.pid, Op::Start);
-        }
     }
 
-    fn txn_read(&self, cx: &mut Ctx, var: usize) -> Result<u64, Aborted> {
-        let tok = cx.rec().map(|r| r.begin());
-        if let Some(m) = cx.met() {
-            m.txn_reads.inc(cx.shard());
-        }
+    #[inline]
+    fn read(&self, cx: &mut Ctx, var: usize) -> Result<u64, Aborted> {
         if let Some(v) = cx.ws_get(var) {
-            if let (Some(r), Some(t)) = (cx.rec(), tok) {
-                r.finish(cx.pid, t, rd_op(Var(var as u32), v));
-            }
             return Ok(v);
         }
         if let Some(v) = cx.rs_get(var) {
-            if let (Some(r), Some(t)) = (cx.rec(), tok) {
-                r.finish(cx.pid, t, rd_op(Var(var as u32), v));
-            }
             return Ok(v);
         }
         if !cx.locks.contains(&var) && !cx.shared.contains(&var) {
@@ -289,64 +245,36 @@ impl TmAlgo for StrongStm {
         }
         let v = self.data.load(var);
         cx.readset.push((var, v));
-        if let (Some(r), Some(t)) = (cx.rec(), tok) {
-            r.finish(cx.pid, t, rd_op(Var(var as u32), v));
-        }
         Ok(v)
     }
 
-    fn txn_write(&self, cx: &mut Ctx, var: usize, val: u64) -> Result<(), Aborted> {
-        let tok = cx.rec().map(|r| r.begin());
-        if let Some(m) = cx.met() {
-            m.txn_writes.inc(cx.shard());
-        }
+    #[inline]
+    fn write(&self, cx: &mut Ctx, var: usize, val: u64) -> Result<(), Aborted> {
         if !cx.locks.contains(&var) {
             self.acquire_excl(cx, var)?;
         }
         cx.ws_put(var, val);
-        if let (Some(r), Some(t)) = (cx.rec(), tok) {
-            r.finish(cx.pid, t, wr_op(Var(var as u32), val));
-        }
         Ok(())
     }
 
-    fn txn_commit(&self, cx: &mut Ctx) -> Result<(), Aborted> {
-        let tok = cx.rec().map(|r| r.begin());
+    #[inline]
+    fn commit(&self, cx: &mut Ctx) -> Result<(), Aborted> {
         for i in 0..cx.writeset.len() {
             let (var, val) = cx.writeset[i];
             debug_assert!(cx.locks.contains(&var));
             self.data.store(var, val);
         }
         self.release_all(cx);
-        if let (Some(r), Some(t)) = (cx.rec(), tok) {
-            r.finish(cx.pid, t, Op::Commit);
-        }
-        if let Some(m) = cx.met() {
-            m.commits.inc(cx.shard());
-        }
         Ok(())
     }
 
-    fn txn_abort(&self, cx: &mut Ctx) {
-        let tok = cx.rec().map(|r| r.begin());
+    #[inline]
+    fn abort(&self, cx: &mut Ctx) {
         self.release_all(cx);
-        if let (Some(r), Some(t)) = (cx.rec(), tok) {
-            r.finish(cx.pid, t, Op::Abort);
-        }
-        if let Some(m) = cx.met() {
-            m.aborts.inc(cx.shard());
-        }
     }
 
-    fn nt_read(&self, cx: &mut Ctx, var: usize) -> u64 {
-        let tok = cx.rec().map(|r| r.begin());
-        if let Some(m) = cx.met() {
-            if self.optimized_reads {
-                m.nontxn_uninstrumented.inc(cx.shard());
-            } else {
-                m.nontxn_instrumented.inc(cx.shard());
-            }
-        }
+    #[inline]
+    fn nontxn_read(&self, _cx: &mut Ctx, var: usize) -> u64 {
         if !self.optimized_reads {
             // Wait while a transaction holds the record exclusively.
             let mut spins = 0u32;
@@ -359,31 +287,18 @@ impl TmAlgo for StrongStm {
                 }
             }
         }
-        let v = self.data.load(var);
-        if let (Some(r), Some(t)) = (cx.rec(), tok) {
-            r.finish(cx.pid, t, rd_op(Var(var as u32), v));
-        }
-        v
+        self.data.load(var)
     }
 
-    fn nt_write(&self, cx: &mut Ctx, var: usize, val: u64) {
-        let tok = cx.rec().map(|r| r.begin());
-        if let Some(m) = cx.met() {
-            m.nontxn_instrumented.inc(cx.shard());
-        }
+    #[inline]
+    fn nontxn_write(&self, cx: &mut Ctx, var: usize, val: u64) {
         // Gain exclusive-anonymous ownership.
         let mut spins = 0u32;
         loop {
             let w = self.meta.load(var);
             if tag(w) == TAG_SHARED && readers(w) == 0 && self.meta.cas(var, w, enc_anon(cx.pid.0))
             {
-                if let Some(m) = cx.met() {
-                    m.lock_acquisitions.inc(cx.shard());
-                }
                 break;
-            }
-            if let Some(m) = cx.met() {
-                m.lock_spins.inc(cx.shard());
             }
             std::hint::spin_loop();
             spins += 1;
@@ -394,16 +309,13 @@ impl TmAlgo for StrongStm {
         }
         self.data.store(var, val);
         self.meta.store(var, enc_shared(0));
-        if let (Some(r), Some(t)) = (cx.rec(), tok) {
-            r.finish(cx.pid, t, wr_op(Var(var as u32), val));
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::atomically;
+    use crate::api::{atomically, TmAlgo};
     use jungle_core::ids::ProcId;
     use std::sync::Arc;
 

@@ -14,13 +14,17 @@
 //! ### Event-ordering discipline (soundness)
 //!
 //! The monitor reconstructs a real-time order from ring arrival order,
-//! so publish sites are placed to make that order an
+//! so the one publisher — the observation point in
+//! [`api`](crate::api), i.e. the [`TmAlgo`](crate::TmAlgo) methods
+//! every entry point calls ([`atomically`](crate::atomically), the
+//! typed facade, direct trait calls) — makes that order an
 //! **under-approximation** of the true one:
 //!
-//! * `Begin` is published *before* the algorithm's `txn_start`;
+//! * `Begin` is published *before* the algorithm starts;
 //! * `Commit` / `Abort` are published *after* the algorithm completed
-//!   the commit/rollback;
-//! * reads and writes are published after the operation succeeded.
+//!   the commit/rollback (a commit that fails publishes `Abort`);
+//! * reads and writes are published after the operation succeeded; one
+//!   that aborted the transaction publishes nothing.
 //!
 //! Hence if the ring shows transaction `T` committing before `T'`
 //! began, then `T` really did complete before `T'` started. A race can
@@ -115,7 +119,8 @@ impl StmTap {
     #[inline]
     pub fn publish_commit(&self, pid: ProcId) -> bool {
         let ticket = self.tickets.fetch_add(1, Ordering::AcqRel);
-        self.publish(pid, TapOp::Commit { ticket })
+        let op = TapOp::Commit { ticket };
+        self.ring.push(TapEvent { pid, op })
     }
 
     /// Pop the oldest event (single consumer).

@@ -11,11 +11,8 @@
 //! §6.1 discussion implies: what a TM costs when one gives up on
 //! non-transactional guarantees entirely.
 
-use crate::api::{Aborted, Ctx, TmAlgo};
+use crate::api::{Aborted, Ctx, Protocol};
 use crate::cell::Heap;
-use crate::recorder::{rd_op, wr_op, OpToken};
-use jungle_core::ids::Var;
-use jungle_core::op::Op;
 use jungle_isa::tm::Instrumentation;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -53,6 +50,7 @@ impl Tl2Stm {
         }
     }
 
+    #[inline]
     fn rollback(&self, cx: &mut Ctx) {
         // Release any commit-time locks at their pre-lock version.
         for &var in &cx.locks {
@@ -62,50 +60,24 @@ impl Tl2Stm {
         }
         cx.reset_txn();
     }
-
-    /// A commit that lost: roll back and record the commit operation
-    /// as answered by `abort`, so the retry's `start` follows a
-    /// completed transaction in the recorded trace.
-    fn fail_commit(&self, cx: &mut Ctx, tok: Option<OpToken>) -> Result<(), Aborted> {
-        self.rollback(cx);
-        if let (Some(r), Some(t)) = (cx.rec(), tok) {
-            r.finish(cx.pid, t, Op::Abort);
-        }
-        if let Some(m) = cx.met() {
-            m.aborts.inc(cx.shard());
-        }
-        Err(Aborted)
-    }
 }
 
-impl TmAlgo for Tl2Stm {
-    fn name(&self) -> &'static str {
-        "tl2"
-    }
-
-    fn instrumentation(&self) -> Instrumentation {
+impl Protocol for Tl2Stm {
+    fn class(&self) -> (&'static str, Instrumentation) {
         // Plain non-transactional accesses — but unlike the Figure 6
         // family this buys no strong guarantee; see the module docs.
-        Instrumentation::Uninstrumented
+        ("tl2", Instrumentation::Uninstrumented)
     }
 
-    fn txn_start(&self, cx: &mut Ctx) {
+    #[inline]
+    fn start(&self, cx: &mut Ctx) {
         cx.reset_txn();
         cx.rv = self.clock.load(Ordering::SeqCst);
-        if let Some(r) = cx.rec() {
-            r.instant(cx.pid, Op::Start);
-        }
     }
 
-    fn txn_read(&self, cx: &mut Ctx, var: usize) -> Result<u64, Aborted> {
-        let tok = cx.rec().map(|r| r.begin());
-        if let Some(m) = cx.met() {
-            m.txn_reads.inc(cx.shard());
-        }
+    #[inline]
+    fn read(&self, cx: &mut Ctx, var: usize) -> Result<u64, Aborted> {
         if let Some(v) = cx.ws_get(var) {
-            if let (Some(r), Some(t)) = (cx.rec(), tok) {
-                r.finish(cx.pid, t, rd_op(Var(var as u32), v));
-            }
             return Ok(v);
         }
         // Sample lock, read data, revalidate.
@@ -121,35 +93,20 @@ impl TmAlgo for Tl2Stm {
             return Err(Aborted);
         }
         cx.readset.push((var, v1));
-        if let (Some(r), Some(t)) = (cx.rec(), tok) {
-            r.finish(cx.pid, t, rd_op(Var(var as u32), val));
-        }
         Ok(val)
     }
 
-    fn txn_write(&self, cx: &mut Ctx, var: usize, val: u64) -> Result<(), Aborted> {
-        let tok = cx.rec().map(|r| r.begin());
-        if let Some(m) = cx.met() {
-            m.txn_writes.inc(cx.shard());
-        }
+    #[inline]
+    fn write(&self, cx: &mut Ctx, var: usize, val: u64) -> Result<(), Aborted> {
         cx.ws_put(var, val);
-        if let (Some(r), Some(t)) = (cx.rec(), tok) {
-            r.finish(cx.pid, t, wr_op(Var(var as u32), val));
-        }
         Ok(())
     }
 
-    fn txn_commit(&self, cx: &mut Ctx) -> Result<(), Aborted> {
-        let tok = cx.rec().map(|r| r.begin());
+    #[inline]
+    fn commit(&self, cx: &mut Ctx) -> Result<(), Aborted> {
         if cx.writeset.is_empty() {
             // Read-only transactions were validated as they went.
             cx.reset_txn();
-            if let (Some(r), Some(t)) = (cx.rec(), tok) {
-                r.finish(cx.pid, t, Op::Commit);
-            }
-            if let Some(m) = cx.met() {
-                m.commits.inc(cx.shard());
-            }
             return Ok(());
         }
         // Phase 1: lock the write set.
@@ -159,20 +116,15 @@ impl TmAlgo for Tl2Stm {
             for _ in 0..LOCK_SPIN {
                 let w = self.vlocks.load(var);
                 if !locked(w) && self.vlocks.cas(var, w, enc(version(w), true)) {
-                    if let Some(m) = cx.met() {
-                        m.lock_acquisitions.inc(cx.shard());
-                    }
                     cx.locks.push(var);
                     acquired = true;
                     break;
                 }
-                if let Some(m) = cx.met() {
-                    m.lock_spins.inc(cx.shard());
-                }
                 std::hint::spin_loop();
             }
             if !acquired {
-                return self.fail_commit(cx, tok);
+                self.rollback(cx);
+                return Err(Aborted);
             }
         }
         // Phase 2: increment the clock.
@@ -184,7 +136,8 @@ impl TmAlgo for Tl2Stm {
                 let w = self.vlocks.load(var);
                 let locked_by_me = cx.locks.contains(&var);
                 if version(w) > cx.rv || (locked(w) && !locked_by_me) || version(w) != version(v1) {
-                    return self.fail_commit(cx, tok);
+                    self.rollback(cx);
+                    return Err(Aborted);
                 }
             }
         }
@@ -199,54 +152,29 @@ impl TmAlgo for Tl2Stm {
         }
         cx.locks.clear();
         cx.reset_txn();
-        if let (Some(r), Some(t)) = (cx.rec(), tok) {
-            r.finish(cx.pid, t, Op::Commit);
-        }
-        if let Some(m) = cx.met() {
-            m.commits.inc(cx.shard());
-        }
         Ok(())
     }
 
-    fn txn_abort(&self, cx: &mut Ctx) {
-        let tok = cx.rec().map(|r| r.begin());
+    #[inline]
+    fn abort(&self, cx: &mut Ctx) {
         self.rollback(cx);
-        if let (Some(r), Some(t)) = (cx.rec(), tok) {
-            r.finish(cx.pid, t, Op::Abort);
-        }
-        if let Some(m) = cx.met() {
-            m.aborts.inc(cx.shard());
-        }
     }
 
-    fn nt_read(&self, cx: &mut Ctx, var: usize) -> u64 {
-        let tok = cx.rec().map(|r| r.begin());
-        if let Some(m) = cx.met() {
-            m.nontxn_uninstrumented.inc(cx.shard());
-        }
-        let v = self.data.load(var);
-        if let (Some(r), Some(t)) = (cx.rec(), tok) {
-            r.finish(cx.pid, t, rd_op(Var(var as u32), v));
-        }
-        v
+    #[inline]
+    fn nontxn_read(&self, _cx: &mut Ctx, var: usize) -> u64 {
+        self.data.load(var)
     }
 
-    fn nt_write(&self, cx: &mut Ctx, var: usize, val: u64) {
-        let tok = cx.rec().map(|r| r.begin());
-        if let Some(m) = cx.met() {
-            m.nontxn_uninstrumented.inc(cx.shard());
-        }
+    #[inline]
+    fn nontxn_write(&self, _cx: &mut Ctx, var: usize, val: u64) {
         self.data.store(var, val);
-        if let (Some(r), Some(t)) = (cx.rec(), tok) {
-            r.finish(cx.pid, t, wr_op(Var(var as u32), val));
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::atomically;
+    use crate::api::{atomically, TmAlgo};
     use jungle_core::ids::ProcId;
     use std::sync::Arc;
 

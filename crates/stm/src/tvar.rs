@@ -21,7 +21,7 @@
 //! assert!(th.read_now(&flag));
 //! ```
 
-use crate::api::{Aborted, Ctx, TmAlgo};
+use crate::api::{atomically, Aborted, Ctx, TmAlgo};
 use crate::recorder::Recorder;
 use crate::word::Word;
 use jungle_core::ids::ProcId;
@@ -150,35 +150,12 @@ impl<A: TmAlgo> TVarThread<A> {
         &mut self,
         mut body: impl FnMut(&mut TypedTx<'_>) -> Result<R, Aborted>,
     ) -> R {
-        let tm: &A = &self.tm;
-        let mut attempt = 0u32;
-        loop {
-            tm.txn_start(&mut self.cx);
-            let out = {
-                let mut tx = TypedTx {
-                    tm,
-                    cx: &mut self.cx,
-                };
-                body(&mut tx)
-            };
-            match out {
-                Ok(r) => {
-                    if tm.txn_commit(&mut self.cx).is_ok() {
-                        return r;
-                    }
-                }
-                Err(Aborted) => tm.txn_abort(&mut self.cx),
-            }
-            attempt = attempt.saturating_add(1);
-            let spins = 1u64 << attempt.min(10);
-            let jitter = self.cx.next_rand() % spins.max(1);
-            for _ in 0..(spins + jitter) {
-                std::hint::spin_loop();
-            }
-            if attempt > 10 {
-                std::thread::yield_now();
-            }
-        }
+        atomically(&*self.tm, &mut self.cx, |tx| {
+            body(&mut TypedTx {
+                tm: tx.tm,
+                cx: &mut *tx.cx,
+            })
+        })
     }
 
     /// This thread's process id.

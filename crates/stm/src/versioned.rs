@@ -15,7 +15,7 @@
 //!
 //! Guarantees opacity parametrized by any `M ∉ Mrr ∪ Mwr` (e.g. Alpha).
 
-use crate::api::{Aborted, Ctx, TmAlgo};
+use crate::api::{observe_nt_read, Aborted, Ctx, Protocol};
 use crate::global_lock::{Codec, Fig6Core};
 use jungle_isa::tm::Instrumentation;
 
@@ -83,86 +83,72 @@ impl VersionedStm {
     /// operation transaction". This is that access path: a
     /// single-operation transaction under the global lock. Use it for
     /// reads whose address was computed from a prior non-transactional
-    /// read; use plain [`TmAlgo::nt_read`] everywhere else.
+    /// read; use plain [`TmAlgo::nt_read`](crate::TmAlgo::nt_read)
+    /// everywhere else.
     pub fn nt_read_volatile(&self, cx: &mut Ctx, var: usize) -> u64 {
-        if let Some(m) = cx.met() {
-            m.nontxn_instrumented.inc(cx.shard());
-        }
-        self.core.acquire(cx);
-        let tok = cx.rec().map(|r| r.begin());
-        let val = packing::value(self.core.heap.load(var));
-        if let (Some(r), Some(t)) = (cx.rec(), tok) {
-            r.finish(
-                cx.pid,
-                t,
-                crate::recorder::rd_op(jungle_core::ids::Var(var as u32), val),
-            );
-        }
-        self.core.release();
-        val
+        observe_nt_read(cx, var, |cx| {
+            self.core.acquire(cx);
+            let val = self.core.nontxn_read(var);
+            self.core.release();
+            val
+        })
     }
 }
 
-impl TmAlgo for VersionedStm {
-    fn name(&self) -> &'static str {
-        "versioned"
+impl Protocol for VersionedStm {
+    fn class(&self) -> (&'static str, Instrumentation) {
+        (
+            "versioned",
+            Instrumentation::ConstantTimeWrites { bound: 1 },
+        )
     }
 
-    fn instrumentation(&self) -> Instrumentation {
-        Instrumentation::ConstantTimeWrites { bound: 1 }
+    #[inline]
+    fn start(&self, cx: &mut Ctx) {
+        self.core.start(cx);
     }
 
-    fn txn_start(&self, cx: &mut Ctx) {
-        self.core.txn_start(cx);
+    #[inline]
+    fn read(&self, cx: &mut Ctx, var: usize) -> Result<u64, Aborted> {
+        Ok(self.core.read(cx, var))
     }
 
-    fn txn_read(&self, cx: &mut Ctx, var: usize) -> Result<u64, Aborted> {
-        Ok(self.core.txn_read(cx, var))
-    }
-
-    fn txn_write(&self, cx: &mut Ctx, var: usize, val: u64) -> Result<(), Aborted> {
+    #[inline]
+    fn write(&self, cx: &mut Ctx, var: usize, val: u64) -> Result<(), Aborted> {
         debug_assert!(val <= packing::MAX_VALUE);
-        self.core.txn_write(cx, var, val);
+        self.core.write(cx, var, val);
         Ok(())
     }
 
-    fn txn_commit(&self, cx: &mut Ctx) -> Result<(), Aborted> {
-        self.core.txn_commit(cx);
-        if let Some(m) = cx.met() {
-            m.commits.inc(cx.shard());
-        }
+    #[inline]
+    fn commit(&self, cx: &mut Ctx) -> Result<(), Aborted> {
+        self.core.commit(cx);
         Ok(())
     }
 
-    fn txn_abort(&self, cx: &mut Ctx) {
-        self.core.txn_abort(cx);
-        if let Some(m) = cx.met() {
-            m.aborts.inc(cx.shard());
-        }
+    #[inline]
+    fn abort(&self, cx: &mut Ctx) {
+        self.core.abort(cx);
     }
 
-    fn nt_read(&self, cx: &mut Ctx, var: usize) -> u64 {
-        if let Some(m) = cx.met() {
-            m.nontxn_uninstrumented.inc(cx.shard());
-        }
-        self.core.nt_read(cx, var)
+    #[inline]
+    fn nontxn_read(&self, _cx: &mut Ctx, var: usize) -> u64 {
+        self.core.nontxn_read(var)
     }
 
-    fn nt_write(&self, cx: &mut Ctx, var: usize, val: u64) {
+    #[inline]
+    fn nontxn_write(&self, cx: &mut Ctx, var: usize, val: u64) {
         debug_assert!(val <= packing::MAX_VALUE);
         // One store of a fresh packed word — constant-time, but still
         // instrumentation relative to a bare store.
-        if let Some(m) = cx.met() {
-            m.nontxn_instrumented.inc(cx.shard());
-        }
-        self.core.nt_write_plain(cx, var, val);
+        self.core.nontxn_write(cx, var, val);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::atomically;
+    use crate::api::{atomically, TmAlgo};
     use jungle_core::ids::ProcId;
 
     #[test]

@@ -9,10 +9,8 @@
 //! and is *unbounded* — the motivation for Theorem 5's constant-time
 //! scheme.
 
-use crate::api::{Aborted, Ctx, TmAlgo};
+use crate::api::{Aborted, Ctx, Protocol};
 use crate::global_lock::{Fig6Core, RawCodec};
-use crate::recorder::wr_op;
-use jungle_core::ids::Var;
 use jungle_isa::tm::Instrumentation;
 
 /// The Theorem 4 STM.
@@ -29,68 +27,55 @@ impl WriteTxnStm {
     }
 }
 
-impl TmAlgo for WriteTxnStm {
-    fn name(&self) -> &'static str {
-        "write-txn"
+impl Protocol for WriteTxnStm {
+    fn class(&self) -> (&'static str, Instrumentation) {
+        ("write-txn", Instrumentation::UnboundedWrites)
     }
 
-    fn instrumentation(&self) -> Instrumentation {
-        Instrumentation::UnboundedWrites
+    #[inline]
+    fn start(&self, cx: &mut Ctx) {
+        self.core.start(cx);
     }
 
-    fn txn_start(&self, cx: &mut Ctx) {
-        self.core.txn_start(cx);
+    #[inline]
+    fn read(&self, cx: &mut Ctx, var: usize) -> Result<u64, Aborted> {
+        Ok(self.core.read(cx, var))
     }
 
-    fn txn_read(&self, cx: &mut Ctx, var: usize) -> Result<u64, Aborted> {
-        Ok(self.core.txn_read(cx, var))
-    }
-
-    fn txn_write(&self, cx: &mut Ctx, var: usize, val: u64) -> Result<(), Aborted> {
-        self.core.txn_write(cx, var, val);
+    #[inline]
+    fn write(&self, cx: &mut Ctx, var: usize, val: u64) -> Result<(), Aborted> {
+        self.core.write(cx, var, val);
         Ok(())
     }
 
-    fn txn_commit(&self, cx: &mut Ctx) -> Result<(), Aborted> {
-        self.core.txn_commit(cx);
-        if let Some(m) = cx.met() {
-            m.commits.inc(cx.shard());
-        }
+    #[inline]
+    fn commit(&self, cx: &mut Ctx) -> Result<(), Aborted> {
+        self.core.commit(cx);
         Ok(())
     }
 
-    fn txn_abort(&self, cx: &mut Ctx) {
-        self.core.txn_abort(cx);
-        if let Some(m) = cx.met() {
-            m.aborts.inc(cx.shard());
-        }
+    #[inline]
+    fn abort(&self, cx: &mut Ctx) {
+        self.core.abort(cx);
     }
 
-    fn nt_read(&self, cx: &mut Ctx, var: usize) -> u64 {
-        if let Some(m) = cx.met() {
-            m.nontxn_uninstrumented.inc(cx.shard());
-        }
-        self.core.nt_read(cx, var)
+    #[inline]
+    fn nontxn_read(&self, _cx: &mut Ctx, var: usize) -> u64 {
+        self.core.nontxn_read(var)
     }
 
-    fn nt_write(&self, cx: &mut Ctx, var: usize, val: u64) {
-        if let Some(m) = cx.met() {
-            m.nontxn_instrumented.inc(cx.shard());
-        }
-        let tok = cx.rec().map(|r| r.begin());
+    #[inline]
+    fn nontxn_write(&self, cx: &mut Ctx, var: usize, val: u64) {
         self.core.acquire(cx);
         self.core.heap.store(var, val);
         self.core.release();
-        if let (Some(r), Some(t)) = (cx.rec(), tok) {
-            r.finish(cx.pid, t, wr_op(Var(var as u32), val));
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::atomically;
+    use crate::api::{atomically, TmAlgo};
     use jungle_core::ids::ProcId;
 
     #[test]

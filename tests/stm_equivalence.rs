@@ -1,13 +1,22 @@
 //! Property: on single-threaded programs, every STM implements the same
 //! sequential semantics — a simple reference interpreter. (Concurrency
-//! differentiates them; sequential behaviour must not.)
+//! differentiates them; sequential behaviour must not.) And whoever is
+//! watching sees exactly that: with a recorder and a tap attached, the
+//! recorded history and the tap stream are the script's operations,
+//! one for one, with the values the reference predicts.
 
 use jungle::mc::program::{Stmt, ThreadProg, TxOp};
 use jungle::stm::api::{Ctx, TmAlgo};
-use jungle::stm::{GlobalLockStm, StrongStm, Tl2Stm, VersionedStm, WriteTxnStm};
+use jungle::stm::recorder::{rd_op, wr_op};
+use jungle::stm::{
+    GlobalLockStm, Recorder, StmTap, StrongStm, TapOp, Tl2Stm, VersionedStm, WriteTxnStm,
+};
 use jungle_core::ids::{ProcId, Val, Var};
+use jungle_core::op::{Command, Op};
+use jungle_obs::Backpressure;
 use proptest::prelude::*;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 const VARS: u32 = 4;
 
@@ -31,39 +40,90 @@ fn act_strategy() -> impl Strategy<Value = Act> {
 }
 
 /// Reference semantics: a flat map, transactions are just grouped ops
-/// (aborting transactions discard their writes), reads are recorded.
-fn reference(acts: &[Act]) -> Vec<Val> {
+/// (aborting transactions discard their writes). Returns the reads of
+/// non-transactional code and committed transactions, and every
+/// operation of the script — aborting transactions included — with the
+/// value it must observe.
+fn reference(acts: &[Act]) -> (Vec<Val>, Vec<Op>) {
     let mut mem: HashMap<u8, Val> = HashMap::new();
     let mut reads = Vec::new();
+    let mut ops = Vec::new();
+    let var = |v: &u8| Var(u32::from(*v));
     for a in acts {
         match a {
-            Act::NtRead(v) => reads.push(mem.get(v).copied().unwrap_or(0)),
+            Act::NtRead(v) => {
+                let val = mem.get(v).copied().unwrap_or(0);
+                reads.push(val);
+                ops.push(rd_op(var(v), val));
+            }
             Act::NtWrite(v, x) => {
                 mem.insert(*v, Val::from(*x));
+                ops.push(wr_op(var(v), Val::from(*x)));
             }
-            Act::Txn(ops, abort) => {
+            Act::Txn(txn_ops, abort) => {
                 let mut local = mem.clone();
                 let mut txn_reads = Vec::new();
-                for (is_read, v, x) in ops {
+                ops.push(Op::Start);
+                for (is_read, v, x) in txn_ops {
                     if *is_read {
-                        txn_reads.push(local.get(v).copied().unwrap_or(0));
+                        let val = local.get(v).copied().unwrap_or(0);
+                        txn_reads.push(val);
+                        ops.push(rd_op(var(v), val));
                     } else {
                         local.insert(*v, Val::from(*x));
+                        ops.push(wr_op(var(v), Val::from(*x)));
                     }
                 }
-                if !*abort {
+                if *abort {
+                    ops.push(Op::Abort);
+                } else {
                     mem = local;
                     reads.extend(txn_reads);
+                    ops.push(Op::Commit);
                 }
             }
         }
     }
-    reads
+    (reads, ops)
+}
+
+/// What the tap must carry for `ops`: the transactional operations
+/// only, commits ticketed in order.
+fn tap_stream(ops: &[Op]) -> Vec<TapOp> {
+    let mut out = Vec::new();
+    let (mut in_txn, mut ticket) = (false, 0);
+    for op in ops {
+        match op {
+            Op::Start => {
+                in_txn = true;
+                out.push(TapOp::Begin);
+            }
+            Op::Commit => {
+                in_txn = false;
+                out.push(TapOp::Commit { ticket });
+                ticket += 1;
+            }
+            Op::Abort => {
+                in_txn = false;
+                out.push(TapOp::Abort);
+            }
+            Op::Cmd(Command::Read { var, val }) if in_txn => out.push(TapOp::Read {
+                var: u64::from(var.0),
+                val: *val,
+            }),
+            Op::Cmd(Command::Write { var, val }) if in_txn => out.push(TapOp::Write {
+                var: u64::from(var.0),
+                val: *val,
+            }),
+            _ => {}
+        }
+    }
+    out
 }
 
 /// Convert to the mc DSL and run on a real STM, collecting committed
 /// reads (the runner's convention).
-fn run_on(tm: &dyn TmAlgo, acts: &[Act]) -> Vec<Val> {
+fn run_on(tm: &dyn TmAlgo, cx: &mut Ctx, acts: &[Act]) -> Vec<Val> {
     let stmts: Vec<Stmt> = acts
         .iter()
         .map(|a| match a {
@@ -91,27 +151,24 @@ fn run_on(tm: &dyn TmAlgo, acts: &[Act]) -> Vec<Val> {
     let prog = ThreadProg(stmts);
 
     // Single-threaded direct execution (no scheduler involved).
-    let mut cx = Ctx::new(ProcId(0), None);
     let mut reads = Vec::new();
     for stmt in &prog.0 {
         match stmt {
-            Stmt::NtRead(v) => reads.push(tm.nt_read(&mut cx, v.0 as usize)),
-            Stmt::NtWrite(v, val) => tm.nt_write(&mut cx, v.0 as usize, *val),
+            Stmt::NtRead(v) => reads.push(tm.nt_read(cx, v.0 as usize)),
+            Stmt::NtWrite(v, val) => tm.nt_write(cx, v.0 as usize, *val),
             Stmt::Txn { ops, abort } => {
-                tm.txn_start(&mut cx);
+                tm.txn_start(cx);
                 let mut txn_reads = Vec::new();
                 for op in ops {
                     match op {
-                        TxOp::Read(v) => {
-                            txn_reads.push(tm.txn_read(&mut cx, v.0 as usize).unwrap())
-                        }
-                        TxOp::Write(v, val) => tm.txn_write(&mut cx, v.0 as usize, *val).unwrap(),
+                        TxOp::Read(v) => txn_reads.push(tm.txn_read(cx, v.0 as usize).unwrap()),
+                        TxOp::Write(v, val) => tm.txn_write(cx, v.0 as usize, *val).unwrap(),
                     }
                 }
                 if *abort {
-                    tm.txn_abort(&mut cx);
+                    tm.txn_abort(cx);
                 } else {
-                    tm.txn_commit(&mut cx).unwrap();
+                    tm.txn_commit(cx).unwrap();
                     reads.extend(txn_reads);
                 }
             }
@@ -121,6 +178,17 @@ fn run_on(tm: &dyn TmAlgo, acts: &[Act]) -> Vec<Val> {
     reads
 }
 
+fn stms() -> Vec<Box<dyn TmAlgo>> {
+    vec![
+        Box::new(GlobalLockStm::new(VARS as usize)),
+        Box::new(WriteTxnStm::new(VARS as usize)),
+        Box::new(VersionedStm::new(VARS as usize)),
+        Box::new(StrongStm::new(VARS as usize)),
+        Box::new(StrongStm::new_optimized(VARS as usize)),
+        Box::new(Tl2Stm::new(VARS as usize)),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -128,21 +196,45 @@ proptest! {
     fn all_stms_agree_with_reference_single_threaded(
         acts in prop::collection::vec(act_strategy(), 0..12)
     ) {
-        let expected = reference(&acts);
-        let stms: Vec<Box<dyn TmAlgo>> = vec![
-            Box::new(GlobalLockStm::new(VARS as usize)),
-            Box::new(WriteTxnStm::new(VARS as usize)),
-            Box::new(VersionedStm::new(VARS as usize)),
-            Box::new(StrongStm::new(VARS as usize)),
-            Box::new(StrongStm::new_optimized(VARS as usize)),
-            Box::new(Tl2Stm::new(VARS as usize)),
-        ];
-        for tm in &stms {
-            let got = run_on(tm.as_ref(), &acts);
+        let (expected, expected_ops) = reference(&acts);
+        for tm in &stms() {
+            let got = run_on(tm.as_ref(), &mut Ctx::new(ProcId(0), None), &acts);
             prop_assert_eq!(
                 &got,
                 &expected,
                 "{} diverged from reference on {:?}",
+                tm.name(),
+                acts
+            );
+        }
+        // The same scripts on fresh STMs, observed both ways.
+        for tm in &stms() {
+            let rec = Arc::new(Recorder::new());
+            let tap = Arc::new(StmTap::new(256, Backpressure::Block));
+            let mut cx = Ctx::new(ProcId(0), Some(rec.clone())).with_tap(tap.clone());
+            let got = run_on(tm.as_ref(), &mut cx, &acts);
+            drop(cx);
+            prop_assert_eq!(&got, &expected, "{} diverged when observed", tm.name());
+            let h = Arc::try_unwrap(rec)
+                .expect("context dropped")
+                .into_trace()
+                .and_then(|t| t.canonical_history())
+                .expect("recorded history is well-formed");
+            let recorded: Vec<Op> = h.ops().iter().map(|o| o.op.clone()).collect();
+            prop_assert_eq!(
+                &recorded,
+                &expected_ops,
+                "{} recorded a different history on {:?}",
+                tm.name(),
+                acts
+            );
+            let mut evs = Vec::new();
+            tap.drain_into(&mut evs, usize::MAX);
+            let tapped: Vec<TapOp> = evs.iter().map(|e| e.op).collect();
+            prop_assert_eq!(
+                &tapped,
+                &tap_stream(&expected_ops),
+                "{} tapped a different stream on {:?}",
                 tm.name(),
                 acts
             );

@@ -13,8 +13,14 @@ use jungle::isa::trace::Trace;
 use jungle::litmus::programs::fig1_program;
 use jungle::litmus::runner::run_recorded;
 use jungle::mc::program::{Program, Stmt, ThreadProg, TxOp};
-use jungle::stm::{GlobalLockStm, StrongStm, Tl2Stm, VersionedStm, WriteTxnStm};
-use jungle_core::ids::{X, Y, Z};
+use jungle::stm::{
+    atomically, Aborted, Ctx, GlobalLockStm, Recorder, StmTap, StrongStm, TapOp, Tl2Stm, TmAlgo,
+    VersionedStm, WriteTxnStm,
+};
+use jungle_core::ids::{ProcId, X, Y, Z};
+use jungle_core::op::Op;
+use jungle_obs::Backpressure;
+use std::sync::{Arc, Barrier};
 
 fn satisfies_opacity(trace: &Trace, model: &dyn MemoryModel) -> bool {
     if let Ok(h) = trace.canonical_history() {
@@ -142,5 +148,173 @@ fn aborting_transactions_recorded_and_consistent() {
         // The aborted write is never visible.
         assert_eq!(out[0], vec![0], "aborted write leaked on run {i}");
         assert!(satisfies_opacity(&trace, &Relaxed), "run {i} not opaque");
+    }
+}
+
+/// How a worker drives its transactions.
+#[derive(Clone, Copy, Debug)]
+enum Entry {
+    /// Through [`atomically`].
+    Atomically,
+    /// Through the [`TmAlgo`] methods, with a hand-written retry loop.
+    Direct,
+}
+
+const THREADS: u32 = 3;
+const TXNS: u64 = 100;
+
+/// `TXNS` increments of variable 0 (mirrored into variable 1), yielding
+/// between the read and the writes so attempts overlap; the first
+/// attempt of every third transaction is aborted by the user.
+fn contended_worker(tm: &dyn TmAlgo, cx: &mut Ctx, entry: Entry) {
+    for i in 0..TXNS {
+        let mut force_abort = i % 3 == 0;
+        match entry {
+            Entry::Atomically => atomically(tm, cx, |tx| {
+                let v = tx.read(0)?;
+                std::thread::yield_now();
+                if std::mem::take(&mut force_abort) {
+                    return Err(Aborted);
+                }
+                tx.write(0, v + 1)?;
+                tx.write(1, v + 1)
+            }),
+            Entry::Direct => {
+                for attempt in 1u32.. {
+                    tm.txn_start(cx);
+                    let mut body = || {
+                        let v = tm.txn_read(cx, 0)?;
+                        std::thread::yield_now();
+                        if std::mem::take(&mut force_abort) {
+                            return Err(Aborted);
+                        }
+                        tm.txn_write(cx, 0, v + 1)?;
+                        tm.txn_write(cx, 1, v + 1)
+                    };
+                    match body() {
+                        // A failed commit has already closed the attempt.
+                        Ok(()) => {
+                            if tm.txn_commit(cx).is_ok() {
+                                break;
+                            }
+                        }
+                        Err(Aborted) => tm.txn_abort(cx),
+                    }
+                    // `atomically`'s backoff: without it two upgrading
+                    // readers of the strong STM abort each other ~200 times
+                    // per commit.
+                    let spins = 1u64 << attempt.min(10);
+                    for _ in 0..spins + cx.next_rand() % spins {
+                        std::hint::spin_loop();
+                    }
+                    if attempt > 10 {
+                        std::thread::yield_now();
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Per-process `[start, commit, abort]` counts.
+type Counts = Vec<[u64; 3]>;
+
+#[test]
+fn contended_aborting_executions_are_recorded_and_tapped_completely() {
+    // No response may go unrecorded or unpublished, whichever way the
+    // transactions are driven: every recorded `start` is closed by a
+    // `commit` or an `abort` (a commit that lost answers with `abort`),
+    // and the tap carries the same begins, commits and aborts.
+    let stms: [fn() -> Box<dyn TmAlgo + Send + Sync>; 6] = [
+        || Box::new(GlobalLockStm::new(2)),
+        || Box::new(WriteTxnStm::new(2)),
+        || Box::new(VersionedStm::new(2)),
+        || Box::new(StrongStm::new(2)),
+        || Box::new(StrongStm::new_optimized(2)),
+        || Box::new(Tl2Stm::new(2)),
+    ];
+    for mk in stms {
+        for entry in [Entry::Atomically, Entry::Direct] {
+            let tm: Arc<dyn TmAlgo + Send + Sync> = Arc::from(mk());
+            let ctx = format!("{} via {entry:?}", tm.name());
+            let rec = Arc::new(Recorder::new());
+            let tap = Arc::new(StmTap::new(1 << 10, Backpressure::Block));
+            let drainer = {
+                let tap = tap.clone();
+                std::thread::spawn(move || {
+                    let mut tapped: Counts = vec![[0; 3]; THREADS as usize];
+                    let mut buf = Vec::new();
+                    loop {
+                        // Closed before an empty drain: nothing is left.
+                        let closed = tap.is_closed();
+                        if tap.drain_into(&mut buf, 4096) == 0 {
+                            if closed {
+                                return tapped;
+                            }
+                            std::thread::yield_now();
+                        }
+                        for ev in buf.drain(..) {
+                            let slot = match ev.op {
+                                TapOp::Begin => 0,
+                                TapOp::Commit { .. } => 1,
+                                TapOp::Abort => 2,
+                                TapOp::Read { .. } | TapOp::Write { .. } => continue,
+                            };
+                            tapped[ev.pid.0 as usize][slot] += 1;
+                        }
+                    }
+                })
+            };
+            let barrier = Arc::new(Barrier::new(THREADS as usize));
+            let workers: Vec<_> = (0..THREADS)
+                .map(|t| {
+                    let (tm, rec, tap) = (tm.clone(), rec.clone(), tap.clone());
+                    let barrier = barrier.clone();
+                    std::thread::spawn(move || {
+                        let mut cx = Ctx::new(ProcId(t), Some(rec)).with_tap(tap);
+                        barrier.wait();
+                        contended_worker(tm.as_ref(), &mut cx, entry);
+                        (cx.commits, cx.aborts)
+                    })
+                })
+                .collect();
+            let by_ctx: Vec<(u64, u64)> = workers.into_iter().map(|w| w.join().unwrap()).collect();
+            tap.close();
+            let tapped = drainer.join().unwrap();
+            assert_eq!(tap.dropped(), 0, "{ctx}: a blocking tap never drops");
+
+            let trace = Arc::try_unwrap(rec)
+                .expect("all contexts dropped")
+                .into_trace()
+                .unwrap_or_else(|e| panic!("{ctx}: recorded trace is ill-formed: {e:?}"));
+            let h = trace
+                .canonical_history()
+                .unwrap_or_else(|e| panic!("{ctx}: recorded history is ill-formed: {e:?}"));
+            let mut recorded: Counts = vec![[0; 3]; THREADS as usize];
+            for o in h.ops() {
+                let slot = match o.op {
+                    Op::Start => 0,
+                    Op::Commit => 1,
+                    Op::Abort => 2,
+                    Op::Cmd(_) => continue,
+                };
+                recorded[o.proc.0 as usize][slot] += 1;
+            }
+            for (p, &[start, commit, abort]) in recorded.iter().enumerate() {
+                assert_eq!(start, commit + abort, "{ctx}: p{p} left a start open");
+                assert_eq!(commit, TXNS, "{ctx}: p{p} commits");
+                assert!(abort >= TXNS.div_ceil(3), "{ctx}: p{p} forced aborts");
+                if let Entry::Atomically = entry {
+                    assert_eq!((commit, abort), by_ctx[p], "{ctx}: p{p} vs its Ctx");
+                }
+            }
+            assert_eq!(tapped, recorded, "{ctx}: tap and recorder disagree");
+            let mut cx = Ctx::new(ProcId(THREADS), None);
+            assert_eq!(
+                tm.nt_read(&mut cx, 0),
+                u64::from(THREADS) * TXNS,
+                "{ctx}: lost update"
+            );
+        }
     }
 }
