@@ -693,7 +693,7 @@ fn main() {
     let t_start = std::time::Instant::now();
 
     let recorder = args.trace.as_ref().map(|_| {
-        // A bigger ring than the default: the run emits about 215k
+        // A bigger ring than the default: the run emits about 245k
         // events, and spread over the per-thread shards they all fit
         // (the `flight/complete` row fails a trace that dropped any).
         // `--monitor` adds a million more and wraps the ring; so does a

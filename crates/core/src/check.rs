@@ -16,7 +16,10 @@
 //! backend enumerates the orders itself (`search_orders`, serially or
 //! on the work-stealing pool of [`par`](crate::par)); the SAT backend
 //! ([`encode`]) lets a CDCL solver propose them and
-//! certifies every proposal through the same leaf.
+//! certifies every proposal through the same leaf. The leaf is written
+//! once too — [`linearize`](crate::linearize) — so an `OrderSearch`
+//! impl only says which granularity, which static edges and which
+//! legality.
 
 use crate::encode;
 use crate::history::History;
@@ -66,25 +69,6 @@ pub enum CheckBackend {
     /// The CDCL + CEGAR backend of [`encode`]. Positive
     /// verdicts are still certified by the DFS leaf routine.
     Sat,
-}
-
-impl CheckBackend {
-    /// Parse a CLI spelling (`"dfs"` / `"sat"`).
-    pub fn parse(s: &str) -> Option<CheckBackend> {
-        match s {
-            "dfs" => Some(CheckBackend::Dfs),
-            "sat" => Some(CheckBackend::Sat),
-            _ => None,
-        }
-    }
-
-    /// The canonical CLI spelling.
-    pub fn name(self) -> &'static str {
-        match self {
-            CheckBackend::Dfs => "dfs",
-            CheckBackend::Sat => "sat",
-        }
-    }
 }
 
 /// The verdict of a [`Check`], for either kind.
@@ -424,15 +408,11 @@ mod tests {
     }
 
     #[test]
-    fn kinds_and_backends_round_trip_their_spellings() {
+    fn kinds_round_trip_their_tags() {
         for kind in [CheckKind::Opacity, CheckKind::Sgla] {
             assert_eq!(CheckKind::from_tag(kind.tag()), Some(kind));
         }
         assert_eq!(CheckKind::from_tag("du-opacity"), None);
-        for backend in [CheckBackend::Dfs, CheckBackend::Sat] {
-            assert_eq!(CheckBackend::parse(backend.name()), Some(backend));
-        }
-        assert_eq!(CheckBackend::parse("smt"), None);
         assert_eq!(CheckBackend::default(), CheckBackend::Dfs);
     }
 }

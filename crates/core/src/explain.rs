@@ -1,17 +1,22 @@
 //! Diagnosis of non-opaque histories: *why* did the checker reject?
 //!
-//! [`explain_opacity`] re-runs the witness search and reports, for the
-//! serialization order that got furthest, the longest legal prefix any
-//! viewer achieved and the operations that could not be placed next —
-//! each annotated with the constraint or legality failure blocking it.
-//! This is the difference between "not opaque" and an actionable
-//! counterexample narrative, and it is what the `model_checker` example
-//! prints for violating traces.
+//! [`explain_opacity`] asks the checker for the verdict and, when it
+//! fails, places units greedily along one serialization order and
+//! reports the legal prefix it reached and the units that could not be
+//! placed next — each annotated with the constraint or legality failure
+//! blocking it. This is the difference between "not opaque" and an
+//! actionable counterexample narrative, and it is what the
+//! `model_checker` example prints for violating traces.
+//!
+//! The units, the edges `≺h ∪ v(p)` and the placement of a unit are
+//! the checker's own ([`linearize`](crate::linearize)); only the
+//! greedy walk, in place of the backtracking search, is this module's.
 
 use crate::check::{Check, CheckKind};
-use crate::history::{History, TxnStatus};
+use crate::history::History;
 use crate::ids::OpId;
 use crate::legal::PrefixChecker;
+use crate::linearize::{edge_set, view_pairs, Graph};
 use crate::model::MemoryModel;
 use crate::spec::SpecRegistry;
 
@@ -114,142 +119,56 @@ pub fn explain_opacity_with(
     }
     let th = model.transform(h);
 
-    // Units: one per transaction (ops contiguous, program order), one
-    // per non-transactional op; edges as in the checker, with the
-    // serialization order fixed to history order of transaction starts.
-    #[derive(Clone)]
-    enum Unit {
-        Txn(usize),
-        Nt(usize),
-    }
-    let txns = th.txns();
-    let mut units: Vec<Unit> = (0..txns.len()).map(Unit::Txn).collect();
-    let mut unit_of = vec![usize::MAX; th.len()];
-    for (ti, t) in txns.iter().enumerate() {
-        for &i in &t.op_indices {
-            unit_of[i] = ti;
-        }
-    }
-    for (i, u) in unit_of.iter_mut().enumerate() {
-        if th.txn_of(i).is_none() {
-            *u = units.len();
-            units.push(Unit::Nt(i));
-        }
-    }
-
-    let mut edges: Vec<(usize, usize)> = Vec::new();
-    for i in 0..th.len() {
-        for j in 0..th.len() {
-            if i != j && unit_of[i] != unit_of[j] && th.precedes_rt(i, j) {
-                edges.push((unit_of[i], unit_of[j]));
-            }
-        }
-    }
-    let ops = th.ops();
-    for i in 0..th.len() {
-        if th.is_transactional(i) || ops[i].op.command().is_none() {
-            continue;
-        }
-        for j in (i + 1)..th.len() {
-            if th.is_transactional(j) || ops[j].op.command().is_none() || ops[i].proc != ops[j].proc
-            {
-                continue;
-            }
-            if model.required(&th, i, j) {
-                edges.push((unit_of[i], unit_of[j]));
-            }
-        }
-    }
-    // Serialization: history order of transaction starts.
-    for w in 0..txns.len().saturating_sub(1) {
-        edges.push((w, w + 1));
-    }
-    edges.sort_unstable();
-    edges.dedup();
+    // Units and edges as in the checker, for the first viewer (a
+    // non-opaque history is not empty), with the serialization order
+    // fixed to history order of transaction starts (unit `t` is
+    // transaction `t`).
+    let g = Graph::units(&th);
+    let viewer = th.procs()[0];
+    let serial = (1..th.txns().len()).map(|t| (t - 1, t));
+    let view = g.lift(view_pairs(&th, model, viewer));
+    let edges = edge_set(g.rt_edges().into_iter().chain(view).chain(serial));
 
     // Greedy placement.
-    let n = units.len();
+    let n = g.len();
     let mut placed = vec![false; n];
-    let mut prefix: Vec<OpId> = Vec::new();
+    let mut prefix: Vec<usize> = Vec::new();
     let mut checker = PrefixChecker::new(specs);
+    let waiting = |u: usize, placed: &[bool]| {
+        let blocking = edges.iter().find(|&&(a, b)| b == u && !placed[a]);
+        blocking.map(|&(a, _)| a)
+    };
     loop {
-        let mut progressed = false;
-        'units: for u in 0..n {
-            if placed[u] {
+        let before = prefix.len();
+        for u in 0..n {
+            if placed[u] || waiting(u, &placed).is_some() {
                 continue;
             }
-            for &(a, b) in &edges {
-                if b == u && !placed[a] {
-                    continue 'units;
-                }
-            }
-            // Try to apply.
             let mut c = checker.clone();
-            let ok = match &units[u] {
-                Unit::Nt(i) => c.step(&th.ops()[*i].op, false),
-                Unit::Txn(ti) => {
-                    let t = &txns[*ti];
-                    let mut ok = true;
-                    for &i in &t.op_indices {
-                        if !c.step(&th.ops()[i].op, true) {
-                            ok = false;
-                            break;
-                        }
-                    }
-                    if ok && t.status == TxnStatus::Live {
-                        c.suspend_live();
-                    }
-                    ok
-                }
-            };
-            if ok {
-                match &units[u] {
-                    Unit::Nt(i) => prefix.push(th.ops()[*i].id),
-                    Unit::Txn(ti) => {
-                        for &i in &txns[*ti].op_indices {
-                            prefix.push(th.ops()[i].id);
-                        }
-                    }
-                }
+            if g.place(u, &mut c) {
+                prefix.push(u);
                 checker = c;
                 placed[u] = true;
-                progressed = true;
             }
         }
-        if !progressed {
+        if prefix.len() == before {
             break;
         }
     }
 
-    // Classify what's stuck.
-    let mut stuck = Vec::new();
-    for u in 0..n {
-        if placed[u] {
-            continue;
-        }
-        let rep = match &units[u] {
-            Unit::Nt(i) => th.ops()[*i].id,
-            Unit::Txn(ti) => th.ops()[txns[*ti].first()].id,
-        };
-        let waiting = edges
-            .iter()
-            .find(|&&(a, b)| b == u && !placed[a])
-            .map(|&(a, _)| a);
-        match waiting {
-            Some(a) => {
-                let dep = match &units[a] {
-                    Unit::Nt(i) => th.ops()[*i].id,
-                    Unit::Txn(ti) => th.ops()[txns[*ti].first()].id,
-                };
-                stuck.push((rep, Blocker::OrderedAfter(dep)));
-            }
-            None => stuck.push((rep, Blocker::Illegal)),
-        }
-    }
+    // Classify what's stuck; a unit is named by its first operation.
+    let rep = |u: usize| th.ops()[g.ops_of(u)[0]].id;
+    let stuck = (0..n)
+        .filter(|&u| !placed[u])
+        .map(|u| match waiting(u, &placed) {
+            Some(a) => (rep(u), Blocker::OrderedAfter(rep(a))),
+            None => (rep(u), Blocker::Illegal),
+        })
+        .collect();
 
     Diagnosis {
         opaque: false,
-        best_prefix: prefix,
+        best_prefix: g.op_ids(&prefix),
         stuck,
     }
 }

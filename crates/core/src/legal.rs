@@ -16,6 +16,13 @@
 //!   stamped with the history position of its latest update so that a
 //!   commit merges writes in position order.
 //!
+//! [`CsChecker`] is the second incremental state machine, with SGLA's
+//! critical-section semantics. The search drives either one through
+//! the same three methods (`step`, `suspend_live`, `in_txn` — the
+//! `Legality` trait of [`linearize`](crate::linearize)), and only
+//! `Graph::place` there decides how a transaction's operations are fed
+//! to them.
+//!
 //! Interpretation note: `visible(s)` keeps a non-committed transaction
 //! `T` exactly when no operation instance outside `T` occurs *after the
 //! last operation of `T`* in `s`. For sequential histories this coincides

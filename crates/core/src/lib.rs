@@ -24,8 +24,13 @@
 //! * [`check`] — the one request type, [`Check`], that answers "does
 //!   this history satisfy kind K under model M": kind × backend ×
 //!   workers × specifications in, verdict and stats out.
-//! * [`opacity`] — §3.3: the parametrized-opacity witness search.
-//! * [`sgla`] — §6.2: the SGLA witness search.
+//! * [`linearize`] — the constraint system both properties share and
+//!   the one search over it: minimal views, the node graph over `τ(h)`,
+//!   placement of a node, and the legal-linearization search.
+//! * [`opacity`] — §3.3: parametrized opacity as a client of it (unit
+//!   granularity, deferred-update legality).
+//! * [`sgla`] — §6.2: SGLA as a client of it (operation granularity,
+//!   critical-section legality).
 //!
 //! All decision procedures are exact (backtracking explicit-state search)
 //! and are intended for the short histories that arise from litmus tests,
@@ -78,6 +83,7 @@ pub mod fingerprint;
 pub mod history;
 pub mod ids;
 pub mod legal;
+pub mod linearize;
 pub mod model;
 pub mod op;
 pub mod opacity;

@@ -14,42 +14,38 @@
 //! For all of the paper's models the reordering function is *upward
 //! closed*: `R(τ(h))` is the set of views containing a computable set of
 //! required pairs, so the existential over views is discharged by the
-//! minimal view ([`MemoryModel::required`]). Sequentiality forces each
+//! minimal view ([`view_pairs`]). Sequentiality forces each
 //! transaction's operations to be contiguous and in program order, so
 //! the existential over `≺` reduces to a permutation of *transactions*
 //! consistent with the real-time order. The checker therefore:
 //!
 //! * groups operations into **units** — one per transaction, one per
-//!   non-transactional operation;
+//!   non-transactional operation (the unit-granularity
+//!   [`Graph`](crate::linearize));
 //! * enumerates transaction serialization orders consistent with `≺h`
 //!   (the order search shared with SGLA, in [`check`](crate::check));
 //! * for each order and each process's (minimal) view, searches for a
-//!   topological order of the units that is prefix-legal, using the
-//!   incremental [`PrefixChecker`](crate::legal::PrefixChecker) to prune
-//!   (the leaf, in this module).
+//!   topological order of the units that is prefix-legal under the
+//!   deferred-update [`PrefixChecker`] (the leaf shared with SGLA,
+//!   [`linearize`](crate::linearize)).
+//!
+//! What is left here is what makes the search *opacity*: unit
+//! granularity, the static edges `≺h ∪ v(p)` per viewer, and
+//! [`PrefixChecker`] legality.
 //!
 //! The search is exponential in the worst case but exact; it is intended
 //! for litmus-test-sized histories (tens of operations) such as those
 //! produced by `jungle-mc` and recorded STM executions.
 
 use crate::check::{adjacent_pairs, Check, CheckKind, CheckVerdict, LeafMemo, OrderSearch};
-use crate::history::{History, TxnStatus};
+use crate::history::History;
 use crate::ids::{OpId, ProcId};
 use crate::legal::PrefixChecker;
+use crate::linearize::{edge_set, linearize, view_pairs, Graph};
 use crate::model::MemoryModel;
 use crate::par::{Cancel, ParallelConfig};
 use crate::spec::SpecRegistry;
-use jungle_obs::trace::{self, EventKind};
 use jungle_obs::SearchStats;
-
-/// One schedulable unit of the witness search.
-#[derive(Clone, Debug)]
-enum Unit {
-    /// A whole transaction (index into `History::txns`).
-    Txn(usize),
-    /// A single non-transactional operation (history index).
-    NonTxn(usize),
-}
 
 /// The verdict of a parametrized-opacity check.
 pub type OpacityVerdict = CheckVerdict;
@@ -80,129 +76,51 @@ pub fn check_opacity_par(
     check.run(h, model).0
 }
 
-/// The per-viewer ordering constraints, computed once per check: the
-/// minimal views of `R(τ(h))` lifted to unit edges, with identical
-/// viewer constraint sets deduplicated.
-struct ViewCtx {
-    viewers: Vec<ProcId>,
-    view_edges: Vec<Vec<(usize, usize)>>,
-    /// Indices into `viewers`/`view_edges` of the distinct constraint
-    /// sets — one witness search covers every viewer sharing a set.
-    distinct: Vec<usize>,
-}
-
-impl ViewCtx {
-    fn new(h: &History, model: &dyn MemoryModel, unit_of: &[usize]) -> Self {
-        let procs = h.procs();
-        let viewers: Vec<ProcId> = if procs.is_empty() {
-            vec![ProcId(0)]
-        } else {
-            procs
-        };
-
-        // Per-viewer view edges (minimal view of R(τ(h))).
-        let mut view_edges: Vec<Vec<(usize, usize)>> = Vec::with_capacity(viewers.len());
-        for &p in &viewers {
-            let mut edges = Vec::new();
-            let ops = h.ops();
-            for i in 0..ops.len() {
-                if h.is_transactional(i) || ops[i].op.command().is_none() {
-                    continue;
-                }
-                for j in (i + 1)..ops.len() {
-                    if h.is_transactional(j)
-                        || ops[j].op.command().is_none()
-                        || ops[i].proc != ops[j].proc
-                    {
-                        continue;
-                    }
-                    if model.required_in_view(h, p, i, j) {
-                        edges.push((unit_of[i], unit_of[j]));
-                    }
-                }
-            }
-            edges.sort_unstable();
-            edges.dedup();
-            view_edges.push(edges);
-        }
-
-        // Deduplicate identical viewer constraint sets (all bundled
-        // models are viewer-independent, collapsing this to one search).
-        let mut distinct: Vec<usize> = Vec::new();
-        for (vi, e) in view_edges.iter().enumerate() {
-            if !distinct.iter().any(|&d| view_edges[d] == *e) {
-                distinct.push(vi);
-            }
-        }
-
-        ViewCtx {
-            viewers,
-            view_edges,
-            distinct,
-        }
-    }
-}
-
 pub(crate) struct Search<'a> {
     h: &'a History,
+    graph: Graph<'a>,
     specs: &'a SpecRegistry,
-    units: Vec<Unit>,
-    /// Base edges (≺h-derived), as unit-index pairs.
-    base_edges: Vec<(usize, usize)>,
-    /// For each transaction index, its unit.
-    txn_units: Vec<usize>,
-    ctx: ViewCtx,
+    viewers: Vec<ProcId>,
+    /// Per viewer, the order-independent edges `≺h ∪ v(p)`.
+    fixed: Vec<Vec<(usize, usize)>>,
+    /// Per viewer, the first viewer with the same edges — one witness
+    /// search covers every viewer sharing a set (all bundled models
+    /// are viewer-independent, collapsing this to one search).
+    rep: Vec<usize>,
 }
 
 impl<'a> Search<'a> {
     pub(crate) fn new(h: &'a History, model: &dyn MemoryModel, specs: &'a SpecRegistry) -> Self {
-        let mut units = Vec::new();
-        // For each history index, the unit containing it.
-        let mut unit_of = vec![usize::MAX; h.len()];
-        let mut txn_units = vec![usize::MAX; h.txns().len()];
-        for (ti, _t) in h.txns().iter().enumerate() {
-            txn_units[ti] = units.len();
-            units.push(Unit::Txn(ti));
+        let graph = Graph::units(h);
+        let mut viewers = h.procs();
+        if viewers.is_empty() {
+            viewers.push(ProcId(0));
         }
-        for (i, u) in unit_of.iter_mut().enumerate() {
-            match h.txn_of(i) {
-                Some(ti) => *u = txn_units[ti],
-                None => {
-                    *u = units.len();
-                    units.push(Unit::NonTxn(i));
-                }
-            }
-        }
-
-        // ≺h generating relation, lifted to units.
-        let mut base_edges = Vec::new();
-        for i in 0..h.len() {
-            for j in 0..h.len() {
-                if i != j && unit_of[i] != unit_of[j] && h.precedes_rt(i, j) {
-                    base_edges.push((unit_of[i], unit_of[j]));
-                }
-            }
-        }
-        base_edges.sort_unstable();
-        base_edges.dedup();
-
+        let rt = graph.rt_edges();
+        let fixed: Vec<Vec<(usize, usize)>> = viewers
+            .iter()
+            .map(|&p| {
+                let view = graph.lift(view_pairs(h, model, p));
+                edge_set(rt.iter().copied().chain(view))
+            })
+            .collect();
+        let rep = fixed
+            .iter()
+            .map(|e| fixed.iter().position(|f| f == e).expect("e is in fixed"))
+            .collect();
         Search {
             h,
+            graph,
             specs,
-            units,
-            base_edges,
-            txn_units,
-            ctx: ViewCtx::new(h, model, &unit_of),
+            viewers,
+            fixed,
+            rep,
         }
     }
 
-    /// Witness search for viewer constraint set `d` under an arbitrary
-    /// set of transaction-precedence `pairs` — not necessarily a full
-    /// order. A full order's adjacent pairs reproduce the classic leaf
-    /// search; a *subset* of pairs yields a weaker constraint set, so
-    /// "no witness" here refutes every total order whose precedences
-    /// include the pairs (the SAT backend's blocking-core query).
-    fn witness_for_pairs(
+    /// The leaf for viewer `d`'s constraint set under the transaction
+    /// precedences `pairs`.
+    fn leaf(
         &self,
         d: usize,
         pairs: &[(usize, usize)],
@@ -210,133 +128,9 @@ impl<'a> Search<'a> {
         cancel: &Cancel<'_>,
         memo: &mut LeafMemo,
     ) -> Option<Vec<OpId>> {
-        let mut edges = self.base_edges.clone();
-        edges.extend(self.ctx.view_edges[d].iter().copied());
-        for &(a, b) in pairs {
-            edges.push((self.txn_units[a], self.txn_units[b]));
-        }
-        edges.sort_unstable();
-        edges.dedup();
-        self.find_witness(&edges, stats, cancel, memo)
-    }
-
-    /// Backtracking topological search for a prefix-legal sequence of
-    /// units respecting `edges`. Returns the witness as operation ids.
-    fn find_witness(
-        &self,
-        edges: &[(usize, usize)],
-        stats: &mut SearchStats,
-        cancel: &Cancel<'_>,
-        memo: &mut LeafMemo,
-    ) -> Option<Vec<OpId>> {
-        if let Some(hit) = memo.get(edges) {
-            stats.cache_hits += 1;
-            trace::emit(EventKind::WitnessMemoHit, edges.len() as u64, 0);
-            return hit.clone();
-        }
-        let n = self.units.len();
-        let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut indeg = vec![0usize; n];
-        for &(a, b) in edges {
-            succs[a].push(b);
-            indeg[b] += 1;
-        }
-        let mut seq: Vec<usize> = Vec::with_capacity(n);
-        let checker = PrefixChecker::new(self.specs);
-        let result = if self.dfs(&succs, &mut indeg, &mut seq, &checker, stats, cancel) {
-            let mut out = Vec::new();
-            for &u in &seq {
-                match &self.units[u] {
-                    Unit::Txn(ti) => {
-                        for &i in &self.h.txns()[*ti].op_indices {
-                            out.push(self.h.ops()[i].id);
-                        }
-                    }
-                    Unit::NonTxn(i) => out.push(self.h.ops()[*i].id),
-                }
-            }
-            Some(out)
-        } else {
-            None
-        };
-        // A cancelled search may report "no witness" spuriously — never
-        // memoize it.
-        if !cancel.hit() {
-            memo.put(edges.to_vec(), result.clone());
-        }
-        result
-    }
-
-    fn dfs(
-        &self,
-        succs: &[Vec<usize>],
-        indeg: &mut Vec<usize>,
-        seq: &mut Vec<usize>,
-        checker: &PrefixChecker<'_>,
-        stats: &mut SearchStats,
-        cancel: &Cancel<'_>,
-    ) -> bool {
-        let n = self.units.len();
-        if seq.len() == n {
-            return true;
-        }
-        if cancel.hit() {
-            return false;
-        }
-        let placed: Vec<bool> = {
-            let mut v = vec![false; n];
-            for &u in seq.iter() {
-                v[u] = true;
-            }
-            v
-        };
-        for u in 0..n {
-            if placed[u] || indeg[u] != 0 {
-                continue;
-            }
-            // Apply unit `u` to a snapshot of the checker.
-            stats.nodes += 1;
-            trace::emit(EventKind::NodeEnter, seq.len() as u64, u as u64);
-            let mut c = checker.clone();
-            let ok = match &self.units[u] {
-                Unit::NonTxn(i) => c.step(&self.h.ops()[*i].op, false),
-                Unit::Txn(ti) => {
-                    let t = &self.h.txns()[*ti];
-                    let mut ok = true;
-                    for &i in &t.op_indices {
-                        if !c.step(&self.h.ops()[i].op, true) {
-                            ok = false;
-                            break;
-                        }
-                    }
-                    if ok && t.status == TxnStatus::Live {
-                        c.suspend_live();
-                    }
-                    ok
-                }
-            };
-            if !ok {
-                stats.prune_hits += 1;
-                trace::emit(EventKind::Prune, seq.len() as u64, u as u64);
-                continue;
-            }
-            for &s in &succs[u] {
-                indeg[s] -= 1;
-            }
-            seq.push(u);
-            stats.note_depth(seq.len());
-            if self.dfs(succs, indeg, seq, &c, stats, cancel) {
-                return true;
-            }
-            seq.pop();
-            stats.backtracks += 1;
-            trace::emit(EventKind::NodeLeave, seq.len() as u64, u as u64);
-            for &s in &succs[u] {
-                indeg[s] += 1;
-            }
-        }
-        trace::emit(EventKind::Backtrack, seq.len() as u64, 0);
-        false
+        let init = PrefixChecker::new(self.specs);
+        let fixed = &self.fixed[d];
+        linearize(&self.graph, fixed, pairs, &init, stats, cancel, memo)
     }
 }
 
@@ -344,7 +138,7 @@ impl OrderSearch for Search<'_> {
     const PHASE: &'static str = "check.opacity";
 
     fn units(&self) -> usize {
-        self.units.len()
+        self.graph.len()
     }
 
     fn n_txns(&self) -> usize {
@@ -366,33 +160,25 @@ impl OrderSearch for Search<'_> {
         cancel: &Cancel<'_>,
         memo: &mut LeafMemo,
     ) -> Result<Vec<(ProcId, Vec<OpId>)>, usize> {
-        let ctx = &self.ctx;
         let pairs = adjacent_pairs(order);
-        // Attempt witnesses for every distinct viewer constraint set.
-        let mut found: Vec<(usize, Vec<OpId>)> = Vec::new();
-        for &d in &ctx.distinct {
-            match self.witness_for_pairs(d, &pairs, stats, cancel, memo) {
-                Some(seq) => found.push((d, seq)),
-                None => return Err(d), // this txn order fails for some viewer
+        // One witness per distinct viewer constraint set.
+        let mut found: Vec<Option<Vec<OpId>>> = vec![None; self.viewers.len()];
+        for d in (0..self.viewers.len()).filter(|&d| self.rep[d] == d) {
+            found[d] = self.leaf(d, &pairs, stats, cancel, memo);
+            if found[d].is_none() {
+                return Err(d); // this txn order fails for some viewer
             }
         }
         if cancel.hit() {
             return Err(usize::MAX); // a cancelled sub-search may fail spuriously
         }
-        let witnesses = ctx
+        let witness = |&d: &usize| found[d].clone().expect("every representative was searched");
+        Ok(self
             .viewers
             .iter()
-            .zip(&ctx.view_edges)
-            .map(|(&p, edges)| {
-                // The distinct representative with identical edges.
-                let (_, seq) = found
-                    .iter()
-                    .find(|(d, _)| ctx.view_edges[*d] == *edges)
-                    .expect("every viewer's constraint set has a searched representative");
-                (p, seq.clone())
-            })
-            .collect();
-        Ok(witnesses)
+            .copied()
+            .zip(self.rep.iter().map(witness))
+            .collect())
     }
 
     fn infeasible(
@@ -402,8 +188,7 @@ impl OrderSearch for Search<'_> {
         stats: &mut SearchStats,
         memo: &mut LeafMemo,
     ) -> bool {
-        self.witness_for_pairs(d, pairs, stats, &Cancel::never(), memo)
-            .is_none()
+        self.leaf(d, pairs, stats, &Cancel::never(), memo).is_none()
     }
 }
 

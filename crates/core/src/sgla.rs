@@ -39,6 +39,16 @@
 //! the Figure 6 TM's commit-time updates are observable mid-commit by
 //! uninstrumented reads, and SGLA (unlike opacity) deems that correct.
 //!
+//! ### The search
+//!
+//! The order search is the one in [`check`](crate::check) and the leaf
+//! is the one in [`linearize`](crate::linearize), both shared with
+//! opacity. What is left here is what makes the search *SGLA*:
+//! operation granularity, the static edges above (program order inside
+//! transactions, roach motel, views — computed once per check), a
+//! block edge `last(a) → first(b)` per ordered transaction pair, and
+//! [`CsChecker`] legality.
+//!
 //! Because every constraint above is implied by the constraints of
 //! parametrized opacity, and the two legality semantics coincide on
 //! fully sequential histories, Theorem 6 (*parametrized opacity implies
@@ -48,9 +58,10 @@
 //! `jungle-mc`.
 
 use crate::check::{adjacent_pairs, Check, CheckKind, CheckVerdict, LeafMemo, OrderSearch};
-use crate::history::{History, TxnStatus};
+use crate::history::History;
 use crate::ids::{OpId, ProcId};
 use crate::legal::CsChecker;
+use crate::linearize::{edge_set, linearize, view_pairs, Graph};
 use crate::model::MemoryModel;
 use crate::par::Cancel;
 use crate::spec::SpecRegistry;
@@ -66,206 +77,62 @@ pub fn check_sgla(h: &History, model: &dyn MemoryModel) -> SglaVerdict {
 
 pub(crate) struct SglaSearch<'a> {
     h: &'a History,
-    model: &'a dyn MemoryModel,
     specs: &'a SpecRegistry,
-}
-
-/// Node metadata for the op-level topological search.
-struct Node {
-    /// History index of the operation.
-    idx: usize,
-    /// Transaction (index into `History::txns`) if transactional.
-    txn: Option<usize>,
-    /// True if this is the last operation of a live transaction (the
-    /// legality checker suspends the overlay after it).
-    last_of_live: bool,
+    graph: Graph<'a>,
+    /// The order-independent edges: program order inside transactions,
+    /// roach motel, and the base model's views.
+    fixed: Vec<(usize, usize)>,
 }
 
 impl<'a> SglaSearch<'a> {
-    pub(crate) fn new(h: &'a History, model: &'a dyn MemoryModel, specs: &'a SpecRegistry) -> Self {
-        SglaSearch { h, model, specs }
+    pub(crate) fn new(h: &'a History, model: &dyn MemoryModel, specs: &'a SpecRegistry) -> Self {
+        let txns = h.txns();
+        // Program order within each transaction.
+        let mut pairs: Vec<(usize, usize)> = txns
+            .iter()
+            .flat_map(|t| t.op_indices.windows(2).map(|w| (w[0], w[1])))
+            .collect();
+        // Roach-motel edges between a process's non-transactional ops
+        // and its own transactions.
+        for i in (0..h.len()).filter(|&i| !h.is_transactional(i)) {
+            for t in txns.iter().filter(|t| t.proc == h.ops()[i].proc) {
+                if i < t.first() {
+                    // May enter the critical section, not cross its end.
+                    pairs.push((i, t.last()));
+                } else if i > t.last() {
+                    pairs.push((t.first(), i));
+                }
+            }
+        }
+        // Base-model view edges. One search serves every process, so
+        // it respects the union of their views (each view itself, for
+        // the bundled models, which are viewer-independent).
+        for p in h.procs() {
+            pairs.extend(view_pairs(h, model, p));
+        }
+        let graph = Graph::ops(h);
+        let fixed = edge_set(graph.lift(pairs));
+        SglaSearch {
+            h,
+            specs,
+            graph,
+            fixed,
+        }
     }
 
-    /// Build op-level edges for the transaction precedences `pairs`
-    /// (block edges `last(a) → first(b)`) and run the
-    /// topological/legality search. The constraints are
-    /// viewer-independent for all bundled models, so a single search
-    /// covers every process's view. A full order's adjacent pairs give
-    /// the classic leaf; a subset of pairs is a weaker constraint set,
-    /// so "no witness" refutes every total order whose precedences
-    /// include the pairs (the SAT backend's blocking-core query).
-    fn witness_for_pairs(
+    /// The leaf under the transaction precedences `pairs`, each a
+    /// block edge `last(a) → first(b)`. Distinct orders can collapse to
+    /// one edge set (block edges shadowed by program order); the memo
+    /// replays those.
+    fn leaf(
         &self,
         pairs: &[(usize, usize)],
         stats: &mut SearchStats,
         cancel: &Cancel<'_>,
         memo: &mut LeafMemo,
     ) -> Option<Vec<OpId>> {
-        let h = self.h;
-        let n = h.len();
-        let txns = h.txns();
-
-        let nodes: Vec<Node> = (0..n)
-            .map(|i| {
-                let txn = h.txn_of(i);
-                let last_of_live = txn
-                    .map(|t| txns[t].status == TxnStatus::Live && txns[t].last() == i)
-                    .unwrap_or(false);
-                Node {
-                    idx: i,
-                    txn,
-                    last_of_live,
-                }
-            })
-            .collect();
-
-        let mut edges: Vec<(usize, usize)> = Vec::new();
-
-        // Program order within each transaction.
-        for t in txns {
-            for w in t.op_indices.windows(2) {
-                edges.push((w[0], w[1]));
-            }
-        }
-        // Block order between transactions constrained by `pairs`.
-        for &(a, b) in pairs {
-            edges.push((txns[a].last(), txns[b].first()));
-        }
-        // Roach-motel edges between a process's non-transactional ops
-        // and its own transactions.
-        for i in 0..n {
-            if h.is_transactional(i) {
-                continue;
-            }
-            for t in txns {
-                if t.proc != h.ops()[i].proc {
-                    continue;
-                }
-                if i < t.first() {
-                    // May enter the critical section, not cross its end.
-                    edges.push((i, t.last()));
-                } else if i > t.last() {
-                    edges.push((t.first(), i));
-                }
-            }
-        }
-        // Base-model view edges between non-transactional ops of the
-        // same process.
-        let ops = h.ops();
-        for i in 0..n {
-            if h.is_transactional(i) || ops[i].op.command().is_none() {
-                continue;
-            }
-            for j in (i + 1)..n {
-                if h.is_transactional(j)
-                    || ops[j].op.command().is_none()
-                    || ops[i].proc != ops[j].proc
-                {
-                    continue;
-                }
-                if self.model.required(h, i, j) {
-                    edges.push((i, j));
-                }
-            }
-        }
-        edges.sort_unstable();
-        edges.dedup();
-
-        // Distinct txn orders can collapse to the same op-level edge
-        // set (block edges shadowed by program order); replay those.
-        if let Some(hit) = memo.get(&edges) {
-            stats.cache_hits += 1;
-            return hit.clone();
-        }
-
-        let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut indeg = vec![0usize; n];
-        for &(a, b) in &edges {
-            succs[a].push(b);
-            indeg[b] += 1;
-        }
-
-        let mut seq = Vec::with_capacity(n);
-        let checker = CsChecker::new(self.specs);
-        let result = if self.dfs(
-            &nodes, &succs, &mut indeg, &mut seq, &checker, None, stats, cancel,
-        ) {
-            Some(seq.into_iter().map(|i| h.ops()[i].id).collect())
-        } else {
-            None
-        };
-        // A cancelled search may report "no witness" spuriously — never
-        // memoize it.
-        if !cancel.hit() {
-            memo.put(edges, result.clone());
-        }
-        result
-    }
-
-    /// `open` is the transaction whose critical section is currently
-    /// entered (a txn has started but not yet committed/aborted/been
-    /// suspended). With a full order's chain of block edges this guard
-    /// never fires — other transactions' ops are edge-blocked anyway —
-    /// but under a *subset* of block pairs (the SAT backend's core
-    /// probes) it is what keeps critical sections from interleaving.
-    #[allow(clippy::too_many_arguments)]
-    fn dfs(
-        &self,
-        nodes: &[Node],
-        succs: &[Vec<usize>],
-        indeg: &mut Vec<usize>,
-        seq: &mut Vec<usize>,
-        checker: &CsChecker<'_>,
-        open: Option<usize>,
-        stats: &mut SearchStats,
-        cancel: &Cancel<'_>,
-    ) -> bool {
-        let n = nodes.len();
-        if seq.len() == n {
-            return true;
-        }
-        if cancel.hit() {
-            return false;
-        }
-        let mut placed = vec![false; n];
-        for &i in seq.iter() {
-            placed[i] = true;
-        }
-        for u in 0..n {
-            if placed[u] || indeg[u] != 0 {
-                continue;
-            }
-            let node = &nodes[u];
-            if let (Some(o), Some(t)) = (open, node.txn) {
-                if o != t {
-                    continue; // one critical section at a time
-                }
-            }
-            stats.nodes += 1;
-            let mut c = checker.clone();
-            if !c.step(&self.h.ops()[node.idx].op, node.txn.is_some()) {
-                stats.prune_hits += 1;
-                continue;
-            }
-            if node.last_of_live {
-                c.suspend_live();
-            }
-            let next_open = if c.in_txn() { node.txn.or(open) } else { None };
-            for &s in &succs[u] {
-                indeg[s] -= 1;
-            }
-            seq.push(u);
-            stats.note_depth(seq.len());
-            if self.dfs(nodes, succs, indeg, seq, &c, next_open, stats, cancel) {
-                return true;
-            }
-            seq.pop();
-            stats.backtracks += 1;
-            for &s in &succs[u] {
-                indeg[s] += 1;
-            }
-        }
-        false
+        let init = CsChecker::new(self.specs);
+        linearize(&self.graph, &self.fixed, pairs, &init, stats, cancel, memo)
     }
 }
 
@@ -274,7 +141,7 @@ impl OrderSearch for SglaSearch<'_> {
 
     /// SGLA schedules at operation granularity: every op is a unit.
     fn units(&self) -> usize {
-        self.h.len()
+        self.graph.len()
     }
 
     fn n_txns(&self) -> usize {
@@ -298,7 +165,7 @@ impl OrderSearch for SglaSearch<'_> {
         memo: &mut LeafMemo,
     ) -> Result<Vec<(ProcId, Vec<OpId>)>, usize> {
         let seq = self
-            .witness_for_pairs(&adjacent_pairs(order), stats, cancel, memo)
+            .leaf(&adjacent_pairs(order), stats, cancel, memo)
             .ok_or(0usize)?;
         Ok(self
             .h
@@ -315,8 +182,7 @@ impl OrderSearch for SglaSearch<'_> {
         stats: &mut SearchStats,
         memo: &mut LeafMemo,
     ) -> bool {
-        self.witness_for_pairs(pairs, stats, &Cancel::never(), memo)
-            .is_none()
+        self.leaf(pairs, stats, &Cancel::never(), memo).is_none()
     }
 }
 

@@ -16,9 +16,11 @@
 //! transaction, one per non-transactional operation) that respects the
 //! generating relation of `≺h`, one viewer's minimal view edges, and a
 //! real-time-consistent transaction serialization order — with every
-//! operation prefix-legal. Triage proposes two *candidate* unit
-//! orders and replays each through the same incremental
-//! [`PrefixChecker`] the search uses:
+//! operation prefix-legal. Triage proposes two *candidate* orders of
+//! the search's own units (the unit-granularity
+//! [`Graph`](crate::linearize)) and replays each through the same
+//! incremental [`PrefixChecker`], placing every unit by the same
+//! `Graph::place` the search uses:
 //!
 //! 1. units sorted by the history index of their **first** operation;
 //! 2. units sorted by the history index of their **last** operation.
@@ -33,7 +35,8 @@
 //!   transactional): same-process spans never interleave — a
 //!   transaction's span contains no other unit of its process — so the
 //!   spans are disjoint and both sorts preserve their order.
-//! * **View edges**: [`MemoryModel::required_in_view`] only relates
+//! * **View edges**: a view ([`view_pairs`](crate::linearize::view_pairs))
+//!   only relates
 //!   same-process *non-transactional* command pairs `i < j`; those
 //!   units are single operations with `first = last = index`, kept in
 //!   index order by both sorts.
@@ -54,8 +57,9 @@
 //! correct STMs produce) the commit-time order is almost always
 //! legal, so the monitor's escalation rate stays near zero.
 
-use crate::history::{History, TxnStatus};
+use crate::history::History;
 use crate::legal::PrefixChecker;
+use crate::linearize::Graph;
 use crate::model::MemoryModel;
 use crate::spec::SpecRegistry;
 
@@ -88,73 +92,24 @@ pub fn triage_opacity(h: &History, model: &dyn MemoryModel) -> Triage {
 /// docs for the argument.
 pub fn triage_opacity_with(h: &History, model: &dyn MemoryModel, specs: &SpecRegistry) -> Triage {
     let th = model.transform(h);
-    // Units in history order: transactions (by txn index, which is
-    // start-op order) then non-transactional operations.
-    let mut by_first: Vec<UnitSpan> = Vec::with_capacity(th.txns().len());
-    for (ti, t) in th.txns().iter().enumerate() {
-        by_first.push(UnitSpan {
-            txn: Some(ti),
-            first: t.first(),
-            last: t.last(),
-        });
+    let g = Graph::units(&th);
+    // Replay a candidate unit order through a fresh `PrefixChecker`,
+    // placing each unit exactly as the full search does.
+    let legal = |order: &[usize]| {
+        let mut c = PrefixChecker::new(specs);
+        order.iter().all(|&u| g.place(u, &mut c))
+    };
+    let mut order: Vec<usize> = (0..g.len()).collect();
+    order.sort_by_key(|&u| g.ops_of(u)[0]);
+    if legal(&order) {
+        return Triage::Cleared;
     }
-    for i in 0..th.len() {
-        if th.txn_of(i).is_none() {
-            by_first.push(UnitSpan {
-                txn: None,
-                first: i,
-                last: i,
-            });
-        }
-    }
-    let mut by_last = by_first.clone();
-    by_first.sort_by_key(|u| u.first);
-    by_last.sort_by_key(|u| u.last);
-    if replay_legal(&th, specs, &by_first) || replay_legal(&th, specs, &by_last) {
+    order.sort_by_key(|&u| g.ops_of(u).last().copied());
+    if legal(&order) {
         Triage::Cleared
     } else {
         Triage::Escalate
     }
-}
-
-/// One schedulable unit with its history-index span: a transaction
-/// (`txn = Some(index into th.txns())`) or a single non-transactional
-/// operation (`first == last` = its history index).
-#[derive(Clone, Copy, Debug)]
-struct UnitSpan {
-    txn: Option<usize>,
-    first: usize,
-    last: usize,
-}
-
-/// Replay `order` through a fresh [`PrefixChecker`], exactly as the
-/// full search applies units: non-transactional operations step with
-/// `transactional = false`, a transaction's operations step in program
-/// order with `transactional = true`, and a live transaction is
-/// suspended after its last operation.
-fn replay_legal(th: &History, specs: &SpecRegistry, order: &[UnitSpan]) -> bool {
-    let mut c = PrefixChecker::new(specs);
-    for u in order {
-        match u.txn {
-            None => {
-                if !c.step(&th.ops()[u.first].op, false) {
-                    return false;
-                }
-            }
-            Some(ti) => {
-                let t = &th.txns()[ti];
-                for &i in &t.op_indices {
-                    if !c.step(&th.ops()[i].op, true) {
-                        return false;
-                    }
-                }
-                if t.status == TxnStatus::Live {
-                    c.suspend_live();
-                }
-            }
-        }
-    }
-    true
 }
 
 #[cfg(test)]

@@ -1,6 +1,8 @@
 //! Every check is visible to the flight recorder: one `SearchBegin` /
-//! `SearchEnd` pair per [`Check::run`], for both kinds, serial and on
-//! the pool. (SGLA searches used to emit neither.)
+//! `SearchEnd` pair per [`Check::run`] and one `NodeEnter` / `Prune`
+//! per node expanded / pruned, for both kinds, serial and on the pool.
+//! (SGLA searches used to emit none of them; the node events come from
+//! the one leaf both kinds share, `core::linearize`.)
 //!
 //! The recorder is process-global, so this file holds a single test.
 
@@ -14,14 +16,18 @@ use std::sync::Arc;
 
 #[test]
 fn every_check_brackets_its_search_with_begin_and_end() {
+    // The reader starts first but must serialize second, so the first
+    // order tried prunes before the second succeeds.
     let (p1, p2) = (ProcId(1), ProcId(2));
     let mut b = HistoryBuilder::new();
+    b.start(p2);
     b.start(p1);
     b.write(p1, X, 1);
     b.write(p1, Y, 1);
     b.commit(p1);
     b.read(p2, Y, 1);
     b.read(p2, X, 1);
+    b.commit(p2);
     let h = b.build().unwrap();
 
     for kind in [CheckKind::Opacity, CheckKind::Sgla] {
@@ -52,6 +58,19 @@ fn every_check_brackets_its_search_with_begin_and_end() {
             );
             assert_eq!((end[0].a, end[0].b), (stats.search.nodes, 1), "{ctx}");
             assert!(begin[0].ts_ns <= end[0].ts_ns, "{ctx}");
+            // The node-level events count exactly what the stats count.
+            assert_eq!(recorder.dropped(), 0, "{ctx}");
+            assert_eq!(
+                of(EventKind::NodeEnter).len() as u64,
+                stats.search.nodes,
+                "{ctx}"
+            );
+            assert_eq!(
+                of(EventKind::Prune).len() as u64,
+                stats.search.prune_hits,
+                "{ctx}"
+            );
+            assert!(stats.search.prune_hits > 0, "{ctx}");
         }
     }
 }

@@ -34,6 +34,7 @@ use jungle_core::classes::ClassSet;
 use jungle_core::explain::explain_opacity;
 use jungle_core::history::History;
 use jungle_core::ids::ProcId;
+use jungle_core::linearize::view_pairs;
 use jungle_core::model::MemoryModel;
 use jungle_core::pretty::render_timeline;
 use jungle_isa::trace::Trace;
@@ -195,31 +196,20 @@ fn is_nt_cmd(th: &History, i: usize) -> bool {
     !th.is_transactional(i) && th.ops()[i].op.command().is_some()
 }
 
-/// The candidate maskable pairs: same-process, different-variable,
-/// non-transactional command pairs the model actually requires — the
-/// pairs whose orderings define the §3.2 classes. (Same-variable pairs
-/// are program order per location, required by every model; dropping
-/// one would not be a statement about `M`.)
+/// The candidate maskable pairs: the different-variable pairs of some
+/// process's minimal view — the pairs whose orderings define the §3.2
+/// classes. (Same-variable pairs are program order per location,
+/// required by every model; dropping one would not be a statement
+/// about `M`.)
 fn candidate_pairs(th: &History, model: &dyn MemoryModel) -> Vec<(usize, usize)> {
-    let ops = th.ops();
-    let mut out = Vec::new();
-    for i in 0..th.len() {
-        if !is_nt_cmd(th, i) {
-            continue;
-        }
-        for j in (i + 1)..th.len() {
-            if !is_nt_cmd(th, j) || ops[i].proc != ops[j].proc {
-                continue;
-            }
-            let (ci, cj) = (ops[i].op.command().unwrap(), ops[j].op.command().unwrap());
-            if ci.var() == cj.var() {
-                continue;
-            }
-            if model.required(th, i, j) {
-                out.push((i, j));
-            }
-        }
-    }
+    let var = |i: usize| th.ops()[i].op.command().map(|c| c.var());
+    let views = th
+        .procs()
+        .into_iter()
+        .flat_map(|p| view_pairs(th, model, p));
+    let mut out: Vec<(usize, usize)> = views.filter(|&(i, j)| var(i) != var(j)).collect();
+    out.sort_unstable();
+    out.dedup();
     out
 }
 

@@ -51,7 +51,6 @@ pub use jungle_core::registry::{entry, registry, ExecSemantics, ModelEntry, Stor
 pub use program::{Program, Stmt, ThreadProg, TxOp};
 pub use theorems::{experiment_by_id, experiment_ids, thm1_suite, Expectation, Experiment};
 pub use verify::{
-    check_all_traces, check_all_traces_enumerative, class_sweep_dpor, class_sweep_enumerative,
-    machine_for, scheduler_for_seed, trace_satisfies, CheckKind, ClassSweep, Schedules,
+    check_all_traces, machine_for, scheduler_for_seed, trace_satisfies, CheckKind, Schedules,
     SharedVerdictMemo, Sweep, SweepSeeds, Verdict,
 };

@@ -44,10 +44,10 @@
 //! orders of magnitude fewer runs than enumeration on store-buffer
 //! machines, with bit-identical verdicts and witnesses (the serial
 //! explorer meets leaves in the same lexicographic order enumeration
-//! does). The pre-reduction algorithm survives as
-//! [`check_all_traces_enumerative`], the oracle the reduction is
-//! tested against: [`class_sweep_dpor`] must produce exactly the
-//! class-key set of [`class_sweep_enumerative`].
+//! does). The pre-reduction algorithm survives only as the oracle in
+//! `tests/dpor_props.rs`, built on [`jungle_memsim::explore`]: the
+//! explorer must produce exactly the class-key set, the verdict and
+//! the first violation that enumeration does.
 //!
 //! ### Parallel sweeps
 //!
@@ -84,9 +84,7 @@ use jungle_core::model::MemoryModel;
 use jungle_core::par::ParallelConfig;
 use jungle_core::registry::ModelEntry;
 use jungle_isa::trace::Trace;
-use jungle_memsim::{
-    explore, BurstyScheduler, HwModel, Machine, RandomScheduler, RunResult, Scheduler,
-};
+use jungle_memsim::{BurstyScheduler, HwModel, Machine, RandomScheduler, RunResult, Scheduler};
 use jungle_obs::trace::{self as flight, EventKind};
 use jungle_obs::{DporStats, McStats, TmSnapshot};
 use std::collections::{HashMap, HashSet};
@@ -147,8 +145,8 @@ pub struct Verdict {
     /// (including deduplicated ones — dedup skips the *checking*, not
     /// the accounting).
     pub tm: TmSnapshot,
-    /// DPOR waste attribution (empty for enumerative and randomized
-    /// sweeps). `waste.blocked` equals `stats.dpor_blocked`.
+    /// DPOR waste attribution (empty for randomized sweeps).
+    /// `waste.blocked` equals `stats.dpor_blocked`.
     pub waste: DporStats,
 }
 
@@ -553,15 +551,6 @@ impl<'a> Sweep<'a> {
     /// Run the sweep.
     pub fn run(&self) -> Verdict {
         let threads = self.parallel.map_or(1, |cfg| cfg.effective_threads());
-        self.judged(|judge| match self.schedules {
-            Schedules::Exhaustive => self.explore_classes(judge, threads),
-            Schedules::Random(seeds) => self.sample(judge, seeds, threads),
-        })
-    }
-
-    /// Run `driver` against a fresh [`Judge`] and fold what the judge
-    /// saw into the driver's verdict.
-    fn judged(&self, driver: impl FnOnce(&Judge<'_>) -> Verdict) -> Verdict {
         let private;
         let memo = match self.memo {
             Some(shared) => shared,
@@ -571,7 +560,10 @@ impl<'a> Sweep<'a> {
             }
         };
         let judge = Judge::new(self, memo);
-        let verdict = driver(&judge);
+        let verdict = match self.schedules {
+            Schedules::Exhaustive => self.explore_classes(&judge, threads),
+            Schedules::Random(seeds) => self.sample(&judge, seeds, threads),
+        };
         judge.conclude(verdict)
     }
 
@@ -649,17 +641,6 @@ impl<'a> Sweep<'a> {
                 verdict.stats.machine.absorb(&local.stats.machine);
             }
         });
-        verdict
-    }
-
-    /// The enumerative driver: every schedule executed, equivalence
-    /// handled only by the judge's after-the-fact trace dedup.
-    fn enumerate(&self, judge: &Judge<'_>) -> Verdict {
-        let out = explore(|| self.machine(), self.max_steps, |r| judge.judge(r, &[]));
-        let mut verdict = Verdict::passing(self.entry);
-        verdict.runs = out.runs;
-        verdict.truncated = out.truncated;
-        verdict.stats.machine = out.stats;
         verdict
     }
 }
@@ -788,94 +769,6 @@ pub fn check_all_traces(
     max_steps: usize,
 ) -> Verdict {
     Sweep::new(program, algo, entry, kind, max_steps).run()
-}
-
-/// Brute-force exhaustive sweep: every schedule executed, equivalence
-/// handled only by after-the-fact trace dedup. This is the pre-DPOR
-/// algorithm, kept as the **oracle** the reduction is validated against
-/// (`dpor` history classes and verdicts must match it exactly); use a
-/// [`Sweep`] for real sweeps — it visits the same classes in orders of
-/// magnitude fewer runs.
-pub fn check_all_traces_enumerative(
-    program: &Program,
-    algo: &dyn TmAlgo,
-    entry: &ModelEntry,
-    kind: CheckKind,
-    max_steps: usize,
-) -> Verdict {
-    let sweep = Sweep::new(program, algo, entry, kind, max_steps);
-    sweep.judged(|judge| sweep.enumerate(judge))
-}
-
-/// The set of structural history classes a sweep visits, with the run
-/// count it took to visit them — the raw material of the
-/// DPOR-vs-enumeration equivalence oracle.
-#[derive(Clone, Debug, Default)]
-pub struct ClassSweep {
-    /// `Trace::cache_key` of every completed run.
-    pub keys: HashSet<u64>,
-    /// Machine runs executed (for DPOR this includes blocked sleep-set
-    /// probes that abort partway; `completed` is the useful subset).
-    pub executed: u64,
-    /// Runs that ran to completion and yielded a class key.
-    pub completed: u64,
-    /// Runs cut off by the step bound.
-    pub truncated: u64,
-    /// Runs aborted at a sleep-blocked node (0 for enumeration, which
-    /// has no sleep sets).
-    pub blocked: u64,
-    /// DPOR waste attribution (empty for enumeration).
-    pub waste: DporStats,
-}
-
-impl ClassSweep {
-    fn note(&mut self, r: &RunResult) -> bool {
-        if r.completed {
-            self.completed += 1;
-            self.keys.insert(r.trace.cache_key());
-        }
-        false
-    }
-}
-
-/// Enumerate every schedule and collect the completed-trace class keys.
-pub fn class_sweep_enumerative(
-    program: &Program,
-    algo: &dyn TmAlgo,
-    entry: &ModelEntry,
-    max_steps: usize,
-) -> ClassSweep {
-    let mut sweep = ClassSweep::default();
-    let out = explore(
-        || machine_for(program, algo, entry.exec),
-        max_steps,
-        |r| sweep.note(r),
-    );
-    sweep.executed = out.runs as u64;
-    sweep.truncated = out.truncated as u64;
-    sweep
-}
-
-/// Collect the completed-trace class keys the DPOR explorer visits.
-/// Equal key sets with [`class_sweep_enumerative`] — at a fraction of
-/// its `executed` — is the reduction's correctness property.
-pub fn class_sweep_dpor(
-    program: &Program,
-    algo: &dyn TmAlgo,
-    entry: &ModelEntry,
-    max_steps: usize,
-) -> ClassSweep {
-    let mut sweep = ClassSweep::default();
-    let out = explore_dpor(
-        || machine_for(program, algo, entry.exec),
-        max_steps,
-        |r| sweep.note(r),
-    );
-    sweep.executed = out.executed as u64;
-    sweep.truncated = out.truncated as u64;
-    sweep.blocked = out.blocked as u64;
-    sweep.waste = out.waste;
-    sweep
 }
 
 #[cfg(test)]

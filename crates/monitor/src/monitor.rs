@@ -1,9 +1,10 @@
 //! The streaming monitor: ingest → window → triage → (maybe) escalate.
 //!
 //! Checking parametrized opacity is NP-hard in general — the batch
-//! checker ([`Check`]) enumerates transaction serialization orders. Running them on every window of a live stream
-//! would cap throughput at the checker's worst case. The monitor is
-//! therefore **tiered**:
+//! checker ([`Check`]) enumerates transaction serialization orders and
+//! runs a backtracking witness search under each. Running it on every
+//! window of a live stream would cap throughput at the checker's worst
+//! case. The monitor is therefore **tiered**:
 //!
 //! 1. **Triage** (polynomial, every window): [`triage_opacity`] replays
 //!    two candidate serialization orders — sorted by first and by last

@@ -57,31 +57,6 @@ impl SatStats {
         self.learned += other.learned;
         self.wall.absorb(&other.wall);
     }
-
-    /// Rebuild from the [`ToJson`] form.
-    pub fn from_json(j: &Json) -> Result<SatStats, String> {
-        let num = |k: &str| {
-            j.get(k)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("sat: missing or invalid '{k}'"))
-        };
-        Ok(SatStats {
-            solved: num("solved")?,
-            certified: num("certified")?,
-            cegar_rounds: num("cegar_rounds")?,
-            vars: num("vars")?,
-            clauses: num("clauses")?,
-            decisions: num("decisions")?,
-            conflicts: num("conflicts")?,
-            propagations: num("propagations")?,
-            restarts: num("restarts")?,
-            learned: num("learned")?,
-            wall: HistSnapshot::from_json(
-                j.get("wall")
-                    .ok_or_else(|| "sat: missing 'wall'".to_string())?,
-            )?,
-        })
-    }
 }
 
 impl ToJson for SatStats {
@@ -126,26 +101,5 @@ mod tests {
         assert_eq!(a.conflicts, 3);
         assert_eq!(a.wall.count, 2);
         assert_eq!(a.wall.max, 5_000);
-    }
-
-    #[test]
-    fn json_round_trip() {
-        let mut s = SatStats {
-            solved: 4,
-            certified: 2,
-            cegar_rounds: 1,
-            vars: 10,
-            clauses: 42,
-            decisions: 7,
-            conflicts: 3,
-            propagations: 99,
-            restarts: 1,
-            learned: 3,
-            ..Default::default()
-        };
-        s.wall.record(123);
-        s.wall.record(456_789);
-        let parsed = Json::parse(&s.to_json().to_string()).unwrap();
-        assert_eq!(SatStats::from_json(&parsed).unwrap(), s);
     }
 }

@@ -26,8 +26,23 @@
 //! equal across backends, every SAT positive certified, and every
 //! witness must re-validate from scratch — the backend and the pool
 //! are only allowed to be *faster*, never *different*.
+//!
+//! A third digest pins the search *tree*, not only its result: the
+//! `(units, txn_orders, nodes, backtracks, prune_hits, peak_depth,
+//! cache_hits)` of every serial DFS case, folded by the loop below
+//! **at the parent commit (a36aaa8)**, before the leaf search of both
+//! kinds moved into `core::linearize`. That capture printed:
+//!
+//! ```text
+//! tree digest=0xd6bde522741e91ad nodes=11947 txn_orders=715
+//! ```
+//!
+//! Two more columns ride on the serial DFS opacity rows: a triage
+//! clear implies the verdict holds, and the explainer agrees with the
+//! verdict and names at least one stuck operation whenever it fails.
 
 use jungle::core::check::{Check, CheckBackend, CheckKind, CheckVerdict};
+use jungle::core::explain::explain_opacity;
 use jungle::core::fingerprint::Fnv1a;
 use jungle::core::history::{History, OpInstance};
 use jungle::core::legal::every_op_legal;
@@ -35,12 +50,14 @@ use jungle::core::model::MemoryModel;
 use jungle::core::par::ParallelConfig;
 use jungle::core::registry::registry;
 use jungle::core::spec::SpecRegistry;
+use jungle::core::triage::triage_opacity;
 use jungle::litmus::figures::all_litmus;
 use jungle::litmus::stress::{chain_history, wide_history, wide_unsat_history};
 
 const DFS_DIGEST: u64 = 0x56cc_1990_34b2_82e5;
 const SAT_DIGEST: u64 = 0x52b1_902d_3c87_33e5;
 const HOLDING: usize = 450;
+const TREE_DIGEST: u64 = 0xd6bd_e522_741e_91ad;
 
 fn corpus() -> Vec<History> {
     let mut hs: Vec<History> = all_litmus()
@@ -113,6 +130,8 @@ fn assert_witnesses_valid(h: &History, model: &dyn MemoryModel, kind: CheckKind,
 fn check_table_reproduces_the_parent_digests() {
     let corpus = corpus();
     let mut serial_holds: Vec<Vec<bool>> = Vec::new();
+    let mut tree = Fnv1a::new();
+    let (mut nodes, mut txn_orders) = (0u64, 0u64);
     for (backend, expected) in [
         (CheckBackend::Dfs, DFS_DIGEST),
         (CheckBackend::Sat, SAT_DIGEST),
@@ -147,6 +166,34 @@ fn check_table_reproduces_the_parent_digests() {
                         if workers == 0 && v.holds() {
                             assert_witnesses_valid(h, e.model, kind, &v);
                         }
+                        if workers == 0 && backend == CheckBackend::Dfs {
+                            let s = &stats.search;
+                            for w in [
+                                s.units,
+                                s.txn_orders,
+                                s.nodes,
+                                s.backtracks,
+                                s.prune_hits,
+                                s.peak_depth,
+                                s.cache_hits,
+                            ] {
+                                tree.word(w);
+                            }
+                            nodes += s.nodes;
+                            txn_orders += s.txn_orders;
+                            if kind == CheckKind::Opacity {
+                                assert!(
+                                    !triage_opacity(h, e.model).cleared() || v.holds(),
+                                    "{ctx}: triage cleared a non-opaque history"
+                                );
+                                let d = explain_opacity(h, e.model);
+                                assert_eq!(d.opaque, v.holds(), "{ctx}: explainer disagrees");
+                                assert!(
+                                    v.holds() || !d.stuck.is_empty(),
+                                    "{ctx}: nothing stuck in a non-opaque history"
+                                );
+                            }
+                        }
                     }
                 }
             }
@@ -160,6 +207,15 @@ fn check_table_reproduces_the_parent_digests() {
             }
         }
     }
+    println!(
+        "tree digest={:#018x} nodes={nodes} txn_orders={txn_orders}",
+        tree.finish()
+    );
+    assert_eq!(
+        tree.finish(),
+        TREE_DIGEST,
+        "the serial DFS search tree diverged from the parent's"
+    );
     // 8 registry entries × 2 kinds × the whole corpus, per backend.
     assert_eq!(serial_holds[0].len(), corpus.len() * registry().len() * 2);
     assert_eq!(serial_holds[0], serial_holds[1], "backends disagree");
