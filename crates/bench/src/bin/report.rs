@@ -2,12 +2,15 @@
 //! theorem experiment of the paper in one run and prints the tables
 //! that EXPERIMENTS.md records.
 //!
-//! With `--json`, stdout carries **exactly one JSON object**
-//! (`{"rows": [...], "metrics": {...}}`) and nothing else; the human
-//! tables are suppressed. The `metrics` section aggregates the
-//! observability counters: opacity-checker search statistics per litmus
-//! figure, per-STM runtime counters from the theorem sweeps, and the
-//! model-checker exploration totals.
+//! Every run builds both outputs on one path — the human tables into
+//! one `String`, the JSON document beside them — and prints one of
+//! them at the end: the tables, or with `--json` **exactly one JSON
+//! object** (`{"rows": [...], "metrics": {...}, ...}`) and nothing
+//! else; the tables are then built and not printed. The `metrics`
+//! section aggregates the observability counters: opacity-checker
+//! search statistics per litmus figure, per-STM runtime counters from
+//! the theorem sweeps, and the model-checker exploration totals; the
+//! `costs` array is the paper's §4 instruction-cost table.
 //!
 //! The rows are the run's only gate: exit 0 when every row passes,
 //! 1 when one fails (or an output file cannot be written, or the
@@ -67,6 +70,8 @@
 //!
 //! Run with: `cargo run --release -p jungle-bench --bin report`
 
+#![forbid(unsafe_code)]
+
 use jungle_core::model::all_models;
 use jungle_core::opacity::check_opacity_traced;
 use jungle_core::par::ParallelConfig;
@@ -90,6 +95,7 @@ use jungle_obs::{
 };
 use jungle_replay::{record_experiment, replay, shrink, ScheduleLog};
 use jungle_stm::StmTap;
+use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -355,7 +361,7 @@ fn stm_smoke() {
 /// STM's row holds its stream to `jungle_bench::monitor_ok` — every
 /// event of every transaction ingested, none dropped, no violation,
 /// every window decided by one tier, (nearly) all by triage.
-fn monitor_sweep(json: bool, rows: &mut Vec<Row>) -> (Vec<Json>, MonitorStats) {
+fn monitor_sweep(text: &mut String, rows: &mut Vec<Row>) -> (Vec<Json>, MonitorStats) {
     use jungle_core::ids::ProcId;
     use jungle_stm::{atomically, Ctx};
     const THREADS: u32 = 4;
@@ -364,13 +370,13 @@ fn monitor_sweep(json: bool, rows: &mut Vec<Row>) -> (Vec<Json>, MonitorStats) {
     // Begin, read, write, commit.
     const OPS_PER_TXN: u64 = 4;
 
-    if !json {
-        println!("\n════ Streaming monitor: live traffic through the tiered checker ════\n");
-        println!(
-            "  {:<18} {:>9} {:>8} {:>9} {:>6} {:>5} {:>6} {:>8}",
-            "algorithm", "ops", "windows", "cleared%", "escal", "viol", "drops", "Mops/s"
-        );
-    }
+    text.push_str("\n════ Streaming monitor: live traffic through the tiered checker ════\n\n");
+    writeln!(
+        text,
+        "  {:<18} {:>9} {:>8} {:>9} {:>6} {:>5} {:>6} {:>8}",
+        "algorithm", "ops", "windows", "cleared%", "escal", "viol", "drops", "Mops/s"
+    )
+    .unwrap();
     let memo = Arc::new(SharedVerdictMemo::new());
     let mut total = MonitorStats::default();
     let mut entries = Vec::new();
@@ -403,19 +409,19 @@ fn monitor_sweep(json: bool, rows: &mut Vec<Row>) -> (Vec<Json>, MonitorStats) {
         } else {
             100.0 * stats.triage_cleared as f64 / stats.windows_sealed as f64
         };
-        if !json {
-            println!(
-                "  {:<18} {:>9} {:>8} {:>8.1}% {:>6} {:>5} {:>6} {:>8.2}",
-                tm.name(),
-                stats.ops_ingested,
-                stats.windows_sealed,
-                cleared_pct,
-                stats.escalated,
-                stats.violations,
-                stats.events_dropped,
-                stats.ops_per_sec() / 1e6,
-            );
-        }
+        writeln!(
+            text,
+            "  {:<18} {:>9} {:>8} {:>8.1}% {:>6} {:>5} {:>6} {:>8.2}",
+            tm.name(),
+            stats.ops_ingested,
+            stats.windows_sealed,
+            cleared_pct,
+            stats.escalated,
+            stats.violations,
+            stats.events_dropped,
+            stats.ops_per_sec() / 1e6,
+        )
+        .unwrap();
         rows.push(Row {
             section: "monitor",
             id: format!("monitor/{}", tm.name()),
@@ -437,11 +443,11 @@ fn monitor_sweep(json: bool, rows: &mut Vec<Row>) -> (Vec<Json>, MonitorStats) {
         entries.push(j);
         total.absorb(&stats);
     }
-    if !json {
-        println!(
-            "  (4 threads × {TXNS} disjoint read-modify-write txns per STM, window {WINDOW}, blocking tap)"
-        );
-    }
+    writeln!(
+        text,
+        "  (4 threads × {TXNS} disjoint read-modify-write txns per STM, window {WINDOW}, blocking tap)"
+    )
+    .unwrap();
     (entries, total)
 }
 
@@ -453,7 +459,7 @@ fn monitor_sweep(json: bool, rows: &mut Vec<Row>) -> (Vec<Json>, MonitorStats) {
 /// empty-core probe — to locate the first size where SAT does less
 /// work (CEGAR rounds against serialization orders tried). Returns the
 /// JSON section and the aggregated solver stats.
-fn sat_sweep(json: bool, rows: &mut Vec<Row>) -> (Json, SatStats) {
+fn sat_sweep(text: &mut String, rows: &mut Vec<Row>) -> (Json, SatStats) {
     use jungle_core::check::{Check, CheckBackend, CheckKind};
     use jungle_core::model::Sc;
     use jungle_litmus::stress::wide_unsat_history;
@@ -464,13 +470,13 @@ fn sat_sweep(json: bool, rows: &mut Vec<Row>) -> (Json, SatStats) {
     let mut certified = 0u64;
     let mut disagreements: Vec<String> = Vec::new();
 
-    if !json {
-        println!("\n════ SAT backend: DFS vs CDCL verdicts (litmus × registry × kind) ════\n");
-        println!(
-            "  {:<26} {:>7} {:>7} {:>9} {:>10}",
-            "history", "checks", "agree", "positive", "certified"
-        );
-    }
+    text.push_str("\n════ SAT backend: DFS vs CDCL verdicts (litmus × registry × kind) ════\n\n");
+    writeln!(
+        text,
+        "  {:<26} {:>7} {:>7} {:>9} {:>10}",
+        "history", "checks", "agree", "positive", "certified"
+    )
+    .unwrap();
     for litmus in all_litmus() {
         for o in &litmus.outcomes {
             let label = format!("{}/{}", litmus.name, o.label);
@@ -499,9 +505,7 @@ fn sat_sweep(json: bool, rows: &mut Vec<Row>) -> (Json, SatStats) {
             checked += n;
             positives += pos;
             certified += cert;
-            if !json {
-                println!("  {label:<26} {n:>7} {agree:>7} {pos:>9} {cert:>10}");
-            }
+            writeln!(text, "  {label:<26} {n:>7} {agree:>7} {pos:>9} {cert:>10}").unwrap();
         }
     }
     let agreement = disagreements.is_empty();
@@ -524,13 +528,13 @@ fn sat_sweep(json: bool, rows: &mut Vec<Row>) -> (Json, SatStats) {
     // are printed for the reader only.
     let mut points: Vec<Json> = Vec::new();
     let mut crossover_at: Option<u64> = None;
-    if !json {
-        println!("\n  wide-UNSAT crossover (SC, opacity):");
-        println!(
-            "    {:>3} {:>10} {:>10} {:>12} {:>12} {:>9}",
-            "p", "dfs orders", "sat rounds", "dfs µs", "sat µs", "winner"
-        );
-    }
+    text.push_str("\n  wide-UNSAT crossover (SC, opacity):\n");
+    writeln!(
+        text,
+        "    {:>3} {:>10} {:>10} {:>12} {:>12} {:>9}",
+        "p", "dfs orders", "sat rounds", "dfs µs", "sat µs", "winner"
+    )
+    .unwrap();
     for p in 2..=6usize {
         let h = wide_unsat_history(p);
         let (dfs, dfs_st) = Check::new(CheckKind::Opacity).run(&h, &Sc);
@@ -548,17 +552,17 @@ fn sat_sweep(json: bool, rows: &mut Vec<Row>) -> (Json, SatStats) {
         if rounds < orders && crossover_at.is_none() {
             crossover_at = Some(p as u64);
         }
-        if !json {
-            println!(
-                "    {:>3} {:>10} {:>10} {:>12.1} {:>12.1} {:>9}",
-                p,
-                orders,
-                rounds,
-                dfs_ns as f64 / 1e3,
-                sat_ns as f64 / 1e3,
-                if rounds < orders { "sat" } else { "dfs" }
-            );
-        }
+        writeln!(
+            text,
+            "    {:>3} {:>10} {:>10} {:>12.1} {:>12.1} {:>9}",
+            p,
+            orders,
+            rounds,
+            dfs_ns as f64 / 1e3,
+            sat_ns as f64 / 1e3,
+            if rounds < orders { "sat" } else { "dfs" }
+        )
+        .unwrap();
         let mut j = Json::obj();
         j.push("p", (p as u64).into())
             .push("dfs_orders", orders.into())
@@ -577,16 +581,16 @@ fn sat_sweep(json: bool, rows: &mut Vec<Row>) -> (Json, SatStats) {
         },
         pass: crossover_at.is_some(),
     });
-    if !json {
-        println!(
-            "  {} checks, {} disagreements; solver: {} conflicts, {} learned, wall p99 {}ns",
-            checked,
-            disagreements.len(),
-            total.conflicts,
-            total.learned,
-            total.wall.p99(),
-        );
-    }
+    writeln!(
+        text,
+        "  {} checks, {} disagreements; solver: {} conflicts, {} learned, wall p99 {}ns",
+        checked,
+        disagreements.len(),
+        total.conflicts,
+        total.learned,
+        total.wall.p99(),
+    )
+    .unwrap();
 
     let mut sec = Json::obj();
     sec.push("checked", checked.into())
@@ -611,7 +615,7 @@ fn sat_sweep(json: bool, rows: &mut Vec<Row>) -> (Json, SatStats) {
 /// litmus outcome (per registry entry, per check kind) as a DIMACS
 /// file whose comment header names the experiment, the model key and
 /// the check kind — ready for external solvers or proof-logging tools.
-fn cnf_export(dir: &std::path::Path, json: bool, rows: &mut Vec<Row>) -> Json {
+fn cnf_export(dir: &std::path::Path, text: &mut String, rows: &mut Vec<Row>) -> Json {
     use jungle_core::encode::{opacity_cnf, sgla_cnf};
     if let Err(e) = std::fs::create_dir_all(dir) {
         eprintln!("could not create CNF directory {}: {e}", dir.display());
@@ -652,12 +656,12 @@ fn cnf_export(dir: &std::path::Path, json: bool, rows: &mut Vec<Row>) -> Json {
             }
         }
     }
-    if !json {
-        println!(
-            "\nCNF export: {files} DIMACS files ({clauses} clauses) -> {}",
-            dir.display()
-        );
-    }
+    writeln!(
+        text,
+        "\nCNF export: {files} DIMACS files ({clauses} clauses) -> {}",
+        dir.display()
+    )
+    .unwrap();
     rows.push(Row {
         section: "cnf",
         id: "cnf/export".into(),
@@ -689,7 +693,6 @@ fn main() {
             Some(id) => vec![resolve_experiment(id)],
             None => thm1_suite(),
         });
-    let json = args.json;
     let t_start = std::time::Instant::now();
 
     let recorder = args.trace.as_ref().map(|_| {
@@ -708,6 +711,11 @@ fn main() {
         p
     });
 
+    // The human tables, built on every run and printed at the end unless
+    // `--json` asks for the document instead. Writing into a `String`
+    // fails only if a `Display` impl does, which `println!` answered
+    // with a panic too: hence the `unwrap`s.
+    let mut text = String::new();
     let mut rows: Vec<Row> = Vec::new();
     let mut metrics = MetricsSnapshot::new();
     // Run-wide DPOR waste attribution, absorbed from every DPOR-backed
@@ -717,29 +725,21 @@ fn main() {
 
     // ── Figures 1–2: litmus verdict tables ────────────────────────
     let phase_figures = profile::enter("report.figures");
-    if !json {
-        println!("════ Figures 1–2: litmus verdicts per memory model ════\n");
-    }
+    text.push_str("════ Figures 1–2: litmus verdicts per memory model ════\n\n");
     for litmus in all_litmus() {
-        if !json {
-            println!("{} — {}", litmus.name, litmus.question);
-            print!("  {:<14}", "outcome");
-            for m in all_models() {
-                print!("{:>9}", m.name());
-            }
-            println!();
+        writeln!(text, "{} — {}", litmus.name, litmus.question).unwrap();
+        write!(text, "  {:<14}", "outcome").unwrap();
+        for m in all_models() {
+            write!(text, "{:>9}", m.name()).unwrap();
         }
+        text.push('\n');
         for o in &litmus.outcomes {
-            if !json {
-                print!("  {:<14}", o.label);
-            }
+            write!(text, "  {:<14}", o.label).unwrap();
             for m in all_models() {
                 let (verdict, stats) = check_opacity_traced(&o.history, m);
                 metrics.record_checker(litmus.name, &stats);
                 let ok = verdict.is_opaque();
-                if !json {
-                    print!("{:>9}", if ok { "allowed" } else { "✗" });
-                }
+                write!(text, "{:>9}", if ok { "allowed" } else { "✗" }).unwrap();
                 rows.push(Row {
                     section: "figures",
                     id: format!("{}/{}/{}", litmus.name, o.label, m.name()),
@@ -752,48 +752,53 @@ fn main() {
                     pass: true,
                 });
             }
-            if !json {
-                println!();
-            }
+            text.push('\n');
         }
-        if !json {
-            println!();
-        }
+        text.push('\n');
     }
     drop(phase_figures);
 
     // ── Instrumentation taxonomy + measured instruction costs ─────
-    if !json {
-        println!("════ TM algorithms: instrumentation & measured instruction cost ════\n");
-        println!(
-            "  {:<18} {:<34} {:>8} {:>8} {:>8} {:>8}",
-            "algorithm", "class (§4)", "nt-rd", "nt-wr", "tx-rd", "commit"
-        );
-        let strong = StrongTm::new();
-        let strong_opt = StrongTm::optimized();
-        let algos: [(&dyn McAlgo, &str); 6] = [
-            (&GlobalLockTm, "Fig. 6 / Thm 3, 7"),
-            (&WriteTxnTm, "Thm 4"),
-            (&VersionedTm, "Thm 5"),
-            (&strong, "§6.1"),
-            (&strong_opt, "§6.1 optimized"),
-            (&LazyTl2Tm, "weak baseline"),
-        ];
-        for (algo, _ref) in algos {
-            let c = measure(algo);
-            println!(
-                "  {:<18} {:<34} {:>8} {:>8} {:>8} {:>8}",
-                algo.name(),
-                algo.instrumentation().to_string(),
-                c.nt_read.max_instrs,
-                c.nt_write.max_instrs,
-                c.txn_read.max_instrs,
-                c.commit.max_instrs,
-            );
+    // The paper's §4 table. One loop writes the text line and the
+    // `costs` entry of each algorithm, column by column.
+    text.push_str("════ TM algorithms: instrumentation & measured instruction cost ════\n\n");
+    writeln!(
+        text,
+        "  {:<18} {:<34} {:>8} {:>8} {:>8} {:>8}",
+        "algorithm", "class (§4)", "nt-rd", "nt-wr", "tx-rd", "commit"
+    )
+    .unwrap();
+    let strong = StrongTm::new();
+    let strong_opt = StrongTm::optimized();
+    let algos: [&dyn McAlgo; 6] = [
+        &GlobalLockTm, // Fig. 6 / Thm 3, 7
+        &WriteTxnTm,   // Thm 4
+        &VersionedTm,  // Thm 5
+        &strong,       // §6.1
+        &strong_opt,   // §6.1 optimized
+        &LazyTl2Tm,    // weak baseline
+    ];
+    let mut costs: Vec<Json> = Vec::new();
+    for algo in algos {
+        let c = measure(algo);
+        let class = algo.instrumentation().to_string();
+        write!(text, "  {:<18} {:<34}", algo.name(), class).unwrap();
+        let mut j = Json::obj();
+        j.push("algorithm", algo.name().into())
+            .push("class", class.as_str().into());
+        for (key, cost) in [
+            ("nt_read", c.nt_read),
+            ("nt_write", c.nt_write),
+            ("txn_read", c.txn_read),
+            ("commit", c.commit),
+        ] {
+            write!(text, " {:>8}", cost.max_instrs).unwrap();
+            j.push(key, cost.max_instrs.into());
         }
-        println!("  (max memory instructions per operation, uncontended standard program)");
-        println!();
+        text.push('\n');
+        costs.push(j);
     }
+    text.push_str("  (max memory instructions per operation, uncontended standard program)\n\n");
 
     // ── Lemma 1 / Theorems 1–5, 7 on the simulator ────────────────
     // One verdict memo shared across every sweep in the report,
@@ -803,13 +808,13 @@ fn main() {
     // within the run and across runs.
     let memo = SharedVerdictMemo::new();
     match memo.load_dir(&args.memo_dir) {
-        Ok(n) if n > 0 && !json => {
-            println!(
-                "(preloaded {n} memoized verdicts from {})\n",
-                args.memo_dir.display()
-            );
-        }
-        Ok(_) => {}
+        Ok(0) => {}
+        Ok(n) => writeln!(
+            text,
+            "(preloaded {n} memoized verdicts from {})\n",
+            args.memo_dir.display()
+        )
+        .unwrap(),
         Err(e) => eprintln!(
             "warning: could not preload memo from {}: {e}",
             args.memo_dir.display()
@@ -817,9 +822,7 @@ fn main() {
     }
     let cfg = ParallelConfig::default();
     let phase_theorems = profile::enter("report.theorems");
-    if !json {
-        println!("════ Lemma 1 & Theorems (simulator experiments) ════\n");
-    }
+    text.push_str("════ Lemma 1 & Theorems (simulator experiments) ════\n\n");
     // The exhaustive experiments' exploration counters, kept for the
     // DPOR table below: that table is a view of these sweeps, not a
     // second run of them.
@@ -834,15 +837,15 @@ fn main() {
         metrics.record_stm(e.algo.name(), &r.tm);
         metrics.record_mc(&r.stats);
         waste_total.absorb(&r.waste);
-        if !json {
-            println!(
-                "  {:<22} {:<36} {:>6} ({:.0?})",
-                e.id,
-                e.paper_ref,
-                if r.passed { "PASS" } else { "FAIL" },
-                dt
-            );
-        }
+        writeln!(
+            text,
+            "  {:<22} {:<36} {:>6} ({:.0?})",
+            e.id,
+            e.paper_ref,
+            if r.passed { "PASS" } else { "FAIL" },
+            dt
+        )
+        .unwrap();
         rows.push(Row {
             section: "theorems",
             id: e.id.clone(),
@@ -862,25 +865,25 @@ fn main() {
     // times this table; the sweeps ran under `report.theorems`.
     let phase_dpor = profile::enter("report.dpor");
     let mut dpor_entries: Vec<Json> = Vec::new();
-    if !json {
-        println!("\n════ DPOR reduction: the exhaustive sweeps above, runs vs classes ════\n");
-        println!(
-            "  {:<22} {:>9} {:>9} {:>9} {:>9} {:>7}",
-            "experiment", "executed", "complete", "blocked", "classes", "ratio"
-        );
-    }
+    text.push_str("\n════ DPOR reduction: the exhaustive sweeps above, runs vs classes ════\n\n");
+    writeln!(
+        text,
+        "  {:<22} {:>9} {:>9} {:>9} {:>9} {:>7}",
+        "experiment", "executed", "complete", "blocked", "classes", "ratio"
+    )
+    .unwrap();
     for (id, st) in &exhaustive {
         let completed = st.histories_checked + st.dedup_hits;
         let classes = st.histories_checked;
         // Complete runs per distinct class: 1.00 is optimal. Executed
         // also counts sleep-set probes that abort partway (blocked).
         let ratio = completed as f64 / classes.max(1) as f64;
-        if !json {
-            println!(
-                "  {:<22} {:>9} {:>9} {:>9} {:>9} {:>7.2}",
-                id, st.dpor_executed, completed, st.dpor_blocked, classes, ratio,
-            );
-        }
+        writeln!(
+            text,
+            "  {:<22} {:>9} {:>9} {:>9} {:>9} {:>7.2}",
+            id, st.dpor_executed, completed, st.dpor_blocked, classes, ratio,
+        )
+        .unwrap();
         let mut j = Json::obj();
         j.push("id", id.as_str().into())
             .push("dpor_executed", st.dpor_executed.into())
@@ -912,30 +915,26 @@ fn main() {
     // the same entry's model. (The fixed experiments above keep the
     // paper's SC-execution setting; this table is what the unified
     // registry adds.)
-    if !json {
-        println!("\n════ Matched-model zoo: STM × registry entry (execute X, check X) ════\n");
-        print!("  {:<18}", "algorithm");
-        for e in registry() {
-            print!("{:>9}", e.key);
-        }
-        println!();
+    text.push_str("\n════ Matched-model zoo: STM × registry entry (execute X, check X) ════\n\n");
+    write!(text, "  {:<18}", "algorithm").unwrap();
+    for e in registry() {
+        write!(text, "{:>9}", e.key).unwrap();
     }
+    text.push('\n');
     let phase_zoo = profile::enter("report.zoo");
     let zoo = matched_zoo(SweepSeeds::new(0, 30), 8_000, &cfg, &memo);
     {
         let mut last_algo = "";
         for z in &zoo {
             metrics.record_mc(&z.stats);
-            if !json {
-                if z.algo != last_algo {
-                    if !last_algo.is_empty() {
-                        println!();
-                    }
-                    print!("  {:<18}", z.algo);
-                    last_algo = z.algo;
+            if z.algo != last_algo {
+                if !last_algo.is_empty() {
+                    text.push('\n');
                 }
-                print!("{:>9}", if z.ok { "opaque" } else { "✗" });
+                write!(text, "  {:<18}", z.algo).unwrap();
+                last_algo = z.algo;
             }
+            write!(text, "{:>9}", if z.ok { "opaque" } else { "✗" }).unwrap();
             rows.push(Row {
                 section: "zoo",
                 id: format!("zoo/{}/{}", z.algo, z.model),
@@ -948,9 +947,7 @@ fn main() {
                 pass: true,
             });
         }
-        if !json {
-            println!("\n  (30 sampled schedules per cell; matched execution and checker model)");
-        }
+        text.push_str("\n  (30 sampled schedules per cell; matched execution and checker model)\n");
     }
     drop(phase_zoo);
 
@@ -992,16 +989,13 @@ fn main() {
     // ── Counterexample explanations (--explain) ───────────────────
     let mut explanations: Vec<Json> = Vec::new();
     if let Some(targets) = &explain_targets {
-        if !json {
-            println!("\n════ Theorem 1 counterexamples, explained ════\n");
-        }
+        text.push_str("\n════ Theorem 1 counterexamples, explained ════\n\n");
         for e in targets {
             match explain_experiment(e, SweepSeeds::new(0, 2_000), 8_000) {
                 Some(ex) => {
-                    if !json {
-                        println!("── {} ({}) ──", e.id, e.paper_ref);
-                        println!("{}", ex.render());
-                    }
+                    let rendered = ex.render();
+                    writeln!(text, "── {} ({}) ──", e.id, e.paper_ref).unwrap();
+                    writeln!(text, "{rendered}").unwrap();
                     let mut j = Json::obj();
                     j.push("id", e.id.as_str().into())
                         .push("model", ex.model.into())
@@ -1012,13 +1006,11 @@ fn main() {
                                 None => Json::Null,
                             },
                         )
-                        .push("rendered", ex.render().as_str().into());
+                        .push("rendered", rendered.into());
                     explanations.push(j);
                 }
                 None => {
-                    if !json {
-                        println!("── {} — no violation found (unexpected)", e.id);
-                    }
+                    writeln!(text, "── {} — no violation found (unexpected)", e.id).unwrap();
                     rows.push(Row {
                         section: "explain",
                         id: e.id.clone(),
@@ -1036,9 +1028,7 @@ fn main() {
     if let Some(dir) = &args.record {
         let mut replay_logs = 0u64;
         let mut shrink_rounds_total = 0u64;
-        if !json {
-            println!("\n════ Recorded schedules: capture → shrink → replay ════\n");
-        }
+        text.push_str("\n════ Recorded schedules: capture → shrink → replay ════\n\n");
         let mut log_entries: Vec<Json> = Vec::new();
         for e in record_targets.unwrap_or_default() {
             let Some(rec) = record_experiment(&e, SweepSeeds::new(0, 2_000), 8_000) else {
@@ -1071,19 +1061,19 @@ fn main() {
                 && min_out.matches
                 && min_out.violating
                 && class_matches;
-            if !json {
-                println!(
-                    "  {:<22} {:>5} decisions → {:>4} ({} rounds, {} candidates), class {} → {}: {}",
-                    e.id,
-                    stats.initial_decisions,
-                    stats.final_decisions,
-                    stats.rounds,
-                    stats.candidates,
-                    rec.log.class.as_deref().unwrap_or("?"),
-                    min.class.as_deref().unwrap_or("?"),
-                    if pass { "replay OK" } else { "FAIL" },
-                );
-            }
+            writeln!(
+                text,
+                "  {:<22} {:>5} decisions → {:>4} ({} rounds, {} candidates), class {} → {}: {}",
+                e.id,
+                stats.initial_decisions,
+                stats.final_decisions,
+                stats.rounds,
+                stats.candidates,
+                rec.log.class.as_deref().unwrap_or("?"),
+                min.class.as_deref().unwrap_or("?"),
+                if pass { "replay OK" } else { "FAIL" },
+            )
+            .unwrap();
             let mut j = Json::obj();
             j.push("id", e.id.as_str().into())
                 .push("model", min.model.as_str().into())
@@ -1140,7 +1130,7 @@ fn main() {
     let mut monitor_total: Option<MonitorStats> = None;
     if args.monitor {
         let _phase = profile::enter("report.monitor");
-        let (entries, total) = monitor_sweep(json, &mut rows);
+        let (entries, total) = monitor_sweep(&mut text, &mut rows);
         metrics.record_monitor(&total);
         monitor_entries = entries;
         monitor_total = Some(total);
@@ -1150,7 +1140,7 @@ fn main() {
     let mut sat_section: Option<Json> = None;
     if args.sat {
         let _phase = profile::enter("report.sat");
-        let (sec, total) = sat_sweep(json, &mut rows);
+        let (sec, total) = sat_sweep(&mut text, &mut rows);
         metrics.record_sat(&total);
         sat_section = Some(sec);
     }
@@ -1159,7 +1149,7 @@ fn main() {
     let cnf_section: Option<Json> = args
         .cnf
         .as_ref()
-        .map(|dir| cnf_export(dir, json, &mut rows));
+        .map(|dir| cnf_export(dir, &mut text, &mut rows));
 
     // ── SAT and STM smoke under the flight recorder ───────────────
     if recorder.is_some() {
@@ -1229,22 +1219,18 @@ fn main() {
             pass: jungle_bench::flight_complete(rec, &idle),
         });
         let trace_json = rec.chrome_trace();
-        match std::fs::write(path, format!("{trace_json}\n")) {
-            Ok(()) => {
-                if !json {
-                    println!(
-                        "\nflight recording: {} events ({} dropped) -> {}",
-                        rec.recorded(),
-                        rec.dropped(),
-                        path.display()
-                    );
-                }
-            }
-            Err(e) => {
-                eprintln!("could not write trace to {}: {e}", path.display());
-                std::process::exit(1);
-            }
+        if let Err(e) = std::fs::write(path, format!("{trace_json}\n")) {
+            eprintln!("could not write trace to {}: {e}", path.display());
+            std::process::exit(1);
         }
+        writeln!(
+            text,
+            "\nflight recording: {} events ({} dropped) -> {}",
+            rec.recorded(),
+            rec.dropped(),
+            path.display()
+        )
+        .unwrap();
     }
 
     // ── Phase-profile snapshot (--profile) ────────────────────────
@@ -1262,33 +1248,37 @@ fn main() {
         if let Some(total) = &monitor_total {
             sec.push("monitor_window_ns", total.window_hist().to_json());
         }
-        if !json {
-            println!("\n════ Exploration profile ════\n");
-            print!("{}", phases.render());
-            println!(
-                "\n  dpor waste: {} blocked probes (mode depth {}), {} race pairs, worker busy {:.1}%",
-                waste_total.blocked,
-                waste_total.blocked_depth_mode(),
-                waste_total.race_total(),
-                100.0 * waste_total.busy_frac(),
-            );
-            println!(
-                "  attribution reconciliation: blocked {} vs {} counted, races {} vs {} counted",
-                waste_total.blocked,
-                mc.dpor_blocked,
-                waste_total.race_total(),
-                mc.races,
-            );
-            if let Some(total) = &monitor_total {
-                let h = total.window_hist();
-                println!(
-                    "  monitor window latency: p50 {}ns  p99 {}ns  max {}ns over {} windows",
-                    h.p50(),
-                    h.p99(),
-                    h.max,
-                    h.count,
-                );
-            }
+        text.push_str("\n════ Exploration profile ════\n\n");
+        write!(text, "{}", phases.render()).unwrap();
+        writeln!(
+            text,
+            "\n  dpor waste: {} blocked probes (mode depth {}), {} race pairs, worker busy {:.1}%",
+            waste_total.blocked,
+            waste_total.blocked_depth_mode(),
+            waste_total.race_total(),
+            100.0 * waste_total.busy_frac(),
+        )
+        .unwrap();
+        writeln!(
+            text,
+            "  attribution reconciliation: blocked {} vs {} counted, races {} vs {} counted",
+            waste_total.blocked,
+            mc.dpor_blocked,
+            waste_total.race_total(),
+            mc.races,
+        )
+        .unwrap();
+        if let Some(total) = &monitor_total {
+            let h = total.window_hist();
+            writeln!(
+                text,
+                "  monitor window latency: p50 {}ns  p99 {}ns  max {}ns over {} windows",
+                h.p50(),
+                h.p99(),
+                h.max,
+                h.count,
+            )
+            .unwrap();
         }
         sec
     });
@@ -1300,74 +1290,78 @@ fn main() {
     }
 
     let failed: Vec<&Row> = rows.iter().filter(|r| !r.pass).collect();
-    if json {
-        let mut out = Json::obj();
-        let mut memo_j = Json::obj();
-        memo_j
-            .push("hits", memo.hits().into())
-            .push("lookups", memo.lookups().into())
-            .push("entries", (memo.len() as u64).into())
-            .push("cross_run_hits", memo.cross_run_hits().into())
-            .push("in_run_hits", (memo.hits() - memo.cross_run_hits()).into())
-            .push("preloaded_entries", memo.preloaded_entries().into());
-        out.push(
-            "rows",
-            Json::Arr(rows.iter().map(|r| r.to_json()).collect()),
-        )
-        .push("metrics", metrics.to_json())
-        .push("shared_memo", memo_j)
-        .push("dpor", Json::Arr(dpor_entries))
-        .push("ledger_entry", entry.to_json());
-        if args.explain {
-            out.push("explanations", Json::Arr(explanations));
-        }
-        if let Some(sec) = replay_section {
-            out.push("replay", sec);
-        }
-        if let Some(total) = &monitor_total {
-            let mut sec = Json::obj();
-            sec.push("stms", Json::Arr(monitor_entries))
-                .push("total", total.to_json());
-            out.push("monitor", sec);
-        }
-        if let Some(sec) = sat_section {
-            out.push("sat", sec);
-        }
-        if let Some(sec) = cnf_section {
-            out.push("cnf", sec);
-        }
-        if let Some(sec) = profile_section {
-            out.push("profile", sec);
-        }
-        if let Some(rec) = &recorder {
-            let mut fj = Json::obj();
-            fj.push("recorded", rec.recorded().into())
-                .push("dropped", rec.dropped().into());
-            let mut cats = Json::obj();
-            for (name, recorded, dropped) in rec.by_category() {
-                let mut c = Json::obj();
-                c.push("recorded", recorded.into())
-                    .push("dropped", dropped.into());
-                cats.push(name, c);
-            }
-            fj.push("categories", cats);
-            out.push("flight", fj);
-        }
-        println!("{out}");
-        if !failed.is_empty() {
-            eprintln!("{} report checks failed", failed.len());
-            std::process::exit(1);
-        }
+    text.push('\n');
+    if failed.is_empty() {
+        writeln!(text, "All {} checks passed.", rows.len()).unwrap();
     } else {
-        println!();
-        if failed.is_empty() {
-            println!("All {} checks passed.", rows.len());
-        } else {
-            println!("{} FAILURES:", failed.len());
-            for f in failed {
-                println!("  {}: {}", f.id, f.observed);
-            }
-            std::process::exit(1);
+        writeln!(text, "{} FAILURES:", failed.len()).unwrap();
+        for f in &failed {
+            writeln!(text, "  {}: {}", f.id, f.observed).unwrap();
         }
+    }
+
+    let mut out = Json::obj();
+    let mut memo_j = Json::obj();
+    memo_j
+        .push("hits", memo.hits().into())
+        .push("lookups", memo.lookups().into())
+        .push("entries", (memo.len() as u64).into())
+        .push("cross_run_hits", memo.cross_run_hits().into())
+        .push("in_run_hits", (memo.hits() - memo.cross_run_hits()).into())
+        .push("preloaded_entries", memo.preloaded_entries().into());
+    out.push(
+        "rows",
+        Json::Arr(rows.iter().map(|r| r.to_json()).collect()),
+    )
+    .push("metrics", metrics.to_json())
+    .push("shared_memo", memo_j)
+    .push("dpor", Json::Arr(dpor_entries))
+    .push("costs", Json::Arr(costs))
+    .push("ledger_entry", entry.to_json());
+    if args.explain {
+        out.push("explanations", Json::Arr(explanations));
+    }
+    if let Some(sec) = replay_section {
+        out.push("replay", sec);
+    }
+    if let Some(total) = &monitor_total {
+        let mut sec = Json::obj();
+        sec.push("stms", Json::Arr(monitor_entries))
+            .push("total", total.to_json());
+        out.push("monitor", sec);
+    }
+    if let Some(sec) = sat_section {
+        out.push("sat", sec);
+    }
+    if let Some(sec) = cnf_section {
+        out.push("cnf", sec);
+    }
+    if let Some(sec) = profile_section {
+        out.push("profile", sec);
+    }
+    if let Some(rec) = &recorder {
+        let mut fj = Json::obj();
+        fj.push("recorded", rec.recorded().into())
+            .push("dropped", rec.dropped().into());
+        let mut cats = Json::obj();
+        for (name, recorded, dropped) in rec.by_category() {
+            let mut c = Json::obj();
+            c.push("recorded", recorded.into())
+                .push("dropped", dropped.into());
+            cats.push(name, c);
+        }
+        fj.push("categories", cats);
+        out.push("flight", fj);
+    }
+
+    // The run's one output: the document or the tables, both complete.
+    if args.json {
+        println!("{out}");
+    } else {
+        print!("{text}");
+    }
+    if !failed.is_empty() {
+        eprintln!("{} report checks failed", failed.len());
+        std::process::exit(1);
     }
 }

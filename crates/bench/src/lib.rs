@@ -20,6 +20,7 @@
 //! `BENCHMARK.json`); EXPERIMENTS.md maps each experiment of DESIGN.md
 //! (E1–E5, F1–F5, T3, M1) to its metric there.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use jungle_core::registry::registry;

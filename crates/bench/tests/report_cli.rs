@@ -1,7 +1,9 @@
-//! The `report` binary from outside: what it prints, what it exits
-//! with, that it runs each exhaustive experiment exactly once, and
-//! what it leaves in the ledger and the trace file.
+//! The `report` binary from outside: what it prints in either output
+//! mode, what it exits with, that it runs each exhaustive experiment
+//! exactly once, what it leaves in the ledger and the trace file, and
+//! what it makes of hostile ledger, memo and schedule-log files.
 
+use jungle_mc::SharedVerdictMemo;
 use jungle_obs::{Json, LedgerEntry};
 use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
@@ -88,15 +90,21 @@ fn json_run_prints_one_object_and_sweeps_each_experiment_once() {
 fn hostile_ledger_is_compacted_and_appended_to() {
     let dir = scratch("ledger");
     let valid = r#"{"ts_unix":1,"git_rev":"abc1234","source":"report","wall_ms":7,"schedules":9,"metrics":null}"#;
-    // A line of the previous schema, garbage, and a final line torn
-    // mid-write with no newline after it.
+    // A line of the previous schema, garbage, a line nested deeper than
+    // the parser's stack could follow, and a final line torn mid-write
+    // with no newline after it.
+    let deep = "[".repeat(200_000);
     std::fs::write(
         dir.join("ledger.jsonl"),
-        format!("{valid}\nnot json at all\n{{\"ts_unix\":12,\"git_r"),
+        format!("{valid}\nnot json at all\n{deep}\n{{\"ts_unix\":12,\"git_r"),
     )
     .unwrap();
     let out = report(&dir, &["--json"]);
     assert!(out.status.success(), "exit {:?}", out.status);
+    assert!(
+        Json::parse(&String::from_utf8(out.stdout).unwrap()).is_ok(),
+        "the run still prints its document"
+    );
     let text = std::fs::read_to_string(dir.join("ledger.jsonl")).unwrap();
     let entries: Vec<LedgerEntry> = text
         .lines()
@@ -191,4 +199,147 @@ fn replay_of_a_truncated_log_is_a_named_error() {
     );
     assert!(!err.contains("panicked"), "{err}");
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn replay_of_a_deeply_nested_log_is_a_named_error() {
+    let dir = scratch("replay-deep");
+    let log = dir.join("deep.json");
+    // Deep enough to overflow the stack of a parser that recursed
+    // without a bound.
+    std::fs::write(&log, "[".repeat(200_000)).unwrap();
+    let out = report(&dir, &["--replay", log.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(2), "an error exit, not an abort");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.starts_with("error: ") && err.contains("deep.json") && err.contains("nesting"),
+        "{err}"
+    );
+    assert!(
+        !err.contains("panicked") && !err.contains("overflow"),
+        "{err}"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// FNV-1a over every row's `(section, id, expected, pass)`, fields and
+/// rows separated by a byte no string holds.
+fn rows_digest(rows: &[Json]) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut feed = |bytes: &[u8]| {
+        for b in bytes.iter().chain(&[0xff]) {
+            hash = (hash ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for r in rows {
+        for key in ["section", "id", "expected"] {
+            feed(r.get(key).and_then(Json::as_str).unwrap().as_bytes());
+        }
+        feed(&[u8::from(matches!(r.get("pass"), Some(Json::Bool(true))))]);
+    }
+    hash
+}
+
+/// What `report --monitor --sat` says, held in both output modes. The
+/// row count and [`rows_digest`] were captured at the commit before the
+/// text and the document were built on one path (PR 19, `9b128d1`), by
+/// this loop run against that commit's binary: a row added, dropped,
+/// renamed, reordered, re-specified or no longer passing moves them.
+/// Text mode — which no other test runs — must print every section
+/// header, the paper's §4 cost table with the very numbers the
+/// document's `costs` array carries, and the closing line.
+#[test]
+fn report_says_the_same_in_json_and_in_text() {
+    const ROWS: usize = 346;
+    const DIGEST: u64 = 0xe63f_d83c_6181_8b45;
+
+    let dir = scratch("identity");
+    let out = report(&dir, &["--json", "--monitor", "--sat"]);
+    assert!(out.status.success(), "exit {:?}", out.status);
+    let doc = Json::parse(&String::from_utf8(out.stdout).unwrap()).unwrap();
+    let rows = arr(&doc, "rows");
+    assert_eq!(rows.len(), ROWS);
+    let digest = rows_digest(rows);
+    assert_eq!(digest, DIGEST, "got {digest:#x}");
+
+    let out = report(&dir, &["--monitor", "--sat"]);
+    assert_eq!(out.status.code(), Some(0));
+    let text = String::from_utf8(out.stdout).unwrap();
+    assert_eq!(
+        text.lines().last(),
+        Some(format!("All {ROWS} checks passed.").as_str())
+    );
+    let headers = text.lines().filter(|l| l.starts_with("════ ")).count();
+    assert_eq!(
+        headers, 7,
+        "figures, costs, theorems, dpor, zoo, monitor, sat"
+    );
+    let costs = arr(&doc, "costs");
+    assert_eq!(costs.len(), 6, "one entry per TM algorithm");
+    for c in costs {
+        let algo = c.get("algorithm").and_then(Json::as_str).unwrap();
+        let want: Vec<String> = ["nt_read", "nt_write", "txn_read", "commit"]
+            .iter()
+            .map(|k| num(c, k).to_string())
+            .collect();
+        let lines = text
+            .lines()
+            .filter(|l| {
+                let cols: Vec<&str> = l.split_whitespace().collect();
+                cols.first() == Some(&algo) && cols.len() > 4 && cols[cols.len() - 4..] == want[..]
+            })
+            .count();
+        assert_eq!(lines, 1, "cost-table line of {algo}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A memo directory as a crashed or foreign writer could leave it. Only
+/// lines that are exactly `<fingerprint> <0|1>`, in a file named for a
+/// registry model and a check kind, are verdicts; everything else is
+/// skipped without failing the load, and the report's rows do not move.
+#[test]
+fn hostile_memo_dir_preloads_only_well_formed_lines() {
+    let dir = scratch("memo");
+    let memo_dir = dir.join("memo");
+    std::fs::create_dir_all(&memo_dir).unwrap();
+    // Verdicts a real run persisted (`SC.opacity.memo`, `PSO.opacity.memo`).
+    let sc = "17699238635919744 1\n1690934655856514595 0\n";
+    let pso_good = "70174946227143970 1\n";
+    let well_formed = 3;
+    let files = [
+        // Hostile lines between good ones, and a tail torn mid-number.
+        (
+            "SC.opacity.memo",
+            format!("{sc}12 7\n12 1 x\nnot a line\n-3 1\n12  1\n 12 1\n99"),
+        ),
+        ("PSO.opacity.memo", format!("{pso_good}126360483034202319")),
+        // A model the registry does not know, a kind nobody checks, a
+        // foreign extension: well-formed lines that must not load.
+        ("VAX.opacity.memo", sc.to_string()),
+        ("SC.linearizability.memo", sc.to_string()),
+        ("SC.opacity.memo.bak", sc.to_string()),
+        ("README", sc.to_string()),
+    ];
+    for (name, body) in &files {
+        std::fs::write(memo_dir.join(name), body).unwrap();
+    }
+    let memo = SharedVerdictMemo::new();
+    assert_eq!(memo.load_dir(&memo_dir).unwrap(), well_formed);
+    assert_eq!(memo.preloaded_entries(), well_formed as u64);
+    assert_eq!(memo.len(), well_formed);
+
+    let hostile = report(&dir, &["--json"]);
+    assert!(hostile.status.success(), "exit {:?}", hostile.status);
+    let hostile = Json::parse(&String::from_utf8(hostile.stdout).unwrap()).unwrap();
+    assert_eq!(
+        num(hostile.get("shared_memo").unwrap(), "preloaded_entries"),
+        well_formed as u64
+    );
+    let empty_dir = scratch("memo-empty");
+    let empty = report(&empty_dir, &["--json"]);
+    let empty = Json::parse(&String::from_utf8(empty.stdout).unwrap()).unwrap();
+    assert_eq!(arr(&hostile, "rows"), arr(&empty, "rows"));
+    std::fs::remove_dir_all(&dir).unwrap();
+    std::fs::remove_dir_all(&empty_dir).unwrap();
 }

@@ -72,6 +72,7 @@
 //! assert!(verdict.holds() && stats.sat.certified == 1 && stats.search.nodes > 0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod builder;

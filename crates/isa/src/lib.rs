@@ -21,6 +21,7 @@
 //! `jungle-mc` (abstract, model-checked) and `jungle-stm` (real atomics);
 //! this crate is the common vocabulary between them and `jungle-core`.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod instr;

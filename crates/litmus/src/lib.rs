@@ -18,6 +18,7 @@
 //!   concurrent transaction sets) sized for the parallel-checker
 //!   benchmarks rather than figure-level correctness checks.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod figures;

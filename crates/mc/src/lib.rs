@@ -30,6 +30,7 @@
 //! checkable experiment; `tests/theorems.rs` at the workspace root runs
 //! them all.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod algos;

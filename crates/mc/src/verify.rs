@@ -165,17 +165,6 @@ impl Verdict {
             waste: DporStats::default(),
         }
     }
-
-    /// Completed traces skipped because a structurally identical trace
-    /// was already checked in this sweep.
-    pub fn dedup_hits(&self) -> u64 {
-        self.stats.dedup_hits
-    }
-
-    /// Checker worker threads used (0 = serial sweep).
-    pub fn workers(&self) -> u64 {
-        self.stats.workers
-    }
 }
 
 /// One memoized verdict with its provenance (computed this run vs
@@ -358,8 +347,10 @@ impl SharedVerdictMemo {
     /// Preload every persisted verdict found under `dir` (files written
     /// by [`SharedVerdictMemo::save_dir`]). Model names are resolved
     /// through the canonical registry; files for unknown models or
-    /// properties are skipped, as are unparseable lines. Returns the
-    /// number of entries loaded. A missing directory is not an error.
+    /// properties are skipped, as is every line that is not exactly
+    /// `<u64> <0|1>` (a torn tail, a verdict other than `0`/`1`,
+    /// trailing tokens). Returns the number of entries loaded. A
+    /// missing directory is not an error.
     pub fn load_dir(&self, dir: &Path) -> std::io::Result<usize> {
         let rd = match std::fs::read_dir(dir) {
             Ok(rd) => rd,
@@ -387,14 +378,19 @@ impl SharedVerdictMemo {
             };
             let text = std::fs::read_to_string(&path)?;
             for line in text.lines() {
-                let mut it = line.split_ascii_whitespace();
-                let (Some(fp), Some(v)) = (it.next(), it.next()) else {
+                // Exactly what `save_dir` writes: `<u64> <0|1>`.
+                let Some((fp, v)) = line.split_once(' ') else {
                     continue;
                 };
-                let (Ok(fp), Ok(v)) = (fp.parse::<u64>(), v.parse::<u64>()) else {
+                let Ok(fp) = fp.parse::<u64>() else {
                     continue;
                 };
-                self.preload(model, kind, fp, v != 0);
+                let ok = match v {
+                    "0" => false,
+                    "1" => true,
+                    _ => continue,
+                };
+                self.preload(model, kind, fp, ok);
                 loaded += 1;
             }
         }
@@ -910,7 +906,7 @@ mod tests {
                 }
                 .run();
                 assert_eq!(par.ok, serial.ok, "threads={threads}");
-                assert_eq!(par.workers(), threads as u64);
+                assert_eq!(par.stats.workers, threads as u64);
                 assert_eq!(
                     par.violation.as_ref().map(|t| t.cache_key()),
                     serial.violation.as_ref().map(|t| t.cache_key()),
@@ -945,7 +941,7 @@ mod tests {
                 }
                 .run();
                 assert_eq!(par.ok, serial.ok, "threads={threads}");
-                assert_eq!(par.workers(), threads as u64);
+                assert_eq!(par.stats.workers, threads as u64);
                 if !expect_ok {
                     assert!(par.violation.is_some());
                 }
@@ -1051,13 +1047,13 @@ mod tests {
         let v = check_all_traces(&p, &GlobalLockTm, &sc_on_tso(), CheckKind::Opacity, 4_000);
         assert!(v.ok);
         assert!(
-            v.dedup_hits() > 0,
+            v.stats.dedup_hits > 0,
             "expected duplicate traces: {:?}",
             v.stats
         );
         // Dedup means strictly fewer checker invocations than schedules.
         assert!(v.stats.histories_checked + v.stats.dedup_hits <= v.stats.schedules);
-        assert_eq!(v.workers(), 0); // serial sweep
+        assert_eq!(v.stats.workers, 0); // serial sweep
     }
 
     #[test]

@@ -45,6 +45,7 @@
 //! Every run records a [`Trace`](jungle_isa::Trace) whose corresponding
 //! histories are checked by `jungle-core`.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cpu;

@@ -20,6 +20,7 @@
 //! window/carry-over model and its cross-window precision trade, and
 //! [`monitor`] for the tier semantics.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod monitor;

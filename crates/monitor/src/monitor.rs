@@ -191,9 +191,7 @@ impl Monitor {
         trace::emit(EventKind::WindowSeal, h.len() as u64, 0);
         let span = Span::start();
         let cleared = triage_opacity(h, self.cfg.model.model).cleared();
-        let ns = span.elapsed_ns();
-        self.stats.triage_ns += ns;
-        self.stats.triage_window_ns.record(ns);
+        self.stats.triage_window_ns.record(span.elapsed_ns());
         if cleared {
             self.stats.triage_cleared += 1;
             trace::emit(EventKind::TriageClear, h.len() as u64, 0);
@@ -211,9 +209,7 @@ impl Monitor {
         );
         let span = Span::start();
         let cleared = triage_opacity(&w.history, self.cfg.model.model).cleared();
-        let ns = span.elapsed_ns();
-        self.stats.triage_ns += ns;
-        self.stats.triage_window_ns.record(ns);
+        self.stats.triage_window_ns.record(span.elapsed_ns());
         if cleared {
             self.stats.triage_cleared += 1;
             trace::emit(EventKind::TriageClear, w.history.len() as u64, 0);
@@ -244,9 +240,7 @@ impl Monitor {
         if let Some(memo) = &self.memo {
             if let Some(v) = memo.lookup(self.cfg.model.key, self.cfg.kind, fp) {
                 self.stats.memo_hits += 1;
-                let ns = span.elapsed_ns();
-                self.stats.escalate_ns += ns;
-                self.stats.escalate_window_ns.record(ns);
+                self.stats.escalate_window_ns.record(span.elapsed_ns());
                 return v;
             }
         }
@@ -257,9 +251,7 @@ impl Monitor {
         if let Some(memo) = &self.memo {
             memo.record(self.cfg.model.key, self.cfg.kind, fp, v);
         }
-        let ns = span.elapsed_ns();
-        self.stats.escalate_ns += ns;
-        self.stats.escalate_window_ns.record(ns);
+        self.stats.escalate_window_ns.record(span.elapsed_ns());
         v
     }
 }

@@ -180,6 +180,15 @@ impl ToJson for HistSnapshot {
 mod tests {
     use super::*;
 
+    impl HistSnapshot {
+        /// The fixture a `counters!` block's `sample` nests: one sample.
+        pub(crate) fn sample(seed: u64) -> HistSnapshot {
+            let mut h = HistSnapshot::default();
+            h.record(seed);
+            h
+        }
+    }
+
     #[test]
     fn bucket_scheme_is_contiguous_and_ordered() {
         // Every value maps into range; bucket lower bounds are the

@@ -89,14 +89,16 @@ impl Json {
     /// ledger and the persisted verdict memo re-read documents written
     /// by [`Json`]'s `Display` impl (and must also tolerate hand-edited
     /// files), so round-tripping `parse(x.to_string()) == x` is the
-    /// contract the tests pin down.
+    /// contract the tests pin down. The text comes from outside the
+    /// program, so arrays and objects may nest at most 128 deep; a
+    /// deeper document is an error, not a stack overflow.
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
         };
         p.skip_ws();
-        let v = p.value()?;
+        let v = p.value(0)?;
         p.skip_ws();
         if p.pos != p.bytes.len() {
             return Err(format!("trailing characters at byte {}", p.pos));
@@ -104,6 +106,11 @@ impl Json {
         Ok(v)
     }
 }
+
+/// Deepest array/object nesting [`Json::parse`] accepts. The deepest
+/// document this workspace writes (`report --json --profile`) nests 10
+/// levels.
+const MAX_DEPTH: usize = 128;
 
 struct Parser<'a> {
     bytes: &'a [u8],
@@ -143,14 +150,19 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<Json, String> {
+    /// Parse one value with `depth` arrays and objects open around it.
+    fn value(&mut self, depth: usize) -> Result<Json, String> {
         match self.peek() {
             Some(b'n') => self.literal("null", Json::Null),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') if depth == MAX_DEPTH => Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            )),
+            Some(b'[') => self.array(depth + 1),
+            Some(b'{') => self.object(depth + 1),
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(format!("unexpected input at byte {}", self.pos)),
         }
@@ -240,7 +252,7 @@ impl Parser<'_> {
             .map_err(|_| format!("bad number '{text}'"))
     }
 
-    fn array(&mut self) -> Result<Json, String> {
+    fn array(&mut self, depth: usize) -> Result<Json, String> {
         self.expect(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -250,7 +262,7 @@ impl Parser<'_> {
         }
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            items.push(self.value(depth)?);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -263,7 +275,7 @@ impl Parser<'_> {
         }
     }
 
-    fn object(&mut self) -> Result<Json, String> {
+    fn object(&mut self, depth: usize) -> Result<Json, String> {
         self.expect(b'{')?;
         let mut fields = Vec::new();
         self.skip_ws();
@@ -277,7 +289,7 @@ impl Parser<'_> {
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
-            let val = self.value()?;
+            let val = self.value(depth)?;
             fields.push((key, val));
             self.skip_ws();
             match self.peek() {
@@ -443,6 +455,20 @@ mod tests {
         assert!(Json::parse("nul").is_err());
         assert!(Json::parse("{} trailing").is_err());
         assert!(Json::parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_with_a_named_error() {
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&nest(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than 128 levels"), "{err}");
+        // Objects count too, and an unclosed flood fails the same way
+        // instead of overflowing the stack.
+        let objs = "{\"k\":".repeat(MAX_DEPTH + 1);
+        assert!(Json::parse(&objs).unwrap_err().contains("nesting deeper"));
+        let flood = "[".repeat(200_000);
+        assert!(Json::parse(&flood).unwrap_err().contains("nesting deeper"));
     }
 
     #[test]

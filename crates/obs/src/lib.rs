@@ -32,6 +32,15 @@
 //! * [`sat::SatStats`] — counters of the SAT serialization-order
 //!   backend (encoding sizes, CDCL effort, CEGAR rounds, wall hist).
 //!
+//! Every signal is **declared once**: each stats block above is one
+//! invocation of the crate-private `counters!` macro (field list with
+//! merge rules → the struct, `absorb`, [`ToJson`], and a `FIELDS`
+//! table such as [`SearchStats::FIELDS`]), the flight events are one
+//! table in [`trace`] (→ [`EventKind`], [`EventKind::ALL`],
+//! [`trace::CATEGORIES`]), and the recorder and the profiler share one
+//! install point (the private `sink` module, which with [`ring`] holds
+//! all of this crate's `unsafe`).
+//!
 //! Collection is **off by default** in the hot paths: the real STMs
 //! count nothing (an operation with neither recorder nor tap attached
 //! is the bare algorithm behind one branch), the checkers read the
@@ -40,17 +49,22 @@
 //! [`trace::install`]ed. The build is fully offline, so serialization
 //! is a small hand-rolled JSON model ([`json`]) rather than `serde`.
 
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
+mod counters;
 pub mod hist;
 pub mod json;
 pub mod ledger;
 pub mod monitor;
 pub mod profile;
+#[allow(unsafe_code)]
 pub mod ring;
 pub mod sat;
 pub mod search;
 pub mod sim;
+#[allow(unsafe_code)]
+mod sink;
 pub mod snapshot;
 pub mod span;
 pub mod tm;

@@ -9,44 +9,44 @@
 //! it in; [`MetricsSnapshot`](crate::MetricsSnapshot) carries it into
 //! the report JSON and the run ledger.
 
+use crate::counters::counters;
 use crate::hist::HistSnapshot;
-use crate::json::{Json, ToJson};
+use crate::json::Json;
 
-/// Aggregated counters of one streaming-monitor run.
-#[derive(Clone, Default, PartialEq, Debug)]
-pub struct MonitorStats {
-    /// Operation events ingested from the tap ring.
-    pub ops_ingested: u64,
-    /// Events the tap ring dropped under [`Backpressure::Drop`]
-    /// (exact; `0` under `Block`).
-    ///
-    /// [`Backpressure::Drop`]: crate::ring::Backpressure::Drop
-    pub events_dropped: u64,
-    /// Windows sealed and checked.
-    pub windows_sealed: u64,
-    /// Windows the polynomial triage tier proved opaque.
-    pub triage_cleared: u64,
-    /// Windows escalated to the full backtracking checker.
-    pub escalated: u64,
-    /// Escalations answered by the shared verdict memo instead of a
-    /// fresh search (subset of `escalated`).
-    pub memo_hits: u64,
-    /// Windows the full checker found in violation.
-    pub violations: u64,
-    /// Deepest tap-ring backlog observed at a window seal.
-    pub max_queue_depth: u64,
-    /// Nanoseconds spent in the triage tier.
-    pub triage_ns: u64,
-    /// Nanoseconds spent in escalated full checks.
-    pub escalate_ns: u64,
-    /// Wall-clock nanoseconds of the whole monitoring run.
-    pub wall_ns: u64,
-    /// Per-window triage latency distribution (one sample per sealed
-    /// window).
-    pub triage_window_ns: HistSnapshot,
-    /// Per-window escalation latency distribution (one sample per
-    /// escalated check, memo hits included).
-    pub escalate_window_ns: HistSnapshot,
+counters! {
+    /// Aggregated counters of one streaming-monitor run.
+    #[derive(Clone, Default, PartialEq, Debug)]
+    pub struct MonitorStats {
+        /// Operation events ingested from the tap ring.
+        sum ops_ingested: u64,
+        /// Events the tap ring dropped under [`Backpressure::Drop`]
+        /// (exact; `0` under `Block`).
+        ///
+        /// [`Backpressure::Drop`]: crate::ring::Backpressure::Drop
+        sum events_dropped: u64,
+        /// Windows sealed and checked.
+        sum windows_sealed: u64,
+        /// Windows the polynomial triage tier proved opaque.
+        sum triage_cleared: u64,
+        /// Windows escalated to the full backtracking checker.
+        sum escalated: u64,
+        /// Escalations answered by the shared verdict memo instead of a
+        /// fresh search (subset of `escalated`).
+        sum memo_hits: u64,
+        /// Windows the full checker found in violation.
+        sum violations: u64 => escalation_rate: Json::F64,
+        /// Deepest tap-ring backlog observed at a window seal.
+        max max_queue_depth: u64,
+        /// Wall-clock nanoseconds of the whole monitoring run.
+        sum wall_ns: u64 => p99_window_ns: Json::U64,
+        /// Per-window triage latency distribution (one sample per sealed
+        /// window); its `sum` is the time spent in the triage tier.
+        nest triage_window_ns: HistSnapshot,
+        /// Per-window escalation latency distribution (one sample per
+        /// escalated check, memo hits included); its `sum` is the time
+        /// spent in escalated full checks.
+        nest escalate_window_ns: HistSnapshot,
+    }
 }
 
 impl MonitorStats {
@@ -84,51 +84,12 @@ impl MonitorStats {
     pub fn p99_window_ns(&self) -> u64 {
         self.window_hist().p99()
     }
-
-    /// Fold `other` into `self` (sums, except `max_queue_depth` which
-    /// takes the max).
-    pub fn absorb(&mut self, other: &MonitorStats) {
-        self.ops_ingested += other.ops_ingested;
-        self.events_dropped += other.events_dropped;
-        self.windows_sealed += other.windows_sealed;
-        self.triage_cleared += other.triage_cleared;
-        self.escalated += other.escalated;
-        self.memo_hits += other.memo_hits;
-        self.violations += other.violations;
-        self.max_queue_depth = self.max_queue_depth.max(other.max_queue_depth);
-        self.triage_ns += other.triage_ns;
-        self.escalate_ns += other.escalate_ns;
-        self.wall_ns += other.wall_ns;
-        self.triage_window_ns.absorb(&other.triage_window_ns);
-        self.escalate_window_ns.absorb(&other.escalate_window_ns);
-    }
-}
-
-impl ToJson for MonitorStats {
-    fn to_json(&self) -> Json {
-        let mut j = Json::obj();
-        j.push("ops_ingested", self.ops_ingested.into())
-            .push("events_dropped", self.events_dropped.into())
-            .push("windows_sealed", self.windows_sealed.into())
-            .push("triage_cleared", self.triage_cleared.into())
-            .push("escalated", self.escalated.into())
-            .push("memo_hits", self.memo_hits.into())
-            .push("violations", self.violations.into())
-            .push("escalation_rate", Json::F64(self.escalation_rate()))
-            .push("max_queue_depth", self.max_queue_depth.into())
-            .push("triage_ns", self.triage_ns.into())
-            .push("escalate_ns", self.escalate_ns.into())
-            .push("wall_ns", self.wall_ns.into())
-            .push("p99_window_ns", self.p99_window_ns().into())
-            .push("triage_window_ns", self.triage_window_ns.to_json())
-            .push("escalate_window_ns", self.escalate_window_ns.to_json());
-        j
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::ToJson;
 
     #[test]
     fn rates() {
@@ -199,5 +160,10 @@ mod tests {
         t.triage_window_ns.record(5);
         s.absorb(&t);
         assert_eq!(s.triage_window_ns.count, 100);
+    }
+
+    #[test]
+    fn table_drives_absorb_and_json() {
+        MonitorStats::check_table();
     }
 }

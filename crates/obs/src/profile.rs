@@ -26,9 +26,9 @@
 
 use crate::hist::HistSnapshot;
 use crate::json::{Json, ToJson};
+use crate::sink::Installed;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicPtr, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -218,46 +218,35 @@ thread_local! {
     static TLS: RefCell<ThreadState> = RefCell::new(ThreadState::default());
 }
 
-// ── global installation (same shape as trace::install) ───────────────
+// ── global installation ──────────────────────────────────────────────
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static INSTALLED: AtomicPtr<Profiler> = AtomicPtr::new(std::ptr::null_mut());
-/// Every profiler ever installed, kept alive for the process lifetime
-/// so pointers loaded from [`INSTALLED`] can never dangle (bounded,
-/// deliberate leak — installs happen once per report run or test).
-static KEEP: Mutex<Vec<Arc<Profiler>>> = Mutex::new(Vec::new());
+static SINK: Installed<Profiler> = Installed::new();
 
+/// Fold `local` into the last installed profiler — also after
+/// [`uninstall`], which is what lets spans open at that point land.
 fn merge_into_installed(local: &mut BTreeMap<Vec<&'static str>, NodeAgg>) {
-    let p = INSTALLED.load(Ordering::Acquire);
-    if p.is_null() {
-        local.clear();
-        return;
+    match SINK.current() {
+        Some(profiler) => profiler.merge(local),
+        None => local.clear(),
     }
-    // SAFETY: pointers stored into INSTALLED come from Arcs pushed into
-    // KEEP, which is never drained, so the allocation outlives the
-    // process.
-    unsafe { (*p).merge(local) }
 }
 
 /// Install `profiler` as the process-global phase profiler; [`enter`]
 /// starts recording immediately. Replaces any previous profiler (which
 /// stays alive and readable but stops receiving spans).
 pub fn install(profiler: Arc<Profiler>) {
-    let raw = Arc::as_ptr(&profiler) as *mut Profiler;
-    KEEP.lock().unwrap().push(profiler);
-    INSTALLED.store(raw, Ordering::Release);
-    ENABLED.store(true, Ordering::Release);
+    SINK.install(profiler);
 }
 
 /// Stop profiling. Spans already open keep timing and fold into the
 /// last installed profiler when they close.
 pub fn uninstall() {
-    ENABLED.store(false, Ordering::Release);
+    SINK.disable();
 }
 
 /// Is a profiler currently installed?
 pub fn profiling() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    SINK.enabled()
 }
 
 /// Fold the calling thread's local aggregates into the installed
@@ -279,7 +268,7 @@ pub fn flush_thread() {
 /// one relaxed load returning an inert guard.
 #[inline]
 pub fn enter(name: &'static str) -> PhaseGuard {
-    if !ENABLED.load(Ordering::Relaxed) {
+    if !SINK.enabled() {
         return PhaseGuard { armed: false };
     }
     enter_installed(name)

@@ -1,50 +1,38 @@
 //! Statistics for the relaxed-memory simulator and the model-checking
 //! layer built on it.
 
+use crate::counters::counters;
 use crate::hist::HistSnapshot;
 use crate::json::{Json, ToJson};
 
-/// Counters for one simulated machine run (or a sum over many runs —
-/// see [`MachineStats::absorb`]).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct MachineStats {
-    /// Execution-semantics name the machine ran under (e.g. `"RMO"`);
-    /// empty until a machine sets it.
-    pub model: &'static str,
-    /// Scheduler steps executed (instruction executions + drains).
-    pub steps: u64,
-    /// Load instructions executed.
-    pub loads: u64,
-    /// Store instructions executed (into the store buffer).
-    pub stores: u64,
-    /// CAS instructions executed.
-    pub cas_ops: u64,
-    /// Store-buffer entries flushed to memory.
-    pub flushes: u64,
-    /// Loads that observed a stale (overwritten) value through the
-    /// model's load reorder window.
-    pub stale_loads: u64,
-    /// Largest store-buffer occupancy observed on any CPU (the
-    /// reorder-window high-water mark).
-    pub max_buffer_occupancy: u64,
+counters! {
+    /// Counters for one simulated machine run (or a sum over many runs —
+    /// see [`MachineStats::absorb`]).
+    #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+    pub struct MachineStats {
+        /// Execution-semantics name the machine ran under (e.g. `"RMO"`);
+        /// empty until a machine sets it.
+        first model: &'static str,
+        /// Scheduler steps executed (instruction executions + drains).
+        sum steps: u64,
+        /// Load instructions executed.
+        sum loads: u64,
+        /// Store instructions executed (into the store buffer).
+        sum stores: u64,
+        /// CAS instructions executed.
+        sum cas_ops: u64,
+        /// Store-buffer entries flushed to memory.
+        sum flushes: u64,
+        /// Loads that observed a stale (overwritten) value through the
+        /// model's load reorder window.
+        sum stale_loads: u64,
+        /// Largest store-buffer occupancy observed on any CPU (the
+        /// reorder-window high-water mark).
+        max max_buffer_occupancy: u64,
+    }
 }
 
 impl MachineStats {
-    /// Fold another run's stats in. Counters add;
-    /// `max_buffer_occupancy` takes the max.
-    pub fn absorb(&mut self, other: &MachineStats) {
-        if self.model.is_empty() {
-            self.model = other.model;
-        }
-        self.steps += other.steps;
-        self.loads += other.loads;
-        self.stores += other.stores;
-        self.cas_ops += other.cas_ops;
-        self.flushes += other.flushes;
-        self.stale_loads += other.stale_loads;
-        self.max_buffer_occupancy = self.max_buffer_occupancy.max(other.max_buffer_occupancy);
-    }
-
     /// Record a store-buffer occupancy observation.
     #[inline]
     pub fn note_occupancy(&mut self, depth: usize) {
@@ -52,104 +40,48 @@ impl MachineStats {
     }
 }
 
-impl ToJson for MachineStats {
-    fn to_json(&self) -> Json {
-        let mut j = Json::obj();
-        j.push("model", self.model.into())
-            .push("steps", self.steps.into())
-            .push("loads", self.loads.into())
-            .push("stores", self.stores.into())
-            .push("cas_ops", self.cas_ops.into())
-            .push("flushes", self.flushes.into())
-            .push("stale_loads", self.stale_loads.into())
-            .push("max_buffer_occupancy", self.max_buffer_occupancy.into());
-        j
-    }
-}
-
-/// Totals for a model-checking pass (exhaustive or randomized).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct McStats {
-    /// Registry key of the checker-side memory model the sweep verified
-    /// against (e.g. `"RMO"`); empty until a sweep sets it.
-    pub model: &'static str,
-    /// Schedules explored (machine runs).
-    pub schedules: u64,
-    /// Runs cut off by the step bound before completing.
-    pub truncated: u64,
-    /// Histories extracted from traces and fed to a checker.
-    pub histories_checked: u64,
-    /// Completed traces skipped because a structurally identical trace
-    /// (same operations and same overlap relation, per
-    /// `Trace::cache_key`) was already checked in this sweep.
-    pub dedup_hits: u64,
-    /// Trace/history verdicts answered from the sweep-wide bounded
-    /// memo instead of re-running a checker search.
-    pub memo_hits: u64,
-    /// Checker worker threads used by the sweep (0 = serial).
-    pub workers: u64,
-    /// Machine runs executed by the DPOR explorer (0 when the sweep
-    /// used brute enumeration instead).
-    pub dpor_executed: u64,
-    /// Mazurkiewicz equivalence classes the DPOR explorer visited
-    /// (complete, non-sleep-blocked runs).
-    pub dpor_classes: u64,
-    /// DPOR runs aborted at a node whose every enabled action was
-    /// asleep (the waste the attribution in [`DporStats`] localizes).
-    pub dpor_blocked: u64,
-    /// Frontier work items a parallel DPOR worker popped that another
-    /// worker pushed.
-    pub frontier_steals: u64,
-    /// Enabled actions skipped because their footprint was in the sleep
-    /// set.
-    pub sleep_skips: u64,
-    /// Concurrent dependent transition pairs flagged by the vector
-    /// clocks.
-    pub races: u64,
-    /// Machine-level totals across all runs.
-    pub machine: MachineStats,
-}
-
-impl McStats {
-    /// Fold another pass's totals in.
-    pub fn absorb(&mut self, other: &McStats) {
-        if self.model.is_empty() {
-            self.model = other.model;
-        }
-        self.schedules += other.schedules;
-        self.truncated += other.truncated;
-        self.histories_checked += other.histories_checked;
-        self.dedup_hits += other.dedup_hits;
-        self.memo_hits += other.memo_hits;
-        self.workers = self.workers.max(other.workers);
-        self.dpor_executed += other.dpor_executed;
-        self.dpor_classes += other.dpor_classes;
-        self.dpor_blocked += other.dpor_blocked;
-        self.frontier_steals += other.frontier_steals;
-        self.sleep_skips += other.sleep_skips;
-        self.races += other.races;
-        self.machine.absorb(&other.machine);
-    }
-}
-
-impl ToJson for McStats {
-    fn to_json(&self) -> Json {
-        let mut j = Json::obj();
-        j.push("model", self.model.into())
-            .push("schedules", self.schedules.into())
-            .push("truncated", self.truncated.into())
-            .push("histories_checked", self.histories_checked.into())
-            .push("dedup_hits", self.dedup_hits.into())
-            .push("memo_hits", self.memo_hits.into())
-            .push("workers", self.workers.into())
-            .push("dpor_executed", self.dpor_executed.into())
-            .push("dpor_classes", self.dpor_classes.into())
-            .push("dpor_blocked", self.dpor_blocked.into())
-            .push("frontier_steals", self.frontier_steals.into())
-            .push("sleep_skips", self.sleep_skips.into())
-            .push("races", self.races.into())
-            .push("machine", self.machine.to_json());
-        j
+counters! {
+    /// Totals for a model-checking pass (exhaustive or randomized).
+    #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+    pub struct McStats {
+        /// Registry key of the checker-side memory model the sweep verified
+        /// against (e.g. `"RMO"`); empty until a sweep sets it.
+        first model: &'static str,
+        /// Schedules explored (machine runs).
+        sum schedules: u64,
+        /// Runs cut off by the step bound before completing.
+        sum truncated: u64,
+        /// Histories extracted from traces and fed to a checker.
+        sum histories_checked: u64,
+        /// Completed traces skipped because a structurally identical trace
+        /// (same operations and same overlap relation, per
+        /// `Trace::cache_key`) was already checked in this sweep.
+        sum dedup_hits: u64,
+        /// Trace/history verdicts answered from the sweep-wide bounded
+        /// memo instead of re-running a checker search.
+        sum memo_hits: u64,
+        /// Checker worker threads used by the sweep (0 = serial).
+        max workers: u64,
+        /// Machine runs executed by the DPOR explorer (0 when the sweep
+        /// used brute enumeration instead).
+        sum dpor_executed: u64,
+        /// Mazurkiewicz equivalence classes the DPOR explorer visited
+        /// (complete, non-sleep-blocked runs).
+        sum dpor_classes: u64,
+        /// DPOR runs aborted at a node whose every enabled action was
+        /// asleep (the waste the attribution in [`DporStats`] localizes).
+        sum dpor_blocked: u64,
+        /// Frontier work items a parallel DPOR worker popped that another
+        /// worker pushed.
+        sum frontier_steals: u64,
+        /// Enabled actions skipped because their footprint was in the sleep
+        /// set.
+        sum sleep_skips: u64,
+        /// Concurrent dependent transition pairs flagged by the vector
+        /// clocks.
+        sum races: u64,
+        /// Machine-level totals across all runs.
+        nest machine: MachineStats,
     }
 }
 
@@ -162,42 +94,22 @@ pub const FOOTPRINT_KINDS: [&str; 6] = ["read", "write", "rmw", "fence", "bounda
 /// Number of footprint kinds (side length of the heat table).
 pub const KINDS: usize = FOOTPRINT_KINDS.len();
 
-/// One DPOR worker's wall-clock ledger, measured around the frontier.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct WorkerLane {
-    /// Nanoseconds spent executing machine runs and cursor bookkeeping.
-    pub busy_ns: u64,
-    /// Nanoseconds blocked in `Frontier::pop` that ended without a
-    /// steal (own re-pop or final termination wait).
-    pub idle_ns: u64,
-    /// Nanoseconds blocked in `Frontier::pop` that ended by stealing
-    /// another worker's item.
-    pub steal_ns: u64,
-    /// Machine runs this lane executed.
-    pub runs: u64,
-    /// Frontier items this lane popped that another worker pushed.
-    pub steals: u64,
-}
-
-impl WorkerLane {
-    fn absorb(&mut self, other: &WorkerLane) {
-        self.busy_ns += other.busy_ns;
-        self.idle_ns += other.idle_ns;
-        self.steal_ns += other.steal_ns;
-        self.runs += other.runs;
-        self.steals += other.steals;
-    }
-}
-
-impl ToJson for WorkerLane {
-    fn to_json(&self) -> Json {
-        let mut j = Json::obj();
-        j.push("busy_ns", self.busy_ns.into())
-            .push("idle_ns", self.idle_ns.into())
-            .push("steal_ns", self.steal_ns.into())
-            .push("runs", self.runs.into())
-            .push("steals", self.steals.into());
-        j
+counters! {
+    /// One DPOR worker's wall-clock ledger, measured around the frontier.
+    #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+    pub struct WorkerLane {
+        /// Nanoseconds spent executing machine runs and cursor bookkeeping.
+        sum busy_ns: u64,
+        /// Nanoseconds blocked in `Frontier::pop` that ended without a
+        /// steal (own re-pop or final termination wait).
+        sum idle_ns: u64,
+        /// Nanoseconds blocked in `Frontier::pop` that ended by stealing
+        /// another worker's item.
+        sum steal_ns: u64,
+        /// Machine runs this lane executed.
+        sum runs: u64,
+        /// Frontier items this lane popped that another worker pushed.
+        sum steals: u64,
     }
 }
 
@@ -456,5 +368,20 @@ mod tests {
         let s = DporStats::default();
         assert_eq!(s.busy_frac(), 1.0);
         assert_eq!(s.blocked_depth_mode(), 0);
+    }
+
+    #[test]
+    fn machine_table_drives_absorb_and_json() {
+        MachineStats::check_table();
+    }
+
+    #[test]
+    fn mc_table_drives_absorb_and_json() {
+        McStats::check_table();
+    }
+
+    #[test]
+    fn worker_lane_table_drives_absorb_and_json() {
+        WorkerLane::check_table();
     }
 }

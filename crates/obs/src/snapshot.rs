@@ -84,27 +84,12 @@ impl ToJson for MetricsSnapshot {
         let mut j = Json::obj();
         j.push("checker", checker)
             .push("stms", stms)
-            .push(
-                "mc",
-                match &self.mc {
-                    Some(mc) => mc.to_json(),
-                    None => Json::Null,
-                },
-            )
+            .push("mc", self.mc.as_ref().map_or(Json::Null, ToJson::to_json))
             .push(
                 "monitor",
-                match &self.monitor {
-                    Some(m) => m.to_json(),
-                    None => Json::Null,
-                },
+                self.monitor.as_ref().map_or(Json::Null, ToJson::to_json),
             )
-            .push(
-                "sat",
-                match &self.sat {
-                    Some(s) => s.to_json(),
-                    None => Json::Null,
-                },
-            );
+            .push("sat", self.sat.as_ref().map_or(Json::Null, ToJson::to_json));
         j
     }
 }
@@ -132,7 +117,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        m.record_checker("fig2", &SearchStats::for_units(1));
+        m.record_checker("fig2", &SearchStats::default());
         assert_eq!(m.checker.len(), 2);
         assert_eq!(m.checker[0].1.nodes, 5);
         assert_eq!(m.checker[0].1.searches, 2);

@@ -8,59 +8,30 @@
 //! thread's `Ctx`, their retries and CAS failures in the flight
 //! recorder ([`crate::trace`]).
 
-use crate::json::{Json, ToJson};
+use crate::counters::counters;
 
-/// Operation counts of one TM algorithm, derived from traces.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct TmSnapshot {
-    /// Transactions committed.
-    pub commits: u64,
-    /// Transactions aborted.
-    pub aborts: u64,
-    /// CAS instructions that failed.
-    pub cas_failures: u64,
-    /// Successful lock acquisitions (global lock or per-var locks).
-    pub lock_acquisitions: u64,
-    /// Spin-loop iterations while waiting for a lock.
-    pub lock_spins: u64,
-    /// Transactional reads.
-    pub txn_reads: u64,
-    /// Transactional writes.
-    pub txn_writes: u64,
-    /// Non-transactional ops that ran extra instrumentation.
-    pub nontxn_instrumented: u64,
-    /// Non-transactional ops compiled to the bare access.
-    pub nontxn_uninstrumented: u64,
-}
-
-impl TmSnapshot {
-    /// Fold another snapshot into this one (all fields add).
-    pub fn absorb(&mut self, other: &TmSnapshot) {
-        self.commits += other.commits;
-        self.aborts += other.aborts;
-        self.cas_failures += other.cas_failures;
-        self.lock_acquisitions += other.lock_acquisitions;
-        self.lock_spins += other.lock_spins;
-        self.txn_reads += other.txn_reads;
-        self.txn_writes += other.txn_writes;
-        self.nontxn_instrumented += other.nontxn_instrumented;
-        self.nontxn_uninstrumented += other.nontxn_uninstrumented;
-    }
-}
-
-impl ToJson for TmSnapshot {
-    fn to_json(&self) -> Json {
-        let mut j = Json::obj();
-        j.push("commits", self.commits.into())
-            .push("aborts", self.aborts.into())
-            .push("cas_failures", self.cas_failures.into())
-            .push("lock_acquisitions", self.lock_acquisitions.into())
-            .push("lock_spins", self.lock_spins.into())
-            .push("txn_reads", self.txn_reads.into())
-            .push("txn_writes", self.txn_writes.into())
-            .push("nontxn_instrumented", self.nontxn_instrumented.into())
-            .push("nontxn_uninstrumented", self.nontxn_uninstrumented.into());
-        j
+counters! {
+    /// Operation counts of one TM algorithm, derived from traces.
+    #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+    pub struct TmSnapshot {
+        /// Transactions committed.
+        sum commits: u64,
+        /// Transactions aborted.
+        sum aborts: u64,
+        /// CAS instructions that failed.
+        sum cas_failures: u64,
+        /// Successful lock acquisitions (global lock or per-var locks).
+        sum lock_acquisitions: u64,
+        /// Spin-loop iterations while waiting for a lock.
+        sum lock_spins: u64,
+        /// Transactional reads.
+        sum txn_reads: u64,
+        /// Transactional writes.
+        sum txn_writes: u64,
+        /// Non-transactional ops that ran extra instrumentation.
+        sum nontxn_instrumented: u64,
+        /// Non-transactional ops compiled to the bare access.
+        sum nontxn_uninstrumented: u64,
     }
 }
 
@@ -83,5 +54,10 @@ mod tests {
         assert_eq!(a.commits, 4);
         assert_eq!(a.cas_failures, 2);
         assert_eq!(a.lock_spins, 4);
+    }
+
+    #[test]
+    fn table_drives_absorb_and_json() {
+        TmSnapshot::check_table();
     }
 }

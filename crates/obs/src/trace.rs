@@ -22,8 +22,9 @@
 //! [`FlightRecorder::dropped`].
 
 use crate::json::Json;
-use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use crate::sink::Installed;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Number of ring-buffer shards. Threads map to shards by a
@@ -33,12 +34,6 @@ pub const TRACE_SHARDS: usize = 32;
 
 /// Default ring capacity (events) per shard. Must be a power of two.
 pub const DEFAULT_RING_CAP: usize = 1 << 12;
-
-/// The event categories, in `cat_index` order. One per instrumented
-/// layer of the workspace.
-pub const CATEGORIES: [&str; 8] = [
-    "checker", "mc", "memsim", "stm", "replay", "monitor", "dpor", "sat",
-];
 
 /// Chrome-trace phase of an event kind.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -51,239 +46,193 @@ pub enum Phase {
     Instant,
 }
 
-/// The event taxonomy, one variant per narrated happening.
-///
-/// Discriminants start at 1 so a zeroed ring slot is recognizably
-/// empty.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-#[repr(u8)]
-pub enum EventKind {
-    // ── checker layer ────────────────────────────────────────────
-    /// A witness search started (`a` = schedulable units).
-    SearchBegin = 1,
-    /// The witness search finished (`a` = nodes, `b` = 1 if satisfied).
-    SearchEnd = 2,
-    /// The DFS expanded a node (`a` = depth).
-    NodeEnter = 3,
-    /// The DFS returned from a node (`a` = depth).
-    NodeLeave = 4,
-    /// The DFS exhausted a node's candidates and backtracked.
-    Backtrack = 5,
-    /// Incremental prefix legality pruned a subtree (`a` = depth).
-    Prune = 6,
-    /// A per-worker witness memo answered an inner search (`a` = prefix).
-    WitnessMemoHit = 7,
-    /// A pool worker claimed serialization-order prefix `a`.
-    PrefixClaim = 8,
-    /// Prefix `a` was cancelled by a lower-indexed success.
-    PrefixCancel = 9,
-    // ── model-checking layer ─────────────────────────────────────
-    /// A schedule finished (`a` = sequence number, `b` = 1 if completed).
-    McSchedule = 10,
-    /// A structurally identical trace was skipped (`a` = fingerprint).
-    McDedupHit = 11,
-    /// The shared verdict memo answered a history (`a` = fingerprint).
-    McMemoHit = 12,
-    /// A history went through the full checker (`a` = fingerprint).
-    McHistoryChecked = 13,
-    /// A violating trace was found (`a` = schedule sequence number).
-    McViolation = 14,
-    // ── simulated-machine layer ──────────────────────────────────
-    /// A buffered store drained to global memory (`a` = addr, `b` = val).
-    StoreDrain = 15,
-    /// A load observed an older admissible version (`a` = addr).
-    StaleLoad = 16,
-    /// A load was served from the CPU's own store buffer (`a` = addr).
-    StoreForward = 17,
-    /// A CAS drained the buffer and raised the global floor (`a` = addr).
-    CasFence = 18,
-    // ── STM layer ────────────────────────────────────────────────
-    /// A transaction attempt started (`a` = process id).
-    TxnBegin = 19,
-    /// The attempt committed (`a` = process id).
-    TxnCommit = 20,
-    /// The attempt aborted and will retry (`a` = process id).
-    TxnAbort = 21,
-    /// A CAS inside an STM operation lost its race (`a` = process id).
-    StmCasFail = 22,
-    // ── replay layer ─────────────────────────────────────────────
-    /// A schedule-log replay started (`a` = decision count, `b` =
-    /// recorded fingerprint).
-    ReplayBegin = 23,
-    /// A replayed choose point was served (`a` = step index, `b` =
-    /// encoded action taken).
-    ReplayStep = 24,
-    /// The replay stopped matching its recording (`a` = step index,
-    /// `b` = encoded action the recording expected).
-    ReplayDivergence = 25,
-    /// A shrinker round finished (`a` = round, `b` = surviving
-    /// decision count).
-    ShrinkRound = 26,
-    // ── streaming-monitor layer ──────────────────────────────────
-    /// The monitor ingested a batch of tap events (`a` = batch size,
-    /// `b` = ring depth after the drain).
-    MonitorIngest = 27,
-    /// A window sealed for checking (`a` = window sequence number,
-    /// `b` = operation count).
-    WindowSeal = 28,
-    /// The polynomial triage tier proved a window opaque (`a` = window
-    /// sequence number).
-    TriageClear = 29,
-    /// A window escaped triage and went to the full checker (`a` =
-    /// window sequence number, `b` = history fingerprint).
-    Escalate = 30,
-    /// The full checker found a window in violation (`a` = window
-    /// sequence number, `b` = history fingerprint).
-    MonitorViolation = 31,
-    // ── DPOR exploration layer ───────────────────────────────────
-    /// Two dependent transitions were found concurrent by the vector
-    /// clocks (`a` = earlier decision index, `b` = later decision
-    /// index).
-    RaceDetected = 32,
-    /// The explorer skipped an enabled action because its footprint was
-    /// in the sleep set (`a` = tree depth, `b` = encoded action).
-    SleepSetSkip = 33,
-    /// A pending branch was enqueued on the exploration frontier (`a` =
-    /// prefix depth, `b` = remaining sibling count).
-    RevisitEnqueued = 34,
-    /// A worker popped a frontier item another worker pushed (`a` =
-    /// prefix depth, `b` = pushing worker).
-    FrontierSteal = 35,
-    // ── SAT backend layer ────────────────────────────────────────
-    /// A CDCL solve of an order encoding started (`a` = variables,
-    /// `b` = clauses).
-    SatSolveBegin = 36,
-    /// Conflicts hit during the solve just finished (`a` = conflict
-    /// count, `b` = learned clause count).
-    SatConflict = 37,
-    /// Restarts taken during the solve just finished (`a` = restart
-    /// count).
-    SatRestart = 38,
-    /// The CDCL solve finished (`a` = 1 if a model was found, `b` =
-    /// CEGAR round number).
-    SatSolveEnd = 39,
+/// The one declaration of the event taxonomy: per category (one per
+/// instrumented layer), one row per kind — `Variant = ring code,
+/// "chrome-trace name", Phase;` under the variant's doc comment. Derives
+/// [`EventKind`] with [`ALL`](EventKind::ALL), `cat_index`, `name`,
+/// `phase` and `from_u8`, and [`CATEGORIES`] in declaration order.
+macro_rules! events {
+    ($(
+        $cat:ident {
+            $( $(#[$doc:meta])* $kind:ident = $code:literal, $name:literal, $phase:ident; )*
+        }
+    )*) => {
+        /// The event categories, in `cat_index` order. One per
+        /// instrumented layer of the workspace.
+        pub const CATEGORIES: [&str; [$(stringify!($cat)),*].len()] = [$(stringify!($cat)),*];
+
+        /// Declaration-order index of each category.
+        #[allow(non_camel_case_types)]
+        enum Category {
+            $($cat),*
+        }
+
+        /// The event taxonomy, one variant per narrated happening.
+        ///
+        /// Ring codes start at 1 so a zeroed ring slot is recognizably
+        /// empty.
+        #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+        #[repr(u8)]
+        pub enum EventKind {
+            $($( $(#[$doc])* $kind = $code, )*)*
+        }
+
+        impl EventKind {
+            /// Every kind, in ring-code order.
+            pub const ALL: &'static [EventKind] = &[$($(EventKind::$kind,)*)*];
+
+            /// Index of this kind's category into [`CATEGORIES`].
+            pub fn cat_index(self) -> usize {
+                match self {
+                    $( $(EventKind::$kind)|* => Category::$cat as usize, )*
+                }
+            }
+
+            /// Chrome-trace event name. Span pairs share one name so
+            /// Perfetto nests them ("search" for begin/end, "txn" for
+            /// begin/commit/abort).
+            pub fn name(self) -> &'static str {
+                match self {
+                    $($( EventKind::$kind => $name, )*)*
+                }
+            }
+
+            /// The Chrome-trace phase this kind exports as.
+            pub fn phase(self) -> Phase {
+                match self {
+                    $($( EventKind::$kind => Phase::$phase, )*)*
+                }
+            }
+
+            fn from_u8(v: u8) -> Option<EventKind> {
+                match v {
+                    $($( $code => Some(EventKind::$kind), )*)*
+                    _ => None,
+                }
+            }
+        }
+    };
+}
+
+events! {
+    checker {
+        /// A witness search started (`a` = schedulable units).
+        SearchBegin = 1, "search", Begin;
+        /// The witness search finished (`a` = nodes, `b` = 1 if satisfied).
+        SearchEnd = 2, "search", End;
+        /// The DFS expanded a node (`a` = depth).
+        NodeEnter = 3, "node_enter", Instant;
+        /// The DFS returned from a node (`a` = depth).
+        NodeLeave = 4, "node_leave", Instant;
+        /// The DFS exhausted a node's candidates and backtracked.
+        Backtrack = 5, "backtrack", Instant;
+        /// Incremental prefix legality pruned a subtree (`a` = depth).
+        Prune = 6, "prune", Instant;
+        /// A per-worker witness memo answered an inner search (`a` = prefix).
+        WitnessMemoHit = 7, "witness_memo_hit", Instant;
+        /// A pool worker claimed serialization-order prefix `a`.
+        PrefixClaim = 8, "prefix_claim", Instant;
+        /// Prefix `a` was cancelled by a lower-indexed success.
+        PrefixCancel = 9, "prefix_cancel", Instant;
+    }
+    mc {
+        /// A schedule finished (`a` = sequence number, `b` = 1 if completed).
+        McSchedule = 10, "schedule", Instant;
+        /// A structurally identical trace was skipped (`a` = fingerprint).
+        McDedupHit = 11, "dedup_hit", Instant;
+        /// The shared verdict memo answered a history (`a` = fingerprint).
+        McMemoHit = 12, "verdict_memo_hit", Instant;
+        /// A history went through the full checker (`a` = fingerprint).
+        McHistoryChecked = 13, "history_checked", Instant;
+        /// A violating trace was found (`a` = schedule sequence number).
+        McViolation = 14, "violation", Instant;
+    }
+    memsim {
+        /// A buffered store drained to global memory (`a` = addr, `b` = val).
+        StoreDrain = 15, "store_drain", Instant;
+        /// A load observed an older admissible version (`a` = addr).
+        StaleLoad = 16, "stale_load", Instant;
+        /// A load was served from the CPU's own store buffer (`a` = addr).
+        StoreForward = 17, "store_forward", Instant;
+        /// A CAS drained the buffer and raised the global floor (`a` = addr).
+        CasFence = 18, "cas_fence", Instant;
+    }
+    stm {
+        /// A transaction attempt started (`a` = process id).
+        TxnBegin = 19, "txn", Begin;
+        /// The attempt committed (`a` = process id).
+        TxnCommit = 20, "txn", End;
+        /// The attempt aborted and will retry (`a` = process id).
+        TxnAbort = 21, "txn", End;
+        /// A CAS inside an STM operation lost its race (`a` = process id).
+        StmCasFail = 22, "cas_fail", Instant;
+    }
+    replay {
+        /// A schedule-log replay started (`a` = decision count, `b` =
+        /// recorded fingerprint).
+        ReplayBegin = 23, "replay_begin", Instant;
+        /// A replayed choose point was served (`a` = step index, `b` =
+        /// encoded action taken).
+        ReplayStep = 24, "replay_step", Instant;
+        /// The replay stopped matching its recording (`a` = step index,
+        /// `b` = encoded action the recording expected).
+        ReplayDivergence = 25, "replay_divergence", Instant;
+        /// A shrinker round finished (`a` = round, `b` = surviving
+        /// decision count).
+        ShrinkRound = 26, "shrink_round", Instant;
+    }
+    monitor {
+        /// The monitor ingested a batch of tap events (`a` = batch size,
+        /// `b` = ring depth after the drain).
+        MonitorIngest = 27, "monitor_ingest", Instant;
+        /// A window sealed for checking (`a` = window sequence number,
+        /// `b` = operation count).
+        WindowSeal = 28, "window_seal", Instant;
+        /// The polynomial triage tier proved a window opaque (`a` = window
+        /// sequence number).
+        TriageClear = 29, "triage_clear", Instant;
+        /// A window escaped triage and went to the full checker (`a` =
+        /// window sequence number, `b` = history fingerprint).
+        Escalate = 30, "escalate", Instant;
+        /// The full checker found a window in violation (`a` = window
+        /// sequence number, `b` = history fingerprint).
+        MonitorViolation = 31, "monitor_violation", Instant;
+    }
+    dpor {
+        /// Two dependent transitions were found concurrent by the vector
+        /// clocks (`a` = earlier decision index, `b` = later decision
+        /// index).
+        RaceDetected = 32, "race_detected", Instant;
+        /// The explorer skipped an enabled action because its footprint was
+        /// in the sleep set (`a` = tree depth, `b` = encoded action).
+        SleepSetSkip = 33, "sleep_set_skip", Instant;
+        /// A pending branch was enqueued on the exploration frontier (`a` =
+        /// prefix depth, `b` = remaining sibling count).
+        RevisitEnqueued = 34, "revisit_enqueued", Instant;
+        /// A worker popped a frontier item another worker pushed (`a` =
+        /// prefix depth, `b` = pushing worker).
+        FrontierSteal = 35, "frontier_steal", Instant;
+    }
+    sat {
+        /// A CDCL solve of an order encoding started (`a` = variables,
+        /// `b` = clauses).
+        SatSolveBegin = 36, "sat_solve", Begin;
+        /// Conflicts hit during the solve just finished (`a` = conflict
+        /// count, `b` = learned clause count).
+        SatConflict = 37, "sat_conflict", Instant;
+        /// Restarts taken during the solve just finished (`a` = restart
+        /// count).
+        SatRestart = 38, "sat_restart", Instant;
+        /// The CDCL solve finished (`a` = 1 if a model was found, `b` =
+        /// CEGAR round number).
+        SatSolveEnd = 39, "sat_solve", End;
+    }
 }
 
 impl EventKind {
-    /// Layer category, one of `"checker"`, `"mc"`, `"memsim"`, `"stm"`,
-    /// `"replay"`, `"monitor"`, `"dpor"`, `"sat"`.
+    /// Layer category, one of [`CATEGORIES`].
     pub fn cat(self) -> &'static str {
         CATEGORIES[self.cat_index()]
-    }
-
-    /// Index of this kind's category into [`CATEGORIES`].
-    pub fn cat_index(self) -> usize {
-        use EventKind::*;
-        match self {
-            SearchBegin | SearchEnd | NodeEnter | NodeLeave | Backtrack | Prune
-            | WitnessMemoHit | PrefixClaim | PrefixCancel => 0,
-            McSchedule | McDedupHit | McMemoHit | McHistoryChecked | McViolation => 1,
-            StoreDrain | StaleLoad | StoreForward | CasFence => 2,
-            TxnBegin | TxnCommit | TxnAbort | StmCasFail => 3,
-            ReplayBegin | ReplayStep | ReplayDivergence | ShrinkRound => 4,
-            MonitorIngest | WindowSeal | TriageClear | Escalate | MonitorViolation => 5,
-            RaceDetected | SleepSetSkip | RevisitEnqueued | FrontierSteal => 6,
-            SatSolveBegin | SatConflict | SatRestart | SatSolveEnd => 7,
-        }
-    }
-
-    /// Chrome-trace event name. Span pairs share one name so Perfetto
-    /// nests them ("search" for begin/end, "txn" for begin/commit/abort).
-    pub fn name(self) -> &'static str {
-        use EventKind::*;
-        match self {
-            SearchBegin | SearchEnd => "search",
-            NodeEnter => "node_enter",
-            NodeLeave => "node_leave",
-            Backtrack => "backtrack",
-            Prune => "prune",
-            WitnessMemoHit => "witness_memo_hit",
-            PrefixClaim => "prefix_claim",
-            PrefixCancel => "prefix_cancel",
-            McSchedule => "schedule",
-            McDedupHit => "dedup_hit",
-            McMemoHit => "verdict_memo_hit",
-            McHistoryChecked => "history_checked",
-            McViolation => "violation",
-            StoreDrain => "store_drain",
-            StaleLoad => "stale_load",
-            StoreForward => "store_forward",
-            CasFence => "cas_fence",
-            TxnBegin | TxnCommit | TxnAbort => "txn",
-            StmCasFail => "cas_fail",
-            ReplayBegin => "replay_begin",
-            ReplayStep => "replay_step",
-            ReplayDivergence => "replay_divergence",
-            ShrinkRound => "shrink_round",
-            MonitorIngest => "monitor_ingest",
-            WindowSeal => "window_seal",
-            TriageClear => "triage_clear",
-            Escalate => "escalate",
-            MonitorViolation => "monitor_violation",
-            RaceDetected => "race_detected",
-            SleepSetSkip => "sleep_set_skip",
-            RevisitEnqueued => "revisit_enqueued",
-            FrontierSteal => "frontier_steal",
-            SatSolveBegin | SatSolveEnd => "sat_solve",
-            SatConflict => "sat_conflict",
-            SatRestart => "sat_restart",
-        }
-    }
-
-    /// The Chrome-trace phase this kind exports as.
-    pub fn phase(self) -> Phase {
-        use EventKind::*;
-        match self {
-            SearchBegin | TxnBegin | SatSolveBegin => Phase::Begin,
-            SearchEnd | TxnCommit | TxnAbort | SatSolveEnd => Phase::End,
-            _ => Phase::Instant,
-        }
-    }
-
-    fn from_u8(v: u8) -> Option<EventKind> {
-        use EventKind::*;
-        Some(match v {
-            1 => SearchBegin,
-            2 => SearchEnd,
-            3 => NodeEnter,
-            4 => NodeLeave,
-            5 => Backtrack,
-            6 => Prune,
-            7 => WitnessMemoHit,
-            8 => PrefixClaim,
-            9 => PrefixCancel,
-            10 => McSchedule,
-            11 => McDedupHit,
-            12 => McMemoHit,
-            13 => McHistoryChecked,
-            14 => McViolation,
-            15 => StoreDrain,
-            16 => StaleLoad,
-            17 => StoreForward,
-            18 => CasFence,
-            19 => TxnBegin,
-            20 => TxnCommit,
-            21 => TxnAbort,
-            22 => StmCasFail,
-            23 => ReplayBegin,
-            24 => ReplayStep,
-            25 => ReplayDivergence,
-            26 => ShrinkRound,
-            27 => MonitorIngest,
-            28 => WindowSeal,
-            29 => TriageClear,
-            30 => Escalate,
-            31 => MonitorViolation,
-            32 => RaceDetected,
-            33 => SleepSetSkip,
-            34 => RevisitEnqueued,
-            35 => FrontierSteal,
-            36 => SatSolveBegin,
-            37 => SatConflict,
-            38 => SatRestart,
-            39 => SatSolveEnd,
-            _ => return None,
-        })
     }
 }
 
@@ -329,12 +278,12 @@ pub struct FlightRecorder {
     cap: usize,
     shards: Box<[Shard]>,
     /// Events recorded per [`CATEGORIES`] entry.
-    cat_recorded: [AtomicU64; 8],
+    cat_recorded: [AtomicU64; CATEGORIES.len()],
     /// Events evicted by ring wrap-around per [`CATEGORIES`] entry,
     /// attributed to the *evicted* event's category. Two writers racing
     /// on the same wrapped slot can double- or mis-count an eviction —
     /// the same torn-event tolerance as the slots themselves.
-    cat_dropped: [AtomicU64; 8],
+    cat_dropped: [AtomicU64; CATEGORIES.len()],
 }
 
 impl FlightRecorder {
@@ -539,13 +488,7 @@ impl Default for FlightRecorder {
 
 // ── global installation ──────────────────────────────────────────────
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static INSTALLED: AtomicPtr<FlightRecorder> = AtomicPtr::new(std::ptr::null_mut());
-/// Every recorder ever installed, kept alive for the process lifetime
-/// so pointers loaded from [`INSTALLED`] can never dangle. Installs
-/// happen a handful of times per process (report start, tests), so the
-/// leak is bounded and deliberate.
-static KEEP: Mutex<Vec<Arc<FlightRecorder>>> = Mutex::new(Vec::new());
+static SINK: Installed<FlightRecorder> = Installed::new();
 
 static NEXT_TID: AtomicU64 = AtomicU64::new(1);
 thread_local! {
@@ -562,22 +505,19 @@ pub fn thread_id() -> u32 {
 /// sites start recording into it immediately. Replaces any previous
 /// recorder (which stays alive but stops receiving events).
 pub fn install(recorder: Arc<FlightRecorder>) {
-    let raw = Arc::as_ptr(&recorder) as *mut FlightRecorder;
-    KEEP.lock().unwrap().push(recorder);
-    INSTALLED.store(raw, Ordering::Release);
-    ENABLED.store(true, Ordering::Release);
+    SINK.install(recorder);
 }
 
 /// Stop recording. The last installed recorder remains readable via
 /// the caller's own `Arc`.
 pub fn uninstall() {
-    ENABLED.store(false, Ordering::Release);
-    INSTALLED.store(std::ptr::null_mut(), Ordering::Release);
+    SINK.disable();
+    SINK.clear();
 }
 
 /// Is a recorder currently installed?
 pub fn recording() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    SINK.enabled()
 }
 
 /// Record an event on the installed recorder, if any. This is the hook
@@ -585,7 +525,7 @@ pub fn recording() -> bool {
 /// load and a predictable branch.
 #[inline]
 pub fn emit(kind: EventKind, a: u64, b: u64) {
-    if !ENABLED.load(Ordering::Relaxed) {
+    if !SINK.enabled() {
         return;
     }
     emit_installed(kind, a, b);
@@ -593,14 +533,9 @@ pub fn emit(kind: EventKind, a: u64, b: u64) {
 
 #[cold]
 fn emit_installed(kind: EventKind, a: u64, b: u64) {
-    let p = INSTALLED.load(Ordering::Acquire);
-    if p.is_null() {
-        return;
+    if let Some(recorder) = SINK.current() {
+        recorder.record(kind, a, b);
     }
-    // SAFETY: every pointer stored into INSTALLED comes from an Arc
-    // pushed into KEEP, which is never drained, so the allocation
-    // outlives the process.
-    unsafe { (*p).record(kind, a, b) }
 }
 
 #[cfg(test)]
@@ -700,6 +635,35 @@ mod tests {
     }
 
     #[test]
+    fn events_table_is_dense_paired_and_covers_every_category() {
+        let all = EventKind::ALL;
+        // Ring codes are dense from 1, so `from_u8` inverts `as u8` on
+        // every kind and a zeroed slot (or the code past the end)
+        // decodes to nothing.
+        for (i, &kind) in all.iter().enumerate() {
+            assert_eq!(kind as usize, i + 1, "{kind:?}");
+            assert_eq!(EventKind::from_u8(kind as u8), Some(kind));
+        }
+        assert_eq!(EventKind::from_u8(0), None);
+        assert_eq!(EventKind::from_u8(all.len() as u8 + 1), None);
+        // `chrome_trace`'s balance pass matches a Begin with whatever
+        // End follows on the thread: the exported pair nests only if
+        // some End shares the Begin's category and name.
+        let span = |k: &EventKind| (k.cat(), k.name());
+        for begin in all.iter().filter(|k| k.phase() == Phase::Begin) {
+            assert!(
+                all.iter()
+                    .any(|end| end.phase() == Phase::End && span(end) == span(begin)),
+                "{begin:?} has no End kind"
+            );
+        }
+        for (i, cat) in CATEGORIES.iter().enumerate() {
+            assert!(!CATEGORIES[..i].contains(cat), "duplicate category {cat}");
+            assert!(all.iter().any(|k| k.cat_index() == i), "{cat} has no kind");
+        }
+    }
+
+    #[test]
     fn every_category_is_exported() {
         let r = FlightRecorder::with_capacity(64);
         r.record(EventKind::NodeEnter, 0, 0);
@@ -712,10 +676,8 @@ mod tests {
         r.record(EventKind::SatConflict, 0, 0);
         let cats: std::collections::HashSet<&'static str> =
             r.events().iter().map(|e| e.kind.cat()).collect();
-        assert_eq!(cats.len(), 8);
-        for c in [
-            "checker", "mc", "memsim", "stm", "replay", "monitor", "dpor", "sat",
-        ] {
+        assert_eq!(cats.len(), CATEGORIES.len());
+        for c in CATEGORIES {
             assert!(cats.contains(c), "missing {c}");
         }
     }

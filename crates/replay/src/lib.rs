@@ -32,6 +32,7 @@
 //! re-executes a saved log and verifies the fingerprint, and
 //! `--explain` narrates the replayed counterexample.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod log;

@@ -21,6 +21,7 @@
 //! against their own clause list — [`verify_model`] is the reference
 //! implementation of that check.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 /// A propositional variable, numbered from 0.

@@ -35,6 +35,7 @@
 //! internal orderings is an optimization orthogonal to the reproduction
 //! and is deliberately not attempted.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod api;

@@ -30,6 +30,7 @@
 //!   report`, and the examples (`quickstart`, `litmus_explorer`,
 //!   `privatization`, `check_history`, `model_checker`).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use jungle_core as core;
