@@ -10,23 +10,37 @@
 //! functions.
 //!
 //! Both properties reduce to the same search shape, captured by the
-//! crate-internal `OrderSearch` trait: enumerate total orders of the
-//! transactions consistent with a must-precede relation, and run an
-//! exact witness search (the *leaf*) for each complete order. The DFS
-//! backend enumerates the orders itself (`search_orders`, serially or
-//! on the work-stealing pool of [`par`](crate::par)); the SAT backend
-//! ([`encode`]) lets a CDCL solver propose them and
-//! certifies every proposal through the same leaf. The leaf is written
-//! once too — [`linearize`](crate::linearize) — so an `OrderSearch`
-//! impl only says which granularity, which static edges and which
-//! legality.
+//! crate-internal `OrderSearch` trait: find a total order of the
+//! transactions consistent with a must-precede relation under which an
+//! exact witness search (the *leaf*) succeeds for every viewer class.
+//! The leaf is written once — [`linearize`](crate::linearize) — so an
+//! `OrderSearch` impl only says which granularity, which static edges
+//! and which legality; and because the leaf accepts any *subset* of an
+//! order's precedences, it doubles as an oracle for whole families of
+//! orders.
+//!
+//! The DFS backend (`search_orders`) returns the lexicographically
+//! first admissible order whose leaf succeeds, without enumerating
+//! orders: with one viewer class — all eight registry entries, and
+//! SGLA by construction — a linearization under the precedences of a
+//! *prefix* exists iff some complete order extending the prefix
+//! succeeds, so the search tries the first admissible order, refutes
+//! with one precedence-free call, and otherwise walks down one
+//! accepted prefix at a time (`first_success` has the details and the
+//! multi-class fallback). The leaf sees at most two complete orders;
+//! the cost of a check follows the history's frontiers, not `n!`. On
+//! the work-stealing pool of [`par`](crate::par) each claimed prefix
+//! runs the same walk. The SAT backend ([`encode`]) lets a CDCL solver
+//! propose complete orders and certifies every proposal through the
+//! same leaf.
 
 use crate::encode;
 use crate::history::History;
 use crate::ids::{OpId, ProcId};
+use crate::linearize::LeafMemo;
 use crate::model::MemoryModel;
 use crate::opacity::Search;
-use crate::par::{run_order_pool, Cancel, ParallelConfig, WitnessMemo, MEMO_CAP};
+use crate::par::{run_order_pool, Cancel, ParallelConfig, MEMO_CAP};
 use crate::sgla::SglaSearch;
 use crate::spec::SpecRegistry;
 use jungle_obs::trace::{self, EventKind};
@@ -129,7 +143,7 @@ pub struct Check {
     pub kind: CheckKind,
     /// The decision procedure.
     pub backend: CheckBackend,
-    /// `Some` fans the DFS backend's order enumeration over a scoped
+    /// `Some` fans the DFS backend's order search over a scoped
     /// worker pool (histories below `min_units` schedulable units stay
     /// serial). Verdict **and** witness are exactly those of the serial
     /// search for every thread count — see [`par`](crate::par). The SAT
@@ -205,10 +219,6 @@ impl Check {
 /// witness sequences it justifies.
 pub(crate) type Found = (Vec<usize>, Vec<(ProcId, Vec<OpId>)>);
 
-/// Memo of leaf witness searches, keyed by the exact deduplicated edge
-/// set (the only input that varies between calls on one history).
-pub(crate) type LeafMemo = WitnessMemo<Vec<(usize, usize)>, Option<Vec<OpId>>>;
-
 /// The search shape both properties share (see the module docs).
 pub(crate) trait OrderSearch: Sync {
     /// Profiler phase name.
@@ -222,12 +232,20 @@ pub(crate) trait OrderSearch: Sync {
     fn n_txns(&self) -> usize;
 
     /// Must transaction `a` precede transaction `b` in every admissible
-    /// order?
+    /// order? Every constraint set below enforces these precedences on
+    /// its own, so a linearization under *any* pairs carries an
+    /// admissible order.
     fn must_precede(&self, a: usize, b: usize) -> bool;
+
+    /// The distinct constraint sets one serialization order has to
+    /// satisfy together (viewers with equal views share one), by the
+    /// name [`try_order`](Self::try_order) and
+    /// [`extend`](Self::extend) know them by. Never empty.
+    fn classes(&self) -> &[usize];
 
     /// The leaf: per-process witnesses for one complete serialization
     /// order. `Err(set)` names the constraint set that admitted no
-    /// witness, for [`infeasible`](Self::infeasible) (meaningless when
+    /// witness, for [`extend`](Self::extend) (meaningless when
     /// `cancel` fired mid-way, in which case the failure may be
     /// spurious).
     fn try_order(
@@ -238,18 +256,20 @@ pub(crate) trait OrderSearch: Sync {
         memo: &mut LeafMemo,
     ) -> Result<Vec<(ProcId, Vec<OpId>)>, usize>;
 
-    /// Does constraint set `set` admit no witness under the
-    /// transaction precedences `pairs` alone? A subset of an order's
-    /// pairs is a weaker constraint, so `true` refutes every total
-    /// order whose precedences include `pairs` (the SAT backend's
-    /// blocking-core query).
-    fn infeasible(
+    /// The serialization order of a witness of constraint set `set`
+    /// under the transaction precedences `pairs` alone — an admissible
+    /// complete order that includes `pairs` and that `set` accepts.
+    /// `pairs` is a weaker constraint than any total order including
+    /// it, so `None` refutes all of those (the SAT backend's
+    /// blocking-core query, and the DFS backend's prefix oracle).
+    fn extend(
         &self,
         set: usize,
         pairs: &[(usize, usize)],
         stats: &mut SearchStats,
+        cancel: &Cancel<'_>,
         memo: &mut LeafMemo,
-    ) -> bool;
+    ) -> Option<Vec<usize>>;
 }
 
 /// The adjacent pairs of a total order — the precedences that, with
@@ -258,9 +278,21 @@ pub(crate) fn adjacent_pairs(order: &[usize]) -> Vec<(usize, usize)> {
     order.windows(2).map(|w| (w[0], w[1])).collect()
 }
 
+/// The precedences every complete order extending `prefix` includes:
+/// the prefix as a chain, and its last transaction before each of the
+/// `n` that `used` does not mark.
+fn prefix_pairs(prefix: &[usize], used: &[bool]) -> Vec<(usize, usize)> {
+    let mut pairs = adjacent_pairs(prefix);
+    if let Some(&last) = prefix.last() {
+        let rest = (0..used.len()).filter(|&u| !used[u]);
+        pairs.extend(rest.map(|u| (last, u)));
+    }
+    pairs
+}
+
 /// May transaction `t` come next, given the already-placed `used`?
 fn can_place<S: OrderSearch>(s: &S, t: usize, used: &[bool]) -> bool {
-    (0..s.n_txns()).all(|u| u == t || used[u] || !s.must_precede(u, t))
+    !used[t] && (0..s.n_txns()).all(|u| u == t || used[u] || !s.must_precede(u, t))
 }
 
 fn used_by(n: usize, prefix: &[usize]) -> Vec<bool> {
@@ -271,30 +303,19 @@ fn used_by(n: usize, prefix: &[usize]) -> Vec<bool> {
     used
 }
 
-/// The DFS backend: enumerate admissible serialization orders in
-/// ascending-index candidate order and return the first whose leaf
-/// succeeds — on `threads` pool workers, or inline when `threads` is 0.
+/// The DFS backend: the lexicographically first admissible
+/// serialization order whose leaf succeeds — found inline when
+/// `threads` is 0, or as the least result of the pool's claimed
+/// prefixes.
 fn search_orders<S: OrderSearch>(s: &S, threads: usize, stats: &mut SearchStats) -> Option<Found> {
     let n = s.n_txns();
     let subtree =
         |prefix: &[usize], cancel: &Cancel<'_>, memo: &mut LeafMemo, stats: &mut SearchStats| {
-            let mut order = Vec::with_capacity(n);
-            order.extend_from_slice(prefix);
-            let mut found = None;
-            enum_orders(
-                s,
-                &mut order,
-                &mut used_by(n, prefix),
-                &mut found,
-                stats,
-                cancel,
-                memo,
-            );
-            found
+            first_success(s, prefix, stats, cancel, memo)
         };
     if threads == 0 {
-        // No memo: the serial search is the reference the pool and the
-        // SAT backend are compared against.
+        // No whole-result memo: the serial search is the reference the
+        // pool and the SAT backend are compared against.
         return subtree(&[], &Cancel::never(), &mut LeafMemo::disabled(), stats);
     }
     stats.workers = threads as u64;
@@ -303,9 +324,7 @@ fn search_orders<S: OrderSearch>(s: &S, threads: usize, stats: &mut SearchStats)
         n,
         |prefix| {
             let used = used_by(n, prefix);
-            (0..n)
-                .filter(|&t| !used[t] && can_place(s, t, &used))
-                .collect()
+            (0..n).filter(|&t| can_place(s, t, &used)).collect()
         },
         || LeafMemo::new(MEMO_CAP),
         subtree,
@@ -313,9 +332,101 @@ fn search_orders<S: OrderSearch>(s: &S, threads: usize, stats: &mut SearchStats)
     )
 }
 
-/// Extend `order` to every admissible complete order, running the leaf
-/// on each, until one succeeds. `cancel` aborts the enumeration once
-/// its result can no longer matter (pool only).
+/// The first admissible complete order extending `prefix`, in
+/// ascending-index candidate order, whose leaf succeeds.
+///
+/// With **one** constraint class a linearization *is* a serialization
+/// order plus its witness, so [`OrderSearch::extend`] under
+/// [`prefix_pairs`] decides exactly whether some admissible completion
+/// of a prefix succeeds, and the search never backtracks over orders:
+///
+/// 1. try the first admissible completion — a history that holds under
+///    it (every sequential one) costs the one leaf it always did;
+/// 2. ask the oracle about `prefix` itself: `None` refutes the subtree
+///    after one order;
+/// 3. otherwise walk down, taking at each depth the smallest admissible
+///    candidate whose prefix the oracle accepts. The order `bound` of
+///    the last accepted witness extends the walk, so only candidates
+///    *below* `bound`'s cost a call;
+/// 4. hand the complete order to the leaf, which is the call the
+///    enumeration would have made on it: same order, same witnesses.
+///
+/// Every oracle call that succeeds poses the constraints of the calls
+/// after it (a longer prefix implies a shorter one's pairs), so its
+/// dead ends are carried down the walk; a failed call's are not — the
+/// walk turns away from that prefix.
+///
+/// With more classes a prefix may satisfy each class under a different
+/// completion, so the oracle only prunes and [`enum_orders`] enumerates
+/// what it leaves.
+fn first_success<S: OrderSearch>(
+    s: &S,
+    prefix: &[usize],
+    stats: &mut SearchStats,
+    cancel: &Cancel<'_>,
+    memo: &mut LeafMemo,
+) -> Option<Found> {
+    let n = s.n_txns();
+    let mut order = prefix.to_vec();
+    let mut used = used_by(n, prefix);
+    let &[class] = s.classes() else {
+        let mut found = None;
+        enum_orders(s, &mut order, &mut used, &mut found, stats, cancel, memo);
+        return found;
+    };
+    let leaf = |order: Vec<usize>, stats: &mut SearchStats, memo: &mut LeafMemo| {
+        stats.txn_orders += 1;
+        let witnesses = s.try_order(&order, stats, cancel, memo).ok()?;
+        Some((order, witnesses))
+    };
+    let oracle = |order: &[usize], used: &[bool], stats: &mut SearchStats, memo: &mut LeafMemo| {
+        let bound = s.extend(class, &prefix_pairs(order, used), stats, cancel, memo)?;
+        memo.keep_dead_ends();
+        Some(bound)
+    };
+
+    memo.clear_dead_ends();
+    let mut first = order.clone();
+    let mut placed = used.clone();
+    while first.len() < n {
+        let t = (0..n).find(|&t| can_place(s, t, &placed));
+        let t = t.expect("must-precede is a partial order");
+        placed[t] = true;
+        first.push(t);
+    }
+    if let Some(found) = leaf(first, stats, memo) {
+        return Some(found);
+    }
+    let mut bound = oracle(&order, &used, stats, memo)?;
+    while order.len() < n {
+        let at = order.len();
+        let mut next = bound[at];
+        for t in 0..bound[at] {
+            if !can_place(s, t, &used) {
+                continue;
+            }
+            order.push(t);
+            used[t] = true;
+            let accepted = oracle(&order, &used, stats, memo);
+            order.pop();
+            used[t] = false;
+            if let Some(witnessed) = accepted {
+                (bound, next) = (witnessed, t);
+                break;
+            }
+        }
+        order.push(next);
+        used[next] = true;
+    }
+    let found = leaf(order, stats, memo);
+    debug_assert!(found.is_some() || cancel.hit(), "the oracle accepted it");
+    found
+}
+
+/// Extend `order` to every admissible complete order no constraint
+/// class rules out already, running the leaf on each, until one
+/// succeeds. `cancel` aborts the enumeration once its result can no
+/// longer matter (pool only).
 fn enum_orders<S: OrderSearch>(
     s: &S,
     order: &mut Vec<usize>,
@@ -335,8 +446,13 @@ fn enum_orders<S: OrderSearch>(
         }
         return;
     }
+    let pairs = prefix_pairs(order, used);
+    let mut classes = s.classes().iter();
+    if classes.any(|&c| s.extend(c, &pairs, stats, cancel, memo).is_none()) {
+        return;
+    }
     for t in 0..s.n_txns() {
-        if used[t] || !can_place(s, t, used) {
+        if !can_place(s, t, used) {
             continue;
         }
         used[t] = true;
@@ -353,6 +469,7 @@ mod tests {
     use crate::builder::HistoryBuilder;
     use crate::ids::{X, Y};
     use crate::model::{Rmo, Sc};
+    use crate::opacity::Search;
 
     /// Figure 1: a transaction writes x then y; another thread reads
     /// `y = 1` then `x = r_x` non-transactionally.
@@ -405,6 +522,186 @@ mod tests {
         assert_eq!(stats.sat.certified, 1);
         assert!(stats.search.nodes > 0, "{:?}", stats.search);
         assert!(stats.search.units > 0);
+    }
+
+    /// A monitor window's shape with a contended tail: `k` sequential
+    /// read-modify-write transactions over four processes and four
+    /// variables, then `wide` mutually concurrent writers of one
+    /// variable, then — after all of them committed — a transaction
+    /// that reads `observed` there. Writer `i` writes `1000 + i`.
+    fn window(k: usize, wide: usize, observed: u64) -> History {
+        use crate::ids::Var;
+        let mut b = HistoryBuilder::new();
+        for i in 0..k {
+            let (p, x) = (ProcId((i % 4) as u32), Var((i % 4) as u32));
+            b.start(p);
+            b.read(p, x, (i / 4) as u64);
+            b.write(p, x, (i / 4 + 1) as u64);
+            b.commit(p);
+        }
+        let writers = || (0..wide).map(|i| (ProcId(10 + i as u32), 1000 + i as u64));
+        for (p, _) in writers() {
+            b.start(p);
+        }
+        for (p, val) in writers() {
+            b.write(p, Var(9), val);
+        }
+        for (p, _) in writers() {
+            b.commit(p);
+        }
+        b.start(ProcId(9));
+        b.read(ProcId(9), Var(9), observed);
+        b.commit(ProcId(9));
+        b.build().unwrap()
+    }
+
+    /// The serial DFS search of `kind` on `h` under SC, remembering at
+    /// most `dead_ends` dead ends.
+    fn search(kind: CheckKind, h: &History, dead_ends: usize) -> (Option<Found>, SearchStats) {
+        let specs = SpecRegistry::registers();
+        let mut stats = SearchStats::default();
+        let mut memo = LeafMemo::with_caps(0, dead_ends);
+        let never = Cancel::never();
+        let found = match kind {
+            CheckKind::Opacity => first_success(
+                &Search::new(h, &Sc, &specs),
+                &[],
+                &mut stats,
+                &never,
+                &mut memo,
+            ),
+            CheckKind::Sgla => {
+                let s = SglaSearch::new(h, &Sc, &specs);
+                first_success(&s, &[], &mut stats, &never, &mut memo)
+            }
+        };
+        (found, stats)
+    }
+
+    #[test]
+    fn a_graph_wider_than_a_word_is_memoized_like_a_narrow_one() {
+        // 5, 85 and 261 units; 15, 335 and 1,039 operation nodes. The
+        // sequential part is never re-reached, so the dead ends that
+        // answer are the tail's, whatever the width of the bitmap in
+        // their keys.
+        for kind in [CheckKind::Opacity, CheckKind::Sgla] {
+            let mut hits = Vec::new();
+            for k in [0, 80, 256] {
+                // Nobody wrote 7: one order, one pair-free call.
+                let (found, stats) = search(kind, &window(k, 4, 7), usize::MAX);
+                assert!(found.is_none(), "{kind:?}, k = {k}");
+                assert_eq!(stats.txn_orders, 1, "{kind:?}, k = {k}");
+                hits.push(stats.cache_hits);
+
+                // Writer 0 must come last of the four: the first order
+                // fails, the descent names the right one, and neither
+                // the dead ends nor their absence changes the answer.
+                let h = window(k, 4, 1000);
+                let (found, stats) = search(kind, &h, usize::MAX);
+                let (order, _) = found.clone().expect("writers 1, 2, 3, 0 justify the read");
+                let tail: Vec<usize> = order[k..].iter().map(|t| t - k).collect();
+                assert_eq!(tail, [1, 2, 3, 0, 4], "{kind:?}, k = {k}");
+                assert_eq!(stats.txn_orders, 2, "{kind:?}, k = {k}");
+                assert_eq!(search(kind, &h, 0).0, found, "{kind:?}, k = {k}");
+                let (verdict, _) = Check::new(kind).run(&h, &Sc);
+                assert_eq!((verdict.txn_order, verdict.witnesses), found.unwrap());
+            }
+            assert!(hits[0] > 0, "{kind:?}: the tail re-reaches frontiers");
+            assert_eq!(hits, [hits[0]; 3], "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn a_full_dead_end_set_costs_nodes_not_verdicts() {
+        for kind in [CheckKind::Opacity, CheckKind::Sgla] {
+            for observed in [7, 1000] {
+                let h = window(3, 5, observed);
+                let (found, stats) = search(kind, &h, usize::MAX);
+                assert_eq!(found.is_some(), observed == 1000);
+                for cap in [0, 1, 8] {
+                    let (capped, capped_stats) = search(kind, &h, cap);
+                    assert_eq!(capped, found, "{kind:?}, cap {cap}");
+                    assert_eq!(capped_stats.txn_orders, stats.txn_orders);
+                    assert!(
+                        capped_stats.nodes > stats.nodes,
+                        "{kind:?}, cap {cap}: {} nodes, uncapped {}",
+                        capped_stats.nodes,
+                        stats.nodes
+                    );
+                }
+            }
+        }
+    }
+
+    /// SC, except that process 1 need not see process 2's operations
+    /// in program order, and nobody else process 4's: two viewer
+    /// classes.
+    struct Skewed;
+
+    impl MemoryModel for Skewed {
+        fn name(&self) -> &'static str {
+            "skewed"
+        }
+        fn required(&self, _: &History, _: usize, _: usize) -> bool {
+            true
+        }
+        fn required_in_view(&self, h: &History, viewer: ProcId, i: usize, _: usize) -> bool {
+            let unordered = if viewer == ProcId(1) { 2 } else { 4 };
+            h.ops()[i].proc != ProcId(unordered)
+        }
+        fn classes(&self) -> crate::classes::ClassSet {
+            Sc.classes()
+        }
+    }
+
+    #[test]
+    fn several_viewer_classes_enumerate_below_the_prune() {
+        // Two concurrent writers, of x (transaction 0) and of y
+        // (transaction 1). Process 2 reads y = 1 then x = 0: whoever
+        // keeps its reads in order needs 1 before 0. Process 4 reads
+        // x = 1 then y: seeing y = 0, whoever keeps *its* reads in
+        // order needs 0 before 1. Under `Skewed` those are different
+        // viewers, so each class is satisfiable and no order satisfies
+        // both; with y = 1 the order [1, 0] does.
+        let mk = |y_seen: u64| {
+            let mut b = HistoryBuilder::new();
+            b.start(ProcId(1));
+            b.start(ProcId(3));
+            b.write(ProcId(1), X, 1);
+            b.write(ProcId(3), Y, 1);
+            b.commit(ProcId(1));
+            b.commit(ProcId(3));
+            b.read(ProcId(2), Y, 1);
+            b.read(ProcId(2), X, 0);
+            b.read(ProcId(4), X, 1);
+            b.read(ProcId(4), Y, y_seen);
+            b.build().unwrap()
+        };
+        let specs = SpecRegistry::registers();
+        let never = Cancel::never();
+        for (y_seen, holds) in [(1, true), (0, false)] {
+            let h = mk(y_seen);
+            let s = Search::new(&h, &Skewed, &specs);
+            let mut stats = SearchStats::default();
+            let mut memo = LeafMemo::disabled();
+            assert_eq!(s.classes().len(), 2);
+            for &class in s.classes() {
+                let alone = s.extend(class, &[], &mut stats, &never, &mut memo);
+                assert!(alone.is_some(), "class {class} alone, y = {y_seen}");
+            }
+            // The reference: every order through the leaf, in turn.
+            let mut leaf = |order: &[usize]| s.try_order(order, &mut stats, &never, &mut memo);
+            assert!(leaf(&[0, 1]).is_err());
+            let reference = leaf(&[1, 0]).ok();
+            assert_eq!(reference.is_some(), holds);
+
+            let (verdict, stats) = Check::new(CheckKind::Opacity).run(&h, &Skewed);
+            assert_eq!(verdict.holds(), holds, "y = {y_seen}");
+            assert_eq!(verdict.witnesses, reference.unwrap_or_default());
+            // [0, 1] is refuted as the prefix [0], before it is built.
+            assert_eq!(stats.search.txn_orders, u64::from(holds));
+            assert_eq!(verdict.txn_order, if holds { vec![1, 0] } else { vec![] });
+        }
     }
 
     #[test]

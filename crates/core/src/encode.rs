@@ -1,11 +1,10 @@
 //! SAT backend for the serialization-order search (CEGAR over CNF).
 //!
-//! The DFS checkers in [`opacity`](crate::opacity) and
-//! [`sgla`](crate::sgla) enumerate transaction serialization orders
-//! outer-loop and run an exact witness search per order. This module
-//! compiles the *outer* existential — "∃ total order ≺ over the
-//! transactions consistent with the real-time (and, for SGLA, program)
-//! order" — into CNF for the in-tree CDCL solver
+//! The DFS backend of [`check`](crate::check) looks for a transaction
+//! serialization order by walking down prefixes an exact witness
+//! search accepts. This module compiles the same *outer* existential —
+//! "∃ total order ≺ over the transactions consistent with the
+//! real-time (and, for SGLA, program) order" — into CNF for the in-tree CDCL solver
 //! ([`jungle_sat`](jungle_sat)) and discharges the *inner* existential
 //! (the per-process witness permutations) by counterexample-guided
 //! refinement against the DFS leaf routine.
@@ -34,7 +33,7 @@
 //!
 //! Each solver model is decoded to an order and **certified** by the
 //! exact DFS leaf search (`OrderSearch::try_order`, the routine the DFS
-//! backend runs on every order it enumerates). A SAT
+//! backend runs on the order it settles on). A SAT
 //! "yes" is never trusted: a positive verdict always carries a
 //! DFS-validated witness. When certification fails, the oracle shrinks
 //! the order's adjacent-pair set to a minimal infeasible core `S` by
@@ -58,9 +57,10 @@
 //! [`jungle_sat::verify_model`] before decoding.
 
 use crate::check::{
-    adjacent_pairs, Check, CheckBackend, CheckKind, CheckStats, Found, LeafMemo, OrderSearch,
+    adjacent_pairs, Check, CheckBackend, CheckKind, CheckStats, Found, OrderSearch,
 };
 use crate::history::History;
+use crate::linearize::LeafMemo;
 use crate::model::MemoryModel;
 use crate::opacity::{OpacityVerdict, Search};
 use crate::par::{Cancel, MEMO_CAP};
@@ -238,8 +238,11 @@ pub(crate) fn cegar<S: OrderSearch>(s: &S, stats: &mut CheckStats) -> Option<Fou
             Err(set) => set,
         };
         rounds += 1;
-        let mut infeasible =
-            |pairs: &[(usize, usize)]| s.infeasible(failed, pairs, search, &mut memo);
+        let never = Cancel::never();
+        let mut infeasible = |pairs: &[(usize, usize)]| {
+            let extended = s.extend(failed, pairs, search, &never, &mut memo);
+            extended.is_none()
+        };
         if infeasible(&[]) {
             break None; // no witness even unconstrained
         }

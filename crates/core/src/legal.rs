@@ -37,7 +37,6 @@ use crate::history::History;
 use crate::ids::Var;
 use crate::op::{Command, Op};
 use crate::spec::{SpecRegistry, SpecState};
-use std::collections::HashMap;
 
 /// Replay-based reference implementation of "operation `k` (at history
 /// index `k_idx`) is legal in `s`": computes `visible` of the prefix
@@ -65,6 +64,41 @@ struct Slot {
     state: SpecState,
 }
 
+/// Per-variable state as a vector sorted by variable. A history touches
+/// a handful of variables, so a lookup is a short binary search, the
+/// search's per-node snapshot is one copy, and equal states list equal
+/// entries in equal order — which is what lets the search use a state
+/// as (part of) an exact memo key.
+#[derive(Clone, Debug)]
+struct VarMap<T>(Vec<(Var, T)>);
+
+impl<T: Copy> VarMap<T> {
+    fn new() -> Self {
+        VarMap(Vec::new())
+    }
+
+    fn get(&self, var: Var) -> Option<T> {
+        let at = self.0.binary_search_by_key(&var, |e| e.0).ok()?;
+        Some(self.0[at].1)
+    }
+
+    fn insert(&mut self, var: Var, value: T) {
+        match self.0.binary_search_by_key(&var, |e| e.0) {
+            Ok(at) => self.0[at].1 = value,
+            Err(at) => self.0.insert(at, (var, value)),
+        }
+    }
+}
+
+/// Append `var` and `state` to a memo key, injectively.
+fn key_entry(out: &mut Vec<u64>, var: Var, state: SpecState) {
+    let (tag, val) = match state {
+        SpecState::Val(v) => (0, v),
+        SpecState::Junk => (1, 0),
+    };
+    out.extend([u64::from(var.0) << 1 | tag, val]);
+}
+
 /// Incremental per-prefix legality checker for sequential and
 /// transactionally sequential histories.
 ///
@@ -75,9 +109,9 @@ struct Slot {
 #[derive(Clone, Debug)]
 pub struct PrefixChecker<'a> {
     specs: &'a SpecRegistry,
-    committed: HashMap<Var, Slot>,
+    committed: VarMap<Slot>,
     /// Overlay of the currently open transaction (if any).
-    overlay: HashMap<Var, Slot>,
+    overlay: VarMap<Slot>,
     in_txn: bool,
     pos: usize,
 }
@@ -87,8 +121,8 @@ impl<'a> PrefixChecker<'a> {
     pub fn new(specs: &'a SpecRegistry) -> Self {
         PrefixChecker {
             specs,
-            committed: HashMap::new(),
-            overlay: HashMap::new(),
+            committed: VarMap::new(),
+            overlay: VarMap::new(),
             in_txn: false,
             pos: 0,
         }
@@ -96,7 +130,7 @@ impl<'a> PrefixChecker<'a> {
 
     fn committed_state(&self, var: Var) -> SpecState {
         self.committed
-            .get(&var)
+            .get(var)
             .map(|s| s.state)
             .unwrap_or_else(|| self.specs.spec_of(var).init())
     }
@@ -104,7 +138,7 @@ impl<'a> PrefixChecker<'a> {
     /// The state a *transactional* access observes: the later (by
     /// position) of the overlay and committed slots.
     fn txn_view(&self, var: Var) -> SpecState {
-        match (self.overlay.get(&var), self.committed.get(&var)) {
+        match (self.overlay.get(var), self.committed.get(var)) {
             (Some(o), Some(c)) => {
                 if o.pos >= c.pos {
                     o.state
@@ -129,8 +163,25 @@ impl<'a> PrefixChecker<'a> {
     /// are discarded — they never become visible to anyone else — and
     /// the checker is ready for subsequent operations.
     pub fn suspend_live(&mut self) {
-        self.overlay.clear();
+        self.overlay.0.clear();
         self.in_txn = false;
+    }
+
+    /// Append this state to a memo key: two checkers that wrote equal
+    /// keys accept exactly the same continuations. Outside a
+    /// transaction the position stamps are left out — every later
+    /// stamp exceeds every current one, so they can no longer decide
+    /// anything and would only tell apart states that behave alike.
+    pub(crate) fn key(&self, out: &mut Vec<u64>) {
+        out.extend([u64::from(self.in_txn), self.committed.0.len() as u64]);
+        for map in [&self.committed, &self.overlay] {
+            for &(var, slot) in &map.0 {
+                key_entry(out, var, slot.state);
+                if self.in_txn {
+                    out.push(slot.pos as u64);
+                }
+            }
+        }
     }
 
     /// Apply the next operation of the sequence being built.
@@ -147,26 +198,24 @@ impl<'a> PrefixChecker<'a> {
             Op::Start => {
                 debug_assert!(!self.in_txn, "sequential history: no nested txns");
                 self.in_txn = true;
-                self.overlay.clear();
+                self.overlay.0.clear();
                 true
             }
             Op::Commit => {
                 // Merge overlay into committed, position-wise: a
                 // non-transactional write that interleaved *after* the
                 // transaction's last write to the same variable wins.
-                for (var, slot) in self.overlay.drain() {
-                    match self.committed.get(&var) {
+                for (var, slot) in self.overlay.0.drain(..) {
+                    match self.committed.get(var) {
                         Some(c) if c.pos > slot.pos => {}
-                        _ => {
-                            self.committed.insert(var, slot);
-                        }
+                        _ => self.committed.insert(var, slot),
                     }
                 }
                 self.in_txn = false;
                 true
             }
             Op::Abort => {
-                self.overlay.clear();
+                self.overlay.0.clear();
                 self.in_txn = false;
                 true
             }
@@ -225,7 +274,7 @@ impl<'a> PrefixChecker<'a> {
 #[derive(Clone, Debug)]
 pub struct CsChecker<'a> {
     specs: &'a SpecRegistry,
-    state: HashMap<Var, SpecState>,
+    state: VarMap<SpecState>,
     /// Undo log of the open transaction: `(var, state before the
     /// transaction's first write to it)`.
     undo: Vec<(Var, SpecState)>,
@@ -237,7 +286,7 @@ impl<'a> CsChecker<'a> {
     pub fn new(specs: &'a SpecRegistry) -> Self {
         CsChecker {
             specs,
-            state: HashMap::new(),
+            state: VarMap::new(),
             undo: Vec::new(),
             in_txn: false,
         }
@@ -245,8 +294,7 @@ impl<'a> CsChecker<'a> {
 
     fn get(&self, var: Var) -> SpecState {
         self.state
-            .get(&var)
-            .copied()
+            .get(var)
             .unwrap_or_else(|| self.specs.spec_of(var).init())
     }
 
@@ -260,6 +308,14 @@ impl<'a> CsChecker<'a> {
     pub fn suspend_live(&mut self) {
         self.undo.clear();
         self.in_txn = false;
+    }
+
+    /// Append this state to a memo key; see [`PrefixChecker::key`].
+    pub(crate) fn key(&self, out: &mut Vec<u64>) {
+        out.extend([u64::from(self.in_txn), self.state.0.len() as u64]);
+        for &(var, state) in self.state.0.iter().chain(&self.undo) {
+            key_entry(out, var, state);
+        }
     }
 
     /// Apply the next operation of the transactionally sequential

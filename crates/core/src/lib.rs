@@ -32,9 +32,10 @@
 //! * [`sgla`] — §6.2: SGLA as a client of it (operation granularity,
 //!   critical-section legality).
 //!
-//! All decision procedures are exact (backtracking explicit-state search)
-//! and are intended for the short histories that arise from litmus tests,
-//! model checking, and recorded STM executions. See the `jungle-mc` and
+//! All decision procedures are exact (backtracking explicit-state search
+//! over the frontiers of a history, not over its serialization orders),
+//! sized for the histories that arise from litmus tests, model checking,
+//! recorded STM executions and monitor windows. See the `jungle-mc` and
 //! `jungle-stm` crates for the systems that generate such histories.
 //!
 //! ## Quick example

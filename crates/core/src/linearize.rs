@@ -16,8 +16,13 @@
 //!   and the generating pairs of `≺h`;
 //! * `Graph::place` — apply one node to a `Legality` state
 //!   ([`PrefixChecker`] or [`CsChecker`]);
-//! * `linearize` — the memoized backtracking search for a legal
-//!   topological order of the nodes.
+//! * `linearize` — the backtracking search for a legal topological
+//!   order of the nodes, which explores no frontier (placed nodes, open
+//!   critical section, memory state) twice: at most one position per
+//!   process × memory states of them, where sequences are factorially
+//!   many. Under a whole serialization order it is the checkers' leaf;
+//!   under part of one, their oracle for every order that includes the
+//!   part.
 //!
 //! The clients say which granularity, which static edges, and which
 //! legality: [`opacity`](crate::opacity) and [`sgla`](crate::sgla) for
@@ -25,15 +30,15 @@
 //! [`triage`](crate::triage) for the greedy and the two-candidate
 //! placements.
 
-use crate::check::LeafMemo;
 use crate::history::{History, TxnStatus};
 use crate::ids::{OpId, ProcId};
 use crate::legal::{CsChecker, PrefixChecker};
 use crate::model::MemoryModel;
 use crate::op::Op;
-use crate::par::Cancel;
+use crate::par::{Cancel, WitnessMemo};
 use jungle_obs::trace::{self, EventKind};
 use jungle_obs::SearchStats;
+use std::collections::HashSet;
 
 /// The minimal view `v(viewer)` of `R(h)`: the history-index pairs
 /// `(i, j)`, `i < j`, that every view of `viewer` must order — pairs of
@@ -69,6 +74,8 @@ pub(crate) trait Legality: Clone {
     fn suspend_live(&mut self);
     /// Is a transaction open?
     fn in_txn(&self) -> bool;
+    /// Append the state to a memo key: equal keys, equal futures.
+    fn key(&self, out: &mut Vec<u64>);
 }
 
 macro_rules! legality {
@@ -82,6 +89,9 @@ macro_rules! legality {
             }
             fn in_txn(&self) -> bool {
                 $checker::in_txn(self)
+            }
+            fn key(&self, out: &mut Vec<u64>) {
+                $checker::key(self, out)
             }
         }
     };
@@ -172,20 +182,48 @@ impl<'h> Graph<'h> {
         edges.filter(|(a, b)| a != b)
     }
 
-    /// The generating pairs of `≺h`, lifted — as an [`edge_set`], since
-    /// many operation pairs lift to one edge between transactions.
+    /// The transactions of `nodes`, each where its first operation
+    /// stands — the serialization order a linearization carries.
+    pub(crate) fn txn_order(&self, nodes: &[usize]) -> Vec<usize> {
+        let starts = |&u: &usize| {
+            let t = self.txn_of(u)?;
+            (self.ops_of(u)[0] == self.h.txns()[t].first()).then_some(t)
+        };
+        nodes.iter().filter_map(starts).collect()
+    }
+
+    /// The generating pairs of `≺h` ([`History::precedes_rt`]), lifted
+    /// — as an [`edge_set`]. Decided per node pair from each node's
+    /// process, first and last operation and transaction, not per
+    /// operation pair: a monitor window has tens of nodes and hundreds
+    /// of operations.
     pub(crate) fn rt_edges(&self) -> Vec<(usize, usize)> {
-        let n = self.h.len();
+        let txns = self.h.txns();
+        let nodes: Vec<_> = (0..self.len())
+            .map(|u| {
+                let ops = self.ops_of(u);
+                let (first, last) = (ops[0], ops[ops.len() - 1]);
+                (self.h.ops()[first].proc, first, last, self.txn_of(u))
+            })
+            .collect();
         let mut edges = Vec::new();
-        for i in 0..n {
-            for j in 0..n {
-                let (a, b) = (self.node_of[i], self.node_of[j]);
-                if a != b && self.h.precedes_rt(i, j) {
+        for (a, &(proc_a, first_a, _, txn_a)) in nodes.iter().enumerate() {
+            for (b, &(proc_b, _, last_b, txn_b)) in nodes.iter().enumerate() {
+                // Program order with a transactional side, or a
+                // completed transaction wholly before another.
+                let po = proc_a == proc_b && first_a < last_b && (txn_a.or(txn_b)).is_some();
+                let rt = || match (txn_a, txn_b) {
+                    (Some(s), Some(t)) => {
+                        s != t && txns[s].status.is_completed() && txns[s].last() < txns[t].first()
+                    }
+                    _ => false,
+                };
+                if a != b && (po || rt()) {
                     edges.push((a, b));
                 }
             }
         }
-        edge_set(edges)
+        edges
     }
 
     /// The edge that serializes transaction `a` before transaction
@@ -222,22 +260,131 @@ pub(crate) fn edge_set(edges: impl IntoIterator<Item = (usize, usize)>) -> Vec<(
     edges
 }
 
+/// The union of two [`edge_set`]s, as one: a merge, since `fixed` is
+/// thousands of edges on a monitor window and a call adds a handful.
+pub(crate) fn union(a: &[(usize, usize)], b: &[(usize, usize)]) -> Vec<(usize, usize)> {
+    let mut out = Vec::with_capacity(a.len() + b.len());
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        let (x, y) = (a[i], b[j]);
+        out.push(x.min(y));
+        i += usize::from(x <= y);
+        j += usize::from(y <= x);
+    }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
+    out
+}
+
+/// Frontiers of the search from which no legal completion exists,
+/// under their exact key: the placed nodes, the open critical section
+/// and the whole [`Legality`] state (no digest — a collision would be a
+/// wrong verdict).
+///
+/// A frontier that is dead under one constraint set is dead under every
+/// set that implies it, and under no other. So the entries a
+/// [`linearize`] call adds (`fresh`) live until the next call begins,
+/// unless the caller [`keep`](LeafMemo::keep_dead_ends)s them — which
+/// it may do exactly when every later call on this memo only adds
+/// constraints. Once full the set stops admitting entries; it never
+/// evicts, so a capped search is slower, not different.
+struct DeadEnds {
+    cap: usize,
+    kept: HashSet<Vec<u64>>,
+    fresh: HashSet<Vec<u64>>,
+}
+
+impl DeadEnds {
+    fn is_empty(&self) -> bool {
+        self.kept.is_empty() && self.fresh.is_empty()
+    }
+
+    fn contains(&self, key: &[u64]) -> bool {
+        self.fresh.contains(key) || self.kept.contains(key)
+    }
+
+    fn insert(&mut self, key: Vec<u64>) {
+        if self.kept.len() + self.fresh.len() < self.cap {
+            self.fresh.insert(key);
+        }
+    }
+}
+
+/// Dead ends one search may remember (some ten megabytes of keys);
+/// refuting ten mutually concurrent transactions under SGLA takes
+/// 74,261.
+const DEAD_END_CAP: usize = 1 << 17;
+
+/// What [`linearize`] remembers between calls on one history: whole
+/// results under the exact deduplicated edge set (the only input that
+/// varies), and the dead ends the caller vouched for.
+pub(crate) struct LeafMemo {
+    results: WitnessMemo<Vec<(usize, usize)>, Option<Vec<usize>>>,
+    dead: DeadEnds,
+}
+
+impl LeafMemo {
+    /// A memo admitting at most `results` whole results and `dead_ends`
+    /// dead ends.
+    pub(crate) fn with_caps(results: usize, dead_ends: usize) -> Self {
+        LeafMemo {
+            results: WitnessMemo::new(results),
+            dead: DeadEnds {
+                cap: dead_ends,
+                kept: HashSet::new(),
+                fresh: HashSet::new(),
+            },
+        }
+    }
+
+    /// A memo admitting at most `cap` whole results.
+    pub(crate) fn new(cap: usize) -> Self {
+        Self::with_caps(cap, DEAD_END_CAP)
+    }
+
+    /// A memo that replays no whole result (the serial search, the
+    /// reference the pool and the SAT backend are compared against).
+    pub(crate) fn disabled() -> Self {
+        Self::new(0)
+    }
+
+    /// Carry the dead ends of the call just made into the calls that
+    /// follow: the caller promises that each of those poses every
+    /// constraint of this one (and possibly more).
+    pub(crate) fn keep_dead_ends(&mut self) {
+        self.dead.kept.extend(self.dead.fresh.drain());
+    }
+
+    /// Forget every dead end, kept or not: the next call is free to
+    /// pose unrelated constraints.
+    pub(crate) fn clear_dead_ends(&mut self) {
+        self.dead.kept.clear();
+        self.dead.fresh.clear();
+    }
+}
+
 /// Search for a prefix-legal sequence of all of `g`'s nodes respecting
 /// `fixed` (an [`edge_set`]) and the transaction precedences `pairs`,
 /// starting from the legality state `init`; the witness comes back as
-/// operation identifiers.
+/// the node sequence ([`Graph::op_ids`] names its operations,
+/// [`Graph::txn_order`] the serialization order it carries).
 ///
 /// `pairs` need not be a full order. A full order's adjacent pairs
 /// give the classic leaf; a *subset* is a weaker constraint set, so
 /// "no witness" refutes every total order whose precedences include
-/// the pairs (the SAT backend's blocking-core query) — and with no
-/// pairs at all, every order.
+/// the pairs — with no pairs at all, every order — and a witness under
+/// the pairs of a *prefix* ("π₀ → … → π_k, π_k → every other
+/// transaction") shows that some complete order extends that prefix.
 ///
 /// The search is a backtracking DFS trying nodes in ascending index
-/// order, so the witness is the lexicographically first one. Results
-/// are memoized under the full edge set — the only input that varies
-/// between calls on one history — except after a cancellation, which
-/// may report "no witness" spuriously.
+/// order, so the witness is the lexicographically first one, and it
+/// never explores a frontier twice: one that failed is a dead end in
+/// `memo`, found again by its exact key. With one program position per
+/// process, the frontiers number at most (positions per process)^
+/// (processes) × memory states, which bounds the search where the
+/// number of node sequences does not. Whole results are memoized under
+/// the full edge set — except after a cancellation, which may report
+/// "no witness" spuriously (and records no dead end either).
 pub(crate) fn linearize<L: Legality>(
     g: &Graph<'_>,
     fixed: &[(usize, usize)],
@@ -246,10 +393,11 @@ pub(crate) fn linearize<L: Legality>(
     stats: &mut SearchStats,
     cancel: &Cancel<'_>,
     memo: &mut LeafMemo,
-) -> Option<Vec<OpId>> {
-    let order = pairs.iter().map(|&(a, b)| g.order_edge(a, b));
-    let edges = edge_set(fixed.iter().copied().chain(order));
-    if let Some(hit) = memo.get(&edges) {
+) -> Option<Vec<usize>> {
+    memo.dead.fresh.clear();
+    let order = edge_set(pairs.iter().map(|&(a, b)| g.order_edge(a, b)));
+    let edges = union(fixed, &order);
+    if let Some(hit) = memo.results.get(&edges) {
         stats.cache_hits += 1;
         trace::emit(EventKind::WitnessMemoHit, edges.len() as u64, 0);
         return hit.clone();
@@ -259,18 +407,19 @@ pub(crate) fn linearize<L: Legality>(
         g,
         succs: vec![Vec::new(); n],
         indeg: vec![0; n],
-        placed: vec![false; n],
+        placed: vec![0; n.div_ceil(64)],
         seq: Vec::with_capacity(n),
         stats,
         cancel,
+        dead: &mut memo.dead,
     };
     for &(a, b) in &edges {
         dfs.succs[a].push(b);
         dfs.indeg[b] += 1;
     }
-    let result = dfs.dfs(init, None).then(|| g.op_ids(&dfs.seq));
+    let result = dfs.dfs(init, None).then_some(dfs.seq);
     if !cancel.hit() {
-        memo.put(edges, result.clone());
+        memo.results.put(edges, result.clone());
     }
     result
 }
@@ -281,13 +430,24 @@ struct Dfs<'a, 'h> {
     succs: Vec<Vec<usize>>,
     /// Unplaced predecessors of each node.
     indeg: Vec<usize>,
-    placed: Vec<bool>,
+    /// Bit `u` is set once node `u` is placed; as wide as the graph.
+    placed: Vec<u64>,
     seq: Vec<usize>,
     stats: &'a mut SearchStats,
     cancel: &'a Cancel<'a>,
+    dead: &'a mut DeadEnds,
 }
 
 impl Dfs<'_, '_> {
+    /// The exact identity of the current frontier.
+    fn key<L: Legality>(&self, checker: &L, open: Option<usize>) -> Vec<u64> {
+        let mut key = Vec::with_capacity(self.placed.len() + 12);
+        key.extend_from_slice(&self.placed);
+        key.push(open.map_or(0, |t| t as u64 + 1));
+        checker.key(&mut key);
+        key
+    }
+
     /// Extend `seq`, whose legality state is `checker`, to all nodes.
     ///
     /// `open` is the transaction whose critical section is currently
@@ -305,8 +465,21 @@ impl Dfs<'_, '_> {
         if self.cancel.hit() {
             return false;
         }
+        // A search that has not failed yet has nothing to look up, and
+        // one that never fails builds no key at all.
+        let mut key = None;
+        if !self.dead.is_empty() {
+            let k = self.key(checker, open);
+            if self.dead.contains(&k) {
+                self.stats.cache_hits += 1;
+                trace::emit(EventKind::WitnessMemoHit, depth as u64, 1);
+                return false;
+            }
+            key = Some(k);
+        }
+        let mut descended = false;
         for u in 0..self.g.len() {
-            if self.placed[u] || self.indeg[u] != 0 {
+            if self.placed[u / 64] >> (u % 64) & 1 == 1 || self.indeg[u] != 0 {
                 continue;
             }
             let txn = self.g.txn_of(u);
@@ -325,14 +498,15 @@ impl Dfs<'_, '_> {
             for &s in &self.succs[u] {
                 self.indeg[s] -= 1;
             }
-            self.placed[u] = true;
+            self.placed[u / 64] ^= 1 << (u % 64);
             self.seq.push(u);
             self.stats.note_depth(depth + 1);
+            descended = true;
             if self.dfs(&c, next_open) {
                 return true;
             }
             self.seq.pop();
-            self.placed[u] = false;
+            self.placed[u / 64] ^= 1 << (u % 64);
             self.stats.backtracks += 1;
             trace::emit(EventKind::NodeLeave, depth as u64, u as u64);
             for &s in &self.succs[u] {
@@ -340,6 +514,13 @@ impl Dfs<'_, '_> {
             }
         }
         trace::emit(EventKind::Backtrack, depth as u64, 0);
+        // A frontier whose every candidate is illegal on the spot is
+        // as cheap to refute again as to look up, and a cancelled
+        // subtree may have failed spuriously.
+        if descended && !self.cancel.hit() {
+            let key = key.unwrap_or_else(|| self.key(checker, open));
+            self.dead.insert(key);
+        }
         false
     }
 }

@@ -22,26 +22,31 @@
 //! * groups operations into **units** — one per transaction, one per
 //!   non-transactional operation (the unit-granularity
 //!   [`Graph`](crate::linearize));
-//! * enumerates transaction serialization orders consistent with `≺h`
-//!   (the order search shared with SGLA, in [`check`](crate::check));
-//! * for each order and each process's (minimal) view, searches for a
-//!   topological order of the units that is prefix-legal under the
-//!   deferred-update [`PrefixChecker`] (the leaf shared with SGLA,
-//!   [`linearize`](crate::linearize)).
+//! * looks for the first transaction serialization order consistent
+//!   with `≺h` that every viewer accepts (the order search shared with
+//!   SGLA, in [`check`](crate::check) — a walk down accepted prefixes,
+//!   not an enumeration, whenever all viewers share one view);
+//! * where accepting means: for that order and the viewer's (minimal)
+//!   view there is a topological order of the units that is
+//!   prefix-legal under the deferred-update [`PrefixChecker`] (the leaf
+//!   shared with SGLA, [`linearize`](crate::linearize)).
 //!
 //! What is left here is what makes the search *opacity*: unit
 //! granularity, the static edges `≺h ∪ v(p)` per viewer, and
 //! [`PrefixChecker`] legality.
 //!
-//! The search is exponential in the worst case but exact; it is intended
-//! for litmus-test-sized histories (tens of operations) such as those
-//! produced by `jungle-mc` and recorded STM executions.
+//! The search is exact. Its cost is bounded by the frontiers of the
+//! unit graph — one position per process, times the memory states
+//! reachable there — so it is polynomial for a fixed number of
+//! processes and exponential only in how many transactions are
+//! mutually concurrent (`2^p` frontiers for `p` of them, where the
+//! orders number `p!`).
 
-use crate::check::{adjacent_pairs, Check, CheckKind, CheckVerdict, LeafMemo, OrderSearch};
+use crate::check::{adjacent_pairs, Check, CheckKind, CheckVerdict, OrderSearch};
 use crate::history::History;
 use crate::ids::{OpId, ProcId};
 use crate::legal::PrefixChecker;
-use crate::linearize::{edge_set, linearize, view_pairs, Graph};
+use crate::linearize::{edge_set, linearize, union, view_pairs, Graph, LeafMemo};
 use crate::model::MemoryModel;
 use crate::par::{Cancel, ParallelConfig};
 use crate::spec::SpecRegistry;
@@ -84,9 +89,12 @@ pub(crate) struct Search<'a> {
     /// Per viewer, the order-independent edges `≺h ∪ v(p)`.
     fixed: Vec<Vec<(usize, usize)>>,
     /// Per viewer, the first viewer with the same edges — one witness
-    /// search covers every viewer sharing a set (all bundled models
-    /// are viewer-independent, collapsing this to one search).
+    /// search covers every viewer sharing a set.
     rep: Vec<usize>,
+    /// The viewers that represent themselves: the distinct constraint
+    /// sets. All bundled models are viewer-independent, which makes
+    /// this one set and the order search backtrack-free.
+    classes: Vec<usize>,
 }
 
 impl<'a> Search<'a> {
@@ -101,13 +109,14 @@ impl<'a> Search<'a> {
             .iter()
             .map(|&p| {
                 let view = graph.lift(view_pairs(h, model, p));
-                edge_set(rt.iter().copied().chain(view))
+                union(&rt, &edge_set(view))
             })
             .collect();
-        let rep = fixed
+        let rep: Vec<usize> = fixed
             .iter()
             .map(|e| fixed.iter().position(|f| f == e).expect("e is in fixed"))
             .collect();
+        let classes = (0..rep.len()).filter(|&d| rep[d] == d).collect();
         Search {
             h,
             graph,
@@ -115,11 +124,12 @@ impl<'a> Search<'a> {
             viewers,
             fixed,
             rep,
+            classes,
         }
     }
 
     /// The leaf for viewer `d`'s constraint set under the transaction
-    /// precedences `pairs`.
+    /// precedences `pairs`: a legal sequence of the units.
     fn leaf(
         &self,
         d: usize,
@@ -127,7 +137,7 @@ impl<'a> Search<'a> {
         stats: &mut SearchStats,
         cancel: &Cancel<'_>,
         memo: &mut LeafMemo,
-    ) -> Option<Vec<OpId>> {
+    ) -> Option<Vec<usize>> {
         let init = PrefixChecker::new(self.specs);
         let fixed = &self.fixed[d];
         linearize(&self.graph, fixed, pairs, &init, stats, cancel, memo)
@@ -145,10 +155,15 @@ impl OrderSearch for Search<'_> {
         self.h.txns().len()
     }
 
-    /// The real-time constraint: `a` completed before `b` began.
+    /// The real-time constraint: `a` completed before `b` began (an
+    /// edge of `≺h`, so part of every viewer's set).
     fn must_precede(&self, a: usize, b: usize) -> bool {
         let txns = self.h.txns();
         txns[a].status.is_completed() && txns[a].last() < txns[b].first()
+    }
+
+    fn classes(&self) -> &[usize] {
+        &self.classes
     }
 
     /// `Err(d)` names the first distinct viewer-constraint index that
@@ -163,11 +178,10 @@ impl OrderSearch for Search<'_> {
         let pairs = adjacent_pairs(order);
         // One witness per distinct viewer constraint set.
         let mut found: Vec<Option<Vec<OpId>>> = vec![None; self.viewers.len()];
-        for d in (0..self.viewers.len()).filter(|&d| self.rep[d] == d) {
-            found[d] = self.leaf(d, &pairs, stats, cancel, memo);
-            if found[d].is_none() {
-                return Err(d); // this txn order fails for some viewer
-            }
+        for &d in &self.classes {
+            let units = self.leaf(d, &pairs, stats, cancel, memo);
+            // `None`: this txn order fails for some viewer.
+            found[d] = Some(self.graph.op_ids(&units.ok_or(d)?));
         }
         if cancel.hit() {
             return Err(usize::MAX); // a cancelled sub-search may fail spuriously
@@ -181,14 +195,16 @@ impl OrderSearch for Search<'_> {
             .collect())
     }
 
-    fn infeasible(
+    fn extend(
         &self,
         d: usize,
         pairs: &[(usize, usize)],
         stats: &mut SearchStats,
+        cancel: &Cancel<'_>,
         memo: &mut LeafMemo,
-    ) -> bool {
-        self.leaf(d, pairs, stats, &Cancel::never(), memo).is_none()
+    ) -> Option<Vec<usize>> {
+        let units = self.leaf(d, pairs, stats, cancel, memo)?;
+        Some(self.graph.txn_order(&units))
     }
 }
 

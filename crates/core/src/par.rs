@@ -1,21 +1,22 @@
 //! Shared machinery for the parallel checker search.
 //!
-//! Both exponential searches ([`opacity`](crate::opacity) and
-//! [`sgla`](crate::sgla)) have the same top-level shape: enumerate
-//! transaction serialization orders consistent with a partial order,
-//! and run an inner witness search for each complete order. The
-//! parallel search exploits that shape with a **work-stealing
-//! frontier** — the one [`Frontier`] queue of this module, which the mc
-//! layer's parallel DPOR explorer imports for its donated subtrees:
+//! Both searches ([`opacity`](crate::opacity) and
+//! [`sgla`](crate::sgla)) have the same top-level shape: the
+//! lexicographically first transaction serialization order, among
+//! those consistent with a partial order, under which an inner witness
+//! search succeeds. The parallel search splits the orders by prefix on
+//! a **work-stealing frontier** — the one [`Frontier`] queue of this
+//! module, which the mc layer's parallel DPOR explorer imports for its
+//! donated subtrees:
 //!
 //! 1. The frontier is seeded with the empty serialization-order prefix.
 //!    A worker that pops a prefix while other workers are starving
 //!    **expands** it — pushes every valid one-transaction extension back
 //!    onto the frontier — instead of searching it, so work splits
 //!    adaptively exactly where the search is struggling. A worker that
-//!    pops a prefix while everyone is busy **claims** it and exhausts
-//!    its whole subtree (the same DFS the serial checker runs,
-//!    restricted to orders extending the prefix).
+//!    pops a prefix while everyone is busy **claims** it and finds the
+//!    first success of its whole subtree (the search the serial checker
+//!    runs, restricted to orders extending the prefix).
 //! 2. Claimed prefixes form an antichain (a prefix is either expanded
 //!    or claimed, never both), so comparing them lexicographically
 //!    orders their subtrees exactly as the serial DFS visits them. The
@@ -35,7 +36,8 @@
 //! witness-search inputs (deduplicated edge sets) to their results —
 //! sound because the inner search depends only on the fixed history,
 //! model, and specs plus the edge set. Hits are reported as
-//! `SearchStats::cache_hits`.
+//! `SearchStats::cache_hits`, together with the dead-end frontiers
+//! each inner search remembers ([`linearize`](crate::linearize)).
 //!
 //! The pool uses `std::thread::scope` — no external thread-pool crate —
 //! so borrowing the search state from the caller's stack is safe and
@@ -140,12 +142,6 @@ impl<K: Eq + Hash, V: Clone> WitnessMemo<K, V> {
             cap,
             map: HashMap::new(),
         }
-    }
-
-    /// A memo that never stores anything (serial paths, which must
-    /// keep byte-identical behavior to the pre-parallel checker).
-    pub(crate) fn disabled() -> Self {
-        Self::new(0)
     }
 
     /// Look up a previously computed result.
@@ -411,7 +407,9 @@ mod tests {
         assert_eq!(m.get(&1), Some(&10));
         assert_eq!(m.get(&2), Some(&20));
         assert_eq!(m.get(&3), None);
-        assert_eq!(WitnessMemo::<u32, u32>::disabled().get(&1), None);
+        let mut off: WitnessMemo<u32, u32> = WitnessMemo::new(0);
+        off.put(1, 10);
+        assert_eq!(off.get(&1), None);
     }
 
     /// The candidate order space for the pool tests: permutations of

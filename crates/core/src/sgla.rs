@@ -45,9 +45,11 @@
 //! is the one in [`linearize`](crate::linearize), both shared with
 //! opacity. What is left here is what makes the search *SGLA*:
 //! operation granularity, the static edges above (program order inside
-//! transactions, roach motel, views — computed once per check), a
-//! block edge `last(a) → first(b)` per ordered transaction pair, and
-//! [`CsChecker`] legality.
+//! transactions, roach motel, views, and the program and real-time
+//! order of the lock as block edges — computed once per check), a
+//! block edge `last(a) → first(b)` per transaction pair the search
+//! orders, and [`CsChecker`] legality. One constraint set serves every
+//! process, so the order search never enumerates.
 //!
 //! Because every constraint above is implied by the constraints of
 //! parametrized opacity, and the two legality semantics coincide on
@@ -57,11 +59,11 @@
 //! SGLA for **every** memory model) is exercised end-to-end in
 //! `jungle-mc`.
 
-use crate::check::{adjacent_pairs, Check, CheckKind, CheckVerdict, LeafMemo, OrderSearch};
+use crate::check::{adjacent_pairs, Check, CheckKind, CheckVerdict, OrderSearch};
 use crate::history::History;
 use crate::ids::{OpId, ProcId};
 use crate::legal::CsChecker;
-use crate::linearize::{edge_set, linearize, view_pairs, Graph};
+use crate::linearize::{edge_set, linearize, view_pairs, Graph, LeafMemo};
 use crate::model::MemoryModel;
 use crate::par::Cancel;
 use crate::spec::SpecRegistry;
@@ -80,8 +82,18 @@ pub(crate) struct SglaSearch<'a> {
     specs: &'a SpecRegistry,
     graph: Graph<'a>,
     /// The order-independent edges: program order inside transactions,
-    /// roach motel, and the base model's views.
+    /// roach motel, the base model's views, and a block edge per
+    /// [`must_precede`] pair.
     fixed: Vec<(usize, usize)>,
+}
+
+/// Program order on one process; real-time order across processes.
+fn must_precede(h: &History, a: usize, b: usize) -> bool {
+    let txns = h.txns();
+    if txns[a].proc == txns[b].proc {
+        return txns[a].first() < txns[b].first();
+    }
+    txns[a].status.is_completed() && txns[a].last() < txns[b].first()
 }
 
 impl<'a> SglaSearch<'a> {
@@ -110,6 +122,18 @@ impl<'a> SglaSearch<'a> {
         for p in h.procs() {
             pairs.extend(view_pairs(h, model, p));
         }
+        // The global lock is acquired in an order consistent with
+        // program and real-time order. These belong to the constraint
+        // set, not to whoever proposes orders: a linearization under
+        // *some* of an order's pairs must still carry an admissible
+        // order.
+        for (a, ta) in txns.iter().enumerate() {
+            for (b, tb) in txns.iter().enumerate() {
+                if a != b && must_precede(h, a, b) {
+                    pairs.push((ta.last(), tb.first()));
+                }
+            }
+        }
         let graph = Graph::ops(h);
         let fixed = edge_set(graph.lift(pairs));
         SglaSearch {
@@ -121,16 +145,16 @@ impl<'a> SglaSearch<'a> {
     }
 
     /// The leaf under the transaction precedences `pairs`, each a
-    /// block edge `last(a) → first(b)`. Distinct orders can collapse to
-    /// one edge set (block edges shadowed by program order); the memo
-    /// replays those.
+    /// block edge `last(a) → first(b)`: a legal sequence of the
+    /// operations. Distinct orders can collapse to one edge set (block
+    /// edges shadowed by program order); the memo replays those.
     fn leaf(
         &self,
         pairs: &[(usize, usize)],
         stats: &mut SearchStats,
         cancel: &Cancel<'_>,
         memo: &mut LeafMemo,
-    ) -> Option<Vec<OpId>> {
+    ) -> Option<Vec<usize>> {
         let init = CsChecker::new(self.specs);
         linearize(&self.graph, &self.fixed, pairs, &init, stats, cancel, memo)
     }
@@ -148,13 +172,13 @@ impl OrderSearch for SglaSearch<'_> {
         self.h.txns().len()
     }
 
-    /// Program order on one process; real-time order across processes.
     fn must_precede(&self, a: usize, b: usize) -> bool {
-        let txns = self.h.txns();
-        if txns[a].proc == txns[b].proc {
-            return txns[a].first() < txns[b].first();
-        }
-        txns[a].status.is_completed() && txns[a].last() < txns[b].first()
+        must_precede(self.h, a, b)
+    }
+
+    /// One search serves every process.
+    fn classes(&self) -> &[usize] {
+        &[0]
     }
 
     fn try_order(
@@ -164,9 +188,8 @@ impl OrderSearch for SglaSearch<'_> {
         cancel: &Cancel<'_>,
         memo: &mut LeafMemo,
     ) -> Result<Vec<(ProcId, Vec<OpId>)>, usize> {
-        let seq = self
-            .leaf(&adjacent_pairs(order), stats, cancel, memo)
-            .ok_or(0usize)?;
+        let ops = self.leaf(&adjacent_pairs(order), stats, cancel, memo);
+        let seq = self.graph.op_ids(&ops.ok_or(0usize)?);
         Ok(self
             .h
             .procs()
@@ -175,14 +198,16 @@ impl OrderSearch for SglaSearch<'_> {
             .collect())
     }
 
-    fn infeasible(
+    fn extend(
         &self,
         _set: usize,
         pairs: &[(usize, usize)],
         stats: &mut SearchStats,
+        cancel: &Cancel<'_>,
         memo: &mut LeafMemo,
-    ) -> bool {
-        self.leaf(pairs, stats, &Cancel::never(), memo).is_none()
+    ) -> Option<Vec<usize>> {
+        let ops = self.leaf(pairs, stats, cancel, memo)?;
+        Some(self.graph.txn_order(&ops))
     }
 }
 
@@ -365,6 +390,40 @@ mod tests {
         // (think of a global-lock TM with in-place updates). SGLA
         // allows it; opacity (tested elsewhere) forbids it.
         assert!(check_sgla(&h, &Sc).is_sgla());
+    }
+
+    #[test]
+    fn real_time_order_is_part_of_the_constraint_set() {
+        // Litmus fig2a / x=0 y=0: T0 writes x and commits before T1
+        // begins, T1 reads x = 0, T2 follows on T0's process. Ignoring
+        // real time, [1, 0, 2] is a legal lock order; nothing
+        // admissible is. The pair-free call is the order search's
+        // refutation, so it must know real time itself — for every
+        // registry entry.
+        use crate::registry::registry;
+        let mut b = HistoryBuilder::new();
+        b.start(p(1));
+        b.write(p(1), X, 1);
+        b.write(p(1), X, 2);
+        b.commit(p(1));
+        b.start(p(2));
+        b.read(p(2), X, 0);
+        b.read(p(2), Y, 0);
+        b.commit(p(2));
+        b.start(p(1));
+        b.write(p(1), Y, 2);
+        b.commit(p(1));
+        let h = b.build().unwrap();
+        let specs = SpecRegistry::registers();
+        for e in registry() {
+            let th = e.model.transform(&h);
+            let s = SglaSearch::new(&th, e.model, &specs);
+            let mut stats = SearchStats::default();
+            let mut memo = LeafMemo::disabled();
+            let free = s.extend(0, &[], &mut stats, &Cancel::never(), &mut memo);
+            assert_eq!(free, None, "{}: an inadmissible lock order", e.key);
+            assert!(!check_sgla(&h, e.model).is_sgla(), "{}", e.key);
+        }
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Polynomial triage tier for the streaming opacity monitor.
 //!
 //! The full parametrized-opacity checker
-//! ([`check_opacity`](crate::opacity::check_opacity)) is an
-//! exponential backtracking search — exact, but far too expensive to
-//! run on every window of a live event stream. This module provides a
+//! ([`check_opacity`](crate::opacity::check_opacity)) is a
+//! backtracking search, exponential in how many transactions overlap —
+//! exact, but too expensive to run on every window of a live event
+//! stream. This module provides a
 //! **sound fast path**: a polynomial check that either *clears* a
 //! history (proving it opaque) or *abstains* (the caller escalates to
 //! the full checker). It never claims a violation, so a streaming

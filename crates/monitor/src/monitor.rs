@@ -1,10 +1,12 @@
 //! The streaming monitor: ingest → window → triage → (maybe) escalate.
 //!
 //! Checking parametrized opacity is NP-hard in general — the batch
-//! checker ([`Check`]) enumerates transaction serialization orders and
-//! runs a backtracking witness search under each. Running it on every
-//! window of a live stream would cap throughput at the checker's worst
-//! case. The monitor is therefore **tiered**:
+//! checker ([`Check`]) walks down the transaction serialization orders
+//! a backtracking witness search accepts, at a cost that grows with
+//! the window's frontiers: exponentially in how many of its
+//! transactions overlap one another. Running it on every window of a
+//! live stream would cap throughput at the checker's worst case. The
+//! monitor is therefore **tiered**:
 //!
 //! 1. **Triage** (polynomial, every window): [`triage_opacity`] replays
 //!    two candidate serialization orders — sorted by first and by last
@@ -14,10 +16,13 @@
 //!    SGLA too), so triage **never produces a verdict the batch checker
 //!    would contradict**: it only ever says "provably fine" or "don't
 //!    know".
-//! 2. **Escalation** (exponential, rare): un-cleared windows go to the
-//!    full batch checker, through the [`SharedVerdictMemo`] so repeated
+//! 2. **Escalation** (exact, rare): un-cleared windows go to the full
+//!    batch checker, through the [`SharedVerdictMemo`] so repeated
 //!    window shapes (fingerprinted by [`History::cache_key`]) are
-//!    checked once.
+//!    checked once. A mostly sequential window costs it a graph of the
+//!    window's units and one pass over them per oracle call; only a
+//!    cluster of overlapping transactions makes it search, and then
+//!    over the cluster's subsets, not its orders.
 //! 3. **Second chance** (see [`SealedWindow::reseeded`]): a window that
 //!    fails the full check is re-checked with its initializer re-seeded
 //!    from first-observed reads before being declared a violation,

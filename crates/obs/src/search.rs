@@ -16,9 +16,13 @@ counters! {
         /// Schedulable units (transactions + non-transactional ops) in the
         /// transformed history.
         sum units: u64,
-        /// Complete transaction serialization orders enumerated.
+        /// Complete transaction serialization orders handed to the leaf
+        /// (at most two per search while one constraint class decides:
+        /// the first admissible order, and the one the prefix oracle
+        /// walked down to; the oracle's own calls show up as `nodes`).
         sum txn_orders: u64,
-        /// DFS nodes expanded (unit placements attempted).
+        /// DFS nodes expanded (unit placements attempted), in leaf and
+        /// prefix-oracle calls alike.
         sum nodes: u64,
         /// Placements undone after exhausting their subtree.
         sum backtracks: u64,
@@ -30,8 +34,10 @@ counters! {
         sum wall_ns: u64,
         /// Searches folded into this value (1 for a single run).
         sum searches: u64,
-        /// Witness sub-searches answered from the per-worker memo of
-        /// already-solved edge sets instead of a fresh DFS.
+        /// Work answered from memory: witness sub-searches replayed from
+        /// the memo of already-solved edge sets, and frontiers of a
+        /// witness search found among its dead ends instead of being
+        /// explored again.
         sum cache_hits: u64,
         /// Worker threads used (0 for the serial search paths).
         max workers: u64,

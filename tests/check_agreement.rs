@@ -29,13 +29,24 @@
 //!
 //! A third digest pins the search *tree*, not only its result: the
 //! `(units, txn_orders, nodes, backtracks, prune_hits, peak_depth,
-//! cache_hits)` of every serial DFS case, folded by the loop below
-//! **at the parent commit (a36aaa8)**, before the leaf search of both
-//! kinds moved into `core::linearize`. That capture printed:
+//! cache_hits)` of every serial DFS case, folded by the loop below.
+//! It was **re-captured at this commit**, because this commit changes
+//! the work on purpose and nothing else: the order search no longer
+//! enumerates complete orders (one leaf, then one prefix-oracle call
+//! per step of a backtrack-free descent), and the leaf no longer
+//! explores a frontier that already failed (those lookups are the
+//! `cache_hits`). The parent (2a27142) printed
+//! `tree digest=0xd6bde522741e91ad nodes=11947 txn_orders=715`; this
+//! commit prints:
 //!
 //! ```text
-//! tree digest=0xd6bde522741e91ad nodes=11947 txn_orders=715
+//! tree digest=0x3074607066a26a0d nodes=10006 txn_orders=640
 //! ```
+//!
+//! — one order per case, since on this corpus the first admissible
+//! order either succeeds or the pair-free oracle call refutes. The
+//! table asserts that bound case by case: at most one order handed to
+//! the leaf when the verdict is negative, at most two when it holds.
 //!
 //! Two more columns ride on the serial DFS opacity rows: a triage
 //! clear implies the verdict holds, and the explainer agrees with the
@@ -57,7 +68,7 @@ use jungle::litmus::stress::{chain_history, wide_history, wide_unsat_history};
 const DFS_DIGEST: u64 = 0x56cc_1990_34b2_82e5;
 const SAT_DIGEST: u64 = 0x52b1_902d_3c87_33e5;
 const HOLDING: usize = 450;
-const TREE_DIGEST: u64 = 0xd6bd_e522_741e_91ad;
+const TREE_DIGEST: u64 = 0x3074_6070_66a2_6a0d;
 
 fn corpus() -> Vec<History> {
     let mut hs: Vec<History> = all_litmus()
@@ -181,6 +192,11 @@ fn check_table_reproduces_the_parent_digests() {
                             }
                             nodes += s.nodes;
                             txn_orders += s.txn_orders;
+                            assert!(
+                                s.txn_orders <= 1 + u64::from(v.holds()),
+                                "{ctx}: {} orders reached the leaf",
+                                s.txn_orders
+                            );
                             if kind == CheckKind::Opacity {
                                 assert!(
                                     !triage_opacity(h, e.model).cleared() || v.holds(),
@@ -220,4 +236,30 @@ fn check_table_reproduces_the_parent_digests() {
     assert_eq!(serial_holds[0].len(), corpus.len() * registry().len() * 2);
     assert_eq!(serial_holds[0], serial_holds[1], "backends disagree");
     assert_eq!(serial_holds[0].iter().filter(|&&b| b).count(), HOLDING);
+}
+
+/// `wide_unsat_history(p)` has `p!` admissible orders and no witness.
+/// Refuting it costs one order and a search over *frontiers* — sets of
+/// placed transactions, `2^p` of them, each tried against `p`
+/// candidates of up to four nodes — not over sequences. At the parent
+/// p = 8 already took 40,320 orders and 685,440 nodes under opacity,
+/// and p = 10 (3,628,800 orders) did not finish; a return to the
+/// factorial trips the node bound at p = 7, before it can hang.
+#[test]
+fn refuting_wide_histories_costs_frontiers_not_orders() {
+    let sc = jungle::core::registry::entry("SC").unwrap().model;
+    for kind in [CheckKind::Opacity, CheckKind::Sgla] {
+        for p in 2..=10u64 {
+            let (v, stats) = Check::new(kind).run(&wide_unsat_history(p as usize), sc);
+            let s = stats.search;
+            assert!(!v.holds(), "{kind:?}, p = {p}");
+            assert!(
+                s.txn_orders <= 1,
+                "{kind:?}, p = {p}: {} orders",
+                s.txn_orders
+            );
+            let bound = 4 * p * p * (1 << p);
+            assert!(s.nodes <= bound, "{kind:?}, p = {p}: {} nodes", s.nodes);
+        }
+    }
 }
