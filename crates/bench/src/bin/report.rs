@@ -698,12 +698,16 @@ fn main() {
     let t_start = std::time::Instant::now();
 
     let recorder = args.trace.as_ref().map(|_| {
-        // A bigger ring than the default: the run emits about 245k
+        // A bigger ring than the default: the run emits about 220k
         // events, and spread over the per-thread shards they all fit
         // (the `flight/complete` row fails a trace that dropped any).
+        // The main thread alone records 55k — the exhaustive sweeps are
+        // one serial search on it — in a shard it shares with every
+        // 32nd sweep worker, which on a busy host adds 10k and more: a
+        // 2^16 ring dropped events in 4 of 6 contended runs.
         // `--monitor` adds a million more and wraps the ring; so does a
         // single-CPU host, where every sweep event lands in one shard.
-        let r = Arc::new(FlightRecorder::with_capacity(1 << 16));
+        let r = Arc::new(FlightRecorder::with_capacity(1 << 17));
         flight::install(r.clone());
         r
     });

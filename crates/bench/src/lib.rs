@@ -60,8 +60,8 @@ pub const ZOO_STMS: usize = 5;
 /// traffic (observed 0): the triage tier must carry the stream.
 pub const MONITOR_ESCALATION_CEILING: f64 = 0.05;
 
-/// Floor on the DPOR workers' busy share of their wall-clock
-/// (observed 0.93–0.97 at 2 workers).
+/// Floor on the DPOR workers' busy share of their wall-clock (1.0 for
+/// the one serial lane an exploration is).
 pub const WORKER_BUSY_FRAC_FLOOR: f64 = 0.5;
 
 /// `num / den`, 0 when `den` is 0 (nothing ran, so nothing was saved).

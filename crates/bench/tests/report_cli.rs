@@ -10,8 +10,11 @@ use std::path::PathBuf;
 use std::process::{Command, Output};
 
 /// DPOR runs of one exhaustive fixed experiment (`thm3-litmus`,
-/// `thm7-litmus/SC`, `thm7-litmus/Relaxed` all execute this many).
-const RUNS_PER_EXHAUSTIVE: u64 = 1_820;
+/// `thm7-litmus/SC`, `thm7-litmus/Relaxed` all execute this many): one
+/// per class. Taken again (from 1,820, of which 1,521 were blocked
+/// sleep-set probes) when PR 23 made the explorer source-set DPOR,
+/// which starts no run a sleep set will cut.
+const RUNS_PER_EXHAUSTIVE: u64 = 299;
 
 fn scratch(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("jungle-report-cli-{}-{tag}", std::process::id()));
@@ -222,8 +225,18 @@ fn replay_of_a_deeply_nested_log_is_a_named_error() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// FNV-1a over every row's `(section, id, expected, pass)`, fields and
-/// rows separated by a byte no string holds.
+/// What a row claims: `(section, id, expected, pass)`. Its `observed`
+/// text carries counts that two worker threads make differ run to run
+/// (`sweeps/dedup-rate`: "0.5" or "0.6 of schedules were duplicates").
+fn claim(row: &Json) -> ([&str; 3], bool) {
+    (
+        ["section", "id", "expected"].map(|key| row.get(key).and_then(Json::as_str).unwrap()),
+        matches!(row.get("pass"), Some(Json::Bool(true))),
+    )
+}
+
+/// FNV-1a over every row's [`claim`], fields and rows separated by a
+/// byte no string holds.
 fn rows_digest(rows: &[Json]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     let mut feed = |bytes: &[u8]| {
@@ -232,10 +245,11 @@ fn rows_digest(rows: &[Json]) -> u64 {
         }
     };
     for r in rows {
-        for key in ["section", "id", "expected"] {
-            feed(r.get(key).and_then(Json::as_str).unwrap().as_bytes());
+        let (texts, pass) = claim(r);
+        for text in texts {
+            feed(text.as_bytes());
         }
-        feed(&[u8::from(matches!(r.get("pass"), Some(Json::Bool(true))))]);
+        feed(&[u8::from(pass)]);
     }
     hash
 }
@@ -342,7 +356,8 @@ fn hostile_memo_dir_preloads_only_well_formed_lines() {
     let empty_dir = scratch("memo-empty");
     let empty = report(&empty_dir, &["--json"]);
     let empty = Json::parse(&String::from_utf8(empty.stdout).unwrap()).unwrap();
-    assert_eq!(arr(&hostile, "rows"), arr(&empty, "rows"));
+    let claims = |doc| arr(doc, "rows").iter().map(claim).collect::<Vec<_>>();
+    assert_eq!(claims(&hostile), claims(&empty));
     std::fs::remove_dir_all(&dir).unwrap();
     std::fs::remove_dir_all(&empty_dir).unwrap();
 }

@@ -1,50 +1,113 @@
-//! The sleep-set exploration cursor.
+//! The source-set exploration cursor.
 //!
-//! [`DporCursor`] drives the simulated machine exactly like
+//! [`DporCursor`] drives the simulated machine like
 //! [`ExhaustiveCursor`](jungle_memsim::ExhaustiveCursor) — replay a
 //! recorded decision prefix, extend it at the frontier, backtrack with
-//! [`DporCursor::advance`] — but prunes with **sleep sets**
-//! (Godefroid): after a branch of a choice point is fully explored, the
-//! branch's action *goes to sleep* at that point together with its
-//! observed [`Footprint`]. A sleeping action survives into descendant
-//! choice points for as long as every decision taken since is
-//! independent of it, and any enabled action found asleep is skipped —
-//! re-executing it first could only produce runs Mazurkiewicz-equivalent
-//! to runs already explored under the sleeping branch.
+//! [`DporCursor::advance`] — but a choice point opens a sibling branch
+//! only where a race found in some run below it demands one
+//! (source-set DPOR: Abdulla, Aronis, Jonsson, Sagonas, POPL 2014), and
+//! never re-enters a branch that is asleep (Godefroid).
 //!
-//! The cursor therefore executes exactly one run per equivalence class
-//! of complete runs — the lexicographically least representative — so
-//! the first violating leaf it meets is the same trace brute-force
-//! enumeration would have reported first, and verdicts *and* witnesses
-//! are unchanged. Nodes whose every enabled action is asleep are cut
-//! via [`Scheduler::abort_run`] before executing anything (the machine
-//! reports such runs with `aborted == true`).
+//! **Processes are CPUs.** [`Footprint::dependent`] orders every two
+//! decisions of one CPU, so per-CPU vector clocks are exact for the
+//! happens-before order of a run. What one CPU may do next — execute
+//! its instruction, drain one of its drainable stores, or (inside a
+//! load) observe one of several versions — is a choice *within* that
+//! process: the alternatives are co-enabled and pairwise dependent, so
+//! each starts classes none of the others reaches, and a backtrack set
+//! names CPUs, never single actions. Scheduling a CPU at a node
+//! schedules every enabled action it has there. An `Exec` and a `Drain`
+//! of one CPU are thereby both explored without any race between them
+//! having to be detected (an `Exec` that force-drains a store leaves no
+//! drain event to detect one with), and a buffered store needs no
+//! identity: `Drain { idx }` renumbers only when its own CPU acts, and
+//! no analysis here carries an action of a CPU across that CPU's steps.
+//!
+//! **The race pass.** When the footprint of a new decision `j` arrives
+//! ([`Scheduler::observe`]), its clock is the join of the clocks of the
+//! earlier decisions it depends on, and it *directly races* with such a
+//! decision `i` of another CPU when nothing else orders `i` before it.
+//! Reversing the race means running, from node `i`, the decisions after
+//! `i` that do not happen after `i`, then `j`; any CPU whose first
+//! decision in that sequence has no predecessor inside it (an *initial*)
+//! can start it. Unless node `i` already explores an initial (or holds
+//! it asleep), the pass adds the earliest. An initial's action is by
+//! construction an option of node `i`; should the analysis name one
+//! that is not, every option of the node is added instead — the full
+//! tree's behaviour, always sound. Decisions of
+//! the replayed prefix were analysed by the run that first made them and
+//! are skipped.
+//!
+//! **Sleep sets.** After a branch is fully explored its action goes to
+//! sleep at that node with its observed [`Footprint`]. A sleeper
+//! survives into descendant nodes while every decision taken since is
+//! independent of it, and an action found asleep is skipped:
+//! executing it first could only produce runs equivalent to runs under
+//! the sleeping branch. Sleep sets make every class complete at most
+//! once; source sets make it complete at least once. A node whose every
+//! enabled action is asleep is cut via [`Scheduler::abort_run`] (the
+//! machine reports `aborted == true`) — source sets without wakeup
+//! trees may still start such a run, and [`DporStats::blocked`] counts
+//! them.
 
 use jungle_memsim::{Action, Footprint, Scheduler};
+use jungle_obs::sim::{DporStats, FOOTPRINT_KINDS};
 use jungle_obs::trace::{self as flight, EventKind};
 
-/// A sleeping transition at one choice point: the encoded action of a
-/// fully explored branch together with the footprint it had when
-/// executed there. (The machine state at a node is fixed, so the
-/// encoding identifies the transition and the footprint is its
-/// dependence signature.)
-#[derive(Clone, Debug)]
-pub struct SleepEntry {
-    /// [`Action::encode`] of the slept transition.
-    pub action: u64,
-    /// The transition's footprint when its branch was explored.
-    pub fp: Footprint,
+/// Classify a footprint into an index of [`FOOTPRINT_KINDS`]: fences
+/// first (they conflict with everything), then transaction boundaries
+/// (invocation/response markers), then the data shape (rmw = both
+/// reads and writes, else write, else read), with a catch-all for
+/// footprints touching nothing.
+fn footprint_kind(fp: &Footprint) -> usize {
+    debug_assert_eq!(FOOTPRINT_KINDS.len(), 6);
+    if fp.fence {
+        3 // fence
+    } else if fp.inv || fp.resp {
+        4 // boundary
+    } else if !fp.writes.is_empty() && !fp.reads.is_empty() {
+        2 // rmw
+    } else if !fp.writes.is_empty() {
+        1 // write
+    } else if !fp.reads.is_empty() {
+        0 // read
+    } else {
+        5 // other
+    }
 }
 
-fn slept(sleep: &[SleepEntry], action: u64) -> bool {
+/// A sleeping transition at one choice point: the action of a fully
+/// explored branch together with the footprint it had when executed
+/// there. (A sleeper is dropped by the first decision of its own CPU,
+/// so the action still names the same transition wherever it is found.)
+#[derive(Clone, Debug)]
+struct SleepEntry {
+    action: Action,
+    fp: Footprint,
+}
+
+fn slept(sleep: &[SleepEntry], action: Action) -> bool {
     sleep.iter().any(|e| e.action == action)
 }
 
+/// Where one option of a choice point stands.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Branch {
+    /// Not in the backtrack set.
+    Idle,
+    /// In the backtrack set, not yet explored.
+    Todo,
+    /// Explored, being explored, or skipped asleep.
+    Done,
+}
+
 /// One choice point on the current exploration path.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct Node {
-    /// Encoded enabled actions (filled on first execution).
-    options: Vec<u64>,
+    /// The enabled actions offered here.
+    options: Vec<Action>,
+    /// The backtrack set, per option.
+    branch: Vec<Branch>,
     /// Index of the branch currently being explored.
     chosen: usize,
     /// Sleep set at this node: inherited survivors plus entries for
@@ -52,18 +115,49 @@ struct Node {
     sleep: Vec<SleepEntry>,
     /// Footprint of the chosen action, once observed.
     fp: Option<Footprint>,
-    /// Part of a donated prefix: this cursor never advances it (the
-    /// node's remaining branches belong to the donor or other items).
-    pinned: bool,
-    /// Remaining branches were donated to the frontier; locally
-    /// exhausted.
-    donated: bool,
+    /// Per-CPU vector clock of the chosen decision (`clock[c]` counts
+    /// the cpu-`c` decisions that happen before or are it). Empty until
+    /// observed, and for a version pick, which is the second half of
+    /// the load decision before it and reads nothing that decision's
+    /// footprint does not already hold.
+    clock: Vec<u32>,
 }
 
-/// Sleep-set DFS cursor over the machine's schedule tree. Implements
-/// [`Scheduler`]; drive it exactly like an `ExhaustiveCursor`:
-/// `rewind`, run the machine, `advance` until it returns `false`.
-#[derive(Clone, Debug, Default)]
+impl Node {
+    /// Put every enabled action of `cpu` — of every CPU, if `None` — in
+    /// the backtrack set.
+    fn schedule(&mut self, cpu: Option<usize>) {
+        for (a, b) in self.options.iter().zip(&mut self.branch) {
+            if *b == Branch::Idle && cpu.is_none_or(|c| a.cpu() == c) {
+                *b = Branch::Todo;
+            }
+        }
+    }
+
+    /// The action this node is exploring.
+    fn action(&self) -> Action {
+        self.options[self.chosen]
+    }
+
+    /// Footprint and clock of the chosen decision, once analysed.
+    fn event(&self) -> Option<(&Footprint, &[u32])> {
+        match &self.fp {
+            Some(fp) if !self.clock.is_empty() => Some((fp, &self.clock)),
+            _ => None,
+        }
+    }
+}
+
+/// `clock[cpu]`, zero past the end (clocks are as wide as the highest
+/// CPU they have seen).
+fn at(clock: &[u32], cpu: usize) -> u32 {
+    clock.get(cpu).copied().unwrap_or(0)
+}
+
+/// Source-set DFS cursor over the machine's schedule tree. Implements
+/// [`Scheduler`]; drive it like an `ExhaustiveCursor`: `rewind`, run
+/// the machine, `advance` until it returns `false`.
+#[derive(Debug, Default)]
 pub struct DporCursor {
     stack: Vec<Node>,
     /// Replay position within `stack` for the current run.
@@ -72,44 +166,19 @@ pub struct DporCursor {
     obs: usize,
     /// The current run reached a node with every option asleep.
     blocked: bool,
-    /// Sleep set and first branch index for the first frontier node of
-    /// a donated work item (consumed on creation of that node).
-    base: Option<(Vec<SleepEntry>, usize)>,
-    /// Enabled actions skipped because they were asleep.
+    /// Members of backtrack sets skipped because they were asleep.
     pub sleep_skips: u64,
+    /// What the exploration found on the way: blocked probes by the
+    /// depth of the blocked node, racing pairs by footprint kind. Each
+    /// racing pair is counted once, by the run that first executed its
+    /// later decision.
+    pub waste: DporStats,
 }
 
 impl DporCursor {
     /// A cursor rooted at the top of the schedule tree.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// A cursor for a donated subtree: replay `prefix` (decision
-    /// indices from the root), then explore the node below it starting
-    /// at branch `next` under the given sleep set. The prefix nodes are
-    /// pinned — once the subtree is exhausted, [`advance`](Self::advance)
-    /// returns `false` instead of backtracking above the donation
-    /// point.
-    pub fn with_base(prefix: Vec<usize>, sleep: Vec<SleepEntry>, next: usize) -> Self {
-        DporCursor {
-            stack: prefix
-                .into_iter()
-                .map(|chosen| Node {
-                    options: Vec::new(),
-                    chosen,
-                    sleep: Vec::new(),
-                    fp: None,
-                    pinned: true,
-                    donated: false,
-                })
-                .collect(),
-            pos: 0,
-            obs: 0,
-            blocked: false,
-            base: Some((sleep, next)),
-            sleep_skips: 0,
-        }
     }
 
     /// Reset the replay position for the next run.
@@ -119,30 +188,10 @@ impl DporCursor {
         self.blocked = false;
     }
 
-    /// The decision path of the current exploration position, from the
-    /// absolute root (donated prefixes included). Immediately after a
-    /// run this is the run's full decision path; immediately after
-    /// [`advance`](Self::advance) it is the prefix every subsequent run
-    /// of this cursor extends.
-    pub fn path(&self) -> Vec<usize> {
-        self.stack.iter().map(|n| n.chosen).collect()
-    }
-
-    /// Depth (from the absolute root, donated prefixes included) of the
-    /// node the current run blocked at, or `None` if the run was not
-    /// sleep-blocked. Read this after a run and before
-    /// [`advance`](Self::advance) — advancing pops the blocked node.
-    pub fn blocked_depth(&self) -> Option<usize> {
-        if self.blocked {
-            Some(self.stack.len().saturating_sub(1))
-        } else {
-            None
-        }
-    }
-
-    /// Advance to the next unexplored branch in DFS order, putting each
-    /// completed branch to sleep at its node. Returns `false` when the
-    /// cursor's subtree is exhausted.
+    /// Advance to the next unexplored member of a backtrack set,
+    /// deepest node first and lowest option first within a node,
+    /// putting each completed branch to sleep at its node. Returns
+    /// `false` when every backtrack set is exhausted.
     pub fn advance(&mut self) -> bool {
         if self.blocked {
             // The blocked node explored nothing: every option was
@@ -151,71 +200,132 @@ impl DporCursor {
             self.stack.pop();
         }
         while let Some(mut node) = self.stack.pop() {
-            if node.pinned {
-                return false; // donated subtree exhausted
+            // The branch just completed joins the sleep set: any
+            // sibling explored after it may skip re-entering it.
+            if let Some(fp) = node.fp.take() {
+                node.sleep.push(SleepEntry {
+                    action: node.action(),
+                    fp,
+                });
             }
-            if !node.donated {
-                // The branch just completed joins the sleep set: any
-                // sibling explored after it may skip re-entering it.
-                if let Some(fp) = node.fp.take() {
-                    node.sleep.push(SleepEntry {
-                        action: node.options[node.chosen],
-                        fp,
-                    });
-                }
-                let depth = self.stack.len();
-                let mut next = node.chosen + 1;
-                while next < node.options.len() {
-                    if slept(&node.sleep, node.options[next]) {
-                        self.sleep_skips += 1;
-                        flight::emit(EventKind::SleepSetSkip, depth as u64, node.options[next]);
-                        next += 1;
-                    } else {
-                        node.chosen = next;
-                        node.fp = None;
-                        self.stack.push(node);
-                        return true;
-                    }
+            node.clock.clear();
+            let depth = self.stack.len() as u64;
+            while let Some(next) = node.branch.iter().position(|b| *b == Branch::Todo) {
+                node.branch[next] = Branch::Done;
+                if slept(&node.sleep, node.options[next]) {
+                    self.sleep_skips += 1;
+                    flight::emit(EventKind::SleepSetSkip, depth, node.options[next].encode());
+                } else {
+                    node.chosen = next;
+                    self.stack.push(node);
+                    return true;
                 }
             }
-            // Exhausted (or donated away): keep popping.
         }
         false
     }
 
-    /// Donate the shallowest splittable choice point to a work-stealing
-    /// frontier: returns `(prefix, sleep, next)` describing every
-    /// not-yet-explored branch of that node (the receiving cursor is
-    /// built with [`DporCursor::with_base`]), and marks the node
-    /// donated so this cursor never explores those branches itself.
-    ///
-    /// The donated sleep set is the node's current one plus an entry
-    /// for the in-progress branch — exactly the state serial
-    /// exploration would reach when that branch completes, so the
-    /// donated subtree is explored identically wherever it runs.
-    pub fn split_shallowest(&mut self) -> Option<(Vec<usize>, Vec<SleepEntry>, usize)> {
-        for d in 0..self.stack.len() {
-            let node = &self.stack[d];
-            if node.pinned || node.donated {
+    /// Give decision `k` (footprint `fp`, just executed for the first
+    /// time) its clock, and for every earlier decision it directly
+    /// races with make sure the other order is explored too.
+    fn place(&mut self, k: usize, fp: &Footprint) -> Vec<u32> {
+        let mut clock = vec![0u32; fp.cpu + 1];
+        let mut deps = Vec::new();
+        for (i, node) in self.stack[..k].iter().enumerate() {
+            let Some((earlier, its_clock)) = node.event() else {
+                continue;
+            };
+            if earlier.dependent(fp) {
+                deps.push(i);
+                if clock.len() < its_clock.len() {
+                    clock.resize(its_clock.len(), 0);
+                }
+                for (c, e) in clock.iter_mut().zip(its_clock) {
+                    *c = (*c).max(*e);
+                }
+            }
+        }
+        clock[fp.cpu] += 1;
+        for &i in &deps {
+            let (earlier, its_clock) = self.stack[i].event().expect("dependences are events");
+            let cpu = earlier.cpu;
+            if cpu == fp.cpu {
+                continue; // one process: program order
+            }
+            // Does any other predecessor already order i before k?
+            let seq = its_clock[cpu];
+            let direct = deps
+                .iter()
+                .all(|&d| d == i || at(&self.stack[d].clock, cpu) < seq);
+            if !direct {
                 continue;
             }
-            let Some(fp) = node.fp.clone() else {
-                continue; // branch not yet executed; nothing to reason from
-            };
-            let mut sleep = node.sleep.clone();
-            sleep.push(SleepEntry {
-                action: node.options[node.chosen],
-                fp,
-            });
-            let next = node.chosen + 1;
-            if !(next..node.options.len()).any(|i| !slept(&sleep, node.options[i])) {
-                continue; // every remaining sibling is asleep
-            }
-            let prefix: Vec<usize> = self.stack[..d].iter().map(|n| n.chosen).collect();
-            self.stack[d].donated = true;
-            return Some((prefix, sleep, next));
+            self.waste
+                .note_race(footprint_kind(earlier), footprint_kind(fp));
+            flight::emit(EventKind::RaceDetected, i as u64, k as u64);
+            self.reverse(i, k, fp.cpu, &clock);
         }
-        None
+        clock
+    }
+
+    /// Decision `k` (cpu `cpu_k`, clock `clock_k`) races with the
+    /// earlier decision `i`: unless node `i` already explores (or holds
+    /// asleep) an action that can start "everything after `i` that does
+    /// not happen after `i`, then `k`", schedule the CPU of the earliest.
+    fn reverse(&mut self, i: usize, k: usize, cpu_k: usize, clock_k: &[u32]) {
+        let (fp_i, clock_i) = self.stack[i].event().expect("races are between events");
+        let cpu_i = fp_i.cpu;
+        let seq_i = clock_i[cpu_i];
+        // Each CPU's first decision in that sequence, in run order.
+        let mut firsts: Vec<(usize, usize)> = Vec::new();
+        for (x, node) in self.stack.iter().enumerate().take(k).skip(i + 1) {
+            if let Some((fp, clock)) = node.event() {
+                if at(clock, cpu_i) < seq_i && firsts.iter().all(|f| f.0 != fp.cpu) {
+                    firsts.push((fp.cpu, x));
+                }
+            }
+        }
+        if firsts.iter().all(|f| f.0 != cpu_k) {
+            firsts.push((cpu_k, k));
+        }
+        let clock_of = |x: usize| {
+            if x == k {
+                clock_k
+            } else {
+                &self.stack[x].clock
+            }
+        };
+        // A first decision is an initial unless another CPU's first
+        // decision (hence that CPU's whole part of the sequence up to
+        // it) happens before it. Its CPU has decided nothing since
+        // node `i`, so its action is an option of node `i` under the
+        // same name.
+        let mut earliest = None;
+        for &(p, xp) in &firsts {
+            let initial = firsts
+                .iter()
+                .all(|&(q, xq)| q == p || xq > xp || at(clock_of(xp), q) < at(clock_of(xq), q));
+            if !initial {
+                continue;
+            }
+            let action = self.stack[xp].action();
+            let node = &self.stack[i];
+            match node.options.iter().position(|a| *a == action) {
+                // Explored here, or asleep here: its runs are covered.
+                Some(o) if node.branch[o] != Branch::Idle || slept(&node.sleep, action) => return,
+                Some(_) => earliest = earliest.or(Some(p)),
+                // The analysis named an action node `i` cannot take.
+                None => {
+                    earliest = None;
+                    break;
+                }
+            }
+        }
+        // The earliest decision of the sequence is always an initial,
+        // and the one from which the depth-first order reaches the
+        // other classes without meeting a sleeper that blocks the run.
+        // (`None`: the fallback, every option.)
+        self.stack[i].schedule(earliest);
     }
 }
 
@@ -224,71 +334,73 @@ impl Scheduler for DporCursor {
         if self.pos < self.stack.len() {
             // Replay the recorded prefix. The machine is deterministic,
             // so the offered list matches the one recorded.
-            let node = &mut self.stack[self.pos];
-            if node.options.is_empty() {
-                node.options = actions.iter().map(|a| a.encode()).collect();
-            }
-            debug_assert_eq!(node.options.len(), actions.len(), "nondeterministic replay");
+            let node = &self.stack[self.pos];
+            debug_assert_eq!(node.options, actions, "nondeterministic replay");
             self.pos += 1;
             return node.chosen;
         }
-        // Frontier: open a new choice point.
-        let options: Vec<u64> = actions.iter().map(|a| a.encode()).collect();
-        let (sleep, start) = match self.base.take() {
-            Some(base) => base,
-            None => {
-                // Sleeping actions survive past the parent's decision
-                // iff they are independent of it.
-                let sleep = match self.stack.last() {
-                    Some(parent) => {
-                        let pfp = parent
-                            .fp
-                            .as_ref()
-                            .expect("parent footprint observed before child choice");
-                        parent
-                            .sleep
-                            .iter()
-                            .filter(|e| !e.fp.dependent(pfp))
-                            .cloned()
-                            .collect()
-                    }
-                    None => Vec::new(),
-                };
-                (sleep, 0)
+        // Frontier: open a new choice point. Sleeping actions survive
+        // past the parent's decision iff they are independent of it.
+        let sleep: Vec<SleepEntry> = match self.stack.last() {
+            Some(parent) => {
+                let pfp = parent
+                    .fp
+                    .as_ref()
+                    .expect("parent footprint observed before child choice");
+                parent
+                    .sleep
+                    .iter()
+                    .filter(|e| !e.fp.dependent(pfp))
+                    .cloned()
+                    .collect()
             }
+            None => Vec::new(),
         };
-        let depth = self.stack.len();
-        let mut chosen = start;
-        while chosen < options.len() && slept(&sleep, options[chosen]) {
-            self.sleep_skips += 1;
-            flight::emit(EventKind::SleepSetSkip, depth as u64, options[chosen]);
-            chosen += 1;
-        }
-        if chosen >= options.len() {
+        let awake = actions.iter().position(|a| !slept(&sleep, *a));
+        let mut node = Node {
+            options: actions.to_vec(),
+            branch: vec![Branch::Idle; actions.len()],
+            chosen: awake.unwrap_or(0),
+            sleep,
+            fp: None,
+            clock: Vec::new(),
+        };
+        match awake {
+            // The backtrack set starts as one CPU: the first with an
+            // action awake. (A version list belongs to one CPU, so all
+            // of it is explored.)
+            Some(first) => {
+                node.schedule(Some(actions[first].cpu()));
+                node.branch[first] = Branch::Done;
+            }
             // Everything enabled is asleep: all behaviors from here are
             // covered by runs already explored. Cut the run (the
             // machine checks abort_run before executing the choice).
-            self.blocked = true;
-            chosen = 0;
+            None => {
+                self.blocked = true;
+                self.waste.note_blocked(self.stack.len());
+            }
         }
-        self.stack.push(Node {
-            options,
-            chosen,
-            sleep,
-            fp: None,
-            pinned: false,
-            donated: false,
-        });
+        self.stack.push(node);
         self.pos += 1;
-        chosen
+        awake.unwrap_or(0)
     }
 
     fn observe(&mut self, fp: &Footprint) {
-        // One footprint per decision, in decision order; re-runs
-        // re-deliver the (identical) prefix footprints.
+        // One footprint per decision, in decision order. Re-runs
+        // re-deliver the (identical) footprints of the replayed prefix,
+        // which the run that opened those branches already analysed.
         debug_assert!(self.obs < self.stack.len(), "footprint without a node");
-        self.stack[self.obs].fp = Some(fp.clone());
+        let k = self.obs;
         self.obs += 1;
+        let node = &self.stack[k];
+        if node.fp.is_some() {
+            return;
+        }
+        if !matches!(node.action(), Action::ReadVersion { .. }) {
+            self.stack[k].clock = self.place(k, fp);
+        }
+        self.stack[k].fp = Some(fp.clone());
     }
 
     fn abort_run(&self) -> bool {
@@ -300,91 +412,234 @@ impl Scheduler for DporCursor {
 mod tests {
     use super::*;
 
-    fn fp_w(cpu: usize, addr: u32) -> Footprint {
+    fn w(cpu: usize, addr: u32) -> Footprint {
         Footprint {
             writes: vec![addr],
             ..Footprint::on(cpu)
         }
     }
 
-    #[test]
-    fn independent_sleepers_survive_dependent_are_woken() {
+    fn execs(cpus: &[usize]) -> Vec<Action> {
+        cpus.iter().map(|&cpu| Action::Exec { cpu }).collect()
+    }
+
+    /// Make one decision: offer `cpus`' next instructions, expect the
+    /// cursor to pick `expect`, and report `fp` for it.
+    fn step(c: &mut DporCursor, cpus: &[usize], expect: usize, fp: Footprint) {
+        assert_eq!(c.choose(&execs(cpus)), expect);
+        assert!(!c.abort_run());
+        c.observe(&fp);
+    }
+
+    /// Races flagged in the one run that makes `fps`' decisions in
+    /// order (each offered alone, so nothing can be reversed).
+    fn races(fps: &[Footprint]) -> u64 {
         let mut c = DporCursor::new();
-        // Root: two actions; explore branch 0 (cpu 0 writes addr 0).
-        let acts = [Action::Exec { cpu: 0 }, Action::Exec { cpu: 1 }];
-        assert_eq!(c.choose(&acts), 0);
-        c.observe(&fp_w(0, 0));
-        assert!(c.advance(), "branch 1 remains");
-        c.rewind();
-        // Replay nothing (root is first): branch 1 now chosen.
-        assert_eq!(c.choose(&acts), 1);
-        c.observe(&fp_w(1, 1)); // disjoint address: independent of sleeper
-                                // Child of branch 1 offers cpu 0's action again — it is asleep
-                                // (the sleeping entry survived the independent decision), so
-                                // with only that action enabled the node blocks.
-        let only_cpu0 = [Action::Exec { cpu: 0 }];
-        c.choose(&only_cpu0);
-        assert!(c.abort_run(), "sole enabled action is asleep");
-        assert!(c.sleep_skips >= 1);
-        assert!(!c.advance(), "tree exhausted");
+        for fp in fps {
+            step(&mut c, &[fp.cpu], 0, fp.clone());
+        }
+        assert!(!c.advance(), "single options leave nothing to explore");
+        c.waste.race_total()
     }
 
     #[test]
-    fn dependent_decision_wakes_sleeper() {
+    fn same_cpu_sequence_never_races() {
+        assert_eq!(races(&[w(0, 1), w(0, 1), w(0, 2)]), 0);
+    }
+
+    #[test]
+    fn conflicting_writes_on_two_cpus_race() {
+        assert_eq!(races(&[w(0, 5), w(1, 5)]), 1);
+    }
+
+    #[test]
+    fn disjoint_addresses_do_not_race() {
+        assert_eq!(races(&[w(0, 1), w(1, 2)]), 0);
+    }
+
+    #[test]
+    fn transitive_order_suppresses_race() {
+        // cpu0 writes a; cpu1 writes a (races with the first); cpu1
+        // writes a again — ordered after cpu0's write via its own
+        // program-order predecessor, so only the first pair races.
+        assert_eq!(races(&[w(0, 9), w(1, 9), w(1, 9)]), 1);
+    }
+
+    #[test]
+    fn mediated_pair_is_not_direct_race() {
+        // (0,1) and (1,2) race; (0,2) is program order.
+        assert_eq!(races(&[w(0, 3), w(1, 3), w(0, 3)]), 2);
+    }
+
+    #[test]
+    fn race_heat_lands_on_the_pair_of_kinds() {
         let mut c = DporCursor::new();
-        let acts = [Action::Exec { cpu: 0 }, Action::Exec { cpu: 1 }];
-        assert_eq!(c.choose(&acts), 0);
-        c.observe(&fp_w(0, 7));
+        step(&mut c, &[0], 0, w(0, 5));
+        step(&mut c, &[1], 0, w(1, 5));
+        assert_eq!(c.waste.race_heat[1][1], 1, "(write, write)");
+    }
+
+    #[test]
+    fn footprint_kinds_classify_by_shape() {
+        let read = Footprint {
+            reads: vec![1],
+            ..Footprint::on(0)
+        };
+        let rmw = Footprint {
+            reads: vec![1],
+            writes: vec![1],
+            ..Footprint::on(0)
+        };
+        let fence = Footprint {
+            fence: true,
+            writes: vec![1],
+            ..Footprint::on(0)
+        };
+        let boundary = Footprint {
+            inv: true,
+            ..Footprint::on(0)
+        };
+        assert_eq!(footprint_kind(&read), 0);
+        assert_eq!(footprint_kind(&w(0, 1)), 1);
+        assert_eq!(footprint_kind(&rmw), 2);
+        assert_eq!(footprint_kind(&fence), 3, "fence wins over data shape");
+        assert_eq!(footprint_kind(&boundary), 4);
+        assert_eq!(footprint_kind(&Footprint::on(0)), 5);
+    }
+
+    #[test]
+    fn independent_siblings_are_never_opened() {
+        let mut c = DporCursor::new();
+        step(&mut c, &[0, 1], 0, w(0, 1));
+        step(&mut c, &[1], 0, w(1, 2));
+        assert!(!c.advance(), "no race, so one run is the whole tree");
+        assert_eq!(c.waste.race_total(), 0);
+    }
+
+    #[test]
+    fn a_race_opens_the_other_cpu_at_the_earlier_node() {
+        let mut c = DporCursor::new();
+        step(&mut c, &[0, 1], 0, w(0, 7));
+        step(&mut c, &[1], 0, w(1, 7));
+        assert!(
+            c.advance(),
+            "the race puts cpu 1 in the root's backtrack set"
+        );
+        c.rewind();
+        step(&mut c, &[0, 1], 1, w(1, 7));
+        // cpu 0's write is dependent on the decision just taken, so the
+        // sleeper is woken and explored again below it.
+        step(&mut c, &[0], 0, w(0, 7));
+        assert!(!c.advance(), "both orders explored");
+        assert_eq!(c.sleep_skips, 0);
+    }
+
+    #[test]
+    fn the_reversal_starts_with_an_initial_not_with_the_racing_cpu() {
+        // cpu 0 writes a; cpu 1 writes b then a. Decision 2 (cpu 1's
+        // second) races with decision 0, but cpu 1's *first* decision
+        // is what can run at the root; the root opens cpu 1 and the
+        // second run starts with the write of b.
+        let mut c = DporCursor::new();
+        step(&mut c, &[0, 1], 0, w(0, 7));
+        step(&mut c, &[1], 0, w(1, 8));
+        step(&mut c, &[1], 0, w(1, 7));
         assert!(c.advance());
         c.rewind();
-        assert_eq!(c.choose(&acts), 1);
-        c.observe(&fp_w(1, 7)); // same address: dependent → sleeper woken
-        let only_cpu0 = [Action::Exec { cpu: 0 }];
-        assert_eq!(c.choose(&only_cpu0), 0);
-        assert!(!c.abort_run(), "woken action must be re-explored");
+        step(&mut c, &[0, 1], 1, w(1, 8));
+        // cpu 0 slept at the root and the write of b is independent of
+        // it: it is still asleep here, and passed over.
+        step(&mut c, &[0, 1], 1, w(1, 7));
+        // Woken by the write of a, it races with it — but where it
+        // would have to run first it is asleep: nothing to add.
+        step(&mut c, &[0], 0, w(0, 7));
+        assert!(!c.advance());
+        assert_eq!(c.sleep_skips, 0, "it never entered a backtrack set");
     }
 
     #[test]
-    fn path_and_split_round_trip() {
+    fn a_sleeper_that_is_all_there_is_blocks_the_run() {
+        // Three CPUs: 0 and 2 conflict on a, 1 writes b. The first run
+        // takes them in order; the race (0, 2) can be reversed starting
+        // with cpu 1 or cpu 2, and the root opens the earlier, cpu 1.
         let mut c = DporCursor::new();
-        let acts3 = [
-            Action::Exec { cpu: 0 },
-            Action::Exec { cpu: 1 },
-            Action::Exec { cpu: 2 },
-        ];
-        assert_eq!(c.choose(&acts3), 0);
-        c.observe(&fp_w(0, 0));
-        assert_eq!(c.choose(&acts3), 0);
-        c.observe(&fp_w(0, 1));
-        assert_eq!(c.path(), vec![0, 0]);
-        // Donate the root's remaining branches 1..3.
-        let (prefix, sleep, next) = c.split_shallowest().expect("root is splittable");
-        assert!(prefix.is_empty());
-        assert_eq!(next, 1);
-        assert_eq!(sleep.len(), 1, "in-progress branch is pre-slept");
-        // The donor no longer explores them…
-        assert!(c.advance(), "depth-1 siblings remain");
-        assert_eq!(c.path(), vec![0, 1]);
+        step(&mut c, &[0, 1, 2], 0, w(0, 7));
+        step(&mut c, &[1, 2], 0, w(1, 8));
+        step(&mut c, &[2], 0, w(2, 7));
+        assert!(c.advance());
         c.rewind();
-        // …while a receiving cursor starts exactly there: the donated
-        // node IS the root (empty prefix), opened at branch `next`.
-        let mut w = DporCursor::with_base(prefix, sleep, next);
-        w.rewind();
-        assert_eq!(w.choose(&acts3), 1, "starts at the donated branch");
-        assert_eq!(w.path(), vec![1]);
+        step(&mut c, &[0, 1, 2], 1, w(1, 8));
+        // cpu 0 is asleep and the write of b did not wake it.
+        step(&mut c, &[0, 2], 1, w(2, 7));
+        step(&mut c, &[0], 0, w(0, 7));
+        assert!(!c.advance(), "two classes, two runs");
+        assert_eq!(c.waste.blocked, 0);
+
+        // A sleeper with nothing else enabled cuts the run.
+        let mut c = DporCursor::new();
+        step(&mut c, &[0, 1], 0, w(0, 7));
+        step(&mut c, &[1], 0, w(1, 7));
+        assert!(c.advance());
+        c.rewind();
+        step(&mut c, &[0, 1], 1, w(1, 9)); // not the footprint it had below cpu 0
+        c.choose(&execs(&[0]));
+        assert!(c.abort_run(), "cpu 0 is asleep and independent of w(1, 9)");
+        assert_eq!(c.waste.blocked_by_depth, vec![0, 1]);
+        assert!(!c.advance());
     }
 
     #[test]
-    fn with_base_replays_prefix_then_starts_at_next() {
-        let acts = [Action::Exec { cpu: 0 }, Action::Exec { cpu: 1 }];
-        let mut w = DporCursor::with_base(vec![1], Vec::new(), 1);
-        w.rewind();
-        assert_eq!(w.choose(&acts), 1, "prefix replayed");
-        w.observe(&fp_w(1, 0));
-        assert_eq!(w.choose(&acts), 1, "frontier starts at `next`");
-        w.observe(&fp_w(0, 1));
-        assert_eq!(w.path(), vec![1, 1]);
-        // Exhausting the donated node stops at the pinned prefix.
-        assert!(!w.advance());
+    fn every_enabled_action_of_the_scheduled_cpu_is_explored() {
+        // cpu 0 may execute or drain; cpu 1 is independent of both. No
+        // race is ever flagged, yet both of cpu 0's actions are tried
+        // at the root, and cpu 1 never is.
+        let root = [
+            Action::Exec { cpu: 0 },
+            Action::Drain { cpu: 0, idx: 0 },
+            Action::Exec { cpu: 1 },
+        ];
+        let mut c = DporCursor::new();
+        assert_eq!(c.choose(&root), 0);
+        c.observe(&Footprint::on(0));
+        step(&mut c, &[1], 0, w(1, 2));
+        assert!(c.advance());
+        c.rewind();
+        assert_eq!(c.choose(&root), 1);
+        c.observe(&w(0, 1));
+        step(&mut c, &[1], 0, w(1, 2));
+        assert!(!c.advance());
+        assert_eq!(c.waste.race_total(), 0);
+    }
+
+    #[test]
+    fn every_version_of_a_load_is_explored_and_none_is_an_event() {
+        let r = |cpu: usize| Footprint {
+            reads: vec![4],
+            ..Footprint::on(cpu)
+        };
+        let versions = [
+            Action::ReadVersion { cpu: 1, version: 0 },
+            Action::ReadVersion { cpu: 1, version: 1 },
+        ];
+        let mut c = DporCursor::new();
+        step(&mut c, &[0, 1], 0, w(0, 4));
+        step(&mut c, &[1], 0, r(1)); // the load: races with the write
+        assert_eq!(c.choose(&versions), 0);
+        c.observe(&r(1)); // the pick: part of the load, no second race
+        assert_eq!(c.waste.race_total(), 1);
+        assert!(c.advance(), "the other version");
+        c.rewind();
+        step(&mut c, &[0, 1], 0, w(0, 4));
+        step(&mut c, &[1], 0, r(1));
+        assert_eq!(c.choose(&versions), 1);
+        c.observe(&r(1));
+        assert!(c.advance(), "then the load before the write");
+        c.rewind();
+        step(&mut c, &[0, 1], 1, r(1));
+        assert_eq!(
+            c.waste.race_total(),
+            1,
+            "replayed decisions are not re-counted"
+        );
     }
 }

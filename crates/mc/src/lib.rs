@@ -46,7 +46,7 @@ pub mod verify;
 pub use algos::{
     GlobalLockTm, LazyTl2Tm, NaiveStoreTm, SkipWriteTm, StrongTm, TmAlgo, VersionedTm, WriteTxnTm,
 };
-pub use dpor::{explore_dpor, explore_dpor_par, DporCursor, DporOutcome};
+pub use dpor::{explore_dpor, DporCursor, DporOutcome};
 pub use explain::{explain_experiment, explain_history, explain_trace, Explanation, TheoremClass};
 pub use jungle_core::registry::{entry, registry, ExecSemantics, ModelEntry, StoreDiscipline};
 pub use program::{Program, Stmt, ThreadProg, TxOp};

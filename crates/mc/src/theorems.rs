@@ -80,8 +80,8 @@ impl Experiment {
     }
 
     /// Run the experiment with the default parallel configuration (auto
-    /// thread count for exhaustive exploration, serial below the size
-    /// threshold) and a private verdict memo.
+    /// thread count for a random sweep's seed stripes; an exhaustive
+    /// sweep is one serial search) and a private verdict memo.
     pub fn run(&self, seeds: SweepSeeds, max_steps: usize) -> ExperimentResult {
         self.run_with(seeds, max_steps, &ParallelConfig::default())
     }

@@ -39,29 +39,27 @@
 //! ### Partial-order reduction
 //!
 //! The exhaustive sweep does not enumerate raw schedules at all: it
-//! runs the sleep-set DPOR explorer ([`crate::dpor`]), which executes
+//! runs the source-set DPOR explorer ([`crate::dpor`]), which executes
 //! one machine run per Mazurkiewicz equivalence class of decisions —
 //! orders of magnitude fewer runs than enumeration on store-buffer
-//! machines, with bit-identical verdicts and witnesses (the serial
-//! explorer meets leaves in the same lexicographic order enumeration
-//! does). The pre-reduction algorithm survives only as the oracle in
+//! machines, with the same set of classes and therefore the same
+//! verdict. The explorer meets the classes in its own depth-first
+//! order, not in the lexicographic order of the full schedule tree, so
+//! the violation a failing sweep reports is the first violating class
+//! in *that* order: deterministic and equal on repeated runs, but not
+//! necessarily the trace enumeration would have flagged first. The
+//! pre-reduction algorithm survives only as the oracle in
 //! `tests/dpor_props.rs`, built on [`jungle_memsim::explore`]: the
-//! explorer must produce exactly the class-key set, the verdict and
-//! the first violation that enumeration does.
+//! explorer must produce exactly the class-key set and the verdict
+//! that enumeration does, and a witness among enumeration's violating
+//! classes.
 //!
 //! ### Parallel sweeps
 //!
-//! With [`Sweep::parallel`] set, the exhaustive sweep runs the DPOR
-//! exploration itself on a work-stealing frontier of donated subtrees
-//! ([`crate::dpor::explore_dpor_par`]), judging each completed trace
-//! inline in the worker that executed it (all of them share the dedup
-//! set and verdict memo). The reported violation is the one with the
-//! lexicographically least decision path — the leaf the serial DFS
-//! stops at — so the verdict *and* the violating trace match the
-//! serial path for every thread count. Exploration counters (`runs`,
-//! `schedules`, `dedup_hits`) can exceed the serial early-stop values,
-//! since workers prune against the best violation found *so far* and
-//! may finish runs beyond the eventual winner.
+//! [`Sweep::parallel`] applies to [`Schedules::Random`] only. The
+//! exhaustive exploration is one serial depth-first search whatever it
+//! says (see [`crate::dpor`]), so its verdict, witness and counters do
+//! not depend on the setting.
 //!
 //! The random sweep stripes the seed range over the workers (a loop,
 //! not a pool: worker `t` takes seeds `t, t + threads, …`). The `ok`
@@ -69,12 +67,11 @@
 //! structural twin gets the same verdict), and the reported violation
 //! comes from the lowest violating seed: a worker never skips a seed
 //! smaller than the best violation found so far, only larger ones.
-//! As with the exhaustive pool, per-run counters (`runs`, `dedup_hits`,
-//! `memo_hits`) may differ from the serial sweep, which stops at the
-//! first violating seed.
+//! Per-run counters (`runs`, `dedup_hits`, `memo_hits`) may differ
+//! from the serial sweep, which stops at the first violating seed.
 
 use crate::algos::TmAlgo;
-use crate::dpor::{explore_dpor, explore_dpor_par};
+use crate::dpor::explore_dpor;
 use crate::obs::tm_counts_from_trace;
 use crate::program::Program;
 use jungle_core::check::Check;
@@ -126,12 +123,15 @@ pub struct Verdict {
     /// randomized sweeps, fully determined by the explicit
     /// [`SweepSeeds`].
     pub ok: bool,
-    /// A violating trace, if one was found — the first violating trace
-    /// in exploration (or seed) order, even for parallel sweeps.
+    /// A violating trace, if one was found: for an exhaustive sweep the
+    /// first violating class in the DPOR explorer's own depth-first
+    /// order (deterministic, the same at any `parallel` setting, not
+    /// necessarily the one enumeration meets first); for a random sweep
+    /// the trace of the lowest violating seed, at any worker count.
     pub violation: Option<Trace>,
-    /// Number of runs examined. For a parallel sweep this may exceed
-    /// the serial early-stop count (see module docs); it is zero for a
-    /// vacuously passing verdict.
+    /// Number of runs examined. For a parallel random sweep this may
+    /// exceed the serial early-stop count (see module docs); it is zero
+    /// for a vacuously passing verdict.
     pub runs: usize,
     /// Runs that hit the step bound before completing. Completed-trace
     /// checking never includes these; like `runs`, zero when nothing
@@ -485,9 +485,9 @@ pub fn scheduler_for_seed(seed: u64) -> Box<dyn Scheduler> {
 /// Which schedules a [`Sweep`] runs.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Schedules {
-    /// Every schedule, one machine run per Mazurkiewicz class (sleep-set
-    /// DPOR). Use only for litmus-sized programs: the class count is
-    /// still exponential.
+    /// Every schedule, one machine run per Mazurkiewicz class
+    /// (source-set DPOR, one serial search). Use only for litmus-sized
+    /// programs: the class count is still exponential.
     Exhaustive,
     /// One seeded-random schedule per seed (see [`scheduler_for_seed`]).
     /// Two sweeps with equal [`SweepSeeds`] replay byte-identical
@@ -514,9 +514,10 @@ pub struct Sweep<'a> {
     pub max_steps: usize,
     /// Which schedules to run.
     pub schedules: Schedules,
-    /// `Some` runs the sweep on `effective_threads()` workers; verdict
-    /// and violating trace still match the serial sweep (see the
-    /// module docs).
+    /// `Some` stripes a [`Schedules::Random`] sweep over
+    /// `effective_threads()` workers; verdict and violating trace still
+    /// match the serial sweep (see the module docs).
+    /// [`Schedules::Exhaustive`] ignores it.
     pub parallel: Option<ParallelConfig>,
     /// A caller-owned verdict memo to reuse across sweeps; `None` uses
     /// a private one.
@@ -546,7 +547,6 @@ impl<'a> Sweep<'a> {
 
     /// Run the sweep.
     pub fn run(&self) -> Verdict {
-        let threads = self.parallel.map_or(1, |cfg| cfg.effective_threads());
         let private;
         let memo = match self.memo {
             Some(shared) => shared,
@@ -557,8 +557,11 @@ impl<'a> Sweep<'a> {
         };
         let judge = Judge::new(self, memo);
         let verdict = match self.schedules {
-            Schedules::Exhaustive => self.explore_classes(&judge, threads),
-            Schedules::Random(seeds) => self.sample(&judge, seeds, threads),
+            Schedules::Exhaustive => self.explore_classes(&judge),
+            Schedules::Random(seeds) => {
+                let threads = self.parallel.map_or(1, |cfg| cfg.effective_threads());
+                self.sample(&judge, seeds, threads)
+            }
         };
         judge.conclude(verdict)
     }
@@ -567,16 +570,10 @@ impl<'a> Sweep<'a> {
         machine_for(self.program, self.algo, self.entry.exec)
     }
 
-    /// The DPOR drivers: the serial explorer, or the work-stealing one
-    /// on `threads` workers. Violations are ranked by decision path.
-    fn explore_classes(&self, judge: &Judge<'_>, threads: usize) -> Verdict {
-        let out = if threads <= 1 {
-            explore_dpor(|| self.machine(), self.max_steps, |r| judge.judge(r, &[]))
-        } else {
-            explore_dpor_par(&|| self.machine(), self.max_steps, threads, &|r, path| {
-                judge.judge(r, path)
-            })
-        };
+    /// The DPOR driver. It stops at the first violating class, so the
+    /// rank is moot.
+    fn explore_classes(&self, judge: &Judge<'_>) -> Verdict {
+        let out = explore_dpor(|| self.machine(), self.max_steps, |r| judge.judge(r, &[]));
         let mut verdict = Verdict::passing(self.entry);
         verdict.runs = out.executed;
         verdict.truncated = out.truncated;
@@ -584,13 +581,9 @@ impl<'a> Sweep<'a> {
         verdict.stats.dpor_executed = out.executed as u64;
         verdict.stats.dpor_classes = out.classes as u64;
         verdict.stats.dpor_blocked = out.blocked as u64;
-        verdict.stats.frontier_steals = out.frontier_steals;
         verdict.stats.sleep_skips = out.sleep_skips;
         verdict.stats.races = out.races;
         verdict.waste = out.waste;
-        if threads > 1 {
-            verdict.stats.workers = threads as u64;
-        }
         verdict
     }
 
@@ -887,7 +880,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_exhaustive_matches_serial() {
+    fn exhaustive_sweep_ignores_parallel() {
         let two_thread = Program(vec![
             ThreadProg(vec![Stmt::txn(vec![TxOp::Write(X, 1)]), Stmt::NtRead(X)]),
             ThreadProg(vec![Stmt::NtRead(X)]),
@@ -906,7 +899,8 @@ mod tests {
                 }
                 .run();
                 assert_eq!(par.ok, serial.ok, "threads={threads}");
-                assert_eq!(par.stats.workers, threads as u64);
+                assert_eq!(par.stats.workers, 0, "one serial search");
+                assert_eq!(par.stats.dpor_executed, serial.stats.dpor_executed);
                 assert_eq!(
                     par.violation.as_ref().map(|t| t.cache_key()),
                     serial.violation.as_ref().map(|t| t.cache_key()),

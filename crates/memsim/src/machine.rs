@@ -407,13 +407,7 @@ impl Machine {
                     stats: self.stats,
                 };
             }
-            let cpu = match actions[choice] {
-                Action::Exec { cpu } | Action::Drain { cpu, .. } => cpu,
-                Action::ReadVersion { .. } => {
-                    unreachable!("ReadVersion appears only in synthetic mid-load choice lists")
-                }
-            };
-            self.footprints.push(Footprint::on(cpu));
+            self.footprints.push(Footprint::on(actions[choice].cpu()));
             match actions[choice] {
                 Action::Exec { cpu } => self.exec(cpu, sched),
                 Action::Drain { cpu, idx } => {
@@ -423,7 +417,9 @@ impl Machine {
                     trace::emit(EventKind::StoreDrain, e.addr as u64, e.val);
                     self.apply_drain(cpu, e.addr, e.val);
                 }
-                Action::ReadVersion { .. } => unreachable!(),
+                Action::ReadVersion { .. } => {
+                    unreachable!("ReadVersion appears only in synthetic mid-load choice lists")
+                }
             }
             steps += 1;
         }

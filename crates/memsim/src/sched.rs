@@ -43,16 +43,25 @@ pub enum Action {
 }
 
 impl Action {
+    /// The CPU the action runs on.
+    pub fn cpu(self) -> usize {
+        match self {
+            Action::Exec { cpu } | Action::Drain { cpu, .. } | Action::ReadVersion { cpu, .. } => {
+                cpu
+            }
+        }
+    }
+
     /// Pack the action into one `u64` for portable schedule logs and
     /// flight-recorder arguments: `kind << 32 | cpu << 16 | arg`, where
     /// `arg` is the drain buffer index or the read-version index.
     pub fn encode(self) -> u64 {
-        let (kind, cpu, arg) = match self {
-            Action::Exec { cpu } => (1u64, cpu, 0),
-            Action::Drain { cpu, idx } => (2u64, cpu, idx),
-            Action::ReadVersion { cpu, version } => (3u64, cpu, version),
+        let (kind, arg) = match self {
+            Action::Exec { .. } => (1u64, 0),
+            Action::Drain { idx, .. } => (2u64, idx),
+            Action::ReadVersion { version, .. } => (3u64, version),
         };
-        (kind << 32) | ((cpu as u64 & 0xffff) << 16) | (arg as u64 & 0xffff)
+        (kind << 32) | ((self.cpu() as u64 & 0xffff) << 16) | (arg as u64 & 0xffff)
     }
 }
 
@@ -249,15 +258,7 @@ impl Scheduler for BurstyScheduler {
         let preferred: Vec<usize> = actions
             .iter()
             .enumerate()
-            .filter(|(_, a)| {
-                matches!(
-                    a,
-                    Action::Exec { cpu }
-                        | Action::Drain { cpu, .. }
-                        | Action::ReadVersion { cpu, .. }
-                    if *cpu == self.target
-                )
-            })
+            .filter(|(_, a)| a.cpu() == self.target)
             .map(|(i, _)| i)
             .collect();
         if preferred.is_empty() {

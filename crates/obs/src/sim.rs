@@ -71,14 +71,14 @@ counters! {
         /// DPOR runs aborted at a node whose every enabled action was
         /// asleep (the waste the attribution in [`DporStats`] localizes).
         sum dpor_blocked: u64,
-        /// Frontier work items a parallel DPOR worker popped that another
-        /// worker pushed.
+        /// Frontier work items a DPOR worker popped that another worker
+        /// pushed: 0 since the exhaustive sweep became one serial search.
         sum frontier_steals: u64,
         /// Enabled actions skipped because their footprint was in the sleep
         /// set.
         sum sleep_skips: u64,
-        /// Concurrent dependent transition pairs flagged by the vector
-        /// clocks.
+        /// Dependent decisions of different CPUs that nothing but the
+        /// schedule ordered, each pair counted once per exploration.
         sum races: u64,
         /// Machine-level totals across all runs.
         nest machine: MachineStats,
@@ -86,8 +86,8 @@ counters! {
 }
 
 /// Footprint-kind names indexing [`DporStats::race_heat`]. The
-/// classification itself lives beside the vector clocks in
-/// `jungle_mc::dpor::deps` (this crate cannot see footprints); the
+/// classification itself lives beside the race pass in
+/// `jungle_mc::dpor::cursor` (this crate cannot see footprints); the
 /// table here just fixes the vocabulary both sides share.
 pub const FOOTPRINT_KINDS: [&str; 6] = ["read", "write", "rmw", "fence", "boundary", "other"];
 
@@ -95,7 +95,8 @@ pub const FOOTPRINT_KINDS: [&str; 6] = ["read", "write", "rmw", "fence", "bounda
 pub const KINDS: usize = FOOTPRINT_KINDS.len();
 
 counters! {
-    /// One DPOR worker's wall-clock ledger, measured around the frontier.
+    /// One DPOR worker's wall-clock ledger. The explorer is one serial
+    /// search, so an exploration is one lane that never idles or steals.
     #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
     pub struct WorkerLane {
         /// Nanoseconds spent executing machine runs and cursor bookkeeping.
@@ -115,7 +116,7 @@ counters! {
 
 /// Waste attribution for DPOR exploration: *where* the sleep-blocked
 /// probes cluster, *which* footprint-kind pairs race (and therefore
-/// enqueue revisits), and *how* frontier workers spend their
+/// open backtrack points), and *how* the explorer spends its
 /// wall-clock. The aggregate counters in [`McStats`] say how much work
 /// happened; this says where the avoidable part lives.
 #[derive(Debug, Default, Clone, PartialEq)]

@@ -200,33 +200,28 @@ events! {
         MonitorViolation = 31, "monitor_violation", Instant;
     }
     dpor {
-        /// Two dependent transitions were found concurrent by the vector
-        /// clocks (`a` = earlier decision index, `b` = later decision
-        /// index).
+        /// Two dependent decisions of different CPUs were found ordered by
+        /// nothing but the schedule (`a` = earlier decision index, `b` =
+        /// later decision index); reported once, by the run that first
+        /// makes the later one.
         RaceDetected = 32, "race_detected", Instant;
         /// The explorer skipped an enabled action because its footprint was
         /// in the sleep set (`a` = tree depth, `b` = encoded action).
         SleepSetSkip = 33, "sleep_set_skip", Instant;
-        /// A pending branch was enqueued on the exploration frontier (`a` =
-        /// prefix depth, `b` = remaining sibling count).
-        RevisitEnqueued = 34, "revisit_enqueued", Instant;
-        /// A worker popped a frontier item another worker pushed (`a` =
-        /// prefix depth, `b` = pushing worker).
-        FrontierSteal = 35, "frontier_steal", Instant;
     }
     sat {
         /// A CDCL solve of an order encoding started (`a` = variables,
         /// `b` = clauses).
-        SatSolveBegin = 36, "sat_solve", Begin;
+        SatSolveBegin = 34, "sat_solve", Begin;
         /// Conflicts hit during the solve just finished (`a` = conflict
         /// count, `b` = learned clause count).
-        SatConflict = 37, "sat_conflict", Instant;
+        SatConflict = 35, "sat_conflict", Instant;
         /// Restarts taken during the solve just finished (`a` = restart
         /// count).
-        SatRestart = 38, "sat_restart", Instant;
+        SatRestart = 36, "sat_restart", Instant;
         /// The CDCL solve finished (`a` = 1 if a model was found, `b` =
         /// CEGAR round number).
-        SatSolveEnd = 39, "sat_solve", End;
+        SatSolveEnd = 37, "sat_solve", End;
     }
 }
 

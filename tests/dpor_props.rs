@@ -3,19 +3,23 @@
 //! The partial-order-reduced explorer (`jungle::mc::dpor`) must be
 //! *observationally identical* to plain schedule enumeration:
 //!
-//! * **Class-set oracle** — over a small corpus of programs and every
-//!   registry model, [`class_sweep_dpor`] visits exactly the
-//!   `Trace::cache_key` set that [`class_sweep_enumerative`] visits, in
-//!   strictly fewer machine runs — and, on the three exhaustive
-//!   experiments the report runs, in at least
-//!   [`DPOR_REDUCTION_FLOOR`] times fewer, one complete run per class.
+//! * **Class-set oracle** — over a corpus of programs (transactional
+//!   litmus shapes and the plain store-buffer shapes SB, MP, 2+2W and
+//!   two co-enabled drains) and every registry model,
+//!   [`class_sweep_dpor`] visits exactly the `Trace::cache_key` set —
+//!   and the same final memories — that [`class_sweep_enumerative`]
+//!   visits, in strictly fewer machine runs — and, on the three
+//!   exhaustive experiments the report runs, in at least
+//!   [`DPOR_REDUCTION_FLOOR`] times fewer: one run per class, all of
+//!   them complete, none started in vain.
 //! * **Verdict oracle** — [`check_all_traces`] (DPOR-backed) and
-//!   [`first_violation_enumerative`] (the retired brute-force sweep)
-//!   agree on the verdict and on the witness fingerprint, for both
-//!   check kinds and for passing *and* violating algorithms.
-//! * **Worker determinism** — the work-stealing frontier returns the
-//!   same verdict and the same (lexicographically least) witness at 1,
-//!   2 and 4 workers.
+//!   [`violations_enumerative`] (the retired brute-force sweep) agree on
+//!   the verdict, and the witness is one of the violating classes
+//!   enumeration finds, for both check kinds and for passing *and*
+//!   violating algorithms.
+//! * **Determinism** — a sweep returns the same verdict and the same
+//!   witness whatever `Sweep::parallel` says (an exhaustive sweep is
+//!   one serial search and ignores it).
 //!
 //! The enumerative reference lives here, not in `jungle-mc`: it is
 //! built from [`explore`], [`explore_dpor`], [`machine_for`],
@@ -23,9 +27,11 @@
 //! judging code with the sweep it checks. The `report` binary prints
 //! what its DPOR sweeps did and leaves proving them right to this file.
 
-use jungle::core::ids::{X, Y};
+use jungle::core::ids::{Val, X, Y};
+use jungle::core::op::{Command, Op};
 use jungle::core::par::ParallelConfig;
-use jungle::core::registry::{entry, registry, ModelEntry};
+use jungle::core::registry::{entry, registry, ModelEntry, StoreDiscipline};
+use jungle::isa::instr::{Addr, Instr};
 use jungle::mc::algos::TmAlgo;
 use jungle::mc::program::{Program, Stmt, ThreadProg, TxOp};
 use jungle::mc::theorems::all_fixed_experiments;
@@ -33,7 +39,8 @@ use jungle::mc::{
     check_all_traces, explore_dpor, machine_for, trace_satisfies, CheckKind, Experiment,
     GlobalLockTm, SharedVerdictMemo, SkipWriteTm, Sweep,
 };
-use jungle::memsim::{explore, RunResult};
+use jungle::memsim::process::ScriptProcess;
+use jungle::memsim::{explore, HwModel, Machine, PInstr, Process, RunResult, Step};
 use std::collections::HashSet;
 
 const MAX_STEPS: usize = 4_000;
@@ -43,8 +50,21 @@ const FIXED_MAX_STEPS: usize = 8_000;
 
 /// Enumeration must execute at least this many times the runs DPOR
 /// does on each fixed exhaustive experiment (observed: 170,544 against
-/// 1,820, 93×).
-const DPOR_REDUCTION_FLOOR: u64 = 10;
+/// 299, 570×).
+const DPOR_REDUCTION_FLOOR: u64 = 100;
+
+/// Classes, and therefore runs, of each fixed exhaustive experiment.
+const FIXED_CLASSES: u64 = 299;
+
+/// What tells the classes of plain accesses apart when their operations
+/// overlap alike: the final memory and each process's loaded values (in
+/// program order).
+#[derive(PartialEq, Eq, Hash, Debug)]
+struct Outcome {
+    key: u64,
+    memory: Vec<(Addr, Val)>,
+    loads: Vec<(u32, Val)>,
+}
 
 /// The structural history classes an exploration visits, with the run
 /// count it took to visit them.
@@ -52,6 +72,8 @@ const DPOR_REDUCTION_FLOOR: u64 = 10;
 struct ClassSweep {
     /// `Trace::cache_key` of every completed run.
     keys: HashSet<u64>,
+    /// The key of every completed run with what it left and loaded.
+    outcomes: HashSet<Outcome>,
     /// Machine runs executed (for DPOR this includes blocked sleep-set
     /// probes that abort partway; `completed` is the useful subset).
     executed: u64,
@@ -65,75 +87,78 @@ impl ClassSweep {
     fn note(&mut self, r: &RunResult) -> bool {
         if r.completed {
             self.completed += 1;
-            self.keys.insert(r.trace.cache_key());
+            let key = r.trace.cache_key();
+            self.keys.insert(key);
+            let mut loads: Vec<(u32, Val)> = r
+                .trace
+                .instrs()
+                .iter()
+                .filter_map(|i| match i.instr {
+                    Instr::Load { val, .. } => Some((i.proc.0, val)),
+                    _ => None,
+                })
+                .collect();
+            loads.sort_by_key(|l| l.0);
+            self.outcomes.insert(Outcome {
+                key,
+                memory: r.final_mem.clone(),
+                loads,
+            });
         }
         false
     }
 }
 
 /// Enumerate every schedule and collect the completed-trace class keys.
-fn class_sweep_enumerative(
-    p: &Program,
-    algo: &dyn TmAlgo,
-    e: &ModelEntry,
-    max_steps: usize,
-) -> ClassSweep {
+fn class_sweep_enumerative(machine: &dyn Fn() -> Machine, max_steps: usize) -> ClassSweep {
     let mut sweep = ClassSweep::default();
-    let out = explore(
-        || machine_for(p, algo, e.exec),
-        max_steps,
-        |r| sweep.note(r),
-    );
+    let out = explore(machine, max_steps, |r| sweep.note(r));
     sweep.executed = out.runs as u64;
     sweep.truncated = out.truncated as u64;
     sweep
 }
 
 /// Collect the completed-trace class keys the DPOR explorer visits.
-fn class_sweep_dpor(
-    p: &Program,
-    algo: &dyn TmAlgo,
-    e: &ModelEntry,
-    max_steps: usize,
-) -> ClassSweep {
+fn class_sweep_dpor(machine: &dyn Fn() -> Machine, max_steps: usize) -> ClassSweep {
     let mut sweep = ClassSweep::default();
-    let out = explore_dpor(
-        || machine_for(p, algo, e.exec),
-        max_steps,
-        |r| sweep.note(r),
-    );
+    let out = explore_dpor(machine, max_steps, |r| sweep.note(r));
     sweep.executed = out.executed as u64;
     sweep.truncated = out.truncated as u64;
+    assert_eq!(
+        out.executed,
+        out.classes + out.blocked + out.truncated,
+        "every run is complete, blocked or truncated"
+    );
     sweep
 }
 
-/// The pre-DPOR sweep: execute every schedule, check each completed
-/// trace once per class key, stop at the first violation in enumeration
-/// order and return its key (`None`: every trace satisfies `kind`).
-fn first_violation_enumerative(
+/// The pre-DPOR sweep: execute every schedule and check each completed
+/// trace once per class key. Returns the keys of the violating classes
+/// in the order enumeration meets them (empty: every trace satisfies
+/// `kind`).
+fn violations_enumerative(
     p: &Program,
     algo: &dyn TmAlgo,
     e: &ModelEntry,
     kind: CheckKind,
     max_steps: usize,
-) -> Option<u64> {
+) -> Vec<u64> {
     let mut seen = HashSet::new();
-    let mut violation = None;
+    let mut violations = Vec::new();
     explore(
         || machine_for(p, algo, e.exec),
         max_steps,
         |r| {
-            if !r.completed
-                || !seen.insert(r.trace.cache_key())
-                || trace_satisfies(&r.trace, e.model, kind)
+            if r.completed
+                && seen.insert(r.trace.cache_key())
+                && !trace_satisfies(&r.trace, e.model, kind)
             {
-                return false;
+                violations.push(r.trace.cache_key());
             }
-            violation = Some(r.trace.cache_key());
-            true
+            false
         },
     );
-    violation
+    violations
 }
 
 /// The experiments `report` sweeps exhaustively: `thm3-litmus`,
@@ -165,6 +190,66 @@ fn stress() -> Program {
     ])
 }
 
+/// The store-buffer shapes, as plain accesses: the programs on which a
+/// CPU's next instruction and its drainable stores are enabled
+/// together, which the transactional corpus (every store behind a CAS
+/// that drains it) barely exercises. Each thread is one operation
+/// around its instructions — as one operation per access, enumerating
+/// SB takes a million schedules per relaxed entry and 2+2W twenty — so
+/// the classes differ in loaded values and final memory, not in keys.
+fn store_buffer_shapes() -> Vec<(&'static str, [Vec<PInstr>; 2])> {
+    use PInstr::{Load, Store};
+    vec![
+        (
+            "SB",
+            [vec![Store(0, 1), Load(1)], vec![Store(1, 1), Load(0)]],
+        ),
+        (
+            "MP",
+            [vec![Store(0, 1), Store(1, 1)], vec![Load(1), Load(0)]],
+        ),
+        (
+            "2+2W",
+            [
+                vec![Store(0, 1), Store(1, 2)],
+                vec![Store(1, 1), Store(0, 2)],
+            ],
+        ),
+    ]
+}
+
+/// The machine running `threads`, each as a single operation.
+fn plain_machine(hw: HwModel, threads: &[Vec<PInstr>]) -> Machine {
+    let procs = threads
+        .iter()
+        .zip([X, Y])
+        .map(|(instrs, var)| {
+            let op = Op::Cmd(Command::Write { var, val: 0 });
+            let mut steps = vec![Step::Inv(op.clone())];
+            steps.extend(instrs.iter().map(|i| Step::Instr(*i)));
+            steps.push(Step::Resp(op));
+            Box::new(ScriptProcess::new(steps)) as Box<dyn Process>
+        })
+        .collect();
+    Machine::new(hw, procs)
+}
+
+/// Two stores to different addresses in one CPU's buffer, as one
+/// operation each: under the per-address disciplines (PSO, RMO, Alpha,
+/// Relaxed) two drains of one CPU are co-enabled and renumber each
+/// other, between operation boundaries that order them against the
+/// other CPU's.
+fn two_drains() -> Program {
+    Program(vec![
+        ThreadProg(vec![
+            Stmt::NtWrite(X, 1),
+            Stmt::NtWrite(Y, 1),
+            Stmt::NtRead(X),
+        ]),
+        ThreadProg(vec![Stmt::NtRead(Y)]),
+    ])
+}
+
 /// Lemma 1's violating shape: a TM that never publishes transactional
 /// writes, caught by the very next uninstrumented read.
 fn skipped_write() -> Program {
@@ -177,18 +262,25 @@ fn skipped_write() -> Program {
 #[test]
 fn dpor_visits_exactly_the_enumerated_class_set() {
     // Returns the (enumerated, DPOR) sweeps for the extra assertions
-    // the fixed experiments carry.
-    let oracle = |name: &str, p: &Program, algo: &dyn TmAlgo, e: &ModelEntry, max_steps| {
-        let brute = class_sweep_enumerative(p, algo, e, max_steps);
-        let dpor = class_sweep_dpor(p, algo, e, max_steps);
+    // some cases carry.
+    let oracle = |name: &str, cpus, machine: &dyn Fn() -> Machine, e: &ModelEntry, max_steps| {
+        let brute = class_sweep_enumerative(machine, max_steps);
+        let dpor = class_sweep_dpor(machine, max_steps);
         assert_eq!(
             dpor.keys, brute.keys,
             "{name}/{}: DPOR class-key set diverges from enumeration",
             e.key
         );
+        assert_eq!(
+            dpor.outcomes, brute.outcomes,
+            "{name}/{}: DPOR memories or loaded values diverge from enumeration",
+            e.key
+        );
         assert_eq!(dpor.truncated, brute.truncated, "{name}/{}", e.key);
+        // One CPU's decisions are all dependent, each schedule its own
+        // class; with two CPUs something must commute.
         assert!(
-            dpor.executed < brute.executed,
+            dpor.executed < brute.executed || (cpus == 1 && dpor.executed == brute.executed),
             "{name}/{}: no reduction ({} vs {})",
             e.key,
             dpor.executed,
@@ -203,13 +295,46 @@ fn dpor_visits_exactly_the_enumerated_class_set() {
         );
         (brute, dpor)
     };
-    for (name, p) in [("litmus", litmus()), ("stress", stress())] {
-        for e in registry() {
-            oracle(name, &p, &GlobalLockTm, e, MAX_STEPS);
+    let corpus = [
+        ("litmus", litmus()),
+        ("stress", stress()),
+        ("two-drains", two_drains()),
+    ];
+    for e in registry() {
+        for (name, p) in &corpus {
+            let machine = || machine_for(p, &GlobalLockTm, e.exec);
+            let (_, dpor) = oracle(name, p.0.len(), &machine, e, MAX_STEPS);
+            // No transaction spins here: the trees are finite.
+            assert_eq!(dpor.truncated, 0, "{name}/{}", e.key);
         }
+        for (name, threads) in store_buffer_shapes() {
+            let machine = || plain_machine(e.exec, &threads);
+            let (_, dpor) = oracle(name, 2, &machine, e, MAX_STEPS);
+            // What each shape is known for, as a check that the
+            // outcomes compared above are the interesting ones.
+            let seen = |f: &dyn Fn(&Outcome) -> bool| dpor.outcomes.iter().any(f);
+            let buffered = e.exec.stores != StoreDiscipline::Immediate;
+            let reorders_writes = e.exec.stores == StoreDiscipline::PerAddress;
+            let (relaxed, needs) = match name {
+                "SB" => (seen(&|o| o.loads == [(0, 0), (1, 0)]), buffered),
+                "MP" => (seen(&|o| o.loads == [(1, 1), (1, 0)]), reorders_writes),
+                _ => (seen(&|o| o.memory == [(0, 1), (1, 1)]), reorders_writes),
+            };
+            assert_eq!(relaxed, needs, "{name}/{}", e.key);
+        }
+        let p = skipped_write();
+        let machine = || machine_for(&p, &SkipWriteTm, e.exec);
+        oracle("lemma1", p.0.len(), &machine, e, MAX_STEPS);
     }
     for x in fixed_exhaustive() {
-        let (brute, dpor) = oracle(&x.id, &x.program, x.algo, &x.entry, FIXED_MAX_STEPS);
+        let machine = || machine_for(&x.program, x.algo, x.entry.exec);
+        let (brute, dpor) = oracle(
+            &x.id,
+            x.program.0.len(),
+            &machine,
+            &x.entry,
+            FIXED_MAX_STEPS,
+        );
         assert!(
             brute.executed >= DPOR_REDUCTION_FLOOR * dpor.executed,
             "{}: reduction below {DPOR_REDUCTION_FLOOR}x ({} brute / {} dpor)",
@@ -217,13 +342,11 @@ fn dpor_visits_exactly_the_enumerated_class_set() {
             brute.executed,
             dpor.executed
         );
-        assert_eq!(
-            dpor.completed,
-            dpor.keys.len() as u64,
-            "{}: more than one complete run per class",
-            x.id
-        );
-        assert_eq!(dpor.truncated, 0, "{}", x.id);
+        // One run per class: none blocked, none truncated, no class
+        // completed twice.
+        assert_eq!(dpor.executed, FIXED_CLASSES, "{}", x.id);
+        assert_eq!(dpor.completed, FIXED_CLASSES, "{}", x.id);
+        assert_eq!(dpor.keys.len() as u64, FIXED_CLASSES, "{}", x.id);
     }
 }
 
@@ -241,16 +364,25 @@ fn dpor_checker_agrees_with_enumerative_checker() {
     for (name, p, algo) in corpus {
         for kind in [CheckKind::Opacity, CheckKind::Sgla] {
             let fast = check_all_traces(&p, algo, e, kind, MAX_STEPS);
-            let slow = first_violation_enumerative(&p, algo, e, kind, MAX_STEPS);
+            let slow = violations_enumerative(&p, algo, e, kind, MAX_STEPS);
             assert_eq!(
                 fast.ok,
-                slow.is_none(),
+                slow.is_empty(),
                 "{name}/{kind:?}: DPOR verdict diverges from enumeration"
             );
+            let witness = fast.violation.as_ref().map(|t| t.cache_key());
+            assert!(
+                witness.is_none_or(|k| slow.contains(&k)),
+                "{name}/{kind:?}: witness is not a violating class of the enumeration"
+            );
+            // Stronger, and not guaranteed: the explorer's depth-first
+            // order is not the full tree's lexicographic order, so the
+            // first violating class of one need not be the other's. It
+            // is on this corpus.
             assert_eq!(
-                fast.violation.as_ref().map(|t| t.cache_key()),
-                slow,
-                "{name}/{kind:?}: witness fingerprint diverges"
+                witness,
+                slow.first().copied(),
+                "{name}/{kind:?}: witness is no longer enumeration's first"
             );
         }
     }
@@ -297,7 +429,7 @@ fn worker_count_preserves_verdict_and_witness() {
             );
         }
         // A passing sweep explores everything, so the class count must
-        // also be stable across widths.
+        // also be stable across settings.
         if outcomes[0].1 {
             assert!(
                 outcomes.windows(2).all(|w| w[0].3 == w[1].3),
