@@ -39,6 +39,14 @@ impl HistoryBuilder {
         }
     }
 
+    /// [`new`](Self::new), with room for `ops` operations.
+    pub fn with_capacity(ops: usize) -> Self {
+        HistoryBuilder {
+            ops: Vec::with_capacity(ops),
+            next_id: 1,
+        }
+    }
+
     fn push(&mut self, proc: ProcId, op: Op) -> OpId {
         let id = OpId(self.next_id);
         self.next_id += 1;

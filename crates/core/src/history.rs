@@ -8,11 +8,20 @@
 //! its transactions are parsed once, so that queries such as
 //! [`History::is_transactional`] and [`History::precedes_rt`] (the
 //! paper's `≺h`) are cheap.
+//!
+//! Construction hashes nothing and allocates a fixed number of times —
+//! the streaming monitor builds a history per window. The identifier
+//! index is a vector sorted by identifier (the identity order whenever
+//! identifiers ascend, as in every [`HistoryBuilder`] history, and then
+//! never sorted), looked up by binary search; the transactions open
+//! during the parse are a short list; and every transaction's operation
+//! indices lie in one arena, read through [`History::txn_ops`].
+//!
+//! [`HistoryBuilder`]: crate::builder::HistoryBuilder
 
 use crate::fingerprint::{fold_op, Fnv1a};
 use crate::ids::{OpId, ProcId, Var};
 use crate::op::{Command, Op};
-use std::collections::{HashMap, HashSet};
 
 /// An operation instance `(o, p, k)`: operation `o` issued by process `p`
 /// with history-unique identifier `k`.
@@ -51,22 +60,25 @@ impl TxnStatus {
 pub struct Txn {
     /// The process executing the transaction.
     pub proc: ProcId,
-    /// Indices (into [`History::ops`]) of the transaction's operation
-    /// instances, in history order; the first is always the `start`.
-    pub op_indices: Vec<usize>,
     /// Completion status.
     pub status: TxnStatus,
+    first: usize,
+    last: usize,
+    /// Where its operation indices lie in the history's arena
+    /// ([`History::txn_ops`]).
+    span: std::ops::Range<usize>,
 }
 
 impl Txn {
-    /// Index of the transaction's first operation instance in the history.
+    /// Index of the transaction's first operation instance (its
+    /// `start`) in the history.
     pub fn first(&self) -> usize {
-        self.op_indices[0]
+        self.first
     }
 
     /// Index of the transaction's last operation instance in the history.
     pub fn last(&self) -> usize {
-        *self.op_indices.last().unwrap()
+        self.last
     }
 }
 
@@ -114,11 +126,20 @@ impl std::error::Error for HistoryError {}
 pub struct History {
     ops: Vec<OpInstance>,
     txns: Vec<Txn>,
+    /// The operation indices of every transaction, transaction after
+    /// transaction: one allocation where a monitor window would make 65.
+    txn_ops: Vec<usize>,
     /// For each operation index, the index of its transaction in `txns`
     /// (or `None` for non-transactional operations).
     txn_of: Vec<Option<usize>>,
-    /// Map from `OpId` to index in `ops`.
-    index_of: HashMap<OpId, usize>,
+    /// `(identifier, index in ops)`, sorted by identifier.
+    index_of: Vec<(OpId, usize)>,
+}
+
+/// The index of `id` in an identifier index sorted by identifier.
+fn lookup(index_of: &[(OpId, usize)], id: OpId) -> Option<usize> {
+    let at = index_of.binary_search_by_key(&id, |&(k, _)| k);
+    at.ok().map(|k| index_of[k].1)
 }
 
 impl History {
@@ -129,21 +150,31 @@ impl History {
     /// and dependency sets of `cdrd`/`ddrd`/`cdwr`/`ddwr` commands naming
     /// only operations of the same process that precede them.
     pub fn new(ops: Vec<OpInstance>) -> Result<Self, HistoryError> {
-        let mut index_of = HashMap::with_capacity(ops.len());
-        for (i, oi) in ops.iter().enumerate() {
-            if index_of.insert(oi.id, i).is_some() {
-                return Err(HistoryError::DuplicateOpId(oi.id));
+        // Already sorted when identifiers ascend (every `HistoryBuilder`
+        // history); otherwise sorted once, which also brings duplicates
+        // together. The duplicate reported is the first one met in
+        // history order: the least index that repeats an earlier id.
+        let mut index_of: Vec<(OpId, usize)> =
+            ops.iter().enumerate().map(|(i, oi)| (oi.id, i)).collect();
+        if !index_of.windows(2).all(|w| w[0].0 < w[1].0) {
+            index_of.sort_unstable();
+            let repeats = index_of.windows(2).filter(|w| w[0].0 == w[1].0);
+            if let Some(i) = repeats.map(|w| w[1].1).min() {
+                return Err(HistoryError::DuplicateOpId(ops[i].id));
             }
         }
 
         // Parse transactions per process.
         let mut txns: Vec<Txn> = Vec::new();
         let mut txn_of: Vec<Option<usize>> = vec![None; ops.len()];
-        let mut open: HashMap<ProcId, usize> = HashMap::new(); // proc -> txn index
+        // (process, its open transaction): as long as there are
+        // processes with a transaction open at once.
+        let mut open: Vec<(ProcId, usize)> = Vec::new();
         for (i, oi) in ops.iter().enumerate() {
+            let at = open.iter().position(|&(p, _)| p == oi.proc);
             match &oi.op {
                 Op::Start => {
-                    if open.contains_key(&oi.proc) {
+                    if at.is_some() {
                         return Err(HistoryError::NestedStart {
                             proc: oi.proc,
                             id: oi.id,
@@ -152,39 +183,44 @@ impl History {
                     let t = txns.len();
                     txns.push(Txn {
                         proc: oi.proc,
-                        op_indices: vec![i],
                         status: TxnStatus::Live,
+                        first: i,
+                        last: i,
+                        span: 0..1, // its length, until the arena is laid out
                     });
                     txn_of[i] = Some(t);
-                    open.insert(oi.proc, t);
+                    open.push((oi.proc, t));
                 }
                 Op::Commit | Op::Abort => {
-                    let Some(&t) = open.get(&oi.proc) else {
+                    let Some(at) = at else {
                         return Err(HistoryError::UnmatchedEnd {
                             proc: oi.proc,
                             id: oi.id,
                         });
                     };
-                    txns[t].op_indices.push(i);
+                    let (_, t) = open.swap_remove(at);
+                    txns[t].last = i;
+                    txns[t].span.end += 1;
                     txns[t].status = if matches!(oi.op, Op::Commit) {
                         TxnStatus::Committed
                     } else {
                         TxnStatus::Aborted
                     };
                     txn_of[i] = Some(t);
-                    open.remove(&oi.proc);
                 }
                 Op::Cmd(c) => {
-                    if let Some(&t) = open.get(&oi.proc) {
-                        txns[t].op_indices.push(i);
+                    if let Some(at) = at {
+                        let t = open[at].1;
+                        txns[t].last = i;
+                        txns[t].span.end += 1;
                         txn_of[i] = Some(t);
                     }
                     // Dependency well-formedness: each dep must be an
                     // earlier operation of the same process.
                     if let Some((_, deps)) = c.deps() {
                         for d in deps {
-                            match index_of.get(d) {
-                                Some(&j) if j < i && ops[j].proc == oi.proc => {}
+                            match lookup(&index_of, *d) {
+                                Some(j) if j < i && ops[j].proc == oi.proc => {}
                                 _ => {
                                     return Err(HistoryError::BadDependency { id: oi.id, dep: *d })
                                 }
@@ -195,9 +231,27 @@ impl History {
             }
         }
 
+        // Lay the transactions' operation indices out in one arena:
+        // each span starts empty at its offset and grows as its
+        // operations are met in history order.
+        let mut offset = 0;
+        for t in &mut txns {
+            let len = t.span.end;
+            t.span = offset..offset;
+            offset += len;
+        }
+        let mut txn_ops = vec![0; offset];
+        for (i, t) in txn_of.iter().enumerate() {
+            if let Some(t) = *t {
+                txn_ops[txns[t].span.end] = i;
+                txns[t].span.end += 1;
+            }
+        }
+
         Ok(History {
             ops,
             txns,
+            txn_ops,
             txn_of,
             index_of,
         })
@@ -223,6 +277,13 @@ impl History {
         &self.txns
     }
 
+    /// Indices (into [`History::ops`]) of the operation instances of
+    /// transaction `t` (an index into [`History::txns`]), in history
+    /// order; the first is always the `start`.
+    pub fn txn_ops(&self, t: usize) -> &[usize] {
+        &self.txn_ops[self.txns[t].span.clone()]
+    }
+
     /// The transaction containing the operation at history index `i`, if
     /// that operation is transactional.
     pub fn txn_of(&self, i: usize) -> Option<usize> {
@@ -237,32 +298,23 @@ impl History {
 
     /// History index of the operation with identifier `id`.
     pub fn index_of(&self, id: OpId) -> Option<usize> {
-        self.index_of.get(&id).copied()
+        lookup(&self.index_of, id)
     }
 
     /// The set of processes appearing in the history, sorted.
     pub fn procs(&self) -> Vec<ProcId> {
-        let mut set: Vec<ProcId> = self
-            .ops
-            .iter()
-            .map(|o| o.proc)
-            .collect::<HashSet<_>>()
-            .into_iter()
-            .collect();
-        set.sort();
+        let mut set: Vec<ProcId> = self.ops.iter().map(|o| o.proc).collect();
+        set.sort_unstable();
+        set.dedup();
         set
     }
 
     /// The set of variables accessed in the history, sorted.
     pub fn vars(&self) -> Vec<Var> {
-        let mut set: Vec<Var> = self
-            .ops
-            .iter()
-            .filter_map(|o| o.op.command().map(Command::var))
-            .collect::<HashSet<_>>()
-            .into_iter()
-            .collect();
-        set.sort();
+        let commands = self.ops.iter().filter_map(|o| o.op.command());
+        let mut set: Vec<Var> = commands.map(Command::var).collect();
+        set.sort_unstable();
+        set.dedup();
         set
     }
 

@@ -13,7 +13,9 @@
 //!   (public: `jungle-mc`'s explainer masks these pairs one at a time);
 //! * `Graph` — the nodes of the permutation over `τ(h)`, at unit or at
 //!   operation granularity, with the lift of index pairs to node edges
-//!   and the generating pairs of `≺h`;
+//!   and `≺h` as a covering edge set (`Graph::rt_edges`: one pass over
+//!   the history, a few edges per node, the closure of all the
+//!   generating pairs);
 //! * `Graph::place` — apply one node to a `Legality` state
 //!   ([`PrefixChecker`] or [`CsChecker`]);
 //! * `linearize` — the backtracking search for a legal topological
@@ -107,7 +109,8 @@ legality!(CsChecker);
 pub(crate) struct Graph<'h> {
     h: &'h History,
     /// Leading nodes that are whole transactions (0 at operation
-    /// granularity); they borrow the transaction's `op_indices`.
+    /// granularity); they borrow the transaction's
+    /// [`History::txn_ops`].
     blocks: usize,
     /// History indices of the single-operation nodes that follow.
     singles: Vec<usize>,
@@ -154,7 +157,7 @@ impl<'h> Graph<'h> {
     /// The history indices of node `u`'s operations, in program order.
     pub(crate) fn ops_of(&self, u: usize) -> &[usize] {
         match u.checked_sub(self.blocks) {
-            None => &self.h.txns()[u].op_indices,
+            None => self.h.txn_ops(u),
             Some(k) => std::slice::from_ref(&self.singles[k]),
         }
     }
@@ -192,38 +195,66 @@ impl<'h> Graph<'h> {
         nodes.iter().filter_map(starts).collect()
     }
 
-    /// The generating pairs of `≺h` ([`History::precedes_rt`]), lifted
-    /// — as an [`edge_set`]. Decided per node pair from each node's
-    /// process, first and last operation and transaction, not per
-    /// operation pair: a monitor window has tens of nodes and hundreds
-    /// of operations.
+    /// A **covering** subset of the generating pairs of `≺h`
+    /// ([`History::precedes_rt`]), lifted — as an [`edge_set`]. Its
+    /// transitive closure is that of all the pairs, and the search
+    /// only ever asks whether every predecessor of a node is placed,
+    /// which a closure decides: the nodes available at each frontier —
+    /// hence the nodes visited, the witness and the dead ends — are
+    /// those of the full relation, from a tenth of the edges.
+    ///
+    /// One pass over the history keeps two kinds of pair:
+    ///
+    /// * program order with a transactional side: into each node, from
+    ///   its process's latest transactional node, and into a
+    ///   transactional one also from the process's single operations
+    ///   since then (earlier ones reach it through that node);
+    /// * a completed transaction `a` wholly before a transaction `b`:
+    ///   only when no completed `c` lies wholly between them (`a → c →
+    ///   b` is kept instead) — that is, when `a` ends after every
+    ///   transaction completed before `b` has begun. Those `a` overlap
+    ///   one another, so there is at most one per process.
     pub(crate) fn rt_edges(&self) -> Vec<(usize, usize)> {
-        let txns = self.h.txns();
-        let nodes: Vec<_> = (0..self.len())
-            .map(|u| {
-                let ops = self.ops_of(u);
-                let (first, last) = (ops[0], ops[ops.len() - 1]);
-                (self.h.ops()[first].proc, first, last, self.txn_of(u))
-            })
-            .collect();
+        let (h, txns) = (self.h, self.h.txns());
         let mut edges = Vec::new();
-        for (a, &(proc_a, first_a, _, txn_a)) in nodes.iter().enumerate() {
-            for (b, &(proc_b, _, last_b, txn_b)) in nodes.iter().enumerate() {
-                // Program order with a transactional side, or a
-                // completed transaction wholly before another.
-                let po = proc_a == proc_b && first_a < last_b && (txn_a.or(txn_b)).is_some();
-                let rt = || match (txn_a, txn_b) {
-                    (Some(s), Some(t)) => {
-                        s != t && txns[s].status.is_completed() && txns[s].last() < txns[t].first()
-                    }
-                    _ => false,
-                };
-                if a != b && (po || rt()) {
-                    edges.push((a, b));
+        // Per process: its latest transactional node, its singles since.
+        let mut procs: Vec<(ProcId, Option<usize>, Vec<usize>)> = Vec::new();
+        // The completed transactions so far as (last operation, its
+        // node), ascending, and the latest `first()` among them.
+        let mut done: Vec<(usize, usize)> = Vec::new();
+        let mut latest_first = 0;
+        for (i, oi) in h.ops().iter().enumerate() {
+            let u = self.node_of[i];
+            let txn = h.txn_of(i).map(|t| &txns[t]);
+            if self.ops_of(u)[0] == i {
+                let at = procs.iter().position(|&(p, ..)| p == oi.proc);
+                let at = at.unwrap_or_else(|| {
+                    procs.push((oi.proc, None, Vec::new()));
+                    procs.len() - 1
+                });
+                let (_, latest, singles) = &mut procs[at];
+                edges.extend(latest.map(|a| (a, u)));
+                if txn.is_some() {
+                    edges.extend(singles.drain(..).map(|a| (a, u)));
+                    *latest = Some(u);
+                } else {
+                    singles.push(u);
                 }
             }
+            let Some(t) = txn else { continue };
+            if t.first() == i {
+                let covering = done
+                    .iter()
+                    .rev()
+                    .take_while(|&&(last, _)| last > latest_first);
+                edges.extend(covering.map(|&(_, a)| (a, u)));
+            }
+            if t.last() == i && t.status.is_completed() {
+                done.push((i, u));
+                latest_first = latest_first.max(t.first());
+            }
         }
-        edges
+        edge_set(edges)
     }
 
     /// The edge that serializes transaction `a` before transaction
@@ -261,7 +292,7 @@ pub(crate) fn edge_set(edges: impl IntoIterator<Item = (usize, usize)>) -> Vec<(
 }
 
 /// The union of two [`edge_set`]s, as one: a merge, since `fixed` is
-/// thousands of edges on a monitor window and a call adds a handful.
+/// sorted already and a call adds a handful.
 pub(crate) fn union(a: &[(usize, usize)], b: &[(usize, usize)]) -> Vec<(usize, usize)> {
     let mut out = Vec::with_capacity(a.len() + b.len());
     let (mut i, mut j) = (0, 0);
@@ -522,5 +553,131 @@ impl Dfs<'_, '_> {
             self.dead.insert(key);
         }
         false
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::builder::HistoryBuilder;
+    use crate::ids::Var;
+
+    /// `steps` scheduling steps of `procs` processes: a process outside
+    /// a transaction starts one or issues a single operation; inside,
+    /// it accesses, commits or aborts. `eager` of 8 steps end an open
+    /// transaction: low values keep many open at once (the shape of
+    /// `tests/oracle.rs`'s concurrent histories), high ones give chains
+    /// (`check_agreement.rs`'s). Whatever is open at the end stays live.
+    fn scheduled(seed: u64, procs: u64, steps: usize, eager: u64) -> History {
+        let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        let mut draw = |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 33) % n
+        };
+        let mut b = HistoryBuilder::new();
+        let mut open = vec![false; procs as usize];
+        for _ in 0..steps {
+            let p = draw(procs) as usize;
+            let (proc, x) = (ProcId(p as u32), Var(draw(2) as u32));
+            match (open[p], draw(8)) {
+                (false, 0..=2) => _ = b.read(proc, x, 0),
+                (false, _) => {
+                    b.start(proc);
+                    open[p] = true;
+                }
+                (true, r) if r < eager => {
+                    if draw(4) == 0 {
+                        b.abort(proc);
+                    } else {
+                        b.commit(proc);
+                    }
+                    open[p] = false;
+                }
+                (true, _) => _ = b.write(proc, x, 1),
+            }
+        }
+        b.build().expect("the schedule is well-formed")
+    }
+
+    /// Reflexive-transitive reachability over `n` nodes.
+    fn closure(n: usize, edges: impl Iterator<Item = (usize, usize)>) -> Vec<Vec<bool>> {
+        let mut m = vec![vec![false; n]; n];
+        for (a, b) in edges {
+            m[a][b] = true;
+        }
+        for k in 0..n {
+            for i in 0..n {
+                if m[i][k] {
+                    let via = m[k].clone();
+                    m[i].iter_mut().zip(via).for_each(|(to, k_to)| *to |= k_to);
+                }
+            }
+        }
+        m
+    }
+
+    /// Every generating pair of `≺h`, lifted to `g`'s nodes.
+    fn generating(g: &Graph<'_>, h: &History) -> Vec<(usize, usize)> {
+        let n = h.len();
+        let all = (0..n).flat_map(|i| (0..n).map(move |j| (i, j)));
+        edge_set(g.lift(all.filter(|&(i, j)| h.precedes_rt(i, j))))
+    }
+
+    #[test]
+    fn covering_edges_generate_the_same_order_as_all_generating_pairs() {
+        let (mut histories, mut singles, mut live, mut aborted) = (0, 0, 0, 0);
+        for seed in 0..600u64 {
+            let (procs, eager) = (1 + seed % 5, 1 + seed / 5 % 7);
+            let h = scheduled(seed, procs, 8 + (seed % 40) as usize, eager);
+            histories += 1;
+            singles += usize::from((0..h.len()).any(|i| !h.is_transactional(i)));
+            live += usize::from(h.txns().iter().any(|t| t.status == TxnStatus::Live));
+            aborted += usize::from(h.txns().iter().any(|t| t.status == TxnStatus::Aborted));
+            for g in [Graph::units(&h), Graph::ops(&h)] {
+                let covering = g.rt_edges();
+                assert_eq!(covering, edge_set(covering.iter().copied()), "seed {seed}");
+                assert_eq!(
+                    closure(g.len(), covering.iter().copied()),
+                    closure(g.len(), generating(&g, &h).into_iter()),
+                    "seed {seed}, {} nodes: {:?}",
+                    g.len(),
+                    h.ops()
+                );
+            }
+        }
+        // The schedules reach the shapes the reduction has a rule for.
+        assert!(singles > histories / 2 && live > histories / 4 && aborted > histories / 4);
+    }
+
+    #[test]
+    fn a_sequential_window_has_a_few_edges_per_unit() {
+        // A monitor window: the initializer, then 64 read-modify-write
+        // transactions of four processes, one after the other.
+        let mut b = HistoryBuilder::new();
+        let init = ProcId(u32::MAX);
+        b.start(init);
+        b.write(init, Var(0), 1);
+        b.commit(init);
+        for i in 0..64u32 {
+            let (p, x) = (ProcId(i * 7 % 4), Var(i % 3));
+            b.start(p);
+            b.read(p, x, 0);
+            b.write(p, x, u64::from(i));
+            b.commit(p);
+        }
+        let h = b.build().unwrap();
+        let g = Graph::units(&h);
+        let (units, processes) = (g.len(), h.procs().len());
+        assert_eq!((units, processes), (65, 5));
+        let edges = g.rt_edges().len();
+        assert!(
+            edges >= units - 1,
+            "{edges} edges cannot order {units} units"
+        );
+        assert!(edges <= units * (processes + 1), "{edges} edges");
+        // All generating pairs: every unit before every later one.
+        assert_eq!(generating(&g, &h).len(), units * (units - 1) / 2);
     }
 }

@@ -86,10 +86,13 @@ pub(crate) struct Search<'a> {
     graph: Graph<'a>,
     specs: &'a SpecRegistry,
     viewers: Vec<ProcId>,
-    /// Per viewer, the order-independent edges `≺h ∪ v(p)`.
+    /// Per representative viewer, the order-independent edges
+    /// `≺h ∪ v(p)`; empty for a viewer another one represents.
     fixed: Vec<Vec<(usize, usize)>>,
-    /// Per viewer, the first viewer with the same edges — one witness
-    /// search covers every viewer sharing a set.
+    /// Per viewer, the first viewer with the same view — one witness
+    /// search covers every viewer sharing a set. (A view relates
+    /// non-transactional operations and every edge of `≺h` has a
+    /// transactional side, so equal views are equal edge sets.)
     rep: Vec<usize>,
     /// The viewers that represent themselves: the distinct constraint
     /// sets. All bundled models are viewer-independent, which makes
@@ -104,19 +107,20 @@ impl<'a> Search<'a> {
         if viewers.is_empty() {
             viewers.push(ProcId(0));
         }
+        let views: Vec<Vec<(usize, usize)>> = viewers
+            .iter()
+            .map(|&p| edge_set(graph.lift(view_pairs(h, model, p))))
+            .collect();
+        let rep: Vec<usize> = views
+            .iter()
+            .map(|v| views.iter().position(|w| w == v).expect("v is in views"))
+            .collect();
+        let classes: Vec<usize> = (0..rep.len()).filter(|&d| rep[d] == d).collect();
         let rt = graph.rt_edges();
-        let fixed: Vec<Vec<(usize, usize)>> = viewers
-            .iter()
-            .map(|&p| {
-                let view = graph.lift(view_pairs(h, model, p));
-                union(&rt, &edge_set(view))
-            })
-            .collect();
-        let rep: Vec<usize> = fixed
-            .iter()
-            .map(|e| fixed.iter().position(|f| f == e).expect("e is in fixed"))
-            .collect();
-        let classes = (0..rep.len()).filter(|&d| rep[d] == d).collect();
+        let mut fixed = vec![Vec::new(); viewers.len()];
+        for &d in &classes {
+            fixed[d] = union(&rt, &views[d]);
+        }
         Search {
             h,
             graph,

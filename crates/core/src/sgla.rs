@@ -100,9 +100,8 @@ impl<'a> SglaSearch<'a> {
     pub(crate) fn new(h: &'a History, model: &dyn MemoryModel, specs: &'a SpecRegistry) -> Self {
         let txns = h.txns();
         // Program order within each transaction.
-        let mut pairs: Vec<(usize, usize)> = txns
-            .iter()
-            .flat_map(|t| t.op_indices.windows(2).map(|w| (w[0], w[1])))
+        let mut pairs: Vec<(usize, usize)> = (0..txns.len())
+            .flat_map(|t| h.txn_ops(t).windows(2).map(|w| (w[0], w[1])))
             .collect();
         // Roach-motel edges between a process's non-transactional ops
         // and its own transactions.

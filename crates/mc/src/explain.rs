@@ -38,6 +38,7 @@ use jungle_core::linearize::view_pairs;
 use jungle_core::model::MemoryModel;
 use jungle_core::pretty::render_timeline;
 use jungle_isa::trace::Trace;
+use std::borrow::Cow;
 
 /// The four reorder-restriction classes of Theorem 1.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -171,7 +172,7 @@ impl<F: Fn(&History, usize, usize) -> bool + Sync> MemoryModel for MaskedModel<'
         "masked"
     }
 
-    fn transform(&self, h: &History) -> History {
+    fn transform<'h>(&self, h: &'h History) -> Cow<'h, History> {
         self.inner.transform(h)
     }
 

@@ -143,8 +143,7 @@ impl Monitor {
         self.stats.ops_ingested += 1;
         trace::emit(EventKind::MonitorIngest, u64::from(ev.pid.0), 0);
         if self.builder.push(ev) {
-            let sealed = self.builder.seal();
-            if let Some(w) = sealed {
+            if let Some(w) = self.builder.seal() {
                 self.check_window(&w);
             }
         }
@@ -192,68 +191,58 @@ impl Monitor {
     /// but no second chance applies (there is no raced initializer to
     /// blame).
     pub fn check_history(&mut self, h: &History) -> bool {
+        self.triage(h, 0) || self.escalate(h)
+    }
+
+    fn check_window(&mut self, w: &SealedWindow) {
+        if self.triage(&w.history, w.completed) || self.escalate(&w.history) {
+            return;
+        }
+        if w.reseeded().is_some_and(|h2| self.escalate(&h2)) {
+            return;
+        }
+        self.stats.violations += 1;
+        trace::emit(
+            EventKind::MonitorViolation,
+            w.history.len() as u64,
+            self.stats.windows_sealed,
+        );
+    }
+
+    /// Tier 1: count the window of `completed` attempts and try to
+    /// clear it in polynomial time.
+    fn triage(&mut self, h: &History, completed: usize) -> bool {
         self.stats.windows_sealed += 1;
-        trace::emit(EventKind::WindowSeal, h.len() as u64, 0);
+        trace::emit(EventKind::WindowSeal, h.len() as u64, completed as u64);
         let span = Span::start();
         let cleared = triage_opacity(h, self.cfg.model.model).cleared();
         self.stats.triage_window_ns.record(span.elapsed_ns());
         if cleared {
             self.stats.triage_cleared += 1;
             trace::emit(EventKind::TriageClear, h.len() as u64, 0);
-            return true;
         }
-        self.escalate(h)
-    }
-
-    fn check_window(&mut self, w: &SealedWindow) {
-        self.stats.windows_sealed += 1;
-        trace::emit(
-            EventKind::WindowSeal,
-            w.history.len() as u64,
-            w.completed as u64,
-        );
-        let span = Span::start();
-        let cleared = triage_opacity(&w.history, self.cfg.model.model).cleared();
-        self.stats.triage_window_ns.record(span.elapsed_ns());
-        if cleared {
-            self.stats.triage_cleared += 1;
-            trace::emit(EventKind::TriageClear, w.history.len() as u64, 0);
-            return;
-        }
-        let mut ok = self.escalate(&w.history);
-        if !ok {
-            if let Some(h2) = w.reseeded() {
-                ok = self.escalate(&h2);
-            }
-        }
-        if !ok {
-            self.stats.violations += 1;
-            trace::emit(
-                EventKind::MonitorViolation,
-                w.history.len() as u64,
-                self.stats.windows_sealed,
-            );
-        }
+        cleared
     }
 
     /// Tier 2: the full batch checker, through the shared memo.
     fn escalate(&mut self, h: &History) -> bool {
         self.stats.escalated += 1;
-        let fp = h.cache_key();
-        trace::emit(EventKind::Escalate, fp, h.len() as u64);
+        // The fingerprint walks every operation; only a memo or a
+        // recorder reads it.
+        let fp = (self.memo.is_some() || trace::recording()).then(|| h.cache_key());
+        trace::emit(EventKind::Escalate, fp.unwrap_or(0), h.len() as u64);
         let span = Span::start();
-        if let Some(memo) = &self.memo {
-            if let Some(v) = memo.lookup(self.cfg.model.key, self.cfg.kind, fp) {
-                self.stats.memo_hits += 1;
-                self.stats.escalate_window_ns.record(span.elapsed_ns());
-                return v;
-            }
+        let memo = self.memo.as_ref().zip(fp);
+        if let Some(v) = memo.and_then(|(m, fp)| m.lookup(self.cfg.model.key, self.cfg.kind, fp)) {
+            self.stats.memo_hits += 1;
+            self.stats.escalate_window_ns.record(span.elapsed_ns());
+            return v;
         }
         let v = Check::new(self.cfg.kind)
             .run(h, self.cfg.model.model)
             .0
             .holds();
-        if let Some(memo) = &self.memo {
+        if let Some((memo, fp)) = memo {
             memo.record(self.cfg.model.key, self.cfg.kind, fp, v);
         }
         self.stats.escalate_window_ns.record(span.elapsed_ns());

@@ -42,10 +42,27 @@
 //! have counted gaps. Rather than panic on a now-malformed per-process
 //! sequence, [`build_history`] sanitizes: a `Begin` while the same
 //! process is already open synthesizes a closing `Abort` first; a
-//! `Commit`/`Abort` with no open transaction is skipped. Every such
-//! repair is counted in [`SealedWindow::repaired`]. Under
-//! `Backpressure::Block` no event is ever lost and no repair ever
-//! fires; that is the policy to use when verdicts matter.
+//! `Commit`/`Abort` with no open transaction is skipped, and so is an
+//! access whose variable index does not fit a history [`Var`] (only a
+//! corrupt stream carries one). Every such repair is counted in
+//! [`SealedWindow::repaired`]. Under `Backpressure::Block` no event is
+//! ever lost and no repair ever fires; that is the policy to use when
+//! verdicts matter.
+//!
+//! ## One pass
+//!
+//! A window costs its events. [`WindowBuilder::push`] keeps what a seal
+//! would otherwise re-derive from the buffer: for each process with an
+//! unmatched `Begin`, the buffer index of that `Begin`, and — appended
+//! as each `Commit` arrives, from the writes since its `Begin` — the
+//! window's committed writes with their tickets. A `Commit` or `Abort`
+//! is never carried over (it closes what would carry it), so at a seal
+//! that list is exactly the sealed window's. Sealing takes the buffer
+//! whole when nothing is open; otherwise it splits it at the recorded
+//! indices and re-bases them on what it carries. The seeds are read
+//! off the tracked values *before* the window's own writes are folded
+//! into them — the initializer is the state the previous windows left
+//! behind — and the history is built into a buffer sized once.
 
 use jungle_core::builder::HistoryBuilder;
 use jungle_core::history::History;
@@ -57,12 +74,11 @@ use std::collections::BTreeMap;
 /// STM threads are numbered from 0, so the all-ones id never collides.
 pub const INIT_PID: u32 = u32::MAX;
 
-/// Convert a tap variable index (widened to `u64` at the publish site)
-/// back to a history [`Var`]. Checked: a heap with more than `u32::MAX`
-/// variables cannot occur, and silently truncating would alias
-/// distinct variables in the checked history.
-fn var(raw: u64) -> Var {
-    Var(u32::try_from(raw).expect("tap variable index exceeds u32: would alias in the history"))
+/// A tap variable index (widened to `u64` at the publish site) as a
+/// history [`Var`]. `None` above `u32::MAX`: only a corrupt stream says
+/// so, and truncating would alias variables in the checked history.
+fn var(raw: u64) -> Option<Var> {
+    u32::try_from(raw).ok().map(Var)
 }
 
 /// A sealed window: the checkable history plus enough residue to build
@@ -78,7 +94,11 @@ pub struct SealedWindow {
     /// (always 0 under `Backpressure::Block`).
     pub repaired: u64,
     events: Vec<TapEvent>,
+    /// `(variable, seed)` for every variable the window accesses, in
+    /// first-access order.
     init_writes: Vec<(u64, u64)>,
+    /// The same, a variable first read seeded with what was read.
+    reseeds: Vec<(u64, u64)>,
 }
 
 impl SealedWindow {
@@ -88,43 +108,7 @@ impl SealedWindow {
     /// when re-seeding changes nothing (the re-check would repeat the
     /// same verdict).
     pub fn reseeded(&self) -> Option<History> {
-        let mut first_read: BTreeMap<u64, Option<u64>> = BTreeMap::new();
-        for ev in &self.events {
-            match ev.op {
-                TapOp::Read { var, val } => {
-                    first_read.entry(var).or_insert(Some(val));
-                }
-                TapOp::Write { var, .. } => {
-                    // First access is a write: the tracked seed stands.
-                    first_read.entry(var).or_insert(None);
-                }
-                _ => {}
-            }
-        }
-        let mut seeds = self.init_writes.clone();
-        let mut changed = false;
-        for (v, val) in &mut seeds {
-            if let Some(Some(seen)) = first_read.get(v) {
-                if *seen != *val {
-                    *val = *seen;
-                    changed = true;
-                }
-            }
-        }
-        // A read of a variable with no tracked seed at all (implicit 0)
-        // also needs a seed if it observed something else.
-        for (v, fr) in &first_read {
-            if let Some(seen) = fr {
-                if *seen != 0 && !seeds.iter().any(|(sv, _)| sv == v) {
-                    seeds.push((*v, *seen));
-                    changed = true;
-                }
-            }
-        }
-        if !changed {
-            return None;
-        }
-        Some(build_history(&self.events, &seeds).0)
+        (self.reseeds != self.init_writes).then(|| build_history(&self.events, &self.reseeds).0)
     }
 }
 
@@ -134,53 +118,56 @@ impl SealedWindow {
 /// the drop-gap sanitization described in the module docs. Returns the
 /// history and the repair count.
 pub fn build_history(events: &[TapEvent], init_writes: &[(u64, u64)]) -> (History, u64) {
-    let mut b = HistoryBuilder::new();
-    let init: Vec<&(u64, u64)> = init_writes.iter().filter(|(_, val)| *val != 0).collect();
-    if !init.is_empty() {
+    // Room for the initializer's start and commit; only a phantom
+    // abort (a repair) outgrows it.
+    let mut b = HistoryBuilder::with_capacity(events.len() + init_writes.len() + 2);
+    // A seed under an index no `Var` holds is for accesses skipped below.
+    let seeds = init_writes.iter().filter(|(_, val)| *val != 0);
+    let mut init = seeds
+        .filter_map(|&(v, val)| Some((var(v)?, val)))
+        .peekable();
+    if init.peek().is_some() {
         let ip = ProcId(INIT_PID);
         b.start(ip);
-        for (v, val) in init {
-            b.write(ip, var(*v), *val);
+        for (x, val) in init {
+            b.write(ip, x, val);
         }
         b.commit(ip);
     }
-    let mut open: BTreeMap<u32, bool> = BTreeMap::new();
+    let mut open: Vec<ProcId> = Vec::new();
     let mut repaired = 0u64;
     for ev in events {
         let p = ev.pid;
-        let is_open = open.get(&p.0).copied().unwrap_or(false);
-        match ev.op {
-            TapOp::Begin => {
-                if is_open {
+        let at = open.iter().position(|&q| q == p);
+        match (ev.op, at) {
+            (TapOp::Begin, _) => {
+                if at.is_some() {
                     // A Commit/Abort was dropped from the stream: close
                     // the phantom attempt before opening the new one.
                     b.abort(p);
                     repaired += 1;
+                } else {
+                    open.push(p);
                 }
                 b.start(p);
-                open.insert(p.0, true);
             }
-            TapOp::Read { var: v, val } => {
-                b.read(p, var(v), val);
+            (TapOp::Read { var: v, val }, _) => match var(v) {
+                Some(x) => _ = b.read(p, x, val),
+                None => repaired += 1,
+            },
+            (TapOp::Write { var: v, val }, _) => match var(v) {
+                Some(x) => _ = b.write(p, x, val),
+                None => repaired += 1,
+            },
+            // Begin was dropped: nothing to close.
+            (TapOp::Commit { .. } | TapOp::Abort, None) => repaired += 1,
+            (TapOp::Commit { .. }, Some(at)) => {
+                open.swap_remove(at);
+                b.commit(p);
             }
-            TapOp::Write { var: v, val } => {
-                b.write(p, var(v), val);
-            }
-            TapOp::Commit { .. } => {
-                if is_open {
-                    b.commit(p);
-                    open.insert(p.0, false);
-                } else {
-                    repaired += 1; // Begin was dropped: nothing to close.
-                }
-            }
-            TapOp::Abort => {
-                if is_open {
-                    b.abort(p);
-                    open.insert(p.0, false);
-                } else {
-                    repaired += 1;
-                }
+            (TapOp::Abort, Some(at)) => {
+                open.swap_remove(at);
+                b.abort(p);
             }
         }
     }
@@ -190,6 +177,16 @@ pub fn build_history(events: &[TapEvent], init_writes: &[(u64, u64)]) -> (Histor
     (h, repaired)
 }
 
+/// The latest committed value of one variable.
+#[derive(Debug, Default)]
+struct Tracked {
+    /// The commit ticket that wrote `val`: the greatest one so far.
+    ticket: u64,
+    val: u64,
+    /// The last window (counted from 1) that took a seed from here.
+    seeded: u64,
+}
+
 /// Accumulates tap events and seals them into windows of
 /// `window_txns` completed transaction attempts.
 #[derive(Debug)]
@@ -197,9 +194,15 @@ pub struct WindowBuilder {
     window_txns: usize,
     pending: Vec<TapEvent>,
     completed: usize,
-    /// Latest committed value per variable, with the commit ticket that
-    /// wrote it (max ticket wins across windows).
-    tracked: BTreeMap<u64, (u64, u64)>,
+    /// The processes with an unmatched `Begin`, and its index in
+    /// `pending`.
+    open: Vec<(ProcId, usize)>,
+    /// `(ticket, variable, value)` of the writes committed since the
+    /// last seal, in arrival order.
+    folds: Vec<(u64, u64, u64)>,
+    tracked: BTreeMap<u64, Tracked>,
+    /// Windows cut so far.
+    windows: u64,
 }
 
 impl WindowBuilder {
@@ -209,15 +212,39 @@ impl WindowBuilder {
             window_txns: window_txns.max(1),
             pending: Vec::new(),
             completed: 0,
+            open: Vec::new(),
+            folds: Vec::new(),
             tracked: BTreeMap::new(),
+            windows: 0,
         }
     }
 
     /// Buffer one event; returns `true` when the window is ready to
     /// [`seal`](WindowBuilder::seal).
     pub fn push(&mut self, ev: TapEvent) -> bool {
-        if matches!(ev.op, TapOp::Commit { .. } | TapOp::Abort) {
-            self.completed += 1;
+        let open = |b: &Self| b.open.iter().position(|&(p, _)| p == ev.pid);
+        match ev.op {
+            TapOp::Read { .. } | TapOp::Write { .. } => {}
+            // A second Begin (its Commit/Abort was dropped) starts the
+            // attempt, and its write set, over.
+            TapOp::Begin => match open(self) {
+                Some(at) => self.open[at].1 = self.pending.len(),
+                None => self.open.push((ev.pid, self.pending.len())),
+            },
+            TapOp::Commit { .. } | TapOp::Abort => {
+                self.completed += 1;
+                // No open Begin (it was dropped): no write set either.
+                if let Some(at) = open(self) {
+                    let (_, begin) = self.open.swap_remove(at);
+                    if let TapOp::Commit { ticket } = ev.op {
+                        let own = self.pending[begin..].iter().filter(|e| e.pid == ev.pid);
+                        self.folds.extend(own.filter_map(|e| match e.op {
+                            TapOp::Write { var, val } => Some((ticket, var, val)),
+                            _ => None,
+                        }));
+                    }
+                }
+            }
         }
         self.pending.push(ev);
         self.completed >= self.window_txns
@@ -234,117 +261,78 @@ impl WindowBuilder {
     /// prefixed by the initializer transaction. Returns `None` when
     /// nothing would be checked (no events beyond carried prefixes).
     pub fn seal(&mut self) -> Option<SealedWindow> {
-        // A transaction is open iff its process has an unmatched Begin;
-        // find, per process, the index of that Begin.
-        let mut open_from: BTreeMap<u32, usize> = BTreeMap::new();
-        for (i, ev) in self.pending.iter().enumerate() {
-            match ev.op {
-                TapOp::Begin => {
-                    open_from.insert(ev.pid.0, i);
-                }
-                TapOp::Commit { .. } | TapOp::Abort => {
-                    open_from.remove(&ev.pid.0);
-                }
-                _ => {}
-            }
+        // The next window will be about as long as this one.
+        let room = Vec::with_capacity(self.pending.len());
+        let pending = std::mem::replace(&mut self.pending, room);
+        if self.open.is_empty() {
+            return self.cut(pending);
         }
-        let mut window = Vec::with_capacity(self.pending.len());
-        let mut carried = Vec::new();
-        for (i, ev) in self.pending.drain(..).enumerate() {
-            let carry = open_from.get(&ev.pid.0).is_some_and(|&from| i >= from);
-            if carry {
-                carried.push(ev);
-            } else {
-                window.push(ev);
-            }
-        }
-        self.pending = carried;
-        self.completed = 0;
-        if window.is_empty() {
-            return None;
-        }
-
-        // Seed: the tracked committed value of every variable the
-        // window touches (missing entries are the implicit initial 0).
-        let mut init_writes = Vec::new();
-        let mut seen = BTreeMap::new();
-        for ev in &window {
-            if let TapOp::Read { var, .. } | TapOp::Write { var, .. } = ev.op {
-                if seen.insert(var, ()).is_none() {
-                    let seed = self.tracked.get(&var).map_or(0, |&(_, val)| val);
-                    init_writes.push((var, seed));
-                }
-            }
-        }
-
-        // Fold this window's committed write sets into the tracked
-        // state, in ticket order (max ticket wins, so a commit whose
-        // publish raced past a later one cannot clobber it).
-        let mut ws: BTreeMap<u32, Vec<(u64, u64)>> = BTreeMap::new();
-        for ev in &window {
-            match ev.op {
-                TapOp::Begin => {
-                    ws.insert(ev.pid.0, Vec::new());
-                }
-                TapOp::Write { var, val } => {
-                    if let Some(w) = ws.get_mut(&ev.pid.0) {
-                        w.push((var, val));
+        // Carry every open process's events from its Begin on, and
+        // re-base that index on the carried buffer.
+        let mut window = Vec::with_capacity(pending.len());
+        for (i, ev) in pending.into_iter().enumerate() {
+            match self.open.iter_mut().find(|(p, _)| *p == ev.pid) {
+                Some((_, begin)) if i >= *begin => {
+                    if i == *begin {
+                        *begin = self.pending.len();
                     }
+                    self.pending.push(ev);
                 }
-                TapOp::Commit { ticket } => {
-                    for (var, val) in ws.remove(&ev.pid.0).unwrap_or_default() {
-                        let e = self.tracked.entry(var).or_insert((ticket, val));
-                        if ticket >= e.0 {
-                            *e = (ticket, val);
-                        }
-                    }
-                }
-                TapOp::Abort => {
-                    ws.remove(&ev.pid.0);
-                }
-                TapOp::Read { .. } => {}
+                _ => window.push(ev),
             }
         }
-
-        let completed = window
-            .iter()
-            .filter(|e| matches!(e.op, TapOp::Commit { .. } | TapOp::Abort))
-            .count();
-        let (history, repaired) = build_history(&window, &init_writes);
-        Some(SealedWindow {
-            history,
-            completed,
-            repaired,
-            events: window,
-            init_writes,
-        })
+        self.cut(window)
     }
 
     /// Final flush: seal everything buffered, **including** still-open
     /// transactions (they appear as live transactions in the history).
     pub fn flush(&mut self) -> Option<SealedWindow> {
-        if self.pending.is_empty() {
+        self.open.clear();
+        let window = std::mem::take(&mut self.pending);
+        self.cut(window)
+    }
+
+    /// Make `window` — every Commit and Abort buffered since the last
+    /// cut, and whatever else was not carried — a [`SealedWindow`].
+    fn cut(&mut self, window: Vec<TapEvent>) -> Option<SealedWindow> {
+        let completed = std::mem::take(&mut self.completed);
+        if window.is_empty() {
             return None;
         }
-        // Force every pending event into the window by pretending no
-        // transaction is open: steal the buffer, seal, then restore
-        // nothing (flush ends the stream).
-        let window = std::mem::take(&mut self.pending);
-        self.completed = 0;
-        let mut init_writes = Vec::new();
-        let mut seen = BTreeMap::new();
+        // Seed: the tracked committed value of every variable the
+        // window touches, in first-access order (a variable nobody
+        // committed to yet is tracked at the implicit initial 0, under
+        // a ticket every commit supersedes).
+        self.windows += 1;
+        let room = self.tracked.len().min(window.len());
+        let (mut init_writes, mut reseeds) = (Vec::with_capacity(room), Vec::with_capacity(room));
+        let mut last = None;
         for ev in &window {
-            if let TapOp::Read { var, .. } | TapOp::Write { var, .. } = ev.op {
-                if seen.insert(var, ()).is_none() {
-                    let seed = self.tracked.get(&var).map_or(0, |&(_, val)| val);
-                    init_writes.push((var, seed));
-                }
+            let (var, read) = match ev.op {
+                TapOp::Read { var, val } => (var, Some(val)),
+                TapOp::Write { var, .. } => (var, None),
+                _ => continue,
+            };
+            // Accesses repeat their variable in runs: look up once per run.
+            if last.replace(var) == Some(var) {
+                continue;
+            }
+            let t = self.tracked.entry(var).or_default();
+            if t.seeded != self.windows {
+                t.seeded = self.windows;
+                init_writes.push((var, t.val));
+                reseeds.push((var, read.unwrap_or(t.val)));
             }
         }
-        let completed = window
-            .iter()
-            .filter(|e| matches!(e.op, TapOp::Commit { .. } | TapOp::Abort))
-            .count();
+        // Only now fold this window's committed write sets into the
+        // tracked state, in arrival order (max ticket wins, so a commit
+        // whose publish raced past a later one cannot clobber it).
+        for (ticket, var, val) in self.folds.drain(..) {
+            let t = self.tracked.entry(var).or_default();
+            if ticket >= t.ticket {
+                (t.ticket, t.val) = (ticket, val);
+            }
+        }
         let (history, repaired) = build_history(&window, &init_writes);
         Some(SealedWindow {
             history,
@@ -352,6 +340,7 @@ impl WindowBuilder {
             repaired,
             events: window,
             init_writes,
+            reseeds,
         })
     }
 }
@@ -480,5 +469,27 @@ mod tests {
         wb2.push(ev(0, TapOp::Commit { ticket: 0 }));
         let w2 = wb2.flush().unwrap();
         assert!(w2.reseeded().is_none());
+    }
+
+    #[test]
+    fn a_variable_no_history_can_name_is_a_counted_repair() {
+        let huge = u64::from(u32::MAX) + 1;
+        let mut wb = WindowBuilder::new(1);
+        wb.push(ev(0, TapOp::Begin));
+        wb.push(ev(0, TapOp::Read { var: huge, val: 3 }));
+        wb.push(ev(0, TapOp::Write { var: huge, val: 9 }));
+        wb.push(ev(0, TapOp::Write { var: 1, val: 9 }));
+        assert!(wb.push(ev(0, TapOp::Commit { ticket: 0 })));
+        let w = wb.seal().unwrap();
+        // Start, the write of variable 1, commit: both accesses skipped.
+        assert_eq!((w.history.len(), w.repaired), (3, 2));
+        assert_eq!(w.reseeded().map(|h| h.len()), Some(3));
+        // The committed 9 seeds no initializer in the next window.
+        wb.push(ev(1, TapOp::Begin));
+        wb.push(ev(1, TapOp::Read { var: huge, val: 9 }));
+        wb.push(ev(1, TapOp::Commit { ticket: 1 }));
+        let w = wb.flush().unwrap();
+        assert_eq!((w.history.len(), w.repaired), (2, 1));
+        assert!(check_opacity(&w.history, &Sc).is_opaque());
     }
 }

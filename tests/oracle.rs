@@ -112,7 +112,9 @@ fn oracle_opaque(h: &History, model: &dyn MemoryModel) -> bool {
 /// order of the units, each transaction's operations in history order.
 fn oracle_opaque_by_units(h: &History, model: &dyn MemoryModel) -> bool {
     let th = model.transform(h);
-    let mut units: Vec<Vec<usize>> = th.txns().iter().map(|t| t.op_indices.clone()).collect();
+    let mut units: Vec<Vec<usize>> = (0..th.txns().len())
+        .map(|t| th.txn_ops(t).to_vec())
+        .collect();
     units.extend(
         (0..th.len())
             .filter(|&i| !th.is_transactional(i))
