@@ -44,11 +44,10 @@
 //!   whole run and emit a `profile` section: the phase tree with
 //!   self/total time and per-phase latency histograms, the run-wide
 //!   DPOR waste attribution (blocked probes by depth, race-pair heat,
-//!   worker busy/steal/idle lanes), and — with `--monitor` — the
+//!   the explorer's wall-clock lane), and — with `--monitor` — the
 //!   merged per-window check-latency histogram. The blocked-probe
 //!   and race attribution must sum exactly to the explorers'
-//!   independent counters and the workers must have been mostly busy,
-//!   or the run fails.
+//!   independent counters, or the run fails.
 //! * `--sat` — cross-validate the CDCL serialization-order backend
 //!   against the DFS checkers on the full litmus corpus (every registry
 //!   entry, both check kinds; every SAT positive re-certified through
@@ -897,8 +896,7 @@ fn main() {
             .push("classes", classes.into())
             .push("truncated", st.truncated.into())
             .push("completed_per_class", Json::F64(ratio))
-            .push("blocked", st.dpor_blocked.into())
-            .push("frontier_steals", st.frontier_steals.into());
+            .push("blocked", st.dpor_blocked.into());
         dpor_entries.push(j);
         rows.push(Row {
             section: "dpor",
@@ -1258,11 +1256,10 @@ fn main() {
         write!(text, "{}", phases.render()).unwrap();
         writeln!(
             text,
-            "\n  dpor waste: {} blocked probes (mode depth {}), {} race pairs, worker busy {:.1}%",
+            "\n  dpor waste: {} blocked probes (mode depth {}), {} race pairs",
             waste_total.blocked,
             waste_total.blocked_depth_mode(),
             waste_total.race_total(),
-            100.0 * waste_total.busy_frac(),
         )
         .unwrap();
         writeln!(

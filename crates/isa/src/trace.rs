@@ -17,7 +17,6 @@ use crate::instr::{Instr, InstrInstance};
 use jungle_core::history::{History, OpInstance};
 use jungle_core::ids::{OpId, ProcId};
 use jungle_core::op::Op;
-use std::collections::HashMap;
 
 /// Errors detected when validating a trace.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -68,27 +67,33 @@ pub struct Trace {
 impl Trace {
     /// Validate and construct a trace from instruction instances.
     pub fn new(instrs: Vec<InstrInstance>) -> Result<Self, TraceError> {
-        // Per-process currently open operation.
-        let mut open: HashMap<ProcId, usize> = HashMap::new(); // proc -> index into ops
+        // Per process, its currently open operation (index into `ops`):
+        // a handful of processes, so a short list, not a map.
+        let mut open: Vec<(ProcId, usize)> = Vec::new();
         let mut ops: Vec<TraceOp> = Vec::new();
-        let mut seen: HashMap<(ProcId, OpId), ()> = HashMap::new();
+        // Identifiers above every one invoked so far cannot repeat one
+        // (the machine allocates them ascending); others are looked up.
+        let mut max_id: Option<OpId> = None;
+        let open_of = |open: &[(ProcId, usize)], p: ProcId| open.iter().position(|o| o.0 == p);
 
         for (i, ii) in instrs.iter().enumerate() {
             match &ii.instr {
                 Instr::Inv(op) => {
-                    if open.contains_key(&ii.proc) {
+                    if open_of(&open, ii.proc).is_some() {
                         return Err(TraceError::InterleavedOperations {
                             proc: ii.proc,
                             op: ii.op,
                         });
                     }
-                    if seen.insert((ii.proc, ii.op), ()).is_some() {
+                    let fresh = max_id.is_none_or(|m| ii.op > m);
+                    if !fresh && ops.iter().any(|o| o.proc == ii.proc && o.id == ii.op) {
                         return Err(TraceError::DuplicateOperation {
                             proc: ii.proc,
                             op: ii.op,
                         });
                     }
-                    open.insert(ii.proc, ops.len());
+                    max_id = max_id.max(Some(ii.op));
+                    open.push((ii.proc, ops.len()));
                     ops.push(TraceOp {
                         id: ii.op,
                         op: op.clone(),
@@ -99,12 +104,13 @@ impl Trace {
                     });
                 }
                 Instr::Resp(_) => {
-                    let Some(oi) = open.remove(&ii.proc) else {
+                    let Some(at) = open_of(&open, ii.proc) else {
                         return Err(TraceError::UnmatchedResponse {
                             proc: ii.proc,
                             op: ii.op,
                         });
                     };
+                    let oi = open.swap_remove(at).1;
                     if ops[oi].id != ii.op {
                         return Err(TraceError::UnmatchedResponse {
                             proc: ii.proc,
@@ -115,7 +121,7 @@ impl Trace {
                     ops[oi].complete = true;
                 }
                 _ => {
-                    let Some(&oi) = open.get(&ii.proc) else {
+                    let Some(oi) = open_of(&open, ii.proc).map(|at| open[at].1) else {
                         return Err(TraceError::InstrOutsideOperation {
                             proc: ii.proc,
                             op: ii.op,

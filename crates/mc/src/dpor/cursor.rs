@@ -27,6 +27,12 @@
 //! ([`Scheduler::observe`]), its clock is the join of the clocks of the
 //! earlier decisions it depends on, and it *directly races* with such a
 //! decision `i` of another CPU when nothing else orders `i` before it.
+//! The pass walks the earlier decisions once, latest first, joining as
+//! it goes: a decision that happens before one already joined is
+//! dominated by it — it adds nothing to the clock and cannot race
+//! directly — so of each CPU only the decisions after its latest
+//! dependent one are even tested for dependence, and every dependent
+//! decision the walk still meets undominated is a direct race.
 //! Reversing the race means running, from node `i`, the decisions after
 //! `i` that do not happen after `i`, then `j`; any CPU whose first
 //! decision in that sequence has no predecessor inside it (an *initial*)
@@ -34,9 +40,9 @@
 //! it asleep), the pass adds the earliest. An initial's action is by
 //! construction an option of node `i`; should the analysis name one
 //! that is not, every option of the node is added instead — the full
-//! tree's behaviour, always sound. Decisions of
-//! the replayed prefix were analysed by the run that first made them and
-//! are skipped.
+//! tree's behaviour, always sound. Races are reversed in the order of
+//! their earlier decisions. Decisions of the replayed prefix were
+//! analysed by the run that first made them and are skipped.
 //!
 //! **Sleep sets.** After a branch is fully explored its action goes to
 //! sleep at that node with its observed [`Footprint`]. A sleeper
@@ -49,6 +55,12 @@
 //! machine reports `aborted == true`) — source sets without wakeup
 //! trees may still start such a run, and [`DporStats::blocked`] counts
 //! them.
+//!
+//! **Cost.** A decision costs word operations: footprints are `Copy`,
+//! the clocks of the path live in one flat table (a row per node, a
+//! column per CPU), and a node leaving the path goes to a pool whose
+//! vectors the next choice point refills, so after the first few runs
+//! a choice point allocates nothing.
 
 use jungle_memsim::{Action, Footprint, Scheduler};
 use jungle_obs::sim::{DporStats, FOOTPRINT_KINDS};
@@ -80,7 +92,7 @@ fn footprint_kind(fp: &Footprint) -> usize {
 /// explored branch together with the footprint it had when executed
 /// there. (A sleeper is dropped by the first decision of its own CPU,
 /// so the action still names the same transition wherever it is found.)
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 struct SleepEntry {
     action: Action,
     fp: Footprint,
@@ -101,8 +113,9 @@ enum Branch {
     Done,
 }
 
-/// One choice point on the current exploration path.
-#[derive(Debug)]
+/// One choice point on the current exploration path. Its clock is row
+/// `depth` of [`DporCursor::clocks`].
+#[derive(Debug, Default)]
 struct Node {
     /// The enabled actions offered here.
     options: Vec<Action>,
@@ -115,12 +128,12 @@ struct Node {
     sleep: Vec<SleepEntry>,
     /// Footprint of the chosen action, once observed.
     fp: Option<Footprint>,
-    /// Per-CPU vector clock of the chosen decision (`clock[c]` counts
-    /// the cpu-`c` decisions that happen before or are it). Empty until
-    /// observed, and for a version pick, which is the second half of
-    /// the load decision before it and reads nothing that decision's
-    /// footprint does not already hold.
-    clock: Vec<u32>,
+    /// The chosen decision is observed and has a clock (`clock[c]`
+    /// counts the cpu-`c` decisions that happen before or are it).
+    /// Never for a version pick, which is the second half of the load
+    /// decision before it and reads nothing that decision's footprint
+    /// does not already hold.
+    timed: bool,
 }
 
 impl Node {
@@ -139,19 +152,10 @@ impl Node {
         self.options[self.chosen]
     }
 
-    /// Footprint and clock of the chosen decision, once analysed.
-    fn event(&self) -> Option<(&Footprint, &[u32])> {
-        match &self.fp {
-            Some(fp) if !self.clock.is_empty() => Some((fp, &self.clock)),
-            _ => None,
-        }
+    /// Footprint of the chosen decision, once it has a clock.
+    fn event(&self) -> Option<&Footprint> {
+        self.fp.as_ref().filter(|_| self.timed)
     }
-}
-
-/// `clock[cpu]`, zero past the end (clocks are as wide as the highest
-/// CPU they have seen).
-fn at(clock: &[u32], cpu: usize) -> u32 {
-    clock.get(cpu).copied().unwrap_or(0)
 }
 
 /// Source-set DFS cursor over the machine's schedule tree. Implements
@@ -160,6 +164,15 @@ fn at(clock: &[u32], cpu: usize) -> u32 {
 #[derive(Debug, Default)]
 pub struct DporCursor {
     stack: Vec<Node>,
+    /// Nodes that left the path, kept for their vectors.
+    pool: Vec<Node>,
+    /// The clocks of the path: row `d` (`width` entries, one per CPU
+    /// seen so far) belongs to `stack[d]` while it is timed.
+    clocks: Vec<u32>,
+    width: usize,
+    /// Scratch of the race pass: the racing earlier decisions, latest
+    /// first.
+    races: Vec<usize>,
     /// Replay position within `stack` for the current run.
     pos: usize,
     /// Next stack index to receive an observed footprint.
@@ -197,18 +210,16 @@ impl DporCursor {
             // The blocked node explored nothing: every option was
             // already asleep, so it has no footprint and sleeps nothing.
             self.blocked = false;
-            self.stack.pop();
+            self.pool.extend(self.stack.pop());
         }
         while let Some(mut node) = self.stack.pop() {
             // The branch just completed joins the sleep set: any
             // sibling explored after it may skip re-entering it.
             if let Some(fp) = node.fp.take() {
-                node.sleep.push(SleepEntry {
-                    action: node.action(),
-                    fp,
-                });
+                let action = node.action();
+                node.sleep.push(SleepEntry { action, fp });
             }
-            node.clock.clear();
+            node.timed = false;
             let depth = self.stack.len() as u64;
             while let Some(next) = node.branch.iter().position(|b| *b == Branch::Todo) {
                 node.branch[next] = Branch::Done;
@@ -221,66 +232,85 @@ impl DporCursor {
                     return true;
                 }
             }
+            self.pool.push(node);
         }
         false
+    }
+
+    /// The clock of timed node `d`.
+    fn clock(&self, d: usize) -> &[u32] {
+        &self.clocks[d * self.width..(d + 1) * self.width]
+    }
+
+    /// Give every clock a column for each of the first `width` CPUs.
+    fn widen(&mut self, width: usize) {
+        let rows = self.clocks.len().checked_div(self.width).unwrap_or(0);
+        let mut wide = vec![0; rows * width];
+        for (to, from) in wide
+            .chunks_exact_mut(width)
+            .zip(self.clocks.chunks_exact(self.width.max(1)))
+        {
+            to[..self.width].copy_from_slice(from);
+        }
+        self.clocks = wide;
+        self.width = width;
     }
 
     /// Give decision `k` (footprint `fp`, just executed for the first
     /// time) its clock, and for every earlier decision it directly
     /// races with make sure the other order is explored too.
-    fn place(&mut self, k: usize, fp: &Footprint) -> Vec<u32> {
-        let mut clock = vec![0u32; fp.cpu + 1];
-        let mut deps = Vec::new();
-        for (i, node) in self.stack[..k].iter().enumerate() {
-            let Some((earlier, its_clock)) = node.event() else {
+    fn place(&mut self, k: usize, fp: &Footprint) {
+        if fp.cpu >= self.width {
+            self.widen(fp.cpu + 1);
+        }
+        let w = self.width;
+        if self.clocks.len() < (k + 1) * w {
+            self.clocks.resize((k + 1) * w, 0);
+        }
+        let (earlier_rows, rest) = self.clocks.split_at_mut(k * w);
+        let clock = &mut rest[..w];
+        clock.fill(0);
+        self.races.clear();
+        for i in (0..k).rev() {
+            let Some(earlier) = self.stack[i].event() else {
                 continue;
             };
-            if earlier.dependent(fp) {
-                deps.push(i);
-                if clock.len() < its_clock.len() {
-                    clock.resize(its_clock.len(), 0);
-                }
-                for (c, e) in clock.iter_mut().zip(its_clock) {
-                    *c = (*c).max(*e);
-                }
+            let cpu = earlier.cpu;
+            let its = &earlier_rows[i * w..(i + 1) * w];
+            // Happens before a decision already joined: dominated.
+            if clock[cpu] >= its[cpu] || !earlier.dependent(fp) {
+                continue;
+            }
+            for (c, e) in clock.iter_mut().zip(its) {
+                *c = (*c).max(*e);
+            }
+            if cpu != fp.cpu {
+                self.races.push(i); // one process is program order
             }
         }
         clock[fp.cpu] += 1;
-        for &i in &deps {
-            let (earlier, its_clock) = self.stack[i].event().expect("dependences are events");
-            let cpu = earlier.cpu;
-            if cpu == fp.cpu {
-                continue; // one process: program order
-            }
-            // Does any other predecessor already order i before k?
-            let seq = its_clock[cpu];
-            let direct = deps
-                .iter()
-                .all(|&d| d == i || at(&self.stack[d].clock, cpu) < seq);
-            if !direct {
-                continue;
-            }
+        for r in (0..self.races.len()).rev() {
+            let i = self.races[r];
+            let earlier = self.stack[i].fp.as_ref().expect("races are between events");
             self.waste
                 .note_race(footprint_kind(earlier), footprint_kind(fp));
             flight::emit(EventKind::RaceDetected, i as u64, k as u64);
-            self.reverse(i, k, fp.cpu, &clock);
+            self.reverse(i, k, fp.cpu);
         }
-        clock
     }
 
-    /// Decision `k` (cpu `cpu_k`, clock `clock_k`) races with the
-    /// earlier decision `i`: unless node `i` already explores (or holds
-    /// asleep) an action that can start "everything after `i` that does
-    /// not happen after `i`, then `k`", schedule the CPU of the earliest.
-    fn reverse(&mut self, i: usize, k: usize, cpu_k: usize, clock_k: &[u32]) {
-        let (fp_i, clock_i) = self.stack[i].event().expect("races are between events");
-        let cpu_i = fp_i.cpu;
-        let seq_i = clock_i[cpu_i];
+    /// Decision `k` (cpu `cpu_k`, already timed) races with the earlier
+    /// decision `i`: unless node `i` already explores (or holds asleep)
+    /// an action that can start "everything after `i` that does not
+    /// happen after `i`, then `k`", schedule the CPU of the earliest.
+    fn reverse(&mut self, i: usize, k: usize, cpu_k: usize) {
+        let cpu_i = self.stack[i].event().expect("races are between events").cpu;
+        let seq_i = self.clock(i)[cpu_i];
         // Each CPU's first decision in that sequence, in run order.
         let mut firsts: Vec<(usize, usize)> = Vec::new();
         for (x, node) in self.stack.iter().enumerate().take(k).skip(i + 1) {
-            if let Some((fp, clock)) = node.event() {
-                if at(clock, cpu_i) < seq_i && firsts.iter().all(|f| f.0 != fp.cpu) {
+            if let Some(fp) = node.event() {
+                if self.clock(x)[cpu_i] < seq_i && firsts.iter().all(|f| f.0 != fp.cpu) {
                     firsts.push((fp.cpu, x));
                 }
             }
@@ -288,13 +318,6 @@ impl DporCursor {
         if firsts.iter().all(|f| f.0 != cpu_k) {
             firsts.push((cpu_k, k));
         }
-        let clock_of = |x: usize| {
-            if x == k {
-                clock_k
-            } else {
-                &self.stack[x].clock
-            }
-        };
         // A first decision is an initial unless another CPU's first
         // decision (hence that CPU's whole part of the sequence up to
         // it) happens before it. Its CPU has decided nothing since
@@ -304,7 +327,7 @@ impl DporCursor {
         for &(p, xp) in &firsts {
             let initial = firsts
                 .iter()
-                .all(|&(q, xq)| q == p || xq > xp || at(clock_of(xp), q) < at(clock_of(xq), q));
+                .all(|&(q, xq)| q == p || xq > xp || self.clock(xp)[q] < self.clock(xq)[q]);
             if !initial {
                 continue;
             }
@@ -341,30 +364,24 @@ impl Scheduler for DporCursor {
         }
         // Frontier: open a new choice point. Sleeping actions survive
         // past the parent's decision iff they are independent of it.
-        let sleep: Vec<SleepEntry> = match self.stack.last() {
-            Some(parent) => {
-                let pfp = parent
-                    .fp
-                    .as_ref()
-                    .expect("parent footprint observed before child choice");
-                parent
-                    .sleep
-                    .iter()
-                    .filter(|e| !e.fp.dependent(pfp))
-                    .cloned()
-                    .collect()
-            }
-            None => Vec::new(),
-        };
-        let awake = actions.iter().position(|a| !slept(&sleep, *a));
-        let mut node = Node {
-            options: actions.to_vec(),
-            branch: vec![Branch::Idle; actions.len()],
-            chosen: awake.unwrap_or(0),
-            sleep,
-            fp: None,
-            clock: Vec::new(),
-        };
+        let mut node = self.pool.pop().unwrap_or_default();
+        node.options.clear();
+        node.options.extend_from_slice(actions);
+        node.branch.clear();
+        node.branch.resize(actions.len(), Branch::Idle);
+        node.sleep.clear();
+        node.fp = None;
+        node.timed = false;
+        if let Some(parent) = self.stack.last() {
+            let pfp = parent
+                .fp
+                .as_ref()
+                .expect("parent footprint observed before child choice");
+            node.sleep
+                .extend(parent.sleep.iter().filter(|e| !e.fp.dependent(pfp)));
+        }
+        let awake = actions.iter().position(|a| !slept(&node.sleep, *a));
+        node.chosen = awake.unwrap_or(0);
         match awake {
             // The backtrack set starts as one CPU: the first with an
             // action awake. (A version list belongs to one CPU, so all
@@ -398,9 +415,10 @@ impl Scheduler for DporCursor {
             return;
         }
         if !matches!(node.action(), Action::ReadVersion { .. }) {
-            self.stack[k].clock = self.place(k, fp);
+            self.place(k, fp);
+            self.stack[k].timed = true;
         }
-        self.stack[k].fp = Some(fp.clone());
+        self.stack[k].fp = Some(*fp);
     }
 
     fn abort_run(&self) -> bool {
@@ -411,10 +429,11 @@ impl Scheduler for DporCursor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use jungle_memsim::AddrSet;
 
     fn w(cpu: usize, addr: u32) -> Footprint {
         Footprint {
-            writes: vec![addr],
+            writes: AddrSet::of(&[addr]),
             ..Footprint::on(cpu)
         }
     }
@@ -436,7 +455,7 @@ mod tests {
     fn races(fps: &[Footprint]) -> u64 {
         let mut c = DporCursor::new();
         for fp in fps {
-            step(&mut c, &[fp.cpu], 0, fp.clone());
+            step(&mut c, &[fp.cpu], 0, *fp);
         }
         assert!(!c.advance(), "single options leave nothing to explore");
         c.waste.race_total()
@@ -482,17 +501,17 @@ mod tests {
     #[test]
     fn footprint_kinds_classify_by_shape() {
         let read = Footprint {
-            reads: vec![1],
+            reads: AddrSet::of(&[1]),
             ..Footprint::on(0)
         };
         let rmw = Footprint {
-            reads: vec![1],
-            writes: vec![1],
+            reads: AddrSet::of(&[1]),
+            writes: AddrSet::of(&[1]),
             ..Footprint::on(0)
         };
         let fence = Footprint {
             fence: true,
-            writes: vec![1],
+            writes: AddrSet::of(&[1]),
             ..Footprint::on(0)
         };
         let boundary = Footprint {
@@ -614,7 +633,7 @@ mod tests {
     #[test]
     fn every_version_of_a_load_is_explored_and_none_is_an_event() {
         let r = |cpu: usize| Footprint {
-            reads: vec![4],
+            reads: AddrSet::of(&[4]),
             ..Footprint::on(cpu)
         };
         let versions = [

@@ -110,7 +110,6 @@ pub fn explore_dpor(
     out.waste.workers.push(WorkerLane {
         busy_ns: elapsed_ns(busy),
         runs: out.executed as u64,
-        ..WorkerLane::default()
     });
     out
 }
@@ -186,7 +185,6 @@ mod tests {
         assert_eq!(out.waste.run_ns.count, out.executed as u64);
         assert_eq!(out.waste.workers.len(), 1, "serial run is one lane");
         assert_eq!(out.waste.workers[0].runs, out.executed as u64);
-        assert_eq!(out.waste.workers[0].idle_ns, 0);
     }
 
     #[test]

@@ -17,11 +17,14 @@
 //! [`GlobalMem`] keeps a short per-address version history (the last
 //! [`MAX_VERSIONS`] values with global sequence numbers) to make the
 //! load window explorable.
+//!
+//! Nothing here hashes: a litmus program touches a handful of
+//! addresses, so memory cells and floors are short vectors searched
+//! linearly, and a cell's versions sit inline in it.
 
 use jungle_core::ids::Val;
 use jungle_core::registry::{ExecSemantics, StoreDiscipline};
 use jungle_isa::instr::Addr;
-use std::collections::HashMap;
 
 /// The hardware model the simulated machine executes. Since the model
 /// registry unification this *is* the execution-side semantics of a
@@ -54,7 +57,7 @@ pub struct PendingStore {
 pub struct ReorderEngine {
     entries: Vec<PendingStore>,
     global_floor: u64,
-    addr_floors: HashMap<Addr, u64>,
+    addr_floors: Vec<(Addr, u64)>,
 }
 
 /// Backwards-compatible name for [`ReorderEngine`].
@@ -89,28 +92,15 @@ impl ReorderEngine {
     /// The indices of entries that may drain next under `hw`'s store
     /// discipline: FIFO — only the oldest entry; per-address — the
     /// oldest entry *per address*; immediate — the buffer is never
-    /// populated.
-    pub fn drainable(&self, hw: HwModel) -> Vec<usize> {
-        match hw.stores {
-            StoreDiscipline::Immediate => Vec::new(),
-            StoreDiscipline::Fifo => {
-                if self.entries.is_empty() {
-                    Vec::new()
-                } else {
-                    vec![0]
-                }
-            }
-            StoreDiscipline::PerAddress => {
-                let mut seen: HashMap<Addr, ()> = HashMap::new();
-                let mut out = Vec::new();
-                for (i, e) in self.entries.iter().enumerate() {
-                    if seen.insert(e.addr, ()).is_none() {
-                        out.push(i);
-                    }
-                }
-                out
-            }
-        }
+    /// populated. Ascending.
+    pub fn drainable(&self, hw: HwModel) -> impl Iterator<Item = usize> + '_ {
+        let n = match hw.stores {
+            StoreDiscipline::Immediate => 0,
+            StoreDiscipline::Fifo => self.entries.len().min(1),
+            StoreDiscipline::PerAddress => self.entries.len(),
+        };
+        let entries = &self.entries;
+        (0..n).filter(move |&i| entries[..i].iter().all(|e| e.addr != entries[i].addr))
     }
 
     /// Remove and return the entry at `idx`.
@@ -157,17 +147,19 @@ impl ReorderEngine {
     /// number this CPU is known to have observed for it.
     pub fn eff_floor(&self, addr: Addr) -> u64 {
         self.addr_floors
-            .get(&addr)
-            .copied()
-            .unwrap_or(0)
+            .iter()
+            .find(|f| f.0 == addr)
+            .map_or(0, |f| f.1)
             .max(self.global_floor)
     }
 
     /// Record that this CPU observed version `seq` of `addr` (by
     /// loading it or draining its own store to it). Floors only rise.
     pub fn raise_addr_floor(&mut self, addr: Addr, seq: u64) {
-        let f = self.addr_floors.entry(addr).or_insert(0);
-        *f = (*f).max(seq);
+        match self.addr_floors.iter_mut().find(|f| f.0 == addr) {
+            Some(f) => f.1 = f.1.max(seq),
+            None => self.addr_floors.push((addr, seq)),
+        }
     }
 
     /// Record a full fence (CAS): the CPU has observed global memory up
@@ -187,10 +179,24 @@ impl ReorderEngine {
 /// initial value `0` counts as version `(0, 0)`.
 #[derive(Clone, Debug, Default)]
 pub struct GlobalMem {
-    /// Versions per address, oldest → newest; always non-empty once
-    /// present (seeded with the initial `(0, 0)`).
-    cells: HashMap<Addr, Vec<(u64, Val)>>,
+    /// The written addresses, in the order of their first store.
+    cells: Vec<Cell>,
     seq: u64,
+}
+
+/// One written address and its retained versions, oldest → newest in
+/// `versions[..len]` (seeded with the initial `(0, 0)`).
+#[derive(Clone, Copy, Debug)]
+struct Cell {
+    addr: Addr,
+    len: usize,
+    versions: [(u64, Val); MAX_VERSIONS],
+}
+
+impl Cell {
+    fn versions(&self) -> &[(u64, Val)] {
+        &self.versions[..self.len]
+    }
 }
 
 /// The version list of a never-written address.
@@ -199,26 +205,38 @@ static INITIAL_VERSION: [(u64, Val); 1] = [(0, 0)];
 impl GlobalMem {
     /// Read the current value of an address (0 if never written).
     pub fn load(&self, addr: Addr) -> Val {
-        self.cells
-            .get(&addr)
-            .and_then(|vs| vs.last())
-            .map(|&(_, v)| v)
-            .unwrap_or(0)
+        self.current(addr).1
+    }
+
+    /// The newest version of `addr`: `(0, 0)` if never written.
+    pub fn current(&self, addr: Addr) -> (u64, Val) {
+        let vs = self.versions(addr);
+        vs[vs.len() - 1]
     }
 
     /// Write an address; returns the new version's global sequence
     /// number.
     pub fn store(&mut self, addr: Addr, val: Val) -> u64 {
         self.seq += 1;
-        let vs = self
-            .cells
-            .entry(addr)
-            .or_insert_with(|| INITIAL_VERSION.to_vec());
-        vs.push((self.seq, val));
-        if vs.len() > MAX_VERSIONS {
-            let cut = vs.len() - MAX_VERSIONS;
-            vs.drain(..cut);
+        let at = match self.cells.iter().position(|c| c.addr == addr) {
+            Some(i) => i,
+            None => {
+                // Slot 0 holds the initial version `(0, 0)`.
+                self.cells.push(Cell {
+                    addr,
+                    len: 1,
+                    versions: [(0, 0); MAX_VERSIONS],
+                });
+                self.cells.len() - 1
+            }
+        };
+        let c = &mut self.cells[at];
+        if c.len == MAX_VERSIONS {
+            c.versions.copy_within(1.., 0);
+            c.len -= 1;
         }
+        c.versions[c.len] = (self.seq, val);
+        c.len += 1;
         self.seq
     }
 
@@ -231,9 +249,9 @@ impl GlobalMem {
     /// entry; `(0, 0)` for a never-written address).
     pub fn versions(&self, addr: Addr) -> &[(u64, Val)] {
         self.cells
-            .get(&addr)
-            .map(|vs| vs.as_slice())
-            .unwrap_or(&INITIAL_VERSION)
+            .iter()
+            .find(|c| c.addr == addr)
+            .map_or(&INITIAL_VERSION, Cell::versions)
     }
 
     /// Snapshot of all written cells' current values, sorted by address.
@@ -241,7 +259,7 @@ impl GlobalMem {
         let mut v: Vec<(Addr, Val)> = self
             .cells
             .iter()
-            .filter_map(|(a, vs)| vs.last().map(|&(_, x)| (*a, x)))
+            .map(|c| (c.addr, c.versions[c.len - 1].1))
             .collect();
         v.sort_unstable();
         v
@@ -279,10 +297,10 @@ mod tests {
         let mut b = ReorderEngine::default();
         b.push(0, 1);
         b.push(1, 2);
-        assert_eq!(b.drainable(HwModel::Tso), vec![0]);
+        assert_eq!(b.drainable(HwModel::Tso).collect::<Vec<_>>(), vec![0]);
         let e = b.take(0);
         assert_eq!(e, PendingStore { addr: 0, val: 1 });
-        assert_eq!(b.drainable(HwModel::Tso), vec![0]);
+        assert_eq!(b.drainable(HwModel::Tso).collect::<Vec<_>>(), vec![0]);
     }
 
     #[test]
@@ -292,11 +310,11 @@ mod tests {
         b.push(0, 2);
         b.push(1, 9);
         // Oldest per address: index 0 (addr 0) and index 2 (addr 1).
-        assert_eq!(b.drainable(HwModel::Pso), vec![0, 2]);
+        assert_eq!(b.drainable(HwModel::Pso).collect::<Vec<_>>(), vec![0, 2]);
         // Same-address order is preserved: 0→2 cannot drain before 0→1.
         let e = b.take(2);
         assert_eq!(e.addr, 1);
-        assert_eq!(b.drainable(HwModel::Pso), vec![0]);
+        assert_eq!(b.drainable(HwModel::Pso).collect::<Vec<_>>(), vec![0]);
     }
 
     #[test]
@@ -308,14 +326,22 @@ mod tests {
         b.push(0, 2);
         b.push(1, 9);
         for hw in [HwModel::RMO, HwModel::ALPHA, HwModel::RELAXED] {
-            assert_eq!(b.drainable(hw), vec![0, 2], "{}", hw.name);
+            assert_eq!(
+                b.drainable(hw).collect::<Vec<_>>(),
+                vec![0, 2],
+                "{}",
+                hw.name
+            );
         }
     }
 
     #[test]
     fn sc_never_buffers() {
         let b = ReorderEngine::default();
-        assert_eq!(b.drainable(HwModel::Sc), Vec::<usize>::new());
+        assert_eq!(
+            b.drainable(HwModel::Sc).collect::<Vec<_>>(),
+            Vec::<usize>::new()
+        );
     }
 
     #[test]

@@ -58,6 +58,6 @@ pub use jungle_core::registry::{ExecSemantics, StoreDiscipline};
 pub use machine::{explore, ExploreOutcome, Machine, RunResult};
 pub use process::{PInstr, Process, Step};
 pub use sched::{
-    Action, BurstyScheduler, ChoicePoint, DirectedScheduler, Divergence, ExhaustiveCursor,
+    Action, AddrSet, BurstyScheduler, ChoicePoint, DirectedScheduler, Divergence, ExhaustiveCursor,
     Footprint, RandomScheduler, RecordingScheduler, ReplayScheduler, Scheduler,
 };

@@ -7,7 +7,7 @@
 
 use crate::cpu::{GlobalMem, HwModel, ReorderEngine};
 use crate::process::{PInstr, Process, Resume, Step};
-use crate::sched::{Action, ExhaustiveCursor, Footprint, Scheduler};
+use crate::sched::{Action, AddrSet, ExhaustiveCursor, Footprint, Scheduler};
 use jungle_core::ids::{OpId, ProcId, Val};
 use jungle_core::registry::StoreDiscipline;
 use jungle_isa::instr::Addr;
@@ -63,6 +63,9 @@ pub struct Machine {
     footprints: Vec<Footprint>,
     /// Footprints already reported via [`Scheduler::observe`].
     observed: usize,
+    /// The choice list of the current `choose` call, refilled in place
+    /// (the enabled actions, or a load's version picks).
+    actions: Vec<Action>,
 }
 
 impl Machine {
@@ -91,6 +94,7 @@ impl Machine {
             },
             footprints: Vec::new(),
             observed: 0,
+            actions: Vec::new(),
         }
     }
 
@@ -105,17 +109,20 @@ impl Machine {
         self.mem.load(addr)
     }
 
-    fn enabled(&self) -> Vec<Action> {
-        let mut out = Vec::new();
+    /// Refill `actions` with the enabled actions, in CPU order: each
+    /// CPU's next step (unless done), then its drainable stores.
+    fn fill_enabled(&mut self) {
+        self.actions.clear();
         for (i, c) in self.cpus.iter().enumerate() {
             if !c.done {
-                out.push(Action::Exec { cpu: i });
+                self.actions.push(Action::Exec { cpu: i });
             }
-            for idx in c.buffer.drainable(self.hw) {
-                out.push(Action::Drain { cpu: i, idx });
-            }
+            self.actions.extend(
+                c.buffer
+                    .drainable(self.hw)
+                    .map(|idx| Action::Drain { cpu: i, idx }),
+            );
         }
-        out
     }
 
     fn record(&mut self, cpu: usize, instr: Instr) -> usize {
@@ -148,17 +155,11 @@ impl Machine {
     }
 
     fn note_read(&mut self, addr: Addr) {
-        let f = self.fp();
-        if !f.reads.contains(&addr) {
-            f.reads.push(addr);
-        }
+        self.fp().reads.insert(addr);
     }
 
     fn note_write(&mut self, addr: Addr) {
-        let f = self.fp();
-        if !f.writes.contains(&addr) {
-            f.writes.push(addr);
-        }
+        self.fp().writes.insert(addr);
     }
 
     /// Report every completed-but-unreported decision footprint to the
@@ -173,33 +174,32 @@ impl Machine {
         }
     }
 
-    /// The memory versions a load of `addr` on `cpu` may observe,
-    /// newest first: the current value plus up to `load_window` older
-    /// ones, cut off at the CPU's coherence floor. A stale version is
-    /// admissible only while the CPU has not yet observed the write
-    /// that overwrote it (i.e. the next-newer version's sequence number
-    /// is above the floor).
-    fn admissible_versions(&self, cpu: usize, addr: Addr) -> Vec<(u64, Val)> {
+    /// The memory versions a load of `addr` on `cpu` may observe, as the
+    /// tail of the address's version list (oldest → newest): the current
+    /// value plus up to `load_window` older ones, cut off at the CPU's
+    /// coherence floor. A stale version is admissible only while the CPU
+    /// has not yet observed the write that overwrote it (i.e. the
+    /// next-newer version's sequence number is above the floor).
+    fn admissible_versions(&self, cpu: usize, addr: Addr) -> &[(u64, Val)] {
         let vs = self.mem.versions(addr);
         let floor = self.cpus[cpu].buffer.eff_floor(addr);
         let n = vs.len();
         let window = (self.hw.load_window as usize).min(n - 1);
-        let mut out = Vec::with_capacity(window + 1);
-        for d in 0..=window {
-            let i = n - 1 - d;
-            if d > 0 && vs[i + 1].0 <= floor {
-                break; // older versions are below the floor too
-            }
-            out.push(vs[i]);
+        let mut take = 1;
+        // Older versions are below the floor once one is.
+        while take <= window && vs[n - take].0 > floor {
+            take += 1;
         }
-        out
+        &vs[n - take..]
     }
 
     /// Perform a load of `addr` against global memory (the forwarding
     /// fast path has already been tried). With more than one admissible
     /// version the scheduler picks which one the load observes, via a
-    /// synthetic [`Action::ReadVersion`] choice list; the observed
-    /// version raises the address's floor (reads are monotone).
+    /// synthetic [`Action::ReadVersion`] choice list (0 = newest); the
+    /// observed version raises the address's floor (reads are monotone).
+    /// A model without a load window, or a dependency-ordered load,
+    /// reads the newest version straight away.
     fn versioned_load(
         &mut self,
         cpu: usize,
@@ -207,37 +207,40 @@ impl Machine {
         dep_ordered: bool,
         sched: &mut dyn Scheduler,
     ) -> Val {
-        let mut options = self.admissible_versions(cpu, addr);
-        if dep_ordered {
-            options.truncate(1);
-        }
         self.note_read(addr);
-        let (seq, val) = if options.len() > 1 {
-            let actions: Vec<Action> = (0..options.len())
-                .map(|version| Action::ReadVersion { cpu, version })
-                .collect();
+        let options = if dep_ordered || self.hw.load_window == 0 {
+            1
+        } else {
+            self.admissible_versions(cpu, addr).len()
+        };
+        let (seq, val) = if options > 1 {
+            // The enabled list this Exec was chosen from is spent: the
+            // buffer carries the version picks now.
+            self.actions.clear();
+            self.actions
+                .extend((0..options).map(|version| Action::ReadVersion { cpu, version }));
             // The enclosing Exec decision's accesses are all recorded by
             // now (forced drains and the read above) — safe to report it
             // before asking for the version pick.
             self.flush_observations(sched);
-            let c = sched.choose(&actions);
+            let c = sched.choose(&self.actions);
             assert!(
-                c < actions.len(),
-                "scheduler chose index {c} of {} admissible versions",
-                actions.len()
+                c < options,
+                "scheduler chose index {c} of {options} admissible versions"
             );
             self.footprints.push(Footprint {
                 cpu,
-                reads: vec![addr],
+                reads: AddrSet::of(&[addr]),
                 ..Footprint::default()
             });
             if c > 0 {
                 self.stats.stale_loads += 1;
                 trace::emit(EventKind::StaleLoad, addr as u64, c as u64);
             }
-            options[c]
+            let vs = self.admissible_versions(cpu, addr);
+            vs[vs.len() - 1 - c]
         } else {
-            options[0]
+            self.mem.current(addr)
         };
         self.cpus[cpu].buffer.raise_addr_floor(addr, seq);
         val
@@ -366,49 +369,29 @@ impl Machine {
     pub fn run(mut self, sched: &mut dyn Scheduler, max_steps: usize) -> RunResult {
         let mut steps = 0;
         loop {
-            let actions = self.enabled();
-            if actions.is_empty() {
+            self.fill_enabled();
+            if self.actions.is_empty() {
                 break;
             }
             if steps >= max_steps {
-                self.flush_observations(sched);
-                let final_mem = self.mem.snapshot();
-                self.stats.steps = steps as u64;
-                return RunResult {
-                    trace: Trace::new(self.instrs).expect("recorded trace is well-formed"),
-                    completed: false,
-                    aborted: false,
-                    steps,
-                    footprints: self.footprints,
-                    final_mem,
-                    stats: self.stats,
-                };
+                return self.finish(sched, steps, false, false);
             }
             self.flush_observations(sched);
             let choice = {
                 let _p = profile::enter("memsim.choose");
-                sched.choose(&actions)
+                sched.choose(&self.actions)
             };
             assert!(
-                choice < actions.len(),
+                choice < self.actions.len(),
                 "scheduler chose index {choice} of {} enabled actions",
-                actions.len()
+                self.actions.len()
             );
             if sched.abort_run() {
-                let final_mem = self.mem.snapshot();
-                self.stats.steps = steps as u64;
-                return RunResult {
-                    trace: Trace::new(self.instrs).expect("recorded trace is well-formed"),
-                    completed: false,
-                    aborted: true,
-                    steps,
-                    footprints: self.footprints,
-                    final_mem,
-                    stats: self.stats,
-                };
+                return self.finish(sched, steps, false, true);
             }
-            self.footprints.push(Footprint::on(actions[choice].cpu()));
-            match actions[choice] {
+            let action = self.actions[choice];
+            self.footprints.push(Footprint::on(action.cpu()));
+            match action {
                 Action::Exec { cpu } => self.exec(cpu, sched),
                 Action::Drain { cpu, idx } => {
                     let _p = profile::enter("memsim.drain");
@@ -423,16 +406,26 @@ impl Machine {
             }
             steps += 1;
         }
+        self.finish(sched, steps, true, false)
+    }
+
+    /// Report the outstanding footprints and package the run.
+    fn finish(
+        mut self,
+        sched: &mut dyn Scheduler,
+        steps: usize,
+        completed: bool,
+        aborted: bool,
+    ) -> RunResult {
         self.flush_observations(sched);
-        let final_mem = self.mem.snapshot();
         self.stats.steps = steps as u64;
         RunResult {
+            final_mem: self.mem.snapshot(),
             trace: Trace::new(self.instrs).expect("recorded trace is well-formed"),
-            completed: true,
-            aborted: false,
+            completed,
+            aborted,
             steps,
             footprints: self.footprints,
-            final_mem,
             stats: self.stats,
         }
     }
@@ -803,15 +796,16 @@ mod tests {
         let s2 = m.mem.store(0, 2);
         let s3 = m.mem.store(0, 3);
         let s4 = m.mem.store(0, 4);
-        // RMO's window of 2: the newest three versions are admissible.
-        assert_eq!(m.admissible_versions(0, 0), vec![(s4, 4), (s3, 3), (s2, 2)]);
+        // RMO's window of 2: the newest three versions are admissible
+        // (listed oldest first).
+        assert_eq!(m.admissible_versions(0, 0), [(s2, 2), (s3, 3), (s4, 4)]);
         // Once the CPU observed version s3, version s2 is gone (its
         // overwriter s3 is at or below the floor).
         m.cpus[0].buffer.raise_addr_floor(0, s3);
-        assert_eq!(m.admissible_versions(0, 0), vec![(s4, 4), (s3, 3)]);
+        assert_eq!(m.admissible_versions(0, 0), [(s3, 3), (s4, 4)]);
         // A full fence pins the load to the current value.
         m.cpus[0].buffer.raise_global_floor(s4);
-        assert_eq!(m.admissible_versions(0, 0), vec![(s4, 4)]);
+        assert_eq!(m.admissible_versions(0, 0), [(s4, 4)]);
 
         let mut m = Machine::new(HwModel::RELAXED, vec![one_read(X, 0, false)]);
         let s1b = m.mem.store(0, 1);
@@ -822,7 +816,7 @@ mod tests {
         // Relaxed's window of 3 reaches one version further back.
         assert_eq!(
             m.admissible_versions(0, 0),
-            vec![(s4, 4), (s3, 3), (s2, 2), (s1, 1)]
+            [(s1, 1), (s2, 2), (s3, 3), (s4, 4)]
         );
     }
 
@@ -944,7 +938,7 @@ mod tests {
         assert_eq!(r.footprints.len(), 4);
         assert!(r.footprints.iter().all(|f| f.cpu == 0));
         assert!(r.footprints[0].inv && r.footprints[0].writes.is_empty());
-        assert_eq!(r.footprints[1].writes, vec![0]);
+        assert_eq!(r.footprints[1].writes.held(), [0]);
         assert!(r.footprints[2].resp);
         assert_eq!(r.footprints[3], Footprint::on(0));
     }
@@ -968,8 +962,8 @@ mod tests {
         assert!(r.completed);
         let f = &r.footprints[1];
         assert!(f.fence);
-        assert_eq!(f.reads, vec![0]);
-        assert_eq!(f.writes, vec![0], "successful CAS writes");
+        assert_eq!(f.reads.held(), [0]);
+        assert_eq!(f.writes.held(), [0], "successful CAS writes");
     }
 
     #[test]
@@ -982,8 +976,8 @@ mod tests {
         assert!(r.completed);
         // Inv, Load (outer), version pick (inner), Resp, Done.
         assert_eq!(r.footprints.len(), 5);
-        assert_eq!(r.footprints[1].reads, vec![0]);
-        assert_eq!(r.footprints[2].reads, vec![0]);
+        assert_eq!(r.footprints[1].reads.held(), [0]);
+        assert_eq!(r.footprints[2].reads.held(), [0]);
         assert!(!r.footprints[2].inv && !r.footprints[2].resp);
     }
 
@@ -1038,7 +1032,7 @@ mod tests {
                 0
             }
             fn observe(&mut self, fp: &Footprint) {
-                self.fps.push(fp.clone());
+                self.fps.push(*fp);
             }
         }
         let mut m = Machine::new(HwModel::RMO, vec![one_read(X, 0, false)]);

@@ -65,6 +65,73 @@ impl Action {
     }
 }
 
+/// A set of at most [`AddrSet::CAP`] distinct addresses, held inline in
+/// insertion order. A set asked to hold one more becomes *full*: it
+/// keeps the first `CAP` and stands for every address from then on.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct AddrSet {
+    addrs: [Addr; AddrSet::CAP],
+    /// Addresses held, or [`AddrSet::FULL`].
+    len: u8,
+}
+
+impl AddrSet {
+    /// Addresses a set holds before it becomes full. A scheduler
+    /// decision touches one address, or a CAS's or forced load's
+    /// address plus every store it drains: no decision of the programs
+    /// this repository runs writes more than two.
+    pub const CAP: usize = 3;
+
+    const FULL: u8 = u8::MAX;
+
+    /// The set holding `addrs` (duplicates once).
+    pub fn of(addrs: &[Addr]) -> Self {
+        let mut s = AddrSet::default();
+        for &a in addrs {
+            s.insert(a);
+        }
+        s
+    }
+
+    /// Add `addr`; a set that cannot hold it becomes full.
+    #[inline]
+    pub fn insert(&mut self, addr: Addr) {
+        if self.is_full() || self.held().contains(&addr) {
+            return;
+        }
+        if usize::from(self.len) == Self::CAP {
+            self.len = Self::FULL;
+        } else {
+            self.addrs[usize::from(self.len)] = addr;
+            self.len += 1;
+        }
+    }
+
+    /// No address at all?
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Did the set overflow, so that it stands for every address?
+    #[inline]
+    pub fn is_full(&self) -> bool {
+        self.len == Self::FULL
+    }
+
+    /// The addresses held (for a full set, the first [`Self::CAP`]).
+    #[inline]
+    pub fn held(&self) -> &[Addr] {
+        &self.addrs[..usize::from(self.len).min(Self::CAP)]
+    }
+
+    /// Do the two sets share an address? Assumes neither is full.
+    #[inline]
+    fn meets(&self, other: &AddrSet) -> bool {
+        self.held().iter().any(|a| other.held().contains(a))
+    }
+}
+
 /// The memory-level footprint of one scheduler decision: which CPU it
 /// ran on, which global-memory addresses it read or wrote, and whether
 /// it acted as a fence or crossed an operation boundary. The machine
@@ -82,16 +149,21 @@ impl Action {
 /// swapping two adjacent independent decisions yields a run with the
 /// same per-CPU behavior and the same
 /// [`Trace::cache_key`](jungle_isa::trace::Trace::cache_key) class.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+///
+/// A footprint is a few words and `Copy`: its address sets are inline
+/// [`AddrSet`]s. A decision whose accesses overflow one is dependent on
+/// every decision that touches memory — sound, since it only adds
+/// dependence.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Footprint {
     /// CPU the decision executed on.
     pub cpu: usize,
     /// Global-memory addresses read (loads, CAS comparisons, version
     /// picks).
-    pub reads: Vec<Addr>,
+    pub reads: AddrSet,
     /// Global-memory addresses written (immediate stores, drains,
     /// successful CAS, forced pre-load flushes).
-    pub writes: Vec<Addr>,
+    pub writes: AddrSet,
     /// True for CAS decisions: the CPU synchronized with the global
     /// store sequence, so the decision depends on every other CPU's
     /// writes.
@@ -115,16 +187,19 @@ impl Footprint {
     /// docs for the exact relation. Symmetric and over-approximate in
     /// the safe direction: anything not provably commuting is
     /// dependent.
+    #[inline]
     pub fn dependent(&self, other: &Footprint) -> bool {
         if self.cpu == other.cpu {
             return true;
         }
-        let conflict = |a: &Footprint, b: &Footprint| {
-            a.writes
-                .iter()
-                .any(|w| b.writes.contains(w) || b.reads.contains(w))
+        let conflict = if self.overflows() || other.overflows() {
+            self.touches_memory() && other.touches_memory()
+        } else {
+            self.writes.meets(&other.writes)
+                || self.writes.meets(&other.reads)
+                || other.writes.meets(&self.reads)
         };
-        if conflict(self, other) || conflict(other, self) {
+        if conflict {
             return true;
         }
         // A fence observes the global store sequence number, which any
@@ -145,6 +220,18 @@ impl Footprint {
         // already-open operations leave both the sequence and the
         // precedence relation intact.
         (self.inv && (other.inv || other.resp)) || (self.resp && other.inv)
+    }
+
+    /// Did the decision read or write global memory?
+    #[inline]
+    pub fn touches_memory(&self) -> bool {
+        !(self.reads.is_empty() && self.writes.is_empty())
+    }
+
+    /// Did the decision touch more addresses than an [`AddrSet`] holds?
+    #[inline]
+    pub fn overflows(&self) -> bool {
+        self.reads.is_full() || self.writes.is_full()
     }
 }
 
@@ -255,17 +342,20 @@ impl Scheduler for BurstyScheduler {
             self.remaining = self.rng.gen_range(1..=8);
         }
         self.remaining -= 1;
-        let preferred: Vec<usize> = actions
+        let target = self.target;
+        let preferred = actions.iter().filter(|a| a.cpu() == target).count();
+        if preferred == 0 {
+            return self.rng.gen_range(0..actions.len());
+        }
+        // The k-th of the target's actions: the same draw as indexing a
+        // list of them, without building one.
+        let k = self.rng.gen_range(0..preferred);
+        actions
             .iter()
             .enumerate()
-            .filter(|(_, a)| a.cpu() == self.target)
-            .map(|(i, _)| i)
-            .collect();
-        if preferred.is_empty() {
-            self.rng.gen_range(0..actions.len())
-        } else {
-            preferred[self.rng.gen_range(0..preferred.len())]
-        }
+            .filter(|(_, a)| a.cpu() == target)
+            .nth(k)
+            .map_or(0, |(i, _)| i)
     }
 }
 
@@ -579,8 +669,8 @@ mod tests {
     fn footprint_dependence_relation() {
         let mem = |cpu: usize, reads: &[Addr], writes: &[Addr]| Footprint {
             cpu,
-            reads: reads.to_vec(),
-            writes: writes.to_vec(),
+            reads: AddrSet::of(reads),
+            writes: AddrSet::of(writes),
             ..Footprint::default()
         };
         // Same CPU: always dependent, even with empty footprints.
@@ -628,6 +718,22 @@ mod tests {
             resp: true,
             ..Footprint::on(0)
         }));
+    }
+
+    #[test]
+    fn addr_set_holds_cap_then_stands_for_everything() {
+        let mut s = AddrSet::default();
+        assert!(s.is_empty());
+        for a in [3, 1, 3, 2, 1] {
+            s.insert(a);
+        }
+        assert_eq!(AddrSet::CAP, 3);
+        assert_eq!(s.held(), &[3, 1, 2]);
+        assert!(!s.is_full());
+        s.insert(9);
+        assert!(s.is_full());
+        assert_eq!(s.held(), &[3, 1, 2], "a full set keeps the first CAP");
+        assert_eq!(s, AddrSet::of(&[3, 1, 2, 9, 10]));
     }
 
     #[test]

@@ -71,9 +71,6 @@ counters! {
         /// DPOR runs aborted at a node whose every enabled action was
         /// asleep (the waste the attribution in [`DporStats`] localizes).
         sum dpor_blocked: u64,
-        /// Frontier work items a DPOR worker popped that another worker
-        /// pushed: 0 since the exhaustive sweep became one serial search.
-        sum frontier_steals: u64,
         /// Enabled actions skipped because their footprint was in the sleep
         /// set.
         sum sleep_skips: u64,
@@ -95,29 +92,20 @@ pub const FOOTPRINT_KINDS: [&str; 6] = ["read", "write", "rmw", "fence", "bounda
 pub const KINDS: usize = FOOTPRINT_KINDS.len();
 
 counters! {
-    /// One DPOR worker's wall-clock ledger. The explorer is one serial
-    /// search, so an exploration is one lane that never idles or steals.
+    /// One exploration's wall-clock ledger. The explorer is one serial
+    /// search, so an exploration is one lane, busy all the time.
     #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
     pub struct WorkerLane {
         /// Nanoseconds spent executing machine runs and cursor bookkeeping.
         sum busy_ns: u64,
-        /// Nanoseconds blocked in `Frontier::pop` that ended without a
-        /// steal (own re-pop or final termination wait).
-        sum idle_ns: u64,
-        /// Nanoseconds blocked in `Frontier::pop` that ended by stealing
-        /// another worker's item.
-        sum steal_ns: u64,
         /// Machine runs this lane executed.
         sum runs: u64,
-        /// Frontier items this lane popped that another worker pushed.
-        sum steals: u64,
     }
 }
 
 /// Waste attribution for DPOR exploration: *where* the sleep-blocked
 /// probes cluster, *which* footprint-kind pairs race (and therefore
-/// open backtrack points), and *how* the explorer spends its
-/// wall-clock. The aggregate counters in [`McStats`] say how much work
+/// open backtrack points), and *how long* the explorer ran. The aggregate counters in [`McStats`] say how much work
 /// happened; this says where the avoidable part lives.
 #[derive(Debug, Default, Clone, PartialEq)]
 pub struct DporStats {
@@ -131,8 +119,8 @@ pub struct DporStats {
     /// transition pairs whose earlier member is kind `a` (see
     /// [`FOOTPRINT_KINDS`]) and later member kind `b`.
     pub race_heat: [[u64; KINDS]; KINDS],
-    /// Per-worker busy/idle/steal ledgers, merged by worker index
-    /// across sweeps (a serial exploration is one fully busy lane).
+    /// Per-lane wall-clock ledgers, merged by lane index across sweeps
+    /// (an exploration is one lane).
     pub workers: Vec<WorkerLane>,
     /// Per-machine-run latency distribution.
     pub run_ns: HistSnapshot,
@@ -168,22 +156,6 @@ impl DporStats {
     /// Total races in the heat table.
     pub fn race_total(&self) -> u64 {
         self.race_heat.iter().flatten().sum()
-    }
-
-    /// Busy fraction of total worker wall-clock (1.0 when no time was
-    /// measured, i.e. nothing to attribute).
-    pub fn busy_frac(&self) -> f64 {
-        let busy: u64 = self.workers.iter().map(|w| w.busy_ns).sum();
-        let total: u64 = self
-            .workers
-            .iter()
-            .map(|w| w.busy_ns + w.idle_ns + w.steal_ns)
-            .sum();
-        if total == 0 {
-            1.0
-        } else {
-            busy as f64 / total as f64
-        }
     }
 
     /// Fold another exploration's attribution in. Depth counts and the
@@ -255,7 +227,6 @@ impl ToJson for DporStats {
                 "workers",
                 Json::Arr(self.workers.iter().map(|w| w.to_json()).collect()),
             )
-            .push("worker_busy_frac", Json::F64(self.busy_frac()))
             .push("run_ns", self.run_ns.to_json());
         j
     }
@@ -322,16 +293,12 @@ mod tests {
         assert_eq!(s.race_total(), 4);
         s.workers.push(WorkerLane {
             busy_ns: 900,
-            idle_ns: 100,
             runs: 4,
-            ..Default::default()
         });
         let mut t = DporStats::default();
         t.workers.push(WorkerLane {
             busy_ns: 100,
-            steal_ns: 100,
-            steals: 1,
-            ..Default::default()
+            runs: 1,
         });
         t.workers.push(WorkerLane {
             busy_ns: 500,
@@ -340,9 +307,7 @@ mod tests {
         s.absorb(&t);
         assert_eq!(s.workers.len(), 2);
         assert_eq!(s.workers[0].busy_ns, 1000);
-        assert_eq!(s.workers[0].steals, 1);
-        let frac = s.busy_frac();
-        assert!(frac > 0.85 && frac < 1.0, "busy_frac {frac}");
+        assert_eq!(s.workers[0].runs, 5);
     }
 
     #[test]
@@ -360,15 +325,12 @@ mod tests {
         };
         assert_eq!(heat.len(), 1);
         assert_eq!(heat[0].get("a").unwrap().as_str(), Some("write"));
-        assert!(j.get("worker_busy_frac").unwrap().as_f64().is_some());
         assert!(j.get("run_ns").unwrap().get("p50").is_some());
     }
 
     #[test]
-    fn empty_dpor_stats_report_full_busy() {
-        let s = DporStats::default();
-        assert_eq!(s.busy_frac(), 1.0);
-        assert_eq!(s.blocked_depth_mode(), 0);
+    fn empty_dpor_stats_have_no_blocked_mode() {
+        assert_eq!(DporStats::default().blocked_depth_mode(), 0);
     }
 
     #[test]

@@ -20,6 +20,12 @@
 //! * **Determinism** — a sweep returns the same verdict and the same
 //!   witness whatever `Sweep::parallel` says (an exhaustive sweep is
 //!   one serial search and ignores it).
+//! * **Accounting** — [`EXPLORER_DIGEST`] folds what the explorer did
+//!   (runs executed, classes, blocked probes, sleep skips, races by
+//!   footprint-kind pair, histories checked, dedup hits, machine steps)
+//!   on the three exhaustive experiments and a seeded set of generated
+//!   3-process programs, so a change to the explorer's bookkeeping that
+//!   moves any of them is caught even where the class set holds.
 //!
 //! The enumerative reference lives here, not in `jungle-mc`: it is
 //! built from [`explore`], [`explore_dpor`], [`machine_for`],
@@ -27,13 +33,14 @@
 //! judging code with the sweep it checks. The `report` binary prints
 //! what its DPOR sweeps did and leaves proving them right to this file.
 
+use jungle::core::fingerprint::Fnv1a;
 use jungle::core::ids::{Val, X, Y};
 use jungle::core::op::{Command, Op};
 use jungle::core::par::ParallelConfig;
 use jungle::core::registry::{entry, registry, ModelEntry, StoreDiscipline};
 use jungle::isa::instr::{Addr, Instr};
 use jungle::mc::algos::TmAlgo;
-use jungle::mc::program::{Program, Stmt, ThreadProg, TxOp};
+use jungle::mc::program::{generate, GenConfig, Program, Stmt, ThreadProg, TxOp};
 use jungle::mc::theorems::all_fixed_experiments;
 use jungle::mc::{
     check_all_traces, explore_dpor, machine_for, trace_satisfies, CheckKind, Experiment,
@@ -55,6 +62,28 @@ const DPOR_REDUCTION_FLOOR: u64 = 100;
 
 /// Classes, and therefore runs, of each fixed exhaustive experiment.
 const FIXED_CLASSES: u64 = 299;
+
+/// What the explorer did on [`accounting_corpus`], captured at `fa1ac56`
+/// (before the `Copy` footprint and the latest-per-CPU race scan): an
+/// exploration is byte-identical iff this does not move. The test prints
+/// `explorer digest=0xfdeca0dd5472d65c executed=55429 races=160526
+/// steps=1137824` there.
+const EXPLORER_DIGEST: u64 = 0xfdec_a0dd_5472_d65c;
+
+/// The generated programs of the accounting corpus: the benchmark's
+/// 3-process rung shape, one statement per thread.
+const ACCOUNTING_GEN: GenConfig = GenConfig {
+    threads: 3,
+    vars: 2,
+    max_stmts: 1,
+    max_txn_ops: 2,
+    txn_pct: 30,
+    abort_pct: 15,
+};
+
+/// Seeds of the generated programs in the accounting corpus (those with
+/// at most one transaction are kept).
+const ACCOUNTING_SEEDS: std::ops::Range<u64> = 0..64;
 
 /// What tells the classes of plain accesses apart when their operations
 /// overlap alike: the final memory and each process's loaded values (in
@@ -449,4 +478,72 @@ fn worker_count_preserves_verdict_and_witness() {
     for x in fixed_exhaustive() {
         stable(&x.id, &x.program, x.algo, &x.entry, x.kind, FIXED_MAX_STEPS);
     }
+}
+
+/// The three exhaustive experiments, then the generated programs under
+/// the global-lock TM, SGLA on SC (Theorem 7: every one holds).
+fn accounting_corpus() -> Vec<(String, Program, &'static dyn TmAlgo, ModelEntry, CheckKind)> {
+    let sc = entry("SC").expect("SC is registered");
+    let mut corpus: Vec<_> = fixed_exhaustive()
+        .into_iter()
+        .map(|x| (x.id, x.program, x.algo, x.entry, x.kind))
+        .collect();
+    for seed in ACCOUNTING_SEEDS {
+        let p = generate(&ACCOUNTING_GEN, seed);
+        // A second transaction takes the exploration from milliseconds
+        // to minutes.
+        let txns =
+            p.0.iter()
+                .filter(|t| matches!(t.0[0], Stmt::Txn { .. }))
+                .count();
+        if txns > 1 {
+            continue;
+        }
+        corpus.push((
+            format!("gen/{seed}"),
+            p,
+            &GlobalLockTm as &dyn TmAlgo,
+            *sc,
+            CheckKind::Sgla,
+        ));
+    }
+    corpus
+}
+
+#[test]
+fn explorer_accounting_reproduces_the_parent_digest() {
+    let mut digest = Fnv1a::new();
+    let (mut executed, mut races, mut steps) = (0u64, 0u64, 0u64);
+    for (id, p, algo, e, kind) in accounting_corpus() {
+        let v = check_all_traces(&p, algo, &e, kind, FIXED_MAX_STEPS);
+        assert!(v.ok && v.truncated == 0, "{id}: Theorems 3 and 7 hold");
+        let st = &v.stats;
+        for w in [
+            st.dpor_executed,
+            st.dpor_classes,
+            st.dpor_blocked,
+            st.sleep_skips,
+            st.races,
+        ] {
+            digest.word(w);
+        }
+        for n in v.waste.race_heat.iter().flatten() {
+            digest.word(*n);
+        }
+        for w in [st.histories_checked, st.dedup_hits, st.machine.steps] {
+            digest.word(w);
+        }
+        executed += st.dpor_executed;
+        races += st.races;
+        steps += st.machine.steps;
+    }
+    println!(
+        "explorer digest={:#018x} executed={executed} races={races} steps={steps}",
+        digest.finish()
+    );
+    assert_eq!(
+        digest.finish(),
+        EXPLORER_DIGEST,
+        "the explorer's accounting diverged from the parent's"
+    );
 }

@@ -1,11 +1,21 @@
 //! Property-based tests on the simulator substrate: hardware-model
-//! guarantees that every schedule must respect.
+//! guarantees that every schedule must respect, the compact
+//! [`Footprint`] against a plain reference relation, and schedulers
+//! that must draw exactly what they drew before they stopped
+//! allocating.
 
 use jungle::core::ids::{ProcId, Val, Var};
 use jungle::core::op::{Command, Op};
-use jungle::isa::instr::Instr;
-use jungle::memsim::process::{FnProcess, PInstr, Process, Step};
-use jungle::memsim::{explore, HwModel, Machine, RandomScheduler};
+use jungle::isa::instr::{Addr, Instr};
+use jungle::mc::explore_dpor;
+use jungle::memsim::process::{FnProcess, PInstr, Process, ScriptProcess, Step};
+use jungle::memsim::{
+    explore, Action, AddrSet, BurstyScheduler, Footprint, HwModel, Machine, RandomScheduler,
+    RecordingScheduler, RunResult, Scheduler,
+};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use std::collections::BTreeSet;
 
 /// Every executable discipline in the registry zoo (the old Sc/Tso/Pso
 /// trio plus the no-forwarding and windowed-load variants).
@@ -158,5 +168,208 @@ fn buffers_fully_drain_at_termination() {
         let r = m.run(&mut sched, 1_000);
         assert!(r.completed);
         assert_eq!(r.final_mem, vec![(0, 7), (1, 8), (2, 99)], "on {hw:?}");
+    }
+}
+
+/// The dependence relation as it read with `Vec` address lists: the
+/// reference the inline footprint must reproduce exactly.
+fn dependent_reference(a: &Footprint, b: &Footprint) -> bool {
+    let (ar, aw, br, bw) = (
+        a.reads.held().to_vec(),
+        a.writes.held().to_vec(),
+        b.reads.held().to_vec(),
+        b.writes.held().to_vec(),
+    );
+    let conflict =
+        |w: &[Addr], r: &[Addr], w2: &[Addr]| w.iter().any(|x| w2.contains(x) || r.contains(x));
+    a.cpu == b.cpu
+        || conflict(&aw, &br, &bw)
+        || conflict(&bw, &ar, &aw)
+        || (a.fence && (b.fence || !bw.is_empty()))
+        || (b.fence && !aw.is_empty())
+        || (a.inv && (b.inv || b.resp))
+        || (a.resp && b.inv)
+}
+
+/// Footprints on CPUs `cpus` whose reads and writes index a small
+/// address pool (so that generated footprints often collide), with
+/// every combination of fence, invocation and response.
+fn footprints(cpus: std::ops::Range<usize>) -> impl Strategy<Value = Footprint> {
+    const POOL: [Addr; 6] = [0, 1, 2, 7, 0x4000_0000, 0xFFFF_0000];
+    let set =
+        |ix: Vec<u8>| AddrSet::of(&ix.iter().map(|&i| POOL[usize::from(i)]).collect::<Vec<_>>());
+    let addrs = || prop::collection::vec(0..6u8, 0..3);
+    (cpus, addrs(), addrs(), 0..8u8).prop_map(move |(cpu, reads, writes, flags)| Footprint {
+        cpu,
+        reads: set(reads),
+        writes: set(writes),
+        fence: flags & 1 != 0,
+        inv: flags & 2 != 0,
+        resp: flags & 4 != 0,
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Within capacity the inline relation is the reference relation,
+    /// and it is symmetric either way.
+    #[test]
+    fn compact_footprint_matches_reference(a in footprints(0..3), b in footprints(0..3)) {
+        prop_assert!(!a.overflows() && !b.overflows());
+        prop_assert_eq!(a.dependent(&b), dependent_reference(&a, &b));
+        prop_assert_eq!(a.dependent(&b), b.dependent(&a));
+    }
+
+    /// A footprint whose reads or writes outgrow the inline set is
+    /// dependent on every decision of another CPU that touches memory.
+    #[test]
+    fn overflowing_footprint_depends_on_all_memory(
+        b in footprints(1..3),
+        on_writes in any::<bool>(),
+    ) {
+        let wide: Vec<Addr> = (100..101 + AddrSet::CAP as Addr).collect();
+        let set = AddrSet::of(&wide);
+        prop_assert!(set.is_full());
+        let a = Footprint {
+            reads: if on_writes { AddrSet::default() } else { set },
+            writes: if on_writes { set } else { AddrSet::default() },
+            ..Footprint::on(0)
+        };
+        prop_assert!(a.overflows());
+        if b.touches_memory() {
+            prop_assert!(a.dependent(&b));
+        }
+        prop_assert_eq!(a.dependent(&b), b.dependent(&a));
+    }
+}
+
+/// What a completed run tells classes apart by: its key, loaded values
+/// and final memory.
+type Outcome = (u64, Vec<(u32, Val)>, Vec<(Addr, Val)>);
+
+fn outcome(r: &RunResult) -> Outcome {
+    let loads = r
+        .trace
+        .instrs()
+        .iter()
+        .filter_map(|i| match i.instr {
+            Instr::Load { val, .. } => Some((i.proc.0, val)),
+            _ => None,
+        })
+        .collect();
+    (r.trace.cache_key(), loads, r.final_mem.clone())
+}
+
+/// On PSO a CAS drains every store its CPU buffered: behind
+/// `AddrSet::CAP + 1` stores to distinct addresses it writes more
+/// addresses than a footprint holds. The over-approximated dependence
+/// must still let the explorer reach every class enumeration reaches.
+#[test]
+fn overflowing_cas_explores_the_enumerated_classes() {
+    let n = AddrSet::CAP as Addr + 1;
+    let machine = || {
+        let op = |v: u32| {
+            Op::Cmd(Command::Write {
+                var: Var(v),
+                val: 1,
+            })
+        };
+        let mut writer = vec![Step::Inv(op(0))];
+        writer.extend((0..n).map(|a| Step::Instr(PInstr::Store(a, 1))));
+        writer.push(Step::Instr(PInstr::Cas(n, 0, 1)));
+        writer.push(Step::Resp(op(0)));
+        let reader = vec![
+            Step::Inv(op(1)),
+            Step::Instr(PInstr::Load(n)),
+            Step::Resp(op(1)),
+        ];
+        Machine::new(
+            HwModel::PSO,
+            vec![
+                Box::new(ScriptProcess::new(writer)) as Box<dyn Process>,
+                Box::new(ScriptProcess::new(reader)),
+            ],
+        )
+    };
+    let mut brute = BTreeSet::new();
+    let enumerated = explore(machine, 256, |r| {
+        if r.completed {
+            brute.insert(outcome(r));
+        }
+        false
+    });
+    let mut dpor = BTreeSet::new();
+    let mut overflowed = false;
+    let explored = explore_dpor(machine, 256, |r| {
+        overflowed |= r.footprints.iter().any(Footprint::overflows);
+        if r.completed {
+            dpor.insert(outcome(r));
+        }
+        false
+    });
+    assert!(overflowed, "the CAS must outgrow the inline address set");
+    assert_eq!(dpor, brute, "DPOR classes diverge from enumeration");
+    assert_eq!(explored.truncated, 0);
+    assert!(explored.executed < enumerated.runs, "no reduction");
+}
+
+/// `BurstyScheduler::choose` as it was when it collected the burst
+/// target's actions into a `Vec`: the draws the allocation-free one
+/// must repeat.
+struct BurstyReference {
+    rng: StdRng,
+    target: usize,
+    remaining: usize,
+}
+
+impl Scheduler for BurstyReference {
+    fn choose(&mut self, actions: &[Action]) -> usize {
+        if self.remaining == 0 {
+            self.target = self.rng.gen_range(0..8);
+            self.remaining = self.rng.gen_range(1..=8);
+        }
+        self.remaining -= 1;
+        let preferred: Vec<usize> = actions
+            .iter()
+            .enumerate()
+            .filter(|(_, a)| a.cpu() == self.target)
+            .map(|(i, _)| i)
+            .collect();
+        if preferred.is_empty() {
+            self.rng.gen_range(0..actions.len())
+        } else {
+            preferred[self.rng.gen_range(0..preferred.len())]
+        }
+    }
+}
+
+#[test]
+fn bursty_choices_are_unchanged() {
+    // Three CPUs storing and loading on PSO: executes and drains of
+    // several CPUs are enabled together, so the burst target matters.
+    let machine = || {
+        Machine::new(
+            HwModel::PSO,
+            vec![
+                straightline(vec![(false, 0, 1), (false, 1, 2), (true, 2, 0)]),
+                straightline(vec![(false, 2, 3), (true, 0, 0), (false, 0, 4)]),
+                straightline(vec![(true, 1, 0), (false, 1, 5)]),
+            ],
+        )
+    };
+    for seed in 0..64 {
+        let mut fast = BurstyScheduler::new(seed);
+        let mut rec = RecordingScheduler::new(&mut fast);
+        machine().run(&mut rec, 1_000);
+        let got = rec.into_log();
+        let mut slow = BurstyReference {
+            rng: StdRng::seed_from_u64(seed),
+            target: 0,
+            remaining: 0,
+        };
+        let mut rec = RecordingScheduler::new(&mut slow);
+        machine().run(&mut rec, 1_000);
+        assert_eq!(got, rec.into_log(), "seed {seed}");
     }
 }
