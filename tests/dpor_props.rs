@@ -33,18 +33,19 @@
 //! judging code with the sweep it checks. The `report` binary prints
 //! what its DPOR sweeps did and leaves proving them right to this file.
 
-use jungle::core::fingerprint::Fnv1a;
+use jungle::core::fingerprint::{fold_op, Fnv1a};
 use jungle::core::ids::{Val, X, Y};
 use jungle::core::op::{Command, Op};
 use jungle::core::par::ParallelConfig;
 use jungle::core::registry::{entry, registry, ModelEntry, StoreDiscipline};
-use jungle::isa::instr::{Addr, Instr};
+use jungle::isa::instr::{Addr, Instr, InstrInstance};
 use jungle::mc::algos::TmAlgo;
 use jungle::mc::program::{generate, GenConfig, Program, Stmt, ThreadProg, TxOp};
-use jungle::mc::theorems::all_fixed_experiments;
+use jungle::mc::theorems::{all_fixed_experiments, privatization_program};
 use jungle::mc::{
-    check_all_traces, explore_dpor, machine_for, trace_satisfies, CheckKind, Experiment,
-    GlobalLockTm, SharedVerdictMemo, SkipWriteTm, Sweep,
+    check_all_traces, cost, explore_dpor, machine_for, scheduler_for_seed, trace_satisfies,
+    CheckKind, Experiment, GlobalLockTm, LazyTl2Tm, NaiveStoreTm, SharedVerdictMemo, SkipWriteTm,
+    StrongTm, Sweep, VersionedTm, WriteTxnTm,
 };
 use jungle::memsim::process::ScriptProcess;
 use jungle::memsim::{explore, HwModel, Machine, PInstr, Process, RunResult, Step};
@@ -69,6 +70,14 @@ const FIXED_CLASSES: u64 = 299;
 /// `explorer digest=0xfdeca0dd5472d65c executed=55429 races=160526
 /// steps=1137824` there.
 const EXPLORER_DIGEST: u64 = 0xfdec_a0dd_5472_d65c;
+
+/// What all eight model TMs issue on [`algo_corpus`], captured at
+/// `86701d4` (three phase machines, before the one driver): a TM's
+/// instruction stream is byte-identical iff this does not move. There,
+/// `cargo test --release --test dpor_props algo_streams` prints
+/// `algo digest=0xfa58dc6bb08dd5d3 runs=17920 completed=17920
+/// instrs=619739 steps=716705`.
+const ALGO_DIGEST: u64 = 0xfa58_dc6b_b08d_d5d3;
 
 /// The generated programs of the accounting corpus: the benchmark's
 /// 3-process rung shape, one statement per thread.
@@ -545,5 +554,100 @@ fn explorer_accounting_reproduces_the_parent_digest() {
         digest.finish(),
         EXPLORER_DIGEST,
         "the explorer's accounting diverged from the parent's"
+    );
+}
+
+/// The programs [`ALGO_DIGEST`] runs every model TM on: the zoo's
+/// Figure 1 program, the privatization idiom (the one guarded
+/// transaction), the cost table's single-threaded mix, and generated
+/// two- and three-thread programs with aborting transactions.
+fn algo_corpus() -> Vec<Program> {
+    let mut corpus = vec![
+        Program(vec![
+            ThreadProg(vec![Stmt::txn(vec![TxOp::Write(X, 1), TxOp::Write(Y, 2)])]),
+            ThreadProg(vec![Stmt::NtRead(X), Stmt::NtRead(Y)]),
+        ]),
+        privatization_program(),
+        Program(vec![cost::standard_program()]),
+    ];
+    for threads in [2, 3] {
+        let cfg = GenConfig {
+            threads,
+            abort_pct: 30,
+            ..GenConfig::default()
+        };
+        corpus.extend((0..16).map(|seed| generate(&cfg, seed)));
+    }
+    corpus
+}
+
+/// Fold one instruction (with its process and operation) into `f`.
+fn fold_instr(f: &mut Fnv1a, i: &InstrInstance) {
+    let mut words = |ws: &[u64]| ws.iter().for_each(|&w| f.word(w));
+    words(&[u64::from(i.proc.0), u64::from(i.op.0)]);
+    match &i.instr {
+        Instr::Load { addr, val } => words(&[1, u64::from(*addr), *val]),
+        Instr::Store { addr, val } => words(&[2, u64::from(*addr), *val]),
+        Instr::Cas {
+            addr,
+            expect,
+            new,
+            ok,
+        } => words(&[3, u64::from(*addr), *expect, *new, u64::from(*ok)]),
+        Instr::Inv(op) => {
+            words(&[4]);
+            fold_op(f, op);
+        }
+        Instr::Resp(op) => {
+            words(&[5]);
+            fold_op(f, op);
+        }
+    }
+}
+
+#[test]
+fn algo_streams_reproduce_the_parent_digest() {
+    static STRONG: StrongTm = StrongTm::new();
+    static STRONG_OPT: StrongTm = StrongTm::optimized();
+    let algos: [&dyn TmAlgo; 8] = [
+        &GlobalLockTm,
+        &WriteTxnTm,
+        &VersionedTm,
+        &NaiveStoreTm,
+        &SkipWriteTm,
+        &STRONG,
+        &STRONG_OPT,
+        &LazyTl2Tm,
+    ];
+    let mut digest = Fnv1a::new();
+    let (mut runs, mut completed, mut instrs, mut steps) = (0u64, 0u64, 0u64, 0u64);
+    for algo in algos {
+        for p in algo_corpus() {
+            for e in registry() {
+                for seed in 0..8 {
+                    let r = machine_for(&p, algo, e.exec)
+                        .run(&mut *scheduler_for_seed(seed), MAX_STEPS);
+                    digest.word(u64::from(r.completed));
+                    for i in r.trace.instrs() {
+                        fold_instr(&mut digest, i);
+                    }
+                    digest.word(r.trace.cache_key());
+                    digest.word(r.stats.steps);
+                    runs += 1;
+                    completed += u64::from(r.completed);
+                    instrs += r.trace.instrs().len() as u64;
+                    steps += r.stats.steps;
+                }
+            }
+        }
+    }
+    println!(
+        "algo digest={:#018x} runs={runs} completed={completed} instrs={instrs} steps={steps}",
+        digest.finish()
+    );
+    assert_eq!(
+        digest.finish(),
+        ALGO_DIGEST,
+        "a model TM's instruction stream diverged from the parent's"
     );
 }
