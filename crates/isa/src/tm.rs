@@ -12,7 +12,14 @@
 //!   (Theorem 5: a bounded number of instructions per write);
 //! * **fully instrumented** reads and writes (the strong-atomicity STM
 //!   of §6.1).
+//!
+//! It also defines, once, the four word formats every TM here exists
+//! twice over (as a model in `jungle-mc`, on real atomics in
+//! `jungle-stm`): Figure 6's lock word ([`LOCK_FREE`], [`lock_owner`]),
+//! Theorem 5's [`packed`] data word, the §6.1 strong-atomicity
+//! [`record`], and TL2's version lock ([`vlock`]).
 
+use jungle_core::ids::ProcId;
 use std::fmt;
 
 /// How a TM implementation instruments non-transactional operations.
@@ -69,6 +76,115 @@ impl fmt::Display for Instrumentation {
     }
 }
 
+/// Figure 6's global-lock word when no process holds it.
+pub const LOCK_FREE: u64 = 0;
+
+/// The lock word naming holder `p`: `p + 1`, so that process 0 differs
+/// from [`LOCK_FREE`].
+#[inline]
+pub fn lock_owner(p: ProcId) -> u64 {
+    u64::from(p.0) + 1
+}
+
+/// Theorem 5's data word `value:32 | pid:8 | version:24`. A
+/// non-transactional write stores a fresh one, so a commit-time CAS keyed
+/// on the whole word fails after any intervening write, even of the same
+/// value.
+pub mod packed {
+    use super::ProcId;
+
+    /// Largest storable value.
+    pub const MAX_VALUE: u64 = u32::MAX as u64;
+
+    /// Pack a value with its writer and the writer's version.
+    #[inline]
+    pub fn pack(value: u64, pid: ProcId, version: u32) -> u64 {
+        debug_assert!(value <= MAX_VALUE, "a packed word stores 32-bit values");
+        (value << 32) | (u64::from(pid.0 & 0xFF) << 24) | u64::from(version & 0x00FF_FFFF)
+    }
+
+    /// The value.
+    #[inline]
+    pub fn value(word: u64) -> u64 {
+        word >> 32
+    }
+
+    /// The writer.
+    #[inline]
+    pub fn pid(word: u64) -> ProcId {
+        ProcId(((word >> 24) & 0xFF) as u32)
+    }
+
+    /// The writer-local version.
+    #[inline]
+    pub fn version(word: u64) -> u32 {
+        (word & 0x00FF_FFFF) as u32
+    }
+}
+
+/// The §6.1 transactional record: a tag in the top two bits over the
+/// reader count ([`SHARED`](record::SHARED)) or the owner's
+/// [`lock_owner`] word (the other three states).
+pub mod record {
+    use super::{lock_owner, ProcId};
+
+    /// Where the tag starts.
+    pub const TAG_SHIFT: u32 = 62;
+    /// Held by readers (possibly none).
+    pub const SHARED: u64 = 0;
+    /// Owned by a writing transaction.
+    pub const EXCL: u64 = 1;
+    /// Owned by a non-transactional write in flight.
+    pub const ANON: u64 = 2;
+    /// Privatized by one thread.
+    pub const PRIVATE: u64 = 3;
+
+    /// The record's state.
+    #[inline]
+    pub fn tag(w: u64) -> u64 {
+        w >> TAG_SHIFT
+    }
+
+    /// The reader count of a shared record.
+    #[inline]
+    pub fn readers(w: u64) -> u64 {
+        w & !(3 << TAG_SHIFT)
+    }
+
+    /// A shared record with `n` readers (0: free).
+    #[inline]
+    pub fn shared(n: u64) -> u64 {
+        n
+    }
+
+    /// A record in state `tag` owned by `p`.
+    #[inline]
+    pub fn owned(tag: u64, p: ProcId) -> u64 {
+        (tag << TAG_SHIFT) | lock_owner(p)
+    }
+}
+
+/// TL2's per-variable version lock `version << 1 | locked`.
+pub mod vlock {
+    /// Is the lock held?
+    #[inline]
+    pub fn locked(w: u64) -> bool {
+        w & 1 == 1
+    }
+
+    /// The version.
+    #[inline]
+    pub fn version(w: u64) -> u64 {
+        w >> 1
+    }
+
+    /// The lock word for `version`, held or not.
+    #[inline]
+    pub fn encode(version: u64, locked: bool) -> u64 {
+        (version << 1) | u64::from(locked)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -90,6 +206,41 @@ mod tests {
         let f = Instrumentation::Full;
         assert!(!f.reads_uninstrumented());
         assert!(!f.writes_uninstrumented());
+    }
+
+    #[test]
+    fn lock_owner_is_never_free() {
+        assert_ne!(lock_owner(ProcId(0)), LOCK_FREE);
+        assert_eq!(lock_owner(ProcId(3)), 4);
+    }
+
+    #[test]
+    fn distinct_writes_produce_distinct_packed_words() {
+        // What defeats ABA for the commit-time CAS: the same value written
+        // by another process or at another version is another word.
+        let a = packed::pack(5, ProcId(1), 1);
+        assert_ne!(a, packed::pack(5, ProcId(2), 1));
+        assert_ne!(a, packed::pack(5, ProcId(1), 2));
+    }
+
+    #[test]
+    fn record_states_are_distinct() {
+        use record::*;
+        assert_eq!(tag(shared(5)), SHARED);
+        assert_eq!(readers(shared(7)), 7);
+        assert_eq!(tag(owned(EXCL, ProcId(0))), EXCL);
+        assert_eq!(tag(owned(ANON, ProcId(3))), ANON);
+        assert_eq!(tag(owned(PRIVATE, ProcId(3))), PRIVATE);
+        assert_ne!(owned(EXCL, ProcId(0)), owned(ANON, ProcId(0)));
+        assert_ne!(owned(EXCL, ProcId(0)), shared(0));
+    }
+
+    #[test]
+    fn version_lock_roundtrips() {
+        for (v, l) in [(5, true), (9, false), (0, false)] {
+            let w = vlock::encode(v, l);
+            assert_eq!((vlock::version(w), vlock::locked(w)), (v, l));
+        }
     }
 
     #[test]

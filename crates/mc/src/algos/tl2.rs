@@ -1,12 +1,12 @@
-//! A lazy, TL2-style weakly atomic TM as a model-checkable interpreter
-//! — the negative exhibit for the paper's §1 motivation.
+//! A lazy, TL2-style weakly atomic TM as a model protocol — the negative
+//! exhibit for the paper's §1 motivation.
 //!
-//! Per-variable version-locks (`version << 1 | locked`) live at
-//! [`meta_of`](crate::layout::meta_of). Reads are optimistic (sample
-//! lock → load data → revalidate); writes are buffered; commit locks
-//! the write set, validates the read set, publishes, and releases with
-//! bumped versions. A commit that fails validation becomes an **abort**
-//! operation in the trace and the transaction retries from `start`.
+//! Per-variable [`vlock`](jungle_isa::tm::vlock)s live at [`meta_of`].
+//! Reads are optimistic (sample lock → load data → revalidate); writes
+//! are buffered; commit locks the write set, validates the read set,
+//! publishes, and releases with bumped versions. A commit that fails
+//! validation answers **abort** and the transaction retries from
+//! `start`.
 //!
 //! Non-transactional operations are plain loads and stores with no
 //! protocol — which is exactly what makes this TM *weakly atomic*: the
@@ -16,395 +16,95 @@
 //! that window and the checker confirms that **no memory model**
 //! rescues the resulting history.
 
-use super::TmAlgo;
+use super::{Ctx, Next, Pc, Protocol, ABORTED, COMMITTED};
 use crate::layout::{addr_of, meta_of};
-use crate::program::{Stmt, ThreadProg, TxOp};
-use jungle_core::ids::{ProcId, Val, Var};
-use jungle_core::op::{Command, Op};
+use jungle_core::ids::Var;
+use jungle_isa::tm::vlock::{encode, locked, version};
 use jungle_isa::tm::Instrumentation;
-use jungle_memsim::process::{PInstr, Process, Resume, Step};
-
-fn locked(w: u64) -> bool {
-    w & 1 == 1
-}
-
-fn version(w: u64) -> u64 {
-    w >> 1
-}
-
-fn enc(version: u64, locked: bool) -> u64 {
-    (version << 1) | u64::from(locked)
-}
-
-fn rd_op(var: Var, val: Val) -> Op {
-    Op::Cmd(Command::Read { var, val })
-}
-
-fn wr_op(var: Var, val: Val) -> Op {
-    Op::Cmd(Command::Write { var, val })
-}
+use jungle_memsim::process::PInstr::{Load, Store};
 
 /// The lazy TL2-style TM algorithm (model-checker form).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct LazyTl2Tm;
 
-impl TmAlgo for LazyTl2Tm {
-    fn name(&self) -> &'static str {
-        "lazy-tl2"
-    }
-
-    fn instrumentation(&self) -> Instrumentation {
+impl Protocol for LazyTl2Tm {
+    fn class(&self) -> (&'static str, Instrumentation) {
         // Plain non-transactional accesses — with no guarantee attached.
-        Instrumentation::Uninstrumented
+        ("lazy-tl2", Instrumentation::Uninstrumented)
     }
 
-    fn make_process(&self, pid: ProcId, prog: ThreadProg) -> Box<dyn Process> {
-        Box::new(Tl2Process::new(pid, prog))
-    }
-}
-
-#[derive(Clone, Copy, Debug)]
-enum Ph {
-    NextStmt,
-    StartInv,
-    StartResp,
-    GuardReadInv(Var, Val),
-    TxnOpNext,
-    // Optimistic read: v1 := vlock; data; v2 := vlock; v1 == v2?
-    ReadInv(Var),
-    ReadEntry(Var, Option<Val>),
-    ReadV1Issue(Var, Option<Val>),
-    ReadV1Check(Var, Option<Val>),
-    ReadData(Var, Option<Val>, u64),
-    ReadV2Issue(Var, Option<Val>, u64, Val),
-    ReadV2Check(Var, Option<Val>, u64, Val),
-    // Buffered write.
-    WriteInv(Var, Val),
-    WriteResp(Var, Val),
-    // Commit: lock write set → validate read set → publish → release.
-    CommitInv,
-    LockIssue(usize),
-    LockCheck(usize),
-    LockCas(usize, u64),
-    ValidateIssue(usize),
-    ValidateCheck(usize),
-    Publish(usize),
-    Release(usize),
-    CommitResp,
-    // Validation failure: roll back locks, abort, retry the statement.
-    FailRelease(usize),
-    FailResp,
-    AbortInv,
-    AbortResp,
-    // Non-transactional (uninstrumented).
-    NtReadInv(Var),
-    NtReadLoad(Var),
-    NtReadResp(Var),
-    NtWriteInv(Var, Val),
-    NtWriteStore(Var, Val),
-    NtWriteResp(Var, Val),
-    Finished,
-}
-
-struct Tl2Process {
-    stmts: Vec<Stmt>,
-    stmt_idx: usize,
-    op_idx: usize,
-    phase: Ph,
-    /// `(var, version-at-read)`.
-    readset: Vec<(Var, u64)>,
-    writeset: Vec<(Var, Val)>,
-    /// `(var, pre-lock word)` held during commit.
-    locks: Vec<(Var, u64)>,
-    skip_body: bool,
-}
-
-impl Tl2Process {
-    fn new(_pid: ProcId, prog: ThreadProg) -> Self {
-        Tl2Process {
-            stmts: prog.0,
-            stmt_idx: 0,
-            op_idx: 0,
-            phase: Ph::NextStmt,
-            readset: Vec::new(),
-            writeset: Vec::new(),
-            locks: Vec::new(),
-            skip_body: false,
+    /// Sample the version lock (waiting while it is held), load, and
+    /// sample again; a changed lock starts over. The read set keeps the
+    /// first read's version.
+    fn read(&self, cx: &mut Ctx, pc: &mut Pc, var: Var) -> Next {
+        match pc.at {
+            0 => pc.go(1, Load(meta_of(var))),
+            1 if locked(pc.last) => pc.go(1, Load(meta_of(var))),
+            1 => {
+                pc.w = pc.last;
+                pc.go(2, Load(addr_of(var)))
+            }
+            2 => {
+                pc.val = pc.last;
+                pc.go(3, Load(meta_of(var)))
+            }
+            _ if pc.last != pc.w => pc.go(1, Load(meta_of(var))),
+            _ => {
+                cx.latch(var, version(pc.w));
+                Next::Ret(pc.val)
+            }
         }
     }
 
-    fn cur_txn(&self) -> (&[TxOp], bool) {
-        match &self.stmts[self.stmt_idx] {
-            Stmt::Txn { ops, abort } => (ops, *abort),
-            Stmt::TxnGuard { ops, .. } => (ops, false),
-            _ => unreachable!("cur_txn outside a transaction"),
-        }
-    }
-
-    fn ws_get(&self, v: Var) -> Option<Val> {
-        self.writeset.iter().find(|(x, _)| *x == v).map(|(_, w)| *w)
-    }
-
-    fn rs_version(&self, v: Var) -> Option<u64> {
-        self.readset.iter().find(|(x, _)| *x == v).map(|(_, w)| *w)
-    }
-
-    fn locked_by_me(&self, v: Var) -> bool {
-        self.locks.iter().any(|(x, _)| *x == v)
-    }
-
-    fn finish_read(&mut self, var: Var, val: Val, guard: Option<Val>) -> Step {
-        if let Some(expect) = guard {
-            self.skip_body = val != expect;
-        } else {
-            self.op_idx += 1;
-        }
-        self.phase = Ph::TxnOpNext;
-        Step::Resp(rd_op(var, val))
-    }
-}
-
-impl Process for Tl2Process {
-    fn next(&mut self, last: Resume) -> Step {
-        let mut last = last;
+    fn commit(&self, cx: &mut Ctx, pc: &mut Pc) -> Next {
         loop {
-            match self.phase {
-                Ph::Finished => return Step::Done,
-                Ph::NextStmt => {
-                    self.op_idx = 0;
-                    self.skip_body = false;
-                    self.readset.clear();
-                    self.writeset.clear();
-                    debug_assert!(self.locks.is_empty());
-                    if self.stmt_idx >= self.stmts.len() {
-                        self.phase = Ph::Finished;
-                        continue;
-                    }
-                    match &self.stmts[self.stmt_idx] {
-                        Stmt::Txn { .. } | Stmt::TxnGuard { .. } => self.phase = Ph::StartInv,
-                        Stmt::NtRead(v) => self.phase = Ph::NtReadInv(*v),
-                        Stmt::NtWrite(v, val) => self.phase = Ph::NtWriteInv(*v, *val),
-                    }
-                }
-
-                Ph::StartInv => {
-                    self.phase = Ph::StartResp;
-                    return Step::Inv(Op::Start);
-                }
-                Ph::StartResp => {
-                    self.phase = match &self.stmts[self.stmt_idx] {
-                        Stmt::TxnGuard { guard, expect, .. } => Ph::GuardReadInv(*guard, *expect),
-                        _ => Ph::TxnOpNext,
-                    };
-                    return Step::Resp(Op::Start);
-                }
-                Ph::GuardReadInv(g, e) => {
-                    self.phase = Ph::ReadEntry(g, Some(e));
-                    return Step::Inv(rd_op(g, 0));
-                }
-                Ph::TxnOpNext => {
-                    let (ops, abort) = self.cur_txn();
-                    if self.skip_body || self.op_idx >= ops.len() {
-                        self.phase = if abort { Ph::AbortInv } else { Ph::CommitInv };
-                        continue;
-                    }
-                    match ops[self.op_idx] {
-                        TxOp::Read(v) => self.phase = Ph::ReadInv(v),
-                        TxOp::Write(v, val) => self.phase = Ph::WriteInv(v, val),
+            match pc.at {
+                // Lock the write set in order, waiting out other holders,
+                0 => match cx.writeset.get(pc.i) {
+                    Some(&(var, _)) => return pc.go(1, Load(meta_of(var))),
+                    None => pc.jump(2),
+                },
+                1 => {
+                    let var = cx.writeset[pc.i].0;
+                    match pc.acquire(meta_of(var), |w| !locked(w), |w| encode(version(w), true)) {
+                        Next::Ret(w) => {
+                            cx.locks.push((var, w));
+                            pc.i += 1;
+                            pc.at = 0;
+                        }
+                        issue => return issue,
                     }
                 }
-
-                // ---- optimistic read ---------------------------------
-                Ph::ReadInv(v) => {
-                    self.phase = Ph::ReadEntry(v, None);
-                    return Step::Inv(rd_op(v, 0));
-                }
-                Ph::ReadEntry(v, guard) => {
-                    if let Some(val) = self.ws_get(v) {
-                        return self.finish_read(v, val, guard);
-                    }
-                    self.phase = Ph::ReadV1Issue(v, guard);
-                }
-                Ph::ReadV1Issue(v, guard) => {
-                    self.phase = Ph::ReadV1Check(v, guard);
-                    return Step::Instr(PInstr::Load(meta_of(v)));
-                }
-                Ph::ReadV1Check(v, guard) => {
-                    let w = last.expect("load result");
-                    if locked(w) {
-                        self.phase = Ph::ReadV1Issue(v, guard); // spin
-                        continue;
-                    }
-                    self.phase = Ph::ReadData(v, guard, w);
-                    return Step::Instr(PInstr::Load(addr_of(v)));
-                }
-                Ph::ReadData(v, guard, v1) => {
-                    let val = last.expect("load result");
-                    self.phase = Ph::ReadV2Issue(v, guard, v1, val);
-                }
-                Ph::ReadV2Issue(v, guard, v1, val) => {
-                    self.phase = Ph::ReadV2Check(v, guard, v1, val);
-                    return Step::Instr(PInstr::Load(meta_of(v)));
-                }
-                Ph::ReadV2Check(v, guard, v1, val) => {
-                    let w2 = last.expect("load result");
-                    if w2 != v1 {
-                        self.phase = Ph::ReadV1Issue(v, guard); // re-read
-                        continue;
-                    }
-                    if self.rs_version(v).is_none() {
-                        self.readset.push((v, version(v1)));
-                    }
-                    return self.finish_read(v, val, guard);
-                }
-
-                // ---- buffered write ----------------------------------
-                Ph::WriteInv(v, val) => {
-                    self.phase = Ph::WriteResp(v, val);
-                    return Step::Inv(wr_op(v, val));
-                }
-                Ph::WriteResp(v, val) => {
-                    match self.writeset.iter_mut().find(|(x, _)| *x == v) {
-                        Some(e) => e.1 = val,
-                        None => self.writeset.push((v, val)),
-                    }
-                    self.op_idx += 1;
-                    self.phase = Ph::TxnOpNext;
-                    return Step::Resp(wr_op(v, val));
-                }
-
-                // ---- commit ------------------------------------------
-                Ph::CommitInv => {
-                    self.phase = Ph::LockIssue(0);
-                    return Step::Inv(Op::Commit);
-                }
-                Ph::LockIssue(i) => {
-                    if i < self.writeset.len() {
-                        self.phase = Ph::LockCheck(i);
-                        return Step::Instr(PInstr::Load(meta_of(self.writeset[i].0)));
-                    }
-                    self.phase = Ph::ValidateIssue(0);
-                }
-                Ph::LockCheck(i) => {
-                    let w = last.expect("load result");
-                    if locked(w) {
-                        self.phase = Ph::LockIssue(i); // spin on the holder
-                        continue;
-                    }
-                    self.phase = Ph::LockCas(i, w);
-                    return Step::Instr(PInstr::Cas(
-                        meta_of(self.writeset[i].0),
-                        w,
-                        enc(version(w), true),
-                    ));
-                }
-                Ph::LockCas(i, w) => {
-                    if last == Some(1) {
-                        self.locks.push((self.writeset[i].0, w));
-                        self.phase = Ph::LockIssue(i + 1);
+                // validate the read set,
+                2 => match cx.readset.get(pc.i) {
+                    Some(&(var, _)) => return pc.go(3, Load(meta_of(var))),
+                    None => pc.jump(4),
+                },
+                3 => {
+                    let (var, seen) = cx.readset[pc.i];
+                    let w = pc.last;
+                    if version(w) == seen && (!locked(w) || cx.locked(var)) {
+                        pc.i += 1;
+                        pc.at = 2;
                     } else {
-                        self.phase = Ph::LockIssue(i);
+                        pc.jump(6);
                     }
                 }
-                Ph::ValidateIssue(j) => {
-                    if j < self.readset.len() {
-                        self.phase = Ph::ValidateCheck(j);
-                        return Step::Instr(PInstr::Load(meta_of(self.readset[j].0)));
-                    }
-                    self.phase = Ph::Publish(0);
+                // publish, and release with bumped versions.
+                4 => match pc.each(&cx.writeset, |(var, val)| Store(addr_of(var), val)) {
+                    Some(next) => return next,
+                    None => pc.jump(5),
+                },
+                5 => {
+                    let release = |(var, w)| Store(meta_of(var), encode(version(w) + 1, false));
+                    return pc.each(&cx.locks, release).unwrap_or(Next::Ret(COMMITTED));
                 }
-                Ph::ValidateCheck(j) => {
-                    let w = last.expect("load result");
-                    let (v, ver_at_read) = self.readset[j];
-                    let ok = version(w) == ver_at_read && (!locked(w) || self.locked_by_me(v));
-                    if ok {
-                        self.phase = Ph::ValidateIssue(j + 1);
-                    } else {
-                        self.phase = Ph::FailRelease(0);
-                    }
-                }
-                Ph::Publish(k) => {
-                    if k < self.writeset.len() {
-                        let (v, val) = self.writeset[k];
-                        self.phase = Ph::Publish(k + 1);
-                        return Step::Instr(PInstr::Store(addr_of(v), val));
-                    }
-                    self.phase = Ph::Release(0);
-                }
-                Ph::Release(k) => {
-                    if k < self.locks.len() {
-                        let (v, w) = self.locks[k];
-                        self.phase = Ph::Release(k + 1);
-                        return Step::Instr(PInstr::Store(meta_of(v), enc(version(w) + 1, false)));
-                    }
-                    self.phase = Ph::CommitResp;
-                }
-                Ph::CommitResp => {
-                    self.locks.clear();
-                    self.stmt_idx += 1;
-                    self.phase = Ph::NextStmt;
-                    return Step::Resp(Op::Commit);
-                }
-
-                // ---- validation failure: abort and retry -------------
-                Ph::FailRelease(k) => {
-                    if k < self.locks.len() {
-                        let (v, w) = self.locks[k];
-                        self.phase = Ph::FailRelease(k + 1);
-                        return Step::Instr(PInstr::Store(meta_of(v), w));
-                    }
-                    self.phase = Ph::FailResp;
-                }
-                Ph::FailResp => {
-                    // The operation that began as a commit responds as an
-                    // abort (the invocation marker is backpatched), and
-                    // the statement retries from a fresh `start`.
-                    self.locks.clear();
-                    self.phase = Ph::NextStmt; // same stmt_idx → retry
-                    return Step::Resp(Op::Abort);
-                }
-
-                // ---- program-level abort ------------------------------
-                Ph::AbortInv => {
-                    self.phase = Ph::AbortResp;
-                    return Step::Inv(Op::Abort);
-                }
-                Ph::AbortResp => {
-                    self.stmt_idx += 1;
-                    self.phase = Ph::NextStmt;
-                    return Step::Resp(Op::Abort);
-                }
-
-                // ---- non-transactional (plain) ------------------------
-                Ph::NtReadInv(v) => {
-                    self.phase = Ph::NtReadLoad(v);
-                    return Step::Inv(rd_op(v, 0));
-                }
-                Ph::NtReadLoad(v) => {
-                    self.phase = Ph::NtReadResp(v);
-                    return Step::Instr(PInstr::Load(addr_of(v)));
-                }
-                Ph::NtReadResp(v) => {
-                    let val = last.expect("load result");
-                    self.stmt_idx += 1;
-                    self.phase = Ph::NextStmt;
-                    return Step::Resp(rd_op(v, val));
-                }
-                Ph::NtWriteInv(v, val) => {
-                    self.phase = Ph::NtWriteStore(v, val);
-                    return Step::Inv(wr_op(v, val));
-                }
-                Ph::NtWriteStore(v, val) => {
-                    self.phase = Ph::NtWriteResp(v, val);
-                    return Step::Instr(PInstr::Store(addr_of(v), val));
-                }
-                Ph::NtWriteResp(v, val) => {
-                    self.stmt_idx += 1;
-                    self.phase = Ph::NextStmt;
-                    return Step::Resp(wr_op(v, val));
+                // Validation failed: restore the locked words and abort.
+                _ => {
+                    let restore = |(var, w)| Store(meta_of(var), w);
+                    return pc.each(&cx.locks, restore).unwrap_or(Next::Ret(ABORTED));
                 }
             }
-            last = None;
         }
     }
 }
@@ -412,10 +112,13 @@ impl Process for Tl2Process {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::program::{Program, Stmt};
+    use crate::algos::TmAlgo;
+    use crate::program::{Program, Stmt, ThreadProg, TxOp};
     use crate::verify::{CheckKind, Schedules, Sweep, SweepSeeds};
+    use jungle_core::ids::{ProcId, Val};
     use jungle_core::ids::{X, Y};
     use jungle_core::model::Sc;
+    use jungle_core::op::Op;
     use jungle_core::registry::ModelEntry;
     use jungle_memsim::{DirectedScheduler, HwModel, Machine, RandomScheduler};
 

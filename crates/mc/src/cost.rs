@@ -53,57 +53,3 @@ pub fn measure(algo: &dyn TmAlgo) -> CostStats {
     );
     r.trace.cost_stats()
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::algos::{GlobalLockTm, LazyTl2Tm, StrongTm, VersionedTm, WriteTxnTm};
-
-    #[test]
-    fn uninstrumented_ops_cost_exactly_one() {
-        for algo in [&GlobalLockTm as &dyn TmAlgo, &LazyTl2Tm] {
-            let c = measure(algo);
-            assert_eq!(c.nt_read.max_instrs, 1, "{} read", algo.name());
-            assert_eq!(c.nt_write.max_instrs, 1, "{} write", algo.name());
-        }
-    }
-
-    #[test]
-    fn theorem5_write_is_exactly_one_store() {
-        let c = measure(&VersionedTm);
-        assert_eq!(c.nt_read.max_instrs, 1);
-        assert_eq!(c.nt_write.max_instrs, 1); // the theorem's headline
-        assert!(c.nt_write.count >= 2);
-    }
-
-    #[test]
-    fn theorem4_write_is_a_lock_round_trip() {
-        let c = measure(&WriteTxnTm);
-        assert_eq!(c.nt_read.max_instrs, 1); // reads stay plain
-        assert!(
-            c.nt_write.max_instrs >= 3,
-            "lock write should cost ≥3 instructions, got {}",
-            c.nt_write.max_instrs
-        );
-    }
-
-    #[test]
-    fn strong_instruments_both_sides() {
-        let c = measure(&StrongTm::new());
-        assert!(c.nt_read.max_instrs >= 2, "record check + load");
-        assert!(c.nt_write.max_instrs >= 4, "acquire + store + release");
-        // The optimized variant de-instruments exactly the reads.
-        let o = measure(&StrongTm::optimized());
-        assert_eq!(o.nt_read.max_instrs, 1);
-        assert!(o.nt_write.max_instrs >= 4);
-    }
-
-    #[test]
-    fn transactional_costs_observed() {
-        let c = measure(&GlobalLockTm);
-        // Fig. 6: start = lock CAS; commit = per-write CAS + unlock.
-        assert!(c.start.max_instrs >= 1);
-        assert!(c.commit.max_instrs >= 2);
-        assert!(c.txn_read.count >= 2 && c.txn_write.count >= 1);
-    }
-}

@@ -1,12 +1,13 @@
-//! Address layout and word packing shared by the TM interpreters.
+//! Where the model TMs keep their words in simulated memory.
 //!
 //! Each program variable `Var(v)` owns the data address `v`; the global
-//! lock `g` of the Figure 6 algorithm lives at a reserved high address.
-//! The Theorem 5 (versioned) TM packs `(value, pid, version)` into the
-//! single data word so that a non-transactional write is one plain
-//! store — the constant-time instrumentation of the theorem.
+//! lock `g` of the Figure 6 algorithm lives at a reserved high address,
+//! and per-variable metadata (strong-TM records, TL2 version locks) in a
+//! block of its own. What the words hold — the lock word, Theorem 5's
+//! packed word, the record, the version lock — is defined once in
+//! [`jungle_isa::tm`], for these models and the real STMs alike.
 
-use jungle_core::ids::{ProcId, Val, Var};
+use jungle_core::ids::Var;
 use jungle_isa::instr::Addr;
 
 /// Address of the global lock `g` (Figure 6).
@@ -31,46 +32,6 @@ pub fn var_of(a: Addr) -> Var {
     Var(a)
 }
 
-/// Lock word value meaning "free".
-pub const LOCK_FREE: Val = 0;
-
-/// Lock word value for a holder process (`p+1`, so process 0 is
-/// distinguishable from the free state).
-pub fn lock_owner(p: ProcId) -> Val {
-    u64::from(p.0) + 1
-}
-
-/// Packed word layout of the versioned (Theorem 5) TM:
-/// `value:32 | pid:8 | version:24`.
-pub mod packed {
-    use super::*;
-
-    /// Maximum storable value (32 bits).
-    pub const MAX_VALUE: Val = u32::MAX as Val;
-
-    /// Pack `(value, pid, version)` into one word.
-    pub fn pack(value: Val, pid: ProcId, version: u32) -> Val {
-        debug_assert!(value <= MAX_VALUE, "versioned TM stores 32-bit values");
-        debug_assert!(pid.0 < 256, "versioned TM supports 256 processes");
-        (value << 32) | (u64::from(pid.0 & 0xFF) << 24) | u64::from(version & 0x00FF_FFFF)
-    }
-
-    /// The value stored in a packed word.
-    pub fn value(word: Val) -> Val {
-        word >> 32
-    }
-
-    /// The writer process recorded in a packed word.
-    pub fn pid(word: Val) -> ProcId {
-        ProcId(((word >> 24) & 0xFF) as u32)
-    }
-
-    /// The writer-local version recorded in a packed word.
-    pub fn version(word: Val) -> u32 {
-        (word & 0x00FF_FFFF) as u32
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -81,38 +42,5 @@ mod tests {
             assert_eq!(var_of(addr_of(Var(v))), Var(v));
         }
         const { assert!(GLOBAL_LOCK > 1_000_000) };
-    }
-
-    #[test]
-    fn lock_owner_nonzero() {
-        assert_ne!(lock_owner(ProcId(0)), LOCK_FREE);
-        assert_eq!(lock_owner(ProcId(3)), 4);
-    }
-
-    #[test]
-    fn packing_roundtrips() {
-        use packed::*;
-        for (v, p, ver) in [
-            (0u64, 0u32, 0u32),
-            (42, 3, 7),
-            (u32::MAX as u64, 255, 0xFF_FFFF),
-        ] {
-            let w = pack(v, ProcId(p), ver);
-            assert_eq!(value(w), v);
-            assert_eq!(pid(w), ProcId(p));
-            assert_eq!(version(w), ver);
-        }
-    }
-
-    #[test]
-    fn distinct_writes_produce_distinct_words() {
-        use packed::*;
-        // Same value written by different processes or versions must
-        // differ (this is what defeats ABA for the commit-time CAS).
-        let a = pack(5, ProcId(1), 1);
-        let b = pack(5, ProcId(2), 1);
-        let c = pack(5, ProcId(1), 2);
-        assert_ne!(a, b);
-        assert_ne!(a, c);
     }
 }

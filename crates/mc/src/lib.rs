@@ -2,13 +2,13 @@
 //!
 //! This crate closes the loop between the paper's formal results (§5)
 //! and executable code: it implements the TM algorithms the paper
-//! constructs — as *interpreters* compiled to reactive
-//! [`Process`](jungle_memsim::Process)es on the `jungle-memsim`
-//! multiprocessor — runs them under exhaustive or randomized schedules,
-//! extracts the recorded traces, and decides with the `jungle-core`
-//! checkers whether **some corresponding history** satisfies
-//! parametrized opacity (or SGLA) — exactly the paper's definition of a
-//! TM implementation guaranteeing the property.
+//! constructs — each as a protocol of seven resumable operations, run
+//! by one driver as a reactive [`Process`](jungle_memsim::Process) on
+//! the `jungle-memsim` multiprocessor (see [`algos`]) — runs them under
+//! exhaustive or randomized schedules, extracts the recorded traces, and
+//! decides with the `jungle-core` checkers whether **some corresponding
+//! history** satisfies parametrized opacity (or SGLA) — exactly the
+//! paper's definition of a TM implementation guaranteeing the property.
 //!
 //! The bundled algorithms:
 //!
@@ -25,6 +25,11 @@
 //!   Theorem 2.
 //! * [`algos::SkipWriteTm`] — a deliberately wrong TM that never
 //!   publishes transactional writes, violating Lemma 1.
+//! * [`algos::StrongTm`] — §6.1's strong-atomicity TM (per-variable
+//!   records; [`StrongTm::optimized`](algos::StrongTm::optimized) leaves
+//!   non-transactional reads plain).
+//! * [`algos::LazyTl2Tm`] — a lazy TL2-style TM, weakly atomic: the §1
+//!   privatization exhibit.
 //!
 //! The [`theorems`] module packages each of the paper's results as a
 //! checkable experiment; `tests/theorems.rs` at the workspace root runs

@@ -8,10 +8,11 @@
 //! STMs report, so `jungle-bench` can put interpreted and native
 //! executions side by side.
 
-use crate::layout::{GLOBAL_LOCK, LOCK_FREE};
+use crate::layout::GLOBAL_LOCK;
 use jungle_core::ids::{OpId, ProcId};
 use jungle_core::op::{Command, Op};
 use jungle_isa::instr::Instr;
+use jungle_isa::tm::LOCK_FREE;
 use jungle_isa::trace::Trace;
 use jungle_obs::TmSnapshot;
 use std::collections::HashMap;
@@ -109,8 +110,8 @@ pub fn tm_counts_from_trace(trace: &Trace) -> TmSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layout::lock_owner;
     use jungle_core::ids::X;
+    use jungle_isa::tm::lock_owner;
     use jungle_isa::trace::TraceBuilder;
 
     fn rd(val: u64) -> Op {

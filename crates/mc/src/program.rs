@@ -1,4 +1,4 @@
-//! The transactional-program DSL consumed by the TM interpreters.
+//! The transactional-program DSL the TM driver runs.
 //!
 //! A [`Program`] is one [`ThreadProg`] per process; each thread is a
 //! sequence of statements: transactions (a list of reads/writes followed

@@ -85,8 +85,8 @@ impl std::fmt::Debug for ScriptProcess {
     }
 }
 
-/// A process driven by a closure over an explicit state machine — the
-/// general form used by the TM algorithm interpreters in `jungle-mc`.
+/// A process driven by a closure over its own state: the quick way to
+/// write a data-dependent process in a test.
 pub struct FnProcess<F: FnMut(Resume) -> Step> {
     f: F,
 }

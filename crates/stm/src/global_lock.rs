@@ -12,8 +12,7 @@
 
 use crate::api::{Aborted, Ctx, Protocol};
 use crate::cell::Heap;
-use jungle_core::ids::ProcId;
-use jungle_isa::tm::Instrumentation;
+use jungle_isa::tm::{lock_owner, Instrumentation, LOCK_FREE};
 use jungle_obs::trace::{self, EventKind};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -46,15 +45,11 @@ pub(crate) struct Fig6Core<C: Codec> {
     pub codec: C,
 }
 
-fn lock_word(p: ProcId) -> u64 {
-    u64::from(p.0) + 1
-}
-
 impl<C: Codec> Fig6Core<C> {
     pub fn new(n_vars: usize, codec: C) -> Self {
         Fig6Core {
             heap: Heap::new(n_vars),
-            lock: AtomicU64::new(0),
+            lock: AtomicU64::new(LOCK_FREE),
             codec,
         }
     }
@@ -63,13 +58,18 @@ impl<C: Codec> Fig6Core<C> {
         loop {
             if self
                 .lock
-                .compare_exchange(0, lock_word(cx.pid), Ordering::SeqCst, Ordering::SeqCst)
+                .compare_exchange(
+                    LOCK_FREE,
+                    lock_owner(cx.pid),
+                    Ordering::SeqCst,
+                    Ordering::SeqCst,
+                )
                 .is_ok()
             {
                 return;
             }
             let mut spins = 0u32;
-            while self.lock.load(Ordering::Relaxed) != 0 {
+            while self.lock.load(Ordering::Relaxed) != LOCK_FREE {
                 std::hint::spin_loop();
                 spins += 1;
                 if spins > 64 {
@@ -83,7 +83,7 @@ impl<C: Codec> Fig6Core<C> {
     }
 
     pub fn release(&self) {
-        self.lock.store(0, Ordering::SeqCst);
+        self.lock.store(LOCK_FREE, Ordering::SeqCst);
     }
 
     pub fn start(&self, cx: &mut Ctx) {
@@ -209,6 +209,7 @@ impl Protocol for GlobalLockStm {
 mod tests {
     use super::*;
     use crate::api::{atomically, TmAlgo};
+    use jungle_core::ids::ProcId;
 
     #[test]
     fn single_thread_txn_semantics() {

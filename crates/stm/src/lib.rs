@@ -1,6 +1,6 @@
 //! # jungle-stm — executable software transactional memories
 //!
-//! Where `jungle-mc` interprets the paper's TM algorithms on a simulated
+//! Where `jungle-mc` runs the paper's TM algorithms on a simulated
 //! multiprocessor, this crate runs them *for real*: five STM
 //! implementations over a shared heap of `AtomicU64` cells, exercised by
 //! actual threads, with an optional [`recorder::Recorder`] that captures
@@ -9,7 +9,9 @@
 //! transactional operation into a bounded ring for the
 //! `jungle-monitor` crate. The five implementations are algorithms
 //! only; both observers are driven from one place, the [`TmAlgo`]
-//! methods in [`api`]. The implementations reproduce the paper's
+//! methods in [`api`]. Their word formats (lock word, packed word,
+//! record, version lock) are [`jungle_isa::tm`]'s, which the models in
+//! `jungle-mc` share. The implementations reproduce the paper's
 //! design points:
 //!
 //! | STM | paper artifact | non-txn reads | non-txn writes |
@@ -25,7 +27,7 @@
 //! [`tvar::TVarSpace`] facade. How often a run committed, aborted or
 //! lost a CAS is read off [`Ctx::commits`] / [`Ctx::aborts`] and the
 //! flight recorder's `Txn*` / `StmCasFail` events; the per-operation
-//! `TmSnapshot` counts in `report` are derived from interpreter traces
+//! `TmSnapshot` counts in `report` are derived from model traces
 //! by `jungle-mc`.
 //!
 //! Memory-ordering note: the implementations use `SeqCst` throughout.

@@ -26,43 +26,9 @@
 
 use crate::api::{Aborted, Ctx, Protocol};
 use crate::cell::Heap;
+use jungle_isa::tm::record::{owned, readers, shared, tag, ANON, EXCL, PRIVATE, SHARED};
 use jungle_isa::tm::Instrumentation;
 use jungle_obs::trace::{self, EventKind};
-
-const TAG_SHIFT: u32 = 62;
-const TAG_SHARED: u64 = 0;
-const TAG_EXCL: u64 = 1;
-const TAG_ANON: u64 = 2;
-const TAG_PRIVATE: u64 = 3;
-
-fn tag(w: u64) -> u64 {
-    w >> TAG_SHIFT
-}
-
-fn readers(w: u64) -> u64 {
-    debug_assert_eq!(tag(w), TAG_SHARED);
-    w
-}
-
-fn enc_shared(n: u64) -> u64 {
-    n
-}
-
-fn enc_excl(pid: u32) -> u64 {
-    (TAG_EXCL << TAG_SHIFT) | (u64::from(pid) + 1)
-}
-
-fn enc_anon(pid: u32) -> u64 {
-    (TAG_ANON << TAG_SHIFT) | (u64::from(pid) + 1)
-}
-
-fn enc_private(pid: u32) -> u64 {
-    (TAG_PRIVATE << TAG_SHIFT) | (u64::from(pid) + 1)
-}
-
-fn owner(w: u64) -> u64 {
-    w & !(3 << TAG_SHIFT)
-}
 
 /// Bounded spin budget before a transaction gives up and aborts.
 const TXN_SPIN: usize = 256;
@@ -106,10 +72,7 @@ impl StrongStm {
         let mut spins = 0u32;
         loop {
             let w = self.meta.load(var);
-            if tag(w) == TAG_SHARED
-                && readers(w) == 0
-                && self.meta.cas(var, w, enc_private(cx.pid.0))
-            {
+            if w == shared(0) && self.meta.cas(var, w, owned(PRIVATE, cx.pid)) {
                 return;
             }
             std::hint::spin_loop();
@@ -123,36 +86,36 @@ impl StrongStm {
 
     /// Release a privatized variable back to the shared state.
     pub fn publish(&self, cx: &mut Ctx, var: usize) {
-        let w = self.meta.load(var);
-        assert_eq!(tag(w), TAG_PRIVATE, "publish of a non-private variable");
-        assert_eq!(owner(w), u64::from(cx.pid.0) + 1, "publish by non-owner");
-        self.meta.store(var, enc_shared(0));
+        assert_eq!(
+            self.meta.load(var),
+            owned(PRIVATE, cx.pid),
+            "publish of a variable this thread did not privatize"
+        );
+        self.meta.store(var, shared(0));
     }
 
     /// Protocol-free read of a variable this thread privatized.
     pub fn private_read(&self, cx: &Ctx, var: usize) -> u64 {
-        debug_assert_eq!(tag(self.meta.load(var)), TAG_PRIVATE);
-        debug_assert_eq!(owner(self.meta.load(var)), u64::from(cx.pid.0) + 1);
+        debug_assert_eq!(self.meta.load(var), owned(PRIVATE, cx.pid));
         self.data.load(var)
     }
 
     /// Protocol-free write to a variable this thread privatized.
     pub fn private_write(&self, cx: &Ctx, var: usize, val: u64) {
-        debug_assert_eq!(tag(self.meta.load(var)), TAG_PRIVATE);
-        debug_assert_eq!(owner(self.meta.load(var)), u64::from(cx.pid.0) + 1);
+        debug_assert_eq!(self.meta.load(var), owned(PRIVATE, cx.pid));
         self.data.store(var, val);
     }
 
     #[inline]
     fn release_all(&self, cx: &mut Ctx) {
         for &var in &cx.locks {
-            self.meta.store(var, enc_shared(0));
+            self.meta.store(var, shared(0));
         }
         for &var in &cx.shared {
             loop {
                 let w = self.meta.load(var);
-                debug_assert_eq!(tag(w), TAG_SHARED);
-                if self.meta.cas(var, w, enc_shared(readers(w) - 1)) {
+                debug_assert_eq!(tag(w), SHARED);
+                if self.meta.cas(var, w, shared(readers(w) - 1)) {
                     break;
                 }
             }
@@ -167,8 +130,8 @@ impl StrongStm {
         for _ in 0..TXN_SPIN {
             let w = self.meta.load(var);
             match tag(w) {
-                TAG_SHARED => {
-                    if self.meta.cas(var, w, enc_shared(readers(w) + 1)) {
+                SHARED => {
+                    if self.meta.cas(var, w, shared(readers(w) + 1)) {
                         cx.shared.push(var);
                         return Ok(());
                     }
@@ -187,30 +150,21 @@ impl StrongStm {
     #[inline]
     fn acquire_excl(&self, cx: &mut Ctx, var: usize) -> Result<(), Aborted> {
         let upgrading = cx.shared.contains(&var);
+        let free = shared(u64::from(upgrading));
         for _ in 0..TXN_SPIN {
             let w = self.meta.load(var);
-            match tag(w) {
-                TAG_SHARED => {
-                    let expect = if upgrading {
-                        enc_shared(1)
-                    } else {
-                        enc_shared(0)
-                    };
-                    if w == expect {
-                        if self.meta.cas(var, w, enc_excl(cx.pid.0)) {
-                            if upgrading {
-                                cx.shared.retain(|&v| v != var);
-                            }
-                            cx.locks.push(var);
-                            return Ok(());
-                        }
-                        trace::emit(EventKind::StmCasFail, u64::from(cx.pid.0), var as u64);
-                    } else {
-                        std::hint::spin_loop(); // other readers present
-                    }
-                }
-                _ => std::hint::spin_loop(),
+            if w != free {
+                std::hint::spin_loop(); // other readers or an owner present
+                continue;
             }
+            if self.meta.cas(var, w, owned(EXCL, cx.pid)) {
+                if upgrading {
+                    cx.shared.retain(|&v| v != var);
+                }
+                cx.locks.push(var);
+                return Ok(());
+            }
+            trace::emit(EventKind::StmCasFail, u64::from(cx.pid.0), var as u64);
         }
         self.release_all(cx);
         Err(Aborted)
@@ -278,7 +232,7 @@ impl Protocol for StrongStm {
         if !self.optimized_reads {
             // Wait while a transaction holds the record exclusively.
             let mut spins = 0u32;
-            while tag(self.meta.load(var)) == TAG_EXCL {
+            while tag(self.meta.load(var)) == EXCL {
                 std::hint::spin_loop();
                 spins += 1;
                 if spins > 64 {
@@ -296,8 +250,7 @@ impl Protocol for StrongStm {
         let mut spins = 0u32;
         loop {
             let w = self.meta.load(var);
-            if tag(w) == TAG_SHARED && readers(w) == 0 && self.meta.cas(var, w, enc_anon(cx.pid.0))
-            {
+            if w == shared(0) && self.meta.cas(var, w, owned(ANON, cx.pid)) {
                 break;
             }
             std::hint::spin_loop();
@@ -308,7 +261,7 @@ impl Protocol for StrongStm {
             }
         }
         self.data.store(var, val);
-        self.meta.store(var, enc_shared(0));
+        self.meta.store(var, shared(0));
     }
 }
 
@@ -318,16 +271,6 @@ mod tests {
     use crate::api::{atomically, TmAlgo};
     use jungle_core::ids::ProcId;
     use std::sync::Arc;
-
-    #[test]
-    fn record_encodings() {
-        assert_eq!(tag(enc_shared(0)), TAG_SHARED);
-        assert_eq!(tag(enc_shared(5)), TAG_SHARED);
-        assert_eq!(tag(enc_excl(0)), TAG_EXCL);
-        assert_eq!(tag(enc_anon(3)), TAG_ANON);
-        assert_eq!(readers(enc_shared(7)), 7);
-        assert_ne!(enc_excl(0), enc_anon(0));
-    }
 
     #[test]
     fn single_thread_semantics() {
@@ -343,8 +286,8 @@ mod tests {
         assert_eq!(tm.nt_read(&mut cx, 0), 10);
         assert_eq!(tm.nt_read(&mut cx, 1), 11);
         // All records free after commit.
-        assert_eq!(tm.meta.load(0), enc_shared(0));
-        assert_eq!(tm.meta.load(1), enc_shared(0));
+        assert_eq!(tm.meta.load(0), shared(0));
+        assert_eq!(tm.meta.load(1), shared(0));
     }
 
     #[test]
@@ -356,7 +299,7 @@ mod tests {
             tx.write(0, v + 5)
         });
         assert_eq!(tm.nt_read(&mut cx, 0), 5);
-        assert_eq!(tm.meta.load(0), enc_shared(0));
+        assert_eq!(tm.meta.load(0), shared(0));
     }
 
     #[test]

@@ -13,21 +13,9 @@
 
 use crate::api::{Aborted, Ctx, Protocol};
 use crate::cell::Heap;
+use jungle_isa::tm::vlock::{encode, locked, version};
 use jungle_isa::tm::Instrumentation;
 use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Version-lock encoding: `version << 1 | locked`.
-fn locked(w: u64) -> bool {
-    w & 1 == 1
-}
-
-fn version(w: u64) -> u64 {
-    w >> 1
-}
-
-fn enc(version: u64, locked: bool) -> u64 {
-    (version << 1) | u64::from(locked)
-}
 
 /// Spin budget when acquiring write locks at commit.
 const LOCK_SPIN: usize = 64;
@@ -56,7 +44,7 @@ impl Tl2Stm {
         for &var in &cx.locks {
             let w = self.vlocks.load(var);
             debug_assert!(locked(w));
-            self.vlocks.store(var, enc(version(w), false));
+            self.vlocks.store(var, encode(version(w), false));
         }
         cx.reset_txn();
     }
@@ -115,7 +103,7 @@ impl Protocol for Tl2Stm {
             let mut acquired = false;
             for _ in 0..LOCK_SPIN {
                 let w = self.vlocks.load(var);
-                if !locked(w) && self.vlocks.cas(var, w, enc(version(w), true)) {
+                if !locked(w) && self.vlocks.cas(var, w, encode(version(w), true)) {
                     cx.locks.push(var);
                     acquired = true;
                     break;
@@ -148,7 +136,7 @@ impl Protocol for Tl2Stm {
         }
         for i in 0..cx.writeset.len() {
             let var = cx.writeset[i].0;
-            self.vlocks.store(var, enc(wv, false));
+            self.vlocks.store(var, encode(wv, false));
         }
         cx.locks.clear();
         cx.reset_txn();
@@ -177,16 +165,6 @@ mod tests {
     use crate::api::{atomically, TmAlgo};
     use jungle_core::ids::ProcId;
     use std::sync::Arc;
-
-    #[test]
-    fn version_lock_encoding() {
-        let w = enc(5, true);
-        assert!(locked(w));
-        assert_eq!(version(w), 5);
-        let w = enc(9, false);
-        assert!(!locked(w));
-        assert_eq!(version(w), 9);
-    }
 
     #[test]
     fn single_thread_txn() {

@@ -17,46 +17,17 @@
 
 use crate::api::{observe_nt_read, Aborted, Ctx, Protocol};
 use crate::global_lock::{Codec, Fig6Core};
-use jungle_isa::tm::Instrumentation;
-
-/// Packed word layout `value:32 | pid:8 | version:24`.
-pub mod packing {
-    use jungle_core::ids::ProcId;
-
-    /// Maximum storable value.
-    pub const MAX_VALUE: u64 = u32::MAX as u64;
-
-    /// Pack a value with writer identity and version.
-    pub fn pack(value: u64, pid: ProcId, version: u32) -> u64 {
-        debug_assert!(value <= MAX_VALUE, "versioned STM stores 32-bit values");
-        (value << 32) | (u64::from(pid.0 & 0xFF) << 24) | u64::from(version & 0x00FF_FFFF)
-    }
-
-    /// Extract the value.
-    pub fn value(word: u64) -> u64 {
-        word >> 32
-    }
-
-    /// Extract the writer process.
-    pub fn pid(word: u64) -> ProcId {
-        ProcId(((word >> 24) & 0xFF) as u32)
-    }
-
-    /// Extract the writer-local version.
-    pub fn version(word: u64) -> u32 {
-        (word & 0x00FF_FFFF) as u32
-    }
-}
+use jungle_isa::tm::{packed, Instrumentation};
 
 struct PackedCodec;
 
 impl Codec for PackedCodec {
     fn decode(&self, word: u64) -> u64 {
-        packing::value(word)
+        packed::value(word)
     }
     fn encode(&self, cx: &mut Ctx, val: u64) -> u64 {
         cx.version = cx.version.wrapping_add(1);
-        packing::pack(val, cx.pid, cx.version)
+        packed::pack(val, cx.pid, cx.version)
     }
 }
 
@@ -115,7 +86,7 @@ impl Protocol for VersionedStm {
 
     #[inline]
     fn write(&self, cx: &mut Ctx, var: usize, val: u64) -> Result<(), Aborted> {
-        debug_assert!(val <= packing::MAX_VALUE);
+        debug_assert!(val <= packed::MAX_VALUE);
         self.core.write(cx, var, val);
         Ok(())
     }
@@ -138,7 +109,7 @@ impl Protocol for VersionedStm {
 
     #[inline]
     fn nontxn_write(&self, cx: &mut Ctx, var: usize, val: u64) {
-        debug_assert!(val <= packing::MAX_VALUE);
+        debug_assert!(val <= packed::MAX_VALUE);
         // One store of a fresh packed word — constant-time, but still
         // instrumentation relative to a bare store.
         self.core.nontxn_write(cx, var, val);
@@ -150,18 +121,6 @@ mod tests {
     use super::*;
     use crate::api::{atomically, TmAlgo};
     use jungle_core::ids::ProcId;
-
-    #[test]
-    fn packing_roundtrip_and_freshness() {
-        let a = packing::pack(5, ProcId(1), 1);
-        let b = packing::pack(5, ProcId(2), 1);
-        let c = packing::pack(5, ProcId(1), 2);
-        assert_eq!(packing::value(a), 5);
-        assert_eq!(packing::pid(a), ProcId(1));
-        assert_eq!(packing::version(c), 2);
-        assert_ne!(a, b);
-        assert_ne!(a, c);
-    }
 
     #[test]
     fn values_roundtrip_through_txn_and_nt() {

@@ -12,7 +12,7 @@
 //! | [`core`] | `jungle-core` | histories, memory models (SC/TSO/PSO/RMO/Alpha/Junk-SC/…), the `Mrr`/`Mrw`/`Mwr`/`Mww` classification, and exact checkers for parametrized opacity (§3.3) and SGLA (§6.2) |
 //! | [`isa`] | `jungle-isa` | `load`/`store`/`cas` instructions, traces, trace↔history correspondence, instrumentation taxonomy (§4) |
 //! | [`memsim`] | `jungle-memsim` | the simulated multiprocessor (SC/TSO/PSO hardware) with directed, random, bursty and exhaustive schedulers |
-//! | [`mc`] | `jungle-mc` | the paper's TM algorithms as interpreters + every lemma/theorem as a checkable experiment (§5) |
+//! | [`mc`] | `jungle-mc` | the paper's TM algorithms as protocols run by one driver on the simulator + every lemma/theorem as a checkable experiment (§5) |
 //! | [`replay`] | `jungle-replay` | deterministic schedule record/replay (portable `ScheduleLog`, divergence detection) and delta-debugging counterexample shrinking |
 //! | [`stm`] | `jungle-stm` | five executable STMs over real atomics with typed `TVar`s and online trace recording |
 //! | [`litmus`] | `jungle-litmus` | the figures as litmus tests, workload generators, real-STM program runner |

@@ -4,8 +4,15 @@
 //! watching sees exactly that: with a recorder and a tap attached, the
 //! recorded history and the tap stream are the script's operations,
 //! one for one, with the values the reference predicts.
+//!
+//! And every real STM is tied to its model in `jungle-mc`, the copy the
+//! theorems are checked on: both declare the same §4 instrumentation
+//! class, and the model's instruction counts obey it.
 
+use jungle::isa::tm::Instrumentation;
+use jungle::mc::algos::TmAlgo as ModelTm;
 use jungle::mc::program::{Stmt, ThreadProg, TxOp};
+use jungle::mc::{cost, GlobalLockTm, LazyTl2Tm, StrongTm, VersionedTm, WriteTxnTm};
 use jungle::stm::api::{Ctx, TmAlgo};
 use jungle::stm::recorder::{rd_op, wr_op};
 use jungle::stm::{
@@ -239,5 +246,48 @@ proptest! {
                 acts
             );
         }
+    }
+}
+
+/// The six TMs that exist twice, in [`stms`]'s order: the model
+/// `jungle-mc` checks the theorems on.
+fn models() -> [&'static dyn ModelTm; 6] {
+    static STRONG: StrongTm = StrongTm::new();
+    static STRONG_OPT: StrongTm = StrongTm::optimized();
+    [
+        &GlobalLockTm,
+        &WriteTxnTm,
+        &VersionedTm,
+        &STRONG,
+        &STRONG_OPT,
+        &LazyTl2Tm,
+    ]
+}
+
+#[test]
+fn each_model_tm_pairs_with_its_real_stm() {
+    for (model, real) in models().into_iter().zip(stms()) {
+        let class = model.instrumentation();
+        assert_eq!(
+            model.name().trim_start_matches("lazy-"),
+            real.name(),
+            "pairs line up"
+        );
+        assert_eq!(class, real.instrumentation(), "{}", model.name());
+        // The model's instruction counts on the cost program obey the
+        // class both declare.
+        let c = cost::measure(model);
+        let (rd, wr) = (c.nt_read.max_instrs, c.nt_write.max_instrs);
+        let obeys = match class {
+            Instrumentation::Uninstrumented => rd == 1 && wr == 1,
+            Instrumentation::ConstantTimeWrites { bound } => rd == 1 && wr <= bound,
+            Instrumentation::UnboundedWrites => rd == 1 && wr > 1,
+            Instrumentation::Full => rd > 1 && wr > 1,
+        };
+        assert!(
+            obeys,
+            "{}: nt-read {rd} and nt-write {wr} instructions break \"{class}\"",
+            model.name()
+        );
     }
 }
