@@ -9,39 +9,36 @@
 //! kind or backend is one more enum arm here, not another family of
 //! functions.
 //!
-//! Both properties reduce to the same search shape, captured by the
-//! crate-internal `OrderSearch` trait: find a total order of the
-//! transactions consistent with a must-precede relation under which an
-//! exact witness search (the *leaf*) succeeds for every viewer class.
-//! The leaf is written once — [`linearize`](crate::linearize) — so an
-//! `OrderSearch` impl only says which granularity, which static edges
-//! and which legality; and because the leaf accepts any *subset* of an
-//! order's precedences, it doubles as an oracle for whole families of
-//! orders.
+//! Both properties are one search, the crate-internal `Search`: find a
+//! total order of the transactions, consistent with the real-time
+//! order, under which an exact witness search (the *leaf*,
+//! [`linearize`](crate::linearize)) succeeds. The property chooses only
+//! the object searched — [`opacity`](crate::opacity) and
+//! [`sgla`](crate::sgla) each hold one constructor naming the
+//! granularity, the order-independent edges and the legality — and
+//! because the leaf accepts any *subset* of an order's precedences, it
+//! doubles as an oracle for whole families of orders.
 //!
 //! The DFS backend (`search_orders`) returns the lexicographically
 //! first admissible order whose leaf succeeds, without enumerating
-//! orders: with one viewer class — all eight registry entries, and
-//! SGLA by construction — a linearization under the precedences of a
-//! *prefix* exists iff some complete order extending the prefix
-//! succeeds, so the search tries the first admissible order, refutes
-//! with one precedence-free call, and otherwise walks down one
-//! accepted prefix at a time (`first_success` has the details and the
-//! multi-class fallback). The leaf sees at most two complete orders;
-//! the cost of a check follows the history's frontiers, not `n!`. On
-//! the work-stealing pool of [`par`](crate::par) each claimed prefix
-//! runs the same walk. The SAT backend ([`encode`]) lets a CDCL solver
+//! orders: every process has the same view, so a linearization under
+//! the precedences of a *prefix* exists iff some complete order
+//! extending the prefix succeeds, and the search tries the first
+//! admissible order, refutes with one precedence-free call, and
+//! otherwise walks down one accepted prefix at a time (`first_success`
+//! has the details). The leaf sees at most two complete orders; the
+//! cost of a check follows the history's frontiers, not `n!`. On the
+//! work-stealing pool of [`par`](crate::par) each claimed prefix runs
+//! the same walk. The SAT backend ([`encode`]) lets a CDCL solver
 //! propose complete orders and certifies every proposal through the
 //! same leaf.
 
 use crate::encode;
 use crate::history::History;
 use crate::ids::{OpId, ProcId};
-use crate::linearize::LeafMemo;
+use crate::linearize::{linearize, Graph, LeafMemo, Legality};
 use crate::model::MemoryModel;
-use crate::opacity::Search;
 use crate::par::{run_order_pool, Cancel, ParallelConfig, MEMO_CAP};
-use crate::sgla::SglaSearch;
 use crate::spec::SpecRegistry;
 use jungle_obs::trace::{self, EventKind};
 use jungle_obs::{profile, SatStats, SearchStats, Span};
@@ -172,8 +169,8 @@ impl Check {
         stats.search.searches = 1;
         let th = model.transform(h);
         let found = match self.kind {
-            CheckKind::Opacity => self.solve(&Search::new(&th, model, &self.specs), &mut stats),
-            CheckKind::Sgla => self.solve(&SglaSearch::new(&th, model, &self.specs), &mut stats),
+            CheckKind::Opacity => self.solve(&Search::opacity(&th, model, &self.specs), &mut stats),
+            CheckKind::Sgla => self.solve(&Search::sgla(&th, model, &self.specs), &mut stats),
         };
         stats.search.wall_ns = wall.elapsed_ns();
         if stats.sat.solved != 0 {
@@ -191,9 +188,9 @@ impl Check {
 
     /// The single dispatch on the backend, with the bookkeeping every
     /// search shares: profiler phase, flight events, unit count.
-    fn solve<S: OrderSearch>(&self, s: &S, stats: &mut CheckStats) -> Option<Found> {
-        let _phase = profile::enter(S::PHASE);
-        let units = s.units();
+    fn solve<L: Legality>(&self, s: &Search<'_, L>, stats: &mut CheckStats) -> Option<Found> {
+        let _phase = profile::enter(s.phase);
+        let units = s.graph.len();
         let threads = match self.parallel {
             Some(cfg) if self.backend == CheckBackend::Dfs && !cfg.serial_for(units) => {
                 cfg.effective_threads()
@@ -219,57 +216,87 @@ impl Check {
 /// witness sequences it justifies.
 pub(crate) type Found = (Vec<usize>, Vec<(ProcId, Vec<OpId>)>);
 
-/// The search shape both properties share (see the module docs).
-pub(crate) trait OrderSearch: Sync {
+/// The one order search (see the module docs). A property is a
+/// constructor — [`Search::opacity`] or [`Search::sgla`] — that picks
+/// the granularity of `graph`, the edges of `fixed` and the legality
+/// `init`; everything else is written once, here.
+pub(crate) struct Search<'a, L> {
+    /// The transformed history `τ(h)`.
+    pub(crate) h: &'a History,
+    /// The nodes a witness permutes.
+    pub(crate) graph: Graph<'a>,
+    /// The order-independent edges every witness respects, as an
+    /// [`edge_set`](crate::linearize::edge_set). They enforce every
+    /// [`must_precede`](Search::must_precede) pair on their own, so a
+    /// linearization under *any* transaction precedences carries an
+    /// admissible order.
+    pub(crate) fixed: Vec<(usize, usize)>,
+    /// The legality state of the empty sequence.
+    pub(crate) init: L,
     /// Profiler phase name.
-    const PHASE: &'static str;
+    pub(crate) phase: &'static str,
+}
 
-    /// Schedulable units of the leaf search.
-    fn units(&self) -> usize;
-
-    /// Transactions in the (transformed) history — the domain of the
-    /// order search.
-    fn n_txns(&self) -> usize;
+impl<L: Legality> Search<'_, L> {
+    /// Transactions in `τ(h)` — the domain of the order search.
+    pub(crate) fn n_txns(&self) -> usize {
+        self.h.txns().len()
+    }
 
     /// Must transaction `a` precede transaction `b` in every admissible
-    /// order? Every constraint set below enforces these precedences on
-    /// its own, so a linearization under *any* pairs carries an
-    /// admissible order.
-    fn must_precede(&self, a: usize, b: usize) -> bool;
+    /// order: did `a` complete before `b` began? On a well-formed
+    /// history this covers program order too, since a process completes
+    /// one transaction before it starts the next.
+    pub(crate) fn must_precede(&self, a: usize, b: usize) -> bool {
+        let txns = self.h.txns();
+        txns[a].status.is_completed() && txns[a].last() < txns[b].first()
+    }
 
-    /// The distinct constraint sets one serialization order has to
-    /// satisfy together (viewers with equal views share one), by the
-    /// name [`try_order`](Self::try_order) and
-    /// [`extend`](Self::extend) know them by. Never empty.
-    fn classes(&self) -> &[usize];
+    /// A legal sequence of the nodes under `fixed` and the transaction
+    /// precedences `pairs`.
+    fn leaf(
+        &self,
+        pairs: &[(usize, usize)],
+        stats: &mut SearchStats,
+        cancel: &Cancel<'_>,
+        memo: &mut LeafMemo,
+    ) -> Option<Vec<usize>> {
+        let (g, init) = (&self.graph, &self.init);
+        linearize(g, &self.fixed, pairs, init, stats, cancel, memo)
+    }
 
-    /// The leaf: per-process witnesses for one complete serialization
-    /// order. `Err(set)` names the constraint set that admitted no
-    /// witness, for [`extend`](Self::extend) (meaningless when
-    /// `cancel` fired mid-way, in which case the failure may be
-    /// spurious).
-    fn try_order(
+    /// The leaf under one complete serialization order: the witness,
+    /// the same for every process of `τ(h)`. `None` may be spurious
+    /// once `cancel` has fired.
+    pub(crate) fn try_order(
         &self,
         order: &[usize],
         stats: &mut SearchStats,
         cancel: &Cancel<'_>,
         memo: &mut LeafMemo,
-    ) -> Result<Vec<(ProcId, Vec<OpId>)>, usize>;
+    ) -> Option<Vec<(ProcId, Vec<OpId>)>> {
+        let nodes = self.leaf(&adjacent_pairs(order), stats, cancel, memo)?;
+        let witness = self.graph.op_ids(&nodes);
+        let procs = self.h.procs().into_iter();
+        Some(procs.map(|p| (p, witness.clone())).collect())
+    }
 
-    /// The serialization order of a witness of constraint set `set`
-    /// under the transaction precedences `pairs` alone — an admissible
-    /// complete order that includes `pairs` and that `set` accepts.
-    /// `pairs` is a weaker constraint than any total order including
-    /// it, so `None` refutes all of those (the SAT backend's
-    /// blocking-core query, and the DFS backend's prefix oracle).
-    fn extend(
+    /// The serialization order of a witness under the transaction
+    /// precedences `pairs` alone — an admissible complete order that
+    /// includes `pairs`. `pairs` is a weaker constraint than any total
+    /// order including it, so `None` refutes all of those (the SAT
+    /// backend's blocking-core query, and the DFS backend's prefix
+    /// oracle).
+    pub(crate) fn extend(
         &self,
-        set: usize,
         pairs: &[(usize, usize)],
         stats: &mut SearchStats,
         cancel: &Cancel<'_>,
         memo: &mut LeafMemo,
-    ) -> Option<Vec<usize>>;
+    ) -> Option<Vec<usize>> {
+        let nodes = self.leaf(pairs, stats, cancel, memo)?;
+        Some(self.graph.txn_order(&nodes))
+    }
 }
 
 /// The adjacent pairs of a total order — the precedences that, with
@@ -291,7 +318,7 @@ fn prefix_pairs(prefix: &[usize], used: &[bool]) -> Vec<(usize, usize)> {
 }
 
 /// May transaction `t` come next, given the already-placed `used`?
-fn can_place<S: OrderSearch>(s: &S, t: usize, used: &[bool]) -> bool {
+fn can_place<L: Legality>(s: &Search<'_, L>, t: usize, used: &[bool]) -> bool {
     !used[t] && (0..s.n_txns()).all(|u| u == t || used[u] || !s.must_precede(u, t))
 }
 
@@ -307,7 +334,11 @@ fn used_by(n: usize, prefix: &[usize]) -> Vec<bool> {
 /// serialization order whose leaf succeeds — found inline when
 /// `threads` is 0, or as the least result of the pool's claimed
 /// prefixes.
-fn search_orders<S: OrderSearch>(s: &S, threads: usize, stats: &mut SearchStats) -> Option<Found> {
+fn search_orders<L: Legality>(
+    s: &Search<'_, L>,
+    threads: usize,
+    stats: &mut SearchStats,
+) -> Option<Found> {
     let n = s.n_txns();
     let subtree =
         |prefix: &[usize], cancel: &Cancel<'_>, memo: &mut LeafMemo, stats: &mut SearchStats| {
@@ -335,10 +366,10 @@ fn search_orders<S: OrderSearch>(s: &S, threads: usize, stats: &mut SearchStats)
 /// The first admissible complete order extending `prefix`, in
 /// ascending-index candidate order, whose leaf succeeds.
 ///
-/// With **one** constraint class a linearization *is* a serialization
-/// order plus its witness, so [`OrderSearch::extend`] under
-/// [`prefix_pairs`] decides exactly whether some admissible completion
-/// of a prefix succeeds, and the search never backtracks over orders:
+/// A linearization *is* a serialization order plus its witness, so
+/// [`Search::extend`] under [`prefix_pairs`] decides exactly whether
+/// some admissible completion of a prefix succeeds, and the search
+/// never backtracks over orders:
 ///
 /// 1. try the first admissible completion — a history that holds under
 ///    it (every sequential one) costs the one leaf it always did;
@@ -355,12 +386,8 @@ fn search_orders<S: OrderSearch>(s: &S, threads: usize, stats: &mut SearchStats)
 /// after it (a longer prefix implies a shorter one's pairs), so its
 /// dead ends are carried down the walk; a failed call's are not — the
 /// walk turns away from that prefix.
-///
-/// With more classes a prefix may satisfy each class under a different
-/// completion, so the oracle only prunes and [`enum_orders`] enumerates
-/// what it leaves.
-fn first_success<S: OrderSearch>(
-    s: &S,
+fn first_success<L: Legality>(
+    s: &Search<'_, L>,
     prefix: &[usize],
     stats: &mut SearchStats,
     cancel: &Cancel<'_>,
@@ -369,18 +396,13 @@ fn first_success<S: OrderSearch>(
     let n = s.n_txns();
     let mut order = prefix.to_vec();
     let mut used = used_by(n, prefix);
-    let &[class] = s.classes() else {
-        let mut found = None;
-        enum_orders(s, &mut order, &mut used, &mut found, stats, cancel, memo);
-        return found;
-    };
     let leaf = |order: Vec<usize>, stats: &mut SearchStats, memo: &mut LeafMemo| {
         stats.txn_orders += 1;
-        let witnesses = s.try_order(&order, stats, cancel, memo).ok()?;
+        let witnesses = s.try_order(&order, stats, cancel, memo)?;
         Some((order, witnesses))
     };
     let oracle = |order: &[usize], used: &[bool], stats: &mut SearchStats, memo: &mut LeafMemo| {
-        let bound = s.extend(class, &prefix_pairs(order, used), stats, cancel, memo)?;
+        let bound = s.extend(&prefix_pairs(order, used), stats, cancel, memo)?;
         memo.keep_dead_ends();
         Some(bound)
     };
@@ -423,53 +445,13 @@ fn first_success<S: OrderSearch>(
     found
 }
 
-/// Extend `order` to every admissible complete order no constraint
-/// class rules out already, running the leaf on each, until one
-/// succeeds. `cancel` aborts the enumeration once its result can no
-/// longer matter (pool only).
-fn enum_orders<S: OrderSearch>(
-    s: &S,
-    order: &mut Vec<usize>,
-    used: &mut [bool],
-    found: &mut Option<Found>,
-    stats: &mut SearchStats,
-    cancel: &Cancel<'_>,
-    memo: &mut LeafMemo,
-) {
-    if found.is_some() || cancel.hit() {
-        return;
-    }
-    if order.len() == s.n_txns() {
-        stats.txn_orders += 1;
-        if let Ok(witnesses) = s.try_order(order, stats, cancel, memo) {
-            *found = Some((order.clone(), witnesses));
-        }
-        return;
-    }
-    let pairs = prefix_pairs(order, used);
-    let mut classes = s.classes().iter();
-    if classes.any(|&c| s.extend(c, &pairs, stats, cancel, memo).is_none()) {
-        return;
-    }
-    for t in 0..s.n_txns() {
-        if !can_place(s, t, used) {
-            continue;
-        }
-        used[t] = true;
-        order.push(t);
-        enum_orders(s, order, used, found, stats, cancel, memo);
-        order.pop();
-        used[t] = false;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::HistoryBuilder;
     use crate::ids::{X, Y};
+    use crate::linearize::scheduled;
     use crate::model::{Rmo, Sc};
-    use crate::opacity::Search;
 
     /// Figure 1: a transaction writes x then y; another thread reads
     /// `y = 1` then `x = r_x` non-transactionally.
@@ -505,8 +487,50 @@ mod tests {
                 let (v, _) = check.run(&fig1(0), &Sc);
                 assert!(!v.holds() && v.witnesses().is_empty() && v.txn_order().is_empty());
                 assert!(check.run(&fig1(0), &Rmo).0.holds());
+
+                // One witness per process of τ(h): none at all here.
+                let (v, _) = check.run(&HistoryBuilder::new().build().unwrap(), &Sc);
+                assert!(v.holds(), "{kind:?}/{backend:?}");
+                assert!(v.witnesses().is_empty() && v.txn_order().is_empty());
             }
         }
+    }
+
+    #[test]
+    fn one_must_precede_serves_both_properties() {
+        // The reference is SGLA's separate predicate as of e248245:
+        // program order on one process, real-time order across them.
+        let reference = |h: &History, a: usize, b: usize| {
+            let txns = h.txns();
+            if txns[a].proc == txns[b].proc {
+                return txns[a].first() < txns[b].first();
+            }
+            txns[a].status.is_completed() && txns[a].last() < txns[b].first()
+        };
+        let specs = SpecRegistry::registers();
+        let (mut pairs, mut same_proc) = (0, 0);
+        for seed in 0..600u64 {
+            let (procs, eager) = (1 + seed % 5, 1 + seed / 5 % 7);
+            let h = scheduled(seed, procs, 8 + (seed % 40) as usize, eager);
+            let opacity = Search::opacity(&h, &Sc, &specs);
+            let sgla = Search::sgla(&h, &Sc, &specs);
+            let n = h.txns().len();
+            for (a, b) in (0..n).flat_map(|a| (0..n).map(move |b| (a, b))) {
+                if a == b {
+                    continue;
+                }
+                let expected = reference(&h, a, b);
+                let ctx = format!("seed {seed}: {a} → {b}");
+                assert_eq!(opacity.must_precede(a, b), expected, "{ctx}");
+                assert_eq!(sgla.must_precede(a, b), expected, "{ctx}");
+                pairs += 1;
+                same_proc += usize::from(h.txns()[a].proc == h.txns()[b].proc);
+            }
+        }
+        assert!(
+            pairs > 10_000 && same_proc > pairs / 10,
+            "{pairs} pairs, {same_proc}"
+        );
     }
 
     #[test]
@@ -563,15 +587,12 @@ mod tests {
         let mut memo = LeafMemo::with_caps(0, dead_ends);
         let never = Cancel::never();
         let found = match kind {
-            CheckKind::Opacity => first_success(
-                &Search::new(h, &Sc, &specs),
-                &[],
-                &mut stats,
-                &never,
-                &mut memo,
-            ),
+            CheckKind::Opacity => {
+                let s = Search::opacity(h, &Sc, &specs);
+                first_success(&s, &[], &mut stats, &never, &mut memo)
+            }
             CheckKind::Sgla => {
-                let s = SglaSearch::new(h, &Sc, &specs);
+                let s = Search::sgla(h, &Sc, &specs);
                 first_success(&s, &[], &mut stats, &never, &mut memo)
             }
         };
@@ -630,77 +651,6 @@ mod tests {
                     );
                 }
             }
-        }
-    }
-
-    /// SC, except that process 1 need not see process 2's operations
-    /// in program order, and nobody else process 4's: two viewer
-    /// classes.
-    struct Skewed;
-
-    impl MemoryModel for Skewed {
-        fn name(&self) -> &'static str {
-            "skewed"
-        }
-        fn required(&self, _: &History, _: usize, _: usize) -> bool {
-            true
-        }
-        fn required_in_view(&self, h: &History, viewer: ProcId, i: usize, _: usize) -> bool {
-            let unordered = if viewer == ProcId(1) { 2 } else { 4 };
-            h.ops()[i].proc != ProcId(unordered)
-        }
-        fn classes(&self) -> crate::classes::ClassSet {
-            Sc.classes()
-        }
-    }
-
-    #[test]
-    fn several_viewer_classes_enumerate_below_the_prune() {
-        // Two concurrent writers, of x (transaction 0) and of y
-        // (transaction 1). Process 2 reads y = 1 then x = 0: whoever
-        // keeps its reads in order needs 1 before 0. Process 4 reads
-        // x = 1 then y: seeing y = 0, whoever keeps *its* reads in
-        // order needs 0 before 1. Under `Skewed` those are different
-        // viewers, so each class is satisfiable and no order satisfies
-        // both; with y = 1 the order [1, 0] does.
-        let mk = |y_seen: u64| {
-            let mut b = HistoryBuilder::new();
-            b.start(ProcId(1));
-            b.start(ProcId(3));
-            b.write(ProcId(1), X, 1);
-            b.write(ProcId(3), Y, 1);
-            b.commit(ProcId(1));
-            b.commit(ProcId(3));
-            b.read(ProcId(2), Y, 1);
-            b.read(ProcId(2), X, 0);
-            b.read(ProcId(4), X, 1);
-            b.read(ProcId(4), Y, y_seen);
-            b.build().unwrap()
-        };
-        let specs = SpecRegistry::registers();
-        let never = Cancel::never();
-        for (y_seen, holds) in [(1, true), (0, false)] {
-            let h = mk(y_seen);
-            let s = Search::new(&h, &Skewed, &specs);
-            let mut stats = SearchStats::default();
-            let mut memo = LeafMemo::disabled();
-            assert_eq!(s.classes().len(), 2);
-            for &class in s.classes() {
-                let alone = s.extend(class, &[], &mut stats, &never, &mut memo);
-                assert!(alone.is_some(), "class {class} alone, y = {y_seen}");
-            }
-            // The reference: every order through the leaf, in turn.
-            let mut leaf = |order: &[usize]| s.try_order(order, &mut stats, &never, &mut memo);
-            assert!(leaf(&[0, 1]).is_err());
-            let reference = leaf(&[1, 0]).ok();
-            assert_eq!(reference.is_some(), holds);
-
-            let (verdict, stats) = Check::new(CheckKind::Opacity).run(&h, &Skewed);
-            assert_eq!(verdict.holds(), holds, "y = {y_seen}");
-            assert_eq!(verdict.witnesses, reference.unwrap_or_default());
-            // [0, 1] is refuted as the prefix [0], before it is built.
-            assert_eq!(stats.search.txn_orders, u64::from(holds));
-            assert_eq!(verdict.txn_order, if holds { vec![1, 0] } else { vec![] });
         }
     }
 

@@ -4,8 +4,8 @@
 //! serialization order by walking down prefixes an exact witness
 //! search accepts. This module compiles the same *outer* existential —
 //! "∃ total order ≺ over the transactions consistent with the
-//! real-time (and, for SGLA, program) order" — into CNF for the in-tree CDCL solver
-//! ([`jungle_sat`](jungle_sat)) and discharges the *inner* existential
+//! real-time order" — into CNF for the in-tree CDCL solver
+//! ([`jungle_sat`]) and discharges the *inner* existential
 //! (the per-process witness permutations) by counterexample-guided
 //! refinement against the DFS leaf routine.
 //!
@@ -24,20 +24,21 @@
 //!
 //! A tournament with no 3-cycle is transitively closed, so every model
 //! of the base CNF decodes to a total order. Must-precede constraints
-//! (real-time order; for SGLA also per-process program order) become
-//! unit clauses. They are consistent with ordering transactions by
+//! (real-time order, which includes each process's program order of
+//! transactions) become unit clauses, the same for both properties.
+//! They are consistent with ordering transactions by
 //! their first operation, so the base CNF is always satisfiable —
 //! `Unsat` only ever arises from learned blocking clauses.
 //!
 //! ### CEGAR loop
 //!
 //! Each solver model is decoded to an order and **certified** by the
-//! exact DFS leaf search (`OrderSearch::try_order`, the routine the DFS
-//! backend runs on the order it settles on). A SAT
-//! "yes" is never trusted: a positive verdict always carries a
-//! DFS-validated witness. When certification fails, the oracle shrinks
-//! the order's adjacent-pair set to a minimal infeasible core `S` by
-//! greedy deletion and blocks `⋀_{(a,b)∈S} a ≺ b` with the clause
+//! exact DFS leaf search (`Search::try_order`, the routine the DFS
+//! backend runs on the order it settles on). A SAT "yes" is never
+//! trusted: a positive verdict always carries a DFS-validated witness.
+//! When certification fails, the oracle (`Search::extend`) shrinks the
+//! order's adjacent-pair set to a minimal infeasible core `S` by greedy
+//! deletion and blocks `⋀_{(a,b)∈S} a ≺ b` with the clause
 //! `⋁_{(a,b)∈S} ¬lit(a,b)`.
 //!
 //! **Soundness of blocking:** the witness search under constraint set
@@ -56,15 +57,13 @@
 //! and each model is re-checked against the mirror with
 //! [`jungle_sat::verify_model`] before decoding.
 
-use crate::check::{
-    adjacent_pairs, Check, CheckBackend, CheckKind, CheckStats, Found, OrderSearch,
-};
+use crate::check::{adjacent_pairs, Check, CheckBackend, CheckKind, CheckStats, Found, Search};
 use crate::history::History;
-use crate::linearize::LeafMemo;
+use crate::linearize::{LeafMemo, Legality};
 use crate::model::MemoryModel;
-use crate::opacity::{OpacityVerdict, Search};
+use crate::opacity::OpacityVerdict;
 use crate::par::{Cancel, MEMO_CAP};
-use crate::sgla::{SglaSearch, SglaVerdict};
+use crate::sgla::SglaVerdict;
 use crate::spec::SpecRegistry;
 use jungle_obs::trace::{self, EventKind};
 use jungle_obs::SatStats;
@@ -106,7 +105,7 @@ impl OrderEnc {
 
     /// The base encoding of `s`'s order search: the anti-cycle clauses
     /// plus one unit clause per must-precede pair.
-    fn for_search<S: OrderSearch>(s: &S) -> OrderEnc {
+    fn for_search<L: Legality>(s: &Search<'_, L>) -> OrderEnc {
         let n = s.n_txns();
         let mut enc = OrderEnc::new(n);
         for a in 0..n {
@@ -195,7 +194,7 @@ fn shrink_core<F: FnMut(&[(usize, usize)]) -> bool>(
 
 /// The CEGAR driver: encode, solve, certify, block, repeat. Leaf work
 /// lands in `stats.search`, solver work in `stats.sat`.
-pub(crate) fn cegar<S: OrderSearch>(s: &S, stats: &mut CheckStats) -> Option<Found> {
+pub(crate) fn cegar<L: Legality>(s: &Search<'_, L>, stats: &mut CheckStats) -> Option<Found> {
     let (search, sat) = (&mut stats.search, &mut stats.sat);
     let mut memo = LeafMemo::new(MEMO_CAP);
     let mut enc = OrderEnc::for_search(s);
@@ -232,17 +231,14 @@ pub(crate) fn cegar<S: OrderSearch>(s: &S, stats: &mut CheckStats) -> Option<Fou
         );
         let order = enc.decode(&model);
         // Certify through the exact DFS leaf; on failure, minimize the
-        // order's adjacent pairs against the constraint set that failed.
-        let failed = match s.try_order(&order, search, &Cancel::never(), &mut memo) {
-            Ok(witnesses) => break Some((order, witnesses)),
-            Err(set) => set,
-        };
-        rounds += 1;
+        // order's adjacent pairs.
         let never = Cancel::never();
-        let mut infeasible = |pairs: &[(usize, usize)]| {
-            let extended = s.extend(failed, pairs, search, &never, &mut memo);
-            extended.is_none()
-        };
+        if let Some(witnesses) = s.try_order(&order, search, &never, &mut memo) {
+            break Some((order, witnesses));
+        }
+        rounds += 1;
+        let mut infeasible =
+            |pairs: &[(usize, usize)]| s.extend(pairs, search, &never, &mut memo).is_none();
         if infeasible(&[]) {
             break None; // no witness even unconstrained
         }
@@ -355,22 +351,14 @@ impl CnfDoc {
 
 /// The base CNF of the opacity order search for `h` under `model`.
 pub fn opacity_cnf(h: &History, model: &dyn MemoryModel) -> CnfDoc {
-    let th = model.transform(h);
-    CnfDoc::from_enc(&OrderEnc::for_search(&Search::new(
-        &th,
-        model,
-        &SpecRegistry::registers(),
-    )))
+    let (th, specs) = (model.transform(h), SpecRegistry::registers());
+    CnfDoc::from_enc(&OrderEnc::for_search(&Search::opacity(&th, model, &specs)))
 }
 
 /// The base CNF of the SGLA order search for `h` under `model`.
 pub fn sgla_cnf(h: &History, model: &dyn MemoryModel) -> CnfDoc {
-    let th = model.transform(h);
-    CnfDoc::from_enc(&OrderEnc::for_search(&SglaSearch::new(
-        &th,
-        model,
-        &SpecRegistry::registers(),
-    )))
+    let (th, specs) = (model.transform(h), SpecRegistry::registers());
+    CnfDoc::from_enc(&OrderEnc::for_search(&Search::sgla(&th, model, &specs)))
 }
 
 #[cfg(test)]

@@ -8,16 +8,16 @@
 //! actionable counterexample narrative, and it is what the
 //! `model_checker` example prints for violating traces.
 //!
-//! The units, the edges `≺h ∪ v(p)` and the placement of a unit are
-//! the checker's own ([`linearize`](crate::linearize)); only the
+//! The units, the edges `≺h ∪ v` and the placement of a unit are the
+//! opacity search's own ([`linearize`](crate::linearize)); only the
 //! greedy walk, in place of the backtracking search, is this module's.
 
-use crate::check::{Check, CheckKind};
+use crate::check::Search;
 use crate::history::History;
 use crate::ids::OpId;
-use crate::legal::PrefixChecker;
-use crate::linearize::{edge_set, view_pairs, Graph};
+use crate::linearize::union;
 use crate::model::MemoryModel;
+use crate::opacity::check_opacity;
 use crate::spec::SpecRegistry;
 
 /// Why an operation could not extend the witness prefix.
@@ -90,27 +90,14 @@ impl Diagnosis {
 
 /// Diagnose a history against opacity parametrized by `model` (register
 /// semantics).
-pub fn explain_opacity(h: &History, model: &dyn MemoryModel) -> Diagnosis {
-    explain_opacity_with(h, model, &SpecRegistry::registers())
-}
-
-/// Diagnose with explicit sequential specifications.
 ///
 /// The diagnosis is *greedy*: it follows one serialization order (the
 /// history order of transactions, restricted to real-time-consistent
 /// choices) and extends the prefix with any placeable unit until stuck;
 /// it is meant to explain, not to re-decide (use
-/// [`check_opacity`](crate::opacity::check_opacity) for the verdict).
-pub fn explain_opacity_with(
-    h: &History,
-    model: &dyn MemoryModel,
-    specs: &SpecRegistry,
-) -> Diagnosis {
-    let check = Check {
-        specs: specs.clone(),
-        ..Check::new(CheckKind::Opacity)
-    };
-    if check.run(h, model).0.holds() {
+/// [`check_opacity`] for the verdict).
+pub fn explain_opacity(h: &History, model: &dyn MemoryModel) -> Diagnosis {
+    if check_opacity(h, model).holds() {
         return Diagnosis {
             opaque: true,
             best_prefix: Vec::new(),
@@ -118,22 +105,21 @@ pub fn explain_opacity_with(
         };
     }
     let th = model.transform(h);
+    let specs = SpecRegistry::registers();
 
-    // Units and edges as in the checker, for the first viewer (a
-    // non-opaque history is not empty), with the serialization order
-    // fixed to history order of transaction starts (unit `t` is
-    // transaction `t`).
-    let g = Graph::units(&th);
-    let viewer = th.procs()[0];
-    let serial = (1..th.txns().len()).map(|t| (t - 1, t));
-    let view = g.lift(view_pairs(&th, model, viewer));
-    let edges = edge_set(g.rt_edges().into_iter().chain(view).chain(serial));
+    // The checker's own units and edges `≺h ∪ v`, with the
+    // serialization order fixed to history order of transaction starts
+    // (unit `t` is transaction `t`).
+    let s = Search::opacity(&th, model, &specs);
+    let g = &s.graph;
+    let serial: Vec<_> = (1..th.txns().len()).map(|t| (t - 1, t)).collect();
+    let edges = union(&s.fixed, &serial);
 
     // Greedy placement.
     let n = g.len();
     let mut placed = vec![false; n];
     let mut prefix: Vec<usize> = Vec::new();
-    let mut checker = PrefixChecker::new(specs);
+    let mut checker = s.init.clone();
     let waiting = |u: usize, placed: &[bool]| {
         let blocking = edges.iter().find(|&&(a, b)| b == u && !placed[a]);
         blocking.map(|&(a, _)| a)

@@ -23,13 +23,14 @@
 //! * [`classes`] — §3.2 *Classes of memory models*.
 //! * [`check`] — the one request type, [`Check`], that answers "does
 //!   this history satisfy kind K under model M": kind × backend ×
-//!   workers × specifications in, verdict and stats out.
+//!   workers × specifications in, verdict and stats out; and the one
+//!   order search both properties run.
 //! * [`linearize`] — the constraint system both properties share and
-//!   the one search over it: minimal views, the node graph over `τ(h)`,
-//!   placement of a node, and the legal-linearization search.
-//! * [`opacity`] — §3.3: parametrized opacity as a client of it (unit
-//!   granularity, deferred-update legality).
-//! * [`sgla`] — §6.2: SGLA as a client of it (operation granularity,
+//!   the legal-linearization search under it: the minimal view, the
+//!   node graph over `τ(h)`, and placement of a node.
+//! * [`opacity`] — §3.3: parametrized opacity as one constructor of
+//!   that search (unit granularity, deferred-update legality).
+//! * [`sgla`] — §6.2: SGLA as the other (operation granularity,
 //!   critical-section legality).
 //!
 //! All decision procedures are exact (backtracking explicit-state search
@@ -115,7 +116,7 @@ pub mod prelude {
     pub use crate::registry::{entry, registry, ExecSemantics, ModelEntry, StoreDiscipline};
     pub use crate::sgla::{check_sgla, SglaVerdict};
     pub use crate::spec::{Spec, SpecRegistry};
-    pub use crate::triage::{triage_opacity, triage_opacity_with, Triage};
+    pub use crate::triage::{triage_opacity, Triage};
     pub use jungle_obs::SearchStats;
 }
 

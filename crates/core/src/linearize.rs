@@ -6,11 +6,13 @@
 //! (§6.2) changes only the granularity of the permutation (operations
 //! instead of whole transactions) and the legality semantics (critical
 //! sections instead of deferred updates). This module owns what the
-//! two share, in four parts, and every checker, the explainers and the
-//! triage tier are clients of it:
+//! two share, in four parts, and the one order search
+//! ([`check`](crate::check)), the explainers and the triage tier are
+//! clients of it:
 //!
-//! * [`view_pairs`] — the minimal view `v(p)` as history-index pairs
-//!   (public: `jungle-mc`'s explainer masks these pairs one at a time);
+//! * [`view_pairs`] — the minimal view `v` as history-index pairs, the
+//!   same for every process (public: `jungle-mc`'s explainer masks
+//!   these pairs one at a time);
 //! * `Graph` — the nodes of the permutation over `τ(h)`, at unit or at
 //!   operation granularity, with the lift of index pairs to node edges
 //!   and `≺h` as a covering edge set (`Graph::rt_edges`: one pass over
@@ -27,10 +29,10 @@
 //!   part.
 //!
 //! The clients say which granularity, which static edges, and which
-//! legality: [`opacity`](crate::opacity) and [`sgla`](crate::sgla) for
-//! the two properties, [`explain`](crate::explain) and
-//! [`triage`](crate::triage) for the greedy and the two-candidate
-//! placements.
+//! legality: the constructors in [`opacity`](crate::opacity) and
+//! [`sgla`](crate::sgla) for the two properties,
+//! [`explain`](crate::explain) and [`triage`](crate::triage) for the
+//! greedy and the two-candidate placements.
 
 use crate::history::{History, TxnStatus};
 use crate::ids::{OpId, ProcId};
@@ -42,15 +44,15 @@ use jungle_obs::trace::{self, EventKind};
 use jungle_obs::SearchStats;
 use std::collections::HashSet;
 
-/// The minimal view `v(viewer)` of `R(h)`: the history-index pairs
-/// `(i, j)`, `i < j`, that every view of `viewer` must order — pairs of
-/// non-transactional commands of one process for which
-/// [`MemoryModel::required_in_view`] holds, in ascending order. `h` is
-/// the transformed history `τ(h)`.
+/// The minimal view `v` of `R(h)`: the history-index pairs `(i, j)`,
+/// `i < j`, that every view must order — pairs of non-transactional
+/// commands of one process for which [`MemoryModel::required`] holds,
+/// in ascending order. `h` is the transformed history `τ(h)`.
 ///
-/// For all of the paper's models `R` is upward closed, so the
-/// existential over views is discharged by this one.
-pub fn view_pairs(h: &History, model: &dyn MemoryModel, viewer: ProcId) -> Vec<(usize, usize)> {
+/// For all of the paper's models `R` is upward closed and gives every
+/// process the same minimal view, so the existential over views is
+/// discharged by this one.
+pub fn view_pairs(h: &History, model: &dyn MemoryModel) -> Vec<(usize, usize)> {
     let ops = h.ops();
     let cmds: Vec<usize> = (0..h.len())
         .filter(|&i| !h.is_transactional(i) && ops[i].op.command().is_some())
@@ -58,7 +60,7 @@ pub fn view_pairs(h: &History, model: &dyn MemoryModel, viewer: ProcId) -> Vec<(
     let mut pairs = Vec::new();
     for (k, &i) in cmds.iter().enumerate() {
         for &j in &cmds[k + 1..] {
-            if ops[i].proc == ops[j].proc && model.required_in_view(h, viewer, i, j) {
+            if ops[i].proc == ops[j].proc && model.required(h, i, j) {
                 pairs.push((i, j));
             }
         }
@@ -69,7 +71,7 @@ pub fn view_pairs(h: &History, model: &dyn MemoryModel, viewer: ProcId) -> Vec<(
 /// An incremental legality state the search snapshots by [`Clone`]:
 /// [`PrefixChecker`] (deferred updates, opacity) or [`CsChecker`]
 /// (critical sections, SGLA).
-pub(crate) trait Legality: Clone {
+pub(crate) trait Legality: Clone + Sync {
     /// Apply the next operation; `false` if it is illegal.
     fn step(&mut self, op: &Op, transactional: bool) -> bool;
     /// Close a live transaction after its last operation.
@@ -557,49 +559,50 @@ impl Dfs<'_, '_> {
 }
 
 #[cfg(test)]
+/// `steps` scheduling steps of `procs` processes: a process outside
+/// a transaction starts one or issues a single operation; inside,
+/// it accesses, commits or aborts. `eager` of 8 steps end an open
+/// transaction: low values keep many open at once (the shape of
+/// `tests/oracle.rs`'s concurrent histories), high ones give chains
+/// (`check_agreement.rs`'s). Whatever is open at the end stays live.
+pub(crate) fn scheduled(seed: u64, procs: u64, steps: usize, eager: u64) -> History {
+    let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+    let mut draw = |n: u64| {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state >> 33) % n
+    };
+    let mut b = crate::builder::HistoryBuilder::new();
+    let mut open = vec![false; procs as usize];
+    for _ in 0..steps {
+        let p = draw(procs) as usize;
+        let (proc, x) = (ProcId(p as u32), crate::ids::Var(draw(2) as u32));
+        match (open[p], draw(8)) {
+            (false, 0..=2) => _ = b.read(proc, x, 0),
+            (false, _) => {
+                b.start(proc);
+                open[p] = true;
+            }
+            (true, r) if r < eager => {
+                if draw(4) == 0 {
+                    b.abort(proc);
+                } else {
+                    b.commit(proc);
+                }
+                open[p] = false;
+            }
+            (true, _) => _ = b.write(proc, x, 1),
+        }
+    }
+    b.build().expect("the schedule is well-formed")
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::HistoryBuilder;
     use crate::ids::Var;
-
-    /// `steps` scheduling steps of `procs` processes: a process outside
-    /// a transaction starts one or issues a single operation; inside,
-    /// it accesses, commits or aborts. `eager` of 8 steps end an open
-    /// transaction: low values keep many open at once (the shape of
-    /// `tests/oracle.rs`'s concurrent histories), high ones give chains
-    /// (`check_agreement.rs`'s). Whatever is open at the end stays live.
-    fn scheduled(seed: u64, procs: u64, steps: usize, eager: u64) -> History {
-        let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
-        let mut draw = |n: u64| {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state >> 33) % n
-        };
-        let mut b = HistoryBuilder::new();
-        let mut open = vec![false; procs as usize];
-        for _ in 0..steps {
-            let p = draw(procs) as usize;
-            let (proc, x) = (ProcId(p as u32), Var(draw(2) as u32));
-            match (open[p], draw(8)) {
-                (false, 0..=2) => _ = b.read(proc, x, 0),
-                (false, _) => {
-                    b.start(proc);
-                    open[p] = true;
-                }
-                (true, r) if r < eager => {
-                    if draw(4) == 0 {
-                        b.abort(proc);
-                    } else {
-                        b.commit(proc);
-                    }
-                    open[p] = false;
-                }
-                (true, _) => _ = b.write(proc, x, 1),
-            }
-        }
-        b.build().expect("the schedule is well-formed")
-    }
 
     /// Reflexive-transitive reachability over `n` nodes.
     fn closure(n: usize, edges: impl Iterator<Item = (usize, usize)>) -> Vec<Vec<bool>> {

@@ -14,7 +14,9 @@
 //! non-transactional operations `i` (earlier) and `j` (later) of the
 //! *same process*, must every view order `i` before `j`? (No model in
 //! the paper constrains cross-process pairs; well-formedness already
-//! forbids anti-program-order pairs.)
+//! forbids anti-program-order pairs.) The answer does not depend on
+//! which process views the history, so one minimal view serves every
+//! process.
 //!
 //! The concrete models:
 //!
@@ -65,24 +67,9 @@ pub trait MemoryModel: Sync {
     ///
     /// Callers guarantee: `i < j` in history order, both operations are
     /// non-transactional commands, and both are by the same process.
-    /// (Views of the paper's models never constrain other pairs; a model
-    /// with non-atomic stores could override
-    /// [`MemoryModel::required_in_view`] to make the answer depend on the
-    /// viewing process.)
+    /// (Views of the paper's models never constrain other pairs, and
+    /// every process gets the same one.)
     fn required(&self, h: &History, i: usize, j: usize) -> bool;
-
-    /// Per-viewer variant of [`MemoryModel::required`] for models that
-    /// allow different processes different views (e.g. IA-32 non-atomic
-    /// stores). The default ignores the viewer.
-    fn required_in_view(
-        &self,
-        h: &History,
-        _viewer: crate::ids::ProcId,
-        i: usize,
-        j: usize,
-    ) -> bool {
-        self.required(h, i, j)
-    }
 
     /// The reorder-restriction classes this model belongs to (§3.2).
     /// Validated against [`MemoryModel::required`] by the property tests

@@ -13,8 +13,9 @@
 //!
 //! For all of the paper's models the reordering function is *upward
 //! closed*: `R(τ(h))` is the set of views containing a computable set of
-//! required pairs, so the existential over views is discharged by the
-//! minimal view ([`view_pairs`]). Sequentiality forces each
+//! required pairs, the same for every process, so the existential over
+//! views is discharged by the minimal view ([`view_pairs`]) and one
+//! witness serves every process. Sequentiality forces each
 //! transaction's operations to be contiguous and in program order, so
 //! the existential over `≺` reduces to a permutation of *transactions*
 //! consistent with the real-time order. The checker therefore:
@@ -23,16 +24,16 @@
 //!   non-transactional operation (the unit-granularity
 //!   [`Graph`](crate::linearize));
 //! * looks for the first transaction serialization order consistent
-//!   with `≺h` that every viewer accepts (the order search shared with
-//!   SGLA, in [`check`](crate::check) — a walk down accepted prefixes,
-//!   not an enumeration, whenever all viewers share one view);
-//! * where accepting means: for that order and the viewer's (minimal)
-//!   view there is a topological order of the units that is
-//!   prefix-legal under the deferred-update [`PrefixChecker`] (the leaf
-//!   shared with SGLA, [`linearize`](crate::linearize)).
+//!   with `≺h` under which the witness search succeeds (the order
+//!   search shared with SGLA, in [`check`](crate::check) — a walk down
+//!   accepted prefixes, not an enumeration);
+//! * where succeeding means: for that order there is a topological
+//!   order of the units under `≺h ∪ v` that is prefix-legal under the
+//!   deferred-update [`PrefixChecker`] (the leaf shared with SGLA,
+//!   [`linearize`](crate::linearize)).
 //!
-//! What is left here is what makes the search *opacity*: unit
-//! granularity, the static edges `≺h ∪ v(p)` per viewer, and
+//! What is left here is what makes the search *opacity*: its
+//! constructor — unit granularity, the static edges `≺h ∪ v`, and
 //! [`PrefixChecker`] legality.
 //!
 //! The search is exact. Its cost is bounded by the frontiers of the
@@ -42,13 +43,12 @@
 //! mutually concurrent (`2^p` frontiers for `p` of them, where the
 //! orders number `p!`).
 
-use crate::check::{adjacent_pairs, Check, CheckKind, CheckVerdict, OrderSearch};
+use crate::check::{Check, CheckKind, CheckVerdict, Search};
 use crate::history::History;
-use crate::ids::{OpId, ProcId};
 use crate::legal::PrefixChecker;
-use crate::linearize::{edge_set, linearize, union, view_pairs, Graph, LeafMemo};
+use crate::linearize::{edge_set, union, view_pairs, Graph};
 use crate::model::MemoryModel;
-use crate::par::{Cancel, ParallelConfig};
+use crate::par::ParallelConfig;
 use crate::spec::SpecRegistry;
 use jungle_obs::SearchStats;
 
@@ -81,134 +81,24 @@ pub fn check_opacity_par(
     check.run(h, model).0
 }
 
-pub(crate) struct Search<'a> {
-    h: &'a History,
-    graph: Graph<'a>,
-    specs: &'a SpecRegistry,
-    viewers: Vec<ProcId>,
-    /// Per representative viewer, the order-independent edges
-    /// `≺h ∪ v(p)`; empty for a viewer another one represents.
-    fixed: Vec<Vec<(usize, usize)>>,
-    /// Per viewer, the first viewer with the same view — one witness
-    /// search covers every viewer sharing a set. (A view relates
-    /// non-transactional operations and every edge of `≺h` has a
-    /// transactional side, so equal views are equal edge sets.)
-    rep: Vec<usize>,
-    /// The viewers that represent themselves: the distinct constraint
-    /// sets. All bundled models are viewer-independent, which makes
-    /// this one set and the order search backtrack-free.
-    classes: Vec<usize>,
-}
-
-impl<'a> Search<'a> {
-    pub(crate) fn new(h: &'a History, model: &dyn MemoryModel, specs: &'a SpecRegistry) -> Self {
+impl<'a> Search<'a, PrefixChecker<'a>> {
+    /// The opacity search of `h` (transformed already): whole
+    /// transactions as units, `≺h ∪ v` as the static edges, deferred
+    /// updates as the legality.
+    pub(crate) fn opacity(
+        h: &'a History,
+        model: &dyn MemoryModel,
+        specs: &'a SpecRegistry,
+    ) -> Self {
         let graph = Graph::units(h);
-        let mut viewers = h.procs();
-        if viewers.is_empty() {
-            viewers.push(ProcId(0));
-        }
-        let views: Vec<Vec<(usize, usize)>> = viewers
-            .iter()
-            .map(|&p| edge_set(graph.lift(view_pairs(h, model, p))))
-            .collect();
-        let rep: Vec<usize> = views
-            .iter()
-            .map(|v| views.iter().position(|w| w == v).expect("v is in views"))
-            .collect();
-        let classes: Vec<usize> = (0..rep.len()).filter(|&d| rep[d] == d).collect();
-        let rt = graph.rt_edges();
-        let mut fixed = vec![Vec::new(); viewers.len()];
-        for &d in &classes {
-            fixed[d] = union(&rt, &views[d]);
-        }
+        let view = edge_set(graph.lift(view_pairs(h, model)));
         Search {
             h,
+            fixed: union(&graph.rt_edges(), &view),
             graph,
-            specs,
-            viewers,
-            fixed,
-            rep,
-            classes,
+            init: PrefixChecker::new(specs),
+            phase: "check.opacity",
         }
-    }
-
-    /// The leaf for viewer `d`'s constraint set under the transaction
-    /// precedences `pairs`: a legal sequence of the units.
-    fn leaf(
-        &self,
-        d: usize,
-        pairs: &[(usize, usize)],
-        stats: &mut SearchStats,
-        cancel: &Cancel<'_>,
-        memo: &mut LeafMemo,
-    ) -> Option<Vec<usize>> {
-        let init = PrefixChecker::new(self.specs);
-        let fixed = &self.fixed[d];
-        linearize(&self.graph, fixed, pairs, &init, stats, cancel, memo)
-    }
-}
-
-impl OrderSearch for Search<'_> {
-    const PHASE: &'static str = "check.opacity";
-
-    fn units(&self) -> usize {
-        self.graph.len()
-    }
-
-    fn n_txns(&self) -> usize {
-        self.h.txns().len()
-    }
-
-    /// The real-time constraint: `a` completed before `b` began (an
-    /// edge of `≺h`, so part of every viewer's set).
-    fn must_precede(&self, a: usize, b: usize) -> bool {
-        let txns = self.h.txns();
-        txns[a].status.is_completed() && txns[a].last() < txns[b].first()
-    }
-
-    fn classes(&self) -> &[usize] {
-        &self.classes
-    }
-
-    /// `Err(d)` names the first distinct viewer-constraint index that
-    /// admitted no witness.
-    fn try_order(
-        &self,
-        order: &[usize],
-        stats: &mut SearchStats,
-        cancel: &Cancel<'_>,
-        memo: &mut LeafMemo,
-    ) -> Result<Vec<(ProcId, Vec<OpId>)>, usize> {
-        let pairs = adjacent_pairs(order);
-        // One witness per distinct viewer constraint set.
-        let mut found: Vec<Option<Vec<OpId>>> = vec![None; self.viewers.len()];
-        for &d in &self.classes {
-            let units = self.leaf(d, &pairs, stats, cancel, memo);
-            // `None`: this txn order fails for some viewer.
-            found[d] = Some(self.graph.op_ids(&units.ok_or(d)?));
-        }
-        if cancel.hit() {
-            return Err(usize::MAX); // a cancelled sub-search may fail spuriously
-        }
-        let witness = |&d: &usize| found[d].clone().expect("every representative was searched");
-        Ok(self
-            .viewers
-            .iter()
-            .copied()
-            .zip(self.rep.iter().map(witness))
-            .collect())
-    }
-
-    fn extend(
-        &self,
-        d: usize,
-        pairs: &[(usize, usize)],
-        stats: &mut SearchStats,
-        cancel: &Cancel<'_>,
-        memo: &mut LeafMemo,
-    ) -> Option<Vec<usize>> {
-        let units = self.leaf(d, pairs, stats, cancel, memo)?;
-        Some(self.graph.txn_order(&units))
     }
 }
 
@@ -447,7 +337,8 @@ mod tests {
     fn empty_and_trivial_histories_opaque() {
         let h = HistoryBuilder::new().build().unwrap();
         for m in all_models() {
-            assert!(check_opacity(&h, m).is_opaque());
+            let v = check_opacity(&h, m);
+            assert!(v.is_opaque() && v.witnesses().is_empty());
         }
         let mut b = HistoryBuilder::new();
         b.read(p(1), X, 0);

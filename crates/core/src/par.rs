@@ -1,13 +1,11 @@
 //! Shared machinery for the parallel checker search.
 //!
-//! Both searches ([`opacity`](crate::opacity) and
-//! [`sgla`](crate::sgla)) have the same top-level shape: the
-//! lexicographically first transaction serialization order, among
-//! those consistent with a partial order, under which an inner witness
-//! search succeeds. The parallel search splits the orders by prefix on
-//! a **work-stealing frontier** — the one [`Frontier`] queue of this
-//! module, which the mc layer's parallel DPOR explorer imports for its
-//! donated subtrees:
+//! The order search of [`check`](crate::check), the one both
+//! properties run, looks for the lexicographically first transaction
+//! serialization order, among those consistent with a partial order,
+//! under which an inner witness search succeeds. The parallel search
+//! splits the orders by prefix on a **work-stealing frontier**, the
+//! [`Frontier`] queue of this module, which only this pool uses:
 //!
 //! 1. The frontier is seeded with the empty serialization-order prefix.
 //!    A worker that pops a prefix while other workers are starving
@@ -32,12 +30,13 @@
 //! best is exactly the serial result (verdict *and* witness),
 //! independent of thread count and scheduling.
 //!
-//! Workers also keep a bounded per-worker [`WitnessMemo`] mapping inner
-//! witness-search inputs (deduplicated edge sets) to their results —
-//! sound because the inner search depends only on the fixed history,
-//! model, and specs plus the edge set. Hits are reported as
-//! `SearchStats::cache_hits`, together with the dead-end frontiers
-//! each inner search remembers ([`linearize`](crate::linearize)).
+//! Each worker keeps one memo of the inner witness search
+//! ([`linearize`](crate::linearize)'s `LeafMemo`) across the prefixes
+//! it claims. Its bounded `WitnessMemo` of whole results, keyed by
+//! the deduplicated edge set, is sound because the inner search
+//! depends only on the fixed history, model and specs plus that edge
+//! set; the dead-end frontiers beside it are cleared at each claimed
+//! prefix. Hits on either are reported as `SearchStats::cache_hits`.
 //!
 //! The pool uses `std::thread::scope` — no external thread-pool crate —
 //! so borrowing the search state from the caller's stack is safe and
@@ -176,7 +175,7 @@ pub const SEED_WORKER: usize = usize::MAX;
 ///
 /// Item order is racy by design; callers that need a deterministic
 /// result keep the lexicographically least success themselves (see the
-/// module docs and `jungle_mc::dpor`).
+/// module docs).
 pub struct Frontier<T> {
     state: Mutex<FrontierState<T>>,
     available: Condvar,

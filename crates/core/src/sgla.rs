@@ -31,10 +31,10 @@
 //! * between non-transactional operations, the base model's required
 //!   pairs apply unchanged.
 //!
-//! Legality uses **critical-section semantics**
-//! ([`CsChecker`](crate::legal::CsChecker)): a transaction's writes take
-//! effect in place at their positions — interleaved non-transactional
-//! reads observe them — and aborts roll back via an undo log. This is
+//! Legality uses **critical-section semantics** ([`CsChecker`]): a
+//! transaction's writes take effect in place at their positions —
+//! interleaved non-transactional reads observe them — and aborts roll
+//! back via an undo log. This is
 //! the reading under which the paper's Theorem 7 proof goes through:
 //! the Figure 6 TM's commit-time updates are observable mid-commit by
 //! uninstrumented reads, and SGLA (unlike opacity) deems that correct.
@@ -43,13 +43,12 @@
 //!
 //! The order search is the one in [`check`](crate::check) and the leaf
 //! is the one in [`linearize`](crate::linearize), both shared with
-//! opacity. What is left here is what makes the search *SGLA*:
-//! operation granularity, the static edges above (program order inside
-//! transactions, roach motel, views, and the program and real-time
-//! order of the lock as block edges — computed once per check), a
-//! block edge `last(a) → first(b)` per transaction pair the search
-//! orders, and [`CsChecker`] legality. One constraint set serves every
-//! process, so the order search never enumerates.
+//! opacity. What is left here is what makes the search *SGLA*: its
+//! constructor — operation granularity, the static edges above
+//! (program order inside transactions, roach motel, the view, and the
+//! program and real-time order of the lock as block edges, computed
+//! once per check), and [`CsChecker`] legality. The order search adds a
+//! block edge `last(a) → first(b)` per transaction pair it orders.
 //!
 //! Because every constraint above is implied by the constraints of
 //! parametrized opacity, and the two legality semantics coincide on
@@ -59,15 +58,12 @@
 //! SGLA for **every** memory model) is exercised end-to-end in
 //! `jungle-mc`.
 
-use crate::check::{adjacent_pairs, Check, CheckKind, CheckVerdict, OrderSearch};
+use crate::check::{Check, CheckKind, CheckVerdict, Search};
 use crate::history::History;
-use crate::ids::{OpId, ProcId};
 use crate::legal::CsChecker;
-use crate::linearize::{edge_set, linearize, view_pairs, Graph, LeafMemo};
+use crate::linearize::{edge_set, view_pairs, Graph};
 use crate::model::MemoryModel;
-use crate::par::Cancel;
 use crate::spec::SpecRegistry;
-use jungle_obs::SearchStats;
 
 /// The verdict of an SGLA check.
 pub type SglaVerdict = CheckVerdict;
@@ -77,27 +73,11 @@ pub fn check_sgla(h: &History, model: &dyn MemoryModel) -> SglaVerdict {
     Check::new(CheckKind::Sgla).run(h, model).0
 }
 
-pub(crate) struct SglaSearch<'a> {
-    h: &'a History,
-    specs: &'a SpecRegistry,
-    graph: Graph<'a>,
-    /// The order-independent edges: program order inside transactions,
-    /// roach motel, the base model's views, and a block edge per
-    /// [`must_precede`] pair.
-    fixed: Vec<(usize, usize)>,
-}
-
-/// Program order on one process; real-time order across processes.
-fn must_precede(h: &History, a: usize, b: usize) -> bool {
-    let txns = h.txns();
-    if txns[a].proc == txns[b].proc {
-        return txns[a].first() < txns[b].first();
-    }
-    txns[a].status.is_completed() && txns[a].last() < txns[b].first()
-}
-
-impl<'a> SglaSearch<'a> {
-    pub(crate) fn new(h: &'a History, model: &dyn MemoryModel, specs: &'a SpecRegistry) -> Self {
+impl<'a> Search<'a, CsChecker<'a>> {
+    /// The SGLA search of `h` (transformed already): every operation a
+    /// node, the static edges of the module docs, critical sections as
+    /// the legality.
+    pub(crate) fn sgla(h: &'a History, model: &dyn MemoryModel, specs: &'a SpecRegistry) -> Self {
         let txns = h.txns();
         // Program order within each transaction.
         let mut pairs: Vec<(usize, usize)> = (0..txns.len())
@@ -115,98 +95,26 @@ impl<'a> SglaSearch<'a> {
                 }
             }
         }
-        // Base-model view edges. One search serves every process, so
-        // it respects the union of their views (each view itself, for
-        // the bundled models, which are viewer-independent).
-        for p in h.procs() {
-            pairs.extend(view_pairs(h, model, p));
-        }
+        // The base model's view, which every process shares.
+        pairs.extend(view_pairs(h, model));
+        let mut s = Search {
+            h,
+            graph: Graph::ops(h),
+            fixed: Vec::new(),
+            init: CsChecker::new(specs),
+            phase: "check.sgla",
+        };
         // The global lock is acquired in an order consistent with
         // program and real-time order. These belong to the constraint
         // set, not to whoever proposes orders: a linearization under
         // *some* of an order's pairs must still carry an admissible
         // order.
         for (a, ta) in txns.iter().enumerate() {
-            for (b, tb) in txns.iter().enumerate() {
-                if a != b && must_precede(h, a, b) {
-                    pairs.push((ta.last(), tb.first()));
-                }
-            }
+            let later = (0..txns.len()).filter(|&b| a != b && s.must_precede(a, b));
+            pairs.extend(later.map(|b| (ta.last(), txns[b].first())));
         }
-        let graph = Graph::ops(h);
-        let fixed = edge_set(graph.lift(pairs));
-        SglaSearch {
-            h,
-            specs,
-            graph,
-            fixed,
-        }
-    }
-
-    /// The leaf under the transaction precedences `pairs`, each a
-    /// block edge `last(a) → first(b)`: a legal sequence of the
-    /// operations. Distinct orders can collapse to one edge set (block
-    /// edges shadowed by program order); the memo replays those.
-    fn leaf(
-        &self,
-        pairs: &[(usize, usize)],
-        stats: &mut SearchStats,
-        cancel: &Cancel<'_>,
-        memo: &mut LeafMemo,
-    ) -> Option<Vec<usize>> {
-        let init = CsChecker::new(self.specs);
-        linearize(&self.graph, &self.fixed, pairs, &init, stats, cancel, memo)
-    }
-}
-
-impl OrderSearch for SglaSearch<'_> {
-    const PHASE: &'static str = "check.sgla";
-
-    /// SGLA schedules at operation granularity: every op is a unit.
-    fn units(&self) -> usize {
-        self.graph.len()
-    }
-
-    fn n_txns(&self) -> usize {
-        self.h.txns().len()
-    }
-
-    fn must_precede(&self, a: usize, b: usize) -> bool {
-        must_precede(self.h, a, b)
-    }
-
-    /// One search serves every process.
-    fn classes(&self) -> &[usize] {
-        &[0]
-    }
-
-    fn try_order(
-        &self,
-        order: &[usize],
-        stats: &mut SearchStats,
-        cancel: &Cancel<'_>,
-        memo: &mut LeafMemo,
-    ) -> Result<Vec<(ProcId, Vec<OpId>)>, usize> {
-        let ops = self.leaf(&adjacent_pairs(order), stats, cancel, memo);
-        let seq = self.graph.op_ids(&ops.ok_or(0usize)?);
-        Ok(self
-            .h
-            .procs()
-            .into_iter()
-            .map(|p| (p, seq.clone()))
-            .collect())
-    }
-
-    fn extend(
-        &self,
-        _set: usize,
-        pairs: &[(usize, usize)],
-        stats: &mut SearchStats,
-        cancel: &Cancel<'_>,
-        memo: &mut LeafMemo,
-    ) -> Option<Vec<usize>> {
-        let ops = self.leaf(pairs, stats, cancel, memo)?;
-        Some(self.graph.txn_order(&ops))
+        s.fixed = edge_set(s.graph.lift(pairs));
+        s
     }
 }
 
@@ -413,13 +321,16 @@ mod tests {
         b.write(p(1), Y, 2);
         b.commit(p(1));
         let h = b.build().unwrap();
+        use crate::linearize::LeafMemo;
+        use crate::par::Cancel;
+        use jungle_obs::SearchStats;
         let specs = SpecRegistry::registers();
         for e in registry() {
             let th = e.model.transform(&h);
-            let s = SglaSearch::new(&th, e.model, &specs);
+            let s = Search::sgla(&th, e.model, &specs);
             let mut stats = SearchStats::default();
             let mut memo = LeafMemo::disabled();
-            let free = s.extend(0, &[], &mut stats, &Cancel::never(), &mut memo);
+            let free = s.extend(&[], &mut stats, &Cancel::never(), &mut memo);
             assert_eq!(free, None, "{}: an inadmissible lock order", e.key);
             assert!(!check_sgla(&h, e.model).is_sgla(), "{}", e.key);
         }
@@ -429,7 +340,8 @@ mod tests {
     fn empty_history_sgla() {
         let h = HistoryBuilder::new().build().unwrap();
         for m in all_models() {
-            assert!(check_sgla(&h, m).is_sgla());
+            let v = check_sgla(&h, m);
+            assert!(v.is_sgla() && v.witnesses().is_empty());
         }
     }
 }

@@ -15,7 +15,7 @@
 //!
 //! The checker's witness is a permutation of *units* (one per
 //! transaction, one per non-transactional operation) that respects the
-//! generating relation of `≺h`, one viewer's minimal view edges, and a
+//! generating relation of `≺h`, the minimal view's edges, and a
 //! real-time-consistent transaction serialization order — with every
 //! operation prefix-legal. Triage proposes two *candidate* orders of
 //! the search's own units (the unit-granularity
@@ -36,8 +36,8 @@
 //!   transactional): same-process spans never interleave — a
 //!   transaction's span contains no other unit of its process — so the
 //!   spans are disjoint and both sorts preserve their order.
-//! * **View edges**: a view ([`view_pairs`](crate::linearize::view_pairs))
-//!   only relates
+//! * **View edges**: the view
+//!   ([`view_pairs`](crate::linearize::view_pairs)) only relates
 //!   same-process *non-transactional* command pairs `i < j`; those
 //!   units are single operations with `first = last = index`, kept in
 //!   index order by both sorts.
@@ -47,7 +47,7 @@
 //!   under both keys).
 //!
 //! So if either replay is fully legal, the candidate order *is* a
-//! witness for every viewer simultaneously, and `check_opacity`
+//! witness for every process, and `check_opacity`
 //! would return opaque. By Theorem 6 (parametrized opacity implies
 //! SGLA) a cleared history also satisfies SGLA, so one triage pass
 //! serves both properties.
@@ -82,22 +82,17 @@ impl Triage {
 }
 
 /// Triage `h` against `model` with register semantics (the paper's
-/// default object semantics).
+/// default object semantics). [`Triage::Cleared`] guarantees that
+/// [`check_opacity`](crate::opacity::check_opacity) holds; see the
+/// module docs for the argument.
 pub fn triage_opacity(h: &History, model: &dyn MemoryModel) -> Triage {
-    triage_opacity_with(h, model, &SpecRegistry::registers())
-}
-
-/// Triage `h` against `model` under explicit sequential
-/// specifications. [`Triage::Cleared`] guarantees that an opacity
-/// [`Check`](crate::check::Check) under `specs` holds; see the module
-/// docs for the argument.
-pub fn triage_opacity_with(h: &History, model: &dyn MemoryModel, specs: &SpecRegistry) -> Triage {
     let th = model.transform(h);
     let g = Graph::units(&th);
+    let specs = SpecRegistry::registers();
     // Replay a candidate unit order through a fresh `PrefixChecker`,
     // placing each unit exactly as the full search does.
     let legal = |order: &[usize]| {
-        let mut c = PrefixChecker::new(specs);
+        let mut c = PrefixChecker::new(&specs);
         order.iter().all(|&u| g.place(u, &mut c))
     };
     let mut order: Vec<usize> = (0..g.len()).collect();

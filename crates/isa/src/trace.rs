@@ -202,10 +202,10 @@ impl Trace {
         // Precedence: i -> j iff ops[i].last < ops[j].first.
         let mut order: Vec<usize> = Vec::with_capacity(n);
         let mut used = vec![false; n];
-        self.enum_orders(&mut order, &mut used, &mut f)
+        self.enum_corresponding(&mut order, &mut used, &mut f)
     }
 
-    fn enum_orders(
+    fn enum_corresponding(
         &self,
         order: &mut Vec<usize>,
         used: &mut Vec<bool>,
@@ -239,7 +239,7 @@ impl Trace {
             }
             used[i] = true;
             order.push(i);
-            if let Some(h) = self.enum_orders(order, used, f) {
+            if let Some(h) = self.enum_corresponding(order, used, f) {
                 return Some(h);
             }
             order.pop();

@@ -197,21 +197,15 @@ fn is_nt_cmd(th: &History, i: usize) -> bool {
     !th.is_transactional(i) && th.ops()[i].op.command().is_some()
 }
 
-/// The candidate maskable pairs: the different-variable pairs of some
-/// process's minimal view — the pairs whose orderings define the §3.2
-/// classes. (Same-variable pairs are program order per location,
-/// required by every model; dropping one would not be a statement
-/// about `M`.)
+/// The candidate maskable pairs, in ascending order: the
+/// different-variable pairs of the minimal view — the pairs whose
+/// orderings define the §3.2 classes. (Same-variable pairs are program
+/// order per location, required by every model; dropping one would not
+/// be a statement about `M`.)
 fn candidate_pairs(th: &History, model: &dyn MemoryModel) -> Vec<(usize, usize)> {
     let var = |i: usize| th.ops()[i].op.command().map(|c| c.var());
-    let views = th
-        .procs()
-        .into_iter()
-        .flat_map(|p| view_pairs(th, model, p));
-    let mut out: Vec<(usize, usize)> = views.filter(|&(i, j)| var(i) != var(j)).collect();
-    out.sort_unstable();
-    out.dedup();
-    out
+    let view = view_pairs(th, model).into_iter();
+    view.filter(|&(i, j)| var(i) != var(j)).collect()
 }
 
 /// Explain why `h` violates `kind` parametrized by `model`.

@@ -51,6 +51,15 @@
 //! Two more columns ride on the serial DFS opacity rows: a triage
 //! clear implies the verdict holds, and the explainer agrees with the
 //! verdict and names at least one stuck operation whenever it fails.
+//! The explainer's whole rendered text (against the transformed
+//! history, whose identifiers it names) is folded into a fourth
+//! digest, `EXPLAIN_DIGEST`, so a drift in the edges it places along
+//! fails here too. It was captured at e248245, before the checkers'
+//! per-viewer view layer was removed, which printed:
+//!
+//! ```text
+//! explain digest=0xe69c8d960ccf355e
+//! ```
 
 use jungle::core::check::{Check, CheckBackend, CheckKind, CheckVerdict};
 use jungle::core::explain::explain_opacity;
@@ -69,6 +78,7 @@ const DFS_DIGEST: u64 = 0x56cc_1990_34b2_82e5;
 const SAT_DIGEST: u64 = 0x52b1_902d_3c87_33e5;
 const HOLDING: usize = 450;
 const TREE_DIGEST: u64 = 0x3074_6070_66a2_6a0d;
+const EXPLAIN_DIGEST: u64 = 0xe69c_8d96_0ccf_355e;
 
 fn corpus() -> Vec<History> {
     let mut hs: Vec<History> = all_litmus()
@@ -141,7 +151,7 @@ fn assert_witnesses_valid(h: &History, model: &dyn MemoryModel, kind: CheckKind,
 fn check_table_reproduces_the_parent_digests() {
     let corpus = corpus();
     let mut serial_holds: Vec<Vec<bool>> = Vec::new();
-    let mut tree = Fnv1a::new();
+    let (mut tree, mut explained) = (Fnv1a::new(), Fnv1a::new());
     let (mut nodes, mut txn_orders) = (0u64, 0u64);
     for (backend, expected) in [
         (CheckBackend::Dfs, DFS_DIGEST),
@@ -208,6 +218,11 @@ fn check_table_reproduces_the_parent_digests() {
                                     v.holds() || !d.stuck.is_empty(),
                                     "{ctx}: nothing stuck in a non-opaque history"
                                 );
+                                let text = d.render(&e.model.transform(h));
+                                explained.word(text.len() as u64);
+                                for b in text.bytes() {
+                                    explained.word(u64::from(b));
+                                }
                             }
                         }
                     }
@@ -231,6 +246,12 @@ fn check_table_reproduces_the_parent_digests() {
         tree.finish(),
         TREE_DIGEST,
         "the serial DFS search tree diverged from the parent's"
+    );
+    println!("explain digest={:#018x}", explained.finish());
+    assert_eq!(
+        explained.finish(),
+        EXPLAIN_DIGEST,
+        "the opacity explainer's text diverged from the parent's"
     );
     // 8 registry entries × 2 kinds × the whole corpus, per backend.
     assert_eq!(serial_holds[0].len(), corpus.len() * registry().len() * 2);
