@@ -19,6 +19,13 @@
 //! because the leaf accepts any *subset* of an order's precedences, it
 //! doubles as an oracle for whole families of orders.
 //!
+//! Before either backend runs, [`saturate`](crate::saturate) closes the
+//! search's edges under the read-from facts every witness respects: a
+//! cycle refutes the history with no node placed, and otherwise the
+//! derived edges join `fixed` and order transactions for
+//! `must_precede`. They hold in every legal witness, so they change the
+//! work, never the verdict, the order or the witness.
+//!
 //! The DFS backend (`search_orders`) returns the lexicographically
 //! first admissible order whose leaf succeeds, without enumerating
 //! orders: every process has the same view, so a linearization under
@@ -36,9 +43,10 @@
 use crate::encode;
 use crate::history::History;
 use crate::ids::{OpId, ProcId};
-use crate::linearize::{linearize, Graph, LeafMemo, Legality};
+use crate::linearize::{linearize, union, Graph, LeafMemo, Legality};
 use crate::model::MemoryModel;
 use crate::par::{run_order_pool, Cancel, ParallelConfig, MEMO_CAP};
+use crate::saturate::{saturate, Reach};
 use crate::spec::SpecRegistry;
 use jungle_obs::trace::{self, EventKind};
 use jungle_obs::{profile, SatStats, SearchStats, Span};
@@ -169,8 +177,8 @@ impl Check {
         stats.search.searches = 1;
         let th = model.transform(h);
         let found = match self.kind {
-            CheckKind::Opacity => self.solve(&Search::opacity(&th, model, &self.specs), &mut stats),
-            CheckKind::Sgla => self.solve(&Search::sgla(&th, model, &self.specs), &mut stats),
+            CheckKind::Opacity => self.solve(Search::opacity(&th, model, &self.specs), &mut stats),
+            CheckKind::Sgla => self.solve(Search::sgla(&th, model, &self.specs), &mut stats),
         };
         stats.search.wall_ns = wall.elapsed_ns();
         if stats.sat.solved != 0 {
@@ -187,8 +195,9 @@ impl Check {
     }
 
     /// The single dispatch on the backend, with the bookkeeping every
-    /// search shares: profiler phase, flight events, unit count.
-    fn solve<L: Legality>(&self, s: &Search<'_, L>, stats: &mut CheckStats) -> Option<Found> {
+    /// search shares: profiler phase, flight events, unit and worker
+    /// counts, and [`saturate`](crate::saturate) before either backend.
+    fn solve<L: Legality>(&self, mut s: Search<'_, L>, stats: &mut CheckStats) -> Option<Found> {
         let _phase = profile::enter(s.phase);
         let units = s.graph.len();
         let threads = match self.parallel {
@@ -199,9 +208,26 @@ impl Check {
         };
         trace::emit(EventKind::SearchBegin, units as u64, threads as u64);
         stats.search.units = units as u64;
-        let found = match self.backend {
-            CheckBackend::Dfs => search_orders(s, threads, &mut stats.search),
-            CheckBackend::Sat => encode::cegar(s, stats),
+        stats.search.workers = threads as u64;
+        let found = match saturate(&s, self.kind, &self.specs) {
+            Err(_) => {
+                // Decided before any backend ran; a SAT check still
+                // counts as one solved query.
+                stats.search.cycle_refutes += 1;
+                stats.sat.solved += u64::from(self.backend == CheckBackend::Sat);
+                None
+            }
+            Ok(derived) => {
+                if let Some(d) = derived {
+                    stats.search.derived_edges += d.edges.len() as u64;
+                    s.fixed = union(&s.fixed, &d.edges);
+                    s.order = Some(d.order);
+                }
+                match self.backend {
+                    CheckBackend::Dfs => search_orders(&s, threads, &mut stats.search),
+                    CheckBackend::Sat => encode::cegar(&s, stats),
+                }
+            }
         };
         trace::emit(
             EventKind::SearchEnd,
@@ -231,6 +257,9 @@ pub(crate) struct Search<'a, L> {
     /// linearization under *any* transaction precedences carries an
     /// admissible order.
     pub(crate) fixed: Vec<(usize, usize)>,
+    /// The closure of `fixed` once [`saturate`] has added its edges to
+    /// it (`None` until then, and when no read constrains the order).
+    pub(crate) order: Option<Reach>,
     /// The legality state of the empty sequence.
     pub(crate) init: L,
     /// Profiler phase name.
@@ -244,12 +273,19 @@ impl<L: Legality> Search<'_, L> {
     }
 
     /// Must transaction `a` precede transaction `b` in every admissible
-    /// order: did `a` complete before `b` began? On a well-formed
-    /// history this covers program order too, since a process completes
-    /// one transaction before it starts the next.
+    /// order: did `a` complete before `b` began, or does the saturated
+    /// order put `a`'s last operation before `b`'s first? On a
+    /// well-formed history real time covers program order too, since a
+    /// process completes one transaction before it starts the next.
     pub(crate) fn must_precede(&self, a: usize, b: usize) -> bool {
         let txns = self.h.txns();
-        txns[a].status.is_completed() && txns[a].last() < txns[b].first()
+        if txns[a].status.is_completed() && txns[a].last() < txns[b].first() {
+            return true;
+        }
+        self.order.as_ref().is_some_and(|order| {
+            let (u, v) = self.graph.order_edge(a, b);
+            order.reaches(u, v)
+        })
     }
 
     /// A legal sequence of the nodes under `fixed` and the transaction
@@ -349,7 +385,6 @@ fn search_orders<L: Legality>(
         // pool and the SAT backend are compared against.
         return subtree(&[], &Cancel::never(), &mut LeafMemo::disabled(), stats);
     }
-    stats.workers = threads as u64;
     run_order_pool(
         threads,
         n,

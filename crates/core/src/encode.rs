@@ -416,9 +416,33 @@ mod tests {
         ]
     }
 
+    /// Three concurrent transactions storing `(x, y)` = (1, 2), (2, 1)
+    /// and (2, 1), then a transaction reading x = 2, y = 2. Only the
+    /// first stores y = 2, so it must come last, and then x = 1; x = 2
+    /// has two writers, which leaves that to the search.
+    fn last_writer_mismatch() -> History {
+        let mut b = HistoryBuilder::new();
+        let writers = [(1, 1, 2), (2, 2, 1), (3, 2, 1)];
+        for (proc, _, _) in writers {
+            b.start(p(proc));
+        }
+        for (proc, x, y) in writers {
+            b.write(p(proc), X, x);
+            b.write(p(proc), Y, y);
+        }
+        for (proc, _, _) in writers {
+            b.commit(p(proc));
+        }
+        b.start(p(4));
+        b.read(p(4), X, 2);
+        b.read(p(4), Y, 2);
+        b.commit(p(4));
+        b.build().unwrap()
+    }
+
     #[test]
     fn sat_agrees_with_dfs_on_opacity() {
-        for h in corpus() {
+        for h in corpus().into_iter().chain([last_writer_mismatch()]) {
             for m in all_models() {
                 let dfs = check_opacity(&h, m);
                 let (sat, stats) = check_opacity_sat_traced(&h, m);
@@ -482,12 +506,24 @@ mod tests {
 
     #[test]
     fn stats_count_encoding_and_refinement() {
-        // fig2a(2, 2) is non-opaque under SC but has witnesses for some
-        // unconstrained orders, forcing at least one CEGAR round.
-        let (v, stats) = check_opacity_sat_traced(&fig2a(2, 2), &Sc);
+        // fig2a(2, 2) is non-opaque under SC, and saturation says so
+        // before any encoding: y = 2 has one writer, which real time
+        // puts after the reader.
+        let (v, stats) = sat(CheckKind::Opacity).run(&fig2a(2, 2), &Sc);
+        assert!(!v.is_opaque());
+        assert_eq!((stats.search.nodes, stats.search.cycle_refutes), (0, 1));
+        assert_eq!(
+            (stats.sat.solved, stats.sat.vars, stats.sat.cegar_rounds),
+            (1, 0, 0)
+        );
+
+        // Saturation leaves this one to the solver, whose first model
+        // certification refutes, forcing a CEGAR round.
+        let (v, stats) = check_opacity_sat_traced(&last_writer_mismatch(), &Sc);
         assert!(!v.is_opaque());
         assert!(stats.vars >= 3, "three txns need three pair variables");
         assert!(stats.clauses > 0);
+        assert!(stats.cegar_rounds >= 1);
         assert_eq!(stats.certified, 0);
         assert_eq!(stats.wall.count, 1);
     }

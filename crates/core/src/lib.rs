@@ -28,6 +28,9 @@
 //! * [`linearize`] — the constraint system both properties share and
 //!   the legal-linearization search under it: the minimal view, the
 //!   node graph over `τ(h)`, and placement of a node.
+//! * [`saturate`] — the order edges the values reads return force on
+//!   every witness, derived before the search (and refuting most
+//!   violating histories on their own).
 //! * [`opacity`] — §3.3: parametrized opacity as one constructor of
 //!   that search (unit granularity, deferred-update legality).
 //! * [`sgla`] — §6.2: SGLA as the other (operation granularity,
@@ -93,6 +96,7 @@ pub mod opacity;
 pub mod par;
 pub mod pretty;
 pub mod registry;
+pub mod saturate;
 pub mod sgla;
 pub mod spec;
 pub mod triage;

@@ -32,7 +32,11 @@
 //! legality: the constructors in [`opacity`](crate::opacity) and
 //! [`sgla`](crate::sgla) for the two properties,
 //! [`explain`](crate::explain) and [`triage`](crate::triage) for the
-//! greedy and the two-candidate placements.
+//! greedy and the two-candidate placements. Before a check searches,
+//! [`saturate`](crate::saturate) adds the edges the reads' values force
+//! to the static ones, so `linearize` meets most stale reads as a
+//! cycle that was refuted before it was called, and the rest with
+//! fewer orders to try.
 
 use crate::history::{History, TxnStatus};
 use crate::ids::{OpId, ProcId};
@@ -164,6 +168,11 @@ impl<'h> Graph<'h> {
         }
     }
 
+    /// The node of history index `i`.
+    pub(crate) fn node(&self, i: usize) -> usize {
+        self.node_of[i]
+    }
+
     /// The transaction node `u` belongs to, if any.
     fn txn_of(&self, u: usize) -> Option<usize> {
         self.h.txn_of(self.ops_of(u)[0])
@@ -261,7 +270,7 @@ impl<'h> Graph<'h> {
 
     /// The edge that serializes transaction `a` before transaction
     /// `b`: `a`'s last operation before `b`'s first.
-    fn order_edge(&self, a: usize, b: usize) -> (usize, usize) {
+    pub(crate) fn order_edge(&self, a: usize, b: usize) -> (usize, usize) {
         let txns = self.h.txns();
         (self.node_of[txns[a].last()], self.node_of[txns[b].first()])
     }
@@ -344,8 +353,9 @@ impl DeadEnds {
 }
 
 /// Dead ends one search may remember (some ten megabytes of keys);
-/// refuting ten mutually concurrent transactions under SGLA takes
-/// 74,261.
+/// refuting ten mutually concurrent transactions under SGLA, when
+/// saturation leaves their order open
+/// (`litmus::stress::wide_split_unsat_history(10)`), takes 31,296.
 const DEAD_END_CAP: usize = 1 << 17;
 
 /// What [`linearize`] remembers between calls on one history: whole

@@ -95,6 +95,7 @@ impl<'a> Search<'a, PrefixChecker<'a>> {
         Search {
             h,
             fixed: union(&graph.rt_edges(), &view),
+            order: None,
             graph,
             init: PrefixChecker::new(specs),
             phase: "check.opacity",

@@ -101,6 +101,7 @@ impl<'a> Search<'a, CsChecker<'a>> {
             h,
             graph: Graph::ops(h),
             fixed: Vec::new(),
+            order: None,
             init: CsChecker::new(specs),
             phase: "check.sgla",
         };

@@ -16,15 +16,19 @@ use std::sync::Arc;
 
 #[test]
 fn every_check_brackets_its_search_with_begin_and_end() {
-    // The reader starts first but must serialize second, so the first
-    // order tried prunes before the second succeeds.
-    let (p1, p2) = (ProcId(1), ProcId(2));
+    // The reader starts first but must serialize after one of two
+    // writers of what it reads — two sources, so saturation orders
+    // nothing — and the first order tried prunes before another
+    // succeeds.
+    let (p1, p2, p3) = (ProcId(1), ProcId(2), ProcId(3));
     let mut b = HistoryBuilder::new();
     b.start(p2);
-    b.start(p1);
-    b.write(p1, X, 1);
-    b.write(p1, Y, 1);
-    b.commit(p1);
+    for w in [p1, p3] {
+        b.start(w);
+        b.write(w, X, 1);
+        b.write(w, Y, 1);
+        b.commit(w);
+    }
     b.read(p2, Y, 1);
     b.read(p2, X, 1);
     b.commit(p2);

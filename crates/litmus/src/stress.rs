@@ -20,6 +20,10 @@
 //!   observes a value nobody wrote, so *no* order succeeds and the
 //!   checker exhausts all `p!` of them. This is the history where
 //!   parallel prefix splitting pays off most.
+//! * [`wide_split_unsat_history`] has no witness either, but every
+//!   value its reader observes is stored by two transactions (from
+//!   `p = 4` on), so saturation derives nothing from it and the search
+//!   over frontiers must refute it.
 
 use jungle_core::builder::HistoryBuilder;
 use jungle_core::history::History;
@@ -89,6 +93,34 @@ fn build_wide(p: usize, observed: u64) -> History {
     b.build().expect("wide history is well-formed")
 }
 
+/// `p` fully concurrent transactions, transaction `i` writing
+/// `1 + i % 2` to both `x` and `y`, then — after every commit — a
+/// transaction reading `x = 1` and `y = 2`. Whichever writer comes last
+/// stores equal values, so no order justifies the reader. At `p = 2`
+/// each value has one writer and saturation closes a cycle; at `p = 3`
+/// it orders the odd writer last; from `p = 4` on it derives nothing.
+pub fn wide_split_unsat_history(p: usize) -> History {
+    let (x, y) = (Var(0), Var(1));
+    let mut b = HistoryBuilder::new();
+    for i in 0..p {
+        b.start(ProcId(i as u32 + 1));
+    }
+    for i in 0..p {
+        let (proc, val) = (ProcId(i as u32 + 1), 1 + (i % 2) as u64);
+        b.write(proc, x, val);
+        b.write(proc, y, val);
+    }
+    for i in 0..p {
+        b.commit(ProcId(i as u32 + 1));
+    }
+    let reader = ProcId(p as u32 + 1);
+    b.start(reader);
+    b.read(reader, x, 1);
+    b.read(reader, y, 2);
+    b.commit(reader);
+    b.build().expect("wide split history is well-formed")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -129,6 +161,26 @@ mod tests {
         assert!(!check_opacity(&h, &Sc).is_opaque());
         assert!(!check_opacity(&h, &Relaxed).is_opaque());
         assert!(!check_sgla(&h, &Sc).is_sgla());
+    }
+
+    #[test]
+    fn wide_split_unsat_fails_and_saturation_leaves_it_to_the_search() {
+        use jungle_core::check::{Check, CheckKind};
+        use jungle_core::saturate::{derive, Saturation};
+        for p in 2..=5 {
+            let h = wide_split_unsat_history(p);
+            for kind in [CheckKind::Opacity, CheckKind::Sgla] {
+                let (v, stats) = Check::new(kind).run(&h, &Sc);
+                assert!(!v.holds(), "p={p}, {kind:?}");
+                let refuted = !matches!(derive(&h, &Sc, kind), Saturation::Edges(_));
+                assert_eq!(refuted, p == 2, "p={p}, {kind:?}");
+                assert_eq!(stats.search.nodes == 0, p == 2, "p={p}, {kind:?}");
+            }
+            if p >= 4 {
+                let edges = derive(&h, &Sc, CheckKind::Opacity);
+                assert_eq!(edges, Saturation::Edges(vec![]), "p={p}");
+            }
+        }
     }
 
     #[test]

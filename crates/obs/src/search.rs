@@ -17,10 +17,16 @@ counters! {
         /// transformed history.
         sum units: u64,
         /// Complete transaction serialization orders handed to the leaf
-        /// (at most two per search while one constraint class decides:
-        /// the first admissible order, and the one the prefix oracle
-        /// walked down to; the oracle's own calls show up as `nodes`).
+        /// (at most two per search: the first admissible order, and the
+        /// one the prefix oracle walked down to; the oracle's own calls
+        /// show up as `nodes`). A search saturation refuted hands none.
         sum txn_orders: u64,
+        /// Order edges saturation derived from the values reads return
+        /// and added to the search's fixed edges.
+        sum derived_edges: u64,
+        /// Checks saturation refuted with no search node: a cycle in the
+        /// saturated order, or a read no visible write justifies.
+        sum cycle_refutes: u64,
         /// DFS nodes expanded (unit placements attempted), in leaf and
         /// prefix-oracle calls alike.
         sum nodes: u64,

@@ -30,23 +30,22 @@
 //! A third digest pins the search *tree*, not only its result: the
 //! `(units, txn_orders, nodes, backtracks, prune_hits, peak_depth,
 //! cache_hits)` of every serial DFS case, folded by the loop below.
-//! It was **re-captured at this commit**, because this commit changes
-//! the work on purpose and nothing else: the order search no longer
-//! enumerates complete orders (one leaf, then one prefix-oracle call
-//! per step of a backtrack-free descent), and the leaf no longer
-//! explores a frontier that already failed (those lookups are the
-//! `cache_hits`). The parent (2a27142) printed
-//! `tree digest=0xd6bde522741e91ad nodes=11947 txn_orders=715`; this
-//! commit prints:
+//! It was **re-captured when saturation landed**, because saturation
+//! changes the work on purpose and nothing else: edges derived from
+//! the values reads return refute most negative cases with no node and
+//! no order, and prune the leaf of the rest. The parent (eca3d6d)
+//! printed `tree digest=0x3074607066a26a0d nodes=10006
+//! txn_orders=640`; with saturation the table prints:
 //!
 //! ```text
-//! tree digest=0x3074607066a26a0d nodes=10006 txn_orders=640
+//! tree digest=0x8cc38b7e49c02ba5 nodes=3582 txn_orders=466
 //! ```
 //!
-//! — one order per case, since on this corpus the first admissible
-//! order either succeeds or the pair-free oracle call refutes. The
-//! table asserts that bound case by case: at most one order handed to
-//! the leaf when the verdict is negative, at most two when it holds.
+//! — at most one order per case, since on this corpus the first
+//! admissible order either succeeds or the pair-free oracle call (or
+//! saturation, before it) refutes. The table asserts that bound case
+//! by case: at most one order handed to the leaf when the verdict is
+//! negative, at most two when it holds.
 //!
 //! Two more columns ride on the serial DFS opacity rows: a triage
 //! clear implies the verdict holds, and the explainer agrees with the
@@ -72,12 +71,14 @@ use jungle::core::registry::registry;
 use jungle::core::spec::SpecRegistry;
 use jungle::core::triage::triage_opacity;
 use jungle::litmus::figures::all_litmus;
-use jungle::litmus::stress::{chain_history, wide_history, wide_unsat_history};
+use jungle::litmus::stress::{
+    chain_history, wide_history, wide_split_unsat_history, wide_unsat_history,
+};
 
 const DFS_DIGEST: u64 = 0x56cc_1990_34b2_82e5;
 const SAT_DIGEST: u64 = 0x52b1_902d_3c87_33e5;
 const HOLDING: usize = 450;
-const TREE_DIGEST: u64 = 0x3074_6070_66a2_6a0d;
+const TREE_DIGEST: u64 = 0x8cc3_8b7e_49c0_2ba5;
 const EXPLAIN_DIGEST: u64 = 0xe69c_8d96_0ccf_355e;
 
 fn corpus() -> Vec<History> {
@@ -259,19 +260,28 @@ fn check_table_reproduces_the_parent_digests() {
     assert_eq!(serial_holds[0].iter().filter(|&&b| b).count(), HOLDING);
 }
 
-/// `wide_unsat_history(p)` has `p!` admissible orders and no witness.
-/// Refuting it costs one order and a search over *frontiers* — sets of
-/// placed transactions, `2^p` of them, each tried against `p`
-/// candidates of up to four nodes — not over sequences. At the parent
-/// p = 8 already took 40,320 orders and 685,440 nodes under opacity,
-/// and p = 10 (3,628,800 orders) did not finish; a return to the
-/// factorial trips the node bound at p = 7, before it can hang.
+/// `wide_split_unsat_history(p)` has `p!` admissible orders and no
+/// witness, and from p = 4 on every value its reader observes has two
+/// writers, so saturation leaves it to the search. Refuting it costs
+/// one order and a search over *frontiers* — sets of placed
+/// transactions, `2^p` of them, each tried against `p` candidates of up
+/// to four nodes — not over sequences. Before the frontier search,
+/// p = 8 of the single-variable `wide_unsat_history` already took
+/// 40,320 orders and 685,440 nodes under opacity, and p = 10 (3,628,800
+/// orders) did not finish; a return to the factorial trips the node
+/// bound at p = 7, before it can hang. `wide_unsat_history` itself
+/// reads a value nobody wrote: saturation refutes it with no node.
 #[test]
 fn refuting_wide_histories_costs_frontiers_not_orders() {
     let sc = jungle::core::registry::entry("SC").unwrap().model;
     for kind in [CheckKind::Opacity, CheckKind::Sgla] {
         for p in 2..=10u64 {
             let (v, stats) = Check::new(kind).run(&wide_unsat_history(p as usize), sc);
+            assert!(!v.holds(), "{kind:?}, p = {p}");
+            assert_eq!(stats.search.nodes, 0, "{kind:?}, p = {p}");
+            assert_eq!(stats.search.cycle_refutes, 1, "{kind:?}, p = {p}");
+
+            let (v, stats) = Check::new(kind).run(&wide_split_unsat_history(p as usize), sc);
             let s = stats.search;
             assert!(!v.holds(), "{kind:?}, p = {p}");
             assert!(
@@ -281,6 +291,11 @@ fn refuting_wide_histories_costs_frontiers_not_orders() {
             );
             let bound = 4 * p * p * (1 << p);
             assert!(s.nodes <= bound, "{kind:?}, p = {p}: {} nodes", s.nodes);
+            assert!(
+                p < 4 || s.nodes >= 1 << p,
+                "{kind:?}, p = {p}: {} nodes",
+                s.nodes
+            );
         }
     }
 }
