@@ -10,12 +10,14 @@
 //! paper's `≺h`) are cheap.
 //!
 //! Construction hashes nothing and allocates a fixed number of times —
-//! the streaming monitor builds a history per window. The identifier
-//! index is a vector sorted by identifier (the identity order whenever
-//! identifiers ascend, as in every [`HistoryBuilder`] history, and then
-//! never sorted), looked up by binary search; the transactions open
-//! during the parse are a short list; and every transaction's operation
-//! indices lie in one arena, read through [`History::txn_ops`].
+//! the streaming monitor builds a history per window. A history whose
+//! identifiers are `1..=n` in history order — every [`HistoryBuilder`]
+//! history — has no identifier index: [`History::index_of`] answers by
+//! arithmetic. Any other gets a vector sorted by identifier (left as
+//! built when identifiers ascend), looked up by binary search. The
+//! transactions open during the parse are a short list, and every
+//! transaction's operation indices lie in one arena, read through
+//! [`History::txn_ops`].
 //!
 //! [`HistoryBuilder`]: crate::builder::HistoryBuilder
 
@@ -132,12 +134,18 @@ pub struct History {
     /// For each operation index, the index of its transaction in `txns`
     /// (or `None` for non-transactional operations).
     txn_of: Vec<Option<usize>>,
-    /// `(identifier, index in ops)`, sorted by identifier.
+    /// `(identifier, index in ops)`, sorted by identifier; empty when
+    /// the identifiers are `1..=n` in history order.
     index_of: Vec<(OpId, usize)>,
 }
 
-/// The index of `id` in an identifier index sorted by identifier.
-fn lookup(index_of: &[(OpId, usize)], id: OpId) -> Option<usize> {
+/// The index of `id` among `n` operations whose identifier index is
+/// `index_of` (empty: identifier `k` is operation `k - 1`).
+fn lookup(index_of: &[(OpId, usize)], n: usize, id: OpId) -> Option<usize> {
+    if index_of.is_empty() {
+        let i = (id.0 as usize).checked_sub(1)?;
+        return (i < n).then_some(i);
+    }
     let at = index_of.binary_search_by_key(&id, |&(k, _)| k);
     at.ok().map(|k| index_of[k].1)
 }
@@ -150,12 +158,20 @@ impl History {
     /// and dependency sets of `cdrd`/`ddrd`/`cdwr`/`ddwr` commands naming
     /// only operations of the same process that precede them.
     pub fn new(ops: Vec<OpInstance>) -> Result<Self, HistoryError> {
-        // Already sorted when identifiers ascend (every `HistoryBuilder`
-        // history); otherwise sorted once, which also brings duplicates
-        // together. The duplicate reported is the first one met in
-        // history order: the least index that repeats an earlier id.
-        let mut index_of: Vec<(OpId, usize)> =
-            ops.iter().enumerate().map(|(i, oi)| (oi.id, i)).collect();
+        // No index when identifiers are `1..=n` (every `HistoryBuilder`
+        // history; unique by construction). Otherwise one already sorted
+        // when identifiers ascend, or sorted once, which also brings
+        // duplicates together. The duplicate reported is the first one
+        // met in history order: the least index that repeats an earlier id.
+        let dense = ops
+            .iter()
+            .enumerate()
+            .all(|(i, oi)| oi.id.0 as usize == i + 1);
+        let mut index_of: Vec<(OpId, usize)> = if dense {
+            Vec::new()
+        } else {
+            ops.iter().enumerate().map(|(i, oi)| (oi.id, i)).collect()
+        };
         if !index_of.windows(2).all(|w| w[0].0 < w[1].0) {
             index_of.sort_unstable();
             let repeats = index_of.windows(2).filter(|w| w[0].0 == w[1].0);
@@ -219,7 +235,7 @@ impl History {
                     // earlier operation of the same process.
                     if let Some((_, deps)) = c.deps() {
                         for d in deps {
-                            match lookup(&index_of, *d) {
+                            match lookup(&index_of, ops.len(), *d) {
                                 Some(j) if j < i && ops[j].proc == oi.proc => {}
                                 _ => {
                                     return Err(HistoryError::BadDependency { id: oi.id, dep: *d })
@@ -298,7 +314,7 @@ impl History {
 
     /// History index of the operation with identifier `id`.
     pub fn index_of(&self, id: OpId) -> Option<usize> {
-        lookup(&self.index_of, id)
+        lookup(&self.index_of, self.ops.len(), id)
     }
 
     /// The set of processes appearing in the history, sorted.

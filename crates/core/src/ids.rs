@@ -5,7 +5,9 @@
 //! are unique within a history. All three are small newtype wrappers so
 //! that they cannot be confused with one another or with plain integers.
 
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// A value stored in a shared object.
 ///
@@ -27,6 +29,38 @@ pub struct Var(pub u32);
 /// unique in the history; `OpId` is that `k`.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub struct OpId(pub u32);
+
+/// A [`Hasher`] for identifiers the workspace hands out itself —
+/// variables, processes, a tap's variable indices: one multiplication by
+/// 2⁶⁴/φ (Fibonacci hashing). Such keys are dense small integers, not
+/// input an adversary picks, so SipHash's protection buys nothing there
+/// and costs more than the lookups it serves; keep it for keys from
+/// outside the program.
+#[derive(Clone, Copy, Default, Debug)]
+pub struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0 ^ n).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+}
+
+/// A hash map keyed by such identifiers, under [`IdHasher`].
+pub type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
 
 impl fmt::Display for ProcId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

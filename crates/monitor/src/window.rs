@@ -62,13 +62,16 @@
 //! indices and re-bases them on what it carries. The seeds are read
 //! off the tracked values *before* the window's own writes are folded
 //! into them — the initializer is the state the previous windows left
-//! behind — and the history is built into a buffer sized once.
+//! behind — and the history is built into a buffer sized once. The
+//! tracked values live in an [`IdMap`] keyed by the tap's index: a seed
+//! or a fold is one probe under a one-multiplication hash, not a walk
+//! down a tree, and the table holds one entry per variable ever seen,
+//! whatever its index.
 
 use jungle_core::builder::HistoryBuilder;
 use jungle_core::history::History;
-use jungle_core::ids::{ProcId, Var};
+use jungle_core::ids::{IdMap, ProcId, Var};
 use jungle_stm::{TapEvent, TapOp};
-use std::collections::BTreeMap;
 
 /// Reserved process id for the synthetic initializer transaction. Real
 /// STM threads are numbered from 0, so the all-ones id never collides.
@@ -200,7 +203,8 @@ pub struct WindowBuilder {
     /// `(ticket, variable, value)` of the writes committed since the
     /// last seal, in arrival order.
     folds: Vec<(u64, u64, u64)>,
-    tracked: BTreeMap<u64, Tracked>,
+    /// Every variable seen, under its tap index: one probe per seed.
+    tracked: IdMap<u64, Tracked>,
     /// Windows cut so far.
     windows: u64,
 }
@@ -214,7 +218,7 @@ impl WindowBuilder {
             completed: 0,
             open: Vec::new(),
             folds: Vec::new(),
-            tracked: BTreeMap::new(),
+            tracked: IdMap::default(),
             windows: 0,
         }
     }
@@ -469,6 +473,35 @@ mod tests {
         wb2.push(ev(0, TapOp::Commit { ticket: 0 }));
         let w2 = wb2.flush().unwrap();
         assert!(w2.reseeded().is_none());
+    }
+
+    #[test]
+    fn the_seed_table_holds_one_entry_per_variable() {
+        // Small indices, the top of the `u32` range and indices no
+        // history can name: each is tracked once, however often seen.
+        let top = u64::from(u32::MAX);
+        let vars = [0, 1, 35, 1 << 31, top - 1, top, top + 1, u64::MAX];
+        let mut wb = WindowBuilder::new(2);
+        let mut ticket = 0;
+        for round in 0..3 {
+            for (p, &var) in vars.iter().enumerate() {
+                let p = p as u32;
+                wb.push(ev(p, TapOp::Begin));
+                wb.push(ev(p, TapOp::Read { var, val: round }));
+                wb.push(ev(
+                    p,
+                    TapOp::Write {
+                        var,
+                        val: round + 1,
+                    },
+                ));
+                ticket += 1;
+                if wb.push(ev(p, TapOp::Commit { ticket })) {
+                    wb.seal().unwrap();
+                }
+            }
+        }
+        assert_eq!(wb.tracked.len(), vars.len());
     }
 
     #[test]

@@ -1,14 +1,18 @@
 //! The one-pass [`WindowBuilder`] against the multi-pass builder it
-//! replaced, kept here verbatim as the reference: `seal` found the open
-//! transactions, the seeds, the committed write sets and the completed
-//! count in one scan of the buffer each, and `flush` copied half of it.
+//! replaced, kept here verbatim as the reference but for its names and
+//! for variable indices above `u32::MAX`, which both count as repairs:
+//! `seal` found the open transactions, the seeds, the committed write
+//! sets and the completed count in one scan of the buffer each, `flush`
+//! copied half of it, and the seeds lived in a `BTreeMap`.
 //!
 //! Seeded streams — 1–6 processes, transactions that stay open across
 //! seals, commit tickets that arrive inverted, aborts, non-transactional
-//! accesses, and (every other seed) dropped `Begin`/`Commit`/`Abort`
-//! events — drive both at window sizes 1, 2, 7 and 64. At every seal
-//! and at the final flush the sealed history, `completed`, `repaired`,
-//! the backlog and the second-chance history must be equal.
+//! accesses, (every other seed) dropped `Begin`/`Commit`/`Abort` events,
+//! and (every fourth seed) variable indices at the top of the `u32`
+//! range and above it — drive both at window sizes 1, 2, 7 and 64. At
+//! every seal and at the final flush the sealed history (its
+//! initializer holds the seeds), `completed`, `repaired`, the backlog
+//! and the second-chance history must be equal.
 
 use jungle_core::builder::HistoryBuilder;
 use jungle_core::history::{History, OpInstance};
@@ -19,8 +23,8 @@ use std::collections::BTreeMap;
 
 // ---- the parent's builder, verbatim but for the `Ref` names ----
 
-fn var(raw: u64) -> Var {
-    Var(u32::try_from(raw).expect("tap variable index exceeds u32: would alias in the history"))
+fn var(raw: u64) -> Option<Var> {
+    u32::try_from(raw).ok().map(Var)
 }
 
 struct RefSealed {
@@ -72,12 +76,16 @@ impl RefSealed {
 
 fn ref_build_history(events: &[TapEvent], init_writes: &[(u64, u64)]) -> (History, u64) {
     let mut b = HistoryBuilder::new();
-    let init: Vec<&(u64, u64)> = init_writes.iter().filter(|(_, val)| *val != 0).collect();
+    let init: Vec<(Var, u64)> = init_writes
+        .iter()
+        .filter(|(_, val)| *val != 0)
+        .filter_map(|&(v, val)| Some((var(v)?, val)))
+        .collect();
     if !init.is_empty() {
         let ip = ProcId(INIT_PID);
         b.start(ip);
-        for (v, val) in init {
-            b.write(ip, var(*v), *val);
+        for (x, val) in init {
+            b.write(ip, x, val);
         }
         b.commit(ip);
     }
@@ -95,12 +103,14 @@ fn ref_build_history(events: &[TapEvent], init_writes: &[(u64, u64)]) -> (Histor
                 b.start(p);
                 open.insert(p.0, true);
             }
-            TapOp::Read { var: v, val } => {
-                b.read(p, var(v), val);
-            }
-            TapOp::Write { var: v, val } => {
-                b.write(p, var(v), val);
-            }
+            TapOp::Read { var: v, val } => match var(v) {
+                Some(x) => _ = b.read(p, x, val),
+                None => repaired += 1,
+            },
+            TapOp::Write { var: v, val } => match var(v) {
+                Some(x) => _ = b.write(p, x, val),
+                None => repaired += 1,
+            },
             TapOp::Commit { .. } => {
                 if is_open {
                     b.commit(p);
@@ -279,6 +289,25 @@ impl Rng {
     }
 }
 
+/// Variable indices a tap's `u64` can carry beyond the four small ones:
+/// the top of the `u32` range, which a history holds, and indices above
+/// it, which only a corrupt stream carries and both builders skip.
+const WIDE: [u64; 5] = [
+    u32::MAX as u64,
+    u32::MAX as u64 - 1,
+    1 << 31,
+    1 << 32,
+    u64::MAX,
+];
+
+/// Does some access of the sealed window name a variable `pick` selects?
+fn names(w: &Option<RefSealed>, pick: impl Fn(u64) -> bool) -> bool {
+    w.iter().flat_map(|w| &w.events).any(|e| match e.op {
+        TapOp::Read { var, .. } | TapOp::Write { var, .. } => pick(var),
+        _ => false,
+    })
+}
+
 /// `len` steps of `1 + seed % 6` processes over four variables. A
 /// process outside a transaction begins one (or, rarely, makes a
 /// non-transactional access); inside, it reads, writes, commits or
@@ -287,8 +316,9 @@ impl Rng {
 /// across several seals of a small window. One commit in four takes its
 /// ticket from below the counter — an inverted publish. With `gaps`,
 /// one boundary event in eight is dropped after it took effect, as
-/// `Backpressure::Drop` would.
-fn stream(seed: u64, len: usize, gaps: bool) -> Vec<TapEvent> {
+/// `Backpressure::Drop` would. With `wide`, one access in three names
+/// one of [`WIDE`] instead.
+fn stream(seed: u64, len: usize, gaps: bool, wide: bool) -> Vec<TapEvent> {
     let mut rng = Rng(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1);
     let procs = 1 + seed % 6;
     let mut in_txn = vec![false; procs as usize];
@@ -299,7 +329,10 @@ fn stream(seed: u64, len: usize, gaps: bool) -> Vec<TapEvent> {
         if p == 0 && rng.below(10) != 0 {
             p = rng.below(procs);
         }
-        let var = rng.below(4);
+        let mut var = rng.below(4);
+        if wide && rng.below(3) == 0 {
+            var = WIDE[rng.below(WIDE.len() as u64) as usize];
+        }
         let roll = rng.below(if p == 0 { 24 } else { 8 });
         let op = match (in_txn[p as usize], roll) {
             (false, 0) => TapOp::Read {
@@ -356,11 +389,15 @@ fn assert_same(new: Option<SealedWindow>, old: Option<RefSealed>, ctx: &str) {
 #[test]
 fn one_pass_builder_seals_what_the_multi_pass_builder_sealed() {
     let (mut windows, mut carried, mut repaired, mut reseeded) = (0u64, 0u64, 0u64, 0u64);
+    let (mut top, mut above) = (0u64, 0u64);
     for k in [1usize, 2, 7, 64] {
         for seed in 0..48u64 {
-            let gaps = seed % 2 == 1;
+            let (gaps, wide) = (seed % 2 == 1, seed % 4 == 2);
             let (mut new, mut old) = (WindowBuilder::new(k), RefBuilder::new(k));
-            for (i, ev) in stream(seed, 40 * k.max(8), gaps).into_iter().enumerate() {
+            for (i, ev) in stream(seed, 40 * k.max(8), gaps, wide)
+                .into_iter()
+                .enumerate()
+            {
                 let ctx = format!("window {k}, seed {seed}, event {i}");
                 let full = new.push(ev);
                 assert_eq!(full, old.push(ev), "{ctx}: fullness");
@@ -370,6 +407,9 @@ fn one_pass_builder_seals_what_the_multi_pass_builder_sealed() {
                     carried += u64::from(old.backlog() > 0);
                     repaired += r.as_ref().map_or(0, |r| r.repaired);
                     reseeded += u64::from(r.as_ref().is_some_and(|r| r.reseeded().is_some()));
+                    let u32_top = |v: u64| v >= 1 << 31 && v <= u64::from(u32::MAX);
+                    top += u64::from(names(&r, u32_top));
+                    above += u64::from(names(&r, |v| v > u64::from(u32::MAX)));
                     assert_same(w, r, &ctx);
                 }
                 assert_eq!(new.backlog(), old.backlog(), "{ctx}: backlog");
@@ -387,4 +427,8 @@ fn one_pass_builder_seals_what_the_multi_pass_builder_sealed() {
     );
     assert!(repaired > 100, "{repaired} repairs");
     assert!(reseeded > 1_000, "{reseeded} windows had a second chance");
+    assert!(
+        top > 200 && above > 200,
+        "{top} windows name the top of the u32 range, {above} an index above it"
+    );
 }
