@@ -144,9 +144,11 @@ impl HistoryBuilder {
         self.ops.is_empty()
     }
 
-    /// Validate well-formedness and produce the history.
+    /// Validate well-formedness and produce the history. The
+    /// identifiers are unique by construction, so only the transaction
+    /// structure and the dependency sets are checked.
     pub fn build(self) -> Result<History, HistoryError> {
-        History::new(self.ops)
+        History::numbered(self.ops)
     }
 }
 

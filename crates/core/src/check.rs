@@ -288,6 +288,28 @@ impl<L: Legality> Search<'_, L> {
         })
     }
 
+    /// For each transaction, whether some transaction that starts after
+    /// it must precede it. Real time never orders a transaction before
+    /// an earlier-starting one, so only the saturated order can, and a
+    /// transaction it does not do this to may come next as soon as
+    /// every earlier-starting one is placed.
+    fn overtaken(&self) -> Vec<bool> {
+        let mut out = vec![false; self.n_txns()];
+        let Some(order) = &self.order else {
+            return out;
+        };
+        let (g, txns) = (&self.graph, self.h.txns());
+        for u in txns {
+            for b in order.reached_below(g.node(u.last()), g.node(u.first())) {
+                let starts = g.txn_of(b).filter(|&t| g.node(txns[t].first()) == b);
+                if let Some(t) = starts {
+                    out[t] = true;
+                }
+            }
+        }
+        out
+    }
+
     /// A legal sequence of the nodes under `fixed` and the transaction
     /// precedences `pairs`.
     fn leaf(
@@ -313,8 +335,13 @@ impl<L: Legality> Search<'_, L> {
     ) -> Option<Vec<(ProcId, Vec<OpId>)>> {
         let nodes = self.leaf(&adjacent_pairs(order), stats, cancel, memo)?;
         let witness = self.graph.op_ids(&nodes);
-        let procs = self.h.procs().into_iter();
-        Some(procs.map(|p| (p, witness.clone())).collect())
+        let procs = self.h.procs();
+        let Some((&last, rest)) = procs.split_last() else {
+            return Some(Vec::new());
+        };
+        let mut witnesses: Vec<_> = rest.iter().map(|&p| (p, witness.clone())).collect();
+        witnesses.push((last, witness));
+        Some(witnesses)
     }
 
     /// The serialization order of a witness under the transaction
@@ -445,8 +472,15 @@ fn first_success<L: Legality>(
     memo.clear_dead_ends();
     let mut first = order.clone();
     let mut placed = used.clone();
+    let (overtaken, mut least) = (s.overtaken(), 0);
     while first.len() < n {
-        let t = (0..n).find(|&t| can_place(s, t, &placed));
+        while placed[least] {
+            least += 1;
+        }
+        let t = match overtaken[least] {
+            false => Some(least),
+            true => (least..n).find(|&t| can_place(s, t, &placed)),
+        };
         let t = t.expect("must-precede is a partial order");
         placed[t] = true;
         first.push(t);

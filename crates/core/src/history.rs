@@ -10,14 +10,15 @@
 //! paper's `≺h`) are cheap.
 //!
 //! Construction hashes nothing and allocates a fixed number of times —
-//! the streaming monitor builds a history per window. A history whose
-//! identifiers are `1..=n` in history order — every [`HistoryBuilder`]
-//! history — has no identifier index: [`History::index_of`] answers by
-//! arithmetic. Any other gets a vector sorted by identifier (left as
-//! built when identifiers ascend), looked up by binary search. The
-//! transactions open during the parse are a short list, and every
-//! transaction's operation indices lie in one arena, read through
-//! [`History::txn_ops`].
+//! the streaming monitor builds a history per window. A
+//! [`HistoryBuilder`] history has no identifier index: the builder
+//! numbers its operations `1..=n` in history order, so
+//! [`History::index_of`] answers by arithmetic and nothing is built or
+//! checked. [`History::new`] takes identifiers as they come and indexes
+//! them in a vector sorted by identifier (left as built when they
+//! ascend), looked up by binary search. The transactions open during
+//! the parse are a short list, and every transaction's operation
+//! indices lie in one arena, read through [`History::txn_ops`].
 //!
 //! [`HistoryBuilder`]: crate::builder::HistoryBuilder
 
@@ -132,11 +133,21 @@ pub struct History {
     /// transaction: one allocation where a monitor window would make 65.
     txn_ops: Vec<usize>,
     /// For each operation index, the index of its transaction in `txns`
-    /// (or `None` for non-transactional operations).
-    txn_of: Vec<Option<usize>>,
-    /// `(identifier, index in ops)`, sorted by identifier; empty when
-    /// the identifiers are `1..=n` in history order.
+    /// ([`NO_TXN`] for non-transactional operations): four bytes an
+    /// operation, not sixteen.
+    txn_of: Vec<u32>,
+    /// `(identifier, index in ops)`, sorted by identifier; empty for a
+    /// [`HistoryBuilder`](crate::builder::HistoryBuilder) history, whose
+    /// identifiers are `1..=n` in history order.
     index_of: Vec<(OpId, usize)>,
+}
+
+/// `History::txn_of`'s mark for a non-transactional operation.
+const NO_TXN: u32 = u32::MAX;
+
+/// A `txn_of` entry as a transaction index.
+fn some_txn(t: u32) -> Option<usize> {
+    (t != NO_TXN).then_some(t as usize)
 }
 
 /// The index of `id` among `n` operations whose identifier index is
@@ -158,20 +169,12 @@ impl History {
     /// and dependency sets of `cdrd`/`ddrd`/`cdwr`/`ddwr` commands naming
     /// only operations of the same process that precede them.
     pub fn new(ops: Vec<OpInstance>) -> Result<Self, HistoryError> {
-        // No index when identifiers are `1..=n` (every `HistoryBuilder`
-        // history; unique by construction). Otherwise one already sorted
-        // when identifiers ascend, or sorted once, which also brings
-        // duplicates together. The duplicate reported is the first one
-        // met in history order: the least index that repeats an earlier id.
-        let dense = ops
-            .iter()
-            .enumerate()
-            .all(|(i, oi)| oi.id.0 as usize == i + 1);
-        let mut index_of: Vec<(OpId, usize)> = if dense {
-            Vec::new()
-        } else {
-            ops.iter().enumerate().map(|(i, oi)| (oi.id, i)).collect()
-        };
+        // Already sorted when identifiers ascend; otherwise sorted once,
+        // which also brings duplicates together. The duplicate reported
+        // is the first one met in history order: the least index that
+        // repeats an earlier id.
+        let mut index_of: Vec<(OpId, usize)> =
+            ops.iter().enumerate().map(|(i, oi)| (oi.id, i)).collect();
         if !index_of.windows(2).all(|w| w[0].0 < w[1].0) {
             index_of.sort_unstable();
             let repeats = index_of.windows(2).filter(|w| w[0].0 == w[1].0);
@@ -179,10 +182,29 @@ impl History {
                 return Err(HistoryError::DuplicateOpId(ops[i].id));
             }
         }
+        Self::parse(ops, index_of)
+    }
 
+    /// [`History::new`] for operations whose identifiers are `1..=n` in
+    /// history order, as a [`HistoryBuilder`] numbers them: unique, so
+    /// there is no identifier index to build or check, and
+    /// [`History::index_of`] answers by arithmetic.
+    ///
+    /// [`HistoryBuilder`]: crate::builder::HistoryBuilder
+    pub(crate) fn numbered(ops: Vec<OpInstance>) -> Result<Self, HistoryError> {
+        debug_assert!(ops
+            .iter()
+            .enumerate()
+            .all(|(i, oi)| oi.id.0 as usize == i + 1));
+        Self::parse(ops, Vec::new())
+    }
+
+    /// Parse the transactions of `ops`, whose identifiers are unique
+    /// and indexed by `index_of` (empty: `1..=n` in order).
+    fn parse(ops: Vec<OpInstance>, index_of: Vec<(OpId, usize)>) -> Result<Self, HistoryError> {
         // Parse transactions per process.
         let mut txns: Vec<Txn> = Vec::new();
-        let mut txn_of: Vec<Option<usize>> = vec![None; ops.len()];
+        let mut txn_of = vec![NO_TXN; ops.len()];
         // (process, its open transaction): as long as there are
         // processes with a transaction open at once.
         let mut open: Vec<(ProcId, usize)> = Vec::new();
@@ -204,7 +226,7 @@ impl History {
                         last: i,
                         span: 0..1, // its length, until the arena is laid out
                     });
-                    txn_of[i] = Some(t);
+                    txn_of[i] = t as u32;
                     open.push((oi.proc, t));
                 }
                 Op::Commit | Op::Abort => {
@@ -222,14 +244,14 @@ impl History {
                     } else {
                         TxnStatus::Aborted
                     };
-                    txn_of[i] = Some(t);
+                    txn_of[i] = t as u32;
                 }
                 Op::Cmd(c) => {
                     if let Some(at) = at {
                         let t = open[at].1;
                         txns[t].last = i;
                         txns[t].span.end += 1;
-                        txn_of[i] = Some(t);
+                        txn_of[i] = t as u32;
                     }
                     // Dependency well-formedness: each dep must be an
                     // earlier operation of the same process.
@@ -257,8 +279,8 @@ impl History {
             offset += len;
         }
         let mut txn_ops = vec![0; offset];
-        for (i, t) in txn_of.iter().enumerate() {
-            if let Some(t) = *t {
+        for (i, &t) in txn_of.iter().enumerate() {
+            if let Some(t) = some_txn(t) {
                 txn_ops[txns[t].span.end] = i;
                 txns[t].span.end += 1;
             }
@@ -303,13 +325,13 @@ impl History {
     /// The transaction containing the operation at history index `i`, if
     /// that operation is transactional.
     pub fn txn_of(&self, i: usize) -> Option<usize> {
-        self.txn_of[i]
+        some_txn(self.txn_of[i])
     }
 
     /// True iff the operation at history index `i` is part of a
     /// transaction.
     pub fn is_transactional(&self, i: usize) -> bool {
-        self.txn_of[i].is_some()
+        self.txn_of[i] != NO_TXN
     }
 
     /// History index of the operation with identifier `id`.
@@ -319,9 +341,15 @@ impl History {
 
     /// The set of processes appearing in the history, sorted.
     pub fn procs(&self) -> Vec<ProcId> {
-        let mut set: Vec<ProcId> = self.ops.iter().map(|o| o.proc).collect();
-        set.sort_unstable();
-        set.dedup();
+        // A handful of processes, each in runs: one search per run.
+        let (mut set, mut last) = (Vec::new(), None);
+        for p in self.ops.iter().map(|o| o.proc) {
+            if last.replace(p) != Some(p) {
+                if let Err(at) = set.binary_search(&p) {
+                    set.insert(at, p);
+                }
+            }
+        }
         set
     }
 
@@ -356,7 +384,7 @@ impl History {
             return true;
         }
         // Case 1: cross-transaction real-time order.
-        if let (Some(t1), Some(t2)) = (self.txn_of[i], self.txn_of[j]) {
+        if let (Some(t1), Some(t2)) = (self.txn_of(i), self.txn_of(j)) {
             if t1 != t2 {
                 let t1 = &self.txns[t1];
                 let t2 = &self.txns[t2];
@@ -414,7 +442,7 @@ impl History {
     pub fn is_transactionally_sequential(&self) -> bool {
         self.txns.iter().all(|t| {
             let (first, last) = (t.first(), t.last());
-            (first..=last).all(|i| self.txn_of[i].is_none() || self.txn_of[i] == self.txn_of[first])
+            (first..=last).all(|i| self.txn_of[i] == NO_TXN || self.txn_of[i] == self.txn_of[first])
         })
     }
 
@@ -436,7 +464,7 @@ impl History {
                 let followed = self.ops[last + 1..]
                     .iter()
                     .enumerate()
-                    .any(|(off, _)| self.txn_of[last + 1 + off] != Some(ti));
+                    .any(|(off, _)| self.txn_of(last + 1 + off) != Some(ti));
                 keep_txn[ti] = !followed;
             }
         }
@@ -444,7 +472,7 @@ impl History {
             .ops
             .iter()
             .enumerate()
-            .filter(|(i, _)| match self.txn_of[*i] {
+            .filter(|(i, _)| match self.txn_of(*i) {
                 Some(t) => keep_txn[t],
                 None => true,
             })

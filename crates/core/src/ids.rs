@@ -30,12 +30,14 @@ pub struct Var(pub u32);
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub struct OpId(pub u32);
 
-/// A [`Hasher`] for identifiers the workspace hands out itself —
-/// variables, processes, a tap's variable indices: one multiplication by
-/// 2⁶⁴/φ (Fibonacci hashing). Such keys are dense small integers, not
-/// input an adversary picks, so SipHash's protection buys nothing there
-/// and costs more than the lookups it serves; keep it for keys from
-/// outside the program.
+/// A [`Hasher`] for identifiers the workspace hands out itself: one
+/// multiplication by 2⁶⁴/φ (Fibonacci hashing). Its users are the
+/// monitor's seed table (keyed by a tap's `u64` variable index) and the
+/// legality checkers' variable numbering (keyed by [`Var`], hashed
+/// through `write_u32`). Such keys are dense small integers, not input
+/// an adversary picks, so SipHash's protection buys nothing there and
+/// costs more than the lookups it serves; keep it for keys from outside
+/// the program.
 #[derive(Clone, Copy, Default, Debug)]
 pub struct IdHasher(u64);
 

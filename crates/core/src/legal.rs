@@ -34,7 +34,7 @@
 //! interpretation used throughout this crate.
 
 use crate::history::History;
-use crate::ids::Var;
+use crate::ids::{IdMap, Var};
 use crate::op::{Command, Op};
 use crate::spec::{SpecRegistry, SpecState};
 
@@ -64,39 +64,34 @@ struct Slot {
     state: SpecState,
 }
 
-/// Per-variable state as a vector sorted by variable. A history touches
-/// a handful of variables, so a lookup is a short binary search, the
-/// search's per-node snapshot is one copy, and equal states list equal
-/// entries in equal order — which is what lets the search use a state
-/// as (part of) an exact memo key.
-#[derive(Clone, Debug)]
-struct VarMap<T>(Vec<(Var, T)>);
-
-impl<T: Copy> VarMap<T> {
-    fn new() -> Self {
-        VarMap(Vec::new())
-    }
-
-    fn get(&self, var: Var) -> Option<T> {
-        let at = self.0.binary_search_by_key(&var, |e| e.0).ok()?;
-        Some(self.0[at].1)
-    }
-
-    fn insert(&mut self, var: Var, value: T) {
-        match self.0.binary_search_by_key(&var, |e| e.0) {
-            Ok(at) => self.0[at].1 = value,
-            Err(at) => self.0.insert(at, (var, value)),
-        }
-    }
-}
-
-/// Append `var` and `state` to a memo key, injectively.
-fn key_entry(out: &mut Vec<u64>, var: Var, state: SpecState) {
+/// Append variable number `x` and `state` to a memo key, injectively.
+fn key_entry(out: &mut Vec<u64>, x: usize, state: SpecState) {
     let (tag, val) = match state {
         SpecState::Val(v) => (0, v),
         SpecState::Junk => (1, 0),
     };
-    out.extend([u64::from(var.0) << 1 | tag, val]);
+    out.extend([(x as u64) << 1 | tag, val]);
+}
+
+/// The number of `var` among the variables `names` has seen, numbering
+/// it next if it is new.
+fn number(names: &mut IdMap<Var, u32>, var: Var) -> usize {
+    let next = names.len() as u32;
+    *names.entry(var).or_insert(next) as usize
+}
+
+/// The set entries of a table indexed by variable number.
+fn set<T: Copy>(table: &[Option<T>]) -> impl Iterator<Item = (usize, T)> + '_ {
+    let entries = table.iter().enumerate();
+    entries.filter_map(|(x, e)| Some((x, (*e)?)))
+}
+
+/// Grow `table` to hold index `x`.
+fn cell<T: Default + Clone>(table: &mut Vec<T>, x: usize) -> &mut T {
+    if x >= table.len() {
+        table.resize(x + 1, T::default());
+    }
+    &mut table[x]
 }
 
 /// Incremental per-prefix legality checker for sequential and
@@ -106,14 +101,51 @@ fn key_entry(out: &mut Vec<u64>, var: Var, state: SpecState) {
 /// `false` as soon as an operation would be illegal in the sense of the
 /// paper's condition 3. The checker is cheap to [`Clone`], which is how
 /// the backtracking searches snapshot it.
-#[derive(Clone, Debug)]
+///
+/// Its table is indexed by variable *number*: the search numbers a
+/// history's variables once, densely (`Graph` in
+/// [`linearize`](crate::linearize)), and hands each access its number,
+/// so an access is one index, not a search. [`step`](Self::step)
+/// numbers the variables it meets itself.
+#[derive(Debug)]
 pub struct PrefixChecker<'a> {
     specs: &'a SpecRegistry,
-    committed: VarMap<Slot>,
-    /// Overlay of the currently open transaction (if any).
-    overlay: VarMap<Slot>,
+    /// By variable number: the committed state, once a command changed
+    /// it.
+    committed: Vec<Option<Slot>>,
+    /// By variable number, the open transaction's changes: empty but
+    /// for the entries `written` lists.
+    overlay: Vec<Option<Slot>>,
+    /// The numbers whose `overlay` is set.
+    written: Vec<usize>,
+    /// The numbers [`step`](Self::step) gave the variables it met.
+    names: IdMap<Var, u32>,
     in_txn: bool,
     pos: usize,
+}
+
+impl Clone for PrefixChecker<'_> {
+    fn clone(&self) -> Self {
+        let mut c = PrefixChecker::new(self.specs);
+        c.clone_from(self);
+        c
+    }
+
+    /// Into `self`'s buffers: the search snapshots a checker per node.
+    /// Of the overlay only the written entries are copied — the rest is
+    /// empty in both.
+    fn clone_from(&mut self, src: &Self) {
+        self.specs = src.specs;
+        self.committed.clone_from(&src.committed);
+        self.clear_overlay();
+        for &x in &src.written {
+            *cell(&mut self.overlay, x) = src.overlay[x];
+        }
+        self.written.clone_from(&src.written);
+        self.names.clone_from(&src.names);
+        self.in_txn = src.in_txn;
+        self.pos = src.pos;
+    }
 }
 
 impl<'a> PrefixChecker<'a> {
@@ -121,34 +153,12 @@ impl<'a> PrefixChecker<'a> {
     pub fn new(specs: &'a SpecRegistry) -> Self {
         PrefixChecker {
             specs,
-            committed: VarMap::new(),
-            overlay: VarMap::new(),
+            committed: Vec::new(),
+            overlay: Vec::new(),
+            written: Vec::new(),
+            names: IdMap::default(),
             in_txn: false,
             pos: 0,
-        }
-    }
-
-    fn committed_state(&self, var: Var) -> SpecState {
-        self.committed
-            .get(var)
-            .map(|s| s.state)
-            .unwrap_or_else(|| self.specs.spec_of(var).init())
-    }
-
-    /// The state a *transactional* access observes: the later (by
-    /// position) of the overlay and committed slots.
-    fn txn_view(&self, var: Var) -> SpecState {
-        match (self.overlay.get(var), self.committed.get(var)) {
-            (Some(o), Some(c)) => {
-                if o.pos >= c.pos {
-                    o.state
-                } else {
-                    c.state
-                }
-            }
-            (Some(o), None) => o.state,
-            (None, Some(c)) => c.state,
-            (None, None) => self.specs.spec_of(var).init(),
         }
     }
 
@@ -158,28 +168,35 @@ impl<'a> PrefixChecker<'a> {
         self.in_txn
     }
 
+    /// Drop the open transaction's writes.
+    fn clear_overlay(&mut self) {
+        for x in self.written.drain(..) {
+            self.overlay[x] = None;
+        }
+    }
+
     /// Close a *live* transaction (one with no `commit`/`abort`
     /// operation) after its last operation has been applied: its writes
     /// are discarded — they never become visible to anyone else — and
     /// the checker is ready for subsequent operations.
     pub fn suspend_live(&mut self) {
-        self.overlay.0.clear();
+        self.clear_overlay();
         self.in_txn = false;
     }
 
-    /// Append this state to a memo key: two checkers that wrote equal
-    /// keys accept exactly the same continuations. Outside a
-    /// transaction the position stamps are left out — every later
-    /// stamp exceeds every current one, so they can no longer decide
-    /// anything and would only tell apart states that behave alike.
+    /// Append this state to a memo key: two checkers whose variables
+    /// are numbered alike and that wrote equal keys accept exactly the
+    /// same continuations. Outside a transaction the position stamps
+    /// are left out — every later stamp exceeds every current one, so
+    /// they can no longer decide anything and would only tell apart
+    /// states that behave alike.
     pub(crate) fn key(&self, out: &mut Vec<u64>) {
-        out.extend([u64::from(self.in_txn), self.committed.0.len() as u64]);
-        for map in [&self.committed, &self.overlay] {
-            for &(var, slot) in &map.0 {
-                key_entry(out, var, slot.state);
-                if self.in_txn {
-                    out.push(slot.pos as u64);
-                }
+        let count = set(&self.committed).count() as u64;
+        out.extend([u64::from(self.in_txn), count]);
+        for (x, slot) in set(&self.committed).chain(set(&self.overlay)) {
+            key_entry(out, x, slot.state);
+            if self.in_txn {
+                out.push(slot.pos as u64);
             }
         }
     }
@@ -192,68 +209,72 @@ impl<'a> PrefixChecker<'a> {
     /// Returns `false` if the operation is illegal; the checker must not
     /// be used further after a `false`.
     pub fn step(&mut self, op: &Op, transactional: bool) -> bool {
+        let x = op.command().map_or(0, |c| number(&mut self.names, c.var()));
+        self.step_var(x, op, transactional)
+    }
+
+    /// [`step`](Self::step), `x` being the number of the variable `op`
+    /// accesses (ignored for `start`, `commit` and `abort`).
+    pub(crate) fn step_var(&mut self, x: usize, op: &Op, transactional: bool) -> bool {
         self.pos += 1;
         let pos = self.pos;
         match op {
             Op::Start => {
                 debug_assert!(!self.in_txn, "sequential history: no nested txns");
                 self.in_txn = true;
-                self.overlay.0.clear();
+                self.clear_overlay();
                 true
             }
             Op::Commit => {
                 // Merge overlay into committed, position-wise: a
                 // non-transactional write that interleaved *after* the
                 // transaction's last write to the same variable wins.
-                for (var, slot) in self.overlay.0.drain(..) {
-                    match self.committed.get(var) {
-                        Some(c) if c.pos > slot.pos => {}
-                        _ => self.committed.insert(var, slot),
+                for x in self.written.drain(..) {
+                    let o = self.overlay[x].take();
+                    let done = cell(&mut self.committed, x);
+                    match (*done, o) {
+                        (Some(d), Some(o)) if d.pos > o.pos => {}
+                        (_, o) => *done = o,
                     }
                 }
                 self.in_txn = false;
                 true
             }
             Op::Abort => {
-                self.overlay.0.clear();
+                self.clear_overlay();
                 self.in_txn = false;
                 true
             }
             Op::Cmd(cmd) => {
-                let var = cmd.var();
-                let spec = self.specs.spec_of(var);
-                if transactional {
-                    debug_assert!(self.in_txn);
-                    let st = self.txn_view(var);
-                    match spec.apply(st, cmd) {
-                        Some(next) => {
-                            // Reads do not change the state; only record
-                            // state-changing commands so that position
-                            // stamps reflect writes.
-                            if next != st || cmd.is_write() || matches!(cmd, Command::Havoc { .. })
-                            {
-                                self.overlay.insert(var, Slot { pos, state: next });
-                            }
-                            true
-                        }
-                        None => false,
-                    }
-                } else {
-                    // Non-transactional accesses never observe the open
-                    // transaction's overlay (its effects are not visible
-                    // until commit).
-                    let st = self.committed_state(var);
-                    match spec.apply(st, cmd) {
-                        Some(next) => {
-                            if next != st || cmd.is_write() || matches!(cmd, Command::Havoc { .. })
-                            {
-                                self.committed.insert(var, Slot { pos, state: next });
-                            }
-                            true
-                        }
-                        None => false,
+                let spec = self.specs.spec_of(cmd.var());
+                let slot = |table: &[Option<Slot>]| table.get(x).copied().flatten();
+                // A transactional access observes the later (by
+                // position) of the overlay and committed slots; a
+                // non-transactional one never observes the open
+                // transaction's overlay (its effects are not visible
+                // until commit).
+                let seen = match (transactional, slot(&self.overlay), slot(&self.committed)) {
+                    (true, Some(o), Some(done)) if o.pos < done.pos => Some(done),
+                    (true, Some(o), _) => Some(o),
+                    (_, _, done) => done,
+                };
+                debug_assert!(!transactional || self.in_txn);
+                let st = seen.map_or_else(|| spec.init(), |s| s.state);
+                let Some(next) = spec.apply(st, cmd) else {
+                    return false;
+                };
+                // Reads do not change the state; only record
+                // state-changing commands so that position stamps
+                // reflect writes.
+                if next != st || cmd.is_write() || matches!(cmd, Command::Havoc { .. }) {
+                    let slot = Slot { pos, state: next };
+                    if !transactional {
+                        *cell(&mut self.committed, x) = Some(slot);
+                    } else if cell(&mut self.overlay, x).replace(slot).is_none() {
+                        self.written.push(x);
                     }
                 }
+                true
             }
         }
     }
@@ -270,15 +291,40 @@ impl<'a> PrefixChecker<'a> {
 /// non-transactional read may legitimately observe a value that is
 /// later undone. For fully sequential histories these semantics
 /// coincide with [`PrefixChecker`]'s, which is why parametrized opacity
-/// still implies SGLA (Theorem 6).
-#[derive(Clone, Debug)]
+/// still implies SGLA (Theorem 6). Its table is indexed by variable
+/// number, like [`PrefixChecker`]'s.
+#[derive(Debug)]
 pub struct CsChecker<'a> {
     specs: &'a SpecRegistry,
-    state: VarMap<SpecState>,
-    /// Undo log of the open transaction: `(var, state before the
+    /// The state of each variable a command changed, by number.
+    state: Vec<Option<SpecState>>,
+    /// Undo log of the open transaction: `(number, state before the
     /// transaction's first write to it)`.
-    undo: Vec<(Var, SpecState)>,
+    undo: Vec<(usize, SpecState)>,
+    /// The numbers [`step`](Self::step) gave the variables it met.
+    names: IdMap<Var, u32>,
     in_txn: bool,
+}
+
+impl Clone for CsChecker<'_> {
+    fn clone(&self) -> Self {
+        CsChecker {
+            specs: self.specs,
+            state: self.state.clone(),
+            undo: self.undo.clone(),
+            names: self.names.clone(),
+            in_txn: self.in_txn,
+        }
+    }
+
+    /// Into `self`'s buffers, as [`PrefixChecker`]'s.
+    fn clone_from(&mut self, src: &Self) {
+        self.specs = src.specs;
+        self.state.clone_from(&src.state);
+        self.undo.clone_from(&src.undo);
+        self.names.clone_from(&src.names);
+        self.in_txn = src.in_txn;
+    }
 }
 
 impl<'a> CsChecker<'a> {
@@ -286,16 +332,11 @@ impl<'a> CsChecker<'a> {
     pub fn new(specs: &'a SpecRegistry) -> Self {
         CsChecker {
             specs,
-            state: VarMap::new(),
+            state: Vec::new(),
             undo: Vec::new(),
+            names: IdMap::default(),
             in_txn: false,
         }
-    }
-
-    fn get(&self, var: Var) -> SpecState {
-        self.state
-            .get(var)
-            .unwrap_or_else(|| self.specs.spec_of(var).init())
     }
 
     /// True while a transaction is open.
@@ -312,15 +353,22 @@ impl<'a> CsChecker<'a> {
 
     /// Append this state to a memo key; see [`PrefixChecker::key`].
     pub(crate) fn key(&self, out: &mut Vec<u64>) {
-        out.extend([u64::from(self.in_txn), self.state.0.len() as u64]);
-        for &(var, state) in self.state.0.iter().chain(&self.undo) {
-            key_entry(out, var, state);
+        out.extend([u64::from(self.in_txn), set(&self.state).count() as u64]);
+        for (x, state) in set(&self.state).chain(self.undo.iter().copied()) {
+            key_entry(out, x, state);
         }
     }
 
     /// Apply the next operation of the transactionally sequential
     /// sequence being built. Returns `false` if it is illegal.
     pub fn step(&mut self, op: &Op, transactional: bool) -> bool {
+        let x = op.command().map_or(0, |c| number(&mut self.names, c.var()));
+        self.step_var(x, op, transactional)
+    }
+
+    /// [`step`](Self::step), `x` being the number of the variable `op`
+    /// accesses (ignored for `start`, `commit` and `abort`).
+    pub(crate) fn step_var(&mut self, x: usize, op: &Op, transactional: bool) -> bool {
         match op {
             Op::Start => {
                 debug_assert!(!self.in_txn);
@@ -335,27 +383,27 @@ impl<'a> CsChecker<'a> {
             }
             Op::Abort => {
                 // Roll back in reverse order.
-                while let Some((var, st)) = self.undo.pop() {
-                    self.state.insert(var, st);
+                while let Some((x, st)) = self.undo.pop() {
+                    self.state[x] = Some(st);
                 }
                 self.in_txn = false;
                 true
             }
             Op::Cmd(cmd) => {
-                let var = cmd.var();
-                let spec = self.specs.spec_of(var);
-                let st = self.get(var);
+                let spec = self.specs.spec_of(cmd.var());
+                let st = self.state.get(x).copied().flatten();
+                let st = st.unwrap_or_else(|| spec.init());
                 match spec.apply(st, cmd) {
                     Some(next) => {
                         if next != st || cmd.is_write() || matches!(cmd, Command::Havoc { .. }) {
                             if transactional && self.in_txn {
                                 // First transactional mutation of this
                                 // var: remember the pre-image.
-                                if !self.undo.iter().any(|(v, _)| *v == var) {
-                                    self.undo.push((var, st));
+                                if !self.undo.iter().any(|&(y, _)| y == x) {
+                                    self.undo.push((x, st));
                                 }
                             }
-                            self.state.insert(var, next);
+                            *cell(&mut self.state, x) = Some(next);
                         }
                         true
                     }

@@ -89,6 +89,8 @@ pub mod fingerprint;
 pub mod history;
 pub mod ids;
 pub mod legal;
+#[cfg(test)]
+mod legal_reference;
 pub mod linearize;
 pub mod model;
 pub mod op;

@@ -39,10 +39,10 @@
 //! fewer orders to try.
 
 use crate::history::{History, TxnStatus};
-use crate::ids::{OpId, ProcId};
+use crate::ids::{IdMap, OpId, ProcId, Var};
 use crate::legal::{CsChecker, PrefixChecker};
 use crate::model::MemoryModel;
-use crate::op::Op;
+use crate::op::{Command, Op};
 use crate::par::{Cancel, WitnessMemo};
 use jungle_obs::trace::{self, EventKind};
 use jungle_obs::SearchStats;
@@ -76,8 +76,9 @@ pub fn view_pairs(h: &History, model: &dyn MemoryModel) -> Vec<(usize, usize)> {
 /// [`PrefixChecker`] (deferred updates, opacity) or [`CsChecker`]
 /// (critical sections, SGLA).
 pub(crate) trait Legality: Clone + Sync {
-    /// Apply the next operation; `false` if it is illegal.
-    fn step(&mut self, op: &Op, transactional: bool) -> bool;
+    /// Apply the next operation, `x` being the number `Graph` gave its
+    /// variable; `false` if it is illegal.
+    fn step(&mut self, x: usize, op: &Op, transactional: bool) -> bool;
     /// Close a live transaction after its last operation.
     fn suspend_live(&mut self);
     /// Is a transaction open?
@@ -89,8 +90,8 @@ pub(crate) trait Legality: Clone + Sync {
 macro_rules! legality {
     ($checker:ident) => {
         impl Legality for $checker<'_> {
-            fn step(&mut self, op: &Op, transactional: bool) -> bool {
-                $checker::step(self, op, transactional)
+            fn step(&mut self, x: usize, op: &Op, transactional: bool) -> bool {
+                $checker::step_var(self, x, op, transactional)
             }
             fn suspend_live(&mut self) {
                 $checker::suspend_live(self)
@@ -112,6 +113,15 @@ legality!(CsChecker);
 /// transaction `t`), then one per non-transactional operation in
 /// history order. At **operation** granularity: one node per
 /// operation, node `i` being history index `i`.
+///
+/// It also numbers the history's variables, and [`Graph::place`] hands
+/// every access its number: the legality checkers keep their state in
+/// tables indexed by it. Where every variable index is below
+/// [`OWN_NUMBERS`], each is its own number; otherwise they are numbered
+/// densely, in the order the history first names them. Either way a
+/// table — which the search copies at every node — is no longer than
+/// `OWN_NUMBERS` or the number of distinct variables, whichever is
+/// larger.
 pub(crate) struct Graph<'h> {
     h: &'h History,
     /// Leading nodes that are whole transactions (0 at operation
@@ -122,6 +132,32 @@ pub(crate) struct Graph<'h> {
     singles: Vec<usize>,
     /// For each history index, its node.
     node_of: Vec<usize>,
+    /// For each history index, the number of the variable it accesses
+    /// (0 for `start`, `commit` and `abort`); empty when every variable
+    /// is its own number.
+    var_of: Vec<u32>,
+}
+
+/// Variable indices below this are their own numbers in any history.
+pub(crate) const OWN_NUMBERS: usize = 64;
+
+/// The number of the variable each operation of `h` accesses, or
+/// nothing when each variable is its own number.
+fn number_vars(h: &History) -> Vec<u32> {
+    let vars = h
+        .ops()
+        .iter()
+        .filter_map(|oi| oi.op.command().map(Command::var));
+    if vars.clone().all(|x| (x.0 as usize) < OWN_NUMBERS) {
+        return Vec::new();
+    }
+    let mut seen: IdMap<Var, u32> = IdMap::default();
+    let ops = h.ops().iter().map(|oi| {
+        let Some(cmd) = oi.op.command() else { return 0 };
+        let next = seen.len() as u32;
+        *seen.entry(cmd.var()).or_insert(next)
+    });
+    ops.collect()
 }
 
 impl<'h> Graph<'h> {
@@ -142,6 +178,7 @@ impl<'h> Graph<'h> {
             blocks,
             singles,
             node_of,
+            var_of: number_vars(h),
         }
     }
 
@@ -152,6 +189,7 @@ impl<'h> Graph<'h> {
             blocks: 0,
             singles: (0..h.len()).collect(),
             node_of: (0..h.len()).collect(),
+            var_of: number_vars(h),
         }
     }
 
@@ -174,7 +212,7 @@ impl<'h> Graph<'h> {
     }
 
     /// The transaction node `u` belongs to, if any.
-    fn txn_of(&self, u: usize) -> Option<usize> {
+    pub(crate) fn txn_of(&self, u: usize) -> Option<usize> {
         self.h.txn_of(self.ops_of(u)[0])
     }
 
@@ -282,7 +320,12 @@ impl<'h> Graph<'h> {
         let ops = self.ops_of(u);
         let txn = self.txn_of(u).map(|t| &self.h.txns()[t]);
         for &i in ops {
-            if !c.step(&self.h.ops()[i].op, txn.is_some()) {
+            let op = &self.h.ops()[i].op;
+            let x = match self.var_of.get(i) {
+                Some(&x) => x as usize,
+                None => op.command().map_or(0, |c| c.var().0 as usize),
+            };
+            if !c.step(x, op, txn.is_some()) {
                 return false;
             }
         }
@@ -300,6 +343,20 @@ pub(crate) fn edge_set(edges: impl IntoIterator<Item = (usize, usize)>) -> Vec<(
     edges.sort_unstable();
     edges.dedup();
     edges
+}
+
+/// Where each of the `n` nodes' out-edges begin in the [`edge_set`]
+/// `edges`, and where the last node's end: node `u`'s are
+/// `edges[start[u]..start[u + 1]]`.
+pub(crate) fn sources(n: usize, edges: &[(usize, usize)]) -> Vec<usize> {
+    let mut start = vec![0; n + 1];
+    for &(a, _) in edges {
+        start[a + 1] += 1;
+    }
+    for u in 0..n {
+        start[u + 1] += start[u];
+    }
+    start
 }
 
 /// The union of two [`edge_set`]s, as one: a merge, since `fixed` is
@@ -446,44 +503,90 @@ pub(crate) fn linearize<L: Legality>(
         return hit.clone();
     }
     let n = g.len();
+    let mut indeg = vec![0; n];
+    for &(_, b) in &edges {
+        indeg[b] += 1;
+    }
+    let mut ready = vec![0; n.div_ceil(64)];
+    for u in (0..n).filter(|&u| indeg[u] == 0) {
+        ready[u / 64] |= 1 << (u % 64);
+    }
     let mut dfs = Dfs {
         g,
-        succs: vec![Vec::new(); n],
-        indeg: vec![0; n],
+        start: sources(n, &edges),
+        succs: edges.iter().map(|&(_, b)| b).collect(),
+        indeg,
+        ready,
         placed: vec![0; n.div_ceil(64)],
         seq: Vec::with_capacity(n),
+        spare: Vec::new(),
         stats,
         cancel,
         dead: &mut memo.dead,
     };
-    for &(a, b) in &edges {
-        dfs.succs[a].push(b);
-        dfs.indeg[b] += 1;
-    }
     let result = dfs.dfs(init, None).then_some(dfs.seq);
-    if !cancel.hit() {
+    if !cancel.hit() && memo.results.has_room() {
         memo.results.put(edges, result.clone());
     }
     result
 }
 
 /// The state of one [`linearize`] search.
-struct Dfs<'a, 'h> {
+struct Dfs<'a, 'h, L> {
     g: &'a Graph<'h>,
-    succs: Vec<Vec<usize>>,
+    /// Where each node's successors begin in `succs`.
+    start: Vec<usize>,
+    succs: Vec<usize>,
     /// Unplaced predecessors of each node.
     indeg: Vec<usize>,
+    /// Bit `u` is set while node `u` is unplaced and has no unplaced
+    /// predecessor: the candidates, found without a scan.
+    ready: Vec<u64>,
     /// Bit `u` is set once node `u` is placed; as wide as the graph.
     placed: Vec<u64>,
     seq: Vec<usize>,
+    /// Legality states no frame holds, for the next frame's candidates:
+    /// a candidate is tried on a copy made into one of these buffers.
+    spare: Vec<L>,
     stats: &'a mut SearchStats,
     cancel: &'a Cancel<'a>,
     dead: &'a mut DeadEnds,
 }
 
-impl Dfs<'_, '_> {
+impl<L: Legality> Dfs<'_, '_, L> {
+    /// The least ready node from `u` on.
+    fn ready_from(&self, u: usize) -> Option<usize> {
+        let mut w = u / 64;
+        let mut bits = *self.ready.get(w)? & (!0 << (u % 64));
+        while bits == 0 {
+            w += 1;
+            bits = *self.ready.get(w)?;
+        }
+        Some(w * 64 + bits.trailing_zeros() as usize)
+    }
+
+    /// Place node `u` in the bookkeeping — its bit, its successors'
+    /// counts, the ready set — or, unless `placing`, take it back.
+    fn mark(&mut self, u: usize, placing: bool) {
+        let flip = |bits: &mut [u64], v: usize| bits[v / 64] ^= 1 << (v % 64);
+        flip(&mut self.placed, u);
+        flip(&mut self.ready, u);
+        for k in self.start[u]..self.start[u + 1] {
+            let s = self.succs[k];
+            if placing {
+                self.indeg[s] -= 1;
+            }
+            if self.indeg[s] == 0 {
+                flip(&mut self.ready, s);
+            }
+            if !placing {
+                self.indeg[s] += 1;
+            }
+        }
+    }
+
     /// The exact identity of the current frontier.
-    fn key<L: Legality>(&self, checker: &L, open: Option<usize>) -> Vec<u64> {
+    fn key(&self, checker: &L, open: Option<usize>) -> Vec<u64> {
         let mut key = Vec::with_capacity(self.placed.len() + 12);
         key.extend_from_slice(&self.placed);
         key.push(open.map_or(0, |t| t as u64 + 1));
@@ -500,7 +603,7 @@ impl Dfs<'_, '_> {
     /// is inert; at operation granularity a full order's chain of
     /// order edges blocks those nodes anyway, and the guard matters
     /// under a *subset* of pairs.
-    fn dfs<L: Legality>(&mut self, checker: &L, open: Option<usize>) -> bool {
+    fn dfs(&mut self, checker: &L, open: Option<usize>) -> bool {
         let depth = self.seq.len();
         if depth == self.g.len() {
             return true;
@@ -521,27 +624,31 @@ impl Dfs<'_, '_> {
             key = Some(k);
         }
         let mut descended = false;
-        for u in 0..self.g.len() {
-            if self.placed[u / 64] >> (u % 64) & 1 == 1 || self.indeg[u] != 0 {
-                continue;
-            }
+        // A fresh copy of `checker` for the first candidate; a spare
+        // buffer is overwritten before each.
+        let (mut c, mut fresh) = match self.spare.pop() {
+            Some(c) => (c, false),
+            None => (checker.clone(), true),
+        };
+        let mut next = self.ready_from(0);
+        while let Some(u) = next {
+            next = self.ready_from(u + 1);
             let txn = self.g.txn_of(u);
             if open.is_some() && txn.is_some() && open != txn {
                 continue;
             }
             self.stats.nodes += 1;
             trace::emit(EventKind::NodeEnter, depth as u64, u as u64);
-            let mut c = checker.clone();
+            if !std::mem::take(&mut fresh) {
+                c.clone_from(checker);
+            }
             if !self.g.place(u, &mut c) {
                 self.stats.prune_hits += 1;
                 trace::emit(EventKind::Prune, depth as u64, u as u64);
                 continue;
             }
             let next_open = if c.in_txn() { txn.or(open) } else { None };
-            for &s in &self.succs[u] {
-                self.indeg[s] -= 1;
-            }
-            self.placed[u / 64] ^= 1 << (u % 64);
+            self.mark(u, true);
             self.seq.push(u);
             self.stats.note_depth(depth + 1);
             descended = true;
@@ -549,13 +656,11 @@ impl Dfs<'_, '_> {
                 return true;
             }
             self.seq.pop();
-            self.placed[u / 64] ^= 1 << (u % 64);
+            self.mark(u, false);
             self.stats.backtracks += 1;
             trace::emit(EventKind::NodeLeave, depth as u64, u as u64);
-            for &s in &self.succs[u] {
-                self.indeg[s] += 1;
-            }
         }
+        self.spare.push(c);
         trace::emit(EventKind::Backtrack, depth as u64, 0);
         // A frontier whose every candidate is illegal on the spot is
         // as cheap to refute again as to look up, and a cancelled
@@ -612,7 +717,6 @@ pub(crate) fn scheduled(seed: u64, procs: u64, steps: usize, eager: u64) -> Hist
 mod tests {
     use super::*;
     use crate::builder::HistoryBuilder;
-    use crate::ids::Var;
 
     /// Reflexive-transitive reachability over `n` nodes.
     fn closure(n: usize, edges: impl Iterator<Item = (usize, usize)>) -> Vec<Vec<bool>> {

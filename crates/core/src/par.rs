@@ -152,6 +152,11 @@ impl<K: Eq + Hash, V: Clone> WitnessMemo<K, V> {
         self.map.get(key)
     }
 
+    /// Would [`put`](Self::put) keep an entry?
+    pub(crate) fn has_room(&self) -> bool {
+        self.map.len() < self.cap
+    }
+
     /// Record a result if there is room.
     pub(crate) fn put(&mut self, key: K, value: V) {
         if self.map.len() < self.cap {

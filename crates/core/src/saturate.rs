@@ -41,7 +41,7 @@
 use crate::check::{CheckKind, Search};
 use crate::history::{History, TxnStatus};
 use crate::ids::{Val, Var};
-use crate::linearize::{edge_set, Legality};
+use crate::linearize::{edge_set, sources, Legality};
 use crate::model::MemoryModel;
 use crate::op::{Command, Op};
 use crate::spec::{Spec, SpecRegistry, SpecState};
@@ -284,11 +284,8 @@ impl Reach {
     /// topological order; `None` if the edges close a cycle.
     fn of(n: usize, edges: &[(usize, usize)]) -> Option<Reach> {
         let words = n.div_ceil(64).max(1);
-        let succs = |u: usize| {
-            let lo = edges.partition_point(|e| e.0 < u);
-            let hi = edges.partition_point(|e| e.0 <= u);
-            &edges[lo..hi]
-        };
+        let start = sources(n, edges);
+        let succs = |u: usize| &edges[start[u]..start[u + 1]];
         let mut indeg = vec![0usize; n];
         for &(_, b) in edges {
             indeg[b] += 1;
@@ -330,6 +327,25 @@ impl Reach {
     /// Does every witness place node `a` before node `b`?
     pub(crate) fn reaches(&self, a: usize, b: usize) -> bool {
         self.rows[a * self.words + b / 64] >> (b % 64) & 1 == 1
+    }
+
+    /// The nodes below `limit` that node `a` reaches, ascending.
+    pub(crate) fn reached_below(&self, a: usize, limit: usize) -> impl Iterator<Item = usize> + '_ {
+        let row = &self.rows[a * self.words..(a + 1) * self.words];
+        let words = row.iter().enumerate().take(limit.div_ceil(64));
+        words.flat_map(move |(w, &bits)| {
+            let below = limit - w * 64;
+            let mut bits = if below < 64 {
+                bits & ((1 << below) - 1)
+            } else {
+                bits
+            };
+            std::iter::from_fn(move || {
+                let b = bits.trailing_zeros() as usize;
+                bits &= bits.wrapping_sub(1);
+                (b < 64).then_some(w * 64 + b)
+            })
+        })
     }
 
     /// Add the edge `a → b` to an acyclic closure that lacks it.

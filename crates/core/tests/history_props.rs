@@ -4,8 +4,11 @@
 //! and one vector of operation indices per transaction — kept below as
 //! the reference. The sorted index, the open list and the arena must
 //! accept and reject the same raw sequences, with the same error
-//! variant **and payload**, and answer every query alike.
+//! variant **and payload**, and answer every query alike. A
+//! `HistoryBuilder` history, which has no identifier index, must do
+//! the same as `History::new` on its operations.
 
+use jungle_core::builder::HistoryBuilder;
 use jungle_core::history::{History, HistoryError, OpInstance, TxnStatus};
 use jungle_core::ids::{OpId, ProcId, Var};
 use jungle_core::op::{Command, DepKind, Op};
@@ -144,6 +147,44 @@ proptest! {
             (new, old) => {
                 let (new, old) = (new.map(|_| ()), old.map(|_| ()));
                 prop_assert!(false, "{new:?} but the reference {old:?}: {ops:?}");
+            }
+        }
+    }
+
+    /// A `HistoryBuilder` numbers its operations `1..=n` and builds no
+    /// identifier index; it must accept, reject and answer exactly as
+    /// `History::new` does on the same operations.
+    #[test]
+    fn a_builder_history_agrees_with_new(
+        script in prop::collection::vec((0u32..3, 0u32..10, 0u32..64, 0u32..64), 0..14),
+    ) {
+        let mut ops = raw_ops(&script, 0);
+        for (i, oi) in ops.iter_mut().enumerate() {
+            oi.id = OpId(i as u32 + 1);
+        }
+        let mut b = HistoryBuilder::new();
+        for oi in &ops {
+            b.op(oi.proc, oi.op.clone());
+        }
+        match (b.build(), History::new(ops.clone())) {
+            (Err(built), Err(new)) => prop_assert_eq!(built, new, "{:?}", ops),
+            (Ok(built), Ok(h)) => {
+                prop_assert_eq!(built.ops(), h.ops());
+                for k in 0..40 {
+                    prop_assert_eq!(built.index_of(OpId(k)), h.index_of(OpId(k)), "id {}", k);
+                }
+                prop_assert_eq!(built.txns().len(), h.txns().len());
+                for (t, (x, y)) in built.txns().iter().zip(h.txns()).enumerate() {
+                    prop_assert_eq!((x.proc, x.status), (y.proc, y.status));
+                    prop_assert_eq!(built.txn_ops(t), h.txn_ops(t));
+                }
+                for i in 0..h.len() {
+                    prop_assert_eq!(built.txn_of(i), h.txn_of(i));
+                }
+            }
+            (built, new) => {
+                let (built, new) = (built.map(|_| ()), new.map(|_| ()));
+                prop_assert!(false, "built {built:?} but new {new:?}: {ops:?}");
             }
         }
     }

@@ -64,8 +64,10 @@ use jungle::core::check::{Check, CheckBackend, CheckKind, CheckVerdict};
 use jungle::core::explain::explain_opacity;
 use jungle::core::fingerprint::Fnv1a;
 use jungle::core::history::{History, OpInstance};
+use jungle::core::ids::Var;
 use jungle::core::legal::every_op_legal;
 use jungle::core::model::MemoryModel;
+use jungle::core::op::{Command, Op};
 use jungle::core::par::ParallelConfig;
 use jungle::core::registry::registry;
 use jungle::core::spec::SpecRegistry;
@@ -258,6 +260,76 @@ fn check_table_reproduces_the_parent_digests() {
     assert_eq!(serial_holds[0].len(), corpus.len() * registry().len() * 2);
     assert_eq!(serial_holds[0], serial_holds[1], "backends disagree");
     assert_eq!(serial_holds[0].iter().filter(|&&b| b).count(), HOLDING);
+}
+
+/// `h` with every variable moved to the top of the `u32` range, in the
+/// same order: the search then numbers the variables itself instead of
+/// taking each index as its own number.
+fn with_high_variables(h: &History) -> History {
+    let high = |var: &mut Var| {
+        assert!(var.0 < 4096, "corpus variables are small");
+        var.0 += u32::MAX - 4096;
+    };
+    let mut ops = h.ops().to_vec();
+    for oi in &mut ops {
+        if let Op::Cmd(cmd) = &mut oi.op {
+            match cmd {
+                Command::Read { var, .. }
+                | Command::Write { var, .. }
+                | Command::DepRead { var, .. }
+                | Command::DepWrite { var, .. }
+                | Command::Havoc { var }
+                | Command::FetchAdd { var, .. } => high(var),
+            }
+        }
+    }
+    History::new(ops).expect("renaming keeps a history well-formed")
+}
+
+/// Variable indices are names: the serial DFS reaches the same verdict
+/// and witnesses by the same search tree whether the legality checkers
+/// index their tables by the variables themselves (the corpus's small
+/// indices) or by the numbers the search gives them (the same
+/// variables near `u32::MAX`).
+#[test]
+fn numbered_variables_search_the_same_tree() {
+    let mut cases = 0;
+    for h in corpus() {
+        let high = with_high_variables(&h);
+        for e in registry() {
+            for kind in [CheckKind::Opacity, CheckKind::Sgla] {
+                let ((v, s), (hv, hs)) = (
+                    Check::new(kind).run(&h, e.model),
+                    Check::new(kind).run(&high, e.model),
+                );
+                let (mut a, mut b) = (Fnv1a::new(), Fnv1a::new());
+                fold(&mut a, &v);
+                fold(&mut b, &hv);
+                let ctx = format!("{kind:?} under {}", e.key);
+                assert_eq!(a.finish(), b.finish(), "{ctx}: verdicts differ");
+                let (s, hs) = (&s.search, &hs.search);
+                assert_eq!(
+                    (
+                        s.nodes,
+                        s.backtracks,
+                        s.prune_hits,
+                        s.peak_depth,
+                        s.cache_hits
+                    ),
+                    (
+                        hs.nodes,
+                        hs.backtracks,
+                        hs.prune_hits,
+                        hs.peak_depth,
+                        hs.cache_hits
+                    ),
+                    "{ctx}: trees differ"
+                );
+                cases += 1;
+            }
+        }
+    }
+    assert_eq!(cases, corpus().len() * registry().len() * 2);
 }
 
 /// `wide_split_unsat_history(p)` has `p!` admissible orders and no
