@@ -129,11 +129,6 @@ impl HistoryBuilder {
         self.push(proc, Op::Cmd(Command::Havoc { var }))
     }
 
-    /// Append a fetch-and-add returning `ret` and adding `add`.
-    pub fn fetch_add(&mut self, proc: ProcId, var: Var, add: Val, ret: Val) -> OpId {
-        self.push(proc, Op::Cmd(Command::FetchAdd { var, add, ret }))
-    }
-
     /// Number of operations appended so far.
     pub fn len(&self) -> usize {
         self.ops.len()

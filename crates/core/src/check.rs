@@ -3,11 +3,10 @@
 //! The paper has one definition (parametrized opacity, §3.3) and one
 //! weakening (SGLA, §6.2). A [`Check`] names the question — which
 //! property ([`CheckKind`]), decided by which procedure
-//! ([`CheckBackend`]), on how many workers, under which sequential
-//! specifications — and [`Check::run`] answers it with a
-//! [`CheckVerdict`] plus the [`CheckStats`] of the work done. A further
-//! kind or backend is one more enum arm here, not another family of
-//! functions.
+//! ([`CheckBackend`]), on how many workers — and [`Check::run`]
+//! answers it with a [`CheckVerdict`] plus the [`CheckStats`] of the
+//! work done. A further kind or backend is one more enum arm here, not
+//! another family of functions.
 //!
 //! Both properties are one search, the crate-internal `Search`: find a
 //! total order of the transactions, consistent with the real-time
@@ -47,7 +46,6 @@ use crate::linearize::{linearize, union, Graph, LeafMemo, Legality};
 use crate::model::MemoryModel;
 use crate::par::{run_order_pool, Cancel, ParallelConfig, MEMO_CAP};
 use crate::saturate::{saturate, Reach};
-use crate::spec::SpecRegistry;
 use jungle_obs::trace::{self, EventKind};
 use jungle_obs::{profile, SatStats, SearchStats, Span};
 
@@ -154,19 +152,15 @@ pub struct Check {
     /// search for every thread count — see [`par`](crate::par). The SAT
     /// backend is single-threaded and ignores it.
     pub parallel: Option<ParallelConfig>,
-    /// The sequential specification of every variable.
-    pub specs: SpecRegistry,
 }
 
 impl Check {
-    /// The serial DFS check of `kind` with every variable a read/write
-    /// register (the paper's default object semantics).
+    /// The serial DFS check of `kind`.
     pub fn new(kind: CheckKind) -> Self {
         Check {
             kind,
             backend: CheckBackend::Dfs,
             parallel: None,
-            specs: SpecRegistry::registers(),
         }
     }
 
@@ -177,8 +171,8 @@ impl Check {
         stats.search.searches = 1;
         let th = model.transform(h);
         let found = match self.kind {
-            CheckKind::Opacity => self.solve(Search::opacity(&th, model, &self.specs), &mut stats),
-            CheckKind::Sgla => self.solve(Search::sgla(&th, model, &self.specs), &mut stats),
+            CheckKind::Opacity => self.solve(Search::opacity(&th, model), &mut stats),
+            CheckKind::Sgla => self.solve(Search::sgla(&th, model), &mut stats),
         };
         stats.search.wall_ns = wall.elapsed_ns();
         if stats.sat.solved != 0 {
@@ -209,7 +203,7 @@ impl Check {
         trace::emit(EventKind::SearchBegin, units as u64, threads as u64);
         stats.search.units = units as u64;
         stats.search.workers = threads as u64;
-        let found = match saturate(&s, self.kind, &self.specs) {
+        let found = match saturate(&s, self.kind) {
             Err(_) => {
                 // Decided before any backend ran; a SAT check still
                 // counts as one solved query.
@@ -576,13 +570,12 @@ mod tests {
             }
             txns[a].status.is_completed() && txns[a].last() < txns[b].first()
         };
-        let specs = SpecRegistry::registers();
         let (mut pairs, mut same_proc) = (0, 0);
         for seed in 0..600u64 {
             let (procs, eager) = (1 + seed % 5, 1 + seed / 5 % 7);
             let h = scheduled(seed, procs, 8 + (seed % 40) as usize, eager);
-            let opacity = Search::opacity(&h, &Sc, &specs);
-            let sgla = Search::sgla(&h, &Sc, &specs);
+            let opacity = Search::opacity(&h, &Sc);
+            let sgla = Search::sgla(&h, &Sc);
             let n = h.txns().len();
             for (a, b) in (0..n).flat_map(|a| (0..n).map(move |b| (a, b))) {
                 if a == b {
@@ -651,17 +644,16 @@ mod tests {
     /// The serial DFS search of `kind` on `h` under SC, remembering at
     /// most `dead_ends` dead ends.
     fn search(kind: CheckKind, h: &History, dead_ends: usize) -> (Option<Found>, SearchStats) {
-        let specs = SpecRegistry::registers();
         let mut stats = SearchStats::default();
         let mut memo = LeafMemo::with_caps(0, dead_ends);
         let never = Cancel::never();
         let found = match kind {
             CheckKind::Opacity => {
-                let s = Search::opacity(h, &Sc, &specs);
+                let s = Search::opacity(h, &Sc);
                 first_success(&s, &[], &mut stats, &never, &mut memo)
             }
             CheckKind::Sgla => {
-                let s = Search::sgla(h, &Sc, &specs);
+                let s = Search::sgla(h, &Sc);
                 first_success(&s, &[], &mut stats, &never, &mut memo)
             }
         };

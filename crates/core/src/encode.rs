@@ -64,7 +64,6 @@ use crate::model::MemoryModel;
 use crate::opacity::OpacityVerdict;
 use crate::par::{Cancel, MEMO_CAP};
 use crate::sgla::SglaVerdict;
-use crate::spec::SpecRegistry;
 use jungle_obs::trace::{self, EventKind};
 use jungle_obs::SatStats;
 use jungle_sat::{Lit, Solution, Solver, Var};
@@ -351,14 +350,14 @@ impl CnfDoc {
 
 /// The base CNF of the opacity order search for `h` under `model`.
 pub fn opacity_cnf(h: &History, model: &dyn MemoryModel) -> CnfDoc {
-    let (th, specs) = (model.transform(h), SpecRegistry::registers());
-    CnfDoc::from_enc(&OrderEnc::for_search(&Search::opacity(&th, model, &specs)))
+    let th = model.transform(h);
+    CnfDoc::from_enc(&OrderEnc::for_search(&Search::opacity(&th, model)))
 }
 
 /// The base CNF of the SGLA order search for `h` under `model`.
 pub fn sgla_cnf(h: &History, model: &dyn MemoryModel) -> CnfDoc {
-    let (th, specs) = (model.transform(h), SpecRegistry::registers());
-    CnfDoc::from_enc(&OrderEnc::for_search(&Search::sgla(&th, model, &specs)))
+    let th = model.transform(h);
+    CnfDoc::from_enc(&OrderEnc::for_search(&Search::sgla(&th, model)))
 }
 
 #[cfg(test)]

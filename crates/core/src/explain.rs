@@ -18,7 +18,6 @@ use crate::ids::OpId;
 use crate::linearize::union;
 use crate::model::MemoryModel;
 use crate::opacity::check_opacity;
-use crate::spec::SpecRegistry;
 
 /// Why an operation could not extend the witness prefix.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -88,8 +87,7 @@ impl Diagnosis {
     }
 }
 
-/// Diagnose a history against opacity parametrized by `model` (register
-/// semantics).
+/// Diagnose a history against opacity parametrized by `model`.
 ///
 /// The diagnosis is *greedy*: it follows one serialization order (the
 /// history order of transactions, restricted to real-time-consistent
@@ -105,12 +103,11 @@ pub fn explain_opacity(h: &History, model: &dyn MemoryModel) -> Diagnosis {
         };
     }
     let th = model.transform(h);
-    let specs = SpecRegistry::registers();
 
     // The checker's own units and edges `≺h ∪ v`, with the
     // serialization order fixed to history order of transaction starts
     // (unit `t` is transaction `t`).
-    let s = Search::opacity(&th, model, &specs);
+    let s = Search::opacity(&th, model);
     let g = &s.graph;
     let serial: Vec<_> = (1..th.txns().len()).map(|t| (t - 1, t)).collect();
     let edges = union(&s.fixed, &serial);

@@ -82,12 +82,6 @@ fn fold_command(f: &mut Fnv1a, c: &Command) {
             f.word(12);
             f.word(u64::from(var.0));
         }
-        Command::FetchAdd { var, add, ret } => {
-            f.word(13);
-            f.word(u64::from(var.0));
-            f.word(*add);
-            f.word(*ret);
-        }
         Command::DepRead {
             var,
             val,
@@ -147,11 +141,6 @@ mod tests {
             Op::Cmd(Command::Read { var: Y, val: 0 }),
             Op::Cmd(Command::Write { var: X, val: 0 }),
             Op::Cmd(Command::Havoc { var: X }),
-            Op::Cmd(Command::FetchAdd {
-                var: X,
-                add: 1,
-                ret: 0,
-            }),
             Op::Cmd(Command::DepRead {
                 var: X,
                 val: 0,

@@ -34,25 +34,62 @@
 //! interpretation used throughout this crate.
 
 use crate::history::History;
-use crate::ids::{IdMap, Var};
+use crate::ids::{IdMap, Val, Var};
 use crate::op::{Command, Op};
-use crate::spec::{SpecRegistry, SpecState};
+
+/// The value every register holds before its first write (the paper's
+/// initial value 0).
+pub(crate) const INITIAL: Val = 0;
+
+/// One register's contents while a sequence is replayed: every object
+/// of the paper is a read/write register, so its sequential
+/// specification `[[x]]` is [`Reg::apply`] replayed from [`Reg::INIT`].
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Reg {
+    /// The register holds a definite value.
+    Val(Val),
+    /// The register's value is unconstrained: a `havoc` was applied and
+    /// no write has overwritten it yet (Junk-SC, §3.2). Any read is
+    /// legal in this state.
+    Junk,
+}
+
+impl Reg {
+    /// The register before any command.
+    const INIT: Reg = Reg::Val(INITIAL);
+
+    /// The state after `cmd`, or `None` if `cmd` is illegal here (a
+    /// read returning a value the register does not hold).
+    fn apply(self, cmd: &Command) -> Option<Reg> {
+        match cmd {
+            Command::Read { val, .. } | Command::DepRead { val, .. } => match self {
+                Reg::Val(v) if v != *val => None,
+                _ => Some(self),
+            },
+            Command::Write { val, .. } | Command::DepWrite { val, .. } => Some(Reg::Val(*val)),
+            Command::Havoc { .. } => Some(Reg::Junk),
+        }
+    }
+}
 
 /// Replay-based reference implementation of "operation `k` (at history
 /// index `k_idx`) is legal in `s`": computes `visible` of the prefix
 /// ending at `k_idx` and checks `s|x ∈ [[x]]` for every `x`.
-pub fn op_legal_in(s: &History, k_idx: usize, specs: &SpecRegistry) -> bool {
+pub fn op_legal_in(s: &History, k_idx: usize) -> bool {
     let prefix = s.prefix(k_idx);
     let vis = prefix.visible();
-    vis.vars()
-        .into_iter()
-        .all(|x| specs.spec_of(x).check_sequence(vis.project(x).iter()))
+    vis.vars().into_iter().all(|x| {
+        let cmds = vis.project(x);
+        cmds.iter()
+            .try_fold(Reg::INIT, |r, cmd| r.apply(cmd))
+            .is_some()
+    })
 }
 
 /// Replay-based check of the paper's condition 3 ("every operation is
 /// legal in s") for a complete history.
-pub fn every_op_legal(s: &History, specs: &SpecRegistry) -> bool {
-    (0..s.len()).all(|i| op_legal_in(s, i, specs))
+pub fn every_op_legal(s: &History) -> bool {
+    (0..s.len()).all(|i| op_legal_in(s, i))
 }
 
 /// One variable's tracked state: the state after the latest relevant
@@ -61,14 +98,14 @@ pub fn every_op_legal(s: &History, specs: &SpecRegistry) -> bool {
 #[derive(Clone, Copy, Debug)]
 struct Slot {
     pos: usize,
-    state: SpecState,
+    state: Reg,
 }
 
 /// Append variable number `x` and `state` to a memo key, injectively.
-fn key_entry(out: &mut Vec<u64>, x: usize, state: SpecState) {
+fn key_entry(out: &mut Vec<u64>, x: usize, state: Reg) {
     let (tag, val) = match state {
-        SpecState::Val(v) => (0, v),
-        SpecState::Junk => (1, 0),
+        Reg::Val(v) => (0, v),
+        Reg::Junk => (1, 0),
     };
     out.extend([(x as u64) << 1 | tag, val]);
 }
@@ -107,9 +144,8 @@ fn cell<T: Default + Clone>(table: &mut Vec<T>, x: usize) -> &mut T {
 /// [`linearize`](crate::linearize)), and hands each access its number,
 /// so an access is one index, not a search. [`step`](Self::step)
 /// numbers the variables it meets itself.
-#[derive(Debug)]
-pub struct PrefixChecker<'a> {
-    specs: &'a SpecRegistry,
+#[derive(Debug, Default)]
+pub struct PrefixChecker {
     /// By variable number: the committed state, once a command changed
     /// it.
     committed: Vec<Option<Slot>>,
@@ -124,9 +160,9 @@ pub struct PrefixChecker<'a> {
     pos: usize,
 }
 
-impl Clone for PrefixChecker<'_> {
+impl Clone for PrefixChecker {
     fn clone(&self) -> Self {
-        let mut c = PrefixChecker::new(self.specs);
+        let mut c = PrefixChecker::new();
         c.clone_from(self);
         c
     }
@@ -135,7 +171,6 @@ impl Clone for PrefixChecker<'_> {
     /// Of the overlay only the written entries are copied — the rest is
     /// empty in both.
     fn clone_from(&mut self, src: &Self) {
-        self.specs = src.specs;
         self.committed.clone_from(&src.committed);
         self.clear_overlay();
         for &x in &src.written {
@@ -148,18 +183,10 @@ impl Clone for PrefixChecker<'_> {
     }
 }
 
-impl<'a> PrefixChecker<'a> {
+impl PrefixChecker {
     /// New checker with all variables in their initial state.
-    pub fn new(specs: &'a SpecRegistry) -> Self {
-        PrefixChecker {
-            specs,
-            committed: Vec::new(),
-            overlay: Vec::new(),
-            written: Vec::new(),
-            names: IdMap::default(),
-            in_txn: false,
-            pos: 0,
-        }
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// True while a transaction is open (between `start` and
@@ -246,7 +273,6 @@ impl<'a> PrefixChecker<'a> {
                 true
             }
             Op::Cmd(cmd) => {
-                let spec = self.specs.spec_of(cmd.var());
                 let slot = |table: &[Option<Slot>]| table.get(x).copied().flatten();
                 // A transactional access observes the later (by
                 // position) of the overlay and committed slots; a
@@ -259,14 +285,14 @@ impl<'a> PrefixChecker<'a> {
                     (_, _, done) => done,
                 };
                 debug_assert!(!transactional || self.in_txn);
-                let st = seen.map_or_else(|| spec.init(), |s| s.state);
-                let Some(next) = spec.apply(st, cmd) else {
+                let st = seen.map_or(Reg::INIT, |s| s.state);
+                let Some(next) = st.apply(cmd) else {
                     return false;
                 };
                 // Reads do not change the state; only record
                 // state-changing commands so that position stamps
                 // reflect writes.
-                if next != st || cmd.is_write() || matches!(cmd, Command::Havoc { .. }) {
+                if !cmd.is_read() {
                     let slot = Slot { pos, state: next };
                     if !transactional {
                         *cell(&mut self.committed, x) = Some(slot);
@@ -293,23 +319,21 @@ impl<'a> PrefixChecker<'a> {
 /// coincide with [`PrefixChecker`]'s, which is why parametrized opacity
 /// still implies SGLA (Theorem 6). Its table is indexed by variable
 /// number, like [`PrefixChecker`]'s.
-#[derive(Debug)]
-pub struct CsChecker<'a> {
-    specs: &'a SpecRegistry,
+#[derive(Debug, Default)]
+pub struct CsChecker {
     /// The state of each variable a command changed, by number.
-    state: Vec<Option<SpecState>>,
+    state: Vec<Option<Reg>>,
     /// Undo log of the open transaction: `(number, state before the
     /// transaction's first write to it)`.
-    undo: Vec<(usize, SpecState)>,
+    undo: Vec<(usize, Reg)>,
     /// The numbers [`step`](Self::step) gave the variables it met.
     names: IdMap<Var, u32>,
     in_txn: bool,
 }
 
-impl Clone for CsChecker<'_> {
+impl Clone for CsChecker {
     fn clone(&self) -> Self {
         CsChecker {
-            specs: self.specs,
             state: self.state.clone(),
             undo: self.undo.clone(),
             names: self.names.clone(),
@@ -319,7 +343,6 @@ impl Clone for CsChecker<'_> {
 
     /// Into `self`'s buffers, as [`PrefixChecker`]'s.
     fn clone_from(&mut self, src: &Self) {
-        self.specs = src.specs;
         self.state.clone_from(&src.state);
         self.undo.clone_from(&src.undo);
         self.names.clone_from(&src.names);
@@ -327,16 +350,10 @@ impl Clone for CsChecker<'_> {
     }
 }
 
-impl<'a> CsChecker<'a> {
+impl CsChecker {
     /// New checker with all variables in their initial state.
-    pub fn new(specs: &'a SpecRegistry) -> Self {
-        CsChecker {
-            specs,
-            state: Vec::new(),
-            undo: Vec::new(),
-            names: IdMap::default(),
-            in_txn: false,
-        }
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// True while a transaction is open.
@@ -390,12 +407,10 @@ impl<'a> CsChecker<'a> {
                 true
             }
             Op::Cmd(cmd) => {
-                let spec = self.specs.spec_of(cmd.var());
-                let st = self.state.get(x).copied().flatten();
-                let st = st.unwrap_or_else(|| spec.init());
-                match spec.apply(st, cmd) {
+                let st = self.state.get(x).copied().flatten().unwrap_or(Reg::INIT);
+                match st.apply(cmd) {
                     Some(next) => {
-                        if next != st || cmd.is_write() || matches!(cmd, Command::Havoc { .. }) {
+                        if !cmd.is_read() {
                             if transactional && self.in_txn {
                                 // First transactional mutation of this
                                 // var: remember the pre-image.
@@ -419,7 +434,6 @@ mod tests {
     use super::*;
     use crate::builder::HistoryBuilder;
     use crate::ids::{ProcId, X, Y};
-    use crate::spec::Spec;
 
     fn p(n: u32) -> ProcId {
         ProcId(n)
@@ -427,14 +441,61 @@ mod tests {
 
     /// Run a whole (transactionally sequential) history through the
     /// incremental checker, deriving `transactional` from the history.
-    fn run_incremental(h: &History, specs: &SpecRegistry) -> bool {
-        let mut c = PrefixChecker::new(specs);
+    fn run_incremental(h: &History) -> bool {
+        let mut c = PrefixChecker::new();
         for (i, oi) in h.ops().iter().enumerate() {
             if !c.step(&oi.op, h.is_transactional(i)) {
                 return false;
             }
         }
         true
+    }
+
+    /// Replay `cmds` on one register from its initial state.
+    fn replays(cmds: &[Command]) -> bool {
+        cmds.iter().try_fold(Reg::INIT, |r, c| r.apply(c)).is_some()
+    }
+
+    fn rd(val: Val) -> Command {
+        Command::Read { var: X, val }
+    }
+
+    fn wr(val: Val) -> Command {
+        Command::Write { var: X, val }
+    }
+
+    #[test]
+    fn register_reads_last_written() {
+        assert!(replays(&[rd(0), wr(5), rd(5), rd(5), wr(2), rd(2)]));
+        assert!(!replays(&[wr(5), rd(4)]));
+        assert!(!replays(&[rd(1)])); // initial value is 0
+    }
+
+    #[test]
+    fn havoc_makes_any_read_legal() {
+        assert!(replays(&[Command::Havoc { var: X }, rd(123), rd(9)]));
+        // A write after havoc re-constrains the value.
+        assert!(!replays(&[Command::Havoc { var: X }, wr(1), rd(2)]));
+    }
+
+    #[test]
+    fn dependent_commands_behave_like_plain() {
+        use crate::ids::OpId;
+        use crate::op::DepKind;
+        let dw = Command::DepWrite {
+            var: X,
+            val: 3,
+            kind: DepKind::Data,
+            deps: vec![OpId(1)],
+        };
+        let dr = Command::DepRead {
+            var: X,
+            val: 3,
+            kind: DepKind::Control,
+            deps: vec![OpId(1)],
+        };
+        assert!(replays(&[dw, dr.clone()]));
+        assert!(!replays(&[dr]));
     }
 
     #[test]
@@ -447,9 +508,8 @@ mod tests {
         b.commit(p(2));
         b.read(p(1), Y, 2);
         let h = b.build().unwrap();
-        let specs = SpecRegistry::registers();
-        assert!(run_incremental(&h, &specs));
-        assert!(every_op_legal(&h, &specs));
+        assert!(run_incremental(&h));
+        assert!(every_op_legal(&h));
     }
 
     #[test]
@@ -460,9 +520,8 @@ mod tests {
         b.read(p(1), X, 7);
         b.commit(p(1));
         let h = b.build().unwrap();
-        let specs = SpecRegistry::registers();
-        assert!(run_incremental(&h, &specs));
-        assert!(every_op_legal(&h, &specs));
+        assert!(run_incremental(&h));
+        assert!(every_op_legal(&h));
     }
 
     #[test]
@@ -473,9 +532,8 @@ mod tests {
         b.abort(p(1));
         b.read(p(2), X, 0);
         let h = b.build().unwrap();
-        let specs = SpecRegistry::registers();
-        assert!(run_incremental(&h, &specs));
-        assert!(every_op_legal(&h, &specs));
+        assert!(run_incremental(&h));
+        assert!(every_op_legal(&h));
 
         // Reading the aborted value is illegal.
         let mut b = HistoryBuilder::new();
@@ -484,8 +542,8 @@ mod tests {
         b.abort(p(1));
         b.read(p(2), X, 7);
         let h = b.build().unwrap();
-        assert!(!run_incremental(&h, &specs));
-        assert!(!every_op_legal(&h, &specs));
+        assert!(!run_incremental(&h));
+        assert!(!every_op_legal(&h));
     }
 
     #[test]
@@ -496,9 +554,8 @@ mod tests {
         b.read(p(1), X, 7);
         b.abort(p(1));
         let h = b.build().unwrap();
-        let specs = SpecRegistry::registers();
-        assert!(run_incremental(&h, &specs));
-        assert!(every_op_legal(&h, &specs));
+        assert!(run_incremental(&h));
+        assert!(every_op_legal(&h));
     }
 
     #[test]
@@ -512,8 +569,7 @@ mod tests {
         b.commit(p(1));
         b.read(p(2), X, 5); // after commit the value is visible
         let h = b.build().unwrap();
-        let specs = SpecRegistry::registers();
-        assert!(run_incremental(&h, &specs));
+        assert!(run_incremental(&h));
         // Known, documented divergence from the strict replay reading:
         // at the commit's prefix, visible() contains both the
         // transactional write of 5 and the earlier non-transactional read
@@ -521,7 +577,7 @@ mod tests {
         // though each operation was legal at its own prefix. The
         // operational semantics (above) is normative for SGLA; a strict
         // witness exists by placing the read before the write.
-        assert!(!every_op_legal(&h, &specs));
+        assert!(!every_op_legal(&h));
 
         let mut b = HistoryBuilder::new();
         b.start(p(1));
@@ -529,15 +585,14 @@ mod tests {
         b.read(p(2), X, 5); // illegal: sees uncommitted write
         b.commit(p(1));
         let h = b.build().unwrap();
-        assert!(!run_incremental(&h, &specs));
-        assert!(!every_op_legal(&h, &specs));
+        assert!(!run_incremental(&h));
+        assert!(!every_op_legal(&h));
     }
 
     #[test]
     fn commit_merge_respects_position_order() {
         // txn writes x:=1, then a non-transactional write x:=2
         // interleaves; after commit the later (positional) write wins.
-        let specs = SpecRegistry::registers();
         let mut b = HistoryBuilder::new();
         b.start(p(1));
         b.write(p(1), X, 1);
@@ -545,8 +600,8 @@ mod tests {
         b.commit(p(1));
         b.read(p(2), X, 2);
         let h = b.build().unwrap();
-        assert!(run_incremental(&h, &specs));
-        assert!(every_op_legal(&h, &specs));
+        assert!(run_incremental(&h));
+        assert!(every_op_legal(&h));
 
         let mut b = HistoryBuilder::new();
         b.start(p(1));
@@ -555,38 +610,22 @@ mod tests {
         b.commit(p(1));
         b.read(p(2), X, 1); // stale: the non-txn write came later
         let h = b.build().unwrap();
-        assert!(!run_incremental(&h, &specs));
-        assert!(!every_op_legal(&h, &specs));
+        assert!(!run_incremental(&h));
+        assert!(!every_op_legal(&h));
     }
 
     #[test]
     fn txn_read_sees_interleaved_nontxn_write() {
         // Under SGLA a transaction is not isolated from
         // non-transactional writes that interleave within it.
-        let specs = SpecRegistry::registers();
         let mut b = HistoryBuilder::new();
         b.start(p(1));
         b.write(p(2), X, 9); // interleaved non-transactional write
         b.read(p(1), X, 9); // the transaction observes it
         b.commit(p(1));
         let h = b.build().unwrap();
-        assert!(run_incremental(&h, &specs));
-        assert!(every_op_legal(&h, &specs));
-    }
-
-    #[test]
-    fn counter_in_txn() {
-        let specs = SpecRegistry::with_default(Spec::Counter);
-        let mut b = HistoryBuilder::new();
-        b.fetch_add(p(1), X, 5, 0);
-        b.start(p(2));
-        b.fetch_add(p(2), X, 3, 5);
-        b.read(p(2), X, 8);
-        b.commit(p(2));
-        b.read(p(1), X, 8);
-        let h = b.build().unwrap();
-        assert!(run_incremental(&h, &specs));
-        assert!(every_op_legal(&h, &specs));
+        assert!(run_incremental(&h));
+        assert!(every_op_legal(&h));
     }
 
     #[test]
@@ -594,7 +633,6 @@ mod tests {
         // A couple of tricky shapes, checked against the replay-based
         // reference implementation (extensively cross-validated by the
         // proptest suite at the crate root).
-        let specs = SpecRegistry::registers();
         let shapes: Vec<History> = vec![
             {
                 let mut b = HistoryBuilder::new();
@@ -618,7 +656,7 @@ mod tests {
             },
         ];
         for h in &shapes {
-            assert_eq!(run_incremental(h, &specs), every_op_legal(h, &specs));
+            assert_eq!(run_incremental(h), every_op_legal(h));
         }
     }
 }

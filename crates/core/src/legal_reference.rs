@@ -5,18 +5,44 @@
 //! Seeded operation sequences — sequential ones, and transactionally
 //! sequential ones whose transactions admit non-transactional accesses
 //! inside their span — over four variables (one at the top of the
-//! `u32` range), registers and counters, reads, writes, `havoc`s,
-//! fetch-and-adds, aborts and live transactions suspended, drive a
-//! reference checker and two numbered ones: one numbered by the
-//! caller, as the search numbers a history's variables, one by its own
-//! public `step`. Every step's result and `in_txn` must agree; the
-//! caller-numbered checkers' keys must be equal exactly when the
-//! reference keys are; and a clone must go its own way without moving
-//! its source.
+//! `u32` range), reads, writes, `havoc`s, aborts and live
+//! transactions suspended, drive a reference checker and two numbered
+//! ones: one numbered by the caller, as the search numbers a history's
+//! variables, one by its own public `step`. Every step's result and
+//! `in_txn` must agree; the caller-numbered checkers' keys must be
+//! equal exactly when the reference keys are; and a clone must go its
+//! own way without moving its source.
 
-use crate::ids::Var;
+use crate::ids::{Val, Var};
 use crate::op::{Command, Op};
-use crate::spec::{SpecRegistry, SpecState};
+
+/// A register's abstract state while a command sequence is replayed.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum State {
+    /// The register holds a definite value.
+    Val(Val),
+    /// After a `havoc` and before the next write (Junk-SC, §3.2): any
+    /// read is legal.
+    Junk,
+}
+
+/// The initial state (value 0 in the paper).
+const INIT: State = State::Val(0);
+
+/// Apply one command to a register in state `st`: the successor state,
+/// or `None` if the command is illegal (a read returning a value the
+/// register does not hold).
+fn apply(st: State, cmd: &Command) -> Option<State> {
+    match cmd {
+        Command::Read { val, .. } | Command::DepRead { val, .. } => match st {
+            State::Val(v) if v == *val => Some(st),
+            State::Val(_) => None,
+            State::Junk => Some(st),
+        },
+        Command::Write { val, .. } | Command::DepWrite { val, .. } => Some(State::Val(*val)),
+        Command::Havoc { .. } => Some(State::Junk),
+    }
+}
 
 /// One variable's tracked state: the state after the latest relevant
 /// command together with the position (index in the sequence being
@@ -24,7 +50,7 @@ use crate::spec::{SpecRegistry, SpecState};
 #[derive(Clone, Copy, Debug)]
 struct Slot {
     pos: usize,
-    state: SpecState,
+    state: State,
 }
 
 /// Per-variable state as a vector sorted by variable. A history touches
@@ -54,10 +80,10 @@ impl<T: Copy> VarMap<T> {
 }
 
 /// Append `var` and `state` to a memo key, injectively.
-fn key_entry(out: &mut Vec<u64>, var: Var, state: SpecState) {
+fn key_entry(out: &mut Vec<u64>, var: Var, state: State) {
     let (tag, val) = match state {
-        SpecState::Val(v) => (0, v),
-        SpecState::Junk => (1, 0),
+        State::Val(v) => (0, v),
+        State::Junk => (1, 0),
     };
     out.extend([u64::from(var.0) << 1 | tag, val]);
 }
@@ -70,8 +96,7 @@ fn key_entry(out: &mut Vec<u64>, var: Var, state: SpecState) {
 /// paper's condition 3. The checker is cheap to [`Clone`], which is how
 /// the backtracking searches snapshot it.
 #[derive(Clone, Debug)]
-pub struct PrefixChecker<'a> {
-    specs: &'a SpecRegistry,
+pub struct PrefixChecker {
     committed: VarMap<Slot>,
     /// Overlay of the currently open transaction (if any).
     overlay: VarMap<Slot>,
@@ -79,11 +104,10 @@ pub struct PrefixChecker<'a> {
     pos: usize,
 }
 
-impl<'a> PrefixChecker<'a> {
+impl PrefixChecker {
     /// New checker with all variables in their initial state.
-    pub fn new(specs: &'a SpecRegistry) -> Self {
+    pub fn new() -> Self {
         PrefixChecker {
-            specs,
             committed: VarMap::new(),
             overlay: VarMap::new(),
             in_txn: false,
@@ -91,16 +115,13 @@ impl<'a> PrefixChecker<'a> {
         }
     }
 
-    fn committed_state(&self, var: Var) -> SpecState {
-        self.committed
-            .get(var)
-            .map(|s| s.state)
-            .unwrap_or_else(|| self.specs.spec_of(var).init())
+    fn committed_state(&self, var: Var) -> State {
+        self.committed.get(var).map_or(INIT, |s| s.state)
     }
 
     /// The state a *transactional* access observes: the later (by
     /// position) of the overlay and committed slots.
-    fn txn_view(&self, var: Var) -> SpecState {
+    fn txn_view(&self, var: Var) -> State {
         match (self.overlay.get(var), self.committed.get(var)) {
             (Some(o), Some(c)) => {
                 if o.pos >= c.pos {
@@ -111,7 +132,7 @@ impl<'a> PrefixChecker<'a> {
             }
             (Some(o), None) => o.state,
             (None, Some(c)) => c.state,
-            (None, None) => self.specs.spec_of(var).init(),
+            (None, None) => INIT,
         }
     }
 
@@ -184,11 +205,10 @@ impl<'a> PrefixChecker<'a> {
             }
             Op::Cmd(cmd) => {
                 let var = cmd.var();
-                let spec = self.specs.spec_of(var);
                 if transactional {
                     debug_assert!(self.in_txn);
                     let st = self.txn_view(var);
-                    match spec.apply(st, cmd) {
+                    match apply(st, cmd) {
                         Some(next) => {
                             // Reads do not change the state; only record
                             // state-changing commands so that position
@@ -206,7 +226,7 @@ impl<'a> PrefixChecker<'a> {
                     // transaction's overlay (its effects are not visible
                     // until commit).
                     let st = self.committed_state(var);
-                    match spec.apply(st, cmd) {
+                    match apply(st, cmd) {
                         Some(next) => {
                             if next != st || cmd.is_write() || matches!(cmd, Command::Havoc { .. })
                             {
@@ -235,30 +255,26 @@ impl<'a> PrefixChecker<'a> {
 /// coincide with [`PrefixChecker`]'s, which is why parametrized opacity
 /// still implies SGLA (Theorem 6).
 #[derive(Clone, Debug)]
-pub struct CsChecker<'a> {
-    specs: &'a SpecRegistry,
-    state: VarMap<SpecState>,
+pub struct CsChecker {
+    state: VarMap<State>,
     /// Undo log of the open transaction: `(var, state before the
     /// transaction's first write to it)`.
-    undo: Vec<(Var, SpecState)>,
+    undo: Vec<(Var, State)>,
     in_txn: bool,
 }
 
-impl<'a> CsChecker<'a> {
+impl CsChecker {
     /// New checker with all variables in their initial state.
-    pub fn new(specs: &'a SpecRegistry) -> Self {
+    pub fn new() -> Self {
         CsChecker {
-            specs,
             state: VarMap::new(),
             undo: Vec::new(),
             in_txn: false,
         }
     }
 
-    fn get(&self, var: Var) -> SpecState {
-        self.state
-            .get(var)
-            .unwrap_or_else(|| self.specs.spec_of(var).init())
+    fn get(&self, var: Var) -> State {
+        self.state.get(var).unwrap_or(INIT)
     }
 
     /// True while a transaction is open.
@@ -306,9 +322,8 @@ impl<'a> CsChecker<'a> {
             }
             Op::Cmd(cmd) => {
                 let var = cmd.var();
-                let spec = self.specs.spec_of(var);
                 let st = self.get(var);
-                match spec.apply(st, cmd) {
+                match apply(st, cmd) {
                     Some(next) => {
                         if next != st || cmd.is_write() || matches!(cmd, Command::Havoc { .. }) {
                             if transactional && self.in_txn {
@@ -336,7 +351,6 @@ mod tests {
     use crate::ids::Var;
     use crate::legal::{CsChecker, PrefixChecker};
     use crate::op::{Command, Op};
-    use crate::spec::{Spec, SpecRegistry};
     use std::collections::HashMap;
 
     /// The variables, in the order the caller numbers them.
@@ -362,38 +376,16 @@ mod tests {
         Suspend,
     }
 
-    /// A command on `VARS[x]`; a read returns `val`, and so does a
-    /// fetch-and-add, which only a counter gets.
-    fn command(rng: &mut Rng, x: usize, val: u64, specs: &SpecRegistry) -> Command {
+    /// A command on `VARS[x]`; a read returns `val`.
+    fn command(rng: &mut Rng, x: usize, val: u64) -> Command {
         let var = VARS[x];
-        let counter = specs.spec_of(var) == Spec::Counter;
         match rng.below(20) {
-            0..=9 => Command::Read { var, val },
             10..=16 => Command::Write {
                 var,
                 val: rng.below(3),
             },
             17 => Command::Havoc { var },
-            _ if !counter => Command::Read { var, val },
-            _ => Command::FetchAdd {
-                var,
-                add: 1,
-                ret: val,
-            },
-        }
-    }
-
-    /// Three registries: all registers, all counters, and registers
-    /// but for one counter.
-    fn specs(seed: u64) -> SpecRegistry {
-        match seed % 3 {
-            0 => SpecRegistry::registers(),
-            1 => SpecRegistry::with_default(Spec::Counter),
-            _ => {
-                let mut specs = SpecRegistry::registers();
-                specs.set(VARS[1], Spec::Counter);
-                specs
-            }
+            _ => Command::Read { var, val },
         }
     }
 
@@ -422,12 +414,11 @@ mod tests {
             keys: Vec::new(),
         };
         for seed in 0..600u64 {
-            let specs = specs(seed);
             let mut rng = Rng(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1);
-            let mut r = RefPrefix::new(&specs);
-            let (mut n, mut p) = (PrefixChecker::new(&specs), PrefixChecker::new(&specs));
-            let mut rc = RefCs::new(&specs);
-            let (mut nc, mut pc) = (CsChecker::new(&specs), CsChecker::new(&specs));
+            let mut r = RefPrefix::new();
+            let (mut n, mut p) = (PrefixChecker::new(), PrefixChecker::new());
+            let mut rc = RefCs::new();
+            let (mut nc, mut pc) = (CsChecker::new(), CsChecker::new());
             let (mut prefix_live, mut cs_live) = (true, true);
             let mut in_txn = false;
             for i in 0..80 {
@@ -441,21 +432,25 @@ mod tests {
                             var: VARS[x],
                             val: v,
                         };
-                        probe.step(&Op::Cmd(cmd), in_txn)
+                        // Once the reference has refused a step it stops
+                        // following the transactions; outside one, both
+                        // kinds of read see its committed state.
+                        let txl = in_txn && probe.in_txn();
+                        probe.step(&Op::Cmd(cmd), txl)
                     })
                     .filter(|_| rng.below(16) != 0)
                     .unwrap_or_else(|| rng.below(3));
                 let step = match (in_txn, rng.below(16)) {
                     (false, 0..=3) => Step::Op(Op::Start, true),
-                    (false, _) => Step::Op(Op::Cmd(command(&mut rng, x, val, &specs)), false),
+                    (false, _) => Step::Op(Op::Cmd(command(&mut rng, x, val)), false),
                     (true, 0 | 1) => Step::Op(Op::Commit, true),
                     (true, 2) => Step::Op(Op::Abort, true),
                     (true, 3) => Step::Suspend,
                     (true, 4..=6) if interleave => {
                         t.inside += 1;
-                        Step::Op(Op::Cmd(command(&mut rng, x, val, &specs)), false)
+                        Step::Op(Op::Cmd(command(&mut rng, x, val)), false)
                     }
-                    (true, _) => Step::Op(Op::Cmd(command(&mut rng, x, val, &specs)), true),
+                    (true, _) => Step::Op(Op::Cmd(command(&mut rng, x, val)), true),
                 };
                 let ctx = format!("interleave {interleave}, seed {seed}, step {i}");
                 match &step {
@@ -515,10 +510,13 @@ mod tests {
                 if rng.below(8) == 0 {
                     let before = key_of(PrefixChecker::key, &n);
                     let mut twin = n.clone();
-                    let mut reused = PrefixChecker::new(&specs);
+                    let mut reused = PrefixChecker::new();
                     reused.clone_from(&n);
                     for c in [&mut twin, &mut reused] {
-                        c.step_var(x, &Op::Start, true);
+                        // Transactions do not nest: join an open one.
+                        if !c.in_txn() {
+                            c.step_var(x, &Op::Start, true);
+                        }
                         c.step_var(
                             x,
                             &Op::Cmd(Command::Write {

@@ -3,9 +3,9 @@
 //! This crate is an executable rendition of the formal machinery of
 //! Guerraoui, Henzinger, Kapalka and Singh, *"Transactions in the Jungle"*
 //! (SPAA 2010): shared-memory **histories** mixing transactional and
-//! non-transactional operations, **sequential specifications** of shared
-//! objects, **memory models** formalized as a transformation function `τ`
-//! plus a reordering function `R`, the classification of memory models by
+//! non-transactional operations on read/write registers, **memory
+//! models** formalized as a transformation function `τ` plus a
+//! reordering function `R`, the classification of memory models by
 //! the reorderings they forbid (`Mrr`, `Mrw`, `Mwr`, `Mww`), and — the
 //! paper's central contribution — decision procedures for
 //! **parametrized opacity** (opacity parametrized by a memory model) and
@@ -16,15 +16,17 @@
 //! * [`ids`], [`op`], [`history`] — §2 *Preliminaries*: operations,
 //!   operation instances, histories, transactions, the real-time partial
 //!   order `≺h`, sequential histories, `visible(s)` and legality.
-//! * [`spec`] — §2 *Object semantics*: sequential specifications `[[x]]`.
+//! * [`legal`] — §2 *Object semantics*: every object is a read/write
+//!   register initialized to 0 (the paper's `[[x]]`), and the
+//!   incremental legality checkers the searches drive.
 //! * [`model`] — §3.1/§3.2: memory models `M = (τ, R)` and the concrete
 //!   instances SC, TSO, PSO, RMO, Alpha, Junk-SC and the fully relaxed
 //!   idealized model.
 //! * [`classes`] — §3.2 *Classes of memory models*.
 //! * [`check`] — the one request type, [`Check`], that answers "does
 //!   this history satisfy kind K under model M": kind × backend ×
-//!   workers × specifications in, verdict and stats out; and the one
-//!   order search both properties run.
+//!   workers in, verdict and stats out; and the one order search both
+//!   properties run.
 //! * [`linearize`] — the constraint system both properties share and
 //!   the legal-linearization search under it: the minimal view, the
 //!   node graph over `τ(h)`, and placement of a node.
@@ -100,7 +102,6 @@ pub mod pretty;
 pub mod registry;
 pub mod saturate;
 pub mod sgla;
-pub mod spec;
 pub mod triage;
 
 /// Convenient glob-import of the most frequently used items.
@@ -121,7 +122,6 @@ pub mod prelude {
     pub use crate::par::ParallelConfig;
     pub use crate::registry::{entry, registry, ExecSemantics, ModelEntry, StoreDiscipline};
     pub use crate::sgla::{check_sgla, SglaVerdict};
-    pub use crate::spec::{Spec, SpecRegistry};
     pub use crate::triage::{triage_opacity, Triage};
     pub use jungle_obs::SearchStats;
 }

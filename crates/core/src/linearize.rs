@@ -89,7 +89,7 @@ pub(crate) trait Legality: Clone + Sync {
 
 macro_rules! legality {
     ($checker:ident) => {
-        impl Legality for $checker<'_> {
+        impl Legality for $checker {
             fn step(&mut self, x: usize, op: &Op, transactional: bool) -> bool {
                 $checker::step_var(self, x, op, transactional)
             }

@@ -6,9 +6,8 @@
 //! framework supports the *control/data-dependent* read and write commands
 //! (`cdrd`, `ddrd`, `cdwr`, `ddwr` in the paper) that the RMO and Alpha
 //! models need in order to distinguish dependent from independent
-//! accesses, the `havoc` command produced by the Junk-SC transformation
-//! function, and a fetch-and-add command demonstrating that the framework
-//! is not limited to read/write registers.
+//! accesses, and the `havoc` command produced by the Junk-SC
+//! transformation function. Every object is a read/write register.
 
 use crate::ids::{OpId, Val, Var};
 use std::fmt;
@@ -75,19 +74,6 @@ pub enum Command {
         /// Object whose value becomes unconstrained.
         var: Var,
     },
-    /// Fetch-and-add: atomically adds `add` to the object and returns the
-    /// *previous* value `ret`. Not part of the paper's register alphabet,
-    /// but the framework is defined for arbitrary sequential
-    /// specifications ("transactional objects with semantics richer than
-    /// that of simple read-write variables", §1), which this exercises.
-    FetchAdd {
-        /// Object updated.
-        var: Var,
-        /// Amount added.
-        add: Val,
-        /// Previous value returned.
-        ret: Val,
-    },
 }
 
 impl Command {
@@ -98,8 +84,7 @@ impl Command {
             | Command::Write { var, .. }
             | Command::DepRead { var, .. }
             | Command::DepWrite { var, .. }
-            | Command::Havoc { var }
-            | Command::FetchAdd { var, .. } => *var,
+            | Command::Havoc { var } => *var,
         }
     }
 
@@ -124,11 +109,10 @@ impl Command {
         matches!(self, Command::Write { .. })
     }
 
-    /// The value returned, for reads and fetch-and-adds.
+    /// The value returned, for reads.
     pub fn read_val(&self) -> Option<Val> {
         match self {
             Command::Read { val, .. } | Command::DepRead { val, .. } => Some(*val),
-            Command::FetchAdd { ret, .. } => Some(*ret),
             _ => None,
         }
     }
@@ -226,7 +210,6 @@ impl fmt::Display for Command {
                 write!(f, "}})")
             }
             Command::Havoc { var } => write!(f, "(havoc,{var})"),
-            Command::FetchAdd { var, add, ret } => write!(f, "(faa,{var},+{add}→{ret})"),
         }
     }
 }
@@ -276,15 +259,6 @@ mod tests {
     #[test]
     fn vars_extracted() {
         assert_eq!(Command::Havoc { var: X }.var(), X);
-        assert_eq!(
-            Command::FetchAdd {
-                var: Y,
-                add: 1,
-                ret: 0
-            }
-            .var(),
-            Y
-        );
     }
 
     #[test]
@@ -311,18 +285,5 @@ mod tests {
             deps: vec![OpId(3)],
         };
         assert_eq!(d.to_string(), "(ddrd,x,0,{#3})");
-    }
-
-    #[test]
-    fn fetch_add_is_neither_read_nor_write_class() {
-        // FetchAdd is a richer-object command: the memory-model classes
-        // quantify over read/write operations only.
-        let f = Command::FetchAdd {
-            var: X,
-            add: 1,
-            ret: 0,
-        };
-        assert!(!f.is_read() && !f.is_write());
-        assert_eq!(f.read_val(), Some(0));
     }
 }

@@ -49,14 +49,12 @@ use crate::legal::PrefixChecker;
 use crate::linearize::{edge_set, union, view_pairs, Graph};
 use crate::model::MemoryModel;
 use crate::par::ParallelConfig;
-use crate::spec::SpecRegistry;
 use jungle_obs::SearchStats;
 
 /// The verdict of a parametrized-opacity check.
 pub type OpacityVerdict = CheckVerdict;
 
-/// Check opacity parametrized by `model`, with every variable a
-/// read/write register (the paper's default object semantics).
+/// Check opacity parametrized by `model`.
 pub fn check_opacity(h: &History, model: &dyn MemoryModel) -> OpacityVerdict {
     Check::new(CheckKind::Opacity).run(h, model).0
 }
@@ -81,15 +79,11 @@ pub fn check_opacity_par(
     check.run(h, model).0
 }
 
-impl<'a> Search<'a, PrefixChecker<'a>> {
+impl<'a> Search<'a, PrefixChecker> {
     /// The opacity search of `h` (transformed already): whole
     /// transactions as units, `≺h ∪ v` as the static edges, deferred
     /// updates as the legality.
-    pub(crate) fn opacity(
-        h: &'a History,
-        model: &dyn MemoryModel,
-        specs: &'a SpecRegistry,
-    ) -> Self {
+    pub(crate) fn opacity(h: &'a History, model: &dyn MemoryModel) -> Self {
         let graph = Graph::units(h);
         let view = edge_set(graph.lift(view_pairs(h, model)));
         Search {
@@ -97,7 +91,7 @@ impl<'a> Search<'a, PrefixChecker<'a>> {
             fixed: union(&graph.rt_edges(), &view),
             order: None,
             graph,
-            init: PrefixChecker::new(specs),
+            init: PrefixChecker::new(),
             phase: "check.opacity",
         }
     }
@@ -402,29 +396,5 @@ mod tests {
         b.commit(p(2));
         let h = b.build().unwrap();
         assert!(check_opacity(&h, &Sc).is_opaque());
-    }
-
-    #[test]
-    fn richer_objects_checked_against_their_spec() {
-        use crate::spec::{Spec, SpecRegistry};
-        let counters = Check {
-            specs: SpecRegistry::with_default(Spec::Counter),
-            ..Check::new(CheckKind::Opacity)
-        };
-        let mut b = HistoryBuilder::new();
-        b.start(p(1));
-        b.fetch_add(p(1), X, 5, 0);
-        b.commit(p(1));
-        b.fetch_add(p(2), X, 1, 5);
-        let h = b.build().unwrap();
-        assert!(counters.run(&h, &Sc).0.is_opaque());
-
-        let mut b = HistoryBuilder::new();
-        b.start(p(1));
-        b.fetch_add(p(1), X, 5, 0);
-        b.commit(p(1));
-        b.fetch_add(p(2), X, 1, 3); // wrong return value
-        let h = b.build().unwrap();
-        assert!(!counters.run(&h, &Sc).0.is_opaque());
     }
 }

@@ -34,8 +34,7 @@
 //! ([`linearize`](crate::linearize)'s `LeafMemo`) across the prefixes
 //! it claims. Its bounded `WitnessMemo` of whole results, keyed by
 //! the deduplicated edge set, is sound because the inner search
-//! depends only on the fixed history, model and specs plus that edge
-//! set; the dead-end frontiers beside it are cleared at each claimed
+//! depends only on the fixed history and model plus that edge set; the dead-end frontiers beside it are cleared at each claimed
 //! prefix. Hits on either are reported as `SearchStats::cache_hits`.
 //!
 //! The pool uses `std::thread::scope` — no external thread-pool crate —

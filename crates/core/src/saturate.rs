@@ -33,18 +33,17 @@
 //!   transactions' included; a variable an aborted transaction writes
 //!   is skipped, since its undo log can restore an older value.
 //!
-//! Both skip a variable that is not a [`Spec::Register`], that a
-//! fetch-and-add touches, or whose `havoc` a read can observe (for
-//! opacity, one that is not overwritten inside a committed
-//! transaction; for SGLA, any).
+//! Both skip a variable whose `havoc` a read can observe (for opacity,
+//! one that is not overwritten inside a committed transaction; for
+//! SGLA, any).
 
 use crate::check::{CheckKind, Search};
 use crate::history::{History, TxnStatus};
 use crate::ids::{Val, Var};
+use crate::legal::INITIAL;
 use crate::linearize::{edge_set, sources, Legality};
 use crate::model::MemoryModel;
-use crate::op::{Command, Op};
-use crate::spec::{Spec, SpecRegistry, SpecState};
+use crate::op::Op;
 
 /// What saturation concludes about a history, in history indices of
 /// the transformed history `τ(h)`.
@@ -61,24 +60,20 @@ pub enum Saturation {
     Unsourced(usize),
 }
 
-/// Saturate `h` (not yet transformed) for `kind` under `model`, with
-/// every variable a register. A variable a fetch-and-add touches is
-/// skipped, so the result also holds where such variables are
-/// counters.
+/// Saturate `h` (not yet transformed) for `kind` under `model`.
 pub fn derive(h: &History, model: &dyn MemoryModel, kind: CheckKind) -> Saturation {
     let th = model.transform(h);
-    let specs = SpecRegistry::registers();
     match kind {
-        CheckKind::Opacity => report(&Search::opacity(&th, model, &specs), kind, &specs),
-        CheckKind::Sgla => report(&Search::sgla(&th, model, &specs), kind, &specs),
+        CheckKind::Opacity => report(&Search::opacity(&th, model), kind),
+        CheckKind::Sgla => report(&Search::sgla(&th, model), kind),
     }
 }
 
 /// [`saturate`] in history indices.
-fn report<L: Legality>(s: &Search<'_, L>, kind: CheckKind, specs: &SpecRegistry) -> Saturation {
+fn report<L: Legality>(s: &Search<'_, L>, kind: CheckKind) -> Saturation {
     let g = &s.graph;
     let last = |u: usize| *g.ops_of(u).last().expect("a node has operations");
-    match saturate(s, kind, specs) {
+    match saturate(s, kind) {
         Ok(None) => Saturation::Edges(Vec::new()),
         Ok(Some(d)) => Saturation::Edges(
             d.edges
@@ -119,11 +114,9 @@ pub(crate) enum Refuted {
 pub(crate) fn saturate<L: Legality>(
     s: &Search<'_, L>,
     kind: CheckKind,
-    specs: &SpecRegistry,
 ) -> Result<Option<Derived>, Refuted> {
     let (writes, reads, skip) = accesses(s, kind);
-    let counted =
-        |var: Var| specs.spec_of(var) == Spec::Register && skip.binary_search(&var).is_err();
+    let counted = |var: Var| skip.binary_search(&var).is_err();
     // `(read, source, writers of x)` for the (ww) rule, and the (rf)
     // edges themselves.
     let mut rf = Vec::new();
@@ -133,7 +126,7 @@ pub(crate) fn saturate<L: Legality>(
         let hi = writes.partition_point(|w| w.var <= r.var);
         let others = writes[lo..hi].iter().filter(|w| w.node != r.node);
         let mut sources = others.clone().filter(|w| w.val == r.val);
-        let init = SpecState::Val(r.val.expect("reads return a value")) == Spec::Register.init();
+        let init = r.val.expect("reads return a value") == INITIAL;
         match (sources.next(), sources.next(), init) {
             (Some(w), None, false) => {
                 base.push((w.node, r.node));
@@ -221,9 +214,7 @@ fn accesses<L: Legality>(
             at,
             val: cmd.read_val().or(cmd.written_val()),
         };
-        if matches!(cmd, Command::FetchAdd { .. }) {
-            skip.push(var);
-        } else if cmd.is_read() {
+        if cmd.is_read() {
             // A unit's read after its own write of `x` sees that write.
             let earlier = g.ops_of(node).iter().take_while(|&&i| i < at);
             let mut own = earlier.filter_map(|&i| h.ops()[i].op.command());
@@ -405,7 +396,7 @@ fn find_cycle(n: usize, edges: &[(usize, usize)]) -> Option<Vec<usize>> {
 mod tests {
     use super::*;
     use crate::builder::HistoryBuilder;
-    use crate::ids::{ProcId, X, Y};
+    use crate::ids::{ProcId, X};
     use crate::model::Sc;
 
     fn p(n: u32) -> ProcId {
@@ -455,13 +446,14 @@ mod tests {
             Saturation::Edges(vec![])
         );
 
-        // A fetch-and-add makes x someone else's business.
+        // A visible `havoc` lets a read of x return anything.
         let mut b = HistoryBuilder::new();
-        b.fetch_add(p(1), X, 5, 0);
+        b.havoc(p(1), X);
         b.read(p(2), X, 5);
-        b.read(p(2), Y, 0);
         let h = b.build().unwrap();
-        assert_eq!(derive(&h, &Sc, CheckKind::Sgla), Saturation::Edges(vec![]));
+        for kind in [CheckKind::Opacity, CheckKind::Sgla] {
+            assert_eq!(derive(&h, &Sc, kind), Saturation::Edges(vec![]));
+        }
     }
 
     #[test]

@@ -63,21 +63,20 @@ use crate::history::History;
 use crate::legal::CsChecker;
 use crate::linearize::{edge_set, view_pairs, Graph};
 use crate::model::MemoryModel;
-use crate::spec::SpecRegistry;
 
 /// The verdict of an SGLA check.
 pub type SglaVerdict = CheckVerdict;
 
-/// Check SGLA parametrized by `model` with register semantics.
+/// Check SGLA parametrized by `model`.
 pub fn check_sgla(h: &History, model: &dyn MemoryModel) -> SglaVerdict {
     Check::new(CheckKind::Sgla).run(h, model).0
 }
 
-impl<'a> Search<'a, CsChecker<'a>> {
+impl<'a> Search<'a, CsChecker> {
     /// The SGLA search of `h` (transformed already): every operation a
     /// node, the static edges of the module docs, critical sections as
     /// the legality.
-    pub(crate) fn sgla(h: &'a History, model: &dyn MemoryModel, specs: &'a SpecRegistry) -> Self {
+    pub(crate) fn sgla(h: &'a History, model: &dyn MemoryModel) -> Self {
         let txns = h.txns();
         // Program order within each transaction.
         let mut pairs: Vec<(usize, usize)> = (0..txns.len())
@@ -102,7 +101,7 @@ impl<'a> Search<'a, CsChecker<'a>> {
             graph: Graph::ops(h),
             fixed: Vec::new(),
             order: None,
-            init: CsChecker::new(specs),
+            init: CsChecker::new(),
             phase: "check.sgla",
         };
         // The global lock is acquired in an order consistent with
@@ -325,10 +324,9 @@ mod tests {
         use crate::linearize::LeafMemo;
         use crate::par::Cancel;
         use jungle_obs::SearchStats;
-        let specs = SpecRegistry::registers();
         for e in registry() {
             let th = e.model.transform(&h);
-            let s = Search::sgla(&th, e.model, &specs);
+            let s = Search::sgla(&th, e.model);
             let mut stats = SearchStats::default();
             let mut memo = LeafMemo::disabled();
             let free = s.extend(&[], &mut stats, &Cancel::never(), &mut memo);

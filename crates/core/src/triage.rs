@@ -62,7 +62,6 @@ use crate::history::History;
 use crate::legal::PrefixChecker;
 use crate::linearize::Graph;
 use crate::model::MemoryModel;
-use crate::spec::SpecRegistry;
 
 /// Outcome of the polynomial triage tier.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -81,18 +80,16 @@ impl Triage {
     }
 }
 
-/// Triage `h` against `model` with register semantics (the paper's
-/// default object semantics). [`Triage::Cleared`] guarantees that
+/// Triage `h` against `model`. [`Triage::Cleared`] guarantees that
 /// [`check_opacity`](crate::opacity::check_opacity) holds; see the
 /// module docs for the argument.
 pub fn triage_opacity(h: &History, model: &dyn MemoryModel) -> Triage {
     let th = model.transform(h);
     let g = Graph::units(&th);
-    let specs = SpecRegistry::registers();
     // Replay a candidate unit order through a fresh `PrefixChecker`,
     // placing each unit exactly as the full search does.
     let legal = |order: &[usize]| {
-        let mut c = PrefixChecker::new(&specs);
+        let mut c = PrefixChecker::new();
         order.iter().all(|&u| g.place(u, &mut c))
     };
     let mut order: Vec<usize> = (0..g.len()).collect();

@@ -1,24 +1,11 @@
 //! Scenario tests for the parametrized-opacity checker: multi-
-//! transaction serialization, richer objects, Junk-SC edge cases, and
-//! witness validity.
+//! transaction serialization, Junk-SC edge cases, and witness
+//! validity.
 
 use jungle_core::builder::HistoryBuilder;
-use jungle_core::check::{Check, CheckKind};
-use jungle_core::history::History;
 use jungle_core::ids::{ProcId, Var, X, Y, Z};
-use jungle_core::model::MemoryModel;
 use jungle_core::model::{all_models, JunkSc, Relaxed, Sc};
 use jungle_core::opacity::check_opacity;
-use jungle_core::spec::{Spec, SpecRegistry};
-
-/// Is `h` opaque under `model` with the object semantics `specs`?
-fn opaque_under(specs: &SpecRegistry, h: &History, model: &dyn MemoryModel) -> bool {
-    let check = Check {
-        specs: specs.clone(),
-        ..Check::new(CheckKind::Opacity)
-    };
-    check.run(h, model).0.is_opaque()
-}
 
 fn p(n: u32) -> ProcId {
     ProcId(n)
@@ -104,47 +91,6 @@ fn five_process_mixed_history() {
 }
 
 #[test]
-fn counters_compose_with_transactions() {
-    let specs = SpecRegistry::with_default(Spec::Counter);
-    // Two transactions each fetch-add 1 on the same counter; their
-    // return values must serialize (0 then 1 in some order).
-    let mk = |r1: u64, r2: u64| {
-        let mut b = HistoryBuilder::new();
-        b.start(p(1));
-        b.fetch_add(p(1), X, 1, r1);
-        b.commit(p(1));
-        b.start(p(2));
-        b.fetch_add(p(2), X, 1, r2);
-        b.commit(p(2));
-        b.build().unwrap()
-    };
-    assert!(opaque_under(&specs, &mk(0, 1), &Sc));
-    assert!(!opaque_under(&specs, &mk(0, 0), &Sc));
-    assert!(!opaque_under(&specs, &mk(1, 1), &Sc));
-    // Real-time order: T1 completes before T2 starts → r1 must be 0.
-    assert!(!opaque_under(&specs, &mk(1, 0), &Sc));
-}
-
-#[test]
-fn mixed_specs_register_and_counter() {
-    let mut specs = SpecRegistry::registers();
-    specs.set(Y, Spec::Counter);
-    let mut b = HistoryBuilder::new();
-    b.write(p(1), X, 5);
-    b.fetch_add(p(1), Y, 3, 0);
-    b.start(p(2));
-    b.read(p(2), X, 5);
-    b.fetch_add(p(2), Y, 2, 3);
-    b.commit(p(2));
-    b.read(p(1), Y, 5);
-    let h = b.build().unwrap();
-    assert!(opaque_under(&specs, &h, &Sc));
-    // FetchAdd on a plain register is illegal.
-    let plain = SpecRegistry::registers();
-    assert!(!opaque_under(&plain, &h, &Sc));
-}
-
-#[test]
 fn junk_sc_pins_values_without_a_race() {
     // With no concurrent reader between havoc and write, Junk-SC agrees
     // with SC: a read after the write must return it.
@@ -191,7 +137,7 @@ fn witnesses_are_checkable_sequential_histories() {
             .collect();
         let s = History::new(ops).unwrap();
         assert!(s.is_sequential());
-        assert!(every_op_legal(&s, &SpecRegistry::registers()));
+        assert!(every_op_legal(&s));
     }
 }
 

@@ -19,7 +19,6 @@ use jungle_core::ids::{ProcId, Var};
 use jungle_core::legal::every_op_legal;
 use jungle_core::model::{all_models, MemoryModel};
 use jungle_core::par::ParallelConfig;
-use jungle_core::spec::SpecRegistry;
 use proptest::prelude::*;
 
 /// Thread counts the cross-validation sweeps.
@@ -111,7 +110,7 @@ fn assert_witnesses_valid(h: &History, model: &dyn MemoryModel, v: &CheckVerdict
         let s = History::new(ops).expect("witness rebuilds as a history");
         assert!(s.is_sequential(), "witness interleaves transactions");
         assert!(
-            every_op_legal(&s, &SpecRegistry::registers()),
+            every_op_legal(&s),
             "witness for {viewer:?} contains an illegal operation"
         );
     }

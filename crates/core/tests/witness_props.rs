@@ -16,7 +16,6 @@ use jungle_core::ids::{ProcId, Var};
 use jungle_core::legal::every_op_legal;
 use jungle_core::model::{all_models, MemoryModel, Sc};
 use jungle_core::opacity::{check_opacity, OpacityVerdict};
-use jungle_core::spec::SpecRegistry;
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -112,7 +111,7 @@ fn assert_witnesses_valid(h: &History, model: &dyn MemoryModel, v: &OpacityVerdi
         let s = History::new(ops).expect("witness rebuilds as a history");
         assert!(s.is_sequential(), "witness interleaves transactions");
         assert!(
-            every_op_legal(&s, &SpecRegistry::registers()),
+            every_op_legal(&s),
             "witness for {viewer:?} contains an illegal operation"
         );
         // Claimed serialization order: transactions appear in the

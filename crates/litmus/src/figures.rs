@@ -394,7 +394,6 @@ mod tests {
     use super::*;
     use jungle_core::legal::every_op_legal;
     use jungle_core::model::{Rmo, Sc};
-    use jungle_core::spec::SpecRegistry;
 
     #[test]
     fn fig1_paper_verdicts() {
@@ -444,15 +443,14 @@ mod tests {
 
     #[test]
     fn fig3_sequential_histories_legality() {
-        let specs = SpecRegistry::registers();
         // s1 legal iff v = v' = 1.
-        assert!(every_op_legal(&fig3_s1(1, 1), &specs));
-        assert!(!every_op_legal(&fig3_s1(0, 1), &specs));
-        assert!(!every_op_legal(&fig3_s1(1, 0), &specs));
+        assert!(every_op_legal(&fig3_s1(1, 1)));
+        assert!(!every_op_legal(&fig3_s1(0, 1)));
+        assert!(!every_op_legal(&fig3_s1(1, 0)));
         // s2 legal iff v = 0 and v' = 1.
-        assert!(every_op_legal(&fig3_s2(0, 1), &specs));
-        assert!(!every_op_legal(&fig3_s2(1, 1), &specs));
-        assert!(!every_op_legal(&fig3_s2(0, 0), &specs));
+        assert!(every_op_legal(&fig3_s2(0, 1)));
+        assert!(!every_op_legal(&fig3_s2(1, 1)));
+        assert!(!every_op_legal(&fig3_s2(0, 0)));
     }
 
     #[test]

@@ -10,7 +10,7 @@
 
 use crate::layout::GLOBAL_LOCK;
 use jungle_core::ids::{OpId, ProcId};
-use jungle_core::op::{Command, Op};
+use jungle_core::op::Op;
 use jungle_isa::instr::Instr;
 use jungle_isa::tm::LOCK_FREE;
 use jungle_isa::trace::Trace;
@@ -83,12 +83,8 @@ pub fn tm_counts_from_trace(trace: &Trace) -> TmSnapshot {
                 *inside = false;
             }
             Op::Cmd(cmd) => {
-                let is_write = matches!(
-                    cmd,
-                    Command::Write { .. } | Command::DepWrite { .. } | Command::FetchAdd { .. }
-                );
                 if *inside {
-                    if is_write {
+                    if cmd.is_write() {
                         snap.txn_writes += 1;
                     } else {
                         snap.txn_reads += 1;
@@ -111,6 +107,7 @@ pub fn tm_counts_from_trace(trace: &Trace) -> TmSnapshot {
 mod tests {
     use super::*;
     use jungle_core::ids::X;
+    use jungle_core::op::Command;
     use jungle_isa::tm::lock_owner;
     use jungle_isa::trace::TraceBuilder;
 

@@ -42,7 +42,6 @@
 
 pub mod api;
 pub mod cell;
-pub mod collections;
 pub mod global_lock;
 pub mod recorder;
 pub mod strong;
@@ -55,7 +54,6 @@ pub mod write_txn;
 
 pub use api::{atomically, Aborted, Ctx, TmAlgo, Tx};
 pub use cell::Heap;
-pub use collections::{QueueState, TArray, TCounter, TQueue};
 pub use global_lock::GlobalLockStm;
 pub use recorder::Recorder;
 pub use strong::StrongStm;

@@ -70,7 +70,6 @@ use jungle::core::model::MemoryModel;
 use jungle::core::op::{Command, Op};
 use jungle::core::par::ParallelConfig;
 use jungle::core::registry::registry;
-use jungle::core::spec::SpecRegistry;
 use jungle::core::triage::triage_opacity;
 use jungle::litmus::figures::all_litmus;
 use jungle::litmus::stress::{
@@ -143,7 +142,7 @@ fn assert_witnesses_valid(h: &History, model: &dyn MemoryModel, kind: CheckKind,
             let s = History::new(ops).expect("witness rebuilds as a history");
             assert!(s.is_sequential(), "witness interleaves transactions");
             assert!(
-                every_op_legal(&s, &SpecRegistry::registers()),
+                every_op_legal(&s),
                 "witness for {viewer:?} contains an illegal operation"
             );
         }
@@ -278,8 +277,7 @@ fn with_high_variables(h: &History) -> History {
                 | Command::Write { var, .. }
                 | Command::DepRead { var, .. }
                 | Command::DepWrite { var, .. }
-                | Command::Havoc { var }
-                | Command::FetchAdd { var, .. } => high(var),
+                | Command::Havoc { var } => high(var),
             }
         }
     }

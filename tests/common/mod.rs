@@ -5,17 +5,10 @@
 use jungle::core::history::{History, OpInstance};
 use jungle::core::legal::every_op_legal;
 use jungle::core::model::MemoryModel;
-use jungle::core::spec::SpecRegistry;
 
 /// Does permutation `perm` of `th`'s operations satisfy all conditions
-/// of parametrized opacity (as one shared witness), each variable
-/// following its specification in `specs`?
-pub fn perm_is_witness(
-    th: &History,
-    perm: &[usize],
-    model: &dyn MemoryModel,
-    specs: &SpecRegistry,
-) -> bool {
+/// of parametrized opacity (as one shared witness)?
+pub fn perm_is_witness(th: &History, perm: &[usize], model: &dyn MemoryModel) -> bool {
     // Respect ≺h (generating relation suffices) and the required view
     // pairs.
     let pos_of = {
@@ -56,5 +49,5 @@ pub fn perm_is_witness(
     if !s.is_sequential() {
         return false;
     }
-    every_op_legal(&s, specs)
+    every_op_legal(&s)
 }

@@ -7,7 +7,6 @@
 use jungle::core::legal::every_op_legal;
 use jungle::core::model::{all_models, Alpha, Pso, Relaxed, Rmo, Sc, Tso, TsoForwarding};
 use jungle::core::opacity::check_opacity;
-use jungle::core::spec::SpecRegistry;
 use jungle::litmus::figures::{all_litmus, fig1, fig2a, fig2b, fig2c, fig3, fig3_s1, fig3_s2};
 
 #[test]
@@ -89,11 +88,10 @@ fn fig3_verdicts_and_witness_legality() {
     assert!(check_opacity(&fig3(1), &Rmo).is_opaque());
 
     // Legality of the two sequential histories from Figure 3(b,c).
-    let specs = SpecRegistry::registers();
-    assert!(every_op_legal(&fig3_s1(1, 1), &specs));
-    assert!(every_op_legal(&fig3_s2(0, 1), &specs));
-    assert!(!every_op_legal(&fig3_s1(0, 1), &specs));
-    assert!(!every_op_legal(&fig3_s2(1, 1), &specs));
+    assert!(every_op_legal(&fig3_s1(1, 1)));
+    assert!(every_op_legal(&fig3_s2(0, 1)));
+    assert!(!every_op_legal(&fig3_s1(0, 1)));
+    assert!(!every_op_legal(&fig3_s2(1, 1)));
 }
 
 #[test]

@@ -26,13 +26,7 @@ use jungle::core::history::History;
 use jungle::core::ids::{ProcId, Val, Var};
 use jungle::core::model::{all_models, MemoryModel};
 use jungle::core::opacity::{check_opacity, check_opacity_traced};
-use jungle::core::spec::SpecRegistry;
 use proptest::prelude::*;
-
-/// [`perm_is_witness`] with every variable a register.
-fn is_witness(th: &History, perm: &[usize], model: &dyn MemoryModel) -> bool {
-    perm_is_witness(th, perm, model, &SpecRegistry::registers())
-}
 
 /// Does `accept` hold for some permutation of `0..n`? Heap's
 /// algorithm, iterative.
@@ -66,7 +60,7 @@ fn any_permutation(n: usize, mut accept: impl FnMut(&[usize]) -> bool) -> bool {
 /// Brute-force decision of parametrized opacity.
 fn oracle_opaque(h: &History, model: &dyn MemoryModel) -> bool {
     let th = model.transform(h);
-    any_permutation(th.len(), |perm| is_witness(&th, perm, model))
+    any_permutation(th.len(), |perm| perm_is_witness(&th, perm, model))
 }
 
 /// [`oracle_opaque`] over the sequential permutations only: every
@@ -86,7 +80,7 @@ fn oracle_opaque_by_units(h: &History, model: &dyn MemoryModel) -> bool {
             .iter()
             .flat_map(|&u| units[u].iter().copied())
             .collect();
-        is_witness(&th, &perm, model)
+        perm_is_witness(&th, &perm, model)
     })
 }
 

@@ -18,7 +18,6 @@ use jungle::core::legal::{every_op_legal, PrefixChecker};
 use jungle::core::model::{all_models, Pso, Relaxed, Rmo, Sc, Tso};
 use jungle::core::opacity::check_opacity;
 use jungle::core::sgla::check_sgla;
-use jungle::core::spec::SpecRegistry;
 use proptest::prelude::*;
 
 /// A step of a random (possibly concurrent) history.
@@ -139,8 +138,7 @@ proptest! {
     ) {
         let h = build_sequential(&blocks);
         prop_assume!(h.is_sequential());
-        let specs = SpecRegistry::registers();
-        let mut inc = PrefixChecker::new(&specs);
+        let mut inc = PrefixChecker::new();
         let mut inc_ok = true;
         for (i, oi) in h.ops().iter().enumerate() {
             if !inc.step(&oi.op, h.is_transactional(i)) {
@@ -148,7 +146,7 @@ proptest! {
                 break;
             }
         }
-        let ref_ok = every_op_legal(&h, &specs);
+        let ref_ok = every_op_legal(&h);
         prop_assert_eq!(inc_ok, ref_ok, "history: {:?}", h);
     }
 

@@ -25,7 +25,6 @@ use jungle::core::model::MemoryModel;
 use jungle::core::op::{Command, Op};
 use jungle::core::opacity::check_opacity;
 use jungle::core::registry::registry;
-use jungle::core::spec::SpecRegistry;
 use jungle::mc::program::{Program, Stmt, ThreadProg, TxOp};
 use jungle::mc::verify::{check_all_traces, trace_satisfies, CheckKind};
 use jungle::mc::{GlobalLockTm, Schedules, Sweep, SweepSeeds};
@@ -125,7 +124,7 @@ fn perm_is_witness(th: &History, perm: &[usize], model: &dyn MemoryModel) -> boo
     if !s.is_sequential() {
         return false;
     }
-    every_op_legal(&s, &SpecRegistry::registers())
+    every_op_legal(&s)
 }
 
 /// Brute-force decision of parametrized opacity: try every permutation

@@ -15,9 +15,9 @@
 //!
 //! The generated histories mix transactional and non-transactional
 //! operations on up to three processes, with repeated values, aborted
-//! and live transactions, dependent reads and writes, and a
-//! fetch-and-add counter; each is checked under all eight registry
-//! entries (Junk-SC's `havoc` included) and both kinds.
+//! and live transactions, and dependent reads and writes; each is
+//! checked under all eight registry entries (Junk-SC's `havoc`
+//! included) and both kinds.
 
 mod common;
 
@@ -31,16 +31,6 @@ use jungle::core::model::MemoryModel;
 use jungle::core::op::DepKind;
 use jungle::core::registry::registry;
 use jungle::core::saturate::{derive, Saturation};
-use jungle::core::spec::{Spec, SpecRegistry};
-
-/// The variable fetch-and-adds touch: a counter to the oracle.
-const COUNTER: Var = Var(2);
-
-fn specs() -> SpecRegistry {
-    let mut specs = SpecRegistry::registers();
-    specs.set(COUNTER, Spec::Counter);
-    specs
-}
 
 /// Up to seven operations of two or three processes, drawn from `seed`.
 fn history(seed: u64) -> History {
@@ -84,7 +74,6 @@ fn history(seed: u64) -> History {
             }
             (_, 8, Some(dep)) if draw(2) == 0 => b.dep_read(p, var, draw(3), kind, vec![dep]),
             (_, 8, Some(dep)) => b.dep_write(p, var, 1 + draw(2), kind, vec![dep]),
-            (_, 9, _) => b.fetch_add(p, COUNTER, 1, draw(2)),
             (_, 6..=7, _) => b.write(p, var, 1 + draw(2)),
             _ => b.read(p, var, draw(3)),
         };
@@ -166,10 +155,10 @@ fn opacity_witnesses(th: &History, model: &dyn MemoryModel) -> Vec<Vec<usize>> {
                 .collect()
         })
         .collect();
-    let (specs, mut found) = (specs(), Vec::new());
+    let mut found = Vec::new();
     each_order(n, &before, &|_, _| true, &mut |order| {
         let perm: Vec<usize> = order.iter().flat_map(|&u| units[u].clone()).collect();
-        if perm_is_witness(th, &perm, model, &specs) {
+        if perm_is_witness(th, &perm, model) {
             found.push(perm);
         }
     });
@@ -212,9 +201,9 @@ fn sgla_witnesses(th: &History, model: &dyn MemoryModel) -> Vec<Vec<usize>> {
         (Some(t), Some(u)) => t == u,
         _ => true,
     };
-    let (specs, mut found) = (specs(), Vec::new());
+    let mut found = Vec::new();
     each_order(n, &before, &allowed, &mut |perm| {
-        let mut c = CsChecker::new(&specs);
+        let mut c = CsChecker::new();
         let legal = perm.iter().all(|&i| {
             let txn = th.txn_of(i).map(|t| &txns[t]);
             let ok = c.step(&th.ops()[i].op, txn.is_some());
@@ -249,11 +238,8 @@ fn derived_edges_hold_in_every_witness_and_refutations_have_none() {
                 let ctx = format!("seed {seed}, {kind:?} under {}: {h:?}", e.key);
                 let found = witnesses(&th, e.model, kind);
                 // The oracle decides what the checker decides.
-                let check = Check {
-                    specs: specs(),
-                    ..Check::new(kind)
-                };
-                assert_eq!(check.run(&h, e.model).0.holds(), !found.is_empty(), "{ctx}");
+                let holds = Check::new(kind).run(&h, e.model).0.holds();
+                assert_eq!(holds, !found.is_empty(), "{ctx}");
                 holding += usize::from(!found.is_empty());
                 match derive(&h, e.model, kind) {
                     Saturation::Edges(pairs) => {
