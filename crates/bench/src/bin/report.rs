@@ -8,15 +8,14 @@
 //! object** (`{"rows": [...], "metrics": {...}, ...}`) and nothing
 //! else; the tables are then built and not printed. The `metrics`
 //! section aggregates the observability counters: opacity-checker
-//! search statistics per litmus figure, per-STM runtime counters from
-//! the theorem sweeps, and the model-checker exploration totals; the
+//! search statistics per litmus figure, the model-checker exploration
+//! totals, and with `--monitor` and `--sat` those layers' totals; the
 //! `costs` array is the paper's §4 instruction-cost table.
 //!
 //! The rows are the run's only gate: exit 0 when every row passes,
-//! 1 when one fails (or an output file cannot be written, or the
-//! `--profile` reconciliation breaks), 2 for a bad command line or an
-//! unreadable `--replay` log. The floors that are not a verdict of the
-//! paper are `jungle_bench`'s predicates.
+//! 1 when one fails (or an output file cannot be written), 2 for a bad
+//! command line or an unreadable `--replay` log. The floors that are
+//! not a verdict of the paper are `jungle_bench`'s predicates.
 //!
 //! Further flags:
 //!
@@ -43,11 +42,8 @@
 //! * `--profile` — install the hierarchical phase profiler for the
 //!   whole run and emit a `profile` section: the phase tree with
 //!   self/total time and per-phase latency histograms, the run-wide
-//!   DPOR waste attribution (blocked probes by depth, race-pair heat,
-//!   the explorer's wall-clock lane), and — with `--monitor` — the
-//!   merged per-window check-latency histogram. The blocked-probe
-//!   and race attribution must sum exactly to the explorers'
-//!   independent counters, or the run fails.
+//!   DPOR race-pair heat table beside the blocked-run count, and —
+//!   with `--monitor` — the merged per-window check-latency histogram.
 //! * `--sat` — cross-validate the CDCL serialization-order backend
 //!   against the DFS checkers on the full litmus corpus (every registry
 //!   entry, both check kinds; every SAT positive re-certified through
@@ -125,7 +121,7 @@ struct Args {
     explain_id: Option<String>,
     monitor: bool,
     /// `--profile`: install the phase profiler and emit the `profile`
-    /// section (phase tree, DPOR waste attribution, window latencies).
+    /// section (phase tree, DPOR race heat, window latencies).
     profile: bool,
     trace: Option<PathBuf>,
     /// `--record <dir>`: capture + shrink Theorem 1 schedule logs.
@@ -723,9 +719,8 @@ fn main() {
     let mut text = String::new();
     let mut rows: Vec<Row> = Vec::new();
     let mut metrics = MetricsSnapshot::new();
-    // Run-wide DPOR waste attribution, absorbed from every DPOR-backed
-    // verification. It must reconcile exactly with the blocked-run total
-    // the explorers' plain counters sum to in `metrics.mc`.
+    // Run-wide DPOR race heat, absorbed from every DPOR-backed
+    // verification; its total is `metrics.mc.races`.
     let mut waste_total = DporStats::default();
 
     // ── Figures 1–2: litmus verdict tables ────────────────────────
@@ -839,7 +834,6 @@ fn main() {
         if e.exhaustive {
             exhaustive.push((e.id.clone(), r.stats));
         }
-        metrics.record_stm(e.algo.name(), &r.tm);
         metrics.record_mc(&r.stats);
         waste_total.absorb(&r.waste);
         writeln!(
@@ -1256,19 +1250,9 @@ fn main() {
         write!(text, "{}", phases.render()).unwrap();
         writeln!(
             text,
-            "\n  dpor waste: {} blocked probes (mode depth {}), {} race pairs",
-            waste_total.blocked,
-            waste_total.blocked_depth_mode(),
+            "\n  dpor: {} race pairs, {} blocked runs",
             waste_total.race_total(),
-        )
-        .unwrap();
-        writeln!(
-            text,
-            "  attribution reconciliation: blocked {} vs {} counted, races {} vs {} counted",
-            waste_total.blocked,
             mc.dpor_blocked,
-            waste_total.race_total(),
-            mc.races,
         )
         .unwrap();
         if let Some(total) = &monitor_total {
@@ -1285,13 +1269,6 @@ fn main() {
         }
         sec
     });
-    if profile_section.is_some() {
-        if let Err(e) = jungle_bench::waste_reconciles(&waste_total, &mc) {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
-    }
-
     let failed: Vec<&Row> = rows.iter().filter(|r| !r.pass).collect();
     text.push('\n');
     if failed.is_empty() {

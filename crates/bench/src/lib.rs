@@ -9,9 +9,8 @@
 //! A `report` run is judged by its own rows and nothing else. The few
 //! floors that are not a verdict of the paper — redundancy-elimination
 //! rates, zoo coverage, the monitor's tier accounting, flight-recorder
-//! completeness, the profile's waste reconciliation — are the
-//! predicates below, over the typed stats, each with its threshold
-//! beside it.
+//! completeness — are the predicates below, over the typed stats, each
+//! with its threshold beside it.
 //!
 //! This crate times nothing. Every measurement — the §6.1 per-operation
 //! costs, checker and sweep latencies, monitor throughput, the cold
@@ -25,7 +24,7 @@
 
 use jungle_core::registry::registry;
 use jungle_mc::theorems::ZooVerdict;
-use jungle_obs::{DporStats, FlightRecorder, McStats, MonitorStats};
+use jungle_obs::{FlightRecorder, McStats, MonitorStats};
 use jungle_stm::api::TmAlgo;
 use jungle_stm::{GlobalLockStm, StrongStm, Tl2Stm, VersionedStm, WriteTxnStm};
 use std::collections::BTreeSet;
@@ -114,30 +113,10 @@ pub fn flight_complete(rec: &FlightRecorder, idle: &[&str]) -> bool {
             .all(|(name, recorded, _)| *recorded > 0 || idle.contains(name))
 }
 
-/// The run-wide DPOR waste attribution against the explorers' plain
-/// counters: blocked probes and races must match exactly. The error
-/// names the first mismatch.
-pub fn waste_reconciles(waste: &DporStats, mc: &McStats) -> Result<(), String> {
-    if waste.blocked != mc.dpor_blocked {
-        return Err(format!(
-            "DPOR blocked attribution diverged: {} attributed vs {} counted",
-            waste.blocked, mc.dpor_blocked
-        ));
-    }
-    if waste.race_total() != mc.races {
-        return Err(format!(
-            "DPOR race heat diverged: {} attributed vs {} counted",
-            waste.race_total(),
-            mc.races
-        ));
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use jungle_obs::{EventKind, TmSnapshot};
+    use jungle_obs::EventKind;
 
     #[test]
     fn dedup_floor() {
@@ -168,7 +147,6 @@ mod tests {
                     model: e.key,
                     ok: true,
                     stats: McStats::default(),
-                    tm: TmSnapshot::default(),
                 })
             })
             .collect()
@@ -238,29 +216,5 @@ mod tests {
             !flight_complete(&rec, &["replay", "monitor"]),
             "dropped one"
         );
-    }
-
-    #[test]
-    fn waste_reconciliation() {
-        let mc = McStats {
-            dpor_blocked: 2,
-            races: 1,
-            ..McStats::default()
-        };
-        let mut waste = DporStats::default();
-        waste.note_blocked(3);
-        waste.note_blocked(5);
-        waste.note_race(0, 1);
-        assert_eq!(waste_reconciles(&waste, &mc), Ok(()));
-
-        let mut leaked = waste.clone();
-        leaked.note_blocked(5);
-        let err = waste_reconciles(&leaked, &mc).unwrap_err();
-        assert!(err.contains("3 attributed vs 2 counted"), "{err}");
-
-        let mut hot = waste.clone();
-        hot.note_race(1, 1);
-        let err = waste_reconciles(&hot, &mc).unwrap_err();
-        assert!(err.contains("race heat"), "{err}");
     }
 }

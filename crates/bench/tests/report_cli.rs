@@ -89,6 +89,58 @@ fn json_run_prints_one_object_and_sweeps_each_experiment_once() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+fn keys(obj: &Json) -> Vec<&str> {
+    match obj {
+        Json::Obj(fields) => fields.iter().map(|(k, _)| k.as_str()).collect(),
+        other => panic!("not an object: {other}"),
+    }
+}
+
+/// The document of a run with every section the profile reads: the
+/// phase tree holds one `report.*` child with its `total_ns` per phase
+/// the benchmark's traced `report_cold` reads, the ledger entry carries
+/// the run's wall time, `metrics` holds exactly its four blocks, and
+/// the run-wide race heat adds up to the sweeps' own race count.
+#[test]
+fn profiled_run_has_the_shape_the_benchmark_reads() {
+    let dir = scratch("profile");
+    let cnf = dir.join("cnf");
+    let out = report(
+        &dir,
+        &[
+            "--json",
+            "--monitor",
+            "--profile",
+            "--sat",
+            "--cnf",
+            cnf.to_str().unwrap(),
+        ],
+    );
+    assert!(out.status.success(), "exit {:?}", out.status);
+    let doc = Json::parse(&String::from_utf8(out.stdout).unwrap()).unwrap();
+
+    let profile = doc.get("profile").expect("profile section");
+    let phases = arr(profile.get("phases").expect("phase tree"), "children");
+    for phase in ["figures", "theorems", "dpor", "zoo", "monitor", "sat"] {
+        let name = format!("report.{phase}");
+        let node = phases
+            .iter()
+            .find(|c| c.get("name").and_then(Json::as_str) == Some(name.as_str()))
+            .unwrap_or_else(|| panic!("no phase {name}"));
+        num(node, "total_ns");
+    }
+    num(doc.get("ledger_entry").expect("ledger entry"), "wall_ms");
+
+    let metrics = doc.get("metrics").expect("metrics");
+    assert_eq!(keys(metrics), ["checker", "mc", "monitor", "sat"]);
+    let dpor = profile.get("dpor").expect("profile.dpor");
+    assert_eq!(keys(dpor), ["race_heat", "race_total"]);
+    let races = num(metrics.get("mc").unwrap(), "races");
+    assert!(races > 0, "the exhaustive sweeps race");
+    assert_eq!(num(dpor, "race_total"), races);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn hostile_ledger_is_compacted_and_appended_to() {
     let dir = scratch("ledger");

@@ -42,9 +42,9 @@
 use crate::encode;
 use crate::history::History;
 use crate::ids::{OpId, ProcId};
-use crate::linearize::{linearize, union, Graph, LeafMemo, Legality};
+use crate::linearize::{linearize, union, Graph, LeafMemo, Legality, DEAD_END_CAP};
 use crate::model::MemoryModel;
-use crate::par::{run_order_pool, Cancel, ParallelConfig, MEMO_CAP};
+use crate::par::{run_order_pool, Cancel, ParallelConfig};
 use crate::saturate::{saturate, Reach};
 use jungle_obs::trace::{self, EventKind};
 use jungle_obs::{profile, SatStats, SearchStats, Span};
@@ -402,9 +402,8 @@ fn search_orders<L: Legality>(
             first_success(s, prefix, stats, cancel, memo)
         };
     if threads == 0 {
-        // No whole-result memo: the serial search is the reference the
-        // pool and the SAT backend are compared against.
-        return subtree(&[], &Cancel::never(), &mut LeafMemo::disabled(), stats);
+        let memo = &mut LeafMemo::new(DEAD_END_CAP);
+        return subtree(&[], &Cancel::never(), memo, stats);
     }
     run_order_pool(
         threads,
@@ -413,7 +412,7 @@ fn search_orders<L: Legality>(
             let used = used_by(n, prefix);
             (0..n).filter(|&t| can_place(s, t, &used)).collect()
         },
-        || LeafMemo::new(MEMO_CAP),
+        || LeafMemo::new(DEAD_END_CAP),
         subtree,
         stats,
     )
@@ -645,7 +644,7 @@ mod tests {
     /// most `dead_ends` dead ends.
     fn search(kind: CheckKind, h: &History, dead_ends: usize) -> (Option<Found>, SearchStats) {
         let mut stats = SearchStats::default();
-        let mut memo = LeafMemo::with_caps(0, dead_ends);
+        let mut memo = LeafMemo::new(dead_ends);
         let never = Cancel::never();
         let found = match kind {
             CheckKind::Opacity => {

@@ -59,10 +59,10 @@
 
 use crate::check::{adjacent_pairs, Check, CheckBackend, CheckKind, CheckStats, Found, Search};
 use crate::history::History;
-use crate::linearize::{LeafMemo, Legality};
+use crate::linearize::{LeafMemo, Legality, DEAD_END_CAP};
 use crate::model::MemoryModel;
 use crate::opacity::OpacityVerdict;
-use crate::par::{Cancel, MEMO_CAP};
+use crate::par::Cancel;
 use crate::sgla::SglaVerdict;
 use jungle_obs::trace::{self, EventKind};
 use jungle_obs::SatStats;
@@ -195,7 +195,7 @@ fn shrink_core<F: FnMut(&[(usize, usize)]) -> bool>(
 /// lands in `stats.search`, solver work in `stats.sat`.
 pub(crate) fn cegar<L: Legality>(s: &Search<'_, L>, stats: &mut CheckStats) -> Option<Found> {
     let (search, sat) = (&mut stats.search, &mut stats.sat);
-    let mut memo = LeafMemo::new(MEMO_CAP);
+    let mut memo = LeafMemo::new(DEAD_END_CAP);
     let mut enc = OrderEnc::for_search(s);
     trace::emit(
         EventKind::SatSolveBegin,

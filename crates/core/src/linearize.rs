@@ -43,7 +43,7 @@ use crate::ids::{IdMap, OpId, ProcId, Var};
 use crate::legal::{CsChecker, PrefixChecker};
 use crate::model::MemoryModel;
 use crate::op::{Command, Op};
-use crate::par::{Cancel, WitnessMemo};
+use crate::par::Cancel;
 use jungle_obs::trace::{self, EventKind};
 use jungle_obs::SearchStats;
 use std::collections::HashSet;
@@ -413,39 +413,25 @@ impl DeadEnds {
 /// refuting ten mutually concurrent transactions under SGLA, when
 /// saturation leaves their order open
 /// (`litmus::stress::wide_split_unsat_history(10)`), takes 31,296.
-const DEAD_END_CAP: usize = 1 << 17;
+pub(crate) const DEAD_END_CAP: usize = 1 << 17;
 
-/// What [`linearize`] remembers between calls on one history: whole
-/// results under the exact deduplicated edge set (the only input that
-/// varies), and the dead ends the caller vouched for.
+/// What [`linearize`] remembers between calls on one history: the dead
+/// ends the caller vouched for.
 pub(crate) struct LeafMemo {
-    results: WitnessMemo<Vec<(usize, usize)>, Option<Vec<usize>>>,
     dead: DeadEnds,
 }
 
 impl LeafMemo {
-    /// A memo admitting at most `results` whole results and `dead_ends`
-    /// dead ends.
-    pub(crate) fn with_caps(results: usize, dead_ends: usize) -> Self {
+    /// A memo admitting at most `dead_ends` dead ends
+    /// ([`DEAD_END_CAP`] outside tests).
+    pub(crate) fn new(dead_ends: usize) -> Self {
         LeafMemo {
-            results: WitnessMemo::new(results),
             dead: DeadEnds {
                 cap: dead_ends,
                 kept: HashSet::new(),
                 fresh: HashSet::new(),
             },
         }
-    }
-
-    /// A memo admitting at most `cap` whole results.
-    pub(crate) fn new(cap: usize) -> Self {
-        Self::with_caps(cap, DEAD_END_CAP)
-    }
-
-    /// A memo that replays no whole result (the serial search, the
-    /// reference the pool and the SAT backend are compared against).
-    pub(crate) fn disabled() -> Self {
-        Self::new(0)
     }
 
     /// Carry the dead ends of the call just made into the calls that
@@ -482,9 +468,8 @@ impl LeafMemo {
 /// `memo`, found again by its exact key. With one program position per
 /// process, the frontiers number at most (positions per process)^
 /// (processes) × memory states, which bounds the search where the
-/// number of node sequences does not. Whole results are memoized under
-/// the full edge set — except after a cancellation, which may report
-/// "no witness" spuriously (and records no dead end either).
+/// number of node sequences does not. A cancelled call may report "no
+/// witness" spuriously, and records no dead end.
 pub(crate) fn linearize<L: Legality>(
     g: &Graph<'_>,
     fixed: &[(usize, usize)],
@@ -497,11 +482,6 @@ pub(crate) fn linearize<L: Legality>(
     memo.dead.fresh.clear();
     let order = edge_set(pairs.iter().map(|&(a, b)| g.order_edge(a, b)));
     let edges = union(fixed, &order);
-    if let Some(hit) = memo.results.get(&edges) {
-        stats.cache_hits += 1;
-        trace::emit(EventKind::WitnessMemoHit, edges.len() as u64, 0);
-        return hit.clone();
-    }
     let n = g.len();
     let mut indeg = vec![0; n];
     for &(_, b) in &edges {
@@ -524,11 +504,7 @@ pub(crate) fn linearize<L: Legality>(
         cancel,
         dead: &mut memo.dead,
     };
-    let result = dfs.dfs(init, None).then_some(dfs.seq);
-    if !cancel.hit() && memo.results.has_room() {
-        memo.results.put(edges, result.clone());
-    }
-    result
+    dfs.dfs(init, None).then_some(dfs.seq)
 }
 
 /// The state of one [`linearize`] search.

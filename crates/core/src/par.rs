@@ -32,10 +32,8 @@
 //!
 //! Each worker keeps one memo of the inner witness search
 //! ([`linearize`](crate::linearize)'s `LeafMemo`) across the prefixes
-//! it claims. Its bounded `WitnessMemo` of whole results, keyed by
-//! the deduplicated edge set, is sound because the inner search
-//! depends only on the fixed history and model plus that edge set; the dead-end frontiers beside it are cleared at each claimed
-//! prefix. Hits on either are reported as `SearchStats::cache_hits`.
+//! it claims: the dead-end frontiers, cleared at each claimed prefix.
+//! Its hits are reported as `SearchStats::cache_hits`.
 //!
 //! The pool uses `std::thread::scope` — no external thread-pool crate —
 //! so borrowing the search state from the caller's stack is safe and
@@ -43,8 +41,7 @@
 
 use jungle_obs::trace::{self, EventKind};
 use jungle_obs::SearchStats;
-use std::collections::{HashMap, VecDeque};
-use std::hash::Hash;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard};
 
@@ -122,50 +119,6 @@ impl<'a> Cancel<'a> {
         }
     }
 }
-
-/// A bounded memo of inner witness-search results, keyed by the exact
-/// search input (no hashing-based identification, so hits are always
-/// sound). Once full it stops admitting new entries rather than
-/// evicting — the searches revisit recent edge sets far more often than
-/// old ones, and a hard cap keeps worst-case memory flat.
-pub(crate) struct WitnessMemo<K, V> {
-    cap: usize,
-    map: HashMap<K, V>,
-}
-
-impl<K: Eq + Hash, V: Clone> WitnessMemo<K, V> {
-    /// A memo admitting at most `cap` entries.
-    pub(crate) fn new(cap: usize) -> Self {
-        WitnessMemo {
-            cap,
-            map: HashMap::new(),
-        }
-    }
-
-    /// Look up a previously computed result.
-    pub(crate) fn get<Q>(&self, key: &Q) -> Option<&V>
-    where
-        K: std::borrow::Borrow<Q>,
-        Q: Eq + Hash + ?Sized,
-    {
-        self.map.get(key)
-    }
-
-    /// Would [`put`](Self::put) keep an entry?
-    pub(crate) fn has_room(&self) -> bool {
-        self.map.len() < self.cap
-    }
-
-    /// Record a result if there is room.
-    pub(crate) fn put(&mut self, key: K, value: V) {
-        if self.map.len() < self.cap {
-            self.map.insert(key, value);
-        }
-    }
-}
-
-/// Per-worker memo capacity for the checker searches.
-pub(crate) const MEMO_CAP: usize = 4096;
 
 /// Worker id for the seed item: it matches no real worker, so the first
 /// pop of a multi-worker run always counts as a steal.
@@ -399,20 +352,6 @@ mod tests {
         let cfg = ParallelConfig::with_threads(4);
         assert_eq!(cfg.effective_threads(), 4);
         assert!(ParallelConfig::with_threads(1).serial_for(usize::MAX));
-    }
-
-    #[test]
-    fn memo_caps_and_replays() {
-        let mut m: WitnessMemo<u32, u32> = WitnessMemo::new(2);
-        m.put(1, 10);
-        m.put(2, 20);
-        m.put(3, 30); // over capacity: dropped
-        assert_eq!(m.get(&1), Some(&10));
-        assert_eq!(m.get(&2), Some(&20));
-        assert_eq!(m.get(&3), None);
-        let mut off: WitnessMemo<u32, u32> = WitnessMemo::new(0);
-        off.put(1, 10);
-        assert_eq!(off.get(&1), None);
     }
 
     /// The candidate order space for the pool tests: permutations of

@@ -321,14 +321,14 @@ mod tests {
         b.write(p(1), Y, 2);
         b.commit(p(1));
         let h = b.build().unwrap();
-        use crate::linearize::LeafMemo;
+        use crate::linearize::{LeafMemo, DEAD_END_CAP};
         use crate::par::Cancel;
         use jungle_obs::SearchStats;
         for e in registry() {
             let th = e.model.transform(&h);
             let s = Search::sgla(&th, e.model);
             let mut stats = SearchStats::default();
-            let mut memo = LeafMemo::disabled();
+            let mut memo = LeafMemo::new(DEAD_END_CAP);
             let free = s.extend(&[], &mut stats, &Cancel::never(), &mut memo);
             assert_eq!(free, None, "{}: an inadmissible lock order", e.key);
             assert!(!check_sgla(&h, e.model).is_sgla(), "{}", e.key);

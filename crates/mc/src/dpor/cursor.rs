@@ -53,8 +53,8 @@
 //! once; source sets make it complete at least once. A node whose every
 //! enabled action is asleep is cut via [`Scheduler::abort_run`] (the
 //! machine reports `aborted == true`) — source sets without wakeup
-//! trees may still start such a run, and [`DporStats::blocked`] counts
-//! them.
+//! trees may still start such a run, and
+//! [`DporOutcome::blocked`](super::DporOutcome::blocked) counts them.
 //!
 //! **Cost.** A decision costs word operations: footprints are `Copy`,
 //! the clocks of the path live in one flat table (a row per node, a
@@ -181,10 +181,9 @@ pub struct DporCursor {
     blocked: bool,
     /// Members of backtrack sets skipped because they were asleep.
     pub sleep_skips: u64,
-    /// What the exploration found on the way: blocked probes by the
-    /// depth of the blocked node, racing pairs by footprint kind. Each
-    /// racing pair is counted once, by the run that first executed its
-    /// later decision.
+    /// Racing pairs by footprint kind, found on the way. Each racing
+    /// pair is counted once, by the run that first executed its later
+    /// decision.
     pub waste: DporStats,
 }
 
@@ -395,7 +394,6 @@ impl Scheduler for DporCursor {
             // machine checks abort_run before executing the choice).
             None => {
                 self.blocked = true;
-                self.waste.note_blocked(self.stack.len());
             }
         }
         self.stack.push(node);
@@ -592,7 +590,7 @@ mod tests {
         step(&mut c, &[0, 2], 1, w(2, 7));
         step(&mut c, &[0], 0, w(0, 7));
         assert!(!c.advance(), "two classes, two runs");
-        assert_eq!(c.waste.blocked, 0);
+        assert!(!c.abort_run(), "neither run was cut");
 
         // A sleeper with nothing else enabled cuts the run.
         let mut c = DporCursor::new();
@@ -603,7 +601,7 @@ mod tests {
         step(&mut c, &[0, 1], 1, w(1, 9)); // not the footprint it had below cpu 0
         c.choose(&execs(&[0]));
         assert!(c.abort_run(), "cpu 0 is asleep and independent of w(1, 9)");
-        assert_eq!(c.waste.blocked_by_depth, vec![0, 1]);
+        assert_eq!(c.waste.race_total(), 1, "the race of the first run");
         assert!(!c.advance());
     }
 

@@ -30,14 +30,8 @@ pub mod cursor;
 
 pub use cursor::DporCursor;
 
-use std::time::Instant;
-
 use jungle_memsim::{Machine, RunResult};
-use jungle_obs::sim::{DporStats, MachineStats, WorkerLane};
-
-fn elapsed_ns(since: Instant) -> u64 {
-    u64::try_from(since.elapsed().as_nanos()).unwrap_or(u64::MAX)
-}
+use jungle_obs::sim::{DporStats, MachineStats};
 
 /// Totals from one DPOR exploration.
 #[derive(Debug, Default, Clone)]
@@ -60,9 +54,8 @@ pub struct DporOutcome {
     pub stopped_early: bool,
     /// Machine-level totals across every executed run.
     pub stats: MachineStats,
-    /// Waste attribution: blocked-probe depths, race-pair heat, the one
-    /// lane's wall-clock and the run-latency histogram.
-    /// `waste.blocked` always equals `blocked`.
+    /// Races by footprint-kind pair; `waste.race_total()` always equals
+    /// `races`.
     pub waste: DporStats,
 }
 
@@ -77,12 +70,9 @@ pub fn explore_dpor(
 ) -> DporOutcome {
     let mut cursor = DporCursor::new();
     let mut out = DporOutcome::default();
-    let busy = Instant::now();
     loop {
         cursor.rewind();
-        let run_start = Instant::now();
         let result = factory().run(&mut cursor, max_steps);
-        cursor.waste.run_ns.record(elapsed_ns(run_start));
         out.executed += 1;
         out.stats.absorb(&result.stats);
         if result.aborted {
@@ -103,14 +93,8 @@ pub fn explore_dpor(
         }
     }
     out.sleep_skips = cursor.sleep_skips;
-    // The cursor attributed the blocked probes and the races as it met
-    // them; the run latencies went in beside them above.
     out.waste = cursor.waste;
     out.races = out.waste.race_total();
-    out.waste.workers.push(WorkerLane {
-        busy_ns: elapsed_ns(busy),
-        runs: out.executed as u64,
-    });
     out
 }
 
@@ -174,17 +158,9 @@ mod tests {
         assert!(out.executed <= brute_runs, "reduction never inflates");
         assert_eq!(out.classes, out.executed - out.blocked - out.truncated);
         assert_eq!(out.blocked, 0, "no run of this tree is started in vain");
-        // Waste attribution is exhaustive and consistent.
-        assert_eq!(out.waste.blocked, out.blocked as u64);
-        assert_eq!(
-            out.waste.blocked_by_depth.iter().sum::<u64>(),
-            out.blocked as u64,
-            "every blocked probe is attributed to a depth"
-        );
+        // The heat table accounts for every race flagged.
+        assert!(out.races > 0, "the two CPUs' conflicting accesses race");
         assert_eq!(out.waste.race_total(), out.races);
-        assert_eq!(out.waste.run_ns.count, out.executed as u64);
-        assert_eq!(out.waste.workers.len(), 1, "serial run is one lane");
-        assert_eq!(out.waste.workers[0].runs, out.executed as u64);
     }
 
     #[test]

@@ -43,7 +43,6 @@ pub mod cost;
 pub mod dpor;
 pub mod explain;
 pub mod layout;
-pub mod obs;
 pub mod program;
 pub mod theorems;
 pub mod verify;

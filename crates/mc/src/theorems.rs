@@ -20,7 +20,7 @@ use jungle_core::ids::{X, Y};
 use jungle_core::model::{Alpha, MemoryModel, Pso, Relaxed, Sc, Tso};
 use jungle_core::par::ParallelConfig;
 use jungle_core::registry::{registry, ModelEntry};
-use jungle_obs::{DporStats, McStats, TmSnapshot};
+use jungle_obs::{DporStats, McStats};
 
 /// How an experiment establishes its claim.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -66,10 +66,8 @@ pub struct ExperimentResult {
     pub detail: String,
     /// Exploration counters from the underlying verification.
     pub stats: McStats,
-    /// TM runtime counters aggregated over every checked trace.
-    pub tm: TmSnapshot,
-    /// DPOR waste attribution from the underlying verification (empty
-    /// for randomized sweeps; `waste.blocked == stats.dpor_blocked`).
+    /// The DPOR race-pair heat table from the underlying verification
+    /// (empty for randomized sweeps; its total is `stats.races`).
     pub waste: DporStats,
 }
 
@@ -83,19 +81,12 @@ impl Experiment {
     /// thread count for a random sweep's seed stripes; an exhaustive
     /// sweep is one serial search) and a private verdict memo.
     pub fn run(&self, seeds: SweepSeeds, max_steps: usize) -> ExperimentResult {
-        self.run_with(seeds, max_steps, &ParallelConfig::default())
-    }
-
-    /// [`Experiment::run`] with an explicit parallel configuration. The
-    /// verdict is deterministic — identical for every thread count and
-    /// fully determined by the explicit `seeds` on the randomized paths.
-    pub fn run_with(
-        &self,
-        seeds: SweepSeeds,
-        max_steps: usize,
-        cfg: &ParallelConfig,
-    ) -> ExperimentResult {
-        self.run_shared(seeds, max_steps, cfg, &SharedVerdictMemo::new())
+        self.run_shared(
+            seeds,
+            max_steps,
+            &ParallelConfig::default(),
+            &SharedVerdictMemo::new(),
+        )
     }
 
     /// The serial private-memo [`Sweep`] of this experiment's program,
@@ -107,11 +98,13 @@ impl Experiment {
         }
     }
 
-    /// [`Experiment::run_with`] with a caller-owned [`SharedVerdictMemo`]
-    /// shared across experiments: many of the paper's constructions
-    /// reuse the same litmus programs under the same models, so a
-    /// report run over the whole suite answers repeated per-history
-    /// verdicts from the memo.
+    /// [`Experiment::run`] with an explicit parallel configuration and a
+    /// caller-owned [`SharedVerdictMemo`] shared across experiments:
+    /// many of the paper's constructions reuse the same litmus programs
+    /// under the same models, so a report run over the whole suite
+    /// answers repeated per-history verdicts from the memo. The verdict
+    /// is deterministic — identical for every thread count and fully
+    /// determined by the explicit `seeds` on the randomized paths.
     ///
     /// An [`Expectation::AllTracesSatisfy`] experiment passes only when
     /// no run hit `max_steps`: a truncated run was never checked, so
@@ -162,7 +155,6 @@ impl Experiment {
             passed,
             detail: format!("{}: {detail}", self.id),
             stats: v.stats,
-            tm: v.tm,
             waste: v.waste,
         }
     }
@@ -709,8 +701,6 @@ pub struct ZooVerdict {
     pub ok: bool,
     /// Exploration counters.
     pub stats: McStats,
-    /// TM runtime counters.
-    pub tm: TmSnapshot,
 }
 
 /// The matched-model zoo sweep: run the five positive-result STMs on the
@@ -755,7 +745,6 @@ pub fn matched_zoo(
                 model: entry.key,
                 ok: v.ok,
                 stats: v.stats,
-                tm: v.tm,
             });
         }
     }

@@ -72,7 +72,6 @@
 
 use crate::algos::TmAlgo;
 use crate::dpor::explore_dpor;
-use crate::obs::tm_counts_from_trace;
 use crate::program::Program;
 use jungle_core::check::Check;
 use jungle_core::history::History;
@@ -83,7 +82,7 @@ use jungle_core::registry::ModelEntry;
 use jungle_isa::trace::Trace;
 use jungle_memsim::{BurstyScheduler, HwModel, Machine, RandomScheduler, RunResult, Scheduler};
 use jungle_obs::trace::{self as flight, EventKind};
-use jungle_obs::{DporStats, McStats, TmSnapshot};
+use jungle_obs::{DporStats, McStats};
 use std::collections::{HashMap, HashSet};
 use std::io::Write;
 use std::path::Path;
@@ -141,12 +140,8 @@ pub struct Verdict {
     /// checked, dedup/memo hits, worker threads, and the aggregated
     /// simulated-machine statistics.
     pub stats: McStats,
-    /// TM runtime counters aggregated over every completed trace
-    /// (including deduplicated ones — dedup skips the *checking*, not
-    /// the accounting).
-    pub tm: TmSnapshot,
-    /// DPOR waste attribution (empty for randomized sweeps).
-    /// `waste.blocked` equals `stats.dpor_blocked`.
+    /// The DPOR explorer's race-pair heat table (empty for randomized
+    /// sweeps). Its total equals `stats.races`.
     pub waste: DporStats,
 }
 
@@ -161,7 +156,6 @@ impl Verdict {
                 model: entry.key,
                 ..McStats::default()
             },
-            tm: TmSnapshot::default(),
             waste: DporStats::default(),
         }
     }
@@ -635,7 +629,7 @@ impl<'a> Sweep<'a> {
 }
 
 /// The per-run judging routine every sweep driver calls, with the
-/// sweep-wide state it needs: the dedup set, the TM counters, and the
+/// sweep-wide state it needs: the dedup set, the counters, and the
 /// least-ranked violation. Thread-safe, so parallel drivers judge
 /// inline in the worker that executed the run (the explorer already
 /// distributes machine runs; a separate checker pool would idle).
@@ -644,7 +638,6 @@ struct Judge<'a> {
     entry: &'a ModelEntry,
     memo: &'a SharedVerdictMemo,
     seen: Mutex<HashSet<u64>>,
-    tm: Mutex<TmSnapshot>,
     schedules: AtomicU64,
     dedup_hits: AtomicU64,
     histories_checked: AtomicU64,
@@ -672,7 +665,6 @@ impl<'a> Judge<'a> {
             entry: sweep.entry,
             memo,
             seen: Mutex::new(HashSet::new()),
-            tm: Mutex::new(TmSnapshot::default()),
             schedules: AtomicU64::new(0),
             dedup_hits: AtomicU64::new(0),
             histories_checked: AtomicU64::new(0),
@@ -682,19 +674,14 @@ impl<'a> Judge<'a> {
     }
 
     /// Judge one machine run; `true` means it is a violating leaf.
-    /// Truncated runs are skipped (the drivers count them), TM counters
-    /// are absorbed from every completed trace, and the checker runs
-    /// once per class key.
+    /// Truncated runs are skipped (the drivers count them), and the
+    /// checker runs once per class key.
     fn judge(&self, r: &RunResult, rank: &[usize]) -> bool {
         let seq = self.schedules.fetch_add(1, Ordering::Relaxed);
         flight::emit(EventKind::McSchedule, seq, u64::from(r.completed));
         if !r.completed {
             return false;
         }
-        self.tm
-            .lock()
-            .expect(POISON)
-            .absorb(&tm_counts_from_trace(&r.trace));
         let key = r.trace.cache_key();
         let keep_if_least = |v: &mut Option<Violation>| {
             if v.as_ref().is_none_or(|w| rank < w.rank.as_slice()) {
@@ -742,7 +729,6 @@ impl<'a> Judge<'a> {
         verdict.stats.dedup_hits = self.dedup_hits.into_inner();
         verdict.stats.histories_checked = self.histories_checked.into_inner();
         verdict.stats.memo_hits = self.memo_hits.into_inner();
-        verdict.tm = self.tm.into_inner().expect(POISON);
         verdict.violation = self.violation.into_inner().expect(POISON).map(|v| v.trace);
         verdict.ok = verdict.violation.is_none();
         verdict
@@ -796,10 +782,6 @@ mod tests {
         assert_eq!(v.stats.model, "SC");
         assert_eq!(v.stats.machine.model, "SC");
         assert!(v.stats.machine.steps > 0);
-        assert_eq!(v.tm.commits, 1);
-        assert_eq!(v.tm.txn_reads, 1);
-        assert_eq!(v.tm.txn_writes, 1);
-        assert_eq!(v.tm.nontxn_uninstrumented, 1); // global-lock reads are bare loads
     }
 
     #[test]

@@ -1,10 +1,9 @@
 //! The one declaration of a stats block.
 //!
 //! Every counter block of this crate ([`SearchStats`], [`SatStats`],
-//! [`MonitorStats`], [`MachineStats`], [`McStats`], [`WorkerLane`],
-//! [`TmSnapshot`]) is one `counters!` invocation: the field list, each
-//! field with its doc comment, its type and its *merge rule*, written
-//! once. The macro derives from it
+//! [`MonitorStats`], [`MachineStats`], [`McStats`]) is one `counters!`
+//! invocation: the field list, each field with its doc comment, its
+//! type and its *merge rule*, written once. The macro derives from it
 //!
 //! * the struct, with the attributes given and every field `pub`;
 //! * `absorb(&mut self, other)`, folding each field by its rule —
@@ -26,8 +25,6 @@
 //! [`MonitorStats`]: crate::MonitorStats
 //! [`MachineStats`]: crate::MachineStats
 //! [`McStats`]: crate::McStats
-//! [`WorkerLane`]: crate::sim::WorkerLane
-//! [`TmSnapshot`]: crate::TmSnapshot
 //! [`HistSnapshot`]: crate::HistSnapshot
 
 macro_rules! counters {

@@ -1,15 +1,15 @@
 //! Log-bucketed latency histograms (HDR-style).
 //!
-//! The profiler and the DPOR waste attribution need percentile-grade
-//! latency evidence, not just sums: a mean hides the p99 window that
+//! The profiler, the monitor's windows and the SAT backend need
+//! percentile-grade latency evidence, not just sums: a mean hides the p99 window that
 //! makes the streaming monitor fall behind. Buckets are power-of-two
 //! groups subdivided into [`SUB`] linear sub-buckets ([`SUB_BITS`]
 //! mantissa bits), so relative error is bounded at `1/SUB` (6.25%)
 //! while the whole `u64` nanosecond range fits in [`BUCKETS`] slots.
 //!
 //! [`HistSnapshot`] is the one representation: a plain, sparse,
-//! mergeable value type that every producer (the monitor, the DPOR
-//! workers, the profiler's per-thread frames) records into on its own
+//! mergeable value type that every producer (the monitor, the SAT
+//! backend, the profiler's per-thread frames) records into on its own
 //! thread and merges afterwards; it is also the serialized form
 //! ([`ToJson`]).
 //!

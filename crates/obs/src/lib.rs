@@ -13,10 +13,9 @@
 //!   folded into a self/total-time tree, zero-cost when uninstalled.
 //! * [`search::SearchStats`] — per-search counters for the opacity and
 //!   SGLA checkers (nodes, backtracks, prune hits, orders, depth).
-//! * [`tm::TmSnapshot`] — per-algorithm commit / abort / CAS-failure /
-//!   instrumentation counts, derived from interpreter traces.
 //! * [`sim::MachineStats`] / [`sim::McStats`] — simulator steps,
-//!   store-buffer flushes and occupancy, schedules explored.
+//!   store-buffer flushes and occupancy, schedules explored;
+//!   [`sim::DporStats`] — the DPOR explorer's race-pair heat table.
 //! * [`snapshot::MetricsSnapshot`] — the serializable aggregate the
 //!   report binary emits.
 //! * [`trace`] — the flight recorder: per-thread lock-free ring
@@ -67,7 +66,6 @@ pub mod sim;
 mod sink;
 pub mod snapshot;
 pub mod span;
-pub mod tm;
 pub mod trace;
 
 pub use hist::HistSnapshot;
@@ -81,5 +79,4 @@ pub use search::SearchStats;
 pub use sim::{DporStats, MachineStats, McStats};
 pub use snapshot::MetricsSnapshot;
 pub use span::Span;
-pub use tm::TmSnapshot;
 pub use trace::{EventKind, FlightRecorder};

@@ -40,10 +40,9 @@ counters! {
         sum wall_ns: u64,
         /// Searches folded into this value (1 for a single run).
         sum searches: u64,
-        /// Work answered from memory: witness sub-searches replayed from
-        /// the memo of already-solved edge sets, and frontiers of a
-        /// witness search found among its dead ends instead of being
-        /// explored again.
+        /// Frontiers of a witness search found among its dead ends
+        /// instead of being explored again (the only memo of the inner
+        /// search).
         sum cache_hits: u64,
         /// Worker threads used (0 for the serial search paths).
         max workers: u64,

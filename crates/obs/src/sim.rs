@@ -2,7 +2,6 @@
 //! layer built on it.
 
 use crate::counters::counters;
-use crate::hist::HistSnapshot;
 use crate::json::{Json, ToJson};
 
 counters! {
@@ -69,7 +68,7 @@ counters! {
         /// (complete, non-sleep-blocked runs).
         sum dpor_classes: u64,
         /// DPOR runs aborted at a node whose every enabled action was
-        /// asleep (the waste the attribution in [`DporStats`] localizes).
+        /// asleep.
         sum dpor_blocked: u64,
         /// Enabled actions skipped because their footprint was in the sleep
         /// set.
@@ -91,66 +90,22 @@ pub const FOOTPRINT_KINDS: [&str; 6] = ["read", "write", "rmw", "fence", "bounda
 /// Number of footprint kinds (side length of the heat table).
 pub const KINDS: usize = FOOTPRINT_KINDS.len();
 
-counters! {
-    /// One exploration's wall-clock ledger. The explorer is one serial
-    /// search, so an exploration is one lane, busy all the time.
-    #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-    pub struct WorkerLane {
-        /// Nanoseconds spent executing machine runs and cursor bookkeeping.
-        sum busy_ns: u64,
-        /// Machine runs this lane executed.
-        sum runs: u64,
-    }
-}
-
-/// Waste attribution for DPOR exploration: *where* the sleep-blocked
-/// probes cluster, *which* footprint-kind pairs race (and therefore
-/// open backtrack points), and *how long* the explorer ran. The aggregate counters in [`McStats`] say how much work
-/// happened; this says where the avoidable part lives.
+/// Race attribution for DPOR exploration: *which* footprint-kind
+/// pairs race (and therefore open backtrack points). The aggregate
+/// counters in [`McStats`] say how much work happened; this says where
+/// the backtracking comes from.
 #[derive(Debug, Default, Clone, PartialEq)]
 pub struct DporStats {
-    /// Runs aborted at a sleep-blocked node (must equal the sum of
-    /// `blocked_by_depth` — the attribution is exhaustive).
-    pub blocked: u64,
-    /// Blocked probes by the tree depth of the blocked node
-    /// (`blocked_by_depth[d]` counts probes blocked at depth `d`).
-    pub blocked_by_depth: Vec<u64>,
     /// Races by footprint-kind pair: `race_heat[a][b]` counts racing
     /// transition pairs whose earlier member is kind `a` (see
     /// [`FOOTPRINT_KINDS`]) and later member kind `b`.
     pub race_heat: [[u64; KINDS]; KINDS],
-    /// Per-lane wall-clock ledgers, merged by lane index across sweeps
-    /// (an exploration is one lane).
-    pub workers: Vec<WorkerLane>,
-    /// Per-machine-run latency distribution.
-    pub run_ns: HistSnapshot,
 }
 
 impl DporStats {
-    /// Record one blocked probe at `depth`, keeping `blocked` and its
-    /// per-depth attribution in lockstep.
-    pub fn note_blocked(&mut self, depth: usize) {
-        if self.blocked_by_depth.len() <= depth {
-            self.blocked_by_depth.resize(depth + 1, 0);
-        }
-        self.blocked_by_depth[depth] += 1;
-        self.blocked += 1;
-    }
-
     /// Record one racing pair by kind indices (clamped into range).
     pub fn note_race(&mut self, a: usize, b: usize) {
         self.race_heat[a.min(KINDS - 1)][b.min(KINDS - 1)] += 1;
-    }
-
-    /// The depth with the most blocked probes (0 when none blocked).
-    pub fn blocked_depth_mode(&self) -> u64 {
-        self.blocked_by_depth
-            .iter()
-            .enumerate()
-            .max_by_key(|&(d, n)| (*n, std::cmp::Reverse(d)))
-            .filter(|&(_, n)| *n > 0)
-            .map(|(d, _)| d as u64)
-            .unwrap_or(0)
     }
 
     /// Total races in the heat table.
@@ -158,30 +113,13 @@ impl DporStats {
         self.race_heat.iter().flatten().sum()
     }
 
-    /// Fold another exploration's attribution in. Depth counts and the
-    /// heat table add element-wise; worker lanes merge by index.
+    /// Fold another exploration's heat table in, element-wise.
     pub fn absorb(&mut self, other: &DporStats) {
-        self.blocked += other.blocked;
-        if self.blocked_by_depth.len() < other.blocked_by_depth.len() {
-            self.blocked_by_depth
-                .resize(other.blocked_by_depth.len(), 0);
-        }
-        for (d, n) in other.blocked_by_depth.iter().enumerate() {
-            self.blocked_by_depth[d] += n;
-        }
         for (a, row) in other.race_heat.iter().enumerate() {
             for (b, n) in row.iter().enumerate() {
                 self.race_heat[a][b] += n;
             }
         }
-        if self.workers.len() < other.workers.len() {
-            self.workers
-                .resize(other.workers.len(), WorkerLane::default());
-        }
-        for (i, lane) in other.workers.iter().enumerate() {
-            self.workers[i].absorb(lane);
-        }
-        self.run_ns.absorb(&other.run_ns);
     }
 }
 
@@ -197,37 +135,21 @@ impl ToJson for DporStats {
         }
         heat.sort_by(|x, y| y.cmp(x)); // hottest pair first
         let mut j = Json::obj();
-        j.push("blocked", self.blocked.into())
-            .push(
-                "blocked_by_depth",
-                Json::Arr(
-                    self.blocked_by_depth
-                        .iter()
-                        .map(|&n| Json::U64(n))
-                        .collect(),
-                ),
-            )
-            .push("blocked_depth_mode", self.blocked_depth_mode().into())
-            .push(
-                "race_heat",
-                Json::Arr(
-                    heat.into_iter()
-                        .map(|(n, a, b)| {
-                            let mut e = Json::obj();
-                            e.push("a", FOOTPRINT_KINDS[a].into())
-                                .push("b", FOOTPRINT_KINDS[b].into())
-                                .push("races", n.into());
-                            e
-                        })
-                        .collect(),
-                ),
-            )
-            .push("race_total", self.race_total().into())
-            .push(
-                "workers",
-                Json::Arr(self.workers.iter().map(|w| w.to_json()).collect()),
-            )
-            .push("run_ns", self.run_ns.to_json());
+        j.push(
+            "race_heat",
+            Json::Arr(
+                heat.into_iter()
+                    .map(|(n, a, b)| {
+                        let mut e = Json::obj();
+                        e.push("a", FOOTPRINT_KINDS[a].into())
+                            .push("b", FOOTPRINT_KINDS[b].into())
+                            .push("races", n.into());
+                        e
+                    })
+                    .collect(),
+            ),
+        )
+        .push("race_total", self.race_total().into());
         j
     }
 }
@@ -267,70 +189,37 @@ mod tests {
     }
 
     #[test]
-    fn dpor_stats_blocked_attribution_stays_exhaustive() {
-        let mut s = DporStats::default();
-        s.note_blocked(3);
-        s.note_blocked(3);
-        s.note_blocked(1);
-        assert_eq!(s.blocked, 3);
-        assert_eq!(s.blocked_by_depth.iter().sum::<u64>(), s.blocked);
-        assert_eq!(s.blocked_depth_mode(), 3);
-
-        let mut t = DporStats::default();
-        t.note_blocked(5);
-        s.absorb(&t);
-        assert_eq!(s.blocked, 4);
-        assert_eq!(s.blocked_by_depth.iter().sum::<u64>(), s.blocked);
-    }
-
-    #[test]
-    fn dpor_stats_heat_and_lanes_merge() {
+    fn dpor_stats_heat_merges() {
         let mut s = DporStats::default();
         s.note_race(0, 1);
         s.note_race(0, 1);
         s.note_race(1, 1);
         s.note_race(99, 99); // clamps into "other"
         assert_eq!(s.race_total(), 4);
-        s.workers.push(WorkerLane {
-            busy_ns: 900,
-            runs: 4,
-        });
         let mut t = DporStats::default();
-        t.workers.push(WorkerLane {
-            busy_ns: 100,
-            runs: 1,
-        });
-        t.workers.push(WorkerLane {
-            busy_ns: 500,
-            ..Default::default()
-        });
+        t.note_race(0, 1);
         s.absorb(&t);
-        assert_eq!(s.workers.len(), 2);
-        assert_eq!(s.workers[0].busy_ns, 1000);
-        assert_eq!(s.workers[0].runs, 5);
+        assert_eq!(s.race_heat[0][1], 3);
+        assert_eq!(s.race_heat[KINDS - 1][KINDS - 1], 1);
+        assert_eq!(s.race_total(), 5);
     }
 
     #[test]
     fn dpor_stats_json_shape() {
         let mut s = DporStats::default();
-        s.note_blocked(2);
         s.note_race(1, 1);
-        s.run_ns.record(1_000);
         let j = s.to_json();
-        assert_eq!(j.get("blocked"), Some(&Json::U64(1)));
-        assert_eq!(j.get("blocked_depth_mode"), Some(&Json::U64(2)));
+        let Json::Obj(fields) = &j else {
+            panic!("an object")
+        };
+        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["race_heat", "race_total"]);
         assert_eq!(j.get("race_total"), Some(&Json::U64(1)));
         let Some(Json::Arr(heat)) = j.get("race_heat") else {
             panic!("race_heat missing")
         };
         assert_eq!(heat.len(), 1);
         assert_eq!(heat[0].get("a").unwrap().as_str(), Some("write"));
-        assert!(j.get("run_ns").unwrap().get("p50").is_some());
-    }
-
-    #[test]
-    fn empty_dpor_stats_have_no_blocked_mode() {
-        assert_eq!(DporStats::default().blocked_depth_mode(), 0);
     }
 
     #[test]
@@ -341,10 +230,5 @@ mod tests {
     #[test]
     fn mc_table_drives_absorb_and_json() {
         McStats::check_table();
-    }
-
-    #[test]
-    fn worker_lane_table_drives_absorb_and_json() {
-        WorkerLane::check_table();
     }
 }

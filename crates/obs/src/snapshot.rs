@@ -5,7 +5,6 @@ use crate::monitor::MonitorStats;
 use crate::sat::SatStats;
 use crate::search::SearchStats;
 use crate::sim::McStats;
-use crate::tm::TmSnapshot;
 
 /// Everything the workspace knows how to measure, gathered into one
 /// serializable value. Sections are independent: a producer fills in
@@ -19,8 +18,6 @@ pub struct MetricsSnapshot {
     /// Checker search stats, keyed by a caller-chosen label (for the
     /// report: one entry per litmus figure).
     pub checker: Vec<(String, SearchStats)>,
-    /// Per-algorithm TM counters, keyed by algorithm name.
-    pub stms: Vec<(String, TmSnapshot)>,
     /// Model-checking totals, if a verification pass ran.
     pub mc: Option<McStats>,
     /// Streaming-monitor totals, if a monitoring run happened.
@@ -41,15 +38,6 @@ impl MetricsSnapshot {
         match self.checker.iter_mut().find(|(l, _)| l == label) {
             Some((_, s)) => s.absorb(stats),
             None => self.checker.push((label.to_string(), *stats)),
-        }
-    }
-
-    /// Fold `snap` into the STM entry for `algo`, creating it if
-    /// absent.
-    pub fn record_stm(&mut self, algo: &str, snap: &TmSnapshot) {
-        match self.stms.iter_mut().find(|(a, _)| a == algo) {
-            Some((_, s)) => s.absorb(snap),
-            None => self.stms.push((algo.to_string(), *snap)),
         }
     }
 
@@ -77,13 +65,8 @@ impl ToJson for MetricsSnapshot {
         for (label, stats) in &self.checker {
             checker.push(label, stats.to_json());
         }
-        let mut stms = Json::obj();
-        for (algo, snap) in &self.stms {
-            stms.push(algo, snap.to_json());
-        }
         let mut j = Json::obj();
         j.push("checker", checker)
-            .push("stms", stms)
             .push("mc", self.mc.as_ref().map_or(Json::Null, ToJson::to_json))
             .push(
                 "monitor",
@@ -121,22 +104,6 @@ mod tests {
         assert_eq!(m.checker.len(), 2);
         assert_eq!(m.checker[0].1.nodes, 5);
         assert_eq!(m.checker[0].1.searches, 2);
-
-        m.record_stm(
-            "tl2",
-            &TmSnapshot {
-                commits: 1,
-                ..Default::default()
-            },
-        );
-        m.record_stm(
-            "tl2",
-            &TmSnapshot {
-                commits: 2,
-                ..Default::default()
-            },
-        );
-        assert_eq!(m.stms[0].1.commits, 3);
     }
 
     #[test]
@@ -148,7 +115,6 @@ mod tests {
         });
         let j = m.to_json();
         assert!(j.get("checker").is_some());
-        assert!(j.get("stms").is_some());
         assert_eq!(
             j.get("mc").and_then(|mc| mc.get("schedules")),
             Some(&Json::U64(9))
@@ -157,7 +123,7 @@ mod tests {
         let text = MetricsSnapshot::new().to_json().to_string();
         assert_eq!(
             text,
-            r#"{"checker":{},"stms":{},"mc":null,"monitor":null,"sat":null}"#
+            r#"{"checker":{},"mc":null,"monitor":null,"sat":null}"#
         );
     }
 

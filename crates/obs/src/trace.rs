@@ -128,8 +128,8 @@ events! {
         Backtrack = 5, "backtrack", Instant;
         /// Incremental prefix legality pruned a subtree (`a` = depth).
         Prune = 6, "prune", Instant;
-        /// The witness memo answered: a whole inner search (`a` = edges of
-        /// its set, `b` = 0) or one dead-end frontier (`a` = depth, `b` = 1).
+        /// A witness search found a frontier among its dead ends (`a` =
+        /// depth, `b` = 1).
         WitnessMemoHit = 7, "witness_memo_hit", Instant;
         /// A pool worker claimed serialization-order prefix `a`.
         PrefixClaim = 8, "prefix_claim", Instant;

@@ -27,8 +27,8 @@
 //! [`tvar::TVarSpace`] facade. How often a run committed, aborted or
 //! lost a CAS is read off [`Ctx::commits`] / [`Ctx::aborts`] and the
 //! flight recorder's `Txn*` / `StmCasFail` events; the per-operation
-//! `TmSnapshot` counts in `report` are derived from model traces
-//! by `jungle-mc`.
+//! instruction costs in `report` are measured on the model TMs of
+//! `jungle-mc`.
 //!
 //! Memory-ordering note: the implementations use `SeqCst` throughout.
 //! The paper's subject is the *programmer-visible* model of
