@@ -4,7 +4,7 @@
 //! what it makes of hostile ledger, memo and schedule-log files.
 
 use jungle_mc::SharedVerdictMemo;
-use jungle_obs::{Json, LedgerEntry};
+use jungle_obs::{Json, LedgerEntry, MonitorStats};
 use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -96,11 +96,42 @@ fn keys(obj: &Json) -> Vec<&str> {
     }
 }
 
+/// Every node of a phase tree has exactly the keys the benchmark's
+/// traced `report_cold` may read; returns how many nodes there are.
+fn phase_nodes(node: &Json) -> usize {
+    assert_eq!(
+        keys(node),
+        ["name", "calls", "total_ns", "self_ns", "children"],
+        "{node}"
+    );
+    1 + arr(node, "children").iter().map(phase_nodes).sum::<usize>()
+}
+
+/// Every key of `doc`, at any depth, that ends in `_ns`.
+fn ns_keys<'a>(doc: &'a Json, out: &mut Vec<&'a str>) {
+    match doc {
+        Json::Obj(fields) => {
+            for (k, v) in fields {
+                if k.ends_with("_ns") {
+                    out.push(k);
+                }
+                ns_keys(v, out);
+            }
+        }
+        Json::Arr(items) => items.iter().for_each(|v| ns_keys(v, out)),
+        _ => {}
+    }
+}
+
 /// The document of a run with every section the profile reads: the
 /// phase tree holds one `report.*` child with its `total_ns` per phase
 /// the benchmark's traced `report_cold` reads, the ledger entry carries
 /// the run's wall time, `metrics` holds exactly its four blocks, and
-/// the run-wide race heat adds up to the sweeps' own race count.
+/// the run-wide race heat adds up to the sweeps' own race count. No
+/// timer below the phase tree: a phase node has calls and times and no
+/// latency histogram, the monitor block is its counters, a crossover
+/// point is work, and the phase tree holds the document's only
+/// nanoseconds.
 #[test]
 fn profiled_run_has_the_shape_the_benchmark_reads() {
     let dir = scratch("profile");
@@ -138,6 +169,21 @@ fn profiled_run_has_the_shape_the_benchmark_reads() {
     let races = num(metrics.get("mc").unwrap(), "races");
     assert!(races > 0, "the exhaustive sweeps race");
     assert_eq!(num(dpor, "race_total"), races);
+
+    let nodes = phase_nodes(profile.get("phases").unwrap());
+    let monitor: Vec<&str> = MonitorStats::FIELDS.iter().map(|(k, _)| *k).collect();
+    assert_eq!(keys(metrics.get("monitor").unwrap()), monitor);
+    let sat = doc.get("sat").expect("sat section");
+    for point in arr(sat, "crossover_points") {
+        assert_eq!(keys(point), ["p", "dfs_orders", "sat_rounds"]);
+    }
+    let mut ns = Vec::new();
+    ns_keys(&doc, &mut ns);
+    assert!(
+        ns.iter().all(|k| *k == "total_ns" || *k == "self_ns"),
+        "{ns:?}"
+    );
+    assert_eq!(ns.len(), 2 * nodes, "a `_ns` key outside the phase tree");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

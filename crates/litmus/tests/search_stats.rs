@@ -38,7 +38,6 @@ fn fig1_allowed_outcome_stats() {
         "at least one node per placed unit, got {}",
         s.nodes
     );
-    assert!(s.wall_ns > 0, "every check measures wall time");
 }
 
 /// Figure 1's transaction (x := 1; y := 1), run by each process of
@@ -199,22 +198,19 @@ fn sgla_check_reports_stats_too() {
     let s = s.search;
     assert!(v.is_sgla());
     assert!(s.units > 0);
-    assert!(s.wall_ns > 0);
     assert_eq!(s.searches, 1);
 }
 
 #[test]
 fn all_litmus_outcomes_have_consistent_stats() {
     // Invariants that must hold for every bundled figure outcome: the
-    // traced checker measures time, visits at least one node per placed
-    // unit, and reaches full depth exactly when a witness exists.
+    // traced checker visits at least one node per placed unit, and reaches full depth exactly when a witness exists.
     for litmus in all_litmus() {
         for o in &litmus.outcomes {
             let (v, s) = check_opacity_traced(&o.history, &Sc);
             let ctx = format!("{}/{}", litmus.name, o.label);
             assert!(s.units > 0, "{ctx}: no units");
             assert_eq!(s.searches, 1, "{ctx}");
-            assert!(s.wall_ns > 0, "{ctx}: no wall time");
             assert!(s.peak_depth <= s.units, "{ctx}: depth overflow");
             assert!(s.nodes >= s.peak_depth, "{ctx}: fewer nodes than depth");
             if v.is_opaque() {

@@ -50,10 +50,9 @@ use jungle_core::registry::{entry, ModelEntry};
 use jungle_core::triage::triage_opacity;
 use jungle_mc::SharedVerdictMemo;
 use jungle_obs::trace::{self, EventKind};
-use jungle_obs::{MonitorStats, Span};
+use jungle_obs::MonitorStats;
 use jungle_stm::{StmTap, TapEvent};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Monitor configuration.
 #[derive(Clone, Copy, Debug)]
@@ -165,9 +164,9 @@ impl Monitor {
 
     /// Consume `tap` until it is closed **and** drained, then flush.
     /// Returns the totals; `events_dropped` is taken from the tap's
-    /// exact drop counter, `wall_ns` covers the whole consumption.
+    /// exact drop counter, and `max_queue_depth` is the deepest backlog
+    /// seen at any drain poll.
     pub fn run(&mut self, tap: &StmTap) -> MonitorStats {
-        let t0 = Instant::now();
         let mut buf: Vec<TapEvent> = Vec::with_capacity(4096);
         loop {
             let depth = tap.queue_depth() as u64;
@@ -186,9 +185,7 @@ impl Monitor {
             }
         }
         self.stats.events_dropped = tap.dropped();
-        self.finish();
-        self.stats.wall_ns = t0.elapsed().as_nanos() as u64;
-        self.stats.clone()
+        self.finish()
     }
 
     /// One-shot mode: run the tiered pipeline on a ready-made history,
@@ -197,14 +194,21 @@ impl Monitor {
     /// but no second chance applies (there is no raced initializer to
     /// blame).
     pub fn check_history(&mut self, h: &History) -> bool {
-        self.triage(h, 0) || self.escalate(h)
+        if self.triage(h, 0) {
+            return true;
+        }
+        self.stats.escalated += 1;
+        self.escalate(h)
     }
 
+    /// A window escalates once, however many full checks its second
+    /// chance takes.
     fn check_window(&mut self, w: &SealedWindow) {
-        if self.triage(&w.history, w.completed) || self.escalate(&w.history) {
+        if self.triage(&w.history, w.completed) {
             return;
         }
-        if w.reseeded().is_some_and(|h2| self.escalate(&h2)) {
+        self.stats.escalated += 1;
+        if self.escalate(&w.history) || w.reseeded().is_some_and(|h2| self.escalate(&h2)) {
             return;
         }
         self.stats.violations += 1;
@@ -220,9 +224,7 @@ impl Monitor {
     fn triage(&mut self, h: &History, completed: usize) -> bool {
         self.stats.windows_sealed += 1;
         trace::emit(EventKind::WindowSeal, h.len() as u64, completed as u64);
-        let span = Span::start();
         let cleared = triage_opacity(h, self.cfg.model.model).cleared();
-        self.stats.triage_window_ns.record(span.elapsed_ns());
         if cleared {
             self.stats.triage_cleared += 1;
             trace::emit(EventKind::TriageClear, h.len() as u64, 0);
@@ -230,18 +232,16 @@ impl Monitor {
         cleared
     }
 
-    /// Tier 2: the full batch checker, through the shared memo.
+    /// Tier 2: the full batch checker, through the shared memo. The
+    /// caller counts the window as escalated.
     fn escalate(&mut self, h: &History) -> bool {
-        self.stats.escalated += 1;
         // The fingerprint walks every operation; only a memo or a
         // recorder reads it.
         let fp = (self.memo.is_some() || trace::recording()).then(|| h.cache_key());
         trace::emit(EventKind::Escalate, fp.unwrap_or(0), h.len() as u64);
-        let span = Span::start();
         let memo = self.memo.as_ref().zip(fp);
         if let Some(v) = memo.and_then(|(m, fp)| m.lookup(self.cfg.model.key, self.cfg.kind, fp)) {
             self.stats.memo_hits += 1;
-            self.stats.escalate_window_ns.record(span.elapsed_ns());
             return v;
         }
         let v = Check::new(self.cfg.kind)
@@ -251,7 +251,50 @@ impl Monitor {
         if let Some((memo, fp)) = memo {
             memo.record(self.cfg.model.key, self.cfg.kind, fp, v);
         }
-        self.stats.escalate_window_ns.record(span.elapsed_ns());
         v
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use jungle_core::ids::ProcId;
+    use jungle_stm::TapOp;
+
+    fn ev(pid: u32, op: TapOp) -> TapEvent {
+        TapEvent {
+            pid: ProcId(pid),
+            op,
+        }
+    }
+
+    #[test]
+    fn a_window_given_the_second_chance_escalates_once() {
+        let mut mon = Monitor::new(MonitorConfig::new().window(2));
+        // Window 1: `x = 2` truly commits last, but its ticket is the
+        // smaller one, so window 2 is seeded with the stale `x = 1`.
+        for e in [
+            ev(0, TapOp::Begin),
+            ev(0, TapOp::Write { var: 0, val: 1 }),
+            ev(0, TapOp::Commit { ticket: 2 }),
+            ev(1, TapOp::Begin),
+            ev(1, TapOp::Write { var: 0, val: 2 }),
+            ev(1, TapOp::Commit { ticket: 1 }),
+            // Window 2 reads the true value first: the stale seed fails
+            // triage and the full check, and the re-seeded one passes.
+            ev(2, TapOp::Begin),
+            ev(2, TapOp::Read { var: 0, val: 2 }),
+            ev(2, TapOp::Commit { ticket: 3 }),
+            ev(3, TapOp::Begin),
+            ev(3, TapOp::Read { var: 0, val: 2 }),
+            ev(3, TapOp::Commit { ticket: 4 }),
+        ] {
+            mon.ingest(e);
+        }
+        let s = mon.finish();
+        assert_eq!(s.windows_sealed, 2);
+        assert_eq!(s.violations, 0);
+        assert_eq!(s.escalated, 1);
+        assert_eq!(s.triage_cleared + s.escalated, s.windows_sealed);
     }
 }

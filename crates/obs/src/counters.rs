@@ -9,7 +9,7 @@
 //! * `absorb(&mut self, other)`, folding each field by its rule —
 //!   `sum` adds, `max` keeps the larger, `first` keeps the first
 //!   non-empty string (the `model` keys), `nest` calls the field's own
-//!   `absorb` (an embedded [`HistSnapshot`] or [`MachineStats`]);
+//!   `absorb` (an embedded [`MachineStats`]);
 //! * [`ToJson`](crate::json::ToJson), one key per field in declaration
 //!   order; a field may be followed by `=> key: Json::Variant`, a
 //!   *computed* key serialized right after it from the method of the
@@ -25,7 +25,6 @@
 //! [`MonitorStats`]: crate::MonitorStats
 //! [`MachineStats`]: crate::MachineStats
 //! [`McStats`]: crate::McStats
-//! [`HistSnapshot`]: crate::HistSnapshot
 
 macro_rules! counters {
     (@merge sum $a:expr, $b:expr) => {

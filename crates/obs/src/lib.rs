@@ -6,9 +6,6 @@
 //! an exponential search. This crate gives every layer a common,
 //! dependency-free vocabulary for counting that work:
 //!
-//! * [`span`] — lightweight wall-clock spans.
-//! * [`hist`] — log-bucketed, mergeable latency histograms with
-//!   `p50/p90/p99/p999` accessors.
 //! * [`profile`] — the hierarchical phase profiler: enter/exit guards
 //!   folded into a self/total-time tree, zero-cost when uninstalled.
 //! * [`search::SearchStats`] — per-search counters for the opacity and
@@ -29,7 +26,7 @@
 //! * [`monitor::MonitorStats`] — per-run counters of the streaming
 //!   opacity monitor (ingest, windows, triage/escalation, violations).
 //! * [`sat::SatStats`] — counters of the SAT serialization-order
-//!   backend (encoding sizes, CDCL effort, CEGAR rounds, wall hist).
+//!   backend (encoding sizes, CDCL effort, CEGAR rounds).
 //!
 //! Every signal is **declared once**: each stats block above is one
 //! invocation of the crate-private `counters!` macro (field list with
@@ -42,17 +39,18 @@
 //!
 //! Collection is **off by default** in the hot paths: the real STMs
 //! count nothing (an operation with neither recorder nor tap attached
-//! is the bare algorithm behind one branch), the checkers read the
-//! clock twice per check and nothing more, and flight-recorder event
-//! sites reduce to a single relaxed load unless a recorder is
-//! [`trace::install`]ed. The build is fully offline, so serialization
-//! is a small hand-rolled JSON model ([`json`]) rather than `serde`.
+//! is the bare algorithm behind one branch), and profiler phases and
+//! flight-recorder event sites reduce to a single relaxed load unless
+//! [`profile::install`] or [`trace::install`] switched them on. Those
+//! two are the crate's only clock readers: every stats block counts
+//! work, and wall time is the caller's to measure. The build is fully
+//! offline, so serialization is a small hand-rolled JSON model
+//! ([`json`]) rather than `serde`.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 mod counters;
-pub mod hist;
 pub mod json;
 pub mod ledger;
 pub mod monitor;
@@ -65,10 +63,8 @@ pub mod sim;
 #[allow(unsafe_code)]
 mod sink;
 pub mod snapshot;
-pub mod span;
 pub mod trace;
 
-pub use hist::HistSnapshot;
 pub use json::{Json, ToJson};
 pub use ledger::LedgerEntry;
 pub use monitor::MonitorStats;
@@ -78,5 +74,4 @@ pub use sat::SatStats;
 pub use search::SearchStats;
 pub use sim::{DporStats, MachineStats, McStats};
 pub use snapshot::MetricsSnapshot;
-pub use span::Span;
 pub use trace::{EventKind, FlightRecorder};

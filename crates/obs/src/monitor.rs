@@ -4,13 +4,13 @@
 //! operation events were ingested (and how many the tap dropped, which
 //! is always *counted*, never silent), how many windows were sealed,
 //! how the triage tier did (cleared vs escalated to the full checker,
-//! memo hits among escalations), violations found, the deepest queue
-//! backlog observed, and where the time went. The monitor crate fills
-//! it in; [`MetricsSnapshot`](crate::MetricsSnapshot) carries it into
-//! the report JSON and the run ledger.
+//! memo hits among the full checks), violations found and the deepest
+//! queue backlog observed. Every field counts; the time a run takes is
+//! measured by whoever drives it. The monitor crate fills it in;
+//! [`MetricsSnapshot`](crate::MetricsSnapshot) carries it into the
+//! report JSON and the run ledger.
 
 use crate::counters::counters;
-use crate::hist::HistSnapshot;
 use crate::json::Json;
 
 counters! {
@@ -28,24 +28,18 @@ counters! {
         sum windows_sealed: u64,
         /// Windows the polynomial triage tier proved opaque.
         sum triage_cleared: u64,
-        /// Windows escalated to the full backtracking checker.
+        /// Windows escalated to the full backtracking checker (once per
+        /// window, however many full checks its second chance takes).
         sum escalated: u64,
-        /// Escalations answered by the shared verdict memo instead of a
-        /// fresh search (subset of `escalated`).
+        /// Full checks answered by the shared verdict memo instead of a
+        /// fresh search (a window given the second chance may take two).
         sum memo_hits: u64,
         /// Windows the full checker found in violation.
         sum violations: u64 => escalation_rate: Json::F64,
-        /// Deepest tap-ring backlog observed at a window seal.
+        /// Deepest tap-ring backlog observed at a drain poll: sampled
+        /// before every drain of `jungle_monitor::Monitor::run` (0 for
+        /// a monitor fed event by event).
         max max_queue_depth: u64,
-        /// Wall-clock nanoseconds of the whole monitoring run.
-        sum wall_ns: u64 => p99_window_ns: Json::U64,
-        /// Per-window triage latency distribution (one sample per sealed
-        /// window); its `sum` is the time spent in the triage tier.
-        nest triage_window_ns: HistSnapshot,
-        /// Per-window escalation latency distribution (one sample per
-        /// escalated check, memo hits included); its `sum` is the time
-        /// spent in escalated full checks.
-        nest escalate_window_ns: HistSnapshot,
     }
 }
 
@@ -59,31 +53,6 @@ impl MonitorStats {
             self.escalated as f64 / self.windows_sealed as f64
         }
     }
-
-    /// Ingested operations per second, `0` when no time was measured.
-    pub fn ops_per_sec(&self) -> f64 {
-        if self.wall_ns == 0 {
-            0.0
-        } else {
-            self.ops_ingested as f64 * 1e9 / self.wall_ns as f64
-        }
-    }
-
-    /// Per-window check latency across both tiers: every window
-    /// contributes its triage time, and escalated windows additionally
-    /// contribute each full-check time.
-    pub fn window_hist(&self) -> HistSnapshot {
-        let mut h = self.triage_window_ns.clone();
-        h.absorb(&self.escalate_window_ns);
-        h
-    }
-
-    /// 99th-percentile per-window check latency (see
-    /// [`window_hist`](Self::window_hist)); serialized as
-    /// `p99_window_ns` in the `monitor` JSON section.
-    pub fn p99_window_ns(&self) -> u64 {
-        self.window_hist().p99()
-    }
 }
 
 #[cfg(test)]
@@ -92,16 +61,12 @@ mod tests {
     use crate::json::ToJson;
 
     #[test]
-    fn rates() {
+    fn escalation_rate() {
         let mut s = MonitorStats::default();
         assert_eq!(s.escalation_rate(), 0.0);
-        assert_eq!(s.ops_per_sec(), 0.0);
         s.windows_sealed = 100;
         s.escalated = 3;
-        s.ops_ingested = 1_000;
-        s.wall_ns = 500_000_000; // 0.5 s
         assert!((s.escalation_rate() - 0.03).abs() < 1e-12);
-        assert!((s.ops_per_sec() - 2_000.0).abs() < 1e-6);
     }
 
     #[test]
@@ -138,28 +103,6 @@ mod tests {
         assert_eq!(j.get("ops_ingested"), Some(&Json::U64(4)));
         assert_eq!(j.get("escalation_rate"), Some(&Json::F64(0.5)));
         assert_eq!(j.get("events_dropped"), Some(&Json::U64(0)));
-        assert!(j.get("p99_window_ns").is_some());
-        assert!(j.get("triage_window_ns").unwrap().get("count").is_some());
-    }
-
-    #[test]
-    fn window_hist_merges_tiers() {
-        let mut s = MonitorStats::default();
-        for _ in 0..99 {
-            s.triage_window_ns.record(1_000);
-        }
-        s.escalate_window_ns.record(1_000_000);
-        let h = s.window_hist();
-        assert_eq!(h.count, 100);
-        assert_eq!(h.max, 1_000_000);
-        // The single slow escalation is exactly the tail percentile.
-        assert!(s.p99_window_ns() >= s.triage_window_ns.p50());
-        assert!(s.p99_window_ns() <= h.max);
-
-        let mut t = MonitorStats::default();
-        t.triage_window_ns.record(5);
-        s.absorb(&t);
-        assert_eq!(s.triage_window_ns.count, 100);
     }
 
     #[test]

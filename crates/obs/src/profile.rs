@@ -1,13 +1,13 @@
 //! Hierarchical phase profiler: per-thread span stacks folded into a
-//! self/total-time tree with per-phase latency histograms.
+//! self/total-time tree.
 //!
 //! The flight recorder answers *what happened*; this module answers
 //! *where the time went*. Call sites bracket a phase with
 //! [`enter`] — the returned guard closes the phase on drop — and the
 //! profiler attributes wall-clock to the full enclosing path
-//! (`report.figures > machine.run > memsim.choose`), splitting each
-//! node's total into self time (not covered by children) and
-//! aggregating an [`HistSnapshot`] of per-call latency.
+//! (`report.figures > machine.run > memsim.choose`), counting each
+//! node's calls and splitting its total into self time (not covered by
+//! children).
 //!
 //! The discipline is the same zero-cost-when-off contract as
 //! [`trace`](crate::trace): with no [`Profiler`] [`install`]ed,
@@ -24,7 +24,6 @@
 //! residue is otherwise still local) and then [`Profiler::snapshot`],
 //! which renders the path-keyed aggregates as a [`ProfileNode`] tree.
 
-use crate::hist::HistSnapshot;
 use crate::json::{Json, ToJson};
 use crate::sink::Installed;
 use std::cell::RefCell;
@@ -43,7 +42,6 @@ struct NodeAgg {
     calls: u64,
     total_ns: u64,
     self_ns: u64,
-    hist: HistSnapshot,
 }
 
 impl NodeAgg {
@@ -51,7 +49,6 @@ impl NodeAgg {
         self.calls += other.calls;
         self.total_ns += other.total_ns;
         self.self_ns += other.self_ns;
-        self.hist.absorb(&other.hist);
     }
 }
 
@@ -100,7 +97,6 @@ impl Profiler {
             cur.calls += agg.calls;
             cur.total_ns += agg.total_ns;
             cur.self_ns += agg.self_ns;
-            cur.hist.absorb(&agg.hist);
         }
         // The synthetic root spans its top-level phases.
         root.total_ns = root.children.iter().map(|c| c.total_ns).sum();
@@ -120,8 +116,6 @@ pub struct ProfileNode {
     pub total_ns: u64,
     /// Portion of `total_ns` not covered by child phases.
     pub self_ns: u64,
-    /// Per-call latency distribution.
-    pub hist: HistSnapshot,
     /// Nested phases, in first-seen path order.
     pub children: Vec<ProfileNode>,
 }
@@ -154,14 +148,12 @@ impl ProfileNode {
         }
         fn walk(n: &ProfileNode, depth: usize, out: &mut String) {
             out.push_str(&format!(
-                "{:indent$}{:<width$} calls={:<8} total={:<9} self={:<9} p50={:<8} p99={}\n",
+                "{:indent$}{:<width$} calls={:<8} total={:<9} self={}\n",
                 "",
                 n.name,
                 n.calls,
                 fmt_ns(n.total_ns),
                 fmt_ns(n.self_ns),
-                fmt_ns(n.hist.p50()),
-                fmt_ns(n.hist.p99()),
                 indent = depth * 2,
                 width = 28usize.saturating_sub(depth * 2),
             ));
@@ -182,7 +174,6 @@ impl ToJson for ProfileNode {
             .push("calls", self.calls.into())
             .push("total_ns", self.total_ns.into())
             .push("self_ns", self.self_ns.into())
-            .push("hist", self.hist.to_json())
             .push(
                 "children",
                 Json::Arr(self.children.iter().map(|c| c.to_json()).collect()),
@@ -324,7 +315,6 @@ fn exit_installed() {
         agg.calls += 1;
         agg.total_ns += ns;
         agg.self_ns += self_ns;
-        agg.hist.record(ns);
         tls.pending += 1;
         if tls.stack.is_empty() && tls.pending >= FLUSH_EVERY {
             tls.pending = 0;
@@ -397,7 +387,6 @@ mod tests {
         assert!(outer.self_ns <= outer.total_ns);
         assert_eq!(outer.self_ns, outer.total_ns - inner.total_ns);
         assert!(outer.children_ns() <= outer.total_ns);
-        assert_eq!(inner.hist.count, 2);
     }
 
     #[test]
@@ -427,7 +416,6 @@ mod tests {
             .find(|c| c.name == "worker")
             .expect("worker spans flushed at thread exit");
         assert_eq!(worker.calls, 15);
-        assert_eq!(worker.hist.count, 15);
         assert!(worker.self_ns <= worker.total_ns);
     }
 
@@ -450,6 +438,6 @@ mod tests {
         assert!(text.contains("\"alpha\"") && text.contains("\"beta\""));
         let rendered = root.render();
         assert!(rendered.contains("alpha") && rendered.contains("beta"));
-        assert!(rendered.contains("p99="));
+        assert!(rendered.contains("self="));
     }
 }

@@ -3,13 +3,11 @@
 //! `jungle_core::encode` compiles the opacity/SGLA order search into
 //! CNF, solves it with `jungle-sat`, and certifies every model against
 //! the DFS legality checker. This is the serializable record of that
-//! work: encoding sizes, CDCL effort, CEGAR refinement rounds, and a
-//! per-check wall-clock histogram ([`HistSnapshot`]), aggregated the
-//! same way as the other sections of
+//! work: encoding sizes, CDCL effort and CEGAR refinement rounds,
+//! aggregated the same way as the other sections of
 //! [`MetricsSnapshot`](crate::snapshot::MetricsSnapshot).
 
 use crate::counters::counters;
-use crate::hist::HistSnapshot;
 
 counters! {
     /// Aggregated SAT-backend counters.
@@ -39,8 +37,6 @@ counters! {
         sum restarts: u64,
         /// Clauses learned from conflicts.
         sum learned: u64,
-        /// Per-check wall time, nanoseconds.
-        nest wall: HistSnapshot,
     }
 }
 
@@ -49,25 +45,21 @@ mod tests {
     use super::*;
 
     #[test]
-    fn absorb_sums_counters_and_merges_hist() {
+    fn absorb_sums_counters() {
         let mut a = SatStats {
             solved: 1,
             conflicts: 3,
             ..Default::default()
         };
-        a.wall.record(100);
-        let mut b = SatStats {
+        let b = SatStats {
             solved: 2,
             certified: 1,
             ..Default::default()
         };
-        b.wall.record(5_000);
         a.absorb(&b);
         assert_eq!(a.solved, 3);
         assert_eq!(a.certified, 1);
         assert_eq!(a.conflicts, 3);
-        assert_eq!(a.wall.count, 2);
-        assert_eq!(a.wall.max, 5_000);
     }
 
     #[test]

@@ -3,8 +3,7 @@
 //! Each worker of a search bumps its own plain-`u64` copy inline — no
 //! atomics on the hot path; the checker's worker pool merges the
 //! per-worker copies with [`SearchStats::absorb`] at the end. Every
-//! check (`jungle_core::check::Check::run`) fills wall time: two clock
-//! reads per check.
+//! field counts work; none is a time.
 
 use crate::counters::counters;
 
@@ -36,8 +35,6 @@ counters! {
         sum prune_hits: u64,
         /// Deepest prefix length reached by any DFS branch.
         max peak_depth: u64,
-        /// Wall-clock nanoseconds of the whole check.
-        sum wall_ns: u64,
         /// Searches folded into this value (1 for a single run).
         sum searches: u64,
         /// Frontiers of a witness search found among its dead ends

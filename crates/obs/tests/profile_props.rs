@@ -56,7 +56,6 @@ fn check_node(node: &jungle_obs::ProfileNode) -> u64 {
         node.children_ns(),
         node.total_ns
     );
-    assert_eq!(node.hist.count, node.calls, "{}: hist drift", node.name);
     node.calls + node.children.iter().map(check_node).sum::<u64>()
 }
 
