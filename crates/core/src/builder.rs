@@ -47,6 +47,7 @@ impl HistoryBuilder {
         }
     }
 
+    #[inline]
     fn push(&mut self, proc: ProcId, op: Op) -> OpId {
         let id = OpId(self.next_id);
         self.next_id += 1;
@@ -54,7 +55,10 @@ impl HistoryBuilder {
         id
     }
 
-    /// Append an arbitrary operation.
+    /// Append an arbitrary operation. Inlined across crates: the
+    /// monitor builds every window history through it, and the copy of
+    /// `op` then folds into the append.
+    #[inline]
     pub fn op(&mut self, proc: ProcId, op: Op) -> OpId {
         self.push(proc, op)
     }

@@ -31,13 +31,19 @@ pub struct Var(pub u32);
 pub struct OpId(pub u32);
 
 /// A [`Hasher`] for identifiers the workspace hands out itself: one
-/// multiplication by 2⁶⁴/φ (Fibonacci hashing). Its users are the
-/// monitor's seed table (keyed by a tap's `u64` variable index) and the
-/// legality checkers' variable numbering (keyed by [`Var`], hashed
-/// through `write_u32`). Such keys are dense small integers, not input
-/// an adversary picks, so SipHash's protection buys nothing there and
-/// costs more than the lookups it serves; keep it for keys from outside
-/// the program.
+/// multiplication by 2⁶⁴/φ (Fibonacci hashing). Its users in this
+/// crate are the variable numberings of the legality checkers, the
+/// search's `Graph` and the [`Triager`](crate::triage::Triager) (keyed
+/// by [`Var`] or its index, hashed through `write_u32`). Such keys are
+/// dense small integers, not input an adversary picks, so SipHash's
+/// protection buys nothing there and costs more than the lookups it
+/// serves; keep it for keys from outside the program.
+///
+/// It is public for one user outside this crate: `jungle-monitor`'s
+/// seed table, keyed by a tap's `u64` variable index, which probes it
+/// once per variable per window. Exporting the hasher keeps one
+/// identifier hash in the workspace rather than a copy that could
+/// drift from it.
 #[derive(Clone, Copy, Default, Debug)]
 pub struct IdHasher(u64);
 

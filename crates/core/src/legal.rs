@@ -21,7 +21,8 @@
 //! the same three methods (`step`, `suspend_live`, `in_txn` — the
 //! `Legality` trait of [`linearize`](crate::linearize)), and only
 //! `Graph::place` there decides how a transaction's operations are fed
-//! to them.
+//! to them; the [`triage`](crate::triage) replay feeds a
+//! [`PrefixChecker`] the same way, from its own operation stream.
 //!
 //! Interpretation note: `visible(s)` keeps a non-committed transaction
 //! `T` exactly when no operation instance outside `T` occurs *after the
@@ -195,6 +196,16 @@ impl PrefixChecker {
         self.in_txn
     }
 
+    /// Back to the initial state, keeping the tables' buffers: the
+    /// triage tier replays every window through one checker.
+    pub(crate) fn clear(&mut self) {
+        self.committed.clear();
+        self.clear_overlay();
+        self.names.clear();
+        self.in_txn = false;
+        self.pos = 0;
+    }
+
     /// Drop the open transaction's writes.
     fn clear_overlay(&mut self) {
         for x in self.written.drain(..) {
@@ -241,7 +252,10 @@ impl PrefixChecker {
     }
 
     /// [`step`](Self::step), `x` being the number of the variable `op`
-    /// accesses (ignored for `start`, `commit` and `abort`).
+    /// accesses (ignored for `start`, `commit` and `abort`). Always
+    /// inlined: the triage replay builds `op` on the spot, and inlined
+    /// the building and this match fold into one.
+    #[inline(always)]
     pub(crate) fn step_var(&mut self, x: usize, op: &Op, transactional: bool) -> bool {
         self.pos += 1;
         let pos = self.pos;

@@ -7,8 +7,7 @@
 //! instead of whole transactions) and the legality semantics (critical
 //! sections instead of deferred updates). This module owns what the
 //! two share, in four parts, and the one order search
-//! ([`check`](crate::check)), the explainers and the triage tier are
-//! clients of it:
+//! ([`check`](crate::check)) and the explainers are clients of it:
 //!
 //! * [`view_pairs`] — the minimal view `v` as history-index pairs, the
 //!   same for every process (public: `jungle-mc`'s explainer masks
@@ -30,13 +29,14 @@
 //!
 //! The clients say which granularity, which static edges, and which
 //! legality: the constructors in [`opacity`](crate::opacity) and
-//! [`sgla`](crate::sgla) for the two properties,
-//! [`explain`](crate::explain) and [`triage`](crate::triage) for the
-//! greedy and the two-candidate placements. Before a check searches,
-//! [`saturate`](crate::saturate) adds the edges the reads' values force
-//! to the static ones, so `linearize` meets most stale reads as a
-//! cycle that was refuted before it was called, and the rest with
-//! fewer orders to try.
+//! [`sgla`](crate::sgla) for the two properties, and
+//! [`explain`](crate::explain) for the greedy placement. The
+//! [`triage`](crate::triage) tier forms the same units from an
+//! operation stream itself, and numbers variables as `Graph` does.
+//! Before a check searches, [`saturate`](crate::saturate) adds the
+//! edges the reads' values force to the static ones, so `linearize`
+//! meets most stale reads as a cycle that was refuted before it was
+//! called, and the rest with fewer orders to try.
 
 use crate::history::{History, TxnStatus};
 use crate::ids::{IdMap, OpId, ProcId, Var};

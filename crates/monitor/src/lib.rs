@@ -9,9 +9,11 @@
 //! each one with a tiered pipeline —
 //!
 //! * a **polynomial triage tier** ([`jungle_core::triage`]) that
-//!   certifies the common case on every window, and
+//!   certifies the common case on every window, replaying the window's
+//!   events without building a history, and
 //! * the **full batch checker** (with the model checker's shared
-//!   verdict memo) for the windows triage cannot clear.
+//!   verdict memo) for the windows triage cannot clear, the only ones
+//!   whose [`History`](jungle_core::history::History) is built.
 //!
 //! Backpressure between producers and the monitor is explicit: a
 //! [`Backpressure::Block`](jungle_obs::Backpressure) tap never loses an

@@ -8,46 +8,54 @@
 //! live stream would cap throughput at the checker's worst case. The
 //! monitor is therefore **tiered**:
 //!
-//! 1. **Triage** (polynomial, every window): [`triage_opacity`] replays
-//!    two candidate serialization orders — sorted by first and by last
-//!    operation index — through the incremental legality checker. The
-//!    construction in `jungle_core::triage` proves a cleared window is
-//!    opaque under the window's model (and, via the paper's Theorem 6,
-//!    SGLA too), so triage **never produces a verdict the batch checker
-//!    would contradict**: it only ever says "provably fine" or "don't
-//!    know".
-//! 2. **Escalation** (exact, rare): un-cleared windows go to the full
-//!    batch checker, through the [`SharedVerdictMemo`] so repeated
-//!    window shapes (fingerprinted by [`History::cache_key`]) are
-//!    checked once. A mostly sequential window costs it saturation, its
-//!    first admissible serialization order and one pass over the
-//!    window's units in that order — about ten times triage for a
-//!    64-attempt window (≈ 50–55 µs against ≈ 5 µs on a 2-core x86
-//!    host, `monitor_stream` seed 1), which is why triage stays in
-//!    front. Only a cluster of overlapping transactions makes it
+//! 1. **Triage** (polynomial, every window): the monitor's one
+//!    [`Triager`] is fed the window's operations straight from its
+//!    events — the initializer's, then the sanitized stream's, as
+//!    [`build_history`](crate::window::build_history) would lay them
+//!    out — and replays two candidate serialization orders, by first
+//!    and by last operation, through the incremental legality checker.
+//!    The construction in `jungle_core::triage` proves a cleared window
+//!    is opaque under the window's model (and, via the paper's Theorem
+//!    6, SGLA too), so triage **never produces a verdict the batch
+//!    checker would contradict**: it only ever says "provably fine" or
+//!    "don't know". It takes no model: the one model that transforms a
+//!    history, Junk-SC, cannot change its verdict. A cleared window
+//!    never becomes a [`History`].
+//! 2. **Escalation** (exact, rare): an un-cleared window has its
+//!    history built, once, and goes to the full batch checker, through
+//!    the [`SharedVerdictMemo`] so repeated window shapes
+//!    (fingerprinted by [`History::cache_key`]) are checked once. A
+//!    mostly sequential window costs it saturation, its first
+//!    admissible serialization order and one pass over the window's
+//!    units in that order — about ten times triage for a 64-attempt
+//!    window (≈ 45–55 µs against ≈ 4–5 µs on a 2-core x86 host,
+//!    `monitor_stream` seed 1), which is why triage stays in front. Only a cluster of overlapping transactions makes it
 //!    search, and then over the cluster's subsets, not its orders.
-//! 3. **Second chance** (see [`SealedWindow::reseeded`]): a window that
-//!    fails the full check is re-checked with its initializer re-seeded
-//!    from first-observed reads before being declared a violation,
-//!    absorbing commit-publish races at window boundaries.
+//! 3. **Second chance** (see
+//!    [`SealedWindow::reseeded`](crate::window::SealedWindow::reseeded)):
+//!    a window that fails the full check is re-checked with its
+//!    initializer re-seeded from first-observed reads before being
+//!    declared a violation, absorbing commit-publish races at window
+//!    boundaries.
 //!
 //! Under well-behaved traffic the triage tier clears the overwhelming
 //! majority of windows, so the monitor's steady-state cost is a cleared
-//! window's: buffering its events, sealing it (seeds and the `History`
-//! build) and triage, in that order about 2, 7 and 5 µs for a
-//! 64-attempt window of ≈ 290 events on the host above. Sealing is
-//! half of it; the ring traffic of a live tap comes on top.
+//! window's: buffering its events, cutting it (seeds and folds) and
+//! triaging it from its events, about 9 µs in all for a 64-attempt
+//! window of ≈ 290 events on the host above (≈ 14 µs when the window
+//! was sealed into a `History` first); the ring traffic of a live tap
+//! comes on top.
 //!
 //! Every stage emits flight-recorder events under the `monitor`
 //! category (`MonitorIngest`, `WindowSeal`, `TriageClear`, `Escalate`,
 //! `MonitorViolation`), so `--trace` sessions show the tier decisions
 //! inline with the STM events that caused them.
 
-use crate::window::{SealedWindow, WindowBuilder};
+use crate::window::{Cut, WindowBuilder};
 use jungle_core::check::{Check, CheckKind};
 use jungle_core::history::History;
 use jungle_core::registry::{entry, ModelEntry};
-use jungle_core::triage::triage_opacity;
+use jungle_core::triage::Triager;
 use jungle_mc::SharedVerdictMemo;
 use jungle_obs::trace::{self, EventKind};
 use jungle_obs::MonitorStats;
@@ -106,6 +114,7 @@ impl Default for MonitorConfig {
 pub struct Monitor {
     cfg: MonitorConfig,
     builder: WindowBuilder,
+    triager: Triager,
     memo: Option<Arc<SharedVerdictMemo>>,
     stats: MonitorStats,
 }
@@ -125,6 +134,7 @@ impl Monitor {
     pub fn new(cfg: MonitorConfig) -> Self {
         Monitor {
             builder: WindowBuilder::new(cfg.window_txns),
+            triager: Triager::new(),
             cfg,
             memo: None,
             stats: MonitorStats::default(),
@@ -148,7 +158,7 @@ impl Monitor {
         self.stats.ops_ingested += 1;
         trace::emit(EventKind::MonitorIngest, u64::from(ev.pid.0), 0);
         if self.builder.push(ev) {
-            if let Some(w) = self.builder.seal() {
+            if let Some(w) = self.builder.seal_cut() {
                 self.check_window(&w);
             }
         }
@@ -156,7 +166,7 @@ impl Monitor {
 
     /// Flush the final (partial) window and return the totals.
     pub fn finish(&mut self) -> MonitorStats {
-        if let Some(w) = self.builder.flush() {
+        if let Some(w) = self.builder.flush_cut() {
             self.check_window(&w);
         }
         self.stats.clone()
@@ -194,40 +204,49 @@ impl Monitor {
     /// but no second chance applies (there is no raced initializer to
     /// blame).
     pub fn check_history(&mut self, h: &History) -> bool {
-        if self.triage(h, 0) {
+        self.triager.clear();
+        for oi in h.ops() {
+            self.triager.push(oi.proc, &oi.op);
+        }
+        if self.triage(h.len(), 0) {
             return true;
         }
         self.stats.escalated += 1;
         self.escalate(h)
     }
 
-    /// A window escalates once, however many full checks its second
-    /// chance takes.
-    fn check_window(&mut self, w: &SealedWindow) {
-        if self.triage(&w.history, w.completed) {
+    /// A window is triaged from its events; only one that escalates
+    /// has its history built, once, and it escalates once, however
+    /// many full checks its second chance takes.
+    fn check_window(&mut self, w: &Cut) {
+        let len = w.feed(&mut self.triager);
+        if self.triage(len, w.completed) {
             return;
         }
         self.stats.escalated += 1;
-        if self.escalate(&w.history) || w.reseeded().is_some_and(|h2| self.escalate(&h2)) {
+        let h = w.history().0;
+        if self.escalate(&h) || w.reseeded().is_some_and(|h2| self.escalate(&h2)) {
             return;
         }
         self.stats.violations += 1;
         trace::emit(
             EventKind::MonitorViolation,
-            w.history.len() as u64,
+            h.len() as u64,
             self.stats.windows_sealed,
         );
     }
 
-    /// Tier 1: count the window of `completed` attempts and try to
-    /// clear it in polynomial time.
-    fn triage(&mut self, h: &History, completed: usize) -> bool {
+    /// Tier 1: count the window of `len` operations and `completed`
+    /// attempts, fed to the triager, and try to clear it in polynomial
+    /// time. Triage takes no model (see `jungle_core::triage`): the
+    /// window's operations are replayed as they are under every one.
+    fn triage(&mut self, len: usize, completed: usize) -> bool {
         self.stats.windows_sealed += 1;
-        trace::emit(EventKind::WindowSeal, h.len() as u64, completed as u64);
-        let cleared = triage_opacity(h, self.cfg.model.model).cleared();
+        trace::emit(EventKind::WindowSeal, len as u64, completed as u64);
+        let cleared = self.triager.verdict().cleared();
         if cleared {
             self.stats.triage_cleared += 1;
-            trace::emit(EventKind::TriageClear, h.len() as u64, 0);
+            trace::emit(EventKind::TriageClear, len as u64, 0);
         }
         cleared
     }

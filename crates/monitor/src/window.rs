@@ -1,5 +1,6 @@
-//! Windowing: turn the tap's flat event stream into checkable
-//! [`History`] values.
+//! Windowing: cut the tap's flat event stream into windows, which the
+//! monitor triages from their events and builds into [`History`]
+//! values only to escalate them.
 //!
 //! The monitor cannot check an unbounded stream at once, so it cuts the
 //! stream into **windows of `K` completed transaction attempts**
@@ -40,14 +41,15 @@
 //!
 //! Under [`Backpressure::Drop`](jungle_obs::Backpressure) the stream may
 //! have counted gaps. Rather than panic on a now-malformed per-process
-//! sequence, [`build_history`] sanitizes: a `Begin` while the same
-//! process is already open synthesizes a closing `Abort` first; a
-//! `Commit`/`Abort` with no open transaction is skipped, and so is an
-//! access whose variable index does not fit a history [`Var`] (only a
-//! corrupt stream carries one). Every such repair is counted in
-//! [`SealedWindow::repaired`]. Under `Backpressure::Block` no event is
-//! ever lost and no repair ever fires; that is the policy to use when
-//! verdicts matter.
+//! sequence, the window's operations are sanitized, by one emitter
+//! that both [`build_history`] and the monitor's triage read: a `Begin`
+//! while the same process is already open synthesizes a closing
+//! `Abort` first; a `Commit`/`Abort` with no open transaction is
+//! skipped, and so is an access whose variable index does not fit a
+//! history [`Var`] (only a corrupt stream carries one). Every such
+//! repair is counted in [`SealedWindow::repaired`]. Under
+//! `Backpressure::Block` no event is ever lost and no repair ever
+//! fires; that is the policy to use when verdicts matter.
 //!
 //! ## One pass
 //!
@@ -62,19 +64,26 @@
 //! indices and re-bases them on what it carries. The seeds are read
 //! off the tracked values *before* the window's own writes are folded
 //! into them — the initializer is the state the previous windows left
-//! behind — and the history is built into a buffer sized once; a
-//! [`HistoryBuilder`] history has no identifier index to build or
-//! check. The tracked values live in an [`IdMap`] keyed by the tap's
+//! behind. The tracked values live in an [`IdMap`] keyed by the tap's
 //! index: a seed or a fold is one probe under a one-multiplication
 //! hash, not a walk down a tree, and the table holds one entry per
-//! variable ever seen, whatever its index. On a 64-attempt window of
-//! ≈ 290 events a seal costs ≈ 7 µs on a 2-core x86 host (≈ 12 µs with
-//! a `BTreeMap` and an identifier index), of which the `History` build
-//! is about 5.
+//! variable ever seen, whatever its index.
+//!
+//! What the cut yields is the window's events and seeds, with no
+//! history: the monitor feeds them to its triager operation by
+//! operation, and only [`WindowBuilder::seal`] and an escalating
+//! window build a [`History`] — into a buffer sized once, as a
+//! [`HistoryBuilder`] history, which has no identifier index to build
+//! or check. On a 64-attempt window of ≈ 290 events a seal costs
+//! ≈ 7 µs on a 2-core x86 host, of which the `History` build is about
+//! 5; the monitor's cut of a window triage clears costs only the seeds
+//! and folds.
 
 use jungle_core::builder::HistoryBuilder;
 use jungle_core::history::History;
 use jungle_core::ids::{IdMap, ProcId, Var};
+use jungle_core::op::{Command, Op};
+use jungle_core::triage::Triager;
 use jungle_stm::{TapEvent, TapOp};
 
 /// Reserved process id for the synthetic initializer transaction. Real
@@ -100,12 +109,7 @@ pub struct SealedWindow {
     /// Sanitization repairs performed while building the history
     /// (always 0 under `Backpressure::Block`).
     pub repaired: u64,
-    events: Vec<TapEvent>,
-    /// `(variable, seed)` for every variable the window accesses, in
-    /// first-access order.
-    init_writes: Vec<(u64, u64)>,
-    /// The same, a variable first read seeded with what was read.
-    reseeds: Vec<(u64, u64)>,
+    cut: Cut,
 }
 
 impl SealedWindow {
@@ -115,7 +119,56 @@ impl SealedWindow {
     /// when re-seeding changes nothing (the re-check would repeat the
     /// same verdict).
     pub fn reseeded(&self) -> Option<History> {
+        self.cut.reseeded()
+    }
+}
+
+/// A window as [`WindowBuilder`] cuts it, before any history is built:
+/// its events and its seeds. The monitor triages it from the events
+/// and builds a history only if triage escalates.
+#[derive(Debug)]
+pub(crate) struct Cut {
+    /// Completed transaction attempts inside this window.
+    pub(crate) completed: usize,
+    events: Vec<TapEvent>,
+    /// `(variable, seed)` for every variable the window accesses, in
+    /// first-access order.
+    init_writes: Vec<(u64, u64)>,
+    /// The same, a variable first read seeded with what was read.
+    reseeds: Vec<(u64, u64)>,
+}
+
+impl Cut {
+    /// The window's history and its repair count.
+    pub(crate) fn history(&self) -> (History, u64) {
+        build_history(&self.events, &self.init_writes)
+    }
+
+    /// See [`SealedWindow::reseeded`].
+    pub(crate) fn reseeded(&self) -> Option<History> {
         (self.reseeds != self.init_writes).then(|| build_history(&self.events, &self.reseeds).0)
+    }
+
+    /// Feed the window's history to a cleared `t`, operation by
+    /// operation, without building it. Returns the history's length.
+    pub(crate) fn feed(&self, t: &mut Triager) -> usize {
+        t.clear();
+        let mut len = 0;
+        emit(&self.events, &self.init_writes, |p, op| {
+            len += 1;
+            t.push(p, &op);
+        });
+        len
+    }
+
+    fn sealed(self) -> SealedWindow {
+        let (history, repaired) = self.history();
+        SealedWindow {
+            history,
+            completed: self.completed,
+            repaired,
+            cut: self,
+        }
     }
 }
 
@@ -128,6 +181,17 @@ pub fn build_history(events: &[TapEvent], init_writes: &[(u64, u64)]) -> (Histor
     // Room for the initializer's start and commit; only a phantom
     // abort (a repair) outgrows it.
     let mut b = HistoryBuilder::with_capacity(events.len() + init_writes.len() + 2);
+    let repaired = emit(events, init_writes, |p, op| _ = b.op(p, op));
+    let h = b
+        .build()
+        .expect("sanitized window event sequence is well-formed");
+    (h, repaired)
+}
+
+/// The operations of the history [`build_history`] builds, in order,
+/// each handed to `f` with its process. Returns the repair count.
+fn emit(events: &[TapEvent], init_writes: &[(u64, u64)], mut f: impl FnMut(ProcId, Op)) -> u64 {
+    let write = |var, val| Op::Cmd(Command::Write { var, val });
     // A seed under an index no `Var` holds is for accesses skipped below.
     let seeds = init_writes.iter().filter(|(_, val)| *val != 0);
     let mut init = seeds
@@ -135,11 +199,11 @@ pub fn build_history(events: &[TapEvent], init_writes: &[(u64, u64)]) -> (Histor
         .peekable();
     if init.peek().is_some() {
         let ip = ProcId(INIT_PID);
-        b.start(ip);
+        f(ip, Op::Start);
         for (x, val) in init {
-            b.write(ip, x, val);
+            f(ip, write(x, val));
         }
-        b.commit(ip);
+        f(ip, Op::Commit);
     }
     let mut open: Vec<ProcId> = Vec::new();
     let mut repaired = 0u64;
@@ -151,37 +215,34 @@ pub fn build_history(events: &[TapEvent], init_writes: &[(u64, u64)]) -> (Histor
                 if at.is_some() {
                     // A Commit/Abort was dropped from the stream: close
                     // the phantom attempt before opening the new one.
-                    b.abort(p);
+                    f(p, Op::Abort);
                     repaired += 1;
                 } else {
                     open.push(p);
                 }
-                b.start(p);
+                f(p, Op::Start);
             }
             (TapOp::Read { var: v, val }, _) => match var(v) {
-                Some(x) => _ = b.read(p, x, val),
+                Some(x) => f(p, Op::Cmd(Command::Read { var: x, val })),
                 None => repaired += 1,
             },
             (TapOp::Write { var: v, val }, _) => match var(v) {
-                Some(x) => _ = b.write(p, x, val),
+                Some(x) => f(p, write(x, val)),
                 None => repaired += 1,
             },
             // Begin was dropped: nothing to close.
             (TapOp::Commit { .. } | TapOp::Abort, None) => repaired += 1,
             (TapOp::Commit { .. }, Some(at)) => {
                 open.swap_remove(at);
-                b.commit(p);
+                f(p, Op::Commit);
             }
             (TapOp::Abort, Some(at)) => {
                 open.swap_remove(at);
-                b.abort(p);
+                f(p, Op::Abort);
             }
         }
     }
-    let h = b
-        .build()
-        .expect("sanitized window event sequence is well-formed");
-    (h, repaired)
+    repaired
 }
 
 /// The latest committed value of one variable.
@@ -269,6 +330,17 @@ impl WindowBuilder {
     /// prefixed by the initializer transaction. Returns `None` when
     /// nothing would be checked (no events beyond carried prefixes).
     pub fn seal(&mut self) -> Option<SealedWindow> {
+        self.seal_cut().map(Cut::sealed)
+    }
+
+    /// Final flush: seal everything buffered, **including** still-open
+    /// transactions (they appear as live transactions in the history).
+    pub fn flush(&mut self) -> Option<SealedWindow> {
+        self.flush_cut().map(Cut::sealed)
+    }
+
+    /// [`seal`](Self::seal), without building the history.
+    pub(crate) fn seal_cut(&mut self) -> Option<Cut> {
         // The next window will be about as long as this one.
         let room = Vec::with_capacity(self.pending.len());
         let pending = std::mem::replace(&mut self.pending, room);
@@ -292,17 +364,16 @@ impl WindowBuilder {
         self.cut(window)
     }
 
-    /// Final flush: seal everything buffered, **including** still-open
-    /// transactions (they appear as live transactions in the history).
-    pub fn flush(&mut self) -> Option<SealedWindow> {
+    /// [`flush`](Self::flush), without building the history.
+    pub(crate) fn flush_cut(&mut self) -> Option<Cut> {
         self.open.clear();
         let window = std::mem::take(&mut self.pending);
         self.cut(window)
     }
 
     /// Make `window` — every Commit and Abort buffered since the last
-    /// cut, and whatever else was not carried — a [`SealedWindow`].
-    fn cut(&mut self, window: Vec<TapEvent>) -> Option<SealedWindow> {
+    /// cut, and whatever else was not carried — a [`Cut`].
+    fn cut(&mut self, window: Vec<TapEvent>) -> Option<Cut> {
         let completed = std::mem::take(&mut self.completed);
         if window.is_empty() {
             return None;
@@ -341,11 +412,8 @@ impl WindowBuilder {
                 (t.ticket, t.val) = (ticket, val);
             }
         }
-        let (history, repaired) = build_history(&window, &init_writes);
-        Some(SealedWindow {
-            history,
+        Some(Cut {
             completed,
-            repaired,
             events: window,
             init_writes,
             reseeds,

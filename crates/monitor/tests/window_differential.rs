@@ -13,11 +13,22 @@
 //! every seal and at the final flush the sealed history (its
 //! initializer holds the seeds), `completed`, `repaired`, the backlog
 //! and the second-chance history must be equal.
+//!
+//! The same streams then drive a [`Monitor`] against the loop it
+//! replaces — seal a window, triage its history, check it on a miss,
+//! give it its second chance — under every registry entry and both
+//! kinds: the monitor triages a window from its events and builds a
+//! history only to escalate, and must count the same windows, clears,
+//! escalations and violations.
 
 use jungle_core::builder::HistoryBuilder;
+use jungle_core::check::{Check, CheckKind};
 use jungle_core::history::{History, OpInstance};
 use jungle_core::ids::{ProcId, Var};
-use jungle_monitor::{SealedWindow, WindowBuilder, INIT_PID};
+use jungle_core::registry::{entry, registry, ModelEntry};
+use jungle_core::triage::triage_opacity;
+use jungle_monitor::{Monitor, MonitorConfig, SealedWindow, WindowBuilder, INIT_PID};
+use jungle_obs::trace::{self, EventKind, FlightRecorder};
 use jungle_stm::{TapEvent, TapOp};
 use std::collections::BTreeMap;
 
@@ -431,4 +442,144 @@ fn one_pass_builder_seals_what_the_multi_pass_builder_sealed() {
         top > 200 && above > 200,
         "{top} windows name the top of the u32 range, {above} an index above it"
     );
+}
+
+/// The loop the monitor's pipeline must match: `(windows, cleared,
+/// escalated, violations, rescued)`, the last counting the windows
+/// only their second chance passed.
+fn reference(events: &[TapEvent], k: usize, e: &ModelEntry, kind: CheckKind) -> [u64; 5] {
+    let mut counts = [0u64; 5];
+    let holds = |h: &History| Check::new(kind).run(h, e.model).0.holds();
+    let mut check = |w: SealedWindow| {
+        counts[0] += 1;
+        if triage_opacity(&w.history, e.model).cleared() {
+            counts[1] += 1;
+        } else if holds(&w.history) {
+            counts[2] += 1;
+        } else if w.reseeded().is_some_and(|h| holds(&h)) {
+            counts[2] += 1;
+            counts[4] += 1;
+        } else {
+            counts[2] += 1;
+            counts[3] += 1;
+        }
+    };
+    let mut wb = WindowBuilder::new(k);
+    for &ev in events {
+        if wb.push(ev) {
+            wb.seal().map(&mut check);
+        }
+    }
+    wb.flush().map(check);
+    counts
+}
+
+#[test]
+fn the_monitor_counts_what_sealing_and_triaging_each_history_counted() {
+    let mut total = [0u64; 5];
+    for k in [1usize, 2, 7] {
+        for seed in 0..48u64 {
+            let (gaps, wide) = (seed % 2 == 1, seed % 4 == 2);
+            let events = stream(seed, 40 * k.max(8), gaps, wide);
+            for e in registry() {
+                for kind in [CheckKind::Opacity, CheckKind::Sgla] {
+                    let want = reference(&events, k, e, kind);
+                    let mut mon = Monitor::new(MonitorConfig::new().window(k).kind(kind).model(e));
+                    for &ev in &events {
+                        mon.ingest(ev);
+                    }
+                    let s = mon.finish();
+                    assert_eq!(
+                        [
+                            s.windows_sealed,
+                            s.triage_cleared,
+                            s.escalated,
+                            s.violations
+                        ],
+                        want[..4],
+                        "window {k}, seed {seed}, {} {kind:?}",
+                        e.key
+                    );
+                    for (t, w) in total.iter_mut().zip(want) {
+                        *t += w;
+                    }
+                }
+            }
+        }
+    }
+    // Every tier fires: triage clears, escalations pass, second chances
+    // rescue, violations are reported.
+    let [windows, cleared, escalated, violations, rescued] = total;
+    assert_eq!(cleared + escalated, windows);
+    assert!(
+        cleared > 1_000 && escalated > violations + rescued && rescued > 100 && violations > 1_000,
+        "{windows} windows: {cleared} cleared, {escalated} escalated, \
+         {rescued} rescued by the second chance, {violations} violations"
+    );
+}
+
+/// The monitor's flight events name the windows the loop sealed: every
+/// `WindowSeal`, `TriageClear`, `Escalate` and `MonitorViolation`
+/// carries the length (and fingerprint) of the history the loop built,
+/// though a cleared window's history is never built.
+#[test]
+fn flight_events_carry_the_sealed_histories_lengths() {
+    let sc = entry("SC").expect("SC is registered");
+    for seed in 0..48u64 {
+        let events = stream(seed, 320, seed % 2 == 1, seed % 4 == 2);
+        let mut want = Vec::new();
+        for &ev in &events {
+            want.push((EventKind::MonitorIngest, u64::from(ev.pid.0), 0));
+        }
+        let mut windows = 0;
+        let mut check = |w: SealedWindow| {
+            windows += 1;
+            let len = w.history.len() as u64;
+            want.push((EventKind::WindowSeal, len, w.completed as u64));
+            if triage_opacity(&w.history, sc.model).cleared() {
+                want.push((EventKind::TriageClear, len, 0));
+                return;
+            }
+            let mut holds = |h: &History| {
+                want.push((EventKind::Escalate, h.cache_key(), h.len() as u64));
+                Check::new(CheckKind::Opacity).run(h, sc.model).0.holds()
+            };
+            if !(holds(&w.history) || w.reseeded().is_some_and(|h| holds(&h))) {
+                want.push((EventKind::MonitorViolation, len, windows));
+            }
+        };
+        let mut wb = WindowBuilder::new(2);
+        for &ev in &events {
+            if wb.push(ev) {
+                wb.seal().map(&mut check);
+            }
+        }
+        wb.flush().map(check);
+
+        let recorder = std::sync::Arc::new(FlightRecorder::with_capacity(1 << 12));
+        trace::install(recorder.clone());
+        let mut mon = Monitor::new(MonitorConfig::new().window(2));
+        for &ev in &events {
+            mon.ingest(ev);
+        }
+        mon.finish();
+        trace::uninstall();
+        // Other tests' threads record into other shards of the ring.
+        let me = trace::thread_id();
+        let got: Vec<_> = recorder
+            .events()
+            .into_iter()
+            .filter(|e| e.tid == me && e.kind.cat() == "monitor")
+            .map(|e| (e.kind, e.a, e.b))
+            .collect();
+        // Ingest events interleave with the rest; compare each stream.
+        let (ingest, rest): (Vec<_>, Vec<_>) = got
+            .into_iter()
+            .partition(|e| e.0 == EventKind::MonitorIngest);
+        let (want_ingest, want_rest): (Vec<_>, Vec<_>) = want
+            .into_iter()
+            .partition(|e| e.0 == EventKind::MonitorIngest);
+        assert_eq!(ingest, want_ingest, "seed {seed}: ingests");
+        assert_eq!(rest, want_rest, "seed {seed}: window events");
+    }
 }
