@@ -41,8 +41,8 @@
 //! Under well-behaved traffic the triage tier clears the overwhelming
 //! majority of windows, so the monitor's steady-state cost is a cleared
 //! window's: buffering its events, cutting it (seeds and folds) and
-//! triaging it from its events, about 9 µs in all for a 64-attempt
-//! window of ≈ 290 events on the host above (≈ 14 µs when the window
+//! triaging it from its events, about 8 µs in all for a 64-attempt
+//! window of ≈ 290 events on the host above (13–15 µs when the window
 //! was sealed into a `History` first); the ring traffic of a live tap
 //! comes on top.
 //!
