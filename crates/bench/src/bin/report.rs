@@ -20,10 +20,10 @@
 //! Further flags:
 //!
 //! * `--trace <out.json>` — install the flight recorder for the whole
-//!   run (plus a small concurrent STM smoke so the `stm` category has
-//!   events) and export a Chrome-trace-event file loadable in Perfetto.
-//!   Adds the `flight/complete` row: no event dropped, every layer the
-//!   run drove recorded.
+//!   run and export a Chrome-trace-event file loadable in Perfetto; it
+//!   adds no work to the run. Adds the `flight/complete` row: no event
+//!   dropped, and every span layer the flags drove recorded a span (the
+//!   checker always, `stm` with `--monitor`, `sat` with `--sat`).
 //! * `--explain [id]` — re-find each Theorem 1 counterexample (or just
 //!   the experiment named by `id`) and print the explainer narrative:
 //!   timeline, irreconcilable pair, class. An unknown id is a named
@@ -311,39 +311,6 @@ fn git_rev() -> String {
         .map(|s| s.trim().to_string())
         .filter(|s| !s.is_empty())
         .unwrap_or_else(|| "unknown".into())
-}
-
-/// A short concurrent run of two real STMs so a traced report records
-/// `stm`-category events (txn begin/commit/abort, CAS failures). The
-/// strong STM's encounter-time locking under contention produces aborts
-/// and CAS failures reliably at this iteration count.
-fn stm_smoke() {
-    use jungle_core::ids::ProcId;
-    use jungle_stm::{atomically, Ctx, GlobalLockStm, StrongStm};
-    const VARS: usize = 4;
-    const THREADS: u32 = 4;
-    const ITERS: u64 = 200;
-    let global = GlobalLockStm::new(VARS);
-    let strong = StrongStm::new(VARS);
-    std::thread::scope(|s| {
-        for t in 0..THREADS {
-            let (global, strong) = (&global, &strong);
-            s.spawn(move || {
-                let mut cx = Ctx::new(ProcId(t), None);
-                for i in 0..ITERS {
-                    let var = (i as usize + t as usize) % VARS;
-                    atomically(global, &mut cx, |tx| {
-                        let v = tx.read(var)?;
-                        tx.write(var, v + 1)
-                    });
-                    atomically(strong, &mut cx, |tx| {
-                        let v = tx.read(var)?;
-                        tx.write((var + 1) % VARS, v + 1)
-                    });
-                }
-            });
-        }
-    });
 }
 
 /// `--monitor`: drive every STM with live transactional traffic (4
@@ -687,16 +654,14 @@ fn main() {
     let t_start = std::time::Instant::now();
 
     let recorder = args.trace.as_ref().map(|_| {
-        // A bigger ring than the default: the run emits about 220k
-        // events, and spread over the per-thread shards they all fit
-        // (the `flight/complete` row fails a trace that dropped any).
-        // The main thread alone records 55k — the exhaustive sweeps are
-        // one serial search on it — in a shard it shares with every
-        // 32nd sweep worker, which on a busy host adds 10k and more: a
-        // 2^16 ring dropped events in 4 of 6 contended runs.
-        // `--monitor` adds a million more and wraps the ring; so does a
-        // single-CPU host, where every sweep event lands in one shard.
-        let r = Arc::new(FlightRecorder::with_capacity(1 << 17));
+        // A bigger ring than the default: with `--monitor` the run
+        // records about 545k events, almost all of them the monitored
+        // STMs' transaction spans, one traffic thread (≈ 22k events)
+        // per shard. The fullest shard, such a thread plus a sweep
+        // worker that shares its shard, holds about 30k; 2^16 leaves
+        // twice that (the `flight/complete` row fails a trace that
+        // dropped any).
+        let r = Arc::new(FlightRecorder::with_capacity(1 << 16));
         flight::install(r.clone());
         r
     });
@@ -1140,22 +1105,6 @@ fn main() {
         .as_ref()
         .map(|dir| cnf_export(dir, &mut text, &mut rows));
 
-    // ── SAT and STM smoke under the flight recorder ───────────────
-    if recorder.is_some() {
-        // Nothing above runs the SAT backend (without `--sat`) or a
-        // contended real-thread STM, so give the trace its `sat` layer
-        // (one SAT-backed check per model: solver begin/end events) and
-        // its `stm` layer.
-        if let Some(l) = all_litmus().first() {
-            for o in &l.outcomes {
-                for m in all_models() {
-                    let _ = jungle_core::encode::check_opacity_sat_traced(&o.history, m);
-                }
-            }
-        }
-        stm_smoke();
-    }
-
     // ── Persist the memo for the next run ─────────────────────────
     if let Err(e) = memo.save_dir(&args.memo_dir) {
         eprintln!(
@@ -1193,17 +1142,19 @@ fn main() {
     // ── Flight-recorder export ────────────────────────────────────
     if let (Some(rec), Some(path)) = (&recorder, &args.trace) {
         flight::uninstall();
+        // The checker always runs; the real STMs only under `--monitor`
+        // and the SAT backend only under `--sat`.
         let mut idle = Vec::new();
-        if args.record.is_none() {
-            idle.push("replay");
-        }
         if !args.monitor {
-            idle.push("monitor");
+            idle.push("stm");
+        }
+        if !args.sat {
+            idle.push("sat");
         }
         rows.push(Row {
             section: "flight",
             id: "flight/complete".into(),
-            expected: "0 events dropped, every driven layer recorded",
+            expected: "0 events dropped, every driven span layer recorded",
             observed: format!("{} recorded, {} dropped", rec.recorded(), rec.dropped()),
             pass: jungle_bench::flight_complete(rec, &idle),
         });

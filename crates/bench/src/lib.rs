@@ -24,7 +24,8 @@
 
 use jungle_core::registry::registry;
 use jungle_mc::theorems::ZooVerdict;
-use jungle_obs::{FlightRecorder, McStats, MonitorStats};
+use jungle_obs::trace::Phase;
+use jungle_obs::{EventKind, FlightRecorder, McStats, MonitorStats};
 use jungle_stm::api::TmAlgo;
 use jungle_stm::{GlobalLockStm, StrongStm, Tl2Stm, VersionedStm, WriteTxnStm};
 use std::collections::BTreeSet;
@@ -103,20 +104,26 @@ pub fn monitor_ok(s: &MonitorStats, min_ops: u64) -> bool {
 }
 
 /// A flight recording is complete when the ring never wrapped and every
-/// category recorded something, except those in `idle` — the layers the
-/// run's flags left undriven.
+/// span layer (a category with a `Begin` kind: `checker`, `stm`, `sat`)
+/// recorded something, except those in `idle` — the layers the run's
+/// flags left undriven. The other categories hold only verdicts and
+/// rare instants, which a passing run may never emit.
 pub fn flight_complete(rec: &FlightRecorder, idle: &[&str]) -> bool {
+    let spans = |cat: &str| {
+        EventKind::ALL
+            .iter()
+            .any(|k| k.cat() == cat && k.phase() == Phase::Begin)
+    };
     rec.dropped() == 0
         && rec
             .by_category()
             .iter()
-            .all(|(name, recorded, _)| *recorded > 0 || idle.contains(name))
+            .all(|(name, recorded, _)| *recorded > 0 || idle.contains(name) || !spans(name))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use jungle_obs::EventKind;
 
     #[test]
     fn dedup_floor() {
@@ -193,28 +200,34 @@ mod tests {
 
     #[test]
     fn flight_completeness() {
-        let one_of_each = [
-            EventKind::NodeEnter,
-            EventKind::McSchedule,
-            EventKind::StoreDrain,
+        let spans = [
+            EventKind::SearchBegin,
+            EventKind::SearchEnd,
             EventKind::TxnBegin,
-            EventKind::RaceDetected,
-            EventKind::SatConflict,
+            EventKind::TxnCommit,
+            EventKind::SatSolveBegin,
+            EventKind::SatSolveEnd,
         ];
         let rec = FlightRecorder::new();
-        for kind in one_of_each {
+        for kind in spans {
             rec.record(kind, 0, 0);
         }
-        assert!(flight_complete(&rec, &["replay", "monitor"]));
-        assert!(!flight_complete(&rec, &["replay"]), "monitor layer silent");
+        // The instant-only layers (mc, memsim, replay, monitor) stayed
+        // silent: a run with no violation emits none of their events.
+        assert!(flight_complete(&rec, &[]));
+        // A run without `--monitor` and `--sat` drives only the checker.
+        let checker = FlightRecorder::new();
+        checker.record(EventKind::SearchBegin, 0, 0);
+        checker.record(EventKind::SearchEnd, 0, 0);
+        assert!(flight_complete(&checker, &["stm", "sat"]));
+        assert!(!flight_complete(&checker, &["sat"]), "stm layer silent");
+        assert!(!flight_complete(&checker, &["stm"]), "sat layer silent");
+        assert!(!flight_complete(&FlightRecorder::new(), &["stm", "sat"]));
         // The smallest ring (8 slots) wraps on the ninth event.
         let rec = FlightRecorder::with_capacity(8);
-        for kind in one_of_each.iter().cycle().take(9) {
+        for kind in spans.iter().cycle().take(9) {
             rec.record(*kind, 0, 0);
         }
-        assert!(
-            !flight_complete(&rec, &["replay", "monitor"]),
-            "dropped one"
-        );
+        assert!(!flight_complete(&rec, &[]), "dropped one");
     }
 }

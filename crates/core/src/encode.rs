@@ -205,20 +205,7 @@ pub(crate) fn cegar<L: Legality>(s: &Search<'_, L>, stats: &mut CheckStats) -> O
 
     let mut rounds = 0u64;
     let result = loop {
-        let before = enc.solver.stats();
-        let solution = enc.solver.solve();
-        let after = enc.solver.stats();
-        if after.conflicts > before.conflicts {
-            trace::emit(
-                EventKind::SatConflict,
-                after.conflicts - before.conflicts,
-                after.learned - before.learned,
-            );
-        }
-        if after.restarts > before.restarts {
-            trace::emit(EventKind::SatRestart, after.restarts - before.restarts, 0);
-        }
-        let model = match solution {
+        let model = match enc.solver.solve() {
             Solution::Model(m) => m,
             Solution::Unsat => break None,
         };

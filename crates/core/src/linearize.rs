@@ -594,7 +594,6 @@ impl<L: Legality> Dfs<'_, '_, L> {
             let k = self.key(checker, open);
             if self.dead.contains(&k) {
                 self.stats.cache_hits += 1;
-                trace::emit(EventKind::WitnessMemoHit, depth as u64, 1);
                 return false;
             }
             key = Some(k);
@@ -614,13 +613,11 @@ impl<L: Legality> Dfs<'_, '_, L> {
                 continue;
             }
             self.stats.nodes += 1;
-            trace::emit(EventKind::NodeEnter, depth as u64, u as u64);
             if !std::mem::take(&mut fresh) {
                 c.clone_from(checker);
             }
             if !self.g.place(u, &mut c) {
                 self.stats.prune_hits += 1;
-                trace::emit(EventKind::Prune, depth as u64, u as u64);
                 continue;
             }
             let next_open = if c.in_txn() { txn.or(open) } else { None };
@@ -634,7 +631,6 @@ impl<L: Legality> Dfs<'_, '_, L> {
             self.seq.pop();
             self.mark(u, false);
             self.stats.backtracks += 1;
-            trace::emit(EventKind::NodeLeave, depth as u64, u as u64);
         }
         self.spare.push(c);
         trace::emit(EventKind::Backtrack, depth as u64, 0);

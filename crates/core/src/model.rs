@@ -407,19 +407,13 @@ impl MemoryModel for JunkSc {
     }
 }
 
-/// All concrete models in this module, for sweeping tests and litmus
-/// harnesses.
+/// The [`registry`](crate::registry::registry)'s checker-side models,
+/// in registry order, for sweeping tests and litmus harnesses.
 pub fn all_models() -> Vec<&'static dyn MemoryModel> {
-    vec![
-        &Sc,
-        &Tso,
-        &TsoForwarding,
-        &Pso,
-        &Rmo,
-        &Alpha,
-        &Relaxed,
-        &JunkSc,
-    ]
+    crate::registry::registry()
+        .iter()
+        .map(|e| e.model)
+        .collect()
 }
 
 #[cfg(test)]

@@ -300,7 +300,6 @@ where
                             flags[w].store(false, Ordering::Relaxed);
                         }
                         local.stolen_prefixes += 1;
-                        trace::emit(EventKind::PrefixClaim, prefix.len() as u64, w as u64);
                         let cancel = Cancel::flag(&flags[w]);
                         let result = work(&prefix, &cancel, &mut state, &mut local);
                         let mut b = shared.lock().unwrap();

@@ -70,11 +70,8 @@ pub enum StoreDiscipline {
 /// discipline a simulated machine implements.
 ///
 /// This is the machine-facing half of a [`ModelEntry`]; the
-/// checker-facing half is the [`MemoryModel`]. The old `jungle-memsim`
-/// `HwModel` enum is now a type alias for this struct, with the
-/// historical variants available as the [`ExecSemantics::Sc`],
-/// [`ExecSemantics::Tso`] and [`ExecSemantics::Pso`] compatibility
-/// constants.
+/// checker-facing half is the [`MemoryModel`]. `jungle-memsim`'s
+/// `HwModel` is a type alias for this struct.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct ExecSemantics {
     /// Display name, e.g. `"RMO"`; recorded in machine statistics.
@@ -183,23 +180,6 @@ impl ExecSemantics {
         load_window: 3,
         order_dep_loads: false,
     };
-
-    /// Compatibility constant mirroring the old `HwModel::Sc` variant.
-    #[allow(non_upper_case_globals)]
-    pub const Sc: ExecSemantics = Self::SC;
-
-    /// Compatibility constant mirroring the old `HwModel::Tso` variant.
-    /// The pre-registry machine always forwarded, so this is
-    /// [`ExecSemantics::TSO_FWD`] — the machine honestly named. The
-    /// checker it matches is [`TsoForwarding`], not plain [`Tso`]; see
-    /// the registry's `"TSO"` vs `"TSO+fwd"` entries.
-    #[allow(non_upper_case_globals)]
-    pub const Tso: ExecSemantics = Self::TSO_FWD;
-
-    /// Compatibility constant mirroring the old `HwModel::Pso` variant
-    /// (forwarding always on): [`ExecSemantics::PSO_FWD`].
-    #[allow(non_upper_case_globals)]
-    pub const Pso: ExecSemantics = Self::PSO_FWD;
 
     /// Largest admissible [`ExecSemantics::load_window`] across the
     /// registry — bounds how much per-address value history a machine
@@ -389,16 +369,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn compat_constants_mirror_the_old_enum() {
-        assert_eq!(ExecSemantics::Sc, ExecSemantics::SC);
-        assert_eq!(ExecSemantics::Tso, ExecSemantics::TSO_FWD);
-        assert_eq!(ExecSemantics::Pso, ExecSemantics::PSO_FWD);
-        // The old machine always forwarded once it buffered.
-        const { assert!(ExecSemantics::Tso.forwarding) };
-        const { assert!(ExecSemantics::Pso.forwarding) };
     }
 
     #[test]

@@ -151,12 +151,6 @@ impl Trace {
         &self.ops
     }
 
-    /// The subsequence of instruction instances issued by `proc`
-    /// (the paper's `r|p`).
-    pub fn per_proc(&self, proc: ProcId) -> Vec<&InstrInstance> {
-        self.instrs.iter().filter(|i| i.proc == proc).collect()
-    }
-
     /// Whether the invocation of operation `k` is *transactional* in the
     /// trace: it occurs within a trace-level transaction
     /// (`(., start) … (/, commit|abort)` or running to the end of the
@@ -450,14 +444,6 @@ impl TraceBuilder {
     /// Append raw instruction instances (for hand-built interleavings).
     pub fn raw(&mut self, ii: InstrInstance) {
         self.instrs.push(ii);
-    }
-
-    /// Reserve an operation id without emitting instructions (for
-    /// hand-built interleavings using [`TraceBuilder::raw`]).
-    pub fn fresh_op(&mut self) -> OpId {
-        let id = OpId(self.next_op);
-        self.next_op += 1;
-        id
     }
 
     /// Validate and build the trace.

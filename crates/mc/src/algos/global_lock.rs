@@ -256,7 +256,7 @@ mod tests {
     use jungle_memsim::{DirectedScheduler, HwModel, Machine};
 
     fn run_single(algo: &dyn TmAlgo, prog: ThreadProg) -> jungle_isa::Trace {
-        let m = Machine::new(HwModel::Sc, vec![algo.make_process(ProcId(0), prog)]);
+        let m = Machine::new(HwModel::SC, vec![algo.make_process(ProcId(0), prog)]);
         let mut s = DirectedScheduler::default();
         let r = m.run(&mut s, 10_000);
         assert!(r.completed, "single-threaded run must complete");
@@ -388,7 +388,7 @@ mod tests {
         let prog1 = ThreadProg(vec![Stmt::txn(vec![TxOp::Write(X, 1)])]);
         let prog2 = ThreadProg(vec![Stmt::txn(vec![TxOp::Write(X, 2)])]);
         let m = Machine::new(
-            HwModel::Sc,
+            HwModel::SC,
             vec![
                 GlobalLockTm.make_process(ProcId(0), prog1),
                 GlobalLockTm.make_process(ProcId(1), prog2),

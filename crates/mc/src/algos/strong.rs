@@ -188,7 +188,7 @@ mod tests {
 
     fn run_single(prog: ThreadProg) -> jungle_isa::Trace {
         let m = Machine::new(
-            HwModel::Sc,
+            HwModel::SC,
             vec![StrongTm::new().make_process(ProcId(0), prog)],
         );
         let mut s = DirectedScheduler::default();

@@ -123,7 +123,7 @@ mod tests {
     use jungle_memsim::{DirectedScheduler, HwModel, Machine, RandomScheduler};
 
     fn run_single(prog: ThreadProg) -> jungle_isa::Trace {
-        let m = Machine::new(HwModel::Sc, vec![LazyTl2Tm.make_process(ProcId(0), prog)]);
+        let m = Machine::new(HwModel::SC, vec![LazyTl2Tm.make_process(ProcId(0), prog)]);
         let mut s = DirectedScheduler::default();
         let r = m.run(&mut s, 50_000);
         assert!(r.completed);
@@ -149,7 +149,7 @@ mod tests {
         let p1 = ThreadProg(vec![Stmt::txn(vec![TxOp::Read(X), TxOp::Write(X, 1)])]);
         let p2 = ThreadProg(vec![Stmt::txn(vec![TxOp::Read(X), TxOp::Write(X, 2)])]);
         let m = Machine::new(
-            HwModel::Sc,
+            HwModel::SC,
             vec![
                 LazyTl2Tm.make_process(ProcId(0), p1),
                 LazyTl2Tm.make_process(ProcId(1), p2),

@@ -41,7 +41,7 @@ pub fn standard_program() -> ThreadProg {
 pub fn measure(algo: &dyn TmAlgo) -> CostStats {
     let program = Program(vec![standard_program()]);
     let m = Machine::new(
-        HwModel::Sc,
+        HwModel::SC,
         vec![algo.make_process(ProcId(0), program.0[0].clone())],
     );
     let mut sched = RandomScheduler::new(7);

@@ -64,7 +64,6 @@
 
 use jungle_memsim::{Action, Footprint, Scheduler};
 use jungle_obs::sim::{DporStats, FOOTPRINT_KINDS};
-use jungle_obs::trace::{self as flight, EventKind};
 
 /// Classify a footprint into an index of [`FOOTPRINT_KINDS`]: fences
 /// first (they conflict with everything), then transaction boundaries
@@ -219,12 +218,10 @@ impl DporCursor {
                 node.sleep.push(SleepEntry { action, fp });
             }
             node.timed = false;
-            let depth = self.stack.len() as u64;
             while let Some(next) = node.branch.iter().position(|b| *b == Branch::Todo) {
                 node.branch[next] = Branch::Done;
                 if slept(&node.sleep, node.options[next]) {
                     self.sleep_skips += 1;
-                    flight::emit(EventKind::SleepSetSkip, depth, node.options[next].encode());
                 } else {
                     node.chosen = next;
                     self.stack.push(node);
@@ -293,7 +290,6 @@ impl DporCursor {
             let earlier = self.stack[i].fp.as_ref().expect("races are between events");
             self.waste
                 .note_race(footprint_kind(earlier), footprint_kind(fp));
-            flight::emit(EventKind::RaceDetected, i as u64, k as u64);
             self.reverse(i, k, fp.cpu);
         }
     }

@@ -130,7 +130,7 @@ mod tests {
                 }
             }))
         }
-        Machine::new(HwModel::Tso, vec![proc(0, 1, X, Y), proc(1, 0, Y, X)])
+        Machine::new(HwModel::TSO_FWD, vec![proc(0, 1, X, Y), proc(1, 0, Y, X)])
     }
 
     fn brute_keys(max_steps: usize) -> (BTreeSet<u64>, usize) {

@@ -276,7 +276,6 @@ impl SharedVerdictMemo {
             if e.from_disk {
                 self.cross_hits.fetch_add(1, Ordering::Relaxed);
             }
-            flight::emit(EventKind::McMemoHit, key.2, u64::from(e.from_disk));
             return Some(e.ok);
         }
         None
@@ -678,7 +677,6 @@ impl<'a> Judge<'a> {
     /// checker runs once per class key.
     fn judge(&self, r: &RunResult, rank: &[usize]) -> bool {
         let seq = self.schedules.fetch_add(1, Ordering::Relaxed);
-        flight::emit(EventKind::McSchedule, seq, u64::from(r.completed));
         if !r.completed {
             return false;
         }
@@ -694,7 +692,6 @@ impl<'a> Judge<'a> {
         };
         if !self.seen.lock().expect(POISON).insert(key) {
             self.dedup_hits.fetch_add(1, Ordering::Relaxed);
-            flight::emit(EventKind::McDedupHit, key, 0);
             // The class is already decided, but if it is the violating
             // one and this representative ranks lower, it is the
             // witness the serial sweep reports.
@@ -706,7 +703,6 @@ impl<'a> Judge<'a> {
             return twin; // still a violating leaf: tighten pruning
         }
         self.histories_checked.fetch_add(1, Ordering::Relaxed);
-        flight::emit(EventKind::McHistoryChecked, key, 0);
         let (ok, hits) = trace_satisfies_memo(
             &r.trace,
             self.entry.model,
@@ -758,7 +754,7 @@ mod tests {
     /// The old (hw = TSO machine, SC checker) pairing used by these
     /// tests, as an explicit custom entry.
     fn sc_on_tso() -> ModelEntry {
-        ModelEntry::new("SC", &Sc, ExecSemantics::Tso, "test pairing")
+        ModelEntry::new("SC", &Sc, ExecSemantics::TSO_FWD, "test pairing")
     }
 
     #[test]

@@ -26,11 +26,9 @@ use jungle_core::ids::Val;
 use jungle_core::registry::{ExecSemantics, StoreDiscipline};
 use jungle_isa::instr::Addr;
 
-/// The hardware model the simulated machine executes. Since the model
-/// registry unification this *is* the execution-side semantics of a
-/// registry entry; the historical `HwModel::{Sc,Tso,Pso}` variants
-/// survive as the [`ExecSemantics::Sc`] / [`ExecSemantics::Tso`] /
-/// [`ExecSemantics::Pso`] compatibility constants.
+/// The hardware model the simulated machine executes: the
+/// execution-side semantics of a registry entry, such as
+/// [`ExecSemantics::TSO_FWD`].
 pub type HwModel = ExecSemantics;
 
 /// Number of versions [`GlobalMem`] retains per address: the newest
@@ -297,10 +295,10 @@ mod tests {
         let mut b = ReorderEngine::default();
         b.push(0, 1);
         b.push(1, 2);
-        assert_eq!(b.drainable(HwModel::Tso).collect::<Vec<_>>(), vec![0]);
+        assert_eq!(b.drainable(HwModel::TSO_FWD).collect::<Vec<_>>(), vec![0]);
         let e = b.take(0);
         assert_eq!(e, PendingStore { addr: 0, val: 1 });
-        assert_eq!(b.drainable(HwModel::Tso).collect::<Vec<_>>(), vec![0]);
+        assert_eq!(b.drainable(HwModel::TSO_FWD).collect::<Vec<_>>(), vec![0]);
     }
 
     #[test]
@@ -310,11 +308,14 @@ mod tests {
         b.push(0, 2);
         b.push(1, 9);
         // Oldest per address: index 0 (addr 0) and index 2 (addr 1).
-        assert_eq!(b.drainable(HwModel::Pso).collect::<Vec<_>>(), vec![0, 2]);
+        assert_eq!(
+            b.drainable(HwModel::PSO_FWD).collect::<Vec<_>>(),
+            vec![0, 2]
+        );
         // Same-address order is preserved: 0→2 cannot drain before 0→1.
         let e = b.take(2);
         assert_eq!(e.addr, 1);
-        assert_eq!(b.drainable(HwModel::Pso).collect::<Vec<_>>(), vec![0]);
+        assert_eq!(b.drainable(HwModel::PSO_FWD).collect::<Vec<_>>(), vec![0]);
     }
 
     #[test]
@@ -339,7 +340,7 @@ mod tests {
     fn sc_never_buffers() {
         let b = ReorderEngine::default();
         assert_eq!(
-            b.drainable(HwModel::Sc).collect::<Vec<_>>(),
+            b.drainable(HwModel::SC).collect::<Vec<_>>(),
             Vec::<usize>::new()
         );
     }

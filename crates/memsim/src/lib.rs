@@ -27,10 +27,6 @@
 //!   bounded by per-CPU coherence floors; RMO keeps dependent loads
 //!   ([`PInstr::LoadDep`]) ordered, Alpha and Relaxed do not.
 //!
-//! The historical enum variants survive as compatibility constants
-//! (`HwModel::Sc`, `HwModel::Tso` = TSO+fwd, `HwModel::Pso` = PSO+fwd —
-//! the pre-registry machine always forwarded).
-//!
 //! Programs are *reactive* ([`Process`]): the simulator feeds each
 //! completed instruction's result back to the process, which decides its
 //! next step — this is what lets the TM algorithms of `jungle-mc` spin

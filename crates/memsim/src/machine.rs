@@ -235,7 +235,6 @@ impl Machine {
             });
             if c > 0 {
                 self.stats.stale_loads += 1;
-                trace::emit(EventKind::StaleLoad, addr as u64, c as u64);
             }
             let vs = self.admissible_versions(cpu, addr);
             vs[vs.len() - 1 - c]
@@ -349,7 +348,6 @@ impl Machine {
                     // the CAS point.
                     let seq = self.mem.seq();
                     self.cpus[cpu].buffer.raise_global_floor(seq);
-                    trace::emit(EventKind::CasFence, addr as u64, ok as u64);
                     self.record(
                         cpu,
                         Instr::Cas {
@@ -397,7 +395,6 @@ impl Machine {
                     let _p = profile::enter("memsim.drain");
                     self.stats.flushes += 1;
                     let e = self.cpus[cpu].buffer.take(idx);
-                    trace::emit(EventKind::StoreDrain, e.addr as u64, e.val);
                     self.apply_drain(cpu, e.addr, e.val);
                 }
                 Action::ReadVersion { .. } => {
@@ -524,7 +521,7 @@ mod tests {
 
     #[test]
     fn sequential_run_on_sc() {
-        let m = Machine::new(HwModel::Sc, vec![writer(X, 0, 5)]);
+        let m = Machine::new(HwModel::SC, vec![writer(X, 0, 5)]);
         let mut s = DirectedScheduler::default();
         let r = m.run(&mut s, 100);
         assert!(r.completed);
@@ -552,7 +549,7 @@ mod tests {
                     }
                 })) as Box<dyn Process>
             };
-            Machine::new(HwModel::Sc, vec![mk(0, 1, X, Y), mk(1, 0, Y, X)])
+            Machine::new(HwModel::SC, vec![mk(0, 1, X, Y), mk(1, 0, Y, X)])
         };
         let mut both_zero = false;
         explore(factory, 64, |r| {
@@ -594,7 +591,7 @@ mod tests {
                 }
             })) as Box<dyn Process>
         };
-        let factory = || Machine::new(HwModel::Tso, vec![mk(0, 1, X, Y), mk(1, 0, Y, X)]);
+        let factory = || Machine::new(HwModel::TSO_FWD, vec![mk(0, 1, X, Y), mk(1, 0, Y, X)]);
         let mut both_zero = false;
         explore(factory, 64, |r| {
             let reads: Vec<Val> = r
@@ -655,9 +652,9 @@ mod tests {
             });
             fresh_y_stale_x
         };
-        assert!(!run_all(HwModel::Sc));
-        assert!(!run_all(HwModel::Tso));
-        assert!(run_all(HwModel::Pso));
+        assert!(!run_all(HwModel::SC));
+        assert!(!run_all(HwModel::TSO_FWD));
+        assert!(run_all(HwModel::PSO_FWD));
     }
 
     #[test]
@@ -680,7 +677,7 @@ mod tests {
             }
         })) as Box<dyn Process>;
         // Schedule only Exec actions for cpu 0 (never drain first).
-        let m = Machine::new(HwModel::Tso, vec![p]);
+        let m = Machine::new(HwModel::TSO_FWD, vec![p]);
         let mut s = DirectedScheduler::new(vec![0; 32]);
         let r = m.run(&mut s, 100);
         assert!(r.completed);
@@ -705,7 +702,7 @@ mod tests {
                 _ => Step::Done,
             }
         })) as Box<dyn Process>;
-        let mut m = Machine::new(HwModel::Tso, vec![p]);
+        let mut m = Machine::new(HwModel::TSO_FWD, vec![p]);
         m.poke(1, 0);
         let mut s = DirectedScheduler::new(vec![0; 32]);
         // After the run, both the buffered store and the CAS value must
@@ -727,7 +724,7 @@ mod tests {
                 Step::Instr(PInstr::Cas(0, 99, 1))
             }
         })) as Box<dyn Process>;
-        let m = Machine::new(HwModel::Sc, vec![p]);
+        let m = Machine::new(HwModel::SC, vec![p]);
         let mut s = RandomScheduler::new(1);
         let r = m.run(&mut s, 50);
         assert!(!r.completed);
@@ -757,7 +754,7 @@ mod tests {
                 _ => Step::Done,
             }
         })) as Box<dyn Process>;
-        let m = Machine::new(HwModel::Tso, vec![p]);
+        let m = Machine::new(HwModel::TSO_FWD, vec![p]);
         let mut s = DirectedScheduler::new(vec![0; 64]);
         let r = m.run(&mut s, 100);
         assert!(r.completed);
@@ -827,11 +824,11 @@ mod tests {
             explore(factory, 64, |_| false).stats.stale_loads
         };
         for hw in [
-            HwModel::Sc,
+            HwModel::SC,
             HwModel::TSO,
-            HwModel::Tso,
+            HwModel::TSO_FWD,
             HwModel::PSO,
-            HwModel::Pso,
+            HwModel::PSO_FWD,
         ] {
             assert_eq!(run(hw), 0, "{} must not read stale values", hw.name);
         }
@@ -920,7 +917,7 @@ mod tests {
 
     #[test]
     fn explore_aggregates_stats() {
-        let factory = || Machine::new(HwModel::Sc, vec![writer(X, 0, 1), writer(Y, 1, 2)]);
+        let factory = || Machine::new(HwModel::SC, vec![writer(X, 0, 1), writer(Y, 1, 2)]);
         let out = explore(factory, 64, |_| false);
         // Every run executes both stores.
         assert_eq!(out.stats.stores, 2 * out.runs as u64);
@@ -931,7 +928,7 @@ mod tests {
     fn footprints_follow_decisions() {
         // writer on SC (immediate stores): Inv, Store, Resp, Done —
         // four Exec decisions, no inner version picks.
-        let m = Machine::new(HwModel::Sc, vec![writer(X, 0, 5)]);
+        let m = Machine::new(HwModel::SC, vec![writer(X, 0, 5)]);
         let mut s = DirectedScheduler::default();
         let r = m.run(&mut s, 100);
         assert!(r.completed);
@@ -956,7 +953,7 @@ mod tests {
                 _ => Step::Done,
             }
         })) as Box<dyn Process>;
-        let m = Machine::new(HwModel::Tso, vec![p]);
+        let m = Machine::new(HwModel::TSO_FWD, vec![p]);
         let mut s = DirectedScheduler::new(vec![0; 16]);
         let r = m.run(&mut s, 100);
         assert!(r.completed);
@@ -990,7 +987,7 @@ mod tests {
                 usize::MAX
             }
         }
-        let m = Machine::new(HwModel::Sc, vec![writer(X, 0, 1)]);
+        let m = Machine::new(HwModel::SC, vec![writer(X, 0, 1)]);
         m.run(&mut Wild, 100);
     }
 
@@ -1009,7 +1006,7 @@ mod tests {
                 self.chooses > self.limit
             }
         }
-        let m = Machine::new(HwModel::Sc, vec![writer(X, 0, 1)]);
+        let m = Machine::new(HwModel::SC, vec![writer(X, 0, 1)]);
         let mut s = AbortAfter {
             chooses: 0,
             limit: 2,
@@ -1047,7 +1044,7 @@ mod tests {
     #[test]
     fn explore_counts_runs() {
         // Two single-instruction processes → a handful of interleavings.
-        let factory = || Machine::new(HwModel::Sc, vec![writer(X, 0, 1), writer(Y, 1, 2)]);
+        let factory = || Machine::new(HwModel::SC, vec![writer(X, 0, 1), writer(Y, 1, 2)]);
         let out = explore(factory, 64, |_| false);
         assert!(out.runs >= 2, "expected ≥2 interleavings, got {}", out.runs);
         assert_eq!(out.truncated, 0);

@@ -531,7 +531,6 @@ impl Scheduler for ReplayScheduler {
         };
         let chosen = cp.chosen.min(actions.len() - 1);
         let actual = actions[chosen].encode();
-        trace::emit(EventKind::ReplayStep, step as u64, actual);
         // An out-of-range recorded index is a divergence in its own
         // right (the machine would reject the raw choice), even if the
         // clamped action happens to encode identically.

@@ -46,10 +46,11 @@
 //! was sealed into a `History` first); the ring traffic of a live tap
 //! comes on top.
 //!
-//! Every stage emits flight-recorder events under the `monitor`
-//! category (`MonitorIngest`, `WindowSeal`, `TriageClear`, `Escalate`,
-//! `MonitorViolation`), so `--trace` sessions show the tier decisions
-//! inline with the STM events that caused them.
+//! The stages are counted in [`MonitorStats`]; a window found in
+//! violation also emits the flight recorder's `MonitorViolation`
+//! (the window's history length, the windows sealed so far), so a
+//! `--trace` session shows it inline with the STM transaction spans
+//! that caused it.
 
 use crate::window::{Cut, WindowBuilder};
 use jungle_core::check::{Check, CheckKind};
@@ -156,7 +157,6 @@ impl Monitor {
     /// Ingest one event, sealing and checking a window when full.
     pub fn ingest(&mut self, ev: TapEvent) {
         self.stats.ops_ingested += 1;
-        trace::emit(EventKind::MonitorIngest, u64::from(ev.pid.0), 0);
         if self.builder.push(ev) {
             if let Some(w) = self.builder.seal_cut() {
                 self.check_window(&w);
@@ -208,7 +208,7 @@ impl Monitor {
         for oi in h.ops() {
             self.triager.push(oi.proc, &oi.op);
         }
-        if self.triage(h.len(), 0) {
+        if self.triage() {
             return true;
         }
         self.stats.escalated += 1;
@@ -219,8 +219,8 @@ impl Monitor {
     /// has its history built, once, and it escalates once, however
     /// many full checks its second chance takes.
     fn check_window(&mut self, w: &Cut) {
-        let len = w.feed(&mut self.triager);
-        if self.triage(len, w.completed) {
+        w.feed(&mut self.triager);
+        if self.triage() {
             return;
         }
         self.stats.escalated += 1;
@@ -236,17 +236,15 @@ impl Monitor {
         );
     }
 
-    /// Tier 1: count the window of `len` operations and `completed`
-    /// attempts, fed to the triager, and try to clear it in polynomial
-    /// time. Triage takes no model (see `jungle_core::triage`): the
-    /// window's operations are replayed as they are under every one.
-    fn triage(&mut self, len: usize, completed: usize) -> bool {
+    /// Tier 1: count the window fed to the triager, and try to clear
+    /// it in polynomial time. Triage takes no model (see
+    /// `jungle_core::triage`): the window's operations are replayed as
+    /// they are under every one.
+    fn triage(&mut self) -> bool {
         self.stats.windows_sealed += 1;
-        trace::emit(EventKind::WindowSeal, len as u64, completed as u64);
         let cleared = self.triager.verdict().cleared();
         if cleared {
             self.stats.triage_cleared += 1;
-            trace::emit(EventKind::TriageClear, len as u64, 0);
         }
         cleared
     }
@@ -254,11 +252,8 @@ impl Monitor {
     /// Tier 2: the full batch checker, through the shared memo. The
     /// caller counts the window as escalated.
     fn escalate(&mut self, h: &History) -> bool {
-        // The fingerprint walks every operation; only a memo or a
-        // recorder reads it.
-        let fp = (self.memo.is_some() || trace::recording()).then(|| h.cache_key());
-        trace::emit(EventKind::Escalate, fp.unwrap_or(0), h.len() as u64);
-        let memo = self.memo.as_ref().zip(fp);
+        // The fingerprint walks every operation; only a memo reads it.
+        let memo = self.memo.as_ref().map(|m| (m, h.cache_key()));
         if let Some(v) = memo.and_then(|(m, fp)| m.lookup(self.cfg.model.key, self.cfg.kind, fp)) {
             self.stats.memo_hits += 1;
             return v;

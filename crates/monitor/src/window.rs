@@ -150,15 +150,10 @@ impl Cut {
     }
 
     /// Feed the window's history to a cleared `t`, operation by
-    /// operation, without building it. Returns the history's length.
-    pub(crate) fn feed(&self, t: &mut Triager) -> usize {
+    /// operation, without building it.
+    pub(crate) fn feed(&self, t: &mut Triager) {
         t.clear();
-        let mut len = 0;
-        emit(&self.events, &self.init_writes, |p, op| {
-            len += 1;
-            t.push(p, &op);
-        });
-        len
+        emit(&self.events, &self.init_writes, |p, op| t.push(p, &op));
     }
 
     fn sealed(self) -> SealedWindow {

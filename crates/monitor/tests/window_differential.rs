@@ -518,34 +518,25 @@ fn the_monitor_counts_what_sealing_and_triaging_each_history_counted() {
     );
 }
 
-/// The monitor's flight events name the windows the loop sealed: every
-/// `WindowSeal`, `TriageClear`, `Escalate` and `MonitorViolation`
-/// carries the length (and fingerprint) of the history the loop built,
-/// though a cleared window's history is never built.
+/// The monitor's one flight event, `MonitorViolation`, names the
+/// windows the loop found in violation: it carries the length of the
+/// history the loop built and the number of windows sealed so far.
 #[test]
 fn flight_events_carry_the_sealed_histories_lengths() {
     let sc = entry("SC").expect("SC is registered");
+    let mut violations = 0;
     for seed in 0..48u64 {
         let events = stream(seed, 320, seed % 2 == 1, seed % 4 == 2);
         let mut want = Vec::new();
-        for &ev in &events {
-            want.push((EventKind::MonitorIngest, u64::from(ev.pid.0), 0));
-        }
         let mut windows = 0;
         let mut check = |w: SealedWindow| {
             windows += 1;
-            let len = w.history.len() as u64;
-            want.push((EventKind::WindowSeal, len, w.completed as u64));
             if triage_opacity(&w.history, sc.model).cleared() {
-                want.push((EventKind::TriageClear, len, 0));
                 return;
             }
-            let mut holds = |h: &History| {
-                want.push((EventKind::Escalate, h.cache_key(), h.len() as u64));
-                Check::new(CheckKind::Opacity).run(h, sc.model).0.holds()
-            };
+            let holds = |h: &History| Check::new(CheckKind::Opacity).run(h, sc.model).0.holds();
             if !(holds(&w.history) || w.reseeded().is_some_and(|h| holds(&h))) {
-                want.push((EventKind::MonitorViolation, len, windows));
+                want.push((EventKind::MonitorViolation, w.history.len() as u64, windows));
             }
         };
         let mut wb = WindowBuilder::new(2);
@@ -572,14 +563,8 @@ fn flight_events_carry_the_sealed_histories_lengths() {
             .filter(|e| e.tid == me && e.kind.cat() == "monitor")
             .map(|e| (e.kind, e.a, e.b))
             .collect();
-        // Ingest events interleave with the rest; compare each stream.
-        let (ingest, rest): (Vec<_>, Vec<_>) = got
-            .into_iter()
-            .partition(|e| e.0 == EventKind::MonitorIngest);
-        let (want_ingest, want_rest): (Vec<_>, Vec<_>) = want
-            .into_iter()
-            .partition(|e| e.0 == EventKind::MonitorIngest);
-        assert_eq!(ingest, want_ingest, "seed {seed}: ingests");
-        assert_eq!(rest, want_rest, "seed {seed}: window events");
+        violations += want.len();
+        assert_eq!(got, want, "seed {seed}");
     }
+    assert!(violations > 10, "{violations} violating windows");
 }

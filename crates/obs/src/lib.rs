@@ -16,7 +16,7 @@
 //! * [`snapshot::MetricsSnapshot`] — the serializable aggregate the
 //!   report binary emits.
 //! * [`trace`] — the flight recorder: per-thread lock-free ring
-//!   buffers of structured events from every layer, exported as
+//!   buffers of spans and verdicts from every layer, exported as
 //!   Chrome-trace-event JSON.
 //! * [`ledger`] — the persistent run ledger (`.jungle/ledger.jsonl`),
 //!   an append-only log of report runs.

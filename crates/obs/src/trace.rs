@@ -1,15 +1,21 @@
 //! Flight recorder: per-thread lock-free ring buffers of structured
 //! events, exported as Chrome-trace-event JSON (loadable in Perfetto).
 //!
-//! Every layer of the workspace can narrate what it is doing — the
-//! checkers (node enter/leave, backtrack, prune, memo hits, prefix
-//! claims, cancellation), the model-checking sweeps (dedup and verdict
-//! memo hits, schedules), the simulated machine (store drains, stale
-//! loads, forwarding, CAS fences), the executable STMs (begin /
-//! commit / abort / CAS failure) and the record/replay engine (replay
-//! begin, replayed steps, divergence, shrinker rounds). Recording is
-//! zero-cost when off: event sites call [`emit`], which is a single
-//! relaxed atomic load returning immediately unless a
+//! A trace holds spans and verdicts: a checker's witness search and a
+//! CDCL solve (begin / end), an executable STM's transaction attempt
+//! (begin / commit / abort), and the verdicts a layer reaches — a
+//! model-checking violation, a monitored window's violation, a
+//! replay's divergence. Beside them it holds the few happenings no
+//! stats field counts: a DFS backtracking out of an exhausted
+//! frontier, a pool prefix cancelled by a lower-indexed success, a
+//! load forwarded from the CPU's own store buffer, an STM CAS that
+//! lost its race, and the start of a replay. What a counter already
+//! counts (nodes, prunes, schedules, drains, ingested events, solver
+//! conflicts, …) is not an event: the stats say how many, and the
+//! spans around them say when and where.
+//!
+//! Recording is zero-cost when off: event sites call [`emit`], which
+//! is a single relaxed atomic load returning immediately unless a
 //! [`FlightRecorder`] has been [`install`]ed. No recorder, no work —
 //! not even a timestamp read.
 //!
@@ -116,112 +122,60 @@ macro_rules! events {
 
 events! {
     checker {
-        /// A witness search started (`a` = schedulable units).
+        /// A witness search started (`a` = schedulable units, `b` = pool
+        /// workers, 0 for a serial search).
         SearchBegin = 1, "search", Begin;
         /// The witness search finished (`a` = nodes, `b` = 1 if satisfied).
         SearchEnd = 2, "search", End;
-        /// The DFS expanded a node (`a` = depth).
-        NodeEnter = 3, "node_enter", Instant;
-        /// The DFS returned from a node (`a` = depth).
-        NodeLeave = 4, "node_leave", Instant;
-        /// The DFS exhausted a node's candidates and backtracked.
-        Backtrack = 5, "backtrack", Instant;
-        /// Incremental prefix legality pruned a subtree (`a` = depth).
-        Prune = 6, "prune", Instant;
-        /// A witness search found a frontier among its dead ends (`a` =
-        /// depth, `b` = 1).
-        WitnessMemoHit = 7, "witness_memo_hit", Instant;
-        /// A pool worker claimed serialization-order prefix `a`.
-        PrefixClaim = 8, "prefix_claim", Instant;
-        /// Prefix `a` was cancelled by a lower-indexed success.
-        PrefixCancel = 9, "prefix_cancel", Instant;
+        /// The DFS exhausted a frontier's candidates and backtracked out
+        /// of it (`a` = depth, `b` = 0).
+        Backtrack = 3, "backtrack", Instant;
+        /// A pool worker dropped a prefix because a lower-indexed one
+        /// already succeeded (`a` = prefix length, `b` = 0).
+        PrefixCancel = 4, "prefix_cancel", Instant;
     }
     mc {
-        /// A schedule finished (`a` = sequence number, `b` = 1 if completed).
-        McSchedule = 10, "schedule", Instant;
-        /// A structurally identical trace was skipped (`a` = fingerprint).
-        McDedupHit = 11, "dedup_hit", Instant;
-        /// The shared verdict memo answered a history (`a` = fingerprint).
-        McMemoHit = 12, "verdict_memo_hit", Instant;
-        /// A history went through the full checker (`a` = fingerprint).
-        McHistoryChecked = 13, "history_checked", Instant;
-        /// A violating trace was found (`a` = schedule sequence number).
-        McViolation = 14, "violation", Instant;
+        /// A violating trace was found (`a` = schedule sequence number,
+        /// `b` = 0).
+        McViolation = 5, "violation", Instant;
     }
     memsim {
-        /// A buffered store drained to global memory (`a` = addr, `b` = val).
-        StoreDrain = 15, "store_drain", Instant;
-        /// A load observed an older admissible version (`a` = addr).
-        StaleLoad = 16, "stale_load", Instant;
-        /// A load was served from the CPU's own store buffer (`a` = addr).
-        StoreForward = 17, "store_forward", Instant;
-        /// A CAS drained the buffer and raised the global floor (`a` = addr).
-        CasFence = 18, "cas_fence", Instant;
+        /// A load was served from the CPU's own store buffer (`a` = addr,
+        /// `b` = value forwarded).
+        StoreForward = 6, "store_forward", Instant;
     }
     stm {
-        /// A transaction attempt started (`a` = process id).
-        TxnBegin = 19, "txn", Begin;
-        /// The attempt committed (`a` = process id).
-        TxnCommit = 20, "txn", End;
-        /// The attempt aborted and will retry (`a` = process id).
-        TxnAbort = 21, "txn", End;
-        /// A CAS inside an STM operation lost its race (`a` = process id).
-        StmCasFail = 22, "cas_fail", Instant;
+        /// A transaction attempt started (`a` = process id, `b` = attempt).
+        TxnBegin = 7, "txn", Begin;
+        /// The attempt committed (`a` = process id, `b` = attempt).
+        TxnCommit = 8, "txn", End;
+        /// The attempt aborted and will retry (`a` = process id, `b` =
+        /// attempt).
+        TxnAbort = 9, "txn", End;
+        /// A CAS inside an STM operation lost its race (`a` = process id,
+        /// `b` = variable).
+        StmCasFail = 10, "cas_fail", Instant;
     }
     replay {
         /// A schedule-log replay started (`a` = decision count, `b` =
         /// recorded fingerprint).
-        ReplayBegin = 23, "replay_begin", Instant;
-        /// A replayed choose point was served (`a` = step index, `b` =
-        /// encoded action taken).
-        ReplayStep = 24, "replay_step", Instant;
+        ReplayBegin = 11, "replay_begin", Instant;
         /// The replay stopped matching its recording (`a` = step index,
         /// `b` = encoded action the recording expected).
-        ReplayDivergence = 25, "replay_divergence", Instant;
-        /// A shrinker round finished (`a` = round, `b` = surviving
-        /// decision count).
-        ShrinkRound = 26, "shrink_round", Instant;
+        ReplayDivergence = 12, "replay_divergence", Instant;
     }
     monitor {
-        /// The monitor ingested a batch of tap events (`a` = batch size,
-        /// `b` = ring depth after the drain).
-        MonitorIngest = 27, "monitor_ingest", Instant;
-        /// A window sealed for checking (`a` = window sequence number,
-        /// `b` = operation count).
-        WindowSeal = 28, "window_seal", Instant;
-        /// The polynomial triage tier proved a window opaque (`a` = window
-        /// sequence number).
-        TriageClear = 29, "triage_clear", Instant;
-        /// A window escaped triage and went to the full checker (`a` =
-        /// window sequence number, `b` = history fingerprint).
-        Escalate = 30, "escalate", Instant;
-        /// The full checker found a window in violation (`a` = window
-        /// sequence number, `b` = history fingerprint).
-        MonitorViolation = 31, "monitor_violation", Instant;
-    }
-    dpor {
-        /// Two dependent decisions of different CPUs were found ordered by
-        /// nothing but the schedule (`a` = earlier decision index, `b` =
-        /// later decision index); reported once, by the run that first
-        /// makes the later one.
-        RaceDetected = 32, "race_detected", Instant;
-        /// The explorer skipped an enabled action because its footprint was
-        /// in the sleep set (`a` = tree depth, `b` = encoded action).
-        SleepSetSkip = 33, "sleep_set_skip", Instant;
+        /// The full checker found a window in violation (`a` = operations
+        /// in the window's history, `b` = windows sealed so far).
+        MonitorViolation = 13, "monitor_violation", Instant;
     }
     sat {
         /// A CDCL solve of an order encoding started (`a` = variables,
         /// `b` = clauses).
-        SatSolveBegin = 34, "sat_solve", Begin;
-        /// Conflicts hit during the solve just finished (`a` = conflict
-        /// count, `b` = learned clause count).
-        SatConflict = 35, "sat_conflict", Instant;
-        /// Restarts taken during the solve just finished (`a` = restart
-        /// count).
-        SatRestart = 36, "sat_restart", Instant;
+        SatSolveBegin = 14, "sat_solve", Begin;
         /// The CDCL solve finished (`a` = 1 if a model was found, `b` =
-        /// CEGAR round number).
-        SatSolveEnd = 37, "sat_solve", End;
+        /// CEGAR rounds).
+        SatSolveEnd = 15, "sat_solve", End;
     }
 }
 
@@ -511,11 +465,6 @@ pub fn uninstall() {
     SINK.clear();
 }
 
-/// Is a recorder currently installed?
-pub fn recording() -> bool {
-    SINK.enabled()
-}
-
 /// Record an event on the installed recorder, if any. This is the hook
 /// the hot paths call: with no recorder installed it is one relaxed
 /// load and a predictable branch.
@@ -555,7 +504,7 @@ mod tests {
     fn events_round_trip_and_sort_monotonic() {
         let r = FlightRecorder::with_capacity(64);
         r.record(EventKind::SearchBegin, 5, 0);
-        r.record(EventKind::NodeEnter, 1, 0);
+        r.record(EventKind::PrefixCancel, 1, 0);
         r.record(EventKind::Backtrack, 0, 0);
         r.record(EventKind::SearchEnd, 9, 1);
         let evs = r.events();
@@ -572,7 +521,7 @@ mod tests {
     fn ring_wraps_and_counts_drops() {
         let r = FlightRecorder::with_capacity(8);
         for i in 0..20 {
-            r.record(EventKind::Prune, i, 0);
+            r.record(EventKind::Backtrack, i, 0);
         }
         assert_eq!(r.recorded(), 20);
         assert_eq!(r.dropped(), 12);
@@ -582,13 +531,13 @@ mod tests {
     #[test]
     fn per_category_counts_reconcile_with_totals() {
         let r = FlightRecorder::with_capacity(8);
-        // 6 checker events, then 14 dpor events: the dpor burst evicts
-        // all checker events plus its own overflow.
+        // 6 checker events, then 14 memsim events: the memsim burst
+        // evicts all checker events plus its own overflow.
         for i in 0..6 {
-            r.record(EventKind::Prune, i, 0);
+            r.record(EventKind::Backtrack, i, 0);
         }
         for i in 0..14 {
-            r.record(EventKind::SleepSetSkip, i, 0);
+            r.record(EventKind::StoreForward, i, 0);
         }
         let by_cat = r.by_category();
         let recorded: u64 = by_cat.iter().map(|(_, rec, _)| rec).sum();
@@ -597,14 +546,14 @@ mod tests {
         assert_eq!(dropped, r.dropped());
         let get = |name: &str| by_cat.iter().find(|(n, _, _)| *n == name).copied().unwrap();
         assert_eq!(get("checker"), ("checker", 6, 6));
-        assert_eq!(get("dpor"), ("dpor", 14, 6));
+        assert_eq!(get("memsim"), ("memsim", 14, 6));
         assert_eq!(get("stm"), ("stm", 0, 0));
 
         let j = r.chrome_trace();
         let cats = j.get("categories").expect("categories section");
-        let dpor = cats.get("dpor").expect("dpor row");
-        assert_eq!(dpor.get("recorded").and_then(Json::as_u64), Some(14));
-        assert_eq!(dpor.get("dropped").and_then(Json::as_u64), Some(6));
+        let memsim = cats.get("memsim").expect("memsim row");
+        assert_eq!(memsim.get("recorded").and_then(Json::as_u64), Some(14));
+        assert_eq!(memsim.get("dropped").and_then(Json::as_u64), Some(6));
     }
 
     #[test]
@@ -662,14 +611,13 @@ mod tests {
     #[test]
     fn every_category_is_exported() {
         let r = FlightRecorder::with_capacity(64);
-        r.record(EventKind::NodeEnter, 0, 0);
-        r.record(EventKind::McDedupHit, 0, 0);
-        r.record(EventKind::StoreDrain, 0, 0);
+        r.record(EventKind::Backtrack, 0, 0);
+        r.record(EventKind::McViolation, 0, 0);
+        r.record(EventKind::StoreForward, 0, 0);
         r.record(EventKind::StmCasFail, 0, 0);
-        r.record(EventKind::ReplayStep, 0, 0);
-        r.record(EventKind::WindowSeal, 0, 0);
-        r.record(EventKind::SleepSetSkip, 0, 0);
-        r.record(EventKind::SatConflict, 0, 0);
+        r.record(EventKind::ReplayBegin, 0, 0);
+        r.record(EventKind::MonitorViolation, 0, 0);
+        r.record(EventKind::SatSolveBegin, 0, 0);
         let cats: std::collections::HashSet<&'static str> =
             r.events().iter().map(|e| e.kind.cat()).collect();
         assert_eq!(cats.len(), CATEGORIES.len());
@@ -679,44 +627,50 @@ mod tests {
     }
 
     #[test]
-    fn sat_solve_span_nests() {
+    fn sat_solve_span_nests_in_its_search() {
         let r = FlightRecorder::with_capacity(64);
+        r.record(EventKind::SearchBegin, 3, 0);
         r.record(EventKind::SatSolveBegin, 10, 42);
-        r.record(EventKind::SatConflict, 3, 2);
         r.record(EventKind::SatSolveEnd, 1, 0);
+        r.record(EventKind::SearchEnd, 0, 1);
         let j = r.chrome_trace();
         let Some(Json::Arr(evs)) = j.get("traceEvents") else {
             panic!("no traceEvents")
         };
-        let phases: Vec<String> = evs
+        let field = |e: &Json, k: &str| match e.get(k) {
+            Some(Json::Str(s)) => s.clone(),
+            _ => panic!("missing {k}"),
+        };
+        let got: Vec<(String, String)> = evs
             .iter()
-            .map(|e| match e.get("ph") {
-                Some(Json::Str(s)) => s.clone(),
-                _ => panic!("missing ph"),
-            })
+            .map(|e| (field(e, "ph"), field(e, "cat")))
             .collect();
-        assert_eq!(phases, vec!["B", "i", "E"]);
-        assert!(evs
-            .iter()
-            .all(|e| e.get("cat") == Some(&Json::Str("sat".into()))));
+        let want = [
+            ("B", "checker"),
+            ("B", "sat"),
+            ("E", "sat"),
+            ("E", "checker"),
+        ];
+        assert_eq!(
+            got,
+            want.map(|(p, c)| (p.to_string(), c.to_string())).to_vec()
+        );
     }
 
     #[test]
     fn install_gates_emit() {
         // Uninstalled: emit is a no-op (cannot observe directly, but
-        // must not crash), and recording() reflects state transitions.
-        emit(EventKind::Prune, 0, 0);
+        // must not crash).
+        emit(EventKind::Backtrack, 0, 0);
         let r = Arc::new(FlightRecorder::with_capacity(256));
         install(r.clone());
-        assert!(recording());
-        emit(EventKind::CasFence, 0xfeed, 1);
+        emit(EventKind::StoreForward, 0xfeed, 1);
         uninstall();
-        assert!(!recording());
-        emit(EventKind::CasFence, 0xdead, 2); // dropped
+        emit(EventKind::StoreForward, 0xdead, 2); // dropped
         let evs = r.events();
         assert!(
             evs.iter()
-                .any(|e| e.kind == EventKind::CasFence && e.a == 0xfeed),
+                .any(|e| e.kind == EventKind::StoreForward && e.a == 0xfeed),
             "installed emit must reach the recorder"
         );
         assert!(

@@ -23,7 +23,6 @@ use jungle_mc::explain::explain_trace;
 use jungle_mc::theorems::Experiment;
 use jungle_mc::{machine_for, trace_satisfies};
 use jungle_memsim::{ChoicePoint, RecordingScheduler, ReplayScheduler};
-use jungle_obs::trace::{self as flight, EventKind};
 
 /// Counters from one shrink run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -148,7 +147,6 @@ pub fn shrink(log: &ScheduleLog, exp: &Experiment) -> (ScheduleLog, ShrinkStats)
             }
         }
 
-        flight::emit(EventKind::ShrinkRound, stats.rounds, cur.len() as u64);
         if !improved {
             break;
         }
