@@ -52,9 +52,6 @@
 //!   family to locate the size from which SAT does less work (CEGAR
 //!   rounds against serialization orders tried). Adds a `sat` section to
 //!   `--json` output.
-//! * `--cnf <dir>` — export each litmus outcome's serialization-order
-//!   encoding as a DIMACS file (one per registry entry and check kind),
-//!   with a comment header naming the experiment, model key and kind.
 //! * `--replay <file>` — re-execute a saved schedule log, verify the
 //!   recorded history fingerprint, and exit nonzero on divergence (a
 //!   focused mode: the full report is skipped). With `--explain`, also
@@ -133,8 +130,6 @@ struct Args {
     replay: Option<PathBuf>,
     /// `--sat`: DFS-vs-SAT cross-validation + crossover benchmark.
     sat: bool,
-    /// `--cnf <dir>`: DIMACS export of the corpus order encodings.
-    cnf: Option<PathBuf>,
     ledger: PathBuf,
     memo_dir: PathBuf,
 }
@@ -151,7 +146,6 @@ fn parse_args() -> Args {
         record_id: None,
         replay: None,
         sat: false,
-        cnf: None,
         ledger: PathBuf::from(".jungle/ledger.jsonl"),
         memo_dir: PathBuf::from(".jungle/memo"),
     };
@@ -188,7 +182,6 @@ fn parse_args() -> Args {
             }
             "--replay" => args.replay = Some(PathBuf::from(value("--replay"))),
             "--sat" => args.sat = true,
-            "--cnf" => args.cnf = Some(PathBuf::from(value("--cnf"))),
             "--ledger" => args.ledger = PathBuf::from(value("--ledger")),
             "--memo-dir" => args.memo_dir = PathBuf::from(value("--memo-dir")),
             other => {
@@ -567,71 +560,6 @@ fn sat_sweep(text: &mut String, rows: &mut Vec<Row>) -> (Json, SatStats) {
         .push("crossover_points", Json::Arr(points))
         .push("stats", total.to_json());
     (sec, total)
-}
-
-/// `--cnf <dir>`: write the base serialization-order encoding of every
-/// litmus outcome (per registry entry, per check kind) as a DIMACS
-/// file whose comment header names the experiment, the model key and
-/// the check kind — ready for external solvers or proof-logging tools.
-fn cnf_export(dir: &std::path::Path, text: &mut String, rows: &mut Vec<Row>) -> Json {
-    use jungle_core::encode::{opacity_cnf, sgla_cnf};
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        eprintln!("could not create CNF directory {}: {e}", dir.display());
-        std::process::exit(1);
-    }
-    let sanitize = |s: &str| {
-        s.chars()
-            .map(|c| if c.is_ascii_alphanumeric() { c } else { '-' })
-            .collect::<String>()
-    };
-    let mut files = 0u64;
-    let mut clauses = 0u64;
-    for litmus in all_litmus() {
-        for o in &litmus.outcomes {
-            for e in registry() {
-                for kind in ["opacity", "sgla"] {
-                    let mut doc = if kind == "opacity" {
-                        opacity_cnf(&o.history, e.model)
-                    } else {
-                        sgla_cnf(&o.history, e.model)
-                    };
-                    doc.comment(format!("experiment: {}/{}", litmus.name, o.label));
-                    doc.comment(format!("model: {}", e.key));
-                    doc.comment(format!("kind: {kind}"));
-                    let path = dir.join(format!(
-                        "{}-{}-{}-{kind}.cnf",
-                        sanitize(litmus.name),
-                        sanitize(&o.label),
-                        sanitize(e.key),
-                    ));
-                    if let Err(err) = std::fs::write(&path, doc.to_dimacs()) {
-                        eprintln!("could not write {}: {err}", path.display());
-                        std::process::exit(1);
-                    }
-                    files += 1;
-                    clauses += doc.clauses() as u64;
-                }
-            }
-        }
-    }
-    writeln!(
-        text,
-        "\nCNF export: {files} DIMACS files ({clauses} clauses) -> {}",
-        dir.display()
-    )
-    .unwrap();
-    rows.push(Row {
-        section: "cnf",
-        id: "cnf/export".into(),
-        expected: "one DIMACS file per outcome × model × kind",
-        observed: format!("{files} files, {clauses} clauses"),
-        pass: files > 0,
-    });
-    let mut sec = Json::obj();
-    sec.push("dir", dir.display().to_string().as_str().into())
-        .push("files", files.into())
-        .push("clauses", clauses.into());
-    sec
 }
 
 fn main() {
@@ -1099,12 +1027,6 @@ fn main() {
         sat_section = Some(sec);
     }
 
-    // ── DIMACS export of the corpus encodings (--cnf) ─────────────
-    let cnf_section: Option<Json> = args
-        .cnf
-        .as_ref()
-        .map(|dir| cnf_export(dir, &mut text, &mut rows));
-
     // ── Persist the memo for the next run ─────────────────────────
     if let Err(e) = memo.save_dir(&args.memo_dir) {
         eprintln!(
@@ -1239,9 +1161,6 @@ fn main() {
     }
     if let Some(sec) = sat_section {
         out.push("sat", sec);
-    }
-    if let Some(sec) = cnf_section {
-        out.push("cnf", sec);
     }
     if let Some(sec) = profile_section {
         out.push("profile", sec);

@@ -54,11 +54,11 @@ pub const DEDUP_RATE_FLOOR: f64 = 0.25;
 pub const MEMO_HIT_RATE_FLOOR: f64 = 0.25;
 
 /// STMs the matched zoo samples: the five positive-result TMs.
-pub const ZOO_STMS: usize = 5;
+const ZOO_STMS: usize = 5;
 
 /// Ceiling on the monitor's escalation rate over the report's clean
 /// traffic (observed 0): the triage tier must carry the stream.
-pub const MONITOR_ESCALATION_CEILING: f64 = 0.05;
+const MONITOR_ESCALATION_CEILING: f64 = 0.05;
 
 /// `num / den`, 0 when `den` is 0 (nothing ran, so nothing was saved).
 pub fn rate(num: u64, den: u64) -> f64 {
@@ -80,7 +80,7 @@ pub fn memo_rate_ok(hits: u64, lookups: u64) -> bool {
 }
 
 /// Does the zoo hold a cell for every registry entry under each of at
-/// least [`ZOO_STMS`] algorithms?
+/// least `ZOO_STMS` algorithms?
 pub fn zoo_covers_registry(zoo: &[ZooVerdict]) -> bool {
     let cells: BTreeSet<(&str, &str)> = zoo.iter().map(|z| (z.algo, z.model)).collect();
     let algos: BTreeSet<&str> = zoo.iter().map(|z| z.algo).collect();
@@ -93,7 +93,7 @@ pub fn zoo_covers_registry(zoo: &[ZooVerdict]) -> bool {
 /// One STM's monitored stream over clean traffic: nothing lost, nothing
 /// flagged, at least `min_ops` events ingested, every sealed window
 /// decided by exactly one tier, and escalation under
-/// [`MONITOR_ESCALATION_CEILING`].
+/// `MONITOR_ESCALATION_CEILING`.
 pub fn monitor_ok(s: &MonitorStats, min_ops: u64) -> bool {
     s.violations == 0
         && s.events_dropped == 0

@@ -97,13 +97,17 @@ fn keys(obj: &Json) -> Vec<&str> {
 }
 
 /// Every node of a phase tree has exactly the keys the benchmark's
-/// traced `report_cold` may read; returns how many nodes there are.
+/// traced `report_cold` may read, and none is a `memsim.*` phase: the
+/// machine's scheduler decisions are counted (`MachineStats`), not
+/// timed. Returns how many nodes there are.
 fn phase_nodes(node: &Json) -> usize {
     assert_eq!(
         keys(node),
         ["name", "calls", "total_ns", "self_ns", "children"],
         "{node}"
     );
+    let name = node.get("name").and_then(Json::as_str).unwrap();
+    assert!(!name.starts_with("memsim."), "a timed decision: {name}");
     1 + arr(node, "children").iter().map(phase_nodes).sum::<usize>()
 }
 
@@ -135,18 +139,7 @@ fn ns_keys<'a>(doc: &'a Json, out: &mut Vec<&'a str>) {
 #[test]
 fn profiled_run_has_the_shape_the_benchmark_reads() {
     let dir = scratch("profile");
-    let cnf = dir.join("cnf");
-    let out = report(
-        &dir,
-        &[
-            "--json",
-            "--monitor",
-            "--profile",
-            "--sat",
-            "--cnf",
-            cnf.to_str().unwrap(),
-        ],
-    );
+    let out = report(&dir, &["--json", "--monitor", "--profile", "--sat"]);
     assert!(out.status.success(), "exit {:?}", out.status);
     let doc = Json::parse(&String::from_utf8(out.stdout).unwrap()).unwrap();
 
@@ -276,12 +269,15 @@ fn traced_run_exports_a_complete_balanced_trace() {
 #[test]
 fn unknown_flag_exits_2() {
     let dir = scratch("flag");
-    // `--compare` was a flag once; it is unknown like any other now.
-    let out = report(&dir, &["--compare"]);
-    assert_eq!(out.status.code(), Some(2));
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("unknown argument: --compare"), "{err}");
-    assert!(out.stdout.is_empty());
+    // `--compare` and `--cnf` were flags once; they are unknown like
+    // any other now.
+    for flag in ["--compare", "--cnf"] {
+        let out = report(&dir, &[flag]);
+        assert_eq!(out.status.code(), Some(2), "{flag}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(&format!("unknown argument: {flag}")), "{err}");
+        assert!(out.stdout.is_empty());
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -13,7 +13,7 @@
 //! * `Mww` — *write-write restrictive*.
 //!
 //! [`ClassSet`] records membership in the eight primitive classes; the
-//! union classes are derived ([`ClassSet::in_mrr`] etc.). The key
+//! union classes are disjunctions of them. The key
 //! theorems quantify over these unions: Theorem 1 shows uninstrumented
 //! parametrized opacity is impossible whenever the model is in *any* of
 //! the four, Theorem 4 needs `M ∉ Mrr`, and Theorem 5 needs
@@ -22,16 +22,10 @@
 //! Membership is a semantic property (a universally quantified statement
 //! about `required` pairs over all histories); each
 //! [`MemoryModel`](crate::model::MemoryModel) *declares* its membership,
-//! and [`probe_classes`] checks the declaration against the model's
+//! and this module's tests check every declaration against the model's
 //! `required` function on a family of witness histories — positive
 //! claims are spot-checked on canonical pattern pairs, negative claims
 //! are confirmed by a concrete counterexample pair.
-
-use crate::builder::HistoryBuilder;
-use crate::history::History;
-use crate::ids::{ProcId, Var};
-use crate::model::MemoryModel;
-use crate::op::DepKind;
 
 /// Membership in the paper's eight primitive reorder-restriction
 /// classes. `rr_i` is `M^i_rr`, `rr_c` is `M^c_rr`, and so on.
@@ -48,173 +42,148 @@ pub struct ClassSet {
     pub ww: bool,
 }
 
-impl ClassSet {
-    /// `M ∈ Mrr = M^i_rr ∪ M^c_rr ∪ M^d_rr`.
-    pub fn in_mrr(&self) -> bool {
-        self.rr_i || self.rr_c || self.rr_d
-    }
-
-    /// `M ∈ Mrw = M^i_rw ∪ M^c_rw ∪ M^d_rw`.
-    pub fn in_mrw(&self) -> bool {
-        self.rw_i || self.rw_c || self.rw_d
-    }
-
-    /// `M ∈ Mwr`.
-    pub fn in_mwr(&self) -> bool {
-        self.wr
-    }
-
-    /// `M ∈ Mww`.
-    pub fn in_mww(&self) -> bool {
-        self.ww
-    }
-
-    /// `M ∈ Mrr ∪ Mrw ∪ Mwr ∪ Mww` — the hypothesis of Theorem 1:
-    /// uninstrumented TM implementations cannot guarantee opacity
-    /// parametrized by any such model.
-    pub fn in_any(&self) -> bool {
-        self.in_mrr() || self.in_mrw() || self.in_mwr() || self.in_mww()
-    }
-}
-
-/// The canonical same-process, different-variable operation pattern for
-/// each primitive class.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Pattern {
-    /// read x; read y (independent).
-    RrIndep,
-    /// read x; control-dependent read y.
-    RrCtrl,
-    /// read x; data-dependent read y.
-    RrData,
-    /// read x; write y (independent).
-    RwIndep,
-    /// read x; control-dependent write y.
-    RwCtrl,
-    /// read x; data-dependent write y.
-    RwData,
-    /// write x; read y.
-    WrPat,
-    /// write x; write y.
-    WwPat,
-}
-
-/// Build the two-operation witness history for a pattern.
-pub fn pattern_history(pat: Pattern) -> History {
-    let p = ProcId(1);
-    let (x, y) = (Var(0), Var(1));
-    let mut b = HistoryBuilder::new();
-    match pat {
-        Pattern::RrIndep => {
-            b.read(p, x, 0);
-            b.read(p, y, 0);
-        }
-        Pattern::RrCtrl => {
-            let r = b.read(p, x, 0);
-            b.dep_read(p, y, 0, DepKind::Control, vec![r]);
-        }
-        Pattern::RrData => {
-            let r = b.read(p, x, 0);
-            b.dep_read(p, y, 0, DepKind::Data, vec![r]);
-        }
-        Pattern::RwIndep => {
-            b.read(p, x, 0);
-            b.write(p, y, 1);
-        }
-        Pattern::RwCtrl => {
-            let r = b.read(p, x, 0);
-            b.dep_write(p, y, 1, DepKind::Control, vec![r]);
-        }
-        Pattern::RwData => {
-            let r = b.read(p, x, 0);
-            b.dep_write(p, y, 1, DepKind::Data, vec![r]);
-        }
-        Pattern::WrPat => {
-            b.write(p, x, 1);
-            b.read(p, y, 0);
-        }
-        Pattern::WwPat => {
-            b.write(p, x, 1);
-            b.write(p, y, 1);
-        }
-    }
-    b.build().unwrap()
-}
-
-/// Variant of [`pattern_history`] in which the pattern's first
-/// operation (a read of `x`) is preceded by the process's own write of
-/// the same value, making it a *store-forwarded* read. Class membership
-/// quantifies over all histories, and models such as
-/// [`TsoForwarding`](crate::model::TsoForwarding) treat forwarded reads
-/// specially, so read-first patterns are probed in both contexts.
-pub fn pattern_history_forwarded(pat: Pattern) -> Option<History> {
-    let p = ProcId(1);
-    let (x, y) = (Var(0), Var(1));
-    let mut b = HistoryBuilder::new();
-    b.write(p, x, 0); // makes the subsequent read of x forwarded
-    match pat {
-        Pattern::RrIndep => {
-            b.read(p, x, 0);
-            b.read(p, y, 0);
-        }
-        Pattern::RrCtrl => {
-            let r = b.read(p, x, 0);
-            b.dep_read(p, y, 0, DepKind::Control, vec![r]);
-        }
-        Pattern::RrData => {
-            let r = b.read(p, x, 0);
-            b.dep_read(p, y, 0, DepKind::Data, vec![r]);
-        }
-        Pattern::RwIndep => {
-            b.read(p, x, 0);
-            b.write(p, y, 1);
-        }
-        Pattern::RwCtrl => {
-            let r = b.read(p, x, 0);
-            b.dep_write(p, y, 1, DepKind::Control, vec![r]);
-        }
-        Pattern::RwData => {
-            let r = b.read(p, x, 0);
-            b.dep_write(p, y, 1, DepKind::Data, vec![r]);
-        }
-        Pattern::WrPat | Pattern::WwPat => return None,
-    }
-    Some(b.build().unwrap())
-}
-
-/// Probe a model's `required` function on the eight canonical patterns
-/// (each read-first pattern in both the plain and the store-forwarded
-/// context), returning the observed [`ClassSet`].
-///
-/// For the paper's models (whose ordering requirements depend only on
-/// the local shape of the operation pair), the observed set coincides
-/// with the semantic class membership; the crate's tests assert it
-/// equals the declared [`MemoryModel::classes`].
-pub fn probe_classes(model: &dyn MemoryModel) -> ClassSet {
-    let probe = |pat: Pattern| {
-        let h = pattern_history(pat);
-        let plain = model.required(&h, 0, 1);
-        let fwd = match pattern_history_forwarded(pat) {
-            Some(h) => model.required(&h, 1, 2),
-            None => true,
-        };
-        plain && fwd
-    };
-    ClassSet {
-        rr_i: probe(Pattern::RrIndep),
-        rr_c: probe(Pattern::RrCtrl),
-        rr_d: probe(Pattern::RrData),
-        rw_i: probe(Pattern::RwIndep),
-        rw_c: probe(Pattern::RwCtrl),
-        rw_d: probe(Pattern::RwData),
-        wr: probe(Pattern::WrPat),
-        ww: probe(Pattern::WwPat),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::builder::HistoryBuilder;
+    use crate::history::History;
+    use crate::ids::{ProcId, Var};
+    use crate::model::MemoryModel;
+    use crate::op::DepKind;
+
+    impl ClassSet {
+        /// `M ∈ Mrr = M^i_rr ∪ M^c_rr ∪ M^d_rr`.
+        fn in_mrr(&self) -> bool {
+            self.rr_i || self.rr_c || self.rr_d
+        }
+
+        /// `M ∈ Mrw = M^i_rw ∪ M^c_rw ∪ M^d_rw`.
+        fn in_mrw(&self) -> bool {
+            self.rw_i || self.rw_c || self.rw_d
+        }
+
+        /// `M ∈ Mwr`.
+        fn in_mwr(&self) -> bool {
+            self.wr
+        }
+
+        /// `M ∈ Mww`.
+        fn in_mww(&self) -> bool {
+            self.ww
+        }
+
+        /// `M ∈ Mrr ∪ Mrw ∪ Mwr ∪ Mww` — the hypothesis of Theorem 1:
+        /// uninstrumented TM implementations cannot guarantee opacity
+        /// parametrized by any such model.
+        fn in_any(&self) -> bool {
+            self.in_mrr() || self.in_mrw() || self.in_mwr() || self.in_mww()
+        }
+    }
+
+    /// The canonical same-process, different-variable operation pattern
+    /// for each primitive class.
+    #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+    enum Pattern {
+        /// read x; read y (independent).
+        RrIndep,
+        /// read x; control-dependent read y.
+        RrCtrl,
+        /// read x; data-dependent read y.
+        RrData,
+        /// read x; write y (independent).
+        RwIndep,
+        /// read x; control-dependent write y.
+        RwCtrl,
+        /// read x; data-dependent write y.
+        RwData,
+        /// write x; read y.
+        WrPat,
+        /// write x; write y.
+        WwPat,
+    }
+
+    /// Build the two-operation witness history for a pattern. With
+    /// `forwarded`, the pattern's first operation (a read of `x`) is
+    /// preceded by the process's own write of the same value, making it
+    /// a *store-forwarded* read: class membership quantifies over all
+    /// histories, and models such as
+    /// [`TsoForwarding`](crate::model::TsoForwarding) treat forwarded
+    /// reads specially, so read-first patterns are probed in both
+    /// contexts. A write-first pattern has no forwarded variant.
+    fn pattern_history(pat: Pattern, forwarded: bool) -> Option<History> {
+        let p = ProcId(1);
+        let (x, y) = (Var(0), Var(1));
+        let mut b = HistoryBuilder::new();
+        if forwarded {
+            if matches!(pat, Pattern::WrPat | Pattern::WwPat) {
+                return None;
+            }
+            b.write(p, x, 0); // makes the subsequent read of x forwarded
+        }
+        match pat {
+            Pattern::RrIndep => {
+                b.read(p, x, 0);
+                b.read(p, y, 0);
+            }
+            Pattern::RrCtrl => {
+                let r = b.read(p, x, 0);
+                b.dep_read(p, y, 0, DepKind::Control, vec![r]);
+            }
+            Pattern::RrData => {
+                let r = b.read(p, x, 0);
+                b.dep_read(p, y, 0, DepKind::Data, vec![r]);
+            }
+            Pattern::RwIndep => {
+                b.read(p, x, 0);
+                b.write(p, y, 1);
+            }
+            Pattern::RwCtrl => {
+                let r = b.read(p, x, 0);
+                b.dep_write(p, y, 1, DepKind::Control, vec![r]);
+            }
+            Pattern::RwData => {
+                let r = b.read(p, x, 0);
+                b.dep_write(p, y, 1, DepKind::Data, vec![r]);
+            }
+            Pattern::WrPat => {
+                b.write(p, x, 1);
+                b.read(p, y, 0);
+            }
+            Pattern::WwPat => {
+                b.write(p, x, 1);
+                b.write(p, y, 1);
+            }
+        }
+        Some(b.build().unwrap())
+    }
+
+    /// Probe a model's `required` function on the eight canonical
+    /// patterns (each read-first pattern in both the plain and the
+    /// store-forwarded context), returning the observed [`ClassSet`].
+    ///
+    /// For the paper's models (whose ordering requirements depend only
+    /// on the local shape of the operation pair), the observed set
+    /// coincides with the semantic class membership.
+    fn probe_classes(model: &dyn MemoryModel) -> ClassSet {
+        let probe = |pat: Pattern| {
+            let plain = model.required(&pattern_history(pat, false).unwrap(), 0, 1);
+            let fwd = match pattern_history(pat, true) {
+                Some(h) => model.required(&h, 1, 2),
+                None => true,
+            };
+            plain && fwd
+        };
+        ClassSet {
+            rr_i: probe(Pattern::RrIndep),
+            rr_c: probe(Pattern::RrCtrl),
+            rr_d: probe(Pattern::RrData),
+            rw_i: probe(Pattern::RwIndep),
+            rw_c: probe(Pattern::RwCtrl),
+            rw_d: probe(Pattern::RwData),
+            wr: probe(Pattern::WrPat),
+            ww: probe(Pattern::WwPat),
+        }
+    }
     use crate::model::{all_models, Alpha, Pso, Relaxed, Rmo, Sc, Tso};
 
     #[test]

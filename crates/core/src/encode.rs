@@ -73,7 +73,7 @@ struct OrderEnc {
     n: usize,
     solver: Solver,
     /// Every clause ever handed to the solver, for [`verify_model`]
-    /// re-checks and DIMACS export.
+    /// re-checks.
     mirror: Vec<Vec<Lit>>,
 }
 
@@ -277,76 +277,6 @@ pub fn check_sgla_sat(h: &History, model: &dyn MemoryModel) -> SglaVerdict {
     sat(CheckKind::Sgla).run(h, model).0
 }
 
-/// A base CNF instance in exportable form (the encoding *before* any
-/// CEGAR blocking clauses — the part derivable from the history alone).
-pub struct CnfDoc {
-    comments: Vec<String>,
-    vars: u32,
-    clauses: Vec<Vec<i64>>,
-}
-
-impl CnfDoc {
-    fn from_enc(enc: &OrderEnc) -> CnfDoc {
-        CnfDoc {
-            comments: Vec::new(),
-            vars: enc.solver.num_vars(),
-            clauses: enc
-                .mirror
-                .iter()
-                .map(|c| c.iter().map(|l| l.dimacs()).collect())
-                .collect(),
-        }
-    }
-
-    /// Add a `c `-prefixed header line (experiment id, model key, …).
-    pub fn comment(&mut self, line: impl Into<String>) {
-        self.comments.push(line.into());
-    }
-
-    /// Number of variables in the instance.
-    pub fn vars(&self) -> u32 {
-        self.vars
-    }
-
-    /// Number of clauses in the instance.
-    pub fn clauses(&self) -> usize {
-        self.clauses.len()
-    }
-
-    /// Render as standard DIMACS CNF.
-    pub fn to_dimacs(&self) -> String {
-        let mut out = String::new();
-        for c in &self.comments {
-            out.push_str("c ");
-            out.push_str(c);
-            out.push('\n');
-        }
-        out.push_str(&format!("p cnf {} {}\n", self.vars, self.clauses.len()));
-        for clause in &self.clauses {
-            for (i, l) in clause.iter().enumerate() {
-                if i > 0 {
-                    out.push(' ');
-                }
-                out.push_str(&l.to_string());
-            }
-            out.push_str(" 0\n");
-        }
-        out
-    }
-}
-
-/// The base CNF of the opacity order search for `h` under `model`.
-pub fn opacity_cnf(h: &History, model: &dyn MemoryModel) -> CnfDoc {
-    let th = model.transform(h);
-    CnfDoc::from_enc(&OrderEnc::for_search(&Search::opacity(&th, model)))
-}
-
-/// The base CNF of the SGLA order search for `h` under `model`.
-pub fn sgla_cnf(h: &History, model: &dyn MemoryModel) -> CnfDoc {
-    let th = model.transform(h);
-    CnfDoc::from_enc(&OrderEnc::for_search(&Search::sgla(&th, model)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -519,33 +449,5 @@ mod tests {
         let h = HistoryBuilder::new().build().unwrap();
         assert!(check_opacity_sat(&h, &Sc).is_opaque());
         assert!(check_sgla_sat(&h, &Sc).is_sgla());
-    }
-
-    #[test]
-    fn dimacs_export_is_well_formed() {
-        let mut doc = opacity_cnf(&fig2a(2, 0), &Sc);
-        doc.comment("experiment=unit-test model=SC kind=Opacity");
-        let text = doc.to_dimacs();
-        let mut lines = text.lines();
-        assert_eq!(
-            lines.next().unwrap(),
-            "c experiment=unit-test model=SC kind=Opacity"
-        );
-        let header = lines.next().unwrap();
-        assert!(header.starts_with("p cnf "));
-        let parts: Vec<&str> = header.split_whitespace().collect();
-        let vars: i64 = parts[2].parse().unwrap();
-        let clauses: usize = parts[3].parse().unwrap();
-        assert_eq!(vars, i64::from(doc.vars()));
-        assert_eq!(clauses, doc.clauses());
-        let body: Vec<&str> = lines.collect();
-        assert_eq!(body.len(), clauses);
-        for line in body {
-            assert!(line.ends_with(" 0"));
-            for tok in line.split_whitespace() {
-                let v: i64 = tok.parse().unwrap();
-                assert!(v.unsigned_abs() <= vars.unsigned_abs());
-            }
-        }
     }
 }

@@ -434,18 +434,6 @@ impl History {
         })
     }
 
-    /// True iff the history is *transactionally sequential* (§6.2, used
-    /// by SGLA): between the first and last operation of any transaction
-    /// only that transaction's operations and non-transactional
-    /// operations occur (transactions do not overlap each other, but
-    /// non-transactional operations may interleave).
-    pub fn is_transactionally_sequential(&self) -> bool {
-        self.txns.iter().all(|t| {
-            let (first, last) = (t.first(), t.last());
-            (first..=last).all(|i| self.txn_of[i] == NO_TXN || self.txn_of[i] == self.txn_of[first])
-        })
-    }
-
     /// The paper's `visible(s)`: the longest subsequence of `self` that
     /// contains no operation instance of a non-committed transaction `T`,
     /// *except* if `T` is not followed by any other transaction or
@@ -484,7 +472,7 @@ impl History {
     /// The subsequence `s|x` of commands on variable `x` (boundary
     /// operations are excluded, matching the paper's definition of `s|x`
     /// as a sequence of *commands*).
-    pub fn project(&self, x: Var) -> Vec<Command> {
+    pub(crate) fn project(&self, x: Var) -> Vec<Command> {
         self.ops
             .iter()
             .filter_map(|o| o.op.command())
@@ -676,7 +664,6 @@ mod tests {
         // inside p1's transaction region.
         let h = fig3a();
         assert!(!h.is_sequential());
-        assert!(h.is_transactionally_sequential());
         // A properly sequentialized variant is sequential.
         let mut b = HistoryBuilder::new();
         b.write(p(1), X, 1);
@@ -686,29 +673,6 @@ mod tests {
         b.read(p(1), X, 1);
         let s = b.build().unwrap();
         assert!(s.is_sequential());
-    }
-
-    #[test]
-    fn transactionally_sequential_allows_interleaved_nontxn() {
-        let mut b = HistoryBuilder::new();
-        b.start(p(1));
-        b.write(p(1), X, 1);
-        b.read(p(2), Y, 0); // non-transactional op inside p1's txn region
-        b.commit(p(1));
-        let h = b.build().unwrap();
-        assert!(!h.is_sequential());
-        assert!(h.is_transactionally_sequential());
-    }
-
-    #[test]
-    fn overlapping_txns_not_transactionally_sequential() {
-        let mut b = HistoryBuilder::new();
-        b.start(p(1));
-        b.start(p(2));
-        b.commit(p(1));
-        b.commit(p(2));
-        let h = b.build().unwrap();
-        assert!(!h.is_transactionally_sequential());
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! per-prefix legality incrementally while backtracking, so this module
 //! provides two implementations:
 //!
-//! * [`op_legal_in`] — the direct, replay-based reference semantics
+//! * `op_legal_in` — the direct, replay-based reference semantics
 //!   (quadratic; used in tests and as ground truth), and
 //! * [`PrefixChecker`] — an incremental state machine equivalent to the
 //!   reference on (transactionally) sequential histories, maintaining per
@@ -76,7 +76,7 @@ impl Reg {
 /// Replay-based reference implementation of "operation `k` (at history
 /// index `k_idx`) is legal in `s`": computes `visible` of the prefix
 /// ending at `k_idx` and checks `s|x ∈ [[x]]` for every `x`.
-pub fn op_legal_in(s: &History, k_idx: usize) -> bool {
+fn op_legal_in(s: &History, k_idx: usize) -> bool {
     let prefix = s.prefix(k_idx);
     let vis = prefix.visible();
     vis.vars().into_iter().all(|x| {

@@ -107,11 +107,9 @@ pub mod triage;
 /// Convenient glob-import of the most frequently used items.
 pub mod prelude {
     pub use crate::builder::HistoryBuilder;
-    pub use crate::check::{Check, CheckBackend, CheckKind, CheckStats, CheckVerdict};
+    pub use crate::check::{Check, CheckBackend, CheckKind, CheckVerdict};
     pub use crate::classes::ClassSet;
-    pub use crate::encode::{
-        check_opacity_sat, check_opacity_sat_traced, check_sgla_sat, opacity_cnf, sgla_cnf, CnfDoc,
-    };
+    pub use crate::encode::{check_opacity_sat, check_opacity_sat_traced, check_sgla_sat};
     pub use crate::history::{History, OpInstance, TxnStatus};
     pub use crate::ids::{OpId, ProcId, Val, Var};
     pub use crate::model::{Alpha, JunkSc, MemoryModel, Pso, Relaxed, Rmo, Sc, Tso, TsoForwarding};
@@ -121,7 +119,7 @@ pub mod prelude {
     };
     pub use crate::par::ParallelConfig;
     pub use crate::registry::{entry, registry, ExecSemantics, ModelEntry, StoreDiscipline};
-    pub use crate::sgla::{check_sgla, SglaVerdict};
+    pub use crate::sgla::check_sgla;
     pub use crate::triage::{triage_opacity, Triage};
     pub use jungle_obs::SearchStats;
 }

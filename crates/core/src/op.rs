@@ -99,16 +99,6 @@ impl Command {
         matches!(self, Command::Write { .. } | Command::DepWrite { .. })
     }
 
-    /// True only for the plain, independent read command `rd`.
-    pub fn is_plain_read(&self) -> bool {
-        matches!(self, Command::Read { .. })
-    }
-
-    /// True only for the plain, independent write command `wr`.
-    pub fn is_plain_write(&self) -> bool {
-        matches!(self, Command::Write { .. })
-    }
-
     /// The value returned, for reads.
     pub fn read_val(&self) -> Option<Val> {
         match self {
@@ -118,7 +108,7 @@ impl Command {
     }
 
     /// The value stored, for writes.
-    pub fn written_val(&self) -> Option<Val> {
+    pub(crate) fn written_val(&self) -> Option<Val> {
         match self {
             Command::Write { val, .. } | Command::DepWrite { val, .. } => Some(*val),
             _ => None,
@@ -156,11 +146,6 @@ impl Op {
             Op::Cmd(c) => Some(c),
             _ => None,
         }
-    }
-
-    /// True for `start`, `commit` and `abort`.
-    pub fn is_boundary(&self) -> bool {
-        matches!(self, Op::Start | Op::Commit | Op::Abort)
     }
 }
 
@@ -246,10 +231,10 @@ mod tests {
             kind: DepKind::Control,
             deps: vec![OpId(2)],
         };
-        assert!(r.is_read() && r.is_plain_read() && !r.is_write());
-        assert!(w.is_write() && w.is_plain_write() && !w.is_read());
-        assert!(dr.is_read() && !dr.is_plain_read());
-        assert!(dw.is_write() && !dw.is_plain_write());
+        assert!(r.is_read() && !r.is_write());
+        assert!(w.is_write() && !w.is_read());
+        assert!(dr.is_read() && !dr.is_write());
+        assert!(dw.is_write() && !dw.is_read());
         assert_eq!(r.read_val(), Some(1));
         assert_eq!(w.written_val(), Some(2));
         assert_eq!(dr.deps().unwrap().0, DepKind::Data);
@@ -263,10 +248,6 @@ mod tests {
 
     #[test]
     fn boundary_ops() {
-        assert!(Op::Start.is_boundary());
-        assert!(Op::Commit.is_boundary());
-        assert!(Op::Abort.is_boundary());
-        assert!(!Op::Cmd(Command::Read { var: X, val: 0 }).is_boundary());
         assert!(Op::Cmd(Command::Read { var: X, val: 0 })
             .command()
             .is_some());

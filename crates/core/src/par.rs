@@ -88,7 +88,7 @@ impl ParallelConfig {
     }
 
     /// Should a history with `units` schedulable units run serially?
-    pub fn serial_for(&self, units: usize) -> bool {
+    pub(crate) fn serial_for(&self, units: usize) -> bool {
         units < self.min_units || self.effective_threads() <= 1
     }
 }
@@ -122,7 +122,7 @@ impl<'a> Cancel<'a> {
 
 /// Worker id for the seed item: it matches no real worker, so the first
 /// pop of a multi-worker run always counts as a steal.
-pub const SEED_WORKER: usize = usize::MAX;
+const SEED_WORKER: usize = usize::MAX;
 
 /// A shared work queue with idle-counting termination: a Mutex/Condvar
 /// deque whose `pop` blocks while the queue is empty but some worker
@@ -200,7 +200,7 @@ impl<T> Frontier<T> {
     /// Is anyone starving? Splitting work is only worth the queue
     /// traffic when the frontier has run dry or a sibling is already
     /// waiting on it.
-    pub fn hungry(&self) -> bool {
+    fn hungry(&self) -> bool {
         let s = self.lock();
         !s.done && (s.items.is_empty() || s.idle > 0)
     }

@@ -65,7 +65,7 @@ use crate::linearize::{edge_set, view_pairs, Graph};
 use crate::model::MemoryModel;
 
 /// The verdict of an SGLA check.
-pub type SglaVerdict = CheckVerdict;
+pub(crate) type SglaVerdict = CheckVerdict;
 
 /// Check SGLA parametrized by `model`.
 pub fn check_sgla(h: &History, model: &dyn MemoryModel) -> SglaVerdict {

@@ -48,12 +48,6 @@ pub enum Instr {
 }
 
 impl Instr {
-    /// True for `store` and successful `cas` — the paper's *update
-    /// instructions* (Lemma 1).
-    pub fn is_update(&self) -> bool {
-        matches!(self, Instr::Store { .. } | Instr::Cas { ok: true, .. })
-    }
-
     /// The address accessed, for memory instructions.
     pub fn addr(&self) -> Option<Addr> {
         match self {
@@ -65,7 +59,7 @@ impl Instr {
     }
 
     /// True for the invocation/response markers.
-    pub fn is_marker(&self) -> bool {
+    pub(crate) fn is_marker(&self) -> bool {
         matches!(self, Instr::Inv(_) | Instr::Resp(_))
     }
 }
@@ -114,27 +108,6 @@ impl fmt::Display for InstrInstance {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn update_instructions() {
-        assert!(Instr::Store { addr: 0, val: 1 }.is_update());
-        assert!(Instr::Cas {
-            addr: 0,
-            expect: 0,
-            new: 1,
-            ok: true
-        }
-        .is_update());
-        assert!(!Instr::Cas {
-            addr: 0,
-            expect: 0,
-            new: 1,
-            ok: false
-        }
-        .is_update());
-        assert!(!Instr::Load { addr: 0, val: 1 }.is_update());
-        assert!(!Instr::Inv(Op::Start).is_update());
-    }
 
     #[test]
     fn addr_extraction_and_markers() {

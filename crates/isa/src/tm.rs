@@ -129,7 +129,7 @@ pub mod record {
     use super::{lock_owner, ProcId};
 
     /// Where the tag starts.
-    pub const TAG_SHIFT: u32 = 62;
+    const TAG_SHIFT: u32 = 62;
     /// Held by readers (possibly none).
     pub const SHARED: u64 = 0;
     /// Owned by a writing transaction.

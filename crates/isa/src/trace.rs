@@ -341,15 +341,6 @@ impl OpCost {
         self.instrs += n;
         self.max_instrs = self.max_instrs.max(n);
     }
-
-    /// Mean instructions per operation (0 if none observed).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.instrs as f64 / self.count as f64
-        }
-    }
 }
 
 /// Instruction costs per operation class.
@@ -401,57 +392,6 @@ impl Trace {
     }
 }
 
-/// Builder assembling a trace from per-operation instruction runs.
-#[derive(Default, Debug)]
-pub struct TraceBuilder {
-    instrs: Vec<InstrInstance>,
-    next_op: u32,
-}
-
-impl TraceBuilder {
-    /// New empty builder; operation ids are assigned `1, 2, …`.
-    pub fn new() -> Self {
-        TraceBuilder {
-            instrs: Vec::new(),
-            next_op: 1,
-        }
-    }
-
-    /// Append a complete operation trace: invocation, `body`, response.
-    pub fn complete_op(&mut self, proc: ProcId, op: Op, body: Vec<Instr>) -> OpId {
-        let id = OpId(self.next_op);
-        self.next_op += 1;
-        self.instrs.push(InstrInstance {
-            instr: Instr::Inv(op.clone()),
-            proc,
-            op: id,
-        });
-        for instr in body {
-            self.instrs.push(InstrInstance {
-                instr,
-                proc,
-                op: id,
-            });
-        }
-        self.instrs.push(InstrInstance {
-            instr: Instr::Resp(op),
-            proc,
-            op: id,
-        });
-        id
-    }
-
-    /// Append raw instruction instances (for hand-built interleavings).
-    pub fn raw(&mut self, ii: InstrInstance) {
-        self.instrs.push(ii);
-    }
-
-    /// Validate and build the trace.
-    pub fn build(self) -> Result<Trace, TraceError> {
-        Trace::new(self.instrs)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -460,6 +400,24 @@ mod tests {
 
     fn p(n: u32) -> ProcId {
         ProcId(n)
+    }
+
+    /// A trace of complete operations run one after another: each is
+    /// its invocation, its body and its response, with ids `1, 2, …`.
+    fn sequential(ops: Vec<(ProcId, Op, Vec<Instr>)>) -> Trace {
+        let mut instrs = Vec::new();
+        for (i, (proc, op, body)) in ops.into_iter().enumerate() {
+            let id = OpId(i as u32 + 1);
+            let ii = |instr| InstrInstance {
+                instr,
+                proc,
+                op: id,
+            };
+            instrs.push(ii(Instr::Inv(op.clone())));
+            instrs.extend(body.into_iter().map(ii));
+            instrs.push(ii(Instr::Resp(op)));
+        }
+        Trace::new(instrs).unwrap()
     }
 
     fn rd(var: u32, val: Val) -> Op {
@@ -652,20 +610,20 @@ mod tests {
 
     #[test]
     fn builder_produces_sequential_trace() {
-        let mut b = TraceBuilder::new();
-        b.complete_op(
-            p(1),
-            Op::Start,
-            vec![Instr::Cas {
-                addr: 9,
-                expect: 0,
-                new: 1,
-                ok: true,
-            }],
-        );
-        b.complete_op(p(1), wr(0, 5), vec![Instr::Store { addr: 0, val: 5 }]);
-        b.complete_op(p(1), Op::Commit, vec![Instr::Store { addr: 9, val: 0 }]);
-        let r = b.build().unwrap();
+        let r = sequential(vec![
+            (
+                p(1),
+                Op::Start,
+                vec![Instr::Cas {
+                    addr: 9,
+                    expect: 0,
+                    new: 1,
+                    ok: true,
+                }],
+            ),
+            (p(1), wr(0, 5), vec![Instr::Store { addr: 0, val: 5 }]),
+            (p(1), Op::Commit, vec![Instr::Store { addr: 9, val: 0 }]),
+        ]);
         assert_eq!(r.ops().len(), 3);
         assert_eq!(r.corresponding_histories().len(), 1);
     }
@@ -685,7 +643,6 @@ mod tests {
         assert_eq!(st.start.instrs, 1);
         assert_eq!(st.commit.instrs, 1);
         assert_eq!(st.abort.count, 0);
-        assert!((st.nt_read.mean() - 1.0).abs() < 1e-9);
     }
 
     #[test]
@@ -719,11 +676,11 @@ mod tests {
 
         // Making the operations non-overlapping changes the precedence
         // relation — and the fingerprint.
-        let mut b = TraceBuilder::new();
-        b.complete_op(p(1), rd(0, 0), vec![Instr::Load { addr: 0, val: 0 }]);
-        b.complete_op(p(2), rd(1, 0), vec![Instr::Load { addr: 1, val: 0 }]);
-        let sequential = b.build().unwrap();
-        assert_ne!(mk(false).cache_key(), sequential.cache_key());
+        let seq = sequential(vec![
+            (p(1), rd(0, 0), vec![Instr::Load { addr: 0, val: 0 }]),
+            (p(2), rd(1, 0), vec![Instr::Load { addr: 1, val: 0 }]),
+        ]);
+        assert_ne!(mk(false).cache_key(), seq.cache_key());
     }
 
     #[test]

@@ -11,7 +11,6 @@ use jungle_core::history::History;
 use jungle_core::ids::{ProcId, Val, X, Y, Z};
 use jungle_core::model::{all_models, MemoryModel};
 use jungle_core::opacity::check_opacity;
-use jungle_core::registry::{registry, ModelEntry};
 
 fn p(n: u32) -> ProcId {
     ProcId(n)
@@ -59,29 +58,6 @@ impl Litmus {
             .iter()
             .find(|o| o.label == label)
             .map(|o| check_opacity(&o.history, model).is_opaque())
-    }
-
-    /// Judge one outcome under a registry entry's memory model (the
-    /// unified handle shared with the simulator and the model checker).
-    pub fn judge_entry(&self, label: &str, entry: &ModelEntry) -> Option<bool> {
-        self.judge(label, entry.model)
-    }
-
-    /// [`Litmus::table`] keyed by registry entries instead of raw
-    /// models: `(outcome label, registry key, opaque?)` triples over the
-    /// full executable zoo.
-    pub fn table_registry(&self) -> Vec<(String, &'static str, bool)> {
-        let mut rows = Vec::new();
-        for o in &self.outcomes {
-            for e in registry() {
-                rows.push((
-                    o.label.clone(),
-                    e.key,
-                    check_opacity(&o.history, e.model).is_opaque(),
-                ));
-            }
-        }
-        rows
     }
 }
 
@@ -250,7 +226,7 @@ pub fn fig3_s2(v: Val, vp: Val) -> History {
 /// Store buffering (SB): `x:=1; r1:=y` ∥ `y:=1; r2:=x` — the classic
 /// TSO witness, here purely non-transactional. `r1 = r2 = 0` needs
 /// write→read reordering.
-pub fn sb() -> Litmus {
+fn sb() -> Litmus {
     let mk = |r1: Val, r2: Val| {
         let mut b = HistoryBuilder::new();
         b.write(p(1), X, 1);
@@ -271,7 +247,7 @@ pub fn sb() -> Litmus {
 
 /// Load buffering (LB): `r1:=x; y:=1` ∥ `r2:=y; x:=1` — `r1 = r2 = 1`
 /// needs read→write reordering.
-pub fn lb() -> Litmus {
+fn lb() -> Litmus {
     let mk = |r1: Val, r2: Val| {
         let mut b = HistoryBuilder::new();
         b.read(p(1), X, r1);
@@ -295,7 +271,7 @@ pub fn lb() -> Litmus {
 /// formalization each witness must legalize *all* reads jointly, so the
 /// anomaly requires read→read reordering at the readers (store
 /// atomicity itself is not relaxable in the framework).
-pub fn iriw() -> Litmus {
+fn iriw() -> Litmus {
     let mk = |a1: Val, a2: Val, b1: Val, b2: Val| {
         let mut b = HistoryBuilder::new();
         b.write(p(1), X, 1);
@@ -326,7 +302,7 @@ pub fn iriw() -> Litmus {
 /// between the `"TSO"` and `"TSO+fwd"` entries — the pre-registry
 /// simulator always forwarded, so it executed `TSO+fwd` while the
 /// checker's plain `Tso` model forbade this shape.
-pub fn sb_forwarding() -> Litmus {
+fn sb_forwarding() -> Litmus {
     let mk = |r2: Val, r4: Val| {
         let mut b = HistoryBuilder::new();
         b.write(p(1), X, 1);
@@ -350,7 +326,7 @@ pub fn sb_forwarding() -> Litmus {
 /// The transactional counterpart of SB: both threads' accesses wrapped
 /// in transactions — every anomaly vanishes under every model
 /// (transactional semantics are model-independent).
-pub fn sb_transactional() -> Litmus {
+fn sb_transactional() -> Litmus {
     let mk = |r1: Val, r2: Val| {
         let mut b = HistoryBuilder::new();
         b.start(p(1));
@@ -515,16 +491,6 @@ mod tests {
                                                              // The strong outcomes are fine everywhere.
         assert_eq!(t.judge("r2=1 r4=1", &Sc), Some(true));
         assert_eq!(t.judge("r2=1 r4=0", &Tso), Some(true));
-        // Same verdicts through the registry facade.
-        use jungle_core::registry::entry;
-        assert_eq!(
-            t.judge_entry("r2=0 r4=0", entry("TSO").unwrap()),
-            Some(false)
-        );
-        assert_eq!(
-            t.judge_entry("r2=0 r4=0", entry("TSO+fwd").unwrap()),
-            Some(true)
-        );
     }
 
     #[test]
@@ -532,11 +498,6 @@ mod tests {
         for l in all_litmus() {
             let t = l.table();
             assert_eq!(t.len(), l.outcomes.len() * all_models().len());
-            let tr = l.table_registry();
-            assert_eq!(
-                tr.len(),
-                l.outcomes.len() * jungle_core::registry::registry().len()
-            );
         }
     }
 }

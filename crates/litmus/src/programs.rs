@@ -13,14 +13,6 @@ pub fn fig1_program() -> Program {
     ])
 }
 
-/// Figure 2(b) as a program: purely non-transactional message passing.
-pub fn fig2b_program() -> Program {
-    Program(vec![
-        ThreadProg(vec![Stmt::NtWrite(X, 1), Stmt::NtWrite(Y, 1)]),
-        ThreadProg(vec![Stmt::NtRead(Y), Stmt::NtRead(X)]),
-    ])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -28,6 +20,5 @@ mod tests {
     #[test]
     fn programs_have_expected_shape() {
         assert_eq!(fig1_program().n_threads(), 2);
-        assert_eq!(fig2b_program().vars().len(), 2);
     }
 }

@@ -1,16 +1,14 @@
 //! Running `jungle-mc` programs on the *real* STMs with OS threads.
 //!
-//! [`run_once`] executes a [`Program`] once and returns each thread's
+//! `run_once` executes a [`Program`] once and returns each thread's
 //! read results; [`sample_outcomes`] repeats it to approximate the set
 //! of reachable outcomes (each iteration on a fresh STM instance);
 //! [`run_recorded`] additionally records the execution as a trace for
 //! the `jungle-core` checkers.
 
 use jungle_core::ids::ProcId;
-use jungle_core::registry::ModelEntry;
 use jungle_isa::trace::Trace;
 use jungle_mc::program::{Program, Stmt, TxOp};
-use jungle_mc::verify::{trace_satisfies, CheckKind};
 use jungle_stm::api::{atomically, Aborted, Ctx, TmAlgo, Tx};
 use jungle_stm::recorder::Recorder;
 use std::collections::BTreeMap;
@@ -18,7 +16,7 @@ use std::sync::{Arc, Barrier};
 
 /// One thread's observable result: the values of its reads (inside
 /// committed transactions and non-transactional), in program order.
-pub type ThreadReads = Vec<u64>;
+type ThreadReads = Vec<u64>;
 
 /// Run `ops` inside a transaction, pushing what the reads return.
 fn run_ops(tx: &mut Tx<'_>, ops: &[TxOp], reads: &mut ThreadReads) -> Result<(), Aborted> {
@@ -82,7 +80,7 @@ fn run_thread(tm: &dyn TmAlgo, cx: &mut Ctx, prog: &[Stmt]) -> ThreadReads {
 
 /// Run the program once on `tm`, one OS thread per program thread,
 /// released simultaneously by a barrier.
-pub fn run_once<A: TmAlgo + Send + Sync + 'static>(
+fn run_once<A: TmAlgo + Send + Sync + 'static>(
     program: &Program,
     tm: &Arc<A>,
     rec: Option<Arc<Recorder>>,
@@ -139,26 +137,6 @@ pub fn run_recorded<A: TmAlgo + Send + Sync + 'static>(
     (out, trace)
 }
 
-/// Run the program `iters` times on real OS threads with recording, and
-/// judge each recorded trace for opacity parametrized by the registry
-/// `entry`'s memory model. Returns `(outcome, opaque?)` pairs — the
-/// real-STM counterpart of the simulator sweeps, sharing the same
-/// unified model handle.
-pub fn run_judged<A: TmAlgo + Send + Sync + 'static>(
-    program: &Program,
-    mk_tm: impl Fn() -> A,
-    entry: &ModelEntry,
-    iters: usize,
-) -> Vec<(Vec<ThreadReads>, bool)> {
-    (0..iters)
-        .map(|_| {
-            let (out, trace) = run_recorded(program, &mk_tm);
-            let ok = trace_satisfies(&trace, entry.model, CheckKind::Opacity);
-            (out, ok)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -198,16 +176,5 @@ mod tests {
         // 4 ops in the txn thread (start, 2 writes, commit) + 2 reads.
         assert_eq!(trace.ops().len(), 6);
         assert!(trace.ops().iter().all(|o| o.complete));
-    }
-
-    #[test]
-    fn judged_runs_accept_strong_stm_under_sc_entry() {
-        // The strong STM is SC-opaque on the Figure 1 program; every
-        // real-thread run judged through the registry entry agrees.
-        let program = fig1_program();
-        let e = jungle_core::registry::entry("SC").unwrap();
-        for (out, ok) in run_judged(&program, || StrongStm::new(2), e, 25) {
-            assert!(ok, "non-opaque recorded trace for outcome {out:?}");
-        }
     }
 }

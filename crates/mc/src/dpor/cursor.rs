@@ -1,9 +1,9 @@
 //! The source-set exploration cursor.
 //!
-//! [`DporCursor`] drives the simulated machine like
+//! `DporCursor` drives the simulated machine like
 //! [`ExhaustiveCursor`](jungle_memsim::ExhaustiveCursor) — replay a
 //! recorded decision prefix, extend it at the frontier, backtrack with
-//! [`DporCursor::advance`] — but a choice point opens a sibling branch
+//! `DporCursor::advance` — but a choice point opens a sibling branch
 //! only where a race found in some run below it demands one
 //! (source-set DPOR: Abdulla, Aronis, Jonsson, Sagonas, POPL 2014), and
 //! never re-enters a branch that is asleep (Godefroid).
@@ -161,7 +161,7 @@ impl Node {
 /// [`Scheduler`]; drive it like an `ExhaustiveCursor`: `rewind`, run
 /// the machine, `advance` until it returns `false`.
 #[derive(Debug, Default)]
-pub struct DporCursor {
+pub(crate) struct DporCursor {
     stack: Vec<Node>,
     /// Nodes that left the path, kept for their vectors.
     pool: Vec<Node>,

@@ -6,7 +6,7 @@
 //! thousand distinct histories. This module replaces *enumerate then
 //! dedup* with *never enumerate the duplicate*, and *never start a run
 //! that will be cut*: [`cursor`] holds the one explorer
-//! ([`DporCursor`]) — source sets decide which sibling branches a
+//! (`DporCursor`) — source sets decide which sibling branches a
 //! choice point opens (one happens-before pass over each run's
 //! [`Footprint`](jungle_memsim::Footprint)s finds the races that demand
 //! them), sleep sets keep a class from completing twice — and
@@ -28,7 +28,7 @@
 
 pub mod cursor;
 
-pub use cursor::DporCursor;
+pub(crate) use cursor::DporCursor;
 
 use jungle_memsim::{Machine, RunResult};
 use jungle_obs::sim::{DporStats, MachineStats};

@@ -214,7 +214,7 @@ fn candidate_pairs(th: &History, model: &dyn MemoryModel) -> Vec<(usize, usize)>
 /// (no pair, no class, empty diagnosis) — callers normally hold a
 /// violating history from a [`Sweep`](crate::verify::Sweep)'s
 /// `violation` or an experiment.
-pub fn explain_history(h: &History, model: &dyn MemoryModel, kind: CheckKind) -> Explanation {
+fn explain_history(h: &History, model: &dyn MemoryModel, kind: CheckKind) -> Explanation {
     let th = model.transform(h);
     let ops = th.ops();
     let mut explanation = Explanation {

@@ -11,23 +11,23 @@ use jungle_core::ids::Var;
 use jungle_isa::instr::Addr;
 
 /// Address of the global lock `g` (Figure 6).
-pub const GLOBAL_LOCK: Addr = 0xFFFF_0000;
+pub(crate) const GLOBAL_LOCK: Addr = 0xFFFF_0000;
 
 /// Base address of per-variable metadata words (transactional records
 /// of the strong TM, version locks of the lazy TL2 TM).
-pub const META_BASE: Addr = 0x4000_0000;
+const META_BASE: Addr = 0x4000_0000;
 
 /// The metadata address of a variable.
-pub fn meta_of(v: Var) -> Addr {
+pub(crate) fn meta_of(v: Var) -> Addr {
     META_BASE + v.0
 }
 
 /// The data address of a variable.
-pub fn addr_of(v: Var) -> Addr {
+pub(crate) fn addr_of(v: Var) -> Addr {
     v.0
 }
 
-/// The variable stored at a data address (inverse of [`addr_of`]).
+/// The variable stored at a data address (inverse of `addr_of`).
 pub fn var_of(a: Addr) -> Var {
     Var(a)
 }

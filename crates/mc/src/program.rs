@@ -103,19 +103,6 @@ impl Program {
         vs.dedup();
         vs
     }
-
-    /// Total number of operations (transactional boundaries included).
-    pub fn n_ops(&self) -> usize {
-        self.0
-            .iter()
-            .flat_map(|t| t.0.iter())
-            .map(|s| match s {
-                Stmt::Txn { ops, .. } => ops.len() + 2,
-                Stmt::TxnGuard { ops, .. } => ops.len() + 3,
-                _ => 1,
-            })
-            .sum()
-    }
 }
 
 /// Configuration for random program generation (used by the positive
@@ -202,7 +189,6 @@ mod tests {
         ]);
         assert_eq!(p.n_threads(), 2);
         assert_eq!(p.vars(), vec![X, Y]);
-        assert_eq!(p.n_ops(), 4 + 2);
     }
 
     #[test]

@@ -24,7 +24,7 @@ use jungle_obs::{DporStats, McStats};
 
 /// How an experiment establishes its claim.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Expectation {
+pub(crate) enum Expectation {
     /// A violating trace must exist (impossibility construction).
     ViolationExists,
     /// Every explored trace must satisfy the property.
@@ -52,7 +52,7 @@ pub struct Experiment {
     /// Opacity or SGLA.
     pub kind: CheckKind,
     /// Expected outcome.
-    pub expect: Expectation,
+    pub(crate) expect: Expectation,
     /// Use exhaustive schedule exploration (otherwise random seeds).
     pub exhaustive: bool,
 }
@@ -106,7 +106,7 @@ impl Experiment {
     /// is deterministic — identical for every thread count and fully
     /// determined by the explicit `seeds` on the randomized paths.
     ///
-    /// An [`Expectation::AllTracesSatisfy`] experiment passes only when
+    /// An `Expectation::AllTracesSatisfy` experiment passes only when
     /// no run hit `max_steps`: a truncated run was never checked, so
     /// "all satisfied" would be a claim about traces nobody saw. (A
     /// found violation is conclusive either way.)
@@ -202,7 +202,7 @@ pub fn thm1_case1(model: &'static dyn MemoryModel) -> Experiment {
 /// Theorem 1, case 2 (`M ∈ Mwr`): the Figure 5(c) construction. The
 /// other process writes `x` then reads `y`; both land between the
 /// transaction's read of `x` and its update of `y`.
-pub fn thm1_case2(model: &'static dyn MemoryModel) -> Experiment {
+pub(crate) fn thm1_case2(model: &'static dyn MemoryModel) -> Experiment {
     Experiment {
         id: format!("thm1-case2/{}", model.name()),
         paper_ref: "Theorem 1 case 2 / Figure 5(c)",
@@ -246,7 +246,7 @@ pub fn thm1_case3(model: &'static dyn MemoryModel) -> Experiment {
 
 /// Theorem 1, case 4 (`M ∈ Mww`): the Figure 5(e)-adjacent construction
 /// with two writes by the other process.
-pub fn thm1_case4(model: &'static dyn MemoryModel) -> Experiment {
+pub(crate) fn thm1_case4(model: &'static dyn MemoryModel) -> Experiment {
     Experiment {
         id: format!("thm1-case4/{}", model.name()),
         paper_ref: "Theorem 1 case 4",
@@ -277,7 +277,7 @@ pub fn thm1_case4(model: &'static dyn MemoryModel) -> Experiment {
 /// Theorem 2: updating a read-and-written variable with a plain store
 /// instead of CAS ([`NaiveStoreTm`]) admits a violating trace for every
 /// memory model — Figure 5(e).
-pub fn thm2() -> Experiment {
+fn thm2() -> Experiment {
     Experiment {
         id: "thm2".into(),
         paper_ref: "Theorem 2 / Figure 5(e)",
@@ -319,7 +319,7 @@ pub fn thm3_litmus() -> Experiment {
 
 /// Theorem 4 (litmus form): writes-as-transactions, reads plain; opaque
 /// for `M ∉ Mrr` (checked against Alpha).
-pub fn thm4_litmus() -> Experiment {
+fn thm4_litmus() -> Experiment {
     Experiment {
         id: "thm4-litmus".into(),
         paper_ref: "Theorem 4",
@@ -337,7 +337,7 @@ pub fn thm4_litmus() -> Experiment {
 
 /// Theorem 5 (litmus form): constant-time write instrumentation; opaque
 /// for `M ∉ Mrr ∪ Mwr` (checked against Alpha).
-pub fn thm5_litmus() -> Experiment {
+fn thm5_litmus() -> Experiment {
     Experiment {
         id: "thm5-litmus".into(),
         paper_ref: "Theorem 5",
@@ -359,7 +359,7 @@ pub fn thm5_litmus() -> Experiment {
 /// Tightness of Theorem 5: the same TM is *not* opaque for a read-read
 /// restrictive model (its reads are uninstrumented) — the Figure 5(b)
 /// window reappears under SC.
-pub fn thm5_tightness() -> Experiment {
+fn thm5_tightness() -> Experiment {
     Experiment {
         id: "thm5-tightness/SC".into(),
         paper_ref: "Theorem 5 (necessity of M ∉ Mrr)",
@@ -377,7 +377,7 @@ pub fn thm5_tightness() -> Experiment {
 
 /// Theorem 7 (litmus form): the global-lock TM guarantees SGLA for
 /// every memory model — exhaustively checked against SC, the strongest.
-pub fn thm7_litmus(model: &'static dyn MemoryModel) -> Experiment {
+fn thm7_litmus(model: &'static dyn MemoryModel) -> Experiment {
     Experiment {
         id: format!("thm7-litmus/{}", model.name()),
         paper_ref: "Theorem 7",
@@ -470,7 +470,7 @@ pub fn privatization_safe_global_lock() -> Experiment {
 
 /// §6.1 head-to-head: the fully instrumented strong TM is SC-opaque on
 /// the Figure 1 program.
-pub fn strong_sc_opaque_litmus() -> Experiment {
+fn strong_sc_opaque_litmus() -> Experiment {
     static STRONG: StrongTm = StrongTm::new();
     Experiment {
         id: "strong-sc/fig1".into(),
@@ -490,7 +490,7 @@ pub fn strong_sc_opaque_litmus() -> Experiment {
 }
 
 /// §6.1 optimization: dropping the read instrumentation loses SC…
-pub fn strong_optimized_not_sc() -> Experiment {
+fn strong_optimized_not_sc() -> Experiment {
     static OPT: StrongTm = StrongTm::optimized();
     Experiment {
         id: "strong-optimized/not-SC".into(),
@@ -508,7 +508,7 @@ pub fn strong_optimized_not_sc() -> Experiment {
 }
 
 /// …but keeps opacity parametrized by Alpha (`M ∉ Mrr ∪ Mwr`).
-pub fn strong_optimized_alpha_ok() -> Experiment {
+fn strong_optimized_alpha_ok() -> Experiment {
     static OPT: StrongTm = StrongTm::optimized();
     Experiment {
         id: "strong-optimized/Alpha".into(),
@@ -585,7 +585,7 @@ pub fn experiment_ids() -> Vec<String> {
 /// of x or y, or a one/two-operation committing transaction). Small-
 /// scope exhaustive coverage complementing the random sweeps: if a
 /// theorem fails on any tiny program, it fails here.
-pub fn enumerate_small_programs() -> Vec<Program> {
+fn enumerate_small_programs() -> Vec<Program> {
     use jungle_core::ids::{X, Y};
     let mut stmts: Vec<Stmt> = Vec::new();
     for v in [X, Y] {
@@ -611,7 +611,7 @@ pub fn enumerate_small_programs() -> Vec<Program> {
 }
 
 /// Exhaustively check every small program of
-/// [`enumerate_small_programs`] under `algo`/`model`/`kind`, exploring
+/// `enumerate_small_programs` under `algo`/`model`/`kind`, exploring
 /// every schedule of each. Returns the number of (program, schedule)
 /// pairs checked, or the first failing program.
 pub fn small_scope_sweep(

@@ -203,7 +203,7 @@ pub struct SharedVerdictMemo {
 impl SharedVerdictMemo {
     /// Default entry budget: enough for every distinct history that
     /// litmus-scale sweeps produce, with a hard memory ceiling.
-    pub const DEFAULT_CAP: usize = 1 << 16;
+    const DEFAULT_CAP: usize = 1 << 16;
 
     /// A memo with the default capacity.
     pub fn new() -> Self {

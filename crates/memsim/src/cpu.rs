@@ -1,6 +1,6 @@
 //! Simulated CPUs: per-CPU reorder engines and versioned global memory.
 //!
-//! Each CPU owns a [`ReorderEngine`] — the generalization of the old
+//! Each CPU owns a `ReorderEngine` — the generalization of the old
 //! store buffer — whose behaviour is driven entirely by the
 //! [`ExecSemantics`] fields of the machine's model (see
 //! [`mod@jungle_core::registry`]):
@@ -14,8 +14,8 @@
 //!   bounded by per-CPU **coherence floors** so a CPU never un-sees a
 //!   value it has already observed or written.
 //!
-//! [`GlobalMem`] keeps a short per-address version history (the last
-//! [`MAX_VERSIONS`] values with global sequence numbers) to make the
+//! `GlobalMem` keeps a short per-address version history (the last
+//! `MAX_VERSIONS` values with global sequence numbers) to make the
 //! load window explorable.
 //!
 //! Nothing here hashes: a litmus program touches a handful of
@@ -33,11 +33,11 @@ pub type HwModel = ExecSemantics;
 
 /// Number of versions [`GlobalMem`] retains per address: the newest
 /// plus the largest load window in the registry.
-pub const MAX_VERSIONS: usize = ExecSemantics::MAX_LOAD_WINDOW as usize + 1;
+const MAX_VERSIONS: usize = ExecSemantics::MAX_LOAD_WINDOW as usize + 1;
 
 /// A buffered (not yet globally visible) store.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct PendingStore {
+pub(crate) struct PendingStore {
     /// Target address.
     pub addr: Addr,
     /// Value to be written.
@@ -52,24 +52,16 @@ pub struct PendingStore {
 /// store to it); loads may never return a version older than the floor.
 /// A CAS raises the **global** floor (it acts as a full fence).
 #[derive(Clone, Debug, Default)]
-pub struct ReorderEngine {
+pub(crate) struct ReorderEngine {
     entries: Vec<PendingStore>,
     global_floor: u64,
     addr_floors: Vec<(Addr, u64)>,
 }
 
-/// Backwards-compatible name for [`ReorderEngine`].
-pub type StoreBuffer = ReorderEngine;
-
 impl ReorderEngine {
     /// Enqueue a store.
     pub fn push(&mut self, addr: Addr, val: Val) {
         self.entries.push(PendingStore { addr, val });
-    }
-
-    /// Is the buffer empty?
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     /// Number of buffered stores.
@@ -108,7 +100,7 @@ impl ReorderEngine {
 
     /// Drain every entry in order, returning them (used by CAS and at
     /// termination).
-    pub fn drain_all(&mut self) -> Vec<PendingStore> {
+    pub(crate) fn drain_all(&mut self) -> Vec<PendingStore> {
         std::mem::take(&mut self.entries)
     }
 
@@ -118,7 +110,7 @@ impl ReorderEngine {
     /// (TSO's load waits for its own store to become visible), under
     /// per-address queues just that address's queue. Empty when no
     /// same-address store is pending.
-    pub fn force_drain_for_load(&mut self, hw: HwModel, addr: Addr) -> Vec<PendingStore> {
+    pub(crate) fn force_drain_for_load(&mut self, hw: HwModel, addr: Addr) -> Vec<PendingStore> {
         let mut out = Vec::new();
         match hw.stores {
             StoreDiscipline::Immediate => {}
@@ -143,7 +135,7 @@ impl ReorderEngine {
 
     /// The effective coherence floor for `addr`: the newest sequence
     /// number this CPU is known to have observed for it.
-    pub fn eff_floor(&self, addr: Addr) -> u64 {
+    pub(crate) fn eff_floor(&self, addr: Addr) -> u64 {
         self.addr_floors
             .iter()
             .find(|f| f.0 == addr)
@@ -153,7 +145,7 @@ impl ReorderEngine {
 
     /// Record that this CPU observed version `seq` of `addr` (by
     /// loading it or draining its own store to it). Floors only rise.
-    pub fn raise_addr_floor(&mut self, addr: Addr, seq: u64) {
+    pub(crate) fn raise_addr_floor(&mut self, addr: Addr, seq: u64) {
         match self.addr_floors.iter_mut().find(|f| f.0 == addr) {
             Some(f) => f.1 = f.1.max(seq),
             None => self.addr_floors.push((addr, seq)),
@@ -163,7 +155,7 @@ impl ReorderEngine {
     /// Record a full fence (CAS): the CPU has observed global memory up
     /// to `seq`; no later load of any address may return anything
     /// older.
-    pub fn raise_global_floor(&mut self, seq: u64) {
+    pub(crate) fn raise_global_floor(&mut self, seq: u64) {
         self.global_floor = self.global_floor.max(seq);
     }
 }
@@ -176,7 +168,7 @@ impl ReorderEngine {
 /// with a load reorder window can offer stale reads. The implicit
 /// initial value `0` counts as version `(0, 0)`.
 #[derive(Clone, Debug, Default)]
-pub struct GlobalMem {
+pub(crate) struct GlobalMem {
     /// The written addresses, in the order of their first store.
     cells: Vec<Cell>,
     seq: u64,
@@ -359,7 +351,7 @@ mod tests {
             drained.iter().map(|e| (e.addr, e.val)).collect::<Vec<_>>(),
             vec![(1, 9), (0, 1), (2, 3), (0, 2)]
         );
-        assert!(b.is_empty());
+        assert_eq!(b.len(), 0);
     }
 
     #[test]

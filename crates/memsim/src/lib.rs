@@ -49,9 +49,9 @@ pub mod machine;
 pub mod process;
 pub mod sched;
 
-pub use cpu::{GlobalMem, HwModel, PendingStore, ReorderEngine, StoreBuffer, MAX_VERSIONS};
+pub use cpu::HwModel;
 pub use jungle_core::registry::{ExecSemantics, StoreDiscipline};
-pub use machine::{explore, ExploreOutcome, Machine, RunResult};
+pub use machine::{explore, Machine, RunResult};
 pub use process::{PInstr, Process, Step};
 pub use sched::{
     Action, AddrSet, BurstyScheduler, ChoicePoint, DirectedScheduler, Divergence, ExhaustiveCursor,

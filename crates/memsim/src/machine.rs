@@ -14,7 +14,7 @@ use jungle_isa::instr::Addr;
 use jungle_isa::instr::{Instr, InstrInstance};
 use jungle_isa::trace::Trace;
 use jungle_obs::trace::{self, EventKind};
-use jungle_obs::{profile, MachineStats};
+use jungle_obs::MachineStats;
 
 /// The outcome of one simulated run.
 #[derive(Debug)]
@@ -375,10 +375,7 @@ impl Machine {
                 return self.finish(sched, steps, false, false);
             }
             self.flush_observations(sched);
-            let choice = {
-                let _p = profile::enter("memsim.choose");
-                sched.choose(&self.actions)
-            };
+            let choice = sched.choose(&self.actions);
             assert!(
                 choice < self.actions.len(),
                 "scheduler chose index {choice} of {} enabled actions",
@@ -392,7 +389,6 @@ impl Machine {
             match action {
                 Action::Exec { cpu } => self.exec(cpu, sched),
                 Action::Drain { cpu, idx } => {
-                    let _p = profile::enter("memsim.drain");
                     self.stats.flushes += 1;
                     let e = self.cpus[cpu].buffer.take(idx);
                     self.apply_drain(cpu, e.addr, e.val);

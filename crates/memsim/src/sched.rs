@@ -514,11 +514,6 @@ impl ReplayScheduler {
     pub fn divergence(&self) -> Option<Divergence> {
         self.divergence
     }
-
-    /// How many choose points have been served (scripted or default).
-    pub fn steps_replayed(&self) -> usize {
-        self.pos
-    }
 }
 
 impl Scheduler for ReplayScheduler {
@@ -607,7 +602,6 @@ mod tests {
         let rep_picks: Vec<usize> = (0..16).map(|i| rep.choose(&acts(2 + i % 3))).collect();
         assert_eq!(picks, rep_picks);
         assert!(rep.divergence().is_none());
-        assert_eq!(rep.steps_replayed(), 16);
     }
 
     #[test]

@@ -336,7 +336,7 @@ impl From<bool> for Json {
 
 /// Escape a string for inclusion in a JSON document (without the
 /// surrounding quotes).
-pub fn escape(s: &str) -> String {
+fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

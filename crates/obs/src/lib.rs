@@ -32,8 +32,8 @@
 //! invocation of the crate-private `counters!` macro (field list with
 //! merge rules → the struct, `absorb`, [`ToJson`], and a `FIELDS`
 //! table such as [`SearchStats::FIELDS`]), the flight events are one
-//! table in [`trace`] (→ [`EventKind`], [`EventKind::ALL`],
-//! [`trace::CATEGORIES`]), and the recorder and the profiler share one
+//! table in [`trace`] (→ [`EventKind`], [`EventKind::ALL`] and the
+//! category list), and the recorder and the profiler share one
 //! install point (the private `sink` module, which with [`ring`] holds
 //! all of this crate's `unsafe`).
 //!

@@ -5,9 +5,8 @@
 //! *where the time went*. Call sites bracket a phase with
 //! [`enter`] — the returned guard closes the phase on drop — and the
 //! profiler attributes wall-clock to the full enclosing path
-//! (`report.figures > machine.run > memsim.choose`), counting each
-//! node's calls and splitting its total into self time (not covered by
-//! children).
+//! (`report.figures > check.opacity`), counting each node's calls and
+//! splitting its total into self time (not covered by children).
 //!
 //! The discipline is the same zero-cost-when-off contract as
 //! [`trace`](crate::trace): with no [`Profiler`] [`install`]ed,
@@ -16,9 +15,9 @@
 //! spans record into plain thread-local state (a stack and a per-path
 //! aggregate map) with no synchronization; a thread folds its local
 //! aggregates into the shared tree only when its span stack empties
-//! and enough spans have accumulated ([`FLUSH_EVERY`]), or when the
-//! thread exits, so worker threads in the DPOR frontier pay one mutex
-//! acquisition per few hundred machine runs, not per span.
+//! and enough spans have accumulated (`FLUSH_EVERY`), or when the
+//! thread exits, so a worker thread pays one mutex acquisition per few
+//! hundred spans, not per span.
 //!
 //! Snapshots: call [`flush_thread`] on the reading thread (its own
 //! residue is otherwise still local) and then [`Profiler::snapshot`],
@@ -34,7 +33,7 @@ use std::time::Instant;
 /// Completed spans a thread accumulates locally before folding into
 /// the shared tree (only at stack-empty points, so partial paths never
 /// publish).
-pub const FLUSH_EVERY: u32 = 256;
+const FLUSH_EVERY: u32 = 256;
 
 /// Aggregate for one phase path.
 #[derive(Debug, Default, Clone)]
@@ -233,11 +232,6 @@ pub fn install(profiler: Arc<Profiler>) {
 /// last installed profiler when they close.
 pub fn uninstall() {
     SINK.disable();
-}
-
-/// Is a profiler currently installed?
-pub fn profiling() -> bool {
-    SINK.enabled()
 }
 
 /// Fold the calling thread's local aggregates into the installed

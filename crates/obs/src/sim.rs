@@ -88,7 +88,7 @@ counters! {
 pub const FOOTPRINT_KINDS: [&str; 6] = ["read", "write", "rmw", "fence", "boundary", "other"];
 
 /// Number of footprint kinds (side length of the heat table).
-pub const KINDS: usize = FOOTPRINT_KINDS.len();
+const KINDS: usize = FOOTPRINT_KINDS.len();
 
 /// Race attribution for DPOR exploration: *which* footprint-kind
 /// pairs race (and therefore open backtrack points). The aggregate

@@ -36,10 +36,10 @@ use std::time::Instant;
 /// Number of ring-buffer shards. Threads map to shards by a
 /// process-unique thread id modulo this count, so runs with up to this
 /// many recording threads have fully private shards.
-pub const TRACE_SHARDS: usize = 32;
+const TRACE_SHARDS: usize = 32;
 
 /// Default ring capacity (events) per shard. Must be a power of two.
-pub const DEFAULT_RING_CAP: usize = 1 << 12;
+const DEFAULT_RING_CAP: usize = 1 << 12;
 
 /// Chrome-trace phase of an event kind.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -65,7 +65,7 @@ macro_rules! events {
     )*) => {
         /// The event categories, in `cat_index` order. One per
         /// instrumented layer of the workspace.
-        pub const CATEGORIES: [&str; [$(stringify!($cat)),*].len()] = [$(stringify!($cat)),*];
+        const CATEGORIES: [&str; [$(stringify!($cat)),*].len()] = [$(stringify!($cat)),*];
 
         /// Declaration-order index of each category.
         #[allow(non_camel_case_types)]
@@ -88,7 +88,7 @@ macro_rules! events {
             pub const ALL: &'static [EventKind] = &[$($(EventKind::$kind,)*)*];
 
             /// Index of this kind's category into [`CATEGORIES`].
-            pub fn cat_index(self) -> usize {
+            fn cat_index(self) -> usize {
                 match self {
                     $( $(EventKind::$kind)|* => Category::$cat as usize, )*
                 }
@@ -180,7 +180,7 @@ events! {
 }
 
 impl EventKind {
-    /// Layer category, one of [`CATEGORIES`].
+    /// Layer category, one of `CATEGORIES`.
     pub fn cat(self) -> &'static str {
         CATEGORIES[self.cat_index()]
     }
@@ -216,13 +216,13 @@ struct Shard {
     slots: Box<[Slot]>,
 }
 
-/// The flight recorder: [`TRACE_SHARDS`] single-writer ring buffers.
+/// The flight recorder: `TRACE_SHARDS` single-writer ring buffers.
 ///
 /// Writers are wait-free (a clock read and four relaxed stores). A
 /// shard is owned by the threads whose ids map to it; with more
 /// recording threads than shards two writers can race on a wrapped
 /// slot and record a torn event — acceptable for diagnostics, and
-/// impossible below [`TRACE_SHARDS`] concurrent threads.
+/// impossible below `TRACE_SHARDS` concurrent threads.
 pub struct FlightRecorder {
     epoch: Instant,
     cap: usize,
@@ -308,10 +308,10 @@ impl FlightRecorder {
     }
 
     /// Per-category `(name, recorded, dropped)` rows, in
-    /// [`CATEGORIES`] order. Dropped counts attribute each ring
+    /// `CATEGORIES` order. Dropped counts attribute each ring
     /// eviction to the overwritten event's category, so they sum to
     /// [`dropped`](Self::dropped) (modulo torn-slot races above
-    /// [`TRACE_SHARDS`] concurrent writers).
+    /// `TRACE_SHARDS` concurrent writers).
     pub fn by_category(&self) -> Vec<(&'static str, u64, u64)> {
         CATEGORIES
             .iter()

@@ -40,5 +40,5 @@ pub mod run;
 pub mod shrink;
 
 pub use crate::log::{ScheduleLog, FORMAT_VERSION};
-pub use crate::run::{record_experiment, replay, replay_on, Recording, ReplayOutcome};
-pub use crate::shrink::{shrink, ShrinkStats};
+pub use crate::run::{record_experiment, replay, replay_on, Recording};
+pub use crate::shrink::shrink;

@@ -61,16 +61,6 @@ impl Lit {
     fn code(self) -> usize {
         self.0 as usize
     }
-
-    /// DIMACS form: 1-based, negative when negated.
-    pub fn dimacs(self) -> i64 {
-        let v = self.var() as i64 + 1;
-        if self.is_neg() {
-            -v
-        } else {
-            v
-        }
-    }
 }
 
 /// Truth value of a variable or literal during search.
@@ -103,17 +93,6 @@ pub struct SolverStats {
     pub restarts: u64,
     /// Clauses learned from conflicts.
     pub learned: u64,
-}
-
-impl SolverStats {
-    /// Accumulate another run's counters into this one.
-    pub fn absorb(&mut self, other: &SolverStats) {
-        self.decisions += other.decisions;
-        self.conflicts += other.conflicts;
-        self.propagations += other.propagations;
-        self.restarts += other.restarts;
-        self.learned += other.learned;
-    }
 }
 
 #[derive(Clone, Copy)]

@@ -1,5 +1,5 @@
 //! The uninstrumented global-lock STM of Figure 6 (Theorems 3 and 7),
-//! plus the shared machinery ([`Fig6Core`]) reused by the Theorem 4 and
+//! plus the shared machinery (`Fig6Core`) reused by the Theorem 4 and
 //! Theorem 5 variants.
 //!
 //! Transactions serialize on one global lock; reads are latched into a
@@ -136,13 +136,13 @@ impl<C: Codec> Fig6Core<C> {
         cx.reset_txn();
     }
 
-    pub fn nontxn_read(&self, var: usize) -> u64 {
+    pub(crate) fn nontxn_read(&self, var: usize) -> u64 {
         self.codec.decode(self.heap.load(var))
     }
 
     /// Uninstrumented (or codec-packed) non-transactional write: a
     /// single store.
-    pub fn nontxn_write(&self, cx: &mut Ctx, var: usize, val: u64) {
+    pub(crate) fn nontxn_write(&self, cx: &mut Ctx, var: usize, val: u64) {
         let w = self.codec.encode(cx, val);
         self.heap.store(var, w);
     }

@@ -2,9 +2,9 @@
 //!
 //! Checking a *real* concurrent execution against parametrized opacity
 //! must not invent orderings that did not happen — so the recorder
-//! captures each operation as an **interval**: [`Recorder::begin`]
+//! captures each operation as an **interval**: `Recorder::begin`
 //! grabs an invocation timestamp when the operation starts, and
-//! [`Recorder::finish`] emits both the invocation and response events
+//! `Recorder::finish` emits both the invocation and response events
 //! once the operation completes and its observed values are known. The
 //! result converts to a [`Trace`](jungle_isa::trace::Trace) of
 //! invocation/response markers, and the paper's trace-correspondence
@@ -27,7 +27,7 @@
 //!
 //! Loss accounting audit: the recorder itself **never drops** events —
 //! its buffer is unbounded and the only narrowing conversion
-//! ([`Recorder::begin`]'s op-id allocation) is checked, panicking
+//! (`Recorder::begin`'s op-id allocation) is checked, panicking
 //! rather than aliasing ids on overflow. Bounded buffering (with its
 //! explicit block-vs-drop-with-exact-counter policy, surfaced through
 //! `MonitorStats::events_dropped` in the metrics snapshot) lives in
@@ -43,7 +43,7 @@ use std::sync::Mutex;
 /// Handle for an operation in flight: carries its id and the timestamp
 /// of its invocation.
 #[derive(Clone, Copy, Debug)]
-pub struct OpToken {
+pub(crate) struct OpToken {
     id: u32,
     inv_seq: u64,
 }
@@ -99,7 +99,7 @@ impl Recorder {
     /// If more than `u32::MAX - 1` operations are begun: op ids are
     /// 32-bit, and silently wrapping would alias distinct operations
     /// in the resulting trace.
-    pub fn begin(&self) -> OpToken {
+    pub(crate) fn begin(&self) -> OpToken {
         let raw = self.next_op.fetch_add(1, Ordering::SeqCst);
         let id = u32::try_from(raw)
             .ok()
@@ -109,14 +109,9 @@ impl Recorder {
         OpToken { id, inv_seq }
     }
 
-    /// Number of operations begun so far (including unfinished ones).
-    pub fn ops_recorded(&self) -> u64 {
-        self.next_op.load(Ordering::SeqCst)
-    }
-
     /// Complete the operation `token` as `op` (with observed values
     /// filled in), emitting its invocation and response events.
-    pub fn finish(&self, proc: ProcId, token: OpToken, op: Op) {
+    pub(crate) fn finish(&self, proc: ProcId, token: OpToken, op: Op) {
         let resp_seq = self.seq.fetch_add(1, Ordering::SeqCst);
         let mut events = self.events.lock().unwrap();
         events.push(Event {
@@ -229,16 +224,6 @@ mod tests {
         let trace = r.into_trace().unwrap();
         assert_eq!(trace.ops().len(), 100);
         assert!(trace.canonical_history().is_ok());
-    }
-
-    #[test]
-    fn ops_recorded_counts_begins() {
-        let r = Recorder::new();
-        assert_eq!(r.ops_recorded(), 0);
-        r.instant(ProcId(0), Op::Start);
-        let _unfinished = r.begin();
-        assert_eq!(r.ops_recorded(), 2); // finished + unfinished both count
-        assert_eq!(r.len(), 2); // but only the finished op has events
     }
 
     #[test]

@@ -117,7 +117,7 @@ impl StmTap {
 
     /// Publish a `Commit` for `pid`, drawing the next ticket.
     #[inline]
-    pub fn publish_commit(&self, pid: ProcId) -> bool {
+    pub(crate) fn publish_commit(&self, pid: ProcId) -> bool {
         let ticket = self.tickets.fetch_add(1, Ordering::AcqRel);
         let op = TapOp::Commit { ticket };
         self.ring.push(TapEvent { pid, op })

@@ -15,7 +15,7 @@
 //!
 //! Guarantees opacity parametrized by any `M ∉ Mrr ∪ Mwr` (e.g. Alpha).
 
-use crate::api::{observe_nt_read, Aborted, Ctx, Protocol};
+use crate::api::{Aborted, Ctx, Protocol};
 use crate::global_lock::{Codec, Fig6Core};
 use jungle_isa::tm::{packed, Instrumentation};
 
@@ -42,27 +42,6 @@ impl VersionedStm {
         VersionedStm {
             core: Fig6Core::new(n_vars, PackedCodec),
         }
-    }
-}
-
-impl VersionedStm {
-    /// Footnote 4 of the paper: on models that forbid reordering
-    /// *data-dependent* reads (`M ∈ M^d_rr` — RMO, Java), plain loads
-    /// suffice for independent reads but a data-dependent
-    /// non-transactional read needs "special synchronization … for
-    /// example, a volatile access may be considered as a single
-    /// operation transaction". This is that access path: a
-    /// single-operation transaction under the global lock. Use it for
-    /// reads whose address was computed from a prior non-transactional
-    /// read; use plain [`TmAlgo::nt_read`](crate::TmAlgo::nt_read)
-    /// everywhere else.
-    pub fn nt_read_volatile(&self, cx: &mut Ctx, var: usize) -> u64 {
-        observe_nt_read(cx, var, |cx| {
-            self.core.acquire(cx);
-            let val = self.core.nontxn_read(var);
-            self.core.release();
-            val
-        })
     }
 }
 
@@ -159,47 +138,6 @@ mod tests {
         // The commit CAS failed (word changed), so the cell holds the
         // non-transactional write's 0, not the transactional 7.
         assert_eq!(tm.nt_read(&mut cx1, 0), 0);
-    }
-
-    #[test]
-    fn volatile_read_is_serialized_with_transactions() {
-        // A volatile (single-op-transaction) read can never land between
-        // a transaction's commit CASes: it waits for the global lock.
-        use std::sync::Arc;
-        let tm = Arc::new(VersionedStm::new(2));
-        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let w = {
-            let tm = tm.clone();
-            let stop = stop.clone();
-            std::thread::spawn(move || {
-                let mut cx = Ctx::new(ProcId(0), None);
-                let mut i = 0u64;
-                while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                    i += 1;
-                    atomically(tm.as_ref(), &mut cx, |tx| {
-                        tx.write(0, i % 1000)?;
-                        tx.write(1, i % 1000)
-                    });
-                }
-            })
-        };
-        let mut cx = Ctx::new(ProcId(1), None);
-        for _ in 0..2000 {
-            // Volatile reads of x then y: must never see y fresher
-            // than x (the writer stores x first, all under the lock).
-            let x = tm.nt_read_volatile(&mut cx, 0);
-            let y = tm.nt_read_volatile(&mut cx, 1);
-            // Between the two volatile reads a whole commit may land,
-            // so y ≥ x is the invariant (modulo the wrap at 1000).
-            if x > 0 && y > 0 && x < 900 && y < 900 {
-                assert!(
-                    y >= x,
-                    "volatile reads observed reordered commits: x={x} y={y}"
-                );
-            }
-        }
-        stop.store(true, std::sync::atomic::Ordering::Relaxed);
-        w.join().unwrap();
     }
 
     #[test]
