@@ -153,6 +153,11 @@ fn profiled_run_has_the_shape_the_benchmark_reads() {
             .unwrap_or_else(|| panic!("no phase {name}"));
         num(node, "total_ns");
     }
+    // A sweep's stripe workers check under the phase that spawned them.
+    for node in phases {
+        let name = node.get("name").and_then(Json::as_str).unwrap();
+        assert!(name.starts_with("report."), "{name} at the root");
+    }
     num(doc.get("ledger_entry").expect("ledger entry"), "wall_ms");
 
     let metrics = doc.get("metrics").expect("metrics");

@@ -128,8 +128,10 @@ impl HistoryBuilder {
         )
     }
 
-    /// Append a `havoc` pseudo-operation.
-    pub fn havoc(&mut self, proc: ProcId, var: Var) -> OpId {
+    /// Append a `havoc` pseudo-operation (a test fixture: only the
+    /// memory models' transformations emit one outside tests).
+    #[cfg(test)]
+    pub(crate) fn havoc(&mut self, proc: ProcId, var: Var) -> OpId {
         self.push(proc, Op::Cmd(Command::Havoc { var }))
     }
 

@@ -3,10 +3,10 @@
 //! The paper has one definition (parametrized opacity, §3.3) and one
 //! weakening (SGLA, §6.2). A [`Check`] names the question — which
 //! property ([`CheckKind`]), decided by which procedure
-//! ([`CheckBackend`]), on how many workers — and [`Check::run`]
-//! answers it with a [`CheckVerdict`] plus the [`CheckStats`] of the
-//! work done. A further kind or backend is one more enum arm here, not
-//! another family of functions.
+//! ([`CheckBackend`]) — and [`Check::run`] answers it with a
+//! [`CheckVerdict`] plus the [`CheckStats`] of the work done. A further
+//! kind or backend is one more enum arm here, not another family of
+//! functions.
 //!
 //! Both properties are one search, the crate-internal `Search`: find a
 //! total order of the transactions, consistent with the real-time
@@ -25,7 +25,7 @@
 //! `must_precede`. They hold in every legal witness, so they change the
 //! work, never the verdict, the order or the witness.
 //!
-//! The DFS backend (`search_orders`) returns the lexicographically
+//! The DFS backend (`first_success`) returns the lexicographically
 //! first admissible order whose leaf succeeds, without enumerating
 //! orders: every process has the same view, so a linearization under
 //! the precedences of a *prefix* exists iff some complete order
@@ -33,18 +33,18 @@
 //! admissible order, refutes with one precedence-free call, and
 //! otherwise walks down one accepted prefix at a time (`first_success`
 //! has the details). The leaf sees at most two complete orders; the
-//! cost of a check follows the history's frontiers, not `n!`. On the
-//! work-stealing pool of [`par`](crate::par) each claimed prefix runs
-//! the same walk. The SAT backend ([`encode`]) lets a CDCL solver
-//! propose complete orders and certifies every proposal through the
-//! same leaf.
+//! cost of a check follows the history's frontiers, not `n!`.
+//! [`check_opacity_par`](crate::opacity::check_opacity_par) runs the
+//! same walk on each prefix of a sorted list ([`par`](crate::par)).
+//! The SAT backend ([`encode`]) lets a CDCL solver propose complete
+//! orders and certifies every proposal through the same leaf.
 
 use crate::encode;
 use crate::history::History;
 use crate::ids::{OpId, ProcId};
 use crate::linearize::{linearize, union, Graph, LeafMemo, Legality, DEAD_END_CAP};
 use crate::model::MemoryModel;
-use crate::par::{run_order_pool, Cancel, ParallelConfig};
+use crate::par::{search_orders_par, Cancel};
 use crate::saturate::{saturate, Reach};
 use jungle_obs::trace::{self, EventKind};
 use jungle_obs::{profile, SatStats, SearchStats};
@@ -97,6 +97,17 @@ pub struct CheckVerdict {
 }
 
 impl CheckVerdict {
+    /// The verdict of a search that found `found`.
+    pub(crate) fn new(found: Option<Found>) -> Self {
+        let holds = found.is_some();
+        let (txn_order, witnesses) = found.unwrap_or_default();
+        CheckVerdict {
+            holds,
+            witnesses,
+            txn_order,
+        }
+    }
+
     /// Did the history ensure the checked property parametrized by the
     /// model?
     pub fn holds(&self) -> bool {
@@ -146,12 +157,6 @@ pub struct Check {
     pub kind: CheckKind,
     /// The decision procedure.
     pub backend: CheckBackend,
-    /// `Some` fans the DFS backend's order search over a scoped
-    /// worker pool (histories below `min_units` schedulable units stay
-    /// serial). Verdict **and** witness are exactly those of the serial
-    /// search for every thread count — see [`par`](crate::par). The SAT
-    /// backend is single-threaded and ignores it.
-    pub parallel: Option<ParallelConfig>,
 }
 
 impl Check {
@@ -160,7 +165,6 @@ impl Check {
         Check {
             kind,
             backend: CheckBackend::Dfs,
-            parallel: None,
         }
     }
 
@@ -170,34 +174,29 @@ impl Check {
         stats.search.searches = 1;
         let th = model.transform(h);
         let found = match self.kind {
-            CheckKind::Opacity => self.solve(Search::opacity(&th, model), &mut stats),
-            CheckKind::Sgla => self.solve(Search::sgla(&th, model), &mut stats),
+            CheckKind::Opacity => self.solve(Search::opacity(&th, model), 0, &mut stats),
+            CheckKind::Sgla => self.solve(Search::sgla(&th, model), 0, &mut stats),
         };
-        let holds = found.is_some();
-        let (txn_order, witnesses) = found.unwrap_or_default();
-        let verdict = CheckVerdict {
-            holds,
-            witnesses,
-            txn_order,
-        };
-        (verdict, stats)
+        (CheckVerdict::new(found), stats)
     }
 
     /// The single dispatch on the backend, with the bookkeeping every
-    /// search shares: profiler phase, flight events, unit and worker
-    /// counts, and [`saturate`](crate::saturate) before either backend.
-    fn solve<L: Legality>(&self, mut s: Search<'_, L>, stats: &mut CheckStats) -> Option<Found> {
+    /// search shares: profiler phase, flight events, the unit count,
+    /// and [`saturate`](crate::saturate) before either backend.
+    /// `workers` above 1 splits the DFS backend over a prefix list
+    /// ([`par`](crate::par)); only
+    /// [`check_opacity_par`](crate::opacity::check_opacity_par) asks
+    /// for that.
+    pub(crate) fn solve<L: Legality>(
+        &self,
+        mut s: Search<'_, L>,
+        workers: usize,
+        stats: &mut CheckStats,
+    ) -> Option<Found> {
         let _phase = profile::enter(s.phase);
         let units = s.graph.len();
-        let threads = match self.parallel {
-            Some(cfg) if self.backend == CheckBackend::Dfs && !cfg.serial_for(units) => {
-                cfg.effective_threads()
-            }
-            _ => 0,
-        };
-        trace::emit(EventKind::SearchBegin, units as u64, threads as u64);
+        trace::emit(EventKind::SearchBegin, units as u64, workers as u64);
         stats.search.units = units as u64;
-        stats.search.workers = threads as u64;
         let found = match saturate(&s, self.kind) {
             Err(_) => {
                 // Decided before any backend ran; a SAT check still
@@ -213,7 +212,13 @@ impl Check {
                     s.order = Some(d.order);
                 }
                 match self.backend {
-                    CheckBackend::Dfs => search_orders(&s, threads, &mut stats.search),
+                    CheckBackend::Dfs if workers > 1 => {
+                        search_orders_par(&s, workers, &mut stats.search)
+                    }
+                    CheckBackend::Dfs => {
+                        let memo = &mut LeafMemo::new(DEAD_END_CAP);
+                        first_success(&s, &[], &mut stats.search, &Cancel::never(), memo)
+                    }
                     CheckBackend::Sat => encode::cegar(&s, stats),
                 }
             }
@@ -370,47 +375,17 @@ fn prefix_pairs(prefix: &[usize], used: &[bool]) -> Vec<(usize, usize)> {
 }
 
 /// May transaction `t` come next, given the already-placed `used`?
-fn can_place<L: Legality>(s: &Search<'_, L>, t: usize, used: &[bool]) -> bool {
+pub(crate) fn can_place<L: Legality>(s: &Search<'_, L>, t: usize, used: &[bool]) -> bool {
     !used[t] && (0..s.n_txns()).all(|u| u == t || used[u] || !s.must_precede(u, t))
 }
 
-fn used_by(n: usize, prefix: &[usize]) -> Vec<bool> {
+/// Which of `n` transactions `prefix` has placed.
+pub(crate) fn used_by(n: usize, prefix: &[usize]) -> Vec<bool> {
     let mut used = vec![false; n];
     for &t in prefix {
         used[t] = true;
     }
     used
-}
-
-/// The DFS backend: the lexicographically first admissible
-/// serialization order whose leaf succeeds — found inline when
-/// `threads` is 0, or as the least result of the pool's claimed
-/// prefixes.
-fn search_orders<L: Legality>(
-    s: &Search<'_, L>,
-    threads: usize,
-    stats: &mut SearchStats,
-) -> Option<Found> {
-    let n = s.n_txns();
-    let subtree =
-        |prefix: &[usize], cancel: &Cancel<'_>, memo: &mut LeafMemo, stats: &mut SearchStats| {
-            first_success(s, prefix, stats, cancel, memo)
-        };
-    if threads == 0 {
-        let memo = &mut LeafMemo::new(DEAD_END_CAP);
-        return subtree(&[], &Cancel::never(), memo, stats);
-    }
-    run_order_pool(
-        threads,
-        n,
-        |prefix| {
-            let used = used_by(n, prefix);
-            (0..n).filter(|&t| can_place(s, t, &used)).collect()
-        },
-        || LeafMemo::new(DEAD_END_CAP),
-        subtree,
-        stats,
-    )
 }
 
 /// The first admissible complete order extending `prefix`, in
@@ -436,7 +411,7 @@ fn search_orders<L: Legality>(
 /// after it (a longer prefix implies a shorter one's pairs), so its
 /// dead ends are carried down the walk; a failed call's are not — the
 /// walk turns away from that prefix.
-fn first_success<L: Legality>(
+pub(crate) fn first_success<L: Legality>(
     s: &Search<'_, L>,
     prefix: &[usize],
     stats: &mut SearchStats,

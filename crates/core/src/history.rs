@@ -354,7 +354,7 @@ impl History {
     }
 
     /// The set of variables accessed in the history, sorted.
-    pub fn vars(&self) -> Vec<Var> {
+    pub(crate) fn vars(&self) -> Vec<Var> {
         let commands = self.ops.iter().filter_map(|o| o.op.command());
         let mut set: Vec<Var> = commands.map(Command::var).collect();
         set.sort_unstable();

@@ -192,7 +192,8 @@ impl PrefixChecker {
 
     /// True while a transaction is open (between `start` and
     /// `commit`/`abort`).
-    pub fn in_txn(&self) -> bool {
+    #[inline]
+    pub(crate) fn in_txn(&self) -> bool {
         self.in_txn
     }
 
@@ -217,7 +218,8 @@ impl PrefixChecker {
     /// operation) after its last operation has been applied: its writes
     /// are discarded — they never become visible to anyone else — and
     /// the checker is ready for subsequent operations.
-    pub fn suspend_live(&mut self) {
+    #[inline]
+    pub(crate) fn suspend_live(&mut self) {
         self.clear_overlay();
         self.in_txn = false;
     }
@@ -371,7 +373,8 @@ impl CsChecker {
     }
 
     /// True while a transaction is open.
-    pub fn in_txn(&self) -> bool {
+    #[inline]
+    pub(crate) fn in_txn(&self) -> bool {
         self.in_txn
     }
 

@@ -106,7 +106,7 @@ pub struct PrefixChecker {
 
 impl PrefixChecker {
     /// New checker with all variables in their initial state.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         PrefixChecker {
             committed: VarMap::new(),
             overlay: VarMap::new(),
@@ -138,7 +138,7 @@ impl PrefixChecker {
 
     /// True while a transaction is open (between `start` and
     /// `commit`/`abort`).
-    pub fn in_txn(&self) -> bool {
+    pub(crate) fn in_txn(&self) -> bool {
         self.in_txn
     }
 
@@ -146,7 +146,7 @@ impl PrefixChecker {
     /// operation) after its last operation has been applied: its writes
     /// are discarded — they never become visible to anyone else — and
     /// the checker is ready for subsequent operations.
-    pub fn suspend_live(&mut self) {
+    pub(crate) fn suspend_live(&mut self) {
         self.overlay.0.clear();
         self.in_txn = false;
     }
@@ -175,7 +175,7 @@ impl PrefixChecker {
     ///
     /// Returns `false` if the operation is illegal; the checker must not
     /// be used further after a `false`.
-    pub fn step(&mut self, op: &Op, transactional: bool) -> bool {
+    pub(crate) fn step(&mut self, op: &Op, transactional: bool) -> bool {
         self.pos += 1;
         let pos = self.pos;
         match op {
@@ -265,7 +265,7 @@ pub struct CsChecker {
 
 impl CsChecker {
     /// New checker with all variables in their initial state.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         CsChecker {
             state: VarMap::new(),
             undo: Vec::new(),
@@ -278,13 +278,13 @@ impl CsChecker {
     }
 
     /// True while a transaction is open.
-    pub fn in_txn(&self) -> bool {
+    pub(crate) fn in_txn(&self) -> bool {
         self.in_txn
     }
 
     /// Close a live (never-completed) transaction: like a lock holder
     /// that never released, its in-place writes simply remain.
-    pub fn suspend_live(&mut self) {
+    pub(crate) fn suspend_live(&mut self) {
         self.undo.clear();
         self.in_txn = false;
     }
@@ -299,7 +299,7 @@ impl CsChecker {
 
     /// Apply the next operation of the transactionally sequential
     /// sequence being built. Returns `false` if it is illegal.
-    pub fn step(&mut self, op: &Op, transactional: bool) -> bool {
+    pub(crate) fn step(&mut self, op: &Op, transactional: bool) -> bool {
         match op {
             Op::Start => {
                 debug_assert!(!self.in_txn);

@@ -24,9 +24,9 @@
 //!   idealized model.
 //! * [`classes`] — §3.2 *Classes of memory models*.
 //! * [`check`] — the one request type, [`Check`], that answers "does
-//!   this history satisfy kind K under model M": kind × backend ×
-//!   workers in, verdict and stats out; and the one order search both
-//!   properties run.
+//!   this history satisfy kind K under model M": kind × backend in,
+//!   verdict and stats out; and the one order search both properties
+//!   run.
 //! * [`linearize`] — the constraint system both properties share and
 //!   the legal-linearization search under it: the minimal view, the
 //!   node graph over `τ(h)`, and placement of a node.
@@ -69,8 +69,8 @@
 //! assert!(check_opacity(&h, &Rmo).is_opaque());
 //!
 //! // `check_opacity` is shorthand for the one request type: any kind ×
-//! // backend × worker count, and the stats of the work done always
-//! // come back with the verdict.
+//! // backend, and the stats of the work done always come back with
+//! // the verdict.
 //! let sgla_by_sat = Check {
 //!     backend: CheckBackend::Sat,
 //!     ..Check::new(CheckKind::Sgla)

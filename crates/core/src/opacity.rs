@@ -43,7 +43,7 @@
 //! mutually concurrent (`2^p` frontiers for `p` of them, where the
 //! orders number `p!`).
 
-use crate::check::{Check, CheckKind, CheckVerdict, Search};
+use crate::check::{Check, CheckKind, CheckStats, CheckVerdict, Search};
 use crate::history::History;
 use crate::legal::PrefixChecker;
 use crate::linearize::{edge_set, union, view_pairs, Graph};
@@ -66,17 +66,23 @@ pub fn check_opacity_traced(h: &History, model: &dyn MemoryModel) -> (OpacityVer
     (verdict, stats.search)
 }
 
-/// [`check_opacity`] on the worker pool `cfg` describes.
+/// [`check_opacity`] on the workers `cfg` describes: the same verdict
+/// and witness, with the order search split over a prefix list
+/// ([`par`](crate::par)). Below `cfg.min_units` schedulable units, or
+/// at one effective thread, it is [`check_opacity`].
 pub fn check_opacity_par(
     h: &History,
     model: &dyn MemoryModel,
     cfg: &ParallelConfig,
 ) -> OpacityVerdict {
-    let check = Check {
-        parallel: Some(*cfg),
-        ..Check::new(CheckKind::Opacity)
+    let th = model.transform(h);
+    let s = Search::opacity(&th, model);
+    let workers = match cfg.serial_for(s.graph.len()) {
+        true => 0,
+        false => cfg.effective_threads(),
     };
-    check.run(h, model).0
+    let found = Check::new(CheckKind::Opacity).solve(s, workers, &mut CheckStats::default());
+    CheckVerdict::new(found)
 }
 
 impl<'a> Search<'a, PrefixChecker> {

@@ -1,16 +1,15 @@
-//! Property test cross-validating the pooled [`Check`] against the
-//! serial one: for both kinds, every bundled memory model and any
-//! thread count, `Check { parallel: Some(..), .. }` must produce the
-//! *same* verdict — and, by the lowest-prefix determinism rule, the
-//! same serialization order and witness — as the serial search, run
-//! after run.
+//! Property test cross-validating [`check_opacity_par`] against the
+//! serial opacity check: for every bundled memory model and any thread
+//! count it must produce the *same* verdict — and, by the lowest-index
+//! determinism rule of the prefix list, the same serialization order
+//! and witness — as the serial search, run after run.
 //!
 //! Histories are generated freeform (overlapping transactions across
 //! up to three processes, reads that may observe stale or fabricated
-//! values), so both satisfying and violating inputs appear; the pool is
-//! forced with `min_units: 0` so even tiny histories exercise it.
-//! Opacity witnesses returned by the pool are re-validated from scratch
-//! as legal sequential permutations.
+//! values), so both satisfying and violating inputs appear; the split
+//! is forced with `min_units: 0` so even tiny histories exercise it.
+//! The witnesses it returns are re-validated from scratch as legal
+//! sequential permutations.
 
 use jungle_core::builder::HistoryBuilder;
 use jungle_core::check::{Check, CheckKind, CheckVerdict};
@@ -18,6 +17,7 @@ use jungle_core::history::{History, OpInstance};
 use jungle_core::ids::{ProcId, Var};
 use jungle_core::legal::every_op_legal;
 use jungle_core::model::{all_models, MemoryModel};
+use jungle_core::opacity::check_opacity_par;
 use jungle_core::par::ParallelConfig;
 use proptest::prelude::*;
 
@@ -28,7 +28,7 @@ const THREADS: [usize; 3] = [1, 2, 4];
 type Action = (u32, u32, u32, u32);
 
 /// A parallel config with the size threshold disabled, so every
-/// generated history takes the worker-pool path.
+/// generated history is split over the prefix list.
 fn forced(threads: usize) -> ParallelConfig {
     ParallelConfig {
         threads,
@@ -124,39 +124,31 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn pooled_check_matches_serial_and_repeats(script in action_strategy()) {
+    fn split_check_matches_serial_and_repeats(script in action_strategy()) {
         let h = build_history(&script, 8);
-        for kind in [CheckKind::Opacity, CheckKind::Sgla] {
-            for model in all_models() {
-                let serial = Check::new(kind).run(&h, model).0;
-                for t in THREADS {
-                    let pooled = Check {
-                        parallel: Some(forced(t)),
-                        ..Check::new(kind)
-                    };
-                    let (par, stats) = pooled.run(&h, model);
-                    // One worker is the serial path; more is the pool.
-                    prop_assert_eq!(stats.search.workers, if t > 1 { t as u64 } else { 0 });
-                    // Lowest-prefix determinism: the pool returns the
-                    // exact serial witness, not just *a* witness — and
-                    // the scheduler cannot influence a repeat run.
-                    for v in [&par, &pooled.run(&h, model).0] {
-                        prop_assert_eq!(
-                            v.holds(), serial.holds(),
-                            "{:?} verdict diverged under {} at {} threads", kind, model.name(), t
-                        );
-                        prop_assert_eq!(
-                            v.txn_order(), serial.txn_order(),
-                            "{:?} txn order diverged under {} at {} threads", kind, model.name(), t
-                        );
-                        prop_assert_eq!(
-                            v.witnesses(), serial.witnesses(),
-                            "{:?} witness diverged under {} at {} threads", kind, model.name(), t
-                        );
-                    }
-                    if kind == CheckKind::Opacity && par.holds() {
-                        assert_witnesses_valid(&h, model, &par);
-                    }
+        for model in all_models() {
+            let serial = Check::new(CheckKind::Opacity).run(&h, model).0;
+            for t in THREADS {
+                let par = check_opacity_par(&h, model, &forced(t));
+                // Lowest-index determinism: the split returns the exact
+                // serial witness, not just *a* witness — and the
+                // scheduler cannot influence a repeat run.
+                for v in [&par, &check_opacity_par(&h, model, &forced(t))] {
+                    prop_assert_eq!(
+                        v.holds(), serial.holds(),
+                        "verdict diverged under {} at {} threads", model.name(), t
+                    );
+                    prop_assert_eq!(
+                        v.txn_order(), serial.txn_order(),
+                        "txn order diverged under {} at {} threads", model.name(), t
+                    );
+                    prop_assert_eq!(
+                        v.witnesses(), serial.witnesses(),
+                        "witness diverged under {} at {} threads", model.name(), t
+                    );
+                }
+                if par.holds() {
+                    assert_witnesses_valid(&h, model, &par);
                 }
             }
         }

@@ -48,16 +48,6 @@ pub enum Instr {
 }
 
 impl Instr {
-    /// The address accessed, for memory instructions.
-    pub fn addr(&self) -> Option<Addr> {
-        match self {
-            Instr::Load { addr, .. } | Instr::Store { addr, .. } | Instr::Cas { addr, .. } => {
-                Some(*addr)
-            }
-            _ => None,
-        }
-    }
-
     /// True for the invocation/response markers.
     pub(crate) fn is_marker(&self) -> bool {
         matches!(self, Instr::Inv(_) | Instr::Resp(_))
@@ -110,19 +100,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn addr_extraction_and_markers() {
-        assert_eq!(Instr::Load { addr: 7, val: 0 }.addr(), Some(7));
-        assert_eq!(
-            Instr::Cas {
-                addr: 3,
-                expect: 0,
-                new: 1,
-                ok: true
-            }
-            .addr(),
-            Some(3)
-        );
-        assert_eq!(Instr::Inv(Op::Commit).addr(), None);
+    fn markers() {
         assert!(Instr::Inv(Op::Start).is_marker());
         assert!(Instr::Resp(Op::Abort).is_marker());
         assert!(!Instr::Store { addr: 0, val: 0 }.is_marker());

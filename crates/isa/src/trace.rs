@@ -155,7 +155,7 @@ impl Trace {
     /// trace: it occurs within a trace-level transaction
     /// (`(., start) … (/, commit|abort)` or running to the end of the
     /// process's instructions).
-    pub fn is_transactional(&self, k: OpId) -> bool {
+    pub(crate) fn is_transactional(&self, k: OpId) -> bool {
         let Some(op) = self.ops.iter().find(|o| o.id == k) else {
             return false;
         };

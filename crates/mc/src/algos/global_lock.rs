@@ -257,7 +257,7 @@ mod tests {
 
     fn run_single(algo: &dyn TmAlgo, prog: ThreadProg) -> jungle_isa::Trace {
         let m = Machine::new(HwModel::SC, vec![algo.make_process(ProcId(0), prog)]);
-        let mut s = DirectedScheduler::default();
+        let mut s = DirectedScheduler;
         let r = m.run(&mut s, 10_000);
         assert!(r.completed, "single-threaded run must complete");
         r.trace

@@ -191,7 +191,7 @@ mod tests {
             HwModel::SC,
             vec![StrongTm::new().make_process(ProcId(0), prog)],
         );
-        let mut s = DirectedScheduler::default();
+        let mut s = DirectedScheduler;
         let r = m.run(&mut s, 50_000);
         assert!(r.completed);
         r.trace

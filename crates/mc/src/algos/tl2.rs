@@ -124,7 +124,7 @@ mod tests {
 
     fn run_single(prog: ThreadProg) -> jungle_isa::Trace {
         let m = Machine::new(HwModel::SC, vec![LazyTl2Tm.make_process(ProcId(0), prog)]);
-        let mut s = DirectedScheduler::default();
+        let mut s = DirectedScheduler;
         let r = m.run(&mut s, 50_000);
         assert!(r.completed);
         r.trace

@@ -188,12 +188,12 @@ pub(crate) struct DporCursor {
 
 impl DporCursor {
     /// A cursor rooted at the top of the schedule tree.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Reset the replay position for the next run.
-    pub fn rewind(&mut self) {
+    pub(crate) fn rewind(&mut self) {
         self.pos = 0;
         self.obs = 0;
         self.blocked = false;
@@ -203,7 +203,7 @@ impl DporCursor {
     /// deepest node first and lowest option first within a node,
     /// putting each completed branch to sleep at its node. Returns
     /// `false` when every backtrack set is exhausted.
-    pub fn advance(&mut self) -> bool {
+    pub(crate) fn advance(&mut self) -> bool {
         if self.blocked {
             // The blocked node explored nothing: every option was
             // already asleep, so it has no footprint and sleeps nothing.

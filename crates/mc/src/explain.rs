@@ -76,7 +76,7 @@ impl TheoremClass {
     }
 
     /// Longhand description.
-    pub fn describe(self) -> &'static str {
+    pub(crate) fn describe(self) -> &'static str {
         match self {
             TheoremClass::Mrr => "read-read restrictive",
             TheoremClass::Mrw => "read-write restrictive",

@@ -72,37 +72,6 @@ impl Program {
     pub fn n_threads(&self) -> usize {
         self.0.len()
     }
-
-    /// The variables mentioned by the program, sorted.
-    pub fn vars(&self) -> Vec<Var> {
-        let mut vs: Vec<Var> = self
-            .0
-            .iter()
-            .flat_map(|t| t.0.iter())
-            .flat_map(|s| match s {
-                Stmt::Txn { ops, .. } => ops
-                    .iter()
-                    .map(|o| match o {
-                        TxOp::Read(v) | TxOp::Write(v, _) => *v,
-                    })
-                    .collect::<Vec<_>>(),
-                Stmt::TxnGuard { guard, ops, .. } => {
-                    let mut vs: Vec<Var> = ops
-                        .iter()
-                        .map(|o| match o {
-                            TxOp::Read(v) | TxOp::Write(v, _) => *v,
-                        })
-                        .collect();
-                    vs.push(*guard);
-                    vs
-                }
-                Stmt::NtRead(v) | Stmt::NtWrite(v, _) => vec![*v],
-            })
-            .collect();
-        vs.sort();
-        vs.dedup();
-        vs
-    }
 }
 
 /// Configuration for random program generation (used by the positive
@@ -188,7 +157,6 @@ mod tests {
             ThreadProg(vec![Stmt::NtRead(X), Stmt::NtWrite(Y, 2)]),
         ]);
         assert_eq!(p.n_threads(), 2);
-        assert_eq!(p.vars(), vec![X, Y]);
     }
 
     #[test]

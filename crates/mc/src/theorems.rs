@@ -72,11 +72,6 @@ pub struct ExperimentResult {
 }
 
 impl Experiment {
-    /// The memory model parametrizing the property.
-    pub fn model(&self) -> &'static dyn MemoryModel {
-        self.entry.model
-    }
-
     /// Run the experiment with the default parallel configuration (auto
     /// thread count for a random sweep's seed stripes; an exhaustive
     /// sweep is one serial search) and a private verdict memo.

@@ -82,7 +82,7 @@ use jungle_core::registry::ModelEntry;
 use jungle_isa::trace::Trace;
 use jungle_memsim::{BurstyScheduler, HwModel, Machine, RandomScheduler, RunResult, Scheduler};
 use jungle_obs::trace::{self as flight, EventKind};
-use jungle_obs::{DporStats, McStats};
+use jungle_obs::{profile, DporStats, McStats};
 use std::collections::{HashMap, HashSet};
 use std::io::Write;
 use std::path::Path;
@@ -211,7 +211,7 @@ impl SharedVerdictMemo {
     }
 
     /// A memo admitting at most `cap` entries.
-    pub fn with_capacity(cap: usize) -> Self {
+    pub(crate) fn with_capacity(cap: usize) -> Self {
         SharedVerdictMemo {
             cap,
             map: Mutex::new(HashMap::new()),
@@ -301,7 +301,13 @@ impl SharedVerdictMemo {
     /// Preload one verdict from a previous run. The model key must be
     /// `'static` (callers resolve names through the
     /// [registry](jungle_core::registry::registry)).
-    pub fn preload(&self, model: &'static str, kind: CheckKind, fingerprint: u64, verdict: bool) {
+    pub(crate) fn preload(
+        &self,
+        model: &'static str,
+        kind: CheckKind,
+        fingerprint: u64,
+        verdict: bool,
+    ) {
         self.insert(
             (model, kind, fingerprint),
             MemoVerdict {
@@ -613,9 +619,17 @@ impl<'a> Sweep<'a> {
         }
         let mut verdict = Verdict::passing(self.entry);
         verdict.stats.workers = threads as u64;
+        let path = &profile::path();
         std::thread::scope(|s| {
             let stripe = &stripe;
-            let handles: Vec<_> = (0..threads).map(|t| s.spawn(move || stripe(t))).collect();
+            let handles: Vec<_> = (0..threads)
+                .map(|t| {
+                    s.spawn(move || {
+                        let _path = profile::inherit(path);
+                        stripe(t)
+                    })
+                })
+                .collect();
             for h in handles {
                 let local = h.join().expect("random-sweep worker panicked");
                 verdict.runs += local.runs;

@@ -60,18 +60,18 @@ pub(crate) struct ReorderEngine {
 
 impl ReorderEngine {
     /// Enqueue a store.
-    pub fn push(&mut self, addr: Addr, val: Val) {
+    pub(crate) fn push(&mut self, addr: Addr, val: Val) {
         self.entries.push(PendingStore { addr, val });
     }
 
     /// Number of buffered stores.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.entries.len()
     }
 
     /// The youngest buffered value for `addr`, if any (store-to-load
     /// forwarding).
-    pub fn forward(&self, addr: Addr) -> Option<Val> {
+    pub(crate) fn forward(&self, addr: Addr) -> Option<Val> {
         self.entries
             .iter()
             .rev()
@@ -83,7 +83,7 @@ impl ReorderEngine {
     /// discipline: FIFO — only the oldest entry; per-address — the
     /// oldest entry *per address*; immediate — the buffer is never
     /// populated. Ascending.
-    pub fn drainable(&self, hw: HwModel) -> impl Iterator<Item = usize> + '_ {
+    pub(crate) fn drainable(&self, hw: HwModel) -> impl Iterator<Item = usize> + '_ {
         let n = match hw.stores {
             StoreDiscipline::Immediate => 0,
             StoreDiscipline::Fifo => self.entries.len().min(1),
@@ -94,7 +94,7 @@ impl ReorderEngine {
     }
 
     /// Remove and return the entry at `idx`.
-    pub fn take(&mut self, idx: usize) -> PendingStore {
+    pub(crate) fn take(&mut self, idx: usize) -> PendingStore {
         self.entries.remove(idx)
     }
 
@@ -194,19 +194,19 @@ static INITIAL_VERSION: [(u64, Val); 1] = [(0, 0)];
 
 impl GlobalMem {
     /// Read the current value of an address (0 if never written).
-    pub fn load(&self, addr: Addr) -> Val {
+    pub(crate) fn load(&self, addr: Addr) -> Val {
         self.current(addr).1
     }
 
     /// The newest version of `addr`: `(0, 0)` if never written.
-    pub fn current(&self, addr: Addr) -> (u64, Val) {
+    pub(crate) fn current(&self, addr: Addr) -> (u64, Val) {
         let vs = self.versions(addr);
         vs[vs.len() - 1]
     }
 
     /// Write an address; returns the new version's global sequence
     /// number.
-    pub fn store(&mut self, addr: Addr, val: Val) -> u64 {
+    pub(crate) fn store(&mut self, addr: Addr, val: Val) -> u64 {
         self.seq += 1;
         let at = match self.cells.iter().position(|c| c.addr == addr) {
             Some(i) => i,
@@ -231,13 +231,13 @@ impl GlobalMem {
     }
 
     /// The current global sequence number (number of stores so far).
-    pub fn seq(&self) -> u64 {
+    pub(crate) fn seq(&self) -> u64 {
         self.seq
     }
 
     /// The retained versions of `addr`, oldest → newest (at least one
     /// entry; `(0, 0)` for a never-written address).
-    pub fn versions(&self, addr: Addr) -> &[(u64, Val)] {
+    pub(crate) fn versions(&self, addr: Addr) -> &[(u64, Val)] {
         self.cells
             .iter()
             .find(|c| c.addr == addr)
@@ -245,7 +245,7 @@ impl GlobalMem {
     }
 
     /// Snapshot of all written cells' current values, sorted by address.
-    pub fn snapshot(&self) -> Vec<(Addr, Val)> {
+    pub(crate) fn snapshot(&self) -> Vec<(Addr, Val)> {
         let mut v: Vec<(Addr, Val)> = self
             .cells
             .iter()
@@ -257,7 +257,7 @@ impl GlobalMem {
 
     /// Atomic compare-and-swap on the current value; returns whether it
     /// succeeded.
-    pub fn cas(&mut self, addr: Addr, expect: Val, new: Val) -> bool {
+    pub(crate) fn cas(&mut self, addr: Addr, expect: Val, new: Val) -> bool {
         if self.load(addr) == expect {
             self.store(addr, new);
             true

@@ -33,7 +33,7 @@
 //! on CAS failures and branch on loaded values.
 //!
 //! Nondeterminism (which CPU steps; which buffered store drains) is
-//! resolved by a [`Scheduler`]: scripted ([`DirectedScheduler`]) for the
+//! resolved by a [`Scheduler`]: first-enabled ([`DirectedScheduler`]) for the
 //! paper's Figure 5 constructions, seeded-random ([`RandomScheduler`])
 //! for fuzzing, and exhaustive enumeration ([`explore`]) for the
 //! model-checking sweeps.

@@ -103,12 +103,6 @@ impl Machine {
         self.mem.store(addr, val);
     }
 
-    /// Read a memory address after (or during) a run — buffered stores
-    /// are not visible here.
-    pub fn peek(&self, addr: jungle_isa::instr::Addr) -> Val {
-        self.mem.load(addr)
-    }
-
     /// Refill `actions` with the enabled actions, in CPU order: each
     /// CPU's next step (unless done), then its drainable stores.
     fn fill_enabled(&mut self) {
@@ -518,7 +512,7 @@ mod tests {
     #[test]
     fn sequential_run_on_sc() {
         let m = Machine::new(HwModel::SC, vec![writer(X, 0, 5)]);
-        let mut s = DirectedScheduler::default();
+        let mut s = DirectedScheduler;
         let r = m.run(&mut s, 100);
         assert!(r.completed);
         assert_eq!(r.trace.ops().len(), 1);
@@ -674,7 +668,7 @@ mod tests {
         })) as Box<dyn Process>;
         // Schedule only Exec actions for cpu 0 (never drain first).
         let m = Machine::new(HwModel::TSO_FWD, vec![p]);
-        let mut s = DirectedScheduler::new(vec![0; 32]);
+        let mut s = DirectedScheduler;
         let r = m.run(&mut s, 100);
         assert!(r.completed);
     }
@@ -700,7 +694,7 @@ mod tests {
         })) as Box<dyn Process>;
         let mut m = Machine::new(HwModel::TSO_FWD, vec![p]);
         m.poke(1, 0);
-        let mut s = DirectedScheduler::new(vec![0; 32]);
+        let mut s = DirectedScheduler;
         // After the run, both the buffered store and the CAS value must
         // be in memory.
         let r = m.run(&mut s, 100);
@@ -751,7 +745,7 @@ mod tests {
             }
         })) as Box<dyn Process>;
         let m = Machine::new(HwModel::TSO_FWD, vec![p]);
-        let mut s = DirectedScheduler::new(vec![0; 64]);
+        let mut s = DirectedScheduler;
         let r = m.run(&mut s, 100);
         assert!(r.completed);
         assert_eq!(r.stats.stores, 1);
@@ -896,7 +890,7 @@ mod tests {
         let m = Machine::new(HwModel::TSO, vec![p]);
         // Only ever pick Exec (never a scheduled drain): the forced
         // drain happens inside the load itself.
-        let mut s = DirectedScheduler::new(vec![0; 32]);
+        let mut s = DirectedScheduler;
         let r = m.run(&mut s, 100);
         assert!(r.completed);
         assert_eq!(r.stats.flushes, 1);
@@ -906,7 +900,7 @@ mod tests {
     #[test]
     fn machine_stats_carry_model_name() {
         let m = Machine::new(HwModel::RMO, vec![writer(X, 0, 1)]);
-        let mut s = DirectedScheduler::default();
+        let mut s = DirectedScheduler;
         let r = m.run(&mut s, 100);
         assert_eq!(r.stats.model, "RMO");
     }
@@ -925,7 +919,7 @@ mod tests {
         // writer on SC (immediate stores): Inv, Store, Resp, Done —
         // four Exec decisions, no inner version picks.
         let m = Machine::new(HwModel::SC, vec![writer(X, 0, 5)]);
-        let mut s = DirectedScheduler::default();
+        let mut s = DirectedScheduler;
         let r = m.run(&mut s, 100);
         assert!(r.completed);
         assert_eq!(r.footprints.len(), 4);
@@ -950,7 +944,7 @@ mod tests {
             }
         })) as Box<dyn Process>;
         let m = Machine::new(HwModel::TSO_FWD, vec![p]);
-        let mut s = DirectedScheduler::new(vec![0; 16]);
+        let mut s = DirectedScheduler;
         let r = m.run(&mut s, 100);
         assert!(r.completed);
         let f = &r.footprints[1];
@@ -964,7 +958,7 @@ mod tests {
         let mut m = Machine::new(HwModel::RMO, vec![one_read(X, 0, false)]);
         m.mem.store(0, 1);
         m.mem.store(0, 2);
-        let mut s = DirectedScheduler::new(vec![0; 16]);
+        let mut s = DirectedScheduler;
         let r = m.run(&mut s, 100);
         assert!(r.completed);
         // Inv, Load (outer), version pick (inner), Resp, Done.

@@ -55,7 +55,7 @@ impl Action {
     /// Pack the action into one `u64` for portable schedule logs and
     /// flight-recorder arguments: `kind << 32 | cpu << 16 | arg`, where
     /// `arg` is the drain buffer index or the read-version index.
-    pub fn encode(self) -> u64 {
+    pub(crate) fn encode(self) -> u64 {
         let (kind, arg) = match self {
             Action::Exec { .. } => (1u64, 0),
             Action::Drain { idx, .. } => (2u64, idx),
@@ -95,7 +95,7 @@ impl AddrSet {
 
     /// Add `addr`; a set that cannot hold it becomes full.
     #[inline]
-    pub fn insert(&mut self, addr: Addr) {
+    pub(crate) fn insert(&mut self, addr: Addr) {
         if self.is_full() || self.held().contains(&addr) {
             return;
         }
@@ -264,28 +264,16 @@ pub trait Scheduler {
     }
 }
 
-/// Plays a scripted sequence of choice indices, then always picks 0.
+/// Always picks choice 0: the first enabled action in CPU order.
 ///
 /// Used to reproduce the paper's hand-constructed interleavings
-/// (Figure 5). Out-of-range entries are clamped.
-#[derive(Clone, Debug, Default)]
-pub struct DirectedScheduler {
-    script: Vec<usize>,
-    pos: usize,
-}
-
-impl DirectedScheduler {
-    /// A scheduler that plays `script` then defaults to choice 0.
-    pub fn new(script: Vec<usize>) -> Self {
-        DirectedScheduler { script, pos: 0 }
-    }
-}
+/// (Figure 5).
+#[derive(Clone, Copy, Debug)]
+pub struct DirectedScheduler;
 
 impl Scheduler for DirectedScheduler {
-    fn choose(&mut self, actions: &[Action]) -> usize {
-        let c = self.script.get(self.pos).copied().unwrap_or(0);
-        self.pos += 1;
-        c.min(actions.len() - 1)
+    fn choose(&mut self, _: &[Action]) -> usize {
+        0
     }
 }
 
@@ -371,13 +359,13 @@ pub struct ExhaustiveCursor {
 
 impl ExhaustiveCursor {
     /// Reset the replay position for the next run.
-    pub fn rewind(&mut self) {
+    pub(crate) fn rewind(&mut self) {
         self.pos = 0;
     }
 
     /// Advance to the lexicographically next choice string. Returns
     /// `false` when the space is exhausted.
-    pub fn advance(&mut self) -> bool {
+    pub(crate) fn advance(&mut self) -> bool {
         while let Some((chosen, n)) = self.stack.pop() {
             if chosen + 1 < n {
                 self.stack.push((chosen + 1, n));
@@ -405,7 +393,7 @@ impl Scheduler for ExhaustiveCursor {
 // ── record / replay ──────────────────────────────────────────────────
 
 /// One recorded scheduler decision: which index was chosen out of how
-/// many options, and the [`Action::encode`]d action it selected.
+/// many options, and the encoded action it selected.
 ///
 /// The `options` count and encoded `action` are redundant with `chosen`
 /// for the run that produced them — they exist so a replay on a changed
@@ -417,7 +405,7 @@ pub struct ChoicePoint {
     pub chosen: usize,
     /// Length of the action list at this choose point.
     pub options: usize,
-    /// [`Action::encode`] of the chosen action.
+    /// The chosen action, encoded (`Action::encode`).
     pub action: u64,
 }
 
@@ -437,11 +425,6 @@ impl<'a> RecordingScheduler<'a> {
             inner,
             log: Vec::new(),
         }
-    }
-
-    /// The decisions recorded so far.
-    pub fn log(&self) -> &[ChoicePoint] {
-        &self.log
     }
 
     /// Consume the wrapper, returning the recorded decisions.
@@ -551,15 +534,6 @@ mod tests {
 
     fn acts(n: usize) -> Vec<Action> {
         (0..n).map(|cpu| Action::Exec { cpu }).collect()
-    }
-
-    #[test]
-    fn directed_plays_script_then_zero() {
-        let mut s = DirectedScheduler::new(vec![1, 0, 5]);
-        assert_eq!(s.choose(&acts(3)), 1);
-        assert_eq!(s.choose(&acts(3)), 0);
-        assert_eq!(s.choose(&acts(3)), 2); // clamped
-        assert_eq!(s.choose(&acts(3)), 0); // exhausted
     }
 
     #[test]

@@ -14,10 +14,15 @@
 //! clock read, no allocation, no thread-local touch. When installed,
 //! spans record into plain thread-local state (a stack and a per-path
 //! aggregate map) with no synchronization; a thread folds its local
-//! aggregates into the shared tree only when its span stack empties
-//! and enough spans have accumulated (`FLUSH_EVERY`), or when the
+//! aggregates into the shared tree only when none of its own phases is
+//! open and enough spans have accumulated (`FLUSH_EVERY`), or when the
 //! thread exits, so a worker thread pays one mutex acquisition per few
 //! hundred spans, not per span.
+//!
+//! A thread that a phase spawns starts with an empty stack of its own;
+//! handing it the spawner's [`path`] to [`inherit`] nests its phases
+//! under the spawner's, as untimed frames, so they are attributed where
+//! the work was asked for and the spawner's own totals do not change.
 //!
 //! Snapshots: call [`flush_thread`] on the reading thread (its own
 //! residue is otherwise still local) and then [`Profiler::snapshot`],
@@ -185,7 +190,9 @@ impl ToJson for ProfileNode {
 
 struct Frame {
     name: &'static str,
-    start: Instant,
+    /// `None` for a frame [`inherit`]ed from the spawning thread: it
+    /// names the path and times nothing.
+    start: Option<Instant>,
     child_ns: u64,
 }
 
@@ -254,35 +261,59 @@ pub fn flush_thread() {
 #[inline]
 pub fn enter(name: &'static str) -> PhaseGuard {
     if !SINK.enabled() {
-        return PhaseGuard { armed: false };
+        return PhaseGuard { frames: 0 };
     }
-    enter_installed(name)
+    push_frames(&[name], true)
 }
 
+/// The calling thread's open phases, outermost first (empty with no
+/// profiler installed): what a thread it spawns passes to [`inherit`].
+pub fn path() -> Vec<&'static str> {
+    if !SINK.enabled() {
+        return Vec::new();
+    }
+    TLS.try_with(|tls| tls.borrow().stack.iter().map(|f| f.name).collect())
+        .unwrap_or_default()
+}
+
+/// Continue the spawning thread's `path` on this thread: until the
+/// returned guard drops, the phases this thread opens nest under it.
+/// The inherited frames time nothing, so only the spawner times them.
+pub fn inherit(path: &[&'static str]) -> PhaseGuard {
+    if path.is_empty() || !SINK.enabled() {
+        return PhaseGuard { frames: 0 };
+    }
+    push_frames(path, false)
+}
+
+/// Push `names` as frames, timed from now or (inherited) untimed.
 #[cold]
-fn enter_installed(name: &'static str) -> PhaseGuard {
-    let armed = TLS
-        .try_with(|tls| {
-            tls.borrow_mut().stack.push(Frame {
-                name,
-                start: Instant::now(),
-                child_ns: 0,
-            });
-        })
-        .is_ok();
-    PhaseGuard { armed }
+fn push_frames(names: &[&'static str], timed: bool) -> PhaseGuard {
+    let start = timed.then(Instant::now);
+    let pushed = TLS.try_with(|tls| {
+        let frames = names.iter().map(|&name| Frame {
+            name,
+            start,
+            child_ns: 0,
+        });
+        tls.borrow_mut().stack.extend(frames);
+    });
+    PhaseGuard {
+        frames: if pushed.is_ok() { names.len() } else { 0 },
+    }
 }
 
-/// Closes its phase on drop. Hold it for the duration of the phase;
-/// binding to `_` drops immediately and times nothing.
+/// Closes its phase (or the frames it [`inherit`]ed) on drop. Hold it
+/// for the duration of the phase; binding to `_` drops immediately and
+/// times nothing.
 #[must_use = "the phase ends when this guard drops; bind it to a named local"]
 pub struct PhaseGuard {
-    armed: bool,
+    frames: usize,
 }
 
 impl Drop for PhaseGuard {
     fn drop(&mut self) {
-        if self.armed {
+        for _ in 0..self.frames {
             exit_installed();
         }
     }
@@ -291,11 +322,16 @@ impl Drop for PhaseGuard {
 fn exit_installed() {
     let _ = TLS.try_with(|tls| {
         let mut tls = tls.borrow_mut();
-        let Some(frame) = tls.stack.pop() else {
+        let Some(Frame {
+            name,
+            start: Some(start),
+            child_ns,
+        }) = tls.stack.pop()
+        else {
             return;
         };
-        let ns = u64::try_from(frame.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        let self_ns = ns.saturating_sub(frame.child_ns);
+        let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        let self_ns = ns.saturating_sub(child_ns);
         if let Some(parent) = tls.stack.last_mut() {
             parent.child_ns = parent.child_ns.saturating_add(ns);
         }
@@ -303,14 +339,15 @@ fn exit_installed() {
             .stack
             .iter()
             .map(|f| f.name)
-            .chain(std::iter::once(frame.name))
+            .chain(std::iter::once(name))
             .collect();
         let agg = tls.local.entry(path).or_default();
         agg.calls += 1;
         agg.total_ns += ns;
         agg.self_ns += self_ns;
         tls.pending += 1;
-        if tls.stack.is_empty() && tls.pending >= FLUSH_EVERY {
+        let outermost = tls.stack.last().is_none_or(|f| f.start.is_none());
+        if outermost && tls.pending >= FLUSH_EVERY {
             tls.pending = 0;
             let mut local = std::mem::take(&mut tls.local);
             drop(tls);
@@ -411,6 +448,46 @@ mod tests {
             .expect("worker spans flushed at thread exit");
         assert_eq!(worker.calls, 15);
         assert!(worker.self_ns <= worker.total_ns);
+    }
+
+    #[test]
+    fn a_spawned_thread_nests_under_its_spawner() {
+        let _l = lock();
+        let p = Arc::new(Profiler::new());
+        install(p.clone());
+        {
+            let _outer = enter("outer");
+            let path = path();
+            assert_eq!(path, ["outer"]);
+            std::thread::scope(|s| {
+                let worker = s.spawn(|| {
+                    let _path = inherit(&path);
+                    for _ in 0..FLUSH_EVERY + 1 {
+                        let _g = enter("worker");
+                    }
+                });
+                // A join waits for the thread's exit flush.
+                worker.join().unwrap();
+            });
+        }
+        uninstall();
+        flush_thread();
+        let root = p.snapshot();
+        let names: Vec<&str> = root.children.iter().map(|c| c.name.as_str()).collect();
+        assert_eq!(
+            names,
+            ["outer"],
+            "nothing at the root but the spawner's phase"
+        );
+        let outer = &root.children[0];
+        assert_eq!(outer.calls, 1, "the inherited frame times nothing");
+        assert_eq!(
+            outer.self_ns, outer.total_ns,
+            "the worker's time is its own"
+        );
+        assert_eq!(outer.children[0].name, "worker");
+        assert_eq!(outer.children[0].calls, u64::from(FLUSH_EVERY) + 1);
+        assert!(inherit(&[]).frames == 0 && path().is_empty());
     }
 
     #[test]

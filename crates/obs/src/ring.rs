@@ -78,11 +78,6 @@ impl<T> EventRing<T> {
         }
     }
 
-    /// Ring capacity (events).
-    pub fn capacity(&self) -> usize {
-        self.mask + 1
-    }
-
     /// The configured backpressure policy.
     pub fn policy(&self) -> Backpressure {
         self.policy

@@ -1,8 +1,8 @@
 //! Statistics for the opacity/SGLA backtracking searches.
 //!
 //! Each worker of a search bumps its own plain-`u64` copy inline — no
-//! atomics on the hot path; the checker's worker pool merges the
-//! per-worker copies with [`SearchStats::absorb`] at the end. Every
+//! atomics on the hot path; a split search merges the per-worker
+//! copies with [`SearchStats::absorb`] at the end. Every
 //! field counts work; none is a time.
 
 use crate::counters::counters;
@@ -41,11 +41,6 @@ counters! {
         /// instead of being explored again (the only memo of the inner
         /// search).
         sum cache_hits: u64,
-        /// Worker threads used (0 for the serial search paths).
-        max workers: u64,
-        /// Serialization-order prefixes pulled from the shared work queue
-        /// by the parallel search's workers (0 for serial runs).
-        sum stolen_prefixes: u64,
     }
 }
 

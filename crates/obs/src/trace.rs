@@ -7,7 +7,7 @@
 //! model-checking violation, a monitored window's violation, a
 //! replay's divergence. Beside them it holds the few happenings no
 //! stats field counts: a DFS backtracking out of an exhausted
-//! frontier, a pool prefix cancelled by a lower-indexed success, a
+//! frontier, a listed prefix dropped after a lower-indexed success, a
 //! load forwarded from the CPU's own store buffer, an STM CAS that
 //! lost its race, and the start of a replay. What a counter already
 //! counts (nodes, prunes, schedules, drains, ingested events, solver
@@ -97,7 +97,7 @@ macro_rules! events {
             /// Chrome-trace event name. Span pairs share one name so
             /// Perfetto nests them ("search" for begin/end, "txn" for
             /// begin/commit/abort).
-            pub fn name(self) -> &'static str {
+            pub(crate) fn name(self) -> &'static str {
                 match self {
                     $($( EventKind::$kind => $name, )*)*
                 }
@@ -122,16 +122,18 @@ macro_rules! events {
 
 events! {
     checker {
-        /// A witness search started (`a` = schedulable units, `b` = pool
-        /// workers, 0 for a serial search).
+        /// A witness search started (`a` = schedulable units, `b` = the
+        /// workers `check_opacity_par` split it over, 0 for a serial
+        /// search).
         SearchBegin = 1, "search", Begin;
         /// The witness search finished (`a` = nodes, `b` = 1 if satisfied).
         SearchEnd = 2, "search", End;
         /// The DFS exhausted a frontier's candidates and backtracked out
         /// of it (`a` = depth, `b` = 0).
         Backtrack = 3, "backtrack", Instant;
-        /// A pool worker dropped a prefix because a lower-indexed one
-        /// already succeeded (`a` = prefix length, `b` = 0).
+        /// A worker of the prefix list dropped a prefix because a
+        /// lower-indexed one already succeeded (`a` = prefix length,
+        /// `b` = 0).
         PrefixCancel = 4, "prefix_cancel", Instant;
     }
     mc {

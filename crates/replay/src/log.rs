@@ -18,7 +18,7 @@ use jungle_obs::Json;
 use std::path::Path;
 
 /// Current on-disk format version. Bumped on any incompatible change;
-/// [`ScheduleLog::from_json`] rejects logs from other versions rather
+/// [`ScheduleLog::load`] rejects logs from other versions rather
 /// than misreading them.
 pub const FORMAT_VERSION: u64 = 1;
 
@@ -56,7 +56,7 @@ pub struct ScheduleLog {
 impl ScheduleLog {
     /// Serialize to the versioned JSON object. Decisions are encoded
     /// compactly as `[chosen, options, action]` triples.
-    pub fn to_json(&self) -> Json {
+    pub(crate) fn to_json(&self) -> Json {
         let mut j = Json::obj();
         j.push("version", self.version.into())
             .push(
@@ -101,7 +101,7 @@ impl ScheduleLog {
 
     /// Rebuild a log from its JSON form. Errors name the offending
     /// field; a version mismatch is an error, not a best-effort parse.
-    pub fn from_json(j: &Json) -> Result<ScheduleLog, String> {
+    pub(crate) fn from_json(j: &Json) -> Result<ScheduleLog, String> {
         let num = |key: &str| -> Result<u64, String> {
             j.get(key)
                 .and_then(Json::as_u64)

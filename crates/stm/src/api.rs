@@ -411,11 +411,6 @@ impl<'a> Tx<'a> {
     pub fn write(&mut self, var: usize, val: u64) -> Result<(), Aborted> {
         self.tm.txn_write(self.cx, var, val)
     }
-
-    /// This thread's process id.
-    pub fn pid(&self) -> ProcId {
-        self.cx.pid
-    }
 }
 
 /// Run `body` as a transaction, retrying on abort with randomized

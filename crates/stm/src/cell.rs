@@ -14,52 +14,29 @@ pub struct Heap {
 
 impl Heap {
     /// Allocate `n` zeroed cells.
-    pub fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         let cells = (0..n).map(|_| AtomicU64::new(0)).collect();
         Heap { cells }
     }
 
-    /// Number of cells.
-    pub fn len(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// True if the heap has no cells.
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
-    }
-
     /// Atomic load of cell `i`.
     #[inline]
-    pub fn load(&self, i: usize) -> u64 {
+    pub(crate) fn load(&self, i: usize) -> u64 {
         self.cells[i].load(Ordering::SeqCst)
     }
 
     /// Atomic store to cell `i`.
     #[inline]
-    pub fn store(&self, i: usize, v: u64) {
+    pub(crate) fn store(&self, i: usize, v: u64) {
         self.cells[i].store(v, Ordering::SeqCst);
     }
 
     /// Atomic compare-and-swap on cell `i`; returns `true` on success.
     #[inline]
-    pub fn cas(&self, i: usize, expect: u64, new: u64) -> bool {
+    pub(crate) fn cas(&self, i: usize, expect: u64, new: u64) -> bool {
         self.cells[i]
             .compare_exchange(expect, new, Ordering::SeqCst, Ordering::SeqCst)
             .is_ok()
-    }
-
-    /// Atomic fetch-add on cell `i`, returning the previous value.
-    #[inline]
-    pub fn fetch_add(&self, i: usize, v: u64) -> u64 {
-        self.cells[i].fetch_add(v, Ordering::SeqCst)
-    }
-
-    /// Direct reference to the underlying atomic (for spin loops that
-    /// want weaker polling).
-    #[inline]
-    pub fn raw(&self, i: usize) -> &AtomicU64 {
-        &self.cells[i]
     }
 }
 
@@ -70,8 +47,6 @@ mod tests {
     #[test]
     fn zero_initialized() {
         let h = Heap::new(4);
-        assert_eq!(h.len(), 4);
-        assert!(!h.is_empty());
         for i in 0..4 {
             assert_eq!(h.load(i), 0);
         }
@@ -85,25 +60,5 @@ mod tests {
         assert!(h.cas(0, 5, 9));
         assert!(!h.cas(0, 5, 11));
         assert_eq!(h.load(0), 9);
-        assert_eq!(h.fetch_add(1, 3), 0);
-        assert_eq!(h.load(1), 3);
-    }
-
-    #[test]
-    fn concurrent_fetch_add_is_atomic() {
-        let h = std::sync::Arc::new(Heap::new(1));
-        let mut joins = Vec::new();
-        for _ in 0..4 {
-            let h = h.clone();
-            joins.push(std::thread::spawn(move || {
-                for _ in 0..1000 {
-                    h.fetch_add(0, 1);
-                }
-            }));
-        }
-        for j in joins {
-            j.join().unwrap();
-        }
-        assert_eq!(h.load(0), 4000);
     }
 }

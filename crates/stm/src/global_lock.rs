@@ -46,7 +46,7 @@ pub(crate) struct Fig6Core<C: Codec> {
 }
 
 impl<C: Codec> Fig6Core<C> {
-    pub fn new(n_vars: usize, codec: C) -> Self {
+    pub(crate) fn new(n_vars: usize, codec: C) -> Self {
         Fig6Core {
             heap: Heap::new(n_vars),
             lock: AtomicU64::new(LOCK_FREE),
@@ -54,7 +54,7 @@ impl<C: Codec> Fig6Core<C> {
         }
     }
 
-    pub fn acquire(&self, cx: &Ctx) {
+    pub(crate) fn acquire(&self, cx: &Ctx) {
         loop {
             if self
                 .lock
@@ -82,16 +82,16 @@ impl<C: Codec> Fig6Core<C> {
         }
     }
 
-    pub fn release(&self) {
+    pub(crate) fn release(&self) {
         self.lock.store(LOCK_FREE, Ordering::SeqCst);
     }
 
-    pub fn start(&self, cx: &mut Ctx) {
+    pub(crate) fn start(&self, cx: &mut Ctx) {
         self.acquire(cx);
         cx.reset_txn();
     }
 
-    pub fn read(&self, cx: &mut Ctx, var: usize) -> u64 {
+    pub(crate) fn read(&self, cx: &mut Ctx, var: usize) -> u64 {
         if let Some(v) = cx.ws_get(var) {
             v
         } else if let Some(w) = cx.rs_get(var) {
@@ -103,7 +103,7 @@ impl<C: Codec> Fig6Core<C> {
         }
     }
 
-    pub fn write(&self, cx: &mut Ctx, var: usize, val: u64) {
+    pub(crate) fn write(&self, cx: &mut Ctx, var: usize, val: u64) {
         // Figure 6: a transactional write first latches the current
         // word (a transactional read) for the commit-time CAS.
         if cx.rs_get(var).is_none() && cx.ws_get(var).is_none() {
@@ -113,7 +113,7 @@ impl<C: Codec> Fig6Core<C> {
         cx.ws_put(var, val);
     }
 
-    pub fn commit(&self, cx: &mut Ctx) {
+    pub(crate) fn commit(&self, cx: &mut Ctx) {
         for i in 0..cx.writeset.len() {
             let (var, val) = cx.writeset[i];
             let expected = cx
@@ -131,7 +131,7 @@ impl<C: Codec> Fig6Core<C> {
         cx.reset_txn();
     }
 
-    pub fn abort(&self, cx: &mut Ctx) {
+    pub(crate) fn abort(&self, cx: &mut Ctx) {
         self.release();
         cx.reset_txn();
     }

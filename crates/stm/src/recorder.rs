@@ -128,16 +128,6 @@ impl Recorder {
         });
     }
 
-    /// Number of recorded events (two per completed operation).
-    pub fn len(&self) -> usize {
-        self.events.lock().unwrap().len()
-    }
-
-    /// True if nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.events.lock().unwrap().is_empty()
-    }
-
     /// Drain into a marker-only trace ordered by timestamp. Call after
     /// all worker threads have joined.
     pub fn into_trace(self) -> Result<Trace, TraceError> {
@@ -229,7 +219,6 @@ mod tests {
     #[test]
     fn empty_recorder() {
         let r = Recorder::new();
-        assert!(r.is_empty());
         assert_eq!(r.into_trace().unwrap().ops().len(), 0);
     }
 }

@@ -150,7 +150,7 @@ impl StmTap {
     }
 
     /// The ring's backpressure policy.
-    pub fn policy(&self) -> Backpressure {
+    pub(crate) fn policy(&self) -> Backpressure {
         self.ring.policy()
     }
 

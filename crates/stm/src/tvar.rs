@@ -22,7 +22,6 @@
 //! ```
 
 use crate::api::{atomically, Aborted, Ctx, TmAlgo};
-use crate::recorder::Recorder;
 use crate::word::Word;
 use jungle_core::ids::ProcId;
 use std::marker::PhantomData;
@@ -43,25 +42,16 @@ impl<W: Word> Clone for TVar<W> {
 
 impl<W: Word> Copy for TVar<W> {}
 
-impl<W: Word> TVar<W> {
-    /// The underlying heap slot.
-    pub fn slot(&self) -> usize {
-        self.slot
-    }
-}
-
 /// A shared space of typed transactional variables backed by an STM
-/// algorithm. Cheap to clone (shares the STM and recorder).
+/// algorithm. Cheap to clone (shares the STM).
 pub struct TVarSpace<A: TmAlgo> {
     tm: Arc<A>,
-    recorder: Option<Arc<Recorder>>,
 }
 
 impl<A: TmAlgo> Clone for TVarSpace<A> {
     fn clone(&self) -> Self {
         TVarSpace {
             tm: self.tm.clone(),
-            recorder: self.recorder.clone(),
         }
     }
 }
@@ -69,24 +59,7 @@ impl<A: TmAlgo> Clone for TVarSpace<A> {
 impl<A: TmAlgo> TVarSpace<A> {
     /// Wrap an STM instance.
     pub fn new(tm: A) -> Self {
-        TVarSpace {
-            tm: Arc::new(tm),
-            recorder: None,
-        }
-    }
-
-    /// Wrap an STM instance with history recording enabled. The
-    /// returned recorder handle yields the execution's trace once all
-    /// threads are done (`Arc::try_unwrap(rec)?.into_trace()`).
-    pub fn recorded(tm: A) -> (Self, Arc<Recorder>) {
-        let rec = Arc::new(Recorder::new());
-        (
-            TVarSpace {
-                tm: Arc::new(tm),
-                recorder: Some(rec.clone()),
-            },
-            rec,
-        )
+        TVarSpace { tm: Arc::new(tm) }
     }
 
     /// A typed variable at heap slot `slot`.
@@ -97,17 +70,12 @@ impl<A: TmAlgo> TVarSpace<A> {
         }
     }
 
-    /// The underlying algorithm.
-    pub fn algo(&self) -> &A {
-        &self.tm
-    }
-
     /// Create the handle for thread `pid`. Each OS thread gets its own
     /// (the handle owns the thread's STM context).
     pub fn thread(&self, pid: u32) -> TVarThread<A> {
         TVarThread {
             tm: self.tm.clone(),
-            cx: Ctx::new(ProcId(pid), self.recorder.clone()),
+            cx: Ctx::new(ProcId(pid), None),
         }
     }
 }
@@ -134,13 +102,6 @@ impl<'a> TypedTx<'a> {
     pub fn write<W: Word>(&mut self, var: &TVar<W>, val: W) -> Result<(), Aborted> {
         self.tm.txn_write(self.cx, var.slot, val.to_word())
     }
-
-    /// Read-modify-write helper; returns the new value.
-    pub fn modify<W: Word>(&mut self, var: &TVar<W>, f: impl FnOnce(W) -> W) -> Result<W, Aborted> {
-        let v = f(self.read(var)?);
-        self.write(var, v)?;
-        Ok(v)
-    }
 }
 
 impl<A: TmAlgo> TVarThread<A> {
@@ -156,11 +117,6 @@ impl<A: TmAlgo> TVarThread<A> {
                 cx: &mut *tx.cx,
             })
         })
-    }
-
-    /// This thread's process id.
-    pub fn pid(&self) -> ProcId {
-        self.cx.pid
     }
 
     /// Non-transactionally read a variable ("read now").
@@ -179,7 +135,6 @@ mod tests {
     use super::*;
     use crate::global_lock::GlobalLockStm;
     use crate::strong::StrongStm;
-    use crate::tl2::Tl2Stm;
     use crate::versioned::VersionedStm;
 
     #[test]
@@ -203,16 +158,6 @@ mod tests {
     }
 
     #[test]
-    fn modify_helper() {
-        let space = TVarSpace::new(Tl2Stm::new(2));
-        let ctr = space.tvar::<u64>(0);
-        let mut th = space.thread(0);
-        let v = th.atomically(|tx| tx.modify(&ctr, |v| v + 10));
-        assert_eq!(v, 10);
-        assert_eq!(th.read_now(&ctr), 10);
-    }
-
-    #[test]
     fn threads_share_space() {
         let space = TVarSpace::new(StrongStm::new(1));
         let ctr = space.tvar::<u64>(0);
@@ -222,7 +167,10 @@ mod tests {
             joins.push(std::thread::spawn(move || {
                 let mut th = space.thread(t);
                 for _ in 0..100 {
-                    th.atomically(|tx| tx.modify(&ctr, |v| v + 1));
+                    th.atomically(|tx| {
+                        let v = tx.read(&ctr)?;
+                        tx.write(&ctr, v + 1)
+                    });
                 }
             }));
         }
@@ -244,18 +192,5 @@ mod tests {
             th.write_now(&x, i);
         }
         assert_eq!(th.read_now(&x), 9);
-    }
-
-    #[test]
-    fn recorded_space_produces_trace() {
-        let (space, rec) = TVarSpace::recorded(GlobalLockStm::new(2));
-        let x = space.tvar::<u64>(0);
-        let mut th = space.thread(0);
-        th.atomically(|tx| tx.write(&x, 5));
-        th.read_now(&x);
-        drop(th);
-        drop(space);
-        let trace = Arc::try_unwrap(rec).unwrap().into_trace().unwrap();
-        assert_eq!(trace.ops().len(), 4); // start, write, commit, nt-read
     }
 }

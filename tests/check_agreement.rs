@@ -20,11 +20,14 @@
 //! histories=40 cases=640 holding=450
 //! ```
 //!
-//! (The backends may pick different witnesses, hence two constants; the
-//! SAT backend has no pool, so its worker rows must simply repeat.)
+//! (The backends may pick different witnesses, hence two constants.)
+//! Only DFS opacity has a parallel entry point, `check_opacity_par`,
+//! which the DFS opacity cases of the worker rows go through; every
+//! other case of a worker row is the serial request again and must
+//! simply repeat.
 //! Same-backend digests must be equal across worker counts, `holds`
 //! equal across backends, every SAT positive certified, and every
-//! witness must re-validate from scratch — the backend and the pool
+//! witness must re-validate from scratch — the backend and the prefix list
 //! are only allowed to be *faster*, never *different*.
 //!
 //! A third digest pins the search *tree*, not only its result: the
@@ -68,6 +71,7 @@ use jungle::core::ids::Var;
 use jungle::core::legal::every_op_legal;
 use jungle::core::model::MemoryModel;
 use jungle::core::op::{Command, Op};
+use jungle::core::opacity::check_opacity_par;
 use jungle::core::par::ParallelConfig;
 use jungle::core::registry::registry;
 use jungle::core::triage::triage_opacity;
@@ -167,13 +171,17 @@ fn check_table_reproduces_the_parent_digests() {
                     for kind in [CheckKind::Opacity, CheckKind::Sgla] {
                         let check = Check {
                             backend,
-                            parallel: (workers > 0).then_some(ParallelConfig {
-                                threads: workers,
-                                min_units: 0,
-                            }),
                             ..Check::new(kind)
                         };
-                        let (v, stats) = check.run(h, e.model);
+                        let (mut v, stats) = check.run(h, e.model);
+                        if workers > 0 && (kind, backend) == (CheckKind::Opacity, CheckBackend::Dfs)
+                        {
+                            let cfg = ParallelConfig {
+                                threads: workers,
+                                min_units: 0,
+                            };
+                            v = check_opacity_par(h, e.model, &cfg);
+                        }
                         fold(&mut digest, &v);
                         holds.push(v.holds());
                         let ctx = format!("{kind:?}/{backend:?}/{workers} under {}", e.key);
