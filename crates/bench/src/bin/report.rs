@@ -336,7 +336,7 @@ fn monitor_sweep(text: &mut String, rows: &mut Vec<Row>) -> (Vec<Json>, MonitorS
     let memo = Arc::new(SharedVerdictMemo::new());
     let mut total = MonitorStats::default();
     let mut entries = Vec::new();
-    for tm in jungle_bench::all_stms(64) {
+    for tm in jungle_stm::all_stms(64) {
         let tap = Arc::new(StmTap::new(1 << 14, Backpressure::Block));
         let mut mon = Monitor::new(MonitorConfig::new().window(WINDOW)).with_memo(memo.clone());
         let consumer = {

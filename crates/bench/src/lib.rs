@@ -26,22 +26,7 @@ use jungle_core::registry::registry;
 use jungle_mc::theorems::ZooVerdict;
 use jungle_obs::trace::Phase;
 use jungle_obs::{EventKind, FlightRecorder, McStats, MonitorStats};
-use jungle_stm::api::TmAlgo;
-use jungle_stm::{GlobalLockStm, StrongStm, Tl2Stm, VersionedStm, WriteTxnStm};
 use std::collections::BTreeSet;
-
-/// Every STM under test, freshly constructed over `n_vars` variables,
-/// in presentation order.
-pub fn all_stms(n_vars: usize) -> Vec<Box<dyn TmAlgo + Send + Sync>> {
-    vec![
-        Box::new(GlobalLockStm::new(n_vars)),
-        Box::new(WriteTxnStm::new(n_vars)),
-        Box::new(VersionedStm::new(n_vars)),
-        Box::new(StrongStm::new(n_vars)),
-        Box::new(StrongStm::new_optimized(n_vars)),
-        Box::new(Tl2Stm::new(n_vars)),
-    ]
-}
 
 /// Floor on the sweeps' trace dedup rate (`dedup_hits / schedules`;
 /// observed 0.52). DPOR keeps most duplicate schedules from running at

@@ -15,8 +15,10 @@
 //!   transactions, and the enumeration of corresponding histories;
 //! * [`tm`] — the instrumentation taxonomy of TM implementations
 //!   (uninstrumented / write-instrumented / fully instrumented, and the
-//!   constant-time bound of Theorem 5), and the word formats the TMs of
-//!   both executors share (lock word, packed word, record, version lock).
+//!   constant-time bound of Theorem 5), and what the TMs of both
+//!   executors share: the three variants of Figure 6's global-lock TM
+//!   and the word formats (lock word, packed word, record, version
+//!   lock).
 //!
 //! The operational TM algorithms that *generate* traces live in
 //! `jungle-mc` (abstract, model-checked) and `jungle-stm` (real atomics);

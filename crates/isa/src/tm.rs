@@ -13,11 +13,17 @@
 //! * **fully instrumented** reads and writes (the strong-atomicity STM
 //!   of §6.1).
 //!
-//! It also defines, once, the four word formats every TM here exists
-//! twice over (as a model in `jungle-mc`, on real atomics in
-//! `jungle-stm`): Figure 6's lock word ([`LOCK_FREE`], [`lock_owner`]),
-//! Theorem 5's [`packed`] data word, the §6.1 strong-atomicity
-//! [`record`], and TL2's version lock ([`vlock`]).
+//! Every TM here exists twice, as a model in `jungle-mc` and on real
+//! atomics in `jungle-stm`. This module declares, once, what the two
+//! copies share:
+//!
+//! * the three variants of Figure 6's global-lock TM ([`GlobalLock`],
+//!   [`WriteTxn`], [`Versioned`]), which differ only in their
+//!   non-transactional write ([`NtWrite`]); each variant's §4 class
+//!   follows from that write ([`Fig6Variant::class`]);
+//! * the four word formats: Figure 6's lock word ([`LOCK_FREE`],
+//!   [`lock_owner`]), Theorem 5's [`packed`] data word, the §6.1
+//!   strong-atomicity [`record`], and TL2's version lock ([`vlock`]).
 
 use jungle_core::ids::ProcId;
 use std::fmt;
@@ -76,6 +82,108 @@ impl fmt::Display for Instrumentation {
     }
 }
 
+/// How a Figure 6 TM writes outside a transaction: the one thing its
+/// variants differ in. Non-transactional reads are plain loads in all
+/// three.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum NtWrite {
+    /// One plain store (Theorems 3 and 7).
+    Plain,
+    /// Acquire the global lock, store, release: a one-write transaction,
+    /// unbounded because the acquisition spins (Theorem 4).
+    Locked,
+    /// One store of a fresh [`packed`] word; every data word is packed
+    /// (Theorem 5).
+    Packed,
+}
+
+/// One variant of Figure 6's global-lock TM, as both executors build it.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct Fig6Variant {
+    /// Display name.
+    pub name: &'static str,
+    /// How it writes outside a transaction.
+    pub nt_write: NtWrite,
+}
+
+impl Fig6Variant {
+    /// The §4 class, which the non-transactional write decides
+    /// (reads are plain loads).
+    pub const fn class(self) -> Instrumentation {
+        match self.nt_write {
+            NtWrite::Plain => Instrumentation::Uninstrumented,
+            NtWrite::Locked => Instrumentation::UnboundedWrites,
+            NtWrite::Packed => Instrumentation::ConstantTimeWrites { bound: 1 },
+        }
+    }
+
+    /// The program value a data word holds.
+    #[inline]
+    pub fn decode(self, word: u64) -> u64 {
+        match self.nt_write {
+            NtWrite::Packed => packed::value(word),
+            NtWrite::Plain | NtWrite::Locked => word,
+        }
+    }
+
+    /// A fresh data word holding `val`, written by `pid`, whose version
+    /// counter is `version` (advanced when the word is packed).
+    #[inline]
+    pub fn encode(self, val: u64, pid: ProcId, version: &mut u32) -> u64 {
+        match self.nt_write {
+            NtWrite::Packed => {
+                *version = version.wrapping_add(1);
+                packed::pack(val, pid, *version)
+            }
+            NtWrite::Plain | NtWrite::Locked => val,
+        }
+    }
+}
+
+/// A type that names one [`Fig6Variant`], so that an executor picks the
+/// variant at compile time.
+pub trait Fig6 {
+    /// The variant.
+    const VARIANT: Fig6Variant;
+}
+
+/// Figure 6 as published: uninstrumented non-transactional accesses.
+/// Parametrized opacity for fully relaxed models (Theorem 3), SGLA for
+/// every model (Theorem 7).
+#[derive(Clone, Copy, Debug)]
+pub struct GlobalLock;
+
+impl Fig6 for GlobalLock {
+    const VARIANT: Fig6Variant = Fig6Variant {
+        name: "global-lock",
+        nt_write: NtWrite::Plain,
+    };
+}
+
+/// Non-transactional writes as one-write transactions: parametrized
+/// opacity for every `M ∉ Mrr` (Theorem 4).
+#[derive(Clone, Copy, Debug)]
+pub struct WriteTxn;
+
+impl Fig6 for WriteTxn {
+    const VARIANT: Fig6Variant = Fig6Variant {
+        name: "write-txn",
+        nt_write: NtWrite::Locked,
+    };
+}
+
+/// Constant-time write instrumentation over packed words: parametrized
+/// opacity for every `M ∉ Mrr ∪ Mwr`, e.g. Alpha (Theorem 5).
+#[derive(Clone, Copy, Debug)]
+pub struct Versioned;
+
+impl Fig6 for Versioned {
+    const VARIANT: Fig6Variant = Fig6Variant {
+        name: "versioned",
+        nt_write: NtWrite::Packed,
+    };
+}
+
 /// Figure 6's global-lock word when no process holds it.
 pub const LOCK_FREE: u64 = 0;
 
@@ -93,13 +201,18 @@ pub fn lock_owner(p: ProcId) -> u64 {
 pub mod packed {
     use super::ProcId;
 
-    /// Largest storable value.
-    pub const MAX_VALUE: u64 = u32::MAX as u64;
-
     /// Pack a value with its writer and the writer's version.
+    ///
+    /// # Panics
+    ///
+    /// If `value` exceeds `u32::MAX`: the word has 32 bits for it, and a
+    /// wider value would come back truncated.
     #[inline]
     pub fn pack(value: u64, pid: ProcId, version: u32) -> u64 {
-        debug_assert!(value <= MAX_VALUE, "a packed word stores 32-bit values");
+        assert!(
+            value <= u64::from(u32::MAX),
+            "a packed word stores values of at most 32 bits, not {value}"
+        );
         (value << 32) | (u64::from(pid.0 & 0xFF) << 24) | u64::from(version & 0x00FF_FFFF)
     }
 

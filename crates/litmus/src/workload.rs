@@ -152,7 +152,7 @@ pub fn execute(tm: &dyn TmAlgo, cx: &mut Ctx, items: &[Item]) -> RunStats {
 mod tests {
     use super::*;
     use jungle_core::ids::ProcId;
-    use jungle_stm::{GlobalLockStm, StrongStm, Tl2Stm, VersionedStm, WriteTxnStm};
+    use jungle_stm::{all_stms, StrongStm};
 
     #[test]
     fn generation_deterministic_and_sized() {
@@ -192,15 +192,7 @@ mod tests {
             ..WorkloadCfg::default()
         };
         let items = generate(&cfg, 3);
-        let stms: Vec<Box<dyn TmAlgo>> = vec![
-            Box::new(GlobalLockStm::new(cfg.n_vars)),
-            Box::new(WriteTxnStm::new(cfg.n_vars)),
-            Box::new(VersionedStm::new(cfg.n_vars)),
-            Box::new(StrongStm::new(cfg.n_vars)),
-            Box::new(StrongStm::new_optimized(cfg.n_vars)),
-            Box::new(Tl2Stm::new(cfg.n_vars)),
-        ];
-        for tm in &stms {
+        for tm in &all_stms(cfg.n_vars) {
             let mut cx = Ctx::new(ProcId(0), None);
             let stats = execute(tm.as_ref(), &mut cx, &items);
             assert!(stats.commits > 0, "{} committed nothing", tm.name());

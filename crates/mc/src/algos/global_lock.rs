@@ -1,6 +1,9 @@
 //! The Figure 6 global-lock TM and its four variants (Theorems 3–5 and
 //! two deliberately wrong TMs): one protocol, configured by an
-//! [`AlgoSpec`].
+//! [`AlgoSpec`]. The three variants of the paper are the
+//! [`jungle_isa::tm::Fig6`] declarations that the real STMs of
+//! `jungle-stm` are built from too; an `AlgoSpec` adds only how a commit
+//! publishes.
 //!
 //! Transactions serialize on the global lock `g`. A read latches the
 //! word at first access; a write latches it too (Figure 6's
@@ -21,7 +24,10 @@ use super::driver::LATCHED_BEFORE_COMMIT;
 use super::{Ctx, Next, Pc, Protocol, COMMITTED};
 use crate::layout::{addr_of, GLOBAL_LOCK};
 use jungle_core::ids::{Val, Var};
-use jungle_isa::tm::{lock_owner, packed, Instrumentation, LOCK_FREE};
+use jungle_isa::tm::{
+    lock_owner, Fig6, Fig6Variant, GlobalLock, Instrumentation, NtWrite, Versioned, WriteTxn,
+    LOCK_FREE,
+};
 use jungle_memsim::process::PInstr::{Cas, Load, Store};
 
 /// How a commit publishes each write-set entry.
@@ -37,53 +43,42 @@ pub(crate) enum CommitUpdate {
     Skip,
 }
 
-/// How a non-transactional write is implemented.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(crate) enum NtWriteImpl {
-    /// Uninstrumented: one plain store.
-    Plain,
-    /// Theorem 4: acquire the global lock, store, release — a
-    /// single-operation transaction (unbounded: the acquisition spins).
-    Locked,
-    /// Theorem 5: one store of a fresh [`packed`] word (data words are
-    /// packed); the process-local version counter costs no instructions.
-    VersionedPack,
-}
-
-/// Static description of a Figure 6 variant.
+/// Static description of a Figure 6 model: a variant, and how its
+/// commit publishes (only the two deliberately wrong TMs differ from
+/// Figure 6's CAS).
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct AlgoSpec {
-    /// Display name.
-    pub name: &'static str,
+    /// Name and non-transactional write.
+    pub variant: Fig6Variant,
     /// Commit publication strategy.
     pub commit: CommitUpdate,
-    /// Non-transactional write strategy.
-    pub nt_write: NtWriteImpl,
 }
 
 impl AlgoSpec {
-    /// A program value from a data word.
-    fn decode(self, w: Val) -> Val {
-        match self.nt_write {
-            NtWriteImpl::VersionedPack => packed::value(w),
-            _ => w,
+    /// One of the three variants that `jungle_isa::tm` declares for
+    /// both executors, committing as Figure 6 does.
+    const fn declared<V: Fig6>() -> Self {
+        AlgoSpec {
+            variant: V::VARIANT,
+            commit: CommitUpdate::Cas,
         }
     }
 
-    /// A fresh data word for a program value.
-    fn encode(self, cx: &mut Ctx, val: Val) -> Val {
-        match self.nt_write {
-            NtWriteImpl::VersionedPack => {
-                cx.version += 1;
-                packed::pack(val, cx.pid, cx.version)
-            }
-            _ => val,
+    /// A deliberately wrong TM: Figure 6 with plain non-transactional
+    /// writes and a broken commit.
+    const fn broken(name: &'static str, commit: CommitUpdate) -> Self {
+        AlgoSpec {
+            variant: Fig6Variant {
+                name,
+                nt_write: NtWrite::Plain,
+            },
+            commit,
         }
     }
 }
 
-/// A Figure 6 variant.
-pub(crate) trait Fig6: Copy + Sync + 'static {
+/// A Figure 6 model.
+pub(crate) trait Fig6Tm: Copy + Sync + 'static {
     /// Its description.
     const SPEC: AlgoSpec;
 }
@@ -94,12 +89,8 @@ pub(crate) trait Fig6: Copy + Sync + 'static {
 #[derive(Clone, Copy, Debug, Default)]
 pub struct GlobalLockTm;
 
-impl Fig6 for GlobalLockTm {
-    const SPEC: AlgoSpec = AlgoSpec {
-        name: "global-lock",
-        commit: CommitUpdate::Cas,
-        nt_write: NtWriteImpl::Plain,
-    };
+impl Fig6Tm for GlobalLockTm {
+    const SPEC: AlgoSpec = AlgoSpec::declared::<GlobalLock>();
 }
 
 /// Theorem 4's TM: non-transactional writes are one-write transactions
@@ -108,12 +99,8 @@ impl Fig6 for GlobalLockTm {
 #[derive(Clone, Copy, Debug, Default)]
 pub struct WriteTxnTm;
 
-impl Fig6 for WriteTxnTm {
-    const SPEC: AlgoSpec = AlgoSpec {
-        name: "write-txn",
-        commit: CommitUpdate::Cas,
-        nt_write: NtWriteImpl::Locked,
-    };
+impl Fig6Tm for WriteTxnTm {
+    const SPEC: AlgoSpec = AlgoSpec::declared::<WriteTxn>();
 }
 
 /// Theorem 5's TM: constant-time write instrumentation. Every data word
@@ -124,12 +111,8 @@ impl Fig6 for WriteTxnTm {
 #[derive(Clone, Copy, Debug, Default)]
 pub struct VersionedTm;
 
-impl Fig6 for VersionedTm {
-    const SPEC: AlgoSpec = AlgoSpec {
-        name: "versioned",
-        commit: CommitUpdate::Cas,
-        nt_write: NtWriteImpl::VersionedPack,
-    };
+impl Fig6Tm for VersionedTm {
+    const SPEC: AlgoSpec = AlgoSpec::declared::<Versioned>();
 }
 
 /// Deliberately incorrect: commits publish with plain stores. Theorem 2
@@ -138,12 +121,8 @@ impl Fig6 for VersionedTm {
 #[derive(Clone, Copy, Debug, Default)]
 pub struct NaiveStoreTm;
 
-impl Fig6 for NaiveStoreTm {
-    const SPEC: AlgoSpec = AlgoSpec {
-        name: "naive-store",
-        commit: CommitUpdate::Store,
-        nt_write: NtWriteImpl::Plain,
-    };
+impl Fig6Tm for NaiveStoreTm {
+    const SPEC: AlgoSpec = AlgoSpec::broken("naive-store", CommitUpdate::Store);
 }
 
 /// Deliberately incorrect: commits never publish writes at all. Lemma 1
@@ -151,12 +130,8 @@ impl Fig6 for NaiveStoreTm {
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SkipWriteTm;
 
-impl Fig6 for SkipWriteTm {
-    const SPEC: AlgoSpec = AlgoSpec {
-        name: "skip-write",
-        commit: CommitUpdate::Skip,
-        nt_write: NtWriteImpl::Plain,
-    };
+impl Fig6Tm for SkipWriteTm {
+    const SPEC: AlgoSpec = AlgoSpec::broken("skip-write", CommitUpdate::Skip);
 }
 
 /// Acquire `g`: `cas g, free, p`, reading `g` until it is free between
@@ -170,14 +145,9 @@ fn lock(cx: &Ctx, pc: &mut Pc) -> Next {
     pc.acquire(GLOBAL_LOCK, |w| w == LOCK_FREE, |_| me)
 }
 
-impl<T: Fig6> Protocol for T {
+impl<T: Fig6Tm> Protocol for T {
     fn class(&self) -> (&'static str, Instrumentation) {
-        let class = match T::SPEC.nt_write {
-            NtWriteImpl::Plain => Instrumentation::Uninstrumented,
-            NtWriteImpl::Locked => Instrumentation::UnboundedWrites,
-            NtWriteImpl::VersionedPack => Instrumentation::ConstantTimeWrites { bound: 1 },
-        };
-        (T::SPEC.name, class)
+        (T::SPEC.variant.name, T::SPEC.variant.class())
     }
 
     fn start(&self, cx: &mut Ctx, pc: &mut Pc) -> Next {
@@ -186,11 +156,11 @@ impl<T: Fig6> Protocol for T {
 
     fn read(&self, cx: &mut Ctx, pc: &mut Pc, var: Var) -> Next {
         match (pc.at, cx.latched(var)) {
-            (0, Some(w)) => Next::Ret(T::SPEC.decode(w)),
+            (0, Some(w)) => Next::Ret(T::SPEC.variant.decode(w)),
             (0, None) => pc.go(1, Load(addr_of(var))),
             _ => {
                 cx.latch(var, pc.last);
-                Next::Ret(T::SPEC.decode(pc.last))
+                Next::Ret(T::SPEC.variant.decode(pc.last))
             }
         }
     }
@@ -205,7 +175,7 @@ impl<T: Fig6> Protocol for T {
         if pc.at == 0 && T::SPEC.commit != CommitUpdate::Skip {
             if let Some(&(var, val)) = cx.writeset.get(pc.i) {
                 pc.i += 1;
-                let new = T::SPEC.encode(cx, val);
+                let new = T::SPEC.variant.encode(val, cx.pid, &mut cx.version);
                 return Next::Issue(match T::SPEC.commit {
                     CommitUpdate::Cas => {
                         let old = cx.latched(var).expect(LATCHED_BEFORE_COMMIT);
@@ -229,17 +199,18 @@ impl<T: Fig6> Protocol for T {
     fn nt_read(&self, _cx: &mut Ctx, pc: &mut Pc, var: Var) -> Next {
         match pc.at {
             0 => pc.go(1, Load(addr_of(var))),
-            _ => Next::Ret(T::SPEC.decode(pc.last)),
+            _ => Next::Ret(T::SPEC.variant.decode(pc.last)),
         }
     }
 
     fn nt_write(&self, cx: &mut Ctx, pc: &mut Pc, var: Var, val: Val) -> Next {
-        match (T::SPEC.nt_write, pc.at) {
-            (NtWriteImpl::Locked, 0 | 1) => {
-                lock(cx, pc).then(|_| pc.go(2, Store(addr_of(var), val)))
+        match (T::SPEC.variant.nt_write, pc.at) {
+            (NtWrite::Locked, 0 | 1) => lock(cx, pc).then(|_| pc.go(2, Store(addr_of(var), val))),
+            (NtWrite::Locked, 2) => pc.go(3, Store(GLOBAL_LOCK, LOCK_FREE)),
+            (_, 0) => {
+                let word = T::SPEC.variant.encode(val, cx.pid, &mut cx.version);
+                pc.go(1, Store(addr_of(var), word))
             }
-            (NtWriteImpl::Locked, 2) => pc.go(3, Store(GLOBAL_LOCK, LOCK_FREE)),
-            (_, 0) => pc.go(1, Store(addr_of(var), T::SPEC.encode(cx, val))),
             _ => Next::Ret(0),
         }
     }
@@ -253,6 +224,7 @@ mod tests {
     use jungle_core::ids::{ProcId, X, Y};
     use jungle_core::op::Op;
     use jungle_isa::instr::Instr;
+    use jungle_isa::tm::packed;
     use jungle_memsim::{DirectedScheduler, HwModel, Machine};
 
     fn run_single(algo: &dyn TmAlgo, prog: ThreadProg) -> jungle_isa::Trace {

@@ -9,8 +9,9 @@
 //! * Each TM implements the crate-private `Protocol`: the seven
 //!   operations, each a resumable step function that issues
 //!   [`PInstr`]s, keeps the TM's own words in the thread's `Ctx` (read
-//!   set, held locks, version counter) and returns a value. Word formats
-//!   come from [`jungle_isa::tm`], which the real STMs share.
+//!   set, held locks, version counter) and returns a value. The word
+//!   formats, and the three Figure 6 variants, come from
+//!   [`jungle_isa::tm`], which the real STMs read too.
 //! * One driver (`driver.rs`), the only [`Process`] here, runs a thread
 //!   program on any protocol. It alone walks the statements, emits every
 //!   `Inv`/`Resp` marker, evaluates guards, answers read-own-writes,

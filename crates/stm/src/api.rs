@@ -20,9 +20,9 @@
 //! [`Recorder`] nor an [`StmTap`] attached it calls straight through
 //! (one branch), otherwise it brackets the protocol call with
 //! `Recorder::begin` / `Recorder::finish` and publishes to the tap.
-//! Every entry point — [`atomically`], the typed facade, direct trait
-//! calls — goes through [`TmAlgo`], so none of them can leave a
-//! response unrecorded or unpublished:
+//! Every entry point — [`atomically`], direct trait calls — goes
+//! through [`TmAlgo`], so none of them can leave a response unrecorded
+//! or unpublished:
 //!
 //! * `Begin` is published *before* the protocol's start; `Read`,
 //!   `Write`, `Commit { ticket }` and `Abort` *after* the protocol call
@@ -208,7 +208,7 @@ pub(crate) trait Protocol: Sync {
     fn nontxn_write(&self, cx: &mut Ctx, var: usize, val: u64);
 }
 
-/// An executable STM algorithm (object-safe). Implemented by the five
+/// An executable STM algorithm (object-safe). Implemented by the six
 /// STMs of this crate and by nothing else: the methods are the
 /// observation point described in the module docs.
 ///

@@ -16,8 +16,8 @@
 //! The monitor reconstructs a real-time order from ring arrival order,
 //! so the one publisher — the observation point in
 //! [`api`](crate::api), i.e. the [`TmAlgo`](crate::TmAlgo) methods
-//! every entry point calls ([`atomically`](crate::atomically), the
-//! typed facade, direct trait calls) — makes that order an
+//! every entry point calls ([`atomically`](crate::atomically), direct
+//! trait calls) — makes that order an
 //! **under-approximation** of the true one:
 //!
 //! * `Begin` is published *before* the algorithm starts;

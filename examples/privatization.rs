@@ -14,46 +14,44 @@
 //! Run with: `cargo run --release --example privatization`
 
 use jungle::core::prelude::*;
-use jungle::stm::{GlobalLockStm, StrongStm, TVarSpace, TmAlgo};
+use jungle::stm::{atomically, Ctx, GlobalLockStm, StrongStm, TmAlgo};
+use std::sync::Arc;
 
 const ROUNDS: usize = 2_000;
 
 /// The privatization idiom, for real: a worker transactionally updates
-/// `data` only while `shared == true`; the privatizer flips the flag in
-/// a transaction and then mutates `data` with *plain* non-transactional
+/// `DATA` only while `SHARED` is set; the privatizer clears the flag in
+/// a transaction and then mutates `DATA` with *plain* non-transactional
 /// writes. Returns the number of rounds where private data was
 /// clobbered.
 fn run_idiom<A: TmAlgo + Send + Sync + 'static>(mk: impl Fn() -> A) -> usize {
+    const SHARED: usize = 0;
+    const DATA: usize = 1;
     let mut clobbered = 0;
     for _ in 0..ROUNDS {
-        let space = TVarSpace::new(mk());
-        let shared = space.tvar::<bool>(0);
-        let data = space.tvar::<u64>(1);
-        {
-            let mut th = space.thread(0);
-            th.write_now(&shared, true);
-        }
+        let tm = Arc::new(mk());
+        let mut cx = Ctx::new(ProcId(2), None);
+        tm.nt_write(&mut cx, SHARED, 1);
         let worker = {
-            let space = space.clone();
+            let tm = tm.clone();
             std::thread::spawn(move || {
-                let mut th = space.thread(1);
+                let mut cx = Ctx::new(ProcId(1), None);
                 for _ in 0..50 {
-                    th.atomically(|tx| {
-                        if tx.read(&shared)? {
-                            tx.write(&data, 7)?;
+                    atomically(tm.as_ref(), &mut cx, |tx| {
+                        if tx.read(SHARED)? == 1 {
+                            tx.write(DATA, 7)?;
                         }
                         Ok(())
                     });
                 }
             })
         };
-        let mut th = space.thread(2);
         // Privatize, then operate non-transactionally on the datum.
-        th.atomically(|tx| tx.write(&shared, false));
-        th.write_now(&data, 100);
-        let observed = th.read_now(&data);
+        atomically(tm.as_ref(), &mut cx, |tx| tx.write(SHARED, 0));
+        tm.nt_write(&mut cx, DATA, 100);
+        let observed = tm.nt_read(&mut cx, DATA);
         worker.join().unwrap();
-        let after_join = th.read_now(&data);
+        let after_join = tm.nt_read(&mut cx, DATA);
         if observed != 100 || after_join != 100 {
             clobbered += 1;
         }

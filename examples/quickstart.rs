@@ -1,9 +1,10 @@
-//! Quickstart: typed transactional variables over the strong-atomicity
-//! STM — concurrent bank transfers with a non-transactional auditor.
+//! Quickstart: the strong-atomicity STM over word variables —
+//! concurrent bank transfers with a non-transactional auditor.
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use jungle::stm::{StrongStm, TVarSpace};
+use jungle::core::ids::ProcId;
+use jungle::stm::{atomically, Ctx, StrongStm, TmAlgo};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -12,18 +13,16 @@ const INITIAL: u64 = 1_000;
 const TRANSFERS_PER_THREAD: usize = 20_000;
 
 fn main() {
-    // A space of typed transactional variables backed by the §6.1
+    // Variable `a` is account `a`'s balance, on the §6.1
     // strong-atomicity STM (opacity parametrized by SC: even
     // non-transactional reads are safe against running transactions).
-    let space = TVarSpace::new(StrongStm::new(ACCOUNTS));
-    let accounts: Vec<_> = (0..ACCOUNTS).map(|i| space.tvar::<u64>(i)).collect();
+    // Each thread has its own context.
+    let tm = Arc::new(StrongStm::new(ACCOUNTS));
 
     // Fund the accounts.
-    {
-        let mut th = space.thread(0);
-        for a in &accounts {
-            th.write_now(a, INITIAL);
-        }
+    let mut cx = Ctx::new(ProcId(0), None);
+    for a in 0..ACCOUNTS {
+        tm.nt_write(&mut cx, a, INITIAL);
     }
 
     let total = (ACCOUNTS as u64) * INITIAL;
@@ -32,10 +31,9 @@ fn main() {
     // Worker threads move money around transactionally.
     let mut joins = Vec::new();
     for t in 0..3u32 {
-        let space = space.clone();
-        let accounts = accounts.clone();
+        let tm = tm.clone();
         joins.push(std::thread::spawn(move || {
-            let mut th = space.thread(t);
+            let mut cx = Ctx::new(ProcId(t), None);
             let mut moved = 0u64;
             for i in 0..TRANSFERS_PER_THREAD {
                 let from = (i * 7 + t as usize) % ACCOUNTS;
@@ -44,14 +42,14 @@ fn main() {
                     continue;
                 }
                 let amt = (i as u64 % 50) + 1;
-                moved += th.atomically(|tx| {
-                    let a = tx.read(&accounts[from])?;
+                moved += atomically(tm.as_ref(), &mut cx, |tx| {
+                    let a = tx.read(from)?;
                     if a < amt {
                         return Ok(0);
                     }
-                    let b = tx.read(&accounts[to])?;
-                    tx.write(&accounts[from], a - amt)?;
-                    tx.write(&accounts[to], b + amt)?;
+                    let b = tx.read(to)?;
+                    tx.write(from, a - amt)?;
+                    tx.write(to, b + amt)?;
                     Ok(amt)
                 });
             }
@@ -62,24 +60,23 @@ fn main() {
     // The auditor reads balances *non-transactionally*. With the strong
     // STM this is safe: it can never observe a transfer halfway.
     let auditor = {
-        let space = space.clone();
-        let accounts = accounts.clone();
+        let tm = tm.clone();
         let stop = stop.clone();
         std::thread::spawn(move || {
-            let mut th = space.thread(9);
+            let mut cx = Ctx::new(ProcId(9), None);
             let mut audits = 0u64;
             while !stop.load(Ordering::Relaxed) {
                 // Snapshot via a transaction for exactness...
-                let sum: u64 = th.atomically(|tx| {
+                let sum: u64 = atomically(tm.as_ref(), &mut cx, |tx| {
                     let mut s = 0;
-                    for a in &accounts {
+                    for a in 0..ACCOUNTS {
                         s += tx.read(a)?;
                     }
                     Ok(s)
                 });
                 assert_eq!(sum, total, "transactional audit saw a torn total");
                 // ...and individual probes non-transactionally.
-                let _probe: u64 = accounts.iter().map(|a| th.read_now(a)).sum();
+                let _probe: u64 = (0..ACCOUNTS).map(|a| tm.nt_read(&mut cx, a)).sum();
                 audits += 1;
             }
             audits
@@ -90,8 +87,7 @@ fn main() {
     stop.store(true, Ordering::Relaxed);
     let audits = auditor.join().unwrap();
 
-    let mut th = space.thread(0);
-    let final_total: u64 = accounts.iter().map(|a| th.read_now(a)).sum();
+    let final_total: u64 = (0..ACCOUNTS).map(|a| tm.nt_read(&mut cx, a)).sum();
     println!("moved {moved} units across {ACCOUNTS} accounts in 3 threads");
     println!("auditor ran {audits} consistent audits concurrently");
     println!("final total = {final_total} (expected {total})");

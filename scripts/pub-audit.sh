@@ -32,7 +32,6 @@ ALLOWED=(
     "isa OpCost" "isa TraceOp" "mc DporOutcome" "mc ExperimentResult"
     "mc TheoremClass" "memsim ExploreOutcome" "obs PhaseGuard"
     "replay ReplayOutcome" "replay ShrinkStats" "sat SolverStats"
-    "stm TVarThread" "stm TypedTx"
     # beside a `pub len`, which clippy's len_without_is_empty pairs it with
     "core is_empty" "mc is_empty"
 )

@@ -7,16 +7,17 @@
 //!
 //! And every real STM is tied to its model in `jungle-mc`, the copy the
 //! theorems are checked on: both declare the same §4 instrumentation
-//! class, and the model's instruction counts obey it.
+//! class, and the model's instruction counts obey it. The three Figure 6
+//! pairs read both off one `jungle_isa::tm` declaration.
 
-use jungle::isa::tm::Instrumentation;
+use jungle::isa::tm::{Fig6, Fig6Variant, Instrumentation};
 use jungle::mc::algos::TmAlgo as ModelTm;
 use jungle::mc::program::{Stmt, ThreadProg, TxOp};
 use jungle::mc::{cost, GlobalLockTm, LazyTl2Tm, StrongTm, VersionedTm, WriteTxnTm};
 use jungle::stm::api::{Ctx, TmAlgo};
 use jungle::stm::recorder::{rd_op, wr_op};
 use jungle::stm::{
-    GlobalLockStm, Recorder, StmTap, StrongStm, TapOp, Tl2Stm, VersionedStm, WriteTxnStm,
+    all_stms, Fig6Stm, GlobalLockStm, Recorder, StmTap, TapOp, VersionedStm, WriteTxnStm,
 };
 use jungle_core::ids::{ProcId, Val, Var};
 use jungle_core::op::{Command, Op};
@@ -185,17 +186,6 @@ fn run_on(tm: &dyn TmAlgo, cx: &mut Ctx, acts: &[Act]) -> Vec<Val> {
     reads
 }
 
-fn stms() -> Vec<Box<dyn TmAlgo>> {
-    vec![
-        Box::new(GlobalLockStm::new(VARS as usize)),
-        Box::new(WriteTxnStm::new(VARS as usize)),
-        Box::new(VersionedStm::new(VARS as usize)),
-        Box::new(StrongStm::new(VARS as usize)),
-        Box::new(StrongStm::new_optimized(VARS as usize)),
-        Box::new(Tl2Stm::new(VARS as usize)),
-    ]
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -204,7 +194,7 @@ proptest! {
         acts in prop::collection::vec(act_strategy(), 0..12)
     ) {
         let (expected, expected_ops) = reference(&acts);
-        for tm in &stms() {
+        for tm in &all_stms(VARS as usize) {
             let got = run_on(tm.as_ref(), &mut Ctx::new(ProcId(0), None), &acts);
             prop_assert_eq!(
                 &got,
@@ -215,7 +205,7 @@ proptest! {
             );
         }
         // The same scripts on fresh STMs, observed both ways.
-        for tm in &stms() {
+        for tm in &all_stms(VARS as usize) {
             let rec = Arc::new(Recorder::new());
             let tap = Arc::new(StmTap::new(256, Backpressure::Block));
             let mut cx = Ctx::new(ProcId(0), Some(rec.clone())).with_tap(tap.clone());
@@ -249,7 +239,7 @@ proptest! {
     }
 }
 
-/// The six TMs that exist twice, in [`stms`]'s order: the model
+/// The six TMs that exist twice, in [`all_stms`]'s order: the model
 /// `jungle-mc` checks the theorems on.
 fn models() -> [&'static dyn ModelTm; 6] {
     static STRONG: StrongTm = StrongTm::new();
@@ -264,10 +254,31 @@ fn models() -> [&'static dyn ModelTm; 6] {
     ]
 }
 
+/// The `jungle_isa::tm` declaration a real Figure 6 STM is built from.
+fn declaration<V: Fig6>(_: &Fig6Stm<V>) -> Fig6Variant {
+    V::VARIANT
+}
+
 #[test]
 fn each_model_tm_pairs_with_its_real_stm() {
-    for (model, real) in models().into_iter().zip(stms()) {
+    // The first three pairs are Figure 6's variants: both sides read
+    // their name and class off one declaration.
+    let fig6 = [
+        declaration(&GlobalLockStm::new(1)),
+        declaration(&WriteTxnStm::new(1)),
+        declaration(&VersionedStm::new(1)),
+    ];
+    for (i, (model, real)) in models()
+        .into_iter()
+        .zip(all_stms(VARS as usize))
+        .enumerate()
+    {
         let class = model.instrumentation();
+        if let Some(decl) = fig6.get(i) {
+            for (name, class) in [(model.name(), class), (real.name(), real.instrumentation())] {
+                assert_eq!((name, class), (decl.name, decl.class()), "pair {i}");
+            }
+        }
         assert_eq!(
             model.name().trim_start_matches("lazy-"),
             real.name(),

@@ -14,8 +14,8 @@ use jungle::litmus::programs::fig1_program;
 use jungle::litmus::runner::run_recorded;
 use jungle::mc::program::{Program, Stmt, ThreadProg, TxOp};
 use jungle::stm::{
-    atomically, Aborted, Ctx, GlobalLockStm, Recorder, StmTap, StrongStm, TapOp, Tl2Stm, TmAlgo,
-    VersionedStm, WriteTxnStm,
+    all_stms, atomically, Aborted, Ctx, GlobalLockStm, Recorder, StmTap, StrongStm, TapOp, Tl2Stm,
+    TmAlgo, VersionedStm, WriteTxnStm,
 };
 use jungle_core::ids::{ProcId, X, Y, Z};
 use jungle_core::op::Op;
@@ -225,17 +225,9 @@ fn contended_aborting_executions_are_recorded_and_tapped_completely() {
     // transactions are driven: every recorded `start` is closed by a
     // `commit` or an `abort` (a commit that lost answers with `abort`),
     // and the tap carries the same begins, commits and aborts.
-    let stms: [fn() -> Box<dyn TmAlgo + Send + Sync>; 6] = [
-        || Box::new(GlobalLockStm::new(2)),
-        || Box::new(WriteTxnStm::new(2)),
-        || Box::new(VersionedStm::new(2)),
-        || Box::new(StrongStm::new(2)),
-        || Box::new(StrongStm::new_optimized(2)),
-        || Box::new(Tl2Stm::new(2)),
-    ];
-    for mk in stms {
-        for entry in [Entry::Atomically, Entry::Direct] {
-            let tm: Arc<dyn TmAlgo + Send + Sync> = Arc::from(mk());
+    for entry in [Entry::Atomically, Entry::Direct] {
+        for tm in all_stms(2) {
+            let tm: Arc<dyn TmAlgo + Send + Sync> = Arc::from(tm);
             let ctx = format!("{} via {entry:?}", tm.name());
             let rec = Arc::new(Recorder::new());
             let tap = Arc::new(StmTap::new(1 << 10, Backpressure::Block));
