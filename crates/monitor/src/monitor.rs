@@ -44,7 +44,9 @@
 //! triaging it from its events, about 8 µs in all for a 64-attempt
 //! window of ≈ 290 events on the host above (13–15 µs when the window
 //! was sealed into a `History` first); the ring traffic of a live tap
-//! comes on top.
+//! comes on top: one contended CAS per published event and, on this
+//! side, one `tail` store per [`StmTap::drain_into`] batch of up to
+//! 4,096 events (see `jungle_obs::ring`).
 //!
 //! The stages are counted in [`MonitorStats`]; a window found in
 //! violation also emits the flight recorder's `MonitorViolation`

@@ -8,8 +8,9 @@
 //! [`EventRing`] as it happens, and a consumer (the `jungle-monitor`
 //! crate) drains it concurrently. Backpressure is explicit
 //! ([`Backpressure::Block`] never loses an event; [`Backpressure::Drop`]
-//! counts every loss exactly — `published + dropped` always equals the
-//! number of publish attempts, never a silent truncation).
+//! counts every loss exactly — once producers are quiescent,
+//! `published + dropped` equals the number of publish attempts, never a
+//! silent truncation).
 //!
 //! ### Event-ordering discipline (soundness)
 //!
@@ -133,7 +134,8 @@ impl StmTap {
         self.ring.drain_into(out, max)
     }
 
-    /// Events successfully published (exact).
+    /// Events successfully published: exact once producers are
+    /// quiescent (the ring counts a claimed slot before it is filled).
     pub fn published(&self) -> u64 {
         self.ring.published()
     }
