@@ -3,14 +3,14 @@
 //! `run_once` executes a [`Program`] once and returns each thread's
 //! read results; [`sample_outcomes`] repeats it to approximate the set
 //! of reachable outcomes (each iteration on a fresh STM instance);
-//! [`run_recorded`] additionally records the execution as a trace for
-//! the `jungle-core` checkers.
+//! [`run_recorded`] additionally taps the execution and returns its
+//! trace for the `jungle-core` checkers.
 
 use jungle_core::ids::ProcId;
 use jungle_isa::trace::Trace;
 use jungle_mc::program::{Program, Stmt, TxOp};
 use jungle_stm::api::{atomically, Aborted, Ctx, TmAlgo, Tx};
-use jungle_stm::recorder::Recorder;
+use jungle_stm::{tap, Backpressure, StmTap};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Barrier};
 
@@ -83,7 +83,7 @@ fn run_thread(tm: &dyn TmAlgo, cx: &mut Ctx, prog: &[Stmt]) -> ThreadReads {
 fn run_once<A: TmAlgo + Send + Sync + 'static>(
     program: &Program,
     tm: &Arc<A>,
-    rec: Option<Arc<Recorder>>,
+    tap: Option<Arc<StmTap>>,
 ) -> Vec<ThreadReads> {
     let n = program.n_threads();
     let barrier = Arc::new(Barrier::new(n));
@@ -92,9 +92,9 @@ fn run_once<A: TmAlgo + Send + Sync + 'static>(
         let tm = tm.clone();
         let stmts = t.0.clone();
         let barrier = barrier.clone();
-        let rec = rec.clone();
+        let tap = tap.clone();
         joins.push(std::thread::spawn(move || {
-            let mut cx = Ctx::new(ProcId(i as u32), rec);
+            let mut cx = Ctx::new(ProcId(i as u32), tap);
             barrier.wait();
             run_thread(tm.as_ref(), &mut cx, &stmts)
         }));
@@ -121,19 +121,27 @@ pub fn sample_outcomes<A: TmAlgo + Send + Sync + 'static>(
     counts
 }
 
-/// Run the program once with history recording; returns the outcome and
-/// the recorded trace.
+/// Run the program once with a blocking tap attached, drained by a
+/// consumer thread until the run is over; returns the outcome and the
+/// tap's trace ([`tap::trace_of`]).
 pub fn run_recorded<A: TmAlgo + Send + Sync + 'static>(
     program: &Program,
     mk_tm: impl Fn() -> A,
 ) -> (Vec<ThreadReads>, Trace) {
     let tm = Arc::new(mk_tm());
-    let rec = Arc::new(Recorder::new());
-    let out = run_once(program, &tm, Some(rec.clone()));
-    let trace = Arc::try_unwrap(rec)
-        .expect("all threads joined")
-        .into_trace()
-        .expect("recorded trace is well-formed");
+    let tap = Arc::new(StmTap::new(1 << 10, Backpressure::Block));
+    let consumer = {
+        let tap = tap.clone();
+        std::thread::spawn(move || {
+            let mut events = Vec::new();
+            tap.consume(|batch, _| events.extend_from_slice(batch));
+            events
+        })
+    };
+    let out = run_once(program, &tm, Some(tap.clone()));
+    tap.close();
+    let events = consumer.join().expect("recording consumer");
+    let trace = tap::trace_of(&events).expect("recorded trace is well-formed");
     (out, trace)
 }
 

@@ -156,9 +156,16 @@ impl Monitor {
         &self.stats
     }
 
-    /// Ingest one event, sealing and checking a window when full.
+    /// Ingest one event, sealing and checking a window when full. A
+    /// non-transactional event is counted in
+    /// [`MonitorStats::nontxn_skipped`] and goes no further: windows
+    /// judge the transactional sub-history.
     pub fn ingest(&mut self, ev: TapEvent) {
         self.stats.ops_ingested += 1;
+        if !ev.op.is_transactional() {
+            self.stats.nontxn_skipped += 1;
+            return;
+        }
         if self.builder.push(ev) {
             if let Some(w) = self.builder.seal_cut() {
                 self.check_window(&w);
@@ -177,25 +184,17 @@ impl Monitor {
     /// Consume `tap` until it is closed **and** drained, then flush.
     /// Returns the totals; `events_dropped` is taken from the tap's
     /// exact drop counter, and `max_queue_depth` is the deepest backlog
-    /// seen at any drain poll.
+    /// seen before a drain that took events. The monitor is the tap's
+    /// consumer ([`StmTap::consume`]): if it panics, the tap is closed
+    /// on the way out, and producers blocked on it return.
     pub fn run(&mut self, tap: &StmTap) -> MonitorStats {
-        let mut buf: Vec<TapEvent> = Vec::with_capacity(4096);
-        loop {
-            let depth = tap.queue_depth() as u64;
-            if depth > self.stats.max_queue_depth {
-                self.stats.max_queue_depth = depth;
-            }
-            if tap.drain_into(&mut buf, 4096) == 0 {
-                if tap.is_closed() && tap.queue_depth() == 0 {
-                    break;
-                }
-                std::thread::yield_now();
-                continue;
-            }
-            for ev in buf.drain(..) {
+        tap.consume(|batch, depth| {
+            let max = &mut self.stats.max_queue_depth;
+            *max = (*max).max(depth as u64);
+            for &ev in batch {
                 self.ingest(ev);
             }
-        }
+        });
         self.stats.events_dropped = tap.dropped();
         self.finish()
     }
@@ -312,5 +311,29 @@ mod tests {
         assert_eq!(s.violations, 0);
         assert_eq!(s.escalated, 1);
         assert_eq!(s.triage_cleared + s.escalated, s.windows_sealed);
+    }
+
+    #[test]
+    fn nontransactional_events_are_counted_not_judged() {
+        let txn = [
+            ev(0, TapOp::Begin),
+            ev(0, TapOp::Write { var: 0, val: 1 }),
+            ev(0, TapOp::Commit { ticket: 0 }),
+        ];
+        let mut plain = Monitor::new(MonitorConfig::new().window(1));
+        txn.into_iter().for_each(|e| plain.ingest(e));
+        let mut mixed = Monitor::new(MonitorConfig::new().window(1));
+        mixed.ingest(ev(1, TapOp::NtInvoke));
+        txn.into_iter().for_each(|e| mixed.ingest(e));
+        mixed.ingest(ev(1, TapOp::NtRead { var: 0, val: 7 }));
+        let (plain, mixed) = (plain.finish(), mixed.finish());
+        assert_eq!(mixed.nontxn_skipped, 2);
+        assert_eq!(mixed.ops_ingested, plain.ops_ingested + 2);
+        let judged = MonitorStats {
+            ops_ingested: plain.ops_ingested,
+            nontxn_skipped: 0,
+            ..mixed
+        };
+        assert_eq!(judged, plain);
     }
 }

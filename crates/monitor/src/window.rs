@@ -51,6 +51,14 @@
 //! `Backpressure::Block` no event is ever lost and no repair ever
 //! fires; that is the policy to use when verdicts matter.
 //!
+//! ## Non-transactional events
+//!
+//! A window is the stream's transactional sub-history. The tap also
+//! carries non-transactional operations (`NtInvoke`, then `NtRead` or
+//! `NtWrite`); [`WindowBuilder::push`] does not buffer them and
+//! [`build_history`] skips them. The monitor counts each one it is fed
+//! in `MonitorStats::nontxn_skipped`, so none is dropped silently.
+//!
 //! ## One pass
 //!
 //! A window costs its events. [`WindowBuilder::push`] keeps what a seal
@@ -235,6 +243,8 @@ fn emit(events: &[TapEvent], init_writes: &[(u64, u64)], mut f: impl FnMut(ProcI
                 open.swap_remove(at);
                 f(p, Op::Abort);
             }
+            // The transactional sub-history only (see `WindowBuilder::push`).
+            (TapOp::NtInvoke | TapOp::NtRead { .. } | TapOp::NtWrite { .. }, _) => {}
         }
     }
     repaired
@@ -284,10 +294,12 @@ impl WindowBuilder {
     }
 
     /// Buffer one event; returns `true` when the window is ready to
-    /// [`seal`](WindowBuilder::seal).
+    /// [`seal`](WindowBuilder::seal). A non-transactional event is not
+    /// buffered (the monitor counts it before it gets here).
     pub fn push(&mut self, ev: TapEvent) -> bool {
         let open = |b: &Self| b.open.iter().position(|&(p, _)| p == ev.pid);
         match ev.op {
+            TapOp::NtInvoke | TapOp::NtRead { .. } | TapOp::NtWrite { .. } => return false,
             TapOp::Read { .. } | TapOp::Write { .. } => {}
             // A second Begin (its Commit/Abort was dropped) starts the
             // attempt, and its write set, over.

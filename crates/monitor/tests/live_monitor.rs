@@ -101,3 +101,43 @@ fn drop_policy_accounts_exactly_even_when_saturated() {
         tap.published() + tap.dropped()
     );
 }
+
+#[test]
+fn live_mixed_traffic_counts_every_nontransactional_event() {
+    let tap = Arc::new(StmTap::new(1 << 10, Backpressure::Block));
+    let tm = Arc::new(GlobalLockStm::new(4));
+    let mut mon = Monitor::new(MonitorConfig::new().window(8));
+    let consumer = {
+        let tap = tap.clone();
+        std::thread::spawn(move || mon.run(&tap))
+    };
+    let (threads, txns) = (2u32, 100u64);
+    let joins: Vec<_> = (0..threads)
+        .map(|t| {
+            let (tm, tap) = (tm.clone(), tap.clone());
+            std::thread::spawn(move || {
+                let mut cx = Ctx::new(ProcId(t), Some(tap));
+                let var = t as usize;
+                for _ in 0..txns {
+                    atomically(&*tm, &mut cx, |tx| {
+                        let v = tx.read(var)?;
+                        tx.write(var, v + 1)
+                    });
+                    tm.nt_read(&mut cx, var);
+                }
+            })
+        })
+        .collect();
+    for j in joins {
+        j.join().unwrap();
+    }
+    tap.close();
+    let stats = consumer.join().unwrap();
+    // Two events per non-transactional read, none of them judged. (A
+    // non-transactional *write* would make the transactional
+    // sub-history read values it never saw written.)
+    assert_eq!(stats.nontxn_skipped, 2 * u64::from(threads) * txns);
+    assert_eq!(stats.ops_ingested, tap.published());
+    assert_eq!((stats.events_dropped, stats.violations), (0, 0));
+    assert!(stats.windows_sealed >= 25, "{stats:?}");
+}

@@ -138,6 +138,8 @@ fn ref_build_history(events: &[TapEvent], init_writes: &[(u64, u64)]) -> (Histor
                     repaired += 1;
                 }
             }
+            // The streams here are transactional.
+            TapOp::NtInvoke | TapOp::NtRead { .. } | TapOp::NtWrite { .. } => {}
         }
     }
     let h = b
@@ -238,6 +240,8 @@ impl RefBuilder {
                     ws.remove(&ev.pid.0);
                 }
                 TapOp::Read { .. } => {}
+                // The streams here are transactional.
+                TapOp::NtInvoke | TapOp::NtRead { .. } | TapOp::NtWrite { .. } => {}
             }
         }
 

@@ -38,8 +38,8 @@
 //! all of this crate's `unsafe`).
 //!
 //! Collection is **off by default** in the hot paths: the real STMs
-//! count nothing (an operation with neither recorder nor tap attached
-//! is the bare algorithm behind one branch), and profiler phases and
+//! count nothing (an operation with no tap attached is the bare
+//! algorithm behind one branch), and profiler phases and
 //! flight-recorder event sites reduce to a single relaxed load unless
 //! [`profile::install`] or [`trace::install`] switched them on. Those
 //! two are the crate's only clock readers: every stats block counts

@@ -1,11 +1,12 @@
 //! Counters for the streaming opacity monitor.
 //!
 //! One [`MonitorStats`] block summarizes a monitoring run: how many
-//! operation events were ingested (and how many the tap dropped, which
-//! is always *counted*, never silent), how many windows were sealed,
-//! how the triage tier did (cleared vs escalated to the full checker,
-//! memo hits among the full checks), violations found and the deepest
-//! queue backlog observed. Every field counts; the time a run takes is
+//! operation events were ingested (how many of them were
+//! non-transactional, which no window judges yet, and how many the tap
+//! dropped — both always *counted*, never silent), how many windows
+//! were sealed, how the triage tier did (cleared vs escalated to the
+//! full checker, memo hits among the full checks), violations found
+//! and the deepest queue backlog observed. Every field counts; the time a run takes is
 //! measured by whoever drives it. The monitor crate fills it in;
 //! [`MetricsSnapshot`](crate::MetricsSnapshot) carries it into the
 //! report JSON and the run ledger.
@@ -19,6 +20,9 @@ counters! {
     pub struct MonitorStats {
         /// Operation events ingested from the tap ring.
         sum ops_ingested: u64,
+        /// Non-transactional events among them, which no window
+        /// judges: windows check the transactional sub-history.
+        sum nontxn_skipped: u64,
         /// Events the tap ring dropped under [`Backpressure::Drop`]
         /// (exact; `0` under `Block`).
         ///
@@ -37,8 +41,8 @@ counters! {
         /// Windows the full checker found in violation.
         sum violations: u64 => escalation_rate: Json::F64,
         /// Deepest tap-ring backlog observed at a drain poll: sampled
-        /// before every drain of `jungle_monitor::Monitor::run` (0 for
-        /// a monitor fed event by event).
+        /// before every drain of `jungle_monitor::Monitor::run` that
+        /// took events (0 for a monitor fed event by event).
         max max_queue_depth: u64,
     }
 }

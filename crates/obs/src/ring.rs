@@ -97,11 +97,6 @@ impl<T> EventRing<T> {
         }
     }
 
-    /// The configured backpressure policy.
-    pub fn policy(&self) -> Backpressure {
-        self.policy
-    }
-
     /// Events successfully published: the slots claimed so far, each
     /// of which its producer fills. Exact once producers are quiescent;
     /// while they run it may count an event still being written.
@@ -358,21 +353,27 @@ mod tests {
         let consumer = {
             let r = r.clone();
             std::thread::spawn(move || {
-                let mut seen = 0u64;
+                let (mut seen, mut idle) = (0u64, 0u32);
                 while seen < producers * per {
                     if r.pop().is_some() {
                         seen += 1;
+                        idle = 0;
                     } else {
+                        // A stalled ring fails the test, not hangs it.
+                        idle += 1;
+                        assert!(idle < 1 << 24, "consumer stalled after {seen}");
                         std::thread::yield_now();
                     }
                 }
                 seen
             })
         };
+        // The consumer first: a stalled one fails the test, while the
+        // producers it strands would keep spinning.
+        assert_eq!(consumer.join().unwrap(), producers * per);
         for j in joins {
             j.join().unwrap();
         }
-        assert_eq!(consumer.join().unwrap(), producers * per);
         assert_eq!(r.published(), producers * per);
         assert_eq!(r.dropped(), 0);
     }

@@ -14,30 +14,21 @@
 //! the invocations and responses *around* those sequences. The code is
 //! split the same way. Each STM implements the crate-private
 //! `Protocol` trait — seven un-observed operations (start, read, write,
-//! commit, abort, non-transactional read and write) that neither record
-//! nor publish anything — and the one `impl<P: Protocol> TmAlgo for P`
-//! below is the **only** place an operation is observed: with neither a
-//! [`Recorder`] nor an [`StmTap`] attached it calls straight through
-//! (one branch), otherwise it brackets the protocol call with
-//! `Recorder::begin` / `Recorder::finish` and publishes to the tap.
-//! Every entry point — [`atomically`], direct trait calls — goes
-//! through [`TmAlgo`], so none of them can leave a response unrecorded
-//! or unpublished:
-//!
-//! * `Begin` is published *before* the protocol's start; `Read`,
-//!   `Write`, `Commit { ticket }` and `Abort` *after* the protocol call
-//!   returned (the ordering discipline of the [`tap`](crate::tap)
-//!   module);
-//! * a read or write that returns [`Aborted`] never responded: its
-//!   token is dropped and nothing is published (the caller's
-//!   [`TmAlgo::txn_abort`] is the transaction's next operation);
-//! * a commit that returns [`Aborted`] is answered by `abort`, so a
-//!   retry's `start` always follows a completed transaction.
+//! commit, abort, non-transactional read and write) — and the one
+//! `impl<P: Protocol> TmAlgo for P` below is the **only** place an
+//! operation is observed: with no [`StmTap`] attached it calls straight
+//! through (one branch), otherwise it publishes the operation around
+//! the protocol call, as the [`tap`](crate::tap) module's ordering
+//! discipline says. Every entry point — [`atomically`], direct trait
+//! calls — goes through [`TmAlgo`], so none of them can leave a
+//! response unpublished. A read or write that returns [`Aborted`]
+//! never responded (the caller's [`TmAlgo::txn_abort`] is the
+//! transaction's next operation); a commit that returns [`Aborted`] is
+//! answered by `Abort`, so a retry's `Begin` always follows a completed
+//! transaction.
 
-use crate::recorder::{rd_op, wr_op, OpToken, Recorder};
 use crate::tap::{StmTap, TapOp};
-use jungle_core::ids::{ProcId, Var};
-use jungle_core::op::Op;
+use jungle_core::ids::ProcId;
 use jungle_isa::tm::Instrumentation;
 use jungle_obs::trace::{self, EventKind};
 use std::sync::Arc;
@@ -66,11 +57,8 @@ pub struct Ctx {
     /// Metadata slots this transaction holds in shared mode (strong
     /// STM).
     pub shared: Vec<usize>,
-    /// Optional history recorder.
-    pub rec: Option<Arc<Recorder>>,
-    /// Optional live event tap feeding the streaming monitor. With
-    /// neither this nor `rec` set (the default) every operation is the
-    /// bare protocol call.
+    /// Optional event tap, the one observation channel. Without one
+    /// (the default) every operation is the bare protocol call.
     pub tap: Option<Arc<StmTap>>,
     /// Scratch RNG state for backoff (xorshift).
     pub rng: u64,
@@ -81,8 +69,9 @@ pub struct Ctx {
 }
 
 impl Ctx {
-    /// A context for thread `pid`, optionally recording its history.
-    pub fn new(pid: ProcId, rec: Option<Arc<Recorder>>) -> Self {
+    /// A context for thread `pid`, optionally publishing its operations
+    /// to `tap`.
+    pub fn new(pid: ProcId, tap: Option<Arc<StmTap>>) -> Self {
         Ctx {
             pid,
             readset: Vec::new(),
@@ -91,45 +80,18 @@ impl Ctx {
             rv: 0,
             locks: Vec::new(),
             shared: Vec::new(),
-            rec,
-            tap: None,
+            tap,
             rng: 0x9E37_79B9_7F4A_7C15 ^ (u64::from(pid.0) << 17 | 1),
             commits: 0,
             aborts: 0,
         }
     }
 
-    /// Attach a live event tap (builder style). Every subsequent
-    /// begin/read/write/commit/abort on this context is published.
+    /// Attach an event tap (builder style). Every subsequent operation
+    /// on this context is published.
     pub fn with_tap(mut self, tap: Arc<StmTap>) -> Self {
         self.tap = Some(tap);
         self
-    }
-
-    /// Is a recorder or a tap attached? The one branch every
-    /// operation pays at the observation point.
-    #[inline]
-    fn observed(&self) -> bool {
-        self.rec.is_some() | self.tap.is_some()
-    }
-
-    /// Stamp an invocation with the recorder, if one is attached.
-    fn invoke(&self) -> Option<OpToken> {
-        self.rec.as_deref().map(Recorder::begin)
-    }
-
-    /// Record the response to `tok` as `op`.
-    fn respond(&self, tok: Option<OpToken>, op: Op) {
-        if let (Some(r), Some(t)) = (&self.rec, tok) {
-            r.finish(self.pid, t, op);
-        }
-    }
-
-    /// Publish `op` to the tap, if one is attached.
-    fn publish(&self, op: TapOp) {
-        if let Some(t) = &self.tap {
-            t.publish(self.pid, op);
-        }
     }
 
     /// Clear per-transaction state (sets and held locks lists).
@@ -183,9 +145,9 @@ impl Ctx {
 /// One STM algorithm, un-observed: what each operation *does* — the
 /// paper's `I_T` (the five transactional operations) and `I_N` (the two
 /// non-transactional ones) — and nothing about who is watching.
-/// Implementations never touch the recorder or the tap; the blanket
-/// [`TmAlgo`] impl below observes them. Crate-private, so an operation
-/// cannot be run from outside without passing the observation point.
+/// Implementations never touch the tap; the blanket [`TmAlgo`] impl
+/// below observes them. Crate-private, so an operation cannot be run
+/// from outside without passing the observation point.
 ///
 /// On [`Aborted`] the implementation has already rolled back and
 /// released everything.
@@ -249,9 +211,8 @@ pub trait TmAlgo: Sync {
     fn nt_write(&self, cx: &mut Ctx, var: usize, val: u64);
 }
 
-/// The observation point (see the module docs). Each method is the
-/// protocol call behind one branch; what an attached recorder or tap
-/// sees is in the `observed_*` functions below, one per operation.
+/// The observation point (see the module docs): each method names what
+/// [`observe`] publishes around its protocol call.
 impl<P: Protocol> TmAlgo for P {
     fn name(&self) -> &'static str {
         self.class().0
@@ -262,137 +223,84 @@ impl<P: Protocol> TmAlgo for P {
     }
 
     fn txn_start(&self, cx: &mut Ctx) {
-        if cx.observed() {
-            return observed_start(self, cx);
-        }
-        self.start(cx)
+        observe(cx, Some(TapOp::Begin), |cx| self.start(cx), |()| None)
     }
 
     fn txn_read(&self, cx: &mut Ctx, var: usize) -> Result<u64, Aborted> {
-        if cx.observed() {
-            return observed_read(self, cx, var);
-        }
-        self.read(cx, var)
+        let (v, read) = (var as u64, |cx: &mut Ctx| self.read(cx, var));
+        observe(cx, None, read, |r| {
+            r.ok().map(|val| TapOp::Read { var: v, val })
+        })
     }
 
     fn txn_write(&self, cx: &mut Ctx, var: usize, val: u64) -> Result<(), Aborted> {
-        if cx.observed() {
-            return observed_write(self, cx, var, val);
-        }
-        self.write(cx, var, val)
+        let (v, write) = (var as u64, |cx: &mut Ctx| self.write(cx, var, val));
+        observe(cx, None, write, |r| {
+            r.ok().map(|()| TapOp::Write { var: v, val })
+        })
     }
 
     fn txn_commit(&self, cx: &mut Ctx) -> Result<(), Aborted> {
-        if cx.observed() {
-            return observed_commit(self, cx);
-        }
-        self.commit(cx)
+        // The tap draws the commit's ticket as it publishes it.
+        let end = |r: Result<(), _>| r.map_or(TapOp::Abort, |()| TapOp::Commit { ticket: 0 });
+        observe(cx, None, |cx| self.commit(cx), |r| Some(end(r)))
     }
 
     fn txn_abort(&self, cx: &mut Ctx) {
-        if cx.observed() {
-            return observed_abort(self, cx);
-        }
-        self.abort(cx)
+        observe(cx, None, |cx| self.abort(cx), |()| Some(TapOp::Abort))
     }
 
     fn nt_read(&self, cx: &mut Ctx, var: usize) -> u64 {
-        observe_nt_read(cx, var, |cx| self.nontxn_read(cx, var))
+        let (v, read) = (var as u64, |cx: &mut Ctx| self.nontxn_read(cx, var));
+        observe(cx, Some(TapOp::NtInvoke), read, |val| {
+            Some(TapOp::NtRead { var: v, val })
+        })
     }
 
     fn nt_write(&self, cx: &mut Ctx, var: usize, val: u64) {
-        if cx.observed() {
-            return observed_nt_write(self, cx, var, val);
-        }
-        self.nontxn_write(cx, var, val)
+        let (v, write) = (var as u64, |cx: &mut Ctx| self.nontxn_write(cx, var, val));
+        observe(cx, Some(TapOp::NtInvoke), write, |()| {
+            Some(TapOp::NtWrite { var: v, val })
+        })
     }
 }
 
-// The observed paths. Kept out of line so that in each method above the
-// protocol call has one call site and is inlined into it: an unobserved
-// operation costs what the bare algorithm costs.
-
-#[inline(never)]
-fn observed_start<P: Protocol>(tm: &P, cx: &mut Ctx) {
-    cx.publish(TapOp::Begin);
-    let tok = cx.invoke();
-    tm.start(cx);
-    cx.respond(tok, Op::Start);
-}
-
-#[inline(never)]
-fn observed_read<P: Protocol>(tm: &P, cx: &mut Ctx, var: usize) -> Result<u64, Aborted> {
-    let tok = cx.invoke();
-    let val = tm.read(cx, var)?;
-    cx.respond(tok, rd_op(Var(var as u32), val));
-    cx.publish(TapOp::Read {
-        var: var as u64,
-        val,
-    });
-    Ok(val)
-}
-
-#[inline(never)]
-fn observed_write<P: Protocol>(tm: &P, cx: &mut Ctx, var: usize, val: u64) -> Result<(), Aborted> {
-    let tok = cx.invoke();
-    tm.write(cx, var, val)?;
-    cx.respond(tok, wr_op(Var(var as u32), val));
-    cx.publish(TapOp::Write {
-        var: var as u64,
-        val,
-    });
-    Ok(())
-}
-
-#[inline(never)]
-fn observed_commit<P: Protocol>(tm: &P, cx: &mut Ctx) -> Result<(), Aborted> {
-    let tok = cx.invoke();
-    let out = tm.commit(cx);
-    match out {
-        Ok(()) => {
-            cx.respond(tok, Op::Commit);
-            if let Some(t) = &cx.tap {
-                t.publish_commit(cx.pid);
-            }
-        }
-        Err(Aborted) => {
-            cx.respond(tok, Op::Abort);
-            cx.publish(TapOp::Abort);
-        }
-    }
-    out
-}
-
-#[inline(never)]
-fn observed_abort<P: Protocol>(tm: &P, cx: &mut Ctx) {
-    let tok = cx.invoke();
-    tm.abort(cx);
-    cx.respond(tok, Op::Abort);
-    cx.publish(TapOp::Abort);
-}
-
-/// A non-transactional read through the observation point.
+/// One operation at the observation point: with no tap attached, the
+/// protocol `call` behind one branch; otherwise [`observed`].
 #[inline]
-fn observe_nt_read(cx: &mut Ctx, var: usize, read: impl FnOnce(&mut Ctx) -> u64) -> u64 {
-    if cx.observed() {
-        return observed_nt_read(cx, var, read);
+fn observe<R: Copy>(
+    cx: &mut Ctx,
+    invoke: Option<TapOp>,
+    call: impl FnOnce(&mut Ctx) -> R,
+    respond: impl FnOnce(R) -> Option<TapOp>,
+) -> R {
+    if cx.tap.is_some() {
+        return observed(cx, invoke, call, respond);
     }
-    read(cx)
+    call(cx)
 }
 
+/// The observed path: publish `invoke`, make the protocol call, and
+/// publish what `respond` makes of its result. Out of line, so that the
+/// unobserved path has the protocol call's one other call site and
+/// inlines it: an unobserved operation costs what the bare algorithm
+/// costs.
 #[inline(never)]
-fn observed_nt_read(cx: &mut Ctx, var: usize, read: impl FnOnce(&mut Ctx) -> u64) -> u64 {
-    let tok = cx.invoke();
-    let val = read(cx);
-    cx.respond(tok, rd_op(Var(var as u32), val));
-    val
-}
-
-#[inline(never)]
-fn observed_nt_write<P: Protocol>(tm: &P, cx: &mut Ctx, var: usize, val: u64) {
-    let tok = cx.invoke();
-    tm.nontxn_write(cx, var, val);
-    cx.respond(tok, wr_op(Var(var as u32), val));
+fn observed<R: Copy>(
+    cx: &mut Ctx,
+    invoke: Option<TapOp>,
+    call: impl FnOnce(&mut Ctx) -> R,
+    respond: impl FnOnce(R) -> Option<TapOp>,
+) -> R {
+    let publish = |cx: &Ctx, op: Option<TapOp>| {
+        if let (Some(t), Some(op)) = (&cx.tap, op) {
+            t.publish(cx.pid, op);
+        }
+    };
+    publish(cx, invoke);
+    let out = call(cx);
+    publish(cx, respond(out));
+    out
 }
 
 /// Transaction handle passed to the [`atomically`] closure.
@@ -521,11 +429,13 @@ mod tests {
     }
 
     #[test]
-    fn observation_point_records_and_publishes_every_response() {
+    fn observation_point_publishes_every_response() {
+        use crate::tap::trace_of;
+        use jungle_core::ids::Var;
+        use jungle_core::op::{Command, Op};
         use jungle_obs::ring::Backpressure;
-        let rec = Arc::new(Recorder::new());
         let tap = Arc::new(StmTap::new(64, Backpressure::Block));
-        let mut cx = Ctx::new(ProcId(0), Some(rec.clone())).with_tap(tap.clone());
+        let mut cx = Ctx::new(ProcId(0), Some(tap.clone()));
         let tm: &dyn TmAlgo = &Scripted;
         // A read that aborts never responded; the caller's abort closes
         // the transaction.
@@ -537,14 +447,13 @@ mod tests {
         tm.txn_start(&mut cx);
         tm.txn_write(&mut cx, 2, 5).unwrap();
         assert_eq!(tm.txn_commit(&mut cx), Err(Aborted));
-        // A transaction that commits, then non-transactional accesses
-        // (recorded, never tapped).
+        // A transaction that commits, then non-transactional accesses,
+        // each published at both ends.
         tm.txn_start(&mut cx);
         tm.txn_write(&mut cx, 0, 1).unwrap();
         tm.txn_commit(&mut cx).unwrap();
         assert_eq!(tm.nt_read(&mut cx, 3), 7);
         tm.nt_write(&mut cx, 3, 9);
-        drop(cx);
 
         let mut evs = Vec::new();
         tap.drain_into(&mut evs, usize::MAX);
@@ -561,26 +470,31 @@ mod tests {
                 TapOp::Begin,
                 TapOp::Write { var: 0, val: 1 },
                 TapOp::Commit { ticket: 0 },
+                TapOp::NtInvoke,
+                TapOp::NtRead { var: 3, val: 7 },
+                TapOp::NtInvoke,
+                TapOp::NtWrite { var: 3, val: 9 },
             ]
         );
 
-        let trace = Arc::try_unwrap(rec).unwrap().into_trace().unwrap();
-        let h = trace.canonical_history().unwrap();
-        let recorded: Vec<Op> = h.ops().iter().map(|o| o.op.clone()).collect();
+        let h = trace_of(&evs).unwrap().canonical_history().unwrap();
+        let ops: Vec<Op> = h.ops().iter().map(|o| o.op.clone()).collect();
+        let read = |var, val| Op::Cmd(Command::Read { var: Var(var), val });
+        let write = |var, val| Op::Cmd(Command::Write { var: Var(var), val });
         assert_eq!(
-            recorded,
+            ops,
             vec![
                 Op::Start,
-                rd_op(Var(0), 7),
+                read(0, 7),
                 Op::Abort,
                 Op::Start,
-                wr_op(Var(2), 5),
+                write(2, 5),
                 Op::Abort,
                 Op::Start,
-                wr_op(Var(0), 1),
+                write(0, 1),
                 Op::Commit,
-                rd_op(Var(3), 7),
-                wr_op(Var(3), 9),
+                read(3, 7),
+                write(3, 9),
             ]
         );
     }

@@ -181,8 +181,9 @@ impl<V: Fig6> Protocol for Fig6Stm<V> {
 mod tests {
     use super::*;
     use crate::api::{atomically, TmAlgo};
-    use crate::recorder::Recorder;
+    use crate::tap::{trace_of, StmTap};
     use jungle_core::ids::ProcId;
+    use jungle_obs::ring::Backpressure;
     use std::sync::Arc;
     use std::time::Duration;
 
@@ -226,17 +227,18 @@ mod tests {
     }
 
     #[test]
-    fn recorded_history_shape() {
+    fn tapped_history_shape() {
         for (tm, _) in variants(2) {
-            let rec = Arc::new(Recorder::new());
-            let mut cx = Ctx::new(ProcId(0), Some(rec.clone()));
+            let tap = Arc::new(StmTap::new(16, Backpressure::Block));
+            let mut cx = Ctx::new(ProcId(0), Some(tap.clone()));
             atomically(tm.as_ref(), &mut cx, |tx| {
                 tx.write(0, 5)?;
                 tx.read(1)
             });
             tm.nt_read(&mut cx, 0);
-            drop(cx);
-            let trace = Arc::try_unwrap(rec).unwrap().into_trace().unwrap();
+            let mut evs = Vec::new();
+            tap.drain_into(&mut evs, usize::MAX);
+            let trace = trace_of(&evs).unwrap();
             // start, write, read, commit, nt-read = 5 operations.
             assert_eq!(trace.ops().len(), 5, "{}", tm.name());
             let h = trace.canonical_history().unwrap();

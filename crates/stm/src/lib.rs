@@ -2,17 +2,17 @@
 //!
 //! Where `jungle-mc` runs the paper's TM algorithms on a simulated
 //! multiprocessor, this crate runs them *for real*: six STMs over a
-//! shared heap of `AtomicU64` cells, exercised by actual threads, with
-//! an optional [`recorder::Recorder`] that captures the execution as a
-//! `jungle-core` history for online opacity/SGLA checking, and an
-//! optional live [`tap::StmTap`] that streams every transactional
-//! operation into a bounded ring for the `jungle-monitor` crate. The
-//! implementations are algorithms only; both observers are driven from
-//! one place, the [`TmAlgo`] methods in [`api`]. What they share with
-//! the models in `jungle-mc` is declared once in [`jungle_isa::tm`]:
-//! Figure 6's three variants and the word formats (lock word, packed
-//! word, record, version lock). The implementations reproduce the
-//! paper's design points:
+//! shared heap of `AtomicU64` cells, exercised by actual threads. The
+//! implementations are algorithms only, observed from one place, the
+//! [`TmAlgo`] methods in [`api`], through one channel: an optional
+//! [`tap::StmTap`] that publishes every operation, transactional or
+//! not, into a bounded ring. Its consumer is the `jungle-monitor`
+//! crate's streaming checker, or a recording that [`tap::trace_of`]
+//! turns into a trace for the offline opacity/SGLA checkers. What the
+//! STMs share with the models in `jungle-mc` is declared once in
+//! [`jungle_isa::tm`]: Figure 6's three variants and the word formats
+//! (lock word, packed word, record, version lock). The implementations
+//! reproduce the paper's design points:
 //!
 //! | STM | paper artifact | non-txn reads | non-txn writes |
 //! |---|---|---|---|
@@ -62,7 +62,6 @@
 pub mod api;
 pub mod cell;
 pub mod global_lock;
-pub mod recorder;
 pub mod strong;
 pub mod tap;
 pub mod tl2;
@@ -70,7 +69,7 @@ pub mod tl2;
 pub use api::{atomically, Aborted, Ctx, TmAlgo, Tx};
 pub use cell::Heap;
 pub use global_lock::{Fig6Stm, GlobalLockStm, VersionedStm, WriteTxnStm};
-pub use recorder::Recorder;
+pub use jungle_obs::ring::Backpressure;
 pub use strong::StrongStm;
 pub use tap::{StmTap, TapEvent, TapOp};
 pub use tl2::Tl2Stm;

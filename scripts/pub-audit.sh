@@ -30,7 +30,7 @@ ALLOWED=(
     # in a public signature or field that another crate reaches
     "core Blocker" "core CheckStats" "core Diagnosis" "core IdHasher"
     "isa OpCost" "isa TraceOp" "mc DporOutcome" "mc ExperimentResult"
-    "mc TheoremClass" "memsim ExploreOutcome" "obs PhaseGuard"
+    "mc TheoremClass" "memsim ExploreOutcome" "obs Event" "obs PhaseGuard"
     "replay ReplayOutcome" "replay ShrinkStats" "sat SolverStats"
     # beside a `pub len`, which clippy's len_without_is_empty pairs it with
     "core is_empty" "mc is_empty"

@@ -1,9 +1,9 @@
 //! Property: on single-threaded programs, every STM implements the same
 //! sequential semantics — a simple reference interpreter. (Concurrency
 //! differentiates them; sequential behaviour must not.) And whoever is
-//! watching sees exactly that: with a recorder and a tap attached, the
-//! recorded history and the tap stream are the script's operations,
-//! one for one, with the values the reference predicts.
+//! watching sees exactly that: with a tap attached, the tap stream and
+//! the history of its trace are the script's operations, one for one,
+//! with the values the reference predicts.
 //!
 //! And every real STM is tied to its model in `jungle-mc`, the copy the
 //! theorems are checked on: both declare the same §4 instrumentation
@@ -15,13 +15,12 @@ use jungle::mc::algos::TmAlgo as ModelTm;
 use jungle::mc::program::{Stmt, ThreadProg, TxOp};
 use jungle::mc::{cost, GlobalLockTm, LazyTl2Tm, StrongTm, VersionedTm, WriteTxnTm};
 use jungle::stm::api::{Ctx, TmAlgo};
-use jungle::stm::recorder::{rd_op, wr_op};
+use jungle::stm::tap::trace_of;
 use jungle::stm::{
-    all_stms, Fig6Stm, GlobalLockStm, Recorder, StmTap, TapOp, VersionedStm, WriteTxnStm,
+    all_stms, Backpressure, Fig6Stm, GlobalLockStm, StmTap, TapOp, VersionedStm, WriteTxnStm,
 };
 use jungle_core::ids::{ProcId, Val, Var};
 use jungle_core::op::{Command, Op};
-use jungle_obs::Backpressure;
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -33,6 +32,14 @@ enum Act {
     NtRead(u8),
     NtWrite(u8, u8),
     Txn(Vec<(bool, u8, u8)>, bool), // ops (is_read, var, val), abort?
+}
+
+fn rd_op(var: Var, val: Val) -> Op {
+    Op::Cmd(Command::Read { var, val })
+}
+
+fn wr_op(var: Var, val: Val) -> Op {
+    Op::Cmd(Command::Write { var, val })
 }
 
 fn act_strategy() -> impl Strategy<Value = Act> {
@@ -95,35 +102,43 @@ fn reference(acts: &[Act]) -> (Vec<Val>, Vec<Op>) {
     (reads, ops)
 }
 
-/// What the tap must carry for `ops`: the transactional operations
-/// only, commits ticketed in order.
+/// What the tap must carry for `ops`: a transactional operation as one
+/// event, commits ticketed in order; a non-transactional one as its
+/// invocation and its response.
 fn tap_stream(ops: &[Op]) -> Vec<TapOp> {
     let mut out = Vec::new();
     let (mut in_txn, mut ticket) = (false, 0);
     for op in ops {
-        match op {
+        let (read, var, val) = match op {
             Op::Start => {
                 in_txn = true;
                 out.push(TapOp::Begin);
+                continue;
             }
             Op::Commit => {
                 in_txn = false;
                 out.push(TapOp::Commit { ticket });
                 ticket += 1;
+                continue;
             }
             Op::Abort => {
                 in_txn = false;
                 out.push(TapOp::Abort);
+                continue;
             }
-            Op::Cmd(Command::Read { var, val }) if in_txn => out.push(TapOp::Read {
-                var: u64::from(var.0),
-                val: *val,
-            }),
-            Op::Cmd(Command::Write { var, val }) if in_txn => out.push(TapOp::Write {
-                var: u64::from(var.0),
-                val: *val,
-            }),
-            _ => {}
+            Op::Cmd(Command::Read { var, val }) => (true, var, *val),
+            Op::Cmd(Command::Write { var, val }) => (false, var, *val),
+            Op::Cmd(c) => unreachable!("the reference issues no {c:?}"),
+        };
+        let var = u64::from(var.0);
+        out.push(match (in_txn, read) {
+            (true, true) => TapOp::Read { var, val },
+            (true, false) => TapOp::Write { var, val },
+            (false, true) => TapOp::NtRead { var, val },
+            (false, false) => TapOp::NtWrite { var, val },
+        });
+        if !in_txn {
+            out.insert(out.len() - 1, TapOp::NtInvoke);
         }
     }
     out
@@ -204,27 +219,12 @@ proptest! {
                 acts
             );
         }
-        // The same scripts on fresh STMs, observed both ways.
+        // The same scripts on fresh STMs, tapped.
         for tm in &all_stms(VARS as usize) {
-            let rec = Arc::new(Recorder::new());
             let tap = Arc::new(StmTap::new(256, Backpressure::Block));
-            let mut cx = Ctx::new(ProcId(0), Some(rec.clone())).with_tap(tap.clone());
+            let mut cx = Ctx::new(ProcId(0), Some(tap.clone()));
             let got = run_on(tm.as_ref(), &mut cx, &acts);
-            drop(cx);
-            prop_assert_eq!(&got, &expected, "{} diverged when observed", tm.name());
-            let h = Arc::try_unwrap(rec)
-                .expect("context dropped")
-                .into_trace()
-                .and_then(|t| t.canonical_history())
-                .expect("recorded history is well-formed");
-            let recorded: Vec<Op> = h.ops().iter().map(|o| o.op.clone()).collect();
-            prop_assert_eq!(
-                &recorded,
-                &expected_ops,
-                "{} recorded a different history on {:?}",
-                tm.name(),
-                acts
-            );
+            prop_assert_eq!(&got, &expected, "{} diverged when tapped", tm.name());
             let mut evs = Vec::new();
             tap.drain_into(&mut evs, usize::MAX);
             let tapped: Vec<TapOp> = evs.iter().map(|e| e.op).collect();
@@ -232,6 +232,17 @@ proptest! {
                 &tapped,
                 &tap_stream(&expected_ops),
                 "{} tapped a different stream on {:?}",
+                tm.name(),
+                acts
+            );
+            let h = trace_of(&evs)
+                .and_then(|t| t.canonical_history())
+                .expect("tapped history is well-formed");
+            let ops: Vec<Op> = h.ops().iter().map(|o| o.op.clone()).collect();
+            prop_assert_eq!(
+                &ops,
+                &expected_ops,
+                "{} tapped a different history on {:?}",
                 tm.name(),
                 acts
             );

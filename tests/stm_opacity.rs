@@ -1,48 +1,24 @@
 //! Integration: the *real* STMs, checked online.
 //!
 //! Each test runs a small concurrent program on an executable STM with
-//! interval recording, then asks the paper's question of the recorded
-//! trace: does **some corresponding history** satisfy the property the
-//! STM claims? (This is exactly the definition of a TM implementation
+//! a tap attached, then asks the paper's question of the tap's trace:
+//! does **some corresponding history** satisfy the property the STM
+//! claims? (This is exactly the definition of a TM implementation
 //! guaranteeing opacity/SGLA parametrized by a model.)
 
-use jungle::core::model::{Alpha, MemoryModel, Relaxed, Sc};
-use jungle::core::opacity::check_opacity;
-use jungle::core::sgla::check_sgla;
-use jungle::isa::trace::Trace;
+use jungle::core::model::{Alpha, Relaxed, Sc};
 use jungle::litmus::programs::fig1_program;
 use jungle::litmus::runner::run_recorded;
 use jungle::mc::program::{Program, Stmt, ThreadProg, TxOp};
+use jungle::mc::verify::{trace_satisfies, CheckKind};
+use jungle::stm::tap::trace_of;
 use jungle::stm::{
-    all_stms, atomically, Aborted, Ctx, GlobalLockStm, Recorder, StmTap, StrongStm, TapOp, Tl2Stm,
+    all_stms, atomically, Aborted, Backpressure, Ctx, GlobalLockStm, StmTap, StrongStm, Tl2Stm,
     TmAlgo, VersionedStm, WriteTxnStm,
 };
-use jungle_core::ids::{ProcId, X, Y, Z};
-use jungle_core::op::Op;
-use jungle_obs::Backpressure;
+use jungle_core::ids::{ProcId, Var, X, Y, Z};
+use jungle_core::op::{Command, Op};
 use std::sync::{Arc, Barrier};
-
-fn satisfies_opacity(trace: &Trace, model: &dyn MemoryModel) -> bool {
-    if let Ok(h) = trace.canonical_history() {
-        if check_opacity(&h, model).is_opaque() {
-            return true;
-        }
-    }
-    trace
-        .exists_corresponding(|h| check_opacity(h, model).is_opaque())
-        .is_some()
-}
-
-fn satisfies_sgla(trace: &Trace, model: &dyn MemoryModel) -> bool {
-    if let Ok(h) = trace.canonical_history() {
-        if check_sgla(&h, model).is_sgla() {
-            return true;
-        }
-    }
-    trace
-        .exists_corresponding(|h| check_sgla(h, model).is_sgla())
-        .is_some()
-}
 
 fn mixed_program() -> Program {
     Program(vec![
@@ -61,14 +37,14 @@ fn strong_stm_executions_opaque_under_sc() {
     for i in 0..40 {
         let (_, trace) = run_recorded(&fig1_program(), || StrongStm::new(4));
         assert!(
-            satisfies_opacity(&trace, &Sc),
+            trace_satisfies(&trace, &Sc, CheckKind::Opacity),
             "run {i}: strong STM trace not SC-opaque"
         );
     }
     for i in 0..40 {
         let (_, trace) = run_recorded(&mixed_program(), || StrongStm::new(4));
         assert!(
-            satisfies_opacity(&trace, &Sc),
+            trace_satisfies(&trace, &Sc, CheckKind::Opacity),
             "run {i}: strong STM mixed trace not SC-opaque"
         );
     }
@@ -80,11 +56,11 @@ fn global_lock_stm_executions_opaque_under_relaxed_and_sgla_under_sc() {
     for i in 0..40 {
         let (_, trace) = run_recorded(&mixed_program(), || GlobalLockStm::new(4));
         assert!(
-            satisfies_opacity(&trace, &Relaxed),
+            trace_satisfies(&trace, &Relaxed, CheckKind::Opacity),
             "run {i}: global-lock trace not Relaxed-opaque"
         );
         assert!(
-            satisfies_sgla(&trace, &Sc),
+            trace_satisfies(&trace, &Sc, CheckKind::Sgla),
             "run {i}: global-lock trace not SC-SGLA"
         );
     }
@@ -96,7 +72,7 @@ fn versioned_stm_executions_opaque_under_alpha() {
     for i in 0..40 {
         let (_, trace) = run_recorded(&mixed_program(), || VersionedStm::new(4));
         assert!(
-            satisfies_opacity(&trace, &Alpha),
+            trace_satisfies(&trace, &Alpha, CheckKind::Opacity),
             "run {i}: versioned trace not Alpha-opaque"
         );
     }
@@ -108,7 +84,7 @@ fn write_txn_stm_executions_opaque_under_alpha() {
     for i in 0..40 {
         let (_, trace) = run_recorded(&mixed_program(), || WriteTxnStm::new(4));
         assert!(
-            satisfies_opacity(&trace, &Alpha),
+            trace_satisfies(&trace, &Alpha, CheckKind::Opacity),
             "run {i}: write-txn trace not Alpha-opaque"
         );
     }
@@ -128,7 +104,7 @@ fn tl2_transaction_only_executions_opaque() {
     for i in 0..40 {
         let (_, trace) = run_recorded(&program, || Tl2Stm::new(4));
         assert!(
-            satisfies_opacity(&trace, &Sc),
+            trace_satisfies(&trace, &Sc, CheckKind::Opacity),
             "run {i}: TL2 transactional trace not opaque"
         );
     }
@@ -147,7 +123,10 @@ fn aborting_transactions_recorded_and_consistent() {
         let (out, trace) = run_recorded(&program, || GlobalLockStm::new(2));
         // The aborted write is never visible.
         assert_eq!(out[0], vec![0], "aborted write leaked on run {i}");
-        assert!(satisfies_opacity(&trace, &Relaxed), "run {i} not opaque");
+        assert!(
+            trace_satisfies(&trace, &Relaxed, CheckKind::Opacity),
+            "run {i} not opaque"
+        );
     }
 }
 
@@ -220,50 +199,31 @@ fn contended_worker(tm: &dyn TmAlgo, cx: &mut Ctx, entry: Entry) {
 type Counts = Vec<[u64; 3]>;
 
 #[test]
-fn contended_aborting_executions_are_recorded_and_tapped_completely() {
-    // No response may go unrecorded or unpublished, whichever way the
-    // transactions are driven: every recorded `start` is closed by a
-    // `commit` or an `abort` (a commit that lost answers with `abort`),
-    // and the tap carries the same begins, commits and aborts.
+fn contended_aborting_executions_are_tapped_completely() {
+    // No response may go unpublished, whichever way the transactions
+    // are driven: every tapped `start` is closed by a `commit` or an
+    // `abort` (a commit that lost answers with `abort`), and the final
+    // non-transactional read is tapped after them.
     for entry in [Entry::Atomically, Entry::Direct] {
         for tm in all_stms(2) {
             let tm: Arc<dyn TmAlgo + Send + Sync> = Arc::from(tm);
             let ctx = format!("{} via {entry:?}", tm.name());
-            let rec = Arc::new(Recorder::new());
             let tap = Arc::new(StmTap::new(1 << 10, Backpressure::Block));
-            let drainer = {
+            let consumer = {
                 let tap = tap.clone();
                 std::thread::spawn(move || {
-                    let mut tapped: Counts = vec![[0; 3]; THREADS as usize];
-                    let mut buf = Vec::new();
-                    loop {
-                        // Closed before an empty drain: nothing is left.
-                        let closed = tap.is_closed();
-                        if tap.drain_into(&mut buf, 4096) == 0 {
-                            if closed {
-                                return tapped;
-                            }
-                            std::thread::yield_now();
-                        }
-                        for ev in buf.drain(..) {
-                            let slot = match ev.op {
-                                TapOp::Begin => 0,
-                                TapOp::Commit { .. } => 1,
-                                TapOp::Abort => 2,
-                                TapOp::Read { .. } | TapOp::Write { .. } => continue,
-                            };
-                            tapped[ev.pid.0 as usize][slot] += 1;
-                        }
-                    }
+                    let mut events = Vec::new();
+                    tap.consume(|batch, _| events.extend_from_slice(batch));
+                    events
                 })
             };
             let barrier = Arc::new(Barrier::new(THREADS as usize));
             let workers: Vec<_> = (0..THREADS)
                 .map(|t| {
-                    let (tm, rec, tap) = (tm.clone(), rec.clone(), tap.clone());
+                    let (tm, tap) = (tm.clone(), tap.clone());
                     let barrier = barrier.clone();
                     std::thread::spawn(move || {
-                        let mut cx = Ctx::new(ProcId(t), Some(rec)).with_tap(tap);
+                        let mut cx = Ctx::new(ProcId(t), Some(tap));
                         barrier.wait();
                         contended_worker(tm.as_ref(), &mut cx, entry);
                         (cx.commits, cx.aborts)
@@ -271,18 +231,17 @@ fn contended_aborting_executions_are_recorded_and_tapped_completely() {
                 })
                 .collect();
             let by_ctx: Vec<(u64, u64)> = workers.into_iter().map(|w| w.join().unwrap()).collect();
+            let mut cx = Ctx::new(ProcId(THREADS), Some(tap.clone()));
+            let total = tm.nt_read(&mut cx, 0);
             tap.close();
-            let tapped = drainer.join().unwrap();
+            let events = consumer.join().unwrap();
             assert_eq!(tap.dropped(), 0, "{ctx}: a blocking tap never drops");
+            assert_eq!(total, u64::from(THREADS) * TXNS, "{ctx}: lost update");
 
-            let trace = Arc::try_unwrap(rec)
-                .expect("all contexts dropped")
-                .into_trace()
-                .unwrap_or_else(|e| panic!("{ctx}: recorded trace is ill-formed: {e:?}"));
-            let h = trace
-                .canonical_history()
-                .unwrap_or_else(|e| panic!("{ctx}: recorded history is ill-formed: {e:?}"));
-            let mut recorded: Counts = vec![[0; 3]; THREADS as usize];
+            let h = trace_of(&events)
+                .and_then(|t| t.canonical_history())
+                .unwrap_or_else(|e| panic!("{ctx}: tapped history is ill-formed: {e:?}"));
+            let mut tapped: Counts = vec![[0; 3]; THREADS as usize];
             for o in h.ops() {
                 let slot = match o.op {
                     Op::Start => 0,
@@ -290,9 +249,9 @@ fn contended_aborting_executions_are_recorded_and_tapped_completely() {
                     Op::Abort => 2,
                     Op::Cmd(_) => continue,
                 };
-                recorded[o.proc.0 as usize][slot] += 1;
+                tapped[o.proc.0 as usize][slot] += 1;
             }
-            for (p, &[start, commit, abort]) in recorded.iter().enumerate() {
+            for (p, &[start, commit, abort]) in tapped.iter().enumerate() {
                 assert_eq!(start, commit + abort, "{ctx}: p{p} left a start open");
                 assert_eq!(commit, TXNS, "{ctx}: p{p} commits");
                 assert!(abort >= TXNS.div_ceil(3), "{ctx}: p{p} forced aborts");
@@ -300,13 +259,12 @@ fn contended_aborting_executions_are_recorded_and_tapped_completely() {
                     assert_eq!((commit, abort), by_ctx[p], "{ctx}: p{p} vs its Ctx");
                 }
             }
-            assert_eq!(tapped, recorded, "{ctx}: tap and recorder disagree");
-            let mut cx = Ctx::new(ProcId(THREADS), None);
-            assert_eq!(
-                tm.nt_read(&mut cx, 0),
-                u64::from(THREADS) * TXNS,
-                "{ctx}: lost update"
-            );
+            let last = h.ops().last().map(|o| (o.proc, o.op.clone()));
+            let read = Op::Cmd(Command::Read {
+                var: Var(0),
+                val: total,
+            });
+            assert_eq!(last, Some((ProcId(THREADS), read)), "{ctx}: the final read");
         }
     }
 }
