@@ -49,9 +49,9 @@
 //!   against the DFS checkers on the full litmus corpus (every registry
 //!   entry, both check kinds; every SAT positive re-certified through
 //!   the DFS leaf), then run the two engines on the wide-UNSAT stress
-//!   family to locate the size from which SAT does less work (CEGAR
-//!   rounds against serialization orders tried). Adds a `sat` section to
-//!   `--json` output.
+//!   family, where both must refute every size and the DFS may try at
+//!   most one serialization order. Adds a `sat` section to `--json`
+//!   output.
 //! * `--replay <file>` — re-execute a saved schedule log, verify the
 //!   recorded history fingerprint, and exit nonzero on divergence (a
 //!   focused mode: the full report is skipped). With `--explain`, also
@@ -119,7 +119,7 @@ struct Args {
     explain_id: Option<String>,
     monitor: bool,
     /// `--profile`: install the phase profiler and emit the `profile`
-    /// section (phase tree, DPOR race heat, window latencies).
+    /// section (phase tree, DPOR race heat).
     profile: bool,
     trace: Option<PathBuf>,
     /// `--record <dir>`: capture + shrink Theorem 1 schedule logs.

@@ -1,11 +1,13 @@
 //! The `report` binary from outside: what it prints in either output
 //! mode, what it exits with, that it runs each exhaustive experiment
 //! exactly once, what it leaves in the ledger and the trace file, and
-//! what it makes of hostile ledger, memo and schedule-log files.
+//! what it makes of hostile ledger, memo and schedule-log files; and
+//! that the documents state what it prints and the flags it takes.
 
 use jungle_mc::SharedVerdictMemo;
 use jungle_obs::{Json, LedgerEntry, MonitorStats};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
+use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
@@ -463,4 +465,392 @@ fn hostile_memo_dir_preloads_only_well_formed_lines() {
     assert_eq!(claims(&hostile), claims(&empty));
     std::fs::remove_dir_all(&dir).unwrap();
     std::fs::remove_dir_all(&empty_dir).unwrap();
+}
+
+// The documents the last two tests hold to the binary: EXPERIMENTS.md's
+// count tables are rendered from one `report --json --monitor --sat`
+// run, and the `report` flags README.md and `report.rs`'s module doc
+// name are the ones `parse_args` matches.
+const EXPERIMENTS: &str = include_str!("../../../EXPERIMENTS.md");
+const README: &str = include_str!("../../../README.md");
+const REPORT_RS: &str = include_str!("../src/bin/report.rs");
+
+fn text<'a>(obj: &'a Json, key: &str) -> &'a str {
+    obj.get(key)
+        .and_then(Json::as_str)
+        .unwrap_or_else(|| panic!("no string '{key}' in {obj}"))
+}
+
+fn field(obj: &Json, key: &str) -> String {
+    obj.get(key)
+        .unwrap_or_else(|| panic!("no '{key}' in {obj}"))
+        .to_string()
+}
+
+/// A Markdown table: the header row, its rule, then one line per row.
+fn table(header: &[impl AsRef<str>], rows: impl IntoIterator<Item = Vec<String>>) -> String {
+    let line = |cells: &[String]| format!("| {} |", cells.join(" | "));
+    let header: Vec<String> = header.iter().map(|h| h.as_ref().to_string()).collect();
+    let mut out = vec![line(&header), format!("|{}", "---|".repeat(header.len()))];
+    out.extend(rows.into_iter().map(|r| line(&r)));
+    out.join("\n")
+}
+
+fn passed(row: &Json) -> bool {
+    row.get("pass") == Some(&Json::Bool(true))
+}
+
+fn rows_of<'a>(doc: &'a Json, section: &'a str) -> impl Iterator<Item = &'a Json> {
+    arr(doc, "rows")
+        .iter()
+        .filter(move |r| text(r, "section") == section)
+}
+
+/// A section's rows with ids `<line>/<column>` as a grid: the columns
+/// in the report's order, then each line with its rows.
+type Grid<'a> = (Vec<&'a str>, Vec<(&'a str, Vec<&'a Json>)>);
+
+fn grid<'a>(doc: &'a Json, section: &'a str) -> Grid<'a> {
+    let (mut columns, mut lines): Grid = (Vec::new(), Vec::new());
+    for r in rows_of(doc, section) {
+        let id = text(r, "id");
+        let (line, column) = id
+            .rsplit_once('/')
+            .unwrap_or_else(|| panic!("no '/' in row id {id}"));
+        if !columns.contains(&column) {
+            columns.push(column);
+        }
+        match lines.last_mut() {
+            Some((l, cells)) if *l == line => cells.push(r),
+            _ => lines.push((line, vec![r])),
+        }
+    }
+    (columns, lines)
+}
+
+/// The `figures` rows (`<figure>/<outcome>/<model>`): one line per
+/// outcome, one column per registry model; a failing row is marked.
+fn figures(doc: &Json) -> String {
+    let (models, lines) = grid(doc, "figures");
+    let mut header = vec!["figure", "outcome"];
+    header.extend(&models);
+    table(
+        &header,
+        lines.into_iter().map(|(id, rows)| {
+            let (figure, outcome) = id.split_once('/').unwrap();
+            let mut line = vec![figure.to_string(), outcome.to_string()];
+            line.extend(rows.into_iter().map(|r| {
+                let verdict = match text(r, "observed") {
+                    "allowed" => "✓",
+                    "forbidden" => "✗",
+                    other => panic!("figure verdict {other}"),
+                };
+                if passed(r) {
+                    verdict.to_string()
+                } else {
+                    format!("{verdict} ❌")
+                }
+            }));
+            line
+        }),
+    )
+}
+
+/// The `theorems` rows: the experiment, the paper's result, what the
+/// report observed (without the id it repeats) and whether it passed.
+fn theorems(doc: &Json) -> String {
+    table(
+        &["experiment", "paper", "observed", "pass"],
+        rows_of(doc, "theorems").map(|r| {
+            let id = text(r, "id");
+            let observed = text(r, "observed");
+            let observed = observed
+                .strip_prefix(&format!("{id}: "))
+                .unwrap_or(observed);
+            vec![
+                format!("`{id}`"),
+                text(r, "expected").to_string(),
+                observed.to_string(),
+                if passed(r) { "✅" } else { "❌" }.to_string(),
+            ]
+        }),
+    )
+}
+
+/// The `dpor` section: one line per exhaustive experiment.
+fn dpor(doc: &Json) -> String {
+    let keys = [
+        "dpor_executed",
+        "dpor_completed",
+        "blocked",
+        "truncated",
+        "classes",
+    ];
+    table(
+        &[
+            "experiment",
+            "executed",
+            "complete",
+            "blocked",
+            "truncated",
+            "classes",
+        ],
+        arr(doc, "dpor").iter().map(|e| {
+            let mut row = vec![format!("`{}`", text(e, "id"))];
+            row.extend(keys.iter().map(|k| field(e, k)));
+            row
+        }),
+    )
+}
+
+/// The `zoo` rows (`zoo/<algorithm>/<model>`): one line per algorithm,
+/// one column per registry model.
+fn zoo(doc: &Json) -> String {
+    let (models, lines) = grid(doc, "zoo");
+    let mut header = vec!["algorithm"];
+    header.extend(&models);
+    table(
+        &header,
+        lines.into_iter().map(|(id, rows)| {
+            let mut line = vec![id.strip_prefix("zoo/").unwrap().to_string()];
+            line.extend(rows.into_iter().map(|r| text(r, "observed").to_string()));
+            line
+        }),
+    )
+}
+
+/// The `costs` array: the paper's §4 instruction counts per algorithm.
+fn costs(doc: &Json) -> String {
+    let keys = ["nt_read", "nt_write", "txn_read", "commit"];
+    table(
+        &[
+            "algorithm",
+            "class",
+            "nt-read",
+            "nt-write",
+            "txn-read",
+            "commit",
+        ],
+        arr(doc, "costs").iter().map(|c| {
+            let mut row = vec![
+                text(c, "algorithm").to_string(),
+                text(c, "class").to_string(),
+            ];
+            row.extend(keys.iter().map(|k| field(c, k)));
+            row
+        }),
+    )
+}
+
+/// The `monitor` section, per STM and in total. `max_queue_depth` is
+/// left out (how far the producers outrun the consumer is a race), and
+/// so is `escalation_rate` (the quotient of two shown columns).
+fn monitor(doc: &Json) -> String {
+    let keys = [
+        "ops_ingested",
+        "nontxn_skipped",
+        "events_dropped",
+        "windows_sealed",
+        "triage_cleared",
+        "escalated",
+        "memo_hits",
+        "violations",
+    ];
+    let section = doc.get("monitor").expect("a --monitor run");
+    let line = |name: String, stats: &Json| {
+        let mut row = vec![name];
+        row.extend(keys.iter().map(|k| field(stats, k)));
+        row
+    };
+    let mut rows: Vec<Vec<String>> = arr(section, "stms")
+        .iter()
+        .map(|s| line(text(s, "stm").to_string(), s.get("stats").unwrap()))
+        .collect();
+    rows.push(line("total".to_string(), section.get("total").unwrap()));
+    table(
+        &[
+            "STM",
+            "events",
+            "non-txn skipped",
+            "dropped",
+            "windows",
+            "triage-cleared",
+            "escalated",
+            "memo hits",
+            "violations",
+        ],
+        rows,
+    )
+}
+
+/// The `sat` section: the agreement sweep and the solver's effort in
+/// one line, then the crossover family one column per size.
+fn sat(doc: &Json) -> String {
+    let section = doc.get("sat").expect("a --sat run");
+    let mut cells: Vec<(String, String)> =
+        ["checked", "disagreements", "positives", "witness_certified"]
+            .iter()
+            .map(|k| (k.to_string(), field(section, k)))
+            .collect();
+    match section.get("stats") {
+        Some(Json::Obj(fields)) => cells.extend(
+            fields
+                .iter()
+                .map(|(k, v)| (format!("stats.{k}"), v.to_string())),
+        ),
+        other => panic!("sat.stats is not an object: {other:?}"),
+    }
+    let header: Vec<String> = cells.iter().map(|(k, _)| format!("`{k}`")).collect();
+    let totals = table(&header, [cells.into_iter().map(|(_, v)| v).collect()]);
+    let points = arr(section, "crossover_points");
+    let line = |key: &str, name: &str| {
+        let mut row = vec![name.to_string()];
+        row.extend(points.iter().map(|p| field(p, key)));
+        row
+    };
+    let crossover = table(
+        &line("p", "p"),
+        [
+            line("dfs_orders", "DFS orders"),
+            line("sat_rounds", "SAT CEGAR rounds"),
+        ],
+    );
+    format!("{totals}\n\n{crossover}")
+}
+
+/// The lines strictly between `<!-- report:<name> -->` and
+/// `<!-- /report:<name> -->` in EXPERIMENTS.md.
+fn committed_block(name: &str) -> Option<String> {
+    let open = format!("<!-- report:{name} -->");
+    let close = format!("<!-- /report:{name} -->");
+    let mut lines = EXPERIMENTS.lines().skip_while(|l| l.trim() != open);
+    lines.next()?;
+    let block: Vec<&str> = lines.take_while(|l| l.trim() != close).collect();
+    Some(block.join("\n"))
+}
+
+/// Every count table of EXPERIMENTS.md is what one `report --json
+/// --monitor --sat` run renders, byte for byte. A failure prints each
+/// block that differs as it should read.
+#[test]
+fn experiments_tables_are_what_report_prints() {
+    let dir = scratch("docs");
+    let out = report(&dir, &["--json", "--monitor", "--sat"]);
+    std::fs::remove_dir_all(&dir).unwrap();
+    let doc = Json::parse(&String::from_utf8(out.stdout).unwrap()).unwrap();
+
+    let tables = [
+        ("figures", figures(&doc)),
+        ("theorems", theorems(&doc)),
+        ("dpor", dpor(&doc)),
+        ("zoo", zoo(&doc)),
+        ("costs", costs(&doc)),
+        ("monitor", monitor(&doc)),
+        ("sat", sat(&doc)),
+    ];
+    let mut report = String::new();
+    for (name, want) in tables {
+        match committed_block(name) {
+            Some(got) if got == want => {}
+            Some(_) => writeln!(
+                report,
+                "EXPERIMENTS.md's `{name}` table differs from the report's; it should read:\n{want}\n"
+            )
+            .unwrap(),
+            None => writeln!(
+                report,
+                "EXPERIMENTS.md has no <!-- report:{name} --> … <!-- /report:{name} --> block; it should hold:\n{want}\n"
+            )
+            .unwrap(),
+        }
+    }
+    assert!(report.is_empty(), "{report}");
+}
+
+/// The `--` flags in `line` that are `report`'s own: after `--bin
+/// report --` on a cargo command line (none when it has no `--`
+/// separator), every one anywhere else.
+fn flags_in(line: &str) -> Vec<String> {
+    let rest = match line.split_once("--bin report") {
+        Some((_, rest)) => match rest.trim_start().strip_prefix("--") {
+            Some(args) if args.starts_with(' ') || args.is_empty() => args,
+            _ => "",
+        },
+        None => line,
+    };
+    rest.match_indices("--")
+        .filter(|(i, _)| *i == 0 || !rest.as_bytes()[i - 1].is_ascii_alphanumeric())
+        .map(|(i, _)| {
+            let tail = &rest[i + 2..];
+            let end = tail
+                .find(|c: char| !(c.is_ascii_lowercase() || c == '-'))
+                .unwrap_or(tail.len());
+            rest[i..i + 2 + end].to_string()
+        })
+        .filter(|f| f.len() > 2)
+        .collect()
+}
+
+/// The flags `parse_args` matches: its `"--<flag>" =>` arms.
+fn parsed_flags() -> BTreeSet<String> {
+    let body = REPORT_RS
+        .split_once("fn parse_args()")
+        .and_then(|(_, rest)| rest.split_once("\n}\n"))
+        .expect("report.rs has a parse_args")
+        .0;
+    body.lines()
+        .filter_map(|l| l.trim().strip_prefix('"'))
+        .filter_map(|l| l.split_once("\" =>"))
+        .filter(|(flag, _)| flag.starts_with("--"))
+        .map(|(flag, _)| flag.to_string())
+        .collect()
+}
+
+/// README's `report` command lines, a `\`-continued command joined
+/// into one line.
+fn readme_report_commands() -> Vec<String> {
+    let mut commands = Vec::new();
+    let mut in_code = false;
+    let mut pending = String::new();
+    for line in README.lines() {
+        if line.starts_with("```") {
+            in_code = !in_code;
+            continue;
+        }
+        if !in_code || line.trim_start().starts_with('#') {
+            continue;
+        }
+        pending.push_str(line.trim_end_matches('\\'));
+        if !line.ends_with('\\') {
+            if pending.contains("--bin report") {
+                commands.push(std::mem::take(&mut pending));
+            }
+            pending.clear();
+        }
+    }
+    commands
+}
+
+/// README's `report` commands, together, name exactly the flags
+/// `parse_args` matches; so does `report.rs`'s module doc.
+#[test]
+fn report_flags_in_the_docs_are_the_ones_it_parses() {
+    let parsed = parsed_flags();
+    let readme: BTreeSet<String> = readme_report_commands()
+        .iter()
+        .flat_map(|c| flags_in(c))
+        .collect();
+    assert_eq!(
+        readme, parsed,
+        "README's report commands against parse_args"
+    );
+    let module_doc: BTreeSet<String> = REPORT_RS
+        .lines()
+        .take_while(|l| l.starts_with("//!"))
+        .flat_map(flags_in)
+        .collect();
+    assert_eq!(
+        module_doc, parsed,
+        "report.rs's module doc against parse_args"
+    );
 }

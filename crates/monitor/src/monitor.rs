@@ -27,9 +27,10 @@
 //!    (fingerprinted by [`History::cache_key`]) are checked once. A
 //!    mostly sequential window costs it saturation, its first
 //!    admissible serialization order and one pass over the window's
-//!    units in that order — about ten times triage for a 64-attempt
-//!    window (≈ 45–55 µs against ≈ 4–5 µs on a 2-core x86 host,
-//!    `monitor_stream` seed 1), which is why triage stays in front. Only a cluster of overlapping transactions makes it
+//!    units in that order — several times what triage costs (the
+//!    `monitor_stream` benchmark workload's `monitor.escalate_win_us_p50`
+//!    against its `core.triage_us_p50`), which is why triage stays in
+//!    front. Only a cluster of overlapping transactions makes it
 //!    search, and then over the cluster's subsets, not its orders.
 //! 3. **Second chance** (see
 //!    [`SealedWindow::reseeded`](crate::window::SealedWindow::reseeded)):
@@ -41,9 +42,8 @@
 //! Under well-behaved traffic the triage tier clears the overwhelming
 //! majority of windows, so the monitor's steady-state cost is a cleared
 //! window's: buffering its events, cutting it (seeds and folds) and
-//! triaging it from its events, about 8 µs in all for a 64-attempt
-//! window of ≈ 290 events on the host above (13–15 µs when the window
-//! was sealed into a `History` first); the ring traffic of a live tap
+//! triaging it from its events (`monitor.triage_win_us_p50` of the
+//! `monitor_stream` workload, push to verdict); the ring traffic of a live tap
 //! comes on top: one contended CAS per published event and, on this
 //! side, one `tail` store per [`StmTap::drain_into`] batch of up to
 //! 4,096 events (see `jungle_obs::ring`).

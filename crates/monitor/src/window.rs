@@ -59,6 +59,19 @@
 //! [`build_history`] skips them. The monitor counts each one it is fed
 //! in `MonitorStats::nontxn_skipped`, so none is dropped silently.
 //!
+//! **Known blind spot.** A window judges the transactional sub-history
+//! only, so the monitor is not a checker of mixed traffic. A violation
+//! that only a non-transactional *read* witnesses goes unseen. Worse,
+//! a non-transactional *write* makes it report violations that are not
+//! there: a transaction that reads the value such a write stored reads
+//! a value no window ever saw written, and the second chance re-seeds
+//! only a variable's first read in the window. Two threads that each
+//! `nt_write` a variable and then read it in a transaction (global-lock
+//! STM, window 8, `Block` tap) were reported in violation in every
+//! window. `report --monitor`'s traffic is transactional only, so its
+//! rows are unaffected. Judging non-transactional operations is ROADMAP
+//! item 14.
+//!
 //! ## One pass
 //!
 //! A window costs its events. [`WindowBuilder::push`] keeps what a seal
@@ -82,10 +95,10 @@
 //! operation, and only [`WindowBuilder::seal`] and an escalating
 //! window build a [`History`] — into a buffer sized once, as a
 //! [`HistoryBuilder`] history, which has no identifier index to build
-//! or check. On a 64-attempt window of ≈ 290 events a seal costs
-//! ≈ 7 µs on a 2-core x86 host, of which the `History` build is about
-//! 5; the monitor's cut of a window triage clears costs only the seeds
-//! and folds.
+//! or check. That build is most of what a seal costs (the
+//! `monitor_stream` workload's `monitor.window_build_us_p50`); the
+//! monitor's cut of a window triage clears costs only the seeds and
+//! folds.
 
 use jungle_core::builder::HistoryBuilder;
 use jungle_core::history::History;

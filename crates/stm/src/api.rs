@@ -212,7 +212,7 @@ pub trait TmAlgo: Sync {
 }
 
 /// The observation point (see the module docs): each method names what
-/// [`observe`] publishes around its protocol call.
+/// `observe` publishes around its protocol call.
 impl<P: Protocol> TmAlgo for P {
     fn name(&self) -> &'static str {
         self.class().0

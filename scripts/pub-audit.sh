@@ -1,21 +1,18 @@
 #!/usr/bin/env bash
 # The public-surface audit. A cross-crate `pub` hides an item from
 # rustc's dead_code lint, so a `pub` item nothing outside its crate
-# needs is either dead or should be `pub(crate)`. Two rules find them:
+# needs is either dead or should be `pub(crate)`. The compiler decides
+# which: on a scratch worktree of the tracked files, every `pub` fn,
+# struct, enum, trait, type alias, const and static under crates/*/src
+# becomes `pub(crate)`; `cargo check --offline` runs on the workspace
+# (all targets) and on benchmark/, every item an error names gets its
+# `pub` back, and that repeats until both compile. The items left
+# demoted are listed. An item gets `pub` back only for an error that
+# needs it, so an unrelated item of the same name elsewhere cannot keep
+# an unused item `pub`.
 #
-# * Types and constants (struct, enum, trait, type, const, static)
-#   under crates/*/src: listed when their name appears in no `.rs` file
-#   outside their own crate's src — not in another crate, in tests/,
-#   examples/ or benchmark/. The match is by name, so a listed item is
-#   certainly unnamed from outside; an unlisted one may still be.
-# * Functions: the compiler decides. On a scratch worktree of the
-#   tracked files, every `pub fn` under crates/*/src becomes
-#   `pub(crate) fn`; `cargo check --offline` runs on the workspace (all
-#   targets) and on benchmark/, every function an error names gets its
-#   `pub` back, and that repeats until both compile. The functions left
-#   demoted are listed.
-#
-# Prints "<crate> <name>" per listed item, and the counts on stderr.
+# Prints "<file under crates/> <name>" per listed item, and the counts
+# on stderr.
 # With --check, exits 1 if it lists an item not in ALLOWED.
 #
 # Usage: scripts/pub-audit.sh [--check]
@@ -23,38 +20,20 @@ set -euo pipefail
 cd "$(git rev-parse --show-toplevel)"
 
 # Items that stay `pub` although the audit lists them (CHANGES.md gives
-# each one's reason):
+# each one's reason), by file under crates/ and name:
 ALLOWED=(
-    # called by the `report` binary, a separate target of the same crate
-    "bench DEDUP_RATE_FLOOR" "bench MEMO_HIT_RATE_FLOOR"
-    # in a public signature or field that another crate reaches
-    "core Blocker" "core CheckStats" "core Diagnosis" "core IdHasher"
-    "isa OpCost" "isa TraceOp" "mc DporOutcome" "mc ExperimentResult"
-    "mc TheoremClass" "memsim ExploreOutcome" "obs Event" "obs PhaseGuard"
-    "replay ReplayOutcome" "replay ShrinkStats" "sat SolverStats"
     # beside a `pub len`, which clippy's len_without_is_empty pairs it with
-    "core is_empty" "mc is_empty"
+    "core/src/builder.rs is_empty" "mc/src/verify.rs is_empty"
+    # the `#[cfg(test)]` reference checkers legal.rs is compared against
+    "core/src/legal_reference.rs PrefixChecker" "core/src/legal_reference.rs CsChecker"
 )
 
-crate_of() {
-    local c=${1#crates/}
-    echo "${c%%/*}"
-}
-
-# Types and constants, by name.
-TYPE='^\s*pub (struct|enum|trait|type|const|static) [A-Za-z_][A-Za-z0-9_]*'
-types=$(git grep -hE "$TYPE" -- 'crates/*/src/**' | grep -cvE '^\s*pub const fn' || true)
+# Every item the compiler decides: a fn (`const`/`unsafe` too), a type
+# (struct, enum, trait, alias), or a const or static (a name and `:`,
+# so not a `const fn`).
+ITEM='^(\s*)pub ((const |unsafe )*fn [A-Za-z_]|(struct|enum|trait|type) [A-Za-z_]|(const|static) [A-Za-z_][A-Za-z0-9_]*:)'
+TYPE='^\s*pub ((struct|enum|trait|type) [A-Za-z_]|(const|static) [A-Za-z_][A-Za-z0-9_]*:)'
 listed=()
-for dir in crates/*/src; do
-    for name in $(git grep -hoE "$TYPE" -- "$dir" | awk '{print $NF}' | grep -vx fn | sort -u); do
-        if ! git grep -qw "$name" -- '*.rs' ":!$dir"; then
-            listed+=("$(crate_of "$dir") $name")
-        fi
-    done
-done
-
-# Functions, by compiling.
-FN='^(\s*)pub ((const |unsafe )*fn [A-Za-z_])'
 tmp=$(mktemp -d)
 cleanup() {
     git worktree remove --force "$tmp/tree" >/dev/null 2>&1 || true
@@ -65,10 +44,10 @@ rev=$(git stash create)
 git worktree add --quiet --detach "$tmp/tree" "${rev:-HEAD}"
 (
     cd "$tmp/tree"
-    # One "<file>:<line>:<name>" per demoted function.
-    git grep -nE "$FN" -- 'crates/*/src/**' |
-        sed -E 's/^([^:]+):([0-9]+):\s*pub (const |unsafe )*fn ([A-Za-z_][A-Za-z0-9_]*).*/\1:\2:\4/' >"$tmp/demoted"
-    cut -d: -f1 "$tmp/demoted" | sort -u | xargs sed -i -E "s/$FN/\1pub(crate) \2/"
+    # One "<file>:<line>:<name>" per demoted item.
+    git grep -nE "$ITEM" -- 'crates/*/src/**' |
+        sed -E 's/^([^:]+):([0-9]+):\s*pub ((const |unsafe )*fn|struct|enum|trait|type|const|static) ([A-Za-z_][A-Za-z0-9_]*).*/\1:\2:\5/' >"$tmp/demoted"
+    cut -d: -f1 "$tmp/demoted" | sort -u | xargs sed -i -E "s/$ITEM/\1pub(crate) \2/"
     export CARGO_TARGET_DIR="$tmp/target"
     restore() { # <file>:<line>:<name> lines on stdin
         while IFS=: read -r file line name; do
@@ -83,15 +62,25 @@ git worktree add --quiet --detach "$tmp/tree" "${rev:-HEAD}"
         fi
         # Restore what the errors name, not the warnings (dead_code points
         # at demoted lines): each location an error shows (the call and
-        # the definition), and for a re-export, which shows no
-        # definition, the crate and the name.
+        # the definition); for a re-export, which shows no definition,
+        # the crate and the name; and for a value of a private type
+        # used in another crate, the type's path (its crate or modules)
+        # and name.
         awk '/^error/ { e = 1 } /^warning/ { e = 0 } e' "$tmp/out" >"$tmp/errors"
         { grep -oE '(-->|:::) \S+\.rs:[0-9]+' "$tmp/errors" || true; } | sed -E 's#^\S+ .*(crates/[^/]+/src/)#\1#' |
             sed 's/$/:/' >"$tmp/locs"
-        awk '/^error\[E0364\]/ { split($0, q, "`"); name = q[2] }
-             name != "" && / --> / { sub(/^.*crates\//, ""); sub(/\/.*/, ""); print "^crates/" $0 "/src/.*:" name "$"; name = "" }' \
+        awk '/^error\[E036[45]\]/ { split($0, q, "`"); name = q[2] }
+             name != "" && / --> / { sub(/^.*crates\//, ""); sub(/\/.*/, ""); print "^crates/" $0 "/src/.*:" name "$"; name = "" }
+             /^error: type `.*` is private/ {
+                 split($0, q, "`"); n = split(q[2], seg, "::"); sub(/<.*/, "", seg[n]); pat = "^crates/"
+                 for (i = 1; i < n; i++) {
+                     if (seg[i] == "jungle") continue # the facade crate re-exports the others
+                     if (sub(/^jungle_/, "", seg[i])) pat = pat seg[i] "/src/"
+                     else pat = pat ".*" seg[i] "(\\.rs|/)"
+                 }
+                 print pat ".*:" seg[n] "$" }' \
             "$tmp/errors" >"$tmp/names"
-        { grep -F -f "$tmp/locs" "$tmp/demoted" || true; grep -f "$tmp/names" "$tmp/demoted" || true; } |
+        { grep -F -f "$tmp/locs" "$tmp/demoted" || true; grep -E -f "$tmp/names" "$tmp/demoted" || true; } |
             sort -u >"$tmp/hit"
         if [[ ! -s "$tmp/hit" ]]; then
             cat "$tmp/out" >&2
@@ -101,9 +90,11 @@ git worktree add --quiet --detach "$tmp/tree" "${rev:-HEAD}"
         restore <"$tmp/hit"
     done
 ) >&2
-fns=$(git grep -hE "$FN" -- 'crates/*/src/**' | wc -l)
+types=$(git grep -hE "$TYPE" -- 'crates/*/src/**' | wc -l)
+fns=$(git grep -hE "$ITEM" -- 'crates/*/src/**' | wc -l)
+fns=$((fns - types))
 while IFS=: read -r file _ name; do
-    listed+=("$(crate_of "$file") $name")
+    listed+=("${file#crates/} $name")
 done <"$tmp/demoted"
 
 printf '%s\n' "${listed[@]}" | sed '/^$/d'

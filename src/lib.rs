@@ -11,7 +11,7 @@
 //! |---|---|---|
 //! | [`core`] | `jungle-core` | histories, memory models (SC/TSO/PSO/RMO/Alpha/Junk-SC/…), the `Mrr`/`Mrw`/`Mwr`/`Mww` classification, and exact checkers for parametrized opacity (§3.3) and SGLA (§6.2) |
 //! | [`isa`] | `jungle-isa` | `load`/`store`/`cas` instructions, traces, trace↔history correspondence, instrumentation taxonomy (§4), and what the two executors of each TM share: Figure 6's three variants and the TM word formats |
-//! | [`memsim`] | `jungle-memsim` | the simulated multiprocessor (SC/TSO/PSO hardware) with directed, random, bursty and exhaustive schedulers |
+//! | [`memsim`] | `jungle-memsim` | the simulated multiprocessor, one execution discipline per memory-model registry entry (eight: SC, TSO, TSO+fwd, PSO, RMO, Alpha, Relaxed, Junk-SC), with directed, random, bursty and exhaustive schedulers |
 //! | [`mc`] | `jungle-mc` | the paper's TM algorithms as protocols run by one driver on the simulator + every lemma/theorem as a checkable experiment (§5) |
 //! | [`replay`] | `jungle-replay` | deterministic schedule record/replay (portable `ScheduleLog`, divergence detection) and delta-debugging counterexample shrinking |
 //! | [`stm`] | `jungle-stm` | six executable STMs over real atomics with online trace recording; Figure 6's three are one generic `Fig6Stm` over the variants [`isa::tm`] declares for both executors |
