@@ -96,7 +96,7 @@ fn key_entry(out: &mut Vec<u64>, var: Var, state: State) {
 /// paper's condition 3. The checker is cheap to [`Clone`], which is how
 /// the backtracking searches snapshot it.
 #[derive(Clone, Debug)]
-pub struct PrefixChecker {
+pub(crate) struct PrefixChecker {
     committed: VarMap<Slot>,
     /// Overlay of the currently open transaction (if any).
     overlay: VarMap<Slot>,
@@ -255,7 +255,7 @@ impl PrefixChecker {
 /// coincide with [`PrefixChecker`]'s, which is why parametrized opacity
 /// still implies SGLA (Theorem 6).
 #[derive(Clone, Debug)]
-pub struct CsChecker {
+pub(crate) struct CsChecker {
     state: VarMap<State>,
     /// Undo log of the open transaction: `(var, state before the
     /// transaction's first write to it)`.

@@ -58,28 +58,67 @@ pub struct TraceOp {
 }
 
 /// A well-formed trace.
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 pub struct Trace {
     instrs: Vec<InstrInstance>,
     ops: Vec<TraceOp>,
 }
 
+impl Clone for Trace {
+    fn clone(&self) -> Self {
+        Trace {
+            instrs: self.instrs.clone(),
+            ops: self.ops.clone(),
+        }
+    }
+
+    /// Copies into the buffers `self` already holds.
+    fn clone_from(&mut self, src: &Self) {
+        self.instrs.clone_from(&src.instrs);
+        self.ops.clone_from(&src.ops);
+    }
+}
+
 impl Trace {
     /// Validate and construct a trace from instruction instances.
     pub fn new(instrs: Vec<InstrInstance>) -> Result<Self, TraceError> {
-        // Per process, its currently open operation (index into `ops`):
-        // a handful of processes, so a short list, not a map.
-        let mut open: Vec<(ProcId, usize)> = Vec::new();
-        let mut ops: Vec<TraceOp> = Vec::new();
+        let mut t = Trace {
+            instrs,
+            ops: Vec::new(),
+        };
+        t.index()?;
+        Ok(t)
+    }
+
+    /// Make this the trace of `instrs`, validated as by [`Trace::new`],
+    /// without allocating: the instructions are swapped in and the
+    /// operation index is rebuilt in place. `instrs` is left empty,
+    /// holding the buffer of the instructions this trace had before.
+    pub fn rebuild(&mut self, instrs: &mut Vec<InstrInstance>) -> Result<(), TraceError> {
+        std::mem::swap(&mut self.instrs, instrs);
+        instrs.clear();
+        self.index()
+    }
+
+    /// Derive `ops` from `instrs`, checking well-formedness.
+    fn index(&mut self) -> Result<(), TraceError> {
+        let Trace { instrs, ops } = self;
+        ops.clear();
+        // A process's open operation, if any, is its last one: an
+        // invocation while one is open is rejected below.
+        let open_of = |ops: &[TraceOp], p: ProcId| {
+            ops.iter()
+                .rposition(|o| o.proc == p)
+                .filter(|&oi| !ops[oi].complete)
+        };
         // Identifiers above every one invoked so far cannot repeat one
         // (the machine allocates them ascending); others are looked up.
         let mut max_id: Option<OpId> = None;
-        let open_of = |open: &[(ProcId, usize)], p: ProcId| open.iter().position(|o| o.0 == p);
 
         for (i, ii) in instrs.iter().enumerate() {
             match &ii.instr {
                 Instr::Inv(op) => {
-                    if open_of(&open, ii.proc).is_some() {
+                    if open_of(ops, ii.proc).is_some() {
                         return Err(TraceError::InterleavedOperations {
                             proc: ii.proc,
                             op: ii.op,
@@ -93,7 +132,6 @@ impl Trace {
                         });
                     }
                     max_id = max_id.max(Some(ii.op));
-                    open.push((ii.proc, ops.len()));
                     ops.push(TraceOp {
                         id: ii.op,
                         op: op.clone(),
@@ -104,13 +142,12 @@ impl Trace {
                     });
                 }
                 Instr::Resp(_) => {
-                    let Some(at) = open_of(&open, ii.proc) else {
+                    let Some(oi) = open_of(ops, ii.proc) else {
                         return Err(TraceError::UnmatchedResponse {
                             proc: ii.proc,
                             op: ii.op,
                         });
                     };
-                    let oi = open.swap_remove(at).1;
                     if ops[oi].id != ii.op {
                         return Err(TraceError::UnmatchedResponse {
                             proc: ii.proc,
@@ -121,7 +158,7 @@ impl Trace {
                     ops[oi].complete = true;
                 }
                 _ => {
-                    let Some(oi) = open_of(&open, ii.proc).map(|at| open[at].1) else {
+                    let Some(oi) = open_of(ops, ii.proc) else {
                         return Err(TraceError::InstrOutsideOperation {
                             proc: ii.proc,
                             op: ii.op,
@@ -137,8 +174,7 @@ impl Trace {
                 }
             }
         }
-
-        Ok(Trace { instrs, ops })
+        Ok(())
     }
 
     /// The raw instruction instances.

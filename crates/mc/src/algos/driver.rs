@@ -4,7 +4,8 @@ use super::{Ctx, Next, Pc, Protocol, ABORTED};
 use crate::program::{Stmt, ThreadProg, TxOp};
 use jungle_core::ids::{ProcId, Val, Var};
 use jungle_core::op::{Command, Op};
-use jungle_memsim::process::{Process, Resume, Step};
+use jungle_memsim::process::{self, Process, Resume, Step};
+use std::sync::Arc;
 
 /// The resumption contract: memsim resumes a process that issued an
 /// instruction with that instruction's result.
@@ -56,7 +57,8 @@ impl Call {
 /// One thread of a program, run on the protocol `P`.
 pub(super) struct Driver<P> {
     tm: P,
-    stmts: Vec<Stmt>,
+    /// The thread's statements, shared by every copy of the driver.
+    stmts: Arc<[Stmt]>,
     /// The statement running.
     stmt: usize,
     /// How many of its operations have responded.
@@ -76,7 +78,7 @@ impl<P: Protocol> Driver<P> {
     pub(super) fn new(tm: P, pid: ProcId, prog: ThreadProg) -> Self {
         Driver {
             tm,
-            stmts: prog.0,
+            stmts: prog.0.into(),
             stmt: 0,
             k: 0,
             skip: false,
@@ -159,7 +161,36 @@ impl<P: Protocol> Driver<P> {
     }
 }
 
+impl<P: Protocol> Clone for Driver<P> {
+    fn clone(&self) -> Self {
+        Driver {
+            stmts: Arc::clone(&self.stmts),
+            cx: self.cx.clone(),
+            ..*self
+        }
+    }
+
+    /// Copies into the context vectors `self` already holds.
+    fn clone_from(&mut self, src: &Self) {
+        let mut cx = std::mem::replace(&mut self.cx, Ctx::new(src.cx.pid));
+        cx.clone_from(&src.cx);
+        *self = Driver {
+            stmts: Arc::clone(&src.stmts),
+            cx,
+            ..*src
+        };
+    }
+}
+
 impl<P: Protocol> Process for Driver<P> {
+    fn boxed_clone(&self) -> Box<dyn Process> {
+        Box::new(self.clone())
+    }
+
+    fn clone_onto(&self, dst: &mut Box<dyn Process>) {
+        process::clone_onto(self, dst)
+    }
+
     fn next(&mut self, last: Resume) -> Step {
         let Some(call) = self.call else {
             return self.invoke();

@@ -237,6 +237,29 @@ pub(crate) struct Ctx {
     pub version: u32,
 }
 
+impl Clone for Ctx {
+    fn clone(&self) -> Self {
+        Ctx {
+            pid: self.pid,
+            readset: self.readset.clone(),
+            writeset: self.writeset.clone(),
+            locks: self.locks.clone(),
+            shared: self.shared.clone(),
+            version: self.version,
+        }
+    }
+
+    /// Copies into the vectors `self` already holds.
+    fn clone_from(&mut self, src: &Self) {
+        self.pid = src.pid;
+        self.readset.clone_from(&src.readset);
+        self.writeset.clone_from(&src.writeset);
+        self.locks.clone_from(&src.locks);
+        self.shared.clone_from(&src.shared);
+        self.version = src.version;
+    }
+}
+
 impl Ctx {
     fn new(pid: ProcId) -> Self {
         Ctx {

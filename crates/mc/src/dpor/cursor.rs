@@ -56,11 +56,21 @@
 //! trees may still start such a run, and
 //! [`DporOutcome::blocked`](super::DporOutcome::blocked) counts them.
 //!
-//! **Cost.** A decision costs word operations: footprints are `Copy`,
-//! the clocks of the path live in one flat table (a row per node, a
-//! column per CPU), and a node leaving the path goes to a pool whose
-//! vectors the next choice point refills, so after the first few runs
-//! a choice point allocates nothing.
+//! **Cost.** The cursor's share of a decision is a replay step or a
+//! new node. Footprints are `Copy`, the clocks of the path live in one
+//! flat table (a row per node, a column per CPU), and the nodes live in
+//! one vector that only grows, indexed by depth: a node leaving the
+//! path stays where it is as a spare, and the next choice point at that
+//! depth refills its vectors in place. No node is ever moved, and after
+//! the first few runs neither a choice point nor a race allocates.
+//! The machine side is the same: [`explore_dpor`](super::explore_dpor)
+//! builds its machine once and resets a copy of it before every run
+//! ([`Machine::run_from`](jungle_memsim::Machine::run_from)), reusing
+//! the copy's instruction record, footprints, store buffers, memory and
+//! trace. What a run still pays for is replay: it re-executes the
+//! recorded prefix from the root. Since the machine is `Clone`,
+//! restoring a copy taken at the backtrack node instead needs only the
+//! clone.
 
 use jungle_memsim::{Action, Footprint, Scheduler};
 use jungle_obs::sim::{DporStats, FOOTPRINT_KINDS};
@@ -162,19 +172,23 @@ impl Node {
 /// the machine, `advance` until it returns `false`.
 #[derive(Debug, Default)]
 pub(crate) struct DporCursor {
-    stack: Vec<Node>,
-    /// Nodes that left the path, kept for their vectors.
-    pool: Vec<Node>,
+    /// The path is `nodes[..depth]`; the nodes past it are spares whose
+    /// vectors the next choice points refill. A node never moves.
+    nodes: Vec<Node>,
+    depth: usize,
     /// The clocks of the path: row `d` (`width` entries, one per CPU
-    /// seen so far) belongs to `stack[d]` while it is timed.
+    /// seen so far) belongs to `nodes[d]` while it is timed.
     clocks: Vec<u32>,
     width: usize,
     /// Scratch of the race pass: the racing earlier decisions, latest
     /// first.
     races: Vec<usize>,
-    /// Replay position within `stack` for the current run.
+    /// Scratch of a reversal: each CPU's first decision in the
+    /// sequence to reverse, as `(cpu, node)`.
+    firsts: Vec<(usize, usize)>,
+    /// Replay position within the path for the current run.
     pos: usize,
-    /// Next stack index to receive an observed footprint.
+    /// Next path index to receive an observed footprint.
     obs: usize,
     /// The current run reached a node with every option asleep.
     blocked: bool,
@@ -208,9 +222,10 @@ impl DporCursor {
             // The blocked node explored nothing: every option was
             // already asleep, so it has no footprint and sleeps nothing.
             self.blocked = false;
-            self.pool.extend(self.stack.pop());
+            self.depth -= 1;
         }
-        while let Some(mut node) = self.stack.pop() {
+        while self.depth > 0 {
+            let node = &mut self.nodes[self.depth - 1];
             // The branch just completed joins the sleep set: any
             // sibling explored after it may skip re-entering it.
             if let Some(fp) = node.fp.take() {
@@ -224,18 +239,12 @@ impl DporCursor {
                     self.sleep_skips += 1;
                 } else {
                     node.chosen = next;
-                    self.stack.push(node);
                     return true;
                 }
             }
-            self.pool.push(node);
+            self.depth -= 1;
         }
         false
-    }
-
-    /// The clock of timed node `d`.
-    fn clock(&self, d: usize) -> &[u32] {
-        &self.clocks[d * self.width..(d + 1) * self.width]
     }
 
     /// Give every clock a column for each of the first `width` CPUs.
@@ -268,7 +277,7 @@ impl DporCursor {
         clock.fill(0);
         self.races.clear();
         for i in (0..k).rev() {
-            let Some(earlier) = self.stack[i].event() else {
+            let Some(earlier) = self.nodes[i].event() else {
                 continue;
             };
             let cpu = earlier.cpu;
@@ -287,7 +296,7 @@ impl DporCursor {
         clock[fp.cpu] += 1;
         for r in (0..self.races.len()).rev() {
             let i = self.races[r];
-            let earlier = self.stack[i].fp.as_ref().expect("races are between events");
+            let earlier = self.nodes[i].fp.as_ref().expect("races are between events");
             self.waste
                 .note_race(footprint_kind(earlier), footprint_kind(fp));
             self.reverse(i, k, fp.cpu);
@@ -299,13 +308,16 @@ impl DporCursor {
     /// an action that can start "everything after `i` that does not
     /// happen after `i`, then `k`", schedule the CPU of the earliest.
     fn reverse(&mut self, i: usize, k: usize, cpu_k: usize) {
-        let cpu_i = self.stack[i].event().expect("races are between events").cpu;
-        let seq_i = self.clock(i)[cpu_i];
+        let (nodes, firsts, w) = (&self.nodes, &mut self.firsts, self.width);
+        // The clock of timed node `d`.
+        let clock = |d: usize| &self.clocks[d * w..(d + 1) * w];
+        let cpu_i = nodes[i].event().expect("races are between events").cpu;
+        let seq_i = clock(i)[cpu_i];
         // Each CPU's first decision in that sequence, in run order.
-        let mut firsts: Vec<(usize, usize)> = Vec::new();
-        for (x, node) in self.stack.iter().enumerate().take(k).skip(i + 1) {
+        firsts.clear();
+        for (x, node) in nodes.iter().enumerate().take(k).skip(i + 1) {
             if let Some(fp) = node.event() {
-                if self.clock(x)[cpu_i] < seq_i && firsts.iter().all(|f| f.0 != fp.cpu) {
+                if clock(x)[cpu_i] < seq_i && firsts.iter().all(|f| f.0 != fp.cpu) {
                     firsts.push((fp.cpu, x));
                 }
             }
@@ -319,15 +331,15 @@ impl DporCursor {
         // node `i`, so its action is an option of node `i` under the
         // same name.
         let mut earliest = None;
-        for &(p, xp) in &firsts {
+        for &(p, xp) in firsts.iter() {
             let initial = firsts
                 .iter()
-                .all(|&(q, xq)| q == p || xq > xp || self.clock(xp)[q] < self.clock(xq)[q]);
+                .all(|&(q, xq)| q == p || xq > xp || clock(xp)[q] < clock(xq)[q]);
             if !initial {
                 continue;
             }
-            let action = self.stack[xp].action();
-            let node = &self.stack[i];
+            let action = nodes[xp].action();
+            let node = &nodes[i];
             match node.options.iter().position(|a| *a == action) {
                 // Explored here, or asleep here: its runs are covered.
                 Some(o) if node.branch[o] != Branch::Idle || slept(&node.sleep, action) => return,
@@ -343,23 +355,26 @@ impl DporCursor {
         // and the one from which the depth-first order reaches the
         // other classes without meeting a sleeper that blocks the run.
         // (`None`: the fallback, every option.)
-        self.stack[i].schedule(earliest);
+        self.nodes[i].schedule(earliest);
     }
 }
 
 impl Scheduler for DporCursor {
     fn choose(&mut self, actions: &[Action]) -> usize {
-        if self.pos < self.stack.len() {
+        if self.pos < self.depth {
             // Replay the recorded prefix. The machine is deterministic,
             // so the offered list matches the one recorded.
-            let node = &self.stack[self.pos];
+            let node = &self.nodes[self.pos];
             debug_assert_eq!(node.options, actions, "nondeterministic replay");
             self.pos += 1;
             return node.chosen;
         }
-        // Frontier: open a new choice point. Sleeping actions survive
-        // past the parent's decision iff they are independent of it.
-        let mut node = self.pool.pop().unwrap_or_default();
+        // Frontier: open a new choice point in the first spare node.
+        if self.depth == self.nodes.len() {
+            self.nodes.push(Node::default());
+        }
+        let (path, spare) = self.nodes.split_at_mut(self.depth);
+        let node = &mut spare[0];
         node.options.clear();
         node.options.extend_from_slice(actions);
         node.branch.clear();
@@ -367,7 +382,9 @@ impl Scheduler for DporCursor {
         node.sleep.clear();
         node.fp = None;
         node.timed = false;
-        if let Some(parent) = self.stack.last() {
+        // Sleeping actions survive past the parent's decision iff they
+        // are independent of it.
+        if let Some(parent) = path.last() {
             let pfp = parent
                 .fp
                 .as_ref()
@@ -392,7 +409,7 @@ impl Scheduler for DporCursor {
                 self.blocked = true;
             }
         }
-        self.stack.push(node);
+        self.depth += 1;
         self.pos += 1;
         awake.unwrap_or(0)
     }
@@ -401,18 +418,18 @@ impl Scheduler for DporCursor {
         // One footprint per decision, in decision order. Re-runs
         // re-deliver the (identical) footprints of the replayed prefix,
         // which the run that opened those branches already analysed.
-        debug_assert!(self.obs < self.stack.len(), "footprint without a node");
+        debug_assert!(self.obs < self.depth, "footprint without a node");
         let k = self.obs;
         self.obs += 1;
-        let node = &self.stack[k];
+        let node = &self.nodes[k];
         if node.fp.is_some() {
             return;
         }
         if !matches!(node.action(), Action::ReadVersion { .. }) {
             self.place(k, fp);
-            self.stack[k].timed = true;
+            self.nodes[k].timed = true;
         }
-        self.stack[k].fp = Some(*fp);
+        self.nodes[k].fp = Some(*fp);
     }
 
     fn abort_run(&self) -> bool {

@@ -59,20 +59,23 @@ pub struct DporOutcome {
     pub waste: DporStats,
 }
 
-/// Source-set DPOR sweep. Builds a fresh machine per run via `factory`,
-/// visits every non-aborted run in the explorer's depth-first order,
-/// and stops early when `visit` returns `true` (the first violating
-/// class in that order).
+/// Source-set DPOR sweep. Builds the machine once via `factory` and
+/// runs a copy of it per schedule ([`Machine::run_from`]), visits every
+/// non-aborted run in the explorer's depth-first order, and stops early
+/// when `visit` returns `true` (the first violating class in that
+/// order).
 pub fn explore_dpor(
-    mut factory: impl FnMut() -> Machine,
+    factory: impl FnOnce() -> Machine,
     max_steps: usize,
     mut visit: impl FnMut(&RunResult) -> bool,
 ) -> DporOutcome {
+    let root = factory();
+    let mut machine = root.clone();
     let mut cursor = DporCursor::new();
     let mut out = DporOutcome::default();
     loop {
         cursor.rewind();
-        let result = factory().run(&mut cursor, max_steps);
+        let result = machine.run_from(&root, &mut cursor, max_steps);
         out.executed += 1;
         out.stats.absorb(&result.stats);
         if result.aborted {
@@ -83,7 +86,7 @@ pub fn explore_dpor(
             } else {
                 out.truncated += 1;
             }
-            if visit(&result) {
+            if visit(result) {
                 out.stopped_early = true;
                 break;
             }

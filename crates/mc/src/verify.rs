@@ -595,6 +595,9 @@ impl<'a> Sweep<'a> {
         let best = AtomicUsize::new(usize::MAX);
         let stripe = |t: usize| {
             let mut local = Verdict::passing(self.entry);
+            // One machine per worker; each schedule runs a copy of it.
+            let root = self.machine();
+            let mut machine = root.clone();
             for (i, seed) in seeds.iter().enumerate().skip(t).step_by(threads) {
                 if i > best.load(Ordering::Relaxed) {
                     break;
@@ -602,13 +605,11 @@ impl<'a> Sweep<'a> {
                 // Alternate uniform and bursty schedules: uniform
                 // explores diffuse interleavings, bursts hit the tight
                 // windows of the Figure 5 constructions.
-                let r = self
-                    .machine()
-                    .run(scheduler_for_seed(seed).as_mut(), self.max_steps);
+                let r = machine.run_from(&root, scheduler_for_seed(seed).as_mut(), self.max_steps);
                 local.runs += 1;
                 local.truncated += usize::from(!r.completed);
                 local.stats.machine.absorb(&r.stats);
-                if judge.judge(&r, &[i]) {
+                if judge.judge(r, &[i]) {
                     best.fetch_min(i, Ordering::Relaxed);
                 }
             }

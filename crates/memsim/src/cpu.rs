@@ -51,11 +51,28 @@ pub(crate) struct PendingStore {
 /// *observed* for an address (by reading it, or by draining its own
 /// store to it); loads may never return a version older than the floor.
 /// A CAS raises the **global** floor (it acts as a full fence).
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 pub(crate) struct ReorderEngine {
     entries: Vec<PendingStore>,
     global_floor: u64,
     addr_floors: Vec<(Addr, u64)>,
+}
+
+impl Clone for ReorderEngine {
+    fn clone(&self) -> Self {
+        ReorderEngine {
+            entries: self.entries.clone(),
+            global_floor: self.global_floor,
+            addr_floors: self.addr_floors.clone(),
+        }
+    }
+
+    /// Copies into the vectors `self` already holds.
+    fn clone_from(&mut self, src: &Self) {
+        self.entries.clone_from(&src.entries);
+        self.global_floor = src.global_floor;
+        self.addr_floors.clone_from(&src.addr_floors);
+    }
 }
 
 impl ReorderEngine {
@@ -98,39 +115,25 @@ impl ReorderEngine {
         self.entries.remove(idx)
     }
 
-    /// Drain every entry in order, returning them (used by CAS and at
-    /// termination).
-    pub(crate) fn drain_all(&mut self) -> Vec<PendingStore> {
-        std::mem::take(&mut self.entries)
+    /// Remove and return the oldest entry, if any (CAS drains the whole
+    /// buffer, in order, through this).
+    pub(crate) fn pop_oldest(&mut self) -> Option<PendingStore> {
+        (!self.entries.is_empty()).then(|| self.entries.remove(0))
     }
 
-    /// The stores that must drain (in order) before this CPU may *load*
-    /// `addr` on a machine **without** store-to-load forwarding: under
-    /// FIFO the whole prefix up to the youngest same-address entry
-    /// (TSO's load waits for its own store to become visible), under
-    /// per-address queues just that address's queue. Empty when no
-    /// same-address store is pending.
-    pub(crate) fn force_drain_for_load(&mut self, hw: HwModel, addr: Addr) -> Vec<PendingStore> {
-        let mut out = Vec::new();
+    /// The next store that must drain before this CPU may *load* `addr`
+    /// on a machine **without** store-to-load forwarding; `None` once
+    /// the load may go ahead. Called until `None`, it drains, in order,
+    /// under FIFO the whole prefix up to the youngest same-address
+    /// entry (TSO's load waits for its own store to become visible),
+    /// under per-address queues just that address's queue.
+    pub(crate) fn pop_forced_for_load(&mut self, hw: HwModel, addr: Addr) -> Option<PendingStore> {
+        let first = self.entries.iter().position(|e| e.addr == addr)?;
         match hw.stores {
-            StoreDiscipline::Immediate => {}
-            StoreDiscipline::Fifo => {
-                while self.entries.iter().any(|e| e.addr == addr) {
-                    out.push(self.entries.remove(0));
-                }
-            }
-            StoreDiscipline::PerAddress => {
-                let mut i = 0;
-                while i < self.entries.len() {
-                    if self.entries[i].addr == addr {
-                        out.push(self.entries.remove(i));
-                    } else {
-                        i += 1;
-                    }
-                }
-            }
+            StoreDiscipline::Immediate => None,
+            StoreDiscipline::Fifo => Some(self.entries.remove(0)),
+            StoreDiscipline::PerAddress => Some(self.entries.remove(first)),
         }
-        out
     }
 
     /// The effective coherence floor for `addr`: the newest sequence
@@ -167,11 +170,26 @@ impl ReorderEngine {
 /// [`MAX_VERSIONS`] values of each address are retained so machines
 /// with a load reorder window can offer stale reads. The implicit
 /// initial value `0` counts as version `(0, 0)`.
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 pub(crate) struct GlobalMem {
     /// The written addresses, in the order of their first store.
     cells: Vec<Cell>,
     seq: u64,
+}
+
+impl Clone for GlobalMem {
+    fn clone(&self) -> Self {
+        GlobalMem {
+            cells: self.cells.clone(),
+            seq: self.seq,
+        }
+    }
+
+    /// Copies into the vector `self` already holds.
+    fn clone_from(&mut self, src: &Self) {
+        self.cells.clone_from(&src.cells);
+        self.seq = src.seq;
+    }
 }
 
 /// One written address and its retained versions, oldest → newest in
@@ -271,6 +289,11 @@ impl GlobalMem {
 mod tests {
     use super::*;
 
+    /// Every store a load of `addr` forces out, in drain order.
+    fn forced(b: &mut ReorderEngine, hw: HwModel, addr: Addr) -> Vec<PendingStore> {
+        std::iter::from_fn(|| b.pop_forced_for_load(hw, addr)).collect()
+    }
+
     #[test]
     fn forwarding_returns_youngest() {
         let mut b = ReorderEngine::default();
@@ -346,7 +369,7 @@ mod tests {
         b.push(0, 1);
         b.push(2, 3);
         b.push(0, 2);
-        let drained = b.force_drain_for_load(HwModel::TSO, 0);
+        let drained = forced(&mut b, HwModel::TSO, 0);
         assert_eq!(
             drained.iter().map(|e| (e.addr, e.val)).collect::<Vec<_>>(),
             vec![(1, 9), (0, 1), (2, 3), (0, 2)]
@@ -360,7 +383,7 @@ mod tests {
         b.push(1, 9);
         b.push(0, 1);
         b.push(0, 2);
-        let drained = b.force_drain_for_load(HwModel::PSO, 0);
+        let drained = forced(&mut b, HwModel::PSO, 0);
         assert_eq!(
             drained.iter().map(|e| (e.addr, e.val)).collect::<Vec<_>>(),
             vec![(0, 1), (0, 2)]

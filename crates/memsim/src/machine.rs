@@ -4,6 +4,14 @@
 //! global memory, and a trace recorder. [`Machine::run`] drives it to
 //! completion (or a step bound) under a [`Scheduler`]; [`explore`]
 //! enumerates every schedule exhaustively with an [`ExhaustiveCursor`].
+//!
+//! A machine is `Clone`, and [`Machine::run_from`] runs a copy of a
+//! root machine in place: it resets the copy with `clone_from`, which
+//! reuses every buffer the copy holds — the instruction record, the
+//! footprints, the store buffers and floors, the memory cells and the
+//! trace — so a sweep that builds its machine once runs schedule after
+//! schedule without allocating. [`Machine::run`] is the one-shot form of
+//! the same path.
 
 use crate::cpu::{GlobalMem, HwModel, ReorderEngine};
 use crate::process::{PInstr, Process, Resume, Step};
@@ -33,12 +41,56 @@ pub struct RunResult {
     /// (one entry per `choose` call, including the synthetic mid-load
     /// version picks).
     pub footprints: Vec<Footprint>,
-    /// Final global memory (written cells only, sorted by address).
-    /// Buffered stores of truncated runs are *not* included.
-    pub final_mem: Vec<(jungle_isa::instr::Addr, Val)>,
     /// Execution counters (instructions by kind, store-buffer flushes,
     /// reorder-window occupancy high-water mark).
     pub stats: MachineStats,
+    /// Global memory as the run left it.
+    mem: GlobalMem,
+}
+
+impl RunResult {
+    fn new(hw: HwModel) -> Self {
+        RunResult {
+            trace: Trace::default(),
+            completed: false,
+            aborted: false,
+            steps: 0,
+            footprints: Vec::new(),
+            stats: MachineStats {
+                model: hw.name,
+                ..MachineStats::default()
+            },
+            mem: GlobalMem::default(),
+        }
+    }
+
+    /// Final global memory (written cells only, sorted by address).
+    /// Buffered stores of truncated runs are *not* included.
+    pub fn final_mem(&self) -> Vec<(Addr, Val)> {
+        self.mem.snapshot()
+    }
+}
+
+impl Clone for RunResult {
+    fn clone(&self) -> Self {
+        RunResult {
+            trace: self.trace.clone(),
+            footprints: self.footprints.clone(),
+            mem: self.mem.clone(),
+            ..*self
+        }
+    }
+
+    /// Copies into the buffers `self` already holds.
+    fn clone_from(&mut self, src: &Self) {
+        self.trace.clone_from(&src.trace);
+        self.completed = src.completed;
+        self.aborted = src.aborted;
+        self.steps = src.steps;
+        self.footprints.clone_from(&src.footprints);
+        self.stats = src.stats;
+        self.mem.clone_from(&src.mem);
+    }
 }
 
 struct CpuState {
@@ -51,21 +103,71 @@ struct CpuState {
     current_op: Option<(OpId, usize)>,
 }
 
+impl Clone for CpuState {
+    fn clone(&self) -> Self {
+        CpuState {
+            proc: self.proc.boxed_clone(),
+            buffer: self.buffer.clone(),
+            ..*self
+        }
+    }
+
+    /// Copies into the process and buffers `self` already holds.
+    fn clone_from(&mut self, src: &Self) {
+        src.proc.clone_onto(&mut self.proc);
+        self.buffer.clone_from(&src.buffer);
+        self.resume = src.resume;
+        self.done = src.done;
+        self.current_op = src.current_op;
+    }
+}
+
 /// The simulated multiprocessor machine.
 pub struct Machine {
     hw: HwModel,
     mem: GlobalMem,
     cpus: Vec<CpuState>,
+    /// The instructions of the running run, in order; moved into
+    /// `result.trace` when it ends.
     instrs: Vec<InstrInstance>,
     next_op: u32,
-    stats: MachineStats,
-    /// One footprint per scheduler decision, in `choose`-call order.
-    footprints: Vec<Footprint>,
     /// Footprints already reported via [`Scheduler::observe`].
     observed: usize,
     /// The choice list of the current `choose` call, refilled in place
     /// (the enabled actions, or a load's version picks).
     actions: Vec<Action>,
+    /// The record of the run: footprints and counters as it goes, the
+    /// trace and final memory once it ends.
+    result: RunResult,
+}
+
+impl Clone for Machine {
+    fn clone(&self) -> Self {
+        Machine {
+            hw: self.hw,
+            mem: self.mem.clone(),
+            cpus: self.cpus.clone(),
+            instrs: self.instrs.clone(),
+            next_op: self.next_op,
+            observed: self.observed,
+            actions: self.actions.clone(),
+            result: self.result.clone(),
+        }
+    }
+
+    /// Copies into the buffers `self` already holds: after the first
+    /// few runs, resetting a working copy from its root allocates
+    /// nothing.
+    fn clone_from(&mut self, src: &Self) {
+        self.hw = src.hw;
+        self.mem.clone_from(&src.mem);
+        self.cpus.clone_from(&src.cpus);
+        self.instrs.clone_from(&src.instrs);
+        self.next_op = src.next_op;
+        self.observed = src.observed;
+        self.actions.clone_from(&src.actions);
+        self.result.clone_from(&src.result);
+    }
 }
 
 impl Machine {
@@ -88,13 +190,9 @@ impl Machine {
             cpus,
             instrs: Vec::new(),
             next_op: 1,
-            stats: MachineStats {
-                model: hw.name,
-                ..MachineStats::default()
-            },
-            footprints: Vec::new(),
             observed: 0,
             actions: Vec::new(),
+            result: RunResult::new(hw),
         }
     }
 
@@ -143,7 +241,8 @@ impl Machine {
 
     /// The footprint of the decision currently executing.
     fn fp(&mut self) -> &mut Footprint {
-        self.footprints
+        self.result
+            .footprints
             .last_mut()
             .expect("decision footprint pushed before execution")
     }
@@ -162,8 +261,8 @@ impl Machine {
     /// always see the footprints of all prior decisions by the time
     /// they pick the next one.
     fn flush_observations(&mut self, sched: &mut dyn Scheduler) {
-        while self.observed < self.footprints.len() {
-            sched.observe(&self.footprints[self.observed]);
+        while self.observed < self.result.footprints.len() {
+            sched.observe(&self.result.footprints[self.observed]);
             self.observed += 1;
         }
     }
@@ -222,13 +321,13 @@ impl Machine {
                 c < options,
                 "scheduler chose index {c} of {options} admissible versions"
             );
-            self.footprints.push(Footprint {
+            self.result.footprints.push(Footprint {
                 cpu,
                 reads: AddrSet::of(&[addr]),
                 ..Footprint::default()
             });
             if c > 0 {
-                self.stats.stale_loads += 1;
+                self.result.stats.stale_loads += 1;
             }
             let vs = self.admissible_versions(cpu, addr);
             vs[vs.len() - 1 - c]
@@ -257,9 +356,8 @@ impl Machine {
         } else {
             // The load must wait for the CPU's own pending stores to
             // `addr` to become globally visible.
-            let drained = self.cpus[cpu].buffer.force_drain_for_load(self.hw, addr);
-            for e in drained {
-                self.stats.flushes += 1;
+            while let Some(e) = self.cpus[cpu].buffer.pop_forced_for_load(self.hw, addr) {
+                self.result.stats.flushes += 1;
                 self.apply_drain(cpu, e.addr, e.val);
             }
         }
@@ -305,31 +403,32 @@ impl Machine {
             }
             Step::Instr(pi) => match pi {
                 PInstr::Load(addr) | PInstr::LoadDep(addr) => {
-                    self.stats.loads += 1;
+                    self.result.stats.loads += 1;
                     let dep_ordered = matches!(pi, PInstr::LoadDep(_)) && self.hw.order_dep_loads;
                     let val = self.exec_load(cpu, addr, dep_ordered, sched);
                     self.record(cpu, Instr::Load { addr, val });
                     self.cpus[cpu].resume = Some(val);
                 }
                 PInstr::Store(addr, val) => {
-                    self.stats.stores += 1;
+                    self.result.stats.stores += 1;
                     match self.hw.stores {
                         StoreDiscipline::Immediate => self.apply_drain(cpu, addr, val),
                         StoreDiscipline::Fifo | StoreDiscipline::PerAddress => {
                             self.cpus[cpu].buffer.push(addr, val);
-                            self.stats.note_occupancy(self.cpus[cpu].buffer.len());
+                            let occupancy = self.cpus[cpu].buffer.len();
+                            self.result.stats.note_occupancy(occupancy);
                         }
                     }
                     self.record(cpu, Instr::Store { addr, val });
                     self.cpus[cpu].resume = Some(0);
                 }
                 PInstr::Cas(addr, expect, new) => {
-                    self.stats.cas_ops += 1;
+                    self.result.stats.cas_ops += 1;
                     self.fp().fence = true;
                     // A CAS acts like a full fence: drain the CPU's own
                     // buffer before executing atomically…
-                    for e in self.cpus[cpu].buffer.drain_all() {
-                        self.stats.flushes += 1;
+                    while let Some(e) = self.cpus[cpu].buffer.pop_oldest() {
+                        self.result.stats.flushes += 1;
                         self.apply_drain(cpu, e.addr, e.val);
                     }
                     self.note_read(addr);
@@ -359,6 +458,28 @@ impl Machine {
 
     /// Run under `sched` until completion or `max_steps`.
     pub fn run(mut self, sched: &mut dyn Scheduler, max_steps: usize) -> RunResult {
+        self.execute(sched, max_steps);
+        self.result
+    }
+
+    /// Make this machine a copy of `root` (reusing its buffers; see
+    /// [`Clone::clone_from`]) and run it under `sched` until completion
+    /// or `max_steps`, as [`Machine::run`] would run a fresh `root`.
+    /// The result borrows the machine until its next run.
+    pub fn run_from(
+        &mut self,
+        root: &Machine,
+        sched: &mut dyn Scheduler,
+        max_steps: usize,
+    ) -> &RunResult {
+        self.clone_from(root);
+        self.execute(sched, max_steps);
+        &self.result
+    }
+
+    /// The one execution path: run from the current state, and leave
+    /// the record of the run in `self.result`.
+    fn execute(&mut self, sched: &mut dyn Scheduler, max_steps: usize) {
         let mut steps = 0;
         loop {
             self.fill_enabled();
@@ -379,11 +500,11 @@ impl Machine {
                 return self.finish(sched, steps, false, true);
             }
             let action = self.actions[choice];
-            self.footprints.push(Footprint::on(action.cpu()));
+            self.result.footprints.push(Footprint::on(action.cpu()));
             match action {
                 Action::Exec { cpu } => self.exec(cpu, sched),
                 Action::Drain { cpu, idx } => {
-                    self.stats.flushes += 1;
+                    self.result.stats.flushes += 1;
                     let e = self.cpus[cpu].buffer.take(idx);
                     self.apply_drain(cpu, e.addr, e.val);
                 }
@@ -396,25 +517,19 @@ impl Machine {
         self.finish(sched, steps, true, false)
     }
 
-    /// Report the outstanding footprints and package the run.
-    fn finish(
-        mut self,
-        sched: &mut dyn Scheduler,
-        steps: usize,
-        completed: bool,
-        aborted: bool,
-    ) -> RunResult {
+    /// Report the outstanding footprints and complete the record: the
+    /// instructions move into the trace, and memory is copied.
+    fn finish(&mut self, sched: &mut dyn Scheduler, steps: usize, completed: bool, aborted: bool) {
         self.flush_observations(sched);
-        self.stats.steps = steps as u64;
-        RunResult {
-            final_mem: self.mem.snapshot(),
-            trace: Trace::new(self.instrs).expect("recorded trace is well-formed"),
-            completed,
-            aborted,
-            steps,
-            footprints: self.footprints,
-            stats: self.stats,
-        }
+        let r = &mut self.result;
+        r.stats.steps = steps as u64;
+        r.steps = steps;
+        r.completed = completed;
+        r.aborted = aborted;
+        r.mem.clone_from(&self.mem);
+        r.trace
+            .rebuild(&mut self.instrs)
+            .expect("recorded trace is well-formed");
     }
 }
 
@@ -433,28 +548,32 @@ pub struct ExploreOutcome {
 
 /// Exhaustively explore every schedule of the machine built by
 /// `factory`, invoking `visit` on each run's result. `visit` returning
-/// `true` stops the exploration (e.g. a violation was found).
+/// `true` stops the exploration (e.g. a violation was found). Every
+/// run is a copy of the one machine `factory` builds
+/// ([`Machine::run_from`]).
 ///
 /// The number of schedules is exponential in trace length — keep
 /// programs litmus-sized (see the crate docs). Runs that exceed
 /// `max_steps` are reported with `completed == false` and still
 /// visited (their traces are valid prefixes).
 pub fn explore(
-    mut factory: impl FnMut() -> Machine,
+    factory: impl FnOnce() -> Machine,
     max_steps: usize,
     mut visit: impl FnMut(&RunResult) -> bool,
 ) -> ExploreOutcome {
+    let root = factory();
+    let mut machine = root.clone();
     let mut cursor = ExhaustiveCursor::default();
     let mut out = ExploreOutcome::default();
     loop {
         cursor.rewind();
-        let result = factory().run(&mut cursor, max_steps);
+        let result = machine.run_from(&root, &mut cursor, max_steps);
         out.stats.absorb(&result.stats);
         out.runs += 1;
         if !result.completed {
             out.truncated += 1;
         }
-        if visit(&result) {
+        if visit(result) {
             out.stopped_early = true;
             return out;
         }
@@ -894,7 +1013,7 @@ mod tests {
         let r = m.run(&mut s, 100);
         assert!(r.completed);
         assert_eq!(r.stats.flushes, 1);
-        assert_eq!(r.final_mem, vec![(0, 7)]);
+        assert_eq!(r.final_mem(), vec![(0, 7)]);
     }
 
     #[test]

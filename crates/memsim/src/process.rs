@@ -11,6 +11,8 @@
 use jungle_core::ids::Val;
 use jungle_core::op::Op;
 use jungle_isa::instr::Addr;
+use std::any::Any;
+use std::sync::Arc;
 
 /// A hardware instruction intent (result values to be filled in by the
 /// machine).
@@ -53,29 +55,64 @@ pub enum Step {
 pub type Resume = Option<Val>;
 
 /// A reactive program run on one simulated CPU.
-pub trait Process {
+///
+/// A process can be copied in its current state, which is what makes a
+/// [`Machine`](crate::Machine) `Clone`: a sweep builds its machine once
+/// and resets a working copy from it before every run.
+pub trait Process: Any {
     /// Resume the process with the result of its previous step.
     fn next(&mut self, last: Resume) -> Step;
+
+    /// A copy of this process, in its current state, in a new box.
+    fn boxed_clone(&self) -> Box<dyn Process>;
+
+    /// Make `dst` a copy of this process, in place (reusing its
+    /// buffers) when it holds one of the same type: a `Clone` process
+    /// calls [`clone_onto`].
+    fn clone_onto(&self, dst: &mut Box<dyn Process>);
+}
+
+/// [`Process::clone_onto`] for a `Clone` process: `dst := src.clone()`,
+/// through [`Clone::clone_from`] when `dst` already holds a `T`.
+pub fn clone_onto<T: Process + Clone>(src: &T, dst: &mut Box<dyn Process>) {
+    match (&mut **dst as &mut dyn Any).downcast_mut::<T>() {
+        Some(d) => d.clone_from(src),
+        None => *dst = Box::new(src.clone()),
+    }
 }
 
 /// A process defined by a fixed script of steps, ignoring results.
 /// Useful for litmus tests whose instruction stream is data-independent.
+#[derive(Clone)]
 pub struct ScriptProcess {
-    steps: std::vec::IntoIter<Step>,
+    steps: Arc<[Step]>,
+    /// The next step to play.
+    at: usize,
 }
 
 impl ScriptProcess {
     /// Create a process that plays `steps` then finishes.
     pub fn new(steps: Vec<Step>) -> Self {
         ScriptProcess {
-            steps: steps.into_iter(),
+            steps: steps.into(),
+            at: 0,
         }
     }
 }
 
 impl Process for ScriptProcess {
     fn next(&mut self, _last: Resume) -> Step {
-        self.steps.next().unwrap_or(Step::Done)
+        let step = self.steps.get(self.at).cloned().unwrap_or(Step::Done);
+        self.at += 1;
+        step
+    }
+
+    fn boxed_clone(&self) -> Box<dyn Process> {
+        Box::new(self.clone())
+    }
+
+    fn clone_onto(&self, dst: &mut Box<dyn Process>) {
+        clone_onto(self, dst)
     }
 }
 
@@ -86,21 +123,31 @@ impl std::fmt::Debug for ScriptProcess {
 }
 
 /// A process driven by a closure over its own state: the quick way to
-/// write a data-dependent process in a test.
-pub struct FnProcess<F: FnMut(Resume) -> Step> {
+/// write a data-dependent process in a test. The closure is cloned with
+/// the process, so its captured state is copied too.
+#[derive(Clone)]
+pub struct FnProcess<F: FnMut(Resume) -> Step + Clone + 'static> {
     f: F,
 }
 
-impl<F: FnMut(Resume) -> Step> FnProcess<F> {
+impl<F: FnMut(Resume) -> Step + Clone + 'static> FnProcess<F> {
     /// Wrap a closure as a process.
     pub fn new(f: F) -> Self {
         FnProcess { f }
     }
 }
 
-impl<F: FnMut(Resume) -> Step> Process for FnProcess<F> {
+impl<F: FnMut(Resume) -> Step + Clone + 'static> Process for FnProcess<F> {
     fn next(&mut self, last: Resume) -> Step {
         (self.f)(last)
+    }
+
+    fn boxed_clone(&self) -> Box<dyn Process> {
+        Box::new(self.clone())
+    }
+
+    fn clone_onto(&self, dst: &mut Box<dyn Process>) {
+        clone_onto(self, dst)
     }
 }
 
@@ -118,6 +165,35 @@ mod tests {
         assert!(matches!(p.next(Some(0)), Step::Instr(PInstr::Load(0))));
         assert!(matches!(p.next(Some(1)), Step::Done));
         assert!(matches!(p.next(None), Step::Done));
+    }
+
+    #[test]
+    fn a_copy_resumes_where_its_original_stands() {
+        let mut p = ScriptProcess::new(vec![
+            Step::Instr(PInstr::Load(0)),
+            Step::Instr(PInstr::Load(1)),
+        ]);
+        p.next(None);
+        // Onto a process of the same type: copied in place.
+        let mut dst: Box<dyn Process> = Box::new(ScriptProcess::new(Vec::new()));
+        p.clone_onto(&mut dst);
+        assert!(matches!(dst.next(None), Step::Instr(PInstr::Load(1))));
+        assert!(matches!(
+            p.boxed_clone().next(None),
+            Step::Instr(PInstr::Load(1))
+        ));
+        // Onto another type: replaced.
+        let mut n = 0;
+        let f = FnProcess::new(move |_| {
+            n += 1;
+            Step::Instr(PInstr::Load(n))
+        });
+        f.clone_onto(&mut dst);
+        assert!(matches!(dst.next(None), Step::Instr(PInstr::Load(1))));
+        assert!(matches!(dst.next(None), Step::Instr(PInstr::Load(2))));
+        // The closure's state is copied with it.
+        let mut again = dst.boxed_clone();
+        assert!(matches!(again.next(None), Step::Instr(PInstr::Load(3))));
     }
 
     #[test]

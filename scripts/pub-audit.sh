@@ -24,8 +24,6 @@ cd "$(git rev-parse --show-toplevel)"
 ALLOWED=(
     # beside a `pub len`, which clippy's len_without_is_empty pairs it with
     "core/src/builder.rs is_empty" "mc/src/verify.rs is_empty"
-    # the `#[cfg(test)]` reference checkers legal.rs is compared against
-    "core/src/legal_reference.rs PrefixChecker" "core/src/legal_reference.rs CsChecker"
 )
 
 # Every item the compiler decides: a fn (`const`/`unsafe` too), a type

@@ -139,7 +139,7 @@ impl ClassSweep {
             loads.sort_by_key(|l| l.0);
             self.outcomes.insert(Outcome {
                 key,
-                memory: r.final_mem.clone(),
+                memory: r.final_mem(),
                 loads,
             });
         }

@@ -1,13 +1,16 @@
 //! Property-based tests on the simulator substrate: hardware-model
 //! guarantees that every schedule must respect, the compact
-//! [`Footprint`] against a plain reference relation, and schedulers
-//! that must draw exactly what they drew before they stopped
-//! allocating.
+//! [`Footprint`] against a plain reference relation, schedulers that
+//! must draw exactly what they drew before they stopped allocating, and
+//! a machine reset in place (`Machine::run_from`) against a freshly
+//! built one.
 
-use jungle::core::ids::{ProcId, Val, Var};
+use jungle::core::ids::{ProcId, Val, Var, X, Y};
 use jungle::core::op::{Command, Op};
+use jungle::core::registry::registry;
 use jungle::isa::instr::{Addr, Instr};
-use jungle::mc::explore_dpor;
+use jungle::mc::program::{Program, Stmt, ThreadProg, TxOp};
+use jungle::mc::{explore_dpor, machine_for, GlobalLockTm, VersionedTm};
 use jungle::memsim::process::{FnProcess, PInstr, Process, ScriptProcess, Step};
 use jungle::memsim::{
     explore, Action, AddrSet, BurstyScheduler, Footprint, HwModel, Machine, RandomScheduler,
@@ -167,7 +170,7 @@ fn buffers_fully_drain_at_termination() {
         let mut sched = RandomScheduler::new(3);
         let r = m.run(&mut sched, 1_000);
         assert!(r.completed);
-        assert_eq!(r.final_mem, vec![(0, 7), (1, 8), (2, 99)], "on {hw:?}");
+        assert_eq!(r.final_mem(), vec![(0, 7), (1, 8), (2, 99)], "on {hw:?}");
     }
 }
 
@@ -258,7 +261,7 @@ fn outcome(r: &RunResult) -> Outcome {
             _ => None,
         })
         .collect();
-    (r.trace.cache_key(), loads, r.final_mem.clone())
+    (r.trace.cache_key(), loads, r.final_mem())
 }
 
 /// On PSO a CAS drains every store its CPU buffered: behind
@@ -371,5 +374,148 @@ fn bursty_choices_are_unchanged() {
         let mut rec = RecordingScheduler::new(&mut slow);
         machine().run(&mut rec, 1_000);
         assert_eq!(got, rec.into_log(), "seed {seed}");
+    }
+}
+
+/// Everything a run reports, and the footprints its scheduler was
+/// shown, for comparing two runs.
+#[derive(Debug, PartialEq)]
+struct Record {
+    instrs: Vec<jungle::isa::instr::InstrInstance>,
+    key: u64,
+    final_mem: Vec<(Addr, Val)>,
+    footprints: Vec<Footprint>,
+    observed: Vec<Footprint>,
+    steps: usize,
+    completed: bool,
+    aborted: bool,
+    stats: jungle_obs::MachineStats,
+}
+
+/// A seeded-random scheduler that keeps every footprint it is shown
+/// and, given `cut`, abandons the run after that many choices, the way
+/// a DPOR run cut at a node whose every option is asleep ends.
+struct Probe {
+    inner: RandomScheduler,
+    cut: Option<usize>,
+    observed: Vec<Footprint>,
+}
+
+impl Probe {
+    fn new(seed: u64, cut: Option<usize>) -> Self {
+        Probe {
+            inner: RandomScheduler::new(seed),
+            cut,
+            observed: Vec::new(),
+        }
+    }
+
+    fn record(self, r: &RunResult) -> Record {
+        Record {
+            instrs: r.trace.instrs().to_vec(),
+            key: r.trace.cache_key(),
+            final_mem: r.final_mem(),
+            footprints: r.footprints.clone(),
+            observed: self.observed,
+            steps: r.steps,
+            completed: r.completed,
+            aborted: r.aborted,
+            stats: r.stats,
+        }
+    }
+}
+
+impl Scheduler for Probe {
+    fn choose(&mut self, actions: &[Action]) -> usize {
+        if let Some(left) = &mut self.cut {
+            *left = left.saturating_sub(1);
+        }
+        self.inner.choose(actions)
+    }
+
+    fn observe(&mut self, fp: &Footprint) {
+        self.observed.push(*fp);
+    }
+
+    fn abort_run(&self) -> bool {
+        self.cut == Some(0)
+    }
+}
+
+/// A process whose every store writes what it was last resumed with
+/// (a leaked resumption shows in the trace and in memory).
+fn resume_witness() -> Box<dyn Process> {
+    let mut k = 0;
+    let mut val = 0;
+    Box::new(FnProcess::new(move |last: Option<Val>| {
+        k += 1;
+        match k % 3 {
+            _ if k > 6 => Step::Done,
+            1 => {
+                val = last.map_or(1, |v| v + 2);
+                Step::Inv(wr_op(Var(3), val))
+            }
+            2 => Step::Instr(PInstr::Store(3, val)),
+            _ => Step::Resp(wr_op(Var(3), val)),
+        }
+    }))
+}
+
+/// A run on a machine reset from its root (`Machine::run_from`) equals
+/// a run on a freshly built machine, on every registry entry: trace,
+/// class key, final memory, footprints (recorded and shown to the
+/// scheduler), steps and counters. Each seed first runs the reused
+/// machine into the step bound and then cuts a run short through
+/// `abort_run`, so a store buffer, a coherence floor, an operation
+/// counter, the observed-footprint count or a counter that survived
+/// either would show in the run after it.
+#[test]
+fn a_reset_machine_runs_like_a_fresh_one() {
+    let tm = Program(vec![
+        ThreadProg(vec![Stmt::txn(vec![TxOp::Read(X), TxOp::Write(Y, 2)])]),
+        ThreadProg(vec![Stmt::NtWrite(X, 1), Stmt::NtRead(Y)]),
+        ThreadProg(vec![Stmt::NtWrite(Y, 3)]),
+    ]);
+    for e in registry() {
+        let hw = e.exec;
+        let factories: [&dyn Fn() -> Machine; 3] = [
+            &move || {
+                Machine::new(
+                    hw,
+                    vec![
+                        straightline(vec![(false, 0, 1), (false, 1, 2), (true, 2, 0)]),
+                        straightline(vec![(false, 2, 3), (true, 0, 0), (false, 0, 4)]),
+                        straightline(vec![(true, 1, 0), (true, 0, 0), (false, 1, 5)]),
+                        resume_witness(),
+                    ],
+                )
+            },
+            &|| machine_for(&tm, &GlobalLockTm, hw),
+            &|| machine_for(&tm, &VersionedTm, hw),
+        ];
+        for factory in factories {
+            let root = factory();
+            let mut reused = root.clone();
+            for seed in 0..24u64 {
+                // Into the step bound, cut short, then run to the end;
+                // each with the (completed, aborted) it must end with.
+                let runs = [
+                    (1 + seed as usize % 9, None, (false, false)),
+                    (1_000, Some(1 + seed as usize % 5), (false, true)),
+                    (1_000, None, (true, false)),
+                ];
+                for (bound, cut, ends) in runs {
+                    let mut s = Probe::new(seed, cut);
+                    let r = factory().run(&mut s, bound);
+                    let fresh = s.record(&r);
+                    let mut s = Probe::new(seed, cut);
+                    let r = reused.run_from(&root, &mut s, bound);
+                    let again = s.record(r);
+                    assert_eq!(again, fresh, "{} seed {seed}", e.key);
+                    assert_eq!((fresh.completed, fresh.aborted), ends);
+                    assert_eq!(fresh.observed, fresh.footprints);
+                }
+            }
+        }
     }
 }
