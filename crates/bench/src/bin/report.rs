@@ -24,16 +24,17 @@
 //!   adds no work to the run. Adds the `flight/complete` row: no event
 //!   dropped, and every span layer the flags drove recorded a span (the
 //!   checker always, `stm` with `--monitor`, `sat` with `--sat`).
-//! * `--explain [id]` — re-find each Theorem 1 counterexample (or just
-//!   the experiment named by `id`) and print the explainer narrative:
-//!   timeline, irreconcilable pair, class. An unknown id is a named
-//!   error listing the valid experiment ids.
-//! * `--record <dir> [id]` — capture one deterministic schedule log per
-//!   Theorem 1 construction (`<dir>/<id>.json`), delta-debug it to a
+//! * `--explain [id]` — print the explainer narrative (timeline,
+//!   irreconcilable pair, class) of the counterexample each Theorem 1
+//!   sweep found above (or just that of the experiment named by `id`).
+//!   An unknown id is a named error listing the valid experiment ids.
+//! * `--record <dir> [id]` — write the schedule log of each Theorem 1
+//!   sweep's counterexample (`<dir>/<id>.json`), delta-debug it to a
 //!   minimal still-violating log (`<dir>/<id>.min.json`), and
 //!   replay-verify both. With an optional experiment `id`, record just
 //!   that experiment; an unknown id is a named error listing the valid
-//!   ids. Adds a `replay` section to `--json` output.
+//!   ids. Adds a `replay` section to `--json` output. Neither flag
+//!   sweeps again, and each counterexample is explained once for both.
 //! * `--monitor` — drive every STM with live transactional traffic
 //!   through the event tap while a streaming monitor thread checks the
 //!   stream with the tiered (triage → escalate) pipeline. Prints the
@@ -54,8 +55,9 @@
 //!   output.
 //! * `--replay <file>` — re-execute a saved schedule log, verify the
 //!   recorded history fingerprint, and exit nonzero on divergence (a
-//!   focused mode: the full report is skipped). With `--explain`, also
-//!   narrate the replayed counterexample.
+//!   focused mode: the full report is skipped). A log whose model or
+//!   property is not its experiment's is refused (exit 2). With
+//!   `--explain`, also narrate the replayed counterexample.
 //! * `--ledger <path>` — ledger location (default
 //!   `.jungle/ledger.jsonl`). Every run appends one entry.
 //! * `--memo-dir <path>` — verdict-memo persistence directory (default
@@ -74,11 +76,11 @@ use jungle_mc::algos::{
     GlobalLockTm, LazyTl2Tm, StrongTm, TmAlgo as McAlgo, VersionedTm, WriteTxnTm,
 };
 use jungle_mc::cost::measure;
-use jungle_mc::explain::{explain_experiment, explain_trace};
+use jungle_mc::explain::{explain_trace, Explanation};
 use jungle_mc::theorems::{
     all_fixed_experiments, experiment_by_id, experiment_ids, matched_zoo, thm1_suite, Experiment,
 };
-use jungle_mc::{SharedVerdictMemo, SweepSeeds};
+use jungle_mc::{Counterexample, SharedVerdictMemo, SweepSeeds};
 use jungle_monitor::{Monitor, MonitorConfig};
 use jungle_obs::ledger::{self, LedgerEntry};
 use jungle_obs::trace::{self as flight, FlightRecorder};
@@ -86,11 +88,17 @@ use jungle_obs::{
     profile, Backpressure, DporStats, Json, McStats, MetricsSnapshot, MonitorStats, Profiler,
     SatStats, ToJson,
 };
-use jungle_replay::{record_experiment, replay, shrink, ScheduleLog};
+use jungle_replay::{log_of, replay, shrink, ScheduleLog};
 use jungle_stm::StmTap;
+use std::cell::OnceCell;
+use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::sync::Arc;
+
+/// The step bound of every theorem sweep, and so of the logs
+/// `--record` writes from their counterexamples.
+const THEOREM_STEPS: usize = 8_000;
 
 struct Row {
     section: &'static str,
@@ -162,11 +170,7 @@ fn parse_args() -> Args {
             "--explain" => {
                 args.explain = true;
                 // Optional value: the id of one bundled experiment.
-                if let Some(next) = it.peek() {
-                    if !next.starts_with("--") {
-                        args.explain_id = it.next();
-                    }
-                }
+                args.explain_id = it.next_if(|next| !next.starts_with("--"));
             }
             "--monitor" => args.monitor = true,
             "--profile" => args.profile = true,
@@ -174,11 +178,7 @@ fn parse_args() -> Args {
             "--record" => {
                 args.record = Some(PathBuf::from(value("--record")));
                 // Optional second value: one bundled experiment id.
-                if let Some(next) = it.peek() {
-                    if !next.starts_with("--") {
-                        args.record_id = it.next();
-                    }
-                }
+                args.record_id = it.next_if(|next| !next.starts_with("--"));
             }
             "--replay" => args.replay = Some(PathBuf::from(value("--replay"))),
             "--sat" => args.sat = true,
@@ -224,6 +224,17 @@ fn replay_mode(args: &Args, path: &std::path::Path) -> ! {
         std::process::exit(2);
     };
     let exp = resolve_experiment(&id);
+    if log.model != exp.entry.key || log.kind != exp.kind {
+        eprintln!(
+            "error: {} was recorded under {} {}, but experiment '{id}' checks {} {}",
+            path.display(),
+            log.model,
+            log.kind.tag(),
+            exp.entry.key,
+            exp.kind.tag()
+        );
+        std::process::exit(2);
+    }
     let out = replay(&log, &exp);
     let mut j = Json::obj();
     j.push("file", path.display().to_string().as_str().into())
@@ -245,21 +256,13 @@ fn replay_mode(args: &Args, path: &std::path::Path) -> ! {
             .push("actual_action", d.actual_action.into());
         j.push("divergence", dj);
     }
-    let explanation = if args.explain {
-        out.trace
-            .as_ref()
-            .and_then(|t| explain_trace(t, exp.entry.model, exp.kind).ok())
-    } else {
-        None
-    };
+    let explanation = out
+        .trace
+        .as_ref()
+        .filter(|_| args.explain)
+        .and_then(|t| explain_trace(t, exp.entry.model, exp.kind).ok());
     if let Some(ex) = &explanation {
-        j.push(
-            "class",
-            match ex.class {
-                Some(c) => c.name().into(),
-                None => Json::Null,
-            },
-        );
+        j.push("class", ex.class.map_or(Json::Null, |c| c.name().into()));
     }
     if args.json {
         println!("{j}");
@@ -292,6 +295,23 @@ fn replay_mode(args: &Args, path: &std::path::Path) -> ! {
         }
     }
     std::process::exit(if out.matches { 0 } else { 1 });
+}
+
+/// One experiment of the theorem phase, with its sweep's counterexample.
+struct Case {
+    exp: Experiment,
+    cx: Option<Counterexample>,
+    explained: OnceCell<Option<Explanation>>,
+}
+
+impl Case {
+    /// The counterexample's explanation, computed on first use: once
+    /// for `--explain` and `--record` together.
+    fn explanation(&self) -> Option<&Explanation> {
+        let (e, cx) = (&self.exp, self.cx.as_ref()?);
+        let ex = || explain_trace(&cx.trace, e.entry.model, e.kind).ok();
+        self.explained.get_or_init(ex).as_ref()
+    }
 }
 
 fn git_rev() -> String {
@@ -570,15 +590,14 @@ fn main() {
     // Validate `--explain <id>` / `--record <dir> <id>` up front so a
     // typo fails before the multi-second report run, with the valid
     // ids listed.
-    let explain_targets: Option<Vec<Experiment>> = args.explain.then(|| match &args.explain_id {
-        Some(id) => vec![resolve_experiment(id)],
-        None => thm1_suite(),
-    });
-    let record_targets: Option<Vec<Experiment>> =
-        args.record.is_some().then(|| match &args.record_id {
-            Some(id) => vec![resolve_experiment(id)],
-            None => thm1_suite(),
-        });
+    let targets = |id: &Option<String>| -> Vec<String> {
+        match id {
+            Some(id) => vec![resolve_experiment(id).id],
+            None => thm1_suite().into_iter().map(|e| e.id).collect(),
+        }
+    };
+    let explain_targets = args.explain.then(|| targets(&args.explain_id));
+    let record_targets = args.record.is_some().then(|| targets(&args.record_id));
     let t_start = std::time::Instant::now();
 
     let recorder = args.trace.as_ref().map(|_| {
@@ -711,11 +730,13 @@ fn main() {
     let phase_theorems = profile::enter("report.theorems");
     text.push_str("════ Lemma 1 & Theorems (simulator experiments) ════\n\n");
     // The exhaustive experiments' exploration counters, kept for the
-    // DPOR table below: that table is a view of these sweeps, not a
-    // second run of them.
+    // DPOR table below, and every experiment's counterexample, kept for
+    // `--explain` and `--record`: those sections are views of these
+    // sweeps, not second runs of them.
     let mut exhaustive: Vec<(String, McStats)> = Vec::new();
+    let mut cases: HashMap<String, Case> = HashMap::new();
     for e in all_fixed_experiments() {
-        let r = e.run_shared(SweepSeeds::new(0, 2_000), 8_000, &cfg, &memo);
+        let r = e.run_shared(SweepSeeds::new(0, 2_000), THEOREM_STEPS, &cfg, &memo);
         if e.exhaustive {
             exhaustive.push((e.id.clone(), r.stats));
         }
@@ -736,6 +757,12 @@ fn main() {
             observed: r.detail,
             pass: r.passed,
         });
+        let case = Case {
+            exp: e,
+            cx: r.violation,
+            explained: OnceCell::new(),
+        };
+        cases.insert(case.exp.id.clone(), case);
     }
     drop(phase_theorems);
 
@@ -870,10 +897,13 @@ fn main() {
 
     // ── Counterexample explanations (--explain) ───────────────────
     let mut explanations: Vec<Json> = Vec::new();
-    if let Some(targets) = &explain_targets {
+    if let Some(ids) = &explain_targets {
+        let _phase = profile::enter("report.explain");
         text.push_str("\n════ Theorem 1 counterexamples, explained ════\n\n");
-        for e in targets {
-            match explain_experiment(e, SweepSeeds::new(0, 2_000), 8_000) {
+        for id in ids {
+            let case = &cases[id];
+            let e = &case.exp;
+            match case.explanation() {
                 Some(ex) => {
                     let rendered = ex.render();
                     writeln!(text, "── {} ({}) ──", e.id, e.paper_ref).unwrap();
@@ -881,13 +911,7 @@ fn main() {
                     let mut j = Json::obj();
                     j.push("id", e.id.as_str().into())
                         .push("model", ex.model.into())
-                        .push(
-                            "class",
-                            match ex.class {
-                                Some(c) => c.name().into(),
-                                None => Json::Null,
-                            },
-                        )
+                        .push("class", ex.class.map_or(Json::Null, |c| c.name().into()))
                         .push("rendered", rendered.into());
                     explanations.push(j);
                 }
@@ -905,38 +929,40 @@ fn main() {
         }
     }
 
-    // ── Schedule capture → shrink → replay (--record) ─────────────
+    // ── Schedule logs → shrink → replay (--record) ────────────────
     let mut replay_section: Option<Json> = None;
     if let Some(dir) = &args.record {
-        let mut replay_logs = 0u64;
+        let _phase = profile::enter("report.record");
         let mut shrink_rounds_total = 0u64;
         text.push_str("\n════ Recorded schedules: capture → shrink → replay ════\n\n");
         let mut log_entries: Vec<Json> = Vec::new();
-        for e in record_targets.unwrap_or_default() {
-            let Some(rec) = record_experiment(&e, SweepSeeds::new(0, 2_000), 8_000) else {
+        for id in record_targets.unwrap_or_default() {
+            let case = &cases[&id];
+            let (e, Some(cx)) = (&case.exp, &case.cx) else {
                 rows.push(Row {
                     section: "replay",
-                    id: e.id.clone(),
+                    id,
                     expected: "violating schedule recorded",
                     observed: "no violation within sweep".into(),
                     pass: false,
                 });
                 continue;
             };
-            let (min, stats) = shrink(&rec.log, &e);
-            let raw_out = replay(&rec.log, &e);
-            let min_out = replay(&min, &e);
-            let class_matches = rec.log.class.is_some() && rec.log.class == min.class;
+            let class = case.explanation().and_then(|ex| ex.class);
+            let log = log_of(e, cx, THEOREM_STEPS, class);
+            let (min, stats) = shrink(&log, e);
+            let raw_out = replay(&log, e);
+            let min_out = replay(&min, e);
+            let class_matches = log.class.is_some() && log.class == min.class;
             let stem = e.id.replace('/', "-");
             let raw_path = dir.join(format!("{stem}.json"));
             let min_path = dir.join(format!("{stem}.min.json"));
-            for (path, log) in [(&raw_path, &rec.log), (&min_path, &min)] {
+            for (path, log) in [(&raw_path, &log), (&min_path, &min)] {
                 if let Err(err) = log.save(path) {
                     eprintln!("could not write schedule log {}: {err}", path.display());
                     std::process::exit(1);
                 }
             }
-            replay_logs += 1;
             shrink_rounds_total += stats.rounds;
             let pass = raw_out.matches
                 && raw_out.violating
@@ -951,7 +977,7 @@ fn main() {
                 stats.final_decisions,
                 stats.rounds,
                 stats.candidates,
-                rec.log.class.as_deref().unwrap_or("?"),
+                log.class.as_deref().unwrap_or("?"),
                 min.class.as_deref().unwrap_or("?"),
                 if pass { "replay OK" } else { "FAIL" },
             )
@@ -959,29 +985,17 @@ fn main() {
             let mut j = Json::obj();
             j.push("id", e.id.as_str().into())
                 .push("model", min.model.as_str().into())
-                .push(
-                    "seed",
-                    match rec.log.seed {
-                        Some(s) => s.into(),
-                        None => Json::Null,
-                    },
-                )
-                .push("decisions", rec.log.decisions.len().into())
+                .push("seed", log.seed.map_or(Json::Null, Json::from))
+                .push("decisions", log.decisions.len().into())
                 .push("shrunk_decisions", min.decisions.len().into())
-                .push("fingerprint", rec.log.fingerprint.into())
+                .push("fingerprint", log.fingerprint.into())
                 .push("shrunk_fingerprint", min.fingerprint.into())
                 .push("replay_matches", raw_out.matches.into())
                 .push("shrunk_replay_matches", min_out.matches.into())
                 .push("shrunk_violating", min_out.violating.into())
                 .push("shrink_rounds", stats.rounds.into())
                 .push("shrink_candidates", stats.candidates.into())
-                .push(
-                    "class",
-                    match &rec.log.class {
-                        Some(c) => c.as_str().into(),
-                        None => Json::Null,
-                    },
-                )
+                .push("class", log.class.as_deref().map_or(Json::Null, Json::from))
                 .push("class_matches", class_matches.into())
                 .push("file", raw_path.display().to_string().as_str().into())
                 .push("min_file", min_path.display().to_string().as_str().into());
@@ -1001,7 +1015,7 @@ fn main() {
         }
         let mut sec = Json::obj();
         sec.push("dir", dir.display().to_string().as_str().into())
-            .push("recorded", replay_logs.into())
+            .push("recorded", log_entries.len().into())
             .push("shrink_rounds", shrink_rounds_total.into())
             .push("logs", Json::Arr(log_entries));
         replay_section = Some(sec);

@@ -131,7 +131,9 @@ fn ns_keys<'a>(doc: &'a Json, out: &mut Vec<&'a str>) {
 
 /// The document of a run with every section the profile reads: the
 /// phase tree holds one `report.*` child with its `total_ns` per phase
-/// the benchmark's traced `report_cold` reads, the ledger entry carries
+/// the benchmark's traced `report_cold` reads, and nothing else at its
+/// root (`--explain` and `--record` explain, shrink and replay under
+/// phases of their own, and sweep nothing), the ledger entry carries
 /// the run's wall time, `metrics` holds exactly its four blocks, and
 /// the run-wide race heat adds up to the sweeps' own race count. No
 /// timer below the phase tree: a phase node has calls and times and no
@@ -141,13 +143,27 @@ fn ns_keys<'a>(doc: &'a Json, out: &mut Vec<&'a str>) {
 #[test]
 fn profiled_run_has_the_shape_the_benchmark_reads() {
     let dir = scratch("profile");
-    let out = report(&dir, &["--json", "--monitor", "--profile", "--sat"]);
+    let schedules = dir.join("schedules");
+    let out = report(
+        &dir,
+        &[
+            "--json",
+            "--monitor",
+            "--profile",
+            "--sat",
+            "--explain",
+            "--record",
+            schedules.to_str().unwrap(),
+        ],
+    );
     assert!(out.status.success(), "exit {:?}", out.status);
     let doc = Json::parse(&String::from_utf8(out.stdout).unwrap()).unwrap();
 
     let profile = doc.get("profile").expect("profile section");
     let phases = arr(profile.get("phases").expect("phase tree"), "children");
-    for phase in ["figures", "theorems", "dpor", "zoo", "monitor", "sat"] {
+    for phase in [
+        "figures", "theorems", "dpor", "zoo", "explain", "record", "monitor", "sat",
+    ] {
         let name = format!("report.{phase}");
         let node = phases
             .iter()
@@ -306,6 +322,43 @@ fn replay_of_a_truncated_log_is_a_named_error() {
         "{err}"
     );
     assert!(!err.contains("panicked"), "{err}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn replay_of_a_log_with_another_model_or_property_is_refused() {
+    let dir = scratch("replay-mismatch");
+    let exp = jungle_mc::theorems::thm1_case3(&jungle_core::model::Pso);
+    let rec = jungle_replay::record_experiment(&exp, jungle_mc::SweepSeeds::new(0, 2_000), 8_000)
+        .expect("thm1-case3/PSO violates");
+    let path = dir.join("log.json");
+    rec.log.save(&path).unwrap();
+    let out = report(&dir, &["--replay", path.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(0), "the log as recorded replays");
+    // The log still names its experiment, but not the experiment's
+    // model, or not its property: replaying it against PSO opacity
+    // would report a verdict about neither.
+    let sc = jungle_replay::ScheduleLog {
+        model: "SC".into(),
+        ..rec.log.clone()
+    };
+    let sgla = jungle_replay::ScheduleLog {
+        kind: jungle_mc::CheckKind::Sgla,
+        ..rec.log
+    };
+    for (tag, log) in [("model", sc), ("kind", sgla)] {
+        log.save(&path).unwrap();
+        let out = report(&dir, &["--json", "--replay", path.to_str().unwrap()]);
+        assert_eq!(out.status.code(), Some(2), "{tag}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.starts_with("error: ")
+                && err.contains("log.json")
+                && err.contains("thm1-case3/PSO"),
+            "{tag}: {err}"
+        );
+        assert!(out.stdout.is_empty(), "{tag}");
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

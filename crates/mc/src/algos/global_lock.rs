@@ -225,11 +225,11 @@ mod tests {
     use jungle_core::op::Op;
     use jungle_isa::instr::Instr;
     use jungle_isa::tm::packed;
-    use jungle_memsim::{DirectedScheduler, HwModel, Machine};
+    use jungle_memsim::{HwModel, Machine, ReplayScheduler};
 
     fn run_single(algo: &dyn TmAlgo, prog: ThreadProg) -> jungle_isa::Trace {
         let m = Machine::new(HwModel::SC, vec![algo.make_process(ProcId(0), prog)]);
-        let mut s = DirectedScheduler;
+        let mut s = ReplayScheduler::default();
         let r = m.run(&mut s, 10_000);
         assert!(r.completed, "single-threaded run must complete");
         r.trace

@@ -184,14 +184,14 @@ mod tests {
     use jungle_core::ids::{X, Y};
     use jungle_core::model::Sc;
     use jungle_core::registry::ModelEntry;
-    use jungle_memsim::{DirectedScheduler, HwModel, Machine};
+    use jungle_memsim::{HwModel, Machine, ReplayScheduler};
 
     fn run_single(prog: ThreadProg) -> jungle_isa::Trace {
         let m = Machine::new(
             HwModel::SC,
             vec![StrongTm::new().make_process(ProcId(0), prog)],
         );
-        let mut s = DirectedScheduler;
+        let mut s = ReplayScheduler::default();
         let r = m.run(&mut s, 50_000);
         assert!(r.completed);
         r.trace

@@ -120,11 +120,11 @@ mod tests {
     use jungle_core::model::Sc;
     use jungle_core::op::Op;
     use jungle_core::registry::ModelEntry;
-    use jungle_memsim::{DirectedScheduler, HwModel, Machine, RandomScheduler};
+    use jungle_memsim::{HwModel, Machine, RandomScheduler, ReplayScheduler};
 
     fn run_single(prog: ThreadProg) -> jungle_isa::Trace {
         let m = Machine::new(HwModel::SC, vec![LazyTl2Tm.make_process(ProcId(0), prog)]);
-        let mut s = DirectedScheduler;
+        let mut s = ReplayScheduler::default();
         let r = m.run(&mut s, 50_000);
         assert!(r.completed);
         r.trace

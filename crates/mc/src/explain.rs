@@ -27,8 +27,7 @@
 //! is over-determined), the explainer falls back to masking a whole
 //! reorder class at a time.
 
-use crate::theorems::Experiment;
-use crate::verify::{CheckKind, Schedules, SweepSeeds};
+use crate::verify::CheckKind;
 use jungle_core::check::Check;
 use jungle_core::classes::ClassSet;
 use jungle_core::explain::explain_opacity;
@@ -293,21 +292,6 @@ pub fn explain_trace(
     Ok(explain_history(&h, model, kind))
 }
 
-/// Run a negative experiment's violation search and explain the first
-/// violating trace found. `None` when no violation shows up within the
-/// seed budget (e.g. a positive experiment).
-pub fn explain_experiment(
-    exp: &Experiment,
-    seeds: SweepSeeds,
-    max_steps: usize,
-) -> Option<Explanation> {
-    let trace = exp
-        .sweep(Schedules::Random(seeds), max_steps)
-        .run()
-        .violation?;
-    explain_trace(&trace, exp.entry.model, exp.kind).ok()
-}
-
 /// Render each process's view `v(p)`: the chain of the model's required
 /// orderings over that process's non-transactional operations.
 fn views_of(th: &History, model: &dyn MemoryModel) -> Vec<(ProcId, String)> {
@@ -342,12 +326,17 @@ fn views_of(th: &History, model: &dyn MemoryModel) -> Vec<(ProcId, String)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::theorems::{thm1_case1, thm1_case2, thm1_case3, thm1_case4};
+    use crate::theorems::{thm1_case1, thm1_case2, thm1_case3, thm1_case4, Experiment};
+    use crate::verify::SweepSeeds;
     use jungle_core::model::{Pso, Sc, Tso};
 
+    /// Explain the counterexample of `exp`'s own sweep.
     fn classify(exp: &Experiment) -> Explanation {
-        explain_experiment(exp, SweepSeeds::new(0, 2_000), 8_000)
-            .expect("theorem 1 construction must produce a violating trace")
+        let cx = exp
+            .run(SweepSeeds::new(0, 2_000), 8_000)
+            .violation
+            .expect("theorem 1 construction must produce a violating trace");
+        explain_trace(&cx.trace, exp.entry.model, exp.kind).unwrap()
     }
 
     #[test]

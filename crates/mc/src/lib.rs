@@ -51,11 +51,11 @@ pub use algos::{
     GlobalLockTm, LazyTl2Tm, NaiveStoreTm, SkipWriteTm, StrongTm, TmAlgo, VersionedTm, WriteTxnTm,
 };
 pub use dpor::explore_dpor;
-pub use explain::{explain_experiment, explain_trace, Explanation};
+pub use explain::{explain_trace, Explanation};
 pub use jungle_core::registry::{entry, registry, ExecSemantics, ModelEntry, StoreDiscipline};
 pub use program::{Program, Stmt, ThreadProg, TxOp};
 pub use theorems::{experiment_by_id, experiment_ids, thm1_suite, Experiment};
 pub use verify::{
-    check_all_traces, machine_for, scheduler_for_seed, trace_satisfies, CheckKind, Schedules,
-    SharedVerdictMemo, Sweep, SweepSeeds, Verdict,
+    check_all_traces, machine_for, scheduler_for_seed, trace_satisfies, CheckKind, Counterexample,
+    Schedules, SeedScheduler, SharedVerdictMemo, Sweep, SweepSeeds, Verdict,
 };

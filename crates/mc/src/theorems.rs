@@ -15,7 +15,7 @@ use crate::algos::{
     GlobalLockTm, LazyTl2Tm, NaiveStoreTm, SkipWriteTm, StrongTm, TmAlgo, VersionedTm, WriteTxnTm,
 };
 use crate::program::{generate, GenConfig, Program, Stmt, ThreadProg, TxOp};
-use crate::verify::{CheckKind, Schedules, SharedVerdictMemo, Sweep, SweepSeeds};
+use crate::verify::{CheckKind, Counterexample, Schedules, SharedVerdictMemo, Sweep, SweepSeeds};
 use jungle_core::ids::{X, Y};
 use jungle_core::model::{Alpha, MemoryModel, Pso, Relaxed, Sc, Tso};
 use jungle_core::par::ParallelConfig;
@@ -69,9 +69,17 @@ pub struct ExperimentResult {
     /// The DPOR race-pair heat table from the underlying verification
     /// (empty for randomized sweeps; its total is `stats.races`).
     pub waste: DporStats,
+    /// The sweep's violating run, if it found one: what `report`
+    /// explains, records and replays, without sweeping again.
+    pub violation: Option<Counterexample>,
 }
 
 impl Experiment {
+    /// Does the experiment claim that a violating trace exists?
+    pub fn expects_violation(&self) -> bool {
+        self.expect == Expectation::ViolationExists
+    }
+
     /// Run the experiment with the default parallel configuration (auto
     /// thread count for a random sweep's seed stripes; an exhaustive
     /// sweep is one serial search) and a private verdict memo.
@@ -132,8 +140,8 @@ impl Experiment {
                 false,
                 format!("no violating trace in {} random schedules", seeds.runs),
             ),
-            (Expectation::AllTracesSatisfy, Some(trace)) => {
-                (false, format!("violation found:\n{:?}", Some(trace)))
+            (Expectation::AllTracesSatisfy, Some(cx)) => {
+                (false, format!("violation found:\n{:?}", Some(&cx.trace)))
             }
             (Expectation::AllTracesSatisfy, None) if v.truncated > 0 => (
                 false,
@@ -151,6 +159,7 @@ impl Experiment {
             detail: format!("{}: {detail}", self.id),
             stats: v.stats,
             waste: v.waste,
+            violation: v.violation,
         }
     }
 }
@@ -641,7 +650,7 @@ pub fn small_scope_sweep(
                 "small program #{i} failed under {}/{}: {:?}\nprogram: {:?}",
                 algo.name(),
                 entry.key,
-                v.violation,
+                v.violation.map(|cx| cx.trace),
                 program
             ));
         }

@@ -64,11 +64,18 @@
 //! The random sweep stripes the seed range over the workers (a loop,
 //! not a pool: worker `t` takes seeds `t, t + threads, …`). The `ok`
 //! verdict is deterministic (dedup only ever skips a trace whose
-//! structural twin gets the same verdict), and the reported violation
-//! comes from the lowest violating seed: a worker never skips a seed
-//! smaller than the best violation found so far, only larger ones.
-//! Per-run counters (`runs`, `dedup_hits`, `memo_hits`) may differ
+//! structural twin was already decided, with the same verdict), and
+//! the reported violation comes from the lowest violating seed: a
+//! worker never skips a seed smaller than the best violation found so
+//! far, only larger ones, and a run whose twin another worker is still
+//! checking is checked again rather than skipped. Per-run counters
+//! (`runs`, `dedup_hits`, `histories_checked`, `memo_hits`) may differ
 //! from the serial sweep, which stops at the first violating seed.
+//!
+//! A failing sweep's violation is a [`Counterexample`]: the trace with
+//! the decisions the machine logged while producing it, replayable
+//! whichever driver found it, so no caller has to sweep again to
+//! record, explain or replay it.
 
 use crate::algos::TmAlgo;
 use crate::dpor::explore_dpor;
@@ -80,13 +87,15 @@ use jungle_core::model::MemoryModel;
 use jungle_core::par::ParallelConfig;
 use jungle_core::registry::ModelEntry;
 use jungle_isa::trace::Trace;
-use jungle_memsim::{BurstyScheduler, HwModel, Machine, RandomScheduler, RunResult, Scheduler};
+use jungle_memsim::{
+    Action, BurstyScheduler, ChoicePoint, HwModel, Machine, RandomScheduler, RunResult, Scheduler,
+};
 use jungle_obs::trace::{self as flight, EventKind};
 use jungle_obs::{profile, DporStats, McStats};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::io::Write;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 pub use jungle_core::check::CheckKind;
@@ -122,12 +131,12 @@ pub struct Verdict {
     /// randomized sweeps, fully determined by the explicit
     /// [`SweepSeeds`].
     pub ok: bool,
-    /// A violating trace, if one was found: for an exhaustive sweep the
+    /// A violating run, if one was found: for an exhaustive sweep the
     /// first violating class in the DPOR explorer's own depth-first
     /// order (deterministic, the same at any `parallel` setting, not
     /// necessarily the one enumeration meets first); for a random sweep
-    /// the trace of the lowest violating seed, at any worker count.
-    pub violation: Option<Trace>,
+    /// the run of the lowest violating seed, at any worker count.
+    pub violation: Option<Counterexample>,
     /// Number of runs examined. For a parallel random sweep this may
     /// exceed the serial early-stop count (see module docs); it is zero
     /// for a vacuously passing verdict.
@@ -143,6 +152,21 @@ pub struct Verdict {
     /// The DPOR explorer's race-pair heat table (empty for randomized
     /// sweeps). Its total equals `stats.races`.
     pub waste: DporStats,
+}
+
+/// A violating run as a sweep found it.
+#[derive(Clone, Debug)]
+pub struct Counterexample {
+    /// The run's trace: no corresponding history satisfies the
+    /// property.
+    pub trace: Trace,
+    /// The scheduler decisions that produced it; replayed through a
+    /// [`ReplayScheduler`](jungle_memsim::ReplayScheduler) on the
+    /// sweep's machine, they reproduce the trace.
+    pub decisions: Vec<ChoicePoint>,
+    /// The seed whose scheduler made the decisions, for a random sweep
+    /// (`None` for an exhaustive one).
+    pub seed: Option<u64>,
 }
 
 impl Verdict {
@@ -469,16 +493,40 @@ pub fn machine_for(program: &Program, algo: &dyn TmAlgo, hw: HwModel) -> Machine
     Machine::new(hw, procs)
 }
 
-/// The scheduler the randomized sweeps use for `seed`: even seeds get a
-/// uniform [`RandomScheduler`], odd seeds a [`BurstyScheduler`] (bursts
-/// hit the paper's tight Figure 5 windows). Public so a recording run
-/// can reconstruct the exact sweep schedule for any seed.
-pub fn scheduler_for_seed(seed: u64) -> Box<dyn Scheduler> {
-    if seed.is_multiple_of(2) {
-        Box::new(RandomScheduler::new(seed))
-    } else {
-        Box::new(BurstyScheduler::new(seed))
+/// The scheduler the randomized sweeps use for one seed: uniform for
+/// even seeds (diffuse interleavings), bursty for odd ones (the tight
+/// windows of the paper's Figure 5 constructions).
+#[derive(Clone, Debug)]
+pub enum SeedScheduler {
+    /// An even seed's uniform scheduler.
+    Uniform(RandomScheduler),
+    /// An odd seed's bursty scheduler.
+    Bursty(BurstyScheduler),
+}
+
+impl SeedScheduler {
+    /// The scheduler for `seed`.
+    pub fn new(seed: u64) -> Self {
+        if seed.is_multiple_of(2) {
+            SeedScheduler::Uniform(RandomScheduler::new(seed))
+        } else {
+            SeedScheduler::Bursty(BurstyScheduler::new(seed))
+        }
     }
+}
+
+impl Scheduler for SeedScheduler {
+    fn choose(&mut self, actions: &[Action]) -> usize {
+        match self {
+            SeedScheduler::Uniform(s) => s.choose(actions),
+            SeedScheduler::Bursty(s) => s.choose(actions),
+        }
+    }
+}
+
+/// [`SeedScheduler::new`], boxed.
+pub fn scheduler_for_seed(seed: u64) -> Box<dyn Scheduler> {
+    Box::new(SeedScheduler::new(seed))
 }
 
 /// Which schedules a [`Sweep`] runs.
@@ -488,7 +536,7 @@ pub enum Schedules {
     /// (source-set DPOR, one serial search). Use only for litmus-sized
     /// programs: the class count is still exponential.
     Exhaustive,
-    /// One seeded-random schedule per seed (see [`scheduler_for_seed`]).
+    /// One seeded-random schedule per seed (see [`SeedScheduler`]).
     /// Two sweeps with equal [`SweepSeeds`] replay byte-identical
     /// schedules.
     Random(SweepSeeds),
@@ -569,10 +617,9 @@ impl<'a> Sweep<'a> {
         machine_for(self.program, self.algo, self.entry.exec)
     }
 
-    /// The DPOR driver. It stops at the first violating class, so the
-    /// rank is moot.
+    /// The DPOR driver. It stops at the first violating class.
     fn explore_classes(&self, judge: &Judge<'_>) -> Verdict {
-        let out = explore_dpor(|| self.machine(), self.max_steps, |r| judge.judge(r, &[]));
+        let out = explore_dpor(|| self.machine(), self.max_steps, |r| judge.judge(r, None));
         let mut verdict = Verdict::passing(self.entry);
         verdict.runs = out.executed;
         verdict.truncated = out.truncated;
@@ -587,30 +634,27 @@ impl<'a> Sweep<'a> {
     }
 
     /// The random drivers: one stripe of the seed range inline, or one
-    /// per worker. Violations are ranked by position in the seed range.
+    /// per worker. Violations are ranked by seed.
     fn sample(&self, judge: &Judge<'_>, seeds: SweepSeeds, threads: usize) -> Verdict {
         let threads = threads.min(seeds.runs.max(1) as usize);
-        // Position of the earliest violating seed found so far; later
-        // seeds can never lower it, so every stripe stops there.
-        let best = AtomicUsize::new(usize::MAX);
+        // The earliest violating seed found so far; later seeds can
+        // never lower it, so every stripe stops there.
+        let best = AtomicU64::new(u64::MAX);
         let stripe = |t: usize| {
             let mut local = Verdict::passing(self.entry);
             // One machine per worker; each schedule runs a copy of it.
             let root = self.machine();
             let mut machine = root.clone();
-            for (i, seed) in seeds.iter().enumerate().skip(t).step_by(threads) {
-                if i > best.load(Ordering::Relaxed) {
+            for seed in seeds.iter().skip(t).step_by(threads) {
+                if seed > best.load(Ordering::Relaxed) {
                     break;
                 }
-                // Alternate uniform and bursty schedules: uniform
-                // explores diffuse interleavings, bursts hit the tight
-                // windows of the Figure 5 constructions.
-                let r = machine.run_from(&root, scheduler_for_seed(seed).as_mut(), self.max_steps);
+                let r = machine.run_from(&root, &mut SeedScheduler::new(seed), self.max_steps);
                 local.runs += 1;
                 local.truncated += usize::from(!r.completed);
                 local.stats.machine.absorb(&r.stats);
-                if judge.judge(r, &[i]) {
-                    best.fetch_min(i, Ordering::Relaxed);
+                if judge.judge(r, Some(seed)) {
+                    best.fetch_min(seed, Ordering::Relaxed);
                 }
             }
             local
@@ -644,33 +688,27 @@ impl<'a> Sweep<'a> {
 
 /// The per-run judging routine every sweep driver calls, with the
 /// sweep-wide state it needs: the dedup set, the counters, and the
-/// least-ranked violation. Thread-safe, so parallel drivers judge
+/// least-ranked violation — the first one in exploration (or seed)
+/// order, at every worker count. Thread-safe, so parallel drivers judge
 /// inline in the worker that executed the run (the explorer already
 /// distributes machine runs; a separate checker pool would idle).
 struct Judge<'a> {
     check: Check,
     entry: &'a ModelEntry,
     memo: &'a SharedVerdictMemo,
-    seen: Mutex<HashSet<u64>>,
+    /// Every class key met so far, with its verdict once decided
+    /// (`None` while a worker is still checking it).
+    seen: Mutex<HashMap<u64, Option<bool>>>,
     schedules: AtomicU64,
     dedup_hits: AtomicU64,
     histories_checked: AtomicU64,
     memo_hits: AtomicU64,
-    violation: Mutex<Option<Violation>>,
+    violation: Mutex<Option<Counterexample>>,
 }
 
 /// Why a poisoned judge lock is fatal: the panic that poisoned it is
 /// already unwinding the sweep.
 const POISON: &str = "a sweep worker panicked";
-
-/// A violating trace with the rank its driver gave it and its class
-/// key. The sweep reports the violation of least rank — the first one
-/// in exploration (or seed) order — at every worker count.
-struct Violation {
-    rank: Vec<usize>,
-    key: u64,
-    trace: Trace,
-}
 
 impl<'a> Judge<'a> {
     fn new(sweep: &Sweep<'a>, memo: &'a SharedVerdictMemo) -> Self {
@@ -678,7 +716,7 @@ impl<'a> Judge<'a> {
             check: Check::new(sweep.kind),
             entry: sweep.entry,
             memo,
-            seen: Mutex::new(HashSet::new()),
+            seen: Mutex::new(HashMap::new()),
             schedules: AtomicU64::new(0),
             dedup_hits: AtomicU64::new(0),
             histories_checked: AtomicU64::new(0),
@@ -687,49 +725,53 @@ impl<'a> Judge<'a> {
         }
     }
 
-    /// Judge one machine run; `true` means it is a violating leaf.
-    /// Truncated runs are skipped (the drivers count them), and the
-    /// checker runs once per class key.
-    fn judge(&self, r: &RunResult, rank: &[usize]) -> bool {
+    /// Judge one machine run (of `seed`, for a random sweep); `true`
+    /// means it is a violating leaf. Truncated runs are skipped (the
+    /// drivers count them), and the checker runs once per class key —
+    /// or again, when a parallel worker meets a class another is still
+    /// checking: skipping it would lose a lower-seeded twin if that
+    /// class violates.
+    fn judge(&self, r: &RunResult, seed: Option<u64>) -> bool {
         let seq = self.schedules.fetch_add(1, Ordering::Relaxed);
         if !r.completed {
             return false;
         }
         let key = r.trace.cache_key();
-        let keep_if_least = |v: &mut Option<Violation>| {
-            if v.as_ref().is_none_or(|w| rank < w.rank.as_slice()) {
-                *v = Some(Violation {
-                    rank: rank.to_vec(),
-                    key,
-                    trace: r.trace.clone(),
-                })
+        let decided = *self.seen.lock().expect(POISON).entry(key).or_default();
+        let ok = match decided {
+            Some(ok) => {
+                self.dedup_hits.fetch_add(1, Ordering::Relaxed);
+                ok
+            }
+            None => {
+                self.histories_checked.fetch_add(1, Ordering::Relaxed);
+                let (ok, hits) = trace_satisfies_memo(
+                    &r.trace,
+                    self.entry.model,
+                    &self.check,
+                    Some((self.memo, self.entry.key)),
+                );
+                self.memo_hits.fetch_add(hits, Ordering::Relaxed);
+                self.seen.lock().expect(POISON).insert(key, Some(ok));
+                if !ok {
+                    flight::emit(EventKind::McViolation, seq, 0);
+                }
+                ok
             }
         };
-        if !self.seen.lock().expect(POISON).insert(key) {
-            self.dedup_hits.fetch_add(1, Ordering::Relaxed);
-            // The class is already decided, but if it is the violating
-            // one and this representative ranks lower, it is the
-            // witness the serial sweep reports.
-            let mut v = self.violation.lock().expect(POISON);
-            let twin = v.as_ref().is_some_and(|w| w.key == key);
-            if twin {
-                keep_if_least(&mut v);
-            }
-            return twin; // still a violating leaf: tighten pruning
-        }
-        self.histories_checked.fetch_add(1, Ordering::Relaxed);
-        let (ok, hits) = trace_satisfies_memo(
-            &r.trace,
-            self.entry.model,
-            &self.check,
-            Some((self.memo, self.entry.key)),
-        );
-        self.memo_hits.fetch_add(hits, Ordering::Relaxed);
         if ok {
             return false;
         }
-        flight::emit(EventKind::McViolation, seq, 0);
-        keep_if_least(&mut self.violation.lock().expect(POISON));
+        // A violating class: keep this run if it ranks lowest. (A
+        // decided twin is still a violating leaf: tighten pruning.)
+        let mut v = self.violation.lock().expect(POISON);
+        if v.as_ref().is_none_or(|w| seed < w.seed) {
+            *v = Some(Counterexample {
+                trace: r.trace.clone(),
+                decisions: r.decisions.clone(),
+                seed,
+            });
+        }
         true
     }
 
@@ -740,7 +782,7 @@ impl<'a> Judge<'a> {
         verdict.stats.dedup_hits = self.dedup_hits.into_inner();
         verdict.stats.histories_checked = self.histories_checked.into_inner();
         verdict.stats.memo_hits = self.memo_hits.into_inner();
-        verdict.violation = self.violation.into_inner().expect(POISON).map(|v| v.trace);
+        verdict.violation = self.violation.into_inner().expect(POISON);
         verdict.ok = verdict.violation.is_none();
         verdict
     }
@@ -895,8 +937,8 @@ mod tests {
                 assert_eq!(par.stats.workers, 0, "one serial search");
                 assert_eq!(par.stats.dpor_executed, serial.stats.dpor_executed);
                 assert_eq!(
-                    par.violation.as_ref().map(|t| t.cache_key()),
-                    serial.violation.as_ref().map(|t| t.cache_key()),
+                    par.violation.as_ref().map(|c| c.trace.cache_key()),
+                    serial.violation.as_ref().map(|c| c.trace.cache_key()),
                     "threads={threads}"
                 );
             }

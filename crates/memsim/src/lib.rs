@@ -33,13 +33,17 @@
 //! on CAS failures and branch on loaded values.
 //!
 //! Nondeterminism (which CPU steps; which buffered store drains) is
-//! resolved by a [`Scheduler`]: first-enabled ([`DirectedScheduler`]) for the
-//! paper's Figure 5 constructions, seeded-random ([`RandomScheduler`])
-//! for fuzzing, and exhaustive enumeration ([`explore`]) for the
-//! model-checking sweeps.
+//! resolved by a [`Scheduler`]: seeded-random ([`RandomScheduler`],
+//! [`BurstyScheduler`]) for fuzzing, exhaustive enumeration
+//! ([`explore`]) for the model-checking sweeps, and a recorded script
+//! ([`ReplayScheduler`]) to re-execute a run; its empty script takes the
+//! first enabled action every time, as the paper's Figure 5
+//! constructions do.
 //!
 //! Every run records a [`Trace`](jungle_isa::Trace) whose corresponding
-//! histories are checked by `jungle-core`.
+//! histories are checked by `jungle-core`, and its own decisions
+//! ([`RunResult::decisions`]): replayed, they reproduce the run, and
+//! [`Divergence::find`] names the first point where a replay did not.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -54,6 +58,6 @@ pub use jungle_core::registry::{ExecSemantics, StoreDiscipline};
 pub use machine::{explore, Machine, RunResult};
 pub use process::{PInstr, Process, Step};
 pub use sched::{
-    Action, AddrSet, BurstyScheduler, ChoicePoint, DirectedScheduler, Divergence, ExhaustiveCursor,
-    Footprint, RandomScheduler, RecordingScheduler, ReplayScheduler, Scheduler,
+    Action, AddrSet, BurstyScheduler, ChoicePoint, Divergence, ExhaustiveCursor, Footprint,
+    RandomScheduler, ReplayScheduler, Scheduler,
 };

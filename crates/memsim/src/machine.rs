@@ -8,14 +8,14 @@
 //! A machine is `Clone`, and [`Machine::run_from`] runs a copy of a
 //! root machine in place: it resets the copy with `clone_from`, which
 //! reuses every buffer the copy holds — the instruction record, the
-//! footprints, the store buffers and floors, the memory cells and the
-//! trace — so a sweep that builds its machine once runs schedule after
-//! schedule without allocating. [`Machine::run`] is the one-shot form of
+//! footprints and decisions, the store buffers and floors, the memory
+//! cells and the trace — so a sweep that builds its machine once runs
+//! schedule after schedule without allocating. [`Machine::run`] is the one-shot form of
 //! the same path.
 
 use crate::cpu::{GlobalMem, HwModel, ReorderEngine};
 use crate::process::{PInstr, Process, Resume, Step};
-use crate::sched::{Action, AddrSet, ExhaustiveCursor, Footprint, Scheduler};
+use crate::sched::{Action, AddrSet, ChoicePoint, ExhaustiveCursor, Footprint, Scheduler};
 use jungle_core::ids::{OpId, ProcId, Val};
 use jungle_core::registry::StoreDiscipline;
 use jungle_isa::instr::Addr;
@@ -41,6 +41,11 @@ pub struct RunResult {
     /// (one entry per `choose` call, including the synthetic mid-load
     /// version picks).
     pub footprints: Vec<Footprint>,
+    /// Every scheduler decision, one per `choose` call (an abandoned
+    /// run's last one included); replayed through a
+    /// [`ReplayScheduler`](crate::ReplayScheduler), they reproduce the
+    /// run.
+    pub decisions: Vec<ChoicePoint>,
     /// Execution counters (instructions by kind, store-buffer flushes,
     /// reorder-window occupancy high-water mark).
     pub stats: MachineStats,
@@ -56,6 +61,7 @@ impl RunResult {
             aborted: false,
             steps: 0,
             footprints: Vec::new(),
+            decisions: Vec::new(),
             stats: MachineStats {
                 model: hw.name,
                 ..MachineStats::default()
@@ -76,6 +82,7 @@ impl Clone for RunResult {
         RunResult {
             trace: self.trace.clone(),
             footprints: self.footprints.clone(),
+            decisions: self.decisions.clone(),
             mem: self.mem.clone(),
             ..*self
         }
@@ -88,6 +95,7 @@ impl Clone for RunResult {
         self.aborted = src.aborted;
         self.steps = src.steps;
         self.footprints.clone_from(&src.footprints);
+        self.decisions.clone_from(&src.decisions);
         self.stats = src.stats;
         self.mem.clone_from(&src.mem);
     }
@@ -255,6 +263,24 @@ impl Machine {
         self.fp().writes.insert(addr);
     }
 
+    /// Report the outstanding footprints, ask `sched` to choose from
+    /// `self.actions`, check the index, and log the decision.
+    fn choose(&mut self, sched: &mut dyn Scheduler) -> usize {
+        self.flush_observations(sched);
+        let options = self.actions.len();
+        let chosen = sched.choose(&self.actions);
+        assert!(
+            chosen < options,
+            "scheduler chose index {chosen} of {options} options"
+        );
+        self.result.decisions.push(ChoicePoint {
+            chosen,
+            options,
+            action: self.actions[chosen].encode(),
+        });
+        chosen
+    }
+
     /// Report every completed-but-unreported decision footprint to the
     /// scheduler, in decision order. Called before each `choose` (outer
     /// and mid-load) and once before `run` returns, so schedulers
@@ -315,12 +341,7 @@ impl Machine {
             // The enclosing Exec decision's accesses are all recorded by
             // now (forced drains and the read above) — safe to report it
             // before asking for the version pick.
-            self.flush_observations(sched);
-            let c = sched.choose(&self.actions);
-            assert!(
-                c < options,
-                "scheduler chose index {c} of {options} admissible versions"
-            );
+            let c = self.choose(sched);
             self.result.footprints.push(Footprint {
                 cpu,
                 reads: AddrSet::of(&[addr]),
@@ -489,13 +510,7 @@ impl Machine {
             if steps >= max_steps {
                 return self.finish(sched, steps, false, false);
             }
-            self.flush_observations(sched);
-            let choice = sched.choose(&self.actions);
-            assert!(
-                choice < self.actions.len(),
-                "scheduler chose index {choice} of {} enabled actions",
-                self.actions.len()
-            );
+            let choice = self.choose(sched);
             if sched.abort_run() {
                 return self.finish(sched, steps, false, true);
             }
@@ -587,7 +602,7 @@ pub fn explore(
 mod tests {
     use super::*;
     use crate::process::ScriptProcess;
-    use crate::sched::{DirectedScheduler, RandomScheduler};
+    use crate::sched::{Divergence, RandomScheduler, ReplayScheduler};
     use jungle_core::ids::{Var, X, Y};
     use jungle_core::op::{Command, Op};
 
@@ -631,7 +646,7 @@ mod tests {
     #[test]
     fn sequential_run_on_sc() {
         let m = Machine::new(HwModel::SC, vec![writer(X, 0, 5)]);
-        let mut s = DirectedScheduler;
+        let mut s = ReplayScheduler::default();
         let r = m.run(&mut s, 100);
         assert!(r.completed);
         assert_eq!(r.trace.ops().len(), 1);
@@ -787,7 +802,7 @@ mod tests {
         })) as Box<dyn Process>;
         // Schedule only Exec actions for cpu 0 (never drain first).
         let m = Machine::new(HwModel::TSO_FWD, vec![p]);
-        let mut s = DirectedScheduler;
+        let mut s = ReplayScheduler::default();
         let r = m.run(&mut s, 100);
         assert!(r.completed);
     }
@@ -813,7 +828,7 @@ mod tests {
         })) as Box<dyn Process>;
         let mut m = Machine::new(HwModel::TSO_FWD, vec![p]);
         m.poke(1, 0);
-        let mut s = DirectedScheduler;
+        let mut s = ReplayScheduler::default();
         // After the run, both the buffered store and the CAS value must
         // be in memory.
         let r = m.run(&mut s, 100);
@@ -864,7 +879,7 @@ mod tests {
             }
         })) as Box<dyn Process>;
         let m = Machine::new(HwModel::TSO_FWD, vec![p]);
-        let mut s = DirectedScheduler;
+        let mut s = ReplayScheduler::default();
         let r = m.run(&mut s, 100);
         assert!(r.completed);
         assert_eq!(r.stats.stores, 1);
@@ -1009,7 +1024,7 @@ mod tests {
         let m = Machine::new(HwModel::TSO, vec![p]);
         // Only ever pick Exec (never a scheduled drain): the forced
         // drain happens inside the load itself.
-        let mut s = DirectedScheduler;
+        let mut s = ReplayScheduler::default();
         let r = m.run(&mut s, 100);
         assert!(r.completed);
         assert_eq!(r.stats.flushes, 1);
@@ -1019,7 +1034,7 @@ mod tests {
     #[test]
     fn machine_stats_carry_model_name() {
         let m = Machine::new(HwModel::RMO, vec![writer(X, 0, 1)]);
-        let mut s = DirectedScheduler;
+        let mut s = ReplayScheduler::default();
         let r = m.run(&mut s, 100);
         assert_eq!(r.stats.model, "RMO");
     }
@@ -1038,7 +1053,7 @@ mod tests {
         // writer on SC (immediate stores): Inv, Store, Resp, Done —
         // four Exec decisions, no inner version picks.
         let m = Machine::new(HwModel::SC, vec![writer(X, 0, 5)]);
-        let mut s = DirectedScheduler;
+        let mut s = ReplayScheduler::default();
         let r = m.run(&mut s, 100);
         assert!(r.completed);
         assert_eq!(r.footprints.len(), 4);
@@ -1063,7 +1078,7 @@ mod tests {
             }
         })) as Box<dyn Process>;
         let m = Machine::new(HwModel::TSO_FWD, vec![p]);
-        let mut s = DirectedScheduler;
+        let mut s = ReplayScheduler::default();
         let r = m.run(&mut s, 100);
         assert!(r.completed);
         let f = &r.footprints[1];
@@ -1077,7 +1092,7 @@ mod tests {
         let mut m = Machine::new(HwModel::RMO, vec![one_read(X, 0, false)]);
         m.mem.store(0, 1);
         m.mem.store(0, 2);
-        let mut s = DirectedScheduler;
+        let mut s = ReplayScheduler::default();
         let r = m.run(&mut s, 100);
         assert!(r.completed);
         // Inv, Load (outer), version pick (inner), Resp, Done.
@@ -1125,6 +1140,7 @@ mod tests {
         assert!(r.aborted);
         assert_eq!(r.steps, 2);
         assert_eq!(r.footprints.len(), 2, "aborted decision records nothing");
+        assert_eq!(r.decisions.len(), 3, "but its choice is logged");
     }
 
     #[test]
@@ -1148,6 +1164,37 @@ mod tests {
         let r = m.run(&mut s, 100);
         assert!(r.completed);
         assert_eq!(s.fps, r.footprints);
+    }
+
+    #[test]
+    fn a_run_logs_its_decisions_and_replays_from_them() {
+        // Two readers racing a writer on RMO: the main loop's choices
+        // and the mid-load version picks are both logged.
+        let factory = || {
+            let mut m = Machine::new(
+                HwModel::RMO,
+                vec![
+                    writer(X, 0, 1),
+                    one_read(X, 0, false),
+                    two_reads(X, 0, Y, 1),
+                ],
+            );
+            m.poke(0, 9);
+            m
+        };
+        let mut picks = 0;
+        for seed in 0..32 {
+            let r = factory().run(&mut RandomScheduler::new(seed), 100);
+            assert!(r.completed);
+            assert_eq!(r.decisions.len(), r.footprints.len());
+            // Kind 3 of `Action::encode`: a version pick.
+            picks += r.decisions.iter().filter(|cp| cp.action >> 32 == 3).count();
+            let again = factory().run(&mut ReplayScheduler::new(&r.decisions), 100);
+            assert_eq!(again.trace.cache_key(), r.trace.cache_key());
+            assert_eq!(again.decisions, r.decisions);
+            assert_eq!(Divergence::find(&r.decisions, &again.decisions), None);
+        }
+        assert!(picks > 0, "no version pick was logged");
     }
 
     #[test]

@@ -239,9 +239,9 @@ impl Footprint {
 pub trait Scheduler {
     /// Pick an index into `actions` (guaranteed non-empty). The machine
     /// validates the returned index and panics if it is out of range —
-    /// schedulers that replay external scripts must clamp or surface
-    /// bad entries themselves (see [`ReplayScheduler`], which records a
-    /// [`Divergence`] instead of silently taking a different action).
+    /// schedulers that replay external scripts must clamp bad entries
+    /// themselves (see [`ReplayScheduler`]; [`Divergence::find`] then
+    /// reports the clamp instead of letting it pass silently).
     fn choose(&mut self, actions: &[Action]) -> usize;
 
     /// Receive the [`Footprint`] of an earlier decision. The machine
@@ -261,19 +261,6 @@ pub trait Scheduler {
     /// never.
     fn abort_run(&self) -> bool {
         false
-    }
-}
-
-/// Always picks choice 0: the first enabled action in CPU order.
-///
-/// Used to reproduce the paper's hand-constructed interleavings
-/// (Figure 5).
-#[derive(Clone, Copy, Debug)]
-pub struct DirectedScheduler;
-
-impl Scheduler for DirectedScheduler {
-    fn choose(&mut self, _: &[Action]) -> usize {
-        0
     }
 }
 
@@ -392,8 +379,9 @@ impl Scheduler for ExhaustiveCursor {
 
 // ── record / replay ──────────────────────────────────────────────────
 
-/// One recorded scheduler decision: which index was chosen out of how
-/// many options, and the encoded action it selected.
+/// One scheduler decision: which index was chosen out of how many
+/// options, and the encoded action it selected. The machine logs one
+/// per `choose` call in [`RunResult::decisions`](crate::RunResult::decisions).
 ///
 /// The `options` count and encoded `action` are redundant with `chosen`
 /// for the run that produced them — they exist so a replay on a changed
@@ -407,50 +395,6 @@ pub struct ChoicePoint {
     pub options: usize,
     /// The chosen action, encoded (`Action::encode`).
     pub action: u64,
-}
-
-/// Transparent wrapper that forwards every `choose` to an inner
-/// scheduler while logging a [`ChoicePoint`] per call. The recorded
-/// log replayed through a [`ReplayScheduler`] on the same machine
-/// reproduces the run exactly.
-pub struct RecordingScheduler<'a> {
-    inner: &'a mut dyn Scheduler,
-    log: Vec<ChoicePoint>,
-}
-
-impl<'a> RecordingScheduler<'a> {
-    /// Wrap `inner`, recording every decision it makes.
-    pub fn new(inner: &'a mut dyn Scheduler) -> Self {
-        RecordingScheduler {
-            inner,
-            log: Vec::new(),
-        }
-    }
-
-    /// Consume the wrapper, returning the recorded decisions.
-    pub fn into_log(self) -> Vec<ChoicePoint> {
-        self.log
-    }
-}
-
-impl Scheduler for RecordingScheduler<'_> {
-    fn choose(&mut self, actions: &[Action]) -> usize {
-        let chosen = self.inner.choose(actions).min(actions.len() - 1);
-        self.log.push(ChoicePoint {
-            chosen,
-            options: actions.len(),
-            action: actions[chosen].encode(),
-        });
-        chosen
-    }
-
-    fn observe(&mut self, fp: &Footprint) {
-        self.inner.observe(fp);
-    }
-
-    fn abort_run(&self) -> bool {
-        self.inner.abort_run()
-    }
 }
 
 /// The first point where a replayed run stopped matching its recording.
@@ -468,63 +412,56 @@ pub struct Divergence {
     pub actual_action: u64,
 }
 
+impl Divergence {
+    /// The first choose point where a replayed run's own
+    /// [`decisions`](crate::RunResult::decisions) differ from the
+    /// `recorded` script: in option count, in the action taken, or by a
+    /// recorded index the replay had to clamp (even to an identically
+    /// encoded action). Points past either end are not compared. Emits
+    /// a `ReplayDivergence` flight event when it finds one.
+    pub fn find(recorded: &[ChoicePoint], replayed: &[ChoicePoint]) -> Option<Divergence> {
+        let mut points = recorded.iter().zip(replayed).enumerate();
+        let (step, (cp, got)) = points.find(|(_, (cp, got))| {
+            cp.options != got.options || cp.action != got.action || cp.chosen >= got.options
+        })?;
+        trace::emit(EventKind::ReplayDivergence, step as u64, cp.action);
+        Some(Divergence {
+            step,
+            expected_options: cp.options,
+            actual_options: got.options,
+            expected_action: cp.action,
+            actual_action: got.action,
+        })
+    }
+}
+
 /// Deterministically re-executes a recorded decision sequence.
 ///
 /// Each `choose` plays the next recorded index (clamped to the offered
 /// list); past the end of the script it picks 0, so shrunk logs — which
 /// are *prefixes with holes* of the original — still drive a complete
-/// run. The first choose point whose offered option count or selected
-/// action encoding differs from the recording is captured in
-/// [`divergence`](Self::divergence); the replay continues past it (the
-/// caller decides whether a diverged run is still useful).
-pub struct ReplayScheduler {
-    script: Vec<ChoicePoint>,
+/// run, and the empty script always takes the first enabled action in
+/// CPU order (the paper's hand-constructed Figure 5 interleavings).
+/// Whether the replay followed its script is read off the run's own
+/// decisions afterwards, by [`Divergence::find`].
+#[derive(Clone, Debug, Default)]
+pub struct ReplayScheduler<'a> {
+    script: &'a [ChoicePoint],
     pos: usize,
-    divergence: Option<Divergence>,
 }
 
-impl ReplayScheduler {
+impl<'a> ReplayScheduler<'a> {
     /// A scheduler that replays `script`.
-    pub fn new(script: Vec<ChoicePoint>) -> Self {
-        ReplayScheduler {
-            script,
-            pos: 0,
-            divergence: None,
-        }
-    }
-
-    /// The first mismatch between the recording and this replay, if any.
-    pub fn divergence(&self) -> Option<Divergence> {
-        self.divergence
+    pub fn new(script: &'a [ChoicePoint]) -> Self {
+        ReplayScheduler { script, pos: 0 }
     }
 }
 
-impl Scheduler for ReplayScheduler {
+impl Scheduler for ReplayScheduler<'_> {
     fn choose(&mut self, actions: &[Action]) -> usize {
-        let step = self.pos;
+        let cp = self.script.get(self.pos);
         self.pos += 1;
-        let Some(cp) = self.script.get(step).copied() else {
-            // Past the recorded tail: deterministic default.
-            return 0;
-        };
-        let chosen = cp.chosen.min(actions.len() - 1);
-        let actual = actions[chosen].encode();
-        // An out-of-range recorded index is a divergence in its own
-        // right (the machine would reject the raw choice), even if the
-        // clamped action happens to encode identically.
-        if self.divergence.is_none()
-            && (cp.options != actions.len() || cp.action != actual || cp.chosen >= actions.len())
-        {
-            self.divergence = Some(Divergence {
-                step,
-                expected_options: cp.options,
-                actual_options: actions.len(),
-                expected_action: cp.action,
-                actual_action: actual,
-            });
-            trace::emit(EventKind::ReplayDivergence, step as u64, cp.action);
-        }
-        chosen
+        cp.map_or(0, |cp| cp.chosen.min(actions.len() - 1))
     }
 }
 
@@ -560,74 +497,51 @@ mod tests {
         assert_eq!(codes.len(), all.len());
     }
 
-    #[test]
-    fn recording_is_transparent_and_replays_identically() {
-        let mut base = RandomScheduler::new(7);
-        let mut rec = RecordingScheduler::new(&mut base);
-        let picks: Vec<usize> = (0..16).map(|i| rec.choose(&acts(2 + i % 3))).collect();
-        let log = rec.into_log();
-        assert_eq!(log.len(), 16);
-        // The recording must match what the bare scheduler would do.
-        let mut bare = RandomScheduler::new(7);
-        let bare_picks: Vec<usize> = (0..16).map(|i| bare.choose(&acts(2 + i % 3))).collect();
-        assert_eq!(picks, bare_picks);
-        // And a replay of the log reproduces the same picks.
-        let mut rep = ReplayScheduler::new(log);
-        let rep_picks: Vec<usize> = (0..16).map(|i| rep.choose(&acts(2 + i % 3))).collect();
-        assert_eq!(picks, rep_picks);
-        assert!(rep.divergence().is_none());
+    fn cp(chosen: usize, options: usize, cpu: usize) -> ChoicePoint {
+        ChoicePoint {
+            chosen,
+            options,
+            action: Action::Exec { cpu }.encode(),
+        }
     }
 
     #[test]
-    fn replay_defaults_to_zero_past_script_end() {
-        let mut rep = ReplayScheduler::new(vec![ChoicePoint {
-            chosen: 1,
-            options: 3,
-            action: Action::Exec { cpu: 1 }.encode(),
-        }]);
+    fn replay_plays_its_script_then_defaults_to_zero() {
+        let script = [cp(1, 3, 1), cp(2, 3, 2)];
+        let mut rep = ReplayScheduler::new(&script);
         assert_eq!(rep.choose(&acts(3)), 1);
+        assert_eq!(rep.choose(&acts(2)), 1, "clamped to the offered list");
         assert_eq!(rep.choose(&acts(3)), 0);
-        assert!(rep.divergence().is_none());
+        let mut empty = ReplayScheduler::default();
+        assert_eq!(empty.choose(&acts(3)), 0);
     }
 
     #[test]
-    fn replay_detects_first_divergence() {
-        let log = vec![
-            ChoicePoint {
-                chosen: 0,
-                options: 2,
-                action: Action::Exec { cpu: 0 }.encode(),
-            },
-            ChoicePoint {
-                chosen: 1,
-                options: 4, // recording saw 4 options; replay will offer 2
-                action: Action::Exec { cpu: 3 }.encode(),
-            },
-        ];
-        let mut rep = ReplayScheduler::new(log);
-        rep.choose(&acts(2));
-        rep.choose(&acts(2));
-        let d = rep.divergence().expect("must diverge at step 1");
+    fn divergence_is_the_first_mismatch() {
+        let recorded = [cp(0, 2, 0), cp(1, 4, 3), cp(0, 1, 0)];
+        // The replay was offered 2 options at step 1, not 4.
+        let replayed = [cp(0, 2, 0), cp(1, 2, 1), cp(0, 1, 0)];
+        let d = Divergence::find(&recorded, &replayed).expect("must diverge at step 1");
         assert_eq!(d.step, 1);
         assert_eq!(d.expected_options, 4);
         assert_eq!(d.actual_options, 2);
         assert_eq!(d.expected_action, Action::Exec { cpu: 3 }.encode());
         assert_eq!(d.actual_action, Action::Exec { cpu: 1 }.encode());
+        assert_eq!(Divergence::find(&recorded, &recorded), None);
+        // Points past either end are not compared.
+        assert_eq!(Divergence::find(&recorded[..1], &replayed), None);
+        assert_eq!(Divergence::find(&recorded, &replayed[..1]), None);
     }
 
     #[test]
-    fn replay_flags_out_of_range_recorded_choice() {
+    fn divergence_flags_out_of_range_recorded_choice() {
         // A corrupted log whose index exceeds the offered list must
         // surface as a Divergence even when the clamped action matches
         // the recorded encoding (the clamp is not silent).
-        let log = vec![ChoicePoint {
-            chosen: 7,
-            options: 2,
-            action: Action::Exec { cpu: 1 }.encode(),
-        }];
-        let mut rep = ReplayScheduler::new(log);
-        assert_eq!(rep.choose(&acts(2)), 1); // clamped to the last option
-        let d = rep.divergence().expect("out-of-range index must diverge");
+        let recorded = [cp(7, 2, 1)];
+        assert_eq!(ReplayScheduler::new(&recorded).choose(&acts(2)), 1);
+        let d =
+            Divergence::find(&recorded, &[cp(1, 2, 1)]).expect("out-of-range index must diverge");
         assert_eq!(d.step, 0);
         assert_eq!(d.actual_action, Action::Exec { cpu: 1 }.encode());
     }
@@ -701,33 +615,6 @@ mod tests {
         assert!(s.is_full());
         assert_eq!(s.held(), &[3, 1, 2], "a full set keeps the first CAP");
         assert_eq!(s, AddrSet::of(&[3, 1, 2, 9, 10]));
-    }
-
-    #[test]
-    fn recording_forwards_observe_and_abort() {
-        struct Probe {
-            observed: usize,
-            abort: bool,
-        }
-        impl Scheduler for Probe {
-            fn choose(&mut self, _: &[Action]) -> usize {
-                0
-            }
-            fn observe(&mut self, _: &Footprint) {
-                self.observed += 1;
-            }
-            fn abort_run(&self) -> bool {
-                self.abort
-            }
-        }
-        let mut p = Probe {
-            observed: 0,
-            abort: true,
-        };
-        let mut rec = RecordingScheduler::new(&mut p);
-        rec.observe(&Footprint::on(0));
-        assert!(rec.abort_run(), "abort must pass through the recorder");
-        assert_eq!(p.observed, 1, "observe must pass through the recorder");
     }
 
     #[test]

@@ -1,33 +1,28 @@
 //! Recording sweeps and replaying logs.
 //!
-//! [`record_experiment`] mirrors the serial randomized
-//! [`Sweep`](jungle_mc::Sweep) (`Schedules::Random(seeds)`, no
-//! `parallel`) *exactly* — same seed order, same
-//! even-uniform/odd-bursty scheduler rule via
-//! [`scheduler_for_seed`](jungle_mc::scheduler_for_seed), same
-//! machine construction via [`machine_for`](jungle_mc::machine_for),
-//! same per-trace verdict via
-//! [`trace_satisfies`] —
-//! but wraps each scheduler in a
-//! [`RecordingScheduler`](jungle_memsim::RecordingScheduler), so the
-//! first violating seed's decision sequence becomes a [`ScheduleLog`].
+//! A machine run logs its own scheduler decisions
+//! ([`RunResult::decisions`](jungle_memsim::RunResult::decisions)), and
+//! a failing [`Sweep`](jungle_mc::Sweep) keeps them with its violating
+//! trace as a [`Counterexample`]. [`log_of`] turns such a counterexample
+//! into a [`ScheduleLog`]; [`record_experiment`] runs an experiment's
+//! randomized sweep and does exactly that with what it finds.
 //!
 //! [`replay`] re-executes a log through a
-//! [`ReplayScheduler`](jungle_memsim::ReplayScheduler) on any
+//! [`ReplayScheduler`] on any
 //! program/algorithm/[`ModelEntry`] triple and reports whether the run
 //! completed, whether it still violates the property, whether its
 //! trace fingerprint equals the recorded one, and — if not — the
-//! first diverging choose point.
+//! first diverging choose point ([`Divergence::find`]).
 
 use crate::log::{ScheduleLog, FORMAT_VERSION};
 use jungle_core::registry::ModelEntry;
 use jungle_isa::trace::Trace;
 use jungle_mc::algos::TmAlgo;
-use jungle_mc::explain::explain_trace;
+use jungle_mc::explain::{explain_trace, TheoremClass};
 use jungle_mc::theorems::Experiment;
 use jungle_mc::Program;
-use jungle_mc::{machine_for, scheduler_for_seed, trace_satisfies, CheckKind, SweepSeeds};
-use jungle_memsim::{Divergence, RecordingScheduler, ReplayScheduler};
+use jungle_mc::{machine_for, trace_satisfies, CheckKind, Counterexample, Schedules, SweepSeeds};
+use jungle_memsim::{Divergence, ReplayScheduler};
 use jungle_obs::trace::{self as flight, EventKind};
 
 /// A successful recording: the log plus the violating trace it
@@ -39,48 +34,49 @@ pub struct Recording {
     pub trace: Trace,
 }
 
-/// Re-run the randomized sweep of `exp` with recording schedulers and
-/// return the log of the **first completed violating run** in seed
-/// order — the same run the serial sweep reports. `None` when no seed
-/// in the range violates (either the experiment is a positive result,
-/// or the range is too small).
+/// The schedule log of `cx`, a violating run of `exp`'s sweep under
+/// step bound `max_steps`, with the Theorem 1 `class` its explanation
+/// assigned.
+pub fn log_of(
+    exp: &Experiment,
+    cx: &Counterexample,
+    max_steps: usize,
+    class: Option<TheoremClass>,
+) -> ScheduleLog {
+    ScheduleLog {
+        version: FORMAT_VERSION,
+        experiment: Some(exp.id.clone()),
+        model: exp.entry.key.to_string(),
+        kind: exp.kind,
+        seed: cx.seed,
+        max_steps,
+        fingerprint: cx.trace.cache_key(),
+        violating: true,
+        class: class.map(|c| c.name().to_string()),
+        decisions: cx.decisions.clone(),
+    }
+}
+
+/// Run the serial randomized sweep of `exp` over `seeds` and return the
+/// log of its counterexample, the run of the lowest violating seed.
+/// `None` when no seed in the range violates (either the experiment is
+/// a positive result, or the range is too small).
 pub fn record_experiment(
     exp: &Experiment,
     seeds: SweepSeeds,
     max_steps: usize,
 ) -> Option<Recording> {
-    for seed in seeds.iter() {
-        let mut base = scheduler_for_seed(seed);
-        let mut rec = RecordingScheduler::new(base.as_mut());
-        let r = machine_for(&exp.program, exp.algo, exp.entry.exec).run(&mut rec, max_steps);
-        if !r.completed {
-            continue;
-        }
-        if trace_satisfies(&r.trace, exp.entry.model, exp.kind) {
-            continue;
-        }
-        let class = explain_trace(&r.trace, exp.entry.model, exp.kind)
-            .ok()
-            .and_then(|ex| ex.class)
-            .map(|c| c.name().to_string());
-        let log = ScheduleLog {
-            version: FORMAT_VERSION,
-            experiment: Some(exp.id.clone()),
-            model: exp.entry.key.to_string(),
-            kind: exp.kind,
-            seed: Some(seed),
-            max_steps,
-            fingerprint: r.trace.cache_key(),
-            violating: true,
-            class,
-            decisions: rec.into_log(),
-        };
-        return Some(Recording {
-            log,
-            trace: r.trace,
-        });
-    }
-    None
+    let cx = exp
+        .sweep(Schedules::Random(seeds), max_steps)
+        .run()
+        .violation?;
+    let class = explain_trace(&cx.trace, exp.entry.model, exp.kind)
+        .ok()
+        .and_then(|ex| ex.class);
+    Some(Recording {
+        log: log_of(exp, &cx, max_steps, class),
+        trace: cx.trace,
+    })
 }
 
 /// What a replayed run did.
@@ -121,15 +117,16 @@ pub fn replay_on(
         log.decisions.len() as u64,
         log.fingerprint,
     );
-    let mut sched = ReplayScheduler::new(log.decisions.clone());
-    let r = machine_for(program, algo, entry.exec).run(&mut sched, log.max_steps);
+    let r = machine_for(program, algo, entry.exec)
+        .run(&mut ReplayScheduler::new(&log.decisions), log.max_steps);
+    let divergence = Divergence::find(&log.decisions, &r.decisions);
     let fingerprint = if r.completed { r.trace.cache_key() } else { 0 };
     let violating = r.completed && !trace_satisfies(&r.trace, entry.model, kind);
     ReplayOutcome {
         completed: r.completed,
         fingerprint,
-        matches: r.completed && sched.divergence().is_none() && fingerprint == log.fingerprint,
-        divergence: sched.divergence(),
+        matches: r.completed && divergence.is_none() && fingerprint == log.fingerprint,
+        divergence,
         violating,
         steps: r.steps,
         trace: r.completed.then_some(r.trace),

@@ -4,13 +4,12 @@
 //! removing chunks (ddmin-style, with halving chunk sizes) and
 //! flipping single decisions toward choice 0 — and keeps a candidate
 //! only if replaying it still produces a **complete run that violates
-//! the property**. Every accepted candidate is *normalized*: the
-//! candidate is replayed under a recording wrapper, so the kept
-//! decision list's option counts and action encodings are exactly what
-//! the machine offers (a later replay of the shrunk log is
-//! divergence-free), and the longest all-zero suffix is trimmed
-//! (replay defaults to choice 0 past the script's end, so the suffix
-//! is redundant).
+//! the property**. Every accepted candidate is *normalized*: the kept
+//! decision list is the one the replayed run logged itself, so its
+//! option counts and action encodings are exactly what the machine
+//! offers (a later replay of the shrunk log is divergence-free), and
+//! the longest all-zero suffix is trimmed (replay defaults to choice 0
+//! past the script's end, so the suffix is redundant).
 //!
 //! Progress is measured lexicographically by `(decision count, sum of
 //! chosen indices)`; a candidate is accepted only if it strictly
@@ -22,7 +21,7 @@ use crate::run::replay;
 use jungle_mc::explain::explain_trace;
 use jungle_mc::theorems::Experiment;
 use jungle_mc::{machine_for, trace_satisfies};
-use jungle_memsim::{ChoicePoint, RecordingScheduler, ReplayScheduler};
+use jungle_memsim::{ChoicePoint, ReplayScheduler};
 
 /// Counters from one shrink run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -37,21 +36,20 @@ pub struct ShrinkStats {
     pub final_decisions: usize,
 }
 
-/// Replay `decisions` on `exp` while re-recording them; on a complete
-/// run, return the normalized decision list (zero-suffix trimmed) and
-/// whether the run violates the property.
+/// Replay `decisions` on `exp`; on a complete run, return the
+/// decisions the run logged (zero-suffix trimmed), whether it violates
+/// the property, and its fingerprint.
 fn normalize(
-    decisions: Vec<ChoicePoint>,
+    decisions: &[ChoicePoint],
     exp: &Experiment,
     max_steps: usize,
 ) -> Option<(Vec<ChoicePoint>, bool, u64)> {
-    let mut rep = ReplayScheduler::new(decisions);
-    let mut rec = RecordingScheduler::new(&mut rep);
-    let r = machine_for(&exp.program, exp.algo, exp.entry.exec).run(&mut rec, max_steps);
+    let r = machine_for(&exp.program, exp.algo, exp.entry.exec)
+        .run(&mut ReplayScheduler::new(decisions), max_steps);
     if !r.completed {
         return None;
     }
-    let mut log = rec.into_log();
+    let mut log = r.decisions;
     while log.last().is_some_and(|cp| cp.chosen == 0) {
         log.pop();
     }
@@ -75,8 +73,7 @@ pub fn shrink(log: &ScheduleLog, exp: &Experiment) -> (ScheduleLog, ShrinkStats)
     let mut stats = ShrinkStats::default();
     // Normalize the starting point; a log that no longer replays to a
     // violating run cannot be shrunk, so it is returned unchanged.
-    let Some((mut cur, violating, mut fingerprint)) =
-        normalize(log.decisions.clone(), exp, log.max_steps)
+    let Some((mut cur, violating, mut fingerprint)) = normalize(&log.decisions, exp, log.max_steps)
     else {
         stats.initial_decisions = log.decisions.len();
         stats.final_decisions = log.decisions.len();
@@ -98,7 +95,7 @@ pub fn shrink(log: &ScheduleLog, exp: &Experiment) -> (ScheduleLog, ShrinkStats)
                       stats: &mut ShrinkStats|
      -> bool {
         stats.candidates += 1;
-        match normalize(candidate, exp, log.max_steps) {
+        match normalize(&candidate, exp, log.max_steps) {
             Some((norm, true, fp)) if measure(&norm) < measure(cur) => {
                 *cur = norm;
                 *fingerprint = fp;

@@ -1,18 +1,31 @@
-//! Replay determinism and shrinker correctness.
+//! Replay determinism, the sweep's counterexample as the one recording,
+//! and shrinker correctness.
 //!
-//! The core contract: recording any machine run and replaying the log
-//! on the same program/model must reproduce the *identical* trace —
+//! The core contract: replaying the decisions any machine run logged,
+//! on the same program/model, must reproduce the *identical* trace —
 //! same structural fingerprint, no divergence — for every entry in the
-//! model registry and any process count. The shrinker's contract: the
-//! minimized log still replays to a violating run, is never longer
-//! than the original, and classifies under the same Theorem 1 class.
+//! model registry and any process count, and for the counterexample of
+//! either sweep driver. A random sweep's counterexample, at any worker
+//! count, is the run a serial loop over the seeds meets first; the
+//! Theorem 1 logs are pinned as they were when a separate recording
+//! loop produced them. The shrinker's contract: the minimized log still
+//! replays to a violating run, is never longer than the original, and
+//! classifies under the same Theorem 1 class.
 
 use jungle_core::ids::{X, Y};
-use jungle_mc::algos::GlobalLockTm;
-use jungle_mc::theorems::{lemma1, thm1_case1, thm1_case3};
-use jungle_mc::{machine_for, registry, CheckKind, Program, Stmt, SweepSeeds, ThreadProg, TxOp};
-use jungle_memsim::{RandomScheduler, RecordingScheduler};
-use jungle_replay::{record_experiment, replay, replay_on, shrink, ScheduleLog, FORMAT_VERSION};
+use jungle_core::par::ParallelConfig;
+use jungle_mc::algos::{GlobalLockTm, SkipWriteTm};
+use jungle_mc::explain::explain_trace;
+use jungle_mc::theorems::{all_fixed_experiments, lemma1, thm1_case1, thm1_case3, thm1_suite};
+use jungle_mc::{
+    check_all_traces, entry, machine_for, registry, trace_satisfies, CheckKind, Counterexample,
+    Program, Schedules, SeedScheduler, SharedVerdictMemo, Stmt, Sweep, SweepSeeds, ThreadProg,
+    TxOp,
+};
+use jungle_memsim::RandomScheduler;
+use jungle_replay::{
+    log_of, record_experiment, replay, replay_on, shrink, ScheduleLog, FORMAT_VERSION,
+};
 use proptest::prelude::*;
 
 const MAX_STEPS: usize = 20_000;
@@ -34,12 +47,11 @@ fn program(procs: usize) -> Program {
     Program(threads)
 }
 
-/// Record one seeded run of `program` on a registry entry and wrap the
-/// decisions into a log.
+/// Run `program` once on a registry entry under seed `seed` and wrap
+/// the decisions the run logged into a log.
 fn record_run(p: &Program, entry: &jungle_mc::ModelEntry, seed: u64) -> Option<ScheduleLog> {
-    let mut base = RandomScheduler::new(seed);
-    let mut rec = RecordingScheduler::new(&mut base);
-    let r = machine_for(p, &GlobalLockTm, entry.exec).run(&mut rec, MAX_STEPS);
+    let r =
+        machine_for(p, &GlobalLockTm, entry.exec).run(&mut RandomScheduler::new(seed), MAX_STEPS);
     if !r.completed {
         return None;
     }
@@ -53,7 +65,7 @@ fn record_run(p: &Program, entry: &jungle_mc::ModelEntry, seed: u64) -> Option<S
         fingerprint: r.trace.cache_key(),
         violating: false,
         class: None,
-        decisions: rec.into_log(),
+        decisions: r.decisions,
     })
 }
 
@@ -167,4 +179,143 @@ fn shrunk_mrw_log_keeps_its_class() {
     assert_eq!(min.class.as_deref(), Some("Mrw"));
     let out = replay(&min, &exp);
     assert!(out.violating && out.divergence.is_none());
+}
+
+/// The seeds and step bound `report` sweeps the fixed experiments with.
+const REPORT_SEEDS: SweepSeeds = SweepSeeds {
+    base: 0,
+    runs: 2_000,
+};
+const REPORT_STEPS: usize = 8_000;
+
+/// The first violating run of a serial loop over [`REPORT_SEEDS`], each
+/// run on a freshly built machine: the loop `record_experiment` ran
+/// before sweeps kept their counterexamples.
+fn first_violating_seed(exp: &jungle_mc::Experiment) -> Option<Counterexample> {
+    REPORT_SEEDS.iter().find_map(|seed| {
+        let r = machine_for(&exp.program, exp.algo, exp.entry.exec)
+            .run(&mut SeedScheduler::new(seed), REPORT_STEPS);
+        (r.completed && !trace_satisfies(&r.trace, exp.entry.model, exp.kind)).then_some(
+            Counterexample {
+                trace: r.trace,
+                decisions: r.decisions,
+                seed: Some(seed),
+            },
+        )
+    })
+}
+
+#[test]
+fn every_worker_count_finds_the_first_violating_seed() {
+    let memo = SharedVerdictMemo::new();
+    let mut checked = 0;
+    for exp in all_fixed_experiments()
+        .iter()
+        .filter(|e| e.expects_violation())
+    {
+        let want =
+            first_violating_seed(exp).unwrap_or_else(|| panic!("{}: no seed violates", exp.id));
+        for threads in [1, 2, 4] {
+            let got = Sweep {
+                parallel: Some(ParallelConfig::with_threads(threads)),
+                memo: Some(&memo),
+                ..exp.sweep(Schedules::Random(REPORT_SEEDS), REPORT_STEPS)
+            }
+            .run()
+            .violation
+            .unwrap_or_else(|| panic!("{} at {threads} workers: no violation", exp.id));
+            assert_eq!(got.seed, want.seed, "{} at {threads} workers", exp.id);
+            assert_eq!(
+                got.decisions, want.decisions,
+                "{} at {threads} workers",
+                exp.id
+            );
+            assert_eq!(
+                got.trace.instrs(),
+                want.trace.instrs(),
+                "{} at {threads} workers",
+                exp.id
+            );
+        }
+        checked += 1;
+    }
+    assert!(checked >= thm1_suite().len());
+}
+
+#[test]
+fn theorem1_logs_are_the_ones_recorded_before() {
+    // (seed, decisions, class, fingerprint) of each raw log, and
+    // (decisions, fingerprint) of its shrunk one, as `report --record`
+    // wrote them when a separate seed loop recorded them.
+    #[rustfmt::skip]
+    let pinned: [(u64, usize, &str, u64, usize, u64); 4] = [
+        (267, 22, "Mrr", 0x2931_3b10_815b_0650, 16, 0x2931_3b10_815b_0650),
+        (0, 21, "Mwr", 0x6087_6966_f0f1_f017, 10, 0x2f00_63e2_f3ed_0591),
+        (267, 37, "Mrw", 0xc707_c9e4_2ea3_f0c7, 19, 0xc707_c9e4_2ea3_f0c7),
+        (0, 41, "Mww", 0xd1cd_9709_84d1_0f03, 10, 0x04a4_afd4_8c8f_6453),
+    ];
+    let memo = SharedVerdictMemo::new();
+    for (exp, pin) in thm1_suite().iter().zip(pinned) {
+        let cx = exp
+            .run_shared(
+                REPORT_SEEDS,
+                REPORT_STEPS,
+                &ParallelConfig::default(),
+                &memo,
+            )
+            .violation
+            .unwrap_or_else(|| panic!("{}: no violation", exp.id));
+        let class = explain_trace(&cx.trace, exp.entry.model, exp.kind)
+            .unwrap()
+            .class;
+        let log = log_of(exp, &cx, REPORT_STEPS, class);
+        assert_eq!(
+            record_experiment(exp, REPORT_SEEDS, REPORT_STEPS).map(|r| r.log),
+            Some(log.clone())
+        );
+        let (min, _) = shrink(&log, exp);
+        assert_eq!(
+            (
+                log.seed.unwrap(),
+                log.decisions.len(),
+                log.class.as_deref().unwrap(),
+                log.fingerprint,
+                min.decisions.len(),
+                min.fingerprint
+            ),
+            pin,
+            "{}",
+            exp.id
+        );
+        assert_eq!(min.class, log.class, "{}", exp.id);
+    }
+}
+
+#[test]
+fn an_exhaustive_counterexample_replays() {
+    // Lemma 1's two-thread shape: the DPOR explorer's violating run.
+    let p = Program(vec![
+        ThreadProg(vec![Stmt::txn(vec![TxOp::Write(X, 1)]), Stmt::NtRead(X)]),
+        ThreadProg(vec![Stmt::NtRead(X)]),
+    ]);
+    let e = entry("TSO").unwrap();
+    let v = check_all_traces(&p, &SkipWriteTm, e, CheckKind::Opacity, 4_000);
+    let cx = v.violation.expect("SkipWriteTm violates Lemma 1");
+    assert_eq!(cx.seed, None);
+    let log = ScheduleLog {
+        version: FORMAT_VERSION,
+        experiment: None,
+        model: e.key.to_string(),
+        kind: CheckKind::Opacity,
+        seed: None,
+        max_steps: 4_000,
+        fingerprint: cx.trace.cache_key(),
+        violating: true,
+        class: None,
+        decisions: cx.decisions,
+    };
+    let out = replay_on(&log, &p, &SkipWriteTm, e, CheckKind::Opacity);
+    assert_eq!(out.divergence, None);
+    assert_eq!(out.fingerprint, cx.trace.cache_key());
+    assert!(out.matches && out.violating);
 }

@@ -19,7 +19,8 @@ fn main() {
         .sweep(Schedules::Random(SweepSeeds::new(0, 4_000)), 8_000)
         .run()
         .violation
-        .expect("Theorem 1 guarantees a violating schedule exists");
+        .expect("Theorem 1 guarantees a violating schedule exists")
+        .trace;
 
     println!("violating trace ({} instructions):", trace.instrs().len());
     for ii in trace.instrs() {

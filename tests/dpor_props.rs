@@ -408,7 +408,7 @@ fn dpor_checker_agrees_with_enumerative_checker() {
                 slow.is_empty(),
                 "{name}/{kind:?}: DPOR verdict diverges from enumeration"
             );
-            let witness = fast.violation.as_ref().map(|t| t.cache_key());
+            let witness = fast.violation.as_ref().map(|c| c.trace.cache_key());
             assert!(
                 witness.is_none_or(|k| slow.contains(&k)),
                 "{name}/{kind:?}: witness is not a violating class of the enumeration"
@@ -453,7 +453,7 @@ fn worker_count_preserves_verdict_and_witness() {
             outcomes.push((
                 threads,
                 v.ok,
-                v.violation.as_ref().map(|t| t.cache_key()),
+                v.violation.as_ref().map(|c| c.trace.cache_key()),
                 v.stats.dpor_classes,
             ));
         }

@@ -4,9 +4,11 @@
 //! counterexample matches, so a drift in the edges either explainer
 //! builds — the masked view pairs of `jungle_mc::explain` or the greedy
 //! placement of `jungle_core::explain` — would pass them. This test
-//! folds the whole [`Explanation::render`] text of the four Theorem 1
-//! explanations (`thm1_suite`, the same seeds and step bound as
-//! `report --explain`) into one FNV digest. `EXPLANATIONS_DIGEST` was
+//! folds the whole rendered text of the four Theorem 1 explanations
+//! into one FNV digest: each explains the counterexample of the
+//! experiment's own sweep (`thm1_suite`, the same seeds and step bound
+//! as the theorem phase whose counterexamples `report --explain`
+//! narrates). `EXPLANATIONS_DIGEST` was
 //! captured at the commit that introduced this test, before the
 //! checkers' per-viewer view layer was removed (e248245), which printed:
 //!
@@ -15,7 +17,7 @@
 //! ```
 
 use jungle::core::fingerprint::Fnv1a;
-use jungle::mc::explain::explain_experiment;
+use jungle::mc::explain::explain_trace;
 use jungle::mc::theorems::thm1_suite;
 use jungle::mc::verify::SweepSeeds;
 
@@ -26,8 +28,11 @@ fn theorem1_explanations_render_the_parent_text() {
     let mut digest = Fnv1a::new();
     let mut bytes = 0;
     for e in thm1_suite() {
-        let ex = explain_experiment(&e, SweepSeeds::new(0, 2_000), 8_000)
+        let cx = e
+            .run(SweepSeeds::new(0, 2_000), 8_000)
+            .violation
             .unwrap_or_else(|| panic!("{}: no violating trace", e.id));
+        let ex = explain_trace(&cx.trace, e.entry.model, e.kind).unwrap();
         let text = ex.render();
         println!("── {} ──\n{text}", e.id);
         digest.word(text.len() as u64);

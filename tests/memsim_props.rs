@@ -13,8 +13,8 @@ use jungle::mc::program::{Program, Stmt, ThreadProg, TxOp};
 use jungle::mc::{explore_dpor, machine_for, GlobalLockTm, VersionedTm};
 use jungle::memsim::process::{FnProcess, PInstr, Process, ScriptProcess, Step};
 use jungle::memsim::{
-    explore, Action, AddrSet, BurstyScheduler, Footprint, HwModel, Machine, RandomScheduler,
-    RecordingScheduler, RunResult, Scheduler,
+    explore, Action, AddrSet, BurstyScheduler, ChoicePoint, Footprint, HwModel, Machine,
+    RandomScheduler, RunResult, Scheduler,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -362,18 +362,14 @@ fn bursty_choices_are_unchanged() {
         )
     };
     for seed in 0..64 {
-        let mut fast = BurstyScheduler::new(seed);
-        let mut rec = RecordingScheduler::new(&mut fast);
-        machine().run(&mut rec, 1_000);
-        let got = rec.into_log();
+        let got = machine().run(&mut BurstyScheduler::new(seed), 1_000);
         let mut slow = BurstyReference {
             rng: StdRng::seed_from_u64(seed),
             target: 0,
             remaining: 0,
         };
-        let mut rec = RecordingScheduler::new(&mut slow);
-        machine().run(&mut rec, 1_000);
-        assert_eq!(got, rec.into_log(), "seed {seed}");
+        let want = machine().run(&mut slow, 1_000);
+        assert_eq!(got.decisions, want.decisions, "seed {seed}");
     }
 }
 
@@ -386,6 +382,7 @@ struct Record {
     final_mem: Vec<(Addr, Val)>,
     footprints: Vec<Footprint>,
     observed: Vec<Footprint>,
+    decisions: Vec<ChoicePoint>,
     steps: usize,
     completed: bool,
     aborted: bool,
@@ -417,6 +414,7 @@ impl Probe {
             final_mem: r.final_mem(),
             footprints: r.footprints.clone(),
             observed: self.observed,
+            decisions: r.decisions.clone(),
             steps: r.steps,
             completed: r.completed,
             aborted: r.aborted,
@@ -464,7 +462,7 @@ fn resume_witness() -> Box<dyn Process> {
 /// A run on a machine reset from its root (`Machine::run_from`) equals
 /// a run on a freshly built machine, on every registry entry: trace,
 /// class key, final memory, footprints (recorded and shown to the
-/// scheduler), steps and counters. Each seed first runs the reused
+/// scheduler), logged decisions, steps and counters. Each seed first runs the reused
 /// machine into the step bound and then cuts a run short through
 /// `abort_run`, so a store buffer, a coherence floor, an operation
 /// counter, the observed-footprint count or a counter that survived
@@ -514,6 +512,12 @@ fn a_reset_machine_runs_like_a_fresh_one() {
                     assert_eq!(again, fresh, "{} seed {seed}", e.key);
                     assert_eq!((fresh.completed, fresh.aborted), ends);
                     assert_eq!(fresh.observed, fresh.footprints);
+                    // One decision per footprint, and one more for the
+                    // choice an aborted run never executed.
+                    assert_eq!(
+                        fresh.decisions.len(),
+                        fresh.footprints.len() + usize::from(fresh.aborted)
+                    );
                 }
             }
         }
