@@ -20,10 +20,12 @@
 //! Further flags:
 //!
 //! * `--trace <out.json>` — install the flight recorder for the whole
-//!   run and export a Chrome-trace-event file loadable in Perfetto; it
-//!   adds no work to the run. Adds the `flight/complete` row: no event
+//!   run, every layer, and export a Chrome-trace-event file loadable in
+//!   Perfetto (the phases and checks under their span names); it adds
+//!   no work to the run. Adds the `flight/complete` row: no event
 //!   dropped, and every span layer the flags drove recorded a span (the
-//!   checker always, `stm` with `--monitor`, `sat` with `--sat`).
+//!   phases and the checker always, `stm` with `--monitor`, `sat` with
+//!   `--sat`).
 //! * `--explain [id]` — print the explainer narrative (timeline,
 //!   irreconcilable pair, class) of the counterexample each Theorem 1
 //!   sweep found above (or just that of the experiment named by `id`).
@@ -40,12 +42,14 @@
 //!   stream with the tiered (triage → escalate) pipeline. Prints the
 //!   per-STM ingest/triage/escalation counts and adds a `monitor`
 //!   section to `--json` output.
-//! * `--profile` — install the hierarchical phase profiler for the
-//!   whole run and emit a `profile` section: the phase tree with calls
-//!   and self/total time per phase, and the run-wide DPOR race-pair
-//!   heat table beside the blocked-run count. Apart from the ledger
-//!   entry's `wall_ms`, the phase tree is the only time the report
-//!   reads.
+//! * `--profile` — emit a `profile` section: the phase tree with calls
+//!   and self/total time per phase, folded from the flight recorder's
+//!   named spans, and the run-wide DPOR race-pair heat table beside the
+//!   blocked-run count. Without `--trace` the recorder records only the
+//!   phase, checker and SAT layers; either way the run adds the
+//!   `flight/complete` row, which a fold over a recorder that dropped
+//!   an event fails. Apart from the ledger entry's `wall_ms`, the phase
+//!   tree is the only time the report reads.
 //! * `--sat` — cross-validate the CDCL serialization-order backend
 //!   against the DFS checkers on the full litmus corpus (every registry
 //!   entry, both check kinds; every SAT positive re-certified through
@@ -83,10 +87,10 @@ use jungle_mc::theorems::{
 use jungle_mc::{Counterexample, SharedVerdictMemo, SweepSeeds};
 use jungle_monitor::{Monitor, MonitorConfig};
 use jungle_obs::ledger::{self, LedgerEntry};
-use jungle_obs::trace::{self as flight, FlightRecorder};
+use jungle_obs::trace::{self as flight, FlightRecorder, Span, CATEGORIES};
 use jungle_obs::{
-    profile, Backpressure, DporStats, Json, McStats, MetricsSnapshot, MonitorStats, Profiler,
-    SatStats, ToJson,
+    profile, Backpressure, DporStats, Json, McStats, MetricsSnapshot, MonitorStats, SatStats,
+    ToJson,
 };
 use jungle_replay::{log_of, replay, shrink, ScheduleLog};
 use jungle_stm::StmTap;
@@ -126,8 +130,8 @@ struct Args {
     /// `--explain <id>`: narrate only this bundled experiment.
     explain_id: Option<String>,
     monitor: bool,
-    /// `--profile`: install the phase profiler and emit the `profile`
-    /// section (phase tree, DPOR race heat).
+    /// `--profile`: fold the flight recorder into the `profile` section
+    /// (phase tree, DPOR race heat).
     profile: bool,
     trace: Option<PathBuf>,
     /// `--record <dir>`: capture + shrink Theorem 1 schedule logs.
@@ -357,17 +361,26 @@ fn monitor_sweep(text: &mut String, rows: &mut Vec<Row>) -> (Vec<Json>, MonitorS
     let mut total = MonitorStats::default();
     let mut entries = Vec::new();
     for tm in jungle_stm::all_stms(64) {
+        // Its own phase, which the consumer's escalations and the
+        // traffic threads nest under.
+        let span = Span::from_name(&format!("monitor.{}", tm.name()));
+        let _phase = profile::enter(span.expect("every monitored STM has a declared span"));
+        let from = profile::spawn_point();
         let tap = Arc::new(StmTap::new(1 << 14, Backpressure::Block));
         let mut mon = Monitor::new(MonitorConfig::new().window(WINDOW)).with_memo(memo.clone());
         let consumer = {
             let tap = tap.clone();
-            std::thread::spawn(move || mon.run(&tap))
+            std::thread::spawn(move || {
+                let _path = profile::inherit(from);
+                mon.run(&tap)
+            })
         };
         let tm_ref: &dyn jungle_stm::TmAlgo = tm.as_ref();
         std::thread::scope(|s| {
             for t in 0..THREADS {
                 let tap = tap.clone();
                 s.spawn(move || {
+                    let _path = profile::inherit(from);
                     let mut cx = Ctx::new(ProcId(t), None).with_tap(tap);
                     for _ in 0..TXNS {
                         atomically(tm_ref, &mut cx, |tx| {
@@ -600,22 +613,19 @@ fn main() {
     let record_targets = args.record.is_some().then(|| targets(&args.record_id));
     let t_start = std::time::Instant::now();
 
-    let recorder = args.trace.as_ref().map(|_| {
-        // A bigger ring than the default: with `--monitor` the run
-        // records about 545k events, almost all of them the monitored
-        // STMs' transaction spans, one traffic thread (≈ 22k events)
-        // per shard. The fullest shard, such a thread plus a sweep
-        // worker that shares its shard, holds about 30k; 2^16 leaves
-        // twice that (the `flight/complete` row fails a trace that
-        // dropped any).
-        let r = Arc::new(FlightRecorder::with_capacity(1 << 16));
-        flight::install(r.clone());
+    // One recorder for both flags: `--trace` records every layer, and
+    // `--profile` alone the layers whose spans the fold reads or the
+    // run drives beside them (phases, checks, SAT solves), which keeps
+    // the monitored STMs' transaction spans out of a profile.
+    let layers: &[&str] = if args.trace.is_some() {
+        &CATEGORIES
+    } else {
+        &["phase", "checker", "sat"]
+    };
+    let recorder = (args.trace.is_some() || args.profile).then(|| {
+        let r = Arc::new(FlightRecorder::new());
+        flight::install(r.clone(), layers);
         r
-    });
-    let profiler = args.profile.then(|| {
-        let p = Arc::new(Profiler::new());
-        profile::install(p.clone());
-        p
     });
 
     // The human tables, built on every run and printed at the end unless
@@ -630,7 +640,7 @@ fn main() {
     let mut waste_total = DporStats::default();
 
     // ── Figures 1–2: litmus verdict tables ────────────────────────
-    let phase_figures = profile::enter("report.figures");
+    let phase_figures = profile::enter(Span::ReportFigures);
     text.push_str("════ Figures 1–2: litmus verdicts per memory model ════\n\n");
     for litmus in all_litmus() {
         writeln!(text, "{} — {}", litmus.name, litmus.question).unwrap();
@@ -727,7 +737,7 @@ fn main() {
         ),
     }
     let cfg = ParallelConfig::default();
-    let phase_theorems = profile::enter("report.theorems");
+    let phase_theorems = profile::enter(Span::ReportTheorems);
     text.push_str("════ Lemma 1 & Theorems (simulator experiments) ════\n\n");
     // The exhaustive experiments' exploration counters, kept for the
     // DPOR table below, and every experiment's counterexample, kept for
@@ -773,7 +783,7 @@ fn main() {
     // row holds the run to its own accounting only (the explorer and
     // the judge must also agree on the complete-run count). The phase
     // times this table; the sweeps ran under `report.theorems`.
-    let phase_dpor = profile::enter("report.dpor");
+    let phase_dpor = profile::enter(Span::ReportDpor);
     let mut dpor_entries: Vec<Json> = Vec::new();
     text.push_str("\n════ DPOR reduction: the exhaustive sweeps above, runs vs classes ════\n\n");
     writeln!(
@@ -830,7 +840,7 @@ fn main() {
         write!(text, "{:>9}", e.key).unwrap();
     }
     text.push('\n');
-    let phase_zoo = profile::enter("report.zoo");
+    let phase_zoo = profile::enter(Span::ReportZoo);
     let zoo = matched_zoo(SweepSeeds::new(0, 30), 8_000, &cfg, &memo);
     {
         let mut last_algo = "";
@@ -898,7 +908,7 @@ fn main() {
     // ── Counterexample explanations (--explain) ───────────────────
     let mut explanations: Vec<Json> = Vec::new();
     if let Some(ids) = &explain_targets {
-        let _phase = profile::enter("report.explain");
+        let _phase = profile::enter(Span::ReportExplain);
         text.push_str("\n════ Theorem 1 counterexamples, explained ════\n\n");
         for id in ids {
             let case = &cases[id];
@@ -932,7 +942,7 @@ fn main() {
     // ── Schedule logs → shrink → replay (--record) ────────────────
     let mut replay_section: Option<Json> = None;
     if let Some(dir) = &args.record {
-        let _phase = profile::enter("report.record");
+        let _phase = profile::enter(Span::ReportRecord);
         let mut shrink_rounds_total = 0u64;
         text.push_str("\n════ Recorded schedules: capture → shrink → replay ════\n\n");
         let mut log_entries: Vec<Json> = Vec::new();
@@ -1025,7 +1035,7 @@ fn main() {
     let mut monitor_entries: Vec<Json> = Vec::new();
     let mut monitor_total: Option<MonitorStats> = None;
     if args.monitor {
-        let _phase = profile::enter("report.monitor");
+        let _phase = profile::enter(Span::ReportMonitor);
         let (entries, total) = monitor_sweep(&mut text, &mut rows);
         metrics.record_monitor(&total);
         monitor_entries = entries;
@@ -1035,7 +1045,7 @@ fn main() {
     // ── SAT backend cross-validation + crossover (--sat) ──────────
     let mut sat_section: Option<Json> = None;
     if args.sat {
-        let _phase = profile::enter("report.sat");
+        let _phase = profile::enter(Span::ReportSat);
         let (sec, total) = sat_sweep(&mut text, &mut rows);
         metrics.record_sat(&total);
         sat_section = Some(sec);
@@ -1075,54 +1085,70 @@ fn main() {
         );
     }
 
-    // ── Flight-recorder export ────────────────────────────────────
-    if let (Some(rec), Some(path)) = (&recorder, &args.trace) {
-        flight::uninstall();
-        // The checker always runs; the real STMs only under `--monitor`
-        // and the SAT backend only under `--sat`.
-        let mut idle = Vec::new();
-        if !args.monitor {
-            idle.push("stm");
-        }
-        if !args.sat {
-            idle.push("sat");
-        }
+    // ── Flight recording: completeness, export, profile ───────────
+    // Every worker and monitor thread has been joined above, so the
+    // rings hold the whole run.
+    flight::uninstall();
+    let mut folded = None;
+    if let Some(rec) = &recorder {
+        // The checker and the phases always run; the real STMs only
+        // under `--monitor` and the SAT backend only under `--sat`, and
+        // neither records unless its layer was installed.
+        let idle: Vec<&str> = CATEGORIES
+            .into_iter()
+            .filter(|cat| {
+                !layers.contains(cat)
+                    || (*cat == "stm" && !args.monitor)
+                    || (*cat == "sat" && !args.sat)
+            })
+            .collect();
+        let phases = args.profile.then(|| profile::fold(rec));
+        let fold_error = match &phases {
+            Some(Err(e)) => format!(", profile: {e}"),
+            _ => String::new(),
+        };
         rows.push(Row {
             section: "flight",
             id: "flight/complete".into(),
             expected: "0 events dropped, every driven span layer recorded",
-            observed: format!("{} recorded, {} dropped", rec.recorded(), rec.dropped()),
-            pass: jungle_bench::flight_complete(rec, &idle),
+            observed: format!(
+                "{} recorded, {} dropped{fold_error}",
+                rec.recorded(),
+                rec.dropped()
+            ),
+            pass: jungle_bench::flight_complete(rec, &idle) && fold_error.is_empty(),
         });
-        let trace_json = rec.chrome_trace();
-        if let Err(e) = std::fs::write(path, format!("{trace_json}\n")) {
-            eprintln!("could not write trace to {}: {e}", path.display());
-            std::process::exit(1);
+        folded = phases.and_then(Result::ok);
+        if let Some(path) = &args.trace {
+            let trace_json = rec.chrome_trace();
+            if let Err(e) = std::fs::write(path, format!("{trace_json}\n")) {
+                eprintln!("could not write trace to {}: {e}", path.display());
+                std::process::exit(1);
+            }
+            writeln!(
+                text,
+                "\nflight recording: {} events ({} dropped) -> {}",
+                rec.recorded(),
+                rec.dropped(),
+                path.display()
+            )
+            .unwrap();
         }
-        writeln!(
-            text,
-            "\nflight recording: {} events ({} dropped) -> {}",
-            rec.recorded(),
-            rec.dropped(),
-            path.display()
-        )
-        .unwrap();
     }
 
-    // ── Phase-profile snapshot (--profile) ────────────────────────
-    let profile_section = profiler.as_ref().map(|p| {
-        // Every worker and monitor thread has exited (scoped spawns and
-        // explicit joins above), flushing its thread-local aggregation;
-        // only the main thread's remains.
-        profile::flush_thread();
-        profile::uninstall();
-        let phases = p.snapshot();
+    // ── Phase profile (--profile) ─────────────────────────────────
+    let profile_section = args.profile.then(|| {
         let mut sec = Json::obj();
-        sec.push("phases", phases.to_json())
-            .push("dpor", waste_total.to_json())
-            .push("dpor_blocked", mc.dpor_blocked.into());
+        sec.push(
+            "phases",
+            folded.as_ref().map_or(Json::Null, |p| p.to_json()),
+        )
+        .push("dpor", waste_total.to_json())
+        .push("dpor_blocked", mc.dpor_blocked.into());
         text.push_str("\n════ Exploration profile ════\n\n");
-        write!(text, "{}", phases.render()).unwrap();
+        if let Some(phases) = &folded {
+            write!(text, "{}", phases.render()).unwrap();
+        }
         writeln!(
             text,
             "\n  dpor: {} race pairs, {} blocked runs",
@@ -1180,18 +1206,7 @@ fn main() {
         out.push("profile", sec);
     }
     if let Some(rec) = &recorder {
-        let mut fj = Json::obj();
-        fj.push("recorded", rec.recorded().into())
-            .push("dropped", rec.dropped().into());
-        let mut cats = Json::obj();
-        for (name, recorded, dropped) in rec.by_category() {
-            let mut c = Json::obj();
-            c.push("recorded", recorded.into())
-                .push("dropped", dropped.into());
-            cats.push(name, c);
-        }
-        fj.push("categories", cats);
-        out.push("flight", fj);
+        out.push("flight", rec.summary());
     }
 
     // The run's one output: the document or the tables, both complete.

@@ -89,10 +89,11 @@ pub fn monitor_ok(s: &MonitorStats, min_ops: u64) -> bool {
 }
 
 /// A flight recording is complete when the ring never wrapped and every
-/// span layer (a category with a `Begin` kind: `checker`, `stm`, `sat`)
-/// recorded something, except those in `idle` — the layers the run's
-/// flags left undriven. The other categories hold only verdicts and
-/// rare instants, which a passing run may never emit.
+/// span layer (a category with a `Begin` kind: `checker`, `stm`, `sat`,
+/// `phase`) recorded something, except those in `idle` — the layers the
+/// run's flags left undriven or the recorder was not installed for. The
+/// other categories hold only verdicts and rare instants, which a
+/// passing run may never emit.
 pub fn flight_complete(rec: &FlightRecorder, idle: &[&str]) -> bool {
     let spans = |cat: &str| {
         EventKind::ALL
@@ -192,6 +193,8 @@ mod tests {
             EventKind::TxnCommit,
             EventKind::SatSolveBegin,
             EventKind::SatSolveEnd,
+            EventKind::PhaseBegin,
+            EventKind::PhaseEnd,
         ];
         let rec = FlightRecorder::new();
         for kind in spans {
@@ -200,14 +203,23 @@ mod tests {
         // The instant-only layers (mc, memsim, replay, monitor) stayed
         // silent: a run with no violation emits none of their events.
         assert!(flight_complete(&rec, &[]));
-        // A run without `--monitor` and `--sat` drives only the checker.
+        // A run without `--monitor` and `--sat` drives only the checker
+        // and the phases.
         let checker = FlightRecorder::new();
-        checker.record(EventKind::SearchBegin, 0, 0);
-        checker.record(EventKind::SearchEnd, 0, 0);
+        for kind in spans[..2].iter().chain(&spans[6..]) {
+            checker.record(*kind, 0, 0);
+        }
         assert!(flight_complete(&checker, &["stm", "sat"]));
         assert!(!flight_complete(&checker, &["sat"]), "stm layer silent");
         assert!(!flight_complete(&checker, &["stm"]), "sat layer silent");
         assert!(!flight_complete(&FlightRecorder::new(), &["stm", "sat"]));
+        let unphased = FlightRecorder::new();
+        unphased.record(EventKind::SearchBegin, 0, 0);
+        assert!(
+            !flight_complete(&unphased, &["stm", "sat"]),
+            "phase layer silent"
+        );
+        assert!(flight_complete(&unphased, &["stm", "sat", "phase"]));
         // The smallest ring (8 slots) wraps on the ninth event.
         let rec = FlightRecorder::with_capacity(8);
         for kind in spans.iter().cycle().take(9) {

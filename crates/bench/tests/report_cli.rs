@@ -5,8 +5,8 @@
 //! that the documents state what it prints and the flags it takes.
 
 use jungle_mc::SharedVerdictMemo;
-use jungle_obs::{Json, LedgerEntry, MonitorStats};
-use std::collections::{BTreeSet, HashMap, HashSet};
+use jungle_obs::{Json, LedgerEntry, MonitorStats, Span};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -133,7 +133,10 @@ fn ns_keys<'a>(doc: &'a Json, out: &mut Vec<&'a str>) {
 /// phase tree holds one `report.*` child with its `total_ns` per phase
 /// the benchmark's traced `report_cold` reads, and nothing else at its
 /// root (`--explain` and `--record` explain, shrink and replay under
-/// phases of their own, and sweep nothing), the ledger entry carries
+/// phases of their own, and sweep nothing), `report.monitor` one child
+/// per monitored STM, the recorder behind the profile kept the STMs'
+/// transaction spans out and says so in a passing `flight/complete`
+/// row, the ledger entry carries
 /// the run's wall time, `metrics` holds exactly its four blocks, and
 /// the run-wide race heat adds up to the sweeps' own race count. No
 /// timer below the phase tree: a phase node has calls and times and no
@@ -176,6 +179,38 @@ fn profiled_run_has_the_shape_the_benchmark_reads() {
         let name = node.get("name").and_then(Json::as_str).unwrap();
         assert!(name.starts_with("report."), "{name} at the root");
     }
+    // One phase per monitored STM, which its consumer's escalations
+    // (and its traffic threads) nest under.
+    let monitor = phases
+        .iter()
+        .find(|c| c.get("name").and_then(Json::as_str) == Some("report.monitor"))
+        .unwrap();
+    let stms: Vec<String> = jungle_stm::all_stms(1)
+        .iter()
+        .map(|tm| format!("monitor.{}", tm.name()))
+        .collect();
+    let children = arr(monitor, "children");
+    let names: Vec<&str> = children
+        .iter()
+        .map(|c| c.get("name").and_then(Json::as_str).unwrap())
+        .collect();
+    assert_eq!(names, stms);
+    assert!(children.iter().all(|c| num(c, "calls") == 1), "{monitor}");
+    // A profile records no transaction spans, and still vouches that
+    // its recorder dropped nothing.
+    let flight = doc.get("flight").expect("flight section");
+    assert_eq!(
+        num(
+            flight.get("categories").unwrap().get("stm").unwrap(),
+            "recorded"
+        ),
+        0
+    );
+    let row = arr(&doc, "rows")
+        .iter()
+        .find(|r| r.get("id").and_then(Json::as_str) == Some("flight/complete"))
+        .expect("a profiled run prints the flight/complete row");
+    assert!(matches!(row.get("pass"), Some(Json::Bool(true))), "{row}");
     num(doc.get("ledger_entry").expect("ledger entry"), "wall_ms");
 
     let metrics = doc.get("metrics").expect("metrics");
@@ -285,6 +320,72 @@ fn traced_run_exports_a_complete_balanced_trace() {
     // Theorem 1 sweeps and their replays.
     for layer in ["checker", "mc", "replay", "sat", "stm"] {
         assert!(cats.contains(layer), "no {layer} event in {cats:?}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Every path of the tree, with its calls.
+fn profile_paths(node: &Json, prefix: &mut Vec<String>, out: &mut BTreeMap<Vec<String>, u64>) {
+    for child in arr(node, "children") {
+        prefix.push(child.get("name").and_then(Json::as_str).unwrap().into());
+        out.insert(prefix.clone(), num(child, "calls"));
+        profile_paths(child, prefix, out);
+        prefix.pop();
+    }
+}
+
+/// The profile is a fold of the trace: each path of `profile.phases`
+/// counts as many calls as the exported file holds begins of a named
+/// span at that path, a path being the names a thread has open (an
+/// `inherit` begin opens the names its spawner had open at the matching
+/// `spawn` instant).
+#[test]
+fn the_profile_and_the_trace_are_one_source() {
+    let dir = scratch("one-source");
+    let trace = dir.join("trace.json");
+    let out = report(
+        &dir,
+        &[
+            "--json",
+            "--monitor",
+            "--sat",
+            "--profile",
+            "--trace",
+            trace.to_str().unwrap(),
+        ],
+    );
+    assert!(out.status.success(), "exit {:?}", out.status);
+    let doc = Json::parse(&String::from_utf8(out.stdout).unwrap()).unwrap();
+    let mut profiled = BTreeMap::new();
+    let phases = doc.get("profile").and_then(|p| p.get("phases")).unwrap();
+    profile_paths(phases, &mut Vec::new(), &mut profiled);
+
+    let file = Json::parse(&std::fs::read_to_string(&trace).unwrap()).unwrap();
+    let mut traced: BTreeMap<Vec<String>, u64> = BTreeMap::new();
+    let mut frames: HashMap<u64, Vec<Vec<String>>> = HashMap::new();
+    let mut spawns: HashMap<u64, Vec<String>> = HashMap::new();
+    for ev in arr(&file, "traceEvents") {
+        let name = ev.get("name").and_then(Json::as_str).unwrap();
+        let a = num(ev.get("args").unwrap(), "a");
+        let open = frames.entry(num(ev, "tid")).or_default();
+        let path = open.concat();
+        match ev.get("ph").and_then(Json::as_str).unwrap() {
+            "B" if name == "inherit" => open.push(spawns[&a].clone()),
+            "B" if Span::from_name(name).is_some() => {
+                *traced
+                    .entry([path, vec![name.into()]].concat())
+                    .or_default() += 1;
+                open.push(vec![name.into()]);
+            }
+            "B" => open.push(Vec::new()),
+            "E" => _ = open.pop(),
+            _ if name == "spawn" => _ = spawns.insert(a, path),
+            _ => {}
+        }
+    }
+    assert_eq!(traced, profiled);
+    for phase in ["report.figures", "report.theorems", "report.monitor"] {
+        assert!(traced.contains_key(&vec![phase.to_string()]), "{phase}");
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }

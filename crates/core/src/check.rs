@@ -46,8 +46,8 @@ use crate::linearize::{linearize, union, Graph, LeafMemo, Legality, DEAD_END_CAP
 use crate::model::MemoryModel;
 use crate::par::{search_orders_par, Cancel};
 use crate::saturate::{saturate, Reach};
-use jungle_obs::trace::{self, EventKind};
-use jungle_obs::{profile, SatStats, SearchStats};
+use jungle_obs::trace::{self, EventKind, Span};
+use jungle_obs::{SatStats, SearchStats};
 
 /// Which correctness property to check.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -181,7 +181,8 @@ impl Check {
     }
 
     /// The single dispatch on the backend, with the bookkeeping every
-    /// search shares: profiler phase, flight events, the unit count,
+    /// search shares: its one flight span (named by the property, so the
+    /// phase profile counts it), the unit count,
     /// and [`saturate`](crate::saturate) before either backend.
     /// `workers` above 1 splits the DFS backend over a prefix list
     /// ([`par`](crate::par)); only
@@ -193,9 +194,8 @@ impl Check {
         workers: usize,
         stats: &mut CheckStats,
     ) -> Option<Found> {
-        let _phase = profile::enter(s.phase);
         let units = s.graph.len();
-        trace::emit(EventKind::SearchBegin, units as u64, workers as u64);
+        trace::emit_named(EventKind::SearchBegin, s.span, units as u64, workers as u64);
         stats.search.units = units as u64;
         let found = match saturate(&s, self.kind) {
             Err(_) => {
@@ -223,8 +223,9 @@ impl Check {
                 }
             }
         };
-        trace::emit(
+        trace::emit_named(
             EventKind::SearchEnd,
+            s.span,
             stats.search.nodes,
             found.is_some() as u64,
         );
@@ -256,8 +257,8 @@ pub(crate) struct Search<'a, L> {
     pub(crate) order: Option<Reach>,
     /// The legality state of the empty sequence.
     pub(crate) init: L,
-    /// Profiler phase name.
-    pub(crate) phase: &'static str,
+    /// The name of the check's flight span.
+    pub(crate) span: Span,
 }
 
 impl<L: Legality> Search<'_, L> {

@@ -49,7 +49,7 @@ use crate::legal::PrefixChecker;
 use crate::linearize::{edge_set, union, view_pairs, Graph};
 use crate::model::MemoryModel;
 use crate::par::ParallelConfig;
-use jungle_obs::SearchStats;
+use jungle_obs::{SearchStats, Span};
 
 /// The verdict of a parametrized-opacity check.
 pub type OpacityVerdict = CheckVerdict;
@@ -98,7 +98,7 @@ impl<'a> Search<'a, PrefixChecker> {
             order: None,
             graph,
             init: PrefixChecker::new(),
-            phase: "check.opacity",
+            span: Span::CheckOpacity,
         }
     }
 }

@@ -63,6 +63,7 @@ use crate::history::History;
 use crate::legal::CsChecker;
 use crate::linearize::{edge_set, view_pairs, Graph};
 use crate::model::MemoryModel;
+use jungle_obs::Span;
 
 /// The verdict of an SGLA check.
 pub(crate) type SglaVerdict = CheckVerdict;
@@ -102,7 +103,7 @@ impl<'a> Search<'a, CsChecker> {
             fixed: Vec::new(),
             order: None,
             init: CsChecker::new(),
-            phase: "check.sgla",
+            span: Span::CheckSgla,
         };
         // The global lock is acquired in an order consistent with
         // program and real-time order. These belong to the constraint

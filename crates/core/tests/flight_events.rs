@@ -1,8 +1,10 @@
 //! Every check is visible to the flight recorder as one span: a
 //! `SearchBegin` / `SearchEnd` pair per [`Check::run`], for both kinds,
-//! and per [`check_opacity_par`] split over workers. What the search
-//! did inside the span is counted by `SearchStats`, not narrated: no
-//! event fires per node.
+//! and per [`check_opacity_par`] split over workers, named by its kind
+//! (`check.opacity`, `check.sgla`) — the only named span a check
+//! records, and so the one the phase profile folds. What the search did
+//! inside the span is counted by `SearchStats`, not narrated: no event
+//! fires per node.
 //!
 //! The recorder is process-global, so this file holds a single test.
 
@@ -12,7 +14,7 @@ use jungle_core::ids::{ProcId, X, Y};
 use jungle_core::model::Sc;
 use jungle_core::opacity::check_opacity_par;
 use jungle_core::par::ParallelConfig;
-use jungle_obs::trace::{self, EventKind, FlightRecorder, Phase};
+use jungle_obs::trace::{self, EventKind, FlightRecorder, Phase, Span, CATEGORIES};
 use std::sync::Arc;
 
 #[test]
@@ -44,7 +46,7 @@ fn every_check_brackets_its_search_with_begin_and_end() {
         let check = Check::new(kind);
         let (_, stats) = check.run(&h, &Sc);
         let recorder = Arc::new(FlightRecorder::with_capacity(1 << 10));
-        trace::install(recorder.clone());
+        trace::install(recorder.clone(), &CATEGORIES);
         let verdict = match threads {
             0 => check.run(&h, &Sc).0,
             _ => {
@@ -63,6 +65,18 @@ fn every_check_brackets_its_search_with_begin_and_end() {
         let (begin, end) = (of(EventKind::SearchBegin), of(EventKind::SearchEnd));
         let ctx = format!("{kind:?}, {threads} workers");
         assert_eq!((begin.len(), end.len()), (1, 1), "{ctx}");
+        // Exactly one named pair: the search span, named by its kind.
+        let span = match kind {
+            CheckKind::Opacity => Span::CheckOpacity,
+            CheckKind::Sgla => Span::CheckSgla,
+        };
+        let named: Vec<_> = events.iter().filter_map(|e| e.span).collect();
+        assert_eq!(named, [span, span], "{ctx}");
+        assert_eq!(
+            (begin[0].span, end[0].span),
+            (Some(span), Some(span)),
+            "{ctx}"
+        );
         // SearchBegin: units, workers. SearchEnd: nodes, satisfied.
         assert_eq!(
             (begin[0].a, begin[0].b),

@@ -664,13 +664,13 @@ impl<'a> Sweep<'a> {
         }
         let mut verdict = Verdict::passing(self.entry);
         verdict.stats.workers = threads as u64;
-        let path = &profile::path();
+        let from = profile::spawn_point();
         std::thread::scope(|s| {
             let stripe = &stripe;
             let handles: Vec<_> = (0..threads)
                 .map(|t| {
                     s.spawn(move || {
-                        let _path = profile::inherit(path);
+                        let _path = profile::inherit(from);
                         stripe(t)
                     })
                 })

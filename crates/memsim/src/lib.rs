@@ -8,7 +8,7 @@
 //! markers) under a pluggable **hardware** memory model.
 //!
 //! The hardware model is an execution discipline
-//! ([`ExecSemantics`](jungle_core::registry::ExecSemantics), aliased as
+//! ([`ExecSemantics`], aliased as
 //! [`HwModel`]) drawn from the model registry in `jungle_core`, which
 //! pairs it with the matching checker-side `MemoryModel`. The full
 //! registry zoo is executable:

@@ -4,7 +4,7 @@
 //! and yields its next [`Step`]. Memory instructions are issued as
 //! *intents* ([`PInstr`]) — without result values, which the machine
 //! fills in — while operation markers carry the
-//! [`Op`](jungle_core::op::Op) they delimit (the invocation's `Op` may
+//! [`Op`] they delimit (the invocation's `Op` may
 //! contain placeholder values; it is backpatched when the response
 //! supplies the final one).
 

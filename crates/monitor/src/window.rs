@@ -16,7 +16,7 @@
 //! which the checker — seeing only window `n+1` — could not justify.
 //! The builder therefore tracks the **latest committed value per
 //! variable** (in commit-ticket order, see
-//! [`TapOp::Commit`](jungle_stm::TapOp::Commit)) and prepends each
+//! [`TapOp::Commit`]) and prepends each
 //! window with a synthetic committed *initializer transaction* on the
 //! reserved process [`INIT_PID`] that writes those values. The
 //! initializer precedes every real event of the window in real time,

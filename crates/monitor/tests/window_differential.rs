@@ -552,7 +552,7 @@ fn flight_events_carry_the_sealed_histories_lengths() {
         wb.flush().map(check);
 
         let recorder = std::sync::Arc::new(FlightRecorder::with_capacity(1 << 12));
-        trace::install(recorder.clone());
+        trace::install(recorder.clone(), &["monitor"]);
         let mut mon = Monitor::new(MonitorConfig::new().window(2));
         for &ev in &events {
             mon.ingest(ev);

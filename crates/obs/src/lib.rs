@@ -6,8 +6,8 @@
 //! an exponential search. This crate gives every layer a common,
 //! dependency-free vocabulary for counting that work:
 //!
-//! * [`profile`] — the hierarchical phase profiler: enter/exit guards
-//!   folded into a self/total-time tree, zero-cost when uninstalled.
+//! * [`profile`] — the phase profile: named-span guards, and the fold
+//!   of the flight recorder's named spans into a self/total-time tree.
 //! * [`search::SearchStats`] — per-search counters for the opacity and
 //!   SGLA checkers (nodes, backtracks, prune hits, orders, depth).
 //! * [`sim::MachineStats`] / [`sim::McStats`] — simulator steps,
@@ -15,9 +15,10 @@
 //!   [`sim::DporStats`] — the DPOR explorer's race-pair heat table.
 //! * [`snapshot::MetricsSnapshot`] — the serializable aggregate the
 //!   report binary emits.
-//! * [`trace`] — the flight recorder: per-thread lock-free ring
-//!   buffers of spans and verdicts from every layer, exported as
-//!   Chrome-trace-event JSON.
+//! * [`trace`] — the flight recorder, the one span mechanism:
+//!   per-thread lock-free ring buffers of spans and verdicts from every
+//!   layer, exported as Chrome-trace-event JSON and folded into the
+//!   phase profile.
 //! * [`ledger`] — the persistent run ledger (`.jungle/ledger.jsonl`),
 //!   an append-only log of report runs.
 //! * [`ring::EventRing`] — a bounded MPSC event ring with an explicit
@@ -33,17 +34,17 @@
 //! merge rules → the struct, `absorb`, [`ToJson`], and a `FIELDS`
 //! table such as [`SearchStats::FIELDS`]), the flight events are one
 //! table in [`trace`] (→ [`EventKind`], [`EventKind::ALL`] and the
-//! category list), and the recorder and the profiler share one
-//! install point (the private `sink` module, which with [`ring`] holds
-//! all of this crate's `unsafe`).
+//! category list), the span names another beside it (→ [`Span`]), and
+//! the recorder has one install point (the private `sink` module, which
+//! with [`ring`] holds all of this crate's `unsafe`).
 //!
 //! Collection is **off by default** in the hot paths: the real STMs
 //! count nothing (an operation with no tap attached is the bare
-//! algorithm behind one branch), and profiler phases and
-//! flight-recorder event sites reduce to a single relaxed load unless
-//! [`profile::install`] or [`trace::install`] switched them on. Those
-//! two are the crate's only clock readers: every stats block counts
-//! work, and wall time is the caller's to measure. The build is fully
+//! algorithm behind one branch), and phases and flight-recorder event
+//! sites reduce to a single relaxed load and a branch unless
+//! [`trace::install`] switched their layer on. The recorder is the
+//! crate's only clock reader: every stats block counts work, and wall
+//! time is the caller's to measure. The build is fully
 //! offline, so serialization is a small hand-rolled JSON model
 //! ([`json`]) rather than `serde`.
 
@@ -68,10 +69,10 @@ pub mod trace;
 pub use json::{Json, ToJson};
 pub use ledger::LedgerEntry;
 pub use monitor::MonitorStats;
-pub use profile::{PhaseGuard, ProfileNode, Profiler};
+pub use profile::{ProfileNode, SpanGuard, SpawnPoint};
 pub use ring::{Backpressure, EventRing};
 pub use sat::SatStats;
 pub use search::SearchStats;
 pub use sim::{DporStats, MachineStats, McStats};
 pub use snapshot::MetricsSnapshot;
-pub use trace::{EventKind, FlightRecorder};
+pub use trace::{EventKind, FlightRecorder, Span};

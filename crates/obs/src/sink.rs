@@ -1,75 +1,63 @@
-//! The process-global install point the flight recorder and the phase
-//! profiler share.
-//!
-//! A hot-path hook ([`trace::emit`](crate::trace::emit),
-//! [`profile::enter`](crate::profile::enter)) must cost one relaxed
-//! load when nothing is installed, and must never see a dangling
-//! pointer when something is. [`Installed`] holds the three pieces that
-//! takes — the enabled flag the hook tests, the pointer the slow path
-//! follows, and a keep-alive list that is never drained — and this
-//! crate's one `unsafe` dereference outside [`ring`](crate::ring).
+//! The flight recorder's process-global install point and its zeroed
+//! rings: with [`ring`](crate::ring), all of this crate's `unsafe`.
 
-use std::sync::atomic::{AtomicBool, AtomicPtr, Ordering};
-use std::sync::{Arc, Mutex};
+use crate::trace::{FlightRecorder, Slot};
+use std::sync::atomic::{AtomicPtr, AtomicU32, Ordering};
+use std::sync::Arc;
 
-/// An install-on-demand, process-global `T`. Meant to be a `static`.
-pub(crate) struct Installed<T> {
-    enabled: AtomicBool,
-    current: AtomicPtr<T>,
-    /// Every value ever installed, kept alive for the process lifetime
-    /// so a pointer loaded from `current` can never dangle. Installs
-    /// happen a handful of times per process (report start, tests), so
-    /// the leak is bounded and deliberate.
-    keep: Mutex<Vec<Arc<T>>>,
+/// The installed recorder and the mask of layers it records: a hook
+/// ([`trace::emit`](crate::trace::emit)) tests the mask with one relaxed
+/// load, and only then follows the recorder, which is never freed.
+pub(crate) struct Sink {
+    layers: AtomicU32,
+    current: AtomicPtr<FlightRecorder>,
 }
 
-impl<T> Installed<T> {
-    /// Nothing installed.
+impl Sink {
     pub(crate) const fn new() -> Self {
-        Installed {
-            enabled: AtomicBool::new(false),
+        Sink {
+            layers: AtomicU32::new(0),
             current: AtomicPtr::new(std::ptr::null_mut()),
-            keep: Mutex::new(Vec::new()),
         }
     }
 
-    /// Make `value` the current one and enable the hooks. A previously
-    /// installed value stays alive but is no longer reachable from
-    /// here.
-    pub(crate) fn install(&self, value: Arc<T>) {
-        let raw = Arc::as_ptr(&value).cast_mut();
-        self.keep
-            .lock()
-            .expect("keep-alive list lock poisoned")
-            .push(value);
+    /// Make `recorder` the current one for the `layers` mask. It is
+    /// leaked, so a pointer loaded from `current` never dangles; installs
+    /// happen a handful of times per process.
+    pub(crate) fn install(&self, recorder: Arc<FlightRecorder>, layers: u32) {
+        let raw = Arc::into_raw(recorder).cast_mut();
         self.current.store(raw, Ordering::Release);
-        self.enabled.store(true, Ordering::Release);
+        self.layers.store(layers, Ordering::Release);
     }
 
-    /// Turn the hooks off. The current value stays reachable through
-    /// [`current`](Self::current) until [`clear`](Self::clear).
-    pub(crate) fn disable(&self) {
-        self.enabled.store(false, Ordering::Release);
-    }
-
-    /// Forget the current value (it stays alive in the keep-alive list).
-    pub(crate) fn clear(&self) {
+    /// Record nothing, and forget the current recorder.
+    pub(crate) fn uninstall(&self) {
+        self.layers.store(0, Ordering::Release);
         self.current.store(std::ptr::null_mut(), Ordering::Release);
     }
 
     /// The hooks' test: one relaxed load.
     #[inline]
-    pub(crate) fn enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
+    pub(crate) fn layers(&self) -> u32 {
+        self.layers.load(Ordering::Relaxed)
     }
 
-    /// The current value, if one is installed and not cleared.
-    pub(crate) fn current(&self) -> Option<&T> {
+    /// The current recorder, if one is installed.
+    pub(crate) fn current(&self) -> Option<&FlightRecorder> {
         let p = self.current.load(Ordering::Acquire);
-        // SAFETY: `p` is null or was stored by `install` from an `Arc`
-        // pushed into `keep` first; `keep` is private and never
-        // drained, so the allocation lives as long as the process, and
-        // `T` is only ever handed out by shared reference.
+        // SAFETY: `p` is null or came from `Arc::into_raw` in `install`,
+        // whose strong count is never given back, so the recorder lives
+        // as long as the process and is only handed out shared.
         unsafe { p.as_ref() }
     }
+}
+
+/// `len` empty ring slots, allocated zeroed: a large ring comes from
+/// fresh pages, which cost memory only once an event is written there.
+pub(crate) fn zeroed_slots(len: usize) -> Box<[Slot]> {
+    let slots = Box::<[Slot]>::new_zeroed_slice(len);
+    // SAFETY: a `Slot` is four `AtomicU64`s, which have the in-memory
+    // representation of `u64`, so all-zero bytes are a valid (empty)
+    // `Slot`.
+    unsafe { slots.assume_init() }
 }

@@ -1,45 +1,34 @@
-//! Flight recorder: per-thread lock-free ring buffers of structured
-//! events, exported as Chrome-trace-event JSON (loadable in Perfetto).
+//! Flight recorder, the workspace's one span mechanism: per-thread
+//! lock-free ring buffers of spans (a report phase, a check, a CDCL
+//! solve, an STM transaction attempt), verdicts (a violation, a replay's
+//! divergence) and the few instants no stats field counts, exported as
+//! Chrome-trace-event JSON (loadable in Perfetto) and folded into the
+//! phase profile ([`profile::fold`](crate::profile::fold)). What a
+//! counter counts is not an event: the stats say how many, the spans
+//! around them when and where. A span the profile times is named from
+//! one table, [`Span`].
 //!
-//! A trace holds spans and verdicts: a checker's witness search and a
-//! CDCL solve (begin / end), an executable STM's transaction attempt
-//! (begin / commit / abort), and the verdicts a layer reaches — a
-//! model-checking violation, a monitored window's violation, a
-//! replay's divergence. Beside them it holds the few happenings no
-//! stats field counts: a DFS backtracking out of an exhausted
-//! frontier, a listed prefix dropped after a lower-indexed success, a
-//! load forwarded from the CPU's own store buffer, an STM CAS that
-//! lost its race, and the start of a replay. What a counter already
-//! counts (nodes, prunes, schedules, drains, ingested events, solver
-//! conflicts, …) is not an event: the stats say how many, and the
-//! spans around them say when and where.
-//!
-//! Recording is zero-cost when off: event sites call [`emit`], which
-//! is a single relaxed atomic load returning immediately unless a
-//! [`FlightRecorder`] has been [`install`]ed. No recorder, no work —
-//! not even a timestamp read.
-//!
-//! When a recorder *is* installed, an event is one monotonic clock
-//! read plus four relaxed atomic stores into a fixed ring buffer slot:
-//! no locks, no allocation, wait-free. Each thread writes to its own
-//! shard (chosen by a thread-local id), so writers never contend; a
-//! full ring wraps and overwrites its oldest events, keeping memory
-//! flat and counting the overwritten events in
-//! [`FlightRecorder::dropped`].
+//! [`emit`] is one relaxed load of the installed category mask and a
+//! branch unless a [`FlightRecorder`] is [`install`]ed for the event's
+//! category; then an event is a clock read and four relaxed stores into
+//! the thread's own ring shard: wait-free, no allocation. A full ring
+//! wraps, counting what it overwrites in [`FlightRecorder::dropped`];
+//! the rings are allocated zeroed, so unreached capacity is free.
 
 use crate::json::Json;
-use crate::sink::Installed;
+use crate::sink::{zeroed_slots, Sink};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Number of ring-buffer shards. Threads map to shards by a
-/// process-unique thread id modulo this count, so runs with up to this
-/// many recording threads have fully private shards.
+/// Ring shards: thread `tid` writes to shard `tid % TRACE_SHARDS`.
 const TRACE_SHARDS: usize = 32;
-
-/// Default ring capacity (events) per shard. Must be a power of two.
-const DEFAULT_RING_CAP: usize = 1 << 12;
+/// Slots per shard, a power of two; a `--monitor` trace's fullest shard
+/// holds about 30k events.
+const RING_CAP: usize = 1 << 16;
+/// A slot's `meta` holds the ring code in bits 0–7, the thread id in
+/// 8–39, and from here the span's index in [`Span::ALL`] plus one.
+const SPAN_SHIFT: u32 = 40;
 
 /// Chrome-trace phase of an event kind.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -52,31 +41,25 @@ pub enum Phase {
     Instant,
 }
 
-/// The one declaration of the event taxonomy: per category (one per
-/// instrumented layer), one row per kind — `Variant = ring code,
-/// "chrome-trace name", Phase;` under the variant's doc comment. Derives
-/// [`EventKind`] with [`ALL`](EventKind::ALL), `cat_index`, `name`,
-/// `phase` and `from_u8`, and [`CATEGORIES`] in declaration order.
+/// The one declaration of the event taxonomy: per category (layer), one
+/// `Variant = ring code, "chrome-trace name", Phase;` row per kind.
+/// Derives [`EventKind`] and [`CATEGORIES`].
 macro_rules! events {
     ($(
         $cat:ident {
             $( $(#[$doc:meta])* $kind:ident = $code:literal, $name:literal, $phase:ident; )*
         }
     )*) => {
-        /// The event categories, in `cat_index` order. One per
-        /// instrumented layer of the workspace.
-        const CATEGORIES: [&str; [$(stringify!($cat)),*].len()] = [$(stringify!($cat)),*];
+        /// The event categories (layers) [`install`] takes, in order.
+        pub const CATEGORIES: [&str; [$(stringify!($cat)),*].len()] = [$(stringify!($cat)),*];
 
-        /// Declaration-order index of each category.
         #[allow(non_camel_case_types)]
         enum Category {
             $($cat),*
         }
 
-        /// The event taxonomy, one variant per narrated happening.
-        ///
-        /// Ring codes start at 1 so a zeroed ring slot is recognizably
-        /// empty.
+        /// The event taxonomy, one variant per narrated happening. Ring
+        /// codes are dense from 1, so a zeroed ring slot is empty.
         #[derive(Clone, Copy, PartialEq, Eq, Debug)]
         #[repr(u8)]
         pub enum EventKind {
@@ -88,15 +71,15 @@ macro_rules! events {
             pub const ALL: &'static [EventKind] = &[$($(EventKind::$kind,)*)*];
 
             /// Index of this kind's category into [`CATEGORIES`].
+            #[inline]
             fn cat_index(self) -> usize {
                 match self {
                     $( $(EventKind::$kind)|* => Category::$cat as usize, )*
                 }
             }
 
-            /// Chrome-trace event name. Span pairs share one name so
-            /// Perfetto nests them ("search" for begin/end, "txn" for
-            /// begin/commit/abort).
+            /// Chrome-trace name of an unnamed event; span pairs share one
+            /// ("txn" for begin/commit/abort).
             pub(crate) fn name(self) -> &'static str {
                 match self {
                     $($( EventKind::$kind => $name, )*)*
@@ -109,41 +92,30 @@ macro_rules! events {
                     $($( EventKind::$kind => Phase::$phase, )*)*
                 }
             }
-
-            fn from_u8(v: u8) -> Option<EventKind> {
-                match v {
-                    $($( $code => Some(EventKind::$kind), )*)*
-                    _ => None,
-                }
-            }
         }
     };
 }
 
 events! {
     checker {
-        /// A witness search started (`a` = schedulable units, `b` = the
-        /// workers `check_opacity_par` split it over, 0 for a serial
-        /// search).
+        /// A check's witness search started, named by its kind (`a` =
+        /// schedulable units, `b` = the workers `check_opacity_par` split
+        /// it over, 0 for a serial search).
         SearchBegin = 1, "search", Begin;
         /// The witness search finished (`a` = nodes, `b` = 1 if satisfied).
         SearchEnd = 2, "search", End;
-        /// The DFS exhausted a frontier's candidates and backtracked out
-        /// of it (`a` = depth, `b` = 0).
+        /// The DFS backtracked out of an exhausted frontier (`a` = depth, `b` = 0).
         Backtrack = 3, "backtrack", Instant;
-        /// A worker of the prefix list dropped a prefix because a
-        /// lower-indexed one already succeeded (`a` = prefix length,
-        /// `b` = 0).
+        /// A prefix-list worker dropped a prefix because a lower-indexed one
+        /// already succeeded (`a` = prefix length, `b` = 0).
         PrefixCancel = 4, "prefix_cancel", Instant;
     }
     mc {
-        /// A violating trace was found (`a` = schedule sequence number,
-        /// `b` = 0).
+        /// A violating trace was found (`a` = schedule sequence number, `b` = 0).
         McViolation = 5, "violation", Instant;
     }
     memsim {
-        /// A load was served from the CPU's own store buffer (`a` = addr,
-        /// `b` = value forwarded).
+        /// A load was served from its CPU's store buffer (`a` = addr, `b` = value).
         StoreForward = 6, "store_forward", Instant;
     }
     stm {
@@ -151,16 +123,13 @@ events! {
         TxnBegin = 7, "txn", Begin;
         /// The attempt committed (`a` = process id, `b` = attempt).
         TxnCommit = 8, "txn", End;
-        /// The attempt aborted and will retry (`a` = process id, `b` =
-        /// attempt).
+        /// The attempt aborted and will retry (`a` = process id, `b` = attempt).
         TxnAbort = 9, "txn", End;
-        /// A CAS inside an STM operation lost its race (`a` = process id,
-        /// `b` = variable).
+        /// A CAS in an STM operation lost its race (`a` = process id, `b` = variable).
         StmCasFail = 10, "cas_fail", Instant;
     }
     replay {
-        /// A schedule-log replay started (`a` = decision count, `b` =
-        /// recorded fingerprint).
+        /// A schedule-log replay started (`a` = decisions, `b` = recorded fingerprint).
         ReplayBegin = 11, "replay_begin", Instant;
         /// The replay stopped matching its recording (`a` = step index,
         /// `b` = encoded action the recording expected).
@@ -172,20 +141,88 @@ events! {
         MonitorViolation = 13, "monitor_violation", Instant;
     }
     sat {
-        /// A CDCL solve of an order encoding started (`a` = variables,
-        /// `b` = clauses).
+        /// A CDCL solve of an order encoding started (`a` = variables, `b` = clauses).
         SatSolveBegin = 14, "sat_solve", Begin;
-        /// The CDCL solve finished (`a` = 1 if a model was found, `b` =
-        /// CEGAR rounds).
+        /// The CDCL solve finished (`a` = 1 if it found a model, `b` = CEGAR rounds).
         SatSolveEnd = 15, "sat_solve", End;
+    }
+    phase {
+        /// A named phase opened (`a` = `b` = 0).
+        PhaseBegin = 16, "phase", Begin;
+        /// The phase closed (`a` = `b` = 0).
+        PhaseEnd = 17, "phase", End;
+        /// The spans open here name the path of the threads that inherit
+        /// this spawn point (`a` = spawn point, `b` = 0).
+        Spawn = 18, "spawn", Instant;
+        /// This thread continues a spawn point's path, untimed (`a` =
+        /// spawn point, `b` = 0).
+        Inherit = 19, "inherit", Begin;
+        /// The inherited path closed (`a` = `b` = 0).
+        InheritEnd = 20, "inherit", End;
     }
 }
 
 impl EventKind {
-    /// Layer category, one of `CATEGORIES`.
+    /// Layer category, one of [`CATEGORIES`].
     pub fn cat(self) -> &'static str {
         CATEGORIES[self.cat_index()]
     }
+
+    /// The kind whose ring code is in `meta`'s low byte.
+    fn decode(meta: u64) -> Option<EventKind> {
+        EventKind::ALL
+            .get(((meta & 0xff) as usize).wrapping_sub(1))
+            .copied()
+    }
+}
+
+/// The one declaration of span names: `Variant = "name";`.
+macro_rules! spans {
+    ($( $span:ident = $name:literal; )*) => {
+        /// The name of a span whose time the phase profile attributes.
+        #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+        pub enum Span {
+            $( #[doc = concat!("`", $name, "`")] $span, )*
+        }
+
+        impl Span {
+            /// Every span, in declaration order.
+            pub(crate) const ALL: &'static [Span] = &[$(Span::$span),*];
+
+            /// The name the profile and the export show.
+            pub(crate) fn name(self) -> &'static str {
+                match self {
+                    $( Span::$span => $name, )*
+                }
+            }
+
+            /// The span named `name`, if the table declares one.
+            pub fn from_name(name: &str) -> Option<Span> {
+                Span::ALL.iter().copied().find(|s| s.name() == name)
+            }
+        }
+    };
+}
+
+// The report's phases, one per monitored STM (`jungle_stm::all_stms`
+// by `name()`), and the two checks' search spans.
+spans! {
+    ReportFigures = "report.figures";
+    ReportTheorems = "report.theorems";
+    ReportDpor = "report.dpor";
+    ReportZoo = "report.zoo";
+    ReportExplain = "report.explain";
+    ReportRecord = "report.record";
+    ReportMonitor = "report.monitor";
+    MonitorGlobalLock = "monitor.global-lock";
+    MonitorWriteTxn = "monitor.write-txn";
+    MonitorVersioned = "monitor.versioned";
+    MonitorStrong = "monitor.strong";
+    MonitorStrongOptimized = "monitor.strong-optimized";
+    MonitorTl2 = "monitor.tl2";
+    ReportSat = "report.sat";
+    CheckOpacity = "check.opacity";
+    CheckSgla = "check.sgla";
 }
 
 /// A decoded event read back out of the rings.
@@ -195,6 +232,8 @@ pub struct Event {
     pub ts_ns: u64,
     /// What happened.
     pub kind: EventKind,
+    /// The span's name, for a named begin or end.
+    pub span: Option<Span>,
     /// Recording thread (process-unique small integer).
     pub tid: u32,
     /// First kind-specific argument.
@@ -203,207 +242,163 @@ pub struct Event {
     pub b: u64,
 }
 
-/// One ring slot: four relaxed atomics. `meta == 0` marks a
-/// never-written slot (event kinds start at 1).
-struct Slot {
+/// One ring slot; all zero (`meta == 0`) is an empty one.
+pub(crate) struct Slot {
     ts: AtomicU64,
     meta: AtomicU64,
     a: AtomicU64,
     b: AtomicU64,
 }
 
-struct Shard {
-    /// Monotonic write cursor; the slot index is `head & (cap - 1)`.
-    head: AtomicUsize,
-    slots: Box<[Slot]>,
-}
-
-/// The flight recorder: `TRACE_SHARDS` single-writer ring buffers.
-///
-/// Writers are wait-free (a clock read and four relaxed stores). A
-/// shard is owned by the threads whose ids map to it; with more
-/// recording threads than shards two writers can race on a wrapped
-/// slot and record a torn event — acceptable for diagnostics, and
-/// impossible below `TRACE_SHARDS` concurrent threads.
+/// The flight recorder: `TRACE_SHARDS` single-writer ring buffers. With
+/// more recording threads than shards two writers can race on a
+/// wrapped slot and record a torn event, acceptable for diagnostics.
 pub struct FlightRecorder {
     epoch: Instant,
     cap: usize,
-    shards: Box<[Shard]>,
+    /// Per shard, a monotonic write cursor (slot `head & (cap - 1)`).
+    heads: [AtomicUsize; TRACE_SHARDS],
+    /// Shard `s` owns `slots[s * cap..(s + 1) * cap]`.
+    slots: Box<[Slot]>,
     /// Events recorded per [`CATEGORIES`] entry.
     cat_recorded: [AtomicU64; CATEGORIES.len()],
-    /// Events evicted by ring wrap-around per [`CATEGORIES`] entry,
-    /// attributed to the *evicted* event's category. Two writers racing
-    /// on the same wrapped slot can double- or mis-count an eviction —
-    /// the same torn-event tolerance as the slots themselves.
+    /// Events overwritten per [`CATEGORIES`] entry of the *evicted*
+    /// event (torn like the slots when two writers race).
     cat_dropped: [AtomicU64; CATEGORIES.len()],
 }
 
 impl FlightRecorder {
     /// A recorder with the default per-shard capacity.
     pub fn new() -> Self {
-        Self::with_capacity(DEFAULT_RING_CAP)
+        Self::with_capacity(RING_CAP)
     }
 
     /// A recorder with `cap` slots per shard (rounded up to a power of
     /// two, minimum 8).
     pub fn with_capacity(cap: usize) -> Self {
         let cap = cap.max(8).next_power_of_two();
-        let shards = (0..TRACE_SHARDS)
-            .map(|_| Shard {
-                head: AtomicUsize::new(0),
-                slots: (0..cap)
-                    .map(|_| Slot {
-                        ts: AtomicU64::new(0),
-                        meta: AtomicU64::new(0),
-                        a: AtomicU64::new(0),
-                        b: AtomicU64::new(0),
-                    })
-                    .collect(),
-            })
-            .collect();
         FlightRecorder {
             epoch: Instant::now(),
             cap,
-            shards,
+            heads: Default::default(),
+            slots: zeroed_slots(cap * TRACE_SHARDS),
             cat_recorded: Default::default(),
             cat_dropped: Default::default(),
         }
     }
 
-    /// Record one event. Wait-free; wraps (overwriting the shard's
-    /// oldest event) when the ring is full.
+    /// Record one unnamed event, overwriting the shard's oldest when the
+    /// ring is full.
     pub fn record(&self, kind: EventKind, a: u64, b: u64) {
+        self.write(kind, None, a, b);
+    }
+
+    fn write(&self, kind: EventKind, span: Option<Span>, a: u64, b: u64) {
         let tid = thread_id();
         let ts = u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        let shard = &self.shards[(tid as usize) % TRACE_SHARDS];
-        let cursor = shard.head.fetch_add(1, Ordering::Relaxed);
-        let slot = &shard.slots[cursor & (self.cap - 1)];
+        let shard = (tid as usize) % TRACE_SHARDS;
+        let cursor = self.heads[shard].fetch_add(1, Ordering::Relaxed);
+        let slot = &self.slots[shard * self.cap + (cursor & (self.cap - 1))];
         if cursor >= self.cap {
             // Wrapping: attribute the evicted event before overwriting.
             let old = slot.meta.load(Ordering::Acquire);
-            if let Some(evicted) = EventKind::from_u8((old & 0xff) as u8) {
+            if let Some(evicted) = EventKind::decode(old) {
                 self.cat_dropped[evicted.cat_index()].fetch_add(1, Ordering::Relaxed);
             }
         }
+        let name = span.map_or(0, |s| s as u64 + 1) << SPAN_SHIFT;
         slot.ts.store(ts, Ordering::Relaxed);
         slot.a.store(a, Ordering::Relaxed);
         slot.b.store(b, Ordering::Relaxed);
-        slot.meta
-            .store((kind as u64) | (u64::from(tid) << 8), Ordering::Release);
+        let meta = kind as u64 | u64::from(tid) << 8 | name;
+        slot.meta.store(meta, Ordering::Release);
         self.cat_recorded[kind.cat_index()].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Total events recorded (including any since overwritten).
     pub fn recorded(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.head.load(Ordering::Relaxed) as u64)
-            .sum()
+        let heads = self.heads.iter().map(|h| h.load(Ordering::Relaxed));
+        heads.sum::<usize>() as u64
     }
 
     /// Events lost to ring wrap-around.
     pub fn dropped(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.head.load(Ordering::Relaxed).saturating_sub(self.cap) as u64)
-            .sum()
+        let heads = self.heads.iter().map(|h| h.load(Ordering::Relaxed));
+        heads.map(|h| h.saturating_sub(self.cap)).sum::<usize>() as u64
     }
 
-    /// Per-category `(name, recorded, dropped)` rows, in
-    /// `CATEGORIES` order. Dropped counts attribute each ring
-    /// eviction to the overwritten event's category, so they sum to
-    /// [`dropped`](Self::dropped) (modulo torn-slot races above
-    /// `TRACE_SHARDS` concurrent writers).
+    /// Per-category `(name, recorded, dropped)` rows, in [`CATEGORIES`]
+    /// order; the dropped counts sum to [`dropped`](Self::dropped).
     pub fn by_category(&self) -> Vec<(&'static str, u64, u64)> {
-        CATEGORIES
-            .iter()
-            .enumerate()
-            .map(|(i, name)| {
-                (
-                    *name,
-                    self.cat_recorded[i].load(Ordering::Relaxed),
-                    self.cat_dropped[i].load(Ordering::Relaxed),
-                )
-            })
+        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        let counts = self.cat_recorded.iter().zip(&self.cat_dropped);
+        let rows = CATEGORIES.into_iter().zip(counts);
+        rows.map(|(name, (r, d))| (name, load(r), load(d)))
             .collect()
     }
 
-    /// Snapshot every surviving event, sorted by timestamp. Intended
-    /// for export after the recorded work has quiesced; concurrent
-    /// writers may leave a torn final event per shard.
+    /// Every surviving event, sorted by timestamp (a thread's own in the
+    /// order it recorded them). Read once the work has quiesced.
     pub fn events(&self) -> Vec<Event> {
         let mut out = Vec::new();
-        for shard in self.shards.iter() {
-            let filled = shard.head.load(Ordering::Acquire).min(self.cap);
-            for slot in &shard.slots[..filled] {
+        for (shard, head) in self.heads.iter().enumerate() {
+            let head = head.load(Ordering::Acquire);
+            let ring = &self.slots[shard * self.cap..(shard + 1) * self.cap];
+            for i in head.saturating_sub(self.cap)..head {
+                let slot = &ring[i & (self.cap - 1)];
                 let meta = slot.meta.load(Ordering::Acquire);
-                if meta == 0 {
-                    continue;
-                }
-                let Some(kind) = EventKind::from_u8((meta & 0xff) as u8) else {
+                let Some(kind) = EventKind::decode(meta) else {
                     continue;
                 };
+                let name = ((meta >> SPAN_SHIFT) as usize).wrapping_sub(1);
                 out.push(Event {
                     ts_ns: slot.ts.load(Ordering::Relaxed),
                     kind,
+                    span: Span::ALL.get(name).copied(),
                     tid: (meta >> 8) as u32,
                     a: slot.a.load(Ordering::Relaxed),
                     b: slot.b.load(Ordering::Relaxed),
                 });
             }
         }
+        // Stable: equal timestamps of one thread keep their ring order.
         out.sort_by_key(|e| e.ts_ns);
         out
     }
 
-    /// Export as a Chrome trace-event JSON object
-    /// (`{"traceEvents": [...], "displayTimeUnit": "ns"}`), loadable in
-    /// Perfetto or `chrome://tracing`.
-    ///
-    /// Span events (`"B"`/`"E"`) are emitted only as matched, properly
-    /// nested per-thread pairs; orphans from ring wrap-around are
-    /// demoted out of the export so the file always balances.
+    /// Export as a Chrome trace-event JSON object (`traceEvents`, with
+    /// the [`summary`](Self::summary)), loadable in Perfetto. A named
+    /// span exports under its [`Span`] name. Only matched per-thread
+    /// `B`/`E` pairs are exported, so the file always balances.
     pub fn chrome_trace(&self) -> Json {
         let events = self.events();
-        // Balance pass: per tid, stack-match Begin/End events by index.
-        let mut keep = vec![true; events.len()];
-        let mut stacks: std::collections::HashMap<u32, Vec<usize>> =
-            std::collections::HashMap::new();
+        // Per tid, stack-match Begin/End events.
+        let mut keep = vec![false; events.len()];
+        let mut stacks: std::collections::HashMap<u32, Vec<usize>> = Default::default();
         for (i, e) in events.iter().enumerate() {
+            let stack = stacks.entry(e.tid).or_default();
             match e.kind.phase() {
-                Phase::Begin => stacks.entry(e.tid).or_default().push(i),
+                Phase::Begin => stack.push(i),
                 Phase::End => {
-                    let stack = stacks.entry(e.tid).or_default();
-                    if stack.pop().is_none() {
-                        keep[i] = false; // End without a recorded Begin
+                    if let Some(begin) = stack.pop() {
+                        keep[begin] = true;
+                        keep[i] = true;
                     }
                 }
-                Phase::Instant => {}
+                Phase::Instant => keep[i] = true,
             }
         }
-        for stack in stacks.values() {
-            for &i in stack {
-                keep[i] = false; // Begin whose End was overwritten
-            }
-        }
-
         let mut arr = Vec::with_capacity(events.len());
-        for (i, e) in events.iter().enumerate() {
-            if !keep[i] {
-                continue;
-            }
+        for (e, _) in events.iter().zip(keep).filter(|(_, keep)| *keep) {
+            let ph = match e.kind.phase() {
+                Phase::Begin => "B",
+                Phase::End => "E",
+                Phase::Instant => "i",
+            };
             let mut j = Json::obj();
-            j.push("name", e.kind.name().into())
+            j.push("name", e.span.map_or(e.kind.name(), Span::name).into())
                 .push("cat", e.kind.cat().into())
-                .push(
-                    "ph",
-                    match e.kind.phase() {
-                        Phase::Begin => "B",
-                        Phase::End => "E",
-                        Phase::Instant => "i",
-                    }
-                    .into(),
-                )
+                .push("ph", ph.into())
                 .push("ts", Json::F64(e.ts_ns as f64 / 1000.0))
                 .push("pid", 1u64.into())
                 .push("tid", u64::from(e.tid).into());
@@ -415,7 +410,14 @@ impl FlightRecorder {
             j.push("args", args);
             arr.push(j);
         }
-        let mut out = Json::obj();
+        let mut out = self.summary();
+        out.push("traceEvents", Json::Arr(arr))
+            .push("displayTimeUnit", "ns".into());
+        out
+    }
+
+    /// `recorded`, `dropped`, and `categories`: per category the same.
+    pub fn summary(&self) -> Json {
         let mut cats = Json::obj();
         for (name, recorded, dropped) in self.by_category() {
             let mut c = Json::obj();
@@ -423,9 +425,8 @@ impl FlightRecorder {
                 .push("dropped", dropped.into());
             cats.push(name, c);
         }
-        out.push("traceEvents", Json::Arr(arr))
-            .push("displayTimeUnit", "ns".into())
-            .push("recorded", self.recorded().into())
+        let mut out = Json::obj();
+        out.push("recorded", self.recorded().into())
             .push("dropped", self.dropped().into())
             .push("categories", cats);
         out
@@ -440,48 +441,64 @@ impl Default for FlightRecorder {
 
 // ── global installation ──────────────────────────────────────────────
 
-static SINK: Installed<FlightRecorder> = Installed::new();
+static SINK: Sink = Sink::new();
 
 static NEXT_TID: AtomicU64 = AtomicU64::new(1);
 thread_local! {
     static TID: u32 = (NEXT_TID.fetch_add(1, Ordering::Relaxed) & 0xffff_ffff) as u32;
 }
 
-/// Process-unique id of the calling thread (small, assigned on first
-/// use).
+/// Process-unique small id of the calling thread.
 pub fn thread_id() -> u32 {
     TID.with(|t| *t)
 }
 
-/// Install `recorder` as the process-global flight recorder; event
-/// sites start recording into it immediately. Replaces any previous
-/// recorder (which stays alive but stops receiving events).
-pub fn install(recorder: Arc<FlightRecorder>) {
-    SINK.install(recorder);
+/// Install `recorder` as the process-global flight recorder for the
+/// categories named in `layers` (of [`CATEGORIES`]; another name
+/// panics), replacing any previous one.
+pub fn install(recorder: Arc<FlightRecorder>, layers: &[&str]) {
+    let mask = layers.iter().fold(0, |mask, layer| {
+        let i = CATEGORIES.iter().position(|c| c == layer);
+        mask | 1 << i.unwrap_or_else(|| panic!("no event category {layer}"))
+    });
+    SINK.install(recorder, mask);
 }
 
-/// Stop recording. The last installed recorder remains readable via
-/// the caller's own `Arc`.
+/// Stop recording (the recorder stays readable through its `Arc`).
 pub fn uninstall() {
-    SINK.disable();
-    SINK.clear();
+    SINK.uninstall();
 }
 
-/// Record an event on the installed recorder, if any. This is the hook
-/// the hot paths call: with no recorder installed it is one relaxed
-/// load and a predictable branch.
+/// Whether events of `kind`'s category are being recorded.
+#[inline]
+pub(crate) fn recording(kind: EventKind) -> bool {
+    SINK.layers() & 1 << kind.cat_index() != 0
+}
+
+/// The hot paths' hook: record an event if its category is recorded;
+/// otherwise one relaxed load and a predictable branch.
 #[inline]
 pub fn emit(kind: EventKind, a: u64, b: u64) {
-    if !SINK.enabled() {
-        return;
+    emit_span(kind, None, a, b);
+}
+
+/// [`emit`] a named span's begin or end.
+#[inline]
+pub fn emit_named(kind: EventKind, span: Span, a: u64, b: u64) {
+    emit_span(kind, Some(span), a, b);
+}
+
+#[inline]
+pub(crate) fn emit_span(kind: EventKind, span: Option<Span>, a: u64, b: u64) {
+    if recording(kind) {
+        emit_installed(kind, span, a, b);
     }
-    emit_installed(kind, a, b);
 }
 
 #[cold]
-fn emit_installed(kind: EventKind, a: u64, b: u64) {
+fn emit_installed(kind: EventKind, span: Option<Span>, a: u64, b: u64) {
     if let Some(recorder) = SINK.current() {
-        recorder.record(kind, a, b);
+        recorder.write(kind, span, a, b);
     }
 }
 
@@ -527,7 +544,9 @@ mod tests {
         }
         assert_eq!(r.recorded(), 20);
         assert_eq!(r.dropped(), 12);
-        assert_eq!(r.events().len(), 8);
+        // The survivors, oldest first.
+        let a: Vec<u64> = r.events().iter().map(|e| e.a).collect();
+        assert_eq!(a, (12..20).collect::<Vec<_>>());
     }
 
     #[test]
@@ -584,15 +603,15 @@ mod tests {
     #[test]
     fn events_table_is_dense_paired_and_covers_every_category() {
         let all = EventKind::ALL;
-        // Ring codes are dense from 1, so `from_u8` inverts `as u8` on
+        // Ring codes are dense from 1, so `decode` inverts `as u64` on
         // every kind and a zeroed slot (or the code past the end)
         // decodes to nothing.
         for (i, &kind) in all.iter().enumerate() {
             assert_eq!(kind as usize, i + 1, "{kind:?}");
-            assert_eq!(EventKind::from_u8(kind as u8), Some(kind));
+            assert_eq!(EventKind::decode(kind as u64), Some(kind));
         }
-        assert_eq!(EventKind::from_u8(0), None);
-        assert_eq!(EventKind::from_u8(all.len() as u8 + 1), None);
+        assert_eq!(EventKind::decode(0), None);
+        assert_eq!(EventKind::decode(all.len() as u64 + 1), None);
         // `chrome_trace`'s balance pass matches a Begin with whatever
         // End follows on the thread: the exported pair nests only if
         // some End shares the Begin's category and name.
@@ -620,6 +639,7 @@ mod tests {
         r.record(EventKind::ReplayBegin, 0, 0);
         r.record(EventKind::MonitorViolation, 0, 0);
         r.record(EventKind::SatSolveBegin, 0, 0);
+        r.record(EventKind::Spawn, 0, 0);
         let cats: std::collections::HashSet<&'static str> =
             r.events().iter().map(|e| e.kind.cat()).collect();
         assert_eq!(cats.len(), CATEGORIES.len());
@@ -660,13 +680,16 @@ mod tests {
     }
 
     #[test]
-    fn install_gates_emit() {
+    fn install_gates_emit_by_layer() {
         // Uninstalled: emit is a no-op (cannot observe directly, but
         // must not crash).
         emit(EventKind::Backtrack, 0, 0);
         let r = Arc::new(FlightRecorder::with_capacity(256));
-        install(r.clone());
+        install(r.clone(), &["memsim", "phase"]);
         emit(EventKind::StoreForward, 0xfeed, 1);
+        emit(EventKind::TxnBegin, 0xbeef, 0); // stm: not recorded
+        emit_named(EventKind::PhaseBegin, Span::ReportZoo, 3, 4);
+        emit_named(EventKind::PhaseEnd, Span::ReportZoo, 0, 0);
         uninstall();
         emit(EventKind::StoreForward, 0xdead, 2); // dropped
         let evs = r.events();
@@ -676,8 +699,29 @@ mod tests {
             "installed emit must reach the recorder"
         );
         assert!(
-            !evs.iter().any(|e| e.a == 0xdead),
-            "uninstalled emit must not"
+            !evs.iter().any(|e| e.a == 0xdead || e.a == 0xbeef),
+            "uninstalled or unrecorded emit must not"
         );
+        // A named event keeps its name beside its thread id and both
+        // arguments, and exports under the name.
+        let named = evs
+            .iter()
+            .find(|e| e.kind == EventKind::PhaseBegin)
+            .unwrap();
+        assert_eq!(
+            (named.span, named.a, named.b),
+            (Some(Span::ReportZoo), 3, 4)
+        );
+        assert_eq!(named.tid, thread_id());
+        assert!(r
+            .chrome_trace()
+            .to_string()
+            .contains("\"name\":\"report.zoo\""));
+        for (i, span) in Span::ALL.iter().enumerate() {
+            assert_eq!(
+                (*span as usize, Span::from_name(span.name())),
+                (i, Some(*span))
+            );
+        }
     }
 }

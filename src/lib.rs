@@ -20,10 +20,10 @@
 //! ## Entry points
 //!
 //! * Check a history:
-//!   [`core::opacity::check_opacity`](jungle_core::opacity::check_opacity) /
-//!   [`core::sgla::check_sgla`](jungle_core::sgla::check_sgla).
+//!   [`core::opacity::check_opacity`] /
+//!   [`core::sgla::check_sgla`].
 //! * Run a theorem experiment:
-//!   [`mc::theorems`](jungle_mc::theorems).
+//!   [`mc::theorems`].
 //! * Use an STM from application code: one [`stm::Ctx`] per thread,
 //!   [`stm::atomically`] for transactions and the [`stm::TmAlgo`]
 //!   methods outside them, on the word variables of any STM (e.g.

@@ -263,10 +263,12 @@ fn matched_machine_traces_satisfy_matched_model() {
     }
 }
 
-/// Property 3 (exhaustive): the matched-model exhaustive sweep of the
-/// Figure 1 program returns identical verdicts at 1, 2, and 4 checker
-/// threads, for every registry entry — and the global-lock TM passes
-/// every one of them even on the relaxed machines.
+/// Property 3 (exhaustive): the matched-model exhaustive sweep of a
+/// one-write transaction against two non-transactional reads
+/// (`p0: txn { x := 1 }`, `p1: read x; read y`) returns identical
+/// verdicts at 1, 2, and 4 checker threads, for every registry entry —
+/// and the global-lock TM passes every one of them even on the relaxed
+/// machines.
 #[test]
 fn matched_zoo_exhaustive_thread_counts_agree() {
     let program = Program(vec![
