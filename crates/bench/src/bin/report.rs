@@ -13,8 +13,9 @@
 //! `costs` array is the paper's §4 instruction-cost table.
 //!
 //! The rows are the run's only gate: exit 0 when every row passes,
-//! 1 when one fails (or an output file cannot be written), 2 for a bad
-//! command line or an unreadable `--replay` log. The floors that are
+//! 1 when one fails (or an output file cannot be written, or the
+//! `--profile` tree cannot be folded), 2 for a bad command line or an
+//! unreadable `--replay` log. The floors that are
 //! not a verdict of the paper are `jungle_bench`'s predicates.
 //!
 //! Further flags:
@@ -46,10 +47,12 @@
 //!   and self/total time per phase, folded from the flight recorder's
 //!   named spans, and the run-wide DPOR race-pair heat table beside the
 //!   blocked-run count. Without `--trace` the recorder records only the
-//!   phase, checker and SAT layers; either way the run adds the
-//!   `flight/complete` row, which a fold over a recorder that dropped
-//!   an event fails. Apart from the ledger entry's `wall_ms`, the phase
-//!   tree is the only time the report reads.
+//!   two layers whose spans carry names, phase and checker, and adds no
+//!   row: a profiled run prints the rows of the same run unprofiled. A
+//!   recorder that dropped an event (or spans that do not nest) cannot
+//!   be folded: the section then holds the `error` in place of the
+//!   tree, and the run exits 1. Apart from the ledger entry's
+//!   `wall_ms`, the phase tree is the only time the report reads.
 //! * `--sat` — cross-validate the CDCL serialization-order backend
 //!   against the DFS checkers on the full litmus corpus (every registry
 //!   entry, both check kinds; every SAT positive re-certified through
@@ -614,13 +617,13 @@ fn main() {
     let t_start = std::time::Instant::now();
 
     // One recorder for both flags: `--trace` records every layer, and
-    // `--profile` alone the layers whose spans the fold reads or the
-    // run drives beside them (phases, checks, SAT solves), which keeps
-    // the monitored STMs' transaction spans out of a profile.
+    // `--profile` alone only the layers whose spans the fold reads
+    // (phases and checks), which keeps the monitored STMs' transaction
+    // spans out of a profile.
     let layers: &[&str] = if args.trace.is_some() {
         &CATEGORIES
     } else {
-        &["phase", "checker", "sat"]
+        &["phase", "checker"]
     };
     let recorder = (args.trace.is_some() || args.profile).then(|| {
         let r = Arc::new(FlightRecorder::new());
@@ -1089,66 +1092,58 @@ fn main() {
     // Every worker and monitor thread has been joined above, so the
     // rings hold the whole run.
     flight::uninstall();
-    let mut folded = None;
-    if let Some(rec) = &recorder {
+    if let (Some(rec), Some(path)) = (&recorder, &args.trace) {
         // The checker and the phases always run; the real STMs only
-        // under `--monitor` and the SAT backend only under `--sat`, and
-        // neither records unless its layer was installed.
-        let idle: Vec<&str> = CATEGORIES
-            .into_iter()
-            .filter(|cat| {
-                !layers.contains(cat)
-                    || (*cat == "stm" && !args.monitor)
-                    || (*cat == "sat" && !args.sat)
-            })
-            .collect();
-        let phases = args.profile.then(|| profile::fold(rec));
-        let fold_error = match &phases {
-            Some(Err(e)) => format!(", profile: {e}"),
-            _ => String::new(),
-        };
+        // under `--monitor` and the SAT backend only under `--sat`.
+        let mut idle = Vec::new();
+        if !args.monitor {
+            idle.push("stm");
+        }
+        if !args.sat {
+            idle.push("sat");
+        }
         rows.push(Row {
             section: "flight",
             id: "flight/complete".into(),
             expected: "0 events dropped, every driven span layer recorded",
-            observed: format!(
-                "{} recorded, {} dropped{fold_error}",
-                rec.recorded(),
-                rec.dropped()
-            ),
-            pass: jungle_bench::flight_complete(rec, &idle) && fold_error.is_empty(),
+            observed: format!("{} recorded, {} dropped", rec.recorded(), rec.dropped()),
+            pass: jungle_bench::flight_complete(rec, &idle),
         });
-        folded = phases.and_then(Result::ok);
-        if let Some(path) = &args.trace {
-            let trace_json = rec.chrome_trace();
-            if let Err(e) = std::fs::write(path, format!("{trace_json}\n")) {
-                eprintln!("could not write trace to {}: {e}", path.display());
-                std::process::exit(1);
-            }
-            writeln!(
-                text,
-                "\nflight recording: {} events ({} dropped) -> {}",
-                rec.recorded(),
-                rec.dropped(),
-                path.display()
-            )
-            .unwrap();
+        let trace_json = rec.chrome_trace();
+        if let Err(e) = std::fs::write(path, format!("{trace_json}\n")) {
+            eprintln!("could not write trace to {}: {e}", path.display());
+            std::process::exit(1);
         }
+        writeln!(
+            text,
+            "\nflight recording: {} events ({} dropped) -> {}",
+            rec.recorded(),
+            rec.dropped(),
+            path.display()
+        )
+        .unwrap();
     }
 
     // ── Phase profile (--profile) ─────────────────────────────────
-    let profile_section = args.profile.then(|| {
+    // A profile that cannot be folded is an error, never a smaller tree.
+    let mut fold_error = None;
+    let profile_section = recorder.as_ref().filter(|_| args.profile).map(|rec| {
         let mut sec = Json::obj();
-        sec.push(
-            "phases",
-            folded.as_ref().map_or(Json::Null, |p| p.to_json()),
-        )
-        .push("dpor", waste_total.to_json())
-        .push("dpor_blocked", mc.dpor_blocked.into());
         text.push_str("\n════ Exploration profile ════\n\n");
-        if let Some(phases) = &folded {
-            write!(text, "{}", phases.render()).unwrap();
+        match profile::fold(rec) {
+            Ok(phases) => {
+                sec.push("phases", phases.to_json());
+                write!(text, "{}", phases.render()).unwrap();
+            }
+            Err(e) => {
+                sec.push("phases", Json::Null)
+                    .push("error", e.as_str().into());
+                writeln!(text, "  profile: {e}").unwrap();
+                fold_error = Some(e);
+            }
         }
+        sec.push("dpor", waste_total.to_json())
+            .push("dpor_blocked", mc.dpor_blocked.into());
         writeln!(
             text,
             "\n  dpor: {} race pairs, {} blocked runs",
@@ -1217,6 +1212,10 @@ fn main() {
     }
     if !failed.is_empty() {
         eprintln!("{} report checks failed", failed.len());
+        std::process::exit(1);
+    }
+    if let Some(e) = fold_error {
+        eprintln!("the profile could not be folded: {e}");
         std::process::exit(1);
     }
 }

@@ -91,9 +91,8 @@ pub fn monitor_ok(s: &MonitorStats, min_ops: u64) -> bool {
 /// A flight recording is complete when the ring never wrapped and every
 /// span layer (a category with a `Begin` kind: `checker`, `stm`, `sat`,
 /// `phase`) recorded something, except those in `idle` — the layers the
-/// run's flags left undriven or the recorder was not installed for. The
-/// other categories hold only verdicts and rare instants, which a
-/// passing run may never emit.
+/// run's flags left undriven. The other categories hold only verdicts
+/// and rare instants, which a passing run may never emit.
 pub fn flight_complete(rec: &FlightRecorder, idle: &[&str]) -> bool {
     let spans = |cat: &str| {
         EventKind::ALL
@@ -226,5 +225,15 @@ mod tests {
             rec.record(*kind, 0, 0);
         }
         assert!(!flight_complete(&rec, &[]), "dropped one");
+    }
+
+    /// `report --monitor` opens a phase per monitored STM by its name,
+    /// so the span table must declare one for every STM.
+    #[test]
+    fn every_monitored_stm_has_a_span() {
+        for tm in jungle_stm::all_stms(1) {
+            let name = format!("monitor.{}", tm.name());
+            assert!(jungle_obs::Span::from_name(&name).is_some(), "{name}");
+        }
     }
 }

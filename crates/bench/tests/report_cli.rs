@@ -129,14 +129,29 @@ fn ns_keys<'a>(doc: &'a Json, out: &mut Vec<&'a str>) {
     }
 }
 
+/// A profile adds no row: the run prints the very rows it prints
+/// unprofiled (the benchmark's profiled `report_cold` passes count the
+/// rows an unprofiled warm-up printed).
+#[test]
+fn a_profile_adds_no_row() {
+    let digest = |args: &[&str]| {
+        let dir = scratch(&format!("rows{}", args.len()));
+        let out = report(&dir, args);
+        assert!(out.status.success(), "{args:?}: exit {:?}", out.status);
+        let doc = Json::parse(&String::from_utf8(out.stdout).unwrap()).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+        (arr(&doc, "rows").len(), rows_digest(arr(&doc, "rows")))
+    };
+    assert_eq!(digest(&["--json", "--profile"]), digest(&["--json"]));
+}
+
 /// The document of a run with every section the profile reads: the
 /// phase tree holds one `report.*` child with its `total_ns` per phase
 /// the benchmark's traced `report_cold` reads, and nothing else at its
 /// root (`--explain` and `--record` explain, shrink and replay under
 /// phases of their own, and sweep nothing), `report.monitor` one child
 /// per monitored STM, the recorder behind the profile kept the STMs'
-/// transaction spans out and says so in a passing `flight/complete`
-/// row, the ledger entry carries
+/// transaction spans out and dropped nothing, the ledger entry carries
 /// the run's wall time, `metrics` holds exactly its four blocks, and
 /// the run-wide race heat adds up to the sweeps' own race count. No
 /// timer below the phase tree: a phase node has calls and times and no
@@ -196,21 +211,15 @@ fn profiled_run_has_the_shape_the_benchmark_reads() {
         .collect();
     assert_eq!(names, stms);
     assert!(children.iter().all(|c| num(c, "calls") == 1), "{monitor}");
-    // A profile records no transaction spans, and still vouches that
-    // its recorder dropped nothing.
+    // A profile records only the phase and checker layers, so no
+    // transaction or solve spans, and its recorder dropped nothing.
     let flight = doc.get("flight").expect("flight section");
-    assert_eq!(
-        num(
-            flight.get("categories").unwrap().get("stm").unwrap(),
-            "recorded"
-        ),
-        0
-    );
-    let row = arr(&doc, "rows")
-        .iter()
-        .find(|r| r.get("id").and_then(Json::as_str) == Some("flight/complete"))
-        .expect("a profiled run prints the flight/complete row");
-    assert!(matches!(row.get("pass"), Some(Json::Bool(true))), "{row}");
+    let cats = flight.get("categories").unwrap();
+    for layer in ["stm", "sat"] {
+        assert_eq!(num(cats.get(layer).unwrap(), "recorded"), 0, "{layer}");
+    }
+    assert_eq!(num(flight, "dropped"), 0);
+    assert!(profile.get("error").is_none(), "{profile}");
     num(doc.get("ledger_entry").expect("ledger entry"), "wall_ms");
 
     let metrics = doc.get("metrics").expect("metrics");

@@ -1,13 +1,26 @@
-//! The phase profile, a fold of the flight recorder's named spans.
+//! Hierarchical phase profile: the flight recorder's named spans
+//! folded into a self/total-time tree.
 //!
-//! [`enter`] records a `phase`-category begin/end pair named by a
-//! [`Span`] (each check names its own search span). Once the work has
-//! quiesced, [`fold`] keeps one stack per thread and attributes
+//! The flight recorder answers *what happened*; this module answers
+//! *where the time went*, from the same events. Call sites bracket a
+//! phase with [`enter`] — the returned guard closes the phase on drop —
+//! which records a `phase`-category begin/end pair named by a [`Span`]
+//! (each check names its own search span the same way). Once the work
+//! has quiesced, [`fold`] keeps one stack per thread and attributes
 //! wall-clock to the full enclosing path (`report.figures >
-//! check.opacity`): calls, total, and self time not covered by named
-//! children. A thread that [`inherit`]s its spawner's [`spawn_point`]
-//! nests its spans under the spans open there, untimed. With the `phase`
-//! layer not recorded, [`enter`] is one relaxed load.
+//! check.opacity`), counting each node's calls and splitting its total
+//! into self time (not covered by named children).
+//!
+//! The discipline is the recorder's zero-cost-when-off contract: with
+//! the `phase` layer not [`install`](crate::trace::install)ed, [`enter`]
+//! is one relaxed atomic load returning an inert guard — no clock read,
+//! no allocation, no thread-local touch.
+//!
+//! A thread that a phase spawns starts with an empty stack of its own;
+//! handing it the spawner's [`spawn_point`] to [`inherit`] nests its
+//! spans under the spans open there, as untimed frames, so they are
+//! attributed where the work was asked for and the spawner's own totals
+//! do not change.
 
 use crate::json::{Json, ToJson};
 use crate::trace::{self, EventKind, FlightRecorder, Phase, Span};
@@ -17,7 +30,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// One node of the rendered phase tree.
 #[derive(Debug, Default, Clone)]
 pub struct ProfileNode {
-    /// The span's name.
+    /// Phase name (the [`Span`]'s name).
     pub name: String,
     /// Completed spans at this exact path.
     pub calls: u64,
@@ -107,8 +120,9 @@ impl ToJson for ProfileNode {
     }
 }
 
-/// Open a phase until the returned guard drops; phases on one thread
-/// nest by drop order.
+/// Open a phase. The returned guard closes it when dropped; phases on
+/// one thread nest by drop order. With the `phase` layer not recorded
+/// this is one relaxed load returning an inert guard.
 #[inline]
 pub fn enter(span: Span) -> SpanGuard {
     SpanGuard::open(EventKind::PhaseBegin, Some(span), 0, EventKind::PhaseEnd)

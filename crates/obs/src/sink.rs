@@ -1,19 +1,29 @@
-//! The flight recorder's process-global install point and its zeroed
-//! rings: with [`ring`](crate::ring), all of this crate's `unsafe`.
+//! The flight recorder's process-global install point, and its rings'
+//! zeroed allocation.
+//!
+//! A hot-path hook ([`trace::emit`](crate::trace::emit),
+//! [`profile::enter`](crate::profile::enter)) must cost one relaxed
+//! load when its layer is not recorded, and must never see a dangling
+//! pointer when it is. [`Sink`] holds the two pieces that takes — the
+//! mask of recorded layers the hook tests, and the pointer the slow
+//! path follows to a recorder that is never freed — and, with
+//! [`zeroed_slots`], this crate's only `unsafe` outside
+//! [`ring`](crate::ring).
 
 use crate::trace::{FlightRecorder, Slot};
 use std::sync::atomic::{AtomicPtr, AtomicU32, Ordering};
 use std::sync::Arc;
 
-/// The installed recorder and the mask of layers it records: a hook
-/// ([`trace::emit`](crate::trace::emit)) tests the mask with one relaxed
-/// load, and only then follows the recorder, which is never freed.
+/// The install-on-demand, process-global recorder. Meant to be a
+/// `static`.
 pub(crate) struct Sink {
+    /// Bit `i` set: events of category `CATEGORIES[i]` are recorded.
     layers: AtomicU32,
     current: AtomicPtr<FlightRecorder>,
 }
 
 impl Sink {
+    /// Nothing installed.
     pub(crate) const fn new() -> Self {
         Sink {
             layers: AtomicU32::new(0),
@@ -21,9 +31,13 @@ impl Sink {
         }
     }
 
-    /// Make `recorder` the current one for the `layers` mask. It is
-    /// leaked, so a pointer loaded from `current` never dangles; installs
-    /// happen a handful of times per process.
+    /// Make `recorder` the current one and record the `layers` mask. A
+    /// previously installed recorder stays alive but is no longer
+    /// reachable from here. Every recorder installed is kept alive for
+    /// the process lifetime (its `Arc` is leaked), so a pointer loaded
+    /// from `current` can never dangle. Installs happen a handful of
+    /// times per process (report start, tests), so the leak is bounded
+    /// and deliberate.
     pub(crate) fn install(&self, recorder: Arc<FlightRecorder>, layers: u32) {
         let raw = Arc::into_raw(recorder).cast_mut();
         self.current.store(raw, Ordering::Release);

@@ -1,19 +1,35 @@
-//! Flight recorder, the workspace's one span mechanism: per-thread
-//! lock-free ring buffers of spans (a report phase, a check, a CDCL
-//! solve, an STM transaction attempt), verdicts (a violation, a replay's
-//! divergence) and the few instants no stats field counts, exported as
-//! Chrome-trace-event JSON (loadable in Perfetto) and folded into the
-//! phase profile ([`profile::fold`](crate::profile::fold)). What a
-//! counter counts is not an event: the stats say how many, the spans
-//! around them when and where. A span the profile times is named from
-//! one table, [`Span`].
+//! Flight recorder: per-thread lock-free ring buffers of structured
+//! events, exported as Chrome-trace-event JSON (loadable in Perfetto).
+//! It is the workspace's one span mechanism: the phase profile is a
+//! fold of its named spans ([`profile::fold`](crate::profile::fold)).
 //!
-//! [`emit`] is one relaxed load of the installed category mask and a
-//! branch unless a [`FlightRecorder`] is [`install`]ed for the event's
-//! category; then an event is a clock read and four relaxed stores into
-//! the thread's own ring shard: wait-free, no allocation. A full ring
-//! wraps, counting what it overwrites in [`FlightRecorder::dropped`];
-//! the rings are allocated zeroed, so unreached capacity is free.
+//! A trace holds spans and verdicts: a report phase, a checker's
+//! witness search and a CDCL solve (begin / end), an executable STM's
+//! transaction attempt (begin / commit / abort), and the verdicts a
+//! layer reaches — a model-checking violation, a monitored window's
+//! violation, a replay's divergence. Beside them it holds the few
+//! happenings no stats field counts: a DFS backtracking out of an
+//! exhausted frontier, a listed prefix dropped after a lower-indexed
+//! success, a load forwarded from the CPU's own store buffer, an STM
+//! CAS that lost its race, and the start of a replay. What a counter
+//! already counts (nodes, prunes, schedules, drains, ingested events,
+//! solver conflicts, …) is not an event: the stats say how many, and
+//! the spans around them say when and where. A span whose time the
+//! profile attributes is named from one table, [`Span`].
+//!
+//! Recording is zero-cost when off: event sites call [`emit`], which
+//! is a single relaxed atomic load returning immediately unless a
+//! [`FlightRecorder`] has been [`install`]ed for the event's category.
+//! No recorder, no work — not even a timestamp read.
+//!
+//! When a recorder *is* installed, an event is one monotonic clock
+//! read plus four relaxed atomic stores into a fixed ring buffer slot:
+//! no locks, no allocation, wait-free. Each thread writes to its own
+//! shard (chosen by a thread-local id), so writers never contend; a
+//! full ring wraps and overwrites its oldest events, keeping memory
+//! flat and counting the overwritten events in
+//! [`FlightRecorder::dropped`]. The rings are allocated zeroed, so
+//! capacity no event reaches costs nothing.
 
 use crate::json::Json;
 use crate::sink::{zeroed_slots, Sink};
@@ -21,10 +37,13 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Ring shards: thread `tid` writes to shard `tid % TRACE_SHARDS`.
+/// Number of ring-buffer shards. Threads map to shards by a
+/// process-unique thread id modulo this count, so runs with up to this
+/// many recording threads have fully private shards.
 const TRACE_SHARDS: usize = 32;
-/// Slots per shard, a power of two; a `--monitor` trace's fullest shard
-/// holds about 30k events.
+
+/// Ring capacity (events) per shard. Must be a power of two. A
+/// `--monitor` trace's fullest shard holds about 30k events.
 const RING_CAP: usize = 1 << 16;
 /// A slot's `meta` holds the ring code in bits 0–7, the thread id in
 /// 8–39, and from here the span's index in [`Span::ALL`] plus one.
@@ -41,25 +60,32 @@ pub enum Phase {
     Instant,
 }
 
-/// The one declaration of the event taxonomy: per category (layer), one
-/// `Variant = ring code, "chrome-trace name", Phase;` row per kind.
-/// Derives [`EventKind`] and [`CATEGORIES`].
+/// The one declaration of the event taxonomy: per category (one per
+/// instrumented layer), one row per kind — `Variant = ring code,
+/// "chrome-trace name", Phase;` under the variant's doc comment. Derives
+/// [`EventKind`] with [`ALL`](EventKind::ALL), `cat_index`, `name` and
+/// `phase`, and [`CATEGORIES`] in declaration order.
 macro_rules! events {
     ($(
         $cat:ident {
             $( $(#[$doc:meta])* $kind:ident = $code:literal, $name:literal, $phase:ident; )*
         }
     )*) => {
-        /// The event categories (layers) [`install`] takes, in order.
+        /// The event categories, in `cat_index` order. One per
+        /// instrumented layer of the workspace; [`install`] takes a
+        /// set of them.
         pub const CATEGORIES: [&str; [$(stringify!($cat)),*].len()] = [$(stringify!($cat)),*];
 
+        /// Declaration-order index of each category.
         #[allow(non_camel_case_types)]
         enum Category {
             $($cat),*
         }
 
-        /// The event taxonomy, one variant per narrated happening. Ring
-        /// codes are dense from 1, so a zeroed ring slot is empty.
+        /// The event taxonomy, one variant per narrated happening.
+        ///
+        /// Ring codes start at 1 so a zeroed ring slot is recognizably
+        /// empty.
         #[derive(Clone, Copy, PartialEq, Eq, Debug)]
         #[repr(u8)]
         pub enum EventKind {
@@ -78,8 +104,10 @@ macro_rules! events {
                 }
             }
 
-            /// Chrome-trace name of an unnamed event; span pairs share one
-            /// ("txn" for begin/commit/abort).
+            /// Chrome-trace event name of an unnamed event. Span pairs
+            /// share one name so Perfetto nests them ("search" for
+            /// begin/end, "txn" for begin/commit/abort); a named span
+            /// exports under its [`Span`] name instead.
             pub(crate) fn name(self) -> &'static str {
                 match self {
                     $($( EventKind::$kind => $name, )*)*
@@ -92,30 +120,41 @@ macro_rules! events {
                     $($( EventKind::$kind => Phase::$phase, )*)*
                 }
             }
+
+            fn from_u8(v: u8) -> Option<EventKind> {
+                match v {
+                    $($( $code => Some(EventKind::$kind), )*)*
+                    _ => None,
+                }
+            }
         }
     };
 }
 
 events! {
     checker {
-        /// A check's witness search started, named by its kind (`a` =
+        /// A witness search started, named by its check's [`Span`] (`a` =
         /// schedulable units, `b` = the workers `check_opacity_par` split
         /// it over, 0 for a serial search).
         SearchBegin = 1, "search", Begin;
         /// The witness search finished (`a` = nodes, `b` = 1 if satisfied).
         SearchEnd = 2, "search", End;
-        /// The DFS backtracked out of an exhausted frontier (`a` = depth, `b` = 0).
+        /// The DFS exhausted a frontier's candidates and backtracked out
+        /// of it (`a` = depth, `b` = 0).
         Backtrack = 3, "backtrack", Instant;
-        /// A prefix-list worker dropped a prefix because a lower-indexed one
-        /// already succeeded (`a` = prefix length, `b` = 0).
+        /// A worker of the prefix list dropped a prefix because a
+        /// lower-indexed one already succeeded (`a` = prefix length,
+        /// `b` = 0).
         PrefixCancel = 4, "prefix_cancel", Instant;
     }
     mc {
-        /// A violating trace was found (`a` = schedule sequence number, `b` = 0).
+        /// A violating trace was found (`a` = schedule sequence number,
+        /// `b` = 0).
         McViolation = 5, "violation", Instant;
     }
     memsim {
-        /// A load was served from its CPU's store buffer (`a` = addr, `b` = value).
+        /// A load was served from the CPU's own store buffer (`a` = addr,
+        /// `b` = value forwarded).
         StoreForward = 6, "store_forward", Instant;
     }
     stm {
@@ -123,13 +162,16 @@ events! {
         TxnBegin = 7, "txn", Begin;
         /// The attempt committed (`a` = process id, `b` = attempt).
         TxnCommit = 8, "txn", End;
-        /// The attempt aborted and will retry (`a` = process id, `b` = attempt).
+        /// The attempt aborted and will retry (`a` = process id, `b` =
+        /// attempt).
         TxnAbort = 9, "txn", End;
-        /// A CAS in an STM operation lost its race (`a` = process id, `b` = variable).
+        /// A CAS inside an STM operation lost its race (`a` = process id,
+        /// `b` = variable).
         StmCasFail = 10, "cas_fail", Instant;
     }
     replay {
-        /// A schedule-log replay started (`a` = decisions, `b` = recorded fingerprint).
+        /// A schedule-log replay started (`a` = decision count, `b` =
+        /// recorded fingerprint).
         ReplayBegin = 11, "replay_begin", Instant;
         /// The replay stopped matching its recording (`a` = step index,
         /// `b` = encoded action the recording expected).
@@ -141,9 +183,11 @@ events! {
         MonitorViolation = 13, "monitor_violation", Instant;
     }
     sat {
-        /// A CDCL solve of an order encoding started (`a` = variables, `b` = clauses).
+        /// A CDCL solve of an order encoding started (`a` = variables,
+        /// `b` = clauses).
         SatSolveBegin = 14, "sat_solve", Begin;
-        /// The CDCL solve finished (`a` = 1 if it found a model, `b` = CEGAR rounds).
+        /// The CDCL solve finished (`a` = 1 if a model was found, `b` =
+        /// CEGAR rounds).
         SatSolveEnd = 15, "sat_solve", End;
     }
     phase {
@@ -163,16 +207,9 @@ events! {
 }
 
 impl EventKind {
-    /// Layer category, one of [`CATEGORIES`].
+    /// Layer category, one of `CATEGORIES`.
     pub fn cat(self) -> &'static str {
         CATEGORIES[self.cat_index()]
-    }
-
-    /// The kind whose ring code is in `meta`'s low byte.
-    fn decode(meta: u64) -> Option<EventKind> {
-        EventKind::ALL
-            .get(((meta & 0xff) as usize).wrapping_sub(1))
-            .copied()
     }
 }
 
@@ -242,7 +279,8 @@ pub struct Event {
     pub b: u64,
 }
 
-/// One ring slot; all zero (`meta == 0`) is an empty one.
+/// One ring slot: four relaxed atomics. `meta == 0` marks a
+/// never-written slot (event kinds start at 1).
 pub(crate) struct Slot {
     ts: AtomicU64,
     meta: AtomicU64,
@@ -250,20 +288,29 @@ pub(crate) struct Slot {
     b: AtomicU64,
 }
 
-/// The flight recorder: `TRACE_SHARDS` single-writer ring buffers. With
-/// more recording threads than shards two writers can race on a
-/// wrapped slot and record a torn event, acceptable for diagnostics.
+struct Shard {
+    /// Monotonic write cursor; the slot index is `head & (cap - 1)`.
+    head: AtomicUsize,
+    slots: Box<[Slot]>,
+}
+
+/// The flight recorder: `TRACE_SHARDS` single-writer ring buffers.
+///
+/// Writers are wait-free (a clock read and four relaxed stores). A
+/// shard is owned by the threads whose ids map to it; with more
+/// recording threads than shards two writers can race on a wrapped
+/// slot and record a torn event — acceptable for diagnostics, and
+/// impossible below `TRACE_SHARDS` concurrent threads.
 pub struct FlightRecorder {
     epoch: Instant,
     cap: usize,
-    /// Per shard, a monotonic write cursor (slot `head & (cap - 1)`).
-    heads: [AtomicUsize; TRACE_SHARDS],
-    /// Shard `s` owns `slots[s * cap..(s + 1) * cap]`.
-    slots: Box<[Slot]>,
+    shards: Box<[Shard]>,
     /// Events recorded per [`CATEGORIES`] entry.
     cat_recorded: [AtomicU64; CATEGORIES.len()],
-    /// Events overwritten per [`CATEGORIES`] entry of the *evicted*
-    /// event (torn like the slots when two writers race).
+    /// Events evicted by ring wrap-around per [`CATEGORIES`] entry,
+    /// attributed to the *evicted* event's category. Two writers racing
+    /// on the same wrapped slot can double- or mis-count an eviction —
+    /// the same torn-event tolerance as the slots themselves.
     cat_dropped: [AtomicU64; CATEGORIES.len()],
 }
 
@@ -277,32 +324,38 @@ impl FlightRecorder {
     /// two, minimum 8).
     pub fn with_capacity(cap: usize) -> Self {
         let cap = cap.max(8).next_power_of_two();
+        let shards = (0..TRACE_SHARDS)
+            .map(|_| Shard {
+                head: AtomicUsize::new(0),
+                slots: zeroed_slots(cap),
+            })
+            .collect();
         FlightRecorder {
             epoch: Instant::now(),
             cap,
-            heads: Default::default(),
-            slots: zeroed_slots(cap * TRACE_SHARDS),
+            shards,
             cat_recorded: Default::default(),
             cat_dropped: Default::default(),
         }
     }
 
-    /// Record one unnamed event, overwriting the shard's oldest when the
-    /// ring is full.
+    /// Record one event. Wait-free; wraps (overwriting the shard's
+    /// oldest event) when the ring is full.
     pub fn record(&self, kind: EventKind, a: u64, b: u64) {
         self.write(kind, None, a, b);
     }
 
+    /// [`record`](Self::record) an event, named by `span` if it has one.
     fn write(&self, kind: EventKind, span: Option<Span>, a: u64, b: u64) {
         let tid = thread_id();
         let ts = u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        let shard = (tid as usize) % TRACE_SHARDS;
-        let cursor = self.heads[shard].fetch_add(1, Ordering::Relaxed);
-        let slot = &self.slots[shard * self.cap + (cursor & (self.cap - 1))];
+        let shard = &self.shards[(tid as usize) % TRACE_SHARDS];
+        let cursor = shard.head.fetch_add(1, Ordering::Relaxed);
+        let slot = &shard.slots[cursor & (self.cap - 1)];
         if cursor >= self.cap {
             // Wrapping: attribute the evicted event before overwriting.
             let old = slot.meta.load(Ordering::Acquire);
-            if let Some(evicted) = EventKind::decode(old) {
+            if let Some(evicted) = EventKind::from_u8((old & 0xff) as u8) {
                 self.cat_dropped[evicted.cat_index()].fetch_add(1, Ordering::Relaxed);
             }
         }
@@ -310,44 +363,66 @@ impl FlightRecorder {
         slot.ts.store(ts, Ordering::Relaxed);
         slot.a.store(a, Ordering::Relaxed);
         slot.b.store(b, Ordering::Relaxed);
-        let meta = kind as u64 | u64::from(tid) << 8 | name;
-        slot.meta.store(meta, Ordering::Release);
+        slot.meta.store(
+            (kind as u64) | (u64::from(tid) << 8) | name,
+            Ordering::Release,
+        );
         self.cat_recorded[kind.cat_index()].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Total events recorded (including any since overwritten).
     pub fn recorded(&self) -> u64 {
-        let heads = self.heads.iter().map(|h| h.load(Ordering::Relaxed));
-        heads.sum::<usize>() as u64
+        self.shards
+            .iter()
+            .map(|s| s.head.load(Ordering::Relaxed) as u64)
+            .sum()
     }
 
     /// Events lost to ring wrap-around.
     pub fn dropped(&self) -> u64 {
-        let heads = self.heads.iter().map(|h| h.load(Ordering::Relaxed));
-        heads.map(|h| h.saturating_sub(self.cap)).sum::<usize>() as u64
+        self.shards
+            .iter()
+            .map(|s| s.head.load(Ordering::Relaxed).saturating_sub(self.cap) as u64)
+            .sum()
     }
 
-    /// Per-category `(name, recorded, dropped)` rows, in [`CATEGORIES`]
-    /// order; the dropped counts sum to [`dropped`](Self::dropped).
+    /// Per-category `(name, recorded, dropped)` rows, in
+    /// `CATEGORIES` order. Dropped counts attribute each ring
+    /// eviction to the overwritten event's category, so they sum to
+    /// [`dropped`](Self::dropped) (modulo torn-slot races above
+    /// `TRACE_SHARDS` concurrent writers).
     pub fn by_category(&self) -> Vec<(&'static str, u64, u64)> {
-        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        let counts = self.cat_recorded.iter().zip(&self.cat_dropped);
-        let rows = CATEGORIES.into_iter().zip(counts);
-        rows.map(|(name, (r, d))| (name, load(r), load(d)))
+        CATEGORIES
+            .iter()
+            .enumerate()
+            .map(|(i, name)| {
+                (
+                    *name,
+                    self.cat_recorded[i].load(Ordering::Relaxed),
+                    self.cat_dropped[i].load(Ordering::Relaxed),
+                )
+            })
             .collect()
     }
 
-    /// Every surviving event, sorted by timestamp (a thread's own in the
-    /// order it recorded them). Read once the work has quiesced.
+    /// Snapshot every surviving event, sorted by timestamp; a thread's
+    /// own events with equal timestamps keep the order it recorded
+    /// them in, which the profile's fold relies on. Intended for
+    /// export after the recorded work has quiesced; concurrent writers
+    /// may leave a torn final event per shard.
     pub fn events(&self) -> Vec<Event> {
         let mut out = Vec::new();
-        for (shard, head) in self.heads.iter().enumerate() {
-            let head = head.load(Ordering::Acquire);
-            let ring = &self.slots[shard * self.cap..(shard + 1) * self.cap];
+        for shard in self.shards.iter() {
+            // Oldest first: a wrapped ring's oldest survivor sits at the
+            // head's slot.
+            let head = shard.head.load(Ordering::Acquire);
             for i in head.saturating_sub(self.cap)..head {
-                let slot = &ring[i & (self.cap - 1)];
+                let slot = &shard.slots[i & (self.cap - 1)];
                 let meta = slot.meta.load(Ordering::Acquire);
-                let Some(kind) = EventKind::decode(meta) else {
+                if meta == 0 {
+                    continue;
+                }
+                let Some(kind) = EventKind::from_u8((meta & 0xff) as u8) else {
                     continue;
                 };
                 let name = ((meta >> SPAN_SHIFT) as usize).wrapping_sub(1);
@@ -361,44 +436,60 @@ impl FlightRecorder {
                 });
             }
         }
-        // Stable: equal timestamps of one thread keep their ring order.
+        // A stable sort, so ties keep the ring order.
         out.sort_by_key(|e| e.ts_ns);
         out
     }
 
-    /// Export as a Chrome trace-event JSON object (`traceEvents`, with
-    /// the [`summary`](Self::summary)), loadable in Perfetto. A named
-    /// span exports under its [`Span`] name. Only matched per-thread
-    /// `B`/`E` pairs are exported, so the file always balances.
+    /// Export as a Chrome trace-event JSON object
+    /// (`{"traceEvents": [...], "displayTimeUnit": "ns"}` beside the
+    /// [`summary`](Self::summary)), loadable in Perfetto or
+    /// `chrome://tracing`. A named span exports under its [`Span`] name.
+    ///
+    /// Span events (`"B"`/`"E"`) are emitted only as matched, properly
+    /// nested per-thread pairs; orphans from ring wrap-around are
+    /// demoted out of the export so the file always balances.
     pub fn chrome_trace(&self) -> Json {
         let events = self.events();
-        // Per tid, stack-match Begin/End events.
-        let mut keep = vec![false; events.len()];
-        let mut stacks: std::collections::HashMap<u32, Vec<usize>> = Default::default();
+        // Balance pass: per tid, stack-match Begin/End events by index.
+        let mut keep = vec![true; events.len()];
+        let mut stacks: std::collections::HashMap<u32, Vec<usize>> =
+            std::collections::HashMap::new();
         for (i, e) in events.iter().enumerate() {
-            let stack = stacks.entry(e.tid).or_default();
             match e.kind.phase() {
-                Phase::Begin => stack.push(i),
+                Phase::Begin => stacks.entry(e.tid).or_default().push(i),
                 Phase::End => {
-                    if let Some(begin) = stack.pop() {
-                        keep[begin] = true;
-                        keep[i] = true;
+                    let stack = stacks.entry(e.tid).or_default();
+                    if stack.pop().is_none() {
+                        keep[i] = false; // End without a recorded Begin
                     }
                 }
-                Phase::Instant => keep[i] = true,
+                Phase::Instant => {}
             }
         }
+        for stack in stacks.values() {
+            for &i in stack {
+                keep[i] = false; // Begin whose End was overwritten
+            }
+        }
+
         let mut arr = Vec::with_capacity(events.len());
-        for (e, _) in events.iter().zip(keep).filter(|(_, keep)| *keep) {
-            let ph = match e.kind.phase() {
-                Phase::Begin => "B",
-                Phase::End => "E",
-                Phase::Instant => "i",
-            };
+        for (i, e) in events.iter().enumerate() {
+            if !keep[i] {
+                continue;
+            }
             let mut j = Json::obj();
             j.push("name", e.span.map_or(e.kind.name(), Span::name).into())
                 .push("cat", e.kind.cat().into())
-                .push("ph", ph.into())
+                .push(
+                    "ph",
+                    match e.kind.phase() {
+                        Phase::Begin => "B",
+                        Phase::End => "E",
+                        Phase::Instant => "i",
+                    }
+                    .into(),
+                )
                 .push("ts", Json::F64(e.ts_ns as f64 / 1000.0))
                 .push("pid", 1u64.into())
                 .push("tid", u64::from(e.tid).into());
@@ -416,7 +507,8 @@ impl FlightRecorder {
         out
     }
 
-    /// `recorded`, `dropped`, and `categories`: per category the same.
+    /// The recorder's counts: `recorded`, `dropped`, and per category
+    /// of `categories` the same two.
     pub fn summary(&self) -> Json {
         let mut cats = Json::obj();
         for (name, recorded, dropped) in self.by_category() {
@@ -448,14 +540,16 @@ thread_local! {
     static TID: u32 = (NEXT_TID.fetch_add(1, Ordering::Relaxed) & 0xffff_ffff) as u32;
 }
 
-/// Process-unique small id of the calling thread.
+/// Process-unique id of the calling thread (small, assigned on first
+/// use).
 pub fn thread_id() -> u32 {
     TID.with(|t| *t)
 }
 
-/// Install `recorder` as the process-global flight recorder for the
-/// categories named in `layers` (of [`CATEGORIES`]; another name
-/// panics), replacing any previous one.
+/// Install `recorder` as the process-global flight recorder; event
+/// sites of the categories named in `layers` (of [`CATEGORIES`]; another
+/// name panics) start recording into it immediately. Replaces any
+/// previous recorder (which stays alive but stops receiving events).
 pub fn install(recorder: Arc<FlightRecorder>, layers: &[&str]) {
     let mask = layers.iter().fold(0, |mask, layer| {
         let i = CATEGORIES.iter().position(|c| c == layer);
@@ -464,7 +558,8 @@ pub fn install(recorder: Arc<FlightRecorder>, layers: &[&str]) {
     SINK.install(recorder, mask);
 }
 
-/// Stop recording (the recorder stays readable through its `Arc`).
+/// Stop recording. The last installed recorder remains readable via
+/// the caller's own `Arc`.
 pub fn uninstall() {
     SINK.uninstall();
 }
@@ -475,8 +570,10 @@ pub(crate) fn recording(kind: EventKind) -> bool {
     SINK.layers() & 1 << kind.cat_index() != 0
 }
 
-/// The hot paths' hook: record an event if its category is recorded;
-/// otherwise one relaxed load and a predictable branch.
+/// Record an event on the installed recorder, if its category is
+/// recorded. This is the hook the hot paths call: with no recorder
+/// installed for the category it is one relaxed load and a predictable
+/// branch.
 #[inline]
 pub fn emit(kind: EventKind, a: u64, b: u64) {
     emit_span(kind, None, a, b);
@@ -603,15 +700,15 @@ mod tests {
     #[test]
     fn events_table_is_dense_paired_and_covers_every_category() {
         let all = EventKind::ALL;
-        // Ring codes are dense from 1, so `decode` inverts `as u64` on
+        // Ring codes are dense from 1, so `from_u8` inverts `as u8` on
         // every kind and a zeroed slot (or the code past the end)
         // decodes to nothing.
         for (i, &kind) in all.iter().enumerate() {
             assert_eq!(kind as usize, i + 1, "{kind:?}");
-            assert_eq!(EventKind::decode(kind as u64), Some(kind));
+            assert_eq!(EventKind::from_u8(kind as u8), Some(kind));
         }
-        assert_eq!(EventKind::decode(0), None);
-        assert_eq!(EventKind::decode(all.len() as u64 + 1), None);
+        assert_eq!(EventKind::from_u8(0), None);
+        assert_eq!(EventKind::from_u8(all.len() as u8 + 1), None);
         // `chrome_trace`'s balance pass matches a Begin with whatever
         // End follows on the thread: the exported pair nests only if
         // some End shares the Begin's category and name.
