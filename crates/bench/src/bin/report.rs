@@ -2,21 +2,22 @@
 //! theorem experiment of the paper in one run and prints the tables
 //! that EXPERIMENTS.md records.
 //!
-//! Every run builds both outputs on one path — the human tables into
-//! one `String`, the JSON document beside them — and prints one of
-//! them at the end: the tables, or with `--json` **exactly one JSON
-//! object** (`{"rows": [...], "metrics": {...}, ...}`) and nothing
-//! else; the tables are then built and not printed. The `metrics`
-//! section aggregates the observability counters: opacity-checker
-//! search statistics per litmus figure, the model-checker exploration
-//! totals, and with `--monitor` and `--sat` those layers' totals; the
-//! `costs` array is the paper's §4 instruction-cost table.
+//! Every run builds one JSON document (`{"rows": [...], "metrics":
+//! {...}, ...}`) and prints it: with `--json` as **exactly one JSON
+//! object** and nothing else, without as its text, which is
+//! `jungle_bench::render::report` of the document — the code
+//! EXPERIMENTS.md's tables are held to. The text shows nothing the
+//! document lacks. The `metrics` section aggregates the observability
+//! counters: opacity-checker search statistics per litmus figure, the
+//! model-checker exploration totals, and with `--monitor` and `--sat`
+//! those layers' totals; the `costs` array is the paper's §4
+//! instruction-cost table.
 //!
 //! The rows are the run's only gate: exit 0 when every row passes,
-//! 1 when one fails (or an output file cannot be written, or the
-//! `--profile` tree cannot be folded), 2 for a bad command line or an
-//! unreadable `--replay` log. The floors that are
-//! not a verdict of the paper are `jungle_bench`'s predicates.
+//! 1 when one fails (or an output file cannot be written, the
+//! `--profile` tree cannot be folded, or a monitor consumer panics), 2
+//! for a bad command line or an unreadable `--replay` log. The floors
+//! that are not a verdict of the paper are `jungle_bench`'s predicates.
 //!
 //! Further flags:
 //!
@@ -26,23 +27,24 @@
 //!   no work to the run. Adds the `flight/complete` row: no event
 //!   dropped, and every span layer the flags drove recorded a span (the
 //!   phases and the checker always, `stm` with `--monitor`, `sat` with
-//!   `--sat`).
-//! * `--explain [id]` — print the explainer narrative (timeline,
+//!   `--sat`). The `flight` section names the exported file.
+//! * `--explain [id]` — add the explainer narrative (timeline,
 //!   irreconcilable pair, class) of the counterexample each Theorem 1
-//!   sweep found above (or just that of the experiment named by `id`).
-//!   An unknown id is a named error listing the valid experiment ids.
+//!   sweep found above (or just that of the experiment named by `id`)
+//!   as an `explanations` section. An unknown id is a named error
+//!   listing the valid experiment ids.
 //! * `--record <dir> [id]` — write the schedule log of each Theorem 1
 //!   sweep's counterexample (`<dir>/<id>.json`), delta-debug it to a
 //!   minimal still-violating log (`<dir>/<id>.min.json`), and
 //!   replay-verify both. With an optional experiment `id`, record just
 //!   that experiment; an unknown id is a named error listing the valid
-//!   ids. Adds a `replay` section to `--json` output. Neither flag
-//!   sweeps again, and each counterexample is explained once for both.
+//!   ids. Adds a `replay` section. Neither flag sweeps again, and each
+//!   counterexample is explained once for both.
 //! * `--monitor` — drive every STM with live transactional traffic
 //!   through the event tap while a streaming monitor thread checks the
-//!   stream with the tiered (triage → escalate) pipeline. Prints the
-//!   per-STM ingest/triage/escalation counts and adds a `monitor`
-//!   section to `--json` output.
+//!   stream with the tiered (triage → escalate) pipeline. Adds the
+//!   per-STM ingest/triage/escalation counts as a `monitor` section. A
+//!   consumer that panics is a named error (exit 1).
 //! * `--profile` — emit a `profile` section: the phase tree with calls
 //!   and self/total time per phase, folded from the flight recorder's
 //!   named spans, and the run-wide DPOR race-pair heat table beside the
@@ -58,17 +60,22 @@
 //!   entry, both check kinds; every SAT positive re-certified through
 //!   the DFS leaf), then run the two engines on the wide-UNSAT stress
 //!   family, where both must refute every size and the DFS may try at
-//!   most one serialization order. Adds a `sat` section to `--json`
-//!   output.
+//!   most one serialization order. Adds a `sat` section, which names
+//!   every check on which the backends disagree (`disagreeing`).
 //! * `--replay <file>` — re-execute a saved schedule log, verify the
 //!   recorded history fingerprint, and exit nonzero on divergence (a
 //!   focused mode: the full report is skipped). A log whose model or
-//!   property is not its experiment's is refused (exit 2). With
-//!   `--explain`, also narrate the replayed counterexample.
-//! * `--ledger <path>` — ledger location (default
-//!   `.jungle/ledger.jsonl`). Every run appends one entry.
-//! * `--memo-dir <path>` — verdict-memo persistence directory (default
-//!   `.jungle/memo`), preloaded on start and rewritten on exit.
+//!   property is not its experiment's is refused (exit 2). Its document
+//!   is the replay's; with `--explain` it also holds the replayed
+//!   counterexample's narrative (`rendered`), and its text is
+//!   `jungle_bench::render::replayed` of it.
+//! * `--ledger <path>` — append this run's entry to the ledger at
+//!   `path`. Without it no ledger is written; the document still holds
+//!   the entry (`ledger_entry`).
+//! * `--memo-dir <path>` — preload the verdict memo from `path` on
+//!   start and rewrite it there on exit. Without it the memo starts
+//!   empty and is not saved: a run reads no state its command line does
+//!   not name.
 //!
 //! Run with: `cargo run --release -p jungle-bench --bin report`
 
@@ -99,7 +106,6 @@ use jungle_replay::{log_of, replay, shrink, ScheduleLog};
 use jungle_stm::StmTap;
 use std::cell::OnceCell;
 use std::collections::HashMap;
-use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -145,8 +151,8 @@ struct Args {
     replay: Option<PathBuf>,
     /// `--sat`: DFS-vs-SAT cross-validation + crossover benchmark.
     sat: bool,
-    ledger: PathBuf,
-    memo_dir: PathBuf,
+    ledger: Option<PathBuf>,
+    memo_dir: Option<PathBuf>,
 }
 
 fn parse_args() -> Args {
@@ -161,8 +167,8 @@ fn parse_args() -> Args {
         record_id: None,
         replay: None,
         sat: false,
-        ledger: PathBuf::from(".jungle/ledger.jsonl"),
-        memo_dir: PathBuf::from(".jungle/memo"),
+        ledger: None,
+        memo_dir: None,
     };
     let mut it = std::env::args().skip(1).peekable();
     while let Some(a) = it.next() {
@@ -189,8 +195,8 @@ fn parse_args() -> Args {
             }
             "--replay" => args.replay = Some(PathBuf::from(value("--replay"))),
             "--sat" => args.sat = true,
-            "--ledger" => args.ledger = PathBuf::from(value("--ledger")),
-            "--memo-dir" => args.memo_dir = PathBuf::from(value("--memo-dir")),
+            "--ledger" => args.ledger = Some(PathBuf::from(value("--ledger"))),
+            "--memo-dir" => args.memo_dir = Some(PathBuf::from(value("--memo-dir"))),
             other => {
                 eprintln!("unknown argument: {other}");
                 std::process::exit(2);
@@ -216,9 +222,9 @@ fn resolve_experiment(id: &str) -> Experiment {
 /// `report --replay <file>`: re-execute a saved schedule log on the
 /// experiment it was recorded against, verify the recorded history
 /// fingerprint, and (with `--explain`) narrate the replayed
-/// counterexample. Exits nonzero on divergence or a fingerprint
-/// mismatch.
-fn replay_mode(args: &Args, path: &std::path::Path) -> ! {
+/// counterexample. Returns the replay's document, and a failure on
+/// divergence or a fingerprint mismatch.
+fn replay_mode(args: &Args, path: &std::path::Path) -> (Json, Option<String>) {
     let log = ScheduleLog::load(path).unwrap_or_else(|e| {
         eprintln!("error: {e}");
         std::process::exit(2);
@@ -269,39 +275,11 @@ fn replay_mode(args: &Args, path: &std::path::Path) -> ! {
         .filter(|_| args.explain)
         .and_then(|t| explain_trace(t, exp.entry.model, exp.kind).ok());
     if let Some(ex) = &explanation {
-        j.push("class", ex.class.map_or(Json::Null, |c| c.name().into()));
+        j.push("class", ex.class.map_or(Json::Null, |c| c.name().into()))
+            .push("rendered", ex.render().into());
     }
-    if args.json {
-        println!("{j}");
-    } else {
-        println!(
-            "replayed {} on {} ({} decisions): {}",
-            path.display(),
-            id,
-            log.decisions.len(),
-            if out.matches {
-                "fingerprint reproduced"
-            } else if !out.completed {
-                "run truncated"
-            } else {
-                "MISMATCH"
-            }
-        );
-        if let Some(d) = out.divergence {
-            println!(
-                "  first divergence at step {}: expected action {:#x} of {} options, got {:#x} of {}",
-                d.step, d.expected_action, d.expected_options, d.actual_action, d.actual_options
-            );
-        }
-        println!(
-            "  recorded fingerprint {:#x}, replayed {:#x}, violating: {}",
-            log.fingerprint, out.fingerprint, out.violating
-        );
-        if let Some(ex) = &explanation {
-            println!("\n{}", ex.render());
-        }
-    }
-    std::process::exit(if out.matches { 0 } else { 1 });
+    let failure = (!out.matches).then(|| format!("{} did not replay as recorded", path.display()));
+    (j, failure)
 }
 
 /// One experiment of the theorem phase, with its sweep's counterexample.
@@ -343,8 +321,9 @@ fn git_rev() -> String {
 /// opaque, so this sweep measures the monitor's steady state: each
 /// STM's row holds its stream to `jungle_bench::monitor_ok` — every
 /// event of every transaction ingested, none dropped, no violation,
-/// every window decided by one tier, (nearly) all by triage.
-fn monitor_sweep(text: &mut String, rows: &mut Vec<Row>) -> (Vec<Json>, MonitorStats) {
+/// every window decided by one tier, (nearly) all by triage. A
+/// consumer that panics ends the run with a named error (exit 1).
+fn monitor_sweep(rows: &mut Vec<Row>) -> (Vec<Json>, MonitorStats) {
     use jungle_core::ids::ProcId;
     use jungle_stm::{atomically, Ctx};
     const THREADS: u32 = 4;
@@ -353,13 +332,6 @@ fn monitor_sweep(text: &mut String, rows: &mut Vec<Row>) -> (Vec<Json>, MonitorS
     // Begin, read, write, commit.
     const OPS_PER_TXN: u64 = 4;
 
-    text.push_str("\n════ Streaming monitor: live traffic through the tiered checker ════\n\n");
-    writeln!(
-        text,
-        "  {:<18} {:>9} {:>8} {:>9} {:>6} {:>5} {:>6}",
-        "algorithm", "ops", "windows", "cleared%", "escal", "viol", "drops"
-    )
-    .unwrap();
     let memo = Arc::new(SharedVerdictMemo::new());
     let mut total = MonitorStats::default();
     let mut entries = Vec::new();
@@ -395,24 +367,10 @@ fn monitor_sweep(text: &mut String, rows: &mut Vec<Row>) -> (Vec<Json>, MonitorS
             }
         });
         tap.close();
-        let stats = consumer.join().expect("monitor consumer thread");
-        let cleared_pct = if stats.windows_sealed == 0 {
-            100.0
-        } else {
-            100.0 * stats.triage_cleared as f64 / stats.windows_sealed as f64
-        };
-        writeln!(
-            text,
-            "  {:<18} {:>9} {:>8} {:>8.1}% {:>6} {:>5} {:>6}",
-            tm.name(),
-            stats.ops_ingested,
-            stats.windows_sealed,
-            cleared_pct,
-            stats.escalated,
-            stats.violations,
-            stats.events_dropped,
-        )
-        .unwrap();
+        let stats = jungle_bench::join_consumer(tm.name(), consumer).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(1);
+        });
         rows.push(Row {
             section: "monitor",
             id: format!("monitor/{}", tm.name()),
@@ -434,11 +392,6 @@ fn monitor_sweep(text: &mut String, rows: &mut Vec<Row>) -> (Vec<Json>, MonitorS
         entries.push(j);
         total.absorb(&stats);
     }
-    writeln!(
-        text,
-        "  (4 threads × {TXNS} disjoint read-modify-write txns per STM, window {WINDOW}, blocking tap)"
-    )
-    .unwrap();
     (entries, total)
 }
 
@@ -449,8 +402,9 @@ fn monitor_sweep(text: &mut String, rows: &mut Vec<Row>) -> (Vec<Json>, MonitorS
 /// whose infeasibility the SAT backend refutes with a single
 /// empty-core probe — to locate the first size where SAT does less
 /// work (CEGAR rounds against serialization orders tried). Returns the
-/// JSON section and the aggregated solver stats.
-fn sat_sweep(text: &mut String, rows: &mut Vec<Row>) -> (Json, SatStats) {
+/// JSON section, which names each check the backends disagree on, and
+/// the aggregated solver stats.
+fn sat_sweep(rows: &mut Vec<Row>) -> (Json, SatStats) {
     use jungle_core::check::{Check, CheckBackend, CheckKind};
     use jungle_core::model::Sc;
     use jungle_litmus::stress::wide_unsat_history;
@@ -461,17 +415,8 @@ fn sat_sweep(text: &mut String, rows: &mut Vec<Row>) -> (Json, SatStats) {
     let mut certified = 0u64;
     let mut disagreements: Vec<String> = Vec::new();
 
-    text.push_str("\n════ SAT backend: DFS vs CDCL verdicts (litmus × registry × kind) ════\n\n");
-    writeln!(
-        text,
-        "  {:<26} {:>7} {:>7} {:>9} {:>10}",
-        "history", "checks", "agree", "positive", "certified"
-    )
-    .unwrap();
     for litmus in all_litmus() {
         for o in &litmus.outcomes {
-            let label = format!("{}/{}", litmus.name, o.label);
-            let (mut n, mut agree, mut pos, mut cert) = (0u64, 0u64, 0u64, 0u64);
             for e in registry() {
                 for kind in [CheckKind::Opacity, CheckKind::Sgla] {
                     let dfs = Check::new(kind).run(&o.history, e.model).0.holds();
@@ -481,22 +426,17 @@ fn sat_sweep(text: &mut String, rows: &mut Vec<Row>) -> (Json, SatStats) {
                     }
                     .run(&o.history, e.model);
                     total.absorb(&st.sat);
-                    n += 1;
-                    if dfs == sat.holds() {
-                        agree += 1;
-                    } else {
-                        disagreements.push(format!("{label}/{}/{}", e.key, kind.tag()));
+                    checked += 1;
+                    if dfs != sat.holds() {
+                        let (name, label) = (litmus.name, &o.label);
+                        disagreements.push(format!("{name}/{label}/{}/{}", e.key, kind.tag()));
                     }
                     if sat.holds() {
-                        pos += 1;
-                        cert += st.sat.certified;
+                        positives += 1;
+                        certified += st.sat.certified;
                     }
                 }
             }
-            checked += n;
-            positives += pos;
-            certified += cert;
-            writeln!(text, "  {label:<26} {n:>7} {agree:>7} {pos:>9} {cert:>10}").unwrap();
         }
     }
     let agreement = disagreements.is_empty();
@@ -520,13 +460,6 @@ fn sat_sweep(text: &mut String, rows: &mut Vec<Row>) -> (Json, SatStats) {
     // to measure.
     let mut points: Vec<Json> = Vec::new();
     let (mut dfs_orders_max, mut refuted) = (0u64, true);
-    text.push_str("\n  wide-UNSAT crossover (SC, opacity):\n");
-    writeln!(
-        text,
-        "    {:>3} {:>10} {:>10} {:>9}",
-        "p", "dfs orders", "sat rounds", "verdicts"
-    )
-    .unwrap();
     for p in 2..=6usize {
         let h = wide_unsat_history(p);
         let (dfs, dfs_st) = Check::new(CheckKind::Opacity).run(&h, &Sc);
@@ -542,19 +475,6 @@ fn sat_sweep(text: &mut String, rows: &mut Vec<Row>) -> (Json, SatStats) {
         let (orders, rounds) = (dfs_st.search.txn_orders, sat_st.sat.cegar_rounds);
         dfs_orders_max = dfs_orders_max.max(orders);
         refuted &= !dfs.holds() && !sat.holds();
-        writeln!(
-            text,
-            "    {:>3} {:>10} {:>10} {:>9}",
-            p,
-            orders,
-            rounds,
-            if dfs.holds() == sat.holds() {
-                "equal"
-            } else {
-                "DIFFER"
-            }
-        )
-        .unwrap();
         let mut j = Json::obj();
         j.push("p", (p as u64).into())
             .push("dfs_orders", orders.into())
@@ -575,15 +495,6 @@ fn sat_sweep(text: &mut String, rows: &mut Vec<Row>) -> (Json, SatStats) {
         ),
         pass: refuted && dfs_orders_max <= 1,
     });
-    writeln!(
-        text,
-        "  {} checks, {} disagreements; solver: {} conflicts, {} learned",
-        checked,
-        disagreements.len(),
-        total.conflicts,
-        total.learned,
-    )
-    .unwrap();
 
     let mut sec = Json::obj();
     sec.push("checked", checked.into())
@@ -594,15 +505,40 @@ fn sat_sweep(text: &mut String, rows: &mut Vec<Row>) -> (Json, SatStats) {
         .push("crossover_refuted", refuted.into())
         .push("crossover_dfs_orders_max", dfs_orders_max.into())
         .push("crossover_points", Json::Arr(points))
-        .push("stats", total.to_json());
+        .push("stats", total.to_json())
+        .push(
+            "disagreeing",
+            Json::Arr(disagreements.iter().map(|d| d.as_str().into()).collect()),
+        );
     (sec, total)
 }
 
+/// The run's one output: its document, or that document's text.
 fn main() {
     let args = parse_args();
-    if let Some(path) = args.replay.clone() {
-        replay_mode(&args, &path);
+    let (doc, failure) = match &args.replay {
+        Some(path) => replay_mode(&args, path),
+        None => run_report(&args),
+    };
+    let render = match args.replay {
+        Some(_) => jungle_bench::render::replayed,
+        None => jungle_bench::render::report,
+    };
+    let out = if args.json {
+        format!("{doc}\n")
+    } else {
+        render(&doc)
+    };
+    print!("{out}");
+    if let Some(why) = failure {
+        eprintln!("{why}");
+        std::process::exit(1);
     }
+}
+
+/// Every experiment of the report, once: the document, and why the run
+/// fails if it does (a failing row, a profile that cannot be folded).
+fn run_report(args: &Args) -> (Json, Option<String>) {
     // Validate `--explain <id>` / `--record <dir> <id>` up front so a
     // typo fails before the multi-second report run, with the valid
     // ids listed.
@@ -631,11 +567,6 @@ fn main() {
         r
     });
 
-    // The human tables, built on every run and printed at the end unless
-    // `--json` asks for the document instead. Writing into a `String`
-    // fails only if a `Display` impl does, which `println!` answered
-    // with a panic too: hence the `unwrap`s.
-    let mut text = String::new();
     let mut rows: Vec<Row> = Vec::new();
     let mut metrics = MetricsSnapshot::new();
     // Run-wide DPOR race heat, absorbed from every DPOR-backed
@@ -644,21 +575,12 @@ fn main() {
 
     // ── Figures 1–2: litmus verdict tables ────────────────────────
     let phase_figures = profile::enter(Span::ReportFigures);
-    text.push_str("════ Figures 1–2: litmus verdicts per memory model ════\n\n");
     for litmus in all_litmus() {
-        writeln!(text, "{} — {}", litmus.name, litmus.question).unwrap();
-        write!(text, "  {:<14}", "outcome").unwrap();
-        for m in all_models() {
-            write!(text, "{:>9}", m.name()).unwrap();
-        }
-        text.push('\n');
         for o in &litmus.outcomes {
-            write!(text, "  {:<14}", o.label).unwrap();
             for m in all_models() {
                 let (verdict, stats) = check_opacity_traced(&o.history, m);
                 metrics.record_checker(litmus.name, &stats);
                 let ok = verdict.is_opaque();
-                write!(text, "{:>9}", if ok { "allowed" } else { "✗" }).unwrap();
                 rows.push(Row {
                     section: "figures",
                     id: format!("{}/{}/{}", litmus.name, o.label, m.name()),
@@ -671,22 +593,14 @@ fn main() {
                     pass: true,
                 });
             }
-            text.push('\n');
         }
-        text.push('\n');
     }
     drop(phase_figures);
 
     // ── Instrumentation taxonomy + measured instruction costs ─────
-    // The paper's §4 table. One loop writes the text line and the
-    // `costs` entry of each algorithm, column by column.
-    text.push_str("════ TM algorithms: instrumentation & measured instruction cost ════\n\n");
-    writeln!(
-        text,
-        "  {:<18} {:<34} {:>8} {:>8} {:>8} {:>8}",
-        "algorithm", "class (§4)", "nt-rd", "nt-wr", "tx-rd", "commit"
-    )
-    .unwrap();
+    // The paper's §4 table: the `costs` entry of each algorithm, the
+    // most memory instructions one operation of an uncontended program
+    // executes.
     let strong = StrongTm::new();
     let strong_opt = StrongTm::optimized();
     let algos: [&dyn McAlgo; 6] = [
@@ -701,7 +615,6 @@ fn main() {
     for algo in algos {
         let c = measure(algo);
         let class = algo.instrumentation().to_string();
-        write!(text, "  {:<18} {:<34}", algo.name(), class).unwrap();
         let mut j = Json::obj();
         j.push("algorithm", algo.name().into())
             .push("class", class.as_str().into());
@@ -711,37 +624,29 @@ fn main() {
             ("txn_read", c.txn_read),
             ("commit", c.commit),
         ] {
-            write!(text, " {:>8}", cost.max_instrs).unwrap();
             j.push(key, cost.max_instrs.into());
         }
-        text.push('\n');
         costs.push(j);
     }
-    text.push_str("  (max memory instructions per operation, uncontended standard program)\n\n");
 
     // ── Lemma 1 / Theorems 1–5, 7 on the simulator ────────────────
     // One verdict memo shared across every sweep in the report,
-    // preloaded from the previous run's persisted verdicts: the
-    // constructions reuse the same litmus programs under the same
-    // models, so repeated per-history verdicts come from the memo —
-    // within the run and across runs.
+    // preloaded from the verdicts a previous run persisted in
+    // `--memo-dir`, if the run names one: the constructions reuse the
+    // same litmus programs under the same models, so repeated
+    // per-history verdicts come from the memo — within the run and
+    // across runs.
     let memo = SharedVerdictMemo::new();
-    match memo.load_dir(&args.memo_dir) {
-        Ok(0) => {}
-        Ok(n) => writeln!(
-            text,
-            "(preloaded {n} memoized verdicts from {})\n",
-            args.memo_dir.display()
-        )
-        .unwrap(),
-        Err(e) => eprintln!(
-            "warning: could not preload memo from {}: {e}",
-            args.memo_dir.display()
-        ),
+    if let Some(dir) = &args.memo_dir {
+        if let Err(e) = memo.load_dir(dir) {
+            eprintln!(
+                "warning: could not preload memo from {}: {e}",
+                dir.display()
+            );
+        }
     }
     let cfg = ParallelConfig::default();
     let phase_theorems = profile::enter(Span::ReportTheorems);
-    text.push_str("════ Lemma 1 & Theorems (simulator experiments) ════\n\n");
     // The exhaustive experiments' exploration counters, kept for the
     // DPOR table below, and every experiment's counterexample, kept for
     // `--explain` and `--record`: those sections are views of these
@@ -755,14 +660,6 @@ fn main() {
         }
         metrics.record_mc(&r.stats);
         waste_total.absorb(&r.waste);
-        writeln!(
-            text,
-            "  {:<22} {:<36} {:>6}",
-            e.id,
-            e.paper_ref,
-            if r.passed { "PASS" } else { "FAIL" },
-        )
-        .unwrap();
         rows.push(Row {
             section: "theorems",
             id: e.id.clone(),
@@ -788,25 +685,12 @@ fn main() {
     // times this table; the sweeps ran under `report.theorems`.
     let phase_dpor = profile::enter(Span::ReportDpor);
     let mut dpor_entries: Vec<Json> = Vec::new();
-    text.push_str("\n════ DPOR reduction: the exhaustive sweeps above, runs vs classes ════\n\n");
-    writeln!(
-        text,
-        "  {:<22} {:>9} {:>9} {:>9} {:>9} {:>7}",
-        "experiment", "executed", "complete", "blocked", "classes", "ratio"
-    )
-    .unwrap();
     for (id, st) in &exhaustive {
         let completed = st.histories_checked + st.dedup_hits;
         let classes = st.histories_checked;
         // Complete runs per distinct class: 1.00 is optimal. Executed
         // also counts sleep-set probes that abort partway (blocked).
         let ratio = completed as f64 / classes.max(1) as f64;
-        writeln!(
-            text,
-            "  {:<22} {:>9} {:>9} {:>9} {:>9} {:>7.2}",
-            id, st.dpor_executed, completed, st.dpor_blocked, classes, ratio,
-        )
-        .unwrap();
         let mut j = Json::obj();
         j.push("id", id.as_str().into())
             .push("dpor_executed", st.dpor_executed.into())
@@ -837,39 +721,21 @@ fn main() {
     // the same entry's model. (The fixed experiments above keep the
     // paper's SC-execution setting; this table is what the unified
     // registry adds.)
-    text.push_str("\n════ Matched-model zoo: STM × registry entry (execute X, check X) ════\n\n");
-    write!(text, "  {:<18}", "algorithm").unwrap();
-    for e in registry() {
-        write!(text, "{:>9}", e.key).unwrap();
-    }
-    text.push('\n');
     let phase_zoo = profile::enter(Span::ReportZoo);
     let zoo = matched_zoo(SweepSeeds::new(0, 30), 8_000, &cfg, &memo);
-    {
-        let mut last_algo = "";
-        for z in &zoo {
-            metrics.record_mc(&z.stats);
-            if z.algo != last_algo {
-                if !last_algo.is_empty() {
-                    text.push('\n');
-                }
-                write!(text, "  {:<18}", z.algo).unwrap();
-                last_algo = z.algo;
-            }
-            write!(text, "{:>9}", if z.ok { "opaque" } else { "✗" }).unwrap();
-            rows.push(Row {
-                section: "zoo",
-                id: format!("zoo/{}/{}", z.algo, z.model),
-                expected: "(descriptive)",
-                observed: if z.ok {
-                    "opaque".into()
-                } else {
-                    "violated".into()
-                },
-                pass: true,
-            });
-        }
-        text.push_str("\n  (30 sampled schedules per cell; matched execution and checker model)\n");
+    for z in &zoo {
+        metrics.record_mc(&z.stats);
+        rows.push(Row {
+            section: "zoo",
+            id: format!("zoo/{}/{}", z.algo, z.model),
+            expected: "(descriptive)",
+            observed: if z.ok {
+                "opaque".into()
+            } else {
+                "violated".into()
+            },
+            pass: true,
+        });
     }
     drop(phase_zoo);
 
@@ -912,24 +778,19 @@ fn main() {
     let mut explanations: Vec<Json> = Vec::new();
     if let Some(ids) = &explain_targets {
         let _phase = profile::enter(Span::ReportExplain);
-        text.push_str("\n════ Theorem 1 counterexamples, explained ════\n\n");
         for id in ids {
             let case = &cases[id];
             let e = &case.exp;
             match case.explanation() {
                 Some(ex) => {
-                    let rendered = ex.render();
-                    writeln!(text, "── {} ({}) ──", e.id, e.paper_ref).unwrap();
-                    writeln!(text, "{rendered}").unwrap();
                     let mut j = Json::obj();
                     j.push("id", e.id.as_str().into())
                         .push("model", ex.model.into())
                         .push("class", ex.class.map_or(Json::Null, |c| c.name().into()))
-                        .push("rendered", rendered.into());
+                        .push("rendered", ex.render().into());
                     explanations.push(j);
                 }
                 None => {
-                    writeln!(text, "── {} — no violation found (unexpected)", e.id).unwrap();
                     rows.push(Row {
                         section: "explain",
                         id: e.id.clone(),
@@ -947,7 +808,6 @@ fn main() {
     if let Some(dir) = &args.record {
         let _phase = profile::enter(Span::ReportRecord);
         let mut shrink_rounds_total = 0u64;
-        text.push_str("\n════ Recorded schedules: capture → shrink → replay ════\n\n");
         let mut log_entries: Vec<Json> = Vec::new();
         for id in record_targets.unwrap_or_default() {
             let case = &cases[&id];
@@ -982,19 +842,6 @@ fn main() {
                 && min_out.matches
                 && min_out.violating
                 && class_matches;
-            writeln!(
-                text,
-                "  {:<22} {:>5} decisions → {:>4} ({} rounds, {} candidates), class {} → {}: {}",
-                e.id,
-                stats.initial_decisions,
-                stats.final_decisions,
-                stats.rounds,
-                stats.candidates,
-                log.class.as_deref().unwrap_or("?"),
-                min.class.as_deref().unwrap_or("?"),
-                if pass { "replay OK" } else { "FAIL" },
-            )
-            .unwrap();
             let mut j = Json::obj();
             j.push("id", e.id.as_str().into())
                 .push("model", min.model.as_str().into())
@@ -1039,7 +886,7 @@ fn main() {
     let mut monitor_total: Option<MonitorStats> = None;
     if args.monitor {
         let _phase = profile::enter(Span::ReportMonitor);
-        let (entries, total) = monitor_sweep(&mut text, &mut rows);
+        let (entries, total) = monitor_sweep(&mut rows);
         metrics.record_monitor(&total);
         monitor_entries = entries;
         monitor_total = Some(total);
@@ -1049,20 +896,19 @@ fn main() {
     let mut sat_section: Option<Json> = None;
     if args.sat {
         let _phase = profile::enter(Span::ReportSat);
-        let (sec, total) = sat_sweep(&mut text, &mut rows);
+        let (sec, total) = sat_sweep(&mut rows);
         metrics.record_sat(&total);
         sat_section = Some(sec);
     }
 
-    // ── Persist the memo for the next run ─────────────────────────
-    if let Err(e) = memo.save_dir(&args.memo_dir) {
-        eprintln!(
-            "warning: could not persist memo to {}: {e}",
-            args.memo_dir.display()
-        );
+    // ── Persist the memo for the next run (--memo-dir) ────────────
+    if let Some(dir) = &args.memo_dir {
+        if let Err(e) = memo.save_dir(dir) {
+            eprintln!("warning: could not persist memo to {}: {e}", dir.display());
+        }
     }
 
-    // ── Ledger: append this run ───────────────────────────────────
+    // ── Ledger: append this run (--ledger) ────────────────────────
     let entry = LedgerEntry {
         ts_unix: std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
@@ -1075,17 +921,16 @@ fn main() {
     };
     // Compact first: it drops a torn last line (a crashed run), so the
     // append below starts on a line of its own.
-    if let Err(e) = ledger::compact(&args.ledger, ledger::COMPACT_KEEP_DEFAULT) {
-        eprintln!(
-            "warning: could not compact ledger {}: {e}",
-            args.ledger.display()
-        );
-    }
-    if let Err(e) = ledger::append(&args.ledger, &entry) {
-        eprintln!(
-            "warning: could not append to ledger {}: {e}",
-            args.ledger.display()
-        );
+    if let Some(path) = &args.ledger {
+        if let Err(e) = ledger::compact(path, ledger::COMPACT_KEEP_DEFAULT) {
+            eprintln!("warning: could not compact ledger {}: {e}", path.display());
+        }
+        if let Err(e) = ledger::append(path, &entry) {
+            eprintln!(
+                "warning: could not append to ledger {}: {e}",
+                path.display()
+            );
+        }
     }
 
     // ── Flight recording: completeness, export, profile ───────────
@@ -1114,14 +959,6 @@ fn main() {
             eprintln!("could not write trace to {}: {e}", path.display());
             std::process::exit(1);
         }
-        writeln!(
-            text,
-            "\nflight recording: {} events ({} dropped) -> {}",
-            rec.recorded(),
-            rec.dropped(),
-            path.display()
-        )
-        .unwrap();
     }
 
     // ── Phase profile (--profile) ─────────────────────────────────
@@ -1129,40 +966,21 @@ fn main() {
     let mut fold_error = None;
     let profile_section = recorder.as_ref().filter(|_| args.profile).map(|rec| {
         let mut sec = Json::obj();
-        text.push_str("\n════ Exploration profile ════\n\n");
         match profile::fold(rec) {
             Ok(phases) => {
                 sec.push("phases", phases.to_json());
-                write!(text, "{}", phases.render()).unwrap();
             }
             Err(e) => {
                 sec.push("phases", Json::Null)
                     .push("error", e.as_str().into());
-                writeln!(text, "  profile: {e}").unwrap();
                 fold_error = Some(e);
             }
         }
         sec.push("dpor", waste_total.to_json())
             .push("dpor_blocked", mc.dpor_blocked.into());
-        writeln!(
-            text,
-            "\n  dpor: {} race pairs, {} blocked runs",
-            waste_total.race_total(),
-            mc.dpor_blocked,
-        )
-        .unwrap();
         sec
     });
-    let failed: Vec<&Row> = rows.iter().filter(|r| !r.pass).collect();
-    text.push('\n');
-    if failed.is_empty() {
-        writeln!(text, "All {} checks passed.", rows.len()).unwrap();
-    } else {
-        writeln!(text, "{} FAILURES:", failed.len()).unwrap();
-        for f in &failed {
-            writeln!(text, "  {}: {}", f.id, f.observed).unwrap();
-        }
-    }
+    let failed = rows.iter().filter(|r| !r.pass).count();
 
     let mut out = Json::obj();
     let mut memo_j = Json::obj();
@@ -1201,21 +1019,17 @@ fn main() {
         out.push("profile", sec);
     }
     if let Some(rec) = &recorder {
-        out.push("flight", rec.summary());
+        let mut sec = rec.summary();
+        if let Some(path) = &args.trace {
+            sec.push("file", path.display().to_string().into());
+        }
+        out.push("flight", sec);
     }
 
-    // The run's one output: the document or the tables, both complete.
-    if args.json {
-        println!("{out}");
+    let failure = if failed > 0 {
+        Some(format!("{failed} report checks failed"))
     } else {
-        print!("{text}");
-    }
-    if !failed.is_empty() {
-        eprintln!("{} report checks failed", failed.len());
-        std::process::exit(1);
-    }
-    if let Some(e) = fold_error {
-        eprintln!("the profile could not be folded: {e}");
-        std::process::exit(1);
-    }
+        fold_error.map(|e| format!("the profile could not be folded: {e}"))
+    };
+    (out, failure)
 }

@@ -12,6 +12,9 @@
 //! completeness — are the predicates below, over the typed stats, each
 //! with its threshold beside it.
 //!
+//! The report's text is [`render::report`] of its JSON document, by the
+//! same section functions that EXPERIMENTS.md's tables are held to.
+//!
 //! This crate times nothing. Every measurement — the §6.1 per-operation
 //! costs, checker and sweep latencies, monitor throughput, the cold
 //! `report` run itself — is taken from outside by the standalone
@@ -27,6 +30,9 @@ use jungle_mc::theorems::ZooVerdict;
 use jungle_obs::trace::Phase;
 use jungle_obs::{EventKind, FlightRecorder, McStats, MonitorStats};
 use std::collections::BTreeSet;
+use std::thread::JoinHandle;
+
+pub mod render;
 
 /// Floor on the sweeps' trace dedup rate (`dedup_hits / schedules`;
 /// observed 0.52). DPOR keeps most duplicate schedules from running at
@@ -104,6 +110,23 @@ pub fn flight_complete(rec: &FlightRecorder, idle: &[&str]) -> bool {
             .by_category()
             .iter()
             .all(|(name, recorded, _)| *recorded > 0 || idle.contains(name) || !spans(name))
+}
+
+/// Join the monitor consumer thread of `stm`: its result, or its panic
+/// as a named error. A consumer that unwinds has already closed its
+/// tap, so the traffic threads feeding it have returned.
+pub fn join_consumer<T>(stm: &str, consumer: JoinHandle<T>) -> Result<T, String> {
+    consumer.join().map_err(|payload| {
+        let why = match (
+            payload.downcast_ref::<&str>(),
+            payload.downcast_ref::<String>(),
+        ) {
+            (Some(s), _) => s.to_string(),
+            (_, Some(s)) => s.clone(),
+            _ => "a payload that is not a string".into(),
+        };
+        format!("the monitor consumer for {stm} panicked: {why}")
+    })
 }
 
 #[cfg(test)]
@@ -225,6 +248,20 @@ mod tests {
             rec.record(*kind, 0, 0);
         }
         assert!(!flight_complete(&rec, &[]), "dropped one");
+    }
+
+    #[test]
+    fn a_consumer_panic_is_a_named_error() {
+        let ok = std::thread::spawn(|| 7);
+        assert_eq!(join_consumer("tl2", ok), Ok(7));
+        let formatted = std::thread::spawn(|| -> u64 { panic!("window {} torn", 3) });
+        assert_eq!(
+            join_consumer("tl2", formatted),
+            Err("the monitor consumer for tl2 panicked: window 3 torn".into())
+        );
+        let literal = std::thread::spawn(|| -> u64 { panic!("tap gone") });
+        let err = join_consumer("strong", literal).unwrap_err();
+        assert_eq!(err, "the monitor consumer for strong panicked: tap gone");
     }
 
     /// `report --monitor` opens a phase per monitored STM by its name,

@@ -4,6 +4,7 @@
 //! what it makes of hostile ledger, memo and schedule-log files; and
 //! that the documents state what it prints and the flags it takes.
 
+use jungle_bench::render;
 use jungle_mc::SharedVerdictMemo;
 use jungle_obs::{Json, LedgerEntry, MonitorStats, Span};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
@@ -35,6 +36,24 @@ fn report(dir: &std::path::Path, args: &[&str]) -> Output {
         .arg(dir.join("memo"))
         .output()
         .expect("spawn report")
+}
+
+/// Run `report` with `args` alone in an empty working directory, and
+/// hold it to leaving that directory empty.
+fn bare(tag: &str, args: &[&str]) -> Output {
+    let dir = scratch(tag);
+    let out = Command::new(env!("CARGO_BIN_EXE_report"))
+        .args(args)
+        .current_dir(&dir)
+        .output()
+        .expect("spawn report");
+    let left: Vec<PathBuf> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .collect();
+    assert!(left.is_empty(), "{args:?} left {left:?}");
+    std::fs::remove_dir_all(&dir).unwrap();
+    out
 }
 
 fn arr<'a>(doc: &'a Json, key: &str) -> &'a [Json] {
@@ -530,9 +549,8 @@ fn rows_digest(rows: &[Json]) -> u64 {
 /// The digest was taken again (from `0xe63fd83c61818b45`) when PR 21
 /// re-specified `sat/crossover` — its `expected` text is the one input
 /// that changed; the other 345 rows were diffed equal to the parent's.
-/// Text mode — which no other test runs — must print every section
-/// header, the paper's §4 cost table with the very numbers the
-/// document's `costs` array carries, and the closing line.
+/// Text mode prints the rendering of the document, and nothing else: a
+/// text run's stdout is `render::report` of a `--json` run's document.
 #[test]
 fn report_says_the_same_in_json_and_in_text() {
     const ROWS: usize = 346;
@@ -547,36 +565,50 @@ fn report_says_the_same_in_json_and_in_text() {
     let digest = rows_digest(rows);
     assert_eq!(digest, DIGEST, "got {digest:#x}");
 
-    let out = report(&dir, &["--monitor", "--sat"]);
+    let out = bare("identity-text", &["--monitor", "--sat"]);
     assert_eq!(out.status.code(), Some(0));
     let text = String::from_utf8(out.stdout).unwrap();
+    assert_eq!(text, render::report(&doc));
     assert_eq!(
         text.lines().last(),
         Some(format!("All {ROWS} checks passed.").as_str())
     );
-    let headers = text.lines().filter(|l| l.starts_with("════ ")).count();
-    assert_eq!(
-        headers, 7,
-        "figures, costs, theorems, dpor, zoo, monitor, sat"
-    );
-    let costs = arr(&doc, "costs");
-    assert_eq!(costs.len(), 6, "one entry per TM algorithm");
-    for c in costs {
-        let algo = c.get("algorithm").and_then(Json::as_str).unwrap();
-        let want: Vec<String> = ["nt_read", "nt_write", "txn_read", "commit"]
-            .iter()
-            .map(|k| num(c, k).to_string())
-            .collect();
-        let lines = text
-            .lines()
-            .filter(|l| {
-                let cols: Vec<&str> = l.split_whitespace().collect();
-                cols.first() == Some(&algo) && cols.len() > 4 && cols[cols.len() - 4..] == want[..]
-            })
-            .count();
-        assert_eq!(lines, 1, "cost-table line of {algo}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A `--replay` run's text is `render::replayed` of its document, with
+/// and without the narrative `--explain` adds to it.
+#[test]
+fn a_replay_says_the_same_in_json_and_in_text() {
+    let dir = scratch("replay-text");
+    let exp = jungle_mc::theorems::thm1_case3(&jungle_core::model::Pso);
+    let rec = jungle_replay::record_experiment(&exp, jungle_mc::SweepSeeds::new(0, 2_000), 8_000)
+        .expect("thm1-case3/PSO violates");
+    let log = dir.join("log.json");
+    rec.log.save(&log).unwrap();
+    let log = log.to_str().unwrap();
+    for explain in [&[][..], &["--explain"]] {
+        let args = [&["--replay", log][..], explain].concat();
+        let text = bare("replay-text-run", &args);
+        assert_eq!(text.status.code(), Some(0), "{args:?}");
+        let json = bare("replay-json-run", &[&["--json"][..], &args].concat());
+        let doc = Json::parse(&String::from_utf8(json.stdout).unwrap()).unwrap();
+        assert_eq!(doc.get("rendered").is_some(), !explain.is_empty());
+        let text = String::from_utf8(text.stdout).unwrap();
+        assert_eq!(text, render::replayed(&doc), "{args:?}");
     }
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Without `--ledger` and `--memo-dir` a run reads and writes no state:
+/// its working directory stays empty, and its memo starts cold.
+#[test]
+fn a_bare_run_leaves_its_directory_untouched() {
+    let out = bare("bare", &["--json"]);
+    assert!(out.status.success(), "exit {:?}", out.status);
+    let doc = Json::parse(&String::from_utf8(out.stdout).unwrap()).unwrap();
+    assert_eq!(num(doc.get("shared_memo").unwrap(), "preloaded_entries"), 0);
+    num(doc.get("ledger_entry").unwrap(), "wall_ms");
 }
 
 /// A memo directory as a crashed or foreign writer could leave it. Only
@@ -631,255 +663,12 @@ fn hostile_memo_dir_preloads_only_well_formed_lines() {
 }
 
 // The documents the last two tests hold to the binary: EXPERIMENTS.md's
-// count tables are rendered from one `report --json --monitor --sat`
-// run, and the `report` flags README.md and `report.rs`'s module doc
-// name are the ones `parse_args` matches.
+// count tables are rendered (by `jungle_bench::render`) from one `report
+// --json --monitor --sat` run, and the `report` flags README.md and
+// `report.rs`'s module doc name are the ones `parse_args` matches.
 const EXPERIMENTS: &str = include_str!("../../../EXPERIMENTS.md");
 const README: &str = include_str!("../../../README.md");
 const REPORT_RS: &str = include_str!("../src/bin/report.rs");
-
-fn text<'a>(obj: &'a Json, key: &str) -> &'a str {
-    obj.get(key)
-        .and_then(Json::as_str)
-        .unwrap_or_else(|| panic!("no string '{key}' in {obj}"))
-}
-
-fn field(obj: &Json, key: &str) -> String {
-    obj.get(key)
-        .unwrap_or_else(|| panic!("no '{key}' in {obj}"))
-        .to_string()
-}
-
-/// A Markdown table: the header row, its rule, then one line per row.
-fn table(header: &[impl AsRef<str>], rows: impl IntoIterator<Item = Vec<String>>) -> String {
-    let line = |cells: &[String]| format!("| {} |", cells.join(" | "));
-    let header: Vec<String> = header.iter().map(|h| h.as_ref().to_string()).collect();
-    let mut out = vec![line(&header), format!("|{}", "---|".repeat(header.len()))];
-    out.extend(rows.into_iter().map(|r| line(&r)));
-    out.join("\n")
-}
-
-fn passed(row: &Json) -> bool {
-    row.get("pass") == Some(&Json::Bool(true))
-}
-
-fn rows_of<'a>(doc: &'a Json, section: &'a str) -> impl Iterator<Item = &'a Json> {
-    arr(doc, "rows")
-        .iter()
-        .filter(move |r| text(r, "section") == section)
-}
-
-/// A section's rows with ids `<line>/<column>` as a grid: the columns
-/// in the report's order, then each line with its rows.
-type Grid<'a> = (Vec<&'a str>, Vec<(&'a str, Vec<&'a Json>)>);
-
-fn grid<'a>(doc: &'a Json, section: &'a str) -> Grid<'a> {
-    let (mut columns, mut lines): Grid = (Vec::new(), Vec::new());
-    for r in rows_of(doc, section) {
-        let id = text(r, "id");
-        let (line, column) = id
-            .rsplit_once('/')
-            .unwrap_or_else(|| panic!("no '/' in row id {id}"));
-        if !columns.contains(&column) {
-            columns.push(column);
-        }
-        match lines.last_mut() {
-            Some((l, cells)) if *l == line => cells.push(r),
-            _ => lines.push((line, vec![r])),
-        }
-    }
-    (columns, lines)
-}
-
-/// The `figures` rows (`<figure>/<outcome>/<model>`): one line per
-/// outcome, one column per registry model; a failing row is marked.
-fn figures(doc: &Json) -> String {
-    let (models, lines) = grid(doc, "figures");
-    let mut header = vec!["figure", "outcome"];
-    header.extend(&models);
-    table(
-        &header,
-        lines.into_iter().map(|(id, rows)| {
-            let (figure, outcome) = id.split_once('/').unwrap();
-            let mut line = vec![figure.to_string(), outcome.to_string()];
-            line.extend(rows.into_iter().map(|r| {
-                let verdict = match text(r, "observed") {
-                    "allowed" => "✓",
-                    "forbidden" => "✗",
-                    other => panic!("figure verdict {other}"),
-                };
-                if passed(r) {
-                    verdict.to_string()
-                } else {
-                    format!("{verdict} ❌")
-                }
-            }));
-            line
-        }),
-    )
-}
-
-/// The `theorems` rows: the experiment, the paper's result, what the
-/// report observed (without the id it repeats) and whether it passed.
-fn theorems(doc: &Json) -> String {
-    table(
-        &["experiment", "paper", "observed", "pass"],
-        rows_of(doc, "theorems").map(|r| {
-            let id = text(r, "id");
-            let observed = text(r, "observed");
-            let observed = observed
-                .strip_prefix(&format!("{id}: "))
-                .unwrap_or(observed);
-            vec![
-                format!("`{id}`"),
-                text(r, "expected").to_string(),
-                observed.to_string(),
-                if passed(r) { "✅" } else { "❌" }.to_string(),
-            ]
-        }),
-    )
-}
-
-/// The `dpor` section: one line per exhaustive experiment.
-fn dpor(doc: &Json) -> String {
-    let keys = [
-        "dpor_executed",
-        "dpor_completed",
-        "blocked",
-        "truncated",
-        "classes",
-    ];
-    table(
-        &[
-            "experiment",
-            "executed",
-            "complete",
-            "blocked",
-            "truncated",
-            "classes",
-        ],
-        arr(doc, "dpor").iter().map(|e| {
-            let mut row = vec![format!("`{}`", text(e, "id"))];
-            row.extend(keys.iter().map(|k| field(e, k)));
-            row
-        }),
-    )
-}
-
-/// The `zoo` rows (`zoo/<algorithm>/<model>`): one line per algorithm,
-/// one column per registry model.
-fn zoo(doc: &Json) -> String {
-    let (models, lines) = grid(doc, "zoo");
-    let mut header = vec!["algorithm"];
-    header.extend(&models);
-    table(
-        &header,
-        lines.into_iter().map(|(id, rows)| {
-            let mut line = vec![id.strip_prefix("zoo/").unwrap().to_string()];
-            line.extend(rows.into_iter().map(|r| text(r, "observed").to_string()));
-            line
-        }),
-    )
-}
-
-/// The `costs` array: the paper's §4 instruction counts per algorithm.
-fn costs(doc: &Json) -> String {
-    let keys = ["nt_read", "nt_write", "txn_read", "commit"];
-    table(
-        &[
-            "algorithm",
-            "class",
-            "nt-read",
-            "nt-write",
-            "txn-read",
-            "commit",
-        ],
-        arr(doc, "costs").iter().map(|c| {
-            let mut row = vec![
-                text(c, "algorithm").to_string(),
-                text(c, "class").to_string(),
-            ];
-            row.extend(keys.iter().map(|k| field(c, k)));
-            row
-        }),
-    )
-}
-
-/// The `monitor` section, per STM and in total. `max_queue_depth` is
-/// left out (how far the producers outrun the consumer is a race), and
-/// so is `escalation_rate` (the quotient of two shown columns).
-fn monitor(doc: &Json) -> String {
-    let keys = [
-        "ops_ingested",
-        "nontxn_skipped",
-        "events_dropped",
-        "windows_sealed",
-        "triage_cleared",
-        "escalated",
-        "memo_hits",
-        "violations",
-    ];
-    let section = doc.get("monitor").expect("a --monitor run");
-    let line = |name: String, stats: &Json| {
-        let mut row = vec![name];
-        row.extend(keys.iter().map(|k| field(stats, k)));
-        row
-    };
-    let mut rows: Vec<Vec<String>> = arr(section, "stms")
-        .iter()
-        .map(|s| line(text(s, "stm").to_string(), s.get("stats").unwrap()))
-        .collect();
-    rows.push(line("total".to_string(), section.get("total").unwrap()));
-    table(
-        &[
-            "STM",
-            "events",
-            "non-txn skipped",
-            "dropped",
-            "windows",
-            "triage-cleared",
-            "escalated",
-            "memo hits",
-            "violations",
-        ],
-        rows,
-    )
-}
-
-/// The `sat` section: the agreement sweep and the solver's effort in
-/// one line, then the crossover family one column per size.
-fn sat(doc: &Json) -> String {
-    let section = doc.get("sat").expect("a --sat run");
-    let mut cells: Vec<(String, String)> =
-        ["checked", "disagreements", "positives", "witness_certified"]
-            .iter()
-            .map(|k| (k.to_string(), field(section, k)))
-            .collect();
-    match section.get("stats") {
-        Some(Json::Obj(fields)) => cells.extend(
-            fields
-                .iter()
-                .map(|(k, v)| (format!("stats.{k}"), v.to_string())),
-        ),
-        other => panic!("sat.stats is not an object: {other:?}"),
-    }
-    let header: Vec<String> = cells.iter().map(|(k, _)| format!("`{k}`")).collect();
-    let totals = table(&header, [cells.into_iter().map(|(_, v)| v).collect()]);
-    let points = arr(section, "crossover_points");
-    let line = |key: &str, name: &str| {
-        let mut row = vec![name.to_string()];
-        row.extend(points.iter().map(|p| field(p, key)));
-        row
-    };
-    let crossover = table(
-        &line("p", "p"),
-        [
-            line("dfs_orders", "DFS orders"),
-            line("sat_rounds", "SAT CEGAR rounds"),
-        ],
-    );
-    format!("{totals}\n\n{crossover}")
-}
 
 /// The lines strictly between `<!-- report:<name> -->` and
 /// `<!-- /report:<name> -->` in EXPERIMENTS.md.
@@ -893,7 +682,8 @@ fn committed_block(name: &str) -> Option<String> {
 }
 
 /// Every count table of EXPERIMENTS.md is what one `report --json
-/// --monitor --sat` run renders, byte for byte. A failure prints each
+/// --monitor --sat` run renders, byte for byte, by the section
+/// functions that also make `report`'s text. A failure prints each
 /// block that differs as it should read.
 #[test]
 fn experiments_tables_are_what_report_prints() {
@@ -903,13 +693,13 @@ fn experiments_tables_are_what_report_prints() {
     let doc = Json::parse(&String::from_utf8(out.stdout).unwrap()).unwrap();
 
     let tables = [
-        ("figures", figures(&doc)),
-        ("theorems", theorems(&doc)),
-        ("dpor", dpor(&doc)),
-        ("zoo", zoo(&doc)),
-        ("costs", costs(&doc)),
-        ("monitor", monitor(&doc)),
-        ("sat", sat(&doc)),
+        ("figures", render::figures(&doc)),
+        ("theorems", render::theorems(&doc)),
+        ("dpor", render::dpor(&doc)),
+        ("zoo", render::zoo(&doc)),
+        ("costs", render::costs(&doc)),
+        ("monitor", render::monitor(&doc)),
+        ("sat", render::sat(&doc)),
     ];
     let mut report = String::new();
     for (name, want) in tables {

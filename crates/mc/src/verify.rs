@@ -207,7 +207,7 @@ struct MemoVerdict {
 ///
 /// The memo also **persists across runs**: [`SharedVerdictMemo::save_dir`]
 /// writes one file per `(model, property)` under a directory (the
-/// report uses `.jungle/memo/`), and [`SharedVerdictMemo::load_dir`]
+/// report's `--memo-dir`), and [`SharedVerdictMemo::load_dir`]
 /// preloads them on start. Preloaded entries are tracked separately —
 /// [`SharedVerdictMemo::cross_run_hits`] counts lookups answered by a
 /// *previous* run's search, so the report can surface cross-run vs

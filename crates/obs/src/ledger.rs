@@ -1,9 +1,9 @@
 //! Persistent run ledger: an append-only log.
 //!
-//! Every `report` invocation appends one [`LedgerEntry`] — when, at
-//! which git revision, how long, and the run's full
+//! A `report` run given `--ledger <path>` appends one [`LedgerEntry`] —
+//! when, at which git revision, how long, and the run's full
 //! [`MetricsSnapshot`](crate::MetricsSnapshot) JSON — as a single line
-//! to `.jungle/ledger.jsonl`. The file is append-only JSONL so entries
+//! to that file. The file is append-only JSONL so entries
 //! from concurrent or crashed runs never corrupt each other, and the
 //! history of a working tree accumulates across sessions. Nothing
 //! reads the log back to judge a run: a `report` run is gated by its

@@ -19,7 +19,7 @@
 //!   per-thread lock-free ring buffers of spans and verdicts from every
 //!   layer, exported as Chrome-trace-event JSON and folded into the
 //!   phase profile.
-//! * [`ledger`] — the persistent run ledger (`.jungle/ledger.jsonl`),
+//! * [`ledger`] — the persistent run ledger (`report --ledger <path>`),
 //!   an append-only log of report runs.
 //! * [`ring::EventRing`] — a bounded MPSC event ring with an explicit
 //!   backpressure policy (block vs drop-with-exact-counter), the

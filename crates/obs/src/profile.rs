@@ -27,7 +27,7 @@ use crate::trace::{self, EventKind, FlightRecorder, Phase, Span};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// One node of the rendered phase tree.
+/// One node of the folded phase tree.
 #[derive(Debug, Default, Clone)]
 pub struct ProfileNode {
     /// Phase name (the [`Span`]'s name).
@@ -69,39 +69,6 @@ impl ProfileNode {
     /// Total nanoseconds attributed to direct children.
     pub fn children_ns(&self) -> u64 {
         self.children.iter().map(|c| c.total_ns).sum()
-    }
-
-    /// Render an indented human-readable table (one line per node).
-    pub fn render(&self) -> String {
-        fn fmt_ns(ns: u64) -> String {
-            if ns >= 1_000_000_000 {
-                format!("{:.2}s", ns as f64 / 1e9)
-            } else if ns >= 1_000_000 {
-                format!("{:.2}ms", ns as f64 / 1e6)
-            } else if ns >= 1_000 {
-                format!("{:.1}us", ns as f64 / 1e3)
-            } else {
-                format!("{ns}ns")
-            }
-        }
-        fn walk(n: &ProfileNode, depth: usize, out: &mut String) {
-            out.push_str(&format!(
-                "{:indent$}{:<width$} calls={:<8} total={:<9} self={}\n",
-                "",
-                n.name,
-                n.calls,
-                fmt_ns(n.total_ns),
-                fmt_ns(n.self_ns),
-                indent = depth * 2,
-                width = 28usize.saturating_sub(depth * 2),
-            ));
-            for c in &n.children {
-                walk(c, depth + 1, out);
-            }
-        }
-        let mut out = String::new();
-        walk(self, 0, &mut out);
-        out
     }
 }
 

@@ -6,7 +6,7 @@
 //! double-counted.
 
 use jungle_obs::trace::{self, EventKind, FlightRecorder, Span};
-use jungle_obs::{profile, ProfileNode, ToJson};
+use jungle_obs::{profile, Json, ProfileNode, ToJson};
 use proptest::prelude::*;
 use std::sync::{Arc, Mutex};
 
@@ -146,8 +146,10 @@ fn a_wrapped_ring_fails_the_fold() {
     assert!(folded.is_err(), "an end that closes nothing");
 }
 
+/// The JSON tree is what `report` renders: each node's name, calls and
+/// times, its children nested under it.
 #[test]
-fn the_tree_serializes_and_renders() {
+fn the_tree_serializes() {
     let (root, ()) = profiled(|| {
         let _a = profile::enter(Span::ReportMonitor);
         let _b = profile::enter(Span::MonitorTl2);
@@ -155,11 +157,21 @@ fn the_tree_serializes_and_renders() {
     });
     let j = root.to_json();
     assert_eq!(j.get("name").unwrap().as_str(), Some("profile"));
-    let text = j.to_string();
-    assert!(text.contains("\"report.monitor\"") && text.contains("\"monitor.tl2\""));
-    let rendered = root.render();
-    assert!(rendered.contains("report.monitor") && rendered.contains("monitor.tl2"));
-    assert!(rendered.contains("self="));
+    let only_child = |node: &Json| match node.get("children") {
+        Some(Json::Arr(children)) if children.len() == 1 => children[0].clone(),
+        other => panic!("not one child: {other:?}"),
+    };
+    let monitor = only_child(&j);
+    let tl2 = only_child(&monitor);
+    assert_eq!(
+        monitor.get("name").unwrap().as_str(),
+        Some("report.monitor")
+    );
+    assert_eq!(tl2.get("name").unwrap().as_str(), Some("monitor.tl2"));
+    assert_eq!(tl2.get("calls").unwrap().as_u64(), Some(1));
+    let ns = |node: &Json, key| node.get(key).unwrap().as_u64().unwrap();
+    assert!(ns(&tl2, "self_ns") <= ns(&tl2, "total_ns"));
+    assert!(ns(&tl2, "total_ns") <= ns(&monitor, "total_ns"));
 }
 
 /// Interpret `script` as a span tree: each byte opens a span named by
