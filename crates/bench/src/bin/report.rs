@@ -7,11 +7,14 @@
 //! object** and nothing else, without as its text, which is
 //! `jungle_bench::render::report` of the document — the code
 //! EXPERIMENTS.md's tables are held to. The text shows nothing the
-//! document lacks. The `metrics` section aggregates the observability
-//! counters: opacity-checker search statistics per litmus figure, the
+//! document lacks, and the document states each fact once. The
+//! `metrics` section aggregates the observability counters:
+//! opacity-checker search statistics per litmus figure, the
 //! model-checker exploration totals, and with `--monitor` and `--sat`
 //! those layers' totals; the `costs` array is the paper's §4
-//! instruction-cost table.
+//! instruction-cost table. The `explanations` array narrates the
+//! counterexample each Theorem 1 sweep found (timeline, irreconcilable
+//! pair, class), so a saved document says why each case violates.
 //!
 //! The rows are the run's only gate: exit 0 when every row passes,
 //! 1 when one fails (or an output file cannot be written, the
@@ -28,18 +31,12 @@
 //!   dropped, and every span layer the flags drove recorded a span (the
 //!   phases and the checker always, `stm` with `--monitor`, `sat` with
 //!   `--sat`). The `flight` section names the exported file.
-//! * `--explain [id]` — add the explainer narrative (timeline,
-//!   irreconcilable pair, class) of the counterexample each Theorem 1
-//!   sweep found above (or just that of the experiment named by `id`)
-//!   as an `explanations` section. An unknown id is a named error
-//!   listing the valid experiment ids.
-//! * `--record <dir> [id]` — write the schedule log of each Theorem 1
+//! * `--record <dir>` — write the schedule log of each Theorem 1
 //!   sweep's counterexample (`<dir>/<id>.json`), delta-debug it to a
 //!   minimal still-violating log (`<dir>/<id>.min.json`), and
-//!   replay-verify both. With an optional experiment `id`, record just
-//!   that experiment; an unknown id is a named error listing the valid
-//!   ids. Adds a `replay` section. Neither flag sweeps again, and each
-//!   counterexample is explained once for both.
+//!   replay-verify both. Adds a `replay` section. It sweeps nothing
+//!   again, and each log carries the class of its counterexample's
+//!   explanation.
 //! * `--monitor` — drive every STM with live transactional traffic
 //!   through the event tap while a streaming monitor thread checks the
 //!   stream with the tiered (triage → escalate) pipeline. Adds the
@@ -66,8 +63,8 @@
 //!   recorded history fingerprint, and exit nonzero on divergence (a
 //!   focused mode: the full report is skipped). A log whose model or
 //!   property is not its experiment's is refused (exit 2). Its document
-//!   is the replay's; with `--explain` it also holds the replayed
-//!   counterexample's narrative (`rendered`), and its text is
+//!   is the replay's, with the replayed counterexample's class and
+//!   narrative (`class`, `rendered`), and its text is
 //!   `jungle_bench::render::replayed` of it.
 //! * `--ledger <path>` — append this run's entry to the ledger at
 //!   `path`. Without it no ledger is written; the document still holds
@@ -90,7 +87,7 @@ use jungle_mc::algos::{
     GlobalLockTm, LazyTl2Tm, StrongTm, TmAlgo as McAlgo, VersionedTm, WriteTxnTm,
 };
 use jungle_mc::cost::measure;
-use jungle_mc::explain::{explain_trace, Explanation};
+use jungle_mc::explain::explain_trace;
 use jungle_mc::theorems::{
     all_fixed_experiments, experiment_by_id, experiment_ids, matched_zoo, thm1_suite, Experiment,
 };
@@ -104,7 +101,6 @@ use jungle_obs::{
 };
 use jungle_replay::{log_of, replay, shrink, ScheduleLog};
 use jungle_stm::StmTap;
-use std::cell::OnceCell;
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -135,9 +131,6 @@ impl ToJson for Row {
 
 struct Args {
     json: bool,
-    explain: bool,
-    /// `--explain <id>`: narrate only this bundled experiment.
-    explain_id: Option<String>,
     monitor: bool,
     /// `--profile`: fold the flight recorder into the `profile` section
     /// (phase tree, DPOR race heat).
@@ -145,8 +138,6 @@ struct Args {
     trace: Option<PathBuf>,
     /// `--record <dir>`: capture + shrink Theorem 1 schedule logs.
     record: Option<PathBuf>,
-    /// `--record <dir> <id>`: record only this bundled experiment.
-    record_id: Option<String>,
     /// `--replay <file>`: focused replay mode, skipping the report.
     replay: Option<PathBuf>,
     /// `--sat`: DFS-vs-SAT cross-validation + crossover benchmark.
@@ -158,19 +149,16 @@ struct Args {
 fn parse_args() -> Args {
     let mut args = Args {
         json: false,
-        explain: false,
-        explain_id: None,
         monitor: false,
         profile: false,
         trace: None,
         record: None,
-        record_id: None,
         replay: None,
         sat: false,
         ledger: None,
         memo_dir: None,
     };
-    let mut it = std::env::args().skip(1).peekable();
+    let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         let mut value = |flag: &str| {
             it.next().unwrap_or_else(|| {
@@ -180,19 +168,10 @@ fn parse_args() -> Args {
         };
         match a.as_str() {
             "--json" => args.json = true,
-            "--explain" => {
-                args.explain = true;
-                // Optional value: the id of one bundled experiment.
-                args.explain_id = it.next_if(|next| !next.starts_with("--"));
-            }
             "--monitor" => args.monitor = true,
             "--profile" => args.profile = true,
             "--trace" => args.trace = Some(PathBuf::from(value("--trace"))),
-            "--record" => {
-                args.record = Some(PathBuf::from(value("--record")));
-                // Optional second value: one bundled experiment id.
-                args.record_id = it.next_if(|next| !next.starts_with("--"));
-            }
+            "--record" => args.record = Some(PathBuf::from(value("--record"))),
             "--replay" => args.replay = Some(PathBuf::from(value("--replay"))),
             "--sat" => args.sat = true,
             "--ledger" => args.ledger = Some(PathBuf::from(value("--ledger"))),
@@ -206,7 +185,7 @@ fn parse_args() -> Args {
     args
 }
 
-/// Resolve an `--explain`/`--replay` experiment id, or exit with a
+/// Resolve the experiment id a `--replay` log names, or exit with a
 /// named error listing every valid id.
 fn resolve_experiment(id: &str) -> Experiment {
     experiment_by_id(id).unwrap_or_else(|| {
@@ -221,10 +200,10 @@ fn resolve_experiment(id: &str) -> Experiment {
 
 /// `report --replay <file>`: re-execute a saved schedule log on the
 /// experiment it was recorded against, verify the recorded history
-/// fingerprint, and (with `--explain`) narrate the replayed
-/// counterexample. Returns the replay's document, and a failure on
-/// divergence or a fingerprint mismatch.
-fn replay_mode(args: &Args, path: &std::path::Path) -> (Json, Option<String>) {
+/// fingerprint, and narrate the replayed counterexample. Returns the
+/// replay's document, and a failure on divergence or a fingerprint
+/// mismatch.
+fn replay_mode(path: &std::path::Path) -> (Json, Option<String>) {
     let log = ScheduleLog::load(path).unwrap_or_else(|e| {
         eprintln!("error: {e}");
         std::process::exit(2);
@@ -272,31 +251,20 @@ fn replay_mode(args: &Args, path: &std::path::Path) -> (Json, Option<String>) {
     let explanation = out
         .trace
         .as_ref()
-        .filter(|_| args.explain)
         .and_then(|t| explain_trace(t, exp.entry.model, exp.kind).ok());
-    if let Some(ex) = &explanation {
-        j.push("class", ex.class.map_or(Json::Null, |c| c.name().into()))
-            .push("rendered", ex.render().into());
-    }
+    j.push(
+        "class",
+        explanation
+            .as_ref()
+            .and_then(|ex| ex.class)
+            .map_or(Json::Null, |c| c.name().into()),
+    )
+    .push(
+        "rendered",
+        explanation.map_or(Json::Null, |ex| ex.render().into()),
+    );
     let failure = (!out.matches).then(|| format!("{} did not replay as recorded", path.display()));
     (j, failure)
-}
-
-/// One experiment of the theorem phase, with its sweep's counterexample.
-struct Case {
-    exp: Experiment,
-    cx: Option<Counterexample>,
-    explained: OnceCell<Option<Explanation>>,
-}
-
-impl Case {
-    /// The counterexample's explanation, computed on first use: once
-    /// for `--explain` and `--record` together.
-    fn explanation(&self) -> Option<&Explanation> {
-        let (e, cx) = (&self.exp, self.cx.as_ref()?);
-        let ex = || explain_trace(&cx.trace, e.entry.model, e.kind).ok();
-        self.explained.get_or_init(ex).as_ref()
-    }
 }
 
 fn git_rev() -> String {
@@ -403,7 +371,7 @@ fn monitor_sweep(rows: &mut Vec<Row>) -> (Vec<Json>, MonitorStats) {
 /// empty-core probe — to locate the first size where SAT does less
 /// work (CEGAR rounds against serialization orders tried). Returns the
 /// JSON section, which names each check the backends disagree on, and
-/// the aggregated solver stats.
+/// the aggregated solver stats (the document's `metrics.sat`).
 fn sat_sweep(rows: &mut Vec<Row>) -> (Json, SatStats) {
     use jungle_core::check::{Check, CheckBackend, CheckKind};
     use jungle_core::model::Sc;
@@ -439,7 +407,6 @@ fn sat_sweep(rows: &mut Vec<Row>) -> (Json, SatStats) {
             }
         }
     }
-    let agreement = disagreements.is_empty();
     rows.push(Row {
         section: "sat",
         id: "sat/agreement".into(),
@@ -448,7 +415,7 @@ fn sat_sweep(rows: &mut Vec<Row>) -> (Json, SatStats) {
             "{checked} checks, {} disagreements, {certified}/{positives} positives certified",
             disagreements.len()
         ),
-        pass: checked > 0 && agreement && certified == positives,
+        pass: checked > 0 && disagreements.is_empty() && certified == positives,
     });
 
     // Crossover: no serialization order of the wide-UNSAT family has a
@@ -498,14 +465,10 @@ fn sat_sweep(rows: &mut Vec<Row>) -> (Json, SatStats) {
 
     let mut sec = Json::obj();
     sec.push("checked", checked.into())
-        .push("disagreements", (disagreements.len() as u64).into())
-        .push("agreement", disagreements.is_empty().into())
         .push("positives", positives.into())
         .push("witness_certified", certified.into())
         .push("crossover_refuted", refuted.into())
-        .push("crossover_dfs_orders_max", dfs_orders_max.into())
         .push("crossover_points", Json::Arr(points))
-        .push("stats", total.to_json())
         .push(
             "disagreeing",
             Json::Arr(disagreements.iter().map(|d| d.as_str().into()).collect()),
@@ -517,7 +480,7 @@ fn sat_sweep(rows: &mut Vec<Row>) -> (Json, SatStats) {
 fn main() {
     let args = parse_args();
     let (doc, failure) = match &args.replay {
-        Some(path) => replay_mode(&args, path),
+        Some(path) => replay_mode(path),
         None => run_report(&args),
     };
     let render = match args.replay {
@@ -539,17 +502,6 @@ fn main() {
 /// Every experiment of the report, once: the document, and why the run
 /// fails if it does (a failing row, a profile that cannot be folded).
 fn run_report(args: &Args) -> (Json, Option<String>) {
-    // Validate `--explain <id>` / `--record <dir> <id>` up front so a
-    // typo fails before the multi-second report run, with the valid
-    // ids listed.
-    let targets = |id: &Option<String>| -> Vec<String> {
-        match id {
-            Some(id) => vec![resolve_experiment(id).id],
-            None => thm1_suite().into_iter().map(|e| e.id).collect(),
-        }
-    };
-    let explain_targets = args.explain.then(|| targets(&args.explain_id));
-    let record_targets = args.record.is_some().then(|| targets(&args.record_id));
     let t_start = std::time::Instant::now();
 
     // One recorder for both flags: `--trace` records every layer, and
@@ -649,10 +601,10 @@ fn run_report(args: &Args) -> (Json, Option<String>) {
     let phase_theorems = profile::enter(Span::ReportTheorems);
     // The exhaustive experiments' exploration counters, kept for the
     // DPOR table below, and every experiment's counterexample, kept for
-    // `--explain` and `--record`: those sections are views of these
-    // sweeps, not second runs of them.
+    // the explanations and `--record`: those sections are views of
+    // these sweeps, not second runs of them.
     let mut exhaustive: Vec<(String, McStats)> = Vec::new();
-    let mut cases: HashMap<String, Case> = HashMap::new();
+    let mut violations: HashMap<String, Option<Counterexample>> = HashMap::new();
     for e in all_fixed_experiments() {
         let r = e.run_shared(SweepSeeds::new(0, 2_000), THEOREM_STEPS, &cfg, &memo);
         if e.exhaustive {
@@ -667,12 +619,7 @@ fn run_report(args: &Args) -> (Json, Option<String>) {
             observed: r.detail,
             pass: r.passed,
         });
-        let case = Case {
-            exp: e,
-            cx: r.violation,
-            explained: OnceCell::new(),
-        };
-        cases.insert(case.exp.id.clone(), case);
+        violations.insert(e.id, r.violation);
     }
     drop(phase_theorems);
 
@@ -688,16 +635,12 @@ fn run_report(args: &Args) -> (Json, Option<String>) {
     for (id, st) in &exhaustive {
         let completed = st.histories_checked + st.dedup_hits;
         let classes = st.histories_checked;
-        // Complete runs per distinct class: 1.00 is optimal. Executed
-        // also counts sleep-set probes that abort partway (blocked).
-        let ratio = completed as f64 / classes.max(1) as f64;
         let mut j = Json::obj();
         j.push("id", id.as_str().into())
             .push("dpor_executed", st.dpor_executed.into())
             .push("dpor_completed", completed.into())
             .push("classes", classes.into())
             .push("truncated", st.truncated.into())
-            .push("completed_per_class", Json::F64(ratio))
             .push("blocked", st.dpor_blocked.into());
         dpor_entries.push(j);
         rows.push(Row {
@@ -774,55 +717,57 @@ fn run_report(args: &Args) -> (Json, Option<String>) {
         pass: jungle_bench::zoo_covers_registry(&zoo),
     });
 
-    // ── Counterexample explanations (--explain) ───────────────────
+    // ── Theorem 1 counterexamples, explained ──────────────────────
+    // Each once: its narrative goes into the document, its class into
+    // the `--record` log.
     let mut explanations: Vec<Json> = Vec::new();
-    if let Some(ids) = &explain_targets {
-        let _phase = profile::enter(Span::ReportExplain);
-        for id in ids {
-            let case = &cases[id];
-            let e = &case.exp;
-            match case.explanation() {
-                Some(ex) => {
-                    let mut j = Json::obj();
-                    j.push("id", e.id.as_str().into())
-                        .push("model", ex.model.into())
-                        .push("class", ex.class.map_or(Json::Null, |c| c.name().into()))
-                        .push("rendered", ex.render().into());
-                    explanations.push(j);
-                }
-                None => {
-                    rows.push(Row {
-                        section: "explain",
-                        id: e.id.clone(),
-                        expected: "violating trace",
-                        observed: "none found".into(),
-                        pass: false,
-                    });
-                }
+    let mut suite = Vec::new();
+    let phase_explain = profile::enter(Span::ReportExplain);
+    for e in thm1_suite() {
+        let cx = violations.remove(&e.id).flatten();
+        let explained = cx
+            .as_ref()
+            .and_then(|cx| explain_trace(&cx.trace, e.entry.model, e.kind).ok());
+        match &explained {
+            Some(ex) => {
+                let mut j = Json::obj();
+                j.push("id", e.id.as_str().into())
+                    .push("model", ex.model.into())
+                    .push("class", ex.class.map_or(Json::Null, |c| c.name().into()))
+                    .push("rendered", ex.render().into());
+                explanations.push(j);
+            }
+            None => {
+                rows.push(Row {
+                    section: "explain",
+                    id: e.id.clone(),
+                    expected: "violating trace",
+                    observed: "none found".into(),
+                    pass: false,
+                });
             }
         }
+        suite.push((e, cx, explained.and_then(|ex| ex.class)));
     }
+    drop(phase_explain);
 
     // ── Schedule logs → shrink → replay (--record) ────────────────
     let mut replay_section: Option<Json> = None;
     if let Some(dir) = &args.record {
         let _phase = profile::enter(Span::ReportRecord);
-        let mut shrink_rounds_total = 0u64;
         let mut log_entries: Vec<Json> = Vec::new();
-        for id in record_targets.unwrap_or_default() {
-            let case = &cases[&id];
-            let (e, Some(cx)) = (&case.exp, &case.cx) else {
+        for (e, cx, class) in &suite {
+            let Some(cx) = cx else {
                 rows.push(Row {
                     section: "replay",
-                    id,
+                    id: e.id.clone(),
                     expected: "violating schedule recorded",
                     observed: "no violation within sweep".into(),
                     pass: false,
                 });
                 continue;
             };
-            let class = case.explanation().and_then(|ex| ex.class);
-            let log = log_of(e, cx, THEOREM_STEPS, class);
+            let log = log_of(e, cx, THEOREM_STEPS, *class);
             let (min, stats) = shrink(&log, e);
             let raw_out = replay(&log, e);
             let min_out = replay(&min, e);
@@ -836,7 +781,6 @@ fn run_report(args: &Args) -> (Json, Option<String>) {
                     std::process::exit(1);
                 }
             }
-            shrink_rounds_total += stats.rounds;
             let pass = raw_out.matches
                 && raw_out.violating
                 && min_out.matches
@@ -866,8 +810,8 @@ fn run_report(args: &Args) -> (Json, Option<String>) {
                 expected: "replay reproduces; shrunk log keeps class",
                 observed: format!(
                     "{} → {} decisions, class {}",
-                    stats.initial_decisions,
-                    stats.final_decisions,
+                    log.decisions.len(),
+                    min.decisions.len(),
                     min.class.as_deref().unwrap_or("?")
                 ),
                 pass,
@@ -875,21 +819,17 @@ fn run_report(args: &Args) -> (Json, Option<String>) {
         }
         let mut sec = Json::obj();
         sec.push("dir", dir.display().to_string().as_str().into())
-            .push("recorded", log_entries.len().into())
-            .push("shrink_rounds", shrink_rounds_total.into())
             .push("logs", Json::Arr(log_entries));
         replay_section = Some(sec);
     }
 
     // ── Streaming monitor over live STM traffic (--monitor) ───────
-    let mut monitor_entries: Vec<Json> = Vec::new();
-    let mut monitor_total: Option<MonitorStats> = None;
+    let mut monitor_entries: Option<Vec<Json>> = None;
     if args.monitor {
         let _phase = profile::enter(Span::ReportMonitor);
         let (entries, total) = monitor_sweep(&mut rows);
         metrics.record_monitor(&total);
-        monitor_entries = entries;
-        monitor_total = Some(total);
+        monitor_entries = Some(entries);
     }
 
     // ── SAT backend cross-validation + crossover (--sat) ──────────
@@ -976,8 +916,7 @@ fn run_report(args: &Args) -> (Json, Option<String>) {
                 fold_error = Some(e);
             }
         }
-        sec.push("dpor", waste_total.to_json())
-            .push("dpor_blocked", mc.dpor_blocked.into());
+        sec.push("dpor", waste_total.to_json());
         sec
     });
     let failed = rows.iter().filter(|r| !r.pass).count();
@@ -989,7 +928,6 @@ fn run_report(args: &Args) -> (Json, Option<String>) {
         .push("lookups", memo.lookups().into())
         .push("entries", (memo.len() as u64).into())
         .push("cross_run_hits", memo.cross_run_hits().into())
-        .push("in_run_hits", (memo.hits() - memo.cross_run_hits()).into())
         .push("preloaded_entries", memo.preloaded_entries().into());
     out.push(
         "rows",
@@ -999,17 +937,21 @@ fn run_report(args: &Args) -> (Json, Option<String>) {
     .push("shared_memo", memo_j)
     .push("dpor", Json::Arr(dpor_entries))
     .push("costs", Json::Arr(costs))
-    .push("ledger_entry", entry.to_json());
-    if args.explain {
-        out.push("explanations", Json::Arr(explanations));
-    }
+    .push(
+        "ledger_entry",
+        LedgerEntry {
+            metrics: Json::Null,
+            ..entry
+        }
+        .to_json(),
+    )
+    .push("explanations", Json::Arr(explanations));
     if let Some(sec) = replay_section {
         out.push("replay", sec);
     }
-    if let Some(total) = &monitor_total {
+    if let Some(entries) = monitor_entries {
         let mut sec = Json::obj();
-        sec.push("stms", Json::Arr(monitor_entries))
-            .push("total", total.to_json());
+        sec.push("stms", Json::Arr(entries));
         out.push("monitor", sec);
     }
     if let Some(sec) = sat_section {

@@ -48,6 +48,11 @@ fn section<'a>(doc: &'a Json, key: &str) -> &'a Json {
     doc.get(key).unwrap_or_else(|| panic!("no '{key}' section"))
 }
 
+/// The `metrics.<block>` counters.
+fn metric<'a>(doc: &'a Json, block: &str) -> &'a Json {
+    section(section(doc, "metrics"), block)
+}
+
 /// A Markdown table: the header row, its rule, then one line per row.
 fn table(header: &[impl AsRef<str>], rows: impl IntoIterator<Item = Vec<String>>) -> String {
     let line = |cells: &[String]| format!("| {} |", cells.join(" | "));
@@ -199,9 +204,9 @@ pub fn costs(doc: &Json) -> String {
     )
 }
 
-/// The `monitor` section, per STM and in total. `max_queue_depth` is
-/// left out (how far the producers outrun the consumer is a race), and
-/// so is `escalation_rate` (the quotient of two shown columns).
+/// The `monitor` section per STM, and `metrics.monitor` as the total.
+/// `max_queue_depth` is left out (how far the producers outrun the
+/// consumer is a race).
 pub fn monitor(doc: &Json) -> String {
     let keys = [
         "ops_ingested",
@@ -223,7 +228,7 @@ pub fn monitor(doc: &Json) -> String {
         .iter()
         .map(|s| line(text(s, "stm").to_string(), s.get("stats").unwrap()))
         .collect();
-    rows.push(line("total".to_string(), section.get("total").unwrap()));
+    rows.push(line("total".to_string(), metric(doc, "monitor")));
     table(
         &[
             "STM",
@@ -240,23 +245,29 @@ pub fn monitor(doc: &Json) -> String {
     )
 }
 
-/// The `sat` section: the agreement sweep and the solver's effort in
-/// one line, then the crossover family one column per size, then the
-/// checks on which the two backends disagreed, if any did.
+/// The `sat` section: the agreement sweep and the solver's effort
+/// (`metrics.sat`) in one line, then the crossover family one column
+/// per size, then the checks on which the two backends disagreed, if
+/// any did.
 pub fn sat(doc: &Json) -> String {
     let section = doc.get("sat").expect("a --sat run");
-    let mut cells: Vec<(String, String)> =
-        ["checked", "disagreements", "positives", "witness_certified"]
-            .iter()
-            .map(|k| (k.to_string(), field(section, k)))
-            .collect();
-    match section.get("stats") {
-        Some(Json::Obj(fields)) => cells.extend(
+    let disagreeing = arr(section, "disagreeing");
+    let mut cells: Vec<(String, String)> = vec![
+        ("checked".into(), field(section, "checked")),
+        ("disagreements".into(), disagreeing.len().to_string()),
+        ("positives".into(), field(section, "positives")),
+        (
+            "witness_certified".into(),
+            field(section, "witness_certified"),
+        ),
+    ];
+    match metric(doc, "sat") {
+        Json::Obj(fields) => cells.extend(
             fields
                 .iter()
                 .map(|(k, v)| (format!("stats.{k}"), v.to_string())),
         ),
-        other => panic!("sat.stats is not an object: {other:?}"),
+        other => panic!("metrics.sat is not an object: {other:?}"),
     }
     let header: Vec<String> = cells.iter().map(|(k, _)| format!("`{k}`")).collect();
     let totals = table(&header, [cells.into_iter().map(|(_, v)| v).collect()]);
@@ -274,7 +285,7 @@ pub fn sat(doc: &Json) -> String {
         ],
     );
     let mut out = format!("{totals}\n\n{crossover}");
-    for label in arr(section, "disagreeing") {
+    for label in disagreeing {
         write!(out, "\n- disagree: `{}`", label.as_str().unwrap()).unwrap();
     }
     out
@@ -387,11 +398,11 @@ fn profile(doc: &Json) -> String {
         Some(e) => writeln!(tree, "profile: {}", e.as_str().unwrap()).unwrap(),
         None => walk(section(p, "phases"), 0, &mut tree),
     }
-    let dpor = section(p, "dpor");
+    let mc = metric(doc, "mc");
     format!(
         "```\n{tree}```\n\ndpor: {} race pairs, {} blocked runs",
-        num(dpor, "race_total"),
-        num(p, "dpor_blocked")
+        num(mc, "races"),
+        num(mc, "dpor_blocked")
     )
 }
 
@@ -499,8 +510,8 @@ pub fn replayed(doc: &Json) -> String {
         field(doc, "violating")
     )
     .unwrap();
-    if let Some(narrative) = doc.get("rendered") {
-        write!(out, "\n{}\n", narrative.as_str().unwrap()).unwrap();
+    if let Some(narrative) = doc.get("rendered").and_then(Json::as_str) {
+        write!(out, "\n{narrative}\n").unwrap();
     }
     out
 }
@@ -511,16 +522,18 @@ mod tests {
     use jungle_obs::{ProfileNode, ToJson};
 
     fn profiled(phases: Json, error: Option<&str>) -> Json {
-        let mut dpor = Json::obj();
-        dpor.push("race_total", 3u64.into());
+        let mut mc = Json::obj();
+        mc.push("races", 3u64.into())
+            .push("dpor_blocked", 2u64.into());
+        let mut metrics = Json::obj();
+        metrics.push("mc", mc);
         let mut sec = Json::obj();
         sec.push("phases", phases);
         if let Some(e) = error {
             sec.push("error", e.into());
         }
-        sec.push("dpor", dpor).push("dpor_blocked", 2u64.into());
         let mut doc = Json::obj();
-        doc.push("profile", sec);
+        doc.push("metrics", metrics).push("profile", sec);
         doc
     }
 

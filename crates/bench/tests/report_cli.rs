@@ -88,8 +88,8 @@ fn json_run_prints_one_object_and_sweeps_each_experiment_once() {
         assert!(matches!(r.get("pass"), Some(Json::Bool(true))), "{id}");
     }
 
-    // The ledger's metrics count the theorem phase's DPOR runs; the
-    // `dpor` section must describe those same runs and no others.
+    // The metrics count the theorem phase's DPOR runs; the `dpor`
+    // section must describe those same runs and no others.
     let dpor = arr(&doc, "dpor");
     assert_eq!(dpor.len(), 3);
     for e in dpor {
@@ -101,11 +101,7 @@ fn json_run_prints_one_object_and_sweeps_each_experiment_once() {
     }
     let executed: u64 = dpor.iter().map(|e| num(e, "dpor_executed")).sum();
     assert_eq!(executed, 3 * RUNS_PER_EXHAUSTIVE);
-    let mc = doc
-        .get("ledger_entry")
-        .and_then(|l| l.get("metrics"))
-        .and_then(|m| m.get("mc"))
-        .unwrap();
+    let mc = doc.get("metrics").and_then(|m| m.get("mc")).unwrap();
     assert_eq!(executed, num(mc, "dpor_executed"));
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -130,6 +126,44 @@ fn phase_nodes(node: &Json) -> usize {
     let name = node.get("name").and_then(Json::as_str).unwrap();
     assert!(!name.starts_with("memsim."), "a timed decision: {name}");
     1 + arr(node, "children").iter().map(phase_nodes).sum::<usize>()
+}
+
+/// The keys a document once held beside the key that states the same
+/// fact (`metrics.sat` for `sat.stats`, `disagreeing` for
+/// `sat.disagreements`, `metrics.mc.races` for `profile.dpor.race_total`,
+/// …), or that named one model for a total over many (`mc.model`). A
+/// key path matches an entry when the entry is its suffix.
+const DELETED: [&str; 13] = [
+    "ledger_entry.metrics",
+    "monitor.total",
+    "sat.stats",
+    "disagreements",
+    "agreement",
+    "crossover_dfs_orders_max",
+    "in_run_hits",
+    "completed_per_class",
+    "escalation_rate",
+    "race_total",
+    "profile.dpor_blocked",
+    "mc.model",
+    "machine.model",
+];
+
+/// Every key path of `doc`, an array's elements as `[]`.
+fn key_paths(doc: &Json, prefix: &str, out: &mut BTreeSet<String>) {
+    match doc {
+        Json::Obj(fields) => {
+            for (k, v) in fields {
+                let path = format!("{prefix}.{k}");
+                key_paths(v, &path, out);
+                out.insert(path);
+            }
+        }
+        Json::Arr(items) => items
+            .iter()
+            .for_each(|v| key_paths(v, &format!("{prefix}[]"), out)),
+        _ => {}
+    }
 }
 
 /// Every key of `doc`, at any depth, that ends in `_ns`.
@@ -167,8 +201,8 @@ fn a_profile_adds_no_row() {
 /// The document of a run with every section the profile reads: the
 /// phase tree holds one `report.*` child with its `total_ns` per phase
 /// the benchmark's traced `report_cold` reads, and nothing else at its
-/// root (`--explain` and `--record` explain, shrink and replay under
-/// phases of their own, and sweep nothing), `report.monitor` one child
+/// root (the explanations and `--record` explain, shrink and replay
+/// under phases of their own, and sweep nothing), `report.monitor` one child
 /// per monitored STM, the recorder behind the profile kept the STMs'
 /// transaction spans out and dropped nothing, the ledger entry carries
 /// the run's wall time, `metrics` holds exactly its four blocks, and
@@ -176,7 +210,8 @@ fn a_profile_adds_no_row() {
 /// timer below the phase tree: a phase node has calls and times and no
 /// latency histogram, the monitor block is its counters, a crossover
 /// point is work, and the phase tree holds the document's only
-/// nanoseconds.
+/// nanoseconds. No key of [`DELETED`] is back, and the `replay` section
+/// holds its logs and where they are, nothing it could count from them.
 #[test]
 fn profiled_run_has_the_shape_the_benchmark_reads() {
     let dir = scratch("profile");
@@ -188,7 +223,6 @@ fn profiled_run_has_the_shape_the_benchmark_reads() {
             "--monitor",
             "--profile",
             "--sat",
-            "--explain",
             "--record",
             schedules.to_str().unwrap(),
         ],
@@ -244,10 +278,11 @@ fn profiled_run_has_the_shape_the_benchmark_reads() {
     let metrics = doc.get("metrics").expect("metrics");
     assert_eq!(keys(metrics), ["checker", "mc", "monitor", "sat"]);
     let dpor = profile.get("dpor").expect("profile.dpor");
-    assert_eq!(keys(dpor), ["race_heat", "race_total"]);
+    assert_eq!(keys(dpor), ["race_heat"]);
     let races = num(metrics.get("mc").unwrap(), "races");
     assert!(races > 0, "the exhaustive sweeps race");
-    assert_eq!(num(dpor, "race_total"), races);
+    let heat: u64 = arr(dpor, "race_heat").iter().map(|e| num(e, "races")).sum();
+    assert_eq!(heat, races);
 
     let nodes = phase_nodes(profile.get("phases").unwrap());
     let monitor: Vec<&str> = MonitorStats::FIELDS.iter().map(|(k, _)| *k).collect();
@@ -263,6 +298,16 @@ fn profiled_run_has_the_shape_the_benchmark_reads() {
         "{ns:?}"
     );
     assert_eq!(ns.len(), 2 * nodes, "a `_ns` key outside the phase tree");
+    let mut paths = BTreeSet::new();
+    key_paths(&doc, "", &mut paths);
+    for gone in DELETED {
+        let back: Vec<&String> = paths
+            .iter()
+            .filter(|p| p.ends_with(&format!(".{gone}")))
+            .collect();
+        assert!(back.is_empty(), "{back:?}");
+    }
+    assert_eq!(keys(doc.get("replay").unwrap()), ["dir", "logs"]);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -421,9 +466,9 @@ fn the_profile_and_the_trace_are_one_source() {
 #[test]
 fn unknown_flag_exits_2() {
     let dir = scratch("flag");
-    // `--compare` and `--cnf` were flags once; they are unknown like
-    // any other now.
-    for flag in ["--compare", "--cnf"] {
+    // `--compare`, `--cnf` and `--explain` were flags once; they are
+    // unknown like any other now.
+    for flag in ["--compare", "--cnf", "--explain"] {
         let out = report(&dir, &[flag]);
         assert_eq!(out.status.code(), Some(2), "{flag}");
         let err = String::from_utf8_lossy(&out.stderr);
@@ -576,8 +621,8 @@ fn report_says_the_same_in_json_and_in_text() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// A `--replay` run's text is `render::replayed` of its document, with
-/// and without the narrative `--explain` adds to it.
+/// A `--replay` run's text is `render::replayed` of its document,
+/// which holds the replayed counterexample's class and narrative.
 #[test]
 fn a_replay_says_the_same_in_json_and_in_text() {
     let dir = scratch("replay-text");
@@ -586,22 +631,58 @@ fn a_replay_says_the_same_in_json_and_in_text() {
         .expect("thm1-case3/PSO violates");
     let log = dir.join("log.json");
     rec.log.save(&log).unwrap();
-    let log = log.to_str().unwrap();
-    for explain in [&[][..], &["--explain"]] {
-        let args = [&["--replay", log][..], explain].concat();
-        let text = bare("replay-text-run", &args);
-        assert_eq!(text.status.code(), Some(0), "{args:?}");
-        let json = bare("replay-json-run", &[&["--json"][..], &args].concat());
-        let doc = Json::parse(&String::from_utf8(json.stdout).unwrap()).unwrap();
-        assert_eq!(doc.get("rendered").is_some(), !explain.is_empty());
-        let text = String::from_utf8(text.stdout).unwrap();
-        assert_eq!(text, render::replayed(&doc), "{args:?}");
+    let args = ["--replay", log.to_str().unwrap()];
+    let text = bare("replay-text-run", &args);
+    assert_eq!(text.status.code(), Some(0), "{args:?}");
+    let json = bare("replay-json-run", &[&["--json"][..], &args].concat());
+    let doc = Json::parse(&String::from_utf8(json.stdout).unwrap()).unwrap();
+    assert_eq!(doc.get("class").and_then(Json::as_str), Some("Mrw"));
+    assert!(doc.get("rendered").and_then(Json::as_str).is_some());
+    let text = String::from_utf8(text.stdout).unwrap();
+    assert_eq!(text, render::replayed(&doc), "{args:?}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A `replay/<id>` row counts the decisions its `replay.logs[]` entry
+/// holds: the recorded log's, then the shrunk log's.
+#[test]
+fn a_replay_row_counts_its_logs_decisions() {
+    let dir = scratch("record");
+    let out = report(
+        &dir,
+        &[
+            "--json",
+            "--record",
+            dir.join("schedules").to_str().unwrap(),
+        ],
+    );
+    assert!(out.status.success(), "exit {:?}", out.status);
+    let doc = Json::parse(&String::from_utf8(out.stdout).unwrap()).unwrap();
+    let logs = arr(doc.get("replay").expect("replay section"), "logs");
+    assert_eq!(logs.len(), 4);
+    for log in logs {
+        let id = log.get("id").and_then(Json::as_str).unwrap();
+        let row = arr(&doc, "rows")
+            .iter()
+            .find(|r| {
+                r.get("section").and_then(Json::as_str) == Some("replay")
+                    && r.get("id").and_then(Json::as_str) == Some(id)
+            })
+            .unwrap_or_else(|| panic!("no replay row for {id}"));
+        let counts = format!(
+            "{} → {} decisions",
+            num(log, "decisions"),
+            num(log, "shrunk_decisions")
+        );
+        let observed = row.get("observed").and_then(Json::as_str).unwrap();
+        assert!(observed.starts_with(&counts), "{observed} against {log}");
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// Without `--ledger` and `--memo-dir` a run reads and writes no state:
-/// its working directory stays empty, and its memo starts cold.
+/// its working directory stays empty, and its memo starts cold. Its
+/// document explains each Theorem 1 counterexample with its class.
 #[test]
 fn a_bare_run_leaves_its_directory_untouched() {
     let out = bare("bare", &["--json"]);
@@ -609,6 +690,23 @@ fn a_bare_run_leaves_its_directory_untouched() {
     let doc = Json::parse(&String::from_utf8(out.stdout).unwrap()).unwrap();
     assert_eq!(num(doc.get("shared_memo").unwrap(), "preloaded_entries"), 0);
     num(doc.get("ledger_entry").unwrap(), "wall_ms");
+    let explained: Vec<(&str, &str)> = arr(&doc, "explanations")
+        .iter()
+        .map(|e| {
+            let text = |key| e.get(key).and_then(Json::as_str).unwrap();
+            assert!(!text("rendered").is_empty(), "{e}");
+            (text("id"), text("class"))
+        })
+        .collect();
+    assert_eq!(
+        explained,
+        [
+            ("thm1-case1/SC", "Mrr"),
+            ("thm1-case2/SC", "Mwr"),
+            ("thm1-case3/PSO", "Mrw"),
+            ("thm1-case4/TSO", "Mww"),
+        ]
+    );
 }
 
 /// A memo directory as a crashed or foreign writer could leave it. Only

@@ -559,7 +559,7 @@ pub fn all_fixed_experiments() -> Vec<Experiment> {
 /// The four Theorem 1 constructions, each paired with the model whose
 /// restriction-class membership makes the construction irreconcilable:
 /// Mrr under SC, Mwr under SC, Mrw under PSO, Mww under TSO. This is
-/// the suite `report --explain` narrates and `report --record`
+/// the suite every `report` run narrates and `report --record`
 /// captures.
 pub fn thm1_suite() -> Vec<Experiment> {
     vec![

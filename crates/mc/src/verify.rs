@@ -145,9 +145,9 @@ pub struct Verdict {
     /// checking never includes these; like `runs`, zero when nothing
     /// was explored.
     pub truncated: usize,
-    /// Exploration counters: checked model key, schedules, histories
-    /// checked, dedup/memo hits, worker threads, and the aggregated
-    /// simulated-machine statistics.
+    /// Exploration counters: schedules, histories checked, dedup/memo
+    /// hits, worker threads, and the aggregated simulated-machine
+    /// statistics.
     pub stats: McStats,
     /// The DPOR explorer's race-pair heat table (empty for randomized
     /// sweeps). Its total equals `stats.races`.
@@ -170,16 +170,13 @@ pub struct Counterexample {
 }
 
 impl Verdict {
-    fn passing(entry: &ModelEntry) -> Self {
+    fn passing() -> Self {
         Verdict {
             ok: true,
             violation: None,
             runs: 0,
             truncated: 0,
-            stats: McStats {
-                model: entry.key,
-                ..McStats::default()
-            },
+            stats: McStats::default(),
             waste: DporStats::default(),
         }
     }
@@ -620,7 +617,7 @@ impl<'a> Sweep<'a> {
     /// The DPOR driver. It stops at the first violating class.
     fn explore_classes(&self, judge: &Judge<'_>) -> Verdict {
         let out = explore_dpor(|| self.machine(), self.max_steps, |r| judge.judge(r, None));
-        let mut verdict = Verdict::passing(self.entry);
+        let mut verdict = Verdict::passing();
         verdict.runs = out.executed;
         verdict.truncated = out.truncated;
         verdict.stats.machine = out.stats;
@@ -641,7 +638,7 @@ impl<'a> Sweep<'a> {
         // never lower it, so every stripe stops there.
         let best = AtomicU64::new(u64::MAX);
         let stripe = |t: usize| {
-            let mut local = Verdict::passing(self.entry);
+            let mut local = Verdict::passing();
             // One machine per worker; each schedule runs a copy of it.
             let root = self.machine();
             let mut machine = root.clone();
@@ -662,7 +659,7 @@ impl<'a> Sweep<'a> {
         if threads <= 1 {
             return stripe(0);
         }
-        let mut verdict = Verdict::passing(self.entry);
+        let mut verdict = Verdict::passing();
         verdict.stats.workers = threads as u64;
         let from = profile::spawn_point();
         std::thread::scope(|s| {
@@ -832,8 +829,6 @@ mod tests {
                                // Exploration stats are recorded alongside the verdict.
         assert_eq!(v.stats.schedules, 1);
         assert_eq!(v.stats.histories_checked, 1);
-        assert_eq!(v.stats.model, "SC");
-        assert_eq!(v.stats.machine.model, "SC");
         assert!(v.stats.machine.steps > 0);
     }
 
@@ -1097,8 +1092,6 @@ mod tests {
         let e = registry_entry("RMO").unwrap();
         let v = check_all_traces(&p, &GlobalLockTm, e, CheckKind::Opacity, 6_000);
         assert!(v.ok, "violation: {:?}", v.violation);
-        assert_eq!(v.stats.model, "RMO");
-        assert_eq!(v.stats.machine.model, "RMO");
         assert!(
             v.stats.machine.stale_loads > 0,
             "RMO execution must have explored stale reads: {:?}",

@@ -54,7 +54,7 @@ pub struct RunResult {
 }
 
 impl RunResult {
-    fn new(hw: HwModel) -> Self {
+    fn new() -> Self {
         RunResult {
             trace: Trace::default(),
             completed: false,
@@ -62,10 +62,7 @@ impl RunResult {
             steps: 0,
             footprints: Vec::new(),
             decisions: Vec::new(),
-            stats: MachineStats {
-                model: hw.name,
-                ..MachineStats::default()
-            },
+            stats: MachineStats::default(),
             mem: GlobalMem::default(),
         }
     }
@@ -200,7 +197,7 @@ impl Machine {
             next_op: 1,
             observed: 0,
             actions: Vec::new(),
-            result: RunResult::new(hw),
+            result: RunResult::new(),
         }
     }
 
@@ -1029,14 +1026,6 @@ mod tests {
         assert!(r.completed);
         assert_eq!(r.stats.flushes, 1);
         assert_eq!(r.final_mem(), vec![(0, 7)]);
-    }
-
-    #[test]
-    fn machine_stats_carry_model_name() {
-        let m = Machine::new(HwModel::RMO, vec![writer(X, 0, 1)]);
-        let mut s = ReplayScheduler::default();
-        let r = m.run(&mut s, 100);
-        assert_eq!(r.stats.model, "RMO");
     }
 
     #[test]

@@ -7,16 +7,13 @@
 //!
 //! * the struct, with the attributes given and every field `pub`;
 //! * `absorb(&mut self, other)`, folding each field by its rule —
-//!   `sum` adds, `max` keeps the larger, `first` keeps the first
-//!   non-empty string (the `model` keys), `nest` calls the field's own
+//!   `sum` adds, `max` keeps the larger, `nest` calls the field's own
 //!   `absorb` (an embedded [`MachineStats`]);
 //! * [`ToJson`](crate::json::ToJson), one key per field in declaration
-//!   order; a field may be followed by `=> key: Json::Variant`, a
-//!   *computed* key serialized right after it from the method of the
-//!   same name (`MonitorStats::escalation_rate`);
+//!   order;
 //! * `FIELDS`, the `(key, rule)` table of exactly those JSON keys in
-//!   order (computed keys carry the rule `"computed"`), which the
-//!   tests and the docs walk instead of keeping lists by hand;
+//!   order, which the tests and the docs walk instead of keeping lists
+//!   by hand;
 //! * under `cfg(test)`, `sample` and `check_table`: the property that
 //!   the three derivations above agree with the table.
 //!
@@ -33,11 +30,6 @@ macro_rules! counters {
     (@merge max $a:expr, $b:expr) => {
         $a = $a.max($b)
     };
-    (@merge first $a:expr, $b:expr) => {
-        if $a.is_empty() {
-            $a = $b
-        }
-    };
     (@merge nest $a:expr, $b:expr) => {
         $a.absorb(&$b)
     };
@@ -52,7 +44,7 @@ macro_rules! counters {
         pub struct $name:ident {
             $(
                 $(#[$fattr:meta])*
-                $rule:ident $field:ident : $ty:ty $(=> $ckey:ident : $cwrap:expr)?
+                $rule:ident $field:ident : $ty:ty
             ),* $(,)?
         }
     ) => {
@@ -64,13 +56,10 @@ macro_rules! counters {
         impl $name {
             /// The block's JSON keys in serialization order, each with
             /// the rule [`absorb`](Self::absorb) merges it by: `"sum"`,
-            /// `"max"`, `"first"` (non-empty string), `"nest"` (the
-            /// field's own `absorb`) or `"computed"` (derived from the
-            /// other fields on serialization; not a field).
+            /// `"max"` or `"nest"` (the field's own `absorb`).
             pub const FIELDS: &'static [(&'static str, &'static str)] = &[
                 $(
                     (stringify!($field), stringify!($rule)),
-                    $( (stringify!($ckey), "computed"), )?
                 )*
             ];
 
@@ -86,7 +75,6 @@ macro_rules! counters {
                 let mut j = $crate::json::Json::obj();
                 $(
                     j.push(stringify!($field), $crate::counters::counters!(@json $rule self.$field));
-                    $( j.push(stringify!($ckey), ($cwrap)(self.$ckey())); )?
                 )*
                 j
             }
@@ -97,9 +85,6 @@ macro_rules! counters {
     };
 
     // ── test support: a fixture and the table's property ─────────────
-    (@sample first $ty:ty, $seed:expr) => {
-        ["", "A", "B"][($seed % 3) as usize]
-    };
     (@sample nest $ty:ty, $seed:expr) => {
         <$ty>::sample($seed)
     };
@@ -111,9 +96,6 @@ macro_rules! counters {
     };
     (@check max $z:expr, $a:expr, $b:expr) => {
         assert_eq!($z, $a.max($b))
-    };
-    (@check first $z:expr, $a:expr, $b:expr) => {
-        assert_eq!($z, if $a.is_empty() { $b } else { $a })
     };
     (@check nest $z:expr, $a:expr, $b:expr) => {{
         let mut nested = $a.clone();
@@ -145,8 +127,6 @@ macro_rules! counters {
                 let keys: Vec<&str> = json.iter().map(|(k, _)| k.as_str()).collect();
                 let table: Vec<&str> = $name::FIELDS.iter().map(|(k, _)| *k).collect();
                 assert_eq!(keys, table);
-                // Every ordered pair of three samples: a `first` field
-                // sees empty/non-empty on either side.
                 for (a, b) in [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)] {
                     let (a, b) = ($name::sample(a), $name::sample(b));
                     let mut z = a.clone();

@@ -26,6 +26,8 @@ pub struct LedgerEntry {
     /// Wall-clock duration of the run in milliseconds.
     pub wall_ms: u64,
     /// The run's full metrics snapshot: every counter lives here, once.
+    /// `Null` serializes as no key: a `report` document's entry, whose
+    /// metrics are the document's own.
     pub metrics: Json,
 }
 
@@ -62,8 +64,10 @@ impl ToJson for LedgerEntry {
         j.push("ts_unix", self.ts_unix.into())
             .push("git_rev", self.git_rev.as_str().into())
             .push("source", self.source.as_str().into())
-            .push("wall_ms", self.wall_ms.into())
-            .push("metrics", self.metrics.clone());
+            .push("wall_ms", self.wall_ms.into());
+        if self.metrics != Json::Null {
+            j.push("metrics", self.metrics.clone());
+        }
         j
     }
 }
@@ -149,6 +153,17 @@ mod tests {
         let line = e.to_json().to_string();
         let back = LedgerEntry::from_json(&Json::parse(&line).unwrap()).unwrap();
         assert_eq!(back, e);
+    }
+
+    #[test]
+    fn an_entry_without_metrics_serializes_no_metrics_key() {
+        let e = LedgerEntry {
+            metrics: Json::Null,
+            ..entry()
+        };
+        let j = e.to_json();
+        assert!(j.get("metrics").is_none(), "{j}");
+        assert_eq!(LedgerEntry::from_json(&j).unwrap(), e);
     }
 
     #[test]

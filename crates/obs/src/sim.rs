@@ -9,9 +9,6 @@ counters! {
     /// see [`MachineStats::absorb`]).
     #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
     pub struct MachineStats {
-        /// Execution-semantics name the machine ran under (e.g. `"RMO"`);
-        /// empty until a machine sets it.
-        first model: &'static str,
         /// Scheduler steps executed (instruction executions + drains).
         sum steps: u64,
         /// Load instructions executed.
@@ -43,9 +40,6 @@ counters! {
     /// Totals for a model-checking pass (exhaustive or randomized).
     #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
     pub struct McStats {
-        /// Registry key of the checker-side memory model the sweep verified
-        /// against (e.g. `"RMO"`); empty until a sweep sets it.
-        first model: &'static str,
         /// Schedules explored (machine runs).
         sum schedules: u64,
         /// Runs cut off by the step bound before completing.
@@ -148,8 +142,7 @@ impl ToJson for DporStats {
                     })
                     .collect(),
             ),
-        )
-        .push("race_total", self.race_total().into());
+        );
         j
     }
 }
@@ -213,8 +206,7 @@ mod tests {
             panic!("an object")
         };
         let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
-        assert_eq!(keys, ["race_heat", "race_total"]);
-        assert_eq!(j.get("race_total"), Some(&Json::U64(1)));
+        assert_eq!(keys, ["race_heat"]);
         let Some(Json::Arr(heat)) = j.get("race_heat") else {
             panic!("race_heat missing")
         };

@@ -32,9 +32,9 @@
 //!
 //! The `report` binary wires these together: `--record <dir>` writes
 //! and shrinks one log per Theorem 1 construction from the
-//! counterexamples its theorem sweeps found, `--replay <file>`
-//! re-executes a saved log and verifies the fingerprint, and
-//! `--explain` narrates the replayed counterexample.
+//! counterexamples its theorem sweeps found, and `--replay <file>`
+//! re-executes a saved log, verifies the fingerprint and narrates the
+//! replayed counterexample.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,4 +1,4 @@
-//! The text `report --explain` prints, pinned.
+//! The narratives of every `report` document, pinned.
 //!
 //! The mc explainer's Theorem 1 tests pin only the class each
 //! counterexample matches, so a drift in the edges either explainer
@@ -7,10 +7,10 @@
 //! folds the whole rendered text of the four Theorem 1 explanations
 //! into one FNV digest: each explains the counterexample of the
 //! experiment's own sweep (`thm1_suite`, the same seeds and step bound
-//! as the theorem phase whose counterexamples `report --explain`
-//! narrates). `EXPLANATIONS_DIGEST` was
-//! captured at the commit that introduced this test, before the
-//! checkers' per-viewer view layer was removed (e248245), which printed:
+//! as the theorem phase whose counterexamples `report` narrates).
+//! `EXPLANATIONS_DIGEST` was captured at the commit that introduced
+//! this test, before the checkers' per-viewer view layer was removed
+//! (e248245), which printed:
 //!
 //! ```text
 //! explanations digest=0x3a305eb1ec6fffba bytes=2541

@@ -339,8 +339,6 @@ fn relaxed_entries_explore_stale_reads() {
             "{key}: no stale loads explored ({:?})",
             v.stats.machine
         );
-        assert_eq!(v.stats.model, key);
-        assert_eq!(v.stats.machine.model, key);
     }
     let _ = ProcId(0); // silence unused-import lints in cfg permutations
 }
