@@ -12,7 +12,8 @@
 //! completeness — are the predicates below, over the typed stats, each
 //! with its threshold beside it.
 //!
-//! The report's text is [`render::report`] of its JSON document, by the
+//! A run is the table [`phases::PHASES`], one entry per phase, and the
+//! report's text is [`render::report`] of its JSON document, by the
 //! same section functions that EXPERIMENTS.md's tables are held to.
 //!
 //! This crate times nothing. Every measurement — the §6.1 per-operation
@@ -32,17 +33,18 @@ use jungle_obs::{EventKind, FlightRecorder, McStats, MonitorStats};
 use std::collections::BTreeSet;
 use std::thread::JoinHandle;
 
+pub mod phases;
 pub mod render;
 
 /// Floor on the sweeps' trace dedup rate (`dedup_hits / schedules`;
 /// observed 0.52). DPOR keeps most duplicate schedules from running at
 /// all, so this sits at half of what is left; a broken dedup key drops
 /// the rate to 0.
-pub const DEDUP_RATE_FLOOR: f64 = 0.25;
+pub(crate) const DEDUP_RATE_FLOOR: f64 = 0.25;
 
 /// Floor on the shared verdict memo's hit rate from a cold start
 /// (observed 0.50). An unshared memo drops it to 0.
-pub const MEMO_HIT_RATE_FLOOR: f64 = 0.25;
+pub(crate) const MEMO_HIT_RATE_FLOOR: f64 = 0.25;
 
 /// STMs the matched zoo samples: the five positive-result TMs.
 const ZOO_STMS: usize = 5;
@@ -52,7 +54,7 @@ const ZOO_STMS: usize = 5;
 const MONITOR_ESCALATION_CEILING: f64 = 0.05;
 
 /// `num / den`, 0 when `den` is 0 (nothing ran, so nothing was saved).
-pub fn rate(num: u64, den: u64) -> f64 {
+pub(crate) fn rate(num: u64, den: u64) -> f64 {
     if den == 0 {
         0.0
     } else {
@@ -61,18 +63,18 @@ pub fn rate(num: u64, den: u64) -> f64 {
 }
 
 /// Did the sweeps run and keep eliminating duplicate traces?
-pub fn dedup_rate_ok(mc: &McStats) -> bool {
+pub(crate) fn dedup_rate_ok(mc: &McStats) -> bool {
     rate(mc.dedup_hits, mc.schedules) >= DEDUP_RATE_FLOOR
 }
 
 /// Was the shared memo consulted, and did it answer often enough?
-pub fn memo_rate_ok(hits: u64, lookups: u64) -> bool {
+pub(crate) fn memo_rate_ok(hits: u64, lookups: u64) -> bool {
     rate(hits, lookups) >= MEMO_HIT_RATE_FLOOR
 }
 
 /// Does the zoo hold a cell for every registry entry under each of at
 /// least `ZOO_STMS` algorithms?
-pub fn zoo_covers_registry(zoo: &[ZooVerdict]) -> bool {
+pub(crate) fn zoo_covers_registry(zoo: &[ZooVerdict]) -> bool {
     let cells: BTreeSet<(&str, &str)> = zoo.iter().map(|z| (z.algo, z.model)).collect();
     let algos: BTreeSet<&str> = zoo.iter().map(|z| z.algo).collect();
     algos.len() >= ZOO_STMS
@@ -85,7 +87,7 @@ pub fn zoo_covers_registry(zoo: &[ZooVerdict]) -> bool {
 /// flagged, at least `min_ops` events ingested, every sealed window
 /// decided by exactly one tier, and escalation under
 /// `MONITOR_ESCALATION_CEILING`.
-pub fn monitor_ok(s: &MonitorStats, min_ops: u64) -> bool {
+pub(crate) fn monitor_ok(s: &MonitorStats, min_ops: u64) -> bool {
     s.violations == 0
         && s.events_dropped == 0
         && s.ops_ingested >= min_ops
@@ -99,7 +101,7 @@ pub fn monitor_ok(s: &MonitorStats, min_ops: u64) -> bool {
 /// `phase`) recorded something, except those in `idle` — the layers the
 /// run's flags left undriven. The other categories hold only verdicts
 /// and rare instants, which a passing run may never emit.
-pub fn flight_complete(rec: &FlightRecorder, idle: &[&str]) -> bool {
+pub(crate) fn flight_complete(rec: &FlightRecorder, idle: &[&str]) -> bool {
     let spans = |cat: &str| {
         EventKind::ALL
             .iter()
@@ -115,7 +117,7 @@ pub fn flight_complete(rec: &FlightRecorder, idle: &[&str]) -> bool {
 /// Join the monitor consumer thread of `stm`: its result, or its panic
 /// as a named error. A consumer that unwinds has already closed its
 /// tap, so the traffic threads feeding it have returned.
-pub fn join_consumer<T>(stm: &str, consumer: JoinHandle<T>) -> Result<T, String> {
+pub(crate) fn join_consumer<T>(stm: &str, consumer: JoinHandle<T>) -> Result<T, String> {
     consumer.join().map_err(|payload| {
         let why = match (
             payload.downcast_ref::<&str>(),

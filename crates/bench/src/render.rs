@@ -11,7 +11,12 @@
 //! sweeps' counters, the monitor's queue depth), so the same flags
 //! render the same text; only a `--trace` or `--profile` run's flight
 //! counts and phase times differ run to run.
+//!
+//! A section is declared once, as a [`PHASES`] entry naming its span,
+//! flag, document key and renderer; [`report`] walks that table, then
+//! the flight recorder's two parts.
 
+use crate::phases::{PHASES, RECORDING};
 use jungle_obs::Json;
 use std::fmt::Write as _;
 
@@ -292,7 +297,7 @@ pub fn sat(doc: &Json) -> String {
 }
 
 /// The `explanations` array: each counterexample's narrative.
-fn explanations(doc: &Json) -> String {
+pub(crate) fn explanations(doc: &Json) -> String {
     let narratives: Vec<String> = arr(doc, "explanations")
         .iter()
         .map(|e| {
@@ -307,7 +312,7 @@ fn explanations(doc: &Json) -> String {
 }
 
 /// The `replay` section: one line per recorded schedule log.
-fn replay(doc: &Json) -> String {
+pub(crate) fn replay(doc: &Json) -> String {
     let section = section(doc, "replay");
     let logs = table(
         &[
@@ -348,7 +353,7 @@ fn replay(doc: &Json) -> String {
 }
 
 /// The `flight` section: what the recorder held, and the exported file.
-fn flight(doc: &Json) -> String {
+pub(crate) fn flight(doc: &Json) -> String {
     let f = section(doc, "flight");
     let mut out = format!(
         "{} events recorded, {} dropped",
@@ -363,7 +368,7 @@ fn flight(doc: &Json) -> String {
 
 /// The `profile` section: the phase tree (or why it could not be
 /// folded) and the run-wide DPOR race heat.
-fn profile(doc: &Json) -> String {
+pub(crate) fn profile(doc: &Json) -> String {
     fn ns(ns: u64) -> String {
         if ns >= 1_000_000_000 {
             format!("{:.2}s", ns as f64 / 1e9)
@@ -406,57 +411,13 @@ fn profile(doc: &Json) -> String {
     )
 }
 
-/// `report`'s sections in print order: the document key that holds the
-/// section (the first five are in every document), its heading, and
-/// its renderer.
-type Section = (&'static str, &'static str, fn(&Json) -> String);
-const SECTIONS: [Section; 11] = [
-    ("rows", "Figures 1–2: litmus verdicts per memory model", figures),
-    (
-        "costs",
-        "TM algorithms (§4): instrumentation, and the most memory instructions per uncontended operation",
-        costs,
-    ),
-    ("rows", "Lemma 1 and Theorems: simulator experiments", theorems),
-    (
-        "dpor",
-        "DPOR reduction: the exhaustive sweeps above, runs against classes",
-        dpor,
-    ),
-    (
-        "rows",
-        "Matched-model zoo: STM × registry entry (execute X, check X)",
-        zoo,
-    ),
-    (
-        "explanations",
-        "Theorem 1 counterexamples, explained",
-        explanations,
-    ),
-    (
-        "replay",
-        "Recorded schedules: capture → shrink → replay",
-        replay,
-    ),
-    (
-        "monitor",
-        "Streaming monitor: live traffic through the tiered checker",
-        monitor,
-    ),
-    (
-        "sat",
-        "SAT backend: DFS against CDCL verdicts, and the wide-UNSAT crossover",
-        sat,
-    ),
-    ("flight", "Flight recording", flight),
-    ("profile", "Exploration profile", profile),
-];
-
 /// A `report` document as text: each section it holds under a Markdown
-/// heading, then `All N checks passed.` or the failing rows.
+/// heading, in [`PHASES`] order and then the recorder's, then `All N
+/// checks passed.` or the failing rows.
 pub fn report(doc: &Json) -> String {
     let mut out = String::new();
-    for (key, heading, render) in SECTIONS {
+    let parts = PHASES.iter().filter_map(|p| p.part).chain(RECORDING);
+    for (key, heading, render) in parts {
         if doc.get(key).is_some() {
             write!(out, "## {heading}\n\n{}\n\n", render(doc)).unwrap();
         }

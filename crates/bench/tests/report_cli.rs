@@ -4,6 +4,7 @@
 //! what it makes of hostile ledger, memo and schedule-log files; and
 //! that the documents state what it prints and the flags it takes.
 
+use jungle_bench::phases::PHASES;
 use jungle_bench::render;
 use jungle_mc::SharedVerdictMemo;
 use jungle_obs::{Json, LedgerEntry, MonitorStats, Span};
@@ -199,10 +200,11 @@ fn a_profile_adds_no_row() {
 }
 
 /// The document of a run with every section the profile reads: the
-/// phase tree holds one `report.*` child with its `total_ns` per phase
-/// the benchmark's traced `report_cold` reads, and nothing else at its
-/// root (the explanations and `--record` explain, shrink and replay
-/// under phases of their own, and sweep nothing), `report.monitor` one child
+/// phase tree's root holds one child with its `total_ns` per phase of
+/// `PHASES` the flags enable, in the table's order, and nothing else
+/// (among them the phases the benchmark's traced `report_cold` reads;
+/// the explanations and `--record` explain, shrink and replay under
+/// phases of their own, and sweep nothing), `report.monitor` one child
 /// per monitored STM, the recorder behind the profile kept the STMs'
 /// transaction spans out and dropped nothing, the ledger entry carries
 /// the run's wall time, `metrics` holds exactly its four blocks, and
@@ -216,37 +218,36 @@ fn a_profile_adds_no_row() {
 fn profiled_run_has_the_shape_the_benchmark_reads() {
     let dir = scratch("profile");
     let schedules = dir.join("schedules");
-    let out = report(
-        &dir,
-        &[
-            "--json",
-            "--monitor",
-            "--profile",
-            "--sat",
-            "--record",
-            schedules.to_str().unwrap(),
-        ],
-    );
+    let args = [
+        "--json",
+        "--monitor",
+        "--profile",
+        "--sat",
+        "--record",
+        schedules.to_str().unwrap(),
+    ];
+    let out = report(&dir, &args);
     assert!(out.status.success(), "exit {:?}", out.status);
     let doc = Json::parse(&String::from_utf8(out.stdout).unwrap()).unwrap();
 
     let profile = doc.get("profile").expect("profile section");
     let phases = arr(profile.get("phases").expect("phase tree"), "children");
-    for phase in [
-        "figures", "theorems", "dpor", "zoo", "explain", "record", "monitor", "sat",
-    ] {
-        let name = format!("report.{phase}");
-        let node = phases
-            .iter()
-            .find(|c| c.get("name").and_then(Json::as_str) == Some(name.as_str()))
-            .unwrap_or_else(|| panic!("no phase {name}"));
-        num(node, "total_ns");
-    }
-    // A sweep's stripe workers check under the phase that spawned them.
-    for node in phases {
-        let name = node.get("name").and_then(Json::as_str).unwrap();
-        assert!(name.starts_with("report."), "{name} at the root");
-    }
+    // Every phase this command line enables, in table order, and nothing
+    // else: a sweep's stripe workers check under the phase that spawned
+    // them.
+    let spans: Vec<Option<Span>> = phases
+        .iter()
+        .map(|node| {
+            num(node, "total_ns");
+            Span::from_name(node.get("name").and_then(Json::as_str).unwrap())
+        })
+        .collect();
+    let enabled: Vec<Option<Span>> = PHASES
+        .iter()
+        .filter(|p| p.flag.is_none_or(|flag| args.contains(&flag)))
+        .map(|p| Some(p.span))
+        .collect();
+    assert_eq!(spans, enabled);
     // One phase per monitored STM, which its consumer's escalations
     // (and its traffic threads) nest under.
     let monitor = phases
@@ -680,16 +681,46 @@ fn a_replay_row_counts_its_logs_decisions() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// A `--record` directory that cannot be made (a regular file) is an
+/// error: exit 1, naming the log it could not write, and no document.
+#[test]
+fn an_unwritable_record_directory_exits_1() {
+    let dir = scratch("record-file");
+    let file = dir.join("not-a-dir");
+    std::fs::write(&file, "").unwrap();
+    let out = report(&dir, &["--json", "--record", file.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("could not write schedule log"), "{err}");
+    assert!(out.stdout.is_empty());
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// Without `--ledger` and `--memo-dir` a run reads and writes no state:
 /// its working directory stays empty, and its memo starts cold. Its
-/// document explains each Theorem 1 counterexample with its class.
+/// document explains each Theorem 1 counterexample with its class, and
+/// records the revision the binary was built from, as a run inside the
+/// checkout does.
 #[test]
 fn a_bare_run_leaves_its_directory_untouched() {
     let out = bare("bare", &["--json"]);
     assert!(out.status.success(), "exit {:?}", out.status);
     let doc = Json::parse(&String::from_utf8(out.stdout).unwrap()).unwrap();
     assert_eq!(num(doc.get("shared_memo").unwrap(), "preloaded_entries"), 0);
-    num(doc.get("ledger_entry").unwrap(), "wall_ms");
+    let entry = doc.get("ledger_entry").unwrap();
+    num(entry, "wall_ms");
+    let dir = scratch("bare-inside");
+    let inside = report(&dir, &["--json"]);
+    let inside = Json::parse(&String::from_utf8(inside.stdout).unwrap()).unwrap();
+    let rev = |entry: &Json| {
+        entry
+            .get("git_rev")
+            .and_then(Json::as_str)
+            .unwrap()
+            .to_string()
+    };
+    assert_eq!(rev(entry), rev(inside.get("ledger_entry").unwrap()));
+    std::fs::remove_dir_all(&dir).unwrap();
     let explained: Vec<(&str, &str)> = arr(&doc, "explanations")
         .iter()
         .map(|e| {
@@ -883,7 +914,8 @@ fn readme_report_commands() -> Vec<String> {
 }
 
 /// README's `report` commands, together, name exactly the flags
-/// `parse_args` matches; so does `report.rs`'s module doc.
+/// `parse_args` matches; so does `report.rs`'s module doc. Each flag
+/// that enables a phase is one of them.
 #[test]
 fn report_flags_in_the_docs_are_the_ones_it_parses() {
     let parsed = parsed_flags();
@@ -904,4 +936,7 @@ fn report_flags_in_the_docs_are_the_ones_it_parses() {
         module_doc, parsed,
         "report.rs's module doc against parse_args"
     );
+    for flag in PHASES.iter().filter_map(|p| p.flag) {
+        assert!(parsed.contains(flag), "a phase's {flag} is not parsed");
+    }
 }

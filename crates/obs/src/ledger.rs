@@ -18,8 +18,8 @@ use std::path::Path;
 pub struct LedgerEntry {
     /// Seconds since the Unix epoch at the end of the run.
     pub ts_unix: u64,
-    /// `git rev-parse --short HEAD` of the working tree (or
-    /// `"unknown"`).
+    /// `git rev-parse --short HEAD` of the checkout the binary was
+    /// built from (or `"unknown"`).
     pub git_rev: String,
     /// What produced the entry: `"report"`, the ledger's only writer.
     pub source: String,

@@ -245,9 +245,11 @@ macro_rules! spans {
 // by `name()`), and the two checks' search spans.
 spans! {
     ReportFigures = "report.figures";
+    ReportCosts = "report.costs";
     ReportTheorems = "report.theorems";
     ReportDpor = "report.dpor";
     ReportZoo = "report.zoo";
+    ReportSweeps = "report.sweeps";
     ReportExplain = "report.explain";
     ReportRecord = "report.record";
     ReportMonitor = "report.monitor";
