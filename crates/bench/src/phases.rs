@@ -109,6 +109,8 @@ pub(crate) struct Section {
 pub(crate) struct Run<'a> {
     args: &'a Args,
     memo: SharedVerdictMemo,
+    /// The `--memo-dir` files the memo ignored, each with the reason.
+    memo_ignored: Vec<(PathBuf, String)>,
     cfg: ParallelConfig,
     metrics: MetricsSnapshot,
     waste: DporStats,
@@ -123,20 +125,27 @@ impl<'a> Run<'a> {
     /// from the verdicts a previous run persisted in `--memo-dir`, if
     /// the run names one: the constructions reuse the same litmus
     /// programs under the same models, so repeated per-history verdicts
-    /// come from the memo — within the run and across runs.
+    /// come from the memo — within the run and across runs. A memo
+    /// file that fails its check is ignored whole, with a warning.
     fn new(args: &'a Args) -> Self {
         let memo = SharedVerdictMemo::new();
+        let mut memo_ignored = Vec::new();
         if let Some(dir) = &args.memo_dir {
-            if let Err(e) = memo.load_dir(dir) {
-                eprintln!(
+            match memo.load_dir(dir) {
+                Ok(load) => memo_ignored = load.ignored,
+                Err(e) => eprintln!(
                     "warning: could not preload memo from {}: {e}",
                     dir.display()
-                );
+                ),
             }
+        }
+        for (file, why) in &memo_ignored {
+            eprintln!("warning: ignoring memo file {}: {why}", file.display());
         }
         Run {
             args,
             memo,
+            memo_ignored,
             cfg: ParallelConfig::default(),
             metrics: MetricsSnapshot::new(),
             waste: DporStats::default(),
@@ -784,6 +793,12 @@ pub fn report(args: &Args) -> Result<(Json, Option<String>), String> {
         r
     });
 
+    // A `--record` directory that cannot be made fails the run before
+    // any phase, not after every sweep.
+    if let Some(dir) = &args.record {
+        std::fs::create_dir_all(dir)
+            .map_err(|e| format!("could not create --record directory {}: {e}", dir.display()))?;
+    }
     let mut run = Run::new(args);
     let (mut rows, mut entries, mut idle) = (Vec::new(), Vec::new(), Vec::new());
     for phase in &PHASES {
@@ -800,6 +815,7 @@ pub fn report(args: &Args) -> Result<(Json, Option<String>), String> {
     }
     let Run {
         memo,
+        memo_ignored,
         metrics,
         waste,
         ..
@@ -823,8 +839,14 @@ pub fn report(args: &Args) -> Result<(Json, Option<String>), String> {
     // Compact first: it drops a torn last line (a crashed run), so the
     // append below starts on a line of its own.
     if let Some(path) = &args.ledger {
-        if let Err(e) = ledger::compact(path, ledger::COMPACT_KEEP_DEFAULT) {
-            eprintln!("warning: could not compact ledger {}: {e}", path.display());
+        match ledger::compact(path, ledger::COMPACT_KEEP_DEFAULT) {
+            Ok(c) if c.unparsable > 0 => eprintln!(
+                "warning: dropped {} unparsable lines from ledger {}",
+                c.unparsable,
+                path.display()
+            ),
+            Ok(_) => {}
+            Err(e) => eprintln!("warning: could not compact ledger {}: {e}", path.display()),
         }
         if let Err(e) = ledger::append(path, &entry) {
             eprintln!(
@@ -880,7 +902,21 @@ pub fn report(args: &Args) -> Result<(Json, Option<String>), String> {
         .push("lookups", memo.lookups().into())
         .push("entries", (memo.len() as u64).into())
         .push("cross_run_hits", memo.cross_run_hits().into())
-        .push("preloaded_entries", memo.preloaded_entries().into());
+        .push("preloaded_entries", memo.preloaded_entries().into())
+        .push(
+            "ignored",
+            Json::Arr(
+                memo_ignored
+                    .iter()
+                    .map(|(file, why)| {
+                        let mut j = Json::obj();
+                        j.push("file", file.display().to_string().into())
+                            .push("reason", why.as_str().into());
+                        j
+                    })
+                    .collect(),
+            ),
+        );
     let failed = rows.iter().filter(|r| !r.pass).count();
     let mut doc = Json::obj();
     doc.push(

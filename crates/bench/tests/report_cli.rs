@@ -6,7 +6,7 @@
 
 use jungle_bench::phases::PHASES;
 use jungle_bench::render;
-use jungle_mc::SharedVerdictMemo;
+use jungle_mc::{CheckKind, SharedVerdictMemo};
 use jungle_obs::{Json, LedgerEntry, MonitorStats, Span};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fmt::Write as _;
@@ -327,6 +327,11 @@ fn hostile_ledger_is_compacted_and_appended_to() {
     .unwrap();
     let out = report(&dir, &["--json"]);
     assert!(out.status.success(), "exit {:?}", out.status);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("warning: dropped 3 unparsable lines from ledger"),
+        "{err}"
+    );
     assert!(
         Json::parse(&String::from_utf8(out.stdout).unwrap()).is_ok(),
         "the run still prints its document"
@@ -682,7 +687,8 @@ fn a_replay_row_counts_its_logs_decisions() {
 }
 
 /// A `--record` directory that cannot be made (a regular file) is an
-/// error: exit 1, naming the log it could not write, and no document.
+/// error found before the first phase runs: exit 1, naming the
+/// directory, and no document.
 #[test]
 fn an_unwritable_record_directory_exits_1() {
     let dir = scratch("record-file");
@@ -691,7 +697,9 @@ fn an_unwritable_record_directory_exits_1() {
     let out = report(&dir, &["--json", "--record", file.to_str().unwrap()]);
     assert_eq!(out.status.code(), Some(1));
     let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("could not write schedule log"), "{err}");
+    let expected = format!("could not create --record directory {}: ", file.display());
+    assert!(err.starts_with(&expected), "{err}");
+    assert_eq!(err.lines().count(), 1, "{err}");
     assert!(out.stdout.is_empty());
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -740,55 +748,148 @@ fn a_bare_run_leaves_its_directory_untouched() {
     );
 }
 
-/// A memo directory as a crashed or foreign writer could leave it. Only
-/// lines that are exactly `<fingerprint> <0|1>`, in a file named for a
-/// registry model and a check kind, are verdicts; everything else is
-/// skipped without failing the load, and the report's rows do not move.
+/// `shared_memo.ignored` of `doc`: each ignored file's name and reason.
+fn ignored(doc: &Json) -> Vec<(String, String)> {
+    arr(doc.get("shared_memo").unwrap(), "ignored")
+        .iter()
+        .map(|j| {
+            let text = |key| j.get(key).and_then(Json::as_str).unwrap();
+            let file = PathBuf::from(text("file"));
+            let name = file.file_name().unwrap().to_str().unwrap().to_string();
+            (name, text("reason").to_string())
+        })
+        .collect()
+}
+
+/// A memo directory as a crashed or foreign writer could leave it. A
+/// `.memo` file is loaded whole or ignored whole: a hostile line, a
+/// file cut short, bytes that are not text, a model the registry does
+/// not know or a kind nobody checks each make the file ignored, named with the reason, and the
+/// report's rows do not move. Files not named `.memo` are not memo
+/// files.
 #[test]
-fn hostile_memo_dir_preloads_only_well_formed_lines() {
+fn hostile_memo_files_are_ignored_whole() {
     let dir = scratch("memo");
     let memo_dir = dir.join("memo");
-    std::fs::create_dir_all(&memo_dir).unwrap();
-    // Verdicts a real run persisted (`SC.opacity.memo`, `PSO.opacity.memo`).
-    let sc = "17699238635919744 1\n1690934655856514595 0\n";
-    let pso_good = "70174946227143970 1\n";
-    let well_formed = 3;
+    let saved = SharedVerdictMemo::new();
+    for (model, fp, ok) in [
+        ("SC", 17, true),
+        ("SC", 42, false),
+        ("PSO", 7, true),
+        ("TSO", 9, false),
+    ] {
+        saved.record(model, CheckKind::Opacity, fp, ok);
+    }
+    assert_eq!(saved.save_dir(&memo_dir).unwrap(), 4);
+    let text = |name: &str| std::fs::read_to_string(memo_dir.join(name)).unwrap();
+    let (sc, pso) = (text("SC.opacity.memo"), text("PSO.opacity.memo"));
     let files = [
-        // Hostile lines between good ones, and a tail torn mid-number.
-        (
-            "SC.opacity.memo",
-            format!("{sc}12 7\n12 1 x\nnot a line\n-3 1\n12  1\n 12 1\n99"),
-        ),
-        ("PSO.opacity.memo", format!("{pso_good}126360483034202319")),
+        // A hostile line between good ones, and a file cut mid-number.
+        ("SC.opacity.memo", format!("12 7\n{sc}")),
+        ("PSO.opacity.memo", pso[..pso.len() - 3].to_string()),
         // A model the registry does not know, a kind nobody checks, a
         // foreign extension: well-formed lines that must not load.
-        ("VAX.opacity.memo", sc.to_string()),
-        ("SC.linearizability.memo", sc.to_string()),
-        ("SC.opacity.memo.bak", sc.to_string()),
-        ("README", sc.to_string()),
+        ("VAX.opacity.memo", sc.clone()),
+        ("SC.linearizability.memo", sc.clone()),
+        ("SC.opacity.memo.bak", sc.clone()),
+        ("README", sc.clone()),
     ];
     for (name, body) in &files {
         std::fs::write(memo_dir.join(name), body).unwrap();
     }
+    std::fs::write(memo_dir.join("TSO.sgla.memo"), b"\xff\xfe 1\n").unwrap();
     let memo = SharedVerdictMemo::new();
-    assert_eq!(memo.load_dir(&memo_dir).unwrap(), well_formed);
-    assert_eq!(memo.preloaded_entries(), well_formed as u64);
-    assert_eq!(memo.len(), well_formed);
+    let load = memo.load_dir(&memo_dir).unwrap();
+    assert_eq!((load.loaded, memo.len()), (1, 1), "only TSO's file loads");
+    let reasons = [
+        (
+            "PSO.opacity.memo",
+            "its checksum does not match its entries",
+        ),
+        ("SC.linearizability.memo", "no check kind 'linearizability'"),
+        ("SC.opacity.memo", "line 1 is not <fingerprint> <0|1>"),
+        (
+            "TSO.sgla.memo",
+            "unreadable: stream did not contain valid UTF-8",
+        ),
+        ("VAX.opacity.memo", "no registry model 'VAX'"),
+    ]
+    .map(|(f, why)| (f.to_string(), why.to_string()));
+    let names = |ignored: &[(PathBuf, String)]| -> Vec<(String, String)> {
+        let name = |p: &PathBuf| p.file_name().unwrap().to_str().unwrap().to_string();
+        ignored
+            .iter()
+            .map(|(p, why)| (name(p), why.clone()))
+            .collect()
+    };
+    assert_eq!(names(&load.ignored), reasons);
 
     let hostile = report(&dir, &["--json"]);
     assert!(hostile.status.success(), "exit {:?}", hostile.status);
+    let err = String::from_utf8_lossy(&hostile.stderr);
+    assert_eq!(
+        err.matches("warning: ignoring memo file").count(),
+        5,
+        "{err}"
+    );
     let hostile = Json::parse(&String::from_utf8(hostile.stdout).unwrap()).unwrap();
     assert_eq!(
         num(hostile.get("shared_memo").unwrap(), "preloaded_entries"),
-        well_formed as u64
+        1
     );
+    assert_eq!(ignored(&hostile), reasons);
     let empty_dir = scratch("memo-empty");
     let empty = report(&empty_dir, &["--json"]);
     let empty = Json::parse(&String::from_utf8(empty.stdout).unwrap()).unwrap();
+    assert_eq!(ignored(&empty), []);
     let claims = |doc| arr(doc, "rows").iter().map(claim).collect::<Vec<_>>();
     assert_eq!(claims(&hostile), claims(&empty));
     std::fs::remove_dir_all(&dir).unwrap();
     std::fs::remove_dir_all(&empty_dir).unwrap();
+}
+
+/// A memo a run saved, with every verdict `0` turned into `1` (which
+/// once made four rows fail), or with every file cut short: each
+/// altered file is ignored with a warning, and the run's rows are a
+/// run's without a memo.
+#[test]
+fn a_tampered_memo_is_ignored_and_changes_no_row() {
+    let dir = scratch("memo-tampered");
+    let cold = report(&dir, &["--json"]);
+    assert!(cold.status.success(), "exit {:?}", cold.status);
+    let cold = Json::parse(&String::from_utf8(cold.stdout).unwrap()).unwrap();
+    fn claims(doc: &Json) -> Vec<([&str; 3], bool)> {
+        arr(doc, "rows").iter().map(claim).collect()
+    }
+    type Tamper = fn(&str) -> String;
+    let tampers: [(&str, Tamper); 2] = [
+        ("flipped", |text| text.replace(" 0\n", " 1\n")),
+        ("cut short", |text| text[..text.len() / 2].to_string()),
+    ];
+    for (how, tamper) in tampers {
+        let memo_dir = dir.join("memo");
+        let mut altered = Vec::new();
+        for entry in std::fs::read_dir(&memo_dir).unwrap() {
+            let path = entry.unwrap().path();
+            let text = std::fs::read_to_string(&path).unwrap();
+            if tamper(&text) != text {
+                std::fs::write(&path, tamper(&text)).unwrap();
+                altered.push(path.file_name().unwrap().to_str().unwrap().to_string());
+            }
+        }
+        altered.sort();
+        assert!(!altered.is_empty(), "{how}: nothing to alter");
+        let out = report(&dir, &["--json"]);
+        assert!(out.status.success(), "{how}: exit {:?}", out.status);
+        let err = String::from_utf8_lossy(&out.stderr);
+        let warned = err.matches("warning: ignoring memo file").count();
+        assert_eq!(warned, altered.len(), "{how}: {err}");
+        let doc = Json::parse(&String::from_utf8(out.stdout).unwrap()).unwrap();
+        let names: Vec<String> = ignored(&doc).into_iter().map(|(f, _)| f).collect();
+        assert_eq!(names, altered, "{how}");
+        assert_eq!(claims(&doc), claims(&cold), "{how}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 // The documents the last two tests hold to the binary: EXPERIMENTS.md's

@@ -135,16 +135,6 @@ impl HistoryBuilder {
         self.push(proc, Op::Cmd(Command::Havoc { var }))
     }
 
-    /// Number of operations appended so far.
-    pub fn len(&self) -> usize {
-        self.ops.len()
-    }
-
-    /// True if no operations have been appended.
-    pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
-    }
-
     /// Validate well-formedness and produce the history. The
     /// identifiers are unique by construction, so only the transaction
     /// structure and the dependency sets are checked.
@@ -193,9 +183,7 @@ mod tests {
 
     #[test]
     fn empty_builder_builds_empty_history() {
-        let b = HistoryBuilder::new();
-        assert!(b.is_empty());
-        let h = b.build().unwrap();
+        let h = HistoryBuilder::new().build().unwrap();
         assert!(h.is_empty());
     }
 }

@@ -483,8 +483,8 @@ mod tests {
     use super::*;
     use crate::builder::HistoryBuilder;
     use crate::ids::{X, Y};
-    use crate::linearize::scheduled;
     use crate::model::{Rmo, Sc};
+    use crate::testkit::{history, SCHEDULED};
 
     /// Figure 1: a transaction writes x then y; another thread reads
     /// `y = 1` then `x = r_x` non-transactionally.
@@ -540,8 +540,7 @@ mod tests {
         };
         let (mut pairs, mut same_proc) = (0, 0);
         for seed in 0..600u64 {
-            let (procs, eager) = (1 + seed % 5, 1 + seed / 5 % 7);
-            let h = scheduled(seed, procs, 8 + (seed % 40) as usize, eager);
+            let h = history(seed, &SCHEDULED);
             let opacity = Search::opacity(&h, &Sc);
             let sgla = Search::sgla(&h, &Sc);
             let n = h.txns().len();

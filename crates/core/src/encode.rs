@@ -285,6 +285,7 @@ mod tests {
     use crate::model::{all_models, Rmo, Sc, Tso};
     use crate::opacity::check_opacity;
     use crate::sgla::check_sgla;
+    use crate::testkit::witness_errors;
 
     fn p(n: u32) -> ProcId {
         ProcId(n)
@@ -395,20 +396,17 @@ mod tests {
         let h = fig1(1, 1);
         let v = check_opacity_sat(&h, &Sc);
         assert!(v.is_opaque());
-        assert_eq!(v.witnesses().len(), 2);
-        for (_, w) in v.witnesses() {
-            assert_eq!(w.len(), 6); // permutation of all six operations
-        }
         // The order respects real time: the only committed txn is first.
         assert_eq!(v.txn_order(), &[0]);
+        assert!(witness_errors(&h, &Sc, CheckKind::Opacity, &v).is_empty());
     }
 
     #[test]
     fn negative_histories_report_empty_witness() {
-        let v = check_opacity_sat(&fig1(1, 0), &Sc);
+        let h = fig1(1, 0);
+        let v = check_opacity_sat(&h, &Sc);
         assert!(!v.is_opaque());
-        assert!(v.witnesses().is_empty());
-        assert!(v.txn_order().is_empty());
+        assert!(witness_errors(&h, &Sc, CheckKind::Opacity, &v).is_empty());
     }
 
     #[test]

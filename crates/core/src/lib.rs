@@ -102,6 +102,7 @@ pub mod pretty;
 pub mod registry;
 pub mod saturate;
 pub mod sgla;
+pub mod testkit;
 pub mod triage;
 
 /// Convenient glob-import of the most frequently used items.

@@ -646,49 +646,10 @@ impl<L: Legality> Dfs<'_, '_, L> {
 }
 
 #[cfg(test)]
-/// `steps` scheduling steps of `procs` processes: a process outside
-/// a transaction starts one or issues a single operation; inside,
-/// it accesses, commits or aborts. `eager` of 8 steps end an open
-/// transaction: low values keep many open at once (the shape of
-/// `tests/oracle.rs`'s concurrent histories), high ones give chains
-/// (`check_agreement.rs`'s). Whatever is open at the end stays live.
-pub(crate) fn scheduled(seed: u64, procs: u64, steps: usize, eager: u64) -> History {
-    let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
-    let mut draw = |n: u64| {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        (state >> 33) % n
-    };
-    let mut b = crate::builder::HistoryBuilder::new();
-    let mut open = vec![false; procs as usize];
-    for _ in 0..steps {
-        let p = draw(procs) as usize;
-        let (proc, x) = (ProcId(p as u32), crate::ids::Var(draw(2) as u32));
-        match (open[p], draw(8)) {
-            (false, 0..=2) => _ = b.read(proc, x, 0),
-            (false, _) => {
-                b.start(proc);
-                open[p] = true;
-            }
-            (true, r) if r < eager => {
-                if draw(4) == 0 {
-                    b.abort(proc);
-                } else {
-                    b.commit(proc);
-                }
-                open[p] = false;
-            }
-            (true, _) => _ = b.write(proc, x, 1),
-        }
-    }
-    b.build().expect("the schedule is well-formed")
-}
-
-#[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::HistoryBuilder;
+    use crate::testkit::{history, SCHEDULED};
 
     /// Reflexive-transitive reachability over `n` nodes.
     fn closure(n: usize, edges: impl Iterator<Item = (usize, usize)>) -> Vec<Vec<bool>> {
@@ -718,8 +679,7 @@ mod tests {
     fn covering_edges_generate_the_same_order_as_all_generating_pairs() {
         let (mut histories, mut singles, mut live, mut aborted) = (0, 0, 0, 0);
         for seed in 0..600u64 {
-            let (procs, eager) = (1 + seed % 5, 1 + seed / 5 % 7);
-            let h = scheduled(seed, procs, 8 + (seed % 40) as usize, eager);
+            let h = history(seed, &SCHEDULED);
             histories += 1;
             singles += usize::from((0..h.len()).any(|i| !h.is_transactional(i)));
             live += usize::from(h.txns().iter().any(|t| t.status == TxnStatus::Live));

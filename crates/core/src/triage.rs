@@ -363,9 +363,10 @@ mod tests {
     use super::*;
     use crate::builder::HistoryBuilder;
     use crate::ids::{ProcId, X, Y};
-    use crate::linearize::{scheduled, Graph};
+    use crate::linearize::Graph;
     use crate::model::{all_models, Rmo, Sc};
     use crate::opacity::check_opacity;
+    use crate::testkit::{history, SCHEDULED};
 
     fn p(n: u32) -> ProcId {
         ProcId(n)
@@ -506,8 +507,7 @@ mod tests {
         let mut t = Triager::new();
         let (mut pairs, mut cleared) = (0, 0);
         for seed in 0..3_000u64 {
-            let (procs, eager) = (1 + seed % 5, 1 + seed / 5 % 7);
-            let h = scheduled(seed, procs, 8 + (seed % 40) as usize, eager);
+            let h = history(seed, &SCHEDULED);
             t.clear();
             for oi in h.ops() {
                 t.push(oi.proc, &oi.op);
@@ -535,12 +535,7 @@ mod tests {
         let mut t = Triager::new();
         let mut cleared = 0;
         for seed in 0..300u64 {
-            let h = scheduled(
-                seed,
-                1 + seed % 5,
-                8 + (seed % 40) as usize,
-                1 + seed / 5 % 7,
-            );
+            let h = history(seed, &SCHEDULED);
             let v = triage_opacity(&h, &Sc);
             t.clear();
             for oi in h.ops() {

@@ -57,5 +57,5 @@ pub use program::{Program, Stmt, ThreadProg, TxOp};
 pub use theorems::{experiment_by_id, experiment_ids, thm1_suite, Experiment};
 pub use verify::{
     check_all_traces, machine_for, scheduler_for_seed, trace_satisfies, CheckKind, Counterexample,
-    Schedules, SeedScheduler, SharedVerdictMemo, Sweep, SweepSeeds, Verdict,
+    MemoLoad, Schedules, SeedScheduler, SharedVerdictMemo, Sweep, SweepSeeds, Verdict,
 };

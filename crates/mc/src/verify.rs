@@ -81,6 +81,7 @@ use crate::algos::TmAlgo;
 use crate::dpor::explore_dpor;
 use crate::program::Program;
 use jungle_core::check::Check;
+use jungle_core::fingerprint::Fnv1a;
 use jungle_core::history::History;
 use jungle_core::ids::ProcId;
 use jungle_core::model::MemoryModel;
@@ -341,7 +342,8 @@ impl SharedVerdictMemo {
 
     /// Persist every memoized verdict under `dir`, one
     /// `<model>.<property>.memo` file per `(model, property)` pair with
-    /// `fingerprint verdict` lines. Returns the number of entries
+    /// `fingerprint verdict` lines and a last `checksum <n>` line over
+    /// the file's name and entries. Returns the number of entries
     /// written. Files are rewritten whole, so stale verdicts never
     /// accumulate.
     pub fn save_dir(&self, dir: &Path) -> std::io::Result<usize> {
@@ -354,68 +356,117 @@ impl SharedVerdictMemo {
         let mut written = 0;
         for ((model, kind), mut entries) in by_file {
             entries.sort_unstable();
-            let path = dir.join(format!("{model}.{}.memo", kind.tag()));
-            let mut f = std::io::BufWriter::new(std::fs::File::create(path)?);
-            for (fp, ok) in entries {
+            let name = format!("{model}.{}.memo", kind.tag());
+            let mut f = std::io::BufWriter::new(std::fs::File::create(dir.join(&name))?);
+            for &(fp, ok) in &entries {
                 writeln!(f, "{fp} {}", u64::from(ok))?;
-                written += 1;
             }
+            writeln!(f, "checksum {}", memo_checksum(&name, &entries))?;
+            written += entries.len();
         }
         Ok(written)
     }
 
     /// Preload every persisted verdict found under `dir` (files written
-    /// by [`SharedVerdictMemo::save_dir`]). Model names are resolved
-    /// through the canonical registry; files for unknown models or
-    /// properties are skipped, as is every line that is not exactly
-    /// `<u64> <0|1>` (a torn tail, a verdict other than `0`/`1`,
-    /// trailing tokens). Returns the number of entries loaded. A
-    /// missing directory is not an error.
-    pub fn load_dir(&self, dir: &Path) -> std::io::Result<usize> {
+    /// by [`SharedVerdictMemo::save_dir`]). A `.memo` file is taken
+    /// whole or not at all: one whose name is not a registry model and
+    /// a check kind, or that holds a line other than `<u64> <0|1>`
+    /// before its `checksum <u64>` line, or whose checksum does not
+    /// match (a file cut short, or edited), or that cannot be read as
+    /// text, is ignored and named in [`MemoLoad::ignored`] with the
+    /// reason. Other files are not
+    /// memo files and are passed over. A missing directory is not an
+    /// error.
+    pub fn load_dir(&self, dir: &Path) -> std::io::Result<MemoLoad> {
+        let mut load = MemoLoad::default();
         let rd = match std::fs::read_dir(dir) {
             Ok(rd) => rd,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(0),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(load),
             Err(e) => return Err(e),
         };
-        let mut loaded = 0;
-        for entry in rd {
-            let path = entry?.path();
+        let mut paths = rd
+            .map(|e| e.map(|e| e.path()))
+            .collect::<Result<Vec<_>, _>>()?;
+        paths.sort();
+        for path in paths {
             let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
                 continue;
             };
             let Some(stem) = name.strip_suffix(".memo") else {
                 continue;
             };
-            let Some((model_name, kind_tag)) = stem.rsplit_once('.') else {
-                continue;
-            };
-            let Some(kind) = CheckKind::from_tag(kind_tag) else {
-                continue;
-            };
-            // Resolve the on-disk name to the registry's 'static key.
-            let Some(model) = jungle_core::registry::entry(model_name).map(|e| e.key) else {
-                continue;
-            };
-            let text = std::fs::read_to_string(&path)?;
-            for line in text.lines() {
-                // Exactly what `save_dir` writes: `<u64> <0|1>`.
-                let Some((fp, v)) = line.split_once(' ') else {
-                    continue;
-                };
-                let Ok(fp) = fp.parse::<u64>() else {
-                    continue;
-                };
-                let ok = match v {
-                    "0" => false,
-                    "1" => true,
-                    _ => continue,
-                };
-                self.preload(model, kind, fp, ok);
-                loaded += 1;
+            let text = std::fs::read_to_string(&path).map_err(|e| format!("unreadable: {e}"));
+            match text.and_then(|text| parse_memo(name, stem, &text)) {
+                Ok((model, kind, entries)) => {
+                    for &(fp, ok) in &entries {
+                        self.preload(model, kind, fp, ok);
+                    }
+                    load.loaded += entries.len();
+                }
+                Err(why) => load.ignored.push((path, why)),
             }
         }
-        Ok(loaded)
+        Ok(load)
     }
+}
+
+/// What [`SharedVerdictMemo::load_dir`] made of a directory.
+#[derive(Debug, Default)]
+pub struct MemoLoad {
+    /// Verdicts preloaded.
+    pub loaded: usize,
+    /// Memo files ignored whole, each with the reason.
+    pub ignored: Vec<(std::path::PathBuf, String)>,
+}
+
+/// The checksum a memo file named `name` ends with: FNV-1a over the
+/// name's bytes and every `(fingerprint, verdict)` entry.
+fn memo_checksum(name: &str, entries: &[(u64, bool)]) -> u64 {
+    let mut f = Fnv1a::new();
+    name.bytes().for_each(|b| f.word(u64::from(b)));
+    for &(fp, ok) in entries {
+        f.word(fp);
+        f.word(u64::from(ok));
+    }
+    f.finish()
+}
+
+/// A memo file's model, kind and `(fingerprint, verdict)` entries.
+type MemoFile = (&'static str, CheckKind, Vec<(u64, bool)>);
+
+/// The memo file `name` (`stem` without its `.memo`) holding `text`, or
+/// why it is not one [`SharedVerdictMemo::save_dir`] wrote.
+fn parse_memo(name: &str, stem: &str, text: &str) -> Result<MemoFile, String> {
+    let (model_name, kind_tag) = stem
+        .rsplit_once('.')
+        .ok_or("the name is not <model>.<kind>.memo")?;
+    let kind = CheckKind::from_tag(kind_tag).ok_or(format!("no check kind '{kind_tag}'"))?;
+    // Resolve the on-disk name to the registry's 'static key.
+    let model = jungle_core::registry::entry(model_name)
+        .map(|e| e.key)
+        .ok_or(format!("no registry model '{model_name}'"))?;
+    let mut entries = Vec::new();
+    let mut lines = text.lines().enumerate();
+    for (i, line) in lines.by_ref() {
+        if let Some(sum) = line.strip_prefix("checksum ") {
+            let ok = sum.parse() == Ok(memo_checksum(name, &entries));
+            return match (ok, lines.next()) {
+                (true, None) => Ok((model, kind, entries)),
+                (false, _) => Err("its checksum does not match its entries".into()),
+                (true, Some((j, _))) => Err(format!("line {} follows the checksum", j + 1)),
+            };
+        }
+        let verdict = |v| match v {
+            "0" => Some(false),
+            "1" => Some(true),
+            _ => None,
+        };
+        let entry = line
+            .split_once(' ')
+            .and_then(|(fp, v)| Some((fp.parse().ok()?, verdict(v)?)));
+        entries.push(entry.ok_or(format!("line {} is not <fingerprint> <0|1>", i + 1))?);
+    }
+    Err("it has no checksum line (cut short?)".into())
 }
 
 impl Default for SharedVerdictMemo {
@@ -1033,9 +1084,9 @@ mod tests {
         // A fresh memo in a "new run" preloads the verdicts and answers
         // every history from disk.
         let fresh = SharedVerdictMemo::new();
-        let loaded = fresh.load_dir(&dir).unwrap();
-        assert_eq!(loaded, written);
-        assert_eq!(fresh.preloaded_entries(), loaded as u64);
+        let load = fresh.load_dir(&dir).unwrap();
+        assert_eq!((load.loaded, load.ignored.len()), (written, 0));
+        assert_eq!(fresh.preloaded_entries(), written as u64);
         let b = Sweep {
             parallel: Some(cfg),
             memo: Some(&fresh),
@@ -1050,12 +1101,8 @@ mod tests {
         assert_eq!(fresh.cross_run_hits(), fresh.hits());
 
         // A missing directory is a clean no-op.
-        assert_eq!(
-            SharedVerdictMemo::new()
-                .load_dir(&dir.join("missing"))
-                .unwrap(),
-            0
-        );
+        let missing = SharedVerdictMemo::new().load_dir(&dir.join("missing"));
+        assert_eq!(missing.unwrap().loaded, 0);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

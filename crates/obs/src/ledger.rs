@@ -90,21 +90,30 @@ pub fn append(path: &Path, entry: &LedgerEntry) -> std::io::Result<()> {
 /// growth for long-lived working trees.
 pub const COMPACT_KEEP_DEFAULT: usize = 500;
 
+/// What [`compact`] removed from a ledger.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Compaction {
+    /// Parseable entries trimmed beyond the newest `keep_last_n`.
+    pub trimmed: usize,
+    /// Lines that are not an entry (torn by a crashed run, or foreign).
+    pub unparsable: usize,
+}
+
 /// Trim the ledger at `path` to its last `keep_last_n` parseable
-/// lines, returning how many lines were removed. Torn or unparseable
-/// lines (crashed runs) are dropped in the same pass. A missing file
-/// or one already within bounds is left untouched. The rewrite goes
-/// through a temp file + rename so a crash mid-compaction cannot lose
-/// the ledger.
-pub fn compact(path: &Path, keep_last_n: usize) -> std::io::Result<usize> {
+/// lines, dropping every line that is not an entry in the same pass,
+/// and say how many of each went. A missing file or one already
+/// within bounds is left untouched. The rewrite goes through a temp
+/// file + rename so a crash mid-compaction cannot lose the ledger.
+pub fn compact(path: &Path, keep_last_n: usize) -> std::io::Result<Compaction> {
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(0),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Compaction::default()),
         Err(e) => return Err(e),
     };
-    let valid: Vec<&str> = text
-        .lines()
-        .filter(|l| !l.trim().is_empty())
+    let lines: Vec<&str> = text.lines().filter(|l| !l.trim().is_empty()).collect();
+    let valid: Vec<&str> = lines
+        .iter()
+        .copied()
         .filter(|l| {
             Json::parse(l)
                 .ok()
@@ -112,10 +121,13 @@ pub fn compact(path: &Path, keep_last_n: usize) -> std::io::Result<usize> {
                 .is_some()
         })
         .collect();
-    let total_lines = text.lines().filter(|l| !l.trim().is_empty()).count();
     let kept = valid.len().min(keep_last_n);
-    if kept == total_lines {
-        return Ok(0);
+    let c = Compaction {
+        trimmed: valid.len() - kept,
+        unparsable: lines.len() - valid.len(),
+    };
+    if c == Compaction::default() {
+        return Ok(c);
     }
     let tmp = path.with_extension("jsonl.tmp");
     {
@@ -126,7 +138,7 @@ pub fn compact(path: &Path, keep_last_n: usize) -> std::io::Result<usize> {
         f.sync_all()?;
     }
     std::fs::rename(&tmp, path)?;
-    Ok(total_lines - kept)
+    Ok(c)
 }
 
 #[cfg(test)]
@@ -192,7 +204,7 @@ mod tests {
         let path = dir.join("nested").join("ledger.jsonl");
         let _ = std::fs::remove_dir_all(&dir);
         // Missing file: nothing to do.
-        assert_eq!(compact(&path, 5).unwrap(), 0);
+        assert_eq!(compact(&path, 5).unwrap(), Compaction::default());
         for i in 0..8u64 {
             let mut e = entry();
             e.wall_ms = i;
@@ -206,8 +218,10 @@ mod tests {
                 .unwrap();
             write!(f, "{{\"ts_unix\":99").unwrap();
         }
-        // 8 valid + 1 torn, keep 3: removes 6 lines.
-        assert_eq!(compact(&path, 3).unwrap(), 6);
+        // 8 valid + 1 torn, keep 3: trims 5 entries and drops the torn
+        // line, counted apart.
+        let c = compact(&path, 3).unwrap();
+        assert_eq!((c.trimmed, c.unparsable), (5, 1));
         let text = std::fs::read_to_string(&path).unwrap();
         let walls: Vec<u64> = text
             .lines()
@@ -219,7 +233,7 @@ mod tests {
             .collect();
         assert_eq!(walls, vec![5, 6, 7], "newest entries survive, in order");
         // Already within bounds: untouched.
-        assert_eq!(compact(&path, 3).unwrap(), 0);
+        assert_eq!(compact(&path, 3).unwrap(), Compaction::default());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

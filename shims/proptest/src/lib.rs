@@ -240,7 +240,7 @@ pub mod strategy {
     /// Strategy for "any value of `T`" (`any::<T>()`).
     pub struct Any<T>(PhantomData<T>);
 
-    /// `any::<T>()` — currently implemented for `bool`.
+    /// `any::<T>()` — currently implemented for `bool` and `u64`.
     pub fn any<T>() -> Any<T> {
         Any(PhantomData)
     }
@@ -249,6 +249,13 @@ pub mod strategy {
         type Value = bool;
         fn generate(&self, rng: &mut TestRng) -> bool {
             rng.next_u64() & 1 == 1
+        }
+    }
+
+    impl Strategy for Any<u64> {
+        type Value = u64;
+        fn generate(&self, rng: &mut TestRng) -> u64 {
+            rng.next_u64()
         }
     }
 }

@@ -66,14 +66,13 @@
 use jungle::core::check::{Check, CheckBackend, CheckKind, CheckVerdict};
 use jungle::core::explain::explain_opacity;
 use jungle::core::fingerprint::Fnv1a;
-use jungle::core::history::{History, OpInstance};
+use jungle::core::history::History;
 use jungle::core::ids::Var;
-use jungle::core::legal::every_op_legal;
-use jungle::core::model::MemoryModel;
 use jungle::core::op::{Command, Op};
 use jungle::core::opacity::check_opacity_par;
 use jungle::core::par::ParallelConfig;
 use jungle::core::registry::registry;
+use jungle::core::testkit::witness_errors;
 use jungle::core::triage::triage_opacity;
 use jungle::litmus::figures::all_litmus;
 use jungle::litmus::stress::{
@@ -114,41 +113,6 @@ fn fold(f: &mut Fnv1a, v: &CheckVerdict) {
         f.word(ids.len() as u64);
         for id in ids {
             f.word(u64::from(id.0));
-        }
-    }
-}
-
-/// Re-validate a witness set from scratch: each per-process witness is
-/// a permutation of the transformed history; for opacity it is also
-/// sequential with every operation legal. (SGLA witnesses let
-/// non-transactional operations roam inside transactions, so plain
-/// sequentiality need not hold — permutation structure is the part
-/// that can be re-checked without the leaf both backends share.)
-fn assert_witnesses_valid(h: &History, model: &dyn MemoryModel, kind: CheckKind, v: &CheckVerdict) {
-    let th = model.transform(h);
-    assert!(!v.witnesses().is_empty() || th.procs().is_empty());
-    for (viewer, ids) in v.witnesses() {
-        assert_eq!(
-            ids.len(),
-            th.len(),
-            "witness for {viewer:?} not a permutation"
-        );
-        let mut indices: Vec<usize> = Vec::with_capacity(ids.len());
-        for id in ids {
-            let idx = th
-                .index_of(*id)
-                .unwrap_or_else(|| panic!("witness op {id:?} not in transformed history"));
-            assert!(!indices.contains(&idx), "witness repeats op {id:?}");
-            indices.push(idx);
-        }
-        if kind == CheckKind::Opacity {
-            let ops: Vec<OpInstance> = indices.iter().map(|&i| th.ops()[i].clone()).collect();
-            let s = History::new(ops).expect("witness rebuilds as a history");
-            assert!(s.is_sequential(), "witness interleaves transactions");
-            assert!(
-                every_op_legal(&s),
-                "witness for {viewer:?} contains an illegal operation"
-            );
         }
     }
 }
@@ -194,8 +158,9 @@ fn check_table_reproduces_the_parent_digests() {
                                 "{ctx}: every positive verdict must be certified"
                             );
                         }
-                        if workers == 0 && v.holds() {
-                            assert_witnesses_valid(h, e.model, kind, &v);
+                        if workers == 0 {
+                            let errors = witness_errors(h, e.model, kind, &v);
+                            assert!(errors.is_empty(), "{ctx}: {errors:?}");
                         }
                         if workers == 0 && backend == CheckBackend::Dfs {
                             let s = &stats.search;

@@ -20,162 +20,46 @@
 
 mod common;
 
-use common::perm_is_witness;
+use common::{each_order, perm_is_witness, units};
 use jungle::core::builder::HistoryBuilder;
 use jungle::core::history::History;
-use jungle::core::ids::{ProcId, Val, Var};
+use jungle::core::ids::{ProcId, Var};
 use jungle::core::model::{all_models, MemoryModel};
 use jungle::core::opacity::{check_opacity, check_opacity_traced};
+use jungle::core::testkit::{history, Shape, Value, CONCURRENT, FREEFORM};
 use proptest::prelude::*;
 
-/// Does `accept` hold for some permutation of `0..n`? Heap's
-/// algorithm, iterative.
-fn any_permutation(n: usize, mut accept: impl FnMut(&[usize]) -> bool) -> bool {
-    let mut perm: Vec<usize> = (0..n).collect();
-    let mut c = vec![0usize; n];
-    if accept(&perm) {
-        return true;
-    }
-    let mut i = 0;
-    while i < n {
-        if c[i] < i {
-            if i % 2 == 0 {
-                perm.swap(0, i);
-            } else {
-                perm.swap(c[i], i);
-            }
-            if accept(&perm) {
-                return true;
-            }
-            c[i] += 1;
-            i = 0;
-        } else {
-            c[i] = 0;
-            i += 1;
-        }
-    }
-    false
+/// Does `accept` hold for some permutation of `0..n`?
+fn any_permutation(n: usize, accept: &mut dyn FnMut(&[usize]) -> bool) -> bool {
+    each_order(n, &vec![vec![false; n]; n], &|_, _| true, accept)
 }
 
 /// Brute-force decision of parametrized opacity.
 fn oracle_opaque(h: &History, model: &dyn MemoryModel) -> bool {
     let th = model.transform(h);
-    any_permutation(th.len(), |perm| perm_is_witness(&th, perm, model))
+    any_permutation(th.len(), &mut |perm| perm_is_witness(&th, perm, model))
 }
 
 /// [`oracle_opaque`] over the sequential permutations only: every
 /// order of the units, each transaction's operations in history order.
 fn oracle_opaque_by_units(h: &History, model: &dyn MemoryModel) -> bool {
     let th = model.transform(h);
-    let mut units: Vec<Vec<usize>> = (0..th.txns().len())
-        .map(|t| th.txn_ops(t).to_vec())
-        .collect();
-    units.extend(
-        (0..th.len())
-            .filter(|&i| !th.is_transactional(i))
-            .map(|i| vec![i]),
-    );
-    any_permutation(units.len(), |order| {
-        let perm: Vec<usize> = order
-            .iter()
-            .flat_map(|&u| units[u].iter().copied())
-            .collect();
+    let units = units(&th);
+    any_permutation(units.len(), &mut |order| {
+        let perm: Vec<usize> = order.iter().flat_map(|&u| units[u].clone()).collect();
         perm_is_witness(&th, &perm, model)
     })
 }
 
-/// `txns` transactions on as many processes, all started before any of
-/// them does anything else (so every serialization order is
-/// admissible), each with one or two accesses to two variables drawn
-/// from `seed`, then committed, aborted or left live; half the seeds
-/// add a non-transactional read by one more process. Writes store one
-/// of `values` values. With one, every read returns it, so a read with
-/// two committed writers has no single source and saturation leaves
-/// its order to the search.
-fn concurrent_history(seed: u64, txns: usize, values: u64) -> History {
-    let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
-    let mut draw = |n: u64| {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        (state >> 11) % n
-    };
-    // Reads return 0, 1 or 2 — or, with one written value, only it.
-    let observe = |d: u64| if values == 1 { 1 } else { d.saturating_sub(1) };
-    let mut b = HistoryBuilder::new();
-    for t in 0..txns {
-        b.start(ProcId(t as u32));
-    }
-    for round in 0..2 {
-        for t in 0..txns {
-            let (p, var) = (ProcId(t as u32), Var(draw(2) as u32));
-            match draw(3 + round) {
-                0 => b.read(p, var, observe(draw(4))),
-                1 | 2 => b.write(p, var, 1 + draw(2) % values),
-                _ => continue,
-            };
-        }
-    }
-    for t in 0..txns {
-        match draw(4) {
-            0 => b.abort(ProcId(t as u32)),
-            1 => continue, // live
-            _ => b.commit(ProcId(t as u32)),
-        };
-    }
-    if draw(2) == 0 {
-        b.read(ProcId(txns as u32), Var(draw(2) as u32), observe(draw(4)));
-    }
-    b.build().unwrap()
-}
-
-#[derive(Clone, Debug)]
-enum Ev {
-    Read(u8, u8, u8),
-    Write(u8, u8, u8),
-    Start(u8),
-    Commit(u8),
-    Abort(u8),
-}
-
-fn ev_strategy() -> impl Strategy<Value = Ev> {
-    prop_oneof![
-        (0..2u8, 0..2u8, 0..3u8).prop_map(|(p, v, x)| Ev::Read(p, v, x)),
-        (0..2u8, 0..2u8, 1..3u8).prop_map(|(p, v, x)| Ev::Write(p, v, x)),
-        (0..2u8).prop_map(Ev::Start),
-        (0..2u8).prop_map(Ev::Commit),
-        (0..2u8).prop_map(Ev::Abort),
-    ]
-}
-
-fn build_history(evs: &[Ev]) -> History {
-    let mut b = HistoryBuilder::new();
-    let mut open = [false; 2];
-    for ev in evs {
-        match *ev {
-            Ev::Read(p, v, x) => {
-                b.read(ProcId(p.into()), Var(v.into()), Val::from(x));
-            }
-            Ev::Write(p, v, x) => {
-                b.write(ProcId(p.into()), Var(v.into()), Val::from(x));
-            }
-            Ev::Start(p) if !open[p as usize] => {
-                open[p as usize] = true;
-                b.start(ProcId(p.into()));
-            }
-            Ev::Commit(p) if open[p as usize] => {
-                open[p as usize] = false;
-                b.commit(ProcId(p.into()));
-            }
-            Ev::Abort(p) if open[p as usize] => {
-                open[p as usize] = false;
-                b.abort(ProcId(p.into()));
-            }
-            _ => {}
-        }
-    }
-    b.build().unwrap()
-}
+/// Two processes' freeform histories of up to five operations, on two
+/// variables, reading any of 0, 1, 2: few enough operations to try every
+/// permutation.
+const SMALL: Shape = Shape {
+    procs: 2..=2,
+    steps: 0..=5,
+    writes: Value::In(1, 2),
+    ..FREEFORM
+};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -183,10 +67,8 @@ proptest! {
     /// The optimized checker agrees with the brute-force oracle on
     /// random small histories, for every bundled memory model.
     #[test]
-    fn checker_matches_bruteforce_oracle(
-        evs in prop::collection::vec(ev_strategy(), 0..6)
-    ) {
-        let h = build_history(&evs);
+    fn checker_matches_bruteforce_oracle(seed in any::<u64>()) {
+        let h = history(seed, &SMALL);
         prop_assume!(h.len() <= 6); // 6! = 720 permutations per model
         for m in all_models() {
             let fast = check_opacity(&h, m).is_opaque();
@@ -194,10 +76,11 @@ proptest! {
             prop_assert_eq!(
                 fast,
                 slow,
-                "checker={} oracle={} under {} for {:?}",
+                "checker={} oracle={} under {} for seed {}: {:?}",
                 fast,
                 slow,
                 m.name(),
+                seed,
                 h
             );
         }
@@ -207,14 +90,22 @@ proptest! {
 /// Five and six mutually concurrent transactions: 120 and 720 orders,
 /// which the checker no longer enumerates and the oracle still does.
 /// Saturation orders most writers of the two-valued histories before
-/// the search starts; the one-valued ones keep the prefix oracle's
-/// descent exercised.
+/// the search starts; the one-valued ones, whose every read returns the
+/// one value written, so that a read with two committed writers has no
+/// single source, keep the prefix oracle's descent exercised.
 #[test]
 fn checker_matches_unit_oracle_on_concurrent_transactions() {
     for values in [2, 1] {
+        let reads = [Value::In(1, 1), CONCURRENT.reads][values as usize - 1];
+        let shape = Shape {
+            reads,
+            writes: Value::In(1, values),
+            tail: (CONCURRENT.tail.0, reads),
+            ..CONCURRENT
+        };
         let (mut opaque, mut descents) = (0, 0);
         for seed in 0..24u64 {
-            let h = concurrent_history(seed, 5 + (seed % 2) as usize, values);
+            let h = history(seed, &shape);
             for m in all_models() {
                 let (fast, stats) = check_opacity_traced(&h, m);
                 let slow = oracle_opaque_by_units(&h, m);

@@ -11,132 +11,21 @@
 //!   memory model (requirement 1 of §1: the model must not affect
 //!   transaction-only semantics).
 
-use jungle::core::builder::HistoryBuilder;
-use jungle::core::history::History;
-use jungle::core::ids::{ProcId, Val, Var};
+use jungle::core::check::CheckKind;
+use jungle::core::ids::ProcId;
 use jungle::core::legal::{every_op_legal, PrefixChecker};
 use jungle::core::model::{all_models, Pso, Relaxed, Rmo, Sc, Tso};
 use jungle::core::opacity::check_opacity;
 use jungle::core::sgla::check_sgla;
+use jungle::core::testkit::{history, witness_errors, Shape, BLOCKS, FREEFORM};
 use proptest::prelude::*;
-
-/// A step of a random (possibly concurrent) history.
-#[derive(Clone, Debug)]
-enum Ev {
-    Read(u8, u8, u8),  // proc, var, val
-    Write(u8, u8, u8), // proc, var, val
-    Start(u8),
-    Commit(u8),
-    Abort(u8),
-}
-
-fn ev_strategy() -> impl Strategy<Value = Ev> {
-    prop_oneof![
-        (0..3u8, 0..2u8, 0..3u8).prop_map(|(p, v, x)| Ev::Read(p, v, x)),
-        (0..3u8, 0..2u8, 1..4u8).prop_map(|(p, v, x)| Ev::Write(p, v, x)),
-        (0..3u8).prop_map(Ev::Start),
-        (0..3u8).prop_map(Ev::Commit),
-        (0..3u8).prop_map(Ev::Abort),
-    ]
-}
-
-/// Interpret an event list into a well-formed history (boundary events
-/// are dropped when they would break well-formedness).
-fn build_history(evs: &[Ev]) -> History {
-    let mut b = HistoryBuilder::new();
-    let mut open = [false; 3];
-    for ev in evs {
-        match *ev {
-            Ev::Read(p, v, x) => {
-                b.read(ProcId(p.into()), Var(v.into()), Val::from(x));
-            }
-            Ev::Write(p, v, x) => {
-                b.write(ProcId(p.into()), Var(v.into()), Val::from(x));
-            }
-            Ev::Start(p) => {
-                if !open[p as usize] {
-                    open[p as usize] = true;
-                    b.start(ProcId(p.into()));
-                }
-            }
-            Ev::Commit(p) => {
-                if open[p as usize] {
-                    open[p as usize] = false;
-                    b.commit(ProcId(p.into()));
-                }
-            }
-            Ev::Abort(p) => {
-                if open[p as usize] {
-                    open[p as usize] = false;
-                    b.abort(ProcId(p.into()));
-                }
-            }
-        }
-    }
-    b.build().expect("interpreter maintains well-formedness")
-}
-
-/// A *sequential* random history: whole transactions and
-/// non-transactional ops appended one block at a time.
-#[derive(Clone, Debug)]
-enum Block {
-    Nt(Ev),
-    Txn(u8, Vec<(bool, u8, u8)>, bool), // proc, (is_read, var, val), commit?
-}
-
-fn block_strategy() -> impl Strategy<Value = Block> {
-    prop_oneof![
-        (0..3u8, 0..2u8, 0..3u8).prop_map(|(p, v, x)| Block::Nt(Ev::Read(p, v, x))),
-        (0..3u8, 0..2u8, 1..4u8).prop_map(|(p, v, x)| Block::Nt(Ev::Write(p, v, x))),
-        (
-            0..3u8,
-            prop::collection::vec((any::<bool>(), 0..2u8, 0..4u8), 0..3),
-            any::<bool>()
-        )
-            .prop_map(|(p, ops, c)| Block::Txn(p, ops, c)),
-    ]
-}
-
-fn build_sequential(blocks: &[Block]) -> History {
-    let mut b = HistoryBuilder::new();
-    for blk in blocks {
-        match blk {
-            Block::Nt(Ev::Read(p, v, x)) => {
-                b.read(ProcId((*p).into()), Var((*v).into()), Val::from(*x));
-            }
-            Block::Nt(Ev::Write(p, v, x)) => {
-                b.write(ProcId((*p).into()), Var((*v).into()), Val::from(*x));
-            }
-            Block::Nt(_) => unreachable!(),
-            Block::Txn(p, ops, commit) => {
-                let p = ProcId((*p).into());
-                b.start(p);
-                for (is_read, v, x) in ops {
-                    if *is_read {
-                        b.read(p, Var((*v).into()), Val::from(*x));
-                    } else {
-                        b.write(p, Var((*v).into()), Val::from(*x));
-                    }
-                }
-                if *commit {
-                    b.commit(p);
-                } else {
-                    b.abort(p);
-                }
-            }
-        }
-    }
-    b.build().unwrap()
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
-    fn incremental_checker_matches_reference_on_sequential(
-        blocks in prop::collection::vec(block_strategy(), 0..6)
-    ) {
-        let h = build_sequential(&blocks);
+    fn incremental_checker_matches_reference_on_sequential(seed in any::<u64>()) {
+        let h = history(seed, &BLOCKS);
         prop_assume!(h.is_sequential());
         let mut inc = PrefixChecker::new();
         let mut inc_ok = true;
@@ -147,14 +36,12 @@ proptest! {
             }
         }
         let ref_ok = every_op_legal(&h);
-        prop_assert_eq!(inc_ok, ref_ok, "history: {:?}", h);
+        prop_assert_eq!(inc_ok, ref_ok, "seed {}: {:?}", seed, h);
     }
 
     #[test]
-    fn opacity_monotone_under_model_weakening(
-        evs in prop::collection::vec(ev_strategy(), 0..8)
-    ) {
-        let h = build_history(&evs);
+    fn opacity_monotone_under_model_weakening(seed in any::<u64>()) {
+        let h = history(seed, &FREEFORM);
         // SC requires the most; every other (identity-transform) model
         // requires a subset of its pairs, so SC-opaque ⟹ M-opaque.
         if check_opacity(&h, &Sc).is_opaque() {
@@ -177,10 +64,8 @@ proptest! {
     }
 
     #[test]
-    fn theorem6_opacity_implies_sgla(
-        evs in prop::collection::vec(ev_strategy(), 0..8)
-    ) {
-        let h = build_history(&evs);
+    fn theorem6_opacity_implies_sgla(seed in any::<u64>()) {
+        let h = history(seed, &FREEFORM);
         for m in all_models() {
             if check_opacity(&h, m).is_opaque() {
                 prop_assert!(
@@ -194,14 +79,10 @@ proptest! {
     }
 
     #[test]
-    fn purely_transactional_histories_model_independent(
-        blocks in prop::collection::vec(block_strategy(), 0..5)
-    ) {
+    fn purely_transactional_histories_model_independent(seed in any::<u64>()) {
         // Requirement 1 of §1: executions that are purely transactional
         // must get the same verdict under every memory model.
-        let only_txns: Vec<Block> =
-            blocks.into_iter().filter(|b| matches!(b, Block::Txn(..))).collect();
-        let h = build_sequential(&only_txns);
+        let h = history(seed, &Shape { start: 8, ..BLOCKS });
         let reference = check_opacity(&h, &Sc).is_opaque();
         for m in all_models() {
             if m.name() == "Junk-SC" {
@@ -210,17 +91,16 @@ proptest! {
             prop_assert_eq!(
                 check_opacity(&h, m).is_opaque(),
                 reference,
-                "transaction-only verdict differs under {}",
-                m.name()
+                "transaction-only verdict differs under {} for seed {}",
+                m.name(),
+                seed
             );
         }
     }
 
     #[test]
-    fn visible_is_idempotent_and_wellformed(
-        evs in prop::collection::vec(ev_strategy(), 0..10)
-    ) {
-        let h = build_history(&evs);
+    fn visible_is_idempotent_and_wellformed(seed in any::<u64>()) {
+        let h = history(seed, &Shape { steps: 0..=9, ..FREEFORM });
         let v1 = h.visible();
         let v2 = v1.visible();
         prop_assert_eq!(v1.len(), v2.len());
@@ -234,10 +114,8 @@ proptest! {
     }
 
     #[test]
-    fn rt_closure_is_transitive_and_irreflexive(
-        evs in prop::collection::vec(ev_strategy(), 0..10)
-    ) {
-        let h = build_history(&evs);
+    fn rt_closure_is_transitive_and_irreflexive(seed in any::<u64>()) {
+        let h = history(seed, &Shape { steps: 0..=9, ..FREEFORM });
         let m = h.rt_closure();
         let n = h.len();
         for i in 0..n {
@@ -253,22 +131,13 @@ proptest! {
     }
 
     #[test]
-    fn opaque_history_has_witness_permutation(
-        evs in prop::collection::vec(ev_strategy(), 0..7)
-    ) {
-        let h = build_history(&evs);
+    fn opaque_history_has_witness_permutation(seed in any::<u64>()) {
+        // Every witness is a permutation of the (transformed) history's
+        // operations, sequential and legal; a refutation carries none.
+        let h = history(seed, &Shape { steps: 0..=6, ..FREEFORM });
         let v = check_opacity(&h, &Sc);
-        if v.is_opaque() {
-            // Every witness is a permutation of the (transformed)
-            // history's operations.
-            for (_, w) in v.witnesses() {
-                prop_assert_eq!(w.len(), h.len());
-                let mut ids: Vec<u32> = w.iter().map(|id| id.0).collect();
-                ids.sort_unstable();
-                ids.dedup();
-                prop_assert_eq!(ids.len(), h.len());
-            }
-        }
+        let errors = witness_errors(&h, &Sc, CheckKind::Opacity, &v);
+        prop_assert!(errors.is_empty(), "seed {}: {:?}", seed, errors);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! holds in every witness a brute-force oracle accepts, and every
 //! history it refutes has no witness at all.
 //!
-//! Opacity's oracle is `oracle.rs`'s [`perm_is_witness`] (the
+//! Opacity's oracle is the shared [`perm_is_witness`] (the
 //! definition of §3.3), fed every permutation of the units — a
 //! transaction's operations kept together, in order — that respects
 //! the unit-level real-time and view order, which the predicate checks
@@ -13,133 +13,29 @@
 //! transactions overlap, and replays legally under critical-section
 //! semantics.
 //!
-//! The generated histories mix transactional and non-transactional
-//! operations on up to three processes, with repeated values, aborted
-//! and live transactions, and dependent reads and writes; each is
-//! checked under all eight registry entries (Junk-SC's `havoc`
-//! included) and both kinds.
+//! The histories are the kit's `DEPENDENT` shape: transactional and
+//! non-transactional operations on up to three processes, with repeated
+//! values, aborted and live transactions, and dependent reads and
+//! writes; each is checked under all eight registry entries (Junk-SC's
+//! `havoc` included) and both kinds.
 
 mod common;
 
-use common::perm_is_witness;
+use common::{each_order, perm_is_witness, units, view};
 use jungle::core::builder::HistoryBuilder;
 use jungle::core::check::{Check, CheckKind};
 use jungle::core::history::{History, TxnStatus};
-use jungle::core::ids::{OpId, ProcId, Var, X};
+use jungle::core::ids::{ProcId, X};
 use jungle::core::legal::CsChecker;
 use jungle::core::model::MemoryModel;
-use jungle::core::op::DepKind;
 use jungle::core::registry::registry;
 use jungle::core::saturate::{derive, Saturation};
-
-/// Up to seven operations of two or three processes, drawn from `seed`.
-fn history(seed: u64) -> History {
-    let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
-    let mut draw = |n: u64| {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        (state >> 11) % n
-    };
-    let procs = 2 + draw(2) as usize;
-    let steps = 4 + draw(4);
-    let mut b = HistoryBuilder::new();
-    let mut open = vec![false; procs];
-    let mut last: Vec<Option<OpId>> = vec![None; procs];
-    for _ in 0..steps {
-        let at = draw(procs as u64) as usize;
-        let (p, var) = (ProcId(at as u32), Var(draw(2) as u32));
-        let kind = if draw(2) == 0 {
-            DepKind::Data
-        } else {
-            DepKind::Control
-        };
-        let id = match (open[at], draw(10), last[at]) {
-            (false, 0..=2, _) => {
-                b.start(p);
-                open[at] = true;
-                continue;
-            }
-            // A dependency never reaches past a transaction's end: the
-            // reference legality drops aborted transactions' operations.
-            (true, 0..=1, _) => {
-                b.commit(p);
-                (open[at], last[at]) = (false, None);
-                continue;
-            }
-            (true, 2, _) => {
-                b.abort(p);
-                (open[at], last[at]) = (false, None);
-                continue;
-            }
-            (_, 8, Some(dep)) if draw(2) == 0 => b.dep_read(p, var, draw(3), kind, vec![dep]),
-            (_, 8, Some(dep)) => b.dep_write(p, var, 1 + draw(2), kind, vec![dep]),
-            (_, 6..=7, _) => b.write(p, var, 1 + draw(2)),
-            _ => b.read(p, var, draw(3)),
-        };
-        last[at] = Some(id);
-    }
-    b.build().expect("the schedule is well-formed")
-}
-
-/// Calls `leaf` on every permutation of `0..n` that places `j` only
-/// after every `i` with `before[i][j]`, and only where `allowed` lets
-/// it extend the prefix.
-fn each_order(
-    n: usize,
-    before: &[Vec<bool>],
-    allowed: &dyn Fn(&[usize], usize) -> bool,
-    leaf: &mut dyn FnMut(&[usize]),
-) {
-    fn go(
-        seq: &mut Vec<usize>,
-        placed: &mut [bool],
-        before: &[Vec<bool>],
-        allowed: &dyn Fn(&[usize], usize) -> bool,
-        leaf: &mut dyn FnMut(&[usize]),
-    ) {
-        let n = placed.len();
-        if seq.len() == n {
-            return leaf(seq);
-        }
-        for j in 0..n {
-            let ready = !placed[j] && (0..n).all(|i| placed[i] || !before[i][j]);
-            if ready && allowed(seq, j) {
-                placed[j] = true;
-                seq.push(j);
-                go(seq, placed, before, allowed, leaf);
-                seq.pop();
-                placed[j] = false;
-            }
-        }
-    }
-    go(&mut Vec::new(), &mut vec![false; n], before, allowed, leaf);
-}
-
-/// Must every witness of `th` under `model` order `i` before `j` by the
-/// model's view: non-transactional commands of one process, `i < j`?
-fn view(th: &History, model: &dyn MemoryModel, i: usize, j: usize) -> bool {
-    let ops = th.ops();
-    i < j
-        && !th.is_transactional(i)
-        && !th.is_transactional(j)
-        && ops[i].op.command().is_some()
-        && ops[j].op.command().is_some()
-        && ops[i].proc == ops[j].proc
-        && model.required(th, i, j)
-}
+use jungle::core::testkit::{history, DEPENDENT};
 
 /// Every opacity witness of `th` (transformed already), as operation
 /// sequences.
 fn opacity_witnesses(th: &History, model: &dyn MemoryModel) -> Vec<Vec<usize>> {
-    let mut units: Vec<Vec<usize>> = (0..th.txns().len())
-        .map(|t| th.txn_ops(t).to_vec())
-        .collect();
-    units.extend(
-        (0..th.len())
-            .filter(|&i| !th.is_transactional(i))
-            .map(|i| vec![i]),
-    );
+    let units = units(th);
     let n = units.len();
     let before: Vec<Vec<bool>> = (0..n)
         .map(|u| {
@@ -161,6 +57,7 @@ fn opacity_witnesses(th: &History, model: &dyn MemoryModel) -> Vec<Vec<usize>> {
         if perm_is_witness(th, &perm, model) {
             found.push(perm);
         }
+        false
     });
     found
 }
@@ -215,15 +112,9 @@ fn sgla_witnesses(th: &History, model: &dyn MemoryModel) -> Vec<Vec<usize>> {
         if legal {
             found.push(perm.to_vec());
         }
+        false
     });
     found
-}
-
-fn witnesses(th: &History, model: &dyn MemoryModel, kind: CheckKind) -> Vec<Vec<usize>> {
-    match kind {
-        CheckKind::Opacity => opacity_witnesses(th, model),
-        CheckKind::Sgla => sgla_witnesses(th, model),
-    }
 }
 
 #[test]
@@ -231,12 +122,15 @@ fn derived_edges_hold_in_every_witness_and_refutations_have_none() {
     let (mut edges, mut checked, mut cycles, mut unsourced, mut holding) = (0, 0, 0, 0, 0);
     let mut kinds_refuted = [false; 2];
     for seed in 0..2000u64 {
-        let h = history(seed);
+        let h = history(seed, &DEPENDENT);
         for e in registry() {
             let th = e.model.transform(&h);
             for kind in [CheckKind::Opacity, CheckKind::Sgla] {
                 let ctx = format!("seed {seed}, {kind:?} under {}: {h:?}", e.key);
-                let found = witnesses(&th, e.model, kind);
+                let found = match kind {
+                    CheckKind::Opacity => opacity_witnesses(&th, e.model),
+                    CheckKind::Sgla => sgla_witnesses(&th, e.model),
+                };
                 // The oracle decides what the checker decides.
                 let holds = Check::new(kind).run(&h, e.model).0.holds();
                 assert_eq!(holds, !found.is_empty(), "{ctx}");

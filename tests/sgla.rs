@@ -3,11 +3,11 @@
 //! own invariants.
 
 use jungle::core::builder::HistoryBuilder;
-use jungle::core::history::History;
-use jungle::core::ids::{ProcId, Val, Var, X, Y};
+use jungle::core::ids::{ProcId, Var, X, Y};
 use jungle::core::model::{all_models, Pso, Relaxed, Rmo, Sc, Tso};
 use jungle::core::opacity::check_opacity;
 use jungle::core::sgla::check_sgla;
+use jungle::core::testkit::{history, Shape, FREEFORM};
 use proptest::prelude::*;
 
 fn p(n: u32) -> ProcId {
@@ -119,63 +119,13 @@ fn sgla_respects_base_model_for_nontransactional_code() {
     assert!(check_sgla(&mk(), &Rmo).is_sgla());
 }
 
-#[derive(Clone, Debug)]
-enum Ev {
-    Read(u8, u8, u8),
-    Write(u8, u8, u8),
-    Start(u8),
-    Commit(u8),
-    Abort(u8),
-}
-
-fn ev_strategy() -> impl Strategy<Value = Ev> {
-    prop_oneof![
-        (0..3u8, 0..2u8, 0..3u8).prop_map(|(p, v, x)| Ev::Read(p, v, x)),
-        (0..3u8, 0..2u8, 1..4u8).prop_map(|(p, v, x)| Ev::Write(p, v, x)),
-        (0..3u8).prop_map(Ev::Start),
-        (0..3u8).prop_map(Ev::Commit),
-        (0..3u8).prop_map(Ev::Abort),
-    ]
-}
-
-fn build_history(evs: &[Ev]) -> History {
-    let mut b = HistoryBuilder::new();
-    let mut open = [false; 3];
-    for ev in evs {
-        match *ev {
-            Ev::Read(q, v, x) => {
-                b.read(p(q.into()), Var(v.into()), Val::from(x));
-            }
-            Ev::Write(q, v, x) => {
-                b.write(p(q.into()), Var(v.into()), Val::from(x));
-            }
-            Ev::Start(q) if !open[q as usize] => {
-                open[q as usize] = true;
-                b.start(p(q.into()));
-            }
-            Ev::Commit(q) if open[q as usize] => {
-                open[q as usize] = false;
-                b.commit(p(q.into()));
-            }
-            Ev::Abort(q) if open[q as usize] => {
-                open[q as usize] = false;
-                b.abort(p(q.into()));
-            }
-            _ => {}
-        }
-    }
-    b.build().unwrap()
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(80))]
 
     /// SGLA is monotone under model weakening, like opacity.
     #[test]
-    fn sgla_monotone_under_model_weakening(
-        evs in prop::collection::vec(ev_strategy(), 0..8)
-    ) {
-        let h = build_history(&evs);
+    fn sgla_monotone_under_model_weakening(seed in any::<u64>()) {
+        let h = history(seed, &FREEFORM);
         if check_sgla(&h, &Sc).is_sgla() {
             for m in [&Tso as &dyn jungle::core::model::MemoryModel, &Pso, &Rmo, &Relaxed] {
                 prop_assert!(
@@ -191,20 +141,15 @@ proptest! {
     /// Purely non-transactional histories: SGLA and opacity coincide
     /// (with no transactions both reduce to the memory model alone).
     #[test]
-    fn no_txns_sgla_equals_opacity(
-        evs in prop::collection::vec(ev_strategy(), 0..8)
-    ) {
-        let only_nt: Vec<Ev> = evs
-            .into_iter()
-            .filter(|e| matches!(e, Ev::Read(..) | Ev::Write(..)))
-            .collect();
-        let h = build_history(&only_nt);
+    fn no_txns_sgla_equals_opacity(seed in any::<u64>()) {
+        let h = history(seed, &Shape { start: 0, ..FREEFORM });
         for m in all_models() {
             prop_assert_eq!(
                 check_opacity(&h, m).is_opaque(),
                 check_sgla(&h, m).is_sgla(),
-                "divergence without transactions under {}",
-                m.name()
+                "divergence without transactions under {} for seed {}",
+                m.name(),
+                seed
             );
         }
     }
